@@ -2,7 +2,7 @@
 //!
 //! * `tpcds-bench profile [--scale SF] [--out BENCH_4.json]
 //!   [--sort-out BENCH_5.json] [--queries-per-class N]` — measures the
-//!   columnar join microbench (same sections as `join_bench`) plus
+//!   columnar join microbench (build / join / join_agg sections) plus
 //!   histogram-derived per-query-class latencies and process memory,
 //!   writing one JSON report; the sort/Top-N microbench (the
 //!   `ORDER BY … LIMIT 100` template tail vs the serial row sort) is
@@ -16,12 +16,14 @@
 //!   CI perf-regression gate;
 //! * `tpcds-bench coverage [--scale SF] [--out COVERAGE_10.json]
 //!   [--baseline FILE] [--min-columnar N]` — runs all 99 templates under
-//!   pinned default options and writes each template's routing path (best
-//!   path any operator took), every fallback reason code, and cardinality
-//!   q-error quantiles; with `--baseline` it exits non-zero when any
-//!   template's routing path regressed (e.g. columnar → serial) vs the
-//!   committed report, and `--min-columnar` adds an absolute floor on the
-//!   columnar template count — the CI routing-coverage gate. The profile
+//!   pinned default options and writes, per template, the fraction of
+//!   operator output rows produced by batch operators, whether the plan
+//!   ran fallback-free (no operator dropped to the serial interpreter),
+//!   every fallback reason code, and cardinality q-error quantiles; with
+//!   `--baseline` it exits non-zero when a template that was
+//!   fallback-free in the committed report no longer is, and
+//!   `--min-columnar` adds an absolute floor on the fallback-free
+//!   template count — the CI routing-coverage gate. The profile
 //!   run additionally writes the expression-kernel microbench (computed
 //!   projection / expression sort key / residual join vs the interpreted
 //!   row path) to `--expr-out`, gated inline at `--expr-min-speedup`.
@@ -229,7 +231,7 @@ fn cmd_profile(args: &[String]) -> i32 {
     let fact_rows = db.row_count("store_sales") as f64;
     let dim_rows = db.row_count("date_dim") as f64;
 
-    // ---- Join microbench (the BENCH_3 sections, regenerated) ----
+    // ---- Join microbench ----
     let build = rate_obj(db, BUILD_SQL, dim_rows, threads);
     let join = rate_obj(db, JOIN_SQL, fact_rows, threads);
     let join_agg = rate_obj(db, JOIN_AGG_SQL, fact_rows, threads);
@@ -503,18 +505,6 @@ fn cmd_profile(args: &[String]) -> i32 {
     }
 }
 
-/// Paths ordered worst-to-best, matching `RoutePath`'s derive order. A
-/// template "regresses" when its best path moves down this ladder.
-fn path_rank(path: &str) -> i32 {
-    match path {
-        "serial" => 0,
-        "rows-par" => 1,
-        "index" => 2,
-        "columnar" => 3,
-        _ => -1, // "unset" / unknown
-    }
-}
-
 fn cmd_coverage(args: &[String]) -> i32 {
     let sf: f64 = flag(args, "--scale")
         .map(|v| v.parse().expect("bad --scale"))
@@ -543,28 +533,29 @@ fn cmd_coverage(args: &[String]) -> i32 {
     let db = tpcds.database();
 
     let mut templates: Vec<(String, Json)> = Vec::new();
-    let mut path_counts: Vec<(String, i64)> = Vec::new();
+    let mut fallback_free: Vec<u32> = Vec::new();
+    let (mut all_rows, mut all_batch_rows) = (0u64, 0u64);
     for id in 1..=99u32 {
         let sql = workload.instantiate(id, seed, 0).expect("instantiate");
         let analyzed = engine::query_analyze_with(db, &sql, opts)
             .unwrap_or_else(|e| panic!("template {id}: {e}"));
-        // Best path any executed operator took (RoutePath derive order).
-        let path = analyzed
-            .nodes
-            .iter()
-            .filter(|n| n.executed)
-            .map(|n| n.route)
-            .max()
-            .map(|r| r.as_str())
-            .unwrap_or("unset");
-        let mut fallbacks: Vec<&str> = analyzed
-            .nodes
-            .iter()
+        let executed = || analyzed.nodes.iter().filter(|n| n.executed);
+        // Operator output rows, and the share a batch operator produced.
+        let rows: u64 = executed().map(|n| n.rows).sum();
+        let batch_rows: u64 = executed()
+            .filter(|n| n.route == engine::RoutePath::Columnar)
+            .map(|n| n.rows)
+            .sum();
+        let fallbacks: Vec<&str> = executed()
             .filter_map(|n| n.fallback)
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
             .collect();
-        fallbacks.sort_unstable();
+        if fallbacks.is_empty() {
+            fallback_free.push(id);
+        }
+        all_rows += rows;
+        all_batch_rows += batch_rows;
         // q-error quantiles via the log-bucketed histogram, recorded at
         // ×100 so the sub-decade resolution survives integer buckets.
         let mut qh = HistSnapshot::new();
@@ -577,69 +568,52 @@ fn cmd_coverage(args: &[String]) -> i32 {
         templates.push((
             id.to_string(),
             Json::Obj(vec![
-                ("path".into(), Json::Str(path.to_string())),
+                ("fallback_free".into(), Json::Bool(fallbacks.is_empty())),
+                (
+                    "batch_rows_frac".into(),
+                    Json::Float(batch_rows as f64 / rows.max(1) as f64),
+                ),
                 (
                     "fallbacks".into(),
                     Json::Arr(fallbacks.iter().map(|f| Json::Str(f.to_string())).collect()),
                 ),
-                (
-                    "nodes".into(),
-                    Json::Int(analyzed.nodes.iter().filter(|n| n.executed).count() as i64),
-                ),
+                ("nodes".into(), Json::Int(executed().count() as i64)),
                 ("qerr_nodes".into(), Json::Int(qh.count as i64)),
                 ("qerr_p50".into(), Json::Float(q(50.0))),
                 ("qerr_p95".into(), Json::Float(q(95.0))),
                 ("qerr_max".into(), Json::Float(qh.max() as f64 / 100.0)),
             ]),
         ));
-        match path_counts.iter_mut().find(|(p, _)| p == path) {
-            Some((_, c)) => *c += 1,
-            None => path_counts.push((path.to_string(), 1)),
-        }
     }
-    path_counts.sort_by_key(|(p, _)| std::cmp::Reverse(path_rank(p)));
-    for (p, c) in &path_counts {
-        println!("{p:<9} {c:>3} templates");
-    }
+    let free = fallback_free.len() as i64;
+    let frac = all_batch_rows as f64 / all_rows.max(1) as f64;
+    println!("{free}/99 templates fallback-free; {frac:.3} of operator rows on the batch path");
 
     let report = Json::Obj(vec![
         ("scale_factor".into(), Json::Float(sf)),
         ("seed".into(), Json::Int(seed as i64)),
+        ("fallback_free".into(), Json::Int(free)),
+        ("batch_rows_frac".into(), Json::Float(frac)),
         ("templates".into(), Json::Obj(templates)),
-        (
-            "paths".into(),
-            Json::Obj(
-                path_counts
-                    .into_iter()
-                    .map(|(p, c)| (p, Json::Int(c)))
-                    .collect(),
-            ),
-        ),
     ]);
     std::fs::write(&out_path, format!("{report}\n")).expect("write coverage report");
     println!("wrote {out_path}");
 
-    // ---- Columnar-count floor ----
+    // ---- Fallback-free floor ----
     // An absolute contract independent of any baseline file: at least
-    // this many of the 99 templates must take the columnar path
-    // end-to-end. Catches a whole retired fallback class creeping back
-    // even when the committed baseline was itself regressed.
+    // this many of the 99 templates must run without a single operator
+    // dropping to the serial interpreter.
+    let mut status = 0;
     if let Some(floor) = min_columnar {
-        let columnar = report
-            .get("paths")
-            .and_then(|p| p.get("columnar"))
-            .and_then(|c| c.as_i64())
-            .unwrap_or(0);
-        if columnar < floor {
-            eprintln!("only {columnar}/99 templates routed columnar (floor {floor})");
-            return 1;
+        if free < floor {
+            eprintln!("only {free}/99 templates ran fallback-free (floor {floor})");
+            status = 1;
         }
-        println!("{columnar}/99 templates columnar (floor {floor})");
     }
 
-    // ---- Routing regression gate ----
+    // ---- Regression gate: fallback-free templates stay fallback-free ----
     let Some(base_path) = baseline_path else {
-        return 0;
+        return status;
     };
     let base = match std::fs::read_to_string(&base_path)
         .map_err(|e| e.to_string())
@@ -651,33 +625,21 @@ fn cmd_coverage(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let mut regressions = 0;
     for id in 1..=99u32 {
-        let key = id.to_string();
-        let old = base
+        let was_free = base
             .get("templates")
-            .and_then(|t| t.get(&key))
-            .and_then(|t| t.get("path"))
-            .and_then(|p| p.as_str());
-        let new = report
-            .get("templates")
-            .and_then(|t| t.get(&key))
-            .and_then(|t| t.get("path"))
-            .and_then(|p| p.as_str());
-        if let (Some(old), Some(new)) = (old, new) {
-            if path_rank(new) < path_rank(old) {
-                eprintln!("template {id:>2}: routing regressed {old} -> {new}");
-                regressions += 1;
-            }
+            .and_then(|t| t.get(&id.to_string()))
+            .and_then(|t| t.get("fallback_free"))
+            .is_some_and(|f| matches!(f, Json::Bool(true)));
+        if was_free && !fallback_free.contains(&id) {
+            eprintln!("template {id:>2}: no longer fallback-free");
+            status = 1;
         }
     }
-    if regressions > 0 {
-        eprintln!("{regressions} template(s) regressed vs {base_path}");
-        1
-    } else {
-        println!("routing paths match or improve on {base_path}");
-        0
+    if status == 0 {
+        println!("every template fallback-free in {base_path} still is");
     }
+    status
 }
 
 /// `tpcds-bench serve` — the BENCH_7 multi-stream client/server report:

@@ -1,6 +1,9 @@
-//! Plan execution. Operators fully materialize their outputs — the right
-//! simplicity/performance trade-off for an in-memory engine at virtual
-//! scale factors, and it keeps every operator independently testable.
+//! Plan execution. Operators exchange lazy column batches
+//! ([`tpcds_storage::Batch`]: a table, a pending predicate, a pending
+//! projection) and rows are materialized once, at the result edge
+//! ([`execute`]). The serial row interpreter ([`serial_node`]) is kept as
+//! the oracle: it is what [`ColumnarMode::Off`] runs end to end, and what
+//! nodes without a batch kernel run through one adapter ([`adapt`]).
 
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
@@ -8,8 +11,10 @@ use crate::expr::BExpr;
 use crate::plan::{AggCall, AggFunc, JoinKind, Plan, SetOpKind, WinFunc, WindowCall};
 use crate::sync::Mutex;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tpcds_storage::Batch;
 use tpcds_types::{Decimal, Row, Value};
 
 /// Which execution path an operator actually took. Ordered by how
@@ -19,13 +24,12 @@ pub enum RoutePath {
     /// Not executed / no routing decision recorded yet.
     #[default]
     Unset,
-    /// Serial row-at-a-time fallback.
+    /// The serial row interpreter.
     Serial,
-    /// Parallel kernel over already-materialized rows (no columnar scan).
-    RowsPar,
     /// Hash-index probe.
     Index,
-    /// Columnar morsel-driven kernel.
+    /// Batch in, batch out: a morsel-driven kernel, or a lazy composition
+    /// that a later kernel evaluates.
     Columnar,
 }
 
@@ -36,52 +40,45 @@ impl RoutePath {
         match self {
             RoutePath::Unset => "unset",
             RoutePath::Serial => "serial",
-            RoutePath::RowsPar => "rows-par",
             RoutePath::Index => "index",
             RoutePath::Columnar => "columnar",
         }
     }
 }
 
-/// Machine-readable reason codes attached to every routing decision that
-/// did *not* take the columnar kernel. The vocabulary is closed: coverage
-/// baselines and dashboards match on these exact strings.
+/// Machine-readable reason codes attached to every node that ran the
+/// serial interpreter instead of a batch kernel. The vocabulary is closed:
+/// coverage baselines and dashboards match on these exact strings.
 pub mod reason {
     /// Columnar routing disabled (`TPCDS_COLUMNAR=off` / ExecOptions).
     pub const COLUMNAR_OFF: &str = "columnar-off";
     /// The table has no columnar shadow (not built, or invalidated).
     pub const NO_SHADOW: &str = "no-shadow";
     /// An expression contains a shape no kernel can evaluate (subqueries,
-    /// outer-column references). The only reason an expression ever
-    /// falls off the vectorized path — simple shape mismatches
-    /// (`pred-shape`, `sort-key-shape`, `residual`) are retired.
+    /// outer-column references) — the only reason an expression ever
+    /// falls off the vectorized path.
     pub const EXPR_UNSUPPORTED: &str = "expr-unsupported";
     /// Aggregate shape outside the kernel subset (DISTINCT, ROLLUP,
     /// expression keys, STDDEV_SAMP, GROUPING).
     pub const AGG_SHAPE: &str = "agg-shape";
-    /// The operator's input is not a (possibly filtered) base-table scan.
-    pub const INPUT_SHAPE: &str = "input-shape";
     /// A join key is not a plain column reference.
     pub const KEY_SHAPE: &str = "key-shape";
-    /// An eligible hash-index probe outranks the columnar kernel.
-    pub const INDEX_PREFERRED: &str = "index-preferred";
-    /// Unfiltered row scan: cloning row storage beats re-materializing
-    /// from columns, so Auto keeps the row path deliberately.
-    pub const ROW_CLONE: &str = "row-clone-cheaper";
-    /// The operator has no columnar kernel at all (Filter, Project,
-    /// Window, Distinct, SetOp, NestedLoopJoin, CteRef, Prefix).
+    /// The operator has no batch kernel yet (Window, Distinct, SetOp,
+    /// NestedLoopJoin).
     pub const NO_KERNEL: &str = "no-kernel";
     /// A `sys.*` virtual table: rows materialize at scan time, so there
     /// is never a shadow to route through.
     pub const SYS_VIRTUAL: &str = "sys-virtual";
 }
 
-/// `Err(reason)` = the accelerated path was not taken, and why.
+/// `Err(reason)` = the batch kernel cannot run this node, and why.
 type Routed<T> = std::result::Result<T, &'static str>;
 
 /// Accumulated actuals for one plan node (EXPLAIN ANALYZE). Elapsed time
-/// is inclusive of the node's inputs, like `actual time` in other engines;
-/// `calls` counts executions (correlated subplans run once per outer row).
+/// is inclusive of the node's inputs, like `actual time` in other engines
+/// — except that a lazy node's pending predicate is evaluated (and timed)
+/// by the kernel that consumes it; `calls` counts executions (correlated
+/// subplans run once per outer row).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpStats {
     /// The best execution path any call of this node took.
@@ -131,16 +128,15 @@ pub struct OpStats {
 /// of the `Bound` statement that owns the tree.
 pub type StatsMap = HashMap<usize, OpStats>;
 
-/// Whether scans/aggregates may route through the columnar shadow.
+/// Which executor runs the statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnarMode {
-    /// Row path only, even when a shadow exists.
+    /// The serial row interpreter end to end — the differential oracle.
     Off,
-    /// Columnar when a shadow exists and the plan shape compiles to the
-    /// kernel subset; row path (and index probes) otherwise. The default.
+    /// Batch execution; scans with an indexable equality filter take the
+    /// hash-index probe. The default.
     Auto,
-    /// Columnar wherever a shadow exists, even when the row path would
-    /// win (skips index probes on shadowed tables) — the setting the
+    /// Batch execution without index probes — the setting the
     /// equivalence tests use to force kernel coverage.
     Force,
 }
@@ -192,8 +188,9 @@ pub struct ExecCtx<'a> {
     pub db: &'a Database,
     /// The immutable snapshot every table lookup resolves against.
     snap: Arc<crate::catalog::DbSnapshot>,
-    /// CTE results by slot id (each CTE executes once per statement).
-    pub cte_cache: Mutex<HashMap<usize, Arc<Vec<Row>>>>,
+    /// CTE results by slot id: each CTE executes once per statement and
+    /// every reference shares the batch's `Arc`.
+    pub cte_cache: Mutex<HashMap<usize, Batch>>,
     /// Execution options (columnar routing, worker count).
     pub opts: ExecOptions,
     stats: Option<Mutex<StatsMap>>,
@@ -201,6 +198,9 @@ pub struct ExecCtx<'a> {
     /// so correlated subplans (one decision per outer row) produce one
     /// `route.*` counter/span per distinct decision, not per row.
     route_seen: Mutex<HashSet<(usize, RoutePath, Option<&'static str>)>>,
+    /// EXPLAIN ANALYZE only: per lazy node, the counter its pending
+    /// predicate feeds as kernels evaluate it ([`Batch::counted`]).
+    lazy_rows: Mutex<Vec<(usize, Arc<AtomicU64>)>>,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -229,6 +229,7 @@ impl<'a> ExecCtx<'a> {
             opts,
             stats: None,
             route_seen: Mutex::new(HashSet::new()),
+            lazy_rows: Mutex::new(Vec::new()),
         }
     }
 
@@ -250,12 +251,8 @@ impl<'a> ExecCtx<'a> {
         opts: ExecOptions,
     ) -> Self {
         ExecCtx {
-            db,
-            snap,
-            cte_cache: Mutex::new(HashMap::new()),
-            opts,
             stats: Some(Mutex::new(HashMap::new())),
-            route_seen: Mutex::new(HashSet::new()),
+            ..Self::pinned(db, snap, opts)
         }
     }
 
@@ -272,7 +269,11 @@ impl<'a> ExecCtx<'a> {
     /// Consumes the context, yielding the collected per-operator actuals
     /// (empty if stats were not enabled).
     pub fn take_stats(self) -> StatsMap {
-        self.stats.map(Mutex::into_inner).unwrap_or_default()
+        let mut map = self.stats.map(Mutex::into_inner).unwrap_or_default();
+        for (node, rows) in self.lazy_rows.into_inner() {
+            map.entry(node).or_default().rows_out += rows.load(Ordering::Relaxed);
+        }
+        map
     }
 
     /// The best route any operator took this statement plus the sorted,
@@ -300,7 +301,7 @@ impl<'a> ExecCtx<'a> {
             .unwrap_or_else(tpcds_storage::effective_threads)
     }
 
-    /// Records which path an operator took and (for non-columnar paths)
+    /// Records which path an operator took and (for the serial path)
     /// why. Folds into the node's EXPLAIN ANALYZE entry and — once per
     /// distinct (node, path, reason) decision per statement — emits an
     /// `engine.route.<path>` counter, an `engine.route.fallback.<reason>`
@@ -407,124 +408,206 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// Executes a plan, producing its rows. `outer` carries the enclosing row
-/// when this plan is a correlated subquery body. When the context was
-/// created with [`ExecCtx::with_stats`], each node's calls, output rows
-/// and inclusive elapsed time are accumulated for EXPLAIN ANALYZE.
+/// Executes a plan to rows — the result edge, and the only place a column
+/// batch is turned into `Vec<Row>` on behalf of a caller (the statement
+/// entry points and subquery evaluation). `outer` carries the enclosing
+/// row when this plan is a correlated subquery body. When the context
+/// was created with [`ExecCtx::with_stats`], each node's calls, output
+/// rows and elapsed time are accumulated for EXPLAIN ANALYZE.
+///
+/// [`ColumnarMode::Off`] runs the serial row interpreter end to end — the
+/// oracle every differential compares against; the other modes run
+/// [`batch_node`] and materialize its batch once.
 pub fn execute(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Vec<Row>> {
+    if ctx.opts.columnar == ColumnarMode::Off {
+        serial(plan, ctx, outer, None)
+    } else {
+        rows_of(plan, ctx, outer)
+    }
+}
+
+/// Runs one node and, under EXPLAIN ANALYZE, folds its actuals into the
+/// stats map. A lazy batch defers its work to whichever kernel consumes
+/// it, so a node's elapsed time covers what the node itself ran.
+fn observed<T>(
+    plan: &Plan,
+    ctx: &ExecCtx<'_>,
+    run: impl FnOnce() -> Result<T>,
+    rows: impl FnOnce(&T) -> u64,
+) -> Result<T> {
     let Some(stats) = &ctx.stats else {
-        return execute_node(plan, ctx, outer);
+        return run();
     };
     let wm = tpcds_obs::mem::Watermark::start();
     let start = Instant::now();
-    let result = execute_node(plan, ctx, outer);
-    if let Ok(rows) = &result {
-        let elapsed = start.elapsed();
-        let mem_peak = wm.peak_delta();
-        let mut map = stats.lock();
-        let s = map.entry(plan as *const Plan as usize).or_default();
-        s.calls += 1;
-        s.rows_out += rows.len() as u64;
-        s.elapsed += elapsed;
-        s.mem_peak = s.mem_peak.max(mem_peak);
-    }
-    result
+    let out = run()?;
+    let (elapsed, mem_peak) = (start.elapsed(), wm.peak_delta());
+    let rows = rows(&out);
+    let mut map = stats.lock();
+    let s = map.entry(plan as *const Plan as usize).or_default();
+    s.calls += 1;
+    s.rows_out += rows;
+    s.elapsed += elapsed;
+    s.mem_peak = s.mem_peak.max(mem_peak);
+    Ok(out)
 }
 
-fn execute_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Vec<Row>> {
+/// One node of the serial interpreter, children included.
+fn serial(
+    plan: &Plan,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&[Value]>,
+    budget: Option<usize>,
+) -> Result<Vec<Row>> {
+    let child = |p: &Plan, b: Option<usize>| serial(p, ctx, outer, b);
+    observed(
+        plan,
+        ctx,
+        || serial_node(plan, ctx, outer, budget, reason::COLUMNAR_OFF, &child),
+        |rows| rows.len() as u64,
+    )
+}
+
+/// One node of the batch executor, children included. Under EXPLAIN
+/// ANALYZE a node whose batch carries a pending predicate reports its
+/// rows later: whichever kernel evaluates the predicate counts what it
+/// admits (so a `LIMIT` that stops early reports the rows actually read).
+fn batch(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Batch> {
+    let pending = |b: &Batch| b.pred.as_ref().map_or(b.table.rows as u64, |_| 0);
+    let mut b = observed(plan, ctx, || batch_node(plan, ctx, outer), pending)?;
+    if ctx.stats.is_some() {
+        if let Some(rows) = b.counted() {
+            let node = plan as *const Plan as usize;
+            ctx.lazy_rows.lock().push((node, rows));
+        }
+    }
+    Ok(b)
+}
+
+/// Executes `plan` as a batch and materializes it. The scan numbers land
+/// on `plan`'s node when a pending predicate made this the pass that
+/// actually read the table.
+fn rows_of(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Vec<Row>> {
+    let b = batch(plan, ctx, outer)?;
+    let (rows, cs) = tpcds_storage::par_filter(&b, ctx.threads());
+    check_err(&b)?;
+    if b.pred.is_some() {
+        ctx.record_columnar(plan as *const Plan as usize, &cs);
+    }
+    Ok(rows)
+}
+
+/// The one adapter between the two executors: runs the serial
+/// interpreter's operator for `plan` over its children's materialized
+/// batches and re-wraps the result. Every node without a batch kernel
+/// (and every expression the compiler refuses) comes through here,
+/// recorded as `route=serial[why]`.
+fn adapt(
+    plan: &Plan,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&[Value]>,
+    why: &'static str,
+) -> Result<Batch> {
+    let child = |p: &Plan, _: Option<usize>| rows_of(p, ctx, outer);
+    let rows = serial_node(plan, ctx, outer, None, why, &child)?;
+    Ok(Batch::from_rows(plan.width(), &rows))
+}
+
+/// Surfaces a deferred per-row error left behind by the batch's pending
+/// predicate after a kernel consumed it. Must be called after every such
+/// kernel, before trusting its output.
+fn check_err(b: &Batch) -> Result<()> {
+    b.take_err()
+        .map_or(Ok(()), |msg| Err(EngineError::exec(msg)))
+}
+
+fn storage_err(e: tpcds_storage::StorageError) -> EngineError {
+    EngineError::exec(e.0)
+}
+
+/// `compiled` is `e` compiled over `b`'s visible row; kernels address
+/// physical columns, so under a pending projection `e` is recompiled
+/// against those.
+fn rebase<T>(b: &Batch, e: &BExpr, compiled: T, compile: fn(&BExpr) -> Option<T>) -> T {
+    match &b.proj {
+        None => compiled,
+        Some(p) => compile(&e.remap_columns(&|c| p[c])).expect("compiled once already"),
+    }
+}
+
+/// The column indexes when every expression is a plain column reference.
+fn plain_cols<'e>(exprs: impl IntoIterator<Item = &'e BExpr>) -> Option<Vec<usize>> {
+    exprs
+        .into_iter()
+        .map(|e| match e {
+            BExpr::Col(i) => Some(*i),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The batch executor: every node returns a lazy [`Batch`]. `Scan` yields
+/// the shadow untouched, a compilable `Filter` ANDs into the pending
+/// predicate, a plain-column `Project`/`Prefix` composes the pending
+/// projection; joins, aggregates, sorts and limits hand whatever batch
+/// their child produced to a morsel kernel. Nodes without a kernel go
+/// through [`adapt`].
+fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Batch> {
+    let node = plan as *const Plan as usize;
+    let threads = ctx.threads();
+    let columnar = || ctx.record_route(node, plan.op_name(), RoutePath::Columnar, None);
     match plan {
         Plan::Scan { table, filter, .. } => {
-            let node = plan as *const Plan as usize;
-            let (rows, cstats) = scan(table, filter.as_ref(), node, ctx, outer)?;
-            if let Some(cs) = cstats {
-                ctx.record_columnar(node, &cs);
+            if crate::sys::is_sys_table(table) {
+                return adapt(plan, ctx, outer, reason::SYS_VIRTUAL);
             }
-            Ok(rows)
+            let t = ctx.table(table)?;
+            if let Some(rows) = index_probe(&t, filter.as_ref(), ctx, outer)? {
+                ctx.record_route(node, "Scan", RoutePath::Index, None);
+                return Ok(Batch::from_rows(plan.width(), &rows));
+            }
+            let why = match (t.columnar(), filter.as_ref().map(compile_any_pred)) {
+                (None, _) => reason::NO_SHADOW,
+                (Some(_), Some(None)) => reason::EXPR_UNSUPPORTED,
+                (Some(ct), pred) => {
+                    columnar();
+                    let b = Batch::new(ct);
+                    return Ok(match pred.flatten() {
+                        Some(p) => b.filter(p),
+                        None => b,
+                    });
+                }
+            };
+            adapt(plan, ctx, outer, why)
         }
         Plan::Filter { input, predicate } => {
-            let node = plan as *const Plan as usize;
-            if ctx.opts.columnar != ColumnarMode::Off {
-                if let Some(cexpr) = compile_expr(predicate) {
-                    // Vectorized filter over the materialized input —
-                    // this is how grouped HAVING tails run morsel-parallel.
-                    ctx.record_route(node, "Filter", RoutePath::RowsPar, None);
-                    let rows = execute(input, ctx, outer)?;
-                    let (out, es) = tpcds_storage::par_filter_rows(rows, &cexpr, ctx.threads())
-                        .map_err(|e| EngineError::exec(e.0))?;
-                    ctx.record_expr(node, &es);
-                    return Ok(out);
-                }
-                ctx.record_route(
-                    node,
-                    "Filter",
-                    RoutePath::Serial,
-                    Some(reason::EXPR_UNSUPPORTED),
-                );
-            } else {
-                ctx.record_route(
-                    node,
-                    "Filter",
-                    RoutePath::Serial,
-                    Some(reason::COLUMNAR_OFF),
-                );
-            }
-            let rows = execute(input, ctx, outer)?;
-            let mut out = Vec::new();
-            for row in rows {
-                if predicate.matches(&row, ctx, outer)? {
-                    out.push(row);
-                }
-            }
-            Ok(out)
+            let Some(pred) = compile_any_pred(predicate) else {
+                return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
+            };
+            columnar();
+            let b = batch(input, ctx, outer)?;
+            let pred = rebase(&b, predicate, pred, compile_any_pred);
+            Ok(b.filter(pred))
         }
         Plan::Project { input, exprs } => {
-            let node = plan as *const Plan as usize;
-            let why = if ctx.opts.columnar == ColumnarMode::Off {
-                reason::COLUMNAR_OFF
-            } else if let Some(cexprs) = compile_exprs(exprs) {
-                match compile_scan_source(input, ctx)? {
-                    Ok(src) => {
-                        // Fused columnar scan + computed projection: the
-                        // output never round-trips through row storage.
-                        ctx.record_route(node, "Project", RoutePath::Columnar, None);
-                        let res = tpcds_storage::par_project(
-                            &src.table,
-                            src.pred.as_ref(),
-                            &cexprs,
-                            ctx.threads(),
-                        );
-                        check_pred_err(src.pred.as_ref())?;
-                        let (rows, cs, es) = res.map_err(|e| EngineError::exec(e.0))?;
-                        ctx.record_columnar(node, &cs);
-                        ctx.record_expr(node, &es);
-                        return Ok(rows);
-                    }
-                    Err(why) => {
-                        // Vectorized projection over the materialized
-                        // input rows.
-                        ctx.record_route(node, "Project", RoutePath::RowsPar, Some(why));
-                        let rows = execute(input, ctx, outer)?;
-                        let (out, es) =
-                            tpcds_storage::par_project_rows(&rows, &cexprs, ctx.threads())
-                                .map_err(|e| EngineError::exec(e.0))?;
-                        ctx.record_expr(node, &es);
-                        return Ok(out);
-                    }
-                }
-            } else {
-                reason::EXPR_UNSUPPORTED
-            };
-            ctx.record_route(node, "Project", RoutePath::Serial, Some(why));
-            let rows = execute(input, ctx, outer)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let mut new_row = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    new_row.push(e.eval(&row, ctx, outer)?);
-                }
-                out.push(new_row);
+            if let Some(cols) = plain_cols(exprs) {
+                columnar();
+                return Ok(batch(input, ctx, outer)?.project(&cols));
             }
-            Ok(out)
+            let Some(cexprs) = exprs.iter().map(compile_expr).collect::<Option<Vec<_>>>() else {
+                return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
+            };
+            columnar();
+            let b = batch(input, ctx, outer)?;
+            let cexprs: Vec<_> = (exprs.iter().zip(cexprs))
+                .map(|(e, c)| rebase(&b, e, c, compile_expr))
+                .collect();
+            let res = tpcds_storage::par_project_table(&b, &cexprs, threads);
+            check_err(&b)?;
+            let (table, cs, es) = res.map_err(storage_err)?;
+            ctx.record_columnar(node, &cs);
+            ctx.record_expr(node, &es);
+            Ok(Batch::new(Arc::new(table)))
         }
         Plan::HashJoin {
             left,
@@ -534,47 +617,24 @@ fn execute_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Resu
             right_keys,
             residual,
         } => {
-            let node = plan as *const Plan as usize;
-            match try_columnar_join(
-                left,
-                right,
-                *kind,
-                left_keys,
-                right_keys,
-                residual.as_ref(),
-                ctx,
-            )? {
-                Ok((rows, js)) => {
-                    ctx.record_route(node, "HashJoin", RoutePath::Columnar, None);
-                    ctx.record_join(node, &js);
-                    return Ok(rows);
-                }
-                Err(why) => ctx.record_route(node, "HashJoin", RoutePath::Serial, Some(why)),
-            }
-            hash_join(
-                left,
-                right,
-                *kind,
-                left_keys,
-                right_keys,
-                residual.as_ref(),
-                ctx,
-                outer,
-            )
-        }
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            predicate,
-        } => {
-            ctx.record_route(
-                plan as *const Plan as usize,
-                "NestedLoopJoin",
-                RoutePath::Serial,
-                Some(reason::NO_KERNEL),
+            let j = match join_sides(left, right, left_keys, right_keys, residual, ctx, outer)? {
+                Ok(j) => j,
+                Err(why) => return adapt(plan, ctx, outer, why),
+            };
+            columnar();
+            let res = tpcds_storage::par_hash_join(
+                &j.probe,
+                &j.probe_keys,
+                &j.build,
+                &j.build_keys,
+                join_type(*kind),
+                j.residual.as_ref(),
+                threads,
             );
-            nested_loop_join(left, right, *kind, predicate.as_ref(), ctx, outer)
+            j.check_err()?;
+            let (table, js) = res.map_err(storage_err)?;
+            ctx.record_join(node, &js);
+            Ok(Batch::new(Arc::new(table)))
         }
         Plan::Aggregate {
             input,
@@ -582,203 +642,388 @@ fn execute_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Resu
             sets,
             aggs,
         } => {
-            let node = plan as *const Plan as usize;
-            let why1 = match try_columnar_aggregate(input, groups, sets, aggs, ctx)? {
-                Ok((rows, cs)) => {
-                    ctx.record_route(node, "Aggregate", RoutePath::Columnar, None);
-                    ctx.record_columnar(node, &cs);
-                    return Ok(rows);
-                }
-                Err(why) => why,
+            let Some((mut group_cols, mut specs)) = compile_agg_shape(groups, sets, aggs) else {
+                return adapt(plan, ctx, outer, reason::AGG_SHAPE);
             };
-            let why2 = match try_columnar_join_aggregate(input, groups, sets, aggs, ctx)? {
-                Ok((rows, js)) => {
-                    ctx.record_route(node, "Aggregate", RoutePath::Columnar, None);
-                    ctx.record_join(node, &js);
-                    return Ok(rows);
-                }
-                Err(why) => why,
-            };
-            // The scan-aggregate route reports `input-shape` for any
-            // non-scan input; when the input was a join, the fused
-            // join-aggregate route's reason is the informative one.
-            let why = if why1 == reason::INPUT_SHAPE {
-                why2
-            } else {
-                why1
-            };
-            ctx.record_route(node, "Aggregate", RoutePath::Serial, Some(why));
-            aggregate(input, groups, sets, aggs, ctx, outer)
-        }
-        Plan::Window { input, calls } => {
-            ctx.record_route(
-                plan as *const Plan as usize,
-                "Window",
-                RoutePath::Serial,
-                Some(reason::NO_KERNEL),
-            );
-            window(input, calls, ctx, outer)
-        }
-        Plan::Sort { input, keys } => {
-            let node = plan as *const Plan as usize;
-            if ctx.opts.columnar != ColumnarMode::Off {
-                if let Some(skeys) = compile_sort_keys(keys) {
-                    match compile_sort_source(input, ctx)? {
-                        Ok(src) => {
-                            ctx.record_route(node, "Sort", RoutePath::Columnar, None);
-                            let (rows, ss) = match columnar_sort_input(&src, node, ctx)? {
-                                SortInput::Table(ptab) => tpcds_storage::par_sort(
-                                    &ptab,
-                                    None,
-                                    &skeys,
-                                    None,
-                                    ctx.threads(),
-                                ),
-                                SortInput::Source => {
-                                    let r = tpcds_storage::par_sort(
-                                        &src.table,
-                                        src.pred.as_ref(),
-                                        &skeys,
-                                        src.proj.as_deref(),
-                                        ctx.threads(),
-                                    );
-                                    check_pred_err(src.pred.as_ref())?;
-                                    r
-                                }
-                            };
-                            ctx.record_sort(node, &ss);
-                            return Ok(rows);
-                        }
-                        Err(why) => {
-                            ctx.record_route(node, "Sort", RoutePath::RowsPar, Some(why));
-                        }
-                    }
-                    let rows = execute(input, ctx, outer)?;
-                    let (rows, ss) =
-                        tpcds_storage::par_sort_rows(rows, &skeys, None, ctx.threads());
-                    ctx.record_sort(node, &ss);
-                    return Ok(rows);
-                }
-                // Expression sort keys: evaluate each key vectorized into
-                // hidden columns appended to every row, sort on those, and
-                // drop them when the winners materialize.
-                if let Some((kexprs, descs)) = compile_key_exprs(keys) {
-                    ctx.record_route(node, "Sort", RoutePath::RowsPar, None);
-                    let rows = execute(input, ctx, outer)?;
-                    let (rows, skeys, width) =
-                        append_key_columns(rows, &kexprs, &descs, node, ctx)?;
-                    let visible: Vec<usize> = (0..width).collect();
-                    let (rows, ss) =
-                        tpcds_storage::par_sort_rows(rows, &skeys, Some(&visible), ctx.threads());
-                    ctx.record_sort(node, &ss);
-                    return Ok(rows);
-                }
-                ctx.record_route(
-                    node,
-                    "Sort",
-                    RoutePath::Serial,
-                    Some(reason::EXPR_UNSUPPORTED),
-                );
-            } else {
-                ctx.record_route(node, "Sort", RoutePath::Serial, Some(reason::COLUMNAR_OFF));
-            }
-            let rows = execute(input, ctx, outer)?;
-            sort_rows(rows, keys, ctx, outer)
-        }
-        Plan::TopN { input, keys, n } => {
-            let node = plan as *const Plan as usize;
-            let limit = *n as usize;
-            if ctx.opts.columnar != ColumnarMode::Off {
-                if let Some(skeys) = compile_sort_keys(keys) {
-                    match compile_sort_source(input, ctx)? {
-                        Ok(src) => {
-                            ctx.record_route(node, "TopN", RoutePath::Columnar, None);
-                            let (rows, ss) = match columnar_sort_input(&src, node, ctx)? {
-                                SortInput::Table(ptab) => tpcds_storage::par_topn(
-                                    &ptab,
-                                    None,
-                                    &skeys,
-                                    None,
-                                    limit,
-                                    ctx.threads(),
-                                ),
-                                SortInput::Source => {
-                                    let r = tpcds_storage::par_topn(
-                                        &src.table,
-                                        src.pred.as_ref(),
-                                        &skeys,
-                                        src.proj.as_deref(),
-                                        limit,
-                                        ctx.threads(),
-                                    );
-                                    check_pred_err(src.pred.as_ref())?;
-                                    r
-                                }
-                            };
-                            ctx.record_sort(node, &ss);
-                            return Ok(rows);
-                        }
-                        Err(why) => {
-                            ctx.record_route(node, "TopN", RoutePath::RowsPar, Some(why));
-                        }
-                    }
-                    let rows = execute(input, ctx, outer)?;
-                    let (rows, ss) =
-                        tpcds_storage::par_topn_rows(rows, &skeys, None, limit, ctx.threads());
-                    ctx.record_sort(node, &ss);
-                    return Ok(rows);
-                }
-                if let Some((kexprs, descs)) = compile_key_exprs(keys) {
-                    ctx.record_route(node, "TopN", RoutePath::RowsPar, None);
-                    let rows = execute(input, ctx, outer)?;
-                    let (rows, skeys, width) =
-                        append_key_columns(rows, &kexprs, &descs, node, ctx)?;
-                    let visible: Vec<usize> = (0..width).collect();
-                    let (rows, ss) = tpcds_storage::par_topn_rows(
-                        rows,
-                        &skeys,
-                        Some(&visible),
-                        limit,
-                        ctx.threads(),
+            columnar();
+            // Directly over a hash join the fused kernel folds matches
+            // into the partials; joined rows are never gathered.
+            if let Plan::HashJoin {
+                left,
+                right,
+                kind,
+                left_keys,
+                right_keys,
+                residual,
+            } = input.as_ref()
+            {
+                if let Ok(j) = join_sides(left, right, left_keys, right_keys, residual, ctx, outer)?
+                {
+                    rebase_agg(&mut group_cols, &mut specs, |c| j.phys(c));
+                    let res = tpcds_storage::par_hash_join_agg(
+                        &j.probe,
+                        &j.probe_keys,
+                        &j.build,
+                        &j.build_keys,
+                        join_type(*kind),
+                        j.residual.as_ref(),
+                        &group_cols,
+                        &specs,
+                        threads,
                     );
-                    ctx.record_sort(node, &ss);
-                    return Ok(rows);
+                    j.check_err()?;
+                    let (rows, js) = res.map_err(storage_err)?;
+                    ctx.record_join(node, &js);
+                    return Ok(Batch::from_rows(plan.width(), &rows));
                 }
-                ctx.record_route(
-                    node,
-                    "TopN",
-                    RoutePath::Serial,
-                    Some(reason::EXPR_UNSUPPORTED),
-                );
-            } else {
-                ctx.record_route(node, "TopN", RoutePath::Serial, Some(reason::COLUMNAR_OFF));
             }
-            let rows = execute(input, ctx, outer)?;
-            let mut rows = sort_rows(rows, keys, ctx, outer)?;
-            rows.truncate(limit);
-            Ok(rows)
+            let b = batch(input, ctx, outer)?;
+            rebase_agg(&mut group_cols, &mut specs, |c| b.phys(c));
+            let res = tpcds_storage::par_aggregate(&b, &group_cols, &specs, threads);
+            // Deferred predicate errors outrank aggregate errors: the row
+            // path filters before it folds.
+            check_err(&b)?;
+            let (rows, cs) = res.map_err(storage_err)?;
+            ctx.record_columnar(node, &cs);
+            Ok(Batch::from_rows(plan.width(), &rows))
+        }
+        Plan::Sort { input, keys } | Plan::TopN { input, keys, .. } => {
+            let Some(ckeys) =
+                (keys.iter().map(|(e, _)| compile_expr(e))).collect::<Option<Vec<_>>>()
+            else {
+                return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
+            };
+            columnar();
+            let (b, skeys) = sort_source(batch(input, ctx, outer)?, keys, ckeys, node, ctx)?;
+            let (table, ss) = match plan {
+                Plan::TopN { n, .. } => tpcds_storage::par_topn(&b, &skeys, *n as usize, threads),
+                _ => tpcds_storage::par_sort(&b, &skeys, threads),
+            };
+            check_err(&b)?;
+            ctx.record_sort(node, &ss);
+            Ok(Batch::new(Arc::new(table)))
         }
         Plan::Limit { input, n } => {
-            let node = plan as *const Plan as usize;
-            match try_limited_input(input, *n as usize, node, ctx, outer)? {
-                Ok(rows) => return Ok(rows),
-                Err(why) => ctx.record_route(node, "Limit", RoutePath::Serial, Some(why)),
+            columnar();
+            let b = batch(input, ctx, outer)?;
+            let (rows, cs) = tpcds_storage::par_filter_limit(&b, *n as usize);
+            // Errors past the consumed prefix were cleared by the kernel;
+            // anything left would surface on the row path too.
+            check_err(&b)?;
+            if b.pred.is_some() {
+                ctx.record_columnar(node, &cs);
             }
-            let mut rows = execute(input, ctx, outer)?;
+            Ok(Batch::from_rows(b.width(), &rows))
+        }
+        Plan::CteRef { id, plan: body, .. } => {
+            columnar();
+            if let Some(b) = ctx.cte_cache.lock().get(id) {
+                return Ok(b.clone());
+            }
+            let mut b = batch(body, ctx, outer)?;
+            if b.pred.is_some() {
+                // The body runs once: force its pending predicate here
+                // rather than once per reference.
+                let cols: Vec<_> = b.cols().into_iter().map(tpcds_storage::Expr::Col).collect();
+                let res = tpcds_storage::par_project_table(&b, &cols, threads);
+                check_err(&b)?;
+                b = Batch::new(Arc::new(res.map_err(storage_err)?.0));
+            }
+            ctx.cte_cache.lock().insert(*id, b.clone());
+            Ok(b)
+        }
+        Plan::Prefix { input, keep } => {
+            columnar();
+            let visible: Vec<usize> = (0..*keep).collect();
+            Ok(batch(input, ctx, outer)?.project(&visible))
+        }
+        Plan::NestedLoopJoin { .. }
+        | Plan::Window { .. }
+        | Plan::Distinct { .. }
+        | Plan::SetOp { .. } => adapt(plan, ctx, outer, reason::NO_KERNEL),
+    }
+}
+
+fn join_type(kind: JoinKind) -> tpcds_storage::JoinType {
+    match kind {
+        JoinKind::Inner => tpcds_storage::JoinType::Inner,
+        JoinKind::Left => tpcds_storage::JoinType::Left,
+    }
+}
+
+/// Both inputs of a hash join as batches, with the keys and the residual
+/// compiled against their physical columns (the residual against the
+/// combined `probe.table ++ build.table` row).
+struct JoinSides {
+    probe: Batch,
+    probe_keys: Vec<usize>,
+    build: Batch,
+    build_keys: Vec<usize>,
+    residual: Option<tpcds_storage::Expr>,
+}
+
+impl JoinSides {
+    /// Combined visible column → combined physical column.
+    fn phys(&self, c: usize) -> usize {
+        match c.checked_sub(self.probe.width()) {
+            None => self.probe.phys(c),
+            Some(b) => self.probe.table.width() + self.build.phys(b),
+        }
+    }
+
+    /// Pending-predicate errors, in the row path's evaluation order: the
+    /// probe side materializes first, then the build side; the residual
+    /// (the kernel's own result) comes after both.
+    fn check_err(&self) -> Result<()> {
+        check_err(&self.probe)?;
+        check_err(&self.build)
+    }
+}
+
+/// Executes a hash join's inputs for the join kernels. `Err(reason)` —
+/// returned before either input runs — when a key is not a plain column
+/// or the residual needs engine context.
+fn join_sides(
+    left: &Plan,
+    right: &Plan,
+    left_keys: &[BExpr],
+    right_keys: &[BExpr],
+    residual: &Option<BExpr>,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&[Value]>,
+) -> Result<Routed<JoinSides>> {
+    let (Some(lk), Some(rk)) = (plain_cols(left_keys), plain_cols(right_keys)) else {
+        return Ok(Err(reason::KEY_SHAPE));
+    };
+    if residual.as_ref().is_some_and(|r| compile_expr(r).is_none()) {
+        return Ok(Err(reason::EXPR_UNSUPPORTED));
+    }
+    let probe = batch(left, ctx, outer)?;
+    let build = batch(right, ctx, outer)?;
+    let mut j = JoinSides {
+        probe_keys: lk.iter().map(|&c| probe.phys(c)).collect(),
+        build_keys: rk.iter().map(|&c| build.phys(c)).collect(),
+        probe,
+        build,
+        residual: None,
+    };
+    j.residual = residual
+        .as_ref()
+        .and_then(|r| compile_expr(&r.remap_columns(&|c| j.phys(c))));
+    Ok(Ok(j))
+}
+
+/// What a sort kernel should run over: the batch itself when every key is
+/// a plain column; otherwise the visible columns plus one computed column
+/// per key, materialized columnar (typed key columns keep the u64 key
+/// encoding) with the key columns projected back out of the winners.
+fn sort_source(
+    b: Batch,
+    keys: &[(BExpr, bool)],
+    ckeys: Vec<tpcds_storage::Expr>,
+    node: usize,
+    ctx: &ExecCtx<'_>,
+) -> Result<(Batch, Vec<tpcds_storage::SortKey>)> {
+    let skeys = |cols: Vec<usize>| {
+        cols.into_iter()
+            .zip(keys)
+            .map(|(col, &(_, desc))| tpcds_storage::SortKey { col, desc })
+            .collect()
+    };
+    if let Some(cols) = plain_cols(keys.iter().map(|(e, _)| e)) {
+        let cols = cols.into_iter().map(|c| b.phys(c)).collect();
+        return Ok((b, skeys(cols)));
+    }
+    let visible: Vec<usize> = (0..b.width()).collect();
+    let exprs: Vec<_> = (b.cols().into_iter().map(tpcds_storage::Expr::Col))
+        .chain((keys.iter().zip(ckeys)).map(|((e, _), c)| rebase(&b, e, c, compile_expr)))
+        .collect();
+    let res = tpcds_storage::par_project_table(&b, &exprs, ctx.threads());
+    check_err(&b)?;
+    let (table, cs, es) = res.map_err(storage_err)?;
+    ctx.record_columnar(node, &cs);
+    ctx.record_expr(node, &es);
+    let hidden = (visible.len()..exprs.len()).collect();
+    Ok((Batch::new(Arc::new(table)).project(&visible), skeys(hidden)))
+}
+
+/// Hash-index probe: a `Col(i) = <row-independent expr>` conjunct over an
+/// indexed column. The probe side may be a literal or a correlated outer
+/// reference — the latter is what makes per-outer-row EXISTS/IN subplans
+/// cheap. `None` when no probe applies; Force mode never probes, so tests
+/// exercise the kernels.
+fn index_probe(
+    t: &crate::catalog::Table,
+    filter: Option<&BExpr>,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&[Value]>,
+) -> Result<Option<Vec<Row>>> {
+    let Some(f) = filter.filter(|_| ctx.opts.columnar != ColumnarMode::Force) else {
+        return Ok(None);
+    };
+    let Some((idx, key_expr)) =
+        index_probe_key(f).and_then(|(col, key)| Some((t.indexes.get(&col)?, key)))
+    else {
+        return Ok(None);
+    };
+    let key = key_expr.eval(&[], ctx, outer)?;
+    let mut out = Vec::new();
+    if !key.is_null() {
+        for &pos in idx.lookup(&key) {
+            let row = &t.rows[pos];
+            if f.matches(row, ctx, outer)? {
+                out.push(row.clone());
+            }
+        }
+    }
+    Ok(Some(out))
+}
+
+/// The serial scan operator. Virtual `sys.*` tables materialize live
+/// state at scan time; they bypass the snapshot (introspection reads the
+/// present, not the pinned version). Base tables try the index probe,
+/// then loop over row storage, stopping after `budget` matches. `route`
+/// is overwritten when the scan did not run as the caller's
+/// `serial[why]`.
+fn scan_rows(
+    table: &str,
+    filter: Option<&BExpr>,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&[Value]>,
+    budget: Option<usize>,
+    route: &mut (RoutePath, Option<&'static str>),
+) -> Result<Vec<Row>> {
+    let keep = |row: &Row| filter.map_or(Ok(true), |f| f.matches(row, ctx, outer));
+    if let Some(rows) = crate::sys::rows(ctx.db, table) {
+        *route = (RoutePath::Serial, Some(reason::SYS_VIRTUAL));
+        let mut out = Vec::new();
+        for row in rows {
+            if keep(&row)? {
+                out.push(row);
+            }
+        }
+        return Ok(out);
+    }
+    let t = ctx.table(table)?;
+    if let Some(rows) = index_probe(&t, filter, ctx, outer)? {
+        *route = (RoutePath::Index, None);
+        return Ok(rows);
+    }
+    let mut out = Vec::new();
+    for row in &t.rows {
+        if budget.is_some_and(|n| out.len() >= n) {
+            break;
+        }
+        if keep(row)? {
+            out.push(row.clone());
+        }
+    }
+    Ok(out)
+}
+
+/// How the serial interpreter obtains a child's rows: by recursing
+/// (`ColumnarMode::Off`) or by materializing the child's batch
+/// ([`adapt`]). The second argument is a row budget — see
+/// [`serial_node`].
+type Child<'c> = &'c dyn Fn(&Plan, Option<usize>) -> Result<Vec<Row>>;
+
+/// The serial row interpreter: `plan`'s operator over its children's
+/// rows, recorded as `route=serial[why]`. This is the oracle; it has no
+/// routing of its own beyond the scan's index probe.
+///
+/// `budget` is how many rows the parent will consume at most (`LIMIT n`
+/// directly above, through plain-column projections): a scan or filter
+/// stops there, so — exactly like the batch path's ordered early exit —
+/// rows past the limit are never evaluated and cannot raise errors.
+fn serial_node(
+    plan: &Plan,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&[Value]>,
+    budget: Option<usize>,
+    why: &'static str,
+    child: Child<'_>,
+) -> Result<Vec<Row>> {
+    let mut route = (RoutePath::Serial, Some(why));
+    let rows = match plan {
+        Plan::Scan { table, filter, .. } => {
+            scan_rows(table, filter.as_ref(), ctx, outer, budget, &mut route)
+        }
+        Plan::Filter { input, predicate } => {
+            let mut out = Vec::new();
+            for row in child(input, None)? {
+                if budget.is_some_and(|n| out.len() >= n) {
+                    break;
+                }
+                if predicate.matches(&row, ctx, outer)? {
+                    out.push(row);
+                }
+            }
+            Ok(out)
+        }
+        Plan::Project { input, exprs } => {
+            // Only a 1:1 column shuffle may stop its input early: computed
+            // expressions run (and may fail) on every input row.
+            let budget = budget.filter(|_| plain_cols(exprs).is_some());
+            child(input, budget)?
+                .iter()
+                .map(|row| exprs.iter().map(|e| e.eval(row, ctx, outer)).collect())
+                .collect::<Result<Vec<Row>>>()
+        }
+        Plan::HashJoin {
+            left,
+            right,
+            kind,
+            left_keys,
+            right_keys,
+            residual,
+        } => hash_join(
+            child(left, None)?,
+            child(right, None)?,
+            right.width(),
+            *kind,
+            left_keys,
+            right_keys,
+            residual.as_ref(),
+            ctx,
+            outer,
+        ),
+        Plan::NestedLoopJoin {
+            left,
+            right,
+            kind,
+            predicate,
+        } => nested_loop_join(
+            child(left, None)?,
+            child(right, None)?,
+            right.width(),
+            *kind,
+            predicate.as_ref(),
+            ctx,
+            outer,
+        ),
+        Plan::Aggregate {
+            input,
+            groups,
+            sets,
+            aggs,
+        } => aggregate(child(input, None)?, groups, sets, aggs, ctx, outer),
+        Plan::Window { input, calls } => window(child(input, None)?, calls, ctx, outer),
+        Plan::Sort { input, keys } => sort_rows(child(input, None)?, keys, ctx, outer),
+        Plan::TopN { input, keys, n } => {
+            let mut rows = sort_rows(child(input, None)?, keys, ctx, outer)?;
             rows.truncate(*n as usize);
             Ok(rows)
         }
+        Plan::Limit { input, n } => {
+            let n = budget.map_or(*n as usize, |b| b.min(*n as usize));
+            let mut rows = child(input, Some(n))?;
+            rows.truncate(n);
+            Ok(rows)
+        }
         Plan::Distinct { input } => {
-            ctx.record_route(
-                plan as *const Plan as usize,
-                "Distinct",
-                RoutePath::Serial,
-                Some(reason::NO_KERNEL),
-            );
-            let rows = execute(input, ctx, outer)?;
             let mut seen = HashSet::new();
             let mut out = Vec::new();
-            for row in rows {
+            for row in child(input, None)? {
                 if seen.insert(row.clone()) {
                     out.push(row);
                 }
@@ -791,14 +1036,8 @@ fn execute_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Resu
             op,
             all,
         } => {
-            ctx.record_route(
-                plan as *const Plan as usize,
-                "SetOp",
-                RoutePath::Serial,
-                Some(reason::NO_KERNEL),
-            );
-            let l = execute(left, ctx, outer)?;
-            let r = execute(right, ctx, outer)?;
+            let l = child(left, None)?;
+            let r = child(right, None)?;
             if l.first().map(|x| x.len()) != r.first().map(|x| x.len())
                 && !l.is_empty()
                 && !r.is_empty()
@@ -837,142 +1076,33 @@ fn execute_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Resu
                 }
             })
         }
-        Plan::CteRef { id, plan: body, .. } => {
-            ctx.record_route(
-                plan as *const Plan as usize,
-                "CteRef",
-                RoutePath::Serial,
-                Some(reason::NO_KERNEL),
-            );
-            if let Some(rows) = ctx.cte_cache.lock().get(id) {
-                return Ok(rows.as_ref().clone());
+        Plan::CteRef {
+            id,
+            plan: body,
+            width,
+        } => {
+            // Bind before matching: the cache lock must not be held while
+            // the body (which may reference other CTEs) executes.
+            let hit = ctx.cte_cache.lock().get(id).cloned();
+            match hit {
+                Some(b) => Ok(tpcds_storage::par_filter(&b, 1).0),
+                None => {
+                    let rows = child(body, None)?;
+                    let b = Batch::from_rows(*width, &rows);
+                    ctx.cte_cache.lock().insert(*id, b);
+                    Ok(rows)
+                }
             }
-            let rows = execute(body, ctx, outer)?;
-            let arc = Arc::new(rows.clone());
-            ctx.cte_cache.lock().insert(*id, arc);
-            Ok(rows)
         }
         Plan::Prefix { input, keep } => {
-            ctx.record_route(
-                plan as *const Plan as usize,
-                "Prefix",
-                RoutePath::Serial,
-                Some(reason::NO_KERNEL),
-            );
-            let rows = execute(input, ctx, outer)?;
-            Ok(rows
-                .into_iter()
-                .map(|mut r| {
-                    r.truncate(*keep);
-                    r
-                })
-                .collect())
+            let mut rows = child(input, budget)?;
+            rows.iter_mut().for_each(|r| r.truncate(*keep));
+            Ok(rows)
         }
-    }
-}
-
-/// Scan with optional filter. Route order: hash-index probe (Auto mode,
-/// equality conjunct on an indexed column), then the columnar shadow
-/// (when present and the predicate compiles to the kernel subset), then
-/// the row path. Returns the morsel scan stats when the columnar path
-/// ran, for EXPLAIN ANALYZE.
-fn scan(
-    table: &str,
-    filter: Option<&BExpr>,
-    node: usize,
-    ctx: &ExecCtx<'_>,
-    outer: Option<&[Value]>,
-) -> Result<(Vec<Row>, Option<tpcds_storage::ScanStats>)> {
-    // Virtual `sys.*` tables materialize live state at scan time; they
-    // bypass the snapshot (introspection reads the present, not the
-    // pinned version) and always run serially — the row sets are small.
-    if let Some(rows) = crate::sys::rows(ctx.db, table) {
-        ctx.record_route(node, "Scan", RoutePath::Serial, Some(reason::SYS_VIRTUAL));
-        let out = match filter {
-            None => rows,
-            Some(f) => {
-                let mut out = Vec::new();
-                for row in rows {
-                    if f.matches(&row, ctx, outer)? {
-                        out.push(row);
-                    }
-                }
-                out
-            }
-        };
-        return Ok((out, None));
-    }
-    let t = ctx.table(table)?;
-    let mode = ctx.opts.columnar;
-    if let Some(f) = filter {
-        // Index probe: find a `Col(i) = <row-independent expr>` conjunct
-        // matching an index. The probe side may be a literal or a
-        // correlated outer reference — the latter is what makes
-        // per-outer-row EXISTS/IN subplans cheap. Force mode skips the
-        // probe so tests exercise the kernels.
-        if mode != ColumnarMode::Force {
-            if let Some((col, key_expr)) = index_probe_key(f) {
-                if let Some(idx) = t.indexes.get(&col) {
-                    ctx.record_route(node, "Scan", RoutePath::Index, None);
-                    let key = key_expr.eval(&[], ctx, outer)?;
-                    let mut out = Vec::new();
-                    if !key.is_null() {
-                        for &pos in idx.lookup(&key) {
-                            let row = &t.rows[pos];
-                            if f.matches(row, ctx, outer)? {
-                                out.push(row.clone());
-                            }
-                        }
-                    }
-                    return Ok((out, None));
-                }
-            }
-        }
-        if mode != ColumnarMode::Off {
-            if let Some(ct) = t.columnar() {
-                if let Some(pred) = compile_any_pred(f) {
-                    ctx.record_route(node, "Scan", RoutePath::Columnar, None);
-                    let (rows, cs) = tpcds_storage::par_filter(&ct, Some(&pred), ctx.threads());
-                    check_pred_err(Some(&pred))?;
-                    return Ok((rows, Some(cs)));
-                }
-            }
-        }
-        let why = if mode == ColumnarMode::Off {
-            reason::COLUMNAR_OFF
-        } else if t.columnar().is_none() {
-            reason::NO_SHADOW
-        } else {
-            reason::EXPR_UNSUPPORTED
-        };
-        ctx.record_route(node, "Scan", RoutePath::Serial, Some(why));
-        let mut out = Vec::new();
-        for row in &t.rows {
-            if f.matches(row, ctx, outer)? {
-                out.push(row.clone());
-            }
-        }
-        Ok((out, None))
-    } else {
-        if mode == ColumnarMode::Force {
-            if let Some(ct) = t.columnar() {
-                ctx.record_route(node, "Scan", RoutePath::Columnar, None);
-                let (rows, cs) = tpcds_storage::par_filter(&ct, None, ctx.threads());
-                return Ok((rows, Some(cs)));
-            }
-        }
-        // An unfiltered scan of row storage is a single clone — already
-        // cheaper than materializing from columns, so Auto keeps it.
-        let why = if mode == ColumnarMode::Off {
-            reason::COLUMNAR_OFF
-        } else if t.columnar().is_none() {
-            reason::NO_SHADOW
-        } else {
-            reason::ROW_CLONE
-        };
-        ctx.record_route(node, "Scan", RoutePath::Serial, Some(why));
-        Ok((t.rows.clone(), None))
-    }
+    }?;
+    let node = plan as *const Plan as usize;
+    ctx.record_route(node, plan.op_name(), route.0, route.1);
+    Ok(rows)
 }
 
 /// Maps the engine's comparison operator onto the kernel vocabulary.
@@ -1044,11 +1174,6 @@ fn compile_expr(e: &BExpr) -> Option<tpcds_storage::Expr> {
     })
 }
 
-/// Compiles every projection expression or none ([`compile_expr`]).
-fn compile_exprs(exprs: &[BExpr]) -> Option<Vec<tpcds_storage::Expr>> {
-    exprs.iter().map(compile_expr).collect()
-}
-
 /// Compiles a predicate for the segment kernels: the specialized
 /// column-vs-literal [`tpcds_storage::Pred`] forms when the shape fits
 /// (they skip per-row `Value` materialization), else a general compiled
@@ -1060,18 +1185,6 @@ fn compile_any_pred(e: &BExpr) -> Option<tpcds_storage::Pred> {
     }
     let x = compile_expr(e)?;
     Some(tpcds_storage::Pred::Expr(tpcds_storage::ExprPred::new(x)))
-}
-
-/// Surfaces a deferred per-row error left behind by an expression
-/// predicate after its kernel ran. Must be called after every kernel
-/// invocation that evaluated the predicate, before trusting the output.
-fn check_pred_err(pred: Option<&tpcds_storage::Pred>) -> Result<()> {
-    if let Some(p) = pred {
-        if let Some(msg) = p.take_err() {
-            return Err(EngineError::exec(msg));
-        }
-    }
-    Ok(())
 }
 
 /// Compiles a bound predicate to the columnar kernel subset: comparisons,
@@ -1151,61 +1264,10 @@ fn compile_pred(e: &BExpr) -> Option<tpcds_storage::Pred> {
     }
 }
 
-/// Routes `Aggregate` over a (possibly filtered) base-table scan through
-/// the fused columnar scan+aggregate kernel when the whole shape
-/// compiles: a single all-on grouping set, group keys that are plain
-/// columns, non-DISTINCT COUNT/COUNT(*)/SUM/MIN/MAX/AVG over plain
-/// columns, a shadowed table, and a compilable (or absent) predicate.
-/// `Err(reason)` = fall back to the serial row path.
-fn try_columnar_aggregate(
-    input: &Plan,
-    groups: &[BExpr],
-    sets: &[Vec<bool>],
-    aggs: &[AggCall],
-    ctx: &ExecCtx<'_>,
-) -> Result<Routed<(Vec<Row>, tpcds_storage::ScanStats)>> {
-    if ctx.opts.columnar == ColumnarMode::Off {
-        return Ok(Err(reason::COLUMNAR_OFF));
-    }
-    let Some((group_cols, specs)) = compile_agg_shape(groups, sets, aggs) else {
-        return Ok(Err(reason::AGG_SHAPE));
-    };
-    // Input must be a base-table scan, possibly under a residual Filter.
-    let (table, scan_filter, extra_filter) = match input {
-        Plan::Scan { table, filter, .. } => (table, filter.as_ref(), None),
-        Plan::Filter { input, predicate } => match input.as_ref() {
-            Plan::Scan { table, filter, .. } => (table, filter.as_ref(), Some(predicate)),
-            _ => return Ok(Err(reason::INPUT_SHAPE)),
-        },
-        _ => return Ok(Err(reason::INPUT_SHAPE)),
-    };
-    if crate::sys::is_sys_table(table) {
-        return Ok(Err(reason::SYS_VIRTUAL));
-    }
-    let t = ctx.table(table)?;
-    let Some(ct) = t.columnar() else {
-        return Ok(Err(reason::NO_SHADOW));
-    };
-    let Some(pred) = compile_side_pred(scan_filter, extra_filter) else {
-        return Ok(Err(reason::EXPR_UNSUPPORTED));
-    };
-    // The shadow is an immutable Arc snapshot; no need to hold the table
-    // lock while the kernel runs.
-    drop(t);
-    let res = tpcds_storage::par_aggregate(&ct, pred.as_ref(), &group_cols, &specs, ctx.threads());
-    // Deferred predicate errors outrank aggregate errors: the row path
-    // filters before it folds.
-    check_pred_err(pred.as_ref())?;
-    match res {
-        Ok((rows, cs)) => Ok(Ok((rows, cs))),
-        Err(e) => Err(EngineError::exec(e.0)),
-    }
-}
-
-/// Compiles the aggregate shape shared by the fused scan-aggregate and
-/// join-aggregate routes: a single all-on grouping set (no ROLLUP),
-/// plain-column group keys, and non-DISTINCT
-/// COUNT/COUNT(*)/SUM/MIN/MAX/AVG over plain columns.
+/// Compiles the aggregate shape the kernels accept: a single all-on
+/// grouping set (no ROLLUP), plain-column group keys, and non-DISTINCT
+/// COUNT/COUNT(*)/SUM/MIN/MAX/AVG over plain columns. Columns index the
+/// input's visible row until [`rebase_agg`] maps them.
 fn compile_agg_shape(
     groups: &[BExpr],
     sets: &[Vec<bool>],
@@ -1215,13 +1277,7 @@ fn compile_agg_shape(
     if sets.len() != 1 || sets[0].iter().any(|on| !on) {
         return None;
     }
-    let mut group_cols = Vec::with_capacity(groups.len());
-    for g in groups {
-        match g {
-            BExpr::Col(i) => group_cols.push(*i),
-            _ => return None,
-        }
-    }
+    let group_cols = plain_cols(groups)?;
     let mut specs = Vec::with_capacity(aggs.len());
     for a in aggs {
         if a.distinct {
@@ -1248,212 +1304,14 @@ fn compile_agg_shape(
     Some((group_cols, specs))
 }
 
-/// Combines a scan's pushed-down filter with a residual Filter predicate
-/// into one compiled columnar predicate ([`compile_any_pred`], so
-/// arbitrary expression predicates compile). `Some(None)` = no filtering;
-/// `None` = at least one predicate needs engine context (subqueries,
-/// outer references).
-#[allow(clippy::option_option)]
-fn compile_side_pred(
-    scan_filter: Option<&BExpr>,
-    extra_filter: Option<&BExpr>,
-) -> Option<Option<tpcds_storage::Pred>> {
-    match (scan_filter, extra_filter) {
-        (None, None) => Some(None),
-        (Some(f), None) | (None, Some(f)) => compile_any_pred(f).map(Some),
-        (Some(a), Some(b)) => match (compile_any_pred(a), compile_any_pred(b)) {
-            (Some(pa), Some(pb)) => {
-                Some(Some(tpcds_storage::Pred::And(Box::new(pa), Box::new(pb))))
-            }
-            _ => None,
-        },
-    }
-}
-
-/// One compiled side of a columnar join: the shadow snapshot, the
-/// combined compiled predicate, and the key column indexes.
-struct ColJoinSide {
-    table: Arc<tpcds_storage::ColumnTable>,
-    pred: Option<tpcds_storage::Pred>,
-    keys: Vec<usize>,
-}
-
-/// Compiles one join input for the columnar join kernel: a base-table
-/// scan (possibly under a residual Filter — the Filter-under-Join fusion)
-/// over a shadowed table, with compilable (or absent) predicates and
-/// plain-column equi-keys. `Err(reason)` = fall back.
-fn compile_join_side(
-    plan: &Plan,
-    keys: &[BExpr],
-    ctx: &ExecCtx<'_>,
-) -> Result<Routed<ColJoinSide>> {
-    let (table, scan_filter, extra_filter) = match plan {
-        Plan::Scan { table, filter, .. } => (table, filter.as_ref(), None),
-        Plan::Filter { input, predicate } => match input.as_ref() {
-            Plan::Scan { table, filter, .. } => (table, filter.as_ref(), Some(predicate)),
-            _ => return Ok(Err(reason::INPUT_SHAPE)),
-        },
-        _ => return Ok(Err(reason::INPUT_SHAPE)),
-    };
-    let mut key_cols = Vec::with_capacity(keys.len());
-    for k in keys {
-        match k {
-            BExpr::Col(i) => key_cols.push(*i),
-            _ => return Ok(Err(reason::KEY_SHAPE)),
-        }
-    }
-    if crate::sys::is_sys_table(table) {
-        return Ok(Err(reason::SYS_VIRTUAL));
-    }
-    let t = ctx.table(table)?;
-    let Some(ct) = t.columnar() else {
-        return Ok(Err(reason::NO_SHADOW));
-    };
-    let Some(pred) = compile_side_pred(scan_filter, extra_filter) else {
-        return Ok(Err(reason::EXPR_UNSUPPORTED));
-    };
-    // Arc snapshot: the kernel runs without the table lock.
-    drop(t);
-    Ok(Ok(ColJoinSide {
-        table: ct,
-        pred,
-        keys: key_cols,
-    }))
-}
-
-/// Compiles a join's residual predicate (over the combined
-/// `probe ++ build` row) for the probe-loop expression kernel.
-/// `Ok(None)` = no residual; `Err` = the residual needs engine context.
-fn compile_residual(
-    residual: Option<&BExpr>,
-) -> std::result::Result<Option<tpcds_storage::Expr>, &'static str> {
-    match residual {
-        None => Ok(None),
-        Some(r) => compile_expr(r).map(Some).ok_or(reason::EXPR_UNSUPPORTED),
-    }
-}
-
-/// Routes a `HashJoin` over (possibly filtered) base-table scans through
-/// the partitioned columnar join kernel when both sides compile. A
-/// residual (non-equi) predicate compiles to an expression kernel that
-/// runs over candidate combined rows inside the probe loop.
-/// `Err(reason)` = fall back to the serial row-path join.
-fn try_columnar_join(
-    left: &Plan,
-    right: &Plan,
-    kind: JoinKind,
-    left_keys: &[BExpr],
-    right_keys: &[BExpr],
-    residual: Option<&BExpr>,
-    ctx: &ExecCtx<'_>,
-) -> Result<Routed<(Vec<Row>, tpcds_storage::JoinStats)>> {
-    if ctx.opts.columnar == ColumnarMode::Off {
-        return Ok(Err(reason::COLUMNAR_OFF));
-    }
-    let cres = match compile_residual(residual) {
-        Ok(r) => r,
-        Err(why) => return Ok(Err(why)),
-    };
-    let probe = match compile_join_side(left, left_keys, ctx)? {
-        Ok(s) => s,
-        Err(why) => return Ok(Err(why)),
-    };
-    let build = match compile_join_side(right, right_keys, ctx)? {
-        Ok(s) => s,
-        Err(why) => return Ok(Err(why)),
-    };
-    let jt = match kind {
-        JoinKind::Inner => tpcds_storage::JoinType::Inner,
-        JoinKind::Left => tpcds_storage::JoinType::Left,
-    };
-    let res = tpcds_storage::par_hash_join(
-        &probe.table,
-        probe.pred.as_ref(),
-        &probe.keys,
-        &build.table,
-        build.pred.as_ref(),
-        &build.keys,
-        jt,
-        cres.as_ref(),
-        ctx.threads(),
-    );
-    // Error precedence mirrors the row path's evaluation order: the probe
-    // side materializes first, then the build side, then the residual
-    // runs during the probe.
-    check_pred_err(probe.pred.as_ref())?;
-    check_pred_err(build.pred.as_ref())?;
-    match res {
-        Ok((rows, js)) => Ok(Ok((rows, js))),
-        Err(e) => Err(EngineError::exec(e.0)),
-    }
-}
-
-/// Routes `Aggregate` directly over an eligible `HashJoin` through the
-/// fused join+aggregate kernel: joined rows are folded into aggregate
-/// partials without ever being materialized. Group and aggregate columns
-/// index the combined `left ++ right` row; the kernel splits them at the
-/// probe width. `Err(reason)` = fall back.
-fn try_columnar_join_aggregate(
-    input: &Plan,
-    groups: &[BExpr],
-    sets: &[Vec<bool>],
-    aggs: &[AggCall],
-    ctx: &ExecCtx<'_>,
-) -> Result<Routed<(Vec<Row>, tpcds_storage::JoinStats)>> {
-    if ctx.opts.columnar == ColumnarMode::Off {
-        return Ok(Err(reason::COLUMNAR_OFF));
-    }
-    let Plan::HashJoin {
-        left,
-        right,
-        kind,
-        left_keys,
-        right_keys,
-        residual,
-    } = input
-    else {
-        return Ok(Err(reason::INPUT_SHAPE));
-    };
-    let cres = match compile_residual(residual.as_ref()) {
-        Ok(r) => r,
-        Err(why) => return Ok(Err(why)),
-    };
-    let Some((group_cols, specs)) = compile_agg_shape(groups, sets, aggs) else {
-        return Ok(Err(reason::AGG_SHAPE));
-    };
-    let probe = match compile_join_side(left, left_keys, ctx)? {
-        Ok(s) => s,
-        Err(why) => return Ok(Err(why)),
-    };
-    let build = match compile_join_side(right, right_keys, ctx)? {
-        Ok(s) => s,
-        Err(why) => return Ok(Err(why)),
-    };
-    let jt = match kind {
-        JoinKind::Inner => tpcds_storage::JoinType::Inner,
-        JoinKind::Left => tpcds_storage::JoinType::Left,
-    };
-    let res = tpcds_storage::par_hash_join_agg(
-        &probe.table,
-        probe.pred.as_ref(),
-        &probe.keys,
-        &build.table,
-        build.pred.as_ref(),
-        &build.keys,
-        jt,
-        cres.as_ref(),
-        &group_cols,
-        &specs,
-        ctx.threads(),
-    );
-    // Same precedence as `try_columnar_join`; the kernel itself reports
-    // residual errors ahead of aggregate errors.
-    check_pred_err(probe.pred.as_ref())?;
-    check_pred_err(build.pred.as_ref())?;
-    match res {
-        Ok((rows, js)) => Ok(Ok((rows, js))),
-        Err(e) => Err(EngineError::exec(e.0)),
-    }
+/// Maps compiled group and aggregate columns onto physical columns.
+fn rebase_agg(
+    groups: &mut [usize],
+    specs: &mut [tpcds_storage::AggSpec],
+    phys: impl Fn(usize) -> usize,
+) {
+    groups.iter_mut().for_each(|g| *g = phys(*g));
+    specs.iter_mut().for_each(|s| s.col = s.col.map(&phys));
 }
 
 /// Finds an indexable `Col = expr` conjunct where `expr` is independent of
@@ -1478,295 +1336,11 @@ fn index_probe_key(e: &BExpr) -> Option<(usize, BExpr)> {
     }
 }
 
-/// Compiles ORDER BY keys for the parallel sort kernels: every key must
-/// be a plain column reference over the input row (the binder rewrites
-/// ORDER BY expressions to references into the projection, so this covers
-/// the common template tail). Returns `None` to fall back to [`sort_rows`].
-fn compile_sort_keys(keys: &[(BExpr, bool)]) -> Option<Vec<tpcds_storage::SortKey>> {
-    keys.iter()
-        .map(|(e, desc)| match e {
-            BExpr::Col(i) => Some(tpcds_storage::SortKey {
-                col: *i,
-                desc: *desc,
-            }),
-            _ => None,
-        })
-        .collect()
-}
-
-/// A (possibly filtered) base-table scan that compiled to a direct
-/// columnar pipeline: the shadow snapshot plus the combined
-/// scan+residual predicate. The shared front end of the fused
-/// projection, sort and Top-N routes.
-struct ColScanSource {
-    table: Arc<tpcds_storage::ColumnTable>,
-    pred: Option<tpcds_storage::Pred>,
-}
-
-/// Compiles a base-table scan (possibly under a residual `Filter`) whose
-/// table has a shadow and whose predicates compile. Under Auto mode an
-/// index-probe-shaped filter on an indexed column falls back, preserving
-/// the probe path (the kernel would rescan the whole table).
-/// `Err(reason)` = fall back.
-fn compile_scan_source(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Routed<ColScanSource>> {
-    let (table, scan_filter, extra_filter) = match plan {
-        Plan::Scan { table, filter, .. } => (table, filter.as_ref(), None),
-        Plan::Filter { input, predicate } => match input.as_ref() {
-            Plan::Scan { table, filter, .. } => (table, filter.as_ref(), Some(predicate)),
-            _ => return Ok(Err(reason::INPUT_SHAPE)),
-        },
-        _ => return Ok(Err(reason::INPUT_SHAPE)),
-    };
-    if crate::sys::is_sys_table(table) {
-        return Ok(Err(reason::SYS_VIRTUAL));
-    }
-    let t = ctx.table(table)?;
-    if ctx.opts.columnar != ColumnarMode::Force {
-        if let Some(f) = scan_filter {
-            if let Some((col, _)) = index_probe_key(f) {
-                if t.indexes.contains_key(&col) {
-                    return Ok(Err(reason::INDEX_PREFERRED));
-                }
-            }
-        }
-    }
-    let Some(ct) = t.columnar() else {
-        return Ok(Err(reason::NO_SHADOW));
-    };
-    let Some(pred) = compile_side_pred(scan_filter, extra_filter) else {
-        return Ok(Err(reason::EXPR_UNSUPPORTED));
-    };
-    // Arc snapshot: the kernel runs without the table lock.
-    drop(t);
-    Ok(Ok(ColScanSource { table: ct, pred }))
-}
-
-/// A sort/Top-N input that compiled to a direct columnar pipeline: the
-/// scan source plus what sat between the sort and the scan — a
-/// plain-column `Project` becomes `proj` (applied to the winners only),
-/// a computed `Project` becomes `exprs` (materialized columnar through
-/// [`tpcds_storage::par_project_table`] before the sort, keeping the u64
-/// key encoding for typed key columns).
-struct ColSortSource {
-    table: Arc<tpcds_storage::ColumnTable>,
-    pred: Option<tpcds_storage::Pred>,
-    proj: Option<Vec<usize>>,
-    exprs: Option<Vec<tpcds_storage::Expr>>,
-}
-
-/// Compiles a sort/Top-N input for the fused columnar kernels: an
-/// optional `Project` — all-column or computed — over a base-table scan
-/// (possibly under a residual `Filter`) whose table has a shadow and
-/// whose predicates and projection expressions compile.
-/// `Err(reason)` = fall back.
-fn compile_sort_source(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Routed<ColSortSource>> {
-    let (inner, proj, cexprs) = match plan {
-        Plan::Project { input, exprs } => {
-            let plain: Option<Vec<usize>> = exprs
-                .iter()
-                .map(|e| match e {
-                    BExpr::Col(i) => Some(*i),
-                    _ => None,
-                })
-                .collect();
-            match plain {
-                Some(cols) => (input.as_ref(), Some(cols), None),
-                None => match compile_exprs(exprs) {
-                    Some(cx) => (input.as_ref(), None, Some(cx)),
-                    None => return Ok(Err(reason::EXPR_UNSUPPORTED)),
-                },
-            }
-        }
-        _ => (plan, None, None),
-    };
-    let src = match compile_scan_source(inner, ctx)? {
-        Ok(s) => s,
-        Err(why) => return Ok(Err(why)),
-    };
-    Ok(Ok(ColSortSource {
-        table: src.table,
-        pred: src.pred,
-        proj,
-        exprs: cexprs,
-    }))
-}
-
-/// What a fused sort/Top-N kernel should run over.
-enum SortInput {
-    /// A computed projection materialized columnar; sort it unfiltered
-    /// (the predicate already ran inside the projection).
-    Table(tpcds_storage::ColumnTable),
-    /// The scan source directly (plain-column or absent projection).
-    Source,
-}
-
-/// Materializes a computed-projection sort input columnar, folding the
-/// projection's scan and expression numbers into the node. For
-/// plain-column sources this is a no-op ([`SortInput::Source`]).
-fn columnar_sort_input(src: &ColSortSource, node: usize, ctx: &ExecCtx<'_>) -> Result<SortInput> {
-    let Some(pexprs) = &src.exprs else {
-        return Ok(SortInput::Source);
-    };
-    let res =
-        tpcds_storage::par_project_table(&src.table, src.pred.as_ref(), pexprs, ctx.threads());
-    check_pred_err(src.pred.as_ref())?;
-    let (ptab, cs, es) = res.map_err(|e| EngineError::exec(e.0))?;
-    ctx.record_columnar(node, &cs);
-    ctx.record_expr(node, &es);
-    Ok(SortInput::Table(ptab))
-}
-
-/// Compiles expression sort keys for the rows kernels. `None` when any
-/// key needs engine context (subqueries, outer references).
-fn compile_key_exprs(keys: &[(BExpr, bool)]) -> Option<(Vec<tpcds_storage::Expr>, Vec<bool>)> {
-    let exprs = keys
-        .iter()
-        .map(|(e, _)| compile_expr(e))
-        .collect::<Option<Vec<_>>>()?;
-    Some((exprs, keys.iter().map(|(_, desc)| *desc).collect()))
-}
-
-/// Evaluates compiled sort-key expressions vectorized and appends the
-/// results as hidden columns on every row, returning the extended rows,
-/// the sort keys over the hidden positions, and the visible width (the
-/// rows kernels' `proj` drops the hidden tail from the winners).
-fn append_key_columns(
-    rows: Vec<Row>,
-    kexprs: &[tpcds_storage::Expr],
-    descs: &[bool],
-    node: usize,
-    ctx: &ExecCtx<'_>,
-) -> Result<(Vec<Row>, Vec<tpcds_storage::SortKey>, usize)> {
-    let width = rows.first().map(|r| r.len()).unwrap_or(0);
-    let (keyed, es) = tpcds_storage::par_project_rows(&rows, kexprs, ctx.threads())
-        .map_err(|e| EngineError::exec(e.0))?;
-    ctx.record_expr(node, &es);
-    let rows: Vec<Row> = rows
-        .into_iter()
-        .zip(keyed)
-        .map(|(mut r, k)| {
-            r.extend(k);
-            r
-        })
-        .collect();
-    let skeys = descs
-        .iter()
-        .enumerate()
-        .map(|(i, &desc)| tpcds_storage::SortKey {
-            col: width + i,
-            desc,
-        })
-        .collect();
-    Ok((rows, skeys, width))
-}
-
-/// Short-circuits `Limit` directly over a (possibly filtered) base-table
-/// scan: stop producing rows after `n` matches instead of materializing
-/// the full filter result. Both the row loop and the columnar kernel emit
-/// the first `n` matches in table order, so the prefix is identical
-/// across paths. Index-probe-shaped filters fall back under Auto (probe
-/// output order differs from table order), as do shapes the kernels
-/// can't express. `Err(reason)` = fall back (no shortcut; the caller
-/// executes the input and truncates). Both `Ok` paths record their own
-/// route: the kernel records `columnar`, the early-stop row loop records
-/// `serial` with the reason the kernel was skipped.
-fn try_limited_input(
-    input: &Plan,
-    n: usize,
-    node: usize,
-    ctx: &ExecCtx<'_>,
-    outer: Option<&[Value]>,
-) -> Result<Routed<Vec<Row>>> {
-    // Peel a plain-column Project (the binder always emits one over the
-    // scan); the projection is applied to the surviving `n` rows below.
-    let (inner, proj) = match input {
-        Plan::Project { input, exprs } => {
-            let mut cols = Vec::with_capacity(exprs.len());
-            for e in exprs {
-                match e {
-                    BExpr::Col(i) => cols.push(*i),
-                    _ => return Ok(Err(reason::INPUT_SHAPE)),
-                }
-            }
-            (input.as_ref(), Some(cols))
-        }
-        _ => (input, None),
-    };
-    let (table, scan_filter, extra_filter) = match inner {
-        Plan::Scan { table, filter, .. } => (table, filter.as_ref(), None),
-        Plan::Filter { input, predicate } => match input.as_ref() {
-            Plan::Scan { table, filter, .. } => (table, filter.as_ref(), Some(predicate)),
-            _ => return Ok(Err(reason::INPUT_SHAPE)),
-        },
-        _ => return Ok(Err(reason::INPUT_SHAPE)),
-    };
-    if crate::sys::is_sys_table(table) {
-        return Ok(Err(reason::SYS_VIRTUAL));
-    }
-    let t = ctx.table(table)?;
-    let mode = ctx.opts.columnar;
-    if mode != ColumnarMode::Force {
-        if let Some(f) = scan_filter {
-            if let Some((col, _)) = index_probe_key(f) {
-                if t.indexes.contains_key(&col) {
-                    return Ok(Err(reason::INDEX_PREFERRED));
-                }
-            }
-        }
-    }
-    let project = |rows: Vec<Row>| -> Vec<Row> {
-        match &proj {
-            None => rows,
-            Some(cols) => rows
-                .into_iter()
-                .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
-                .collect(),
-        }
-    };
-    if mode != ColumnarMode::Off {
-        if let Some(ct) = t.columnar() {
-            if let Some(pred) = compile_side_pred(scan_filter, extra_filter) {
-                drop(t);
-                ctx.record_route(node, "Limit", RoutePath::Columnar, None);
-                let (rows, cs) =
-                    tpcds_storage::par_filter_limit(&ct, pred.as_ref(), n, ctx.threads());
-                // Errors past the consumed prefix were cleared by the
-                // kernel; anything left would surface on the row path too.
-                check_pred_err(pred.as_ref())?;
-                ctx.record_columnar(node, &cs);
-                return Ok(Ok(project(rows)));
-            }
-        }
-    }
-    let why = if mode == ColumnarMode::Off {
-        reason::COLUMNAR_OFF
-    } else if t.columnar().is_none() {
-        reason::NO_SHADOW
-    } else {
-        reason::EXPR_UNSUPPORTED
-    };
-    ctx.record_route(node, "Limit", RoutePath::Serial, Some(why));
-    let mut out = Vec::new();
-    for row in &t.rows {
-        if out.len() >= n {
-            break;
-        }
-        let keep = match (scan_filter, extra_filter) {
-            (None, None) => true,
-            (Some(f), None) | (None, Some(f)) => f.matches(row, ctx, outer)?,
-            (Some(a), Some(b)) => a.matches(row, ctx, outer)? && b.matches(row, ctx, outer)?,
-        };
-        if keep {
-            out.push(row.clone());
-        }
-    }
-    Ok(Ok(project(out)))
-}
-
 #[allow(clippy::too_many_arguments)]
 fn hash_join(
-    left: &Plan,
-    right: &Plan,
+    left_rows: Vec<Row>,
+    right_rows: Vec<Row>,
+    right_width: usize,
     kind: JoinKind,
     left_keys: &[BExpr],
     right_keys: &[BExpr],
@@ -1774,9 +1348,6 @@ fn hash_join(
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
 ) -> Result<Vec<Row>> {
-    let left_rows = execute(left, ctx, outer)?;
-    let right_rows = execute(right, ctx, outer)?;
-    let right_width = right.width();
     // Build on the right side.
     let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(right_rows.len());
     'build: for (i, row) in right_rows.iter().enumerate() {
@@ -1830,16 +1401,14 @@ fn hash_join(
 }
 
 fn nested_loop_join(
-    left: &Plan,
-    right: &Plan,
+    left_rows: Vec<Row>,
+    right_rows: Vec<Row>,
+    right_width: usize,
     kind: JoinKind,
     predicate: Option<&BExpr>,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
 ) -> Result<Vec<Row>> {
-    let left_rows = execute(left, ctx, outer)?;
-    let right_rows = execute(right, ctx, outer)?;
-    let right_width = right.width();
     let mut out = Vec::new();
     for lrow in &left_rows {
         let mut matched = false;
@@ -2059,14 +1628,13 @@ impl Acc {
 }
 
 fn aggregate(
-    input: &Plan,
+    rows: Vec<Row>,
     groups: &[BExpr],
     sets: &[Vec<bool>],
     aggs: &[AggCall],
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
 ) -> Result<Vec<Row>> {
-    let rows = execute(input, ctx, outer)?;
     let mut out = Vec::new();
     for mask in sets {
         debug_assert_eq!(mask.len(), groups.len());
@@ -2156,12 +1724,11 @@ fn aggregate(
 // ---------- window functions ----------
 
 fn window(
-    input: &Plan,
+    rows: Vec<Row>,
     calls: &[WindowCall],
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
 ) -> Result<Vec<Row>> {
-    let rows = execute(input, ctx, outer)?;
     let n = rows.len();
     // Each call appends one column; compute per call into a column buffer.
     let mut extra: Vec<Vec<Value>> = vec![Vec::new(); calls.len()];

@@ -274,7 +274,7 @@ pub struct AnalyzedResult {
 
 impl AnalyzedResult {
     /// The best route any executed node took — the statement's headline
-    /// path (serial < rows-par < index < columnar, per [`RoutePath`]'s
+    /// path (serial < index < columnar, per [`RoutePath`]'s
     /// derive order). `RoutePath::Unset` if nothing executed.
     pub fn best_route(&self) -> RoutePath {
         self.nodes

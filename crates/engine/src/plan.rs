@@ -305,6 +305,26 @@ impl Plan {
         out
     }
 
+    /// The operator's name (the `op` field of routing counters and spans).
+    pub fn op_name(&self) -> &'static str {
+        match self {
+            Plan::Scan { .. } => "Scan",
+            Plan::Filter { .. } => "Filter",
+            Plan::Project { .. } => "Project",
+            Plan::HashJoin { .. } => "HashJoin",
+            Plan::NestedLoopJoin { .. } => "NestedLoopJoin",
+            Plan::Aggregate { .. } => "Aggregate",
+            Plan::Window { .. } => "Window",
+            Plan::Sort { .. } => "Sort",
+            Plan::TopN { .. } => "TopN",
+            Plan::Limit { .. } => "Limit",
+            Plan::Distinct { .. } => "Distinct",
+            Plan::SetOp { .. } => "SetOp",
+            Plan::CteRef { .. } => "CteRef",
+            Plan::Prefix { .. } => "Prefix",
+        }
+    }
+
     /// This node's one-line label, without annotations.
     fn label(&self) -> String {
         match self {

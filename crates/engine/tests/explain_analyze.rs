@@ -80,22 +80,46 @@ fn topn_reports_heap_and_pruning_actuals() {
     let db = db_with("t", &["a", "b"], (0..100).map(|i| vec![i, i * 7]).collect());
     let (n, plan) = analyze(&db, "select a from t order by b desc limit 5");
     assert_eq!(n, 5);
-    // The parallel Top-N kernel ran (the rows-path kernel when no shadow
-    // is attached): heap occupancy and pruned-row actuals must render.
+    // The parallel Top-N kernel ran (over the scan's wrapped rows when no
+    // shadow is attached): heap occupancy and pruned-row actuals render.
     assert!(plan.contains("heap_rows="), "{plan}");
     assert!(plan.contains("pruned="), "{plan}");
 }
 
 #[test]
-fn bare_limit_short_circuits_the_scan() {
+fn bare_limit_takes_a_prefix_of_whatever_its_input_produced() {
     let db = db_with("t", &["a"], (0..50).map(|i| vec![i]).collect());
-    // Not via analyze(): the short-circuit path absorbs the scan into the
-    // Limit node, so the scan line legitimately reads "(never executed)".
-    let a = tpcds_engine::query_analyze(&db, "select a from t where a >= 10 limit 4").unwrap();
-    assert_eq!(a.result.rows.len(), 4);
-    let plan = &a.plan_text;
-    assert_eq!(op_rows(plan, "Limit"), vec![4], "{plan}");
-    assert!(plan.contains("never executed"), "{plan}");
+    // No plan shape is absorbed into the Limit any more: it consumes its
+    // input's batch, so the scan line carries its own actuals (40 of the
+    // 50 rows pass the filter) instead of reading "(never executed)".
+    let (n, plan) = analyze(&db, "select a from t where a >= 10 limit 4");
+    assert_eq!(n, 4);
+    assert_eq!(op_rows(&plan, "Limit"), vec![4], "{plan}");
+    assert_eq!(op_rows(&plan, "Scan t [filtered]"), vec![40], "{plan}");
+}
+
+#[test]
+fn lazy_nodes_report_the_rows_their_consumer_counted() {
+    let db = db_with("t", &["a", "b"], (0..20).map(|i| vec![i, i % 4]).collect());
+    db.build_columnar_shadows();
+    // With a shadow the scan and the HAVING-style filter are lazy: their
+    // predicates are evaluated, and their rows counted, by the kernels
+    // that consume the batches (the join, the aggregate, the result edge).
+    let (n, plan) = analyze(
+        &db,
+        "select x.a from t x, t y where x.a = y.a and x.a >= 10 and y.b = 1",
+    );
+    assert_eq!(n, 2, "{plan}");
+    let mut scans = op_rows(&plan, "Scan t [filtered]");
+    scans.sort_unstable();
+    assert_eq!(scans, vec![5, 10], "{plan}");
+    let (n, plan) = analyze(
+        &db,
+        "select b, count(*) c from t group by b having count(*) > 4",
+    );
+    assert_eq!(n, 4);
+    assert_eq!(op_rows(&plan, "Filter"), vec![4], "{plan}");
+    assert_eq!(op_rows(&plan, "Scan t"), vec![20], "{plan}");
 }
 
 #[test]

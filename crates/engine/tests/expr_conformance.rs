@@ -188,3 +188,55 @@ fn mixed_expression_shapes_agree_everywhere() {
         assert_parity(&db, sql);
     }
 }
+
+/// A predicate left *pending* on a join input is evaluated inside the
+/// join kernel, over every row of that side — including rows the other
+/// side would drop — so it must raise exactly what the row path raises
+/// when it filters that input before joining: same text, probe side
+/// before build side, both before the residual.
+#[test]
+fn pending_join_side_predicates_raise_the_row_paths_first_error() {
+    let db = edge_db();
+    // `d.k` covers 0..=2 only; row 100 of `t` (big = i64::MAX) has n = -2
+    // and row 200 (big = i64::MIN) has n = -2 too: neither joins.
+    let meta = ["k", "w"]
+        .map(|name| ColumnMeta {
+            name: name.into(),
+            dtype: DataType::Int,
+        })
+        .to_vec();
+    let rows: Vec<Row> = (0..3i64)
+        .map(|k| vec![Value::Int(k), Value::Int(i64::MAX - k)])
+        .collect();
+    db.create_table_with_rows("d", meta, rows).unwrap();
+    db.build_columnar_shadows();
+    // Comma joins: the optimizer pushes each single-table conjunct into
+    // its scan, which is what leaves it pending on that join input.
+    for sql in [
+        // Overflow pending on one side, on a row the join drops.
+        "select t.id from t, d where t.n = d.k and t.big + 1 > 0",
+        "select t.id, d.k from t, d where t.n = d.k and t.big - 1 < 0 and t.id >= 150",
+        // ... on the other side (every `d.w * 2` overflows).
+        "select t.id from t, d where t.n = d.k and d.w * 2 > 0",
+        // Both sides and the residual overflow: one deterministic winner.
+        "select t.id from t, d where t.n = d.k and t.big + d.w > 0 \
+         and t.big + 1 > 0 and d.w * 2 > 0",
+        // Under a fused aggregate the precedence is the same.
+        "select d.k, count(*) from t, d where t.n = d.k and t.big * 3 > 0 group by d.k",
+    ] {
+        assert_error_parity(&db, sql);
+    }
+    // A WHERE that stays above an explicit join sees only joined rows:
+    // the poisoned rows never reach it, on either path.
+    assert_parity(
+        &db,
+        "select t.id from t join d on t.n = d.k where t.big + 1 > 0 order by t.id, d.k",
+    );
+    // With the poisoned rows filtered out first, the same joins succeed
+    // and agree: the pending predicate only fires on rows it is asked.
+    assert_parity(
+        &db,
+        "select t.id, d.k from t, d where t.n = d.k \
+         and t.id < 100 and t.big + 1 > 0 order by t.id, d.k",
+    );
+}

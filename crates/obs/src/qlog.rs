@@ -47,7 +47,7 @@ pub struct QueryRecord {
     /// Time spent queued behind the server's admission limit, µs (0
     /// in-process).
     pub admission_wait_us: u64,
-    /// Best route any plan node took (`columnar` / `index` / `rows_par` /
+    /// Best route any plan node took (`columnar` / `index` /
     /// `serial`; empty on bind errors).
     pub best_route: &'static str,
     /// Comma-joined, sorted, deduplicated fallback reason codes.

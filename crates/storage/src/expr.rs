@@ -4,8 +4,7 @@
 //! expression AST: checked-i64 / exact-decimal arithmetic, CASE,
 //! COALESCE/NULLIF and friends, string ops, and comparisons nested in
 //! boolean trees. Evaluation is batch-at-a-time over one morsel of a
-//! [`Segment`] (or a slice of materialized rows), producing typed output
-//! vectors with null bitmaps.
+//! [`Segment`], producing typed output vectors with null bitmaps.
 //!
 //! The engine's row-at-a-time evaluator is the correctness oracle; both
 //! paths call the *same* scalar functions (`tpcds_types::scalar`), so
@@ -18,13 +17,13 @@
 //! rows a filter rejects) — then surface the first surviving error in
 //! row order, which is exactly the error the row path raises.
 
+use crate::batch::Batch;
 use crate::column::{Bitmap, ColumnData};
-use crate::morsel::{emit_counters, morsels_of, worker_count, ScanStats, MORSEL_ROWS};
-use crate::pred::{CmpKind, Pred, P_FALSE, P_NULL, P_TRUE};
+use crate::morsel::{emit_counters, morsels_of, run_chunks, worker_count, ScanStats};
+use crate::pred::{CmpKind, P_FALSE, P_NULL, P_TRUE};
 use crate::segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
 use crate::StorageError;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use tpcds_types::scalar;
 use tpcds_types::{like_match, ArithOp, DataType, Date, Decimal, Row, ScalarFunc, Value};
@@ -77,39 +76,17 @@ pub enum Expr {
     Concat(Box<Expr>, Box<Expr>),
 }
 
-/// The relation a kernel evaluates over: a columnar segment or a slice of
-/// already-materialized rows (join output, grouped HAVING input).
-#[derive(Clone, Copy, Debug)]
-pub enum ExprInput<'a> {
-    /// One segment of a columnar shadow.
-    Seg(&'a Segment),
-    /// Materialized rows (column index = position in each row).
-    Rows(&'a [Row]),
-}
-
-impl ExprInput<'_> {
-    /// Loads column `ci` over rows `start .. start+len` as a vector.
-    fn col_vect(&self, ci: usize, start: usize, len: usize) -> Vect {
-        match self {
-            ExprInput::Seg(seg) => {
-                let col = &seg.columns[ci];
-                let nulls = slice_bits(&col.nulls, start, len);
-                match &col.data {
-                    ColumnData::I64(buf) => Vect::I64(buf[start..start + len].to_vec(), nulls),
-                    ColumnData::Decimal(buf) => Vect::Dec(buf[start..start + len].to_vec(), nulls),
-                    ColumnData::Date(buf) => Vect::Date(buf[start..start + len].to_vec(), nulls),
-                    ColumnData::Str(buf) => Vect::Str(buf[start..start + len].to_vec(), nulls),
-                    // Other buffers store real `Value`s (NULL slots included).
-                    ColumnData::Other(buf) => Vect::Val(buf[start..start + len].to_vec()),
-                }
-            }
-            ExprInput::Rows(rows) => Vect::Val(
-                rows[start..start + len]
-                    .iter()
-                    .map(|r| r.get(ci).cloned().unwrap_or(Value::Null))
-                    .collect(),
-            ),
-        }
+/// Loads column `ci` of `seg` over rows `start .. start+len` as a vector.
+fn col_vect(seg: &Segment, ci: usize, start: usize, len: usize) -> Vect {
+    let col = &seg.columns[ci];
+    let nulls = slice_bits(&col.nulls, start, len);
+    match &col.data {
+        ColumnData::I64(buf) => Vect::I64(buf[start..start + len].to_vec(), nulls),
+        ColumnData::Decimal(buf) => Vect::Dec(buf[start..start + len].to_vec(), nulls),
+        ColumnData::Date(buf) => Vect::Date(buf[start..start + len].to_vec(), nulls),
+        ColumnData::Str(buf) => Vect::Str(buf[start..start + len].to_vec(), nulls),
+        // Other buffers store real `Value`s (NULL slots included).
+        ColumnData::Other(buf) => Vect::Val(buf[start..start + len].to_vec()),
     }
 }
 
@@ -264,9 +241,9 @@ fn i64_src(v: &Vect) -> Option<I64Src<'_>> {
 impl Expr {
     /// Evaluates the expression over rows `start .. start+len`, returning
     /// the batch with deferred errors.
-    fn eval_vect(&self, input: &ExprInput<'_>, start: usize, len: usize) -> Evaled {
+    fn eval_vect(&self, input: &Segment, start: usize, len: usize) -> Evaled {
         match self {
-            Expr::Col(ci) => Evaled::ok(input.col_vect(*ci, start, len)),
+            Expr::Col(ci) => Evaled::ok(col_vect(input, *ci, start, len)),
             Expr::Lit(v) => Evaled::ok(Vect::Const(v.clone())),
             Expr::Cmp(op, l, r) => {
                 let le = l.eval_vect(input, start, len);
@@ -660,7 +637,7 @@ impl Expr {
     /// raises.
     pub fn eval_values(
         &self,
-        input: &ExprInput<'_>,
+        input: &Segment,
         start: usize,
         len: usize,
     ) -> Result<Vec<Value>, (usize, String)> {
@@ -678,7 +655,7 @@ impl Expr {
     /// (e.g. a LIMIT that stops before the erroring row).
     pub fn eval_tri(
         &self,
-        input: &ExprInput<'_>,
+        input: &Segment,
         start: usize,
         len: usize,
         out: &mut Vec<u8>,
@@ -691,6 +668,48 @@ impl Expr {
         match errs.into_iter().next() {
             Some((j, msg)) => Err((j, msg)),
             None => Ok(()),
+        }
+    }
+
+    /// Calls `f` with every input column the expression reads.
+    pub fn visit_cols(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            Expr::Col(c) => f(*c),
+            Expr::Lit(_) => {}
+            Expr::Not(a) | Expr::Neg(a) | Expr::IsNull(a, _) | Expr::Cast(a, _) => a.visit_cols(f),
+            Expr::Cmp(_, a, b)
+            | Expr::And(a, b)
+            | Expr::Or(a, b)
+            | Expr::Arith(_, a, b)
+            | Expr::Like(a, b, _)
+            | Expr::Concat(a, b) => {
+                a.visit_cols(f);
+                b.visit_cols(f);
+            }
+            Expr::Between(a, b, c, _) => {
+                a.visit_cols(f);
+                b.visit_cols(f);
+                c.visit_cols(f);
+            }
+            Expr::InList(a, items, _) => {
+                a.visit_cols(f);
+                items.iter().for_each(|e| e.visit_cols(f));
+            }
+            Expr::Func(_, args) => args.iter().for_each(|e| e.visit_cols(f)),
+            Expr::Case {
+                operand,
+                branches,
+                else_branch,
+            } => {
+                operand
+                    .iter()
+                    .chain(else_branch)
+                    .for_each(|e| e.visit_cols(f));
+                for (w, t) in branches {
+                    w.visit_cols(f);
+                    t.visit_cols(f);
+                }
+            }
         }
     }
 
@@ -899,53 +918,22 @@ impl ExprStats {
     }
 }
 
-/// Runs `f(chunk_index)` for chunks `0..n` on `workers` scoped threads
-/// pulling from a shared cursor, returning results in chunk order
-/// (inline on the calling thread when one worker suffices).
-fn run_chunks<T: Send, F: Fn(usize) -> T + Sync>(n: usize, workers: usize, f: F) -> Vec<T> {
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let cursor = &cursor;
-            let slots = &slots;
-            let f = &f;
-            s.spawn(move || {
-                let mut span = tpcds_obs::span("storage", "expr_worker").field("worker", w);
-                let mut done = 0usize;
-                loop {
-                    let m = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                    if m >= n {
-                        break;
-                    }
-                    *slots[m].lock().unwrap() = Some(f(m));
-                    done += 1;
-                }
-                span.add_field("chunks", done);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().unwrap())
-        .collect()
-}
-
-/// Shared core of [`par_project`]/[`par_project_table`]: per-morsel output
-/// rows (survivors of `pred`, one value per expression), morsel order.
-fn project_parts(
-    table: &ColumnTable,
-    pred: Option<&Pred>,
+/// Computed projection: evaluates `exprs` over the batch's qualifying
+/// rows into a fresh [`ColumnTable`] (one column per expression, table
+/// order) whose column types come from [`Expr::dtype_hint`] — right
+/// `Int`/`Date` hints are what keep computed sort keys u64-encodable.
+/// Errors follow row-path timing: the first *surviving* deferred error in
+/// (row, expression) order; filtered-out rows' errors never fire.
+pub fn par_project_table(
+    batch: &Batch,
     exprs: &[Expr],
     threads: usize,
-) -> Result<(Vec<Vec<Row>>, ScanStats, ExprStats), StorageError> {
+) -> Result<(ColumnTable, ScanStats, ExprStats), StorageError> {
+    let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
     let cell = ErrCell::new();
-    let parts = run_chunks(morsels.len(), workers, |m| {
+    let parts: Vec<Vec<Row>> = run_chunks("expr_worker", morsels.len(), workers, |m| {
         let (si, off, len) = morsels[m];
         let seg = &table.segments[si];
         let base = (si * SEGMENT_ROWS + off) as u64;
@@ -957,14 +945,7 @@ fn project_parts(
                 Some(sel.as_slice())
             }
         };
-        let input = ExprInput::Seg(seg);
-        let evaled: Vec<Evaled> = exprs
-            .iter()
-            .map(|e| e.eval_vect(&input, off, len))
-            .collect();
-        // The row path projects only surviving rows, left to right: the
-        // first *surviving* deferred error in (row, expression) order is
-        // the one it would raise. Filtered-out rows' errors never fire.
+        let evaled: Vec<Evaled> = exprs.iter().map(|e| e.eval_vect(seg, off, len)).collect();
         let live = |j: usize| sel_slice.is_none_or(|s| s[j] == P_TRUE);
         let mut first: Option<(usize, &str)> = None;
         for ev in &evaled {
@@ -980,23 +961,25 @@ fn project_parts(
         if let Some((j, msg)) = first {
             cell.offer(base + j as u64, msg.to_string());
         }
-        let mut rows: Vec<Row> = Vec::new();
-        for j in 0..len {
-            if live(j) {
-                rows.push(evaled.iter().map(|ev| ev.v.get(j)).collect());
-            }
-        }
-        rows
+        (0..len)
+            .filter(|&j| live(j))
+            .map(|j| evaled.iter().map(|ev| ev.v.get(j)).collect())
+            .collect()
     });
     if let Some(msg) = cell.take() {
         return Err(StorageError(msg));
     }
-    let rows_out: usize = parts.iter().map(|p| p.len()).sum();
+    let dtypes = exprs.iter().map(|e| e.dtype_hint(&table.dtypes)).collect();
+    let mut b = ColumnTableBuilder::new(dtypes);
+    for r in parts.iter().flatten() {
+        b.push_row(r);
+    }
+    let out = b.finish();
     let stats = ScanStats {
         morsels: morsels.len() as u64,
         workers: workers as u64,
         rows_scanned: table.rows as u64,
-        rows_out: rows_out as u64,
+        rows_out: out.rows as u64,
         bytes: table.bytes() as u64,
     };
     let estats = ExprStats {
@@ -1004,143 +987,36 @@ fn project_parts(
         rows: (table.rows * exprs.len()) as u64,
     };
     emit_counters(&stats);
-    Ok((parts, stats, estats))
-}
-
-/// Computed projection over an optionally-filtered columnar scan: each
-/// output row is one value per expression, in table order. Errors follow
-/// row-path timing (first surviving row in table order).
-pub fn par_project(
-    table: &ColumnTable,
-    pred: Option<&Pred>,
-    exprs: &[Expr],
-    threads: usize,
-) -> Result<(Vec<Row>, ScanStats, ExprStats), StorageError> {
-    let (parts, stats, estats) = project_parts(table, pred, exprs, threads)?;
-    let mut out = Vec::with_capacity(stats.rows_out as usize);
-    for p in parts {
-        out.extend(p);
-    }
     Ok((out, stats, estats))
-}
-
-/// Like [`par_project`], but the output stays columnar: a fresh
-/// [`ColumnTable`] whose column types come from [`Expr::dtype_hint`].
-/// This is what lets an expression `ORDER BY` feed [`crate::par_sort`] /
-/// [`crate::par_topn`] with the u64 key encoding intact.
-pub fn par_project_table(
-    table: &ColumnTable,
-    pred: Option<&Pred>,
-    exprs: &[Expr],
-    threads: usize,
-) -> Result<(ColumnTable, ScanStats, ExprStats), StorageError> {
-    let (parts, stats, estats) = project_parts(table, pred, exprs, threads)?;
-    let dtypes = exprs.iter().map(|e| e.dtype_hint(&table.dtypes)).collect();
-    let mut b = ColumnTableBuilder::new(dtypes);
-    for part in &parts {
-        for r in part {
-            b.push_row(r);
-        }
-    }
-    Ok((b.finish(), stats, estats))
-}
-
-/// Computed projection over materialized rows (join output, group rows):
-/// one output row per input row, chunked [`MORSEL_ROWS`] at a time.
-pub fn par_project_rows(
-    rows: &[Row],
-    exprs: &[Expr],
-    threads: usize,
-) -> Result<(Vec<Row>, ExprStats), StorageError> {
-    let n = rows.len().div_ceil(MORSEL_ROWS);
-    let workers = worker_count(rows.len(), threads, n);
-    let cell = ErrCell::new();
-    let input = ExprInput::Rows(rows);
-    let parts = run_chunks(n, workers, |m| {
-        let start = m * MORSEL_ROWS;
-        let len = MORSEL_ROWS.min(rows.len() - start);
-        let evaled: Vec<Evaled> = exprs
-            .iter()
-            .map(|e| e.eval_vect(&input, start, len))
-            .collect();
-        let mut first: Option<(usize, &str)> = None;
-        for ev in &evaled {
-            if let Some((&j, msg)) = ev.errs.iter().next() {
-                if first.is_none_or(|(fj, _)| j < fj) {
-                    first = Some((j, msg));
-                }
-            }
-        }
-        if let Some((j, msg)) = first {
-            cell.offer((start + j) as u64, msg.to_string());
-        }
-        (0..len)
-            .map(|j| evaled.iter().map(|ev| ev.v.get(j)).collect::<Row>())
-            .collect::<Vec<Row>>()
-    });
-    if let Some(msg) = cell.take() {
-        return Err(StorageError(msg));
-    }
-    let out: Vec<Row> = parts.into_iter().flatten().collect();
-    let estats = ExprStats {
-        kernels: (n * exprs.len()) as u64,
-        rows: (rows.len() * exprs.len()) as u64,
-    };
-    Ok((out, estats))
-}
-
-/// Filters materialized rows through a compiled predicate expression
-/// (strict-TRUE admits), preserving order — the kernel behind expression
-/// `WHERE` tails over non-scan inputs and grouped `HAVING`.
-pub fn par_filter_rows(
-    rows: Vec<Row>,
-    expr: &Expr,
-    threads: usize,
-) -> Result<(Vec<Row>, ExprStats), StorageError> {
-    let n = rows.len().div_ceil(MORSEL_ROWS);
-    let workers = worker_count(rows.len(), threads, n);
-    let cell = ErrCell::new();
-    let keep: Vec<Vec<usize>> = {
-        let input = ExprInput::Rows(&rows);
-        run_chunks(n, workers, |m| {
-            let start = m * MORSEL_ROWS;
-            let len = MORSEL_ROWS.min(rows.len() - start);
-            let mut sel = Vec::new();
-            if let Err((j, msg)) = expr.eval_tri(&input, start, len, &mut sel) {
-                cell.offer((start + j) as u64, msg);
-            }
-            sel.iter()
-                .enumerate()
-                .filter(|&(_, &s)| s == P_TRUE)
-                .map(|(j, _)| start + j)
-                .collect()
-        })
-    };
-    if let Some(msg) = cell.take() {
-        return Err(StorageError(msg));
-    }
-    let total = rows.len();
-    let mut slots: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
-    let mut out = Vec::new();
-    for part in keep {
-        for j in part {
-            out.push(slots[j].take().unwrap());
-        }
-    }
-    let estats = ExprStats {
-        kernels: n as u64,
-        rows: total as u64,
-    };
-    Ok((out, estats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpcds_types::Row;
+    use crate::pred::Pred;
 
-    fn table_of(dtypes: Vec<DataType>, rows: &[Row]) -> ColumnTable {
-        ColumnTable::from_rows(dtypes, rows)
+    fn table_of(dtypes: Vec<DataType>, rows: &[Row]) -> Arc<ColumnTable> {
+        Arc::new(ColumnTable::from_rows(dtypes, rows))
+    }
+
+    fn batch(t: &Arc<ColumnTable>, pred: Option<Pred>) -> Batch {
+        let b = Batch::new(Arc::clone(t));
+        match pred {
+            Some(p) => b.filter(p),
+            None => b,
+        }
+    }
+
+    /// [`par_project_table`], materialized for comparison.
+    fn project(
+        t: &Arc<ColumnTable>,
+        pred: Option<Pred>,
+        exprs: &[Expr],
+        threads: usize,
+    ) -> Result<(Vec<Row>, ColumnTable, ScanStats, ExprStats), StorageError> {
+        let (ct, cs, es) = par_project_table(&batch(t, pred), exprs, threads)?;
+        let rows = crate::par_filter(&Batch::new(Arc::new(ct.clone())), 1).0;
+        Ok((rows, ct, cs, es))
     }
 
     fn col(i: usize) -> Box<Expr> {
@@ -1155,10 +1031,11 @@ mod tests {
         Value::Int(x)
     }
 
-    /// Evaluating over the segment (typed fast paths) and over the
-    /// materialized rows (generic Value path) must agree value-for-value.
+    /// Evaluating over typed buffers (the fast paths) and over the same
+    /// rows in boxed buffers (generic Value path) must agree
+    /// value-for-value.
     #[test]
-    fn segment_and_row_inputs_agree() {
+    fn typed_and_boxed_segments_agree() {
         let rows: Vec<Row> = vec![
             vec![
                 int(3),
@@ -1174,6 +1051,11 @@ mod tests {
         ];
         let t = table_of(vec![DataType::Int, DataType::Decimal, DataType::Str], &rows);
         let seg = &t.segments[0];
+        let boxed = table_of(vec![DataType::Bool; 3], &rows);
+        assert!(matches!(
+            boxed.segments[0].columns[0].data,
+            ColumnData::Other(_)
+        ));
         let exprs = vec![
             Expr::Arith(
                 ArithOp::Add,
@@ -1192,14 +1074,12 @@ mod tests {
             Expr::Cast(col(0), DataType::Str),
         ];
         for e in &exprs {
-            let a = e.eval_values(&ExprInput::Seg(seg), 0, rows.len()).unwrap();
-            let b = e
-                .eval_values(&ExprInput::Rows(&rows), 0, rows.len())
-                .unwrap();
+            let a = e.eval_values(seg, 0, rows.len()).unwrap();
+            let b = e.eval_values(&boxed.segments[0], 0, rows.len()).unwrap();
             assert_eq!(a, b, "expr {e:?}");
         }
         // Spot-check one value against hand arithmetic.
-        let doubled = exprs[0].eval_values(&ExprInput::Seg(seg), 0, 3).unwrap();
+        let doubled = exprs[0].eval_values(seg, 0, 3).unwrap();
         assert_eq!(doubled, vec![int(7), Value::Null, int(-7)]);
     }
 
@@ -1208,18 +1088,16 @@ mod tests {
         let rows: Vec<Row> = vec![vec![int(1)], vec![int(i64::MAX)], vec![int(5)]];
         let t = table_of(vec![DataType::Int], &rows);
         let e = Expr::Arith(ArithOp::Add, col(0), lit(int(1)));
-        let err = e
-            .eval_values(&ExprInput::Seg(&t.segments[0]), 0, 3)
-            .unwrap_err();
+        let err = e.eval_values(&t.segments[0], 0, 3).unwrap_err();
         assert_eq!(err, (1, "integer overflow in +".to_string()));
         // A pred that filters out the overflowing row masks its error.
         let pred = Pred::Cmp(CmpKind::Lt, 0, int(100));
-        let (out, _, estats) = par_project(&t, Some(&pred), std::slice::from_ref(&e), 1).unwrap();
+        let (out, _, _, estats) = project(&t, Some(pred), std::slice::from_ref(&e), 1).unwrap();
         assert_eq!(out, vec![vec![int(2)], vec![int(6)]]);
         assert_eq!(estats.kernels, 1);
         assert_eq!(estats.rows, 3);
         // Without the filter the kernel surfaces the row-path error.
-        let err = par_project(&t, None, &[e], 1).unwrap_err();
+        let err = project(&t, None, &[e], 1).unwrap_err();
         assert_eq!(err.0, "integer overflow in +");
     }
 
@@ -1229,14 +1107,14 @@ mod tests {
         let t = table_of(vec![DataType::Int, DataType::Int], &rows);
         let seg = &t.segments[0];
         let div = Expr::Arith(ArithOp::Div, col(0), col(1));
-        let got = div.eval_values(&ExprInput::Seg(seg), 0, 2).unwrap();
+        let got = div.eval_values(seg, 0, 2).unwrap();
         assert!(got[0].is_null());
         assert_eq!(
             got[1],
             scalar::arith(ArithOp::Div, &int(7), &int(2)).unwrap()
         );
         let md = Expr::Arith(ArithOp::Mod, col(0), col(1));
-        let got = md.eval_values(&ExprInput::Seg(seg), 0, 2).unwrap();
+        let got = md.eval_values(seg, 0, 2).unwrap();
         assert_eq!(got, vec![Value::Null, int(1)]);
     }
 
@@ -1258,9 +1136,7 @@ mod tests {
             boom(),
         );
         let mut out = Vec::new();
-        let err = e
-            .eval_tri(&ExprInput::Seg(seg), 0, 2, &mut out)
-            .unwrap_err();
+        let err = e.eval_tri(seg, 0, 2, &mut out).unwrap_err();
         assert_eq!(err.0, 1);
         assert_eq!(out[0], P_FALSE);
         // OR: TRUE lhs short-circuits; row 0 (-5 < 0 TRUE) masks, row 1 errors.
@@ -1268,9 +1144,7 @@ mod tests {
             Box::new(Expr::Cmp(CmpKind::Lt, col(0), lit(int(0)))),
             boom(),
         );
-        let err = e
-            .eval_tri(&ExprInput::Seg(seg), 0, 2, &mut out)
-            .unwrap_err();
+        let err = e.eval_tri(seg, 0, 2, &mut out).unwrap_err();
         assert_eq!(err.0, 1);
         assert_eq!(out[0], P_TRUE);
     }
@@ -1293,7 +1167,7 @@ mod tests {
                 lit(int(i64::MAX)),
             ))),
         };
-        let got = e.eval_values(&ExprInput::Seg(seg), 0, 3).unwrap();
+        let got = e.eval_values(seg, 0, 3).unwrap();
         assert_eq!(got, vec![int(1), int(i64::MAX - 1), int(1)]);
         // Simple CASE with operand, no else: misses yield NULL.
         let e = Expr::Case {
@@ -1301,7 +1175,7 @@ mod tests {
             branches: vec![(Expr::Lit(int(5)), Expr::Lit(Value::str("five")))],
             else_branch: None,
         };
-        let got = e.eval_values(&ExprInput::Seg(seg), 0, 3).unwrap();
+        let got = e.eval_values(seg, 0, 3).unwrap();
         assert_eq!(got, vec![Value::str("five"), Value::Null, Value::Null]);
     }
 
@@ -1315,9 +1189,7 @@ mod tests {
         // operand never consumes items; row 2 reaches the overflow.
         let e = Expr::InList(col(0), vec![Expr::Lit(int(1)), boom], false);
         let mut out = Vec::new();
-        let err = e
-            .eval_tri(&ExprInput::Seg(seg), 0, 3, &mut out)
-            .unwrap_err();
+        let err = e.eval_tri(seg, 0, 3, &mut out).unwrap_err();
         assert_eq!(err.0, 2);
         assert_eq!(&out[..2], &[P_TRUE, P_NULL]);
         // Pure-literal lists follow SQL NULL semantics.
@@ -1326,7 +1198,7 @@ mod tests {
             vec![Expr::Lit(int(1)), Expr::Lit(Value::Null)],
             true,
         );
-        e.eval_tri(&ExprInput::Seg(seg), 0, 3, &mut out).unwrap();
+        e.eval_tri(seg, 0, 3, &mut out).unwrap();
         assert_eq!(out, vec![P_FALSE, P_NULL, P_NULL]);
     }
 
@@ -1341,13 +1213,13 @@ mod tests {
         let seg = &t.segments[0];
         let mut out = Vec::new();
         let e = Expr::Between(col(0), lit(int(2)), lit(int(6)), false);
-        e.eval_tri(&ExprInput::Seg(seg), 0, 3, &mut out).unwrap();
+        e.eval_tri(seg, 0, 3, &mut out).unwrap();
         assert_eq!(out, vec![P_TRUE, P_NULL, P_FALSE]);
         let e = Expr::Like(col(1), lit(Value::str("%dget")), false);
-        e.eval_tri(&ExprInput::Seg(seg), 0, 3, &mut out).unwrap();
+        e.eval_tri(seg, 0, 3, &mut out).unwrap();
         assert_eq!(out, vec![P_TRUE, P_NULL, P_TRUE]);
         let e = Expr::Not(Box::new(Expr::IsNull(col(0), false)));
-        e.eval_tri(&ExprInput::Seg(seg), 0, 3, &mut out).unwrap();
+        e.eval_tri(seg, 0, 3, &mut out).unwrap();
         assert_eq!(out, vec![P_TRUE, P_FALSE, P_TRUE]);
     }
 
@@ -1380,56 +1252,57 @@ mod tests {
                 else_branch: Some(Box::new(Expr::Lit(Value::str("lo")))),
             },
         ];
-        let (serial, s1, e1) = par_project(&t, Some(&pred), &exprs, 1).unwrap();
+        let (serial, _, s1, e1) = project(&t, Some(pred.clone()), &exprs, 1).unwrap();
         assert_eq!(e1.kernels, s1.morsels * exprs.len() as u64);
+        let pass = |r: &&Row| r[1].as_int().is_some_and(|v| v < 50);
+        assert_eq!(serial.len(), rows.iter().filter(pass).count());
+        assert_eq!(serial[0], vec![int(1), int(3), Value::str("lo")]);
         for threads in [2, 8] {
-            let (par, _, _) = par_project(&t, Some(&pred), &exprs, threads).unwrap();
+            let (par, ct, _, _) = project(&t, Some(pred.clone()), &exprs, threads).unwrap();
             assert_eq!(par, serial, "threads={threads}");
-        }
-        // Columnar output round-trips the same rows with Int hints kept.
-        let (ct, _, _) = par_project_table(&t, Some(&pred), &exprs, 8).unwrap();
-        assert_eq!(ct.dtypes[0], DataType::Int);
-        assert_eq!(ct.dtypes[1], DataType::Int);
-        assert_eq!(ct.rows, serial.len());
-        for (i, r) in serial.iter().enumerate().step_by(4097) {
-            assert_eq!(&ct.row(i), r);
+            // The Int hints survive, so computed keys stay u64-encodable.
+            assert_eq!(ct.dtypes[..2], [DataType::Int, DataType::Int]);
         }
     }
 
+    /// An expression predicate and a computed projection over an
+    /// *intermediate* multi-morsel table (rows wrapped by an operator, not
+    /// a base-table shadow): same survivors at any worker count, and the
+    /// first erroring row wins across morsels.
     #[test]
-    fn row_kernels_match_filter_and_project_semantics() {
+    fn expr_kernels_over_wrapped_rows_are_thread_invariant() {
         let rows: Vec<Row> = (0..20_000i64)
             .map(|i| {
                 let v = if i % 5 == 0 { Value::Null } else { int(i) };
                 vec![int(i), v]
             })
             .collect();
-        let keep = Expr::Cmp(
+        let wrapped = Batch::from_rows(2, &rows);
+        let keep = Pred::Expr(crate::ExprPred::new(Expr::Cmp(
             CmpKind::Eq,
             Box::new(Expr::Arith(ArithOp::Mod, col(1), lit(int(2)))),
             lit(int(0)),
-        );
-        let (serial, e1) = par_filter_rows(rows.clone(), &keep, 1).unwrap();
-        assert!(e1.kernels >= 2);
+        )));
         let expected: Vec<Row> = rows
             .iter()
             .filter(|r| r[1].as_int().is_some_and(|v| v % 2 == 0))
             .cloned()
             .collect();
-        assert_eq!(serial, expected);
-        let (par, _) = par_filter_rows(rows.clone(), &keep, 8).unwrap();
-        assert_eq!(par, serial);
-        // Projection over rows: same values at any worker count, and the
-        // first erroring row wins across chunks.
+        for threads in [1, 8] {
+            let b = wrapped.clone().filter(keep.clone());
+            assert_eq!(crate::par_filter(&b, threads).0, expected);
+            assert_eq!(b.take_err(), None);
+        }
         let exprs = vec![Expr::Arith(ArithOp::Add, col(0), lit(int(1)))];
-        let (a, _) = par_project_rows(&rows, &exprs, 1).unwrap();
-        let (b, _) = par_project_rows(&rows, &exprs, 8).unwrap();
+        let (a, _, _, e1) = project(&wrapped.table, None, &exprs, 1).unwrap();
+        let (b, _, _, _) = project(&wrapped.table, None, &exprs, 8).unwrap();
+        assert!(e1.kernels >= 2);
         assert_eq!(a, b);
         assert_eq!(a[7], vec![int(8)]);
         let mut bad = rows.clone();
         bad[9_000][0] = int(i64::MAX);
         bad[15_000][0] = int(i64::MAX);
-        let err = par_project_rows(&bad, &exprs, 8).unwrap_err();
+        let err = project(&Batch::from_rows(2, &bad).table, None, &exprs, 8).unwrap_err();
         assert_eq!(err.0, "integer overflow in +");
     }
 

@@ -25,11 +25,21 @@
 //! both paths agree on every match by construction. When both key columns
 //! are dense `i64` buffers (the TPC-DS surrogate-key case) the kernel
 //! switches to a raw `i64` table and skips `Value` boxing entirely.
+//!
+//! **Output** — the probe phase produces only `(probe row, build row)` id
+//! pairs; the joined table is then built by typed column gather
+//! ([`crate::batch`]) over each side's visible columns, NULL-padded where a
+//! left-outer probe row found no partner. Joined rows never exist as
+//! `Vec<Value>`, so a join feeds the next join, sort or aggregate as a
+//! batch.
 
 use crate::agg::{AggSpec, PAcc};
-use crate::column::ColumnData;
-use crate::expr::{ErrCell, Expr, ExprInput};
-use crate::morsel::{finish_groups, merge_partials, morsels_of, worker_count, GroupMap};
+use crate::batch::{gather, gather_column, Batch, Take, NO_ROW};
+use crate::column::{Column, ColumnData};
+use crate::expr::{ErrCell, Expr};
+use crate::morsel::{
+    finish_groups, merge_partials, morsels_of, run_chunks, worker_count, GroupMap,
+};
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
 use crate::StorageError;
@@ -37,7 +47,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tpcds_types::{Row, Value};
+use tpcds_types::{DataType, Row, Value};
 
 /// Join kinds the columnar path executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,10 +133,6 @@ fn build_phase(
     int_path: bool,
     threads: usize,
 ) -> (BuildTables, u64, usize, usize) {
-    debug_assert!(
-        build.rows <= u32::MAX as usize,
-        "build side exceeds u32 row ids"
-    );
     let npart = partition_count(build.rows);
     let mask = (npart - 1) as u64;
     let morsels = morsels_of(build);
@@ -266,47 +272,17 @@ fn build_phase(
         map
     };
     let part_workers = workers.min(npart);
+    let span = "join_table_worker";
     let tables = if int_path {
-        let maps = run_per_partition(&part_rows, part_workers, build_int);
-        BuildTables::Int(maps)
+        BuildTables::Int(run_chunks(span, npart, part_workers, |p| {
+            build_int(&part_rows[p])
+        }))
     } else {
-        let maps = run_per_partition(&part_rows, part_workers, build_gen);
-        BuildTables::Gen(maps)
+        BuildTables::Gen(run_chunks(span, npart, part_workers, |p| {
+            build_gen(&part_rows[p])
+        }))
     };
     (tables, kept, npart, workers)
-}
-
-/// Runs `f` over every partition's row list, in parallel when asked.
-fn run_per_partition<T: Send, F: Fn(&[u32]) -> T + Sync>(
-    part_rows: &[Vec<u32>],
-    workers: usize,
-    f: F,
-) -> Vec<T> {
-    if workers <= 1 || part_rows.len() <= 1 {
-        return part_rows.iter().map(|rows| f(rows)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<T>>> = (0..part_rows.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let cursor = &cursor;
-            let slots = &slots;
-            let f = &f;
-            s.spawn(move || loop {
-                let p = cursor.fetch_add(1, Ordering::Relaxed);
-                if p >= part_rows.len() {
-                    break;
-                }
-                *slots[p].lock().unwrap() = Some(f(&part_rows[p]));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("partition built"))
-        .collect()
 }
 
 /// Streams one probe morsel against the build tables, calling
@@ -398,75 +374,189 @@ fn probe_rows_morsel<F: FnMut(usize, Option<&[u32]>)>(
 }
 
 /// One probe row's contribution to a residual-carrying morsel: either a
-/// span `[start, end)` of candidate combined rows in the morsel's
-/// candidate buffer, or an already-padded left-outer row (NULL equi key or
-/// empty bucket — the row path never evaluates the residual on these).
+/// span `[start, end)` of candidate pairs in the morsel's candidate list,
+/// or an already-padded left-outer row (NULL equi key or empty bucket —
+/// the row path never evaluates the residual on these).
 enum CandItem {
     Span(usize, usize),
-    Pad(Row),
+    Pad(u32),
 }
 
-/// Materializes one probe morsel's candidate combined rows (`probe row ++
-/// build row`, probe order with build matches ascending) for batched
-/// residual evaluation.
-#[allow(clippy::too_many_arguments)]
-fn collect_candidates(
-    probe: &ColumnTable,
-    build: &ColumnTable,
-    si: usize,
-    off: usize,
-    len: usize,
-    pred: Option<&Pred>,
-    keys: &[usize],
-    tables: &BuildTables,
+/// Output row ids of one probe morsel (or of the whole join, once
+/// concatenated): `probe[r]` joined `build[r]`, [`NO_ROW`] = NULL pad.
+#[derive(Default)]
+struct Pairs {
+    probe: Vec<u32>,
+    build: Vec<u32>,
+}
+
+impl Pairs {
+    fn push(&mut self, p: u32, b: u32) {
+        self.probe.push(p);
+        self.build.push(b);
+    }
+}
+
+/// Everything the probe loop needs, shared by the join and the fused
+/// join-aggregate.
+struct Probe<'a> {
+    probe: &'a ColumnTable,
+    pred: Option<&'a Pred>,
+    keys: &'a [usize],
+    build: &'a ColumnTable,
+    tables: BuildTables,
     mask: u64,
     kind: JoinType,
-    sel: &mut Vec<u8>,
-) -> (Vec<Row>, Vec<CandItem>) {
-    let seg = &probe.segments[si];
-    let base = (si * SEGMENT_ROWS + off) as u64;
-    let pw = seg.columns.len();
-    let bw = build.width();
-    let mut cands: Vec<Row> = Vec::new();
-    let mut items: Vec<CandItem> = Vec::new();
-    probe_rows_morsel(
-        seg,
-        off,
-        len,
-        pred,
-        keys,
-        tables,
-        mask,
-        kind,
-        base,
-        sel,
-        |i, bucket| {
-            let prow = seg.row(i);
-            match bucket {
-                Some(bucket) => {
-                    let start = cands.len();
-                    for &bid in bucket {
-                        let (bsi, bi) =
-                            ((bid as usize) / SEGMENT_ROWS, (bid as usize) % SEGMENT_ROWS);
-                        let bseg = &build.segments[bsi];
-                        let mut row = Vec::with_capacity(pw + bw);
-                        row.extend(prow.iter().cloned());
-                        for c in &bseg.columns {
-                            row.push(c.value_at(bi));
-                        }
-                        cands.push(row);
+    residual: Option<&'a Expr>,
+    /// Combined-row columns the residual reads (sorted, unique).
+    residual_cols: Vec<usize>,
+    rerr: ErrCell,
+}
+
+impl Probe<'_> {
+    /// One probe morsel's equi-matches in probe order (build matches
+    /// ascending), before any residual. Without a residual the pairs are
+    /// final — left-outer pads included — and no items are recorded.
+    fn candidates(&self, m: (usize, usize, usize), sel: &mut Vec<u8>) -> (Pairs, Vec<CandItem>) {
+        let (si, off, len) = m;
+        let base = (si * SEGMENT_ROWS + off) as u64;
+        let deferred = self.residual.is_some();
+        let mut cands = Pairs::default();
+        let mut items = Vec::new();
+        probe_rows_morsel(
+            &self.probe.segments[si],
+            off,
+            len,
+            self.pred,
+            self.keys,
+            &self.tables,
+            self.mask,
+            self.kind,
+            base,
+            sel,
+            |i, bucket| {
+                let pid = (si * SEGMENT_ROWS + i) as u32;
+                let start = cands.probe.len();
+                for &bid in bucket.unwrap_or(&[]) {
+                    cands.push(pid, bid);
+                }
+                match bucket {
+                    Some(_) if deferred => items.push(CandItem::Span(start, cands.probe.len())),
+                    None if deferred => items.push(CandItem::Pad(pid)),
+                    None => cands.push(pid, NO_ROW),
+                    Some(_) => {}
+                }
+            },
+        );
+        (cands, items)
+    }
+
+    /// Probe morsel `mi` → its output pairs, in row-path order. With a
+    /// residual, the candidate pairs' referenced columns are gathered into
+    /// a scratch segment, the residual runs over it as one batched kernel,
+    /// and only strict-TRUE candidates survive (a left-outer probe row
+    /// whose every candidate fails pads).
+    fn morsel(&self, mi: usize, m: (usize, usize, usize), sel: &mut Vec<u8>) -> Pairs {
+        let (cands, items) = self.candidates(m, sel);
+        let Some(rexpr) = self.residual else {
+            return cands;
+        };
+        let pw = self.probe.width();
+        let mut columns: Vec<Column> = (0..pw + self.build.width())
+            .map(|_| Column::for_type(DataType::Int))
+            .collect();
+        for &c in &self.residual_cols {
+            columns[c] = if c < pw {
+                gather_column(self.probe, c, &cands.probe)
+            } else {
+                gather_column(self.build, c - pw, &cands.build)
+            };
+        }
+        let scratch = Segment {
+            columns,
+            rows: cands.probe.len(),
+            bytes: 0,
+        };
+        let mut tri = Vec::new();
+        if let Err((j, msg)) = rexpr.eval_tri(&scratch, 0, scratch.rows, &mut tri) {
+            // Morsels are probe-ordered and candidates probe-ordered
+            // within, so this key ranks errors exactly as the row path
+            // visits combined rows.
+            self.rerr.offer(((mi as u64) << 40) | j as u64, msg);
+        }
+        let mut out = Pairs::default();
+        for item in items {
+            match item {
+                CandItem::Span(s0, s1) => {
+                    let before = out.probe.len();
+                    for j in (s0..s1).filter(|&j| tri[j] == P_TRUE) {
+                        out.push(cands.probe[j], cands.build[j]);
                     }
-                    items.push(CandItem::Span(start, cands.len()));
+                    if out.probe.len() == before && self.kind == JoinType::Left {
+                        out.push(cands.probe[s0], NO_ROW);
+                    }
                 }
-                None => {
-                    let mut row = prow;
-                    row.extend(std::iter::repeat_n(Value::Null, bw));
-                    items.push(CandItem::Pad(row));
-                }
+                CandItem::Pad(pid) => out.push(pid, NO_ROW),
             }
-        },
+        }
+        out
+    }
+}
+
+/// Builds the hash tables and the shared probe state. Keys, predicates
+/// and the residual address physical columns (the residual the combined
+/// `probe.table ++ build.table` row).
+fn prepare<'a>(
+    probe: &'a Batch,
+    probe_keys: &'a [usize],
+    build: &'a Batch,
+    build_keys: &[usize],
+    kind: JoinType,
+    residual: Option<&'a Expr>,
+    threads: usize,
+) -> (Probe<'a>, JoinStats) {
+    assert!(
+        probe.table.rows.max(build.table.rows) < u32::MAX as usize,
+        "row ids are u32"
     );
-    (cands, items)
+    let int_path = probe_keys.len() == 1
+        && build_keys.len() == 1
+        && all_i64(&probe.table, probe_keys[0])
+        && all_i64(&build.table, build_keys[0]);
+    let build_live0 = tpcds_obs::mem::live_bytes();
+    let (tables, build_rows, npart, workers) = build_phase(
+        &build.table,
+        build.pred.as_ref(),
+        build_keys,
+        int_path,
+        threads,
+    );
+    let mut residual_cols = Vec::new();
+    if let Some(r) = residual {
+        r.visit_cols(&mut |c| residual_cols.push(c));
+        residual_cols.sort_unstable();
+        residual_cols.dedup();
+    }
+    let stats = JoinStats {
+        build_rows,
+        partitions: npart as u64,
+        workers: workers as u64,
+        build_bytes: tpcds_obs::mem::live_bytes().saturating_sub(build_live0),
+        ..JoinStats::default()
+    };
+    let p = Probe {
+        probe: &probe.table,
+        pred: probe.pred.as_ref(),
+        keys: probe_keys,
+        build: &build.table,
+        tables,
+        mask: (npart - 1) as u64,
+        kind,
+        residual,
+        residual_cols,
+        rerr: ErrCell::new(),
+    };
+    (p, stats)
 }
 
 fn emit_counters(stats: &JoinStats) {
@@ -487,211 +577,80 @@ fn emit_counters(stats: &JoinStats) {
 }
 
 /// Partitioned parallel hash join: `probe ⋈ build` on
-/// `probe_keys[i] = build_keys[i]`, each side pre-filtered by its
-/// (optional) predicate. Output rows are `probe row ++ build row`, in
-/// probe-table order with each probe row's matches in build-table order —
-/// byte-identical to the engine's serial row-path join at any `threads`.
+/// `probe_keys[i] = build_keys[i]`, each side pre-filtered by its pending
+/// predicate. Output rows are `probe visible columns ++ build visible
+/// columns`, in probe-table order with each probe row's matches in
+/// build-table order — byte-identical to the engine's serial row-path
+/// join at any `threads`.
 ///
-/// `residual` is an optional non-equi tail over the **combined** row,
-/// evaluated batched inside the probe loop (this retires the engine's
-/// `route=serial[residual]` fallback): an equi match survives only where
-/// the residual is strictly TRUE, and a left-outer probe row whose every
-/// candidate fails it pads with NULLs — the row path's ON-clause
-/// semantics. Residual errors are deferred per candidate and surface in
-/// row-path order as `Err`.
-#[allow(clippy::too_many_arguments)]
+/// `residual` is an optional non-equi tail over the **combined** physical
+/// row, evaluated batched inside the probe loop: an equi match survives
+/// only where the residual is strictly TRUE, and a left-outer probe row
+/// whose every candidate fails it pads with NULLs — the row path's
+/// ON-clause semantics. Residual errors are deferred per candidate and
+/// surface in row-path order as `Err`.
 pub fn par_hash_join(
-    probe: &ColumnTable,
-    probe_pred: Option<&Pred>,
+    probe: &Batch,
     probe_keys: &[usize],
-    build: &ColumnTable,
-    build_pred: Option<&Pred>,
+    build: &Batch,
     build_keys: &[usize],
     kind: JoinType,
     residual: Option<&Expr>,
     threads: usize,
-) -> Result<(Vec<Row>, JoinStats), StorageError> {
-    let int_path = probe_keys.len() == 1
-        && build_keys.len() == 1
-        && all_i64(probe, probe_keys[0])
-        && all_i64(build, build_keys[0]);
-    let build_live0 = tpcds_obs::mem::live_bytes();
-    let (tables, build_rows, npart, build_workers) =
-        build_phase(build, build_pred, build_keys, int_path, threads);
-    let build_bytes = tpcds_obs::mem::live_bytes().saturating_sub(build_live0);
-    let mask = (npart - 1) as u64;
-    let bw = build.width();
-    let rerr = ErrCell::new();
-
-    let morsels = morsels_of(probe);
-    let workers = worker_count(probe.rows + build.rows, threads, morsels.len());
-
-    let probe_morsel = |m: usize,
-                        si: usize,
-                        off: usize,
-                        len: usize,
-                        sel: &mut Vec<u8>|
-     -> Vec<Row> {
-        let seg = &probe.segments[si];
-        let base = (si * SEGMENT_ROWS + off) as u64;
-        let mut rows: Vec<Row> = Vec::new();
-        let pw = seg.columns.len();
-        let Some(rexpr) = residual else {
-            probe_rows_morsel(
-                seg,
-                off,
-                len,
-                probe_pred,
-                probe_keys,
-                &tables,
-                mask,
-                kind,
-                base,
-                sel,
-                |i, bucket| {
-                    let prow = seg.row(i);
-                    match bucket {
-                        Some(bucket) => {
-                            for &bid in bucket {
-                                let (bsi, bi) =
-                                    ((bid as usize) / SEGMENT_ROWS, (bid as usize) % SEGMENT_ROWS);
-                                let bseg = &build.segments[bsi];
-                                let mut row = Vec::with_capacity(pw + bw);
-                                row.extend(prow.iter().cloned());
-                                for c in &bseg.columns {
-                                    row.push(c.value_at(bi));
-                                }
-                                rows.push(row);
-                            }
-                        }
-                        None => {
-                            let mut row = prow;
-                            row.extend(std::iter::repeat_n(Value::Null, bw));
-                            rows.push(row);
-                        }
-                    }
-                },
-            );
-            return rows;
-        };
-        // Residual tail: materialize this morsel's candidate pairs, run
-        // the residual as one batched kernel, keep strict-TRUE survivors.
-        let (cands, items) = collect_candidates(
-            probe, build, si, off, len, probe_pred, probe_keys, &tables, mask, kind, sel,
-        );
-        let mut tri = Vec::new();
-        if let Err((j, msg)) = rexpr.eval_tri(&ExprInput::Rows(&cands), 0, cands.len(), &mut tri) {
-            // Morsels are probe-ordered and candidates probe-ordered
-            // within, so this key ranks errors exactly as the row path
-            // visits combined rows.
-            rerr.offer(((m as u64) << 40) | j as u64, msg);
-        }
-        let mut slots: Vec<Option<Row>> = cands.into_iter().map(Some).collect();
-        for item in items {
-            match item {
-                CandItem::Span(s0, s1) => {
-                    let mut matched = false;
-                    for j in s0..s1 {
-                        if tri[j] == P_TRUE {
-                            matched = true;
-                            rows.push(slots[j].take().expect("unique candidate"));
-                        }
-                    }
-                    if !matched && kind == JoinType::Left {
-                        let mut row = slots[s0].take().expect("unique candidate");
-                        row.truncate(pw);
-                        row.extend(std::iter::repeat_n(Value::Null, bw));
-                        rows.push(row);
-                    }
-                }
-                CandItem::Pad(row) => rows.push(row),
-            }
-        }
-        rows
-    };
-
-    // Per-morsel output buffers, reassembled in morsel order.
-    let parts: Vec<Vec<Row>> = if workers <= 1 {
-        let _span = tpcds_obs::span("storage", "join_probe_worker")
-            .field("worker", 0usize)
-            .field("morsels", morsels.len());
-        let mut sel = Vec::new();
-        morsels
-            .iter()
-            .enumerate()
-            .map(|(m, &(si, off, len))| probe_morsel(m, si, off, len, &mut sel))
-            .collect()
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Vec<Row>>> = (0..morsels.len())
-            .map(|_| std::sync::Mutex::new(Vec::new()))
-            .collect();
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let cursor = &cursor;
-                let morsels = &morsels;
-                let slots = &slots;
-                let probe_morsel = &probe_morsel;
-                s.spawn(move || {
-                    let mut span =
-                        tpcds_obs::span("storage", "join_probe_worker").field("worker", w);
-                    let mut sel = Vec::new();
-                    let mut done = 0usize;
-                    loop {
-                        let m = cursor.fetch_add(1, Ordering::Relaxed);
-                        if m >= morsels.len() {
-                            break;
-                        }
-                        let (si, off, len) = morsels[m];
-                        *slots[m].lock().unwrap() = probe_morsel(m, si, off, len, &mut sel);
-                        done += 1;
-                    }
-                    span.add_field("morsels", done);
-                });
-            }
-        });
-        slots.into_iter().map(|m| m.into_inner().unwrap()).collect()
-    };
-
-    if let Some(msg) = rerr.take() {
+) -> Result<(ColumnTable, JoinStats), StorageError> {
+    let (p, mut stats) = prepare(
+        probe, probe_keys, build, build_keys, kind, residual, threads,
+    );
+    let morsels = morsels_of(p.probe);
+    let workers = worker_count(p.probe.rows + p.build.rows, threads, morsels.len());
+    // Per-morsel pair lists, reassembled in morsel order.
+    let parts = run_chunks("join_probe_worker", morsels.len(), workers, |m| {
+        p.morsel(m, morsels[m], &mut Vec::new())
+    });
+    if let Some(msg) = p.rerr.take() {
         return Err(StorageError(msg));
     }
-    let rows_out: usize = parts.iter().map(|p| p.len()).sum();
-    let mut out = Vec::with_capacity(rows_out);
-    for p in parts {
-        out.extend(p);
+    let mut pairs = Pairs::default();
+    for part in parts {
+        pairs.probe.extend(part.probe);
+        pairs.build.extend(part.build);
     }
-    let stats = JoinStats {
-        build_rows,
-        partitions: npart as u64,
-        probe_morsels: morsels.len() as u64,
-        workers: workers.max(build_workers) as u64,
-        rows_out: rows_out as u64,
-        build_bytes,
-    };
+    let out = gather(
+        &[
+            Take {
+                table: p.probe,
+                cols: probe.cols(),
+                ids: &pairs.probe,
+            },
+            Take {
+                table: p.build,
+                cols: build.cols(),
+                ids: &pairs.build,
+            },
+        ],
+        threads,
+    );
+    stats.probe_morsels = morsels.len() as u64;
+    stats.workers = stats.workers.max(workers as u64);
+    stats.rows_out = out.rows as u64;
     emit_counters(&stats);
     Ok((out, stats))
 }
 
 /// Fused join + grouped aggregation: like [`par_hash_join`] but instead of
-/// materializing joined rows, each probe worker folds matches straight
-/// into per-worker aggregate partials. `groups` and the [`AggSpec`]
-/// argument columns index the **combined** row (`probe ++ build`); on a
-/// left-outer pad every build-side column reads as NULL. Output rows are
-/// `key columns ++ aggregate values`, sorted by key, and a global
-/// aggregate over zero joined rows still yields one default row —
-/// mirroring the engine's aggregate over the row-path join. `residual` is
-/// the optional non-equi tail of [`par_hash_join`]: only combined rows
-/// where it is strictly TRUE are folded (left-outer rows with every
-/// candidate failing fold as NULL pads), and its deferred errors outrank
-/// aggregate errors.
+/// gathering joined rows, each probe worker folds its pairs straight into
+/// per-worker aggregate partials. `groups` and the [`AggSpec`] argument
+/// columns index the **combined** physical row (`probe.table ++
+/// build.table`); on a left-outer pad every build-side column reads as
+/// NULL. Output rows are `key columns ++ aggregate values`, sorted by
+/// key, and a global aggregate over zero joined rows still yields one
+/// default row — mirroring the engine's aggregate over the row-path join.
+/// Residual errors outrank aggregate errors.
 #[allow(clippy::too_many_arguments)]
 pub fn par_hash_join_agg(
-    probe: &ColumnTable,
-    probe_pred: Option<&Pred>,
+    probe: &Batch,
     probe_keys: &[usize],
-    build: &ColumnTable,
-    build_pred: Option<&Pred>,
+    build: &Batch,
     build_keys: &[usize],
     kind: JoinType,
     residual: Option<&Expr>,
@@ -699,42 +658,31 @@ pub fn par_hash_join_agg(
     aggs: &[AggSpec],
     threads: usize,
 ) -> Result<(Vec<Row>, JoinStats), StorageError> {
-    let int_path = probe_keys.len() == 1
-        && build_keys.len() == 1
-        && all_i64(probe, probe_keys[0])
-        && all_i64(build, build_keys[0]);
-    let build_live0 = tpcds_obs::mem::live_bytes();
-    let (tables, build_rows, npart, build_workers) =
-        build_phase(build, build_pred, build_keys, int_path, threads);
-    let build_bytes = tpcds_obs::mem::live_bytes().saturating_sub(build_live0);
-    let mask = (npart - 1) as u64;
-    let pw = probe.width();
+    let (p, mut stats) = prepare(
+        probe, probe_keys, build, build_keys, kind, residual, threads,
+    );
+    let morsels = morsels_of(p.probe);
+    let workers = worker_count(p.probe.rows + p.build.rows, threads, morsels.len());
+    let pw = p.probe.width();
 
-    let morsels = morsels_of(probe);
-    let workers = worker_count(probe.rows + build.rows, threads, morsels.len());
-
-    // Reads combined-row column `c` for a probe row joined with build row
-    // `bid` (`None` = left-outer pad: build columns are NULL).
-    let combined = |seg: &Segment, i: usize, bid: Option<u32>, c: usize| -> Value {
-        if c < pw {
-            seg.columns[c].value_at(i)
+    // Reads combined-row column `c` of an output pair.
+    let combined = |pid: u32, bid: u32, c: usize| -> Value {
+        let (table, id, c) = if c < pw {
+            (p.probe, pid, c)
         } else {
-            match bid {
-                Some(b) => {
-                    let (bsi, bi) = ((b as usize) / SEGMENT_ROWS, (b as usize) % SEGMENT_ROWS);
-                    build.segments[bsi].columns[c - pw].value_at(bi)
-                }
-                None => Value::Null,
-            }
+            (p.build, bid, c - pw)
+        };
+        if id == NO_ROW {
+            return Value::Null;
         }
+        let (si, i) = (id as usize / SEGMENT_ROWS, id as usize % SEGMENT_ROWS);
+        table.segments[si].columns[c].value_at(i)
     };
 
-    let rerr = ErrCell::new();
     let run_worker = |w: usize, cursor: &AtomicUsize| -> Result<GroupMap, StorageError> {
         let mut span = tpcds_obs::span("storage", "join_agg_worker").field("worker", w);
         let mut map: GroupMap = HashMap::new();
         let mut sel = Vec::new();
-        let mut tri = Vec::new();
         let mut done = 0usize;
         // The first aggregate failure stops folding, but the worker keeps
         // draining morsels so predicate and residual kernels still see
@@ -746,96 +694,26 @@ pub fn par_hash_join_agg(
             if m >= morsels.len() {
                 break;
             }
-            let (si, off, len) = morsels[m];
-            let seg = &probe.segments[si];
-            let base = (si * SEGMENT_ROWS + off) as u64;
-            let Some(rexpr) = residual else {
-                probe_rows_morsel(
-                    seg,
-                    off,
-                    len,
-                    probe_pred,
-                    probe_keys,
-                    &tables,
-                    mask,
-                    kind,
-                    base,
-                    &mut sel,
-                    |i, bucket| {
-                        if failed.is_some() {
-                            return;
-                        }
-                        match bucket {
-                            Some(b) => {
-                                // One update per matched build row.
-                                for &bid in b {
-                                    if let Err(e) = fold_one(
-                                        seg,
-                                        i,
-                                        Some(bid),
-                                        groups,
-                                        aggs,
-                                        &combined,
-                                        &mut map,
-                                    ) {
-                                        failed = Some(e);
-                                        return;
-                                    }
-                                }
-                            }
-                            None => {
-                                if let Err(e) =
-                                    fold_one(seg, i, None, groups, aggs, &combined, &mut map)
-                                {
-                                    failed = Some(e);
-                                }
-                            }
-                        }
-                    },
-                );
-                done += 1;
-                continue;
-            };
-            let (cands, items) = collect_candidates(
-                probe, build, si, off, len, probe_pred, probe_keys, &tables, mask, kind, &mut sel,
-            );
-            if let Err((j, msg)) =
-                rexpr.eval_tri(&ExprInput::Rows(&cands), 0, cands.len(), &mut tri)
-            {
-                rerr.offer(((m as u64) << 40) | j as u64, msg);
-            }
+            let pairs = p.morsel(m, morsels[m], &mut sel);
             if failed.is_none() {
-                'fold: for item in &items {
-                    match item {
-                        CandItem::Span(s0, s1) => {
-                            let mut matched = false;
-                            for j in *s0..*s1 {
-                                if tri[j] == P_TRUE {
-                                    matched = true;
-                                    if let Err(e) = fold_row(&cands[j], groups, aggs, &mut map) {
-                                        failed = Some(e);
-                                        break 'fold;
-                                    }
-                                }
-                            }
-                            if !matched && kind == JoinType::Left {
-                                let mut row = cands[*s0].clone();
-                                row.truncate(pw);
-                                row.extend(std::iter::repeat_n(Value::Null, build.width()));
-                                if let Err(e) = fold_row(&row, groups, aggs, &mut map) {
-                                    failed = Some(e);
-                                    break 'fold;
-                                }
-                            }
-                        }
-                        CandItem::Pad(row) => {
-                            if let Err(e) = fold_row(row, groups, aggs, &mut map) {
-                                failed = Some(e);
-                                break 'fold;
-                            }
-                        }
-                    }
-                }
+                failed = pairs
+                    .probe
+                    .iter()
+                    .zip(&pairs.build)
+                    .try_for_each(|(&pid, &bid)| {
+                        let key: Vec<Value> =
+                            groups.iter().map(|&g| combined(pid, bid, g)).collect();
+                        let accs = map
+                            .entry(key)
+                            .or_insert_with(|| aggs.iter().map(|a| PAcc::new(a.kind)).collect());
+                        aggs.iter()
+                            .zip(accs.iter_mut())
+                            .try_for_each(|(spec, acc)| match spec.col {
+                                Some(c) => acc.update(Some(&combined(pid, bid, c))),
+                                None => acc.update(None),
+                            })
+                    })
+                    .err();
             }
             done += 1;
         }
@@ -863,64 +741,15 @@ pub fn par_hash_join_agg(
     };
 
     let merged = merge_partials(partials);
-    if let Some(msg) = rerr.take() {
+    if let Some(msg) = p.rerr.take() {
         return Err(StorageError(msg));
     }
     let out = finish_groups(merged?, groups.is_empty(), aggs);
-    let stats = JoinStats {
-        build_rows,
-        partitions: npart as u64,
-        probe_morsels: morsels.len() as u64,
-        workers: workers.max(build_workers) as u64,
-        rows_out: out.len() as u64,
-        build_bytes,
-    };
+    stats.probe_morsels = morsels.len() as u64;
+    stats.workers = stats.workers.max(workers as u64);
+    stats.rows_out = out.len() as u64;
     emit_counters(&stats);
     Ok((out, stats))
-}
-
-/// Folds one already-materialized combined row into the group map — the
-/// residual path, where candidate rows exist as `Vec<Value>` anyway.
-fn fold_row(
-    row: &Row,
-    groups: &[usize],
-    aggs: &[AggSpec],
-    map: &mut GroupMap,
-) -> Result<(), StorageError> {
-    let key: Vec<Value> = groups.iter().map(|&g| row[g].clone()).collect();
-    let accs = map
-        .entry(key)
-        .or_insert_with(|| aggs.iter().map(|a| PAcc::new(a.kind)).collect());
-    for (spec, acc) in aggs.iter().zip(accs.iter_mut()) {
-        match spec.col {
-            Some(c) => acc.update(Some(&row[c]))?,
-            None => acc.update(None)?,
-        }
-    }
-    Ok(())
-}
-
-/// Folds one joined (or padded) row into the group map.
-fn fold_one<C: Fn(&Segment, usize, Option<u32>, usize) -> Value>(
-    seg: &Segment,
-    i: usize,
-    bid: Option<u32>,
-    groups: &[usize],
-    aggs: &[AggSpec],
-    combined: &C,
-    map: &mut GroupMap,
-) -> Result<(), StorageError> {
-    let key: Vec<Value> = groups.iter().map(|&g| combined(seg, i, bid, g)).collect();
-    let accs = map
-        .entry(key)
-        .or_insert_with(|| aggs.iter().map(|a| PAcc::new(a.kind)).collect());
-    for (spec, acc) in aggs.iter().zip(accs.iter_mut()) {
-        match spec.col {
-            Some(c) => acc.update(Some(&combined(seg, i, bid, c)))?,
-            None => acc.update(None)?,
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -929,11 +758,29 @@ mod tests {
     use crate::agg::AggKind;
     use crate::pred::CmpKind;
     use crate::segment::ColumnTableBuilder;
-    use tpcds_types::DataType;
+    use std::sync::Arc;
+
+    fn filtered(b: &Batch, pred: &Pred) -> Batch {
+        b.clone().filter(pred.clone())
+    }
+
+    /// [`par_hash_join`] on single-column keys, materialized.
+    fn join(
+        probe: &Batch,
+        pk: usize,
+        build: &Batch,
+        bk: usize,
+        kind: JoinType,
+        residual: Option<&Expr>,
+        threads: usize,
+    ) -> Result<(Vec<Row>, JoinStats), StorageError> {
+        let (t, stats) = par_hash_join(probe, &[pk], build, &[bk], kind, residual, threads)?;
+        Ok((crate::par_filter(&Batch::new(Arc::new(t)), 1).0, stats))
+    }
 
     /// Probe table: (id, key, val) with every 7th key NULL. Large enough
     /// to exceed the inline threshold and span segments.
-    fn probe_table(n: usize) -> ColumnTable {
+    fn probe_table(n: usize) -> Batch {
         let mut b = ColumnTableBuilder::new(vec![DataType::Int, DataType::Int, DataType::Int]);
         for i in 0..n as i64 {
             let key = if i % 7 == 0 {
@@ -943,12 +790,12 @@ mod tests {
             };
             b.push_row(&[Value::Int(i), key, Value::Int(i * 3)]);
         }
-        b.finish()
+        Batch::new(Arc::new(b.finish()))
     }
 
     /// Build table: (key, name-ish) with every 5th key NULL and duplicate
     /// keys (two rows per key value).
-    fn build_table(n: usize) -> ColumnTable {
+    fn build_table(n: usize) -> Batch {
         let mut b = ColumnTableBuilder::new(vec![DataType::Int, DataType::Int]);
         for i in 0..n as i64 {
             let key = if i % 5 == 0 {
@@ -958,21 +805,19 @@ mod tests {
             };
             b.push_row(&[key, Value::Int(i + 1000)]);
         }
-        b.finish()
+        Batch::new(Arc::new(b.finish()))
     }
 
     /// Serial reference mirroring the engine's row-path `hash_join`.
     fn reference_join(
-        probe: &ColumnTable,
-        probe_pred: Option<&Pred>,
+        probe: &Batch,
         pk: usize,
-        build: &ColumnTable,
-        build_pred: Option<&Pred>,
+        build: &Batch,
         bk: usize,
         kind: JoinType,
     ) -> Vec<Row> {
-        let (prows, _) = crate::par_filter(probe, probe_pred, 1);
-        let (brows, _) = crate::par_filter(build, build_pred, 1);
+        let (prows, _) = crate::par_filter(probe, 1);
+        let (brows, _) = crate::par_filter(build, 1);
         let mut table: HashMap<Value, Vec<usize>> = HashMap::new();
         for (i, r) in brows.iter().enumerate() {
             if !r[bk].is_null() {
@@ -1010,25 +855,18 @@ mod tests {
 
     #[test]
     fn join_matches_reference_at_any_worker_count() {
-        let probe = probe_table(70_000);
-        let build = build_table(500);
-        let ppred = Pred::Cmp(CmpKind::Lt, 0, Value::Int(60_000));
-        let bpred = Pred::Cmp(CmpKind::Ge, 1, Value::Int(1_100));
+        let probe = filtered(
+            &probe_table(70_000),
+            &Pred::Cmp(CmpKind::Lt, 0, Value::Int(60_000)),
+        );
+        let build = filtered(
+            &build_table(500),
+            &Pred::Cmp(CmpKind::Ge, 1, Value::Int(1_100)),
+        );
         for kind in [JoinType::Inner, JoinType::Left] {
-            let expect = reference_join(&probe, Some(&ppred), 1, &build, Some(&bpred), 0, kind);
+            let expect = reference_join(&probe, 1, &build, 0, kind);
             for threads in [1, 2, 8] {
-                let (got, stats) = par_hash_join(
-                    &probe,
-                    Some(&ppred),
-                    &[1],
-                    &build,
-                    Some(&bpred),
-                    &[0],
-                    kind,
-                    None,
-                    threads,
-                )
-                .unwrap();
+                let (got, stats) = join(&probe, 1, &build, 0, kind, None, threads).unwrap();
                 assert_eq!(got, expect, "{kind:?} threads={threads}");
                 assert_eq!(stats.rows_out as usize, expect.len());
                 assert!(stats.partitions >= 1);
@@ -1053,29 +891,10 @@ mod tests {
             };
             b.push_row(&[key, Value::Int(i + 1000)]);
         }
-        let build_gen = b.finish();
-        let bpred = Pred::Cmp(CmpKind::Ge, 1, Value::Int(0));
-        let expect = reference_join(
-            &probe,
-            None,
-            1,
-            &build_gen,
-            Some(&bpred),
-            0,
-            JoinType::Inner,
-        );
-        let (got, _) = par_hash_join(
-            &probe,
-            None,
-            &[1],
-            &build_gen,
-            Some(&bpred),
-            &[0],
-            JoinType::Inner,
-            None,
-            4,
-        )
-        .unwrap();
+        let build_gen =
+            Batch::new(Arc::new(b.finish())).filter(Pred::Cmp(CmpKind::Ge, 1, Value::Int(0)));
+        let expect = reference_join(&probe, 1, &build_gen, 0, JoinType::Inner);
+        let (got, _) = join(&probe, 1, &build_gen, 0, JoinType::Inner, None, 4).unwrap();
         assert_eq!(got, expect);
     }
 
@@ -1100,8 +919,7 @@ mod tests {
         ];
         for kind in [JoinType::Inner, JoinType::Left] {
             // Reference: materialize the join, then aggregate serially.
-            let (joined, _) =
-                par_hash_join(&probe, None, &[1], &build, None, &[0], kind, None, 1).unwrap();
+            let (joined, _) = join(&probe, 1, &build, 0, kind, None, 1).unwrap();
             let mut map: GroupMap = HashMap::new();
             for row in &joined {
                 let key = vec![row[groups[0]].clone()];
@@ -1119,10 +937,8 @@ mod tests {
             for threads in [1, 2, 8] {
                 let (got, _) = par_hash_join_agg(
                     &probe,
-                    None,
                     &[1],
                     &build,
-                    None,
                     &[0],
                     kind,
                     None,
@@ -1140,15 +956,15 @@ mod tests {
     /// holds on the combined row; left probe rows pad when nothing
     /// survives (including NULL-key probe rows).
     fn reference_residual(
-        probe: &ColumnTable,
+        probe: &Batch,
         pk: usize,
-        build: &ColumnTable,
+        build: &Batch,
         bk: usize,
         kind: JoinType,
         keep: &dyn Fn(&Row) -> bool,
     ) -> Vec<Row> {
-        let (prows, _) = crate::par_filter(probe, None, 1);
-        let (brows, _) = crate::par_filter(build, None, 1);
+        let (prows, _) = crate::par_filter(probe, 1);
+        let (brows, _) = crate::par_filter(build, 1);
         let mut table: HashMap<Value, Vec<usize>> = HashMap::new();
         for (i, r) in brows.iter().enumerate() {
             if !r[bk].is_null() {
@@ -1193,18 +1009,8 @@ mod tests {
         for kind in [JoinType::Inner, JoinType::Left] {
             let expect = reference_residual(&probe, 1, &build, 0, kind, &keep);
             for threads in [1, 2, 8] {
-                let (got, stats) = par_hash_join(
-                    &probe,
-                    None,
-                    &[1],
-                    &build,
-                    None,
-                    &[0],
-                    kind,
-                    Some(&residual),
-                    threads,
-                )
-                .unwrap();
+                let (got, stats) =
+                    join(&probe, 1, &build, 0, kind, Some(&residual), threads).unwrap();
                 assert_eq!(got, expect, "{kind:?} threads={threads}");
                 assert_eq!(stats.rows_out as usize, expect.len());
             }
@@ -1229,18 +1035,7 @@ mod tests {
             },
         ];
         for kind in [JoinType::Inner, JoinType::Left] {
-            let (joined, _) = par_hash_join(
-                &probe,
-                None,
-                &[1],
-                &build,
-                None,
-                &[0],
-                kind,
-                Some(&residual),
-                1,
-            )
-            .unwrap();
+            let (joined, _) = join(&probe, 1, &build, 0, kind, Some(&residual), 1).unwrap();
             let mut map: GroupMap = HashMap::new();
             for row in &joined {
                 let key = vec![row[groups[0]].clone()];
@@ -1258,10 +1053,8 @@ mod tests {
             for threads in [1, 2, 8] {
                 let (got, _) = par_hash_join_agg(
                     &probe,
-                    None,
                     &[1],
                     &build,
-                    None,
                     &[0],
                     kind,
                     Some(&residual),
@@ -1295,13 +1088,11 @@ mod tests {
         );
         let mut msgs = Vec::new();
         for threads in [1, 2, 8] {
-            let err = par_hash_join(
+            let err = join(
                 &probe,
-                None,
-                &[1],
+                1,
                 &build,
-                None,
-                &[0],
+                0,
                 JoinType::Inner,
                 Some(&residual),
                 threads,
@@ -1313,10 +1104,8 @@ mod tests {
         assert!(msgs.iter().all(|m| *m == msgs[0]));
         let err = par_hash_join_agg(
             &probe,
-            None,
             &[1],
             &build,
-            None,
             &[0],
             JoinType::Inner,
             Some(&residual),
@@ -1348,11 +1137,9 @@ mod tests {
             },
         ];
         let (rows, _) = par_hash_join_agg(
-            &probe,
-            Some(&ppred),
+            &filtered(&probe, &ppred),
             &[1],
             &build,
-            None,
             &[0],
             JoinType::Inner,
             None,

@@ -3,22 +3,24 @@
 //! A columnar storage subsystem for the TPC-DS reproduction: typed column
 //! vectors ([`column::Column`]) with a word-packed null bitmap, grouped into
 //! fixed-size row-group segments ([`segment::Segment`]), plus vectorized
-//! filter ([`pred::Pred`]) and partial-aggregate ([`agg::AggSpec`]) kernels
-//! driven by a **morsel-driven scheduler** ([`morsel`]): segments are split
-//! into morsels handed to `std::thread::scope` workers through a shared
-//! atomic cursor.
+//! filter ([`pred::Pred`]), expression ([`expr::Expr`]), join, sort and
+//! partial-aggregate ([`agg::AggSpec`]) kernels driven by a
+//! **morsel-driven scheduler** ([`morsel`]): segments are split into
+//! morsels handed to `std::thread::scope` workers through a shared atomic
+//! cursor.
 //!
-//! The engine keeps its `Vec<Row>` tables as the correctness oracle and
-//! attaches a [`ColumnTable`] *shadow* per base table; scans and
-//! aggregate-over-scan plans route through this crate when the shadow is
-//! present and the predicate/aggregate compiles to the kernel subset. Every
-//! kernel mirrors the engine's row-at-a-time SQL semantics (three-valued
-//! logic, exact decimal accumulation) so the two paths produce identical
-//! results.
+//! Every kernel consumes a lazy [`Batch`] — a table, a pending predicate
+//! and a pending projection — which is also what the engine's operators
+//! hand each other; a base table enters as its [`ColumnTable`] *shadow*.
+//! The engine keeps its `Vec<Row>` tables and serial interpreter as the
+//! correctness oracle: every kernel mirrors its row-at-a-time SQL
+//! semantics (three-valued logic, exact decimal accumulation) so the two
+//! paths produce identical results.
 
 #![warn(missing_docs)]
 
 pub mod agg;
+pub mod batch;
 pub mod column;
 pub mod expr;
 pub mod join;
@@ -29,16 +31,14 @@ pub mod sort;
 pub mod stats;
 
 pub use agg::{AggKind, AggSpec};
+pub use batch::Batch;
 pub use column::{Bitmap, Column, ColumnData};
-pub use expr::{
-    par_filter_rows, par_project, par_project_rows, par_project_table, ErrCell, Expr, ExprInput,
-    ExprStats,
-};
+pub use expr::{par_project_table, ErrCell, Expr, ExprStats};
 pub use join::{par_hash_join, par_hash_join_agg, JoinStats, JoinType};
 pub use morsel::{par_aggregate, par_filter, par_filter_limit, ScanStats, MORSEL_ROWS};
 pub use pred::{CmpKind, ExprPred, Pred};
 pub use segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
-pub use sort::{par_sort, par_sort_rows, par_topn, par_topn_rows, SortKey, SortStats};
+pub use sort::{par_sort, par_topn, SortKey, SortStats};
 pub use stats::{collect_stats, ColumnStats, TableStats};
 
 use std::fmt;

@@ -12,6 +12,7 @@
 //! sorted by group key, so results are identical for any worker count.
 
 use crate::agg::{AggSpec, PAcc};
+use crate::batch::Batch;
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, SEGMENT_ROWS};
 use crate::StorageError;
@@ -89,14 +90,53 @@ pub(crate) fn emit_counters(stats: &ScanStats) {
     tpcds_obs::counter("storage", "scan.bytes", stats.bytes as f64, &w);
 }
 
-/// Filters the table through the (optional) predicate, returning the
-/// passing rows **in table order** plus scan statistics. With `pred =
-/// None` this is a full materializing scan.
-pub fn par_filter(
-    table: &ColumnTable,
-    pred: Option<&Pred>,
-    threads: usize,
-) -> (Vec<Row>, ScanStats) {
+/// Runs `f(chunk_index)` for chunks `0..n` on `workers` scoped threads
+/// pulling from a shared cursor, returning results in chunk order
+/// (inline on the calling thread when one worker suffices). `span` names
+/// the per-worker obs span.
+pub(crate) fn run_chunks<T: Send, F: Fn(usize) -> T + Sync>(
+    span: &'static str,
+    n: usize,
+    workers: usize,
+    f: F,
+) -> Vec<T> {
+    if workers <= 1 || n <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<std::sync::Mutex<Option<T>>> =
+        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for w in 0..workers {
+            let cursor = &cursor;
+            let slots = &slots;
+            let f = &f;
+            s.spawn(move || {
+                let mut span = tpcds_obs::span("storage", span).field("worker", w);
+                let mut done = 0usize;
+                loop {
+                    let m = cursor.fetch_add(1, Ordering::Relaxed);
+                    if m >= n {
+                        break;
+                    }
+                    *slots[m].lock().unwrap() = Some(f(m));
+                    done += 1;
+                }
+                span.add_field("chunks", done);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|m| m.into_inner().unwrap().expect("chunk ran"))
+        .collect()
+}
+
+/// Materializes the batch: the rows passing its predicate, narrowed to
+/// its visible columns, **in table order**, plus scan statistics. This is
+/// the result edge — the one place column batches become rows.
+pub fn par_filter(batch: &Batch, threads: usize) -> (Vec<Row>, ScanStats) {
+    let (table, pred, proj) = (&*batch.table, batch.pred.as_ref(), batch.proj.as_deref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
 
@@ -110,7 +150,7 @@ pub fn par_filter(
         parts = Vec::with_capacity(morsels.len());
         let mut sel = Vec::new();
         for &(si, off, len) in &morsels {
-            parts.push(filter_morsel(table, si, off, len, pred, &mut sel));
+            parts.push(filter_morsel(table, si, off, len, pred, proj, &mut sel));
         }
     } else {
         let cursor = AtomicUsize::new(0);
@@ -138,7 +178,7 @@ pub fn par_filter(
                                 .field("morsel", m)
                         });
                         let (si, off, len) = morsels[m];
-                        let rows = filter_morsel(table, si, off, len, pred, &mut sel);
+                        let rows = filter_morsel(table, si, off, len, pred, proj, &mut sel);
                         *slots[m].lock().unwrap() = rows;
                         done += 1;
                     }
@@ -165,20 +205,15 @@ pub fn par_filter(
     (out, stats)
 }
 
-/// Filters the table through the (optional) predicate, stopping as soon
-/// as `limit` passing rows have been collected. Morsels are visited **in
-/// table order on the calling thread** — the short-circuit needs ordered
-/// early exit, and a `LIMIT n` over a scan touches so few morsels that
-/// worker fan-out would cost more than it saves. Output is exactly the
-/// first `limit` rows [`par_filter`] would produce. `rows_scanned` and
-/// `bytes` in the returned stats count only what was actually visited.
-pub fn par_filter_limit(
-    table: &ColumnTable,
-    pred: Option<&Pred>,
-    limit: usize,
-    threads: usize,
-) -> (Vec<Row>, ScanStats) {
-    let _ = threads; // ordered early exit is inherently serial
+/// [`par_filter`] stopping as soon as `limit` rows have been collected.
+/// Morsels are visited **in table order on the calling thread** — the
+/// short-circuit needs ordered early exit, and a `LIMIT n` touches so few
+/// morsels that worker fan-out would cost more than it saves. Output is
+/// exactly the first `limit` rows [`par_filter`] would produce.
+/// `rows_scanned` and `bytes` in the returned stats count only what was
+/// actually visited.
+pub fn par_filter_limit(batch: &Batch, limit: usize) -> (Vec<Row>, ScanStats) {
+    let (table, pred, proj) = (&*batch.table, batch.pred.as_ref(), batch.proj.as_deref());
     let morsels = morsels_of(table);
     let _span = tpcds_obs::span("storage", "scan_worker")
         .field("worker", 0usize)
@@ -199,14 +234,14 @@ pub fn par_filter_limit(
         match pred {
             None => {
                 let take = len.min(limit - out.len());
-                out.extend((off..off + take).map(|i| seg.row(i)));
+                out.extend((off..off + take).map(|i| seg.row_of(i, proj)));
             }
             Some(p) => {
                 let base = (si * SEGMENT_ROWS + off) as u64;
                 p.eval(seg, off, len, base, &mut sel);
                 for (j, &s) in sel.iter().enumerate() {
                     if s == P_TRUE {
-                        out.push(seg.row(off + j));
+                        out.push(seg.row_of(off + j, proj));
                         if out.len() >= limit {
                             // The serial row path stops here: deferred
                             // expression errors past this row never fire.
@@ -235,17 +270,18 @@ fn filter_morsel(
     off: usize,
     len: usize,
     pred: Option<&Pred>,
+    proj: Option<&[usize]>,
     sel: &mut Vec<u8>,
 ) -> Vec<Row> {
     let seg = &table.segments[si];
     match pred {
-        None => (off..off + len).map(|i| seg.row(i)).collect(),
+        None => (off..off + len).map(|i| seg.row_of(i, proj)).collect(),
         Some(p) => {
             p.eval(seg, off, len, (si * SEGMENT_ROWS + off) as u64, sel);
             let mut rows = Vec::new();
             for (j, &s) in sel.iter().enumerate() {
                 if s == P_TRUE {
-                    rows.push(seg.row(off + j));
+                    rows.push(seg.row_of(off + j, proj));
                 }
             }
             rows
@@ -253,7 +289,7 @@ fn filter_morsel(
     }
 }
 
-/// Grouped (or global) aggregation over an optionally-filtered scan.
+/// Grouped (or global) aggregation over the batch's qualifying rows.
 ///
 /// `groups` are column indexes forming the key; `aggs` the aggregate
 /// calls. Output rows are `key columns ++ aggregate values`, sorted by
@@ -261,12 +297,12 @@ fn filter_morsel(
 /// (`groups` empty) over zero matching rows still yields one default row,
 /// mirroring the engine.
 pub fn par_aggregate(
-    table: &ColumnTable,
-    pred: Option<&Pred>,
+    batch: &Batch,
     groups: &[usize],
     aggs: &[AggSpec],
     threads: usize,
 ) -> Result<(Vec<Row>, ScanStats), StorageError> {
+    let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
 
@@ -457,10 +493,15 @@ mod tests {
     use crate::agg::AggKind;
     use crate::pred::CmpKind;
     use crate::segment::{ColumnTableBuilder, SEGMENT_ROWS};
+    use std::sync::Arc;
     use tpcds_types::{DataType, Decimal};
 
+    fn batch(t: &Arc<ColumnTable>, pred: &Pred) -> Batch {
+        Batch::new(Arc::clone(t)).filter(pred.clone())
+    }
+
     /// ~1.5 segments of (id, bucket, amount, maybe-null flag) rows.
-    fn table() -> ColumnTable {
+    fn table() -> Arc<ColumnTable> {
         let n = SEGMENT_ROWS + SEGMENT_ROWS / 2;
         let mut b = ColumnTableBuilder::new(vec![
             DataType::Int,
@@ -481,16 +522,16 @@ mod tests {
                 flag,
             ]);
         }
-        b.finish()
+        Arc::new(b.finish())
     }
 
     #[test]
     fn filter_is_order_preserving_and_thread_invariant() {
         let t = table();
         let pred = Pred::Cmp(CmpKind::Lt, 1, Value::Int(3));
-        let (serial, s1) = par_filter(&t, Some(&pred), 1);
+        let (serial, s1) = par_filter(&batch(&t, &pred), 1);
         for threads in [2, 5, 8] {
-            let (par, sp) = par_filter(&t, Some(&pred), threads);
+            let (par, sp) = par_filter(&batch(&t, &pred), threads);
             assert_eq!(par, serial, "threads={threads}");
             assert_eq!(sp.rows_out, s1.rows_out);
         }
@@ -505,9 +546,9 @@ mod tests {
     fn filter_limit_is_a_prefix_of_the_full_filter() {
         let t = table();
         let pred = Pred::Cmp(CmpKind::Lt, 1, Value::Int(3));
-        let (full, _) = par_filter(&t, Some(&pred), 1);
+        let (full, _) = par_filter(&batch(&t, &pred), 1);
         for limit in [0, 1, 100, full.len(), full.len() + 10] {
-            let (prefix, stats) = par_filter_limit(&t, Some(&pred), limit, 8);
+            let (prefix, stats) = par_filter_limit(&batch(&t, &pred), limit);
             assert_eq!(prefix, full[..limit.min(full.len())], "limit={limit}");
             if limit <= MORSEL_ROWS {
                 assert!(
@@ -517,7 +558,7 @@ mod tests {
             }
         }
         // Unfiltered: the first rows of the table, without a full scan.
-        let (prefix, stats) = par_filter_limit(&t, None, 10, 8);
+        let (prefix, stats) = par_filter_limit(&Batch::new(Arc::clone(&t)), 10);
         let ids: Vec<i64> = prefix.iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(ids, (0..10).collect::<Vec<_>>());
         assert_eq!(stats.morsels, 1);
@@ -550,10 +591,10 @@ mod tests {
                 col: Some(2),
             },
         ];
-        let (serial, _) = par_aggregate(&t, Some(&pred), &groups, &aggs, 1).unwrap();
+        let (serial, _) = par_aggregate(&batch(&t, &pred), &groups, &aggs, 1).unwrap();
         assert_eq!(serial.len(), 10);
         for threads in [2, 4, 8] {
-            let (par, _) = par_aggregate(&t, Some(&pred), &groups, &aggs, threads).unwrap();
+            let (par, _) = par_aggregate(&batch(&t, &pred), &groups, &aggs, threads).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -572,10 +613,10 @@ mod tests {
                 col: Some(2),
             },
         ];
-        let (rows, _) = par_aggregate(&t, Some(&pred), &[], &aggs, 4).unwrap();
+        let (rows, _) = par_aggregate(&batch(&t, &pred), &[], &aggs, 4).unwrap();
         assert_eq!(rows, vec![vec![Value::Int(0), Value::Null]]);
         // Grouped aggregate over an empty selection yields no rows.
-        let (rows, _) = par_aggregate(&t, Some(&pred), &[0], &aggs, 4).unwrap();
+        let (rows, _) = par_aggregate(&batch(&t, &pred), &[0], &aggs, 4).unwrap();
         assert!(rows.is_empty());
     }
 }

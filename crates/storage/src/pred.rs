@@ -9,9 +9,10 @@
 //! the oracle, and any divergence here is a bug.
 
 use crate::column::{Column, ColumnData};
-use crate::expr::{ErrCell, Expr, ExprInput};
+use crate::expr::{ErrCell, Expr};
 use crate::segment::Segment;
 use std::cmp::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use tpcds_types::{like_match, Date, Decimal, Value};
 
@@ -110,6 +111,10 @@ pub enum Pred {
     Or(Box<Pred>, Box<Pred>),
     /// Kleene NOT.
     Not(Box<Pred>),
+    /// The inner predicate, adding the number of rows it admits to a
+    /// shared counter on every evaluation — how EXPLAIN ANALYZE learns a
+    /// lazy node's row count from whichever kernel evaluates its batch.
+    Counted(Box<Pred>, Arc<AtomicU64>),
 }
 
 /// A compiled expression predicate plus its shared first-error cell.
@@ -354,7 +359,7 @@ impl Pred {
                 }
             }
             Pred::Expr(ep) => {
-                if let Err((j, msg)) = ep.expr.eval_tri(&ExprInput::Seg(seg), start, len, out) {
+                if let Err((j, msg)) = ep.expr.eval_tri(seg, start, len, out) {
                     ep.err.offer(base + j as u64, msg);
                 }
             }
@@ -392,6 +397,11 @@ impl Pred {
                     };
                 }
             }
+            Pred::Counted(p, rows) => {
+                p.eval(seg, start, len, base, out);
+                let admitted = out.iter().filter(|&&o| o == P_TRUE).count();
+                rows.fetch_add(admitted as u64, AtomicOrdering::Relaxed);
+            }
         }
     }
 
@@ -403,7 +413,7 @@ impl Pred {
         match self {
             Pred::Expr(ep) => ep.err.take(),
             Pred::And(l, r) | Pred::Or(l, r) => l.take_err().or_else(|| r.take_err()),
-            Pred::Not(p) => p.take_err(),
+            Pred::Not(p) | Pred::Counted(p, _) => p.take_err(),
             _ => None,
         }
     }
@@ -418,7 +428,7 @@ impl Pred {
                 l.clear_err_from(gid);
                 r.clear_err_from(gid);
             }
-            Pred::Not(p) => p.clear_err_from(gid),
+            Pred::Not(p) | Pred::Counted(p, _) => p.clear_err_from(gid),
             _ => {}
         }
     }

@@ -28,6 +28,14 @@ impl Segment {
     pub fn row(&self, i: usize) -> Row {
         self.columns.iter().map(|c| c.value_at(i)).collect()
     }
+
+    /// Materializes columns `cols` of row `i` (every column when `None`).
+    pub fn row_of(&self, i: usize, cols: Option<&[usize]>) -> Row {
+        match cols {
+            None => self.row(i),
+            Some(cols) => cols.iter().map(|&c| self.columns[c].value_at(i)).collect(),
+        }
+    }
 }
 
 /// The columnar shadow of one table.

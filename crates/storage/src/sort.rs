@@ -3,13 +3,16 @@
 //! Every TPC-DS template ends in `ORDER BY … LIMIT 100`, so the ordering
 //! tail must scale like the scan/join/aggregate kernels. Two strategies:
 //!
-//! * **Top-N** ([`par_topn`] / [`par_topn_rows`]): each worker keeps a
-//!   bounded heap of the best `limit` entries seen across the morsels it
-//!   pulls; heaps merge commutatively at the end (concatenate + sort +
-//!   truncate). Rows that never displace a heap entry are pruned without
-//!   ever being materialized.
-//! * **Full sort** ([`par_sort`] / [`par_sort_rows`]): each morsel becomes
-//!   one sorted run in parallel; a serial k-way merge zips the runs.
+//! * **Top-N** ([`par_topn`]): each worker keeps a bounded heap of the
+//!   best `limit` entries seen across the morsels it pulls; heaps merge
+//!   commutatively at the end (concatenate + sort + truncate). Rows that
+//!   never displace a heap entry are pruned without ever being gathered.
+//! * **Full sort** ([`par_sort`]): each morsel becomes one sorted run in
+//!   parallel; a serial k-way merge zips the runs.
+//!
+//! Both sort row ids and emit a fresh table by typed column gather
+//! ([`crate::batch`]), so the winners stay columnar for whatever
+//! consumes them.
 //!
 //! Determinism: entries compare by encoded/extracted key first and by
 //! **global row index** on ties, which is a total order — so any worker
@@ -20,19 +23,20 @@
 //! compared memcmp-style, everything else falls back to the
 //! [`Value`]-comparator path.
 
+use crate::batch::{gather, Batch, Take};
 use crate::column::ColumnData;
-use crate::morsel::{detail_enabled, morsels_of, worker_count, MORSEL_ROWS};
+use crate::morsel::{detail_enabled, morsels_of, worker_count};
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Mutex;
-use tpcds_types::{Row, Value};
+use tpcds_types::Value;
 
 /// One sort key: a column index plus direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SortKey {
-    /// Column index into the (projected) row.
+    /// Physical column index into the batch's table.
     pub col: usize,
     /// Descending order.
     pub desc: bool,
@@ -152,19 +156,15 @@ fn key_of(seg: &Segment, i: usize, keys: &[SortKey], enc: bool) -> Key {
     }
 }
 
-/// Builds the (always value-form) key for one materialized row.
-fn key_of_row(row: &Row, keys: &[SortKey]) -> Key {
-    Key::Val(keys.iter().map(|k| row[k.col].clone()).collect())
-}
-
-/// Materializes the (optionally projected) row behind a global row index.
-fn materialize(table: &ColumnTable, gid: usize, proj: Option<&[usize]>) -> Row {
-    let seg = &table.segments[gid / SEGMENT_ROWS];
-    let i = gid % SEGMENT_ROWS;
-    match proj {
-        None => seg.row(i),
-        Some(cols) => cols.iter().map(|&c| seg.columns[c].value_at(i)).collect(),
-    }
+/// Gathers the batch's visible columns at the winners' row ids.
+fn emit(batch: &Batch, winners: &[Entry], threads: usize) -> ColumnTable {
+    let ids: Vec<u32> = winners.iter().map(|e| e.gid as u32).collect();
+    let take = Take {
+        table: &batch.table,
+        cols: batch.cols(),
+        ids: &ids,
+    };
+    gather(&[take], threads)
 }
 
 // ---------- bounded heap (Top-N) ----------
@@ -375,25 +375,20 @@ fn topn_worker(
     }
 }
 
-/// Parallel Top-N over an optionally filtered, optionally projected
-/// column table: the first `limit` rows of the table (in table order
-/// after filtering) under a stable sort by `keys`.
+/// Parallel Top-N: the first `limit` of the batch's qualifying rows under
+/// a stable sort by `keys`, as a table of the batch's visible columns.
 ///
-/// `keys` index the **projected** row when `proj` is given. Output is
-/// byte-identical at any worker count: entries order by (key, global row
-/// index), a total order, and the heap merge is a full sort of the union
-/// of the per-worker survivors.
+/// Output is byte-identical at any worker count: entries order by (key,
+/// global row index), a total order, and the heap merge is a full sort of
+/// the union of the per-worker survivors.
 pub fn par_topn(
-    table: &ColumnTable,
-    pred: Option<&Pred>,
+    batch: &Batch,
     keys: &[SortKey],
-    proj: Option<&[usize]>,
     limit: usize,
     threads: usize,
-) -> (Vec<Row>, SortStats) {
-    // Keys address the projected row; rebase onto physical columns.
-    let phys: Vec<SortKey> = rebase(keys, proj);
-    let keys = phys.as_slice();
+) -> (ColumnTable, SortStats) {
+    assert!(batch.table.rows < u32::MAX as usize, "row ids are u32");
+    let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
     let enc = encodable(table, keys);
@@ -425,21 +420,17 @@ pub fn par_topn(
     entries.sort_unstable_by(|a, b| cmp_entries(a, b, keys));
     entries.truncate(limit);
 
-    let rows: Vec<Row> = entries
-        .iter()
-        .map(|e| materialize(table, e.gid, proj))
-        .collect();
     let stats = SortStats {
         morsels: morsels.len() as u64,
         workers: workers as u64,
         rows_in: qualifying,
-        rows_out: rows.len() as u64,
+        rows_out: entries.len() as u64,
         merge_ways: 0,
         heap_rows,
         pruned_rows: qualifying - heap_rows,
     };
     emit_counters(&stats, true);
-    (rows, stats)
+    (emit(batch, &entries, threads), stats)
 }
 
 // ---------- full sort over a column table ----------
@@ -498,20 +489,14 @@ fn sort_run_worker(
     span.add_field("morsels", done);
 }
 
-/// Parallel full sort over an optionally filtered, optionally projected
-/// column table: per-morsel sorted runs in parallel, then a serial k-way
-/// merge. Byte-identical at any worker count (total entry order, and run
-/// `m` always holds morsel `m`'s rows regardless of which worker sorted
-/// it). `keys` index the projected row when `proj` is given.
-pub fn par_sort(
-    table: &ColumnTable,
-    pred: Option<&Pred>,
-    keys: &[SortKey],
-    proj: Option<&[usize]>,
-    threads: usize,
-) -> (Vec<Row>, SortStats) {
-    let phys: Vec<SortKey> = rebase(keys, proj);
-    let keys = phys.as_slice();
+/// Parallel full sort of the batch's qualifying rows: per-morsel sorted
+/// runs in parallel, then a serial k-way merge; emits a table of the
+/// batch's visible columns. Byte-identical at any worker count (total
+/// entry order, and run `m` always holds morsel `m`'s rows regardless of
+/// which worker sorted it).
+pub fn par_sort(batch: &Batch, keys: &[SortKey], threads: usize) -> (ColumnTable, SortStats) {
+    assert!(batch.table.rows < u32::MAX as usize, "row ids are u32");
+    let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
     let enc = encodable(table, keys);
@@ -535,221 +520,17 @@ pub fn par_sort(
     let merge_ways = runs.iter().filter(|r| !r.is_empty()).count() as u64;
     let merged = kway_merge(runs, keys);
 
-    let rows: Vec<Row> = merged
-        .iter()
-        .map(|e| materialize(table, e.gid, proj))
-        .collect();
     let stats = SortStats {
         morsels: morsels.len() as u64,
         workers: workers as u64,
         rows_in: merged.len() as u64,
-        rows_out: rows.len() as u64,
+        rows_out: merged.len() as u64,
         merge_ways,
         heap_rows: 0,
         pruned_rows: 0,
     };
     emit_counters(&stats, false);
-    (rows, stats)
-}
-
-/// Rebases projected-row key indexes onto physical column indexes.
-fn rebase(keys: &[SortKey], proj: Option<&[usize]>) -> Vec<SortKey> {
-    match proj {
-        None => keys.to_vec(),
-        Some(cols) => keys
-            .iter()
-            .map(|k| SortKey {
-                col: cols[k.col],
-                desc: k.desc,
-            })
-            .collect(),
-    }
-}
-
-// ---------- Top-N / sort over materialized rows ----------
-
-/// The chunk list for a row vector: `(start, len)` spans of
-/// [`MORSEL_ROWS`] rows.
-fn chunks_of(n: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::with_capacity(n.div_ceil(MORSEL_ROWS));
-    let mut off = 0;
-    while off < n {
-        let len = MORSEL_ROWS.min(n - off);
-        out.push((off, len));
-        off += len;
-    }
-    out
-}
-
-/// Parallel Top-N over already-materialized rows (the tail of a fused
-/// join/aggregate pipeline). Equivalent to a stable sort by `keys`
-/// followed by `truncate(limit)`, at any worker count.
-///
-/// Unlike [`par_topn`], `keys` here index the **input** row; `proj`, when
-/// given, selects the output columns of the winners only — so a hidden
-/// computed sort key column can be appended for ordering and dropped from
-/// the result without materializing a projected copy of every input row.
-pub fn par_topn_rows(
-    rows: Vec<Row>,
-    keys: &[SortKey],
-    proj: Option<&[usize]>,
-    limit: usize,
-    threads: usize,
-) -> (Vec<Row>, SortStats) {
-    let chunks = chunks_of(rows.len());
-    let workers = worker_count(rows.len(), threads, chunks.len());
-    let rows_in = rows.len() as u64;
-
-    let run_worker = |w: usize, cursor: &AtomicUsize| -> TopNPart {
-        let mut span = tpcds_obs::span("storage", "topn_worker").field("worker", w);
-        let mut heap: Vec<Entry> = Vec::with_capacity(limit.min(4096));
-        let mut done = 0usize;
-        loop {
-            let m = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-            if m >= chunks.len() {
-                break;
-            }
-            let (off, len) = chunks[m];
-            for (gid, row) in rows.iter().enumerate().skip(off).take(len) {
-                heap_offer(
-                    &mut heap,
-                    limit,
-                    Entry {
-                        key: key_of_row(row, keys),
-                        gid,
-                    },
-                    keys,
-                );
-            }
-            done += 1;
-        }
-        span.add_field("morsels", done);
-        TopNPart {
-            entries: heap,
-            qualifying: 0,
-        }
-    };
-
-    let cursor = AtomicUsize::new(0);
-    let parts: Vec<TopNPart> = if workers <= 1 {
-        vec![run_worker(0, &cursor)]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let cursor = &cursor;
-                    let run_worker = &run_worker;
-                    s.spawn(move || run_worker(w, cursor))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    };
-
-    let heap_rows: u64 = parts.iter().map(|p| p.entries.len() as u64).sum();
-    let mut entries: Vec<Entry> = Vec::with_capacity(heap_rows as usize);
-    for p in parts {
-        entries.extend(p.entries);
-    }
-    entries.sort_unstable_by(|a, b| cmp_entries(a, b, keys));
-    entries.truncate(limit);
-
-    let mut slots: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
-    let out: Vec<Row> = entries
-        .iter()
-        .map(|e| project_row(slots[e.gid].take().expect("unique gid"), proj))
-        .collect();
-    let stats = SortStats {
-        morsels: chunks.len() as u64,
-        workers: workers as u64,
-        rows_in,
-        rows_out: out.len() as u64,
-        merge_ways: 0,
-        heap_rows,
-        pruned_rows: rows_in - heap_rows,
-    };
-    emit_counters(&stats, true);
-    (out, stats)
-}
-
-/// Applies the output projection to one winning row.
-fn project_row(row: Row, proj: Option<&[usize]>) -> Row {
-    match proj {
-        None => row,
-        Some(cols) => cols.iter().map(|&c| row[c].clone()).collect(),
-    }
-}
-
-/// Parallel full sort over already-materialized rows: per-chunk sorted
-/// runs in parallel, then a serial k-way merge. Equivalent to a stable
-/// sort by `keys`, at any worker count. `keys` index the **input** row;
-/// `proj` selects output columns of the sorted rows (see
-/// [`par_topn_rows`]).
-pub fn par_sort_rows(
-    rows: Vec<Row>,
-    keys: &[SortKey],
-    proj: Option<&[usize]>,
-    threads: usize,
-) -> (Vec<Row>, SortStats) {
-    let chunks = chunks_of(rows.len());
-    let workers = worker_count(rows.len(), threads, chunks.len());
-    let rows_in = rows.len() as u64;
-
-    let slots: Vec<Mutex<Vec<Entry>>> = (0..chunks.len()).map(|_| Mutex::new(Vec::new())).collect();
-    let run_worker = |w: usize, cursor: &AtomicUsize| {
-        let mut span = tpcds_obs::span("storage", "sort_worker").field("worker", w);
-        let mut done = 0usize;
-        loop {
-            let m = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-            if m >= chunks.len() {
-                break;
-            }
-            let (off, len) = chunks[m];
-            let mut run: Vec<Entry> = (off..off + len)
-                .map(|gid| Entry {
-                    key: key_of_row(&rows[gid], keys),
-                    gid,
-                })
-                .collect();
-            run.sort_unstable_by(|a, b| cmp_entries(a, b, keys));
-            *slots[m].lock().unwrap() = run;
-            done += 1;
-        }
-        span.add_field("morsels", done);
-    };
-
-    let cursor = AtomicUsize::new(0);
-    if workers <= 1 {
-        run_worker(0, &cursor);
-    } else {
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let cursor = &cursor;
-                let run_worker = &run_worker;
-                s.spawn(move || run_worker(w, cursor));
-            }
-        });
-    }
-    let runs: Vec<Vec<Entry>> = slots.into_iter().map(|m| m.into_inner().unwrap()).collect();
-    let merge_ways = runs.iter().filter(|r| !r.is_empty()).count() as u64;
-    let merged = kway_merge(runs, keys);
-
-    let mut slots: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
-    let out: Vec<Row> = merged
-        .iter()
-        .map(|e| project_row(slots[e.gid].take().expect("unique gid"), proj))
-        .collect();
-    let stats = SortStats {
-        morsels: chunks.len() as u64,
-        workers: workers as u64,
-        rows_in,
-        rows_out: out.len() as u64,
-        merge_ways,
-        heap_rows: 0,
-        pruned_rows: 0,
-    };
-    emit_counters(&stats, false);
-    (out, stats)
+    (emit(batch, &merged, threads), stats)
 }
 
 #[cfg(test)]
@@ -757,11 +538,12 @@ mod tests {
     use super::*;
     use crate::pred::CmpKind;
     use crate::segment::ColumnTableBuilder;
-    use tpcds_types::{DataType, Decimal};
+    use std::sync::Arc;
+    use tpcds_types::{DataType, Decimal, Row};
 
     /// ~1.5 segments of (id, bucket, amount, flag) rows: heavy key
     /// duplication in `bucket`, NULLs in `flag`.
-    fn table() -> ColumnTable {
+    fn table() -> Batch {
         let n = SEGMENT_ROWS + SEGMENT_ROWS / 2;
         let mut b = ColumnTableBuilder::new(vec![
             DataType::Int,
@@ -782,24 +564,31 @@ mod tests {
                 flag,
             ]);
         }
-        b.finish()
+        Batch::new(Arc::new(b.finish()))
     }
 
-    /// Serial oracle: filter in table order, stable sort, truncate.
-    fn reference(
-        t: &ColumnTable,
-        pred: Option<&Pred>,
-        keys: &[SortKey],
-        proj: Option<&[usize]>,
-        limit: Option<usize>,
-    ) -> Vec<Row> {
-        let (mut rows, _) = crate::morsel::par_filter(t, pred, 1);
-        if let Some(cols) = proj {
-            rows = rows
-                .into_iter()
-                .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
-                .collect();
-        }
+    fn rows_of(t: ColumnTable) -> Vec<Row> {
+        crate::par_filter(&Batch::new(Arc::new(t)), 1).0
+    }
+
+    fn topn(b: &Batch, keys: &[SortKey], limit: usize, threads: usize) -> (Vec<Row>, SortStats) {
+        let (t, stats) = par_topn(b, keys, limit, threads);
+        (rows_of(t), stats)
+    }
+
+    fn sort(b: &Batch, keys: &[SortKey], threads: usize) -> (Vec<Row>, SortStats) {
+        let (t, stats) = par_sort(b, keys, threads);
+        (rows_of(t), stats)
+    }
+
+    /// Serial oracle: filter in table order, stable sort on the physical
+    /// key columns, project, truncate.
+    fn reference(b: &Batch, keys: &[SortKey], limit: Option<usize>) -> Vec<Row> {
+        let unprojected = Batch {
+            proj: None,
+            ..b.clone()
+        };
+        let (mut rows, _) = crate::par_filter(&unprojected, 1);
         rows.sort_by(|a, b| {
             keys.iter()
                 .map(|k| {
@@ -813,15 +602,14 @@ mod tests {
                 .find(|o| *o != Ordering::Equal)
                 .unwrap_or(Ordering::Equal)
         });
-        if let Some(n) = limit {
-            rows.truncate(n);
-        }
-        rows
+        rows.truncate(limit.unwrap_or(usize::MAX));
+        rows.iter()
+            .map(|r| b.cols().iter().map(|&c| r[c].clone()).collect())
+            .collect()
     }
 
     #[test]
     fn topn_matches_stable_reference_at_any_worker_count() {
-        let t = table();
         let keys = [
             SortKey { col: 1, desc: true },
             SortKey {
@@ -829,10 +617,10 @@ mod tests {
                 desc: false,
             },
         ];
-        let pred = Pred::Cmp(CmpKind::Ge, 0, Value::Int(5));
-        let expect = reference(&t, Some(&pred), &keys, None, Some(100));
+        let t = table().filter(Pred::Cmp(CmpKind::Ge, 0, Value::Int(5)));
+        let expect = reference(&t, &keys, Some(100));
         for threads in [1, 2, 8] {
-            let (rows, stats) = par_topn(&t, Some(&pred), &keys, None, 100, threads);
+            let (rows, stats) = topn(&t, &keys, 100, threads);
             assert_eq!(rows, expect, "threads={threads}");
             assert_eq!(stats.rows_out, 100);
             assert!(stats.pruned_rows > 0, "heaps should prune: {stats:?}");
@@ -841,15 +629,15 @@ mod tests {
     }
 
     #[test]
-    fn topn_projection_and_key_rebase() {
-        let t = table();
-        // Project (amount, id); sort by amount desc, which rebases key
-        // col 0 -> physical col 2. Decimal keys use the value comparator.
-        let keys = [SortKey { col: 0, desc: true }];
-        let proj = [2usize, 0usize];
-        let expect = reference(&t, None, &keys, Some(&proj), Some(50));
+    fn topn_emits_only_the_projected_columns() {
+        // Project (amount, id); sort by amount desc — a physical column
+        // the projection reorders. Decimal keys use the value comparator.
+        let t = table().project(&[2, 0]);
+        let keys = [SortKey { col: 2, desc: true }];
+        let expect = reference(&t, &keys, Some(50));
+        assert_eq!(expect[0].len(), 2);
         for threads in [1, 4] {
-            let (rows, _) = par_topn(&t, None, &keys, Some(&proj), 50, threads);
+            let (rows, _) = topn(&t, &keys, 50, threads);
             assert_eq!(rows, expect, "threads={threads}");
         }
     }
@@ -861,19 +649,18 @@ mod tests {
             col: 0,
             desc: false,
         }];
-        let (rows, stats) = par_topn(&t, None, &keys, None, 0, 4);
+        let (rows, stats) = topn(&t, &keys, 0, 4);
         assert!(rows.is_empty());
         assert_eq!(stats.heap_rows, 0);
-        let n = t.rows;
-        let (rows, stats) = par_topn(&t, None, &keys, None, n + 10, 4);
+        let n = t.table.rows;
+        let (rows, stats) = topn(&t, &keys, n + 10, 4);
         assert_eq!(rows.len(), n);
         assert_eq!(stats.pruned_rows, 0);
-        assert_eq!(rows, reference(&t, None, &keys, None, None));
+        assert_eq!(rows, reference(&t, &keys, None));
     }
 
     #[test]
     fn full_sort_matches_reference_and_counts_merge_ways() {
-        let t = table();
         let keys = [
             SortKey {
                 col: 1,
@@ -881,10 +668,10 @@ mod tests {
             },
             SortKey { col: 0, desc: true },
         ];
-        let pred = Pred::Cmp(CmpKind::Lt, 1, Value::Int(7));
-        let expect = reference(&t, Some(&pred), &keys, None, None);
+        let t = table().filter(Pred::Cmp(CmpKind::Lt, 1, Value::Int(7)));
+        let expect = reference(&t, &keys, None);
         for threads in [1, 2, 8] {
-            let (rows, stats) = par_sort(&t, Some(&pred), &keys, None, threads);
+            let (rows, stats) = sort(&t, &keys, threads);
             assert_eq!(rows, expect, "threads={threads}");
             assert!(stats.merge_ways > 1, "{stats:?}");
             assert_eq!(stats.rows_out as usize, expect.len());
@@ -898,10 +685,10 @@ mod tests {
             col: 3,
             desc: false,
         }];
-        let (rows, _) = par_topn(&t, None, &asc, None, 5, 4);
+        let (rows, _) = topn(&t, &asc, 5, 4);
         assert!(rows.iter().all(|r| r[3].is_null()), "NULLs first asc");
         let desc = [SortKey { col: 3, desc: true }];
-        let (rows, _) = par_sort(&t, None, &desc, None, 4);
+        let (rows, _) = sort(&t, &desc, 4);
         assert!(rows.last().unwrap()[3].is_null(), "NULLs last desc");
         assert!(!rows[0][3].is_null());
     }
@@ -923,24 +710,27 @@ mod tests {
             dense.push_row(&row);
             boxed.push_row(&row);
         }
-        let (dense, boxed) = (dense.finish(), boxed.finish());
+        let dense = Batch::new(Arc::new(dense.finish()));
+        let boxed = Batch::new(Arc::new(boxed.finish()));
         assert!(matches!(
-            boxed.segments[0].columns[0].data,
+            boxed.table.segments[0].columns[0].data,
             ColumnData::Other(_)
         ));
         for desc in [false, true] {
             let keys = [SortKey { col: 0, desc }];
-            let (a, _) = par_topn(&dense, None, &keys, None, 200, 4);
-            let (b, _) = par_topn(&boxed, None, &keys, None, 200, 4);
+            let (a, _) = topn(&dense, &keys, 200, 4);
+            let (b, _) = topn(&boxed, &keys, 200, 4);
             assert_eq!(a, b, "desc={desc}");
-            let (a, _) = par_sort(&dense, None, &keys, None, 4);
-            let (b, _) = par_sort(&boxed, None, &keys, None, 4);
+            let (a, _) = sort(&dense, &keys, 4);
+            let (b, _) = sort(&boxed, &keys, 4);
             assert_eq!(a, b, "desc={desc}");
         }
     }
 
+    /// An operator's wrapped rows (an intermediate batch, not a shadow)
+    /// sort like a stable serial sort, at any worker count.
     #[test]
-    fn rows_kernels_match_stable_sort() {
+    fn wrapped_rows_match_stable_sort() {
         let rows: Vec<Row> = (0..40_000i64)
             .map(|i| {
                 vec![
@@ -960,25 +750,13 @@ mod tests {
                 desc: false,
             },
         ];
-        let mut expect = rows.clone();
-        expect.sort_by(|a, b| {
-            keys.iter()
-                .map(|k| {
-                    let o = a[k.col].sort_cmp(&b[k.col]);
-                    if k.desc {
-                        o.reverse()
-                    } else {
-                        o
-                    }
-                })
-                .find(|o| *o != Ordering::Equal)
-                .unwrap_or(Ordering::Equal)
-        });
+        let t = Batch::from_rows(2, &rows);
+        let expect = reference(&t, &keys, None);
         for threads in [1, 2, 8] {
-            let (sorted, stats) = par_sort_rows(rows.clone(), &keys, None, threads);
+            let (sorted, stats) = sort(&t, &keys, threads);
             assert_eq!(sorted, expect, "threads={threads}");
             assert!(stats.merge_ways >= 1);
-            let (top, stats) = par_topn_rows(rows.clone(), &keys, None, 123, threads);
+            let (top, stats) = topn(&t, &keys, 123, threads);
             assert_eq!(top, expect[..123], "threads={threads}");
             assert_eq!(stats.rows_out, 123);
         }

@@ -1,21 +1,19 @@
 #!/usr/bin/env sh
-# Columnar storage benchmarks: builds the release harnesses and emits
-#  - BENCH_2.json: scan/aggregate rows-per-second for the serial row path
-#    vs the columnar path at 1 and N morsel workers, plus a 99-template
-#    answer equivalence sweep;
-#  - BENCH_3.json: partitioned hash-join build/probe throughput (pure join
-#    and fused aggregate-over-join on store_sales ⋈ date_dim) for the
-#    row path vs the columnar join at 1 and N workers;
-#  - BENCH_4.json: the profiling report — the BENCH_3 join sections plus
-#    histogram-derived per-query-class latency percentiles and process
-#    peak memory (tpcds-bench profile);
+# Engine profiling reports (kernel throughput itself is measured by the
+# repository benchmark, benchmark/run.sh, at 12 morsels instead of one):
+# builds the release harness and emits
+#  - BENCH_4.json: the profiling report — partitioned hash-join build /
+#    probe / fused aggregate-over-join sections on store_sales ⋈ date_dim
+#    plus histogram-derived per-query-class latency percentiles and
+#    process peak memory (tpcds-bench profile);
 #  - BENCH_5.json: parallel sort / Top-N throughput (the ORDER BY ...
 #    LIMIT 100 template tail) for the serial row sort vs the morsel-driven
 #    kernels at 1 and N workers (written by the same profile run);
-#  - COVERAGE_10.json: per-template routing paths, fallback reason codes
-#    and cardinality q-error quantiles over all 99 templates
-#    (tpcds-bench coverage), gated on an absolute columnar-count floor
-#    (MIN_COLUMNAR, default 95 of 99) on top of the baseline path gate;
+#  - COVERAGE_10.json: per-template batch-path row fraction, whether the
+#    plan ran fallback-free, fallback reason codes and cardinality q-error
+#    quantiles over all 99 templates (tpcds-bench coverage), gated on an
+#    absolute floor on the fallback-free template count (MIN_COLUMNAR,
+#    default 28 of 99) on top of the baseline gate;
 #  - BENCH_7.json: the client/server multi-stream report — 1/4/16 TCP
 #    clients querying a live tpcds-server while data maintenance commits
 #    snapshot versions mid-run: queries/s, a QphDS-style proxy,
@@ -41,22 +39,20 @@
 # After regenerating, each fresh perf report is gated against the
 # committed baseline with `tpcds-bench compare` — a throughput drop (or
 # latency rise) past BENCH_TOLERANCE fails the script — and the coverage
-# report is gated on routing paths: any template falling off its
-# committed path (e.g. columnar -> serial) fails the script, as does
-# the columnar template count dropping under MIN_COLUMNAR. Exits
-# non-zero on any answer mismatch, columnar-routing fallback, perf
-# regression, or routing-path regression.
+# report is gated on fallbacks: a template that ran fallback-free in the
+# committed report and no longer does fails the script, as does the
+# fallback-free template count dropping under MIN_COLUMNAR. Exits
+# non-zero on any answer mismatch, perf regression, or coverage
+# regression.
 #
 # Knobs:
 #   TPCDS_THREADS      morsel worker count (default: available_parallelism)
-#   BENCH_SCALE        scale factor for BENCH_2 (default 0.02)
-#   BENCH_JOIN_SCALE   scale factor for BENCH_3/BENCH_4 (default 0.01)
-#   BENCH_OUT          BENCH_2 output path (default BENCH_2.json)
-#   BENCH_JOIN_OUT     BENCH_3 output path (default BENCH_3.json)
+#   BENCH_JOIN_SCALE   scale factor for every report (default 0.01)
 #   BENCH_PROFILE_OUT  BENCH_4 output path (default BENCH_4.json)
 #   BENCH_SORT_OUT     BENCH_5 output path (default BENCH_5.json)
 #   BENCH_COVERAGE_OUT COVERAGE_10 output path (default COVERAGE_10.json)
-#   MIN_COLUMNAR       columnar-count floor for the coverage gate (default 95)
+#   MIN_COLUMNAR       fallback-free template floor for the coverage gate
+#                      (default 28, the committed report's count)
 #   BENCH_SERVE_OUT    BENCH_7 output path (default BENCH_7.json)
 #   BENCH_SYNTH_OUT    COVERAGE_8 output path (default COVERAGE_8.json)
 #   BENCH_OBS_OUT      BENCH_9 output path (default BENCH_9.json)
@@ -76,8 +72,6 @@ set -eux
 export CARGO_NET_OFFLINE=true
 
 TOLERANCE="${BENCH_TOLERANCE:-0.5}"
-OUT2="${BENCH_OUT:-BENCH_2.json}"
-OUT3="${BENCH_JOIN_OUT:-BENCH_3.json}"
 OUT4="${BENCH_PROFILE_OUT:-BENCH_4.json}"
 OUT5="${BENCH_SORT_OUT:-BENCH_5.json}"
 OUT6="${BENCH_COVERAGE_OUT:-COVERAGE_10.json}"
@@ -88,22 +82,15 @@ OUT10="${BENCH_EXPR_OUT:-BENCH_10.json}"
 SERVE_TOLERANCE="${BENCH_SERVE_TOLERANCE:-1.0}"
 SYNTH_TOLERANCE="${SYNTH_TOLERANCE:-0.05}"
 
-cargo build --release -p tpcds-bench \
-    --bin storage_bench --bin join_bench --bin tpcds-bench
+cargo build --release -p tpcds-bench --bin tpcds-bench
 
 # Snapshot committed baselines before the fresh runs overwrite them.
-for f in "$OUT2" "$OUT3" "$OUT4" "$OUT5" "$OUT6" "$OUT7" "$OUT8" "$OUT10"; do
+for f in "$OUT4" "$OUT5" "$OUT6" "$OUT7" "$OUT8" "$OUT10"; do
     if [ -f "$f" ]; then
         cp "$f" "$f.baseline"
     fi
 done
 
-./target/release/storage_bench \
-    --scale "${BENCH_SCALE:-0.02}" \
-    --out "$OUT2"
-./target/release/join_bench \
-    --scale "${BENCH_JOIN_SCALE:-0.01}" \
-    --out "$OUT3"
 # profile also measures observer overhead (BENCH_9, gated inline at
 # OBS_TOLERANCE) and the expression-kernel microbench (BENCH_10, gated
 # inline at EXPR_MIN_SPEEDUP vs the interpreted row path).
@@ -121,7 +108,7 @@ done
 
 # Regression gate: fresh numbers vs the committed baselines.
 status=0
-for f in "$OUT2" "$OUT3" "$OUT4" "$OUT5" "$OUT10"; do
+for f in "$OUT4" "$OUT5" "$OUT10"; do
     if [ -f "$f.baseline" ]; then
         ./target/release/tpcds-bench compare "$f.baseline" "$f" \
             --tolerance "$TOLERANCE" || status=1
@@ -135,19 +122,19 @@ if [ -f "$OUT7.baseline" ]; then
     rm -f "$OUT7.baseline"
 fi
 
-# Routing coverage over all 99 templates, gated on the committed paths
-# (exact-path contract, no tolerance — routing is deterministic).
+# Routing coverage over all 99 templates, gated on the committed
+# fallback-free set (no tolerance — routing is deterministic).
 if [ -f "$OUT6.baseline" ]; then
     ./target/release/tpcds-bench coverage \
         --scale "${BENCH_JOIN_SCALE:-0.01}" \
         --out "$OUT6" --baseline "$OUT6.baseline" \
-        --min-columnar "${MIN_COLUMNAR:-95}" || status=1
+        --min-columnar "${MIN_COLUMNAR:-28}" || status=1
     rm -f "$OUT6.baseline"
 else
     ./target/release/tpcds-bench coverage \
         --scale "${BENCH_JOIN_SCALE:-0.01}" \
         --out "$OUT6" \
-        --min-columnar "${MIN_COLUMNAR:-95}" || status=1
+        --min-columnar "${MIN_COLUMNAR:-28}" || status=1
 fi
 
 # Synthesized-workload soak + per-shape-class coverage gate: a fixed

@@ -280,3 +280,90 @@ fn random_join_queries_agree_across_paths_and_worker_counts() {
         "only {columnar_joins}/40 generated queries routed through the columnar join"
     );
 }
+
+/// Operator chains whose inputs are *intermediate* batches rather than
+/// base-table scans — join → join, join → Top-N, join → aggregate →
+/// HAVING → sort, filter under and over a join — at 1/2/8 workers against
+/// the serial interpreter. None of these shapes was a recognised fusion
+/// before operators exchanged batches; now no node in them may leave the
+/// batch path.
+#[test]
+fn operator_chains_over_joins_agree_across_paths_and_worker_counts() {
+    let seed = test_seed(0x7C05_D511);
+    let mut rng = SplitMix64(seed);
+    let db = build_db(&mut rng);
+    // (sql, fully ordered?) — ordered answers compare byte-for-byte.
+    let chains = [
+        // join → join: the second join keys on the first join's build side.
+        (
+            "select a_pk, b_val, c_val from t0, t1, t2 \
+             where a_k1 = b_k and b_val = c_val and a_pk < 5000",
+            false,
+        ),
+        // left join → join, with a residual on the outer join.
+        (
+            "select a_pk, b_name, c_val from t0 left join t1 on a_k1 = b_k and a_val > b_val \
+             join t2 on a_k2 = c_k where a_pk < 3000",
+            false,
+        ),
+        // join → Top-N (every projected column is a sort key).
+        (
+            "select a_pk, a_amt, b_name, b_val from t0, t1 where a_k1 = b_k \
+             order by a_amt desc, a_pk, b_name, b_val limit 50",
+            true,
+        ),
+        // join → join → full sort.
+        (
+            "select a_pk, b_val, c_val from t0, t1, t2 \
+             where a_k1 = b_k and a_k2 = c_k and a_val < 40 \
+             order by a_pk, b_val, c_val",
+            true,
+        ),
+        // join → aggregate → HAVING → sort.
+        (
+            "select b_name, count(*) c, sum(a_val) s from t0, t1 where a_k1 = b_k \
+             group by b_name having count(*) > 10 order by s desc, b_name",
+            true,
+        ),
+        // join → join → aggregate → HAVING → Top-N.
+        (
+            "select b_name, c_val, count(*) c, max(a_amt) m from t0, t1, t2 \
+             where a_k1 = b_k and a_k2 = c_k group by b_name, c_val \
+             having max(a_amt) > 100.00 order by c desc, b_name, c_val limit 25",
+            true,
+        ),
+        // Filter over a join's output feeding a computed projection.
+        (
+            "select a_pk, a_val + b_val from t0 left join t1 on a_k1 = b_k \
+             where b_val is null or a_val + b_val > 900",
+            false,
+        ),
+    ];
+    for (sql, ordered) in chains {
+        let oracle = tpcds_repro::engine::query_with(&db, sql, opts(ColumnarMode::Off, 1))
+            .unwrap_or_else(|e| panic!("row path failed for {sql}: {e}"));
+        assert!(!oracle.rows.is_empty(), "vacuous chain: {sql}");
+        for threads in [1, 2, 8] {
+            let a = tpcds_repro::engine::query_analyze_with(
+                &db,
+                sql,
+                opts(ColumnarMode::Force, threads),
+            )
+            .unwrap_or_else(|e| panic!("batch path failed for {sql}: {e}"));
+            if ordered {
+                assert_eq!(oracle.rows, a.result.rows, "threads={threads}: {sql}");
+            } else {
+                assert_eq!(
+                    canon(&oracle.rows),
+                    canon(&a.result.rows),
+                    "threads={threads}: {sql}"
+                );
+            }
+            assert!(
+                a.nodes.iter().all(|n| n.fallback.is_none()),
+                "a node fell back to the serial interpreter for {sql}:\n{}",
+                a.plan_text
+            );
+        }
+    }
+}

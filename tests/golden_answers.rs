@@ -66,7 +66,7 @@ fn answers_match_golden_fingerprints() {
 /// pinned golden fingerprints, so golden coverage exercises the columnar
 /// join path, not just scans and aggregates. Templates whose row-path
 /// answer is not self-reproducible (tie-breaking under LIMIT) are compared
-/// by row count only, mirroring `storage_bench`'s `tie_limited` handling.
+/// by row count only.
 #[test]
 fn join_heavy_templates_match_golden_under_forced_columnar() {
     const JOIN_HEAVY: [u32; 10] = [7, 19, 25, 29, 42, 52, 55, 68, 79, 96];
