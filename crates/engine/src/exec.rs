@@ -3,7 +3,9 @@
 //! projection) and rows are materialized once, at the result edge
 //! ([`execute`]). The serial row interpreter ([`serial_node`]) is kept as
 //! the oracle: it is what [`ColumnarMode::Off`] runs end to end, and what
-//! nodes without a batch kernel run through one adapter ([`adapt`]).
+//! nodes without a batch kernel run through one adapter ([`adapt`]). It
+//! pushes rows into a [`Sink`] that can decline more, which is how a
+//! `LIMIT` stops its input early — on both executors ([`stream`]).
 
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
@@ -48,7 +50,9 @@ impl RoutePath {
 
 /// Machine-readable reason codes attached to every node that ran the
 /// serial interpreter instead of a batch kernel. The vocabulary is closed:
-/// coverage baselines and dashboards match on these exact strings.
+/// coverage baselines and dashboards match on these exact strings. Every
+/// member of an interpreted chain (`exec::interpreted`) carries the
+/// reason of the first member that needs the interpreter.
 pub mod reason {
     /// Columnar routing disabled (`TPCDS_COLUMNAR=off` / ExecOptions).
     pub const COLUMNAR_OFF: &str = "columnar-off";
@@ -77,8 +81,9 @@ type Routed<T> = std::result::Result<T, &'static str>;
 /// Accumulated actuals for one plan node (EXPLAIN ANALYZE). Elapsed time
 /// is inclusive of the node's inputs, like `actual time` in other engines
 /// — except that a lazy node's pending predicate is evaluated (and timed)
-/// by the kernel that consumes it; `calls` counts executions (correlated
-/// subplans run once per outer row).
+/// by the kernel that consumes it, and a row-at-a-time interpreter
+/// operator's time also covers the sinks it pushes into; `calls` counts
+/// executions (correlated subplans run once per outer row).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpStats {
     /// The best execution path any call of this node took.
@@ -191,6 +196,9 @@ pub struct ExecCtx<'a> {
     /// CTE results by slot id: each CTE executes once per statement and
     /// every reference shares the batch's `Arc`.
     pub cte_cache: Mutex<HashMap<usize, Batch>>,
+    /// The interpreter's own CTE results: the oracle never touches the
+    /// column codec, so a statement fills this cache or the one above.
+    cte_rows: Mutex<HashMap<usize, Arc<Vec<Row>>>>,
     /// Execution options (columnar routing, worker count).
     pub opts: ExecOptions,
     stats: Option<Mutex<StatsMap>>,
@@ -226,6 +234,7 @@ impl<'a> ExecCtx<'a> {
             db,
             snap,
             cte_cache: Mutex::new(HashMap::new()),
+            cte_rows: Mutex::new(HashMap::new()),
             opts,
             stats: None,
             route_seen: Mutex::new(HashSet::new()),
@@ -417,13 +426,18 @@ impl<'a> ExecCtx<'a> {
 ///
 /// [`ColumnarMode::Off`] runs the serial row interpreter end to end — the
 /// oracle every differential compares against; the other modes run
-/// [`batch_node`] and materialize its batch once.
+/// [`batch_node`] and materialize its batch once (an [`interpreted`]
+/// chain's rows are collected as they stream, never wrapped).
 pub fn execute(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Vec<Row>> {
-    if ctx.opts.columnar == ColumnarMode::Off {
-        serial(plan, ctx, outer, None)
-    } else {
-        rows_of(plan, ctx, outer)
+    if interpreted(plan, ctx).is_none() {
+        return rows_of(plan, ctx, outer);
     }
+    let mut rows = Vec::new();
+    stream(plan, ctx, outer, &mut |row| {
+        rows.push(row);
+        Ok(true)
+    })?;
+    Ok(rows)
 }
 
 /// Runs one node and, under EXPLAIN ANALYZE, folds its actuals into the
@@ -452,20 +466,84 @@ fn observed<T>(
     Ok(out)
 }
 
-/// One node of the serial interpreter, children included.
-fn serial(
-    plan: &Plan,
-    ctx: &ExecCtx<'_>,
-    outer: Option<&[Value]>,
-    budget: Option<usize>,
-) -> Result<Vec<Row>> {
-    let child = |p: &Plan, b: Option<usize>| serial(p, ctx, outer, b);
-    observed(
-        plan,
-        ctx,
-        || serial_node(plan, ctx, outer, budget, reason::COLUMNAR_OFF, &child),
-        |rows| rows.len() as u64,
-    )
+/// Receives an operator's rows in order; `Ok(false)` declines the rest.
+type Sink<'s> = &'s mut dyn FnMut(Row) -> Result<bool>;
+
+/// Pushes `rows` into `sink` until it declines.
+fn feed(rows: impl IntoIterator<Item = Row>, sink: Sink<'_>) -> Result<()> {
+    for row in rows {
+        if !sink(row)? {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// Feeds `plan`'s rows, in order, to `sink` until it declines — one node,
+/// children included, on whichever executor runs it. Rows after the one
+/// the sink declined at are never evaluated, so they cannot raise errors:
+/// a lazy batch clears its deferred errors past that row
+/// ([`tpcds_storage::scan_until`]), and the interpreter's row-at-a-time
+/// operators ([`interpreted`]) simply stop.
+fn stream(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>, sink: Sink<'_>) -> Result<()> {
+    let Some(why) = interpreted(plan, ctx) else {
+        let b = batch(plan, ctx, outer)?;
+        let res = tpcds_storage::scan_until(&b, sink);
+        // A pending-predicate error at or before the stopping row
+        // outranks the sink's own: the row path filters first.
+        check_err(&b)?;
+        let cs = res?;
+        if b.pred.is_some() {
+            ctx.record_columnar(plan as *const Plan as usize, &cs);
+        }
+        return Ok(());
+    };
+    let run = || {
+        let mut rows = 0;
+        let mut counting = |row| {
+            rows += 1;
+            sink(row)
+        };
+        serial_node(plan, ctx, outer, why, &mut counting)?;
+        Ok(rows)
+    };
+    observed(plan, ctx, run, |&rows| rows).map(drop)
+}
+
+/// Why `plan` itself runs on the serial interpreter, streaming: always
+/// under [`ColumnarMode::Off`]; otherwise when it belongs to a chain of
+/// row-at-a-time operators — `Filter`, plain-column `Project`, `Prefix`,
+/// down to a `Scan` — one of which cannot be part of a lazy batch. The
+/// whole chain then streams, so a `LIMIT` above it stops at the same row,
+/// with the same errors, as under `Off`. `None` = [`batch_node`] runs it.
+fn interpreted(plan: &Plan, ctx: &ExecCtx<'_>) -> Option<&'static str> {
+    if ctx.opts.columnar == ColumnarMode::Off {
+        return Some(reason::COLUMNAR_OFF);
+    }
+    match plan {
+        Plan::Scan { table, filter, .. } => {
+            if crate::sys::is_sys_table(table) {
+                return Some(reason::SYS_VIRTUAL);
+            }
+            // An unknown table is `batch_node`'s error to raise.
+            let t = ctx.table(table).ok()?;
+            if index_for(&t, filter.as_ref(), ctx).is_some() {
+                None
+            } else if t.columnar().is_none() {
+                Some(reason::NO_SHADOW)
+            } else {
+                let compiles = |f| compile_any_pred(f).is_some();
+                (!filter.as_ref().is_none_or(compiles)).then_some(reason::EXPR_UNSUPPORTED)
+            }
+        }
+        Plan::Filter { input, predicate } => match compile_any_pred(predicate) {
+            None => Some(reason::EXPR_UNSUPPORTED),
+            Some(_) => interpreted(input, ctx),
+        },
+        Plan::Project { input, exprs } if plain_cols(exprs).is_some() => interpreted(input, ctx),
+        Plan::Prefix { input, .. } => interpreted(input, ctx),
+        _ => None,
+    }
 }
 
 /// One node of the batch executor, children included. Under EXPLAIN
@@ -508,9 +586,24 @@ fn adapt(
     outer: Option<&[Value]>,
     why: &'static str,
 ) -> Result<Batch> {
-    let child = |p: &Plan, _: Option<usize>| rows_of(p, ctx, outer);
-    let rows = serial_node(plan, ctx, outer, None, why, &child)?;
+    let mut rows = Vec::new();
+    serial_node(plan, ctx, outer, why, &mut |row| {
+        rows.push(row);
+        Ok(true)
+    })?;
     Ok(Batch::from_rows(plan.width(), &rows))
+}
+
+/// The first `n` rows of `plan`, which stops there (`LIMIT`).
+fn take(plan: &Plan, n: usize, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Vec<Row>> {
+    let mut rows = Vec::new();
+    if n > 0 {
+        stream(plan, ctx, outer, &mut |row| {
+            rows.push(row);
+            Ok(rows.len() < n)
+        })?;
+    }
+    Ok(rows)
 }
 
 /// Surfaces a deferred per-row error left behind by the batch's pending
@@ -550,41 +643,32 @@ fn plain_cols<'e>(exprs: impl IntoIterator<Item = &'e BExpr>) -> Option<Vec<usiz
 /// the shadow untouched, a compilable `Filter` ANDs into the pending
 /// predicate, a plain-column `Project`/`Prefix` composes the pending
 /// projection; joins, aggregates, sorts and limits hand whatever batch
-/// their child produced to a morsel kernel. Nodes without a kernel go
-/// through [`adapt`].
+/// their child produced to a morsel kernel. Nodes without a kernel, and
+/// [`interpreted`] chains, go through [`adapt`].
 fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Batch> {
+    if let Some(why) = interpreted(plan, ctx) {
+        return adapt(plan, ctx, outer, why);
+    }
     let node = plan as *const Plan as usize;
     let threads = ctx.threads();
     let columnar = || ctx.record_route(node, plan.op_name(), RoutePath::Columnar, None);
     match plan {
         Plan::Scan { table, filter, .. } => {
-            if crate::sys::is_sys_table(table) {
-                return adapt(plan, ctx, outer, reason::SYS_VIRTUAL);
-            }
             let t = ctx.table(table)?;
             if let Some(rows) = index_probe(&t, filter.as_ref(), ctx, outer)? {
                 ctx.record_route(node, "Scan", RoutePath::Index, None);
                 return Ok(Batch::from_rows(plan.width(), &rows));
             }
-            let why = match (t.columnar(), filter.as_ref().map(compile_any_pred)) {
-                (None, _) => reason::NO_SHADOW,
-                (Some(_), Some(None)) => reason::EXPR_UNSUPPORTED,
-                (Some(ct), pred) => {
-                    columnar();
-                    let b = Batch::new(ct);
-                    return Ok(match pred.flatten() {
-                        Some(p) => b.filter(p),
-                        None => b,
-                    });
-                }
-            };
-            adapt(plan, ctx, outer, why)
+            columnar();
+            let b = Batch::new(t.columnar().expect("not interpreted: has a shadow"));
+            Ok(match filter.as_ref().map(compile_any_pred) {
+                Some(pred) => b.filter(pred.expect("not interpreted: compiles")),
+                None => b,
+            })
         }
         Plan::Filter { input, predicate } => {
-            let Some(pred) = compile_any_pred(predicate) else {
-                return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
-            };
             columnar();
+            let pred = compile_any_pred(predicate).expect("not interpreted: compiles");
             let b = batch(input, ctx, outer)?;
             let pred = rebase(&b, predicate, pred, compile_any_pred);
             Ok(b.filter(pred))
@@ -705,15 +789,8 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
         }
         Plan::Limit { input, n } => {
             columnar();
-            let b = batch(input, ctx, outer)?;
-            let (rows, cs) = tpcds_storage::par_filter_limit(&b, *n as usize);
-            // Errors past the consumed prefix were cleared by the kernel;
-            // anything left would surface on the row path too.
-            check_err(&b)?;
-            if b.pred.is_some() {
-                ctx.record_columnar(node, &cs);
-            }
-            Ok(Batch::from_rows(b.width(), &rows))
+            let rows = take(input, *n as usize, ctx, outer)?;
+            Ok(Batch::from_rows(plan.width(), &rows))
         }
         Plan::CteRef { id, plan: body, .. } => {
             columnar();
@@ -847,23 +924,29 @@ fn sort_source(
     Ok((Batch::new(Arc::new(table)).project(&visible), skeys(hidden)))
 }
 
-/// Hash-index probe: a `Col(i) = <row-independent expr>` conjunct over an
-/// indexed column. The probe side may be a literal or a correlated outer
-/// reference — the latter is what makes per-outer-row EXISTS/IN subplans
-/// cheap. `None` when no probe applies; Force mode never probes, so tests
-/// exercise the kernels.
+/// The hash index a scan can probe instead of reading the table: a
+/// `Col(i) = <row-independent expr>` conjunct over an indexed column. The
+/// probe side may be a literal or a correlated outer reference — the
+/// latter is what makes per-outer-row EXISTS/IN subplans cheap. Force
+/// mode never probes, so tests exercise the kernels.
+fn index_for<'t>(
+    t: &'t crate::catalog::Table,
+    filter: Option<&BExpr>,
+    ctx: &ExecCtx<'_>,
+) -> Option<(&'t crate::catalog::Index, BExpr)> {
+    let f = filter.filter(|_| ctx.opts.columnar != ColumnarMode::Force)?;
+    index_probe_key(f).and_then(|(col, key)| Some((t.indexes.get(&col)?, key)))
+}
+
+/// Runs the [`index_for`] probe: the matching rows that pass the whole
+/// filter, or `None` when no probe applies.
 fn index_probe(
     t: &crate::catalog::Table,
     filter: Option<&BExpr>,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
 ) -> Result<Option<Vec<Row>>> {
-    let Some(f) = filter.filter(|_| ctx.opts.columnar != ColumnarMode::Force) else {
-        return Ok(None);
-    };
-    let Some((idx, key_expr)) =
-        index_probe_key(f).and_then(|(col, key)| Some((t.indexes.get(&col)?, key)))
-    else {
+    let Some((idx, key_expr)) = index_for(t, filter, ctx) else {
         return Ok(None);
     };
     let key = key_expr.eval(&[], ctx, outer)?;
@@ -871,7 +954,7 @@ fn index_probe(
     if !key.is_null() {
         for &pos in idx.lookup(&key) {
             let row = &t.rows[pos];
-            if f.matches(row, ctx, outer)? {
+            if filter.map_or(Ok(true), |f| f.matches(row, ctx, outer))? {
                 out.push(row.clone());
             }
         }
@@ -882,93 +965,78 @@ fn index_probe(
 /// The serial scan operator. Virtual `sys.*` tables materialize live
 /// state at scan time; they bypass the snapshot (introspection reads the
 /// present, not the pinned version). Base tables try the index probe,
-/// then loop over row storage, stopping after `budget` matches. `route`
-/// is overwritten when the scan did not run as the caller's
-/// `serial[why]`.
+/// then loop over row storage until `sink` declines. `route` is
+/// overwritten when the scan did not run as the caller's `serial[why]`.
 fn scan_rows(
     table: &str,
     filter: Option<&BExpr>,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
-    budget: Option<usize>,
     route: &mut (RoutePath, Option<&'static str>),
-) -> Result<Vec<Row>> {
+    sink: Sink<'_>,
+) -> Result<()> {
     let keep = |row: &Row| filter.map_or(Ok(true), |f| f.matches(row, ctx, outer));
     if let Some(rows) = crate::sys::rows(ctx.db, table) {
         *route = (RoutePath::Serial, Some(reason::SYS_VIRTUAL));
-        let mut out = Vec::new();
         for row in rows {
-            if keep(&row)? {
-                out.push(row);
+            if keep(&row)? && !sink(row)? {
+                break;
             }
         }
-        return Ok(out);
+        return Ok(());
     }
     let t = ctx.table(table)?;
     if let Some(rows) = index_probe(&t, filter, ctx, outer)? {
         *route = (RoutePath::Index, None);
-        return Ok(rows);
+        return feed(rows, sink);
     }
-    let mut out = Vec::new();
     for row in &t.rows {
-        if budget.is_some_and(|n| out.len() >= n) {
+        if keep(row)? && !sink(row.clone())? {
             break;
         }
-        if keep(row)? {
-            out.push(row.clone());
-        }
     }
-    Ok(out)
+    Ok(())
 }
 
-/// How the serial interpreter obtains a child's rows: by recursing
-/// (`ColumnarMode::Off`) or by materializing the child's batch
-/// ([`adapt`]). The second argument is a row budget — see
-/// [`serial_node`].
-type Child<'c> = &'c dyn Fn(&Plan, Option<usize>) -> Result<Vec<Row>>;
-
 /// The serial row interpreter: `plan`'s operator over its children's
-/// rows, recorded as `route=serial[why]`. This is the oracle; it has no
-/// routing of its own beyond the scan's index probe.
+/// rows ([`execute`]d — by recursion under `ColumnarMode::Off`, from
+/// their batches under [`adapt`]), recorded as `route=serial[why]`. This
+/// is the oracle; it has no routing of its own beyond the scan's index
+/// probe.
 ///
-/// `budget` is how many rows the parent will consume at most (`LIMIT n`
-/// directly above, through plain-column projections): a scan or filter
-/// stops there, so — exactly like the batch path's ordered early exit —
-/// rows past the limit are never evaluated and cannot raise errors.
+/// Output is pushed into `sink`. The row-at-a-time operators — `Scan`,
+/// `Filter`, plain-column `Project`, `Prefix` — [`stream`] their input
+/// and stop the moment the sink declines; every other operator runs to
+/// completion and [`feed`]s its result.
 fn serial_node(
     plan: &Plan,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
-    budget: Option<usize>,
     why: &'static str,
-    child: Child<'_>,
-) -> Result<Vec<Row>> {
+    sink: Sink<'_>,
+) -> Result<()> {
+    let child = |p: &Plan| execute(p, ctx, outer);
     let mut route = (RoutePath::Serial, Some(why));
-    let rows = match plan {
+    match plan {
         Plan::Scan { table, filter, .. } => {
-            scan_rows(table, filter.as_ref(), ctx, outer, budget, &mut route)
+            scan_rows(table, filter.as_ref(), ctx, outer, &mut route, sink)
         }
-        Plan::Filter { input, predicate } => {
-            let mut out = Vec::new();
-            for row in child(input, None)? {
-                if budget.is_some_and(|n| out.len() >= n) {
-                    break;
-                }
-                if predicate.matches(&row, ctx, outer)? {
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        }
-        Plan::Project { input, exprs } => {
-            // Only a 1:1 column shuffle may stop its input early: computed
-            // expressions run (and may fail) on every input row.
-            let budget = budget.filter(|_| plain_cols(exprs).is_some());
-            child(input, budget)?
-                .iter()
-                .map(|row| exprs.iter().map(|e| e.eval(row, ctx, outer)).collect())
-                .collect::<Result<Vec<Row>>>()
-        }
+        Plan::Filter { input, predicate } => stream(input, ctx, outer, &mut |row| {
+            Ok(!predicate.matches(&row, ctx, outer)? || sink(row)?)
+        }),
+        Plan::Project { input, exprs } => match plain_cols(exprs) {
+            Some(cols) => stream(input, ctx, outer, &mut |row| {
+                sink(cols.iter().map(|&c| row[c].clone()).collect())
+            }),
+            // Computed expressions run (and may fail) on every input row,
+            // as `par_project_table` does.
+            None => feed(
+                (child(input)?.iter())
+                    .map(|row| exprs.iter().map(|e| e.eval(row, ctx, outer)).collect())
+                    .collect::<Result<Vec<Row>>>()?,
+                sink,
+            ),
+        },
         Plan::HashJoin {
             left,
             right,
@@ -976,59 +1044,60 @@ fn serial_node(
             left_keys,
             right_keys,
             residual,
-        } => hash_join(
-            child(left, None)?,
-            child(right, None)?,
-            right.width(),
-            *kind,
-            left_keys,
-            right_keys,
-            residual.as_ref(),
-            ctx,
-            outer,
+        } => feed(
+            hash_join(
+                child(left)?,
+                child(right)?,
+                right.width(),
+                *kind,
+                left_keys,
+                right_keys,
+                residual.as_ref(),
+                ctx,
+                outer,
+            )?,
+            sink,
         ),
         Plan::NestedLoopJoin {
             left,
             right,
             kind,
             predicate,
-        } => nested_loop_join(
-            child(left, None)?,
-            child(right, None)?,
-            right.width(),
-            *kind,
-            predicate.as_ref(),
-            ctx,
-            outer,
+        } => feed(
+            nested_loop_join(
+                child(left)?,
+                child(right)?,
+                right.width(),
+                *kind,
+                predicate.as_ref(),
+                ctx,
+                outer,
+            )?,
+            sink,
         ),
         Plan::Aggregate {
             input,
             groups,
             sets,
             aggs,
-        } => aggregate(child(input, None)?, groups, sets, aggs, ctx, outer),
-        Plan::Window { input, calls } => window(child(input, None)?, calls, ctx, outer),
-        Plan::Sort { input, keys } => sort_rows(child(input, None)?, keys, ctx, outer),
+        } => feed(
+            aggregate(child(input)?, groups, sets, aggs, ctx, outer)?,
+            sink,
+        ),
+        Plan::Window { input, calls } => feed(window(child(input)?, calls, ctx, outer)?, sink),
+        Plan::Sort { input, keys } => feed(sort_rows(child(input)?, keys, ctx, outer)?, sink),
         Plan::TopN { input, keys, n } => {
-            let mut rows = sort_rows(child(input, None)?, keys, ctx, outer)?;
-            rows.truncate(*n as usize);
-            Ok(rows)
+            let rows = sort_rows(child(input)?, keys, ctx, outer)?;
+            feed(rows.into_iter().take(*n as usize), sink)
         }
-        Plan::Limit { input, n } => {
-            let n = budget.map_or(*n as usize, |b| b.min(*n as usize));
-            let mut rows = child(input, Some(n))?;
-            rows.truncate(n);
-            Ok(rows)
-        }
+        Plan::Limit { input, n } => feed(take(input, *n as usize, ctx, outer)?, sink),
         Plan::Distinct { input } => {
             let mut seen = HashSet::new();
-            let mut out = Vec::new();
-            for row in child(input, None)? {
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
-            }
-            Ok(out)
+            let rows = child(input)?;
+            feed(
+                rows.into_iter().filter(|row| seen.insert(row.clone())),
+                sink,
+            )
         }
         Plan::SetOp {
             left,
@@ -1036,73 +1105,61 @@ fn serial_node(
             op,
             all,
         } => {
-            let l = child(left, None)?;
-            let r = child(right, None)?;
+            let l = child(left)?;
+            let r = child(right)?;
             if l.first().map(|x| x.len()) != r.first().map(|x| x.len())
                 && !l.is_empty()
                 && !r.is_empty()
             {
                 return Err(EngineError::exec("set operands have different widths"));
             }
-            Ok(match (op, all) {
-                (SetOpKind::Union, true) => {
-                    let mut l = l;
-                    l.extend(r);
-                    l
-                }
+            let mut seen = HashSet::new();
+            match (op, all) {
+                (SetOpKind::Union, true) => feed(l.into_iter().chain(r), sink),
                 (SetOpKind::Union, false) => {
-                    let mut seen = HashSet::new();
-                    let mut out = Vec::new();
-                    for row in l.into_iter().chain(r) {
-                        if seen.insert(row.clone()) {
-                            out.push(row);
-                        }
-                    }
-                    out
+                    let rows = l.into_iter().chain(r);
+                    feed(rows.filter(|row| seen.insert(row.clone())), sink)
                 }
                 (SetOpKind::Intersect, _) => {
                     let rset: HashSet<Row> = r.into_iter().collect();
-                    let mut seen = HashSet::new();
-                    l.into_iter()
-                        .filter(|row| rset.contains(row) && seen.insert(row.clone()))
-                        .collect()
+                    let rows = l.into_iter();
+                    feed(
+                        rows.filter(|row| rset.contains(row) && seen.insert(row.clone())),
+                        sink,
+                    )
                 }
                 (SetOpKind::Except, _) => {
                     let rset: HashSet<Row> = r.into_iter().collect();
-                    let mut seen = HashSet::new();
-                    l.into_iter()
-                        .filter(|row| !rset.contains(row) && seen.insert(row.clone()))
-                        .collect()
-                }
-            })
-        }
-        Plan::CteRef {
-            id,
-            plan: body,
-            width,
-        } => {
-            // Bind before matching: the cache lock must not be held while
-            // the body (which may reference other CTEs) executes.
-            let hit = ctx.cte_cache.lock().get(id).cloned();
-            match hit {
-                Some(b) => Ok(tpcds_storage::par_filter(&b, 1).0),
-                None => {
-                    let rows = child(body, None)?;
-                    let b = Batch::from_rows(*width, &rows);
-                    ctx.cte_cache.lock().insert(*id, b);
-                    Ok(rows)
+                    let rows = l.into_iter();
+                    feed(
+                        rows.filter(|row| !rset.contains(row) && seen.insert(row.clone())),
+                        sink,
+                    )
                 }
             }
         }
-        Plan::Prefix { input, keep } => {
-            let mut rows = child(input, budget)?;
-            rows.iter_mut().for_each(|r| r.truncate(*keep));
-            Ok(rows)
+        Plan::CteRef { id, plan: body, .. } => {
+            // Bind before matching: the cache lock must not be held while
+            // the body (which may reference other CTEs) executes.
+            let hit = ctx.cte_rows.lock().get(id).cloned();
+            let rows = match hit {
+                Some(rows) => rows,
+                None => {
+                    let rows = Arc::new(child(body)?);
+                    ctx.cte_rows.lock().insert(*id, Arc::clone(&rows));
+                    rows
+                }
+            };
+            feed(rows.iter().cloned(), sink)
         }
+        Plan::Prefix { input, keep } => stream(input, ctx, outer, &mut |mut row| {
+            row.truncate(*keep);
+            sink(row)
+        }),
     }?;
     let node = plan as *const Plan as usize;
     ctx.record_route(node, plan.op_name(), route.0, route.1);
-    Ok(rows)
+    Ok(())
 }
 
 /// Maps the engine's comparison operator onto the kernel vocabulary.

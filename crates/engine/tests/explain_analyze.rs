@@ -87,15 +87,34 @@ fn topn_reports_heap_and_pruning_actuals() {
 }
 
 #[test]
-fn bare_limit_takes_a_prefix_of_whatever_its_input_produced() {
+fn bare_limit_short_circuits_the_scan() {
     let db = db_with("t", &["a"], (0..50).map(|i| vec![i]).collect());
-    // No plan shape is absorbed into the Limit any more: it consumes its
-    // input's batch, so the scan line carries its own actuals (40 of the
-    // 50 rows pass the filter) instead of reading "(never executed)".
-    let (n, plan) = analyze(&db, "select a from t where a >= 10 limit 4");
+    // The Limit declines rows once it holds 4, and the chain under it
+    // stops there: the scan line carries the 4 rows it produced, not the
+    // 40 that pass its filter — without a shadow (the interpreter's scan
+    // loop) and with one (the lazy batch's ordered early exit; one morsel).
+    for shadow in [false, true] {
+        if shadow {
+            db.build_columnar_shadows();
+        }
+        let (n, plan) = analyze(&db, "select a from t where a >= 10 limit 4");
+        assert_eq!(n, 4);
+        assert_eq!(op_rows(&plan, "Limit"), vec![4], "{plan}");
+        let scanned = op_rows(&plan, "Scan t [filtered]");
+        assert!(scanned[0] < 50, "shadow={shadow}: {scanned:?}\n{plan}");
+        if !shadow {
+            assert_eq!(scanned, vec![4], "{plan}");
+            assert!(plan.contains("serial[no-shadow]"), "{plan}");
+        }
+    }
+    // A subquery predicate keeps the chain on the interpreter: it is
+    // evaluated for the rows the Limit asked for, not for the table.
+    let db = db_with("t", &["a"], (0..50).map(|i| vec![i]).collect());
+    let sql = "select a from t where a in (select a from t where a >= 10) limit 4";
+    let (n, plan) = analyze(&db, sql);
     assert_eq!(n, 4);
-    assert_eq!(op_rows(&plan, "Limit"), vec![4], "{plan}");
-    assert_eq!(op_rows(&plan, "Scan t [filtered]"), vec![40], "{plan}");
+    assert_eq!(op_rows(&plan, "Filter"), vec![4], "{plan}");
+    assert!(op_rows(&plan, "Scan t").contains(&14), "{plan}");
 }
 
 #[test]

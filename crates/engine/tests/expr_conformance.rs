@@ -240,3 +240,34 @@ fn pending_join_side_predicates_raise_the_row_paths_first_error() {
          and t.id < 100 and t.big + 1 > 0 order by t.id, d.k",
     );
 }
+
+/// Stacked filters fuse into one pending predicate, but the row path
+/// evaluates them row by row: the first error is the one in the lowest
+/// row, whichever filter raises it — here the outer filter (`+`, row 100)
+/// ahead of the scan's own (`-`, row 200) — and the scan's on a tie.
+#[test]
+fn stacked_filters_raise_the_lowest_rows_error() {
+    let db = edge_db();
+    for (sql, op) in [
+        (
+            "select x.id from (select id, big from t where big - 1 > 0) x where x.big + 1 > 0",
+            "+",
+        ),
+        (
+            "select x.id from (select id, big from t where big + 1 > 0 or id = 100) x \
+             where x.big - 1 > 0",
+            "+",
+        ),
+        (
+            "select x.id from (select id, big from t where big * 2 > 0) x where x.big + 1 > 0",
+            "*",
+        ),
+    ] {
+        assert_error_parity(&db, sql);
+        let err = tpcds_engine::query_with(&db, sql, OFF).unwrap_err();
+        assert!(
+            err.to_string().ends_with(&format!("in {op}")),
+            "{sql}: {err}"
+        );
+    }
+}

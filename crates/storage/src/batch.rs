@@ -89,7 +89,11 @@ impl Batch {
 
     /// Wraps the pending predicate so that every kernel evaluating it
     /// adds the rows it admits to the returned counter; `None` when
-    /// nothing is pending (every table row qualifies).
+    /// nothing is pending (every table row qualifies). The count is
+    /// exact because every kernel evaluates a batch's predicate exactly
+    /// once per morsel it visits — an invariant the kernels owe the
+    /// deferred-error cell anyway, pinned for all of them by
+    /// `tests::every_kernel_evaluates_a_pending_predicate_once`.
     pub fn counted(&mut self) -> Option<Arc<AtomicU64>> {
         let rows = Arc::new(AtomicU64::new(0));
         let pred = self.pred.take()?;
@@ -259,6 +263,113 @@ mod tests {
         );
         assert_eq!(admitted.load(std::sync::atomic::Ordering::Relaxed), 2);
         assert!(Batch::from_rows(3, &src).counted().is_none());
+    }
+
+    #[test]
+    fn every_kernel_evaluates_a_pending_predicate_once() {
+        use crate::{AggKind, AggSpec, Expr, JoinType, SortKey};
+        // Three morsels; the predicate admits every other row.
+        let n = 20_000i64;
+        let t = Arc::new(ColumnTable::from_rows(
+            vec![DataType::Int, DataType::Int],
+            &(0..n)
+                .map(|i| vec![Value::Int(i), Value::Int(i % 2)])
+                .collect::<Vec<_>>(),
+        ));
+        let counted = || {
+            let mut b = Batch::new(Arc::clone(&t)).filter(Pred::Cmp(CmpKind::Eq, 1, Value::Int(0)));
+            let rows = b.counted().unwrap();
+            (b, rows)
+        };
+        let plain = Batch::new(Arc::clone(&t));
+        let count = [AggSpec {
+            kind: AggKind::CountStar,
+            col: None,
+        }];
+        let key = [SortKey { col: 0, desc: true }];
+        type Kernel<'a> = (&'a str, Box<dyn Fn(&Batch, usize) + 'a>);
+        let kernels: Vec<Kernel<'_>> = vec![
+            ("par_filter", Box::new(|b, w| drop(crate::par_filter(b, w)))),
+            (
+                "scan_until",
+                Box::new(|b, _| {
+                    crate::scan_until(b, |_| Ok::<_, ()>(true))
+                        .map(drop)
+                        .unwrap()
+                }),
+            ),
+            (
+                "par_aggregate",
+                Box::new(|b, w| drop(crate::par_aggregate(b, &[1], &count, w))),
+            ),
+            (
+                "par_project_table",
+                Box::new(|b, w| drop(crate::par_project_table(b, &[Expr::Col(0)], w))),
+            ),
+            (
+                "par_hash_join probe",
+                Box::new(|b, w| {
+                    drop(crate::par_hash_join(
+                        b,
+                        &[0],
+                        &plain,
+                        &[0],
+                        JoinType::Left,
+                        None,
+                        w,
+                    ))
+                }),
+            ),
+            (
+                "par_hash_join build",
+                Box::new(|b, w| {
+                    drop(crate::par_hash_join(
+                        &plain,
+                        &[0],
+                        b,
+                        &[0],
+                        JoinType::Inner,
+                        None,
+                        w,
+                    ))
+                }),
+            ),
+            (
+                "par_hash_join_agg",
+                Box::new(|b, w| {
+                    let (inner, none) = (JoinType::Inner, None);
+                    drop(crate::par_hash_join_agg(
+                        b,
+                        &[0],
+                        b,
+                        &[0],
+                        inner,
+                        none,
+                        &[],
+                        &count,
+                        w,
+                    ))
+                }),
+            ),
+            (
+                "par_sort",
+                Box::new(|b, w| drop(crate::par_sort(b, &key, w))),
+            ),
+            (
+                "par_topn",
+                Box::new(|b, w| drop(crate::par_topn(b, &key, 10, w))),
+            ),
+        ];
+        for (name, kernel) in &kernels {
+            for workers in [1, 4] {
+                let (b, rows) = counted();
+                kernel(&b, workers);
+                // `par_hash_join_agg` is handed the batch as both inputs.
+                let uses = if *name == "par_hash_join_agg" { 2 } else { 1 };
+                let admitted = rows.load(std::sync::atomic::Ordering::Relaxed);
+                assert_eq!(admitted, uses * n as u64 / 2, "{name} at {workers} workers");
+            }
+        }
     }
 
     #[test]

@@ -884,7 +884,12 @@ impl ErrCell {
 
     /// Takes the stored error message, leaving the cell empty.
     pub fn take(&self) -> Option<String> {
-        self.0.lock().unwrap().take().map(|(_, m)| m)
+        self.take_keyed().map(|(_, m)| m)
+    }
+
+    /// [`ErrCell::take`] with the error's key.
+    pub fn take_keyed(&self) -> Option<(u64, String)> {
+        self.0.lock().unwrap().take()
     }
 
     /// Drops the stored error if its key is `>= key` — used when an

@@ -38,7 +38,7 @@ use crate::batch::{gather, gather_column, Batch, Take, NO_ROW};
 use crate::column::{Column, ColumnData};
 use crate::expr::{ErrCell, Expr};
 use crate::morsel::{
-    finish_groups, merge_partials, morsels_of, run_chunks, worker_count, GroupMap,
+    finish_groups, merge_partials, morsels_of, run_chunks, run_workers, worker_count, GroupMap,
 };
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
@@ -46,7 +46,6 @@ use crate::StorageError;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use tpcds_types::{DataType, Row, Value};
 
 /// Join kinds the columnar path executes.
@@ -139,15 +138,14 @@ fn build_phase(
     let workers = worker_count(build.rows, threads, morsels.len());
 
     // Phase A: per-morsel (partition, global row) lists in row order.
-    let collect = |si: usize, off: usize, len: usize, sel: &mut Vec<u8>| -> Vec<(u32, u32)> {
+    let per_morsel = run_chunks("join_build_worker", morsels.len(), workers, |m| {
+        let (si, off, len) = morsels[m];
         let seg = &build.segments[si];
-        let sel_slice: Option<&[u8]> = match pred {
-            None => None,
-            Some(p) => {
-                p.eval(seg, off, len, (si * SEGMENT_ROWS + off) as u64, sel);
-                Some(sel.as_slice())
-            }
-        };
+        let mut sel = Vec::new();
+        let sel_slice: Option<&[u8]> = pred.map(|p| {
+            p.eval(seg, off, len, (si * SEGMENT_ROWS + off) as u64, &mut sel);
+            sel.as_slice()
+        });
         let base = (si * SEGMENT_ROWS + off) as u32;
         let mut out = Vec::new();
         if int_path {
@@ -194,48 +192,7 @@ fn build_phase(
             }
         }
         out
-    };
-
-    let per_morsel: Vec<Vec<(u32, u32)>> = if workers <= 1 {
-        let _span = tpcds_obs::span("storage", "join_build_worker")
-            .field("worker", 0usize)
-            .field("morsels", morsels.len());
-        let mut sel = Vec::new();
-        morsels
-            .iter()
-            .map(|&(si, off, len)| collect(si, off, len, &mut sel))
-            .collect()
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Vec<(u32, u32)>>> = (0..morsels.len())
-            .map(|_| std::sync::Mutex::new(Vec::new()))
-            .collect();
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let cursor = &cursor;
-                let morsels = &morsels;
-                let slots = &slots;
-                let collect = &collect;
-                s.spawn(move || {
-                    let mut span =
-                        tpcds_obs::span("storage", "join_build_worker").field("worker", w);
-                    let mut sel = Vec::new();
-                    let mut done = 0usize;
-                    loop {
-                        let m = cursor.fetch_add(1, Ordering::Relaxed);
-                        if m >= morsels.len() {
-                            break;
-                        }
-                        let (si, off, len) = morsels[m];
-                        *slots[m].lock().unwrap() = collect(si, off, len, &mut sel);
-                        done += 1;
-                    }
-                    span.add_field("morsels", done);
-                });
-            }
-        });
-        slots.into_iter().map(|m| m.into_inner().unwrap()).collect()
-    };
+    });
 
     // Phase B: concatenate in morsel order, so each partition's row list
     // is sorted by global row id — the serial build insertion order.
@@ -679,7 +636,7 @@ pub fn par_hash_join_agg(
         table.segments[si].columns[c].value_at(i)
     };
 
-    let run_worker = |w: usize, cursor: &AtomicUsize| -> Result<GroupMap, StorageError> {
+    let partials = run_workers(morsels.len(), workers, |w, chunks| {
         let mut span = tpcds_obs::span("storage", "join_agg_worker").field("worker", w);
         let mut map: GroupMap = HashMap::new();
         let mut sel = Vec::new();
@@ -689,11 +646,7 @@ pub fn par_hash_join_agg(
         // every row — their deferred-error cells stay complete and
         // deterministic, and the engine reports them ahead of agg errors.
         let mut failed: Option<StorageError> = None;
-        loop {
-            let m = cursor.fetch_add(1, Ordering::Relaxed);
-            if m >= morsels.len() {
-                break;
-            }
+        while let Some(m) = chunks.next() {
             let pairs = p.morsel(m, morsels[m], &mut sel);
             if failed.is_none() {
                 failed = pairs
@@ -718,27 +671,8 @@ pub fn par_hash_join_agg(
             done += 1;
         }
         span.add_field("morsels", done);
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(map),
-        }
-    };
-
-    let cursor = AtomicUsize::new(0);
-    let partials: Vec<Result<GroupMap, StorageError>> = if workers <= 1 {
-        vec![run_worker(0, &cursor)]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let cursor = &cursor;
-                    let run_worker = &run_worker;
-                    s.spawn(move || run_worker(w, cursor))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    };
+        failed.map_or(Ok(map), Err)
+    });
 
     let merged = merge_partials(partials);
     if let Some(msg) = p.rerr.take() {

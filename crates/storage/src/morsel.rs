@@ -90,41 +90,66 @@ pub(crate) fn emit_counters(stats: &ScanStats) {
     tpcds_obs::counter("storage", "scan.bytes", stats.bytes as f64, &w);
 }
 
-/// Runs `f(chunk_index)` for chunks `0..n` on `workers` scoped threads
-/// pulling from a shared cursor, returning results in chunk order
-/// (inline on the calling thread when one worker suffices). `span` names
-/// the per-worker obs span.
+/// Hands the chunk indexes `0..n` to workers, each exactly once: fast
+/// workers simply pull more.
+pub(crate) struct Chunks {
+    cursor: AtomicUsize,
+    n: usize,
+}
+
+impl Chunks {
+    pub(crate) fn next(&self) -> Option<usize> {
+        let m = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (m < self.n).then_some(m)
+    }
+}
+
+/// Runs `worker(w, chunks)` on `workers` scoped threads sharing one
+/// [`Chunks`] cursor over `0..n` (inline on the calling thread when one
+/// worker suffices), for kernels that fold chunks into per-worker state.
+/// Returns one result per worker.
+pub(crate) fn run_workers<T: Send>(
+    n: usize,
+    workers: usize,
+    worker: impl Fn(usize, &Chunks) -> T + Sync,
+) -> Vec<T> {
+    let chunks = Chunks {
+        cursor: AtomicUsize::new(0),
+        n,
+    };
+    if workers <= 1 {
+        return vec![worker(0, &chunks)];
+    }
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (worker, chunks) = (&worker, &chunks);
+                s.spawn(move || worker(w, chunks))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// [`run_workers`] for kernels whose chunks are independent: runs
+/// `f(chunk_index)` for chunks `0..n`, returning results in chunk order.
+/// `span` names the per-worker obs span.
 pub(crate) fn run_chunks<T: Send, F: Fn(usize) -> T + Sync>(
     span: &'static str,
     n: usize,
     workers: usize,
     f: F,
 ) -> Vec<T> {
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
     let slots: Vec<std::sync::Mutex<Option<T>>> =
         (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let cursor = &cursor;
-            let slots = &slots;
-            let f = &f;
-            s.spawn(move || {
-                let mut span = tpcds_obs::span("storage", span).field("worker", w);
-                let mut done = 0usize;
-                loop {
-                    let m = cursor.fetch_add(1, Ordering::Relaxed);
-                    if m >= n {
-                        break;
-                    }
-                    *slots[m].lock().unwrap() = Some(f(m));
-                    done += 1;
-                }
-                span.add_field("chunks", done);
-            });
+    run_workers(n, workers, |w, chunks| {
+        let mut span = tpcds_obs::span("storage", span).field("worker", w);
+        let mut done = 0usize;
+        while let Some(m) = chunks.next() {
+            *slots[m].lock().unwrap() = Some(f(m));
+            done += 1;
         }
+        span.add_field("chunks", done);
     });
     slots
         .into_iter()
@@ -139,56 +164,15 @@ pub fn par_filter(batch: &Batch, threads: usize) -> (Vec<Row>, ScanStats) {
     let (table, pred, proj) = (&*batch.table, batch.pred.as_ref(), batch.proj.as_deref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
-
+    let detail = tpcds_obs::is_enabled() && detail_enabled();
     // Per-morsel output buffers, reassembled in morsel order so the
     // result is byte-identical to a serial scan.
-    let mut parts: Vec<Vec<Row>>;
-    if workers <= 1 {
-        let _span = tpcds_obs::span("storage", "scan_worker")
-            .field("worker", 0usize)
-            .field("morsels", morsels.len());
-        parts = Vec::with_capacity(morsels.len());
-        let mut sel = Vec::new();
-        for &(si, off, len) in &morsels {
-            parts.push(filter_morsel(table, si, off, len, pred, proj, &mut sel));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Vec<Row>>> = (0..morsels.len())
-            .map(|_| std::sync::Mutex::new(Vec::new()))
-            .collect();
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let cursor = &cursor;
-                let morsels = &morsels;
-                let slots = &slots;
-                s.spawn(move || {
-                    let mut span = tpcds_obs::span("storage", "scan_worker").field("worker", w);
-                    let detail = tpcds_obs::is_enabled() && detail_enabled();
-                    let mut sel = Vec::new();
-                    let mut done = 0usize;
-                    loop {
-                        let m = cursor.fetch_add(1, Ordering::Relaxed);
-                        if m >= morsels.len() {
-                            break;
-                        }
-                        let _detail_span = detail.then(|| {
-                            tpcds_obs::span("storage", "scan_morsel")
-                                .field("worker", w)
-                                .field("morsel", m)
-                        });
-                        let (si, off, len) = morsels[m];
-                        let rows = filter_morsel(table, si, off, len, pred, proj, &mut sel);
-                        *slots[m].lock().unwrap() = rows;
-                        done += 1;
-                    }
-                    span.add_field("morsels", done);
-                });
-            }
-        });
-        parts = slots.into_iter().map(|m| m.into_inner().unwrap()).collect();
-    }
-
+    let parts = run_chunks("scan_worker", morsels.len(), workers, |m| {
+        let _detail_span =
+            detail.then(|| tpcds_obs::span("storage", "scan_morsel").field("morsel", m));
+        let (si, off, len) = morsels[m];
+        filter_morsel(table, si, off, len, pred, proj)
+    });
     let rows_out: usize = parts.iter().map(|p| p.len()).sum();
     let mut out = Vec::with_capacity(rows_out);
     for p in parts {
@@ -205,63 +189,53 @@ pub fn par_filter(batch: &Batch, threads: usize) -> (Vec<Row>, ScanStats) {
     (out, stats)
 }
 
-/// [`par_filter`] stopping as soon as `limit` rows have been collected.
-/// Morsels are visited **in table order on the calling thread** — the
-/// short-circuit needs ordered early exit, and a `LIMIT n` touches so few
-/// morsels that worker fan-out would cost more than it saves. Output is
-/// exactly the first `limit` rows [`par_filter`] would produce.
-/// `rows_scanned` and `bytes` in the returned stats count only what was
-/// actually visited.
-pub fn par_filter_limit(batch: &Batch, limit: usize) -> (Vec<Row>, ScanStats) {
+/// Feeds the batch's qualifying rows (visible columns) to `visit` **in
+/// table order on the calling thread** until it returns `Ok(false)` or
+/// fails — the ordered early exit behind `LIMIT`, which touches so few
+/// morsels that worker fan-out would cost more than it saves. The rows
+/// visited are exactly a prefix of what [`par_filter`] produces. Rows past
+/// the stopping row are never reported: their deferred predicate errors
+/// are cleared, as a serial row loop would never have evaluated them (an
+/// error at or before it stays in the batch and outranks `visit`'s own).
+/// `rows_scanned` and `bytes` count only what was actually visited.
+pub fn scan_until<E>(
+    batch: &Batch,
+    mut visit: impl FnMut(Row) -> Result<bool, E>,
+) -> Result<ScanStats, E> {
     let (table, pred, proj) = (&*batch.table, batch.pred.as_ref(), batch.proj.as_deref());
-    let morsels = morsels_of(table);
-    let _span = tpcds_obs::span("storage", "scan_worker")
-        .field("worker", 0usize)
-        .field("limit", limit);
-    let mut out = Vec::with_capacity(limit.min(INLINE_ROWS));
+    let _span = tpcds_obs::span("storage", "scan_worker").field("worker", 0usize);
+    let mut stats = ScanStats {
+        workers: 1,
+        ..ScanStats::default()
+    };
     let mut sel = Vec::new();
-    let mut visited = 0u64;
-    let mut scanned = 0u64;
-    let mut bytes = 0u64;
-    for &(si, off, len) in &morsels {
-        if out.len() >= limit {
-            break;
-        }
-        visited += 1;
-        scanned += len as u64;
+    let mut verdict = Ok(true);
+    'scan: for (si, off, len) in morsels_of(table) {
         let seg = &table.segments[si];
-        bytes += (seg.bytes * len / seg.rows.max(1)) as u64;
+        let base = (si * SEGMENT_ROWS + off) as u64;
+        stats.morsels += 1;
+        stats.rows_scanned += len as u64;
+        stats.bytes += (seg.bytes * len / seg.rows.max(1)) as u64;
         match pred {
+            Some(p) => p.eval(seg, off, len, base, &mut sel),
             None => {
-                let take = len.min(limit - out.len());
-                out.extend((off..off + take).map(|i| seg.row_of(i, proj)));
+                sel.clear();
+                sel.resize(len, P_TRUE);
             }
-            Some(p) => {
-                let base = (si * SEGMENT_ROWS + off) as u64;
-                p.eval(seg, off, len, base, &mut sel);
-                for (j, &s) in sel.iter().enumerate() {
-                    if s == P_TRUE {
-                        out.push(seg.row_of(off + j, proj));
-                        if out.len() >= limit {
-                            // The serial row path stops here: deferred
-                            // expression errors past this row never fire.
-                            p.clear_err_from(base + j as u64 + 1);
-                            break;
-                        }
-                    }
+        }
+        for (j, _) in sel.iter().enumerate().filter(|(_, &s)| s == P_TRUE) {
+            stats.rows_out += 1;
+            verdict = visit(seg.row_of(off + j, proj));
+            if !matches!(verdict, Ok(true)) {
+                if let Some(p) = pred {
+                    p.clear_err_from(base + j as u64 + 1);
                 }
+                break 'scan;
             }
         }
     }
-    let stats = ScanStats {
-        morsels: visited,
-        workers: 1,
-        rows_scanned: scanned,
-        rows_out: out.len() as u64,
-        bytes,
-    };
     emit_counters(&stats);
-    (out, stats)
+    verdict.map(|_| stats)
 }
 
 fn filter_morsel(
@@ -271,20 +245,17 @@ fn filter_morsel(
     len: usize,
     pred: Option<&Pred>,
     proj: Option<&[usize]>,
-    sel: &mut Vec<u8>,
 ) -> Vec<Row> {
     let seg = &table.segments[si];
     match pred {
         None => (off..off + len).map(|i| seg.row_of(i, proj)).collect(),
         Some(p) => {
-            p.eval(seg, off, len, (si * SEGMENT_ROWS + off) as u64, sel);
-            let mut rows = Vec::new();
-            for (j, &s) in sel.iter().enumerate() {
-                if s == P_TRUE {
-                    rows.push(seg.row_of(off + j, proj));
-                }
-            }
-            rows
+            let mut sel = Vec::new();
+            p.eval(seg, off, len, (si * SEGMENT_ROWS + off) as u64, &mut sel);
+            (sel.iter().enumerate())
+                .filter(|(_, &s)| s == P_TRUE)
+                .map(|(j, _)| seg.row_of(off + j, proj))
+                .collect()
         }
     }
 }
@@ -306,18 +277,14 @@ pub fn par_aggregate(
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
 
-    let run_worker = |w: usize, cursor: &AtomicUsize| -> Result<GroupMap, StorageError> {
+    let partials = run_workers(morsels.len(), workers, |w, chunks| {
         let mut span = tpcds_obs::span("storage", "agg_worker").field("worker", w);
         let detail = tpcds_obs::is_enabled() && detail_enabled();
         let mut map: GroupMap = HashMap::new();
         let mut sel = Vec::new();
         let mut done = 0usize;
         let mut failed: Option<StorageError> = None;
-        loop {
-            let m = cursor.fetch_add(1, Ordering::Relaxed);
-            if m >= morsels.len() {
-                break;
-            }
+        while let Some(m) = chunks.next() {
             let _detail_span = detail.then(|| {
                 tpcds_obs::span("storage", "agg_morsel")
                     .field("worker", w)
@@ -343,27 +310,8 @@ pub fn par_aggregate(
             done += 1;
         }
         span.add_field("morsels", done);
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        Ok(map)
-    };
-
-    let cursor = AtomicUsize::new(0);
-    let partials: Vec<Result<GroupMap, StorageError>> = if workers <= 1 {
-        vec![run_worker(0, &cursor)]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let cursor = &cursor;
-                    let run_worker = &run_worker;
-                    s.spawn(move || run_worker(w, cursor))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    };
+        failed.map_or(Ok(map), Err)
+    });
 
     let merged = merge_partials(partials)?;
     let out = finish_groups(merged, groups.is_empty(), aggs);
@@ -542,14 +490,25 @@ mod tests {
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
     }
 
+    /// The first `limit` rows via [`scan_until`].
+    fn first(b: &Batch, limit: usize) -> (Vec<Row>, ScanStats) {
+        let mut out = Vec::new();
+        let stats = scan_until(b, |row| {
+            out.push(row);
+            Ok::<_, ()>(out.len() < limit)
+        });
+        (out, stats.unwrap())
+    }
+
     #[test]
-    fn filter_limit_is_a_prefix_of_the_full_filter() {
+    fn scan_until_visits_a_prefix_of_the_full_filter() {
         let t = table();
         let pred = Pred::Cmp(CmpKind::Lt, 1, Value::Int(3));
         let (full, _) = par_filter(&batch(&t, &pred), 1);
-        for limit in [0, 1, 100, full.len(), full.len() + 10] {
-            let (prefix, stats) = par_filter_limit(&batch(&t, &pred), limit);
+        for limit in [1, 100, full.len(), full.len() + 10] {
+            let (prefix, stats) = first(&batch(&t, &pred), limit);
             assert_eq!(prefix, full[..limit.min(full.len())], "limit={limit}");
+            assert_eq!(stats.rows_out, prefix.len() as u64);
             if limit <= MORSEL_ROWS {
                 assert!(
                     stats.rows_scanned < t.rows as u64,
@@ -558,10 +517,21 @@ mod tests {
             }
         }
         // Unfiltered: the first rows of the table, without a full scan.
-        let (prefix, stats) = par_filter_limit(&Batch::new(Arc::clone(&t)), 10);
+        let (prefix, stats) = first(&Batch::new(Arc::clone(&t)), 10);
         let ids: Vec<i64> = prefix.iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(ids, (0..10).collect::<Vec<_>>());
         assert_eq!(stats.morsels, 1);
+        // The visitor's own failure stops the scan and comes back as is.
+        let mut seen = 0;
+        let stop = scan_until(&batch(&t, &pred), |_| {
+            seen += 1;
+            if seen == 3 {
+                Err("boom")
+            } else {
+                Ok(true)
+            }
+        });
+        assert_eq!((stop, seen), (Err("boom"), 3));
     }
 
     #[test]

@@ -405,15 +405,24 @@ impl Pred {
         }
     }
 
-    /// Drains the first deferred runtime error (lowest global row id)
-    /// from any [`Pred::Expr`] nodes. Callers check this after a scan:
-    /// a present error is exactly what the serial row path would have
-    /// raised. Legacy predicate shapes are infallible.
+    /// Drains the first deferred runtime error from any [`Pred::Expr`]
+    /// nodes: the lowest global row id, the left operand's on a tie — a
+    /// chain of serial filters evaluates row by row, each row through
+    /// the filters in order. Callers check this after a scan: a present
+    /// error is exactly what the serial row path would have raised.
+    /// Legacy predicate shapes are infallible.
     pub fn take_err(&self) -> Option<String> {
+        self.take_keyed_err().map(|(_, msg)| msg)
+    }
+
+    fn take_keyed_err(&self) -> Option<(u64, String)> {
         match self {
-            Pred::Expr(ep) => ep.err.take(),
-            Pred::And(l, r) | Pred::Or(l, r) => l.take_err().or_else(|| r.take_err()),
-            Pred::Not(p) | Pred::Counted(p, _) => p.take_err(),
+            Pred::Expr(ep) => ep.err.take_keyed(),
+            Pred::And(l, r) | Pred::Or(l, r) => match (l.take_keyed_err(), r.take_keyed_err()) {
+                (Some(l), Some(r)) => Some(if r.0 < l.0 { r } else { l }),
+                (l, r) => l.or(r),
+            },
+            Pred::Not(p) | Pred::Counted(p, _) => p.take_keyed_err(),
             _ => None,
         }
     }

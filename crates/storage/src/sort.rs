@@ -25,12 +25,10 @@
 
 use crate::batch::{gather, Batch, Take};
 use crate::column::ColumnData;
-use crate::morsel::{detail_enabled, morsels_of, worker_count};
+use crate::morsel::{detail_enabled, morsels_of, run_chunks, run_workers, worker_count, Chunks};
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
 use tpcds_types::Value;
 
 /// One sort key: a column index plus direction.
@@ -314,7 +312,7 @@ struct TopNPart {
 #[allow(clippy::too_many_arguments)]
 fn topn_worker(
     w: usize,
-    cursor: &AtomicUsize,
+    chunks: &Chunks,
     table: &ColumnTable,
     morsels: &[(usize, usize, usize)],
     pred: Option<&Pred>,
@@ -328,11 +326,7 @@ fn topn_worker(
     let mut qualifying = 0u64;
     let mut sel = Vec::new();
     let mut done = 0usize;
-    loop {
-        let m = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-        if m >= morsels.len() {
-            break;
-        }
+    while let Some(m) = chunks.next() {
         let _detail_span = detail.then(|| {
             tpcds_obs::span("storage", "topn_morsel")
                 .field("worker", w)
@@ -393,23 +387,9 @@ pub fn par_topn(
     let workers = worker_count(table.rows, threads, morsels.len());
     let enc = encodable(table, keys);
 
-    let cursor = AtomicUsize::new(0);
-    let parts: Vec<TopNPart> = if workers <= 1 {
-        vec![topn_worker(
-            0, &cursor, table, &morsels, pred, keys, enc, limit,
-        )]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let cursor = &cursor;
-                    let morsels = &morsels;
-                    s.spawn(move || topn_worker(w, cursor, table, morsels, pred, keys, enc, limit))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    };
+    let parts = run_workers(morsels.len(), workers, |w, chunks| {
+        topn_worker(w, chunks, table, &morsels, pred, keys, enc, limit)
+    });
 
     let qualifying: u64 = parts.iter().map(|p| p.qualifying).sum();
     let heap_rows: u64 = parts.iter().map(|p| p.entries.len() as u64).sum();
@@ -435,60 +415,6 @@ pub fn par_topn(
 
 // ---------- full sort over a column table ----------
 
-#[allow(clippy::too_many_arguments)]
-fn sort_run_worker(
-    w: usize,
-    cursor: &AtomicUsize,
-    table: &ColumnTable,
-    morsels: &[(usize, usize, usize)],
-    pred: Option<&Pred>,
-    keys: &[SortKey],
-    enc: bool,
-    slots: &[Mutex<Vec<Entry>>],
-) {
-    let mut span = tpcds_obs::span("storage", "sort_worker").field("worker", w);
-    let detail = tpcds_obs::is_enabled() && detail_enabled();
-    let mut sel = Vec::new();
-    let mut done = 0usize;
-    loop {
-        let m = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-        if m >= morsels.len() {
-            break;
-        }
-        let _detail_span = detail.then(|| {
-            tpcds_obs::span("storage", "sort_morsel")
-                .field("worker", w)
-                .field("morsel", m)
-        });
-        let (si, off, len) = morsels[m];
-        let seg = &table.segments[si];
-        let sel_slice: Option<&[u8]> = match pred {
-            None => None,
-            Some(p) => {
-                p.eval(seg, off, len, (si * SEGMENT_ROWS + off) as u64, &mut sel);
-                Some(sel.as_slice())
-            }
-        };
-        let mut run = Vec::new();
-        for j in 0..len {
-            if let Some(s) = sel_slice {
-                if s[j] != P_TRUE {
-                    continue;
-                }
-            }
-            let i = off + j;
-            run.push(Entry {
-                key: key_of(seg, i, keys, enc),
-                gid: si * SEGMENT_ROWS + i,
-            });
-        }
-        run.sort_unstable_by(|a, b| cmp_entries(a, b, keys));
-        *slots[m].lock().unwrap() = run;
-        done += 1;
-    }
-    span.add_field("morsels", done);
-}
-
 /// Parallel full sort of the batch's qualifying rows: per-morsel sorted
 /// runs in parallel, then a serial k-way merge; emits a table of the
 /// batch's visible columns. Byte-identical at any worker count (total
@@ -501,22 +427,26 @@ pub fn par_sort(batch: &Batch, keys: &[SortKey], threads: usize) -> (ColumnTable
     let workers = worker_count(table.rows, threads, morsels.len());
     let enc = encodable(table, keys);
 
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Vec<Entry>>> =
-        (0..morsels.len()).map(|_| Mutex::new(Vec::new())).collect();
-    if workers <= 1 {
-        sort_run_worker(0, &cursor, table, &morsels, pred, keys, enc, &slots);
-    } else {
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let cursor = &cursor;
-                let morsels = &morsels;
-                let slots = &slots;
-                s.spawn(move || sort_run_worker(w, cursor, table, morsels, pred, keys, enc, slots));
-            }
-        });
-    }
-    let runs: Vec<Vec<Entry>> = slots.into_iter().map(|m| m.into_inner().unwrap()).collect();
+    let detail = tpcds_obs::is_enabled() && detail_enabled();
+    let runs = run_chunks("sort_worker", morsels.len(), workers, |m| {
+        let _detail_span =
+            detail.then(|| tpcds_obs::span("storage", "sort_morsel").field("morsel", m));
+        let (si, off, len) = morsels[m];
+        let seg = &table.segments[si];
+        let mut sel = Vec::new();
+        if let Some(p) = pred {
+            p.eval(seg, off, len, (si * SEGMENT_ROWS + off) as u64, &mut sel);
+        }
+        let mut run: Vec<Entry> = (off..off + len)
+            .filter(|i| pred.is_none() || sel[i - off] == P_TRUE)
+            .map(|i| Entry {
+                key: key_of(seg, i, keys, enc),
+                gid: si * SEGMENT_ROWS + i,
+            })
+            .collect();
+        run.sort_unstable_by(|a, b| cmp_entries(a, b, keys));
+        run
+    });
     let merge_ways = runs.iter().filter(|r| !r.is_empty()).count() as u64;
     let merged = kway_merge(runs, keys);
 

@@ -12,11 +12,10 @@
 //! cardinality estimator whether the histogram saw every non-NULL value
 //! and can therefore be trusted for range selectivity.
 
-use crate::morsel::worker_count;
+use crate::morsel::{run_workers, worker_count};
 use crate::segment::{ColumnTable, Segment};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use tpcds_obs::hist::HistSnapshot;
 use tpcds_obs::ndv::NdvSketch;
 use tpcds_types::Value;
@@ -179,36 +178,13 @@ pub fn collect_stats(table: &ColumnTable, threads: usize) -> TableStats {
     let width = table.width();
     let n_segs = table.segments.len();
     let workers = worker_count(table.rows, threads, n_segs);
-    let fresh = |_| (0..width).map(|_| ColAcc::new()).collect::<Vec<_>>();
-
-    let partials: Vec<Vec<ColAcc>> = if workers <= 1 {
-        let mut accs = fresh(0);
-        for seg in &table.segments {
-            fold_segment(seg, &mut accs);
+    let partials = run_workers(n_segs, workers, |_, chunks| {
+        let mut accs: Vec<ColAcc> = (0..width).map(|_| ColAcc::new()).collect();
+        while let Some(si) = chunks.next() {
+            fold_segment(&table.segments[si], &mut accs);
         }
-        vec![accs]
-    } else {
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut accs = fresh(w);
-                        loop {
-                            let si = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                            if si >= n_segs {
-                                break;
-                            }
-                            fold_segment(&table.segments[si], &mut accs);
-                        }
-                        accs
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    };
+        accs
+    });
 
     let mut merged: Vec<ColAcc> = (0..width).map(|_| ColAcc::new()).collect();
     for part in partials {

@@ -64,6 +64,16 @@ fn build_db(rng: &mut SplitMix64, rows: usize) -> Database {
     db
 }
 
+/// [`build_db`]'s table without a columnar shadow.
+fn build_db_unshadowed(rng: &mut SplitMix64, rows: usize) -> Database {
+    let shadowed = build_db(rng, rows);
+    let s = shadowed.snapshot().table("s").unwrap();
+    let db = Database::new();
+    db.create_table_with_rows("s", s.columns.clone(), s.rows.clone())
+        .unwrap();
+    db
+}
+
 /// A random scalar expression from the kernel grammar: nested arithmetic
 /// (division by possibly-zero and possibly-NULL columns on purpose),
 /// searched CASE, COALESCE and NULLIF. Values stay small enough that i64
@@ -228,5 +238,74 @@ fn pinned_expression_shapes_agree() {
         "select s_pk, s_k1 + s_k2 from s where nullif(s_k1, s_k2) is null order by s_pk limit 100",
     ] {
         check(&db, sql, "pinned");
+    }
+}
+
+/// A `LIMIT` stops its input at the same row on every path, so a row past
+/// the cut can never raise: the same rows — or the same first error —
+/// come back from the row oracle, from `auto` and from `force`, with and
+/// without a columnar shadow, whether the chain under the `LIMIT` is one
+/// lazy batch, an interpreted chain (no shadow, a subquery predicate), or
+/// a mix of the two.
+#[test]
+fn limits_stop_at_the_same_row_with_the_same_errors_on_every_path() {
+    const POISON: &str = "case when s_pk >= 30 then s_pk * 9223372036854775807 else 1 end > 0";
+    let queries = [
+        // One lazy chain: scan filter, derived-table filter, LIMIT.
+        format!(
+            "select x.s_pk from (select s_pk from s where {POISON}) x where x.s_pk >= 1 limit 4"
+        ),
+        format!("select s_pk from s where {POISON} limit 4"),
+        // The cut lies past the first poisoned row: everyone raises.
+        format!("select s_pk from s where {POISON} limit 40"),
+        format!(
+            "select x.s_pk from (select s_pk from s where {POISON}) x where x.s_pk >= 1 limit 40"
+        ),
+        // A subquery predicate the compiler refuses, above and below the
+        // poisoned one.
+        format!(
+            "select s_pk from s where {POISON} \
+             and s_pk in (select s_pk from s where s_pk < 100) limit 4"
+        ),
+        format!(
+            "select x.s_pk from (select s_pk from s \
+             where exists (select 1 from s i where i.s_pk = s.s_pk)) x where {} limit 4",
+            POISON.replace("s_pk", "x.s_pk")
+        ),
+        // A computed projection runs on every input row, on every path.
+        "select case when s_pk >= 30 then s_pk * 9223372036854775807 else s_pk end from s limit 4"
+            .to_string(),
+        // A pipeline breaker under the LIMIT: the join runs whole, the
+        // filter above it stops early.
+        format!(
+            "select a.s_pk from s a join s b on a.s_pk = b.s_pk where {} limit 4",
+            POISON.replace("s_pk", "a.s_pk + b.s_pk")
+        ),
+        "select s_pk from s limit 0".to_string(),
+    ];
+    for shadow in [true, false] {
+        let build = if shadow {
+            build_db
+        } else {
+            build_db_unshadowed
+        };
+        let db = build(&mut SplitMix64(0x11A1), 20_000);
+        for sql in &queries {
+            let run = |mode, threads| {
+                tpcds_repro::engine::query_with(&db, sql, opts(mode, threads))
+                    .map(|r| r.rows)
+                    .map_err(|e| e.to_string())
+            };
+            let oracle = run(ColumnarMode::Off, 1);
+            for mode in [ColumnarMode::Auto, ColumnarMode::Force] {
+                for threads in [1, 2, 8] {
+                    assert_eq!(
+                        oracle,
+                        run(mode, threads),
+                        "{mode:?}@{threads} (shadow={shadow}) diverges from the row oracle: {sql}"
+                    );
+                }
+            }
+        }
     }
 }
