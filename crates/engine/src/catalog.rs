@@ -6,25 +6,40 @@
 //! (rows + indexes + columnar shadow + statistics) stamped with a version
 //! number — that is swapped atomically when a [`WriteTxn`] commits.
 //! Queries pin the snapshot once at dispatch ([`Database::snapshot`]) and
-//! read it lock-free to completion; writers build the next version
-//! copy-on-write (only the tables a transaction touches are cloned and
-//! re-shadowed) behind a single writer mutex and publish it with one
-//! pointer store. No reader ever blocks on a writer or observes partial
-//! state, which is what lets the server run the paper's multi-stream
-//! throughput test (§5.2) concurrently with data maintenance.
+//! read it lock-free to completion; writers build the next version behind
+//! a single writer mutex and publish it with one pointer store. No reader
+//! ever blocks on a writer or observes partial state, which is what lets
+//! the server run the paper's multi-stream throughput test (§5.2)
+//! concurrently with data maintenance.
+//!
+//! The next version is **base version + delta**. A table's rows are
+//! individually shared (`Arc`) between the versions that hold them, so
+//! staging a table copies no row; [`Table::insert`],
+//! [`Table::delete_where`] and [`Table::update_each`] copy the rows they
+//! change and *record* the appended range, the surviving positions and the
+//! replaced positions in a [`Delta`]. [`WriteTxn::commit`] turns that into
+//! the next shadow ([`ColumnTable::apply`]: untouched segments are the
+//! base version's `Arc`s) and the next statistics (an append-only delta
+//! folds only the appended rows into the base's), so a commit pays for the
+//! rows it changed. What a reader gets is indistinguishable from a shadow,
+//! statistics and indexes built from scratch over the published rows.
 //!
 //! Commit is panic-safe by construction: a transaction that unwinds
-//! before [`WriteTxn::commit`] publishes nothing — the pending
-//! copy-on-write tables are dropped and the head snapshot is untouched
-//! (the writer mutex ignores poisoning, see `crate::sync`).
+//! before [`WriteTxn::commit`] publishes nothing — the staged tables and
+//! their deltas are dropped and the head snapshot is untouched (nothing a
+//! published version owns is ever written through; the writer mutex
+//! ignores poisoning, see `crate::sync`).
 
 use crate::error::{EngineError, Result};
 use crate::sync::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use tpcds_obs::qlog::QueryLog;
-use tpcds_storage::{ColumnTable, TableStats};
+use tpcds_storage::{ColumnTable, Delta, TableStats};
 use tpcds_types::{DataType, Row, Value};
+
+/// One stored row. Versions of a table that hold the same row share it.
+pub type SharedRow = Arc<[Value]>;
 
 /// A row producer for a server-owned `sys.*` virtual table
 /// (`sys.sessions`, `sys.queries`): the server registers a closure over
@@ -41,13 +56,13 @@ pub struct ColumnMeta {
 }
 
 /// A hash index over one column: value → row positions.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Index {
     map: HashMap<Value, Vec<usize>>,
 }
 
 impl Index {
-    fn build(rows: &[Row], col: usize) -> Index {
+    fn build(rows: &[SharedRow], col: usize) -> Index {
         let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
         for (i, row) in rows.iter().enumerate() {
             map.entry(row[col].clone()).or_default().push(i);
@@ -84,6 +99,20 @@ impl Index {
         });
     }
 
+    /// Moves the posting of position `pos` from key `old` to key `new`,
+    /// keeping both position lists ascending.
+    fn rekey(&mut self, pos: usize, old: &Value, new: &Value) {
+        if let Some(positions) = self.map.get_mut(old) {
+            positions.retain(|&p| p != pos);
+            if positions.is_empty() {
+                self.map.remove(old);
+            }
+        }
+        let positions = self.map.entry(new.clone()).or_default();
+        let at = positions.partition_point(|&p| p < pos);
+        positions.insert(at, pos);
+    }
+
     /// Drops every posting at position `base` or later (insert rollback).
     /// Positions are appended in increasing order, so the tail pops off.
     fn truncate_from(&mut self, base: usize) {
@@ -96,27 +125,52 @@ impl Index {
     }
 }
 
-/// One stored table. Cloning a `Table` is the copy-on-write step of a
-/// [`WriteTxn`]: rows and indexes copy deeply, while the columnar shadow
-/// and statistics are `Arc`s shared with the base version until a
-/// mutation invalidates them.
+/// The row an [`Table::update_each`] closure is handed. Reads see the
+/// stored row; the first write copies it, because the stored row is shared
+/// with the version the transaction started from.
+pub struct RowMut<'a> {
+    row: &'a mut SharedRow,
+    /// The row as it was, from the first write on.
+    before: Option<SharedRow>,
+}
+
+impl std::ops::Deref for RowMut<'_> {
+    type Target = [Value];
+    fn deref(&self) -> &[Value] {
+        self.row
+    }
+}
+
+impl std::ops::DerefMut for RowMut<'_> {
+    fn deref_mut(&mut self) -> &mut [Value] {
+        self.before.get_or_insert_with(|| Arc::clone(self.row));
+        Arc::make_mut(self.row)
+    }
+}
+
+/// One stored table. Cloning a `Table` is how a [`WriteTxn`] stages it,
+/// and copies no row: the row list, the columnar shadow and the
+/// statistics are `Arc`s shared with the base version (only the index
+/// maps copy). Mutators copy the rows they change and record them in
+/// `delta`; the shadow and statistics stay the base version's until
+/// [`WriteTxn::commit`] derives the next ones from them.
 #[derive(Clone, Debug)]
 pub struct Table {
     /// Column metadata, in order.
     pub columns: Vec<ColumnMeta>,
-    /// The rows.
-    pub rows: Vec<Row>,
+    /// The rows. The list is copied on the first mutation (`Arc` bumps,
+    /// no row payload), the rows themselves only when replaced.
+    rows: Arc<Vec<SharedRow>>,
     /// Secondary hash indexes, keyed by column position.
     pub indexes: HashMap<usize, Index>,
-    /// Columnar shadow of `rows`, when built and current. Any mutation
-    /// drops it; `columnar_enabled` remembers that [`WriteTxn::commit`]
-    /// must rebuild it before the table is published.
+    /// Columnar shadow of the rows as they were before `delta`; every
+    /// published table that keeps one has it current (`delta` clean).
     columnar: Option<Arc<ColumnTable>>,
-    columnar_enabled: bool,
-    /// Per-column statistics (row/null counts, min/max, NDV, histogram),
-    /// collected from the columnar shadow. Dropped together with the
-    /// shadow on any mutation; commit re-collects them.
+    /// Per-column statistics (row/null counts, min/max, NDV, histogram)
+    /// of that same shadow.
     stats: Option<Arc<TableStats>>,
+    /// How `rows` differs from what `columnar` holds.
+    delta: Delta,
 }
 
 impl Table {
@@ -124,12 +178,17 @@ impl Table {
     pub fn new(columns: Vec<ColumnMeta>) -> Table {
         Table {
             columns,
-            rows: Vec::new(),
+            rows: Arc::default(),
             indexes: HashMap::new(),
             columnar: None,
-            columnar_enabled: false,
             stats: None,
+            delta: Delta::default(),
         }
+    }
+
+    /// The rows, in position order.
+    pub fn rows(&self) -> &[SharedRow] {
+        &self.rows
     }
 
     /// Index of a column by name.
@@ -142,12 +201,17 @@ impl Table {
     /// clone of the batch). A mid-batch arity error rolls the batch back,
     /// leaving the table exactly as it was.
     pub fn insert(&mut self, rows: Vec<Row>) -> Result<()> {
+        if rows.is_empty() {
+            return Ok(());
+        }
         let width = self.columns.len();
         let base = self.rows.len();
+        let stored = Arc::make_mut(&mut self.rows);
+        stored.reserve(rows.len());
         for row in rows {
             if row.len() != width {
                 let bad = row.len();
-                self.rows.truncate(base);
+                stored.truncate(base);
                 for idx in self.indexes.values_mut() {
                     idx.truncate_from(base);
                 }
@@ -155,68 +219,78 @@ impl Table {
                     "arity mismatch: row has {bad} values, table has {width} columns"
                 )));
             }
-            let pos = self.rows.len();
+            let pos = stored.len();
             for (col, idx) in self.indexes.iter_mut() {
                 idx.map.entry(row[*col].clone()).or_default().push(pos);
             }
-            self.rows.push(row);
-        }
-        if self.rows.len() > base {
-            self.invalidate_columnar();
+            stored.push(row.into());
         }
         Ok(())
     }
 
     /// Deletes every row for which `pred` returns true; returns the number
-    /// deleted. Rows compact in place (stable) and indexes are *remapped*
-    /// rather than rebuilt: only surviving postings are touched, and keys
-    /// whose rows all died drop out. The `engine/maint.deleted_rows` counter
-    /// records how bulky deletes actually are, instead of asserting in a
-    /// comment that they are rare.
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&Row) -> bool) -> usize {
-        let n = self.rows.len();
-        let mut remap: Vec<usize> = Vec::with_capacity(n);
-        let mut write = 0usize;
-        for read in 0..n {
-            if pred(&self.rows[read]) {
-                remap.push(usize::MAX);
-            } else {
-                if write != read {
-                    self.rows.swap(write, read);
+    /// deleted. Survivors keep their relative order and indexes are
+    /// *remapped* rather than rebuilt: only surviving postings are
+    /// touched, and keys whose rows all died drop out. A predicate that
+    /// matches nothing copies nothing. The `engine/maint.deleted_rows`
+    /// counter records how bulky deletes actually are, instead of
+    /// asserting in a comment that they are rare.
+    pub fn delete_where(&mut self, mut pred: impl FnMut(&[Value]) -> bool) -> usize {
+        let mut kept = 0usize;
+        let remap: Vec<usize> = (self.rows.iter())
+            .map(|row| {
+                if pred(row) {
+                    return usize::MAX;
                 }
-                remap.push(write);
-                write += 1;
-            }
-        }
-        let deleted = n - write;
-        self.rows.truncate(write);
+                kept += 1;
+                kept - 1
+            })
+            .collect();
+        let deleted = remap.len() - kept;
         if deleted > 0 {
+            let survivors = (self.rows.iter().zip(&remap))
+                .filter(|(_, &to)| to != usize::MAX)
+                .map(|(row, _)| Arc::clone(row))
+                .collect();
+            self.rows = Arc::new(survivors);
             for idx in self.indexes.values_mut() {
                 idx.remap_positions(&remap);
             }
-            self.invalidate_columnar();
+            self.delta.delete(&remap);
             tpcds_obs::counter(
                 "engine",
                 "maint.deleted_rows",
                 deleted as f64,
-                &[("remaining", tpcds_obs::FieldValue::Int(write as i64))],
+                &[("remaining", tpcds_obs::FieldValue::Int(kept as i64))],
             );
         }
         deleted
     }
 
-    /// Applies `f` to every row in place (dimension updates); returns the
-    /// number of rows for which `f` returned true (i.e. reported a change).
-    pub fn update_each(&mut self, mut f: impl FnMut(&mut Row) -> bool) -> usize {
+    /// Applies `f` to every row (dimension updates); returns the number of
+    /// rows for which `f` returned true (i.e. reported a change). A row
+    /// `f` writes to is replaced by a private copy, and only the index
+    /// postings whose key value it changed move — an update that touches
+    /// no key column leaves every index as it is.
+    pub fn update_each(&mut self, mut f: impl FnMut(&mut RowMut<'_>) -> bool) -> usize {
         let mut changed = 0;
-        for row in &mut self.rows {
-            if f(row) {
-                changed += 1;
+        // The row list is copied lazily too: rows before the first write
+        // are read out of the shared list.
+        for pos in 0..self.rows.len() {
+            let mut stored = Arc::clone(&self.rows[pos]);
+            let mut row = RowMut {
+                row: &mut stored,
+                before: None,
+            };
+            changed += usize::from(f(&mut row));
+            let Some(before) = row.before else { continue };
+            for (col, idx) in self.indexes.iter_mut() {
+                if before[*col] != stored[*col] {
+                    idx.rekey(pos, &before[*col], &stored[*col]);
+                }
             }
-        }
-        if changed > 0 {
-            self.rebuild_indexes();
-            self.invalidate_columnar();
+            Arc::make_mut(&mut self.rows)[pos] = stored;
+            self.delta.update(pos);
         }
         changed
     }
@@ -232,31 +306,18 @@ impl Table {
         self.indexes.remove(&column);
     }
 
-    fn rebuild_indexes(&mut self) {
-        let cols: Vec<usize> = self.indexes.keys().copied().collect();
-        for c in cols {
-            self.create_index(c);
-        }
-    }
-
-    /// The current columnar shadow, if built and not invalidated.
+    /// The columnar shadow. On a published table it is current; on a
+    /// table staged in a [`WriteTxn`] it is still the base version's
+    /// until commit.
     pub fn columnar(&self) -> Option<Arc<ColumnTable>> {
         self.columnar.clone()
     }
 
-    /// Whether this table keeps a columnar shadow across versions.
-    pub fn columnar_enabled(&self) -> bool {
-        self.columnar_enabled
-    }
-
-    /// Builds the columnar shadow from the current rows and enables
-    /// automatic rebuilds on commit.
+    /// Builds the columnar shadow from the current rows; from here on
+    /// every commit keeps it current.
     pub fn build_columnar(&mut self) -> Arc<ColumnTable> {
         let dtypes: Vec<DataType> = self.columns.iter().map(|c| c.dtype).collect();
-        let ct = Arc::new(ColumnTable::from_rows(dtypes, &self.rows));
-        self.columnar = Some(Arc::clone(&ct));
-        self.columnar_enabled = true;
-        ct
+        self.set_columnar(ColumnTable::from_rows(dtypes, &self.rows))
     }
 
     /// Attaches a pre-built shadow (e.g. streamed out of the data
@@ -271,37 +332,72 @@ impl Table {
                 self.columns.len()
             )));
         }
-        self.columnar = Some(Arc::new(ct));
-        self.columnar_enabled = true;
+        self.set_columnar(ct);
         Ok(())
     }
 
-    /// Disables (and drops) the columnar shadow (and the statistics that
-    /// were derived from it).
-    pub fn disable_columnar(&mut self) {
-        self.columnar = None;
-        self.columnar_enabled = false;
+    /// Installs a shadow of the rows as they are now; statistics are
+    /// collected from it at commit.
+    fn set_columnar(&mut self, ct: ColumnTable) -> Arc<ColumnTable> {
+        let ct = Arc::new(ct);
+        self.columnar = Some(Arc::clone(&ct));
         self.stats = None;
+        self.delta = Delta::clean(ct.rows);
+        ct
     }
 
-    fn invalidate_columnar(&mut self) {
-        self.columnar = None;
-        self.stats = None;
-    }
-
-    /// The current per-column statistics, if collected and not stale.
+    /// The per-column statistics of [`Table::columnar`].
     pub fn stats(&self) -> Option<Arc<TableStats>> {
         self.stats.clone()
     }
 
-    /// Collects (or re-collects) statistics from the columnar shadow.
-    /// Returns `None` when there is no shadow to scan.
-    pub fn build_stats(&mut self, threads: usize) -> Option<Arc<TableStats>> {
-        let ct = self.columnar.as_ref()?;
-        let stats = Arc::new(tpcds_storage::collect_stats(ct, threads));
-        self.stats = Some(Arc::clone(&stats));
-        Some(stats)
+    /// Brings the shadow and statistics up to the rows: the shadow by
+    /// applying the recorded delta to the one held, the statistics by
+    /// folding only the appended rows into the ones held when nothing
+    /// else changed, and from the new shadow otherwise. Returns what that
+    /// took; a table without a shadow, or with a current one, costs
+    /// nothing.
+    fn publish(&mut self, threads: usize) -> Derived {
+        let delta = std::mem::replace(&mut self.delta, Delta::clean(self.rows.len()));
+        let mut derived = Derived {
+            rows_changed: delta.rows_changed(self.rows.len()),
+            ..Derived::default()
+        };
+        let Some(base) = self.columnar.take() else {
+            return derived;
+        };
+        let shadow = if delta.is_clean(self.rows.len()) {
+            base
+        } else {
+            let (next, built) = base.apply(&delta, &self.rows, threads);
+            derived.tables_rebuilt = 1;
+            derived.segments_rebuilt = built;
+            Arc::new(next)
+        };
+        let stats = match self.stats.take().filter(|_| delta.is_append_only()) {
+            Some(stats) if stats.rows as usize == shadow.rows => stats,
+            Some(stats) => {
+                derived.stats_cells_folded = (shadow.rows - delta.kept()) * shadow.width();
+                Arc::new(tpcds_storage::extend_stats(&stats, &shadow, threads))
+            }
+            None => {
+                derived.stats_cells_folded = shadow.rows * shadow.width();
+                Arc::new(tpcds_storage::collect_stats(&shadow, threads))
+            }
+        };
+        self.columnar = Some(shadow);
+        self.stats = Some(stats);
+        derived
     }
+}
+
+/// What bringing one table's shadow and statistics up to date took.
+#[derive(Clone, Copy, Debug, Default)]
+struct Derived {
+    rows_changed: usize,
+    tables_rebuilt: usize,
+    segments_rebuilt: usize,
+    stats_cells_folded: usize,
 }
 
 /// One immutable published version of the database: every table frozen at
@@ -373,10 +469,13 @@ pub struct Commit {
     pub version: u64,
     /// Tables the transaction wrote (created, dropped, or mutated).
     pub tables_changed: usize,
-    /// Tables whose columnar shadow had to be rebuilt because the
-    /// transaction actually mutated their rows — the `snapshot.tables_rebuilt`
-    /// counter, proving DM no longer re-shadows the whole catalog.
+    /// Tables whose columnar shadow changed because the transaction
+    /// actually mutated their rows — the `snapshot.tables_rebuilt` counter.
     pub tables_rebuilt: usize,
+    /// Segments built for those shadows; every other segment of the new
+    /// version is shared with the base version
+    /// (`snapshot.segments_rebuilt`).
+    pub segments_rebuilt: usize,
 }
 
 struct WriterState {
@@ -430,9 +529,10 @@ impl<'a> WriteTxn<'a> {
         }
     }
 
-    /// Mutable handle to a table, cloning it out of the base snapshot on
-    /// first touch (copy-on-write). Rows and indexes copy; the columnar
-    /// shadow and stats stay shared until a mutation invalidates them.
+    /// Mutable handle to a table, staged out of the base snapshot on first
+    /// touch. Staging copies the index maps and no row: rows, shadow and
+    /// statistics stay shared with the base version, and the table's
+    /// mutators copy what they change.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         if !self.pending.contains_key(name) {
             let t = self.base.table(name)?;
@@ -456,6 +556,18 @@ impl<'a> WriteTxn<'a> {
         Ok(())
     }
 
+    /// Builds a hash index on each of `table`'s `columns`.
+    pub fn create_indexes(&mut self, table: &str, columns: &[&str]) -> Result<()> {
+        let t = self.table_mut(table)?;
+        for column in columns {
+            let col = t
+                .column_index(column)
+                .ok_or_else(|| EngineError::Catalog(format!("unknown column {table}.{column}")))?;
+            t.create_index(col);
+        }
+        Ok(())
+    }
+
     /// Drops a table. Errors if missing.
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         if !self.has_table(name) {
@@ -466,29 +578,29 @@ impl<'a> WriteTxn<'a> {
     }
 
     /// Publishes the staged tables as the next snapshot version and
-    /// returns what changed. For every *mutated* table whose columnar
-    /// shadow was invalidated, the shadow and statistics are rebuilt here
-    /// — and only here — so a commit re-shadows exactly the tables it
-    /// touched (`snapshot.tables_rebuilt`), never the whole catalog.
+    /// returns what changed. Each staged table's shadow and statistics
+    /// are derived here — and only here — from the base version's plus
+    /// the delta its mutators recorded ([`Table::publish`]), so the commit
+    /// costs what the transaction changed: `rows_changed`,
+    /// `segments_rebuilt` and `stats_cells_folded` on the
+    /// `snapshot/commit` span say how much that was.
     pub fn commit(mut self) -> Commit {
         let span = tpcds_obs::span("snapshot", "commit");
         let threads = tpcds_storage::effective_threads();
         let mut tables = self.base.tables.clone();
         let tables_changed = self.pending.len();
-        let mut tables_rebuilt = 0usize;
+        let mut total = Derived::default();
         for (name, entry) in self.pending.drain() {
             match entry {
                 TxnEntry::Dropped => {
                     tables.remove(&name);
                 }
                 TxnEntry::Put(mut t) => {
-                    if t.columnar_enabled() && t.columnar().is_none() {
-                        t.build_columnar();
-                        tables_rebuilt += 1;
-                    }
-                    if t.columnar_enabled() && t.stats().is_none() {
-                        t.build_stats(threads);
-                    }
+                    let derived = t.publish(threads);
+                    total.rows_changed += derived.rows_changed;
+                    total.tables_rebuilt += derived.tables_rebuilt;
+                    total.segments_rebuilt += derived.segments_rebuilt;
+                    total.stats_cells_folded += derived.stats_cells_folded;
                     tables.insert(name, Arc::new(t));
                 }
             }
@@ -502,23 +614,31 @@ impl<'a> WriteTxn<'a> {
             self.state.history.pop_front();
         }
         tpcds_obs::counter("snapshot", "commits", 1.0, &[]);
+        let tables_rebuilt = total.tables_rebuilt;
         if tables_rebuilt > 0 {
+            let version = [("version", tpcds_obs::FieldValue::Int(version as i64))];
             tpcds_obs::counter(
                 "snapshot",
                 "tables_rebuilt",
                 tables_rebuilt as f64,
-                &[("version", tpcds_obs::FieldValue::Int(version as i64))],
+                &version,
             );
+            let segments = total.segments_rebuilt as f64;
+            tpcds_obs::counter("snapshot", "segments_rebuilt", segments, &version);
         }
         tpcds_obs::metrics::gauge_set("snapshot.version", version as i64);
         span.field("version", version as i64)
             .field("tables_changed", tables_changed as i64)
             .field("tables_rebuilt", tables_rebuilt as i64)
+            .field("rows_changed", total.rows_changed as i64)
+            .field("segments_rebuilt", total.segments_rebuilt as i64)
+            .field("stats_cells_folded", total.stats_cells_folded as i64)
             .finish();
         Commit {
             version,
             tables_changed,
             tables_rebuilt,
+            segments_rebuilt: total.segments_rebuilt,
         }
     }
 }
@@ -725,7 +845,7 @@ impl Database {
 
     /// Deletes rows matching `pred` (one auto-commit transaction);
     /// returns the number deleted.
-    pub fn delete_where(&self, name: &str, pred: impl FnMut(&Row) -> bool) -> Result<usize> {
+    pub fn delete_where(&self, name: &str, pred: impl FnMut(&[Value]) -> bool) -> Result<usize> {
         let mut txn = self.begin();
         let deleted = txn.table_mut(name)?.delete_where(pred);
         txn.commit();
@@ -734,7 +854,7 @@ impl Database {
 
     /// Applies `f` to every row of a table (one auto-commit transaction);
     /// returns the number of rows `f` reported changed.
-    pub fn update_each(&self, name: &str, f: impl FnMut(&mut Row) -> bool) -> Result<usize> {
+    pub fn update_each(&self, name: &str, f: impl FnMut(&mut RowMut<'_>) -> bool) -> Result<usize> {
         let mut txn = self.begin();
         let changed = txn.table_mut(name)?.update_each(f);
         txn.commit();
@@ -753,12 +873,14 @@ impl Database {
 
     /// Builds a hash index on `table.column` (one auto-commit transaction).
     pub fn create_index(&self, table: &str, column: &str) -> Result<()> {
+        self.create_indexes(table, &[column])
+    }
+
+    /// Builds a hash index on each of `table`'s `columns` in one
+    /// transaction: one staged table, one published version.
+    pub fn create_indexes(&self, table: &str, columns: &[&str]) -> Result<()> {
         let mut txn = self.begin();
-        let t = txn.table_mut(table)?;
-        let col = t
-            .column_index(column)
-            .ok_or_else(|| EngineError::Catalog(format!("unknown column {table}.{column}")))?;
-        t.create_index(col);
+        txn.create_indexes(table, columns)?;
         txn.commit();
         Ok(())
     }
@@ -788,7 +910,7 @@ impl Database {
         let names = txn.base().table_names();
         let mut built = 0;
         for name in names {
-            if txn.base().table(&name).map(|t| t.columnar_enabled()) == Ok(true) {
+            if txn.base().table(&name).map(|t| t.columnar.is_some()) == Ok(true) {
                 continue;
             }
             if let Ok(t) = txn.table_mut(&name) {
@@ -802,34 +924,6 @@ impl Database {
         built
     }
 
-    /// Rebuilds any enabled-but-missing columnar shadow. Under snapshot
-    /// isolation a published snapshot always carries current shadows
-    /// (commit rebuilds mutated tables before publishing), so this
-    /// normally returns 0; it exists for API compatibility and as a
-    /// belt-and-braces repair path.
-    pub fn refresh_columnar(&self) -> usize {
-        let mut txn = self.begin();
-        let names = txn.base().table_names();
-        let mut rebuilt = 0;
-        for name in names {
-            let stale = txn
-                .base()
-                .table(&name)
-                .map(|t| t.columnar_enabled() && t.columnar().is_none())
-                .unwrap_or(false);
-            if stale {
-                if let Ok(t) = txn.table_mut(&name) {
-                    t.build_columnar();
-                    rebuilt += 1;
-                }
-            }
-        }
-        if rebuilt > 0 {
-            txn.commit();
-        }
-        rebuilt
-    }
-
     /// Attaches a pre-built columnar shadow to one table (one auto-commit
     /// transaction; commit collects statistics from it).
     pub fn attach_columnar(&self, name: &str, ct: ColumnTable) -> Result<()> {
@@ -837,33 +931,6 @@ impl Database {
         txn.table_mut(name)?.attach_columnar(ct)?;
         txn.commit();
         Ok(())
-    }
-
-    /// Collects statistics for every shadowed table missing them. Commit
-    /// already does this for the tables it touches, so this normally
-    /// returns 0; it exists for API compatibility (and for tables whose
-    /// shadow was attached before statistics collection existed).
-    pub fn refresh_stats(&self) -> usize {
-        let mut txn = self.begin();
-        let names = txn.base().table_names();
-        let mut collected = 0;
-        for name in names {
-            let missing = txn
-                .base()
-                .table(&name)
-                .map(|t| t.columnar_enabled() && t.columnar().is_some() && t.stats().is_none())
-                .unwrap_or(false);
-            if missing {
-                // Touch the table; commit collects the stats.
-                if txn.table_mut(&name).is_ok() {
-                    collected += 1;
-                }
-            }
-        }
-        if collected > 0 {
-            txn.commit();
-        }
-        collected
     }
 }
 
@@ -1003,9 +1070,6 @@ mod tests {
             &db.table("u").unwrap().columnar().unwrap(),
             &u_shadow_before
         ));
-        // Nothing left stale to refresh.
-        assert_eq!(db.refresh_columnar(), 0);
-        assert_eq!(db.refresh_stats(), 0);
     }
 
     #[test]
@@ -1050,26 +1114,39 @@ mod tests {
         db.insert("t", vec![vec![Value::Int(1)], vec![Value::Int(2)]])
             .unwrap();
         db.build_columnar_shadows();
+        db.create_index("t", "a").unwrap();
         let v = db.version();
         let rows_before = db.row_count("t");
-        // A DM batch that mutates rows and then dies mid-transaction.
+        let before = db.table("t").unwrap();
+        // A DM batch that stages an append, a delete and an update — rows
+        // copied, deltas recorded, indexes patched — and then dies
+        // mid-transaction.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut txn = db.begin();
             let t = txn.table_mut("t").unwrap();
             t.insert(vec![vec![Value::Int(3)]]).unwrap();
+            assert_eq!(t.delete_where(|r| r[0] == Value::Int(1)), 1);
             t.update_each(|r| {
                 if r[0] == Value::Int(3) {
                     panic!("writer dies mid-batch");
                 }
-                false
+                r[0] = Value::Int(20);
+                true
             });
             txn.commit();
         }));
         assert!(result.is_err());
-        // Head untouched: same version, same rows, shadow still current.
+        // Head untouched: same version, same rows, shadow still current —
+        // the very table, with nothing written through what it shares
+        // with the dead transaction.
         assert_eq!(db.version(), v);
         assert_eq!(db.row_count("t"), rows_before);
         assert!(db.table("t").unwrap().columnar().is_some());
+        assert!(Arc::ptr_eq(&db.table("t").unwrap(), &before));
+        assert_eq!(before.rows[0][0], Value::Int(1));
+        assert_eq!(before.rows[1][0], Value::Int(2));
+        assert_eq!(before.columnar().unwrap().row(1), vec![Value::Int(2)]);
+        assert_eq!(before.indexes[&0], Index::build(&before.rows, 0));
         // The writer lock recovered from the poisoning panic: later
         // transactions commit normally.
         db.insert("t", vec![vec![Value::Int(7)]]).unwrap();
@@ -1082,13 +1159,47 @@ mod tests {
         let db = Database::new();
         db.create_table("t", cols(&["a"])).unwrap();
         db.insert("t", vec![vec![Value::Int(1)]]).unwrap();
-        let bad = tpcds_storage::ColumnTable::from_rows(vec![DataType::Int], &[]);
+        let bad = tpcds_storage::ColumnTable::from_rows::<Row>(vec![DataType::Int], &[]);
         assert!(db.attach_columnar("t", bad).is_err());
         let good =
             tpcds_storage::ColumnTable::from_rows(vec![DataType::Int], &[vec![Value::Int(1)]]);
         assert!(db.attach_columnar("t", good).is_ok());
         let t = db.table("t").unwrap();
         assert_eq!(t.columnar().unwrap().rows, 1);
+    }
+
+    #[test]
+    fn update_each_moves_only_the_postings_whose_key_changed() {
+        let db = Database::new();
+        db.create_table("t", cols(&["k", "v"])).unwrap();
+        let rows = (0..100).map(|i| vec![Value::Int(i % 10), Value::Int(i)]);
+        db.insert("t", rows.collect()).unwrap();
+        db.create_index("t", "k").unwrap();
+        let mut txn = db.begin();
+        let t = txn.table_mut("t").unwrap();
+        let postings = |t: &Table| t.indexes[&0].lookup(&Value::Int(3)).as_ptr();
+        let before = postings(t);
+        // No key column written: the index is not rebuilt — the posting
+        // lists are the allocations they were — and is still right.
+        let changed = t.update_each(|r| {
+            r[1] = Value::Int(-1);
+            true
+        });
+        assert_eq!(changed, 100);
+        assert_eq!(postings(t), before);
+        assert_eq!(t.indexes[&0], Index::build(&t.rows, 0));
+        // A key written: its posting moves, in position order; a key left
+        // with no row drops out.
+        t.update_each(|r| {
+            let hit = r[0] == Value::Int(3) || r[1] == Value::Int(-1) && r[0] == Value::Int(9);
+            if hit {
+                r[0] = Value::Int(4);
+            }
+            hit
+        });
+        assert_eq!(t.indexes[&0], Index::build(&t.rows, 0));
+        assert_eq!(t.indexes[&0].distinct_keys(), 8);
+        txn.commit();
     }
 
     #[test]

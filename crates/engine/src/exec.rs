@@ -953,9 +953,9 @@ fn index_probe(
     let mut out = Vec::new();
     if !key.is_null() {
         for &pos in idx.lookup(&key) {
-            let row = &t.rows[pos];
+            let row = &t.rows()[pos];
             if filter.map_or(Ok(true), |f| f.matches(row, ctx, outer))? {
-                out.push(row.clone());
+                out.push(row.to_vec());
             }
         }
     }
@@ -975,7 +975,7 @@ fn scan_rows(
     route: &mut (RoutePath, Option<&'static str>),
     sink: Sink<'_>,
 ) -> Result<()> {
-    let keep = |row: &Row| filter.map_or(Ok(true), |f| f.matches(row, ctx, outer));
+    let keep = |row: &[Value]| filter.map_or(Ok(true), |f| f.matches(row, ctx, outer));
     if let Some(rows) = crate::sys::rows(ctx.db, table) {
         *route = (RoutePath::Serial, Some(reason::SYS_VIRTUAL));
         for row in rows {
@@ -990,8 +990,8 @@ fn scan_rows(
         *route = (RoutePath::Index, None);
         return feed(rows, sink);
     }
-    for row in &t.rows {
-        if keep(row)? && !sink(row.clone())? {
+    for row in t.rows() {
+        if keep(row)? && !sink(row.to_vec())? {
             break;
         }
     }

@@ -25,7 +25,9 @@ pub mod sync;
 pub mod sys;
 
 pub use binder::{Binder, Bound};
-pub use catalog::{ColumnMeta, Commit, Database, DbSnapshot, SnapshotInfo, Table, WriteTxn};
+pub use catalog::{
+    ColumnMeta, Commit, Database, DbSnapshot, RowMut, SharedRow, SnapshotInfo, Table, WriteTxn,
+};
 pub use error::{EngineError, Result};
 pub use exec::{ColumnarMode, ExecCtx, ExecOptions, RoutePath};
 pub use plan::{NodeReport, Plan};

@@ -97,34 +97,35 @@ pub fn run_maintenance(
             when,
         )?);
     }
-    report.ops.push(insert_channel(
-        db,
-        generator,
-        "insert_store_channel",
-        &["store_sales", "store_returns"],
-        refresh_seq,
-    )?);
-    report.ops.push(insert_channel(
-        db,
-        generator,
-        "insert_catalog_channel",
-        &["catalog_sales", "catalog_returns"],
-        refresh_seq,
-    )?);
-    report.ops.push(insert_channel(
-        db,
-        generator,
-        "insert_web_channel",
-        &["web_sales", "web_returns"],
-        refresh_seq,
-    )?);
+    // The dimension operations are done: what a business key resolves to
+    // cannot change again before the set ends, so the three channels
+    // share one set of maps.
+    let resolvers = Resolvers::current(db, generator)?;
+    for (name, tables) in [
+        ("insert_store_channel", ["store_sales", "store_returns"]),
+        (
+            "insert_catalog_channel",
+            ["catalog_sales", "catalog_returns"],
+        ),
+        ("insert_web_channel", ["web_sales", "web_returns"]),
+    ] {
+        report.ops.push(insert_resolved(
+            db,
+            generator,
+            name,
+            &tables,
+            refresh_seq,
+            &resolvers,
+        )?);
+    }
     report
         .ops
         .push(delete_fact_range(db, generator, refresh_seq)?);
     // Each operation above ran as one write transaction: its commit
-    // rebuilt the columnar shadows and statistics of exactly the tables
-    // it mutated (`snapshot.tables_rebuilt`) and published a new snapshot
-    // version — in-flight queries keep reading the versions they pinned.
+    // derived the columnar shadows and statistics of exactly the tables
+    // it mutated from their previous ones (`snapshot.segments_rebuilt`)
+    // and published a new snapshot version — in-flight queries keep
+    // reading the versions they pinned.
     span.field("rows", report.total_rows())
         .field("versions_committed", report.ops.len() as i64)
         .field("head_version", db.version() as i64)
@@ -257,7 +258,7 @@ pub fn update_history_dimension(
     let mut txn = db.begin();
     let t = txn.table_mut(table)?;
     let mut next_sk = t
-        .rows
+        .rows()
         .iter()
         .filter_map(|r| r[0].as_int())
         .max()
@@ -301,6 +302,20 @@ pub fn update_history_dimension(
     ))
 }
 
+/// Business-key → current-surrogate maps for the maintained dimensions
+/// the fact tables reference.
+struct Resolvers(HashMap<&'static str, HashMap<String, i64>>);
+
+impl Resolvers {
+    fn current(db: &Database, generator: &Generator) -> Result<Resolvers> {
+        let mut maps = HashMap::new();
+        for table in ["item", "customer", "store"] {
+            maps.insert(table, current_surrogates(db, generator, table)?);
+        }
+        Ok(Resolvers(maps))
+    }
+}
+
 /// Figure 10: insert fact rows, resolving business keys to the most
 /// current surrogate key (rec_end_date IS NULL for history-keeping
 /// dimensions).
@@ -310,6 +325,19 @@ pub fn insert_channel(
     name: &'static str,
     tables: &[&str],
     refresh_seq: u32,
+) -> Result<OpReport> {
+    let resolvers = Resolvers::current(db, generator)?;
+    insert_resolved(db, generator, name, tables, refresh_seq, &resolvers)
+}
+
+/// [`insert_channel`] against maps the caller already built.
+fn insert_resolved(
+    db: &Database,
+    generator: &Generator,
+    name: &'static str,
+    tables: &[&str],
+    refresh_seq: u32,
+    resolvers: &Resolvers,
 ) -> Result<OpReport> {
     let span = tpcds_obs::span("maint", "op");
     let mut inserted = 0;
@@ -321,27 +349,21 @@ pub fn insert_channel(
             .schema()
             .table(table)
             .ok_or_else(|| EngineError::Catalog(format!("unknown table {table}")))?;
-        // Business-key → current-surrogate maps for the maintained
-        // dimensions this fact references.
-        let mut resolvers: HashMap<&str, HashMap<String, i64>> = HashMap::new();
-        for ref_table in ["item", "customer", "store"] {
-            if def.foreign_keys.iter().any(|f| f.ref_table == ref_table) {
-                resolvers.insert(ref_table, current_surrogates(db, generator, ref_table)?);
-            }
-        }
-        let conversions: Vec<(usize, &str)> = def
+        let conversions: Vec<(usize, &HashMap<String, i64>)> = def
             .foreign_keys
             .iter()
-            .filter(|f| matches!(f.ref_table, "item" | "customer" | "store"))
-            .map(|f| (def.column_index(f.column).expect("fk col"), f.ref_table))
+            .filter_map(|f| {
+                let resolver = resolvers.0.get(f.ref_table)?;
+                Some((def.column_index(f.column).expect("fk col"), resolver))
+            })
             .collect();
         let rows = generator.refresh_fact_inserts(table, refresh_seq);
         let mut resolved = Vec::with_capacity(rows.len());
         for mut row in rows {
             let mut ok = true;
-            for (col, ref_table) in &conversions {
+            for (col, resolver) in &conversions {
                 if let Some(bk) = row[*col].as_str() {
-                    match resolvers[ref_table].get(bk) {
+                    match resolver.get(bk) {
                         Some(sk) => row[*col] = Value::Int(*sk),
                         None => {
                             ok = false;
@@ -392,8 +414,8 @@ pub fn current_surrogates(
         .iter()
         .position(|c| c.name.ends_with("rec_end_date"));
     let t = db.table(table)?;
-    let mut map = HashMap::with_capacity(t.rows.len());
-    for row in &t.rows {
+    let mut map = HashMap::with_capacity(t.rows().len());
+    for row in t.rows() {
         if let Some(end_idx) = end_idx {
             if !row[end_idx].is_null() {
                 continue;
@@ -451,7 +473,7 @@ pub fn delete_fact_range(
 }
 
 /// Loads the initial population of every table into the database
-/// (creating the tables first), then builds the *basic* auxiliary
+/// (creating the tables first), together with the *basic* auxiliary
 /// structures the implementation rules allow on every part of the schema:
 /// single-column hash indexes on surrogate keys and the most-probed
 /// foreign keys (the richer reporting-only structures are opt-in via
@@ -459,30 +481,29 @@ pub fn delete_fact_range(
 pub fn load_initial_population(db: &Database, generator: &Generator) -> Result<()> {
     tpcds_engine::create_tpcds_tables(db, generator.schema())?;
     let threads = tpcds_storage::effective_threads();
-    for t in generator.schema().tables() {
+    for (table, indexed) in basic_index_columns(generator) {
         // One generation pass feeds both stores: rows stream through a
-        // segment builder on the way into the row table, so the columnar
-        // shadow is attached before the first query runs.
-        let (rows, shadow) = generator.generate_table_columnar(t.name, threads.max(4));
-        db.insert(t.name, rows)?;
-        // Attaching commits a snapshot whose statistics (NDV/histograms)
-        // are collected in the same transaction, so the estimator has
-        // data from the first query on.
-        db.attach_columnar(t.name, shadow)?;
+        // segment builder on the way into the row table. One transaction
+        // lands rows, shadow and indexes, so the table is staged once and
+        // its commit collects the statistics (NDV/histograms) the
+        // estimator reads from the first query on.
+        let (rows, shadow) = generator.generate_table_columnar(table, threads.max(4));
+        let mut txn = db.begin();
+        let t = txn.table_mut(table)?;
+        t.insert(rows)?;
+        t.attach_columnar(shadow)?;
+        txn.create_indexes(table, &indexed)?;
+        txn.commit();
     }
-    build_basic_indexes(db, generator)
+    Ok(())
 }
 
-/// Single-column key indexes: dimension surrogate keys, the fact tables'
-/// customer / item / order columns (probed by correlated subqueries), and
-/// `d_year` (the most common dimension filter).
-pub fn build_basic_indexes(db: &Database, generator: &Generator) -> Result<()> {
-    for t in generator.schema().tables() {
-        if t.kind == tpcds_schema::TableKind::Dimension && t.primary_key.len() == 1 {
-            db.create_index(t.name, t.primary_key[0])?;
-        }
-    }
-    for (table, column) in [
+/// Every table with the columns that get a single-column key index at
+/// load: dimension surrogate keys, the fact tables' customer / item /
+/// order columns (probed by correlated subqueries), and `d_year` (the most
+/// common dimension filter).
+fn basic_index_columns(generator: &Generator) -> Vec<(&'static str, Vec<&'static str>)> {
+    const PROBED: [(&str, &str); 11] = [
         ("store_sales", "ss_customer_sk"),
         ("store_sales", "ss_item_sk"),
         ("store_sales", "ss_ticket_number"),
@@ -494,10 +515,16 @@ pub fn build_basic_indexes(db: &Database, generator: &Generator) -> Result<()> {
         ("catalog_sales", "cs_order_number"),
         ("catalog_returns", "cr_order_number"),
         ("date_dim", "d_year"),
-    ] {
-        db.create_index(table, column)?;
-    }
-    Ok(())
+    ];
+    let tables = generator.schema().tables().iter();
+    tables
+        .map(|t| {
+            let key = (t.kind == tpcds_schema::TableKind::Dimension && t.primary_key.len() == 1)
+                .then(|| t.primary_key[0]);
+            let probed = PROBED.iter().filter(|(table, _)| *table == t.name);
+            (t.name, key.into_iter().chain(probed.map(|p| p.1)).collect())
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -550,7 +577,7 @@ mod tests {
         let end_idx = def.column_index("i_rec_end_date").unwrap();
         let t = db.table("item").unwrap();
         let mut open: HashMap<String, u32> = HashMap::new();
-        for row in &t.rows {
+        for row in t.rows() {
             if row[end_idx].is_null() {
                 *open
                     .entry(row[1].as_str().unwrap().to_string())
@@ -560,7 +587,7 @@ mod tests {
         assert!(open.values().all(|&c| c == 1), "broken revision chains");
         // New revisions carry the refresh date.
         let start_idx = def.column_index("i_rec_start_date").unwrap();
-        assert!(t.rows.iter().any(|r| r[start_idx] == Value::Date(when)));
+        assert!(t.rows().iter().any(|r| r[start_idx] == Value::Date(when)));
     }
 
     #[test]
@@ -585,8 +612,8 @@ mod tests {
         let def = g.schema().table("store_sales").unwrap();
         let item_col = def.column_index("ss_item_sk").unwrap();
         let t = db.table("store_sales").unwrap();
-        assert!(t.rows.len() > ss_before, "no store_sales inserted");
-        for row in t.rows.iter().skip(ss_before) {
+        assert!(t.rows().len() > ss_before, "no store_sales inserted");
+        for row in t.rows().iter().skip(ss_before) {
             let sk = row[item_col].as_int().unwrap();
             assert!(
                 valid.contains(&sk),
@@ -602,7 +629,7 @@ mod tests {
         let def = g.schema().table("store_sales").unwrap();
         let col = def.column_index("ss_sold_date_sk").unwrap();
         let in_range = |t: &tpcds_engine::Table| {
-            t.rows
+            t.rows()
                 .iter()
                 .filter(|r| {
                     r[col]
@@ -639,10 +666,8 @@ mod tests {
         // A mutated table's published snapshot carries a fresh shadow and
         // fresh statistics — nothing left stale to refresh.
         let cust = db.table("customer").unwrap();
-        assert_eq!(cust.columnar().unwrap().rows, cust.rows.len());
+        assert_eq!(cust.columnar().unwrap().rows, cust.rows().len());
         assert!(cust.stats().is_some());
-        assert_eq!(db.refresh_columnar(), 0);
-        assert_eq!(db.refresh_stats(), 0);
     }
 
     #[test]
@@ -657,7 +682,7 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut txn = db.begin();
             let t = txn.table_mut("item").unwrap();
-            let half = t.rows.len() / 2;
+            let half = t.rows().len() / 2;
             let mut n = 0;
             t.update_each(|row| {
                 n += 1;

@@ -24,12 +24,17 @@ use std::sync::OnceLock;
 /// striped across shards round-robin.
 const N_SHARDS: usize = 16;
 
-/// Inclusive upper bounds of every bucket, ascending; the last entry is
-/// `u64::MAX` (the overflow bucket). `bounds()[i]` is the largest value
-/// bucket `i` holds.
-pub fn bounds() -> &'static [u64] {
-    static BOUNDS: OnceLock<Vec<u64>> = OnceLock::new();
-    BOUNDS.get_or_init(|| {
+/// The process-wide bucket layout.
+struct Layout {
+    bounds: Vec<u64>,
+    /// `octave[b]`: the first bucket whose bound reaches `2^b` — where the
+    /// search for a value with `b` as its top bit starts.
+    octave: [u16; 64],
+}
+
+fn layout() -> &'static Layout {
+    static LAYOUT: OnceLock<Layout> = OnceLock::new();
+    LAYOUT.get_or_init(|| {
         let mut b = vec![0u64]; // bucket 0: exactly zero
         let mut hi = 1u64;
         loop {
@@ -42,14 +47,31 @@ pub fn bounds() -> &'static [u64] {
             hi = (hi + 1).max(hi / 5 * 6);
         }
         *b.last_mut().unwrap() = u64::MAX;
-        b
+        let octave = std::array::from_fn(|bit| b.partition_point(|&x| x < 1 << bit) as u16);
+        Layout { bounds: b, octave }
     })
 }
 
+/// Inclusive upper bounds of every bucket, ascending; the last entry is
+/// `u64::MAX` (the overflow bucket). `bounds()[i]` is the largest value
+/// bucket `i` holds.
+pub fn bounds() -> &'static [u64] {
+    &layout().bounds
+}
+
 /// The bucket index holding `v`: the first bucket whose upper bound is
-/// `>= v`.
+/// `>= v`. An octave holds about four buckets, so the scan from the
+/// octave's first is short (this runs once per sample, and once per cell
+/// when table statistics are collected).
 pub fn bucket_index(v: u64) -> usize {
-    bounds().partition_point(|&b| b < v)
+    let Layout { bounds, octave } = layout();
+    let mut i = v
+        .checked_ilog2()
+        .map_or(0, |bit| octave[bit as usize] as usize);
+    while bounds[i] < v {
+        i += 1;
+    }
+    i
 }
 
 /// The inclusive upper bound of bucket `i` — the value a percentile read
@@ -346,6 +368,16 @@ mod tests {
         assert!(b.windows(2).all(|w| w[0] < w[1]));
         // ~x1.2 growth keeps the table small.
         assert!(b.len() < 300, "{} buckets", b.len());
+    }
+
+    #[test]
+    fn bucket_index_is_the_first_bound_reaching_the_value() {
+        let edges = bounds()
+            .iter()
+            .flat_map(|&b| [b.saturating_sub(1), b, b.saturating_add(1)]);
+        for v in edges.chain((0..64).map(|bit| 1 << bit)) {
+            assert_eq!(bucket_index(v), bounds().partition_point(|&b| b < v), "{v}");
+        }
     }
 
     #[test]

@@ -140,12 +140,8 @@ pub(crate) fn gather(takes: &[Take<'_>], threads: usize) -> ColumnTable {
     .into_iter();
     let segments = (0..nseg)
         .map(|k| {
-            let columns: Vec<Column> = columns.by_ref().take(width).collect();
-            Segment {
-                rows: rows.min((k + 1) * SEGMENT_ROWS) - k * SEGMENT_ROWS,
-                bytes: columns.iter().map(Column::heap_bytes).sum(),
-                columns,
-            }
+            let len = rows.min((k + 1) * SEGMENT_ROWS) - k * SEGMENT_ROWS;
+            Arc::new(Segment::seal(columns.by_ref().take(width).collect(), len))
         })
         .collect();
     ColumnTable {

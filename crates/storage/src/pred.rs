@@ -449,7 +449,7 @@ mod tests {
     use crate::segment::ColumnTableBuilder;
     use tpcds_types::DataType;
 
-    fn seg_of(dtypes: Vec<DataType>, rows: Vec<Vec<Value>>) -> Segment {
+    fn seg_of(dtypes: Vec<DataType>, rows: Vec<Vec<Value>>) -> std::sync::Arc<Segment> {
         let mut b = ColumnTableBuilder::new(dtypes);
         for r in &rows {
             b.push_row(r);

@@ -73,7 +73,13 @@ impl Decimal {
     /// Converts to `f64` (used only for display-level work such as
     /// histograms; all query arithmetic stays exact).
     pub fn to_f64(&self) -> f64 {
-        self.mantissa as f64 / POW10[self.scale as usize] as f64
+        let pow = POW10[self.scale as usize];
+        // Same roundings as the 128-bit conversions, without their
+        // library calls, whenever both operands fit 64 bits.
+        match (i64::try_from(self.mantissa), i64::try_from(pow)) {
+            (Ok(m), Ok(p)) => m as f64 / p as f64,
+            _ => self.mantissa as f64 / pow as f64,
+        }
     }
 
     /// Builds the closest decimal of the given scale from an `f64`.
@@ -99,8 +105,17 @@ impl Decimal {
     /// Strips trailing fractional zeros so equal values share one
     /// representation (needed for hashing).
     pub fn normalize(&self) -> Self {
-        let mut m = self.mantissa;
         let mut s = self.scale;
+        // `i128 % 10` is a library call; money-sized mantissas strip in
+        // 64-bit arithmetic.
+        if let Ok(mut m) = i64::try_from(self.mantissa) {
+            while s > 0 && m % 10 == 0 {
+                m /= 10;
+                s -= 1;
+            }
+            return Decimal::new(m as i128, s);
+        }
+        let mut m = self.mantissa;
         while s > 0 && m % 10 == 0 {
             m /= 10;
             s -= 1;

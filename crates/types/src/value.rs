@@ -175,6 +175,15 @@ impl Value {
         }
     }
 
+    /// Feeds `state` exactly what hashing [`Value::Str`] of `s` feeds it,
+    /// for callers that hold the string without its `Arc` (typed column
+    /// buffers).
+    pub fn hash_str<H: std::hash::Hasher>(s: &str, state: &mut H) {
+        use std::hash::Hash;
+        5u8.hash(state);
+        s.hash(state);
+    }
+
     /// Equality under the grouping semantics of [`Value::sort_cmp`]
     /// (NULL == NULL, `1 == 1.0`).
     pub fn group_eq(&self, other: &Value) -> bool {
@@ -228,10 +237,7 @@ impl std::hash::Hash for Value {
                 4u8.hash(state);
                 t.hash(state);
             }
-            Value::Str(s) => {
-                5u8.hash(state);
-                s.hash(state);
-            }
+            Value::Str(s) => Value::hash_str(s, state),
         }
     }
 }

@@ -69,7 +69,8 @@ fn build_db_unshadowed(rng: &mut SplitMix64, rows: usize) -> Database {
     let shadowed = build_db(rng, rows);
     let s = shadowed.snapshot().table("s").unwrap();
     let db = Database::new();
-    db.create_table_with_rows("s", s.columns.clone(), s.rows.clone())
+    let rows = s.rows().iter().map(|r| r.to_vec()).collect();
+    db.create_table_with_rows("s", s.columns.clone(), rows)
         .unwrap();
     db
 }
