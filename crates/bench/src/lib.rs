@@ -8,7 +8,6 @@
 
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod experiments;
 pub mod figures;
 pub mod harness;

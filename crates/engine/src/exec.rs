@@ -532,14 +532,14 @@ fn interpreted(plan: &Plan, ctx: &ExecCtx<'_>) -> Option<&'static str> {
             } else if t.columnar().is_none() {
                 Some(reason::NO_SHADOW)
             } else {
-                let compiles = |f| compile_any_pred(f).is_some();
-                (!filter.as_ref().is_none_or(compiles)).then_some(reason::EXPR_UNSUPPORTED)
+                (filter.as_ref().is_some_and(BExpr::needs_context))
+                    .then_some(reason::EXPR_UNSUPPORTED)
             }
         }
-        Plan::Filter { input, predicate } => match compile_any_pred(predicate) {
-            None => Some(reason::EXPR_UNSUPPORTED),
-            Some(_) => interpreted(input, ctx),
-        },
+        Plan::Filter { predicate, .. } if predicate.needs_context() => {
+            Some(reason::EXPR_UNSUPPORTED)
+        }
+        Plan::Filter { input, .. } => interpreted(input, ctx),
         Plan::Project { input, exprs } if plain_cols(exprs).is_some() => interpreted(input, ctx),
         Plan::Prefix { input, .. } => interpreted(input, ctx),
         _ => None,
@@ -618,14 +618,10 @@ fn storage_err(e: tpcds_storage::StorageError) -> EngineError {
     EngineError::exec(e.0)
 }
 
-/// `compiled` is `e` compiled over `b`'s visible row; kernels address
-/// physical columns, so under a pending projection `e` is recompiled
-/// against those.
-fn rebase<T>(b: &Batch, e: &BExpr, compiled: T, compile: fn(&BExpr) -> Option<T>) -> T {
-    match &b.proj {
-        None => compiled,
-        Some(p) => compile(&e.remap_columns(&|c| p[c])).expect("compiled once already"),
-    }
+/// Compiles `e`, which no [`interpreted`]-style check refused, for a
+/// kernel over `b`: against the physical columns behind `b`'s visible row.
+fn compile_over(b: &Batch, e: &BExpr) -> tpcds_storage::Expr {
+    compile_expr(e, &|c| b.phys(c)).expect("checked: needs no engine context")
 }
 
 /// The column indexes when every expression is a plain column reference.
@@ -661,16 +657,15 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
             }
             columnar();
             let b = Batch::new(t.columnar().expect("not interpreted: has a shadow"));
-            Ok(match filter.as_ref().map(compile_any_pred) {
-                Some(pred) => b.filter(pred.expect("not interpreted: compiles")),
+            Ok(match filter.as_ref().map(|f| compile_over(&b, f)) {
+                Some(f) => b.filter(f),
                 None => b,
             })
         }
         Plan::Filter { input, predicate } => {
             columnar();
-            let pred = compile_any_pred(predicate).expect("not interpreted: compiles");
             let b = batch(input, ctx, outer)?;
-            let pred = rebase(&b, predicate, pred, compile_any_pred);
+            let pred = compile_over(&b, predicate);
             Ok(b.filter(pred))
         }
         Plan::Project { input, exprs } => {
@@ -678,14 +673,12 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
                 columnar();
                 return Ok(batch(input, ctx, outer)?.project(&cols));
             }
-            let Some(cexprs) = exprs.iter().map(compile_expr).collect::<Option<Vec<_>>>() else {
+            if exprs.iter().any(BExpr::needs_context) {
                 return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
-            };
+            }
             columnar();
             let b = batch(input, ctx, outer)?;
-            let cexprs: Vec<_> = (exprs.iter().zip(cexprs))
-                .map(|(e, c)| rebase(&b, e, c, compile_expr))
-                .collect();
+            let cexprs: Vec<_> = exprs.iter().map(|e| compile_over(&b, e)).collect();
             let res = tpcds_storage::par_project_table(&b, &cexprs, threads);
             check_err(&b)?;
             let (table, cs, es) = res.map_err(storage_err)?;
@@ -772,13 +765,11 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
             Ok(Batch::from_rows(plan.width(), &rows))
         }
         Plan::Sort { input, keys } | Plan::TopN { input, keys, .. } => {
-            let Some(ckeys) =
-                (keys.iter().map(|(e, _)| compile_expr(e))).collect::<Option<Vec<_>>>()
-            else {
+            if keys.iter().any(|(e, _)| e.needs_context()) {
                 return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
-            };
+            }
             columnar();
-            let (b, skeys) = sort_source(batch(input, ctx, outer)?, keys, ckeys, node, ctx)?;
+            let (b, skeys) = sort_source(batch(input, ctx, outer)?, keys, node, ctx)?;
             let (table, ss) = match plan {
                 Plan::TopN { n, .. } => tpcds_storage::par_topn(&b, &skeys, *n as usize, threads),
                 _ => tpcds_storage::par_sort(&b, &skeys, threads),
@@ -872,7 +863,7 @@ fn join_sides(
     let (Some(lk), Some(rk)) = (plain_cols(left_keys), plain_cols(right_keys)) else {
         return Ok(Err(reason::KEY_SHAPE));
     };
-    if residual.as_ref().is_some_and(|r| compile_expr(r).is_none()) {
+    if residual.as_ref().is_some_and(BExpr::needs_context) {
         return Ok(Err(reason::EXPR_UNSUPPORTED));
     }
     let probe = batch(left, ctx, outer)?;
@@ -884,9 +875,7 @@ fn join_sides(
         build,
         residual: None,
     };
-    j.residual = residual
-        .as_ref()
-        .and_then(|r| compile_expr(&r.remap_columns(&|c| j.phys(c))));
+    j.residual = (residual.as_ref()).and_then(|r| compile_expr(r, &|c| j.phys(c)));
     Ok(Ok(j))
 }
 
@@ -897,7 +886,6 @@ fn join_sides(
 fn sort_source(
     b: Batch,
     keys: &[(BExpr, bool)],
-    ckeys: Vec<tpcds_storage::Expr>,
     node: usize,
     ctx: &ExecCtx<'_>,
 ) -> Result<(Batch, Vec<tpcds_storage::SortKey>)> {
@@ -913,7 +901,7 @@ fn sort_source(
     }
     let visible: Vec<usize> = (0..b.width()).collect();
     let exprs: Vec<_> = (b.cols().into_iter().map(tpcds_storage::Expr::Col))
-        .chain((keys.iter().zip(ckeys)).map(|((e, _), c)| rebase(&b, e, c, compile_expr)))
+        .chain(keys.iter().map(|(e, _)| compile_over(&b, e)))
         .collect();
     let res = tpcds_storage::par_project_table(&b, &exprs, ctx.threads());
     check_err(&b)?;
@@ -1175,16 +1163,20 @@ fn cmp_kind(op: crate::expr::CmpOp) -> tpcds_storage::CmpKind {
     }
 }
 
-/// Compiles a bound scalar expression to the vectorized kernel AST
-/// ([`tpcds_storage::Expr`]). The kernels share the row path's scalar
-/// semantics ([`tpcds_types::scalar`]), so everything compiles except the
-/// shapes that need engine context at evaluation time: subqueries and
-/// outer-column references. `None` = stay on the row path.
-fn compile_expr(e: &BExpr) -> Option<tpcds_storage::Expr> {
+/// Compiles a bound scalar expression — a projection, a sort key, a
+/// filter, a join residual alike — to the vectorized kernel AST
+/// ([`tpcds_storage::Expr`]), column `c` becoming `phys(c)`. The kernels
+/// share the row path's scalar semantics ([`tpcds_types::scalar`]), so
+/// everything compiles except the shapes that need engine context at
+/// evaluation time ([`BExpr::needs_context`]). `None` = stay on the row
+/// path.
+fn compile_expr(e: &BExpr, phys: &impl Fn(usize) -> usize) -> Option<tpcds_storage::Expr> {
     use tpcds_storage::Expr as X;
-    let c = |x: &BExpr| compile_expr(x).map(Box::new);
+    let c = |x: &BExpr| compile_expr(x, phys).map(Box::new);
+    let all =
+        |xs: &[BExpr]| -> Option<Vec<X>> { xs.iter().map(|x| compile_expr(x, phys)).collect() };
     Some(match e {
-        BExpr::Col(i) => X::Col(*i),
+        BExpr::Col(i) => X::Col(phys(*i)),
         BExpr::Lit(v) => X::Lit(v.clone()),
         BExpr::Cmp(op, l, r) => X::Cmp(cmp_kind(*op), c(l)?, c(r)?),
         BExpr::And(l, r) => X::And(c(l)?, c(r)?),
@@ -1194,11 +1186,7 @@ fn compile_expr(e: &BExpr) -> Option<tpcds_storage::Expr> {
         BExpr::Neg(x) => X::Neg(c(x)?),
         BExpr::IsNull(x, negated) => X::IsNull(c(x)?, *negated),
         BExpr::Like(x, p, negated) => X::Like(c(x)?, c(p)?, *negated),
-        BExpr::InList(x, list, negated) => X::InList(
-            c(x)?,
-            list.iter().map(compile_expr).collect::<Option<Vec<_>>>()?,
-            *negated,
-        ),
+        BExpr::InList(x, list, negated) => X::InList(c(x)?, all(list)?, *negated),
         BExpr::Between(x, lo, hi, negated) => X::Between(c(x)?, c(lo)?, c(hi)?, *negated),
         BExpr::Case {
             operand,
@@ -1211,7 +1199,7 @@ fn compile_expr(e: &BExpr) -> Option<tpcds_storage::Expr> {
             },
             branches: branches
                 .iter()
-                .map(|(w, t)| Some((compile_expr(w)?, compile_expr(t)?)))
+                .map(|(w, t)| Some((compile_expr(w, phys)?, compile_expr(t, phys)?)))
                 .collect::<Option<Vec<_>>>()?,
             else_branch: match else_branch {
                 Some(eb) => Some(c(eb)?),
@@ -1219,106 +1207,13 @@ fn compile_expr(e: &BExpr) -> Option<tpcds_storage::Expr> {
             },
         },
         BExpr::Cast(x, ty) => X::Cast(c(x)?, *ty),
-        BExpr::Func(f, args) => X::Func(
-            *f,
-            args.iter().map(compile_expr).collect::<Option<Vec<_>>>()?,
-        ),
+        BExpr::Func(f, args) => X::Func(*f, all(args)?),
         BExpr::Concat(l, r) => X::Concat(c(l)?, c(r)?),
         BExpr::OuterCol(_)
         | BExpr::ScalarSubquery(..)
         | BExpr::InSubquery(..)
         | BExpr::Exists(..) => return None,
     })
-}
-
-/// Compiles a predicate for the segment kernels: the specialized
-/// column-vs-literal [`tpcds_storage::Pred`] forms when the shape fits
-/// (they skip per-row `Value` materialization), else a general compiled
-/// expression wrapped in [`tpcds_storage::ExprPred`] with its deferred
-/// per-row error cell. `None` only for subqueries / outer references.
-fn compile_any_pred(e: &BExpr) -> Option<tpcds_storage::Pred> {
-    if let Some(p) = compile_pred(e) {
-        return Some(p);
-    }
-    let x = compile_expr(e)?;
-    Some(tpcds_storage::Pred::Expr(tpcds_storage::ExprPred::new(x)))
-}
-
-/// Compiles a bound predicate to the columnar kernel subset: comparisons,
-/// BETWEEN/IN/LIKE/IS NULL of a *column against literals*, combined with
-/// AND/OR/NOT. Anything else falls through to [`compile_any_pred`]'s
-/// expression path.
-fn compile_pred(e: &BExpr) -> Option<tpcds_storage::Pred> {
-    use tpcds_storage::{CmpKind, Pred};
-    /// Mirror of `lit <op> col` as `col <flipped op> lit`.
-    fn flip(k: CmpKind) -> CmpKind {
-        match k {
-            CmpKind::Eq => CmpKind::Eq,
-            CmpKind::Ne => CmpKind::Ne,
-            CmpKind::Lt => CmpKind::Gt,
-            CmpKind::Le => CmpKind::Ge,
-            CmpKind::Gt => CmpKind::Lt,
-            CmpKind::Ge => CmpKind::Le,
-        }
-    }
-    match e {
-        BExpr::Cmp(op, l, r) => match (l.as_ref(), r.as_ref()) {
-            (BExpr::Col(i), BExpr::Lit(v)) => Some(Pred::Cmp(cmp_kind(*op), *i, v.clone())),
-            (BExpr::Lit(v), BExpr::Col(i)) => Some(Pred::Cmp(flip(cmp_kind(*op)), *i, v.clone())),
-            _ => None,
-        },
-        BExpr::And(l, r) => Some(Pred::And(
-            Box::new(compile_pred(l)?),
-            Box::new(compile_pred(r)?),
-        )),
-        BExpr::Or(l, r) => Some(Pred::Or(
-            Box::new(compile_pred(l)?),
-            Box::new(compile_pred(r)?),
-        )),
-        BExpr::Not(x) => Some(Pred::Not(Box::new(compile_pred(x)?))),
-        BExpr::IsNull(x, negated) => match x.as_ref() {
-            BExpr::Col(i) => Some(Pred::IsNull {
-                col: *i,
-                negated: *negated,
-            }),
-            _ => None,
-        },
-        BExpr::Like(x, p, negated) => match (x.as_ref(), p.as_ref()) {
-            (BExpr::Col(i), BExpr::Lit(pat)) => Some(Pred::Like {
-                col: *i,
-                pattern: pat.clone(),
-                negated: *negated,
-            }),
-            _ => None,
-        },
-        BExpr::InList(x, list, negated) => {
-            let BExpr::Col(i) = x.as_ref() else {
-                return None;
-            };
-            let mut lits = Vec::with_capacity(list.len());
-            for item in list {
-                match item {
-                    BExpr::Lit(v) => lits.push(v.clone()),
-                    _ => return None,
-                }
-            }
-            Some(Pred::InList {
-                col: *i,
-                list: lits,
-                negated: *negated,
-            })
-        }
-        BExpr::Between(x, lo, hi, negated) => match (x.as_ref(), lo.as_ref(), hi.as_ref()) {
-            (BExpr::Col(i), BExpr::Lit(l), BExpr::Lit(h)) => Some(Pred::Between {
-                col: *i,
-                lo: l.clone(),
-                hi: h.clone(),
-                negated: *negated,
-            }),
-            _ => None,
-        },
-        _ => None,
-    }
 }
 
 /// Compiles the aggregate shape the kernels accept: a single all-on
@@ -1340,17 +1235,7 @@ fn compile_agg_shape(
         if a.distinct {
             return None;
         }
-        let kind = match a.func {
-            AggFunc::CountStar => AggKind::CountStar,
-            AggFunc::Count => AggKind::Count,
-            AggFunc::Sum => AggKind::Sum,
-            AggFunc::Min => AggKind::Min,
-            AggFunc::Max => AggKind::Max,
-            AggFunc::Avg => AggKind::Avg,
-            // STDDEV_SAMP's streaming f64 update is order-sensitive, and
-            // GROUPING() needs the sets machinery: row path.
-            AggFunc::StddevSamp | AggFunc::Grouping(_) => return None,
-        };
+        let kind = agg_kind(&a.func)?;
         let col = match (&a.arg, kind) {
             (None, AggKind::CountStar) => None,
             (Some(BExpr::Col(i)), k) if k != AggKind::CountStar => Some(*i),
@@ -1359,6 +1244,22 @@ fn compile_agg_shape(
         specs.push(AggSpec { kind, col });
     }
     Some((group_cols, specs))
+}
+
+/// The kernels' name for an aggregate function; `None` for the two only
+/// the row path runs: STDDEV_SAMP's streaming f64 update is
+/// order-sensitive, and GROUPING() needs the sets machinery.
+fn agg_kind(f: &AggFunc) -> Option<tpcds_storage::AggKind> {
+    use tpcds_storage::AggKind;
+    Some(match f {
+        AggFunc::CountStar => AggKind::CountStar,
+        AggFunc::Count => AggKind::Count,
+        AggFunc::Sum => AggKind::Sum,
+        AggFunc::Min => AggKind::Min,
+        AggFunc::Max => AggKind::Max,
+        AggFunc::Avg => AggKind::Avg,
+        AggFunc::StddevSamp | AggFunc::Grouping(_) => return None,
+    })
 }
 
 /// Maps compiled group and aggregate columns onto physical columns.
@@ -1495,145 +1396,38 @@ fn nested_loop_join(
 /// group key -> (accumulators, distinct trackers) in hash aggregation.
 type GroupState = (Vec<Acc>, Vec<Option<HashSet<Value>>>);
 
-/// Accumulator for one aggregate call in one group.
+/// Accumulator for one aggregate call in one group: the kernels' own
+/// partial state for the functions they share with the row path, plus
+/// the two only the row path runs.
 enum Acc {
-    Count(i64),
-    Sum {
-        dec: Option<Decimal>,
-        int: i128,
-        any_dec: bool,
-        seen: bool,
-    },
-    MinMax {
-        best: Option<Value>,
-        is_min: bool,
-    },
-    Avg {
-        sum: Decimal,
-        n: i64,
-    },
-    Stddev {
-        n: f64,
-        mean: f64,
-        m2: f64,
-    },
+    Partial(tpcds_storage::agg::PAcc),
+    Stddev { n: f64, mean: f64, m2: f64 },
     Grouping(i64),
 }
 
 impl Acc {
     fn new(f: &AggFunc, grouping_val: i64) -> Acc {
-        match f {
-            AggFunc::Count | AggFunc::CountStar => Acc::Count(0),
-            AggFunc::Sum => Acc::Sum {
-                dec: None,
-                int: 0,
-                any_dec: false,
-                seen: false,
-            },
-            AggFunc::Min => Acc::MinMax {
-                best: None,
-                is_min: true,
-            },
-            AggFunc::Max => Acc::MinMax {
-                best: None,
-                is_min: false,
-            },
-            AggFunc::Avg => Acc::Avg {
-                sum: Decimal::ZERO,
-                n: 0,
-            },
-            AggFunc::StddevSamp => Acc::Stddev {
+        match (f, agg_kind(f)) {
+            (_, Some(kind)) => Acc::Partial(tpcds_storage::agg::PAcc::new(kind)),
+            (AggFunc::Grouping(_), None) => Acc::Grouping(grouping_val),
+            (_, None) => Acc::Stddev {
                 n: 0.0,
                 mean: 0.0,
                 m2: 0.0,
             },
-            AggFunc::Grouping(_) => Acc::Grouping(grouping_val),
         }
     }
 
     fn update(&mut self, v: Option<&Value>) -> Result<()> {
         match self {
-            Acc::Count(c) => {
-                match v {
-                    None => *c += 1, // count(*)
-                    Some(v) if !v.is_null() => *c += 1,
-                    _ => {}
-                }
-            }
-            Acc::Sum {
-                dec,
-                int,
-                any_dec,
-                seen,
-            } => {
-                if let Some(v) = v {
-                    match v {
-                        Value::Null => {}
-                        Value::Int(i) => {
-                            *int += *i as i128;
-                            *seen = true;
-                        }
-                        Value::Decimal(d) => {
-                            let cur = dec.unwrap_or(Decimal::ZERO);
-                            *dec = Some(
-                                cur.checked_add(d)
-                                    .ok_or_else(|| EngineError::exec("sum overflow"))?,
-                            );
-                            *any_dec = true;
-                            *seen = true;
-                        }
-                        other => {
-                            return Err(EngineError::exec(format!("sum of non-number {other}")))
-                        }
-                    }
-                }
-            }
-            Acc::MinMax { best, is_min } => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        let replace = match best {
-                            None => true,
-                            Some(b) => {
-                                let ord = v.sql_cmp(b);
-                                match ord {
-                                    Some(o) => {
-                                        if *is_min {
-                                            o == std::cmp::Ordering::Less
-                                        } else {
-                                            o == std::cmp::Ordering::Greater
-                                        }
-                                    }
-                                    None => false,
-                                }
-                            }
-                        };
-                        if replace {
-                            *best = Some(v.clone());
-                        }
-                    }
-                }
-            }
-            Acc::Avg { sum, n } => {
-                if let Some(v) = v {
-                    if let Some(d) = v.as_decimal() {
-                        *sum = sum
-                            .checked_add(&d)
-                            .ok_or_else(|| EngineError::exec("avg overflow"))?;
-                        *n += 1;
-                    } else if !v.is_null() {
-                        return Err(EngineError::exec(format!("avg of non-number {v}")));
-                    }
-                }
-            }
+            Acc::Partial(p) => p.update(v).map_err(storage_err)?,
             Acc::Stddev { n, mean, m2 } => {
-                if let Some(v) = v {
-                    if let Some(d) = v.as_decimal() {
-                        let x = d.to_f64();
-                        *n += 1.0;
-                        let delta = x - *mean;
-                        *mean += delta / *n;
-                        *m2 += delta * (x - *mean);
-                    }
+                if let Some(d) = v.and_then(Value::as_decimal) {
+                    let x = d.to_f64();
+                    *n += 1.0;
+                    let delta = x - *mean;
+                    *mean += delta / *n;
+                    *m2 += delta * (x - *mean);
                 }
             }
             Acc::Grouping(_) => {}
@@ -1643,35 +1437,7 @@ impl Acc {
 
     fn finish(self) -> Value {
         match self {
-            Acc::Count(c) => Value::Int(c),
-            Acc::Sum {
-                dec,
-                int,
-                any_dec,
-                seen,
-            } => {
-                if !seen {
-                    Value::Null
-                } else if any_dec {
-                    let mut total = dec.unwrap_or(Decimal::ZERO);
-                    if int != 0 {
-                        total = total.checked_add(&Decimal::new(int, 0)).unwrap_or(total);
-                    }
-                    Value::Decimal(total)
-                } else {
-                    Value::Int(int as i64)
-                }
-            }
-            Acc::MinMax { best, .. } => best.unwrap_or(Value::Null),
-            Acc::Avg { sum, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    sum.checked_div(&Decimal::from_int(n))
-                        .map(Value::Decimal)
-                        .unwrap_or(Value::Null)
-                }
-            }
+            Acc::Partial(p) => p.finish(),
             Acc::Stddev { n, m2, .. } => {
                 if n < 2.0 {
                     Value::Null

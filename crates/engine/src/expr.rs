@@ -484,41 +484,64 @@ impl BExpr {
         }
     }
 
+    /// True when `test` holds for this node or one below it (subquery
+    /// plans are not entered).
+    fn any(&self, test: &impl Fn(&BExpr) -> bool) -> bool {
+        let any = |e: &BExpr| e.any(test);
+        test(self)
+            || match self {
+                BExpr::Col(_) | BExpr::OuterCol(_) | BExpr::Lit(_) => false,
+                BExpr::ScalarSubquery(..) | BExpr::Exists(..) => false,
+                BExpr::Cmp(_, a, b)
+                | BExpr::And(a, b)
+                | BExpr::Or(a, b)
+                | BExpr::Arith(_, a, b)
+                | BExpr::Concat(a, b)
+                | BExpr::Like(a, b, _) => any(a) || any(b),
+                BExpr::Not(a)
+                | BExpr::Neg(a)
+                | BExpr::IsNull(a, _)
+                | BExpr::Cast(a, _)
+                | BExpr::InSubquery(a, ..) => any(a),
+                BExpr::InList(a, list, _) => any(a) || list.iter().any(any),
+                BExpr::Between(a, lo, hi, _) => any(a) || any(lo) || any(hi),
+                BExpr::Case {
+                    operand,
+                    branches,
+                    else_branch,
+                } => {
+                    operand.as_deref().is_some_and(any)
+                        || branches.iter().any(|(c, r)| any(c) || any(r))
+                        || else_branch.as_deref().is_some_and(any)
+                }
+                BExpr::Func(_, args) => args.iter().any(any),
+            }
+    }
+
     /// True when the expression contains a subquery (which may be
     /// correlated against columns that a remap cannot chase into the plan).
     pub fn has_subquery(&self) -> bool {
-        match self {
-            BExpr::ScalarSubquery(..) | BExpr::InSubquery(..) | BExpr::Exists(..) => true,
-            BExpr::Col(_) | BExpr::OuterCol(_) | BExpr::Lit(_) => false,
-            BExpr::Cmp(_, a, b)
-            | BExpr::And(a, b)
-            | BExpr::Or(a, b)
-            | BExpr::Arith(_, a, b)
-            | BExpr::Concat(a, b)
-            | BExpr::Like(a, b, _) => a.has_subquery() || b.has_subquery(),
-            BExpr::Not(a) | BExpr::Neg(a) | BExpr::IsNull(a, _) | BExpr::Cast(a, _) => {
-                a.has_subquery()
-            }
-            BExpr::InList(a, list, _) => a.has_subquery() || list.iter().any(|e| e.has_subquery()),
-            BExpr::Between(a, lo, hi, _) => {
-                a.has_subquery() || lo.has_subquery() || hi.has_subquery()
-            }
-            BExpr::Case {
-                operand,
-                branches,
-                else_branch,
-            } => {
-                operand.as_ref().map(|o| o.has_subquery()).unwrap_or(false)
-                    || branches
-                        .iter()
-                        .any(|(c, r)| c.has_subquery() || r.has_subquery())
-                    || else_branch
-                        .as_ref()
-                        .map(|e| e.has_subquery())
-                        .unwrap_or(false)
-            }
-            BExpr::Func(_, args) => args.iter().any(|e| e.has_subquery()),
-        }
+        self.any(&|e| {
+            matches!(
+                e,
+                BExpr::ScalarSubquery(..) | BExpr::InSubquery(..) | BExpr::Exists(..)
+            )
+        })
+    }
+
+    /// True when evaluating the expression needs more than the row it is
+    /// given — a subquery to run or the enclosing query's row — so it has
+    /// no segment kernel.
+    pub fn needs_context(&self) -> bool {
+        self.any(&|e| {
+            matches!(
+                e,
+                BExpr::OuterCol(_)
+                    | BExpr::ScalarSubquery(..)
+                    | BExpr::InSubquery(..)
+                    | BExpr::Exists(..)
+            )
+        })
     }
 }
 

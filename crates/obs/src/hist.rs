@@ -135,7 +135,7 @@ impl Histogram {
             for (i, c) in shard.counts.iter().enumerate() {
                 snap.counts[i] += c.load(Ordering::Relaxed);
             }
-            snap.sum += shard.sum.load(Ordering::Relaxed);
+            snap.sum = snap.sum.wrapping_add(shard.sum.load(Ordering::Relaxed));
         }
         snap.count = snap.counts.iter().sum();
         snap
@@ -156,7 +156,8 @@ pub struct HistSnapshot {
     counts: Vec<u64>,
     /// Total samples.
     pub count: u64,
-    /// Exact sum of all samples (not quantized).
+    /// Exact sum of all samples (not quantized), modulo 2^64 — the same
+    /// in every build profile, like the atomic shards it is merged from.
     pub sum: u64,
 }
 
@@ -180,7 +181,7 @@ impl HistSnapshot {
     pub fn record(&mut self, v: u64) {
         self.counts[bucket_index(v)] += 1;
         self.count += 1;
-        self.sum += v;
+        self.sum = self.sum.wrapping_add(v);
     }
 
     /// Merges another histogram in (commutative: bucket-wise sums).
@@ -189,7 +190,7 @@ impl HistSnapshot {
             *a += b;
         }
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum = self.sum.wrapping_add(other.sum);
     }
 
     /// Whether no samples were recorded.
@@ -444,6 +445,15 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.count, 7);
+        // Samples whose sum passes u64::MAX (a column holding i64::MIN
+        // and i64::MAX maps to both ends) wrap instead of panicking.
+        a.record(u64::MAX);
+        b.record(u64::MAX);
+        let mut ab = a.clone();
+        ab.merge(&b);
+        b.merge(&a);
+        assert_eq!(ab, b);
+        assert_eq!(ab.sum, 3_063 + 900_057 - 2, "2 * u64::MAX is -2 mod 2^64");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Partial aggregate accumulators with exact merge semantics.
 //!
-//! [`PAcc`] mirrors the engine executor's accumulators for the aggregate
-//! subset the columnar path accepts — COUNT(*)/COUNT/SUM/MIN/MAX/AVG, all
-//! non-DISTINCT. Each state is associative and commutative (integer sums
+//! [`PAcc`] is the accumulator for the aggregate subset the columnar path
+//! accepts — COUNT(*)/COUNT/SUM/MIN/MAX/AVG, all non-DISTINCT — and the one
+//! the engine's row path folds those functions with too ([`PAcc::update`]
+//! per value). Each state is associative and commutative (integer sums
 //! in `i128`, decimal sums exact, MIN/MAX a comparison lattice), so
 //! per-worker partials merge into exactly the value the serial row path
 //! produces. STDDEV_SAMP is deliberately *not* here: its streaming `f64`
@@ -40,8 +41,8 @@ pub struct AggSpec {
     pub col: Option<usize>,
 }
 
-/// A partial accumulator. Field-for-field the engine's `Acc` states for
-/// the supported functions, so `finish` yields byte-identical values.
+/// A partial accumulator; the row path and the kernels share it, so
+/// `finish` yields byte-identical values on both.
 #[derive(Clone, Debug)]
 pub enum PAcc {
     /// COUNT / COUNT(*).
@@ -337,7 +338,7 @@ impl PAcc {
         Ok(())
     }
 
-    /// Final value — the same mapping the engine's serial path applies.
+    /// Final value.
     pub fn finish(self) -> Value {
         match self {
             PAcc::Count(c) => Value::Int(c),

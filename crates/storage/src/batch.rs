@@ -1,15 +1,16 @@
 //! The operator contract: a lazy column [`Batch`], and the typed gather
 //! that builds a new table from row ids (join, sort and Top-N output).
 //!
-//! A batch is a table plus what has been *asked* of it so far: a pending
-//! predicate and a pending output projection. Nothing is evaluated until a
-//! kernel consumes the batch, so `Filter` and plain-column `Project` cost
-//! nothing and fuse into whatever runs next. Kernel arguments (keys,
-//! group columns, compiled expressions, the predicate itself) always
-//! address the table's **physical** columns; `proj` only shapes what a
-//! kernel emits.
+//! A batch is a table plus what has been *asked* of it so far: the
+//! filters stacked on it ([`Pred`], a chain of boolean [`Expr`]s) and a
+//! pending output projection. Nothing is evaluated until a kernel consumes
+//! the batch, so `Filter` and plain-column `Project` cost nothing and fuse
+//! into whatever runs next. Kernel arguments (keys, group columns,
+//! compiled expressions, the filters themselves) always address the
+//! table's **physical** columns; `proj` only shapes what a kernel emits.
 
 use crate::column::{Bitmap, Column, ColumnData};
+use crate::expr::Expr;
 use crate::morsel::{run_chunks, worker_count};
 use crate::pred::Pred;
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
@@ -22,7 +23,7 @@ use tpcds_types::{DataType, Date, Decimal, Row, Value};
 pub struct Batch {
     /// The backing table (a base-table shadow, or an operator's output).
     pub table: Arc<ColumnTable>,
-    /// Rows qualify only where this evaluates to TRUE. Deferred
+    /// Rows qualify only where every stacked filter is TRUE. Deferred
     /// expression errors surface through [`Batch::take_err`] after the
     /// consuming kernel ran.
     pub pred: Option<Pred>,
@@ -69,14 +70,14 @@ impl Batch {
         (0..self.width()).map(|c| self.phys(c)).collect()
     }
 
-    /// ANDs `pred` (over physical columns) into the pending predicate.
-    /// The earlier predicate stays on the left: its deferred errors
-    /// outrank the new one's, as in a serial filter chain.
-    pub fn filter(mut self, pred: Pred) -> Batch {
-        self.pred = Some(match self.pred.take() {
-            Some(p) => Pred::And(Box::new(p), Box::new(pred)),
-            None => pred,
-        });
+    /// Stacks the filter `expr` (over physical columns) on the pending
+    /// predicate: as in a serial filter chain, it — and any error it
+    /// raises — only sees the rows the earlier filters admit.
+    pub fn filter(mut self, expr: Expr) -> Batch {
+        match &mut self.pred {
+            Some(p) => p.push(expr),
+            None => self.pred = Some(Pred::new(expr)),
+        }
         self
     }
 
@@ -87,18 +88,15 @@ impl Batch {
         self
     }
 
-    /// Wraps the pending predicate so that every kernel evaluating it
-    /// adds the rows it admits to the returned counter; `None` when
+    /// A counter to which every kernel evaluating the pending predicate
+    /// adds the rows the filters stacked *so far* admit; `None` when
     /// nothing is pending (every table row qualifies). The count is
     /// exact because every kernel evaluates a batch's predicate exactly
     /// once per morsel it visits — an invariant the kernels owe the
     /// deferred-error cell anyway, pinned for all of them by
     /// `tests::every_kernel_evaluates_a_pending_predicate_once`.
     pub fn counted(&mut self) -> Option<Arc<AtomicU64>> {
-        let rows = Arc::new(AtomicU64::new(0));
-        let pred = self.pred.take()?;
-        self.pred = Some(Pred::Counted(Box::new(pred), Arc::clone(&rows)));
-        Some(rows)
+        self.pred.as_mut().map(Pred::counted)
     }
 
     /// Drains the pending predicate's first deferred error, if any. Call
@@ -248,7 +246,7 @@ mod tests {
         assert_eq!(crate::par_filter(&b, 1).0, src);
         let b = b
             .project(&[2, 0])
-            .filter(Pred::Cmp(CmpKind::Ge, 0, Value::Int(8)))
+            .filter(Expr::cmp(CmpKind::Ge, 0, Value::Int(8)))
             .project(&[1]);
         assert_eq!((b.width(), b.phys(0), b.cols()), (1, 0, vec![0]));
         let mut b = b;
@@ -273,7 +271,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         ));
         let counted = || {
-            let mut b = Batch::new(Arc::clone(&t)).filter(Pred::Cmp(CmpKind::Eq, 1, Value::Int(0)));
+            let mut b = Batch::new(Arc::clone(&t)).filter(Expr::cmp(CmpKind::Eq, 1, Value::Int(0)));
             let rows = b.counted().unwrap();
             (b, rows)
         };

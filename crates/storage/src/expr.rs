@@ -1,30 +1,31 @@
-//! Vectorized scalar-expression kernels over 64k-row segments.
+//! Vectorized expression kernels over 64k-row segments — the one
+//! evaluator for predicates, projections, sort keys and join residuals.
 //!
 //! [`Expr`] is the compiled, subquery-free form of the engine's scalar
-//! expression AST: checked-i64 / exact-decimal arithmetic, CASE,
-//! COALESCE/NULLIF and friends, string ops, and comparisons nested in
-//! boolean trees. Evaluation is batch-at-a-time over one morsel of a
-//! [`Segment`], producing typed output vectors with null bitmaps.
+//! expression AST. Evaluation is batch-at-a-time over one morsel of a
+//! [`Segment`]: columns are borrowed, a subtree that reads no column is
+//! evaluated once, and a comparison leaf of a column against constants
+//! runs a loop pre-resolved for that (buffer, constant type) pair
+//! ([`Probe`]); every other operand shape runs the generic per-value loop.
 //!
 //! The engine's row-at-a-time evaluator is the correctness oracle; both
-//! paths call the *same* scalar functions (`tpcds_types::scalar`), so
-//! arithmetic edge cases agree by construction. The one batch-specific
-//! subtlety is error timing: the row path stops at the first row whose
-//! expression errors, while a kernel evaluates whole vectors eagerly.
-//! Kernels therefore **defer** per-row errors ([`Evaled`]) and mask them
-//! wherever the row path would never have evaluated that subexpression
-//! (short-circuit AND/OR, untaken CASE arms, IN-list items after a hit,
-//! rows a filter rejects) — then surface the first surviving error in
-//! row order, which is exactly the error the row path raises.
+//! paths call the *same* scalar functions (`tpcds_types::scalar`). The one
+//! batch-specific subtlety is error timing: the row path stops at the
+//! first row whose expression errors, while a kernel evaluates whole
+//! vectors eagerly. Kernels therefore **defer** per-row errors
+//! ([`Evaled`]) and mask them wherever the row path would never have
+//! evaluated that subexpression (short-circuit AND/OR, untaken CASE arms,
+//! IN-list items after a hit, rows a filter rejects).
 
 use crate::batch::Batch;
-use crate::column::{Bitmap, ColumnData};
+use crate::column::{Bitmap, Column, ColumnData};
 use crate::morsel::{emit_counters, morsels_of, run_chunks, worker_count, ScanStats};
 use crate::pred::{CmpKind, P_FALSE, P_NULL, P_TRUE};
 use crate::segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
 use crate::StorageError;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use tpcds_types::scalar;
 use tpcds_types::{like_match, ArithOp, DataType, Date, Decimal, Row, ScalarFunc, Value};
 
@@ -76,50 +77,27 @@ pub enum Expr {
     Concat(Box<Expr>, Box<Expr>),
 }
 
-/// Loads column `ci` of `seg` over rows `start .. start+len` as a vector.
-fn col_vect(seg: &Segment, ci: usize, start: usize, len: usize) -> Vect {
-    let col = &seg.columns[ci];
-    let nulls = slice_bits(&col.nulls, start, len);
-    match &col.data {
-        ColumnData::I64(buf) => Vect::I64(buf[start..start + len].to_vec(), nulls),
-        ColumnData::Decimal(buf) => Vect::Dec(buf[start..start + len].to_vec(), nulls),
-        ColumnData::Date(buf) => Vect::Date(buf[start..start + len].to_vec(), nulls),
-        ColumnData::Str(buf) => Vect::Str(buf[start..start + len].to_vec(), nulls),
-        // Other buffers store real `Value`s (NULL slots included).
-        ColumnData::Other(buf) => Vect::Val(buf[start..start + len].to_vec()),
-    }
-}
-
-/// Copies `len` bits starting at `start` out of a null bitmap.
-fn slice_bits(src: &Bitmap, start: usize, len: usize) -> Bitmap {
-    let mut out = Bitmap::new();
-    for i in start..start + len {
-        out.push(src.get(i));
-    }
-    out
-}
-
-/// A typed batch of values: dense native buffers with a null bitmap for
-/// the common types, a tri-state byte vector for boolean subtrees, a
-/// single constant for literals, and boxed values as the fallback.
-enum Vect {
+/// A typed batch of values: a borrowed window of a segment column, dense
+/// native buffers with a null bitmap for computed numbers, a tri-state
+/// byte vector for boolean subtrees, a single constant, and boxed values
+/// as the fallback.
+enum Vect<'a> {
+    /// The segment column from row `.1` on.
+    Col(&'a Column, usize),
     I64(Vec<i64>, Bitmap),
     Dec(Vec<Decimal>, Bitmap),
-    Date(Vec<Date>, Bitmap),
-    Str(Vec<Arc<str>>, Bitmap),
     Tri(Vec<u8>),
     Const(Value),
     Val(Vec<Value>),
 }
 
-impl Vect {
+impl Vect<'_> {
     /// Materializes element `i` as a [`Value`].
     fn get(&self, i: usize) -> Value {
         match self {
+            Vect::Col(col, start) => col.value_at(start + i),
             Vect::I64(buf, n) => tern(n.get(i), Value::Int(buf[i])),
             Vect::Dec(buf, n) => tern(n.get(i), Value::Decimal(buf[i])),
-            Vect::Date(buf, n) => tern(n.get(i), Value::Date(buf[i])),
-            Vect::Str(buf, n) => tern(n.get(i), Value::Str(Arc::clone(&buf[i]))),
             Vect::Tri(t) => match t[i] {
                 P_TRUE => Value::Bool(true),
                 P_FALSE => Value::Bool(false),
@@ -133,7 +111,8 @@ impl Vect {
     /// Whether element `i` is NULL, without materializing it.
     fn is_null_at(&self, i: usize) -> bool {
         match self {
-            Vect::I64(_, n) | Vect::Dec(_, n) | Vect::Date(_, n) | Vect::Str(_, n) => n.get(i),
+            Vect::Col(col, start) => col.nulls.get(start + i),
+            Vect::I64(_, n) | Vect::Dec(_, n) => n.get(i),
             Vect::Tri(t) => t[i] == P_NULL,
             Vect::Const(v) => v.is_null(),
             Vect::Val(vs) => vs[i].is_null(),
@@ -172,10 +151,10 @@ fn value_tri(v: &Value) -> u8 {
 }
 
 /// Renders any vector as tri-state condition bytes.
-fn to_tri(v: &Vect, len: usize) -> Vec<u8> {
+fn into_tri(v: Vect<'_>, len: usize) -> Vec<u8> {
     match v {
-        Vect::Tri(t) => t.clone(),
-        Vect::Const(c) => vec![value_tri(c); len],
+        Vect::Tri(t) => t,
+        Vect::Const(c) => vec![value_tri(&c); len],
         _ => (0..len).map(|i| value_tri(&v.get(i))).collect(),
     }
 }
@@ -184,13 +163,13 @@ fn to_tri(v: &Vect, len: usize) -> Vec<u8> {
 /// (local row index → message). An errored row holds a NULL placeholder
 /// in `v`; consumers must either propagate the error or be a context in
 /// which the row path provably never evaluates this subexpression.
-struct Evaled {
-    v: Vect,
+struct Evaled<'a> {
+    v: Vect<'a>,
     errs: BTreeMap<usize, String>,
 }
 
-impl Evaled {
-    fn ok(v: Vect) -> Evaled {
+impl<'a> Evaled<'a> {
+    fn ok(v: Vect<'a>) -> Evaled<'a> {
         Evaled {
             v,
             errs: BTreeMap::new(),
@@ -209,7 +188,9 @@ fn merge_errs(dst: &mut BTreeMap<usize, String>, src: BTreeMap<usize, String>) {
 /// Pre-resolved i64 access for the arithmetic/comparison fast paths:
 /// either a dense buffer with its bitmap or a constant.
 enum I64Src<'a> {
-    Buf(&'a [i64], &'a Bitmap),
+    /// The buffer from its window's first row on, and the bitmap with the
+    /// offset of that row in it.
+    Buf(&'a [i64], &'a Bitmap, usize),
     Cst(Option<i64>),
 }
 
@@ -217,8 +198,8 @@ impl I64Src<'_> {
     #[inline]
     fn at(&self, i: usize) -> Option<i64> {
         match self {
-            I64Src::Buf(buf, n) => {
-                if n.get(i) {
+            I64Src::Buf(buf, n, off) => {
+                if n.get(off + i) {
                     None
                 } else {
                     Some(buf[i])
@@ -229,40 +210,249 @@ impl I64Src<'_> {
     }
 }
 
-fn i64_src(v: &Vect) -> Option<I64Src<'_>> {
+fn i64_src<'v>(v: &'v Vect<'_>) -> Option<I64Src<'v>> {
     match v {
-        Vect::I64(buf, n) => Some(I64Src::Buf(buf, n)),
+        Vect::Col(col, start) => match &col.data {
+            ColumnData::I64(buf) => Some(I64Src::Buf(&buf[*start..], &col.nulls, *start)),
+            _ => None,
+        },
+        Vect::I64(buf, n) => Some(I64Src::Buf(buf, n, 0)),
         Vect::Const(Value::Int(x)) => Some(I64Src::Cst(Some(*x))),
         Vect::Const(Value::Null) => Some(I64Src::Cst(None)),
         _ => None,
     }
 }
 
+/// How one segment column compares with one constant, resolved once per
+/// morsel from (buffer variant, constant type) so the per-row loop does no
+/// type dispatch. Every arm is `Value::sql_cmp` specialized.
+enum Probe<'a> {
+    /// `sql_cmp` is `None` for every (even non-NULL) row: NULL constant or
+    /// incomparable types.
+    Incomparable,
+    /// i64 buffer vs integer.
+    IntInt(i64),
+    /// i64 buffer vs decimal (each cell widened).
+    IntDec(Decimal),
+    /// Decimal buffer vs number (an integer pre-widened).
+    DecDec(Decimal),
+    /// Date buffer vs date (a string pre-parsed; a parse failure is
+    /// `Incomparable`, exactly like `sql_cmp`).
+    DateDate(Date),
+    /// String buffer vs string.
+    StrStr(&'a str),
+    /// String buffer vs date: each cell is parsed, per `sql_cmp`.
+    StrDate(Date),
+    /// Boxed buffer: generic `sql_cmp` against the constant.
+    Other(&'a Value),
+}
+
+fn probe<'a>(col: &Column, k: &'a Value) -> Probe<'a> {
+    if k.is_null() {
+        return Probe::Incomparable;
+    }
+    match (&col.data, k) {
+        (ColumnData::I64(_), Value::Int(x)) => Probe::IntInt(*x),
+        (ColumnData::I64(_), Value::Decimal(d)) => Probe::IntDec(*d),
+        (ColumnData::Decimal(_), Value::Decimal(d)) => Probe::DecDec(*d),
+        (ColumnData::Decimal(_), Value::Int(x)) => Probe::DecDec(Decimal::from_int(*x)),
+        (ColumnData::Date(_), Value::Date(d)) => Probe::DateDate(*d),
+        (ColumnData::Date(_), Value::Str(s)) => match s.parse::<Date>() {
+            Ok(d) => Probe::DateDate(d),
+            Err(_) => Probe::Incomparable,
+        },
+        (ColumnData::Str(_), Value::Str(s)) => Probe::StrStr(s),
+        (ColumnData::Str(_), Value::Date(d)) => Probe::StrDate(*d),
+        (ColumnData::Other(_), v) => Probe::Other(v),
+        _ => Probe::Incomparable,
+    }
+}
+
+/// `sql_cmp(column[i], constant)` through a pre-resolved probe.
+#[inline]
+fn cmp_at(col: &Column, p: &Probe<'_>, i: usize) -> Option<Ordering> {
+    if col.nulls.get(i) {
+        return None;
+    }
+    match (p, &col.data) {
+        (Probe::Incomparable, _) => None,
+        (Probe::IntInt(x), ColumnData::I64(buf)) => Some(buf[i].cmp(x)),
+        (Probe::IntDec(d), ColumnData::I64(buf)) => Some(Decimal::from_int(buf[i]).cmp(d)),
+        (Probe::DecDec(d), ColumnData::Decimal(buf)) => Some(buf[i].cmp(d)),
+        (Probe::DateDate(d), ColumnData::Date(buf)) => Some(buf[i].cmp(d)),
+        (Probe::StrStr(s), ColumnData::Str(buf)) => Some(buf[i].as_ref().cmp(*s)),
+        (Probe::StrDate(d), ColumnData::Str(buf)) => {
+            buf[i].parse::<Date>().ok().map(|pd| pd.cmp(d))
+        }
+        (Probe::Other(v), ColumnData::Other(buf)) => buf[i].sql_cmp(v),
+        // A probe is only built for the matching buffer variant.
+        _ => unreachable!("probe/buffer variant mismatch"),
+    }
+}
+
+/// Sets `t[j]` from `test(start + j)` wherever the column is not NULL.
+#[inline]
+fn fill(t: &mut [u8], nulls: &Bitmap, start: usize, test: impl Fn(usize) -> bool) {
+    for (j, o) in t.iter_mut().enumerate() {
+        if !nulls.get(start + j) {
+            *o = tri_u8(test(start + j));
+        }
+    }
+}
+
+/// `col <op> k` into `t` (all `P_NULL` on entry). The common pairs get a
+/// loop of their own: no per-row `Value`, no per-row dispatch.
+fn cmp_const(op: CmpKind, col: &Column, start: usize, k: &Value, t: &mut [u8]) {
+    let p = probe(col, k);
+    match (&p, &col.data) {
+        (Probe::Incomparable, _) => {}
+        (Probe::IntInt(x), ColumnData::I64(buf)) => {
+            fill(t, &col.nulls, start, |i| op.test(buf[i].cmp(x)))
+        }
+        (Probe::DecDec(d), ColumnData::Decimal(buf)) => {
+            fill(t, &col.nulls, start, |i| op.test(buf[i].cmp(d)))
+        }
+        (Probe::DateDate(d), ColumnData::Date(buf)) => {
+            fill(t, &col.nulls, start, |i| op.test(buf[i].cmp(d)))
+        }
+        (Probe::StrStr(s), ColumnData::Str(buf)) => {
+            fill(t, &col.nulls, start, |i| op.test(buf[i].as_ref().cmp(*s)))
+        }
+        _ => {
+            for (j, o) in t.iter_mut().enumerate() {
+                if let Some(ord) = cmp_at(col, &p, start + j) {
+                    *o = tri_u8(op.test(ord));
+                }
+            }
+        }
+    }
+}
+
+/// `[NOT] BETWEEN` into `t` (all `P_NULL` on entry) from each row's two
+/// bound comparisons: UNKNOWN unless both are defined.
+#[inline]
+fn between(
+    t: &mut [u8],
+    negated: bool,
+    bounds: impl Fn(usize) -> (Option<Ordering>, Option<Ordering>),
+) {
+    for (i, o) in t.iter_mut().enumerate() {
+        if let (Some(lo), Some(hi)) = bounds(i) {
+            let inside = lo != Ordering::Less && hi != Ordering::Greater;
+            *o = tri_u8(inside != negated);
+        }
+    }
+}
+
+/// `col [NOT] IN (items…)` over constants into `t` (all `P_NULL` on
+/// entry): a NULL item turns a miss into UNKNOWN.
+fn in_consts(col: &Column, start: usize, items: &[&Value], negated: bool, t: &mut [u8]) {
+    let probes: Vec<(Probe<'_>, bool)> =
+        (items.iter().map(|k| (probe(col, k), k.is_null()))).collect();
+    for (j, o) in t.iter_mut().enumerate() {
+        let i = start + j;
+        if col.nulls.get(i) {
+            continue;
+        }
+        let mut saw_null = false;
+        let mut hit = false;
+        for (p, item_null) in &probes {
+            match cmp_at(col, p, i) {
+                Some(Ordering::Equal) => {
+                    hit = true;
+                    break;
+                }
+                None if *item_null => saw_null = true,
+                _ => {}
+            }
+        }
+        *o = match (hit, saw_null) {
+            (true, _) => tri_u8(!negated),
+            (false, true) => P_NULL,
+            (false, false) => tri_u8(negated),
+        };
+    }
+}
+
+/// `col [NOT] LIKE pattern` over a constant pattern into `t` (all
+/// `P_NULL` on entry); UNKNOWN unless both sides are strings.
+fn like_const(col: &Column, start: usize, pattern: &Value, negated: bool, t: &mut [u8]) {
+    let Some(pat) = pattern.as_str() else {
+        return;
+    };
+    match &col.data {
+        ColumnData::Str(buf) => fill(t, &col.nulls, start, |i| {
+            like_match(&buf[i], pat) != negated
+        }),
+        ColumnData::Other(buf) => {
+            for (j, o) in t.iter_mut().enumerate() {
+                if let Some(s) = buf[start + j].as_str() {
+                    *o = tri_u8(like_match(s, pat) != negated);
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
 impl Expr {
+    /// `col <op> lit`, the commonest filter.
+    pub fn cmp(op: CmpKind, col: usize, lit: Value) -> Expr {
+        Expr::Cmp(op, Box::new(Expr::Col(col)), Box::new(Expr::Lit(lit)))
+    }
+
     /// Evaluates the expression over rows `start .. start+len`, returning
-    /// the batch with deferred errors.
-    fn eval_vect(&self, input: &Segment, start: usize, len: usize) -> Evaled {
+    /// the batch with deferred errors. A subtree that reads no column is
+    /// evaluated over one row and the value stands for all of them —
+    /// unless that errors: then it stays per-row, so the error still fires
+    /// only where a consumer actually evaluates the row.
+    fn eval_vect<'a>(&self, input: &'a Segment, start: usize, len: usize) -> Evaled<'a> {
         match self {
-            Expr::Col(ci) => Evaled::ok(col_vect(input, *ci, start, len)),
-            Expr::Lit(v) => Evaled::ok(Vect::Const(v.clone())),
+            Expr::Col(ci) => return Evaled::ok(Vect::Col(&input.columns[*ci], start)),
+            Expr::Lit(v) => return Evaled::ok(Vect::Const(v.clone())),
+            _ => {}
+        }
+        let mut reads_column = false;
+        self.visit_cols(&mut |_| reads_column = true);
+        if !reads_column {
+            let one = self.eval_node(input, start, 1);
+            if one.errs.is_empty() {
+                return Evaled::ok(Vect::Const(one.v.get(0)));
+            }
+        }
+        self.eval_node(input, start, len)
+    }
+
+    /// [`Expr::eval_vect`] for an operator node: operands first, then the
+    /// loop their representation selects.
+    fn eval_node<'a>(&self, input: &'a Segment, start: usize, len: usize) -> Evaled<'a> {
+        match self {
+            Expr::Col(_) | Expr::Lit(_) => unreachable!("leaves are eval_vect's"),
             Expr::Cmp(op, l, r) => {
                 let le = l.eval_vect(input, start, len);
                 let re = r.eval_vect(input, start, len);
                 let mut errs = le.errs;
                 merge_errs(&mut errs, re.errs);
                 let mut t = vec![P_NULL; len];
-                if let (Some(x), Some(y)) = (i64_src(&le.v), i64_src(&re.v)) {
-                    for (i, o) in t.iter_mut().enumerate() {
-                        if let (Some(a), Some(b)) = (x.at(i), y.at(i)) {
-                            *o = tri_u8(op.test(a.cmp(&b)));
+                match (&le.v, &re.v) {
+                    (Vect::Col(col, s), Vect::Const(k)) => cmp_const(*op, col, *s, k, &mut t),
+                    (Vect::Const(k), Vect::Col(col, s)) => cmp_const(op.flip(), col, *s, k, &mut t),
+                    (x, y) => match (i64_src(x), i64_src(y)) {
+                        (Some(x), Some(y)) => {
+                            for (i, o) in t.iter_mut().enumerate() {
+                                if let (Some(a), Some(b)) = (x.at(i), y.at(i)) {
+                                    *o = tri_u8(op.test(a.cmp(&b)));
+                                }
+                            }
                         }
-                    }
-                } else {
-                    for (i, o) in t.iter_mut().enumerate() {
-                        if let Some(ord) = le.v.get(i).sql_cmp(&re.v.get(i)) {
-                            *o = tri_u8(op.test(ord));
+                        _ => {
+                            for (i, o) in t.iter_mut().enumerate() {
+                                if let Some(ord) = x.get(i).sql_cmp(&y.get(i)) {
+                                    *o = tri_u8(op.test(ord));
+                                }
+                            }
                         }
-                    }
+                    },
                 }
                 Evaled {
                     v: Vect::Tri(t),
@@ -272,25 +462,22 @@ impl Expr {
             Expr::And(l, r) => {
                 let le = l.eval_vect(input, start, len);
                 let re = r.eval_vect(input, start, len);
-                let lt = to_tri(&le.v, len);
-                let rt = to_tri(&re.v, len);
+                let mut t = into_tri(le.v, len);
                 let mut errs = le.errs;
                 // The row path only evaluates the rhs when the lhs is not
                 // FALSE — rhs errors on FALSE-lhs rows never fire.
                 for (j, m) in re.errs {
-                    if lt[j] != P_FALSE {
+                    if t[j] != P_FALSE {
                         errs.entry(j).or_insert(m);
                     }
                 }
-                let t = lt
-                    .iter()
-                    .zip(&rt)
-                    .map(|(&a, &b)| match (a, b) {
+                for (o, b) in t.iter_mut().zip(into_tri(re.v, len)) {
+                    *o = match (*o, b) {
                         (P_FALSE, _) | (_, P_FALSE) => P_FALSE,
                         (P_TRUE, P_TRUE) => P_TRUE,
                         _ => P_NULL,
-                    })
-                    .collect();
+                    };
+                }
                 Evaled {
                     v: Vect::Tri(t),
                     errs,
@@ -299,24 +486,21 @@ impl Expr {
             Expr::Or(l, r) => {
                 let le = l.eval_vect(input, start, len);
                 let re = r.eval_vect(input, start, len);
-                let lt = to_tri(&le.v, len);
-                let rt = to_tri(&re.v, len);
+                let mut t = into_tri(le.v, len);
                 let mut errs = le.errs;
                 // Row path short-circuits on a TRUE lhs.
                 for (j, m) in re.errs {
-                    if lt[j] != P_TRUE {
+                    if t[j] != P_TRUE {
                         errs.entry(j).or_insert(m);
                     }
                 }
-                let t = lt
-                    .iter()
-                    .zip(&rt)
-                    .map(|(&a, &b)| match (a, b) {
+                for (o, b) in t.iter_mut().zip(into_tri(re.v, len)) {
+                    *o = match (*o, b) {
                         (P_TRUE, _) | (_, P_TRUE) => P_TRUE,
                         (P_FALSE, P_FALSE) => P_FALSE,
                         _ => P_NULL,
-                    })
-                    .collect();
+                    };
+                }
                 Evaled {
                     v: Vect::Tri(t),
                     errs,
@@ -324,7 +508,7 @@ impl Expr {
             }
             Expr::Not(c) => {
                 let ce = c.eval_vect(input, start, len);
-                let mut t = to_tri(&ce.v, len);
+                let mut t = into_tri(ce.v, len);
                 for o in t.iter_mut() {
                     *o = match *o {
                         P_TRUE => P_FALSE,
@@ -402,11 +586,15 @@ impl Expr {
                 let mut errs = le.errs;
                 merge_errs(&mut errs, pe.errs);
                 let mut t = vec![P_NULL; len];
-                for (i, o) in t.iter_mut().enumerate() {
-                    let lv = le.v.get(i);
-                    let pv = pe.v.get(i);
-                    if let (Some(s), Some(pat)) = (lv.as_str(), pv.as_str()) {
-                        *o = tri_u8(like_match(s, pat) != *negated);
+                if let (Vect::Col(col, s), Vect::Const(pat)) = (&le.v, &pe.v) {
+                    like_const(col, *s, pat, *negated, &mut t);
+                } else {
+                    for (i, o) in t.iter_mut().enumerate() {
+                        let lv = le.v.get(i);
+                        let pv = pe.v.get(i);
+                        if let (Some(s), Some(pat)) = (lv.as_str(), pv.as_str()) {
+                            *o = tri_u8(like_match(s, pat) != *negated);
+                        }
                     }
                 }
                 Evaled {
@@ -426,6 +614,19 @@ impl Expr {
                     .map(|it| it.eval_vect(input, start, len))
                     .collect();
                 let mut t = vec![P_NULL; len];
+                let consts: Option<Vec<&Value>> = (its.iter())
+                    .map(|it| match &it.v {
+                        Vect::Const(k) => Some(k),
+                        _ => None,
+                    })
+                    .collect();
+                if let (Vect::Col(col, s), Some(ks)) = (&oe.v, &consts) {
+                    in_consts(col, *s, ks, *negated, &mut t);
+                    return Evaled {
+                        v: Vect::Tri(t),
+                        errs,
+                    };
+                }
                 for (j, o) in t.iter_mut().enumerate() {
                     if errs.contains_key(&j) {
                         continue; // operand errored: stays UNKNOWN, error kept
@@ -444,7 +645,7 @@ impl Expr {
                         }
                         let iv = it.v.get(j);
                         match v.sql_cmp(&iv) {
-                            Some(std::cmp::Ordering::Equal) => {
+                            Some(Ordering::Equal) => {
                                 res = Some(tri_u8(!*negated));
                                 break;
                             }
@@ -467,13 +668,17 @@ impl Expr {
                 merge_errs(&mut errs, le.errs);
                 merge_errs(&mut errs, he.errs);
                 let mut t = vec![P_NULL; len];
-                for (i, o) in t.iter_mut().enumerate() {
-                    let v = ve.v.get(i);
-                    if let (Some(a), Some(b)) = (v.sql_cmp(&le.v.get(i)), v.sql_cmp(&he.v.get(i))) {
-                        let inside =
-                            a != std::cmp::Ordering::Less && b != std::cmp::Ordering::Greater;
-                        *o = tri_u8(inside != *negated);
-                    }
+                if let (Vect::Col(col, s), Vect::Const(lo), Vect::Const(hi)) = (&ve.v, &le.v, &he.v)
+                {
+                    let (lo, hi) = (probe(col, lo), probe(col, hi));
+                    between(&mut t, *negated, |i| {
+                        (cmp_at(col, &lo, s + i), cmp_at(col, &hi, s + i))
+                    });
+                } else {
+                    between(&mut t, *negated, |i| {
+                        let v = ve.v.get(i);
+                        (v.sql_cmp(&le.v.get(i)), v.sql_cmp(&he.v.get(i)))
+                    });
                 }
                 Evaled {
                     v: Vect::Tri(t),
@@ -512,9 +717,7 @@ impl Expr {
                             continue;
                         }
                         let hit = match &op_ev {
-                            Some(oe) => {
-                                oe.v.get(j).sql_cmp(&ce.v.get(j)) == Some(std::cmp::Ordering::Equal)
-                            }
+                            Some(oe) => oe.v.get(j).sql_cmp(&ce.v.get(j)) == Some(Ordering::Equal),
                             None => ce.v.get(j) == Value::Bool(true),
                         };
                         if hit {
@@ -649,10 +852,26 @@ impl Expr {
     }
 
     /// Evaluates as a predicate into tri-state bytes (strict-TRUE admits,
-    /// like the row path's `== Bool(true)` match test). `out` is always
-    /// fully filled — errored rows read FALSE — and the first error in
-    /// row order is returned so callers can decide whether it survives
-    /// (e.g. a LIMIT that stops before the erroring row).
+    /// like the row path's `== Bool(true)` match test) plus every
+    /// deferred error by local row; an errored row reads FALSE.
+    pub(crate) fn eval_cond(
+        &self,
+        input: &Segment,
+        start: usize,
+        len: usize,
+    ) -> (Vec<u8>, BTreeMap<usize, String>) {
+        let Evaled { v, errs } = self.eval_vect(input, start, len);
+        let mut t = into_tri(v, len);
+        for &j in errs.keys() {
+            t[j] = P_FALSE;
+        }
+        (t, errs)
+    }
+
+    /// [`Expr::eval_cond`] into `out`, which is always fully filled, with
+    /// only the first error in row order returned so callers can decide
+    /// whether it survives (e.g. a LIMIT that stops before the erroring
+    /// row).
     pub fn eval_tri(
         &self,
         input: &Segment,
@@ -660,15 +879,9 @@ impl Expr {
         len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), (usize, String)> {
-        let Evaled { v, errs } = self.eval_vect(input, start, len);
-        *out = to_tri(&v, len);
-        for &j in errs.keys() {
-            out[j] = P_FALSE;
-        }
-        match errs.into_iter().next() {
-            Some((j, msg)) => Err((j, msg)),
-            None => Ok(()),
-        }
+        let (t, errs) = self.eval_cond(input, start, len);
+        *out = t;
+        errs.into_iter().next().map_or(Ok(()), Err)
     }
 
     /// Calls `f` with every input column the expression reads.
@@ -771,7 +984,7 @@ fn arith_i64(
     y: &I64Src<'_>,
     len: usize,
     mut errs: BTreeMap<usize, String>,
-) -> Evaled {
+) -> Evaled<'static> {
     match op {
         ArithOp::Add | ArithOp::Sub | ArithOp::Mul => {
             let sym = match op {
@@ -884,12 +1097,7 @@ impl ErrCell {
 
     /// Takes the stored error message, leaving the cell empty.
     pub fn take(&self) -> Option<String> {
-        self.take_keyed().map(|(_, m)| m)
-    }
-
-    /// [`ErrCell::take`] with the error's key.
-    pub fn take_keyed(&self) -> Option<(u64, String)> {
-        self.0.lock().unwrap().take()
+        self.0.lock().unwrap().take().map(|(_, m)| m)
     }
 
     /// Drops the stored error if its key is `>= key` — used when an
@@ -998,13 +1206,13 @@ pub fn par_project_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pred::Pred;
+    use std::sync::Arc;
 
     fn table_of(dtypes: Vec<DataType>, rows: &[Row]) -> Arc<ColumnTable> {
         Arc::new(ColumnTable::from_rows(dtypes, rows))
     }
 
-    fn batch(t: &Arc<ColumnTable>, pred: Option<Pred>) -> Batch {
+    fn batch(t: &Arc<ColumnTable>, pred: Option<Expr>) -> Batch {
         let b = Batch::new(Arc::clone(t));
         match pred {
             Some(p) => b.filter(p),
@@ -1015,7 +1223,7 @@ mod tests {
     /// [`par_project_table`], materialized for comparison.
     fn project(
         t: &Arc<ColumnTable>,
-        pred: Option<Pred>,
+        pred: Option<Expr>,
         exprs: &[Expr],
         threads: usize,
     ) -> Result<(Vec<Row>, ColumnTable, ScanStats, ExprStats), StorageError> {
@@ -1041,27 +1249,40 @@ mod tests {
     /// value-for-value.
     #[test]
     fn typed_and_boxed_segments_agree() {
+        let dec = |s: &str| Value::Decimal(s.parse().unwrap());
+        let date = |d: u32| Value::Date(Date::from_ymd(2000, 5, d));
         let rows: Vec<Row> = vec![
             vec![
                 int(3),
-                Value::Decimal("1.50".parse().unwrap()),
+                dec("1.50"),
                 Value::str("abc"),
+                date(1),
+                Value::str("2000-05-01"),
             ],
-            vec![Value::Null, Value::Null, Value::Null],
+            vec![Value::Null; 5],
             vec![
                 int(-4),
-                Value::Decimal("2.25".parse().unwrap()),
+                dec("2.25"),
                 Value::str("xyz"),
+                date(20),
+                Value::str("not-a-date"),
             ],
         ];
-        let t = table_of(vec![DataType::Int, DataType::Decimal, DataType::Str], &rows);
+        let dtypes = vec![
+            DataType::Int,
+            DataType::Decimal,
+            DataType::Str,
+            DataType::Date,
+            DataType::Str,
+        ];
+        let t = table_of(dtypes, &rows);
         let seg = &t.segments[0];
-        let boxed = table_of(vec![DataType::Bool; 3], &rows);
+        let boxed = table_of(vec![DataType::Bool; 5], &rows);
         assert!(matches!(
             boxed.segments[0].columns[0].data,
             ColumnData::Other(_)
         ));
-        let exprs = vec![
+        let mut exprs = vec![
             Expr::Arith(
                 ArithOp::Add,
                 Box::new(Expr::Arith(ArithOp::Mul, col(0), lit(int(2)))),
@@ -1078,14 +1299,108 @@ mod tests {
             Expr::Neg(col(0)),
             Expr::Cast(col(0), DataType::Str),
         ];
+        // The comparison leaves: every (buffer variant, constant type)
+        // pair a probe is resolved for, plus NULL and incomparable
+        // constants. `via` builds the constant operand: as a literal (the
+        // probe loop on `seg`, `sql_cmp` per boxed cell on `boxed`) or
+        // hidden behind a column read (the generic per-value loop).
+        let pairs = [
+            (0, int(3)),
+            (0, dec("3.00")),
+            (0, Value::Null),
+            (0, Value::str("3")),
+            (1, dec("2.25")),
+            (1, int(2)),
+            (2, Value::str("abc")),
+            (2, date(1)),
+            (3, date(20)),
+            (3, Value::str("2000-05-01")),
+            (3, Value::str("not-a-date")),
+            (4, date(1)),
+        ];
+        let leaves = |via: &dyn Fn(Value) -> Box<Expr>| {
+            let mut out = Vec::new();
+            for (c, k) in &pairs {
+                let k = || via(k.clone());
+                for op in [CmpKind::Eq, CmpKind::Ne, CmpKind::Lt, CmpKind::Ge] {
+                    out.push(Expr::Cmp(op, col(*c), k()));
+                    out.push(Expr::Cmp(op, k(), col(*c)));
+                }
+                out.push(Expr::Between(col(*c), k(), k(), false));
+                out.push(Expr::Between(col(*c), via(Value::Null), k(), true));
+                out.push(Expr::InList(col(*c), vec![*k(), *via(Value::Null)], false));
+                out.push(Expr::InList(col(*c), vec![*k()], true));
+                out.push(Expr::Like(col(*c), k(), false));
+            }
+            // A bound that is constant arithmetic folds to one constant.
+            let three = Box::new(Expr::Arith(ArithOp::Add, via(int(1)), via(int(2))));
+            out.push(Expr::Between(col(0), via(int(-4)), three.clone(), false));
+            out.push(Expr::Cmp(CmpKind::Le, three, col(0)));
+            out.push(Expr::Like(col(2), via(Value::str("a%")), true));
+            out.push(Expr::IsNull(col(3), true));
+            out
+        };
+        let probed = leaves(&|k| lit(k));
+        let generic = leaves(&|k| {
+            Box::new(Expr::Case {
+                operand: None,
+                branches: vec![(Expr::IsNull(col(0), false), Expr::Lit(k.clone()))],
+                else_branch: Some(lit(k)),
+            })
+        });
+        for (p, g) in probed.iter().zip(&generic) {
+            let a = p.eval_values(seg, 0, rows.len()).unwrap();
+            let b = g.eval_values(seg, 0, rows.len()).unwrap();
+            assert_eq!(a, b, "probe vs generic loop: {p:?}");
+        }
+        exprs.extend(probed);
         for e in &exprs {
             let a = e.eval_values(seg, 0, rows.len()).unwrap();
             let b = e.eval_values(&boxed.segments[0], 0, rows.len()).unwrap();
             assert_eq!(a, b, "expr {e:?}");
         }
-        // Spot-check one value against hand arithmetic.
+        // Spot-check values against hand arithmetic.
         let doubled = exprs[0].eval_values(seg, 0, 3).unwrap();
         assert_eq!(doubled, vec![int(7), Value::Null, int(-7)]);
+        let t = Value::Bool(true);
+        let f = Value::Bool(false);
+        let le3 = Expr::Cmp(
+            CmpKind::Le,
+            Box::new(Expr::Arith(ArithOp::Add, lit(int(1)), lit(int(2)))),
+            col(0),
+        );
+        assert_eq!(
+            le3.eval_values(seg, 0, 3).unwrap(),
+            vec![t.clone(), Value::Null, f.clone()]
+        );
+        let str_vs_date = Expr::Cmp(CmpKind::Eq, col(4), lit(date(1)));
+        assert_eq!(
+            str_vs_date.eval_values(seg, 0, 3).unwrap(),
+            vec![t, Value::Null, Value::Null]
+        );
+    }
+
+    /// A subtree that reads no column is one constant — unless it errors,
+    /// and then only rows a consumer evaluates raise.
+    #[test]
+    fn constant_subtrees_fold_unless_they_error() {
+        let rows: Vec<Row> = vec![vec![int(-1)], vec![int(1)]];
+        let t = table_of(vec![DataType::Int], &rows);
+        let seg = &t.segments[0];
+        let sum = |a: i64, b: i64| Expr::Arith(ArithOp::Add, lit(int(a)), lit(int(b)));
+        let folded = sum(1, 2).eval_vect(seg, 0, 2);
+        assert!(matches!(folded.v, Vect::Const(Value::Int(3))));
+        let boom = || Box::new(sum(i64::MAX, 1));
+        let err = boom().eval_values(seg, 0, 2).unwrap_err();
+        assert_eq!(err, (0, "integer overflow in +".to_string()));
+        // `c0 > 0 AND c0 < <overflow>`: row 0 never evaluates the bound.
+        let e = Expr::And(
+            Box::new(Expr::cmp(CmpKind::Gt, 0, int(0))),
+            Box::new(Expr::Cmp(CmpKind::Lt, col(0), boom())),
+        );
+        let mut out = Vec::new();
+        assert_eq!(e.eval_tri(seg, 0, 1, &mut out), Ok(()));
+        assert_eq!(e.eval_tri(seg, 0, 2, &mut out).unwrap_err().0, 1);
     }
 
     #[test]
@@ -1096,7 +1411,7 @@ mod tests {
         let err = e.eval_values(&t.segments[0], 0, 3).unwrap_err();
         assert_eq!(err, (1, "integer overflow in +".to_string()));
         // A pred that filters out the overflowing row masks its error.
-        let pred = Pred::Cmp(CmpKind::Lt, 0, int(100));
+        let pred = Expr::cmp(CmpKind::Lt, 0, int(100));
         let (out, _, _, estats) = project(&t, Some(pred), std::slice::from_ref(&e), 1).unwrap();
         assert_eq!(out, vec![vec![int(2)], vec![int(6)]]);
         assert_eq!(estats.kernels, 1);
@@ -1244,7 +1559,7 @@ mod tests {
             })
             .collect();
         let t = table_of(vec![DataType::Int, DataType::Int], &rows);
-        let pred = Pred::Cmp(CmpKind::Lt, 1, int(50));
+        let pred = Expr::cmp(CmpKind::Lt, 1, int(50));
         let exprs = vec![
             Expr::Col(0),
             Expr::Arith(ArithOp::Mul, col(1), lit(int(3))),
@@ -1283,11 +1598,11 @@ mod tests {
             })
             .collect();
         let wrapped = Batch::from_rows(2, &rows);
-        let keep = Pred::Expr(crate::ExprPred::new(Expr::Cmp(
+        let keep = Expr::Cmp(
             CmpKind::Eq,
             Box::new(Expr::Arith(ArithOp::Mod, col(1), lit(int(2)))),
             lit(int(0)),
-        )));
+        );
         let expected: Vec<Row> = rows
             .iter()
             .filter(|r| r[1].as_int().is_some_and(|v| v % 2 == 0))

@@ -694,7 +694,7 @@ mod tests {
     use crate::segment::ColumnTableBuilder;
     use std::sync::Arc;
 
-    fn filtered(b: &Batch, pred: &Pred) -> Batch {
+    fn filtered(b: &Batch, pred: &Expr) -> Batch {
         b.clone().filter(pred.clone())
     }
 
@@ -791,11 +791,11 @@ mod tests {
     fn join_matches_reference_at_any_worker_count() {
         let probe = filtered(
             &probe_table(70_000),
-            &Pred::Cmp(CmpKind::Lt, 0, Value::Int(60_000)),
+            &Expr::cmp(CmpKind::Lt, 0, Value::Int(60_000)),
         );
         let build = filtered(
             &build_table(500),
-            &Pred::Cmp(CmpKind::Ge, 1, Value::Int(1_100)),
+            &Expr::cmp(CmpKind::Ge, 1, Value::Int(1_100)),
         );
         for kind in [JoinType::Inner, JoinType::Left] {
             let expect = reference_join(&probe, 1, &build, 0, kind);
@@ -826,7 +826,7 @@ mod tests {
             b.push_row(&[key, Value::Int(i + 1000)]);
         }
         let build_gen =
-            Batch::new(Arc::new(b.finish())).filter(Pred::Cmp(CmpKind::Ge, 1, Value::Int(0)));
+            Batch::new(Arc::new(b.finish())).filter(Expr::cmp(CmpKind::Ge, 1, Value::Int(0)));
         let expect = reference_join(&probe, 1, &build_gen, 0, JoinType::Inner);
         let (got, _) = join(&probe, 1, &build_gen, 0, JoinType::Inner, None, 4).unwrap();
         assert_eq!(got, expect);
@@ -1059,7 +1059,7 @@ mod tests {
         let probe = probe_table(100);
         let build = build_table(50);
         // Predicate nothing passes: empty probe side.
-        let ppred = Pred::Cmp(CmpKind::Lt, 0, Value::Int(-1));
+        let ppred = Expr::cmp(CmpKind::Lt, 0, Value::Int(-1));
         let aggs = [
             AggSpec {
                 kind: AggKind::CountStar,

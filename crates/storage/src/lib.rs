@@ -36,7 +36,7 @@ pub use column::{Bitmap, Column, ColumnData};
 pub use expr::{par_project_table, ErrCell, Expr, ExprStats};
 pub use join::{par_hash_join, par_hash_join_agg, JoinStats, JoinType};
 pub use morsel::{par_aggregate, par_filter, scan_until, ScanStats, MORSEL_ROWS};
-pub use pred::{CmpKind, ExprPred, Pred};
+pub use pred::{CmpKind, Pred};
 pub use segment::{ColumnTable, ColumnTableBuilder, Delta, Segment, SEGMENT_ROWS};
 pub use sort::{par_sort, par_topn, SortKey, SortStats};
 pub use stats::{collect_stats, extend_stats, ColumnStats, TableStats};

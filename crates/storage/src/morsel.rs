@@ -441,10 +441,11 @@ mod tests {
     use crate::agg::AggKind;
     use crate::pred::CmpKind;
     use crate::segment::{ColumnTableBuilder, SEGMENT_ROWS};
+    use crate::Expr;
     use std::sync::Arc;
     use tpcds_types::{DataType, Decimal};
 
-    fn batch(t: &Arc<ColumnTable>, pred: &Pred) -> Batch {
+    fn batch(t: &Arc<ColumnTable>, pred: &Expr) -> Batch {
         Batch::new(Arc::clone(t)).filter(pred.clone())
     }
 
@@ -476,7 +477,7 @@ mod tests {
     #[test]
     fn filter_is_order_preserving_and_thread_invariant() {
         let t = table();
-        let pred = Pred::Cmp(CmpKind::Lt, 1, Value::Int(3));
+        let pred = Expr::cmp(CmpKind::Lt, 1, Value::Int(3));
         let (serial, s1) = par_filter(&batch(&t, &pred), 1);
         for threads in [2, 5, 8] {
             let (par, sp) = par_filter(&batch(&t, &pred), threads);
@@ -503,7 +504,7 @@ mod tests {
     #[test]
     fn scan_until_visits_a_prefix_of_the_full_filter() {
         let t = table();
-        let pred = Pred::Cmp(CmpKind::Lt, 1, Value::Int(3));
+        let pred = Expr::cmp(CmpKind::Lt, 1, Value::Int(3));
         let (full, _) = par_filter(&batch(&t, &pred), 1);
         for limit in [1, 100, full.len(), full.len() + 10] {
             let (prefix, stats) = first(&batch(&t, &pred), limit);
@@ -537,7 +538,7 @@ mod tests {
     #[test]
     fn aggregate_matches_serial_reference_at_any_worker_count() {
         let t = table();
-        let pred = Pred::Cmp(CmpKind::Ge, 0, Value::Int(5));
+        let pred = Expr::cmp(CmpKind::Ge, 0, Value::Int(5));
         let groups = [1usize];
         let aggs = [
             AggSpec {
@@ -572,7 +573,7 @@ mod tests {
     #[test]
     fn global_aggregate_over_empty_selection_yields_default_row() {
         let t = table();
-        let pred = Pred::Cmp(CmpKind::Lt, 0, Value::Int(-1));
+        let pred = Expr::cmp(CmpKind::Lt, 0, Value::Int(-1));
         let aggs = [
             AggSpec {
                 kind: AggKind::CountStar,

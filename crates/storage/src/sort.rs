@@ -468,6 +468,7 @@ mod tests {
     use super::*;
     use crate::pred::CmpKind;
     use crate::segment::ColumnTableBuilder;
+    use crate::Expr;
     use std::sync::Arc;
     use tpcds_types::{DataType, Decimal, Row};
 
@@ -547,7 +548,7 @@ mod tests {
                 desc: false,
             },
         ];
-        let t = table().filter(Pred::Cmp(CmpKind::Ge, 0, Value::Int(5)));
+        let t = table().filter(Expr::cmp(CmpKind::Ge, 0, Value::Int(5)));
         let expect = reference(&t, &keys, Some(100));
         for threads in [1, 2, 8] {
             let (rows, stats) = topn(&t, &keys, 100, threads);
@@ -598,7 +599,7 @@ mod tests {
             },
             SortKey { col: 0, desc: true },
         ];
-        let t = table().filter(Pred::Cmp(CmpKind::Lt, 1, Value::Int(7)));
+        let t = table().filter(Expr::cmp(CmpKind::Lt, 1, Value::Int(7)));
         let expect = reference(&t, &keys, None);
         for threads in [1, 2, 8] {
             let (rows, stats) = sort(&t, &keys, threads);

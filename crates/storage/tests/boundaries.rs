@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use tpcds_storage::{
     par_aggregate, par_filter, par_hash_join, par_sort, par_topn, AggKind, AggSpec, Batch, Bitmap,
-    CmpKind, ColumnTable, ColumnTableBuilder, JoinType, Pred, SortKey, SEGMENT_ROWS,
+    CmpKind, ColumnTable, ColumnTableBuilder, Expr, JoinType, SortKey, SEGMENT_ROWS,
 };
 use tpcds_types::{DataType, Row, Value};
 
@@ -77,7 +77,7 @@ fn bitmap_tracks_nulls_across_word_and_segment_boundaries() {
 fn predicate_and_filter_agree_with_serial_rule_at_boundaries() {
     for n in BOUNDARY_SIZES {
         let t = table(n);
-        let b = batch(t.clone()).filter(Pred::Cmp(CmpKind::Eq, 2, Value::Int(3)));
+        let b = batch(t.clone()).filter(Expr::cmp(CmpKind::Eq, 2, Value::Int(3)));
         for threads in [1, 4] {
             let (rows, stats) = par_filter(&b, threads);
             let expect: Vec<Row> = (0..n as i64)
@@ -166,7 +166,7 @@ fn empty_build_side_joins() {
         .iter()
         .all(|r| r.len() == 5 && r[3].is_null() && r[4].is_null()));
     // A build side whose rows all fail the filter behaves like empty too.
-    let none = Pred::Cmp(CmpKind::Lt, 0, Value::Int(-1));
+    let none = Expr::cmp(CmpKind::Lt, 0, Value::Int(-1));
     let build = batch(table(100)).filter(none);
     let (rows, stats) = join(&probe, 1, &build, 0, JoinType::Inner, 4);
     assert!(rows.is_empty());
@@ -185,7 +185,7 @@ fn empty_probe_side_joins() {
         assert_eq!(stats.rows_out, 0);
     }
     // Probe filtered down to nothing.
-    let none = Pred::Cmp(CmpKind::Lt, 0, Value::Int(-1));
+    let none = Expr::cmp(CmpKind::Lt, 0, Value::Int(-1));
     let probe = batch(table(1_000)).filter(none);
     let (rows, _) = join(&probe, 1, &build, 0, JoinType::Left, 4);
     assert!(rows.is_empty());
@@ -228,7 +228,7 @@ fn intermediate_batches_at_boundaries_feed_every_kernel() {
             // A predicate pending on the intermediate batch.
             let tail = mid
                 .clone()
-                .filter(Pred::Cmp(CmpKind::Ge, 1, Value::Int(n as i64 - 3)));
+                .filter(Expr::cmp(CmpKind::Ge, 1, Value::Int(n as i64 - 3)));
             let (rows, _) = par_filter(&tail, threads);
             assert_eq!(
                 rows,

@@ -135,6 +135,43 @@ const CORPUS: &[(&str, &str)] = &[
         "select ss_store_sk, sum(ss_quantity) from store_sales group by ss_store_sk \
          having sum(ss_quantity) * 2 > 100 order by 1",
     ),
+    // --- stacked filters: a row the inner one rejects never reaches --
+    // --- the outer one, so its overflow there must not fire (PR 17) ---
+    (
+        "stacked_filter_false_hides_outer_error",
+        "select ss_item_sk, ss_ticket_number from (select ss_item_sk, ss_ticket_number, \
+         ss_quantity from store_sales where ss_quantity <= 50) s \
+         where ss_quantity + 9223372036854775757 > 0",
+    ),
+    (
+        "stacked_filter_null_hides_outer_error",
+        "select ss_item_sk, ss_ticket_number from (select ss_item_sk, ss_ticket_number, \
+         ss_promo_sk from store_sales where ss_promo_sk > 0) s \
+         where coalesce(ss_promo_sk, 9223372036854775807) + 1 > 0",
+    ),
+    (
+        "stacked_filter_inner_is_an_expression",
+        "select ss_item_sk, ss_ticket_number from (select ss_item_sk, ss_ticket_number, \
+         ss_quantity from store_sales where ss_quantity + 0 <= 50) s \
+         where ss_quantity + 9223372036854775757 > 0",
+    ),
+    (
+        "stacked_filter_under_aggregate",
+        "select count(*), sum(ss_quantity) from (select ss_quantity from store_sales \
+         where ss_quantity <= 50) s where ss_quantity + 9223372036854775757 > 0",
+    ),
+    (
+        "stacked_filter_on_a_join_side",
+        "select count(*), min(i_item_sk) from (select ss_item_sk, ss_quantity from store_sales \
+         where ss_quantity <= 50) s, item \
+         where ss_quantity + 9223372036854775757 > 0 and ss_item_sk = i_item_sk",
+    ),
+    (
+        "stacked_filter_under_limit",
+        "select ss_item_sk, ss_ticket_number from (select ss_item_sk, ss_ticket_number, \
+         ss_quantity from store_sales where ss_quantity <= 50) s \
+         where ss_quantity + 9223372036854775757 > 0 limit 10",
+    ),
     // --- window tails over columnar children -------------------------
     (
         "rank_with_null_partition_keys",
