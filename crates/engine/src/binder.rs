@@ -11,9 +11,9 @@ use crate::catalog::Database;
 use crate::error::{EngineError, Result};
 use crate::expr::{ArithOp, BExpr, CmpOp, ScalarFunc, SubPlan};
 use crate::plan::{AggCall, AggFunc, JoinKind, Plan, SetOpKind, WinFunc, WindowCall};
-use crate::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
+use tpcds_storage::KeySet;
 use tpcds_types::DataType;
 
 /// Sentinel base for window-result column references: window columns are
@@ -36,6 +36,8 @@ pub struct Bound {
 struct ScopeCol {
     qualifier: Option<String>,
     name: String,
+    /// The declared type, for a stored table's column.
+    dtype: Option<DataType>,
 }
 
 /// The columns visible to expressions at some point in the pipeline.
@@ -45,11 +47,22 @@ struct Scope {
 }
 
 impl Scope {
+    /// Adds a column whose type is not known at bind time (computed).
     fn push(&mut self, qualifier: Option<String>, name: impl Into<String>) {
         self.cols.push(ScopeCol {
             qualifier,
             name: name.into(),
+            dtype: None,
         });
+    }
+
+    /// The type `e` is declared to have: a stored column's, or a cast's.
+    fn type_of(&self, e: &BExpr) -> Option<DataType> {
+        match e {
+            BExpr::Col(i) => self.cols[*i].dtype,
+            BExpr::Cast(_, ty) => Some(*ty),
+            _ => None,
+        }
     }
 
     fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<Option<usize>> {
@@ -284,7 +297,11 @@ impl<'a> Binder<'a> {
                 let q = alias.clone().unwrap_or_else(|| name.clone());
                 let mut scope = Scope::default();
                 for c in &cols {
-                    scope.push(Some(q.clone()), c.name.clone());
+                    scope.cols.push(ScopeCol {
+                        qualifier: Some(q.clone()),
+                        name: c.name.clone(),
+                        dtype: Some(c.dtype),
+                    });
                 }
                 Ok((
                     Plan::Scan {
@@ -368,20 +385,16 @@ impl<'a> Binder<'a> {
         }
     }
 
-    // ---------- SELECT ----------
-
-    fn bind_select(
+    /// Binds a FROM list to its cross-join chain and the scope it exposes.
+    fn bind_from(
         &mut self,
-        sel: &ast::Select,
-        order_by: &[ast::OrderItem],
-        limit: Option<u64>,
+        from: &[ast::TableRef],
         outer: Option<&Scope>,
         outer_refs: &mut Vec<usize>,
-    ) -> Result<(Plan, Scope, Vec<String>)> {
-        // FROM: cross-join chain.
+    ) -> Result<(Plan, Scope)> {
         let mut plan: Option<Plan> = None;
         let mut scope = Scope::default();
-        for t in &sel.from {
+        for t in from {
             let (p, s) = self.bind_table_ref(t, outer, outer_refs)?;
             plan = Some(match plan {
                 None => p,
@@ -394,16 +407,104 @@ impl<'a> Binder<'a> {
             });
             scope = scope.merged(s);
         }
-        let mut plan = plan.unwrap_or(Plan::Scan {
+        let plan = plan.unwrap_or(Plan::Scan {
             // SELECT without FROM: a one-row dummy scan.
             table: "__dual".to_string(),
             width: 0,
             filter: None,
         });
-        if sel.from.is_empty() && !self.db.has_table("__dual") {
+        if from.is_empty() && !self.db.has_table("__dual") {
             self.db.create_table("__dual", vec![])?;
             self.db.insert("__dual", vec![vec![]])?;
         }
+        Ok((plan, scope))
+    }
+
+    /// The keyed form of `EXISTS (q)` against `scope` (see
+    /// [`BExpr::Exists`]), when `q` is a plain `SELECT … FROM … WHERE`
+    /// block whose outer references all sit in top-level
+    /// `outer_col = inner_expr` conjuncts with both sides declared the same
+    /// type — the case where "some body row equals this key" is a set
+    /// probe under `Value` equality. Anything else has none.
+    fn bind_keyed_exists(
+        &mut self,
+        q: &ast::Query,
+        scope: &Scope,
+    ) -> Result<Option<SubPlan<Arc<KeySet>>>> {
+        let ast::SetExpr::Select(sel) = &q.body else {
+            return Ok(None);
+        };
+        let aggregates = sel.items.iter().any(|i| match i {
+            ast::SelectItem::Expr { expr, .. } => contains_aggregate(expr),
+            _ => false,
+        });
+        let plain = q.ctes.is_empty()
+            && q.limit.is_none()
+            && sel.group_by.is_empty()
+            && sel.having.is_none()
+            && !aggregates;
+        let Some(w) = sel.where_clause.as_ref().filter(|_| plain) else {
+            return Ok(None);
+        };
+        let mut refs = Vec::new();
+        let (mut body, inner) = self.bind_from(&sel.from, Some(scope), &mut refs)?;
+        if !refs.is_empty() {
+            return Ok(None); // a derived table reads the outer row
+        }
+        let pred = self.bind_expr(w, &inner, Some(scope), &mut refs, None)?;
+        let mut conjuncts = Vec::new();
+        crate::optimizer::split_conjuncts(pred, &mut conjuncts);
+        let (mut outer_keys, mut inner_keys, mut rest) = (Vec::new(), Vec::new(), Vec::new());
+        for c in conjuncts {
+            let key = match &c {
+                BExpr::Cmp(CmpOp::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
+                    (BExpr::OuterCol(o), i) | (i, BExpr::OuterCol(o)) if !i.reads_outer() => {
+                        let ty = scope.cols[*o].dtype;
+                        (ty.is_some() && ty == inner.type_of(i)).then(|| (*o, i.clone()))
+                    }
+                    _ => None,
+                },
+                _ => None,
+            };
+            match key {
+                Some((o, i)) => {
+                    outer_keys.push(o);
+                    inner_keys.push(i);
+                }
+                None if c.reads_outer() => return Ok(None),
+                None => rest.push(c),
+            }
+        }
+        if outer_keys.is_empty() {
+            return Ok(None);
+        }
+        if !rest.is_empty() {
+            body = Plan::Filter {
+                input: Arc::new(body),
+                predicate: crate::optimizer::and_all(rest),
+            };
+        }
+        if self.optimize {
+            body = crate::optimizer::optimize(body, self.db);
+        }
+        let keyed = Plan::Project {
+            input: Arc::new(body),
+            exprs: inner_keys,
+        };
+        Ok(Some(SubPlan::new(keyed, outer_keys)))
+    }
+
+    // ---------- SELECT ----------
+
+    fn bind_select(
+        &mut self,
+        sel: &ast::Select,
+        order_by: &[ast::OrderItem],
+        limit: Option<u64>,
+        outer: Option<&Scope>,
+        outer_refs: &mut Vec<usize>,
+    ) -> Result<(Plan, Scope, Vec<String>)> {
+        let (mut plan, scope) = self.bind_from(&sel.from, outer, outer_refs)?;
 
         // WHERE.
         if let Some(w) = &sel.where_clause {
@@ -995,13 +1096,7 @@ impl<'a> Binder<'a> {
                 if plan.width() != 1 {
                     return Err(EngineError::bind("scalar subquery must return one column"));
                 }
-                Ok(BExpr::ScalarSubquery(
-                    SubPlan {
-                        plan: Arc::new(plan),
-                        outer_refs: refs,
-                    },
-                    Arc::new(Mutex::new(HashMap::new())),
-                ))
+                Ok(BExpr::ScalarSubquery(SubPlan::new(plan, refs)))
             }
             ast::Expr::InSubquery {
                 expr,
@@ -1016,25 +1111,19 @@ impl<'a> Binder<'a> {
                 }
                 Ok(BExpr::InSubquery(
                     b.boxed(),
-                    SubPlan {
-                        plan: Arc::new(plan),
-                        outer_refs: refs,
-                    },
+                    SubPlan::new(plan, refs),
                     *negated,
-                    Arc::new(Mutex::new(HashMap::new())),
                 ))
             }
             ast::Expr::Exists { query, negated } => {
                 let mut refs = Vec::new();
                 let (plan, _s, _n) = self.bind_query(query, Some(scope), &mut refs)?;
-                Ok(BExpr::Exists(
-                    SubPlan {
-                        plan: Arc::new(plan),
-                        outer_refs: refs,
-                    },
-                    *negated,
-                    Arc::new(Mutex::new(HashMap::new())),
-                ))
+                let keyed = if refs.is_empty() {
+                    None
+                } else {
+                    self.bind_keyed_exists(query, scope)?
+                };
+                Ok(BExpr::Exists(SubPlan::new(plan, refs), *negated, keyed))
             }
             ast::Expr::Window { .. } => Err(EngineError::bind(
                 "window function not allowed in this context",

@@ -79,7 +79,7 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
                 .unwrap_or_else(|| db.row_count(table) as f64);
             let sel = filter
                 .as_ref()
-                .map(|f| predicate_selectivity(f, stats.as_deref()))
+                .map(|f| predicate_selectivity(f, stats.as_deref(), db))
                 .unwrap_or(1.0);
             rows * sel
         }
@@ -88,7 +88,7 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
             // Coordinates only line up with base-table stats directly
             // above a scan; elsewhere fall back to the crude constants.
             let stats = scan_table_stats(input, db);
-            in_est * predicate_selectivity(predicate, stats.as_deref())
+            in_est * predicate_selectivity(predicate, stats.as_deref(), db)
         }
         Plan::Project { input, .. } | Plan::Window { input, .. } | Plan::Sort { input, .. } => {
             walk(input, db, map)
@@ -106,7 +106,7 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
             let r = walk(right, db, map);
             let mut est = equi_join_rows(l, r, left, right, left_keys, right_keys, db);
             if let Some(res) = residual {
-                est *= predicate_selectivity(res, None);
+                est *= predicate_selectivity(res, None, db);
             }
             if *kind == JoinKind::Left {
                 est = est.max(l);
@@ -123,7 +123,7 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
             let r = walk(right, db, map);
             let mut est = l * r;
             if let Some(p) = predicate {
-                est *= predicate_selectivity(p, None);
+                est *= predicate_selectivity(p, None, db);
             }
             if *kind == JoinKind::Left {
                 est = est.max(l);
@@ -261,8 +261,11 @@ fn group_count(groups: &[BExpr], input: &Plan, in_est: f64, db: &Database) -> f6
 
 /// Selectivity of `e` in `0.0..=1.0`. With `stats`, column-vs-literal
 /// comparisons use NDV, histogram and null-fraction information; without
-/// (or for unanalyzable shapes) the classic constants apply.
-pub fn predicate_selectivity(e: &BExpr, stats: Option<&TableStats>) -> f64 {
+/// (or for unanalyzable shapes) the classic constants apply. An
+/// uncorrelated subquery is a constant nobody knows yet: `col = (subquery)`
+/// selects one of the column's distinct values, `col IN (subquery)` as many
+/// of them as the subquery (estimated against `db`) returns rows.
+pub fn predicate_selectivity(e: &BExpr, stats: Option<&TableStats>, db: &Database) -> f64 {
     let s = match e {
         BExpr::Lit(Value::Bool(b)) => {
             if *b {
@@ -271,13 +274,15 @@ pub fn predicate_selectivity(e: &BExpr, stats: Option<&TableStats>) -> f64 {
                 0.0
             }
         }
-        BExpr::And(a, b) => predicate_selectivity(a, stats) * predicate_selectivity(b, stats),
+        BExpr::And(a, b) => {
+            predicate_selectivity(a, stats, db) * predicate_selectivity(b, stats, db)
+        }
         BExpr::Or(a, b) => {
-            let x = predicate_selectivity(a, stats);
-            let y = predicate_selectivity(b, stats);
+            let x = predicate_selectivity(a, stats, db);
+            let y = predicate_selectivity(b, stats, db);
             x + y - x * y
         }
-        BExpr::Not(inner) => 1.0 - predicate_selectivity(inner, stats),
+        BExpr::Not(inner) => 1.0 - predicate_selectivity(inner, stats, db),
         BExpr::Cmp(op, a, b) => cmp_selectivity(*op, a, b, stats),
         BExpr::IsNull(inner, negated) => {
             let frac = match (col_of(inner), stats) {
@@ -303,6 +308,20 @@ pub fn predicate_selectivity(e: &BExpr, stats: Option<&TableStats>) -> f64 {
                 _ => SEL_IN_ITEM,
             };
             let sel = (per * items.len() as f64).min(1.0);
+            if *negated {
+                1.0 - sel
+            } else {
+                sel
+            }
+        }
+        BExpr::InSubquery(inner, sub, negated) => {
+            let sel = match (col_of(inner), stats) {
+                (Some(i), Some(s)) if sub.uncorrelated() => {
+                    let rows = walk(&sub.plan, db, &mut EstMap::new());
+                    (eq_selectivity(i, s) * rows).min(1.0)
+                }
+                _ => SEL_OTHER,
+            };
             if *negated {
                 1.0 - sel
             } else {
@@ -372,15 +391,19 @@ fn cmp_selectivity(op: CmpOp, a: &BExpr, b: &BExpr, stats: Option<&TableStats>) 
             if let Some((c, shifted)) = shifted_int_cmp(b, a) {
                 return cmp_selectivity(flip(op), &BExpr::Col(c), &BExpr::Lit(shifted), stats);
             }
-            (None, None, op)
+            // `col <op> (uncorrelated subquery)`: a constant, value unknown.
+            let unknown = |e: &BExpr| e.has_subquery() && e.is_constant();
+            match (col_of(a), col_of(b)) {
+                (Some(c), _) if unknown(b) => (Some(c), None, op),
+                (_, Some(c)) if unknown(a) => (Some(c), None, op),
+                _ => (None, None, op),
+            }
         }
     };
     match (col, lit, stats) {
-        (Some(c), Some(l), Some(s)) => match op {
-            CmpOp::Eq => eq_selectivity(c, s),
-            CmpOp::Ne => 1.0 - eq_selectivity(c, s),
-            CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => range_selectivity(c, op, l, s),
-        },
+        (Some(c), _, Some(s)) if op == CmpOp::Eq => eq_selectivity(c, s),
+        (Some(c), _, Some(s)) if op == CmpOp::Ne => 1.0 - eq_selectivity(c, s),
+        (Some(c), Some(l), Some(s)) => range_selectivity(c, op, l, s),
         _ => match op {
             CmpOp::Eq => SEL_EQ,
             CmpOp::Ne => 1.0 - SEL_EQ,

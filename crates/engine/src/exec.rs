@@ -58,9 +58,10 @@ pub mod reason {
     pub const COLUMNAR_OFF: &str = "columnar-off";
     /// The table has no columnar shadow (not built, or invalidated).
     pub const NO_SHADOW: &str = "no-shadow";
-    /// An expression contains a shape no kernel can evaluate (subqueries,
-    /// outer-column references) — the only reason an expression ever
-    /// falls off the vectorized path.
+    /// An expression contains a shape no kernel can evaluate — an
+    /// outer-column reference, a correlated subquery other than a keyed
+    /// `EXISTS`, or a subquery whose one evaluation raised — the only
+    /// reason an expression ever falls off the vectorized path.
     pub const EXPR_UNSUPPORTED: &str = "expr-unsupported";
     /// Aggregate shape outside the kernel subset (DISTINCT, ROLLUP,
     /// expression keys, STDDEV_SAMP, GROUPING).
@@ -516,6 +517,8 @@ fn stream(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>, sink: Sink<'_
 /// down to a `Scan` — one of which cannot be part of a lazy batch. The
 /// whole chain then streams, so a `LIMIT` above it stops at the same row,
 /// with the same errors, as under `Off`. `None` = [`batch_node`] runs it.
+/// Nothing executes to decide this except the subqueries a predicate needs
+/// evaluated once ([`compilable`]).
 fn interpreted(plan: &Plan, ctx: &ExecCtx<'_>) -> Option<&'static str> {
     if ctx.opts.columnar == ColumnarMode::Off {
         return Some(reason::COLUMNAR_OFF);
@@ -532,11 +535,11 @@ fn interpreted(plan: &Plan, ctx: &ExecCtx<'_>) -> Option<&'static str> {
             } else if t.columnar().is_none() {
                 Some(reason::NO_SHADOW)
             } else {
-                (filter.as_ref().is_some_and(BExpr::needs_context))
+                (filter.as_ref().is_some_and(|f| !compilable(f, ctx)))
                     .then_some(reason::EXPR_UNSUPPORTED)
             }
         }
-        Plan::Filter { predicate, .. } if predicate.needs_context() => {
+        Plan::Filter { predicate, .. } if !compilable(predicate, ctx) => {
             Some(reason::EXPR_UNSUPPORTED)
         }
         Plan::Filter { input, .. } => interpreted(input, ctx),
@@ -618,10 +621,19 @@ fn storage_err(e: tpcds_storage::StorageError) -> EngineError {
     EngineError::exec(e.0)
 }
 
-/// Compiles `e`, which no [`interpreted`]-style check refused, for a
-/// kernel over `b`: against the physical columns behind `b`'s visible row.
-fn compile_over(b: &Batch, e: &BExpr) -> tpcds_storage::Expr {
-    compile_expr(e, &|c| b.phys(c)).expect("checked: needs no engine context")
+/// Compiles `e`, which [`compilable`] accepted, for a kernel over `b`:
+/// against the physical columns behind `b`'s visible row.
+fn compile_over(b: &Batch, e: &BExpr, ctx: &ExecCtx<'_>) -> tpcds_storage::Expr {
+    compile_expr(e, &|c| b.phys(c), Some(ctx)).expect("checked: compilable")
+}
+
+/// Whether `e` has a kernel form ([`compile_expr`]). An expression with
+/// subqueries has one when each can be evaluated once for the whole
+/// statement and that evaluation — which happens here, through the
+/// subquery's memo — did not raise; if it did, the interpreter keeps the
+/// node and raises the error only if a row reaches the subquery.
+fn compilable(e: &BExpr, ctx: &ExecCtx<'_>) -> bool {
+    !e.needs_context() || (!e.reads_outer() && compile_expr(e, &|c| c, Some(ctx)).is_some())
 }
 
 /// The column indexes when every expression is a plain column reference.
@@ -657,7 +669,7 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
             }
             columnar();
             let b = Batch::new(t.columnar().expect("not interpreted: has a shadow"));
-            Ok(match filter.as_ref().map(|f| compile_over(&b, f)) {
+            Ok(match filter.as_ref().map(|f| compile_over(&b, f, ctx)) {
                 Some(f) => b.filter(f),
                 None => b,
             })
@@ -665,7 +677,7 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
         Plan::Filter { input, predicate } => {
             columnar();
             let b = batch(input, ctx, outer)?;
-            let pred = compile_over(&b, predicate);
+            let pred = compile_over(&b, predicate, ctx);
             Ok(b.filter(pred))
         }
         Plan::Project { input, exprs } => {
@@ -673,12 +685,12 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
                 columnar();
                 return Ok(batch(input, ctx, outer)?.project(&cols));
             }
-            if exprs.iter().any(BExpr::needs_context) {
+            if !exprs.iter().all(|e| compilable(e, ctx)) {
                 return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
             }
             columnar();
             let b = batch(input, ctx, outer)?;
-            let cexprs: Vec<_> = exprs.iter().map(|e| compile_over(&b, e)).collect();
+            let cexprs: Vec<_> = exprs.iter().map(|e| compile_over(&b, e, ctx)).collect();
             let res = tpcds_storage::par_project_table(&b, &cexprs, threads);
             check_err(&b)?;
             let (table, cs, es) = res.map_err(storage_err)?;
@@ -765,7 +777,7 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
             Ok(Batch::from_rows(plan.width(), &rows))
         }
         Plan::Sort { input, keys } | Plan::TopN { input, keys, .. } => {
-            if keys.iter().any(|(e, _)| e.needs_context()) {
+            if !keys.iter().all(|(e, _)| compilable(e, ctx)) {
                 return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
             }
             columnar();
@@ -863,7 +875,7 @@ fn join_sides(
     let (Some(lk), Some(rk)) = (plain_cols(left_keys), plain_cols(right_keys)) else {
         return Ok(Err(reason::KEY_SHAPE));
     };
-    if residual.as_ref().is_some_and(BExpr::needs_context) {
+    if residual.as_ref().is_some_and(|r| !compilable(r, ctx)) {
         return Ok(Err(reason::EXPR_UNSUPPORTED));
     }
     let probe = batch(left, ctx, outer)?;
@@ -875,7 +887,7 @@ fn join_sides(
         build,
         residual: None,
     };
-    j.residual = (residual.as_ref()).and_then(|r| compile_expr(r, &|c| j.phys(c)));
+    j.residual = (residual.as_ref()).and_then(|r| compile_expr(r, &|c| j.phys(c), Some(ctx)));
     Ok(Ok(j))
 }
 
@@ -901,7 +913,7 @@ fn sort_source(
     }
     let visible: Vec<usize> = (0..b.width()).collect();
     let exprs: Vec<_> = (b.cols().into_iter().map(tpcds_storage::Expr::Col))
-        .chain(keys.iter().map(|(e, _)| compile_over(&b, e)))
+        .chain(keys.iter().map(|(e, _)| compile_over(&b, e, ctx)))
         .collect();
     let res = tpcds_storage::par_project_table(&b, &exprs, ctx.threads());
     check_err(&b)?;
@@ -1167,14 +1179,30 @@ fn cmp_kind(op: crate::expr::CmpOp) -> tpcds_storage::CmpKind {
 /// filter, a join residual alike — to the vectorized kernel AST
 /// ([`tpcds_storage::Expr`]), column `c` becoming `phys(c)`. The kernels
 /// share the row path's scalar semantics ([`tpcds_types::scalar`]), so
-/// everything compiles except the shapes that need engine context at
-/// evaluation time ([`BExpr::needs_context`]). `None` = stay on the row
-/// path.
-fn compile_expr(e: &BExpr, phys: &impl Fn(usize) -> usize) -> Option<tpcds_storage::Expr> {
-    use tpcds_storage::Expr as X;
-    let c = |x: &BExpr| compile_expr(x, phys).map(Box::new);
-    let all =
-        |xs: &[BExpr]| -> Option<Vec<X>> { xs.iter().map(|x| compile_expr(x, phys)).collect() };
+/// everything compiles that does not depend on a row the kernel cannot see.
+/// A subquery that reads no outer row does not: it is evaluated once per
+/// statement, through its memo, and its result compiled in — a
+/// row-independent subtree becomes the literal the interpreter computes for
+/// it (so an untaken CASE arm's subquery never runs), `x IN (subquery)` and
+/// a keyed `EXISTS` become a probe of the set their body produced. `None` =
+/// stay on the row path: an outer-column reference, any other correlated
+/// subquery, or a subquery whose evaluation raised.
+fn compile_expr(
+    e: &BExpr,
+    phys: &impl Fn(usize) -> usize,
+    ctx: Option<&ExecCtx<'_>>,
+) -> Option<tpcds_storage::Expr> {
+    use crate::expr::key_set;
+    use tpcds_storage::{Expr as X, SetTest};
+    // Carried only along paths that lead to a subquery.
+    let ctx = ctx.filter(|_| e.has_subquery());
+    if let Some(ctx) = ctx.filter(|_| e.is_constant()) {
+        return e.eval(&[], ctx, None).ok().map(X::Lit);
+    }
+    let c = |x: &BExpr| compile_expr(x, phys, ctx).map(Box::new);
+    let all = |xs: &[BExpr]| -> Option<Vec<X>> {
+        xs.iter().map(|x| compile_expr(x, phys, ctx)).collect()
+    };
     Some(match e {
         BExpr::Col(i) => X::Col(phys(*i)),
         BExpr::Lit(v) => X::Lit(v.clone()),
@@ -1199,7 +1227,7 @@ fn compile_expr(e: &BExpr, phys: &impl Fn(usize) -> usize) -> Option<tpcds_stora
             },
             branches: branches
                 .iter()
-                .map(|(w, t)| Some((compile_expr(w, phys)?, compile_expr(t, phys)?)))
+                .map(|(w, t)| Some((compile_expr(w, phys, ctx)?, compile_expr(t, phys, ctx)?)))
                 .collect::<Option<Vec<_>>>()?,
             else_branch: match else_branch {
                 Some(eb) => Some(c(eb)?),
@@ -1209,6 +1237,15 @@ fn compile_expr(e: &BExpr, phys: &impl Fn(usize) -> usize) -> Option<tpcds_stora
         BExpr::Cast(x, ty) => X::Cast(c(x)?, *ty),
         BExpr::Func(f, args) => X::Func(*f, all(args)?),
         BExpr::Concat(l, r) => X::Concat(c(l)?, c(r)?),
+        BExpr::InSubquery(x, sub, negated) if sub.uncorrelated() => {
+            let set = sub.once(ctx?, key_set).ok()?;
+            X::InSet(vec![*c(x)?], set, SetTest::In, *negated)
+        }
+        BExpr::Exists(_, negated, Some(keyed)) => {
+            let set = keyed.once(ctx?, key_set).ok()?;
+            let keys = keyed.outer_refs.iter().map(|&k| X::Col(phys(k)));
+            X::InSet(keys.collect(), set, SetTest::Exists, *negated)
+        }
         BExpr::OuterCol(_)
         | BExpr::ScalarSubquery(..)
         | BExpr::InSubquery(..)

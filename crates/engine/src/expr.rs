@@ -9,9 +9,11 @@ use crate::exec::ExecCtx;
 use crate::plan::Plan;
 use crate::sync::Mutex;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use tpcds_types::{DataType, Value};
+use tpcds_storage::{KeySet, SetTest};
+use tpcds_types::{DataType, Row, Value};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,20 +51,114 @@ impl CmpOp {
 // here for existing callers.
 pub use tpcds_types::scalar::{ArithOp, ScalarFunc};
 
-/// A correlated or uncorrelated subplan embedded in an expression.
+/// A correlated or uncorrelated subplan embedded in an expression, with
+/// what it has evaluated to so far this statement (`T`: the scalar, the
+/// IN set, or whether any row came back).
 #[derive(Clone)]
-pub struct SubPlan {
+pub struct SubPlan<T> {
     /// The bound plan.
     pub plan: Arc<Plan>,
     /// Outer-scope column positions the plan references (`OuterCol`
     /// indexes); the memo key is the tuple of these values.
     pub outer_refs: Vec<usize>,
+    memo: Arc<Memo<T>>,
 }
 
-impl std::fmt::Debug for SubPlan {
+/// Results by outer-value tuple — an error is a result like any other —
+/// and how many times the body actually ran to produce them.
+struct Memo<T> {
+    results: Mutex<HashMap<Vec<Value>, Result<T>>>,
+    runs: AtomicU64,
+}
+
+impl<T> std::fmt::Debug for SubPlan<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "SubPlan(outer_refs={:?})", self.outer_refs)
     }
+}
+
+impl<T: Clone> SubPlan<T> {
+    /// A subplan that has not run yet.
+    pub fn new(plan: Plan, outer_refs: Vec<usize>) -> Self {
+        SubPlan {
+            plan: Arc::new(plan),
+            outer_refs,
+            memo: Arc::new(Memo {
+                results: Mutex::new(HashMap::new()),
+                runs: AtomicU64::new(0),
+            }),
+        }
+    }
+
+    /// True when the body reads nothing of the enclosing row: it has one
+    /// result per statement.
+    pub fn uncorrelated(&self) -> bool {
+        self.outer_refs.is_empty()
+    }
+
+    /// Times the body has executed (memo misses) this statement.
+    pub fn runs(&self) -> u64 {
+        self.memo.runs.load(Relaxed)
+    }
+
+    /// The same subplan (and memo) reading its outer values from remapped
+    /// columns.
+    fn remap(&self, map: &impl Fn(usize) -> usize) -> Self {
+        SubPlan {
+            plan: self.plan.clone(),
+            outer_refs: self.outer_refs.iter().map(|i| map(*i)).collect(),
+            memo: self.memo.clone(),
+        }
+    }
+
+    /// The body's rows under `outer`, folded once per distinct `key`.
+    fn memoized(
+        &self,
+        key: Vec<Value>,
+        outer: Option<&[Value]>,
+        ctx: &ExecCtx<'_>,
+        fold: impl FnOnce(Vec<Row>) -> Result<T>,
+    ) -> Result<T> {
+        if let Some(hit) = self.memo.results.lock().get(&key) {
+            return hit.clone();
+        }
+        self.memo.runs.fetch_add(1, Relaxed);
+        let out = crate::exec::execute(&self.plan, ctx, outer).and_then(fold);
+        self.memo.results.lock().insert(key, out.clone());
+        out
+    }
+
+    /// The result for `row`: the body runs once per distinct tuple of the
+    /// outer values it reads (once per statement when uncorrelated).
+    fn eval(
+        &self,
+        row: &[Value],
+        ctx: &ExecCtx<'_>,
+        fold: impl FnOnce(Vec<Row>) -> Result<T>,
+    ) -> Result<T> {
+        let key = self.outer_refs.iter().map(|&i| row[i].clone()).collect();
+        self.memoized(key, Some(row), ctx, fold)
+    }
+
+    /// The result of a body that reads no outer row, through the same memo
+    /// slot [`SubPlan::eval`] uses for an uncorrelated one.
+    pub(crate) fn once(
+        &self,
+        ctx: &ExecCtx<'_>,
+        fold: impl FnOnce(Vec<Row>) -> Result<T>,
+    ) -> Result<T> {
+        self.memoized(Vec::new(), None, ctx, fold)
+    }
+}
+
+/// Folds a body's rows into the set `IN` / a keyed `EXISTS` probes.
+pub(crate) fn key_set(rows: Vec<Row>) -> Result<Arc<KeySet>> {
+    Ok(Arc::new(KeySet::new(rows)))
+}
+
+/// A set test's verdict as a SQL boolean.
+fn verdict(v: Option<bool>, negated: bool) -> Value {
+    v.map_or(Value::Null, |b| Value::Bool(b != negated))
 }
 
 /// A bound scalar expression, evaluated against a row.
@@ -110,17 +206,17 @@ pub enum BExpr {
     /// `||`.
     Concat(Box<BExpr>, Box<BExpr>),
     /// Scalar subquery with memoization over correlated values.
-    ScalarSubquery(SubPlan, Arc<Mutex<HashMap<Vec<Value>, Value>>>),
+    ScalarSubquery(SubPlan<Value>),
     /// `[NOT] IN (subquery)`.
-    #[allow(clippy::type_complexity)]
-    InSubquery(
-        Box<BExpr>,
-        SubPlan,
-        bool,
-        Arc<Mutex<HashMap<Vec<Value>, Arc<HashSet<Value>>>>>,
-    ),
-    /// `[NOT] EXISTS (subquery)`.
-    Exists(SubPlan, bool, Arc<Mutex<HashMap<Vec<Value>, bool>>>),
+    InSubquery(Box<BExpr>, SubPlan<Arc<KeySet>>, bool),
+    /// `[NOT] EXISTS (subquery)`. When every outer reference of the body
+    /// sits in a top-level `outer_col = inner_expr` conjunct of same-typed
+    /// sides, the third field is its *keyed form*: the body without those
+    /// conjuncts, projecting the inner sides, uncorrelated; its
+    /// `outer_refs` are the outer columns to probe that result with, in
+    /// projection order. The batch executor runs that once; the row
+    /// interpreter runs the original body per distinct key.
+    Exists(SubPlan<bool>, bool, Option<SubPlan<Arc<KeySet>>>),
 }
 
 impl BExpr {
@@ -269,70 +365,28 @@ impl BExpr {
                 let rv = r.eval(row, ctx, outer)?;
                 Ok(tpcds_types::scalar::concat(&lv, &rv))
             }
-            BExpr::ScalarSubquery(sub, cache) => {
-                let key = memo_key(sub, row);
-                if let Some(v) = cache.lock().get(&key) {
-                    return Ok(v.clone());
-                }
-                let rows = crate::exec::execute(&sub.plan, ctx, Some(row))?;
+            BExpr::ScalarSubquery(sub) => sub.eval(row, ctx, |rows| {
                 if rows.len() > 1 {
                     return Err(EngineError::exec(
                         "scalar subquery returned more than one row",
                     ));
                 }
-                let v = rows
-                    .into_iter()
-                    .next()
+                let first = rows.into_iter().next();
+                Ok(first
                     .and_then(|r| r.into_iter().next())
-                    .unwrap_or(Value::Null);
-                cache.lock().insert(key, v.clone());
-                Ok(v)
-            }
-            BExpr::InSubquery(e, sub, negated, cache) => {
+                    .unwrap_or(Value::Null))
+            }),
+            BExpr::InSubquery(e, sub, negated) => {
                 let v = e.eval(row, ctx, outer)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
-                let key = memo_key(sub, row);
-                let set = {
-                    let cached = cache.lock().get(&key).cloned();
-                    match cached {
-                        Some(s) => s,
-                        None => {
-                            let rows = crate::exec::execute(&sub.plan, ctx, Some(row))?;
-                            let mut s = HashSet::new();
-                            let mut has_null = false;
-                            for r in rows {
-                                let val = r.into_iter().next().unwrap_or(Value::Null);
-                                if val.is_null() {
-                                    has_null = true;
-                                } else {
-                                    s.insert(val);
-                                }
-                            }
-                            // Track NULL membership with a sentinel set
-                            // entry-free approach: store under a Bool key
-                            // wrapper would be hacky — keep NULL semantics
-                            // simple: presence of NULLs makes non-matches
-                            // UNKNOWN, which we approximate as false here.
-                            let _ = has_null;
-                            let s = Arc::new(s);
-                            cache.lock().insert(key.clone(), s.clone());
-                            s
-                        }
-                    }
-                };
-                Ok(Value::Bool(set.contains(&v) != *negated))
+                let set = sub.eval(row, ctx, key_set)?;
+                Ok(verdict(set.test(SetTest::In, &[v]), *negated))
             }
-            BExpr::Exists(sub, negated, cache) => {
-                let key = memo_key(sub, row);
-                if let Some(b) = cache.lock().get(&key) {
-                    return Ok(Value::Bool(b != negated));
-                }
-                let rows = crate::exec::execute(&sub.plan, ctx, Some(row))?;
-                let b = !rows.is_empty();
-                cache.lock().insert(key, b);
-                Ok(Value::Bool(b != *negated))
+            BExpr::Exists(sub, negated, _) => {
+                let any = sub.eval(row, ctx, |rows| Ok(!rows.is_empty()))?;
+                Ok(Value::Bool(any != *negated))
             }
         }
     }
@@ -399,22 +453,12 @@ impl BExpr {
                     a.visit_columns(f);
                 }
             }
-            BExpr::ScalarSubquery(sub, _) => {
-                for i in &sub.outer_refs {
-                    f(*i);
-                }
-            }
-            BExpr::InSubquery(a, sub, _, _) => {
+            BExpr::ScalarSubquery(sub) => sub.outer_refs.iter().for_each(|i| f(*i)),
+            BExpr::InSubquery(a, sub, _) => {
                 a.visit_columns(f);
-                for i in &sub.outer_refs {
-                    f(*i);
-                }
+                sub.outer_refs.iter().for_each(|i| f(*i));
             }
-            BExpr::Exists(sub, _, _) => {
-                for i in &sub.outer_refs {
-                    f(*i);
-                }
-            }
+            BExpr::Exists(sub, _, _) => sub.outer_refs.iter().for_each(|i| f(*i)),
         }
     }
 
@@ -457,30 +501,11 @@ impl BExpr {
                 BExpr::Func(*f, args.iter().map(|e| e.remap_columns(map)).collect())
             }
             BExpr::Concat(a, b) => BExpr::Concat(rm(a), rm(b)),
-            BExpr::ScalarSubquery(sub, cache) => BExpr::ScalarSubquery(
-                SubPlan {
-                    plan: sub.plan.clone(),
-                    outer_refs: sub.outer_refs.iter().map(|i| map(*i)).collect(),
-                },
-                cache.clone(),
-            ),
-            BExpr::InSubquery(a, sub, n, cache) => BExpr::InSubquery(
-                rm(a),
-                SubPlan {
-                    plan: sub.plan.clone(),
-                    outer_refs: sub.outer_refs.iter().map(|i| map(*i)).collect(),
-                },
-                *n,
-                cache.clone(),
-            ),
-            BExpr::Exists(sub, n, cache) => BExpr::Exists(
-                SubPlan {
-                    plan: sub.plan.clone(),
-                    outer_refs: sub.outer_refs.iter().map(|i| map(*i)).collect(),
-                },
-                *n,
-                cache.clone(),
-            ),
+            BExpr::ScalarSubquery(sub) => BExpr::ScalarSubquery(sub.remap(map)),
+            BExpr::InSubquery(a, sub, n) => BExpr::InSubquery(rm(a), sub.remap(map), *n),
+            BExpr::Exists(sub, n, keyed) => {
+                BExpr::Exists(sub.remap(map), *n, keyed.as_ref().map(|k| k.remap(map)))
+            }
         }
     }
 
@@ -529,9 +554,72 @@ impl BExpr {
         })
     }
 
+    /// True when a subquery in the expression reads the enclosing row:
+    /// column remaps cannot chase those references into its plan, so the
+    /// expression has to stay where the binder put it.
+    pub fn has_correlated_subquery(&self) -> bool {
+        self.any(&|e| match e {
+            BExpr::ScalarSubquery(sub) => !sub.uncorrelated(),
+            BExpr::InSubquery(_, sub, _) => !sub.uncorrelated(),
+            BExpr::Exists(sub, ..) => !sub.uncorrelated(),
+            _ => false,
+        })
+    }
+
+    /// True when the value depends on no row — neither the one it is
+    /// evaluated against (no column, no correlated subquery) nor an
+    /// enclosing one.
+    pub fn is_constant(&self) -> bool {
+        let mut reads_column = false;
+        self.visit_columns(&mut |_| reads_column = true);
+        !reads_column && !self.reads_outer()
+    }
+
+    /// True when the expression itself (not a subquery body under it)
+    /// references the enclosing query's row.
+    pub(crate) fn reads_outer(&self) -> bool {
+        self.any(&|e| matches!(e, BExpr::OuterCol(_)))
+    }
+
+    /// `(subqueries, body executions so far)` under this expression,
+    /// nested bodies included — EXPLAIN ANALYZE's `subplans=` /
+    /// `subplan_runs=`. A keyed `EXISTS` counts once; both its forms' runs
+    /// count.
+    pub fn subplans(&self) -> (u64, u64) {
+        use std::cell::Cell;
+        let (n, runs) = (Cell::new(0), Cell::new(0));
+        let counted = |body: &Plan| n.set(n.get() + 1 + body.subplans_deep().0);
+        let ran = |body: &Plan, times: u64| {
+            runs.set(runs.get() + times + body.subplans_deep().1);
+        };
+        self.any(&|e| {
+            match e {
+                BExpr::ScalarSubquery(sub) => {
+                    counted(&sub.plan);
+                    ran(&sub.plan, sub.runs());
+                }
+                BExpr::InSubquery(_, sub, _) => {
+                    counted(&sub.plan);
+                    ran(&sub.plan, sub.runs());
+                }
+                BExpr::Exists(sub, _, keyed) => {
+                    counted(&sub.plan);
+                    ran(&sub.plan, sub.runs());
+                    if let Some(k) = keyed {
+                        ran(&k.plan, k.runs());
+                    }
+                }
+                _ => {}
+            }
+            false // visit every node
+        });
+        (n.get(), runs.get())
+    }
+
     /// True when evaluating the expression needs more than the row it is
-    /// given — a subquery to run or the enclosing query's row — so it has
-    /// no segment kernel.
+    /// given — a subquery's result or the enclosing query's row — so it
+    /// compiles to a segment kernel only once the executor has supplied
+    /// those (`exec::compile_expr`).
     pub fn needs_context(&self) -> bool {
         self.any(&|e| {
             matches!(
@@ -543,12 +631,6 @@ impl BExpr {
             )
         })
     }
-}
-
-/// Memo key for a subplan: the correlated outer values (empty when
-/// uncorrelated, so the subquery executes exactly once).
-fn memo_key(sub: &SubPlan, row: &[Value]) -> Vec<Value> {
-    sub.outer_refs.iter().map(|&i| row[i].clone()).collect()
 }
 
 /// Arithmetic with numeric widening, date arithmetic and NULL propagation

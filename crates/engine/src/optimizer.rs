@@ -42,7 +42,11 @@ pub fn optimize(plan: Plan, db: &Database) -> Plan {
     let mut residual: Vec<BExpr> = Vec::new();
     for c in conjuncts {
         let rels = referenced_relations(&c, &offsets, &widths);
-        if c.has_subquery() {
+        // A correlated subquery's plan reads outer columns by position, and
+        // a remap cannot chase those into it: the conjunct stays in the
+        // original coordinates. One whose subqueries are all uncorrelated
+        // is a predicate over the columns it names, like any other.
+        if c.has_correlated_subquery() {
             residual.push(c);
             continue;
         }
@@ -52,7 +56,7 @@ pub fn optimize(plan: Plan, db: &Database) -> Plan {
                 let r = *rels.iter().next().expect("one relation");
                 local[r].push(c.remap_columns(&|i| i - offsets[r]));
             }
-            2 => {
+            2 if !c.has_subquery() => {
                 if let BExpr::Cmp(CmpOp::Eq, a, b) = &c {
                     let ra = referenced_relations(a, &offsets, &widths);
                     let rb = referenced_relations(b, &offsets, &widths);
@@ -102,7 +106,7 @@ pub fn optimize(plan: Plan, db: &Database) -> Plan {
             let stats = crate::estimate::scan_table_stats(r, db);
             let mut sel = 1.0;
             for p in &local[i] {
-                sel *= crate::estimate::predicate_selectivity(p, stats.as_deref());
+                sel *= crate::estimate::predicate_selectivity(p, stats.as_deref(), db);
             }
             base * sel
         })
@@ -196,7 +200,8 @@ pub fn optimize(plan: Plan, db: &Database) -> Plan {
         };
     }
 
-    // Residual predicates (original coordinates, incl. subquery filters).
+    // Residual predicates (original coordinates, incl. correlated-subquery
+    // filters).
     if !residual.is_empty() {
         tree = Plan::Filter {
             input: Arc::new(tree),
@@ -378,7 +383,7 @@ pub fn split_conjuncts(e: BExpr, out: &mut Vec<BExpr>) {
 }
 
 /// ANDs a non-empty list.
-fn and_all(mut preds: Vec<BExpr>) -> BExpr {
+pub(crate) fn and_all(mut preds: Vec<BExpr>) -> BExpr {
     let mut acc = preds.pop().expect("non-empty");
     while let Some(p) = preds.pop() {
         acc = BExpr::And(p.boxed(), acc.boxed());

@@ -384,6 +384,57 @@ impl Plan {
         }
     }
 
+    /// The expressions this node itself evaluates.
+    fn exprs(&self) -> Vec<&BExpr> {
+        match self {
+            Plan::Scan { filter, .. } => filter.iter().collect(),
+            Plan::Filter { predicate, .. } => vec![predicate],
+            Plan::Project { exprs, .. } => exprs.iter().collect(),
+            Plan::HashJoin {
+                left_keys,
+                right_keys,
+                residual,
+                ..
+            } => (left_keys.iter().chain(right_keys).chain(residual)).collect(),
+            Plan::NestedLoopJoin { predicate, .. } => predicate.iter().collect(),
+            Plan::Aggregate { groups, aggs, .. } => (groups.iter())
+                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+                .collect(),
+            Plan::Window { calls, .. } => (calls.iter())
+                .flat_map(|c| {
+                    let order = c.order.iter().map(|(e, _)| e);
+                    c.arg.iter().chain(&c.partition).chain(order)
+                })
+                .collect(),
+            Plan::Sort { keys, .. } | Plan::TopN { keys, .. } => {
+                keys.iter().map(|(e, _)| e).collect()
+            }
+            Plan::Limit { .. }
+            | Plan::Distinct { .. }
+            | Plan::SetOp { .. }
+            | Plan::CteRef { .. }
+            | Plan::Prefix { .. } => vec![],
+        }
+    }
+
+    /// `(subqueries, body executions so far)` in this node's own
+    /// expressions, nested subquery bodies included
+    /// ([`BExpr::subplans`]).
+    pub fn subplans(&self) -> (u64, u64) {
+        (self.exprs().iter()).fold((0, 0), |(n, runs), e| {
+            let (en, eruns) = e.subplans();
+            (n + en, runs + eruns)
+        })
+    }
+
+    /// [`Plan::subplans`] summed over this node and everything below it.
+    pub(crate) fn subplans_deep(&self) -> (u64, u64) {
+        (self.children().iter()).fold(self.subplans(), |(n, runs), c| {
+            let (cn, cruns) = c.subplans_deep();
+            (n + cn, runs + cruns)
+        })
+    }
+
     fn explain_into(
         &self,
         out: &mut String,
@@ -443,6 +494,13 @@ impl Plan {
                     // mem_peak needs the counting allocator installed in
                     // the running binary; without it the delta is 0 and
                     // the annotation is omitted.
+                    // Subqueries in this node's expressions and how many
+                    // times their bodies ran: the whole cost of a
+                    // correlated subquery sits on this line, so the count
+                    // is what tells once from once-per-row.
+                    if let (n @ 1.., runs) = self.subplans() {
+                        columnar.push_str(&format!(" subplans={n} subplan_runs={runs}"));
+                    }
                     let mem = if s.mem_peak > 0 {
                         format!(" mem_peak={}", tpcds_obs::mem::fmt_bytes(s.mem_peak))
                     } else {
@@ -514,8 +572,11 @@ impl Plan {
             }
             _ => None,
         };
+        let (subplans, subplan_runs) = self.subplans();
         out.push(NodeReport {
             op: self.label(),
+            subplans,
+            subplan_runs,
             est: est_rows,
             rows,
             calls,
@@ -540,6 +601,10 @@ impl Plan {
 pub struct NodeReport {
     /// Operator label (same text as the EXPLAIN line).
     pub op: String,
+    /// Subqueries in the node's own expressions, nested bodies included.
+    pub subplans: u64,
+    /// Times those subqueries' bodies executed.
+    pub subplan_runs: u64,
     /// Estimated output rows, if the estimator annotated this node.
     pub est: Option<f64>,
     /// Total rows produced across all calls.

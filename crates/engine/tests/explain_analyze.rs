@@ -7,6 +7,11 @@ use tpcds_types::Value;
 
 fn db_with(table: &str, cols: &[&str], rows: Vec<Vec<i64>>) -> Database {
     let db = Database::new();
+    add_table(&db, table, cols, rows);
+    db
+}
+
+fn add_table(db: &Database, table: &str, cols: &[&str], rows: Vec<Vec<i64>>) {
     let meta = cols
         .iter()
         .map(|c| ColumnMeta {
@@ -19,7 +24,6 @@ fn db_with(table: &str, cols: &[&str], rows: Vec<Vec<i64>>) -> Database {
         .map(|r| r.into_iter().map(Value::Int).collect())
         .collect();
     db.create_table_with_rows(table, meta, rows).unwrap();
-    db
 }
 
 /// Runs EXPLAIN ANALYZE, checks every operator line carries actuals, and
@@ -107,10 +111,10 @@ fn bare_limit_short_circuits_the_scan() {
             assert!(plan.contains("serial[no-shadow]"), "{plan}");
         }
     }
-    // A subquery predicate keeps the chain on the interpreter: it is
-    // evaluated for the rows the Limit asked for, not for the table.
+    // A correlated subquery predicate keeps the chain on the interpreter:
+    // it is evaluated for the rows the Limit asked for, not for the table.
     let db = db_with("t", &["a"], (0..50).map(|i| vec![i]).collect());
-    let sql = "select a from t where a in (select a from t where a >= 10) limit 4";
+    let sql = "select a from t x where (select count(*) from t y where y.a < x.a) >= 10 limit 4";
     let (n, plan) = analyze(&db, sql);
     assert_eq!(n, 4);
     assert_eq!(op_rows(&plan, "Filter"), vec![4], "{plan}");
@@ -308,4 +312,71 @@ fn plain_explain_has_no_actuals() {
     let text = bound.plan.explain();
     assert!(!text.contains("rows="), "{text}");
     assert!(!text.contains("elapsed="), "{text}");
+}
+
+/// q35's WHERE clause: three equality-correlated EXISTS, two of them under
+/// an OR. The owning Filter's line says how many subqueries it holds and
+/// how many times their bodies ran: once each on the batch path, once per
+/// distinct customer reached on the row interpreter.
+#[test]
+fn subplan_runs_tell_once_from_once_per_key() {
+    use tpcds_engine::{query_analyze_with, ColumnarMode, ExecOptions};
+    let db = db_with(
+        "customer",
+        &["c_customer_sk"],
+        (0..40).map(|i| vec![i]).collect(),
+    );
+    // Every `step`th customer bought on this channel, on date `c % 4`.
+    let channel = |table: &str, cust: &str, date: &str, step: usize| {
+        let sales = (0..40).step_by(step).map(|c| vec![c, c % 4]).collect();
+        add_table(&db, table, &[cust, date], sales);
+    };
+    channel("store_sales", "ss_customer_sk", "ss_sold_date_sk", 2);
+    channel("web_sales", "ws_bill_customer_sk", "ws_sold_date_sk", 3);
+    channel("catalog_sales", "cs_ship_customer_sk", "cs_sold_date_sk", 5);
+    let quarters = (0..4).map(|i| vec![i, i + 1]).collect();
+    add_table(&db, "date_dim", &["d_date_sk", "d_qoy"], quarters);
+    db.build_columnar_shadows();
+    let sql = "select count(*) from customer c \
+        where exists (select ss_sold_date_sk from store_sales, date_dim \
+                      where c.c_customer_sk = ss_customer_sk \
+                        and ss_sold_date_sk = d_date_sk and d_qoy < 4) \
+          and (exists (select ws_sold_date_sk from web_sales, date_dim \
+                       where c.c_customer_sk = ws_bill_customer_sk \
+                         and ws_sold_date_sk = d_date_sk and d_qoy < 4) \
+               or exists (select cs_sold_date_sk from catalog_sales, date_dim \
+                          where c.c_customer_sk = cs_ship_customer_sk \
+                            and cs_sold_date_sk = d_date_sk and d_qoy < 4))";
+    let run = |columnar| {
+        let opts = ExecOptions {
+            columnar,
+            threads: Some(2),
+        };
+        let a = query_analyze_with(&db, sql, opts).unwrap();
+        let owner = a.plan_text.lines().find(|l| l.contains("subplans="));
+        (a.result.rows[0][0].clone(), owner.unwrap().to_string())
+    };
+    let (batch_count, batch) = run(ColumnarMode::Auto);
+    assert!(batch.contains("subplans=3 subplan_runs=3"), "{batch}");
+    assert!(batch.contains("route=columnar"), "{batch}");
+    let (oracle_count, oracle) = run(ColumnarMode::Off);
+    assert_eq!(batch_count, oracle_count);
+    // 40 customers reach the first EXISTS, the 20 it admits reach the
+    // second, and the third runs for the 13 the second turned away.
+    assert!(oracle.contains("subplans=3 subplan_runs=73"), "{oracle}");
+    // q58's shape: a CTE body (not rendered as text) whose IN subquery
+    // holds a scalar one. The node reports carry the counts, and every
+    // node of the statement stayed on the batch path.
+    let sql = "with buyers as (select c_customer_sk from customer where c_customer_sk in \
+               (select ss_customer_sk from store_sales where ss_sold_date_sk = \
+                (select min(d_date_sk) from date_dim))) select count(*) from buyers";
+    let opts = ExecOptions {
+        columnar: ColumnarMode::Auto,
+        threads: Some(2),
+    };
+    let a = query_analyze_with(&db, sql, opts).unwrap();
+    let owners: Vec<_> = a.nodes.iter().filter(|n| n.subplans > 0).collect();
+    assert_eq!(owners.len(), 1, "{:?}", a.nodes);
+    assert_eq!((owners[0].subplans, owners[0].subplan_runs), (2, 2));
+    assert_eq!(a.fallback_reasons(), Vec::<&str>::new());
 }

@@ -316,3 +316,189 @@ fn stacked_filters_raise_the_lowest_rows_error() {
         );
     }
 }
+
+// ---------- subqueries: evaluated once on the batch path ----------
+
+fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+    rows.sort_by(|a, b| {
+        (a.iter().zip(b))
+            .map(|(x, y)| x.sort_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    rows
+}
+
+/// [`assert_parity`], plus the second reference: the unoptimized plan
+/// (no pushdown, no join reordering) returns the same rows in some order.
+/// Returns the oracle's rows.
+fn assert_subquery_parity(db: &Database, sql: &str) -> Vec<Row> {
+    assert_parity(db, sql);
+    let oracle = tpcds_engine::query_with(db, sql, OFF).unwrap().rows;
+    let naive = tpcds_engine::query_unoptimized(db, sql).unwrap().rows;
+    assert_eq!(sorted(oracle.clone()), sorted(naive), "unoptimized: {sql}");
+    oracle
+}
+
+fn count_of(rows: &[Row]) -> i64 {
+    rows[0][0].as_int().expect("a count")
+}
+
+/// `subplan_runs=` as EXPLAIN ANALYZE prints it for the node that owns
+/// the statement's subqueries.
+fn subplan_runs(db: &Database, sql: &str, opts: ExecOptions) -> u64 {
+    let plan = tpcds_engine::query_analyze_with(db, sql, opts)
+        .unwrap()
+        .plan_text;
+    let at = plan
+        .find("subplan_runs=")
+        .unwrap_or_else(|| panic!("{plan}"));
+    let digits: String = plan[at + "subplan_runs=".len()..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
+#[test]
+fn uncorrelated_subqueries_agree_wherever_they_appear() {
+    let db = plain_db();
+    for sql in [
+        // WHERE: scalar, IN, EXISTS / NOT EXISTS.
+        "select id from t where n = (select min(n) from t) order by id",
+        "select id from t where id in (select n + 100 from t) order by id",
+        "select count(*) from t where exists (select id from t where id = 299)",
+        "select count(*) from t where n > 0 and not exists (select id from t where id < 0)",
+        // A select list (q9's shape): only the taken arm's subquery runs.
+        "select id, case when (select count(*) from t where n = 1) > 10 \
+         then (select avg(amt) from t where n = 1) \
+         else (select avg(amt) from t where n = 2) end from t where id < 3 order by id",
+        // HAVING and a join residual.
+        "select n, count(*) from t group by n \
+         having count(*) > (select count(*) / 10 from t) order by n",
+        "select x.id, y.id from t x left join t y \
+         on x.id = y.id and y.n > (select min(n) from t) where x.id < 20 order by 1",
+        // Nested two deep (q58's shape).
+        "select id from t where id in \
+         (select id + 1 from t where n = (select max(n) from t)) order by id",
+        // Next to a join, where the optimizer pushes it to its scan.
+        "select x.id from t x, t y where x.id = y.id and y.n = 1 \
+         and x.id in (select id from t where big >= 100000) order by 1",
+    ] {
+        assert!(!assert_subquery_parity(&db, sql).is_empty(), "{sql}");
+    }
+}
+
+#[test]
+fn a_failing_subquery_fails_only_when_a_row_reaches_it() {
+    let db = plain_db();
+    // Two rows where one is allowed — but no outer row ever asks.
+    let lazy = "select id from t where id < 0 and n = (select n from t where id in (1, 2))";
+    assert!(assert_subquery_parity(&db, lazy).is_empty());
+    // The same subquery with rows in front of it: the same message on
+    // every path, the unoptimized plan included.
+    let eager = "select id from t where n = (select n from t where id in (1, 2))";
+    assert_error_parity(&db, eager);
+    let oracle = tpcds_engine::query_with(&db, eager, OFF).unwrap_err();
+    assert_eq!(
+        oracle.to_string(),
+        "execution error: scalar subquery returned more than one row"
+    );
+    assert_eq!(tpcds_engine::query_unoptimized(&db, eager), Err(oracle));
+}
+
+#[test]
+fn in_and_not_in_follow_sql_null_rules() {
+    let db = plain_db();
+    let count = |sql: &str| count_of(&assert_subquery_parity(&db, sql));
+    // Empty sets.
+    assert_eq!(
+        count("select count(*) from t where id in (select id from t where id < 0)"),
+        0
+    );
+    assert_eq!(
+        count("select count(*) from t where id not in (select id from t where id < 0)"),
+        300
+    );
+    // A NULL in the set turns every miss into UNKNOWN: NOT IN admits
+    // nothing, exactly like the literal list.
+    let set = "select case when id = 1 then null else id end from t where id <= 2";
+    assert_eq!(
+        count(&format!("select count(*) from t where id in ({set})")),
+        2
+    );
+    assert_eq!(
+        count(&format!("select count(*) from t where id not in ({set})")),
+        0
+    );
+    assert_eq!(
+        count("select count(*) from t where id not in (0, 2, null)"),
+        0
+    );
+    // Without the NULL it admits the misses; a NULL operand stays UNKNOWN.
+    assert_eq!(
+        count("select count(*) from t where id not in (select id from t where id <= 2)"),
+        297
+    );
+    let nulls = count("select count(*) from t where n is null");
+    assert_eq!(
+        count("select count(*) from t where n not in (select id from t where id = 1)"),
+        300 - nulls - count("select count(*) from t where n = 1")
+    );
+    // Int against a Decimal set: `1 = 1.00`.
+    assert_eq!(
+        count("select count(*) from t where id in (select amt from t where id = 100)"),
+        1
+    );
+}
+
+#[test]
+fn keyed_exists_is_a_set_probe_with_exists_null_rules() {
+    let db = plain_db();
+    let auto = ExecOptions {
+        columnar: ColumnarMode::Auto,
+        threads: Some(2),
+    };
+    let count = |sql: &str| count_of(&assert_subquery_parity(&db, sql));
+    let nulls = count("select count(*) from t where n is null");
+    // A NULL outer key matches nothing: NOT EXISTS is TRUE for it.
+    let sql = "select count(*) from t x where not exists (select 1 from t y where y.id = x.n)";
+    let in_range = count("select count(*) from t where n >= 0");
+    assert_eq!(count(sql), 300 - in_range);
+    assert!(300 - in_range > nulls);
+    assert_eq!(
+        subplan_runs(&db, sql, auto),
+        1,
+        "one body run, not one per key"
+    );
+    assert!(subplan_runs(&db, sql, OFF) > 1);
+    // NULL inner keys are dropped, not matched.
+    assert_eq!(
+        count("select count(*) from t x where exists (select 1 from t y where y.n = x.id)"),
+        3
+    );
+    // Under OR (q35's shape), with an uncorrelated conjunct in one body.
+    let sql = "select count(*) from t x where x.id < 50 and \
+               (exists (select 1 from t y where y.n = x.id) \
+                or exists (select 1 from t y where y.id = x.n and y.id > 1))";
+    assert!(count(sql) > 3);
+    assert_eq!(subplan_runs(&db, sql, auto), 2);
+    // Two key equalities: a tuple probe; a NULL in either key is a miss.
+    let sql = "select count(*) from t x where exists \
+               (select 1 from t y where y.id = x.id and y.n = x.n)";
+    assert_eq!(count(sql), 300 - nulls);
+    assert_eq!(subplan_runs(&db, sql, auto), 1);
+    // A non-equality correlation keeps the per-key path, and agrees.
+    let sql = "select count(*) from t x where x.id < 40 and exists \
+               (select 1 from t y where y.n = x.n and y.id <> x.id)";
+    assert_eq!(
+        count(sql),
+        40 - count("select count(*) from t where id < 40 and n is null")
+    );
+    assert!(subplan_runs(&db, sql, auto) > 1);
+    // Int against Decimal keys compare numerically on the row path, not
+    // as set members: not rewritten, and agrees.
+    let sql = "select count(*) from t x where exists (select 1 from t y where y.amt = x.id)";
+    assert!(count(sql) >= 1);
+    assert!(subplan_runs(&db, sql, auto) > 1);
+}

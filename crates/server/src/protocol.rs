@@ -142,6 +142,28 @@ mod tests {
     }
 
     #[test]
+    fn frames_of_any_size_round_trip() {
+        for body_len in [1usize, 4 * 1024, 100 * 1024] {
+            // `"xx…"` serializes to `body_len` bytes: the quotes count.
+            let doc = match body_len {
+                1 => Json::Int(7),
+                n => Json::Str("x".repeat(n - 2)),
+            };
+            let mut buf = Vec::new();
+            let n = write_frame(&mut buf, &doc).unwrap();
+            assert_eq!(n, buf.len());
+            assert_eq!(n, 4 + body_len);
+            let mut r = buf.as_slice();
+            assert_eq!(read_frame(&mut r).unwrap(), Some(doc));
+            assert_eq!(read_frame(&mut r).unwrap(), None);
+        }
+        // An empty body is a length prefix alone; it is not JSON, so the
+        // reader says so instead of waiting for more.
+        let mut r = &0u32.to_be_bytes()[..];
+        assert!(read_frame(&mut r).is_err());
+    }
+
+    #[test]
     fn oversized_prefix_is_rejected_before_allocating() {
         // "GET " interpreted as a length prefix.
         let mut r = &b"GET / HTTP/1.1\r\n"[..];

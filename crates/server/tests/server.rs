@@ -76,6 +76,31 @@ fn ping_query_explain_stats_roundtrip() {
 }
 
 #[test]
+fn a_response_larger_than_a_socket_buffer_arrives_whole() {
+    let db = Arc::new(Database::new());
+    let meta = vec![ColumnMeta {
+        name: "s".to_string(),
+        dtype: DataType::Str,
+    }];
+    // ~4 MiB of result: many times any default loopback socket buffer.
+    let rows: Vec<Vec<Value>> = (0..4096)
+        .map(|i| vec![Value::str(format!("{i:04}{}", "y".repeat(1020)))])
+        .collect();
+    db.create_table_with_rows("big", meta, rows.clone())
+        .unwrap();
+    let server = start(&db);
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let r = c.query("select s from big").unwrap();
+    assert_eq!(r.rows.len(), rows.len());
+    for (got, want) in r.rows.iter().zip(&rows) {
+        assert_eq!(got[0].as_str(), want[0].as_str());
+    }
+    // The session is still in frame sync afterwards.
+    assert_eq!(c.ping().unwrap(), db.version());
+    server.shutdown();
+}
+
+#[test]
 fn sql_errors_come_back_as_remote_errors_and_session_survives() {
     let db = tiny_db();
     let server = start(&db);

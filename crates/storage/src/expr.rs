@@ -24,8 +24,8 @@ use crate::pred::{CmpKind, P_FALSE, P_NULL, P_TRUE};
 use crate::segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
 use crate::StorageError;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::{Arc, Mutex};
 use tpcds_types::scalar;
 use tpcds_types::{like_match, ArithOp, DataType, Date, Decimal, Row, ScalarFunc, Value};
 
@@ -75,6 +75,144 @@ pub enum Expr {
     Func(ScalarFunc, Vec<Expr>),
     /// `l || r` via [`tpcds_types::scalar::concat`].
     Concat(Box<Expr>, Box<Expr>),
+    /// Membership of the key tuple in a constant set built once — a
+    /// subquery's result — under the NULL rules of the given [`SetTest`];
+    /// the bool is the NOT.
+    InSet(Vec<Expr>, Arc<KeySet>, SetTest, bool),
+}
+
+/// Which SQL construct an [`Expr::InSet`] answers. They differ only in
+/// what a NULL does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SetTest {
+    /// `x IN (subquery)`: a NULL operand is UNKNOWN, and so is a miss
+    /// against a set that contained a NULL.
+    In,
+    /// `EXISTS (… WHERE outer = inner …)` probed by its outer keys: a NULL
+    /// key equals nothing, on either side, so it is simply a miss.
+    Exists,
+}
+
+/// The distinct non-NULL key tuples a subquery produced, built once and
+/// shared by every morsel that probes it. Keys compare like `Value`
+/// equality (`1 = 1.0`; values of different kinds never match), which is
+/// the rule the row interpreter's per-row evaluation applies — it probes
+/// this same type.
+#[derive(Debug)]
+pub struct KeySet {
+    keys: Keys,
+    has_null: bool,
+}
+
+/// Single integer or date keys — surrogate keys, in practice — are kept
+/// sorted so an `i64` or date buffer probes them without boxing a value.
+#[derive(Debug)]
+enum Keys {
+    Ints(Vec<i64>),
+    Dates(Vec<Date>),
+    Rows(HashSet<Row>),
+}
+
+impl KeySet {
+    /// The set of `rows`; a row with a NULL in it is dropped and
+    /// remembered ([`SetTest::In`] needs to know).
+    pub fn new(mut rows: Vec<Row>) -> KeySet {
+        let before = rows.len();
+        rows.retain(|r| !r.iter().any(Value::is_null));
+        let has_null = rows.len() < before;
+        /// Every row as one `pick`ed value, sorted and distinct.
+        fn single<T: Ord>(rows: &[Row], pick: fn(&Value) -> Option<T>) -> Option<Vec<T>> {
+            let picked = rows.iter().map(|r| match r.as_slice() {
+                [v] => pick(v),
+                _ => None,
+            });
+            let mut ks = picked.collect::<Option<Vec<T>>>()?;
+            ks.sort_unstable();
+            ks.dedup();
+            Some(ks)
+        }
+        let keys = if let Some(ks) = single(&rows, Value::as_int) {
+            Keys::Ints(ks)
+        } else if let Some(ks) = single(&rows, Value::as_date) {
+            Keys::Dates(ks)
+        } else {
+            Keys::Rows(rows.into_iter().collect())
+        };
+        KeySet { keys, has_null }
+    }
+
+    /// Whether the NULL-free `key` is in the set.
+    fn contains(&self, key: &[Value]) -> bool {
+        match (&self.keys, key) {
+            (Keys::Ints(ks), [Value::Int(x)]) => ks.binary_search(x).is_ok(),
+            (Keys::Ints(ks), [Value::Decimal(d)]) => ks
+                .binary_search_by(|k| Decimal::from_int(*k).cmp(d))
+                .is_ok(),
+            (Keys::Dates(ks), [Value::Date(d)]) => ks.binary_search(d).is_ok(),
+            (Keys::Rows(ks), key) => ks.contains(key),
+            _ => false,
+        }
+    }
+
+    /// The verdict of `test` for one key tuple before any NOT; `None` is
+    /// UNKNOWN.
+    pub fn test(&self, test: SetTest, key: &[Value]) -> Option<bool> {
+        let null_key = key.iter().any(Value::is_null);
+        self.verdict(test, (!null_key).then(|| self.contains(key)))
+    }
+
+    /// The NULL rules: what `test` makes of a hit, a miss, or (`None`) a
+    /// key with a NULL in it.
+    fn verdict(&self, test: SetTest, hit: Option<bool>) -> Option<bool> {
+        match (test, hit) {
+            (SetTest::In, None) => None,
+            (SetTest::In, Some(false)) if self.has_null => None,
+            (SetTest::Exists, None) => Some(false),
+            (_, hit) => hit,
+        }
+    }
+
+    /// [`KeySet::test`] of one segment column from row `start` on into
+    /// `t`, when the keys have a sorted form that column's buffer can
+    /// probe natively; `false` = no such form, `t` untouched.
+    fn test_column(
+        &self,
+        test: SetTest,
+        negated: bool,
+        col: &Column,
+        start: usize,
+        t: &mut [u8],
+    ) -> bool {
+        fn probe(
+            t: &mut [u8],
+            on: [u8; 3],
+            nulls: &Bitmap,
+            start: usize,
+            hit: impl Fn(usize) -> bool,
+        ) {
+            for (j, o) in t.iter_mut().enumerate() {
+                let i = start + j;
+                *o = on[if nulls.get(i) {
+                    0
+                } else {
+                    1 + usize::from(hit(i))
+                }];
+            }
+        }
+        // What a NULL cell, a miss and a hit read as.
+        let on = [None, Some(false), Some(true)]
+            .map(|hit| (self.verdict(test, hit)).map_or(P_NULL, |b| tri_u8(b != negated)));
+        match (&self.keys, &col.data) {
+            (Keys::Ints(ks), ColumnData::I64(buf)) => probe(t, on, &col.nulls, start, |i| {
+                ks.binary_search(&buf[i]).is_ok()
+            }),
+            (Keys::Dates(ks), ColumnData::Date(buf)) => probe(t, on, &col.nulls, start, |i| {
+                ks.binary_search(&buf[i]).is_ok()
+            }),
+            _ => return false,
+        }
+        true
+    }
 }
 
 /// A typed batch of values: a borrowed window of a segment column, dense
@@ -183,6 +321,18 @@ fn merge_errs(dst: &mut BTreeMap<usize, String>, src: BTreeMap<usize, String>) {
     for (k, v) in src {
         dst.entry(k).or_insert(v);
     }
+}
+
+/// Every operand's deferred errors, the earliest operand's message kept
+/// per row.
+fn first_errs(evs: &[Evaled<'_>]) -> BTreeMap<usize, String> {
+    let mut errs = BTreeMap::new();
+    for e in evs {
+        for (&j, m) in &e.errs {
+            errs.entry(j).or_insert_with(|| m.clone());
+        }
+    }
+    errs
 }
 
 /// Pre-resolved i64 access for the arithmetic/comparison fast paths:
@@ -786,12 +936,7 @@ impl Expr {
                     .iter()
                     .map(|a| a.eval_vect(input, start, len))
                     .collect();
-                let mut errs: BTreeMap<usize, String> = BTreeMap::new();
-                for e in &evs {
-                    for (&j, m) in &e.errs {
-                        errs.entry(j).or_insert_with(|| m.clone());
-                    }
-                }
+                let mut errs = first_errs(&evs);
                 let mut vals = Vec::with_capacity(len);
                 let mut argv: Vec<Value> = Vec::with_capacity(evs.len());
                 for j in 0..len {
@@ -829,6 +974,38 @@ impl Expr {
                 }
                 Evaled {
                     v: Vect::Val(vals),
+                    errs,
+                }
+            }
+            Expr::InSet(keys, set, test, negated) => {
+                let evs: Vec<Evaled> = keys
+                    .iter()
+                    .map(|k| k.eval_vect(input, start, len))
+                    .collect();
+                let mut t = vec![P_NULL; len];
+                if let [Evaled {
+                    v: Vect::Col(col, s),
+                    ..
+                }] = &evs[..]
+                {
+                    if set.test_column(*test, *negated, col, *s, &mut t) {
+                        return Evaled::ok(Vect::Tri(t));
+                    }
+                }
+                let errs = first_errs(&evs);
+                let mut key: Vec<Value> = Vec::with_capacity(evs.len());
+                for (j, o) in t.iter_mut().enumerate() {
+                    if errs.contains_key(&j) {
+                        continue;
+                    }
+                    key.clear();
+                    key.extend(evs.iter().map(|e| e.v.get(j)));
+                    if let Some(b) = set.test(*test, &key) {
+                        *o = tri_u8(b != *negated);
+                    }
+                }
+                Evaled {
+                    v: Vect::Tri(t),
                     errs,
                 }
             }
@@ -908,7 +1085,9 @@ impl Expr {
                 a.visit_cols(f);
                 items.iter().for_each(|e| e.visit_cols(f));
             }
-            Expr::Func(_, args) => args.iter().for_each(|e| e.visit_cols(f)),
+            Expr::Func(_, args) | Expr::InSet(args, ..) => {
+                args.iter().for_each(|e| e.visit_cols(f))
+            }
             Expr::Case {
                 operand,
                 branches,
@@ -941,6 +1120,7 @@ impl Expr {
             | Expr::IsNull(..)
             | Expr::Like(..)
             | Expr::InList(..)
+            | Expr::InSet(..)
             | Expr::Between(..) => DataType::Bool,
             Expr::Arith(op, l, r) => {
                 if *op == ArithOp::Div {
@@ -1520,6 +1700,83 @@ mod tests {
         );
         e.eval_tri(seg, 0, 3, &mut out).unwrap();
         assert_eq!(out, vec![P_FALSE, P_NULL, P_NULL]);
+    }
+
+    /// Every (test, NOT, NULL-in-set) combination, over typed buffers (the
+    /// sorted probe), boxed buffers and a computed operand (the generic
+    /// loop): all agree with [`KeySet::test`] row by row.
+    #[test]
+    fn set_membership_null_rules_hold_on_every_path() {
+        let date = |d: u32| Value::Date(Date::from_ymd(2000, 5, d));
+        let rows: Vec<Row> = vec![
+            vec![int(1), date(1), Value::str("a")],
+            vec![Value::Null, Value::Null, Value::Null],
+            vec![int(5), date(5), Value::str("e")],
+        ];
+        let dtypes = vec![DataType::Int, DataType::Date, DataType::Str];
+        let typed = table_of(dtypes, &rows);
+        let boxed = table_of(vec![DataType::Bool; 3], &rows);
+        for with_null in [false, true] {
+            let set_of = |vals: [Value; 2]| {
+                let mut keys: Vec<Row> = vals.into_iter().map(|v| vec![v]).collect();
+                keys.extend(with_null.then(|| vec![Value::Null]));
+                Arc::new(KeySet::new(keys))
+            };
+            let sets = [
+                set_of([int(1), int(9)]),
+                set_of([date(1), date(9)]),
+                set_of([Value::str("a"), Value::str("z")]),
+            ];
+            for (c, set) in sets.iter().enumerate() {
+                for (test, negated) in [
+                    (SetTest::In, false),
+                    (SetTest::In, true),
+                    (SetTest::Exists, false),
+                    (SetTest::Exists, true),
+                ] {
+                    let want: Vec<Value> = (rows.iter())
+                        .map(|r| match set.test(test, &r[c..=c]) {
+                            Some(b) => Value::Bool(b != negated),
+                            None => Value::Null,
+                        })
+                        .collect();
+                    let leaf = |key: Expr| Expr::InSet(vec![key], Arc::clone(set), test, negated);
+                    let computed = Expr::Func(ScalarFunc::Coalesce, vec![Expr::Col(c)]);
+                    for (e, t) in [
+                        (leaf(Expr::Col(c)), &typed),
+                        (leaf(Expr::Col(c)), &boxed),
+                        (leaf(computed), &typed),
+                    ] {
+                        let got = e.eval_values(&t.segments[0], 0, rows.len()).unwrap();
+                        assert_eq!(
+                            got, want,
+                            "{test:?} negated={negated} null={with_null} col {c}"
+                        );
+                    }
+                }
+            }
+        }
+        // The rules themselves: IN is UNKNOWN for a NULL operand and for a
+        // miss against a set that held a NULL; the EXISTS form just misses.
+        let set = KeySet::new(vec![vec![int(1)], vec![Value::Null]]);
+        assert_eq!(set.test(SetTest::In, &[int(1)]), Some(true));
+        assert_eq!(set.test(SetTest::In, &[int(2)]), None);
+        assert_eq!(set.test(SetTest::In, &[Value::Null]), None);
+        assert_eq!(set.test(SetTest::Exists, &[int(2)]), Some(false));
+        assert_eq!(set.test(SetTest::Exists, &[Value::Null]), Some(false));
+        // `1 = 1.00`, as everywhere else values are compared for equality.
+        let one = Value::Decimal("1.00".parse().unwrap());
+        assert_eq!(
+            set.test(SetTest::Exists, std::slice::from_ref(&one)),
+            Some(true)
+        );
+        // Tuples: a NULL in any position is a NULL key.
+        let pairs = KeySet::new(vec![vec![int(1), one], vec![int(2), Value::Null]]);
+        assert_eq!(pairs.test(SetTest::Exists, &[int(1), int(1)]), Some(true));
+        assert_eq!(
+            pairs.test(SetTest::Exists, &[int(2), Value::Null]),
+            Some(false)
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod stats;
 pub use agg::{AggKind, AggSpec};
 pub use batch::Batch;
 pub use column::{Bitmap, Column, ColumnData};
-pub use expr::{par_project_table, ErrCell, Expr, ExprStats};
+pub use expr::{par_project_table, ErrCell, Expr, ExprStats, KeySet, SetTest};
 pub use join::{par_hash_join, par_hash_join_agg, JoinStats, JoinType};
 pub use morsel::{par_aggregate, par_filter, scan_until, ScanStats, MORSEL_ROWS};
 pub use pred::{CmpKind, Pred};

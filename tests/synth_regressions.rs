@@ -172,6 +172,87 @@ const CORPUS: &[(&str, &str)] = &[
          ss_quantity from store_sales where ss_quantity <= 50) s \
          where ss_quantity + 9223372036854775757 > 0 limit 10",
     ),
+    // --- subqueries the batch path evaluates once (PR 18) -------------
+    (
+        "scalar_subquery_pushed_to_its_scan",
+        "select d_date_sk from date_dim where d_week_seq = \
+         (select d_week_seq from date_dim where d_date = '2000-01-03') order by 1",
+    ),
+    (
+        "in_subquery_nested_two_deep_beside_a_join",
+        "select count(*), min(ss_item_sk) from store_sales, date_dim \
+         where ss_sold_date_sk = d_date_sk and d_date in (select d_date from date_dim \
+         where d_week_seq = (select d_week_seq from date_dim where d_date = '2000-01-03'))",
+    ),
+    (
+        "select_list_case_over_scalar_subqueries",
+        "select r_reason_sk, case when (select count(*) from store_sales \
+         where ss_quantity between 1 and 20) > 100 \
+         then (select avg(ss_ext_discount_amt) from store_sales where ss_quantity between 1 and 20) \
+         else (select avg(ss_net_paid) from store_sales where ss_quantity between 1 and 20) end \
+         from reason order by 1",
+    ),
+    (
+        "having_against_a_scalar_subquery",
+        "select ss_store_sk, count(*) from store_sales group by ss_store_sk \
+         having count(*) > (select count(*) / 20 from store_sales) order by 1",
+    ),
+    (
+        "join_residual_with_a_scalar_subquery",
+        "select count(*), count(s_store_sk) from store_sales left join store \
+         on ss_store_sk = s_store_sk and s_store_sk > (select min(s_store_sk) from store)",
+    ),
+    (
+        "two_row_scalar_subquery_no_row_reaches",
+        "select i_item_sk from item where i_item_sk < 0 \
+         and i_item_sk = (select i_item_sk from item)",
+    ),
+    (
+        "in_and_not_in_an_empty_set",
+        "select count(*) from item where i_item_sk not in (select i_item_sk from item \
+         where i_item_sk < 0) and i_manufact_id in (select i_item_sk from item where i_item_sk < 0)",
+    ),
+    (
+        "not_in_a_set_with_a_null_admits_nothing",
+        "select count(*) from item where i_item_sk not in (select case when i_item_sk = 1 \
+         then null else i_item_sk end from item where i_item_sk <= 2)",
+    ),
+    (
+        "keyed_exists_under_or",
+        "select count(*) from customer c where exists (select ss_sold_date_sk \
+         from store_sales, date_dim where c.c_customer_sk = ss_customer_sk \
+         and ss_sold_date_sk = d_date_sk and d_year = 2000) \
+         or exists (select ws_sold_date_sk from web_sales \
+         where c.c_customer_sk = ws_bill_customer_sk)",
+    ),
+    (
+        "not_exists_with_null_outer_keys",
+        "select count(*) from store_sales s where not exists \
+         (select p_promo_sk from promotion where p_promo_sk = s.ss_promo_sk)",
+    ),
+    (
+        "exists_with_null_inner_keys",
+        "select count(*) from promotion p where exists \
+         (select ss_item_sk from store_sales where ss_promo_sk = p.p_promo_sk)",
+    ),
+    (
+        "exists_on_two_key_equalities",
+        "select count(*) from store_returns r where sr_return_quantity <= 5 and exists \
+         (select ss_item_sk from store_sales where ss_item_sk = r.sr_item_sk \
+         and ss_ticket_number = r.sr_ticket_number)",
+    ),
+    (
+        "exists_with_a_non_equality_correlation_stays_per_key",
+        "select count(*) from web_sales ws1 where ws1.ws_quantity <= 3 and exists \
+         (select ws2.ws_order_number from web_sales ws2 \
+         where ws1.ws_order_number = ws2.ws_order_number \
+         and ws1.ws_warehouse_sk <> ws2.ws_warehouse_sk)",
+    ),
+    (
+        "exists_on_int_against_decimal_keys_is_not_rewritten",
+        "select count(*) from item i where exists \
+         (select ss_item_sk from store_sales where ss_list_price = i.i_item_sk)",
+    ),
     // --- window tails over columnar children -------------------------
     (
         "rank_with_null_partition_keys",
