@@ -182,8 +182,9 @@ impl Default for ExecOptions {
 }
 
 /// Per-statement execution context: the pinned snapshot the statement
-/// reads, the CTE result cache, execution options, and (under EXPLAIN
-/// ANALYZE) the per-operator stats collector.
+/// reads, the CTE result cache, execution options, and the per-node
+/// actuals every statement collects (the cost is per node call and per
+/// morsel, never per row).
 ///
 /// The snapshot is pinned once at construction: every table lookup for
 /// the statement's lifetime resolves against that frozen version, so
@@ -202,67 +203,23 @@ pub struct ExecCtx<'a> {
     cte_rows: Mutex<HashMap<usize, Arc<Vec<Row>>>>,
     /// Execution options (columnar routing, worker count).
     pub opts: ExecOptions,
-    stats: Option<Mutex<StatsMap>>,
-    /// Routing decisions already emitted to observability this statement,
-    /// so correlated subplans (one decision per outer row) produce one
-    /// `route.*` counter/span per distinct decision, not per row.
-    route_seen: Mutex<HashSet<(usize, RoutePath, Option<&'static str>)>>,
-    /// EXPLAIN ANALYZE only: per lazy node, the counter its pending
-    /// predicate feeds as kernels evaluate it ([`Batch::counted`]).
+    stats: Mutex<StatsMap>,
+    /// Per lazy node, the counter its pending predicate feeds as kernels
+    /// evaluate it ([`Batch::counted`]).
     lazy_rows: Mutex<Vec<(usize, Arc<AtomicU64>)>>,
 }
 
 impl<'a> ExecCtx<'a> {
-    /// Fresh context for one statement.
-    pub fn new(db: &'a Database) -> Self {
-        Self::with_options(db, ExecOptions::default())
-    }
-
-    /// Fresh context with explicit execution options. Pins the current
-    /// head snapshot.
-    pub fn with_options(db: &'a Database, opts: ExecOptions) -> Self {
-        Self::pinned(db, db.snapshot(), opts)
-    }
-
-    /// Fresh context reading a caller-pinned snapshot (the server's
-    /// session dispatch and the soak test's differential oracle).
-    pub fn pinned(
-        db: &'a Database,
-        snap: Arc<crate::catalog::DbSnapshot>,
-        opts: ExecOptions,
-    ) -> Self {
+    /// Fresh context for one statement reading `snap`.
+    pub fn new(db: &'a Database, snap: Arc<crate::catalog::DbSnapshot>, opts: ExecOptions) -> Self {
         ExecCtx {
             db,
             snap,
             cte_cache: Mutex::new(HashMap::new()),
             cte_rows: Mutex::new(HashMap::new()),
             opts,
-            stats: None,
-            route_seen: Mutex::new(HashSet::new()),
+            stats: Mutex::new(HashMap::new()),
             lazy_rows: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Fresh context that records per-operator actuals (EXPLAIN ANALYZE).
-    pub fn with_stats(db: &'a Database) -> Self {
-        Self::with_stats_options(db, ExecOptions::default())
-    }
-
-    /// Stats-recording context with explicit execution options. Pins the
-    /// current head snapshot.
-    pub fn with_stats_options(db: &'a Database, opts: ExecOptions) -> Self {
-        Self::pinned_with_stats(db, db.snapshot(), opts)
-    }
-
-    /// Stats-recording context reading a caller-pinned snapshot.
-    pub fn pinned_with_stats(
-        db: &'a Database,
-        snap: Arc<crate::catalog::DbSnapshot>,
-        opts: ExecOptions,
-    ) -> Self {
-        ExecCtx {
-            stats: Some(Mutex::new(HashMap::new())),
-            ..Self::pinned(db, snap, opts)
         }
     }
 
@@ -276,32 +233,18 @@ impl<'a> ExecCtx<'a> {
         self.snap.table(name)
     }
 
-    /// Consumes the context, yielding the collected per-operator actuals
-    /// (empty if stats were not enabled).
+    /// Consumes the context, yielding the collected per-node actuals.
     pub fn take_stats(self) -> StatsMap {
-        let mut map = self.stats.map(Mutex::into_inner).unwrap_or_default();
+        let mut map = self.stats.into_inner();
         for (node, rows) in self.lazy_rows.into_inner() {
             map.entry(node).or_default().rows_out += rows.load(Ordering::Relaxed);
         }
         map
     }
 
-    /// The best route any operator took this statement plus the sorted,
-    /// deduplicated fallback reason codes — the query log's `best_route`
-    /// and `fallbacks` columns. Unlike per-node reports this needs no
-    /// stats collection: it reads the routing-decision set every
-    /// statement maintains.
-    pub fn route_summary(&self) -> (RoutePath, Vec<&'static str>) {
-        let seen = self.route_seen.lock();
-        let best = seen
-            .iter()
-            .map(|&(_, route, _)| route)
-            .max()
-            .unwrap_or(RoutePath::Unset);
-        let mut reasons: Vec<&'static str> = seen.iter().filter_map(|&(_, _, f)| f).collect();
-        reasons.sort_unstable();
-        reasons.dedup();
-        (best, reasons)
+    /// Folds one kernel's numbers into `node`'s actuals.
+    fn fold(&self, node: usize, f: impl FnOnce(&mut OpStats)) {
+        f(self.stats.lock().entry(node).or_default());
     }
 
     /// The morsel worker count this statement runs with.
@@ -312,10 +255,11 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Records which path an operator took and (for the serial path)
-    /// why. Folds into the node's EXPLAIN ANALYZE entry and — once per
-    /// distinct (node, path, reason) decision per statement — emits an
-    /// `engine.route.<path>` counter, an `engine.route.fallback.<reason>`
-    /// counter, and an `engine/route` span (visible in the Chrome trace).
+    /// why, in the node's actuals. A decision that changes them — once per
+    /// distinct decision per statement, however often a correlated subplan
+    /// repeats it — also emits an `engine.route.<path>` counter, an
+    /// `engine.route.fallback.<reason>` counter, and an `engine/route`
+    /// span (visible in the Chrome trace).
     fn record_route(
         &self,
         node: usize,
@@ -323,107 +267,82 @@ impl<'a> ExecCtx<'a> {
         route: RoutePath,
         fallback: Option<&'static str>,
     ) {
-        if self.route_seen.lock().insert((node, route, fallback)) {
-            tpcds_obs::counter(
-                "engine",
-                &format!("route.{}", route.as_str()),
-                1.0,
-                &[("op", tpcds_obs::FieldValue::Str(op.to_string()))],
-            );
-            if let Some(r) = fallback {
-                tpcds_obs::counter(
-                    "engine",
-                    &format!("route.fallback.{r}"),
-                    1.0,
-                    &[("op", tpcds_obs::FieldValue::Str(op.to_string()))],
-                );
-                if r == reason::EXPR_UNSUPPORTED {
-                    tpcds_obs::counter(
-                        "engine",
-                        "expr.fallback",
-                        1.0,
-                        &[("op", tpcds_obs::FieldValue::Str(op.to_string()))],
-                    );
-                }
-            }
-            let mut span = tpcds_obs::span("engine", "route")
-                .field("op", op)
-                .field("path", route.as_str());
-            if let Some(r) = fallback {
-                span.add_field("reason", r);
-            }
-            span.finish();
-        }
-        if let Some(stats) = &self.stats {
-            let mut map = stats.lock();
-            let s = map.entry(node).or_default();
+        let mut fresh = false;
+        self.fold(node, |s| {
+            fresh = route > s.route || (fallback.is_some() && s.fallback.is_none());
             s.route = s.route.max(route);
-            if s.fallback.is_none() {
-                s.fallback = fallback;
-            }
+            s.fallback = s.fallback.or(fallback);
+        });
+        if !fresh {
+            return;
         }
+        let op_field = [("op", tpcds_obs::FieldValue::Str(op.to_string()))];
+        tpcds_obs::counter(
+            "engine",
+            &format!("route.{}", route.as_str()),
+            1.0,
+            &op_field,
+        );
+        let mut span = tpcds_obs::span("engine", "route")
+            .field("op", op)
+            .field("path", route.as_str());
+        if let Some(r) = fallback {
+            tpcds_obs::counter("engine", &format!("route.fallback.{r}"), 1.0, &op_field);
+            if r == reason::EXPR_UNSUPPORTED {
+                tpcds_obs::counter("engine", "expr.fallback", 1.0, &op_field);
+            }
+            span.add_field("reason", r);
+        }
+        span.finish();
     }
 
-    /// Folds a columnar scan's morsel/worker numbers into the node's
-    /// EXPLAIN ANALYZE entry.
+    /// A columnar scan's morsel/worker numbers.
     fn record_columnar(&self, node: usize, cs: &tpcds_storage::ScanStats) {
-        if let Some(stats) = &self.stats {
-            let mut map = stats.lock();
-            let s = map.entry(node).or_default();
+        self.fold(node, |s| {
             s.morsels += cs.morsels;
             s.workers = s.workers.max(cs.workers);
-        }
+        });
     }
 
-    /// Folds a parallel sort/Top-N kernel's morsel/heap/merge numbers into
-    /// the node's EXPLAIN ANALYZE entry.
+    /// A parallel sort/Top-N kernel's morsel/heap/merge numbers.
     fn record_sort(&self, node: usize, ss: &tpcds_storage::SortStats) {
-        if let Some(stats) = &self.stats {
-            let mut map = stats.lock();
-            let s = map.entry(node).or_default();
+        self.fold(node, |s| {
             s.morsels += ss.morsels;
             s.workers = s.workers.max(ss.workers);
             s.merge_ways = s.merge_ways.max(ss.merge_ways);
             s.heap_rows = s.heap_rows.max(ss.heap_rows);
             s.pruned_rows += ss.pruned_rows;
-        }
+        });
     }
 
-    /// Folds a vectorized expression kernel's invocation/row counts into
-    /// the node's EXPLAIN ANALYZE entry and emits the `expr.compiled` /
-    /// `expr.rows` counters.
+    /// A vectorized expression kernel's invocation/row counts; also emits
+    /// the `expr.compiled` / `expr.rows` counters.
     fn record_expr(&self, node: usize, es: &tpcds_storage::ExprStats) {
         tpcds_obs::counter("engine", "expr.compiled", 1.0, &[]);
         tpcds_obs::counter("engine", "expr.rows", es.rows as f64, &[]);
-        if let Some(stats) = &self.stats {
-            let mut map = stats.lock();
-            let s = map.entry(node).or_default();
+        self.fold(node, |s| {
             s.expr_kernels += es.kernels;
             s.expr_rows += es.rows;
-        }
+        });
     }
 
-    /// Folds a columnar join's build/probe/partition numbers into the
-    /// node's EXPLAIN ANALYZE entry.
+    /// A columnar join's build/probe/partition numbers.
     fn record_join(&self, node: usize, js: &tpcds_storage::JoinStats) {
-        if let Some(stats) = &self.stats {
-            let mut map = stats.lock();
-            let s = map.entry(node).or_default();
+        self.fold(node, |s| {
             s.morsels += js.probe_morsels;
             s.workers = s.workers.max(js.workers);
             s.build_rows += js.build_rows;
             s.partitions = s.partitions.max(js.partitions);
             s.build_bytes = s.build_bytes.max(js.build_bytes);
-        }
+        });
     }
 }
 
 /// Executes a plan to rows — the result edge, and the only place a column
 /// batch is turned into `Vec<Row>` on behalf of a caller (the statement
 /// entry points and subquery evaluation). `outer` carries the enclosing
-/// row when this plan is a correlated subquery body. When the context
-/// was created with [`ExecCtx::with_stats`], each node's calls, output
-/// rows and elapsed time are accumulated for EXPLAIN ANALYZE.
+/// row when this plan is a correlated subquery body. Each node's calls,
+/// output rows, elapsed time and memory peak accumulate in the context.
 ///
 /// [`ColumnarMode::Off`] runs the serial row interpreter end to end — the
 /// oracle every differential compares against; the other modes run
@@ -441,29 +360,26 @@ pub fn execute(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Resul
     Ok(rows)
 }
 
-/// Runs one node and, under EXPLAIN ANALYZE, folds its actuals into the
-/// stats map. A lazy batch defers its work to whichever kernel consumes
-/// it, so a node's elapsed time covers what the node itself ran.
+/// Runs one node and folds its actuals into the context. A lazy batch
+/// defers its work to whichever kernel consumes it, so a node's elapsed
+/// time covers what the node itself ran.
 fn observed<T>(
     plan: &Plan,
     ctx: &ExecCtx<'_>,
     run: impl FnOnce() -> Result<T>,
     rows: impl FnOnce(&T) -> u64,
 ) -> Result<T> {
-    let Some(stats) = &ctx.stats else {
-        return run();
-    };
     let wm = tpcds_obs::mem::Watermark::start();
     let start = Instant::now();
     let out = run()?;
     let (elapsed, mem_peak) = (start.elapsed(), wm.peak_delta());
     let rows = rows(&out);
-    let mut map = stats.lock();
-    let s = map.entry(plan as *const Plan as usize).or_default();
-    s.calls += 1;
-    s.rows_out += rows;
-    s.elapsed += elapsed;
-    s.mem_peak = s.mem_peak.max(mem_peak);
+    ctx.fold(plan as *const Plan as usize, |s| {
+        s.calls += 1;
+        s.rows_out += rows;
+        s.elapsed += elapsed;
+        s.mem_peak = s.mem_peak.max(mem_peak);
+    });
     Ok(out)
 }
 
@@ -549,18 +465,16 @@ fn interpreted(plan: &Plan, ctx: &ExecCtx<'_>) -> Option<&'static str> {
     }
 }
 
-/// One node of the batch executor, children included. Under EXPLAIN
-/// ANALYZE a node whose batch carries a pending predicate reports its
-/// rows later: whichever kernel evaluates the predicate counts what it
-/// admits (so a `LIMIT` that stops early reports the rows actually read).
+/// One node of the batch executor, children included. A node whose
+/// batch carries a pending predicate reports its rows later: whichever
+/// kernel evaluates the predicate counts what it admits (so a `LIMIT`
+/// that stops early reports the rows actually read).
 fn batch(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Batch> {
     let pending = |b: &Batch| b.pred.as_ref().map_or(b.table.rows as u64, |_| 0);
     let mut b = observed(plan, ctx, || batch_node(plan, ctx, outer), pending)?;
-    if ctx.stats.is_some() {
-        if let Some(rows) = b.counted() {
-            let node = plan as *const Plan as usize;
-            ctx.lazy_rows.lock().push((node, rows));
-        }
+    if let Some(rows) = b.counted() {
+        let node = plan as *const Plan as usize;
+        ctx.lazy_rows.lock().push((node, rows));
     }
     Ok(b)
 }

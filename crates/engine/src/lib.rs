@@ -31,7 +31,10 @@ pub use catalog::{
 pub use error::{EngineError, Result};
 pub use exec::{ColumnarMode, ExecCtx, ExecOptions, RoutePath};
 pub use plan::{NodeReport, Plan};
+pub use tpcds_obs::qlog::{QueryMeta, QueryRecord};
 
+use std::sync::Arc;
+use std::time::Instant;
 use tpcds_types::Row;
 
 /// A query result: column names and rows.
@@ -76,66 +79,150 @@ impl QueryResult {
     }
 }
 
-/// Everything the query log needs that must be captured *before* a query
-/// runs: wall-clock start, the dispatching thread's CPU clock, a scoped
-/// memory watermark, and the cross-layer identity the server stamped (if
-/// any). `None` when the database's log is disabled — the entry points
-/// then pay a single atomic load.
-struct LogScope {
-    started: std::time::Instant,
-    cpu0: u64,
-    watermark: tpcds_obs::mem::Watermark,
-    meta: tpcds_obs::qlog::QueryMeta,
+/// One finished statement, built once by [`run`]: the record
+/// `sys.query_log` holds (identity, snapshot version, parse / plan / exec
+/// phases, wall and CPU time, rows, memory peak, admission wait, routes,
+/// error) plus the per-node actuals and the plan that keys them. EXPLAIN
+/// ANALYZE, the coverage report and the server's slow-query block are
+/// renderings of it, formatted on demand.
+#[derive(Debug, Clone)]
+pub struct Profile {
+    /// The statement's `sys.query_log` record.
+    pub record: Arc<QueryRecord>,
+    /// `None` when the statement failed to parse or bind.
+    plan: Option<Arc<Plan>>,
+    actuals: exec::StatsMap,
 }
 
-fn log_begin(db: &Database) -> Option<LogScope> {
-    // Always consume the thread-local stamp so a disabled log never
-    // leaks one query's identity into the next on the same thread.
-    let meta = tpcds_obs::qlog::take_meta();
-    if !db.query_log().is_enabled() {
-        return None;
+impl Profile {
+    /// The best route any node took, subquery bodies included — the
+    /// statement's headline path (serial < index < columnar, per
+    /// [`RoutePath`]'s derive order). `RoutePath::Unset` if nothing ran.
+    pub fn best_route(&self) -> RoutePath {
+        (self.actuals.values().map(|s| s.route).max()).unwrap_or_default()
     }
-    Some(LogScope {
-        started: std::time::Instant::now(),
-        cpu0: tpcds_obs::qlog::thread_cpu_us(),
-        watermark: tpcds_obs::mem::Watermark::start(),
-        meta: meta.unwrap_or_default(),
-    })
+
+    /// Deduplicated, sorted fallback reason codes across every node that
+    /// ran — why parts of the statement stayed off the columnar path.
+    pub fn fallback_reasons(&self) -> Vec<&'static str> {
+        let mut reasons: Vec<_> = (self.actuals.values()).filter_map(|s| s.fallback).collect();
+        reasons.sort_unstable();
+        reasons.dedup();
+        reasons
+    }
+
+    /// The plan tree annotated with per-operator actuals and estimates
+    /// (`rows=`, `est=`, `qerr=`, `elapsed=`, `loops=`, `route=`) — EXPLAIN
+    /// ANALYZE. Empty when the statement never bound. Estimates come from
+    /// `db`'s head statistics; they never affect results.
+    pub fn plan_text(&self, db: &Database) -> String {
+        self.plan.as_ref().map_or_else(String::new, |p| {
+            p.explain_analyze(&self.actuals, &estimate::estimate_plan(p, db))
+        })
+    }
+
+    /// Per-node machine-readable estimate/actual/routing reports, in
+    /// pre-order (including CTE bodies) — what `tpcds-bench coverage`
+    /// consumes.
+    pub fn nodes(&self, db: &Database) -> Vec<NodeReport> {
+        let mut out = Vec::new();
+        if let Some(p) = &self.plan {
+            p.node_reports(&self.actuals, &estimate::estimate_plan(p, db), &mut out);
+        }
+        out
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn log_finish(
+/// The one statement pipeline: parse → bind/optimize → execute → build the
+/// [`Profile`] → push its record to [`Database::query_log`] (the
+/// `sys.query_log` virtual table), success or error. Every other entry
+/// point is a caller of this.
+///
+/// `snapshot` pins the version the statement reads regardless of
+/// concurrent commits (the server's session dispatch, differential
+/// oracles); `None` pins the head once the statement is bound. Binding
+/// resolves names against the database head either way (DDL in this
+/// engine is load-time only, so head and pinned schemas agree in
+/// practice). `identity` is who asked — the server's query id, session and
+/// admission wait; the default is an in-process caller, which gets a
+/// generated `q-N` id and session 0.
+pub fn run(
     db: &Database,
-    scope: Option<LogScope>,
     sql: &str,
-    snapshot_version: u64,
-    rows: u64,
-    best_route: RoutePath,
-    fallbacks: &[&'static str],
-    error: Option<String>,
-) {
-    let Some(s) = scope else { return };
-    db.query_log().push(tpcds_obs::qlog::QueryRecord {
-        seq: 0, // assigned at push
-        query_id: s
-            .meta
-            .query_id
-            .unwrap_or_else(tpcds_obs::qlog::next_query_id),
-        session: s.meta.session,
+    snapshot: Option<&Arc<DbSnapshot>>,
+    opts: ExecOptions,
+    identity: QueryMeta,
+) -> (Result<QueryResult>, Profile) {
+    run_bound(db, Binder::new(db), sql, snapshot, opts, identity)
+}
+
+fn run_bound(
+    db: &Database,
+    mut binder: Binder<'_>,
+    sql: &str,
+    snapshot: Option<&Arc<DbSnapshot>>,
+    opts: ExecOptions,
+    identity: QueryMeta,
+) -> (Result<QueryResult>, Profile) {
+    let started = Instant::now();
+    let cpu0 = tpcds_obs::qlog::thread_cpu_us();
+    let watermark = tpcds_obs::mem::Watermark::start();
+    let mut span = tpcds_obs::span("engine", "query");
+    let us_since = |t: Instant| t.elapsed().as_micros() as u64;
+    let mut record = QueryRecord {
+        query_id: (identity.query_id).unwrap_or_else(tpcds_obs::qlog::next_query_id),
+        session: identity.session,
         sql: sql.to_string(),
-        wall_us: s.started.elapsed().as_micros() as u64,
-        cpu_us: tpcds_obs::qlog::thread_cpu_us().saturating_sub(s.cpu0),
-        rows,
-        mem_peak: s.watermark.peak_delta(),
-        admission_wait_us: s.meta.admission_wait_us,
-        best_route: match best_route {
-            RoutePath::Unset => "",
-            r => r.as_str(),
-        },
-        fallbacks: fallbacks.join(","),
-        snapshot_version,
-        error,
-    });
+        admission_wait_us: identity.admission_wait_us,
+        snapshot_version: snapshot.map_or_else(|| db.version(), |s| s.version()),
+        ..QueryRecord::default()
+    };
+    let mut profile = Profile {
+        record: Arc::default(),
+        plan: None,
+        actuals: exec::StatsMap::new(),
+    };
+    let result: Result<QueryResult> = (|| {
+        let ast = parser::parse(sql);
+        record.parse_us = us_since(started);
+        let ast = ast?;
+        let bind_started = Instant::now();
+        let bound = binder.bind(&ast);
+        record.plan_us = us_since(bind_started);
+        let bound = bound?;
+        // Pinned only now: binding may have published the on-demand
+        // `__dual` relation.
+        let ctx = ExecCtx::new(db, snapshot.cloned().unwrap_or_else(|| db.snapshot()), opts);
+        record.snapshot_version = ctx.snapshot().version();
+        let exec_started = Instant::now();
+        let rows = exec::execute(&bound.plan, &ctx, None);
+        record.exec_us = us_since(exec_started);
+        profile.actuals = ctx.take_stats();
+        profile.plan = Some(bound.plan);
+        Ok(QueryResult {
+            columns: bound.names,
+            rows: rows?,
+        })
+    })();
+    record.wall_us = us_since(started);
+    record.cpu_us = tpcds_obs::qlog::thread_cpu_us().saturating_sub(cpu0);
+    record.mem_peak = watermark.peak_delta();
+    record.best_route = match profile.best_route() {
+        RoutePath::Unset => "",
+        r => r.as_str(),
+    };
+    record.fallbacks = profile.fallback_reasons().join(",");
+    span.add_field("version", record.snapshot_version as i64);
+    match &result {
+        Ok(r) => {
+            record.rows = r.rows.len() as u64;
+            span.add_field("rows", r.rows.len() as i64);
+        }
+        Err(e) => record.error = Some(e.to_string()),
+    }
+    span.finish();
+    profile.record = db.query_log().push(record);
+    (result, profile)
 }
 
 /// Parses, binds, optimizes and executes one SQL statement.
@@ -145,119 +232,19 @@ pub fn query(db: &Database, sql: &str) -> Result<QueryResult> {
 
 /// [`query`] with explicit execution options (columnar routing policy and
 /// morsel worker count).
-///
-/// Like every top-level entry point, records the finished query — wall
-/// and CPU time, rows, memory peak, route, snapshot version, error —
-/// into [`Database::query_log`] (the `sys.query_log` virtual table).
 pub fn query_with(db: &Database, sql: &str, opts: ExecOptions) -> Result<QueryResult> {
-    let scope = log_begin(db);
-    let span = tpcds_obs::span("engine", "query");
-    let mut version = db.version();
-    let out: Result<(QueryResult, RoutePath, Vec<&'static str>)> = (|| {
-        let bound = plan_sql(db, sql)?;
-        let ctx = ExecCtx::with_options(db, opts);
-        version = ctx.snapshot().version();
-        let rows = exec::execute(&bound.plan, &ctx, None)?;
-        let (route, fallbacks) = ctx.route_summary();
-        Ok((
-            QueryResult {
-                columns: bound.names,
-                rows,
-            },
-            route,
-            fallbacks,
-        ))
-    })();
-    match out {
-        Ok((result, route, fallbacks)) => {
-            span.field("rows", result.rows.len() as i64).finish();
-            log_finish(
-                db,
-                scope,
-                sql,
-                version,
-                result.rows.len() as u64,
-                route,
-                &fallbacks,
-                None,
-            );
-            Ok(result)
-        }
-        Err(e) => {
-            log_finish(
-                db,
-                scope,
-                sql,
-                version,
-                0,
-                RoutePath::Unset,
-                &[],
-                Some(e.to_string()),
-            );
-            Err(e)
-        }
-    }
+    run(db, sql, None, opts, QueryMeta::default()).0
 }
 
 /// [`query_with`] against a caller-pinned snapshot: the statement reads
-/// exactly that frozen version regardless of concurrent commits — the
-/// server's session dispatch and the soak test's differential oracle.
-///
-/// Binding still resolves names against the database head (DDL in this
-/// engine is load-time only, so head and pinned schemas agree in
-/// practice); execution reads rows, indexes, shadows and statistics from
-/// the snapshot alone.
+/// exactly that frozen version regardless of concurrent commits.
 pub fn query_pinned(
     db: &Database,
-    snap: &std::sync::Arc<DbSnapshot>,
+    snap: &Arc<DbSnapshot>,
     sql: &str,
     opts: ExecOptions,
 ) -> Result<QueryResult> {
-    let scope = log_begin(db);
-    let span = tpcds_obs::span("engine", "query").field("version", snap.version() as i64);
-    let out: Result<(QueryResult, RoutePath, Vec<&'static str>)> = (|| {
-        let bound = plan_sql(db, sql)?;
-        let ctx = ExecCtx::pinned(db, std::sync::Arc::clone(snap), opts);
-        let rows = exec::execute(&bound.plan, &ctx, None)?;
-        let (route, fallbacks) = ctx.route_summary();
-        Ok((
-            QueryResult {
-                columns: bound.names,
-                rows,
-            },
-            route,
-            fallbacks,
-        ))
-    })();
-    match out {
-        Ok((result, route, fallbacks)) => {
-            span.field("rows", result.rows.len() as i64).finish();
-            log_finish(
-                db,
-                scope,
-                sql,
-                snap.version(),
-                result.rows.len() as u64,
-                route,
-                &fallbacks,
-                None,
-            );
-            Ok(result)
-        }
-        Err(e) => {
-            log_finish(
-                db,
-                scope,
-                sql,
-                snap.version(),
-                0,
-                RoutePath::Unset,
-                &[],
-                Some(e.to_string()),
-            );
-            Err(e)
-        }
-    }
+    run(db, sql, Some(snap), opts, QueryMeta::default()).0
 }
 
 /// A query result paired with its EXPLAIN ANALYZE rendering.
@@ -265,45 +252,28 @@ pub fn query_pinned(
 pub struct AnalyzedResult {
     /// The executed result.
     pub result: QueryResult,
-    /// The plan tree annotated with per-operator actuals and estimates
-    /// (`rows=`, `est=`, `qerr=`, `route=`, `elapsed=`, `loops=`).
+    /// [`Profile::plan_text`].
     pub plan_text: String,
-    /// Per-node machine-readable estimate/actual/routing reports, in
-    /// pre-order (including CTE bodies) — what `tpcds-bench coverage`
-    /// consumes.
-    pub nodes: Vec<plan::NodeReport>,
+    /// [`Profile::nodes`].
+    pub nodes: Vec<NodeReport>,
+    /// The profile both were rendered from.
+    pub profile: Profile,
 }
 
 impl AnalyzedResult {
-    /// The best route any executed node took — the statement's headline
-    /// path (serial < index < columnar, per [`RoutePath`]'s
-    /// derive order). `RoutePath::Unset` if nothing executed.
+    /// [`Profile::best_route`].
     pub fn best_route(&self) -> RoutePath {
-        self.nodes
-            .iter()
-            .filter(|n| n.executed)
-            .map(|n| n.route)
-            .max()
-            .unwrap_or(RoutePath::Unset)
+        self.profile.best_route()
     }
 
-    /// Deduplicated, sorted fallback reason codes across executed nodes —
-    /// why parts of the plan stayed off the columnar path.
+    /// [`Profile::fallback_reasons`].
     pub fn fallback_reasons(&self) -> Vec<&'static str> {
-        let mut reasons: Vec<&'static str> = self
-            .nodes
-            .iter()
-            .filter(|n| n.executed)
-            .filter_map(|n| n.fallback)
-            .collect();
-        reasons.sort_unstable();
-        reasons.dedup();
-        reasons
+        self.profile.fallback_reasons()
     }
 }
 
-/// Executes one SQL statement with per-operator instrumentation and
-/// returns both the result and the annotated plan tree (EXPLAIN ANALYZE).
+/// Executes one SQL statement and returns both the result and the
+/// annotated plan tree (EXPLAIN ANALYZE).
 pub fn query_analyze(db: &Database, sql: &str) -> Result<AnalyzedResult> {
     query_analyze_with(db, sql, ExecOptions::default())
 }
@@ -311,125 +281,13 @@ pub fn query_analyze(db: &Database, sql: &str) -> Result<AnalyzedResult> {
 /// [`query_analyze`] with explicit execution options. Columnar scans add
 /// `morsels=`/`workers=` to their plan lines.
 pub fn query_analyze_with(db: &Database, sql: &str, opts: ExecOptions) -> Result<AnalyzedResult> {
-    let scope = log_begin(db);
-    let span = tpcds_obs::span("engine", "query_analyze");
-    let mut version = db.version();
-    let out: Result<(AnalyzedResult, RoutePath, Vec<&'static str>)> = (|| {
-        let bound = plan_sql(db, sql)?;
-        let est = estimate::estimate_plan(&bound.plan, db);
-        let ctx = ExecCtx::with_stats_options(db, opts);
-        version = ctx.snapshot().version();
-        let rows = exec::execute(&bound.plan, &ctx, None)?;
-        let (route, fallbacks) = ctx.route_summary();
-        let stats = ctx.take_stats();
-        Ok((
-            AnalyzedResult {
-                result: QueryResult {
-                    columns: bound.names,
-                    rows,
-                },
-                plan_text: bound.plan.explain_analyze_with_estimates(&stats, &est),
-                nodes: bound.plan.node_reports(&stats, &est),
-            },
-            route,
-            fallbacks,
-        ))
-    })();
-    match out {
-        Ok((analyzed, route, fallbacks)) => {
-            span.field("rows", analyzed.result.rows.len() as i64)
-                .finish();
-            log_finish(
-                db,
-                scope,
-                sql,
-                version,
-                analyzed.result.rows.len() as u64,
-                route,
-                &fallbacks,
-                None,
-            );
-            Ok(analyzed)
-        }
-        Err(e) => {
-            log_finish(
-                db,
-                scope,
-                sql,
-                version,
-                0,
-                RoutePath::Unset,
-                &[],
-                Some(e.to_string()),
-            );
-            Err(e)
-        }
-    }
-}
-
-/// [`query_analyze_with`] against a caller-pinned snapshot: instrumented
-/// execution reads exactly that frozen version while cardinality
-/// estimates still come from head statistics (estimates never affect
-/// results). This is what the synthesized-workload soak uses to collect
-/// routing traces for queries racing concurrent DM commits.
-pub fn query_analyze_pinned(
-    db: &Database,
-    snap: &std::sync::Arc<DbSnapshot>,
-    sql: &str,
-    opts: ExecOptions,
-) -> Result<AnalyzedResult> {
-    let scope = log_begin(db);
-    let span = tpcds_obs::span("engine", "query_analyze").field("version", snap.version() as i64);
-    let out: Result<(AnalyzedResult, RoutePath, Vec<&'static str>)> = (|| {
-        let bound = plan_sql(db, sql)?;
-        let est = estimate::estimate_plan(&bound.plan, db);
-        let ctx = ExecCtx::pinned_with_stats(db, std::sync::Arc::clone(snap), opts);
-        let rows = exec::execute(&bound.plan, &ctx, None)?;
-        let (route, fallbacks) = ctx.route_summary();
-        let stats = ctx.take_stats();
-        Ok((
-            AnalyzedResult {
-                result: QueryResult {
-                    columns: bound.names,
-                    rows,
-                },
-                plan_text: bound.plan.explain_analyze_with_estimates(&stats, &est),
-                nodes: bound.plan.node_reports(&stats, &est),
-            },
-            route,
-            fallbacks,
-        ))
-    })();
-    match out {
-        Ok((analyzed, route, fallbacks)) => {
-            span.field("rows", analyzed.result.rows.len() as i64)
-                .finish();
-            log_finish(
-                db,
-                scope,
-                sql,
-                snap.version(),
-                analyzed.result.rows.len() as u64,
-                route,
-                &fallbacks,
-                None,
-            );
-            Ok(analyzed)
-        }
-        Err(e) => {
-            log_finish(
-                db,
-                scope,
-                sql,
-                snap.version(),
-                0,
-                RoutePath::Unset,
-                &[],
-                Some(e.to_string()),
-            );
-            Err(e)
-        }
-    }
+    let (result, profile) = run(db, sql, None, opts, QueryMeta::default());
+    result.map(|result| AnalyzedResult {
+        result,
+        plan_text: profile.plan_text(db),
+        nodes: profile.nodes(db),
+        profile,
+    })
 }
 
 /// Parses and binds one SQL statement without executing (EXPLAIN support).
@@ -457,13 +315,16 @@ pub fn plan_sql_unoptimized(db: &Database, sql: &str) -> Result<Bound> {
 
 /// Executes a statement with the optimizer disabled.
 pub fn query_unoptimized(db: &Database, sql: &str) -> Result<QueryResult> {
-    let bound = plan_sql_unoptimized(db, sql)?;
-    let ctx = ExecCtx::new(db);
-    let rows = exec::execute(&bound.plan, &ctx, None)?;
-    Ok(QueryResult {
-        columns: bound.names,
-        rows,
-    })
+    let binder = Binder::new(db).without_optimizer();
+    run_bound(
+        db,
+        binder,
+        sql,
+        None,
+        ExecOptions::default(),
+        QueryMeta::default(),
+    )
+    .0
 }
 
 /// Materializes a query's result as a new table — the engine's

@@ -278,24 +278,16 @@ impl Plan {
         out
     }
 
-    /// Pretty-prints the plan tree annotated with executed actuals
-    /// (EXPLAIN ANALYZE): every operator line carries `rows=` (total rows
-    /// produced), `elapsed=` (inclusive wall clock) and `loops=` (times
-    /// the node ran — correlated subplans run once per outer row). The
-    /// stats come from executing the same tree under
-    /// [`crate::exec::ExecCtx::with_stats`].
-    pub fn explain_analyze(&self, stats: &crate::exec::StatsMap) -> String {
-        let mut out = String::new();
-        self.explain_into(&mut out, 0, Some(stats), None);
-        out
-    }
-
-    /// [`Plan::explain_analyze`] plus the estimator's view: each executed
-    /// operator line also carries `est=` (estimated rows), `qerr=` (the
-    /// q-error factor `max(est/actual, actual/est)` against per-call
-    /// actual rows) and `route=` (the execution path taken, with the
-    /// fallback reason code in brackets for non-columnar routes).
-    pub fn explain_analyze_with_estimates(
+    /// Pretty-prints the plan tree annotated with a finished statement's
+    /// per-node actuals (EXPLAIN ANALYZE — [`crate::Profile::plan_text`]):
+    /// every executed operator line carries `rows=` (total rows produced),
+    /// `est=` / `qerr=` (estimated rows and the q-error factor
+    /// `max(est/actual, actual/est)` against per-call actuals), `elapsed=`
+    /// (inclusive wall clock), `loops=` (times the node ran — correlated
+    /// subplans run once per outer row) and `route=` (the execution path
+    /// taken, with the fallback reason code in brackets for non-columnar
+    /// routes).
+    pub fn explain_analyze(
         &self,
         stats: &crate::exec::StatsMap,
         est: &crate::estimate::EstMap,
@@ -516,12 +508,11 @@ impl Plan {
                         }
                         None => String::new(),
                     };
-                    let route = match (est.is_some(), s.route, s.fallback) {
-                        (false, _, _) => String::new(),
-                        (true, r, Some(why)) if r != crate::exec::RoutePath::Columnar => {
+                    let route = match (s.route, s.fallback) {
+                        (r, Some(why)) if r != crate::exec::RoutePath::Columnar => {
                             format!(" route={}[{why}]", r.as_str())
                         }
-                        (true, r, _) => format!(" route={}", r.as_str()),
+                        (r, _) => format!(" route={}", r.as_str()),
                     };
                     format!(
                         " (rows={}{est_part} elapsed={:.3}ms loops={}{route}{columnar}{mem})",
@@ -544,19 +535,9 @@ impl Plan {
 
     /// Flattens the tree (including CTE bodies, which [`Plan::children`]
     /// hides from display) into per-node machine-readable reports pairing
-    /// the estimator's view with executed actuals — the data behind the
-    /// coverage report.
+    /// the estimator's view with executed actuals, appended to `out` in
+    /// pre-order — the data behind the coverage report.
     pub fn node_reports(
-        &self,
-        stats: &crate::exec::StatsMap,
-        est: &crate::estimate::EstMap,
-    ) -> Vec<NodeReport> {
-        let mut out = Vec::new();
-        self.node_reports_into(stats, est, &mut out);
-        out
-    }
-
-    fn node_reports_into(
         &self,
         stats: &crate::exec::StatsMap,
         est: &crate::estimate::EstMap,
@@ -586,10 +567,10 @@ impl Plan {
             executed: s.is_some(),
         });
         for child in self.children() {
-            child.node_reports_into(stats, est, out);
+            child.node_reports(stats, est, out);
         }
         if let Plan::CteRef { plan, .. } = self {
-            plan.node_reports_into(stats, est, out);
+            plan.node_reports(stats, est, out);
         }
     }
 }

@@ -76,6 +76,9 @@ pub fn columns(name: &str) -> Option<Vec<ColumnMeta>> {
             col("fallbacks", Str),
             col("snapshot_version", Int),
             col("error", Str),
+            col("parse_us", Int),
+            col("plan_us", Int),
+            col("exec_us", Int),
         ],
         "sys.counters" => vec![col("name", Str), col("value", Int)],
         "sys.gauges" => vec![col("name", Str), col("value", Int)],
@@ -134,6 +137,9 @@ pub fn rows(db: &Database, name: &str) -> Option<Vec<Row>> {
                     Value::str(&r.fallbacks),
                     int(r.snapshot_version),
                     r.error.as_deref().map(Value::str).unwrap_or(Value::Null),
+                    int(r.parse_us),
+                    int(r.plan_us),
+                    int(r.exec_us),
                 ]
             })
             .collect(),
@@ -212,15 +218,16 @@ mod tests {
         .unwrap();
         query(&db, "select a from t where a > 1").unwrap();
         query(&db, "select count(*) from t").unwrap();
-        // Errors are logged too.
+        // Errors are logged too, and so is the optimizer-ablation path.
         assert!(query(&db, "select nope from t").is_err());
+        crate::query_unoptimized(&db, "select a from t").unwrap();
 
         let r = query(
             &db,
             "select sql, rows, error from sys.query_log order by seq",
         )
         .unwrap();
-        assert!(r.rows.len() >= 3);
+        assert_eq!(r.rows.len(), 4, "one record per statement");
         let texts: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
         assert!(texts.iter().any(|s| s.contains("a > 1")), "{texts:?}");
         let errored: Vec<&Row> = r.rows.iter().filter(|row| !row[2].is_null()).collect();

@@ -36,8 +36,7 @@
 //!   histogram;
 //! * [`qlog`] — a fixed-capacity concurrent ring buffer of per-query
 //!   records (the backing store of the engine's `sys.query_log` virtual
-//!   table), plus the thread-local query identity the server stamps
-//!   before dispatching into the engine.
+//!   table), plus the query identity the server passes to the engine.
 //!
 //! ## Counter naming
 //!

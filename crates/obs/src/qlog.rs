@@ -1,8 +1,8 @@
 //! The per-query log: a fixed-capacity concurrent ring buffer of
 //! [`QueryRecord`]s, one per finished query.
 //!
-//! The engine owns one [`QueryLog`] per `Database` and pushes a record
-//! from every top-level query entry point — success or error — so
+//! The engine owns one [`QueryLog`] per `Database` and its statement
+//! pipeline pushes one record per statement — success or error — so
 //! `sys.query_log` answers "what ran, how long, on which snapshot, and
 //! why was it slow" without a trace file. The ring holds the most recent
 //! `capacity` records (default 1024, `TPCDS_QUERY_LOG_CAP` overrides);
@@ -10,20 +10,18 @@
 //! wraparound never hides whether records were produced at all — the
 //! soak harness cross-checks it against the queries it issued.
 //!
-//! Identity crosses layers through a **thread-local** [`QueryMeta`]: the
-//! server (thread-per-connection) stamps the client-assigned `query_id`,
-//! session id and admission wait before calling into the engine, and the
-//! engine's logging scope picks it up on the same thread. In-process
-//! callers skip the stamp and get a generated `q-N` id with session 0.
+//! Identity crosses layers as an argument, [`QueryMeta`]: the server
+//! passes the client-assigned `query_id`, its session id and the admission
+//! wait; in-process callers pass the default and get a generated `q-N` id
+//! with session 0.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One finished query. All durations are microseconds, `mem_peak` is
 /// bytes (0 unless the binary installs [`crate::mem::CountingAlloc`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct QueryRecord {
     /// Monotone sequence number assigned at push (1-based); survives
     /// wraparound, so `seq` gaps in a snapshot reveal evicted records.
@@ -56,6 +54,12 @@ pub struct QueryRecord {
     pub snapshot_version: u64,
     /// Error message when the query failed.
     pub error: Option<String>,
+    /// Lexing + parsing, µs.
+    pub parse_us: u64,
+    /// Binding + optimizing, µs (0 when parsing failed).
+    pub plan_us: u64,
+    /// Executing the plan to result rows, µs (0 when binding failed).
+    pub exec_us: u64,
 }
 
 /// The fixed-capacity concurrent ring. Push is a short critical section
@@ -117,19 +121,22 @@ impl QueryLog {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Records one finished query, assigning its `seq`. No-op while
-    /// disabled. The monotone total and the ring move under one lock, so
-    /// a snapshot plus `total_recorded` is a consistent pair.
-    pub fn push(&self, mut rec: QueryRecord) {
+    /// Records one finished query, assigning its `seq`, and hands the
+    /// shared record back. While disabled nothing is retained and `seq`
+    /// stays 0. The monotone total and the ring move under one lock, so a
+    /// snapshot plus `total_recorded` is a consistent pair.
+    pub fn push(&self, mut rec: QueryRecord) -> Arc<QueryRecord> {
         if !self.is_enabled() {
-            return;
+            return Arc::new(rec);
         }
         let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         rec.seq = self.total.fetch_add(1, Ordering::Relaxed) + 1;
-        ring.push_back(Arc::new(rec));
+        let rec = Arc::new(rec);
+        ring.push_back(Arc::clone(&rec));
         while ring.len() > self.cap {
             ring.pop_front();
         }
+        rec
     }
 
     /// The retained records, oldest first — a consistent snapshot taken
@@ -177,9 +184,8 @@ impl Default for QueryLog {
     }
 }
 
-/// Cross-layer identity for the query the current thread is about to
-/// dispatch. Stamped by the server, consumed (taken) by the engine's
-/// logging scope on the same thread.
+/// Cross-layer identity of one statement: who asked. The server fills it
+/// in; the default is an in-process caller.
 #[derive(Clone, Debug, Default)]
 pub struct QueryMeta {
     /// Client-assigned query id, if any.
@@ -188,20 +194,6 @@ pub struct QueryMeta {
     pub session: u64,
     /// Admission-queue wait already paid for this query, µs.
     pub admission_wait_us: u64,
-}
-
-thread_local! {
-    static META: RefCell<Option<QueryMeta>> = const { RefCell::new(None) };
-}
-
-/// Stamps the identity the next engine query on this thread will log.
-pub fn set_meta(meta: QueryMeta) {
-    META.with(|m| *m.borrow_mut() = Some(meta));
-}
-
-/// Takes (and clears) the stamped identity, if any.
-pub fn take_meta() -> Option<QueryMeta> {
-    META.with(|m| m.borrow_mut().take())
 }
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
@@ -245,19 +237,12 @@ mod tests {
 
     fn rec(id: u64) -> QueryRecord {
         QueryRecord {
-            seq: 0,
             query_id: format!("t-{id}"),
-            session: 0,
             sql: format!("select {id}"),
             wall_us: id,
-            cpu_us: 0,
             rows: 1,
-            mem_peak: 0,
-            admission_wait_us: 0,
             best_route: "serial",
-            fallbacks: String::new(),
-            snapshot_version: 0,
-            error: None,
+            ..QueryRecord::default()
         }
     }
 
@@ -342,21 +327,6 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
             writer.join().unwrap();
         });
-    }
-
-    #[test]
-    fn meta_is_per_thread_and_taken_once() {
-        set_meta(QueryMeta {
-            query_id: Some("abc".into()),
-            session: 7,
-            admission_wait_us: 12,
-        });
-        let other = std::thread::spawn(take_meta).join().unwrap();
-        assert!(other.is_none(), "meta must not leak across threads");
-        let mine = take_meta().unwrap();
-        assert_eq!(mine.query_id.as_deref(), Some("abc"));
-        assert_eq!(mine.session, 7);
-        assert!(take_meta().is_none(), "take clears");
     }
 
     #[test]

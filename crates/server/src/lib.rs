@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use tpcds_engine::{ColumnarMode, Database, ExecOptions};
+use tpcds_engine::{ColumnarMode, Database, ExecOptions, QueryMeta, QueryRecord};
 use tpcds_obs::json::Json;
 use tpcds_types::{Row, Value};
 
@@ -47,8 +47,8 @@ pub struct ServerConfig {
     pub max_concurrent_queries: usize,
     /// Sessions idle longer than this are closed by the server.
     pub idle_timeout: Duration,
-    /// Queries whose wall time meets this threshold are re-described at
-    /// EXPLAIN-ANALYZE detail on stderr and counted under
+    /// Queries whose wall time meets this threshold render their profile
+    /// (EXPLAIN ANALYZE detail) on stderr and are counted under
     /// `server.slow_queries`. Zero disables. Defaults from
     /// `TPCDS_SLOW_QUERY_MS`.
     pub slow_query_ms: u64,
@@ -106,7 +106,7 @@ struct InflightQuery {
     sql: String,
     started: Instant,
     snapshot_version: u64,
-    mode: &'static str,
+    mode: String,
     state: &'static str,
 }
 
@@ -188,7 +188,7 @@ impl Shared {
                     Value::str(&q.sql),
                     Value::Int(q.started.elapsed().as_micros() as i64),
                     Value::Int(q.snapshot_version as i64),
-                    Value::str(q.mode),
+                    Value::str(&q.mode),
                     Value::str(q.state),
                 ]);
             }
@@ -599,30 +599,36 @@ fn handle_request(
     }
 }
 
+/// The execution options and the snapshot a `query` request names. A
+/// queued query sees the freshest published version (this runs once
+/// admitted), and an explicitly pinned one fails loudly when the version
+/// has left the retention window.
+fn query_target(
+    db: &Database,
+    req: &Json,
+) -> Result<(ExecOptions, Arc<tpcds_engine::DbSnapshot>), String> {
+    let mut opts = ExecOptions::default();
+    match req.get("mode").and_then(Json::as_str) {
+        None => {}
+        Some("off") => opts.columnar = ColumnarMode::Off,
+        Some("auto") => opts.columnar = ColumnarMode::Auto,
+        Some("force") => opts.columnar = ColumnarMode::Force,
+        Some(m) => return Err(format!("unknown columnar mode {m:?}")),
+    }
+    if let Some(t) = req.get("threads").and_then(Json::as_i64) {
+        opts.threads = Some(t.max(1) as usize);
+    }
+    let snap = match req.get("pin").and_then(Json::as_i64) {
+        Some(v) => (db.snapshot_at(v as u64)).ok_or(format!("version {v} is not retained"))?,
+        None => db.snapshot(),
+    };
+    Ok((opts, snap))
+}
+
 fn run_query(shared: &Shared, session: &SessionInfo, req: &Json) -> Json {
     let Some(sql) = req.get("sql").and_then(Json::as_str) else {
         return error_response("query without sql".to_string());
     };
-    let mut opts = ExecOptions::default();
-    let mode = match req.get("mode").and_then(Json::as_str) {
-        None => "auto",
-        Some("off") => {
-            opts.columnar = ColumnarMode::Off;
-            "off"
-        }
-        Some("auto") => {
-            opts.columnar = ColumnarMode::Auto;
-            "auto"
-        }
-        Some("force") => {
-            opts.columnar = ColumnarMode::Force;
-            "force"
-        }
-        Some(m) => return error_response(format!("unknown columnar mode {m:?}")),
-    };
-    if let Some(t) = req.get("threads").and_then(Json::as_i64) {
-        opts.threads = Some(t.max(1) as usize);
-    }
     // End-to-end identity: the client's query_id when sent, else one
     // minted here — either way the same id appears in the `server/query`
     // span, `sys.queries` while running, and `sys.query_log` after.
@@ -641,76 +647,76 @@ fn run_query(shared: &Shared, session: &SessionInfo, req: &Json) -> Json {
         sql: sql.to_string(),
         started,
         snapshot_version: 0,
-        mode,
+        mode: (req.get("mode").and_then(Json::as_str).unwrap_or("auto")).to_string(),
         state: "queued",
     });
-    // Guard from here: any exit (including a panic in the engine)
-    // restores the gauge and clears this session's `sys.queries` row.
+    // Guard from here: any exit restores the gauge and clears this
+    // session's `sys.queries` row.
     let _inflight = InflightGuard::new(shared, session);
     let _permit = shared.admission.acquire();
-    let admission_wait_us = started.elapsed().as_micros() as u64;
-
-    // Pin the snapshot only once admitted: a queued query should see the
-    // freshest published version, and an explicitly pinned one must fail
-    // loudly when the version has left the retention window.
-    let snap = match req.get("pin").and_then(Json::as_i64) {
-        Some(v) => match shared.db.snapshot_at(v as u64) {
-            Some(s) => s,
-            None => {
-                return error_response(format!("version {v} is not retained"));
-            }
-        },
-        None => shared.db.snapshot(),
-    };
-    if let Some(q) = session
-        .current
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_mut()
-    {
-        q.snapshot_version = snap.version();
-        q.state = "running";
-    }
-
-    // Stamp the dispatching thread so the engine's query log records the
-    // same identity and the admission wait this query actually paid.
-    tpcds_obs::qlog::set_meta(tpcds_obs::qlog::QueryMeta {
+    let identity = QueryMeta {
         query_id: Some(query_id.clone()),
         session: session.id,
-        admission_wait_us,
-    });
-    let result = if shared.slow_query_us > 0 {
-        // Slow-query mode runs through EXPLAIN ANALYZE so a threshold hit
-        // can report per-operator actuals, not just a total.
-        tpcds_engine::query_analyze_pinned(&shared.db, &snap, sql, opts).map(|a| {
-            let wall_us = started.elapsed().as_micros() as u64;
-            if wall_us >= shared.slow_query_us {
-                tpcds_obs::counter("server", "slow_queries", 1.0, &[]);
-                eprintln!(
-                    "[slow-query] session={} query_id={} wall_us={} rows={} version={}\n  sql: {}\n{}",
-                    session.id,
-                    query_id,
-                    wall_us,
-                    a.result.rows.len(),
-                    snap.version(),
-                    sql,
-                    a.plan_text,
-                );
-            }
-            a.result
-        })
-    } else {
-        tpcds_engine::query_pinned(&shared.db, &snap, sql, opts)
+        admission_wait_us: started.elapsed().as_micros() as u64,
     };
 
+    // Every request that carries SQL ends in exactly one `sys.query_log`
+    // record: the engine's when the statement reached it, else one made
+    // here for what stopped it — a bad option, an unretained pin, a panic
+    // (which costs this one response, not the session).
+    let ran = query_target(&shared.db, req).and_then(|(opts, snap)| {
+        if let Some(q) = (session.current.lock().unwrap_or_else(|e| e.into_inner())).as_mut() {
+            q.snapshot_version = snap.version();
+            q.state = "running";
+        }
+        let run = || tpcds_engine::run(&shared.db, sql, Some(&snap), opts, identity.clone());
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).map_err(|panic| {
+            let msg = (panic.downcast_ref::<&str>().copied())
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+            format!("internal error: {}", msg.unwrap_or("panic"))
+        })
+    });
+    let elapsed_us = started.elapsed().as_micros() as u64;
+    let (result, version) = match ran {
+        Ok((result, profile)) => {
+            if shared.slow_query_us > 0 && elapsed_us >= shared.slow_query_us {
+                tpcds_obs::counter("server", "slow_queries", 1.0, &[]);
+                let r = &profile.record;
+                eprintln!(
+                    "[slow-query] session={} query_id={} wall_us={elapsed_us} parse_us={} plan_us={} exec_us={} rows={} version={}\n  sql: {sql}\n{}",
+                    session.id,
+                    query_id,
+                    r.parse_us,
+                    r.plan_us,
+                    r.exec_us,
+                    r.rows,
+                    r.snapshot_version,
+                    profile.plan_text(&shared.db),
+                );
+            }
+            let version = profile.record.snapshot_version;
+            (result.map_err(|e| e.to_string()), version)
+        }
+        Err(e) => {
+            shared.db.query_log().push(QueryRecord {
+                query_id: query_id.clone(),
+                session: session.id,
+                sql: sql.to_string(),
+                wall_us: elapsed_us,
+                admission_wait_us: identity.admission_wait_us,
+                error: Some(e.clone()),
+                ..QueryRecord::default()
+            });
+            (Err(e), 0)
+        }
+    };
     match result {
         Ok(res) => {
             tpcds_obs::counter("server", "queries", 1.0, &[]);
-            let elapsed_us = started.elapsed().as_micros() as u64;
-            span.field("version", snap.version())
+            span.field("version", version)
                 .field("rows", res.rows.len())
                 .finish();
-            let mut fields = ok_base(snap.version());
+            let mut fields = ok_base(version);
             fields.push((
                 "columns".to_string(),
                 Json::Arr(res.columns.iter().map(|c| Json::Str(c.clone())).collect()),
@@ -725,8 +731,8 @@ fn run_query(shared: &Shared, session: &SessionInfo, req: &Json) -> Json {
         }
         Err(e) => {
             tpcds_obs::counter("server", "errors", 1.0, &[]);
-            span.field("error", e.to_string()).finish();
-            error_response(e.to_string())
+            span.field("error", e.clone()).finish();
+            error_response(e)
         }
     }
 }

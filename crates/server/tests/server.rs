@@ -44,6 +44,25 @@ fn start(db: &Arc<Database>) -> Server {
     .expect("server starts")
 }
 
+/// How many `sys.query_log` records carry an error mentioning `needle`.
+fn logged_errors(db: &Database, needle: &str) -> usize {
+    let log = db.query_log().snapshot();
+    let hit = |r: &&Arc<tpcds_engine::QueryRecord>| {
+        r.error.as_deref().is_some_and(|e| e.contains(needle))
+    };
+    log.iter().filter(hit).count()
+}
+
+/// The process-wide `server.<name>` counter (tests share it: compare with
+/// `>=` against a reading taken before).
+fn server_counter(name: &str) -> u64 {
+    tpcds_obs::metrics::enable();
+    tpcds_obs::metrics::counters_snapshot()
+        .into_iter()
+        .find(|(n, _)| n == &format!("server.{name}"))
+        .map_or(0, |(_, v)| v)
+}
+
 #[test]
 fn ping_query_explain_stats_roundtrip() {
     let db = tiny_db();
@@ -109,8 +128,33 @@ fn sql_errors_come_back_as_remote_errors_and_session_survives() {
         Err(ClientError::Remote(msg)) => assert!(msg.contains("missing_table"), "{msg}"),
         other => panic!("expected remote error, got {other:?}"),
     }
+    assert_eq!(logged_errors(&db, "missing_table"), 1);
     // The connection is still usable after a query error.
     assert_eq!(c.query("select a from t").unwrap().rows.len(), 3);
+    server.shutdown();
+}
+
+#[test]
+fn a_panicking_statement_costs_one_response_not_the_session() {
+    let db = tiny_db();
+    let server = start(&db);
+    // Fault injection with what exists: replace the server's own provider.
+    db.register_sys_provider("sys.queries", || panic!("injected"));
+    let errors_before = server_counter("errors");
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    match c.query("select * from sys.queries") {
+        Err(ClientError::Remote(msg)) => assert_eq!(msg, "internal error: injected"),
+        other => panic!("expected remote error, got {other:?}"),
+    }
+    assert!(server_counter("errors") > errors_before);
+    assert_eq!(logged_errors(&db, "internal error: injected"), 1);
+    // The same connection keeps serving, and nothing leaked.
+    c.ping().unwrap();
+    assert_eq!(c.query("select 1").unwrap().rows.len(), 1);
+    assert_eq!(server.sessions_active(), 1);
+    assert_eq!(server.queries_inflight(), 0);
+    let sessions = c.query("select state from sys.sessions").unwrap();
+    assert_eq!(sessions.rows.len(), 1);
     server.shutdown();
 }
 
@@ -130,11 +174,16 @@ fn pinned_queries_read_frozen_versions_while_head_moves() {
     assert_eq!(frozen.rows.len(), 3);
     assert_eq!(frozen.version, pinned);
 
-    // A version outside the retention window fails loudly.
+    // A version outside the retention window fails loudly, and like
+    // every request that carries SQL it leaves exactly one log record.
+    let errors_before = server_counter("errors");
     match c.query_pinned("select a from t", 999_999) {
         Err(ClientError::Remote(msg)) => assert!(msg.contains("not retained"), "{msg}"),
         other => panic!("expected remote error, got {other:?}"),
     }
+    assert!(server_counter("errors") > errors_before);
+    assert_eq!(logged_errors(&db, "999999 is not retained"), 1);
+    assert_eq!(db.query_log().snapshot().last().unwrap().session, 1);
     server.shutdown();
 }
 
@@ -337,7 +386,7 @@ fn killed_mid_query_connection_restores_gauges() {
 }
 
 #[test]
-fn slow_queries_run_through_analyze_and_are_counted() {
+fn slow_queries_render_their_profile_and_are_counted() {
     let db = tiny_db();
     let server = Server::start(
         Arc::clone(&db),
@@ -349,8 +398,8 @@ fn slow_queries_run_through_analyze_and_are_counted() {
     .unwrap();
     tpcds_obs::metrics::enable();
     let mut c = Client::connect(server.local_addr()).unwrap();
-    // Heavy enough to clear 1ms; results must be unaffected by the
-    // slow-query path routing execution through EXPLAIN ANALYZE.
+    // Heavy enough to clear 1ms: the statement runs like any other and
+    // then renders its own profile (the `[slow-query]` block on stderr).
     let r = c
         .query("select count(*) from t a, t b, t c, t d, t e, t f, t g, t h")
         .unwrap();
@@ -390,5 +439,6 @@ fn query_options_cross_the_wire() {
         Err(ClientError::Remote(msg)) => assert!(msg.contains("sideways"), "{msg}"),
         other => panic!("expected remote error, got {other:?}"),
     }
+    assert_eq!(logged_errors(&db, "sideways"), 1);
     server.shutdown();
 }

@@ -13,14 +13,14 @@
 //! With `via_server` set, the oracle and forced runs travel over a real
 //! TCP connection to a `tpcds-server` (one connection per stream), using
 //! the wire protocol's per-query `pin` / `mode` / `threads` knobs; the
-//! routing trace still comes from an in-process pinned analyze of the
+//! routing trace still comes from an in-process pinned run of the
 //! same snapshot version.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use tpcds_dgen::Generator;
-use tpcds_engine::{query_analyze_pinned, ColumnarMode, Database, DbSnapshot, ExecOptions};
+use tpcds_engine::{ColumnarMode, Database, DbSnapshot, ExecOptions, QueryMeta};
 use tpcds_server::{Client, QueryOpts, Server, ServerConfig};
 
 use crate::diff::{canon_equal, first_difference, run_differential, DiffError};
@@ -309,7 +309,13 @@ pub fn run_soak(
                             }
                         };
                         // Routing trace under Auto on the same snapshot.
-                        let routed = query_analyze_pinned(db, &snap, &sql, auto_opts()).ok();
+                        let (routed, profile) = tpcds_engine::run(
+                            db,
+                            &sql,
+                            Some(&snap),
+                            auto_opts(),
+                            QueryMeta::default(),
+                        );
 
                         let mut out = outcome.lock().unwrap();
                         out.queries_run += 1;
@@ -320,9 +326,12 @@ pub fn run_soak(
                         if oracle_rows == 0 && failure.is_none() {
                             class.empty_results += 1;
                         }
-                        if let Some(a) = &routed {
-                            *class.routes.entry(a.best_route().as_str()).or_insert(0) += 1;
-                            for reason in a.fallback_reasons() {
+                        if routed.is_ok() {
+                            *class
+                                .routes
+                                .entry(profile.best_route().as_str())
+                                .or_insert(0) += 1;
+                            for reason in profile.fallback_reasons() {
                                 *class.fallbacks.entry(reason).or_insert(0) += 1;
                             }
                         }
@@ -356,7 +365,7 @@ pub fn run_soak(
 
     // Cross-check the query log against queries actually issued: every
     // soak query runs the differential (≥1 logged engine call, errors
-    // included) plus one pinned analyze — so the ring's cumulative
+    // included) plus one pinned routing run — so the ring's cumulative
     // counter must have advanced by at least 2× queries_run. An
     // undercount means an engine entry point stopped recording.
     if db.query_log().is_enabled() {
