@@ -225,7 +225,6 @@ fn cmd_synth(args: &[String]) -> i32 {
     let generator = tpcds_core::Generator::new(sf);
     let db = Arc::new(tpcds_core::Database::new());
     tpcds_core::maint::load_initial_population(&db, &generator).expect("load");
-    db.build_columnar_shadows();
 
     let cfg = SoakConfig {
         streams,

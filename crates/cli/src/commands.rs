@@ -525,7 +525,6 @@ pub fn synth(args: &[String]) -> Result<()> {
     let db = std::sync::Arc::new(tpcds_core::Database::new());
     let generator = Generator::new(sf);
     tpcds_core::maint::load_initial_population(&db, &generator).map_err(|e| e.to_string())?;
-    db.build_columnar_shadows();
 
     let cfg = SoakConfig {
         streams,

@@ -171,16 +171,16 @@ impl Generator {
         rows
     }
 
-    /// Generates every row of `table` with `threads` workers while
-    /// streaming the rows through a [`tpcds_storage::ColumnTableBuilder`],
-    /// returning both the row store and its columnar shadow. Generation
-    /// proceeds in segment-sized chunks so the builder sees rows as they
-    /// are produced instead of a second full pass at the end.
+    /// Generates every row of `table` with `threads` workers, streaming
+    /// them through a [`tpcds_storage::ColumnTableBuilder`] into the
+    /// segments a table is stored as. Generation proceeds in segment-sized
+    /// chunks, so no more than one segment of the table ever exists as
+    /// rows.
     pub fn generate_table_columnar(
         &self,
         table: &str,
         threads: usize,
-    ) -> (Vec<Row>, tpcds_storage::ColumnTable) {
+    ) -> tpcds_storage::ColumnTable {
         let span = tpcds_obs::span("dgen", "generate_columnar")
             .field("table", table)
             .field("threads", threads);
@@ -195,7 +195,6 @@ impl Generator {
         let mut builder = tpcds_storage::ColumnTableBuilder::new(dtypes);
         let n = self.row_count(table);
         let chunk = tpcds_storage::SEGMENT_ROWS as u64;
-        let mut rows: Vec<Row> = Vec::with_capacity(n as usize);
         let mut lo = 0;
         while lo < n {
             let hi = (lo + chunk).min(n);
@@ -207,11 +206,10 @@ impl Generator {
             for row in &piece {
                 builder.push_row(row);
             }
-            rows.extend(piece);
             lo = hi;
         }
-        Self::record_rate(span, table, rows.len());
-        (rows, builder.finish())
+        Self::record_rate(span, table, n as usize);
+        builder.finish()
     }
 
     /// Parallel generation of one chunk `lo..hi`, preserving row order.
@@ -1084,13 +1082,10 @@ mod tests {
     fn columnar_generation_matches_row_generation() {
         let g = Generator::new(0.01);
         for table in ["customer", "store_sales"] {
-            let serial = g.generate(table);
-            let (rows, shadow) = g.generate_table_columnar(table, 4);
-            assert_eq!(serial, rows, "{table} row store differs");
-            assert_eq!(shadow.rows, rows.len(), "{table} shadow row count");
-            for (i, row) in rows.iter().enumerate().step_by(97) {
-                assert_eq!(&shadow.row(i), row, "{table} shadow row {i}");
-            }
+            let rows = g.generate(table);
+            let segments = g.generate_table_columnar(table, 4);
+            assert_eq!(segments.rows, rows.len(), "{table} row count");
+            assert!(segments.iter_rows().eq(rows), "{table} rows differ");
         }
     }
 

@@ -3,43 +3,41 @@
 //!
 //! The catalog is **snapshot isolated**: [`Database`] holds an
 //! `Arc<DbSnapshot>` — an immutable map of table name → `Arc<Table>`
-//! (rows + indexes + columnar shadow + statistics) stamped with a version
-//! number — that is swapped atomically when a [`WriteTxn`] commits.
-//! Queries pin the snapshot once at dispatch ([`Database::snapshot`]) and
-//! read it lock-free to completion; writers build the next version behind
-//! a single writer mutex and publish it with one pointer store. No reader
+//! (segments + indexes + statistics) stamped with a version number — that
+//! is swapped atomically when a [`WriteTxn`] commits. Queries pin the
+//! snapshot once at dispatch ([`Database::snapshot`]) and read it
+//! lock-free to completion; writers build the next version behind a
+//! single writer mutex and publish it with one pointer store. No reader
 //! ever blocks on a writer or observes partial state, which is what lets
 //! the server run the paper's multi-stream throughput test (§5.2)
 //! concurrently with data maintenance.
 //!
-//! The next version is **base version + delta**. A table's rows are
-//! individually shared (`Arc`) between the versions that hold them, so
-//! staging a table copies no row; [`Table::insert`],
-//! [`Table::delete_where`] and [`Table::update_each`] copy the rows they
-//! change and *record* the appended range, the surviving positions and the
-//! replaced positions in a [`Delta`]. [`WriteTxn::commit`] turns that into
-//! the next shadow ([`ColumnTable::apply`]: untouched segments are the
-//! base version's `Arc`s) and the next statistics (an append-only delta
-//! folds only the appended rows into the base's), so a commit pays for the
-//! rows it changed. What a reader gets is indistinguishable from a shadow,
-//! statistics and indexes built from scratch over the published rows.
+//! **The segments are the table.** A [`Table`] keeps its rows once, as a
+//! [`ColumnTable`] of immutable, `Arc`-shared segments; there is no row
+//! list beside it. Staging a table copies no segment, and
+//! [`Table::insert`], [`Table::delete_where`] and [`Table::update_each`]
+//! build the segments they change (append copies the short tail, delete
+//! gathers from the first gap, update rebuilds the segments hit) and
+//! patch the indexes, so a staged table is consistent after every call.
+//! [`WriteTxn::commit`] only brings the statistics up (a transaction that
+//! only appended folds just the appended rows into the base's), so a
+//! commit pays for the rows it changed. What a reader gets is
+//! indistinguishable from segments, statistics and indexes built from
+//! scratch over the published rows.
 //!
 //! Commit is panic-safe by construction: a transaction that unwinds
-//! before [`WriteTxn::commit`] publishes nothing — the staged tables and
-//! their deltas are dropped and the head snapshot is untouched (nothing a
-//! published version owns is ever written through; the writer mutex
-//! ignores poisoning, see `crate::sync`).
+//! before [`WriteTxn::commit`] publishes nothing — the staged tables are
+//! dropped and the head snapshot is untouched (nothing a published
+//! version owns is ever written through; the writer mutex ignores
+//! poisoning, see `crate::sync`).
 
 use crate::error::{EngineError, Result};
 use crate::sync::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use tpcds_obs::qlog::QueryLog;
-use tpcds_storage::{ColumnTable, Delta, TableStats};
+use tpcds_storage::{ColumnTable, TableStats};
 use tpcds_types::{DataType, Row, Value};
-
-/// One stored row. Versions of a table that hold the same row share it.
-pub type SharedRow = Arc<[Value]>;
 
 /// A row producer for a server-owned `sys.*` virtual table
 /// (`sys.sessions`, `sys.queries`): the server registers a closure over
@@ -62,10 +60,10 @@ pub struct Index {
 }
 
 impl Index {
-    fn build(rows: &[SharedRow], col: usize) -> Index {
+    fn build(data: &ColumnTable, col: usize) -> Index {
         let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-        for (i, row) in rows.iter().enumerate() {
-            map.entry(row[col].clone()).or_default().push(i);
+        for (i, key) in data.column(col).enumerate() {
+            map.entry(key).or_default().push(i);
         }
         Index { map }
     }
@@ -78,6 +76,13 @@ impl Index {
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
         self.map.len()
+    }
+
+    /// Approximate heap bytes: the key table plus the position lists.
+    pub fn heap_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<(Value, Vec<usize>)>();
+        let postings = self.map.values().map(|p| p.capacity() * 8).sum::<usize>();
+        self.map.capacity() * entry + postings
     }
 
     /// Rewrites row positions after a delete compaction. `remap[old]` is
@@ -112,26 +117,13 @@ impl Index {
         let at = positions.partition_point(|&p| p < pos);
         positions.insert(at, pos);
     }
-
-    /// Drops every posting at position `base` or later (insert rollback).
-    /// Positions are appended in increasing order, so the tail pops off.
-    fn truncate_from(&mut self, base: usize) {
-        self.map.retain(|_, positions| {
-            while matches!(positions.last(), Some(&p) if p >= base) {
-                positions.pop();
-            }
-            !positions.is_empty()
-        });
-    }
 }
 
-/// The row an [`Table::update_each`] closure is handed. Reads see the
-/// stored row; the first write copies it, because the stored row is shared
-/// with the version the transaction started from.
+/// The row an [`Table::update_each`] closure is handed: the stored row,
+/// decoded. Writing through it marks the row for replacement.
 pub struct RowMut<'a> {
-    row: &'a mut SharedRow,
-    /// The row as it was, from the first write on.
-    before: Option<SharedRow>,
+    row: &'a mut [Value],
+    written: bool,
 }
 
 impl std::ops::Deref for RowMut<'_> {
@@ -143,52 +135,48 @@ impl std::ops::Deref for RowMut<'_> {
 
 impl std::ops::DerefMut for RowMut<'_> {
     fn deref_mut(&mut self) -> &mut [Value] {
-        self.before.get_or_insert_with(|| Arc::clone(self.row));
-        Arc::make_mut(self.row)
+        self.written = true;
+        self.row
     }
 }
 
 /// One stored table. Cloning a `Table` is how a [`WriteTxn`] stages it,
-/// and copies no row: the row list, the columnar shadow and the
-/// statistics are `Arc`s shared with the base version (only the index
-/// maps copy). Mutators copy the rows they change and record them in
-/// `delta`; the shadow and statistics stay the base version's until
-/// [`WriteTxn::commit`] derives the next ones from them.
+/// and copies no row: the segments and the statistics are `Arc`s shared
+/// with the base version (only the index maps copy). Mutators build the
+/// segments they change; statistics catch up in [`WriteTxn::commit`].
 #[derive(Clone, Debug)]
 pub struct Table {
     /// Column metadata, in order.
     pub columns: Vec<ColumnMeta>,
-    /// The rows. The list is copied on the first mutation (`Arc` bumps,
-    /// no row payload), the rows themselves only when replaced.
-    rows: Arc<Vec<SharedRow>>,
+    /// The rows, as typed column segments.
+    data: Arc<ColumnTable>,
     /// Secondary hash indexes, keyed by column position.
     pub indexes: HashMap<usize, Index>,
-    /// Columnar shadow of the rows as they were before `delta`; every
-    /// published table that keeps one has it current (`delta` clean).
-    columnar: Option<Arc<ColumnTable>>,
     /// Per-column statistics (row/null counts, min/max, NDV, histogram)
-    /// of that same shadow.
+    /// of the first `stats.rows` rows of `data` — all of them on a
+    /// published table; `None` once a staged row was deleted or replaced.
     stats: Option<Arc<TableStats>>,
-    /// How `rows` differs from what `columnar` holds.
-    delta: Delta,
+    /// What the mutators have done since the table was staged.
+    staged: Derived,
 }
 
 impl Table {
     /// Creates an empty table with the given columns.
     pub fn new(columns: Vec<ColumnMeta>) -> Table {
+        let dtypes = columns.iter().map(|c| c.dtype).collect();
         Table {
             columns,
-            rows: Arc::default(),
+            data: Arc::new(ColumnTable::from_rows::<Row>(dtypes, &[])),
             indexes: HashMap::new(),
-            columnar: None,
             stats: None,
-            delta: Delta::default(),
+            staged: Derived::default(),
         }
     }
 
-    /// The rows, in position order.
-    pub fn rows(&self) -> &[SharedRow] {
-        &self.rows
+    /// The rows: the segments every scan, probe and kernel reads. Always
+    /// current, on a staged table too.
+    pub fn data(&self) -> &Arc<ColumnTable> {
+        &self.data
     }
 
     /// Index of a column by name.
@@ -196,35 +184,51 @@ impl Table {
         self.columns.iter().position(|c| c.name == name)
     }
 
-    /// Appends rows, validating arity and growing every index in the same
-    /// pass that lands the row (no separate validation sweep, no second
-    /// clone of the batch). A mid-batch arity error rolls the batch back,
-    /// leaving the table exactly as it was.
+    /// Installs the segments a mutator built.
+    fn put(&mut self, (data, built): (ColumnTable, usize), rows_changed: usize) {
+        self.data = Arc::new(data);
+        self.staged.rows_changed += rows_changed;
+        self.staged.segments_rebuilt += built;
+    }
+
+    /// Appends rows, growing every index. A row of the wrong arity fails
+    /// the whole batch and leaves the table exactly as it was.
     pub fn insert(&mut self, rows: Vec<Row>) -> Result<()> {
-        if rows.is_empty() {
-            return Ok(());
-        }
         let width = self.columns.len();
-        let base = self.rows.len();
-        let stored = Arc::make_mut(&mut self.rows);
-        stored.reserve(rows.len());
-        for row in rows {
-            if row.len() != width {
-                let bad = row.len();
-                stored.truncate(base);
-                for idx in self.indexes.values_mut() {
-                    idx.truncate_from(base);
-                }
-                return Err(EngineError::Catalog(format!(
-                    "arity mismatch: row has {bad} values, table has {width} columns"
-                )));
-            }
-            let pos = stored.len();
-            for (col, idx) in self.indexes.iter_mut() {
+        if let Some(bad) = rows.iter().find(|row| row.len() != width) {
+            return Err(EngineError::Catalog(format!(
+                "arity mismatch: row has {} values, table has {width} columns",
+                bad.len()
+            )));
+        }
+        for (col, idx) in self.indexes.iter_mut() {
+            for (pos, row) in (self.data.rows..).zip(&rows) {
                 idx.map.entry(row[*col].clone()).or_default().push(pos);
             }
-            stored.push(row.into());
         }
+        if !rows.is_empty() {
+            self.put(self.data.append(&rows), rows.len());
+        }
+        Ok(())
+    }
+
+    /// Replaces the contents of an empty, unindexed table with pre-built
+    /// segments (the bulk load: rows stream out of the data generator
+    /// into a segment builder and never exist as a row list). Errors if
+    /// the column types disagree.
+    pub fn load(&mut self, data: ColumnTable) -> Result<()> {
+        if data.dtypes != self.data.dtypes || self.data.rows > 0 || !self.indexes.is_empty() {
+            return Err(EngineError::Catalog(format!(
+                "cannot load {}x{} segments into a {}x{} table with {} indexes",
+                data.rows,
+                data.width(),
+                self.data.rows,
+                self.data.width(),
+                self.indexes.len()
+            )));
+        }
+        let (rows, built) = (data.rows, data.segments.len());
+        self.put((data, built), rows);
         Ok(())
     }
 
@@ -236,32 +240,42 @@ impl Table {
     /// counter records how bulky deletes actually are, instead of
     /// asserting in a comment that they are rare.
     pub fn delete_where(&mut self, mut pred: impl FnMut(&[Value]) -> bool) -> usize {
-        let mut kept = 0usize;
-        let remap: Vec<usize> = (self.rows.iter())
-            .map(|row| {
-                if pred(row) {
-                    return usize::MAX;
-                }
-                kept += 1;
-                kept - 1
-            })
-            .collect();
-        let deleted = remap.len() - kept;
+        let mut row = Row::new();
+        self.delete_at(|data, pos| {
+            data.read_row(pos, &mut row);
+            pred(&row)
+        })
+    }
+
+    /// [`Table::delete_where`] for a predicate that decides from the
+    /// segments and a position — one column of a wide table, say —
+    /// instead of a decoded row.
+    pub fn delete_at(&mut self, mut gone: impl FnMut(&ColumnTable, usize) -> bool) -> usize {
+        let n = self.data.rows;
+        let mut remap = vec![usize::MAX; n];
+        let mut survivors = Vec::new();
+        for (pos, to) in remap.iter_mut().enumerate() {
+            if !gone(&self.data, pos) {
+                *to = survivors.len();
+                survivors.push(pos as u32);
+            }
+        }
+        let deleted = n - survivors.len();
         if deleted > 0 {
-            let survivors = (self.rows.iter().zip(&remap))
-                .filter(|(_, &to)| to != usize::MAX)
-                .map(|(row, _)| Arc::clone(row))
-                .collect();
-            self.rows = Arc::new(survivors);
             for idx in self.indexes.values_mut() {
                 idx.remap_positions(&remap);
             }
-            self.delta.delete(&remap);
+            let threads = tpcds_storage::effective_threads();
+            self.put(self.data.retain(&survivors, threads), deleted);
+            self.stats = None;
             tpcds_obs::counter(
                 "engine",
                 "maint.deleted_rows",
                 deleted as f64,
-                &[("remaining", tpcds_obs::FieldValue::Int(kept as i64))],
+                &[(
+                    "remaining",
+                    tpcds_obs::FieldValue::Int(survivors.len() as i64),
+                )],
             );
         }
         deleted
@@ -269,28 +283,46 @@ impl Table {
 
     /// Applies `f` to every row (dimension updates); returns the number of
     /// rows for which `f` returned true (i.e. reported a change). A row
-    /// `f` writes to is replaced by a private copy, and only the index
-    /// postings whose key value it changed move — an update that touches
-    /// no key column leaves every index as it is.
-    pub fn update_each(&mut self, mut f: impl FnMut(&mut RowMut<'_>) -> bool) -> usize {
+    /// `f` writes to is replaced, and only the index postings whose key
+    /// value it changed move — an update that touches no key column
+    /// leaves every index as it is.
+    pub fn update_each(&mut self, f: impl FnMut(&mut RowMut<'_>) -> bool) -> usize {
+        self.update_at(|_, _| true, f)
+    }
+
+    /// [`Table::update_each`] over only the rows `at` selects from the
+    /// segments and a position; the others are not decoded.
+    pub fn update_at(
+        &mut self,
+        mut at: impl FnMut(&ColumnTable, usize) -> bool,
+        mut f: impl FnMut(&mut RowMut<'_>) -> bool,
+    ) -> usize {
         let mut changed = 0;
-        // The row list is copied lazily too: rows before the first write
-        // are read out of the shared list.
-        for pos in 0..self.rows.len() {
-            let mut stored = Arc::clone(&self.rows[pos]);
+        let mut replaced: Vec<(usize, Row)> = Vec::new();
+        let mut scratch = Row::new();
+        for pos in (0..self.data.rows).filter(|&pos| at(&self.data, pos)) {
+            self.data.read_row(pos, &mut scratch);
             let mut row = RowMut {
-                row: &mut stored,
-                before: None,
+                row: &mut scratch,
+                written: false,
             };
             changed += usize::from(f(&mut row));
-            let Some(before) = row.before else { continue };
+            if row.written {
+                replaced.push((pos, std::mem::take(&mut scratch)));
+            }
+        }
+        if !replaced.is_empty() {
             for (col, idx) in self.indexes.iter_mut() {
-                if before[*col] != stored[*col] {
-                    idx.rekey(pos, &before[*col], &stored[*col]);
+                for (pos, row) in &replaced {
+                    let before = self.data.value(*pos, *col);
+                    if before != row[*col] {
+                        idx.rekey(*pos, &before, &row[*col]);
+                    }
                 }
             }
-            Arc::make_mut(&mut self.rows)[pos] = stored;
-            self.delta.update(pos);
+            let threads = tpcds_storage::effective_threads();
+            self.put(self.data.replace(&replaced, threads), replaced.len());
+            self.stats = None;
         }
         changed
     }
@@ -298,7 +330,7 @@ impl Table {
     /// Builds (or rebuilds) a hash index on `column`.
     pub fn create_index(&mut self, column: usize) {
         self.indexes
-            .insert(column, Index::build(&self.rows, column));
+            .insert(column, Index::build(&self.data, column));
     }
 
     /// Drops the index on `column`.
@@ -306,92 +338,36 @@ impl Table {
         self.indexes.remove(&column);
     }
 
-    /// The columnar shadow. On a published table it is current; on a
-    /// table staged in a [`WriteTxn`] it is still the base version's
-    /// until commit.
-    pub fn columnar(&self) -> Option<Arc<ColumnTable>> {
-        self.columnar.clone()
-    }
-
-    /// Builds the columnar shadow from the current rows; from here on
-    /// every commit keeps it current.
-    pub fn build_columnar(&mut self) -> Arc<ColumnTable> {
-        let dtypes: Vec<DataType> = self.columns.iter().map(|c| c.dtype).collect();
-        self.set_columnar(ColumnTable::from_rows(dtypes, &self.rows))
-    }
-
-    /// Attaches a pre-built shadow (e.g. streamed out of the data
-    /// generator alongside the rows). Errors if shapes disagree.
-    pub fn attach_columnar(&mut self, ct: ColumnTable) -> Result<()> {
-        if ct.rows != self.rows.len() || ct.width() != self.columns.len() {
-            return Err(EngineError::Catalog(format!(
-                "columnar shadow shape mismatch: shadow {}x{}, table {}x{}",
-                ct.rows,
-                ct.width(),
-                self.rows.len(),
-                self.columns.len()
-            )));
-        }
-        self.set_columnar(ct);
-        Ok(())
-    }
-
-    /// Installs a shadow of the rows as they are now; statistics are
-    /// collected from it at commit.
-    fn set_columnar(&mut self, ct: ColumnTable) -> Arc<ColumnTable> {
-        let ct = Arc::new(ct);
-        self.columnar = Some(Arc::clone(&ct));
-        self.stats = None;
-        self.delta = Delta::clean(ct.rows);
-        ct
-    }
-
-    /// The per-column statistics of [`Table::columnar`].
+    /// The per-column statistics. Current on a published table; on a
+    /// table staged in a [`WriteTxn`] they lag the rows until commit.
     pub fn stats(&self) -> Option<Arc<TableStats>> {
         self.stats.clone()
     }
 
-    /// Brings the shadow and statistics up to the rows: the shadow by
-    /// applying the recorded delta to the one held, the statistics by
-    /// folding only the appended rows into the ones held when nothing
-    /// else changed, and from the new shadow otherwise. Returns what that
-    /// took; a table without a shadow, or with a current one, costs
-    /// nothing.
+    /// Brings the statistics up to the rows — by folding only the
+    /// appended rows into the ones held when nothing else changed, from
+    /// all rows otherwise — and returns what the transaction cost.
     fn publish(&mut self, threads: usize) -> Derived {
-        let delta = std::mem::replace(&mut self.delta, Delta::clean(self.rows.len()));
-        let mut derived = Derived {
-            rows_changed: delta.rows_changed(self.rows.len()),
-            ..Derived::default()
-        };
-        let Some(base) = self.columnar.take() else {
-            return derived;
-        };
-        let shadow = if delta.is_clean(self.rows.len()) {
-            base
-        } else {
-            let (next, built) = base.apply(&delta, &self.rows, threads);
-            derived.tables_rebuilt = 1;
-            derived.segments_rebuilt = built;
-            Arc::new(next)
-        };
-        let stats = match self.stats.take().filter(|_| delta.is_append_only()) {
-            Some(stats) if stats.rows as usize == shadow.rows => stats,
+        let mut derived = std::mem::take(&mut self.staged);
+        derived.tables_rebuilt = usize::from(derived.rows_changed > 0);
+        let data = &self.data;
+        let stats = match self.stats.take() {
+            Some(stats) if stats.rows as usize == data.rows => stats,
             Some(stats) => {
-                derived.stats_cells_folded = (shadow.rows - delta.kept()) * shadow.width();
-                Arc::new(tpcds_storage::extend_stats(&stats, &shadow, threads))
+                derived.stats_cells_folded = (data.rows - stats.rows as usize) * data.width();
+                Arc::new(tpcds_storage::extend_stats(&stats, data, threads))
             }
             None => {
-                derived.stats_cells_folded = shadow.rows * shadow.width();
-                Arc::new(tpcds_storage::collect_stats(&shadow, threads))
+                derived.stats_cells_folded = data.rows * data.width();
+                Arc::new(tpcds_storage::collect_stats(data, threads))
             }
         };
-        self.columnar = Some(shadow);
         self.stats = Some(stats);
         derived
     }
 }
 
-/// What bringing one table's shadow and statistics up to date took.
+/// What one table's mutators and its commit did.
 #[derive(Clone, Copy, Debug, Default)]
 struct Derived {
     rows_changed: usize,
@@ -439,12 +415,12 @@ impl DbSnapshot {
     /// Row count of a table (0 when missing — used by the planner for
     /// cardinality estimates only).
     pub fn row_count(&self, name: &str) -> usize {
-        self.tables.get(name).map(|t| t.rows.len()).unwrap_or(0)
+        self.tables.get(name).map(|t| t.data.rows).unwrap_or(0)
     }
 
     /// Total number of stored rows across all tables.
     pub fn total_rows(&self) -> usize {
-        self.tables.values().map(|t| t.rows.len()).sum()
+        self.tables.values().map(|t| t.data.rows).sum()
     }
 }
 
@@ -469,10 +445,10 @@ pub struct Commit {
     pub version: u64,
     /// Tables the transaction wrote (created, dropped, or mutated).
     pub tables_changed: usize,
-    /// Tables whose columnar shadow changed because the transaction
-    /// actually mutated their rows — the `snapshot.tables_rebuilt` counter.
+    /// Tables whose rows the transaction actually mutated — the
+    /// `snapshot.tables_rebuilt` counter.
     pub tables_rebuilt: usize,
-    /// Segments built for those shadows; every other segment of the new
+    /// Segments its mutators built; every other segment of the new
     /// version is shared with the base version
     /// (`snapshot.segments_rebuilt`).
     pub segments_rebuilt: usize,
@@ -530,9 +506,9 @@ impl<'a> WriteTxn<'a> {
     }
 
     /// Mutable handle to a table, staged out of the base snapshot on first
-    /// touch. Staging copies the index maps and no row: rows, shadow and
+    /// touch. Staging copies the index maps and no row: segments and
     /// statistics stay shared with the base version, and the table's
-    /// mutators copy what they change.
+    /// mutators build what they change.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         if !self.pending.contains_key(name) {
             let t = self.base.table(name)?;
@@ -578,10 +554,9 @@ impl<'a> WriteTxn<'a> {
     }
 
     /// Publishes the staged tables as the next snapshot version and
-    /// returns what changed. Each staged table's shadow and statistics
-    /// are derived here — and only here — from the base version's plus
-    /// the delta its mutators recorded ([`Table::publish`]), so the commit
-    /// costs what the transaction changed: `rows_changed`,
+    /// returns what changed. The mutators already built the segments;
+    /// each staged table's statistics catch up here ([`Table::publish`]),
+    /// so the commit costs what the transaction changed: `rows_changed`,
     /// `segments_rebuilt` and `stats_cells_folded` on the
     /// `snapshot/commit` span say how much that was.
     pub fn commit(mut self) -> Commit {
@@ -901,37 +876,6 @@ impl Database {
     pub fn total_rows(&self) -> usize {
         self.head.read().total_rows()
     }
-
-    /// Builds a columnar shadow (and statistics, at commit) for every
-    /// table that does not already keep one. Returns the number of tables
-    /// newly shadowed.
-    pub fn build_columnar_shadows(&self) -> usize {
-        let mut txn = self.begin();
-        let names = txn.base().table_names();
-        let mut built = 0;
-        for name in names {
-            if txn.base().table(&name).map(|t| t.columnar.is_some()) == Ok(true) {
-                continue;
-            }
-            if let Ok(t) = txn.table_mut(&name) {
-                t.build_columnar();
-                built += 1;
-            }
-        }
-        if built > 0 {
-            txn.commit();
-        }
-        built
-    }
-
-    /// Attaches a pre-built columnar shadow to one table (one auto-commit
-    /// transaction; commit collects statistics from it).
-    pub fn attach_columnar(&self, name: &str, ct: ColumnTable) -> Result<()> {
-        let mut txn = self.begin();
-        txn.table_mut(name)?.attach_columnar(ct)?;
-        txn.commit();
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1011,7 +955,7 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(db.version(), v, "aborted txn must not publish");
         let t = db.table("t").unwrap();
-        assert_eq!(t.rows.len(), 1);
+        assert_eq!(t.data.rows, 1);
         assert_eq!(t.indexes[&0].lookup(&Value::Int(2)), &[] as &[usize]);
         assert_eq!(t.indexes[&0].distinct_keys(), 1);
     }
@@ -1027,32 +971,31 @@ mod tests {
         let deleted = db.delete_where("t", |r| r[0] == Value::Int(1)).unwrap();
         assert_eq!(deleted, 3);
         let tr = db.table("t").unwrap();
-        assert_eq!(tr.rows.len(), 7);
+        assert_eq!(tr.data.rows, 7);
         assert_eq!(tr.indexes[&0].lookup(&Value::Int(1)), &[] as &[usize]);
         for key in [0i64, 2] {
             let pos = tr.indexes[&0].lookup(&Value::Int(key));
             assert!(pos.windows(2).all(|w| w[0] < w[1]));
             for &p in pos {
-                assert_eq!(tr.rows[p][0], Value::Int(key));
+                assert_eq!(tr.data.value(p, 0), Value::Int(key));
             }
         }
         // Surviving order is the original relative order.
-        let vals: Vec<i64> = tr.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+        let vals: Vec<i64> = tr.data.column(0).map(|v| v.as_int().unwrap()).collect();
         assert_eq!(vals, vec![0, 2, 0, 2, 0, 2, 0]);
     }
 
     #[test]
-    fn commits_rebuild_only_mutated_shadows() {
+    fn commits_rebuild_only_mutated_tables() {
         let db = Database::new();
         db.create_table("t", cols(&["a"])).unwrap();
         db.create_table("u", cols(&["a"])).unwrap();
         db.insert("t", vec![vec![Value::Int(1)], vec![Value::Int(2)]])
             .unwrap();
         db.insert("u", vec![vec![Value::Int(9)]]).unwrap();
-        assert_eq!(db.build_columnar_shadows(), 2);
-        let u_shadow_before = db.table("u").unwrap().columnar().unwrap();
+        let u_before = Arc::clone(db.table("u").unwrap().data());
 
-        // Mutate only `t`: the commit rebuilds exactly one shadow, and the
+        // Mutate only `t`: the commit rebuilds exactly one table, and the
         // published snapshot serves it immediately — no refresh step.
         let mut txn = db.begin();
         txn.table_mut("t")
@@ -1063,13 +1006,10 @@ mod tests {
         assert_eq!(commit.tables_changed, 1);
         assert_eq!(commit.tables_rebuilt, 1);
         let t = db.table("t").unwrap();
-        assert_eq!(t.columnar().unwrap().rows, 3);
-        assert!(t.stats().is_some(), "commit re-collects stats");
-        // `u` was untouched: its shadow is the very same Arc.
-        assert!(Arc::ptr_eq(
-            &db.table("u").unwrap().columnar().unwrap(),
-            &u_shadow_before
-        ));
+        assert_eq!(t.data().rows, 3);
+        assert_eq!(t.stats().unwrap().rows, 3, "commit brings stats up");
+        // `u` was untouched: its segments are the very same Arc.
+        assert!(Arc::ptr_eq(db.table("u").unwrap().data(), &u_before));
     }
 
     #[test]
@@ -1084,10 +1024,10 @@ mod tests {
         // The pinned snapshot still sees exactly one row with value 1.
         assert_eq!(pinned.version(), v);
         assert_eq!(pinned.row_count("t"), 1);
-        assert_eq!(pinned.table("t").unwrap().rows[0][0], Value::Int(1));
+        assert_eq!(pinned.table("t").unwrap().data.row(0), [Value::Int(1)]);
         // The head moved on: two commits, one surviving row of value 2.
         assert_eq!(db.version(), v + 2);
-        assert_eq!(db.table("t").unwrap().rows[0][0], Value::Int(2));
+        assert_eq!(db.table("t").unwrap().data.row(0), [Value::Int(2)]);
         // snapshot_at serves both retained versions.
         assert!(Arc::ptr_eq(&db.snapshot_at(v).unwrap(), &pinned));
         assert_eq!(db.snapshot_at(v + 2).unwrap().row_count("t"), 1);
@@ -1113,13 +1053,12 @@ mod tests {
         db.create_table("t", cols(&["a"])).unwrap();
         db.insert("t", vec![vec![Value::Int(1)], vec![Value::Int(2)]])
             .unwrap();
-        db.build_columnar_shadows();
         db.create_index("t", "a").unwrap();
         let v = db.version();
         let rows_before = db.row_count("t");
         let before = db.table("t").unwrap();
-        // A DM batch that stages an append, a delete and an update — rows
-        // copied, deltas recorded, indexes patched — and then dies
+        // A DM batch that stages an append, a delete and an update —
+        // segments built, indexes patched — and then dies
         // mid-transaction.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut txn = db.begin();
@@ -1136,17 +1075,16 @@ mod tests {
             txn.commit();
         }));
         assert!(result.is_err());
-        // Head untouched: same version, same rows, shadow still current —
-        // the very table, with nothing written through what it shares
-        // with the dead transaction.
+        // Head untouched: same version, same rows — the very table, with
+        // nothing written through what it shares with the dead
+        // transaction.
         assert_eq!(db.version(), v);
         assert_eq!(db.row_count("t"), rows_before);
-        assert!(db.table("t").unwrap().columnar().is_some());
         assert!(Arc::ptr_eq(&db.table("t").unwrap(), &before));
-        assert_eq!(before.rows[0][0], Value::Int(1));
-        assert_eq!(before.rows[1][0], Value::Int(2));
-        assert_eq!(before.columnar().unwrap().row(1), vec![Value::Int(2)]);
-        assert_eq!(before.indexes[&0], Index::build(&before.rows, 0));
+        let rows: Vec<Row> = before.data.iter_rows().collect();
+        assert_eq!(rows, [[Value::Int(1)], [Value::Int(2)]]);
+        assert_eq!(before.stats().unwrap().rows, 2);
+        assert_eq!(before.indexes[&0], Index::build(&before.data, 0));
         // The writer lock recovered from the poisoning panic: later
         // transactions commit normally.
         db.insert("t", vec![vec![Value::Int(7)]]).unwrap();
@@ -1155,17 +1093,23 @@ mod tests {
     }
 
     #[test]
-    fn attach_columnar_validates_shape() {
+    fn load_validates_shape_and_emptiness() {
         let db = Database::new();
         db.create_table("t", cols(&["a"])).unwrap();
-        db.insert("t", vec![vec![Value::Int(1)]]).unwrap();
-        let bad = tpcds_storage::ColumnTable::from_rows::<Row>(vec![DataType::Int], &[]);
-        assert!(db.attach_columnar("t", bad).is_err());
-        let good =
-            tpcds_storage::ColumnTable::from_rows(vec![DataType::Int], &[vec![Value::Int(1)]]);
-        assert!(db.attach_columnar("t", good).is_ok());
+        let load = |ct| {
+            let mut txn = db.begin();
+            txn.table_mut("t").unwrap().load(ct)?;
+            txn.create_indexes("t", &["a"])?;
+            txn.commit();
+            Ok::<(), EngineError>(())
+        };
+        let one = |dtype| ColumnTable::from_rows(vec![dtype], &[vec![Value::Int(1)]]);
+        assert!(load(one(DataType::Str)).is_err(), "wrong column type");
+        assert!(load(one(DataType::Int)).is_ok());
         let t = db.table("t").unwrap();
-        assert_eq!(t.columnar().unwrap().rows, 1);
+        assert_eq!((t.data().rows, t.stats().unwrap().rows), (1, 1));
+        assert_eq!(t.indexes[&0].lookup(&Value::Int(1)), &[0]);
+        assert!(load(one(DataType::Int)).is_err(), "table not empty");
     }
 
     #[test]
@@ -1187,7 +1131,7 @@ mod tests {
         });
         assert_eq!(changed, 100);
         assert_eq!(postings(t), before);
-        assert_eq!(t.indexes[&0], Index::build(&t.rows, 0));
+        assert_eq!(t.indexes[&0], Index::build(&t.data, 0));
         // A key written: its posting moves, in position order; a key left
         // with no row drops out.
         t.update_each(|r| {
@@ -1197,7 +1141,7 @@ mod tests {
             }
             hit
         });
-        assert_eq!(t.indexes[&0], Index::build(&t.rows, 0));
+        assert_eq!(t.indexes[&0], Index::build(&t.data, 0));
         assert_eq!(t.indexes[&0].distinct_keys(), 8);
         txn.commit();
     }
@@ -1219,6 +1163,19 @@ mod tests {
             })
             .unwrap();
         assert_eq!(changed, 1);
-        assert_eq!(db.table("t").unwrap().rows[1][0], Value::Int(50));
+        assert_eq!(db.table("t").unwrap().data.value(1, 0), Value::Int(50));
+        // The position-selected forms visit only what they select.
+        let mut txn = db.begin();
+        let t = txn.table_mut("t").unwrap();
+        let fifty = |data: &ColumnTable, pos| data.value(pos, 0) == Value::Int(50);
+        let mut seen = Vec::new();
+        let visited = t.update_at(fifty, |r| {
+            seen.push(r[0].clone());
+            true
+        });
+        assert_eq!(visited, 1);
+        assert_eq!(seen, [Value::Int(50)]);
+        assert_eq!(t.delete_at(fifty), 1);
+        assert_eq!(t.data.iter_rows().collect::<Vec<_>>(), [[Value::Int(1)]]);
     }
 }

@@ -531,7 +531,6 @@ mod tests {
             rows,
         )
         .unwrap();
-        db.build_columnar_shadows();
         db
     }
 
@@ -670,7 +669,6 @@ mod tests {
             (0..100).map(|i| vec![Value::Int(i)]).collect(),
         )
         .unwrap();
-        db.build_columnar_shadows();
         let p = Plan::HashJoin {
             left: Arc::new(scan(&db, "fact", None)),
             right: Arc::new(scan(&db, "dim", None)),

@@ -56,8 +56,6 @@ impl RoutePath {
 pub mod reason {
     /// Columnar routing disabled (`TPCDS_COLUMNAR=off` / ExecOptions).
     pub const COLUMNAR_OFF: &str = "columnar-off";
-    /// The table has no columnar shadow (not built, or invalidated).
-    pub const NO_SHADOW: &str = "no-shadow";
     /// An expression contains a shape no kernel can evaluate — an
     /// outer-column reference, a correlated subquery other than a keyed
     /// `EXISTS`, or a subquery whose one evaluation raised — the only
@@ -72,7 +70,7 @@ pub mod reason {
     /// NestedLoopJoin).
     pub const NO_KERNEL: &str = "no-kernel";
     /// A `sys.*` virtual table: rows materialize at scan time, so there
-    /// is never a shadow to route through.
+    /// are no segments to route through.
     pub const SYS_VIRTUAL: &str = "sys-virtual";
 }
 
@@ -448,8 +446,6 @@ fn interpreted(plan: &Plan, ctx: &ExecCtx<'_>) -> Option<&'static str> {
             let t = ctx.table(table).ok()?;
             if index_for(&t, filter.as_ref(), ctx).is_some() {
                 None
-            } else if t.columnar().is_none() {
-                Some(reason::NO_SHADOW)
             } else {
                 (filter.as_ref().is_some_and(|f| !compilable(f, ctx)))
                     .then_some(reason::EXPR_UNSUPPORTED)
@@ -562,7 +558,7 @@ fn plain_cols<'e>(exprs: impl IntoIterator<Item = &'e BExpr>) -> Option<Vec<usiz
 }
 
 /// The batch executor: every node returns a lazy [`Batch`]. `Scan` yields
-/// the shadow untouched, a compilable `Filter` ANDs into the pending
+/// the segments untouched, a compilable `Filter` ANDs into the pending
 /// predicate, a plain-column `Project`/`Prefix` composes the pending
 /// projection; joins, aggregates, sorts and limits hand whatever batch
 /// their child produced to a morsel kernel. Nodes without a kernel, and
@@ -582,7 +578,7 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
                 return Ok(Batch::from_rows(plan.width(), &rows));
             }
             columnar();
-            let b = Batch::new(t.columnar().expect("not interpreted: has a shadow"));
+            let b = Batch::new(Arc::clone(t.data()));
             Ok(match filter.as_ref().map(|f| compile_over(&b, f, ctx)) {
                 Some(f) => b.filter(f),
                 None => b,
@@ -867,9 +863,9 @@ fn index_probe(
     let mut out = Vec::new();
     if !key.is_null() {
         for &pos in idx.lookup(&key) {
-            let row = &t.rows()[pos];
-            if filter.map_or(Ok(true), |f| f.matches(row, ctx, outer))? {
-                out.push(row.to_vec());
+            let row = t.data().row(pos);
+            if filter.map_or(Ok(true), |f| f.matches(&row, ctx, outer))? {
+                out.push(row);
             }
         }
     }
@@ -879,8 +875,9 @@ fn index_probe(
 /// The serial scan operator. Virtual `sys.*` tables materialize live
 /// state at scan time; they bypass the snapshot (introspection reads the
 /// present, not the pinned version). Base tables try the index probe,
-/// then loop over row storage until `sink` declines. `route` is
-/// overwritten when the scan did not run as the caller's `serial[why]`.
+/// then decode row after row — the filter's columns first, the rest only
+/// for a row that passes — until `sink` declines. `route` is overwritten
+/// when the scan did not run as the caller's `serial[why]`.
 fn scan_rows(
     table: &str,
     filter: Option<&BExpr>,
@@ -904,12 +901,11 @@ fn scan_rows(
         *route = (RoutePath::Index, None);
         return feed(rows, sink);
     }
-    for row in t.rows() {
-        if keep(row)? && !sink(row.to_vec())? {
-            break;
-        }
+    let mut cols = Vec::new();
+    if let Some(f) = filter {
+        f.visit_columns(&mut |c| cols.push(c));
     }
-    Ok(())
+    t.data().scan_rows(&cols, keep, sink)
 }
 
 /// The serial row interpreter: `plan`'s operator over its children's

@@ -1,6 +1,6 @@
 //! Columnar-path integration tests: predicate compilation coverage,
-//! EXPLAIN ANALYZE morsel annotations, fused aggregation, and shadow
-//! invalidation behavior.
+//! EXPLAIN ANALYZE morsel annotations, fused aggregation, and what a
+//! commit publishes.
 
 use tpcds_engine::{ColumnMeta, ColumnarMode, Database, ExecOptions};
 use tpcds_types::{DataType, Date, Decimal, Row, Value};
@@ -57,7 +57,6 @@ fn sales_db() -> Database {
         })
         .collect();
     db.create_table_with_rows("sales", meta, rows).unwrap();
-    db.build_columnar_shadows();
     db
 }
 
@@ -194,10 +193,10 @@ fn fused_aggregate_over_scan_takes_columnar_path() {
 }
 
 #[test]
-fn mutation_commit_republishes_a_current_shadow() {
+fn mutation_commit_publishes_current_segments() {
     let db = sales_db();
     let sql = "select count(*) from sales where qty = 3";
-    assert!(check(&db, sql), "fresh shadow should route columnar");
+    assert!(check(&db, sql), "a base table should route columnar");
     let pinned = db.snapshot();
     let before = tpcds_engine::query_with(&db, sql, OFF).unwrap();
 
@@ -212,13 +211,13 @@ fn mutation_commit_republishes_a_current_shadow() {
         ]],
     )
     .unwrap();
-    // The commit brought the shadow up to date before publishing: the new snapshot
-    // routes columnar immediately — and the columnar path sees the new
-    // row (no stale shadow ever serves a query).
+    // The insert built the new tail segment before publishing: the new
+    // snapshot routes columnar immediately — and the columnar path sees
+    // the new row.
     let col = tpcds_engine::query_analyze_with(&db, sql, FORCE).unwrap();
     assert!(
         col.plan_text.contains("morsels="),
-        "published snapshot must carry a current shadow:\n{}",
+        "published snapshot must route columnar:\n{}",
         col.plan_text
     );
     let row = tpcds_engine::query_with(&db, sql, OFF).unwrap();
@@ -226,7 +225,7 @@ fn mutation_commit_republishes_a_current_shadow() {
     assert_ne!(before.rows, row.rows, "new row must be visible at head");
 
     // A snapshot pinned before the mutation still answers from its own
-    // (older) shadow, byte-identical on both paths.
+    // (older) segments, byte-identical on both paths.
     let pin_col = tpcds_engine::query_pinned(&db, &pinned, sql, FORCE).unwrap();
     let pin_row = tpcds_engine::query_pinned(&db, &pinned, sql, OFF).unwrap();
     assert_eq!(pin_col.rows, pin_row.rows);
@@ -253,7 +252,6 @@ fn join_db() -> Database {
     rows.push(vec![Value::Null, Value::str("dim-null")]);
     rows.push(vec![Value::Int(2), Value::str("dim2-dup")]);
     db.create_table_with_rows("dims", meta, rows).unwrap();
-    db.build_columnar_shadows();
     db
 }
 
@@ -369,7 +367,7 @@ fn worker_counts_do_not_change_results() {
 }
 
 #[test]
-fn topn_over_shadowed_scan_takes_fused_path() {
+fn topn_over_scan_takes_fused_path() {
     let db = sales_db();
     let sql = "select id, qty from sales where id >= 20 order by qty desc, id limit 10";
     let row = tpcds_engine::query_with(&db, sql, OFF).unwrap();
@@ -383,7 +381,7 @@ fn topn_over_shadowed_scan_takes_fused_path() {
 }
 
 #[test]
-fn full_sort_over_shadowed_scan_takes_fused_path() {
+fn full_sort_over_scan_takes_fused_path() {
     let db = sales_db();
     let sql = "select id, city from sales where qty <= 4 order by city, id desc";
     let row = tpcds_engine::query_with(&db, sql, OFF).unwrap();

@@ -2,7 +2,7 @@
 //! actuals (`rows=`, `elapsed=`, `loops=`), and the row counts agree with
 //! the query's actual result.
 
-use tpcds_engine::{query_analyze, ColumnMeta, Database};
+use tpcds_engine::{query_analyze, ColumnMeta, ColumnarMode, Database, ExecOptions};
 use tpcds_types::Value;
 
 fn db_with(table: &str, cols: &[&str], rows: Vec<Vec<i64>>) -> Database {
@@ -84,8 +84,8 @@ fn topn_reports_heap_and_pruning_actuals() {
     let db = db_with("t", &["a", "b"], (0..100).map(|i| vec![i, i * 7]).collect());
     let (n, plan) = analyze(&db, "select a from t order by b desc limit 5");
     assert_eq!(n, 5);
-    // The parallel Top-N kernel ran (over the scan's wrapped rows when no
-    // shadow is attached): heap occupancy and pruned-row actuals render.
+    // The parallel Top-N kernel ran: heap occupancy and pruned-row
+    // actuals render.
     assert!(plan.contains("heap_rows="), "{plan}");
     assert!(plan.contains("pruned="), "{plan}");
 }
@@ -95,37 +95,45 @@ fn bare_limit_short_circuits_the_scan() {
     let db = db_with("t", &["a"], (0..50).map(|i| vec![i]).collect());
     // The Limit declines rows once it holds 4, and the chain under it
     // stops there: the scan line carries the 4 rows it produced, not the
-    // 40 that pass its filter — without a shadow (the interpreter's scan
-    // loop) and with one (the lazy batch's ordered early exit; one morsel).
-    for shadow in [false, true] {
-        if shadow {
-            db.build_columnar_shadows();
-        }
-        let (n, plan) = analyze(&db, "select a from t where a >= 10 limit 4");
-        assert_eq!(n, 4);
+    // 40 that pass its filter — on the oracle (the interpreter's
+    // decode-on-demand scan loop stops decoding) and on the lazy batch
+    // (its ordered early exit; one morsel).
+    let run = |sql, columnar| {
+        let opts = ExecOptions {
+            columnar,
+            ..ExecOptions::default()
+        };
+        let a = tpcds_engine::query_analyze_with(&db, sql, opts).unwrap();
+        assert_eq!(a.result.rows.len(), 4);
+        a.plan_text
+    };
+    for columnar in [ColumnarMode::Off, ColumnarMode::Auto] {
+        let plan = run("select a from t where a >= 10 limit 4", columnar);
         assert_eq!(op_rows(&plan, "Limit"), vec![4], "{plan}");
         let scanned = op_rows(&plan, "Scan t [filtered]");
-        assert!(scanned[0] < 50, "shadow={shadow}: {scanned:?}\n{plan}");
-        if !shadow {
+        assert!(scanned[0] < 50, "{columnar:?}: {scanned:?}\n{plan}");
+        if columnar == ColumnarMode::Off {
             assert_eq!(scanned, vec![4], "{plan}");
-            assert!(plan.contains("serial[no-shadow]"), "{plan}");
+            assert!(plan.contains("serial[columnar-off]"), "{plan}");
+        }
+        // A correlated subquery predicate keeps the chain on the
+        // interpreter: it is evaluated for the 14 rows the Limit asked
+        // for, not for the table — which is all the oracle's scan decodes.
+        let sql =
+            "select a from t x where (select count(*) from t y where y.a < x.a) >= 10 limit 4";
+        let plan = run(sql, columnar);
+        assert_eq!(op_rows(&plan, "Filter"), vec![4], "{plan}");
+        assert!(plan.contains("subplan_runs=14"), "{plan}");
+        if columnar == ColumnarMode::Off {
+            assert!(op_rows(&plan, "Scan t").contains(&14), "{plan}");
         }
     }
-    // A correlated subquery predicate keeps the chain on the interpreter:
-    // it is evaluated for the rows the Limit asked for, not for the table.
-    let db = db_with("t", &["a"], (0..50).map(|i| vec![i]).collect());
-    let sql = "select a from t x where (select count(*) from t y where y.a < x.a) >= 10 limit 4";
-    let (n, plan) = analyze(&db, sql);
-    assert_eq!(n, 4);
-    assert_eq!(op_rows(&plan, "Filter"), vec![4], "{plan}");
-    assert!(op_rows(&plan, "Scan t").contains(&14), "{plan}");
 }
 
 #[test]
 fn lazy_nodes_report_the_rows_their_consumer_counted() {
     let db = db_with("t", &["a", "b"], (0..20).map(|i| vec![i, i % 4]).collect());
-    db.build_columnar_shadows();
-    // With a shadow the scan and the HAVING-style filter are lazy: their
+    // The scan and the HAVING-style filter are lazy: their
     // predicates are evaluated, and their rows counted, by the kernels
     // that consume the batches (the join, the aggregate, the result edge).
     let (n, plan) = analyze(
@@ -321,7 +329,7 @@ fn plain_explain_has_no_actuals() {
 /// distinct customer reached on the row interpreter.
 #[test]
 fn subplan_runs_tell_once_from_once_per_key() {
-    use tpcds_engine::{query_analyze_with, ColumnarMode, ExecOptions};
+    use tpcds_engine::query_analyze_with;
     let db = db_with(
         "customer",
         &["c_customer_sk"],
@@ -337,7 +345,6 @@ fn subplan_runs_tell_once_from_once_per_key() {
     channel("catalog_sales", "cs_ship_customer_sk", "cs_sold_date_sk", 5);
     let quarters = (0..4).map(|i| vec![i, i + 1]).collect();
     add_table(&db, "date_dim", &["d_date_sk", "d_qoy"], quarters);
-    db.build_columnar_shadows();
     let sql = "select count(*) from customer c \
         where exists (select ss_sold_date_sk from store_sales, date_dim \
                       where c.c_customer_sk = ss_customer_sk \

@@ -60,7 +60,6 @@ fn db_with(big: impl Fn(i64) -> Value) -> Database {
         })
         .collect();
     db.create_table_with_rows("t", meta, rows).unwrap();
-    db.build_columnar_shadows();
     db
 }
 
@@ -218,7 +217,6 @@ fn pending_join_side_predicates_raise_the_row_paths_first_error() {
         .map(|k| vec![Value::Int(k), Value::Int(i64::MAX - k)])
         .collect();
     db.create_table_with_rows("d", meta, rows).unwrap();
-    db.build_columnar_shadows();
     // Comma joins: the optimizer pushes each single-table conjunct into
     // its scan, which is what leaves it pending on that join input.
     for sql in [

@@ -1,8 +1,8 @@
 //! Engine integration tests: operator edge cases beyond the unit suite.
 //!
 //! Every test here runs twice: once on the row path (the correctness
-//! oracle) and once with the columnar path forced on over freshly built
-//! shadows, via the [`query`] wrapper below. A divergence fails the test.
+//! oracle) and once with the columnar path forced on, via the [`query`]
+//! wrapper below. A divergence fails the test.
 
 use tpcds_engine::{ColumnMeta, ColumnarMode, Database, ExecOptions, QueryResult};
 use tpcds_types::{DataType, Decimal, Row, Value};
@@ -25,9 +25,9 @@ fn canon(rows: &[Row]) -> Vec<Row> {
     v
 }
 
-/// Runs `sql` on the row path, then again with the columnar path forced on
-/// (shadows rebuilt first), asserts both agree, and returns the row-path
-/// result so order-sensitive assertions check the oracle.
+/// Runs `sql` on the row path, then again with the columnar path forced
+/// on, asserts both agree, and returns the row-path result so
+/// order-sensitive assertions check the oracle.
 fn query(db: &Database, sql: &str) -> tpcds_engine::Result<QueryResult> {
     let row = tpcds_engine::query_with(
         db,
@@ -37,7 +37,6 @@ fn query(db: &Database, sql: &str) -> tpcds_engine::Result<QueryResult> {
             threads: None,
         },
     )?;
-    db.build_columnar_shadows();
     let col = tpcds_engine::query_with(
         db,
         sql,

@@ -121,11 +121,10 @@ pub fn run_maintenance(
     report
         .ops
         .push(delete_fact_range(db, generator, refresh_seq)?);
-    // Each operation above ran as one write transaction: its commit
-    // derived the columnar shadows and statistics of exactly the tables
-    // it mutated from their previous ones (`snapshot.segments_rebuilt`)
-    // and published a new snapshot version — in-flight queries keep
-    // reading the versions they pinned.
+    // Each operation above ran as one write transaction: it rebuilt the
+    // segments (`snapshot.segments_rebuilt`) and statistics of exactly the
+    // tables it mutated and published a new snapshot version — in-flight
+    // queries keep reading the versions they pinned.
     span.field("rows", report.total_rows())
         .field("versions_committed", report.ops.len() as i64)
         .field("head_version", db.version() as i64)
@@ -185,7 +184,11 @@ pub fn update_non_history_dimension(
     }
     let mut txn = db.begin();
     let t = txn.table_mut(table)?;
-    let updated = t.update_each(|row| {
+    let wanted_at = |data: &tpcds_storage::ColumnTable, pos| {
+        let bk = data.value(pos, bk_idx);
+        bk.as_str().is_some_and(|bk| wanted.contains_key(bk))
+    };
+    let updated = t.update_at(wanted_at, |row| {
         let bk = match row[bk_idx].as_str() {
             Some(s) => s,
             None => return false,
@@ -257,19 +260,12 @@ pub fn update_history_dimension(
 
     let mut txn = db.begin();
     let t = txn.table_mut(table)?;
-    let mut next_sk = t
-        .rows()
-        .iter()
-        .filter_map(|r| r[0].as_int())
-        .max()
-        .unwrap_or(0)
-        + 1;
+    let surrogates = t.data().column(0).filter_map(|sk| sk.as_int());
+    let mut next_sk = surrogates.max().unwrap_or(0) + 1;
     // Close current revisions and queue their replacements.
     let mut to_insert = Vec::new();
-    let closed = t.update_each(|row| {
-        if !row[end_idx].is_null() {
-            return false;
-        }
+    let open_at = |data: &tpcds_storage::ColumnTable, pos| data.value(pos, end_idx).is_null();
+    let closed = t.update_at(open_at, |row| {
         let bk = match row[bk_idx].as_str() {
             Some(s) => s.to_string(),
             None => return false,
@@ -414,14 +410,12 @@ pub fn current_surrogates(
         .iter()
         .position(|c| c.name.ends_with("rec_end_date"));
     let t = db.table(table)?;
-    let mut map = HashMap::with_capacity(t.rows().len());
-    for row in t.rows() {
-        if let Some(end_idx) = end_idx {
-            if !row[end_idx].is_null() {
-                continue;
-            }
-        }
-        if let (Some(bk), Some(sk)) = (row[bk_idx].as_str(), row[0].as_int()) {
+    let data = t.data();
+    let mut ends = end_idx.map(|c| data.column(c));
+    let mut map = HashMap::with_capacity(data.rows);
+    for (sk, bk) in data.column(0).zip(data.column(bk_idx)) {
+        let open = (ends.as_mut()).is_none_or(|e| e.next().is_some_and(|end| end.is_null()));
+        if let (true, Some(bk), Some(sk)) = (open, bk.as_str(), sk.as_int()) {
             map.insert(bk.to_string(), sk);
         }
     }
@@ -453,11 +447,9 @@ pub fn delete_fact_range(
     ] {
         let def = generator.schema().table(table).expect("fact table");
         let col = def.column_index(date_col).expect("date column");
-        deleted += txn.table_mut(table)?.delete_where(|row| {
-            row[col]
-                .as_int()
-                .map(|sk| sk >= lo_sk && sk <= hi_sk)
-                .unwrap_or(false)
+        deleted += txn.table_mut(table)?.delete_at(|data, pos| {
+            let sold = data.value(pos, col).as_int();
+            sold.is_some_and(|sk| sk >= lo_sk && sk <= hi_sk)
         });
     }
     txn.commit();
@@ -482,16 +474,14 @@ pub fn load_initial_population(db: &Database, generator: &Generator) -> Result<(
     tpcds_engine::create_tpcds_tables(db, generator.schema())?;
     let threads = tpcds_storage::effective_threads();
     for (table, indexed) in basic_index_columns(generator) {
-        // One generation pass feeds both stores: rows stream through a
-        // segment builder on the way into the row table. One transaction
-        // lands rows, shadow and indexes, so the table is staged once and
-        // its commit collects the statistics (NDV/histograms) the
-        // estimator reads from the first query on.
-        let (rows, shadow) = generator.generate_table_columnar(table, threads.max(4));
+        // Rows stream out of the generator through a segment builder and
+        // never exist as a row list. One transaction lands segments and
+        // indexes, so the table is staged once and its commit collects
+        // the statistics (NDV/histograms) the estimator reads from the
+        // first query on.
+        let segments = generator.generate_table_columnar(table, threads.max(4));
         let mut txn = db.begin();
-        let t = txn.table_mut(table)?;
-        t.insert(rows)?;
-        t.attach_columnar(shadow)?;
+        txn.table_mut(table)?.load(segments)?;
         txn.create_indexes(table, &indexed)?;
         txn.commit();
     }
@@ -539,6 +529,26 @@ mod tests {
     }
 
     #[test]
+    fn no_base_table_column_is_boxed() {
+        // A declared-vs-generated type mismatch would promote a whole
+        // segment to 48-byte boxed `Value`s and off the typed kernels.
+        let (db, g) = loaded();
+        run_maintenance(&db, &g, 0).unwrap();
+        let mut boxed = Vec::new();
+        for def in g.schema().tables() {
+            let t = db.table(def.name).unwrap();
+            for segment in &t.data().segments {
+                for (column, meta) in segment.columns.iter().zip(&def.columns) {
+                    if matches!(column.data, tpcds_storage::ColumnData::Other(_)) {
+                        boxed.push(format!("{}.{}", def.name, meta.name));
+                    }
+                }
+            }
+        }
+        assert!(boxed.is_empty(), "boxed columns: {boxed:#?}");
+    }
+
+    #[test]
     fn twelve_operations_run() {
         let (db, g) = loaded();
         let report = run_maintenance(&db, &g, 0).unwrap();
@@ -577,7 +587,7 @@ mod tests {
         let end_idx = def.column_index("i_rec_end_date").unwrap();
         let t = db.table("item").unwrap();
         let mut open: HashMap<String, u32> = HashMap::new();
-        for row in t.rows() {
+        for row in t.data().iter_rows() {
             if row[end_idx].is_null() {
                 *open
                     .entry(row[1].as_str().unwrap().to_string())
@@ -587,7 +597,7 @@ mod tests {
         assert!(open.values().all(|&c| c == 1), "broken revision chains");
         // New revisions carry the refresh date.
         let start_idx = def.column_index("i_rec_start_date").unwrap();
-        assert!(t.rows().iter().any(|r| r[start_idx] == Value::Date(when)));
+        assert!(t.data().column(start_idx).any(|d| d == Value::Date(when)));
     }
 
     #[test]
@@ -612,9 +622,9 @@ mod tests {
         let def = g.schema().table("store_sales").unwrap();
         let item_col = def.column_index("ss_item_sk").unwrap();
         let t = db.table("store_sales").unwrap();
-        assert!(t.rows().len() > ss_before, "no store_sales inserted");
-        for row in t.rows().iter().skip(ss_before) {
-            let sk = row[item_col].as_int().unwrap();
+        assert!(t.data().rows > ss_before, "no store_sales inserted");
+        for sk in t.data().column(item_col).skip(ss_before) {
+            let sk = sk.as_int().unwrap();
             assert!(
                 valid.contains(&sk),
                 "inserted fact references closed revision {sk}"
@@ -629,11 +639,9 @@ mod tests {
         let def = g.schema().table("store_sales").unwrap();
         let col = def.column_index("ss_sold_date_sk").unwrap();
         let in_range = |t: &tpcds_engine::Table| {
-            t.rows()
-                .iter()
-                .filter(|r| {
-                    r[col]
-                        .as_int()
+            (t.data().column(col))
+                .filter(|sk| {
+                    sk.as_int()
                         .map(|sk| sk >= lo.date_sk() && sk <= hi.date_sk())
                         .unwrap_or(false)
                 })
@@ -650,9 +658,9 @@ mod tests {
     fn maintenance_commits_one_version_per_op_and_rebuilds_only_mutated() {
         let (db, g) = loaded();
         let v0 = db.version();
-        // date_dim is never touched by DM: its shadow must survive the
-        // whole refresh run as the very same Arc (no global re-shadow).
-        let date_dim_before = db.table("date_dim").unwrap().columnar().unwrap();
+        // date_dim is never touched by DM: its segments must survive the
+        // whole refresh run as the very same Arc (no global rebuild).
+        let date_dim_before = std::sync::Arc::clone(db.table("date_dim").unwrap().data());
         let report = run_maintenance(&db, &g, 0).unwrap();
         assert_eq!(
             db.version(),
@@ -660,14 +668,13 @@ mod tests {
             "each op commits exactly one snapshot version"
         );
         assert!(std::sync::Arc::ptr_eq(
-            &db.table("date_dim").unwrap().columnar().unwrap(),
+            db.table("date_dim").unwrap().data(),
             &date_dim_before
         ));
-        // A mutated table's published snapshot carries a fresh shadow and
-        // fresh statistics — nothing left stale to refresh.
+        // A mutated table's published snapshot carries current
+        // statistics — nothing left stale to refresh.
         let cust = db.table("customer").unwrap();
-        assert_eq!(cust.columnar().unwrap().rows, cust.rows().len());
-        assert!(cust.stats().is_some());
+        assert_eq!(cust.stats().unwrap().rows as usize, cust.data().rows);
     }
 
     #[test]
@@ -676,13 +683,13 @@ mod tests {
         run_maintenance(&db, &g, 0).unwrap();
         let v = db.version();
         let rows = db.total_rows();
-        let item_shadow = db.table("item").unwrap().columnar().unwrap();
+        let item_before = std::sync::Arc::clone(db.table("item").unwrap().data());
         // A writer that dies half-way through staging a batch: the panic
         // unwinds out of the transaction without committing.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut txn = db.begin();
             let t = txn.table_mut("item").unwrap();
-            let half = t.rows().len() / 2;
+            let half = t.data().rows / 2;
             let mut n = 0;
             t.update_each(|row| {
                 n += 1;
@@ -698,8 +705,8 @@ mod tests {
         assert_eq!(db.version(), v, "aborted DM must not publish");
         assert_eq!(db.total_rows(), rows);
         assert!(std::sync::Arc::ptr_eq(
-            &db.table("item").unwrap().columnar().unwrap(),
-            &item_shadow
+            db.table("item").unwrap().data(),
+            &item_before
         ));
         // The writer lock recovered: the next refresh commits normally.
         let rep = run_maintenance(&db, &g, 1).unwrap();

@@ -21,7 +21,7 @@ use tpcds_types::{DataType, Date, Decimal, Row, Value};
 /// What every plan operator returns and every kernel consumes.
 #[derive(Clone, Debug)]
 pub struct Batch {
-    /// The backing table (a base-table shadow, or an operator's output).
+    /// The backing table (a base table's segments, or an operator's output).
     pub table: Arc<ColumnTable>,
     /// Rows qualify only where every stacked filter is TRUE. Deferred
     /// expression errors surface through [`Batch::take_err`] after the

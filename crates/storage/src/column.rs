@@ -12,6 +12,12 @@
 use std::sync::Arc;
 use tpcds_types::{DataType, Date, Decimal, Value};
 
+thread_local! {
+    /// The slot every NULL string cell pushed on this thread holds, so a
+    /// NULL costs its 16-byte slot and no allocation of its own.
+    static EMPTY_STR: Arc<str> = Arc::from("");
+}
+
 /// A word-packed bitmap; bit `i` set means row `i` is NULL.
 #[derive(Clone, Debug, Default)]
 pub struct Bitmap {
@@ -125,6 +131,17 @@ impl Column {
         self.nulls.is_empty()
     }
 
+    /// Makes room for `additional` more values.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        match &mut self.data {
+            ColumnData::I64(buf) => buf.reserve(additional),
+            ColumnData::Decimal(buf) => buf.reserve(additional),
+            ColumnData::Date(buf) => buf.reserve(additional),
+            ColumnData::Str(buf) => buf.reserve(additional),
+            ColumnData::Other(buf) => buf.reserve(additional),
+        }
+    }
+
     /// Appends one value, promoting the buffer to [`ColumnData::Other`] if
     /// the value does not fit the current variant (the engine is
     /// dynamically typed, so declared and actual types can disagree).
@@ -154,7 +171,7 @@ impl Column {
             ColumnData::I64(buf) => buf.push(0),
             ColumnData::Decimal(buf) => buf.push(Decimal::ZERO),
             ColumnData::Date(buf) => buf.push(Date::from_ymd(1900, 1, 1)),
-            ColumnData::Str(buf) => buf.push(Arc::from("")),
+            ColumnData::Str(buf) => buf.push(EMPTY_STR.with(Arc::clone)),
             ColumnData::Other(buf) => buf.push(Value::Null),
         }
         self.nulls.push(true);

@@ -1844,7 +1844,7 @@ mod tests {
 
     /// An expression predicate and a computed projection over an
     /// *intermediate* multi-morsel table (rows wrapped by an operator, not
-    /// a base-table shadow): same survivors at any worker count, and the
+    /// a base table): same survivors at any worker count, and the
     /// first erroring row wins across morsels.
     #[test]
     fn expr_kernels_over_wrapped_rows_are_thread_invariant() {

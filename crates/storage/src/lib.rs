@@ -11,11 +11,11 @@
 //!
 //! Every kernel consumes a lazy [`Batch`] — a table, a pending predicate
 //! and a pending projection — which is also what the engine's operators
-//! hand each other; a base table enters as its [`ColumnTable`] *shadow*.
-//! The engine keeps its `Vec<Row>` tables and serial interpreter as the
-//! correctness oracle: every kernel mirrors its row-at-a-time SQL
-//! semantics (three-valued logic, exact decimal accumulation) so the two
-//! paths produce identical results.
+//! hand each other; a base table *is* a [`ColumnTable`]. The engine
+//! keeps its serial interpreter, which decodes rows from the segments on
+//! demand, as the correctness oracle: every kernel mirrors its
+//! row-at-a-time SQL semantics (three-valued logic, exact decimal
+//! accumulation) so the two paths produce identical results.
 
 #![warn(missing_docs)]
 
@@ -37,7 +37,7 @@ pub use expr::{par_project_table, ErrCell, Expr, ExprStats, KeySet, SetTest};
 pub use join::{par_hash_join, par_hash_join_agg, JoinStats, JoinType};
 pub use morsel::{par_aggregate, par_filter, scan_until, ScanStats, MORSEL_ROWS};
 pub use pred::{CmpKind, Pred};
-pub use segment::{ColumnTable, ColumnTableBuilder, Delta, Segment, SEGMENT_ROWS};
+pub use segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
 pub use sort::{par_sort, par_topn, SortKey, SortStats};
 pub use stats::{collect_stats, extend_stats, ColumnStats, TableStats};
 

@@ -1,21 +1,23 @@
-//! Row-group segments, the streaming table builder, and the [`Delta`]
-//! that derives a table's next shadow from its current one.
+//! Row-group segments: the storage of a table.
 //!
-//! A [`ColumnTable`] is the columnar shadow of one engine table: a list of
-//! fixed-size [`Segment`]s, each holding [`SEGMENT_ROWS`] rows (the last
-//! may be short). Fixed segment size keeps global-row → (segment, offset)
+//! A [`ColumnTable`] holds the rows of one engine table as a list of
+//! fixed-size [`Segment`]s, each [`SEGMENT_ROWS`] rows long (the last may
+//! be short). Fixed segment size keeps global-row → (segment, offset)
 //! arithmetic trivial and lets a morsel never straddle a segment boundary
 //! (the morsel size divides the segment size).
 //!
-//! Segments are immutable and shared (`Arc`) between the shadows of
-//! successive table versions: [`ColumnTable::apply`] rebuilds only the
-//! segments a [`Delta`] reaches and hands every other one on, so a pinned
-//! reader's segments never move under it.
+//! Segments are immutable and shared (`Arc`) between successive versions
+//! of a table: [`ColumnTable::append`], [`ColumnTable::retain`] and
+//! [`ColumnTable::replace`] build only the segments the change reaches and
+//! hand every other one on, so a pinned reader's segments never move
+//! under it. Rows decode on demand ([`ColumnTable::read_row`]): a cell is
+//! a copy or an `Arc<str>` bump, and the codec is lossless because a value
+//! that does not fit its typed buffer boxes the column into
+//! [`crate::ColumnData::Other`].
 
 use crate::batch::gather_column;
 use crate::column::Column;
 use crate::morsel::{run_chunks, worker_count};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use tpcds_types::{DataType, Row, Value};
 
@@ -58,7 +60,7 @@ impl Segment {
     }
 }
 
-/// The columnar shadow of one table.
+/// The rows of one table, or of one operator's output.
 #[derive(Clone, Debug)]
 pub struct ColumnTable {
     /// Declared type of each column (drives buffer selection).
@@ -72,13 +74,9 @@ pub struct ColumnTable {
 }
 
 impl ColumnTable {
-    /// Builds a shadow by scanning existing row storage.
+    /// Builds a table from materialized rows.
     pub fn from_rows<R: AsRef<[Value]>>(dtypes: Vec<DataType>, rows: &[R]) -> ColumnTable {
-        let mut b = ColumnTableBuilder::new(dtypes);
-        for r in rows {
-            b.push_row(r.as_ref());
-        }
-        b.finish()
+        ColumnTableBuilder::new(dtypes).extended(rows).0
     }
 
     /// Number of columns.
@@ -93,150 +91,141 @@ impl ColumnTable {
 
     /// Materializes global row `i`.
     pub fn row(&self, i: usize) -> Row {
-        let seg = &self.segments[i / SEGMENT_ROWS];
-        seg.row(i % SEGMENT_ROWS)
+        self.segments[i / SEGMENT_ROWS].row(i % SEGMENT_ROWS)
     }
 
-    /// The shadow of `rows`, where `delta` records how `rows` differs from
-    /// the rows `self` shadows. A segment the delta does not reach is the
-    /// very `Arc` of `self`; one that holds a replaced row is rebuilt from
-    /// `rows`; any other takes its surviving rows from `self` by typed
-    /// column gather and pushes the appended ones behind them. The result
-    /// reads exactly like `from_rows(rows)`. Built segments are the unit
-    /// of parallel work. Also returns how many were built rather than
-    /// shared.
-    pub fn apply<R: AsRef<[Value]> + Sync>(
+    /// Decodes global row `i` into `out`, reusing its allocation.
+    pub fn read_row(&self, i: usize, out: &mut Row) {
+        let (seg, i) = (&self.segments[i / SEGMENT_ROWS], i % SEGMENT_ROWS);
+        out.clear();
+        out.extend(seg.columns.iter().map(|c| c.value_at(i)));
+    }
+
+    /// Streams the rows, in position order, through `keep` and then
+    /// `sink`. `keep` sees a row with only `cols` decoded — the columns a
+    /// filter reads; every other cell is NULL — and a row it admits is
+    /// decoded whole and moved into `sink`, which returns `false` to stop.
+    /// A scan that keeps little therefore reads little.
+    pub fn scan_rows<E>(
         &self,
-        delta: &Delta,
-        rows: &[R],
-        threads: usize,
-    ) -> (ColumnTable, usize) {
-        let (width, n_segs) = (self.width(), rows.len().div_ceil(SEGMENT_ROWS));
-        let survivors = delta.survivors.as_deref();
-        let extent = |k: usize| (k * SEGMENT_ROWS, rows.len().min((k + 1) * SEGMENT_ROWS));
-        // Segments to build, each with where its rows come from: `lo..split`
-        // gathered out of `self`, `split..hi` pushed from `rows`.
-        let built: Vec<(usize, usize)> = (0..n_segs)
-            .filter_map(|k| {
-                let (lo, hi) = extent(k);
-                if delta.updated.range(lo..hi).next().is_some() {
-                    return Some((k, lo));
+        cols: &[usize],
+        mut keep: impl FnMut(&[Value]) -> Result<bool, E>,
+        mut sink: impl FnMut(Row) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        let mut row = Row::new();
+        for pos in 0..self.rows {
+            row.resize(self.width(), Value::Null);
+            for &c in cols {
+                row[c] = self.value(pos, c);
+            }
+            if keep(&row)? {
+                self.read_row(pos, &mut row);
+                if !sink(std::mem::take(&mut row))? {
+                    break;
                 }
-                let split = hi.min(delta.kept).max(lo);
-                let shared = split == hi
-                    && self.segments[k].rows == hi - lo
-                    && survivors.is_none_or(|s| s[hi - 1] as usize == hi - 1);
-                (!shared).then_some((k, split))
-            })
-            .collect();
-        let built_rows = built.iter().map(|&(k, _)| extent(k).1 - extent(k).0).sum();
-        let workers = worker_count(built_rows, threads, built.len());
-        let rebuilt = run_chunks("apply_worker", built.len(), workers, |task| {
-            let (k, split) = built[task];
+            }
+        }
+        Ok(())
+    }
+
+    /// The cell at global row `i`, column `col`.
+    pub fn value(&self, i: usize, col: usize) -> Value {
+        self.segments[i / SEGMENT_ROWS].columns[col].value_at(i % SEGMENT_ROWS)
+    }
+
+    /// Every row, decoded, in position order.
+    pub fn iter_rows(&self) -> impl Iterator<Item = Row> + '_ {
+        (0..self.rows).map(|i| self.row(i))
+    }
+
+    /// Column `col` of every row, in position order.
+    pub fn column(&self, col: usize) -> impl Iterator<Item = Value> + '_ {
+        (self.segments.iter())
+            .flat_map(move |s| (0..s.rows).map(move |i| s.columns[col].value_at(i)))
+    }
+
+    /// This table with `rows` appended: the full segments are the very
+    /// `Arc`s of `self`, a short tail segment is copied and grown. Also
+    /// returns how many segments were built rather than shared, as
+    /// [`ColumnTable::retain`] and [`ColumnTable::replace`] do.
+    pub fn append<R: AsRef<[Value]>>(&self, rows: &[R]) -> (ColumnTable, usize) {
+        let full = self.rows / SEGMENT_ROWS;
+        let mut b = ColumnTableBuilder::new(self.dtypes.clone());
+        b.segments = self.segments[..full].to_vec();
+        if let Some(tail) = self.segments.get(full) {
+            // Each copy grows right behind its allocation, where the
+            // allocator can still extend it in place: growing all of them
+            // later, on the first pushed row, copies every column twice.
+            let room = rows.len().min(SEGMENT_ROWS - tail.rows);
+            let grown = tail.columns.iter().map(|column| {
+                let mut column = column.clone();
+                column.reserve(room);
+                column
+            });
+            b.current = grown.collect();
+        }
+        b.rows = self.rows;
+        b.extended(rows)
+    }
+
+    /// The rows at `survivors` (ascending positions), in that order: what
+    /// a delete leaves. Segments before the first gap are shared; every
+    /// later one gathers its rows out of `self`, column by typed column,
+    /// one segment per unit of parallel work.
+    pub fn retain(&self, survivors: &[u32], threads: usize) -> (ColumnTable, usize) {
+        let n = survivors.len();
+        let n_segs = n.div_ceil(SEGMENT_ROWS);
+        let extent = |k: usize| (k * SEGMENT_ROWS, n.min((k + 1) * SEGMENT_ROWS));
+        // Shared: every row up to its end is where it was, and none of its
+        // own is gone.
+        let stays = |&k: &usize| {
             let (lo, hi) = extent(k);
-            let columns = (0..width).map(|c| {
-                let mut column = match survivors {
-                    _ if split == lo => Column::for_type(self.dtypes[c]),
-                    Some(s) => gather_column(self, c, &s[lo..split]),
-                    // Nothing deleted: `lo..split` is all of segment `k`.
-                    None => self.segments[k].columns[c].clone(),
-                };
-                for row in &rows[split..hi] {
-                    column.push(row.as_ref().get(c).unwrap_or(&Value::Null));
+            survivors[hi - 1] as usize == hi - 1 && self.segments[k].rows == hi - lo
+        };
+        let first = (0..n_segs).take_while(stays).count();
+        let moved = n.saturating_sub(first * SEGMENT_ROWS);
+        let workers = worker_count(moved, threads, n_segs - first);
+        let built = run_chunks("segment_worker", n_segs - first, workers, |task| {
+            let (lo, hi) = extent(first + task);
+            let columns = (0..self.width()).map(|c| gather_column(self, c, &survivors[lo..hi]));
+            Arc::new(Segment::seal(columns.collect(), hi - lo))
+        });
+        let shared = self.segments[..first].iter().cloned();
+        let table = ColumnTable {
+            dtypes: self.dtypes.clone(),
+            segments: shared.chain(built).collect(),
+            rows: n,
+        };
+        (table, n_segs - first)
+    }
+
+    /// This table with the row at each `(position, row)` of `rows`
+    /// (ascending positions) replaced: the segments hit are rebuilt, cell
+    /// by cell, and every other one is shared.
+    pub fn replace(&self, rows: &[(usize, Row)], threads: usize) -> (ColumnTable, usize) {
+        let hit: Vec<_> =
+            (rows.chunk_by(|a, b| a.0 / SEGMENT_ROWS == b.0 / SEGMENT_ROWS)).collect();
+        let workers = worker_count(hit.len() * SEGMENT_ROWS, threads, hit.len());
+        let built = run_chunks("segment_worker", hit.len(), workers, |task| {
+            let old = &self.segments[hit[task][0].0 / SEGMENT_ROWS];
+            let columns = (0..self.width()).map(|c| {
+                let mut column = Column::for_type(self.dtypes[c]);
+                let mut new = hit[task].iter().peekable();
+                for i in 0..old.rows {
+                    match new.next_if(|(pos, _)| pos % SEGMENT_ROWS == i) {
+                        Some((_, row)) => column.push(&row[c]),
+                        None => column.push(&old.columns[c].value_at(i)),
+                    }
                 }
                 column
             });
-            Arc::new(Segment::seal(columns.collect(), hi - lo))
+            Arc::new(Segment::seal(columns.collect(), old.rows))
         });
-        let mut segments: Vec<Arc<Segment>> = self.segments.iter().take(n_segs).cloned().collect();
-        for (&(k, _), segment) in built.iter().zip(rebuilt) {
-            match segments.get_mut(k) {
-                Some(slot) => *slot = segment,
-                None => segments.push(segment),
-            }
+        let mut table = self.clone();
+        for (group, segment) in hit.iter().zip(built) {
+            table.segments[group[0].0 / SEGMENT_ROWS] = segment;
         }
-        let table = ColumnTable {
-            dtypes: self.dtypes.clone(),
-            segments,
-            rows: rows.len(),
-        };
-        (table, built.len())
-    }
-}
-
-/// How a table's rows changed since its shadow was built: which shadowed
-/// rows survive (and where), which were replaced in place, and that every
-/// row past them was appended. The table's mutators record into it;
-/// [`ColumnTable::apply`] turns it into the next shadow.
-#[derive(Clone, Debug, Default)]
-pub struct Delta {
-    /// Rows the shadow holds.
-    base: usize,
-    /// Rows `0..kept` descend from the shadow; later rows were appended.
-    kept: usize,
-    /// The shadow row behind each of the `kept` rows, ascending, once a
-    /// shadowed row was deleted; `None` while row `i` is shadow row `i`.
-    survivors: Option<Vec<u32>>,
-    /// Positions below `kept` whose row was replaced.
-    updated: BTreeSet<usize>,
-}
-
-impl Delta {
-    /// No change to a shadow of `rows` rows.
-    pub fn clean(rows: usize) -> Delta {
-        Delta {
-            base: rows,
-            kept: rows,
-            ..Delta::default()
-        }
-    }
-
-    /// Rows deleted, replaced or appended since, when the table now has
-    /// `rows` rows.
-    pub fn rows_changed(&self, rows: usize) -> usize {
-        (self.base - self.kept) + self.updated.len() + (rows - self.kept)
-    }
-
-    /// True when a table of `rows` rows still is what the shadow holds.
-    pub fn is_clean(&self, rows: usize) -> bool {
-        self.kept == rows && self.is_append_only()
-    }
-
-    /// True when every shadowed row is still in place and unchanged, so
-    /// whatever was computed over them (statistics) still holds for them.
-    pub fn is_append_only(&self) -> bool {
-        self.survivors.is_none() && self.updated.is_empty()
-    }
-
-    /// Number of leading rows that descend from the shadow.
-    pub fn kept(&self) -> usize {
-        self.kept
-    }
-
-    /// Records that the row at `pos` was replaced.
-    pub fn update(&mut self, pos: usize) {
-        if pos < self.kept {
-            self.updated.insert(pos);
-        }
-    }
-
-    /// Records a stable compaction: the row at `p` moved to `remap[p]`,
-    /// or was deleted when that is `usize::MAX`.
-    pub fn delete(&mut self, remap: &[usize]) {
-        let gone = |p: &usize| remap[*p] == usize::MAX;
-        if (0..self.kept).any(|p| gone(&p)) {
-            let live = (0..self.kept).filter(|p| !gone(p));
-            let live: Vec<u32> = match &self.survivors {
-                Some(s) => live.map(|p| s[p]).collect(),
-                None => live.map(|p| p as u32).collect(),
-            };
-            self.kept = live.len();
-            self.survivors = Some(live);
-        }
-        self.updated = (self.updated.iter())
-            .filter(|p| !gone(p))
-            .map(|&p| remap[p])
-            .collect();
+        (table, hit.len())
     }
 }
 
@@ -244,8 +233,8 @@ impl Delta {
 /// segments seal themselves every [`SEGMENT_ROWS`] rows.
 pub struct ColumnTableBuilder {
     dtypes: Vec<DataType>,
+    /// The open segment's columns, `rows % SEGMENT_ROWS` long.
     current: Vec<Column>,
-    current_rows: usize,
     segments: Vec<Arc<Segment>>,
     rows: usize,
 }
@@ -257,7 +246,6 @@ impl ColumnTableBuilder {
         ColumnTableBuilder {
             dtypes,
             current,
-            current_rows: 0,
             segments: Vec::new(),
             rows: 0,
         }
@@ -270,25 +258,34 @@ impl ColumnTableBuilder {
         for (i, col) in self.current.iter_mut().enumerate() {
             col.push(row.get(i).unwrap_or(&Value::Null));
         }
-        self.current_rows += 1;
         self.rows += 1;
-        if self.current_rows == SEGMENT_ROWS {
-            self.seal();
+        if self.rows.is_multiple_of(SEGMENT_ROWS) {
+            self.seal(SEGMENT_ROWS);
         }
     }
 
-    fn seal(&mut self) {
+    fn seal(&mut self, rows: usize) {
         let fresh: Vec<Column> = self.dtypes.iter().map(|t| Column::for_type(*t)).collect();
         let cols = std::mem::replace(&mut self.current, fresh);
-        self.segments
-            .push(Arc::new(Segment::seal(cols, self.current_rows)));
-        self.current_rows = 0;
+        self.segments.push(Arc::new(Segment::seal(cols, rows)));
+    }
+
+    /// Pushes `rows` and finishes; also returns how many segments that
+    /// sealed.
+    fn extended<R: AsRef<[Value]>>(mut self, rows: &[R]) -> (ColumnTable, usize) {
+        let shared = self.segments.len();
+        for r in rows {
+            self.push_row(r.as_ref());
+        }
+        let table = self.finish();
+        let built = table.segments.len() - shared;
+        (table, built)
     }
 
     /// Seals the trailing partial segment and returns the finished table.
     pub fn finish(mut self) -> ColumnTable {
-        if self.current_rows > 0 {
-            self.seal();
+        if !self.rows.is_multiple_of(SEGMENT_ROWS) {
+            self.seal(self.rows % SEGMENT_ROWS);
         }
         ColumnTable {
             dtypes: self.dtypes,

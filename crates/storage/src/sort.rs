@@ -658,7 +658,7 @@ mod tests {
         }
     }
 
-    /// An operator's wrapped rows (an intermediate batch, not a shadow)
+    /// An operator's wrapped rows (an intermediate batch, not a base table)
     /// sort like a stable serial sort, at any worker count.
     #[test]
     fn wrapped_rows_match_stable_sort() {

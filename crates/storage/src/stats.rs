@@ -1,7 +1,7 @@
 //! Per-column table statistics, collected in parallel over segments and
 //! extended — not recollected — when rows are appended.
 //!
-//! [`collect_stats`] walks a [`ColumnTable`] shadow with the same
+//! [`collect_stats`] walks a [`ColumnTable`] with the same
 //! worker-count policy as the scan kernels: workers claim whole segments
 //! off a shared cursor and fold per-column accumulators (null count,
 //! min/max, an HLL NDV sketch, a log-bucketed value histogram); the

@@ -79,7 +79,7 @@ impl Synthesizer {
                 info.insert(
                     t.name,
                     TableInfo {
-                        rows: table.rows().len() as u64,
+                        rows: table.data().rows as u64,
                         stats: table.stats(),
                     },
                 );

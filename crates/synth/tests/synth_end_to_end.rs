@@ -16,7 +16,6 @@ fn small_db() -> Arc<Database> {
     let db = Arc::new(Database::new());
     let generator = Generator::new(0.005);
     tpcds_maint::load_initial_population(&db, &generator).expect("load");
-    db.build_columnar_shadows();
     db
 }
 

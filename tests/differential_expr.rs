@@ -60,18 +60,6 @@ fn build_db(rng: &mut SplitMix64, rows: usize) -> Database {
         })
         .collect();
     db.create_table_with_rows("s", meta, data).unwrap();
-    db.build_columnar_shadows();
-    db
-}
-
-/// [`build_db`]'s table without a columnar shadow.
-fn build_db_unshadowed(rng: &mut SplitMix64, rows: usize) -> Database {
-    let shadowed = build_db(rng, rows);
-    let s = shadowed.snapshot().table("s").unwrap();
-    let db = Database::new();
-    let rows = s.rows().iter().map(|r| r.to_vec()).collect();
-    db.create_table_with_rows("s", s.columns.clone(), rows)
-        .unwrap();
     db
 }
 
@@ -244,10 +232,9 @@ fn pinned_expression_shapes_agree() {
 
 /// A `LIMIT` stops its input at the same row on every path, so a row past
 /// the cut can never raise: the same rows — or the same first error —
-/// come back from the row oracle, from `auto` and from `force`, with and
-/// without a columnar shadow, whether the chain under the `LIMIT` is one
-/// lazy batch, an interpreted chain (no shadow, a subquery predicate), or
-/// a mix of the two.
+/// come back from the row oracle, from `auto` and from `force`, whether
+/// the chain under the `LIMIT` is one lazy batch, an interpreted chain (a
+/// subquery predicate), or a mix of the two.
 #[test]
 fn limits_stop_at_the_same_row_with_the_same_errors_on_every_path() {
     const POISON: &str = "case when s_pk >= 30 then s_pk * 9223372036854775807 else 1 end > 0";
@@ -284,28 +271,21 @@ fn limits_stop_at_the_same_row_with_the_same_errors_on_every_path() {
         ),
         "select s_pk from s limit 0".to_string(),
     ];
-    for shadow in [true, false] {
-        let build = if shadow {
-            build_db
-        } else {
-            build_db_unshadowed
+    let db = build_db(&mut SplitMix64(0x11A1), 20_000);
+    for sql in &queries {
+        let run = |mode, threads| {
+            tpcds_repro::engine::query_with(&db, sql, opts(mode, threads))
+                .map(|r| r.rows)
+                .map_err(|e| e.to_string())
         };
-        let db = build(&mut SplitMix64(0x11A1), 20_000);
-        for sql in &queries {
-            let run = |mode, threads| {
-                tpcds_repro::engine::query_with(&db, sql, opts(mode, threads))
-                    .map(|r| r.rows)
-                    .map_err(|e| e.to_string())
-            };
-            let oracle = run(ColumnarMode::Off, 1);
-            for mode in [ColumnarMode::Auto, ColumnarMode::Force] {
-                for threads in [1, 2, 8] {
-                    assert_eq!(
-                        oracle,
-                        run(mode, threads),
-                        "{mode:?}@{threads} (shadow={shadow}) diverges from the row oracle: {sql}"
-                    );
-                }
+        let oracle = run(ColumnarMode::Off, 1);
+        for mode in [ColumnarMode::Auto, ColumnarMode::Force] {
+            for threads in [1, 2, 8] {
+                assert_eq!(
+                    oracle,
+                    run(mode, threads),
+                    "{mode:?}@{threads} diverges from the row oracle: {sql}"
+                );
             }
         }
     }

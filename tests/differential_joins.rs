@@ -96,7 +96,6 @@ fn build_db(rng: &mut SplitMix64) -> Database {
         .collect();
     db.create_table_with_rows("t2", dim2_meta, dim2).unwrap();
 
-    db.build_columnar_shadows();
     db
 }
 

@@ -68,7 +68,6 @@ fn build_db(rng: &mut SplitMix64, rows: usize) -> Database {
         })
         .collect();
     db.create_table_with_rows("s", meta, data).unwrap();
-    db.build_columnar_shadows();
     db
 }
 

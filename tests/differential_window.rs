@@ -52,7 +52,6 @@ fn build_db(rng: &mut SplitMix64, rows: usize) -> Database {
         })
         .collect();
     db.create_table_with_rows("win_t", meta, rows).unwrap();
-    db.build_columnar_shadows();
     db
 }
 

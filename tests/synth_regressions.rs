@@ -273,7 +273,6 @@ fn regression_corpus_replays_clean_on_both_paths() {
     let db = Arc::new(Database::new());
     let generator = Generator::new(0.005);
     tpcds_repro::maint::load_initial_population(&db, &generator).expect("load");
-    db.build_columnar_shadows();
     let snap = db.snapshot();
 
     let mut failures = Vec::new();

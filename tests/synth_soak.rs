@@ -14,7 +14,6 @@ fn loaded_db(sf: f64) -> (Arc<Database>, Generator) {
     let db = Arc::new(Database::new());
     let generator = Generator::new(sf);
     tpcds_repro::maint::load_initial_population(&db, &generator).expect("load");
-    db.build_columnar_shadows();
     (db, generator)
 }
 
