@@ -10,7 +10,7 @@ use crate::ast;
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
 use crate::expr::{ArithOp, BExpr, CmpOp, ScalarFunc, SubPlan};
-use crate::plan::{AggCall, AggFunc, JoinKind, Plan, SetOpKind, WinFunc, WindowCall};
+use crate::plan::{AggCall, AggFunc, JoinKind, Plan, WinFunc, WindowCall};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tpcds_storage::KeySet;
@@ -241,20 +241,7 @@ impl<'a> Binder<'a> {
                     )));
                 }
                 let _ = rnames;
-                let op = match op {
-                    ast::SetOpKind::Union => SetOpKind::Union,
-                    ast::SetOpKind::Intersect => SetOpKind::Intersect,
-                    ast::SetOpKind::Except => SetOpKind::Except,
-                };
-                Ok((
-                    Plan::SetOp {
-                        left: Arc::new(l),
-                        right: Arc::new(r),
-                        op,
-                        all: *all,
-                    },
-                    lnames,
-                ))
+                Ok((set_op(*op, *all, l, r)?, lnames))
             }
         }
     }
@@ -706,9 +693,7 @@ impl<'a> Binder<'a> {
         };
         if sel.distinct {
             if all_hidden_sorts_visible(&sort_keys, visible) {
-                plan = Plan::Distinct {
-                    input: Arc::new(plan),
-                };
+                plan = group_first(plan, visible, vec![]);
             } else {
                 return Err(EngineError::bind(
                     "SELECT DISTINCT with ORDER BY on non-projected expressions",
@@ -1332,6 +1317,64 @@ fn split_equi_keys(pred: &BExpr, left_width: usize) -> (Vec<(BExpr, BExpr)>, Opt
         }
     }
     (keys, residual)
+}
+
+/// Groups `input` on its first `w` columns, `aggs` after them. Grouping
+/// treats NULLs as equal — the set-operation rule — so over every column
+/// and with no calls this is duplicate elimination (`SELECT DISTINCT`,
+/// `UNION`).
+fn group_first(input: Plan, w: usize, aggs: Vec<AggCall>) -> Plan {
+    Plan::Aggregate {
+        input: Arc::new(input),
+        groups: (0..w).map(BExpr::Col).collect(),
+        sets: vec![vec![true; w]],
+        aggs,
+    }
+}
+
+/// Lowers a set operator onto [`Plan::UnionAll`] and grouping. INTERSECT
+/// and EXCEPT tag the two sides' rows 0 and 1, group their union keeping
+/// `MIN(tag)` and `MAX(tag)`, and keep the groups found on both sides
+/// (`min = 0 AND max = 1`) or on the left only (`max = 0`).
+fn set_op(op: ast::SetOpKind, all: bool, left: Plan, right: Plan) -> Result<Plan> {
+    use tpcds_types::Value::Int;
+    let union = |l: Plan, r: Plan| Plan::UnionAll {
+        left: Arc::new(l),
+        right: Arc::new(r),
+    };
+    let w = left.width();
+    match (op, all) {
+        (ast::SetOpKind::Union, true) => return Ok(union(left, right)),
+        (ast::SetOpKind::Union, false) => return Ok(group_first(union(left, right), w, vec![])),
+        (_, true) => {
+            let name = format!("{op:?}").to_uppercase();
+            return Err(EngineError::bind(format!("{name} ALL is not supported")));
+        }
+        _ => {}
+    }
+    let tagged = |p: Plan, tag: i64| Plan::Project {
+        input: Arc::new(p),
+        exprs: (0..w)
+            .map(BExpr::Col)
+            .chain([BExpr::Lit(Int(tag))])
+            .collect(),
+    };
+    let tag = |func| AggCall {
+        func,
+        arg: Some(BExpr::Col(w)),
+        distinct: false,
+    };
+    let is = |col: usize, tag: i64| bin_op(ast::BinOp::Eq, BExpr::Col(col), BExpr::Lit(Int(tag)));
+    let keep = match op {
+        ast::SetOpKind::Intersect => BExpr::And(is(w, 0).boxed(), is(w + 1, 1).boxed()),
+        _ => is(w + 1, 0),
+    };
+    let tags = vec![tag(AggFunc::Min), tag(AggFunc::Max)];
+    let grouped = group_first(union(tagged(left, 0), tagged(right, 1)), w, tags);
+    Ok(Plan::Prefix {
+        input: Arc::new(grouped.filtered(Some(keep))),
+        keep: w,
+    })
 }
 
 fn derive_name(e: &ast::Expr) -> String {

@@ -16,7 +16,7 @@
 
 use crate::catalog::Database;
 use crate::expr::{BExpr, CmpOp};
-use crate::plan::{JoinKind, Plan, SetOpKind};
+use crate::plan::{JoinKind, Plan};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tpcds_storage::stats::{hist_key, TableStats};
@@ -148,35 +148,7 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
             let in_est = walk(input, db, map);
             in_est.min(*n as f64)
         }
-        Plan::Distinct { input } => {
-            // No whole-row NDV; assume halving, floored at one row.
-            let in_est = walk(input, db, map);
-            if in_est > 0.0 {
-                (in_est * 0.5).max(1.0)
-            } else {
-                0.0
-            }
-        }
-        Plan::SetOp {
-            left,
-            right,
-            op,
-            all,
-        } => {
-            let l = walk(left, db, map);
-            let r = walk(right, db, map);
-            match op {
-                SetOpKind::Union => {
-                    if *all {
-                        l + r
-                    } else {
-                        (l + r) * 0.9
-                    }
-                }
-                SetOpKind::Intersect => l.min(r) * 0.5,
-                SetOpKind::Except => l,
-            }
-        }
+        Plan::UnionAll { left, right } => walk(left, db, map) + walk(right, db, map),
         Plan::CteRef { plan, .. } => walk(plan, db, map),
     };
     let est = if est.is_finite() { est.max(0.0) } else { 0.0 };

@@ -10,7 +10,7 @@
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
 use crate::expr::BExpr;
-use crate::plan::{AggCall, AggFunc, JoinKind, Plan, SetOpKind, WinFunc, WindowCall};
+use crate::plan::{AggCall, AggFunc, JoinKind, Plan, WinFunc, WindowCall};
 use crate::sync::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,13 +61,10 @@ pub mod reason {
     /// `EXISTS`, or a subquery whose one evaluation raised — the only
     /// reason an expression ever falls off the vectorized path.
     pub const EXPR_UNSUPPORTED: &str = "expr-unsupported";
-    /// Aggregate shape outside the kernel subset (DISTINCT, ROLLUP,
-    /// expression keys, STDDEV_SAMP, GROUPING).
+    /// Aggregate shape outside the kernel subset (ROLLUP, DISTINCT
+    /// aggregates, STDDEV_SAMP, GROUPING).
     pub const AGG_SHAPE: &str = "agg-shape";
-    /// A join key is not a plain column reference.
-    pub const KEY_SHAPE: &str = "key-shape";
-    /// The operator has no batch kernel yet (Window, Distinct, SetOp,
-    /// NestedLoopJoin).
+    /// The operator has no batch kernel yet (Window, NestedLoopJoin).
     pub const NO_KERNEL: &str = "no-kernel";
     /// A `sys.*` virtual table: rows materialize at scan time, so there
     /// are no segments to route through.
@@ -601,22 +598,10 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
             columnar();
             let b = batch(input, ctx, outer)?;
             let cexprs: Vec<_> = exprs.iter().map(|e| compile_over(&b, e, ctx)).collect();
-            let res = tpcds_storage::par_project_table(&b, &cexprs, threads);
-            check_err(&b)?;
-            let (table, cs, es) = res.map_err(storage_err)?;
-            ctx.record_columnar(node, &cs);
-            ctx.record_expr(node, &es);
-            Ok(Batch::new(Arc::new(table)))
+            Ok(Batch::new(project_table(&b, &cexprs, node, ctx)?))
         }
-        Plan::HashJoin {
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-        } => {
-            let j = match join_sides(left, right, left_keys, right_keys, residual, ctx, outer)? {
+        Plan::HashJoin { kind, .. } => {
+            let j = match join_sides(plan, node, ctx, outer)? {
                 Ok(j) => j,
                 Err(why) => return adapt(plan, ctx, outer, why),
             };
@@ -641,24 +626,30 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
             sets,
             aggs,
         } => {
-            let Some((mut group_cols, mut specs)) = compile_agg_shape(groups, sets, aggs) else {
+            let Some(specs) = agg_specs(groups.len(), sets, aggs) else {
                 return adapt(plan, ctx, outer, reason::AGG_SHAPE);
             };
+            let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+            let keys: Vec<&BExpr> = groups.iter().chain(args).collect();
+            if !keys.iter().all(|e| compilable(e, ctx)) {
+                return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
+            }
             columnar();
-            // Directly over a hash join the fused kernel folds matches
-            // into the partials; joined rows are never gathered.
-            if let Plan::HashJoin {
-                left,
-                right,
-                kind,
-                left_keys,
-                right_keys,
-                residual,
-            } = input.as_ref()
+            // The calls with their key positions mapped to key columns.
+            let rebased = |cols: &[usize]| -> Vec<_> {
+                let at = |s: tpcds_storage::AggSpec| s.col.map(|k| cols[k]);
+                (specs.iter())
+                    .map(|&s| tpcds_storage::AggSpec { col: at(s), ..s })
+                    .collect()
+            };
+            // Plain columns directly over a hash join: the fused kernel
+            // folds matches into the partials; joined rows are never
+            // gathered.
+            if let (Some(cols), Plan::HashJoin { kind, .. }) =
+                (plain_cols(keys.iter().copied()), &**input)
             {
-                if let Ok(j) = join_sides(left, right, left_keys, right_keys, residual, ctx, outer)?
-                {
-                    rebase_agg(&mut group_cols, &mut specs, |c| j.phys(c));
+                if let Ok(j) = join_sides(input, node, ctx, outer)? {
+                    let cols: Vec<usize> = cols.into_iter().map(|c| j.phys(c)).collect();
                     let res = tpcds_storage::par_hash_join_agg(
                         &j.probe,
                         &j.probe_keys,
@@ -666,8 +657,8 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
                         &j.build_keys,
                         join_type(*kind),
                         j.residual.as_ref(),
-                        &group_cols,
-                        &specs,
+                        &cols[..groups.len()],
+                        &rebased(&cols),
                         threads,
                     );
                     j.check_err()?;
@@ -676,9 +667,9 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
                     return Ok(Batch::from_rows(plan.width(), &rows));
                 }
             }
-            let b = batch(input, ctx, outer)?;
-            rebase_agg(&mut group_cols, &mut specs, |c| b.phys(c));
-            let res = tpcds_storage::par_aggregate(&b, &group_cols, &specs, threads);
+            let (b, cols) = key_columns(batch(input, ctx, outer)?, &keys, false, node, ctx)?;
+            let specs = rebased(&cols);
+            let res = tpcds_storage::par_aggregate(&b, &cols[..groups.len()], &specs, threads);
             // Deferred predicate errors outrank aggregate errors: the row
             // path filters before it folds.
             check_err(&b)?;
@@ -691,7 +682,11 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
                 return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
             }
             columnar();
-            let (b, skeys) = sort_source(batch(input, ctx, outer)?, keys, node, ctx)?;
+            let exprs: Vec<&BExpr> = keys.iter().map(|(e, _)| e).collect();
+            let (b, cols) = key_columns(batch(input, ctx, outer)?, &exprs, true, node, ctx)?;
+            let skeys: Vec<_> = (cols.into_iter().zip(keys))
+                .map(|(col, &(_, desc))| tpcds_storage::SortKey { col, desc })
+                .collect();
             let (table, ss) = match plan {
                 Plan::TopN { n, .. } => tpcds_storage::par_topn(&b, &skeys, *n as usize, threads),
                 _ => tpcds_storage::par_sort(&b, &skeys, threads),
@@ -714,10 +709,7 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
             if b.pred.is_some() {
                 // The body runs once: force its pending predicate here
                 // rather than once per reference.
-                let cols: Vec<_> = b.cols().into_iter().map(tpcds_storage::Expr::Col).collect();
-                let res = tpcds_storage::par_project_table(&b, &cols, threads);
-                check_err(&b)?;
-                b = Batch::new(Arc::new(res.map_err(storage_err)?.0));
+                b = Batch::new(dense(b, node, ctx)?);
             }
             ctx.cte_cache.lock().insert(*id, b.clone());
             Ok(b)
@@ -727,10 +719,16 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
             let visible: Vec<usize> = (0..*keep).collect();
             Ok(batch(input, ctx, outer)?.project(&visible))
         }
-        Plan::NestedLoopJoin { .. }
-        | Plan::Window { .. }
-        | Plan::Distinct { .. }
-        | Plan::SetOp { .. } => adapt(plan, ctx, outer, reason::NO_KERNEL),
+        Plan::UnionAll { left, right } => {
+            columnar();
+            // The left side runs, and raises, before the right one.
+            let l = dense(batch(left, ctx, outer)?, node, ctx)?;
+            let r = dense(batch(right, ctx, outer)?, node, ctx)?;
+            Ok(Batch::new(Arc::new(l.concat(&r))))
+        }
+        Plan::NestedLoopJoin { .. } | Plan::Window { .. } => {
+            adapt(plan, ctx, outer, reason::NO_KERNEL)
+        }
     }
 }
 
@@ -770,68 +768,107 @@ impl JoinSides {
     }
 }
 
-/// Executes a hash join's inputs for the join kernels. `Err(reason)` —
-/// returned before either input runs — when a key is not a plain column
-/// or the residual needs engine context.
+/// Executes a hash join's inputs for the join kernels, each side's keys
+/// as physical columns ([`key_columns`], computed for `node`). `Err(reason)`
+/// — returned before either input runs — when a key or the residual has
+/// no kernel form.
 fn join_sides(
-    left: &Plan,
-    right: &Plan,
-    left_keys: &[BExpr],
-    right_keys: &[BExpr],
-    residual: &Option<BExpr>,
+    join: &Plan,
+    node: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
 ) -> Result<Routed<JoinSides>> {
-    let (Some(lk), Some(rk)) = (plain_cols(left_keys), plain_cols(right_keys)) else {
-        return Ok(Err(reason::KEY_SHAPE));
+    let Plan::HashJoin {
+        left,
+        right,
+        left_keys,
+        right_keys,
+        residual,
+        ..
+    } = join
+    else {
+        unreachable!("join_sides of a {}", join.op_name())
     };
-    if residual.as_ref().is_some_and(|r| !compilable(r, ctx)) {
+    let exprs = left_keys.iter().chain(right_keys).chain(residual);
+    if !exprs.into_iter().all(|e| compilable(e, ctx)) {
         return Ok(Err(reason::EXPR_UNSUPPORTED));
     }
-    let probe = batch(left, ctx, outer)?;
-    let build = batch(right, ctx, outer)?;
+    let side = |p: &Plan, keys: &[BExpr]| {
+        let keys: Vec<&BExpr> = keys.iter().collect();
+        key_columns(batch(p, ctx, outer)?, &keys, true, node, ctx)
+    };
+    let (probe, probe_keys) = side(left, left_keys)?;
+    let (build, build_keys) = side(right, right_keys)?;
     let mut j = JoinSides {
-        probe_keys: lk.iter().map(|&c| probe.phys(c)).collect(),
-        build_keys: rk.iter().map(|&c| build.phys(c)).collect(),
         probe,
+        probe_keys,
         build,
+        build_keys,
         residual: None,
     };
     j.residual = (residual.as_ref()).and_then(|r| compile_expr(r, &|c| j.phys(c), Some(ctx)));
     Ok(Ok(j))
 }
 
-/// What a sort kernel should run over: the batch itself when every key is
-/// a plain column; otherwise the visible columns plus one computed column
-/// per key, materialized columnar (typed key columns keep the u64 key
-/// encoding) with the key columns projected back out of the winners.
-fn sort_source(
+/// `b` with every key addressable as a physical column — what the sort,
+/// aggregate and join kernels take. A plain column key is the column
+/// behind it; any other key, which [`compilable`] accepted, becomes a
+/// hidden column computed by the projection kernel (typed, so a computed
+/// sort key keeps the u64 key encoding) after the visible columns, which
+/// the result keeps visible when `carry` (a sort, a join side) and drops
+/// otherwise (an aggregate reads nothing but its keys).
+fn key_columns(
     b: Batch,
-    keys: &[(BExpr, bool)],
+    keys: &[&BExpr],
+    carry: bool,
     node: usize,
     ctx: &ExecCtx<'_>,
-) -> Result<(Batch, Vec<tpcds_storage::SortKey>)> {
-    let skeys = |cols: Vec<usize>| {
-        cols.into_iter()
-            .zip(keys)
-            .map(|(col, &(_, desc))| tpcds_storage::SortKey { col, desc })
-            .collect()
-    };
-    if let Some(cols) = plain_cols(keys.iter().map(|(e, _)| e)) {
+) -> Result<(Batch, Vec<usize>)> {
+    if let Some(cols) = plain_cols(keys.iter().copied()) {
         let cols = cols.into_iter().map(|c| b.phys(c)).collect();
-        return Ok((b, skeys(cols)));
+        return Ok((b, cols));
     }
-    let visible: Vec<usize> = (0..b.width()).collect();
-    let exprs: Vec<_> = (b.cols().into_iter().map(tpcds_storage::Expr::Col))
-        .chain(keys.iter().map(|(e, _)| compile_over(&b, e, ctx)))
+    let visible: Vec<usize> = (0..if carry { b.width() } else { 0 }).collect();
+    let mut exprs: Vec<_> = (visible.iter())
+        .map(|&c| tpcds_storage::Expr::Col(b.phys(c)))
         .collect();
-    let res = tpcds_storage::par_project_table(&b, &exprs, ctx.threads());
-    check_err(&b)?;
+    let cols = (keys.iter())
+        .map(|k| match k {
+            BExpr::Col(c) if *c < visible.len() => *c,
+            k => {
+                exprs.push(compile_over(&b, k, ctx));
+                exprs.len() - 1
+            }
+        })
+        .collect();
+    let table = project_table(&b, &exprs, node, ctx)?;
+    Ok((Batch::new(table).project(&visible), cols))
+}
+
+/// `b`'s visible qualifying rows as a table of their own: the table
+/// itself when nothing is pending, else one pass of the projection kernel.
+fn dense(b: Batch, node: usize, ctx: &ExecCtx<'_>) -> Result<Arc<tpcds_storage::ColumnTable>> {
+    if b.pred.is_none() && b.proj.is_none() {
+        return Ok(b.table);
+    }
+    let cols: Vec<_> = b.cols().into_iter().map(tpcds_storage::Expr::Col).collect();
+    project_table(&b, &cols, node, ctx)
+}
+
+/// `exprs` over `b`'s qualifying rows, as a fresh table (the projection
+/// kernel), with `b`'s deferred predicate errors first.
+fn project_table(
+    b: &Batch,
+    exprs: &[tpcds_storage::Expr],
+    node: usize,
+    ctx: &ExecCtx<'_>,
+) -> Result<Arc<tpcds_storage::ColumnTable>> {
+    let res = tpcds_storage::par_project_table(b, exprs, ctx.threads());
+    check_err(b)?;
     let (table, cs, es) = res.map_err(storage_err)?;
     ctx.record_columnar(node, &cs);
     ctx.record_expr(node, &es);
-    let hidden = (visible.len()..exprs.len()).collect();
-    Ok((Batch::new(Arc::new(table)).project(&visible), skeys(hidden)))
+    Ok(Arc::new(table))
 }
 
 /// The hash index a scan can probe instead of reading the table: a
@@ -1001,53 +1038,7 @@ fn serial_node(
             feed(rows.into_iter().take(*n as usize), sink)
         }
         Plan::Limit { input, n } => feed(take(input, *n as usize, ctx, outer)?, sink),
-        Plan::Distinct { input } => {
-            let mut seen = HashSet::new();
-            let rows = child(input)?;
-            feed(
-                rows.into_iter().filter(|row| seen.insert(row.clone())),
-                sink,
-            )
-        }
-        Plan::SetOp {
-            left,
-            right,
-            op,
-            all,
-        } => {
-            let l = child(left)?;
-            let r = child(right)?;
-            if l.first().map(|x| x.len()) != r.first().map(|x| x.len())
-                && !l.is_empty()
-                && !r.is_empty()
-            {
-                return Err(EngineError::exec("set operands have different widths"));
-            }
-            let mut seen = HashSet::new();
-            match (op, all) {
-                (SetOpKind::Union, true) => feed(l.into_iter().chain(r), sink),
-                (SetOpKind::Union, false) => {
-                    let rows = l.into_iter().chain(r);
-                    feed(rows.filter(|row| seen.insert(row.clone())), sink)
-                }
-                (SetOpKind::Intersect, _) => {
-                    let rset: HashSet<Row> = r.into_iter().collect();
-                    let rows = l.into_iter();
-                    feed(
-                        rows.filter(|row| rset.contains(row) && seen.insert(row.clone())),
-                        sink,
-                    )
-                }
-                (SetOpKind::Except, _) => {
-                    let rset: HashSet<Row> = r.into_iter().collect();
-                    let rows = l.into_iter();
-                    feed(
-                        rows.filter(|row| !rset.contains(row) && seen.insert(row.clone())),
-                        sink,
-                    )
-                }
-            }
-        }
+        Plan::UnionAll { left, right } => feed(child(left)?.into_iter().chain(child(right)?), sink),
         Plan::CteRef { id, plan: body, .. } => {
             // Bind before matching: the cache lock must not be held while
             // the body (which may reference other CTEs) executes.
@@ -1163,34 +1154,27 @@ fn compile_expr(
     })
 }
 
-/// Compiles the aggregate shape the kernels accept: a single all-on
-/// grouping set (no ROLLUP), plain-column group keys, and non-DISTINCT
-/// COUNT/COUNT(*)/SUM/MIN/MAX/AVG over plain columns. Columns index the
-/// input's visible row until [`rebase_agg`] maps them.
-fn compile_agg_shape(
-    groups: &[BExpr],
+/// The kernels' calls for `aggs` when the aggregate has a shape they
+/// accept: one all-on grouping set (no ROLLUP), no DISTINCT aggregate and
+/// only COUNT/COUNT(*)/SUM/MIN/MAX/AVG. An argument's column is its
+/// position among the aggregate's keys — the `groups` group keys, then
+/// the arguments — which may be any compilable expression ([`key_columns`]).
+fn agg_specs(
+    groups: usize,
     sets: &[Vec<bool>],
     aggs: &[AggCall],
-) -> Option<(Vec<usize>, Vec<tpcds_storage::AggSpec>)> {
-    use tpcds_storage::{AggKind, AggSpec};
+) -> Option<Vec<tpcds_storage::AggSpec>> {
     if sets.len() != 1 || sets[0].iter().any(|on| !on) {
         return None;
     }
-    let group_cols = plain_cols(groups)?;
-    let mut specs = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        if a.distinct {
-            return None;
-        }
-        let kind = agg_kind(&a.func)?;
-        let col = match (&a.arg, kind) {
-            (None, AggKind::CountStar) => None,
-            (Some(BExpr::Col(i)), k) if k != AggKind::CountStar => Some(*i),
-            _ => return None,
-        };
-        specs.push(AggSpec { kind, col });
-    }
-    Some((group_cols, specs))
+    let mut args = groups..;
+    (aggs.iter())
+        .map(|a| {
+            let kind = agg_kind(&a.func).filter(|_| !a.distinct)?;
+            let col = a.arg.as_ref().and_then(|_| args.next());
+            Some(tpcds_storage::AggSpec { kind, col })
+        })
+        .collect()
 }
 
 /// The kernels' name for an aggregate function; `None` for the two only
@@ -1207,16 +1191,6 @@ fn agg_kind(f: &AggFunc) -> Option<tpcds_storage::AggKind> {
         AggFunc::Avg => AggKind::Avg,
         AggFunc::StddevSamp | AggFunc::Grouping(_) => return None,
     })
-}
-
-/// Maps compiled group and aggregate columns onto physical columns.
-fn rebase_agg(
-    groups: &mut [usize],
-    specs: &mut [tpcds_storage::AggSpec],
-    phys: impl Fn(usize) -> usize,
-) {
-    groups.iter_mut().for_each(|g| *g = phys(*g));
-    specs.iter_mut().for_each(|s| s.col = s.col.map(&phys));
 }
 
 /// Finds an indexable `Col = expr` conjunct where `expr` is independent of

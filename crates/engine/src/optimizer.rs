@@ -315,19 +315,9 @@ pub fn fuse_topn(plan: Plan) -> Plan {
             keys,
             n,
         },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: recurse(input),
-        },
-        Plan::SetOp {
-            left,
-            right,
-            op,
-            all,
-        } => Plan::SetOp {
+        Plan::UnionAll { left, right } => Plan::UnionAll {
             left: recurse(left),
             right: recurse(right),
-            op,
-            all,
         },
         Plan::CteRef { id, plan, width } => Plan::CteRef {
             id,

@@ -130,7 +130,7 @@ impl Parser {
                 }
             }
         }
-        let body = self.set_expr()?;
+        let body = self.set_expr(false)?;
         let mut order_by = Vec::new();
         if self.eat_kw("order") {
             self.expect_kw("by")?;
@@ -191,21 +191,32 @@ impl Parser {
         })
     }
 
-    fn set_expr(&mut self) -> Result<SetExpr> {
-        let mut left = self.set_primary()?;
+    /// A left-associative chain of set operators. INTERSECT binds tighter
+    /// than UNION and EXCEPT (standard SQL): the `tight` level chains
+    /// INTERSECTs over operands, the outer level chains UNION / EXCEPT
+    /// over those.
+    fn set_expr(&mut self, tight: bool) -> Result<SetExpr> {
+        let operand = |p: &mut Self| {
+            if tight {
+                p.set_primary()
+            } else {
+                p.set_expr(true)
+            }
+        };
+        let mut left = operand(self)?;
         loop {
-            let op = if self.peek_kw("union") {
-                SetOpKind::Union
-            } else if self.peek_kw("intersect") {
+            let op = if tight && self.peek_kw("intersect") {
                 SetOpKind::Intersect
-            } else if self.peek_kw("except") {
+            } else if !tight && self.peek_kw("union") {
+                SetOpKind::Union
+            } else if !tight && self.peek_kw("except") {
                 SetOpKind::Except
             } else {
                 break;
             };
             self.pos += 1;
             let all = self.eat_kw("all");
-            let right = self.set_primary()?;
+            let right = operand(self)?;
             left = SetExpr::SetOp {
                 op,
                 all,

@@ -73,17 +73,6 @@ pub struct WindowCall {
     pub order: Vec<(BExpr, bool)>,
 }
 
-/// Set operation kinds (bound form).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SetOpKind {
-    /// UNION.
-    Union,
-    /// INTERSECT.
-    Intersect,
-    /// EXCEPT.
-    Except,
-}
-
 /// Join kinds (bound form).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
@@ -192,21 +181,14 @@ pub enum Plan {
         /// Maximum rows.
         n: u64,
     },
-    /// Duplicate elimination over whole rows.
-    Distinct {
-        /// Input.
-        input: Arc<Plan>,
-    },
-    /// Set operation.
-    SetOp {
+    /// UNION ALL: the left input's rows, then the right's. The binder
+    /// lowers DISTINCT, UNION, INTERSECT and EXCEPT onto this and
+    /// [`Plan::Aggregate`].
+    UnionAll {
         /// Left input.
         left: Arc<Plan>,
         /// Right input.
         right: Arc<Plan>,
-        /// Kind.
-        op: SetOpKind,
-        /// Keep duplicates (UNION ALL; INTERSECT/EXCEPT ALL unsupported).
-        all: bool,
     },
     /// Reference to a shared CTE plan, executed once per statement and
     /// cached in the execution context.
@@ -237,15 +219,14 @@ impl Plan {
             Plan::Filter { input, .. }
             | Plan::Sort { input, .. }
             | Plan::TopN { input, .. }
-            | Plan::Limit { input, .. }
-            | Plan::Distinct { input } => input.width(),
+            | Plan::Limit { input, .. } => input.width(),
             Plan::Project { exprs, .. } => exprs.len(),
             Plan::HashJoin { left, right, .. } | Plan::NestedLoopJoin { left, right, .. } => {
                 left.width() + right.width()
             }
             Plan::Aggregate { groups, aggs, .. } => groups.len() + aggs.len(),
             Plan::Window { input, calls } => input.width() + calls.len(),
-            Plan::SetOp { left, .. } => left.width(),
+            Plan::UnionAll { left, .. } => left.width(),
             Plan::CteRef { width, .. } => *width,
             Plan::Prefix { keep, .. } => *keep,
         }
@@ -310,8 +291,7 @@ impl Plan {
             Plan::Sort { .. } => "Sort",
             Plan::TopN { .. } => "TopN",
             Plan::Limit { .. } => "Limit",
-            Plan::Distinct { .. } => "Distinct",
-            Plan::SetOp { .. } => "SetOp",
+            Plan::UnionAll { .. } => "UnionAll",
             Plan::CteRef { .. } => "CteRef",
             Plan::Prefix { .. } => "Prefix",
         }
@@ -349,8 +329,7 @@ impl Plan {
             Plan::Sort { keys, .. } => format!("Sort [{} key(s)]", keys.len()),
             Plan::TopN { keys, n, .. } => format!("TopN {n} [{} key(s)]", keys.len()),
             Plan::Limit { n, .. } => format!("Limit {n}"),
-            Plan::Distinct { .. } => "Distinct".to_string(),
-            Plan::SetOp { op, all, .. } => format!("SetOp {op:?} all={all}"),
+            Plan::UnionAll { .. } => "UnionAll".to_string(),
             Plan::CteRef { id, .. } => format!("CteRef #{id}"),
             Plan::Prefix { keep, .. } => format!("Prefix keep={keep}"),
         }
@@ -367,11 +346,10 @@ impl Plan {
             | Plan::Sort { input, .. }
             | Plan::TopN { input, .. }
             | Plan::Limit { input, .. }
-            | Plan::Distinct { input }
             | Plan::Prefix { input, .. } => vec![input],
             Plan::HashJoin { left, right, .. }
             | Plan::NestedLoopJoin { left, right, .. }
-            | Plan::SetOp { left, right, .. } => vec![left, right],
+            | Plan::UnionAll { left, right } => vec![left, right],
             Plan::CteRef { .. } => vec![],
         }
     }
@@ -402,8 +380,7 @@ impl Plan {
                 keys.iter().map(|(e, _)| e).collect()
             }
             Plan::Limit { .. }
-            | Plan::Distinct { .. }
-            | Plan::SetOp { .. }
+            | Plan::UnionAll { .. }
             | Plan::CteRef { .. }
             | Plan::Prefix { .. } => vec![],
         }

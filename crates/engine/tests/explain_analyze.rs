@@ -240,7 +240,9 @@ fn distinct_dedupes() {
     );
     let (n, plan) = analyze(&db, "select distinct a from t");
     assert_eq!(n, 3);
-    assert_eq!(op_rows(&plan, "Distinct"), vec![3], "{plan}");
+    // DISTINCT groups on every column and computes nothing.
+    let dedup = "Aggregate [1 group(s), 1 set(s), 0 agg(s)]";
+    assert_eq!(op_rows(&plan, dedup), vec![3], "{plan}");
 }
 
 #[test]
@@ -258,15 +260,22 @@ fn set_ops_union_intersect_except() {
 
     let (n, plan) = analyze(&db, "select x from a union all select y from b");
     assert_eq!(n, 5);
-    assert_eq!(op_rows(&plan, "SetOp"), vec![5], "{plan}");
+    assert_eq!(op_rows(&plan, "UnionAll"), vec![5], "{plan}");
 
-    let (n, plan) = analyze(&db, "select x from a intersect select y from b");
-    assert_eq!(n, 1);
-    assert!(plan.contains("SetOp Intersect"), "{plan}");
-
-    let (n, plan) = analyze(&db, "select x from a except select y from b");
-    assert_eq!(n, 2);
-    assert!(plan.contains("SetOp Except"), "{plan}");
+    // INTERSECT / EXCEPT: the tagged union grouped on every column (four
+    // distinct values, each with MIN and MAX of its side tags), filtered
+    // to the groups both sides (or only the left) produced.
+    let tagged = "Aggregate [1 group(s), 1 set(s), 2 agg(s)]";
+    for (sql, kept) in [
+        ("select x from a intersect select y from b", 1),
+        ("select x from a except select y from b", 2),
+    ] {
+        let (n, plan) = analyze(&db, sql);
+        assert_eq!(n, kept);
+        assert_eq!(op_rows(&plan, "UnionAll"), vec![5], "{plan}");
+        assert_eq!(op_rows(&plan, tagged), vec![4], "{plan}");
+        assert_eq!(op_rows(&plan, "Filter"), vec![kept as u64], "{plan}");
+    }
 }
 
 #[test]

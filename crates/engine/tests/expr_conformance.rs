@@ -500,3 +500,112 @@ fn keyed_exists_is_a_set_probe_with_exists_null_rules() {
     assert!(count(sql) >= 1);
     assert!(subplan_runs(&db, sql, auto) > 1);
 }
+
+// ---------- expression keys: hidden columns on the batch path ----------
+
+/// Every `op` line of `sql`'s analyzed plan ran the batch kernels, under
+/// `force` and under `auto`.
+fn assert_columnar(db: &Database, sql: &str, op: &str) {
+    let auto = ExecOptions {
+        columnar: ColumnarMode::Auto,
+        threads: Some(2),
+    };
+    for opts in [force(2), auto] {
+        let plan = tpcds_engine::query_analyze_with(db, sql, opts)
+            .unwrap()
+            .plan_text;
+        let lines: Vec<&str> = (plan.lines())
+            .filter(|l| l.trim_start().starts_with(op))
+            .collect();
+        assert!(!lines.is_empty(), "no {op} in:\n{plan}");
+        for line in lines {
+            assert!(line.contains("route=columnar"), "{sql}:\n{plan}");
+        }
+    }
+}
+
+#[test]
+fn aggregate_keys_and_arguments_may_be_expressions() {
+    let db = plain_db();
+    for sql in [
+        "select n % 3, count(*), sum(id * 2), min(-id) from t group by n % 3 order by 1",
+        // Pivots (`SUM(CASE …)`) and literal arguments.
+        "select sum(case when n > 0 then amt else 0 end), \
+         count(case when n is null then 1 end), avg(id + n), sum(1) from t",
+        "select n, sum(case n when 1 then id end), max(amt * 2) from t group by n order by n",
+        // Division by zero: the zero-divisor rows form the NULL group.
+        "select id / n, count(*) from t group by id / n order by 1",
+        "select coalesce(n, -9) g, count(*) from t where id > 20 group by coalesce(n, -9) order by g",
+    ] {
+        assert_parity(&db, sql);
+        assert_columnar(&db, sql, "Aggregate");
+    }
+    let r = tpcds_engine::query_with(
+        &db,
+        "select id / n, count(*) from t where n = 0 group by id / n",
+        force(8),
+    )
+    .unwrap();
+    // n = 0 on the 60 ids ≡ 2 (mod 5), minus the 9 of them where n is NULL.
+    assert_eq!(r.rows, vec![vec![Value::Null, Value::Int(51)]]);
+    // Overflow in a key or an argument: the row path's message.
+    let edge = edge_db();
+    for sql in [
+        "select big + 1, count(*) from t group by big + 1",
+        "select sum(big * 2) from t",
+        "select n, max(big - 1) from t where id >= 150 group by n",
+    ] {
+        assert_error_parity(&edge, sql);
+    }
+    let e = tpcds_engine::query_with(&edge, "select sum(big * 2) from t", force(8)).unwrap_err();
+    assert!(e.to_string().ends_with("in *"), "{e}");
+}
+
+/// `substr(a, 1, 2) = substr(b, 1, 2)` and `k - 53 = j` join keys, keys
+/// that evaluate to NULL included, for inner and left joins.
+#[test]
+fn join_keys_may_be_expressions() {
+    let db = plain_db();
+    let meta = |names: [&str; 2]| {
+        [(names[0], DataType::Str), (names[1], DataType::Int)]
+            .map(|(name, dtype)| ColumnMeta {
+                name: name.into(),
+                dtype,
+            })
+            .to_vec()
+    };
+    let zips = |n: i64, off: i64| -> Vec<Row> {
+        (0..n)
+            .map(|i| {
+                let zip = match i % 9 {
+                    0 => Value::Null,
+                    _ => Value::str(format!("{}{:03}", (i + off) % 13, i)),
+                };
+                vec![zip, Value::Int(i)]
+            })
+            .collect()
+    };
+    db.create_table_with_rows("s", meta(["s_zip", "s_k"]), zips(120, 0))
+        .unwrap();
+    db.create_table_with_rows("c", meta(["c_zip", "c_k"]), zips(40, 5))
+        .unwrap();
+    for sql in [
+        "select s_k, c_k from s, c where substr(s_zip, 1, 2) = substr(c_zip, 1, 2) \
+         order by 1, 2",
+        "select s_k, c_k from s left join c on substr(s_zip, 1, 2) = substr(c_zip, 1, 2) \
+         order by 1, 2",
+        "select t.id, x.id from t, t x where t.id - 53 = x.id order by 1",
+        // `n` is NULL on every 7th row: those keys match nothing.
+        "select t.id, x.id from t left join t x on t.n - 53 = x.id - 53 + x.n \
+         order by 1, 2",
+        "select t.id, s_zip from t left join s on t.id + 0 = s_k and t.n > 0 order by 1",
+    ] {
+        assert_parity(&db, sql);
+        assert_columnar(&db, sql, "HashJoin");
+    }
+    // Plain aggregate columns over expression keys: the fused kernel.
+    let sql = "select s_k, count(*) from s join c on substr(s_zip, 1, 2) = substr(c_zip, 1, 2) \
+               group by s_k order by 1";
+    assert_parity(&db, sql);
+    assert_columnar(&db, sql, "Aggregate");
+}

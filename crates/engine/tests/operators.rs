@@ -280,6 +280,42 @@ fn intersect_and_except_are_set_semantics() {
 }
 
 #[test]
+fn intersect_binds_tighter_than_union_and_except() {
+    let d = db();
+    let ints = |sql| canon(&query(&d, sql).unwrap().rows);
+    let one_two = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
+    // 1 ∪ (2 ∩ 2), not (1 ∪ 2) ∩ 2.
+    assert_eq!(
+        ints("select 1 a union select 2 a intersect select 2 a"),
+        one_two
+    );
+    // (1 ∪ 2) − (2 ∩ 3): the INTERSECT is the EXCEPT's right operand.
+    assert_eq!(
+        ints("select 1 a union select 2 a except select 2 a intersect select 3 a"),
+        one_two
+    );
+    // Same level: left to right.
+    assert_eq!(
+        ints("select 1 a union select 2 a except select 2 a"),
+        vec![vec![Value::Int(1)]]
+    );
+}
+
+#[test]
+fn intersect_all_and_except_all_are_rejected() {
+    let d = db();
+    int_table(&d, "t", &["a"], vec![vec![Some(1)], vec![Some(1)]]);
+    for op in ["intersect", "except"] {
+        let sql = format!("select a from t {op} all select a from t");
+        let err = query(&d, &sql).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("{} ALL is not supported", op.to_uppercase())),
+            "{sql}: {err}"
+        );
+    }
+}
+
+#[test]
 fn limit_zero_and_beyond() {
     let d = db();
     int_table(&d, "t", &["a"], vec![vec![Some(1)], vec![Some(2)]]);

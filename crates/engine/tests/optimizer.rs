@@ -62,14 +62,12 @@ fn count_nodes(plan: &Plan, pred: &impl Fn(&Plan) -> bool) -> usize {
         | Plan::Sort { input, .. }
         | Plan::TopN { input, .. }
         | Plan::Limit { input, .. }
-        | Plan::Distinct { input }
         | Plan::Window { input, .. }
         | Plan::Aggregate { input, .. }
         | Plan::Prefix { input, .. } => n += count_nodes(input, pred),
-        Plan::HashJoin { left, right, .. } | Plan::NestedLoopJoin { left, right, .. } => {
-            n += count_nodes(left, pred) + count_nodes(right, pred);
-        }
-        Plan::SetOp { left, right, .. } => {
+        Plan::HashJoin { left, right, .. }
+        | Plan::NestedLoopJoin { left, right, .. }
+        | Plan::UnionAll { left, right } => {
             n += count_nodes(left, pred) + count_nodes(right, pred);
         }
         Plan::Scan { .. } | Plan::CteRef { .. } => {}

@@ -168,6 +168,37 @@ impl ColumnTable {
         b.extended(rows)
     }
 
+    /// `self`'s rows, then `other`'s (UNION ALL). An empty side hands the
+    /// other on; otherwise `self`'s full segments are shared and the rest
+    /// is rebuilt cell by cell with `self`'s column types, so a column the
+    /// two sides type differently boxes into [`crate::ColumnData::Other`]
+    /// without loss.
+    pub fn concat(&self, other: &ColumnTable) -> ColumnTable {
+        if self.rows == 0 || other.rows == 0 {
+            return if self.rows == 0 { other } else { self }.clone();
+        }
+        let rows = self.rows + other.rows;
+        let cell = |i: usize, c: usize| match i.checked_sub(self.rows) {
+            None => self.value(i, c),
+            Some(i) => other.value(i, c),
+        };
+        let full = self.rows / SEGMENT_ROWS;
+        let built = (full..rows.div_ceil(SEGMENT_ROWS)).map(|k| {
+            let (lo, hi) = (k * SEGMENT_ROWS, rows.min((k + 1) * SEGMENT_ROWS));
+            let columns = (0..self.width()).map(|c| {
+                let mut column = Column::for_type(self.dtypes[c]);
+                (lo..hi).for_each(|i| column.push(&cell(i, c)));
+                column
+            });
+            Arc::new(Segment::seal(columns.collect(), hi - lo))
+        });
+        ColumnTable {
+            dtypes: self.dtypes.clone(),
+            segments: self.segments[..full].iter().cloned().chain(built).collect(),
+            rows,
+        }
+    }
+
     /// The rows at `survivors` (ascending positions), in that order: what
     /// a delete leaves. Segments before the first gap are shared; every
     /// later one gathers its rows out of `self`, column by typed column,
@@ -317,6 +348,35 @@ mod tests {
         assert_eq!(t.row(SEGMENT_ROWS), rows[SEGMENT_ROWS]);
         assert_eq!(t.row(SEGMENT_ROWS + 16), rows[SEGMENT_ROWS + 16]);
         assert!(t.bytes() > 0);
+    }
+
+    #[test]
+    fn concat_shares_full_segments_and_boxes_mixed_columns() {
+        let left_rows = int_rows(SEGMENT_ROWS + 5);
+        let left = ColumnTable::from_rows(vec![DataType::Int, DataType::Str], &left_rows);
+        let right_rows: Vec<Row> = (0..10)
+            .map(|i| {
+                vec![
+                    Value::Decimal(tpcds_types::Decimal::from_cents(i)),
+                    Value::Null,
+                ]
+            })
+            .collect();
+        let right = ColumnTable::from_rows(vec![DataType::Decimal, DataType::Str], &right_rows);
+        let both = left.concat(&right);
+        assert_eq!(both.rows, SEGMENT_ROWS + 15);
+        assert!(Arc::ptr_eq(&both.segments[0], &left.segments[0]));
+        let expect: Vec<Row> = left_rows.iter().chain(&right_rows).cloned().collect();
+        assert_eq!(both.iter_rows().collect::<Vec<_>>(), expect);
+        let tail = &both.segments[1].columns[0].data;
+        assert!(matches!(tail, crate::ColumnData::Other(_)), "{tail:?}");
+        // An empty side hands the other on.
+        let empty = ColumnTable::from_rows(vec![DataType::Int, DataType::Str], &[] as &[Row]);
+        assert_eq!(
+            empty.concat(&right).iter_rows().collect::<Vec<_>>(),
+            right_rows
+        );
+        assert_eq!(right.concat(&empty).rows, 10);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! EXCEPT and SELECT DISTINCT over NULL-bearing rows, checked against an
 //! independent reference implementation of SQL set semantics (where
 //! dedup treats NULL = NULL, unlike predicate equality), and then run
-//! through the row-vs-columnar differential at 1/2/8 workers. These
-//! tails always route serial today (`NO_KERNEL`); this pins their
-//! semantics before any kernel work touches them.
+//! through the row-vs-columnar differential at 1/2/8 workers. The binder
+//! lowers all of them onto UNION ALL and the hash aggregate, so every
+//! node must also run the batch kernels (`route=columnar`) — the
+//! reference below is the check that does not share that lowering.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -102,6 +103,31 @@ fn row_path() -> ExecOptions {
     }
 }
 
+/// Every node of `sql`'s plan runs the batch kernels under `auto` and
+/// `force`, and the answer bytes do not depend on the worker count.
+fn assert_batch_routed(db: &Database, sql: &str) {
+    for columnar in [ColumnarMode::Auto, ColumnarMode::Force] {
+        let run = |threads| {
+            let opts = ExecOptions {
+                columnar,
+                threads: Some(threads),
+            };
+            tpcds_repro::engine::query_analyze_with(db, sql, opts).expect("analyze")
+        };
+        let one = run(1);
+        for line in one.plan_text.lines() {
+            assert!(
+                line.contains("route=columnar"),
+                "{columnar:?}: {line}\nsql: {sql}\n{}",
+                one.plan_text
+            );
+        }
+        for threads in [2, 8] {
+            assert_eq!(run(threads).result.rows, one.result.rows, "{sql}");
+        }
+    }
+}
+
 #[test]
 fn set_ops_match_reference_semantics_and_both_paths() {
     let seed = test_seed(0x5E70);
@@ -148,7 +174,72 @@ fn set_ops_match_reference_semantics_and_both_paths() {
             if let Err(e) = run_differential(&db, &snap, &sql) {
                 panic!("differential failed: {e:?}\nsql: {sql}");
             }
+            assert_batch_routed(&db, &sql);
         }
+    }
+}
+
+/// Rows whose every column is NULL are one group on both sides:
+/// INTERSECT keeps it when both sides have it, EXCEPT when only the left.
+#[test]
+fn null_only_rows_intersect_and_except() {
+    let mut rng = SplitMix64(test_seed(0x2A11));
+    let db = Arc::new(build_db(&mut rng, 500));
+    let nulls = |t: &str, p: &str| {
+        format!("select {p}_x, {p}_y from {t} where {p}_x is null and {p}_y is null")
+    };
+    let (a, b) = (nulls("ta", "a"), nulls("tb", "b"));
+    let some_b = "select b_x, b_y from tb where b_x is not null";
+    let null_row = vec![vec![Value::Null, Value::Null]];
+    for (sql, expect) in [
+        (format!("{a} intersect {b}"), null_row.clone()),
+        (format!("{a} except {some_b}"), null_row.clone()),
+        (format!("{a} except {b}"), vec![]),
+        (
+            "select null x intersect select null x".to_string(),
+            vec![vec![Value::Null]],
+        ),
+        ("select null x except select null x".to_string(), vec![]),
+    ] {
+        let got = tpcds_repro::engine::query_with(&db, &sql, row_path()).expect("set op");
+        assert_eq!(got.rows, expect, "{sql}");
+        if let Err(e) = run_differential(&db, &db.snapshot(), &sql) {
+            panic!("differential failed: {e:?}\nsql: {sql}");
+        }
+        assert_batch_routed(&db, &sql);
+    }
+}
+
+/// A UNION ALL column whose sides type it differently (`1` vs `1.00`)
+/// keeps each value as the row path does — the batch concatenation boxes
+/// the column rather than converting it.
+#[test]
+fn union_all_keeps_mixed_int_and_decimal_values() {
+    let mut rng = SplitMix64(test_seed(0x1D0C));
+    let db = build_db(&mut rng, 50);
+    for sql in [
+        "select 1 v union all select 1.00 v",
+        "select a_x v from ta where a_x = 1 union all select 1.00 v from tb where b_x = 1",
+    ] {
+        let shown = |opts| {
+            let r = tpcds_repro::engine::query_with(&db, sql, opts).expect(sql);
+            format!("{:?}", r.rows)
+        };
+        let oracle = shown(row_path());
+        assert!(
+            oracle.contains("Int(1)") && oracle.contains("Decimal"),
+            "{oracle}"
+        );
+        for columnar in [ColumnarMode::Auto, ColumnarMode::Force] {
+            for threads in [1, 2, 8] {
+                let opts = ExecOptions {
+                    columnar,
+                    threads: Some(threads),
+                };
+                assert_eq!(shown(opts), oracle, "{sql} ({opts:?})");
+            }
+        }
+        assert_batch_routed(&db, sql);
     }
 }
 
@@ -178,5 +269,6 @@ fn distinct_collapses_null_rows() {
         if let Err(e) = run_differential(&db, &snap, sql) {
             panic!("differential failed: {e:?}\nsql: {sql}");
         }
+        assert_batch_routed(&db, sql);
     }
 }
