@@ -5,16 +5,18 @@
 //! are resolved with the classic "aggregate environment" rewrite: group
 //! expressions and aggregate calls become columns of the Aggregate node,
 //! and the projection / HAVING / ORDER BY expressions are rewritten on top.
+//! ROLLUP, `GROUPING()` and DISTINCT calls are lowered onto plain
+//! aggregates ([`Binder::lower_aggregate`]).
 
 use crate::ast;
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
 use crate::expr::{ArithOp, BExpr, CmpOp, ScalarFunc, SubPlan};
-use crate::plan::{AggCall, AggFunc, JoinKind, Plan, WinFunc, WindowCall};
+use crate::plan::{AggCall, JoinKind, Plan, WinFunc, WindowCall};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tpcds_storage::KeySet;
-use tpcds_types::DataType;
+use tpcds_storage::{AggKind, KeySet};
+use tpcds_types::{DataType, Value};
 
 /// Sentinel base for window-result column references: window columns are
 /// appended after the (not yet final) aggregate output, so the binder
@@ -522,20 +524,12 @@ impl<'a> Binder<'a> {
             for g in &sel.group_by {
                 groups.push(self.bind_expr(g, &scope, outer, outer_refs, None)?);
             }
-            let sets: Vec<Vec<bool>> = if sel.rollup {
-                (0..=groups.len())
-                    .rev()
-                    .map(|k| (0..groups.len()).map(|i| i < k).collect())
-                    .collect()
-            } else {
-                vec![vec![true; groups.len()]]
-            };
             agg_env = Some(AggEnv {
                 groups,
                 group_keys: Vec::new(),
                 aggs: Vec::new(),
                 agg_keys: Vec::new(),
-                sets,
+                rollup: sel.rollup,
             });
             let env = agg_env.as_mut().expect("just set");
             env.group_keys = env.groups.iter().map(|g| format!("{g:?}")).collect();
@@ -655,12 +649,7 @@ impl<'a> Binder<'a> {
         let mut agg_width = scope.cols.len();
         if let Some(env) = agg_env {
             agg_width = env.groups.len() + env.aggs.len();
-            plan = Plan::Aggregate {
-                input: Arc::new(plan),
-                groups: env.groups,
-                sets: env.sets,
-                aggs: env.aggs,
-            };
+            plan = self.lower_aggregate(plan, env);
         }
         // Patch window-result sentinels now that the aggregate width is
         // final.
@@ -724,6 +713,81 @@ impl<'a> Binder<'a> {
             out_scope.push(None, n.clone());
         }
         Ok((plan, out_scope, names))
+    }
+
+    /// `input` aggregated as `env` says, as plain [`Plan::Aggregate`]s with
+    /// the output row `groups ++ aggs`. ROLLUP(k1..kn) is the UNION ALL of
+    /// its n+1 levels, finest first: level l groups on k1..kl and projects
+    /// NULL for each rolled-up key and 0/1 for each `GROUPING()`. DISTINCT
+    /// calls are [`grouped`]'s. Both read the input more than once, so
+    /// they read the group keys and arguments computed once, by a CTE —
+    /// unless that reads the outer row, and changes with it.
+    fn lower_aggregate(&mut self, input: Plan, env: AggEnv) -> Plan {
+        let AggEnv {
+            groups,
+            aggs,
+            rollup,
+            ..
+        } = env;
+        let calls = (aggs.iter()).filter_map(|a| match a {
+            AggItem::Call(call, distinct) => Some((call.clone(), *distinct)),
+            AggItem::Grouping(_) => None,
+        });
+        if !rollup && calls.clone().all(|(_, distinct)| !distinct) {
+            let aggs = calls.map(|(call, _)| call).collect();
+            return Plan::Aggregate {
+                input: Arc::new(input),
+                groups,
+                aggs,
+            };
+        }
+        // What every reading needs — the group keys, then each argument.
+        let (n, mut exprs) = (groups.len(), groups);
+        let calls: Vec<_> = (calls.map(|(AggCall { func, arg }, distinct)| {
+            let arg = arg.map(|e| BExpr::Col(slot(&mut exprs, e)));
+            (AggCall { func, arg }, distinct)
+        }))
+        .collect();
+        let width = exprs.len();
+        let mut input = Arc::new(Plan::Project {
+            input: Arc::new(input),
+            exprs,
+        });
+        if !input.reads_outer() {
+            let id = self.next_cte_id;
+            self.next_cte_id += 1;
+            input = Arc::new(Plan::CteRef {
+                id,
+                plan: input,
+                width,
+            });
+        }
+        let level = |l: usize| {
+            let level = grouped(&input, l, calls.clone());
+            if !rollup {
+                return level;
+            }
+            let mut call = l..;
+            let keys = (0..n).map(|i| match i < l {
+                true => BExpr::Col(i),
+                false => BExpr::Lit(Value::Null),
+            });
+            let items = (aggs.iter()).map(|a| match a {
+                AggItem::Call(..) => BExpr::Col(call.next().expect("a call column")),
+                AggItem::Grouping(g) => BExpr::Lit(Value::Int((*g >= l) as i64)),
+            });
+            Plan::Project {
+                input: Arc::new(level),
+                exprs: keys.chain(items).collect(),
+            }
+        };
+        // Coarsest innermost: each concatenation copies the coarser
+        // levels, which are the smaller ones.
+        let first = if rollup { 0 } else { n };
+        (first..=n)
+            .map(level)
+            .reduce(|coarser, finer| union_all(finer, coarser))
+            .expect("at least one level")
     }
 
     /// Resolves an ORDER BY item as an output alias or 1-based ordinal.
@@ -817,7 +881,8 @@ impl<'a> Binder<'a> {
                 return Ok(BExpr::Col(i));
             }
         }
-        // 2. Aggregate call?
+        // 2. Aggregate call? COUNT(*) takes no argument, every other
+        //    aggregate exactly one.
         if let ast::Expr::Function {
             name,
             args,
@@ -825,40 +890,34 @@ impl<'a> Binder<'a> {
             distinct,
         } = e
         {
-            if let Some(func) = agg_func(name, *star) {
-                let arg = match (func, args.first()) {
-                    (AggFunc::CountStar, _) => None,
-                    (AggFunc::Grouping(_), Some(a)) => {
-                        // grouping(expr): locate the group expression.
-                        let bound = self.bind_expr(a, scope, outer, outer_refs, None)?;
-                        let key = format!("{bound:?}");
-                        let gi =
-                            env.group_keys
-                                .iter()
-                                .position(|k| *k == key)
-                                .ok_or_else(|| {
-                                    EngineError::bind("GROUPING() argument is not a group column")
-                                })?;
-                        return Ok(BExpr::Col(
-                            env.groups.len()
-                                + env.push(AggCall {
-                                    func: AggFunc::Grouping(gi),
-                                    arg: None,
-                                    distinct: false,
-                                }),
-                        ));
-                    }
-                    (_, Some(a)) => Some(self.bind_expr(a, scope, outer, outer_refs, None)?),
-                    (_, None) => {
-                        return Err(EngineError::bind(format!("{name} needs an argument")))
+            if is_aggregate(name) {
+                let func = aggregate_kind(name, *star);
+                let arg = match (func, args.as_slice()) {
+                    (Some(AggKind::CountStar), _) => None,
+                    (_, [a]) => Some(self.bind_expr(a, scope, outer, outer_refs, None)?),
+                    _ => {
+                        return Err(EngineError::bind(format!(
+                            "{name} takes exactly one argument"
+                        )))
                     }
                 };
-                let idx = env.push(AggCall {
-                    func,
-                    arg,
-                    distinct: *distinct,
-                });
-                return Ok(BExpr::Col(env.groups.len() + idx));
+                let item = match func {
+                    Some(func) => AggItem::Call(AggCall { func, arg }, *distinct),
+                    None => {
+                        // grouping(expr): locate the group expression; it
+                        // is rolled up only on a ROLLUP's coarser levels.
+                        let key = format!("{:?}", arg.expect("one argument"));
+                        let gi =
+                            (env.group_keys.iter().position(|k| *k == key)).ok_or_else(|| {
+                                EngineError::bind("GROUPING() argument is not a group column")
+                            })?;
+                        if !env.rollup {
+                            return Ok(BExpr::Lit(Value::Int(0)));
+                        }
+                        AggItem::Grouping(gi)
+                    }
+                };
+                return Ok(BExpr::Col(env.groups.len() + env.push(item)));
             }
         }
         // 3. Window call: arguments/partitions are bound in the aggregate
@@ -975,7 +1034,7 @@ impl<'a> Binder<'a> {
                 star,
                 distinct,
             } => {
-                if *star || *distinct || agg_func(name, *star).is_some() {
+                if *star || *distinct || is_aggregate(name) {
                     return Err(EngineError::bind(format!(
                         "aggregate {name} not valid in this context"
                     )));
@@ -1119,7 +1178,7 @@ impl<'a> Binder<'a> {
                 star,
                 distinct,
             } => {
-                if agg_func(name, *star).is_some() || *star || *distinct {
+                if is_aggregate(name) || *star || *distinct {
                     return Err(EngineError::bind(format!(
                         "aggregate {name} not allowed in this context"
                     )));
@@ -1142,19 +1201,28 @@ impl<'a> Binder<'a> {
 struct AggEnv {
     groups: Vec<BExpr>,
     group_keys: Vec<String>,
-    aggs: Vec<AggCall>,
+    aggs: Vec<AggItem>,
     agg_keys: Vec<String>,
-    sets: Vec<Vec<bool>>,
+    rollup: bool,
+}
+
+/// One aggregate output column before [`Binder::lower_aggregate`].
+#[derive(Debug)]
+enum AggItem {
+    /// A call, over its argument's distinct values when `true`.
+    Call(AggCall, bool),
+    /// `GROUPING(groups[i])` under ROLLUP.
+    Grouping(usize),
 }
 
 impl AggEnv {
-    /// Adds (or reuses) an aggregate call; returns its index.
-    fn push(&mut self, call: AggCall) -> usize {
-        let key = format!("{:?}|{:?}|{}", call.func, call.arg, call.distinct);
+    /// Adds (or reuses) an aggregate column; returns its index.
+    fn push(&mut self, item: AggItem) -> usize {
+        let key = format!("{item:?}");
         if let Some(i) = self.agg_keys.iter().position(|k| *k == key) {
             return i;
         }
-        self.aggs.push(call);
+        self.aggs.push(item);
         self.agg_keys.push(key);
         self.aggs.len() - 1
     }
@@ -1162,7 +1230,7 @@ impl AggEnv {
 
 fn contains_aggregate(e: &ast::Expr) -> bool {
     match e {
-        ast::Expr::Function { name, star, .. } => agg_func(name, *star).is_some(),
+        ast::Expr::Function { name, .. } => is_aggregate(name),
         ast::Expr::Window { .. } => false, // window args handled separately
         ast::Expr::Binary { left, right, .. } => {
             contains_aggregate(left) || contains_aggregate(right)
@@ -1200,16 +1268,22 @@ fn contains_aggregate(e: &ast::Expr) -> bool {
     }
 }
 
-fn agg_func(name: &str, star: bool) -> Option<AggFunc> {
+/// Whether `name` is an aggregate: one with a kernel ([`aggregate_kind`]) or
+/// `grouping`, which lowers to literals.
+fn is_aggregate(name: &str) -> bool {
+    name == "grouping" || aggregate_kind(name, false).is_some()
+}
+
+/// The aggregate `name(…)` computes (`count(*)` when `star`).
+fn aggregate_kind(name: &str, star: bool) -> Option<AggKind> {
     Some(match name {
-        "count" if star => AggFunc::CountStar,
-        "count" => AggFunc::Count,
-        "sum" => AggFunc::Sum,
-        "min" => AggFunc::Min,
-        "max" => AggFunc::Max,
-        "avg" => AggFunc::Avg,
-        "stddev_samp" => AggFunc::StddevSamp,
-        "grouping" => AggFunc::Grouping(0),
+        "count" if star => AggKind::CountStar,
+        "count" => AggKind::Count,
+        "sum" => AggKind::Sum,
+        "min" => AggKind::Min,
+        "max" => AggKind::Max,
+        "avg" => AggKind::Avg,
+        "stddev_samp" => AggKind::StddevSamp,
         _ => return None,
     })
 }
@@ -1327,9 +1401,83 @@ fn group_first(input: Plan, w: usize, aggs: Vec<AggCall>) -> Plan {
     Plan::Aggregate {
         input: Arc::new(input),
         groups: (0..w).map(BExpr::Col).collect(),
-        sets: vec![vec![true; w]],
         aggs,
     }
+}
+
+/// `l`'s rows, then `r`'s.
+fn union_all(l: Plan, r: Plan) -> Plan {
+    Plan::UnionAll {
+        left: Arc::new(l),
+        right: Arc::new(r),
+    }
+}
+
+/// `e`'s position in `exprs`, where it is appended unless already there.
+fn slot(exprs: &mut Vec<BExpr>, e: BExpr) -> usize {
+    let key = format!("{e:?}");
+    (exprs.iter().position(|x| format!("{x:?}") == key)).unwrap_or_else(|| {
+        exprs.push(e);
+        exprs.len() - 1
+    })
+}
+
+/// `input` grouped on its first `n` columns with `calls` (`true` =
+/// DISTINCT): one [`Plan::Aggregate`] unless a call is DISTINCT. With k
+/// distinct arguments, an aggregate on those keys G over the UNION ALL of
+/// copy 0 — the input as (G, NULL × k, each plain call's argument;
+/// COUNT(*) counts a literal 1), left out without plain calls — and the
+/// deduplicated copies i = 1..k, the input as (G, argument i in the i-th
+/// of the k columns and NULL in the others, NULL…). Each call aggregates
+/// its own column: only its copies fill it.
+fn grouped(input: &Arc<Plan>, n: usize, calls: Vec<(AggCall, bool)>) -> Plan {
+    use tpcds_types::Value::{Int, Null};
+    let arg = |call: &AggCall| call.arg.clone().unwrap_or(BExpr::Lit(Int(1)));
+    let mut distinct = Vec::new();
+    for (call, _) in calls.iter().filter(|(_, d)| *d) {
+        slot(&mut distinct, arg(call));
+    }
+    if distinct.is_empty() {
+        let aggs = calls.into_iter().map(|(call, _)| call).collect();
+        return group_first(Plan::clone(input), n, aggs);
+    }
+    let plain: Vec<BExpr> = (calls.iter().filter(|(_, d)| !d))
+        .map(|(call, _)| arg(call))
+        .collect();
+    let k = distinct.len();
+    let copy = |i: usize, rest: Vec<BExpr>| Plan::Project {
+        input: Arc::clone(input),
+        exprs: ((0..n).map(BExpr::Col))
+            .chain((1..=k).map(|j| match j == i {
+                true => distinct[j - 1].clone(),
+                false => BExpr::Lit(Null),
+            }))
+            .chain(rest)
+            .collect(),
+    };
+    let nulls = vec![BExpr::Lit(Null); plain.len()];
+    let copies = (1..=k).map(|i| copy(i, nulls.clone()));
+    let copies = copies.reduce(union_all).expect("a DISTINCT call");
+    let mut both = group_first(copies, n + k + plain.len(), vec![]);
+    if !plain.is_empty() {
+        both = union_all(copy(0, plain), both);
+    }
+    let mut plain_cols = n + k..;
+    let aggs = (calls.into_iter())
+        .map(|(call, d)| {
+            let col = match d {
+                true => n + slot(&mut distinct, arg(&call)),
+                false => plain_cols.next().expect("a plain column"),
+            };
+            let func = match call.func {
+                AggKind::CountStar => AggKind::Count,
+                f => f,
+            };
+            let arg = Some(BExpr::Col(col));
+            AggCall { func, arg }
+        })
+        .collect();
+    group_first(both, n, aggs)
 }
 
 /// Lowers a set operator onto [`Plan::UnionAll`] and grouping. INTERSECT
@@ -1338,14 +1486,12 @@ fn group_first(input: Plan, w: usize, aggs: Vec<AggCall>) -> Plan {
 /// (`min = 0 AND max = 1`) or on the left only (`max = 0`).
 fn set_op(op: ast::SetOpKind, all: bool, left: Plan, right: Plan) -> Result<Plan> {
     use tpcds_types::Value::Int;
-    let union = |l: Plan, r: Plan| Plan::UnionAll {
-        left: Arc::new(l),
-        right: Arc::new(r),
-    };
     let w = left.width();
     match (op, all) {
-        (ast::SetOpKind::Union, true) => return Ok(union(left, right)),
-        (ast::SetOpKind::Union, false) => return Ok(group_first(union(left, right), w, vec![])),
+        (ast::SetOpKind::Union, true) => return Ok(union_all(left, right)),
+        (ast::SetOpKind::Union, false) => {
+            return Ok(group_first(union_all(left, right), w, vec![]))
+        }
         (_, true) => {
             let name = format!("{op:?}").to_uppercase();
             return Err(EngineError::bind(format!("{name} ALL is not supported")));
@@ -1362,15 +1508,14 @@ fn set_op(op: ast::SetOpKind, all: bool, left: Plan, right: Plan) -> Result<Plan
     let tag = |func| AggCall {
         func,
         arg: Some(BExpr::Col(w)),
-        distinct: false,
     };
     let is = |col: usize, tag: i64| bin_op(ast::BinOp::Eq, BExpr::Col(col), BExpr::Lit(Int(tag)));
     let keep = match op {
         ast::SetOpKind::Intersect => BExpr::And(is(w, 0).boxed(), is(w + 1, 1).boxed()),
         _ => is(w + 1, 0),
     };
-    let tags = vec![tag(AggFunc::Min), tag(AggFunc::Max)];
-    let grouped = group_first(union(tagged(left, 0), tagged(right, 1)), w, tags);
+    let tags = vec![tag(AggKind::Min), tag(AggKind::Max)];
+    let grouped = group_first(union_all(tagged(left, 0), tagged(right, 1)), w, tags);
     Ok(Plan::Prefix {
         input: Arc::new(grouped.filtered(Some(keep))),
         keep: w,

@@ -130,19 +130,13 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
             }
             est
         }
-        Plan::Aggregate {
-            input,
-            groups,
-            sets,
-            aggs: _,
-        } => {
+        Plan::Aggregate { input, groups, .. } => {
             let in_est = walk(input, db, map);
-            let per_set = if groups.is_empty() {
+            if groups.is_empty() {
                 1.0
             } else {
                 group_count(groups, input, in_est, db)
-            };
-            per_set * sets.len().max(1) as f64
+            }
         }
         Plan::TopN { input, n, .. } | Plan::Limit { input, n } => {
             let in_est = walk(input, db, map);

@@ -10,9 +10,9 @@
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
 use crate::expr::BExpr;
-use crate::plan::{AggCall, AggFunc, JoinKind, Plan, WinFunc, WindowCall};
+use crate::plan::{AggCall, JoinKind, Plan, WinFunc, WindowCall};
 use crate::sync::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,7 +52,9 @@ impl RoutePath {
 /// serial interpreter instead of a batch kernel. The vocabulary is closed:
 /// coverage baselines and dashboards match on these exact strings. Every
 /// member of an interpreted chain (`exec::interpreted`) carries the
-/// reason of the first member that needs the interpreter.
+/// reason of the first member that needs the interpreter. Every aggregate
+/// has a kernel: the binder lowers ROLLUP, `GROUPING()` and DISTINCT
+/// calls onto plain ones.
 pub mod reason {
     /// Columnar routing disabled (`TPCDS_COLUMNAR=off` / ExecOptions).
     pub const COLUMNAR_OFF: &str = "columnar-off";
@@ -61,9 +63,6 @@ pub mod reason {
     /// `EXISTS`, or a subquery whose one evaluation raised — the only
     /// reason an expression ever falls off the vectorized path.
     pub const EXPR_UNSUPPORTED: &str = "expr-unsupported";
-    /// Aggregate shape outside the kernel subset (ROLLUP, DISTINCT
-    /// aggregates, STDDEV_SAMP, GROUPING).
-    pub const AGG_SHAPE: &str = "agg-shape";
     /// The operator has no batch kernel yet (Window, NestedLoopJoin).
     pub const NO_KERNEL: &str = "no-kernel";
     /// A `sys.*` virtual table: rows materialize at scan time, so there
@@ -623,12 +622,9 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
         Plan::Aggregate {
             input,
             groups,
-            sets,
             aggs,
         } => {
-            let Some(specs) = agg_specs(groups.len(), sets, aggs) else {
-                return adapt(plan, ctx, outer, reason::AGG_SHAPE);
-            };
+            let specs = agg_specs(groups.len(), aggs);
             let args = aggs.iter().filter_map(|a| a.arg.as_ref());
             let keys: Vec<&BExpr> = groups.iter().chain(args).collect();
             if !keys.iter().all(|e| compilable(e, ctx)) {
@@ -1025,12 +1021,8 @@ fn serial_node(
         Plan::Aggregate {
             input,
             groups,
-            sets,
             aggs,
-        } => feed(
-            aggregate(child(input)?, groups, sets, aggs, ctx, outer)?,
-            sink,
-        ),
+        } => feed(aggregate(child(input)?, groups, aggs, ctx, outer)?, sink),
         Plan::Window { input, calls } => feed(window(child(input)?, calls, ctx, outer)?, sink),
         Plan::Sort { input, keys } => feed(sort_rows(child(input)?, keys, ctx, outer)?, sink),
         Plan::TopN { input, keys, n } => {
@@ -1154,43 +1146,17 @@ fn compile_expr(
     })
 }
 
-/// The kernels' calls for `aggs` when the aggregate has a shape they
-/// accept: one all-on grouping set (no ROLLUP), no DISTINCT aggregate and
-/// only COUNT/COUNT(*)/SUM/MIN/MAX/AVG. An argument's column is its
-/// position among the aggregate's keys — the `groups` group keys, then
-/// the arguments — which may be any compilable expression ([`key_columns`]).
-fn agg_specs(
-    groups: usize,
-    sets: &[Vec<bool>],
-    aggs: &[AggCall],
-) -> Option<Vec<tpcds_storage::AggSpec>> {
-    if sets.len() != 1 || sets[0].iter().any(|on| !on) {
-        return None;
-    }
+/// The kernels' calls for `aggs`. An argument's column is its position
+/// among the aggregate's keys — the `groups` group keys, then the
+/// arguments — which may be any compilable expression ([`key_columns`]).
+fn agg_specs(groups: usize, aggs: &[AggCall]) -> Vec<tpcds_storage::AggSpec> {
     let mut args = groups..;
     (aggs.iter())
-        .map(|a| {
-            let kind = agg_kind(&a.func).filter(|_| !a.distinct)?;
-            let col = a.arg.as_ref().and_then(|_| args.next());
-            Some(tpcds_storage::AggSpec { kind, col })
+        .map(|a| tpcds_storage::AggSpec {
+            kind: a.func,
+            col: a.arg.as_ref().and_then(|_| args.next()),
         })
         .collect()
-}
-
-/// The kernels' name for an aggregate function; `None` for the two only
-/// the row path runs: STDDEV_SAMP's streaming f64 update is
-/// order-sensitive, and GROUPING() needs the sets machinery.
-fn agg_kind(f: &AggFunc) -> Option<tpcds_storage::AggKind> {
-    use tpcds_storage::AggKind;
-    Some(match f {
-        AggFunc::CountStar => AggKind::CountStar,
-        AggFunc::Count => AggKind::Count,
-        AggFunc::Sum => AggKind::Sum,
-        AggFunc::Min => AggKind::Min,
-        AggFunc::Max => AggKind::Max,
-        AggFunc::Avg => AggKind::Avg,
-        AggFunc::StddevSamp | AggFunc::Grouping(_) => return None,
-    })
 }
 
 /// Finds an indexable `Col = expr` conjunct where `expr` is independent of
@@ -1314,155 +1280,41 @@ fn nested_loop_join(
 
 // ---------- aggregation ----------
 
-/// group key -> (accumulators, distinct trackers) in hash aggregation.
-type GroupState = (Vec<Acc>, Vec<Option<HashSet<Value>>>);
-
-/// Accumulator for one aggregate call in one group: the kernels' own
-/// partial state for the functions they share with the row path, plus
-/// the two only the row path runs.
-enum Acc {
-    Partial(tpcds_storage::agg::PAcc),
-    Stddev { n: f64, mean: f64, m2: f64 },
-    Grouping(i64),
-}
-
-impl Acc {
-    fn new(f: &AggFunc, grouping_val: i64) -> Acc {
-        match (f, agg_kind(f)) {
-            (_, Some(kind)) => Acc::Partial(tpcds_storage::agg::PAcc::new(kind)),
-            (AggFunc::Grouping(_), None) => Acc::Grouping(grouping_val),
-            (_, None) => Acc::Stddev {
-                n: 0.0,
-                mean: 0.0,
-                m2: 0.0,
-            },
-        }
-    }
-
-    fn update(&mut self, v: Option<&Value>) -> Result<()> {
-        match self {
-            Acc::Partial(p) => p.update(v).map_err(storage_err)?,
-            Acc::Stddev { n, mean, m2 } => {
-                if let Some(d) = v.and_then(Value::as_decimal) {
-                    let x = d.to_f64();
-                    *n += 1.0;
-                    let delta = x - *mean;
-                    *mean += delta / *n;
-                    *m2 += delta * (x - *mean);
-                }
-            }
-            Acc::Grouping(_) => {}
-        }
-        Ok(())
-    }
-
-    fn finish(self) -> Value {
-        match self {
-            Acc::Partial(p) => p.finish(),
-            Acc::Stddev { n, m2, .. } => {
-                if n < 2.0 {
-                    Value::Null
-                } else {
-                    Value::Decimal(Decimal::from_f64((m2 / (n - 1.0)).sqrt(), 6))
-                }
-            }
-            Acc::Grouping(v) => Value::Int(v),
-        }
-    }
-}
-
+/// The serial hash aggregate: per group, the kernels' own accumulators
+/// folded one value at a time. Without group keys there is exactly one
+/// row, empty input included.
 fn aggregate(
     rows: Vec<Row>,
     groups: &[BExpr],
-    sets: &[Vec<bool>],
     aggs: &[AggCall],
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
 ) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
-    for mask in sets {
-        debug_assert_eq!(mask.len(), groups.len());
-        // group key -> (accumulators, distinct trackers)
-        let mut map: HashMap<Vec<Value>, GroupState> = HashMap::new();
-        for row in &rows {
-            let mut key = Vec::with_capacity(groups.len());
-            for (g, on) in groups.iter().zip(mask) {
-                key.push(if *on {
-                    g.eval(row, ctx, outer)?
-                } else {
-                    Value::Null
-                });
-            }
-            let entry = map.entry(key).or_insert_with(|| {
-                let accs = aggs
-                    .iter()
-                    .map(|a| {
-                        let gv = match a.func {
-                            AggFunc::Grouping(gi) => {
-                                if mask.get(gi).copied().unwrap_or(false) {
-                                    0
-                                } else {
-                                    1
-                                }
-                            }
-                            _ => 0,
-                        };
-                        Acc::new(&a.func, gv)
-                    })
-                    .collect();
-                let dedup = aggs
-                    .iter()
-                    .map(|a| {
-                        if a.distinct {
-                            Some(HashSet::new())
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                (accs, dedup)
-            });
-            for ((agg, acc), dedup) in aggs.iter().zip(&mut entry.0).zip(&mut entry.1) {
-                let v = match &agg.arg {
-                    Some(e) => Some(e.eval(row, ctx, outer)?),
-                    None => None,
-                };
-                if let Some(set) = dedup {
-                    match &v {
-                        Some(val) if !val.is_null() => {
-                            if !set.insert(val.clone()) {
-                                continue; // duplicate under DISTINCT
-                            }
-                        }
-                        _ => continue,
-                    }
-                }
-                acc.update(v.as_ref())?;
-            }
-        }
-        // A global aggregate (no group columns in this set) over an empty
-        // input still yields one row.
-        if map.is_empty() && (groups.is_empty() || mask.iter().all(|m| !m)) {
-            let mut row: Row = groups.iter().map(|_| Value::Null).collect();
-            for a in aggs {
-                let gv = match a.func {
-                    AggFunc::Grouping(_) => 1,
-                    _ => 0,
-                };
-                row.push(Acc::new(&a.func, gv).finish());
-            }
-            out.push(row);
-            continue;
-        }
-        for (key, (accs, _)) in map {
-            let mut row = key;
-            for acc in accs {
-                row.push(acc.finish());
-            }
-            out.push(row);
+    use tpcds_storage::agg::PAcc;
+    let fresh = || aggs.iter().map(|a| PAcc::new(a.func)).collect::<Vec<_>>();
+    let mut map: HashMap<Vec<Value>, Vec<PAcc>> = HashMap::new();
+    if groups.is_empty() {
+        map.insert(Vec::new(), fresh());
+    }
+    for row in &rows {
+        let key: Vec<Value> = (groups.iter())
+            .map(|g| g.eval(row, ctx, outer))
+            .collect::<Result<_>>()?;
+        let accs = map.entry(key).or_insert_with(fresh);
+        for (a, acc) in aggs.iter().zip(accs) {
+            let v = a
+                .arg
+                .as_ref()
+                .map(|e| e.eval(row, ctx, outer))
+                .transpose()?;
+            acc.update(v.as_ref()).map_err(storage_err)?;
         }
     }
-    Ok(out)
+    let finish = |(mut row, accs): (Row, Vec<PAcc>)| {
+        row.extend(accs.into_iter().map(PAcc::finish));
+        row
+    };
+    Ok(map.into_iter().map(finish).collect())
 }
 
 // ---------- window functions ----------

@@ -294,12 +294,10 @@ pub fn fuse_topn(plan: Plan) -> Plan {
         Plan::Aggregate {
             input,
             groups,
-            sets,
             aggs,
         } => Plan::Aggregate {
             input: recurse(input),
             groups,
-            sets,
             aggs,
         },
         Plan::Window { input, calls } => Plan::Window {

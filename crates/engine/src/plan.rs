@@ -3,38 +3,16 @@
 
 use crate::expr::BExpr;
 use std::sync::Arc;
+use tpcds_storage::AggKind;
 
-/// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    /// `count(expr)` — non-null count.
-    Count,
-    /// `count(*)`.
-    CountStar,
-    /// `sum(expr)`.
-    Sum,
-    /// `min(expr)`.
-    Min,
-    /// `max(expr)`.
-    Max,
-    /// `avg(expr)`.
-    Avg,
-    /// `stddev_samp(expr)`.
-    StddevSamp,
-    /// `grouping(group_expr_index)` — 1 when the group column is rolled up
-    /// in the current grouping set, else 0.
-    Grouping(usize),
-}
-
-/// One aggregate call.
+/// One aggregate call. DISTINCT, ROLLUP and `GROUPING()` never reach a
+/// plan: the binder lowers them onto plain calls.
 #[derive(Debug, Clone)]
 pub struct AggCall {
     /// Function.
-    pub func: AggFunc,
-    /// Argument (None for `count(*)` / `grouping`).
+    pub func: AggKind,
+    /// Argument (None for `count(*)`).
     pub arg: Option<BExpr>,
-    /// DISTINCT aggregate.
-    pub distinct: bool,
 }
 
 /// Window functions.
@@ -134,16 +112,13 @@ pub enum Plan {
         /// Join predicate over the combined row (None = cross join).
         predicate: Option<BExpr>,
     },
-    /// Hash aggregation with grouping sets (plain GROUP BY is one set).
+    /// Hash aggregation: one group per distinct key (NULLs equal), or one
+    /// row when there are no keys.
     Aggregate {
         /// Input.
         input: Arc<Plan>,
         /// Group-key expressions.
         groups: Vec<BExpr>,
-        /// Grouping sets as masks over `groups` (true = grouped). A plain
-        /// GROUP BY is a single all-true mask; ROLLUP(a,b) is
-        /// `[[t,t],[t,f],[f,f]]`.
-        sets: Vec<Vec<bool>>,
         /// Aggregate calls; output row = group values ++ aggregate values.
         aggs: Vec<AggCall>,
     },
@@ -182,8 +157,8 @@ pub enum Plan {
         n: u64,
     },
     /// UNION ALL: the left input's rows, then the right's. The binder
-    /// lowers DISTINCT, UNION, INTERSECT and EXCEPT onto this and
-    /// [`Plan::Aggregate`].
+    /// lowers DISTINCT, UNION, INTERSECT, EXCEPT, ROLLUP and DISTINCT
+    /// aggregates onto this and [`Plan::Aggregate`].
     UnionAll {
         /// Left input.
         left: Arc<Plan>,
@@ -317,12 +292,9 @@ impl Plan {
                 let p = if predicate.is_some() { "" } else { " (cross)" };
                 format!("NestedLoopJoin {kind:?}{p}")
             }
-            Plan::Aggregate {
-                groups, sets, aggs, ..
-            } => format!(
-                "Aggregate [{} group(s), {} set(s), {} agg(s)]",
+            Plan::Aggregate { groups, aggs, .. } => format!(
+                "Aggregate [{} group(s), {} agg(s)]",
                 groups.len(),
-                sets.len(),
                 aggs.len()
             ),
             Plan::Window { calls, .. } => format!("Window [{} call(s)]", calls.len()),
@@ -384,6 +356,13 @@ impl Plan {
             | Plan::CteRef { .. }
             | Plan::Prefix { .. } => vec![],
         }
+    }
+
+    /// Whether some node's own expressions read the enclosing query's row
+    /// (a subquery or CTE body cannot: correlation is one level deep).
+    pub(crate) fn reads_outer(&self) -> bool {
+        (self.exprs().iter()).any(|e| e.reads_outer())
+            || self.children().iter().any(|c| c.reads_outer())
     }
 
     /// `(subqueries, body executions so far)` in this node's own

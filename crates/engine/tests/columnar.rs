@@ -174,22 +174,56 @@ fn fused_aggregate_over_scan_takes_columnar_path() {
     ] {
         assert!(check(&db, sql), "expected fused aggregate for: {sql}");
     }
-    // stddev_samp is order-sensitive in f64: the aggregate must not fuse
-    // (its plan line carries no morsel actuals), though the scan beneath
-    // it still routes columnar.
-    let sql = "select stddev_samp(price) from sales where qty = 1";
-    let row = tpcds_engine::query_with(&db, sql, OFF).unwrap();
-    let col = tpcds_engine::query_analyze_with(&db, sql, FORCE).unwrap();
-    assert_eq!(canon(&row.rows), canon(&col.result.rows));
-    let agg_line = col
-        .plan_text
-        .lines()
-        .find(|l| l.contains("Aggregate"))
-        .unwrap();
-    assert!(
-        !agg_line.contains("morsels="),
-        "stddev aggregate must not fuse: {agg_line}"
-    );
+}
+
+/// STDDEV_SAMP's state is exact (`n`, `Σx`, `Σx²`), so per-worker
+/// partials merge in any order: over five morsels the aggregate runs the
+/// kernel and its bytes do not depend on the worker count.
+#[test]
+fn stddev_samp_runs_columnar_at_any_worker_count() {
+    let db = Database::new();
+    let meta = ["k", "qty", "price"].map(|name| ColumnMeta {
+        name: name.into(),
+        dtype: if name == "price" {
+            DataType::Decimal
+        } else {
+            DataType::Int
+        },
+    });
+    let rows: Vec<Row> = (0..40_000i64)
+        .map(|i| {
+            let qty = match i % 11 {
+                0 => Value::Null,
+                _ => Value::Int((i * 7919) % 1000),
+            };
+            let price = Value::Decimal(Decimal::from_cents((i * 104_729) % 100_003));
+            vec![Value::Int(i % 5), qty, price]
+        })
+        .collect();
+    db.create_table_with_rows("t", meta.to_vec(), rows).unwrap();
+    for sql in [
+        "select stddev_samp(qty), stddev_samp(price) from t",
+        "select k, stddev_samp(qty), stddev_samp(price * 3) from t group by k",
+    ] {
+        // The kernel emits groups in key order: every worker count must
+        // produce these exact rows.
+        let oracle = canon(&tpcds_engine::query_with(&db, sql, OFF).unwrap().rows);
+        for threads in [1, 2, 8] {
+            let opts = ExecOptions {
+                columnar: ColumnarMode::Force,
+                threads: Some(threads),
+            };
+            let col = tpcds_engine::query_analyze_with(&db, sql, opts).unwrap();
+            assert_eq!(col.result.rows, oracle, "{sql} @ {threads}");
+            let agg_line = (col.plan_text.lines())
+                .find(|l| l.contains("Aggregate"))
+                .unwrap();
+            assert!(
+                agg_line.contains("route=columnar") && agg_line.contains("morsels="),
+                "stddev aggregate must run the kernel: {agg_line}"
+            );
+        }
+    }
 }
 
 #[test]

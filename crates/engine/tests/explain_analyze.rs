@@ -241,7 +241,7 @@ fn distinct_dedupes() {
     let (n, plan) = analyze(&db, "select distinct a from t");
     assert_eq!(n, 3);
     // DISTINCT groups on every column and computes nothing.
-    let dedup = "Aggregate [1 group(s), 1 set(s), 0 agg(s)]";
+    let dedup = "Aggregate [1 group(s), 0 agg(s)]";
     assert_eq!(op_rows(&plan, dedup), vec![3], "{plan}");
 }
 
@@ -265,7 +265,7 @@ fn set_ops_union_intersect_except() {
     // INTERSECT / EXCEPT: the tagged union grouped on every column (four
     // distinct values, each with MIN and MAX of its side tags), filtered
     // to the groups both sides (or only the left) produced.
-    let tagged = "Aggregate [1 group(s), 1 set(s), 2 agg(s)]";
+    let tagged = "Aggregate [1 group(s), 2 agg(s)]";
     for (sql, kept) in [
         ("select x from a intersect select y from b", 1),
         ("select x from a except select y from b", 2),

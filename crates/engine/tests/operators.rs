@@ -132,6 +132,54 @@ fn aggregate_null_handling() {
 }
 
 #[test]
+fn aggregates_take_exactly_one_argument() {
+    let d = db();
+    int_table(&d, "t", &["a", "b"], vec![vec![Some(1), Some(2)]]);
+    for (sql, name) in [
+        ("select sum(a, b) from t", "sum"),
+        ("select count(distinct a, b) from t", "count"),
+        ("select count() from t", "count"),
+        ("select max(a, b, a) from t", "max"),
+        ("select sum(*) from t", "sum"),
+        (
+            "select a from t group by rollup(a) having grouping(a, b) = 0",
+            "grouping",
+        ),
+    ] {
+        let err = query(&d, sql).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("{name} takes exactly one argument")),
+            "{sql}: {err}"
+        );
+    }
+    let r = query(&d, "select count(*), count(a), stddev_samp(b) from t").unwrap();
+    assert_eq!(r.rows[0][..2], [Value::Int(1), Value::Int(1)]);
+}
+
+#[test]
+fn non_numeric_sum_and_stddev_raise_on_both_executors() {
+    let d = db();
+    let meta = vec![ColumnMeta {
+        name: "s".into(),
+        dtype: DataType::Str,
+    }];
+    d.create_table_with_rows("t", meta, vec![vec![Value::str("Greenfield")]])
+        .unwrap();
+    for func in ["sum", "stddev_samp"] {
+        for columnar in [ColumnarMode::Off, ColumnarMode::Force] {
+            let opts = ExecOptions {
+                columnar,
+                threads: Some(2),
+            };
+            let sql = format!("select {func}(s) from t");
+            let err = tpcds_engine::query_with(&d, &sql, opts).unwrap_err();
+            let want = format!("{func} of non-number Greenfield");
+            assert!(err.to_string().contains(&want), "{columnar:?}: {err}");
+        }
+    }
+}
+
+#[test]
 fn group_by_null_forms_its_own_group() {
     let d = db();
     int_table(

@@ -1,13 +1,14 @@
 //! Partial aggregate accumulators with exact merge semantics.
 //!
-//! [`PAcc`] is the accumulator for the aggregate subset the columnar path
-//! accepts — COUNT(*)/COUNT/SUM/MIN/MAX/AVG, all non-DISTINCT — and the one
-//! the engine's row path folds those functions with too ([`PAcc::update`]
-//! per value). Each state is associative and commutative (integer sums
-//! in `i128`, decimal sums exact, MIN/MAX a comparison lattice), so
+//! [`PAcc`] is the one accumulator of every aggregate function —
+//! COUNT(*)/COUNT/SUM/MIN/MAX/AVG/STDDEV_SAMP — on both executors: the
+//! kernels fold column ranges ([`PAcc::update_range`]) and the row
+//! interpreter folds one value at a time ([`PAcc::update`]). Each state is
+//! associative and commutative (integer sums in `i128`, decimal sums and
+//! STDDEV_SAMP's `{n, Σx, Σx²}` exact, MIN/MAX a comparison lattice), so
 //! per-worker partials merge into exactly the value the serial row path
-//! produces. STDDEV_SAMP is deliberately *not* here: its streaming `f64`
-//! update is order-sensitive, so those plans stay on the row path.
+//! produces. DISTINCT, ROLLUP and GROUPING are the binder's to lower onto
+//! plain calls.
 
 use crate::column::{Column, ColumnData};
 use crate::pred::P_TRUE;
@@ -29,6 +30,9 @@ pub enum AggKind {
     Max,
     /// `AVG(col)` — exact decimal sum divided at finish.
     Avg,
+    /// `STDDEV_SAMP(col)` — exact count, sum and sum of squares; the
+    /// variance is taken once, at finish.
+    StddevSamp,
 }
 
 /// One aggregate call: the function and its column argument
@@ -66,13 +70,9 @@ pub enum PAcc {
         /// True for MIN, false for MAX.
         is_min: bool,
     },
-    /// AVG: exact decimal sum and count, divided at finish.
-    Avg {
-        /// Exact decimal partial sum.
-        sum: Decimal,
-        /// Number of non-NULL values.
-        n: i64,
-    },
+    /// AVG and STDDEV_SAMP: the number of non-NULL values, their exact
+    /// sum and (STDDEV_SAMP only) exact sum of squares, combined at finish.
+    Moments(i64, Decimal, Option<Decimal>),
 }
 
 impl PAcc {
@@ -94,10 +94,8 @@ impl PAcc {
                 best: None,
                 is_min: false,
             },
-            AggKind::Avg => PAcc::Avg {
-                sum: Decimal::ZERO,
-                n: 0,
-            },
+            AggKind::Avg => PAcc::Moments(0, Decimal::ZERO, None),
+            AggKind::StddevSamp => PAcc::Moments(0, Decimal::ZERO, Some(Decimal::ZERO)),
         }
     }
 
@@ -159,15 +157,19 @@ impl PAcc {
                     }
                 }
             }
-            PAcc::Avg { sum, n } => {
+            PAcc::Moments(n, sum, sq) => {
                 if let Some(v) = v {
+                    let name = moments_name(sq);
                     if let Some(d) = v.as_decimal() {
-                        *sum = sum
-                            .checked_add(&d)
-                            .ok_or_else(|| StorageError::new("avg overflow"))?;
+                        let overflow = || StorageError::new(format!("{name} overflow"));
+                        if let Some(sq) = sq {
+                            let d2 = d.checked_mul(&d).ok_or_else(overflow)?;
+                            *sq = sq.checked_add(&d2).ok_or_else(overflow)?;
+                        }
+                        *sum = sum.checked_add(&d).ok_or_else(overflow)?;
                         *n += 1;
                     } else if !v.is_null() {
-                        return Err(StorageError::new(format!("avg of non-number {v}")));
+                        return Err(StorageError::new(format!("{name} of non-number {v}")));
                     }
                 }
             }
@@ -222,7 +224,7 @@ impl PAcc {
                 *int += acc;
                 *seen |= any;
             }
-            (PAcc::Avg { sum, n }, ColumnData::I64(buf)) => {
+            (PAcc::Moments(n, sum, None), ColumnData::I64(buf)) => {
                 // Integer AVG: accumulate in i128, add to the decimal sum
                 // once (same value as per-row decimal adds, fewer of them).
                 let mut acc: i128 = 0;
@@ -327,10 +329,13 @@ impl PAcc {
                     self.update(Some(&v))?;
                 }
             }
-            (PAcc::Avg { sum, n }, PAcc::Avg { sum: os, n: on }) => {
-                *sum = sum
-                    .checked_add(&os)
-                    .ok_or_else(|| StorageError::new("avg overflow"))?;
+            (PAcc::Moments(n, sum, sq), PAcc::Moments(on, os, osq)) => {
+                let name = moments_name(sq);
+                let overflow = || StorageError::new(format!("{name} overflow"));
+                if let (Some(sq), Some(osq)) = (sq.as_mut(), osq) {
+                    *sq = sq.checked_add(&osq).ok_or_else(overflow)?;
+                }
+                *sum = sum.checked_add(&os).ok_or_else(overflow)?;
                 *n += on;
             }
             _ => unreachable!("merging mismatched accumulators"),
@@ -361,17 +366,33 @@ impl PAcc {
                 }
             }
             PAcc::MinMax { best, .. } => best.unwrap_or(Value::Null),
-            PAcc::Avg { sum, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    sum.checked_div(&Decimal::from_int(n))
-                        .map(Value::Decimal)
-                        .unwrap_or(Value::Null)
-                }
+            PAcc::Moments(0, _, None) => Value::Null,
+            PAcc::Moments(n, sum, None) => sum
+                .checked_div(&Decimal::from_int(n))
+                .map(Value::Decimal)
+                .unwrap_or(Value::Null),
+            PAcc::Moments(..=1, _, _) => Value::Null,
+            PAcc::Moments(n, sum, Some(sq)) => {
+                // n·Σx² − (Σx)², exactly when it fits; the variance is the
+                // one f64 step, so any merge order gives the same bytes.
+                let nf = n as f64;
+                let exact = (Decimal::from_int(n).checked_mul(&sq))
+                    .zip(sum.checked_mul(&sum))
+                    .and_then(|(a, b)| a.checked_sub(&b));
+                let num = match exact {
+                    Some(d) => d.normalize().to_f64(),
+                    None => nf * sq.to_f64() - sum.to_f64().powi(2),
+                };
+                let var = (num / (nf * (nf - 1.0))).max(0.0);
+                Value::Decimal(Decimal::from_f64(var.sqrt(), 6))
             }
         }
     }
+}
+
+/// The SQL name of a [`PAcc::Moments`] accumulator, for its errors.
+fn moments_name(sq: &Option<Decimal>) -> &'static str {
+    ["avg", "stddev_samp"][sq.is_some() as usize]
 }
 
 #[cfg(test)]
@@ -396,6 +417,21 @@ mod tests {
         assert!(PAcc::new(AggKind::Sum).finish().is_null());
         assert!(PAcc::new(AggKind::Min).finish().is_null());
         assert!(PAcc::new(AggKind::Avg).finish().is_null());
+        let mut one = PAcc::new(AggKind::StddevSamp);
+        one.update(Some(&Value::Int(4))).unwrap();
+        assert!(one.finish().is_null(), "stddev_samp of one value");
+    }
+
+    #[test]
+    fn stddev_samp_is_exact_until_finish() {
+        let mut a = PAcc::new(AggKind::StddevSamp);
+        for v in ["2.50", "4.00", "4.00", "5.25", "7.00", "9.75"] {
+            a.update(Some(&Value::Decimal(v.parse().unwrap()))).unwrap();
+        }
+        a.update(Some(&Value::Null)).unwrap();
+        // n = 6, Σx = 32.5, Σx² = 209.875: variance (6·Σx² − (Σx)²) / 30.
+        let want = (203.0f64 / 30.0).sqrt();
+        assert_eq!(a.finish(), Value::Decimal(Decimal::from_f64(want, 6)));
     }
 
     #[test]
@@ -415,6 +451,7 @@ mod tests {
             AggKind::Min,
             AggKind::Max,
             AggKind::Avg,
+            AggKind::StddevSamp,
         ] {
             let mut serial = PAcc::new(kind);
             for v in &vals {
@@ -460,6 +497,7 @@ mod tests {
             AggKind::Min,
             AggKind::Max,
             AggKind::Avg,
+            AggKind::StddevSamp,
         ] {
             let mut fast = PAcc::new(kind);
             fast.update_range(Some(&col), 0, 50, Some(&sel)).unwrap();
@@ -482,5 +520,8 @@ mod tests {
         let mut a = PAcc::new(AggKind::Sum);
         let err = a.update(Some(&Value::str("x"))).unwrap_err();
         assert!(err.0.contains("sum of non-number"));
+        let mut s = PAcc::new(AggKind::StddevSamp);
+        let err = s.update(Some(&Value::str("x"))).unwrap_err();
+        assert_eq!(err.0, "stddev_samp of non-number x");
     }
 }

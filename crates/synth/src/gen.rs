@@ -370,10 +370,8 @@ impl Synthesizer {
             .collect()
     }
 
-    /// 1–2 aggregate select items over the given tables. AVG is restricted
-    /// to decimal columns (exact arithmetic on both paths); STDDEV is
-    /// deliberately excluded — float partial-sum order differs across
-    /// worker counts.
+    /// 1–2 aggregate select items over the given tables. AVG and
+    /// STDDEV_SAMP are restricted to decimal columns.
     fn pick_aggs(&self, rng: &mut ColumnRng, tables: &[&str]) -> Vec<Item> {
         let mut aggs = vec![Item::free("count(*)")];
         let t = tables[rng.uniform_i64(0, tables.len() as i64 - 1) as usize];
@@ -384,12 +382,13 @@ impl Synthesizer {
                 self.def(t).column(col).map(|c| c.ctype),
                 Some(ColumnType::Dec(_, _))
             );
-            let func = match rng.uniform_i64(0, if is_dec { 4 } else { 3 }) {
+            let func = match rng.uniform_i64(0, if is_dec { 5 } else { 3 }) {
                 0 => "sum",
                 1 => "min",
                 2 => "max",
                 3 => "count",
-                _ => "avg",
+                4 => "avg",
+                _ => "stddev_samp",
             };
             aggs.push(Item::on(t, format!("{func}({col})")));
         }

@@ -17,7 +17,7 @@
 //! same snapshot version.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 use tpcds_dgen::Generator;
 use tpcds_engine::{ColumnarMode, Database, DbSnapshot, ExecOptions, QueryMeta};
@@ -269,11 +269,20 @@ pub fn run_soak(
     let log_before = db.query_log().total_recorded();
 
     let outcome = Mutex::new(SoakOutcome::default());
+    // The writer starts once every stream has run its first query, and a
+    // stream runs its last one once the writer is done, so the streams see
+    // versions on both sides of the commits. Each signal is the drop of a
+    // channel's senders: a thread that panics releases the others too.
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (done_txs, done_rxs): (Vec<_>, Vec<_>) =
+        (0..cfg.streams).map(|_| mpsc::channel::<()>()).unzip();
     let dm_rows = std::thread::scope(|scope| {
         let dm = generator.filter(|_| cfg.dm_commits > 0).map(|g| {
             let db = Arc::clone(db);
             let commits = cfg.dm_commits;
             scope.spawn(move || {
+                let _done = done_txs;
+                while started_rx.recv().is_ok() {}
                 let mut rows = 0usize;
                 for seq in 0..commits {
                     rows += tpcds_maint::run_maintenance(&db, g, seq)
@@ -284,14 +293,19 @@ pub fn run_soak(
             })
         });
 
-        let streams: Vec<_> = (0..cfg.streams)
-            .map(|s| {
+        let streams: Vec<_> = (done_rxs.into_iter().enumerate())
+            .map(|(s, done)| {
                 let synth = &synth;
                 let outcome = &outcome;
+                let mut started = Some(started_tx.clone());
                 let first = (s * cfg.queries_per_stream) as u64;
+                let end = first + cfg.queries_per_stream as u64;
                 scope.spawn(move || {
                     let mut client = addr.map(|a| Client::connect(a).expect("soak client"));
-                    for qid in first..first + cfg.queries_per_stream as u64 {
+                    for qid in first..end {
+                        if qid + 1 == end && qid != first {
+                            let _ = done.recv();
+                        }
                         let spec = synth.generate(qid);
                         let sql = spec.sql();
                         let (version, snap, oracle_rows, failure) = match client.as_mut() {
@@ -344,10 +358,12 @@ pub fn run_soak(
                                 detail,
                             });
                         }
+                        started.take();
                     }
                 })
             })
             .collect();
+        drop(started_tx);
         for h in streams {
             h.join().expect("soak stream");
         }

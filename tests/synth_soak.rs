@@ -92,5 +92,6 @@ fn soak_via_server_matches_in_process_semantics() {
         "remote differential mismatches: {:?}",
         outcome.failures
     );
+    // `run_soak` commits between each stream's first and last query.
     assert!(outcome.versions_observed.len() > 1);
 }
