@@ -225,8 +225,12 @@ pub enum Expr {
     Window {
         /// Function name.
         name: String,
-        /// Arguments.
+        /// Arguments (empty for `count(*)` with `star = true`).
         args: Vec<Expr>,
+        /// `count(*)`.
+        star: bool,
+        /// `DISTINCT` inside the call.
+        distinct: bool,
         /// PARTITION BY expressions.
         partition_by: Vec<Expr>,
         /// ORDER BY items.

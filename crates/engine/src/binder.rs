@@ -12,10 +12,10 @@ use crate::ast;
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
 use crate::expr::{ArithOp, BExpr, CmpOp, ScalarFunc, SubPlan};
-use crate::plan::{AggCall, JoinKind, Plan, WinFunc, WindowCall};
+use crate::plan::{AggCall, JoinKind, Plan, WindowCall};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tpcds_storage::{AggKind, KeySet};
+use tpcds_storage::{AggKind, KeySet, WinFunc};
 use tpcds_types::{DataType, Value};
 
 /// Sentinel base for window-result column references: window columns are
@@ -318,58 +318,34 @@ impl<'a> Binder<'a> {
                 let (lp, ls) = self.bind_table_ref(left, outer, outer_refs)?;
                 let (rp, rs) = self.bind_table_ref(right, outer, outer_refs)?;
                 let scope = ls.merged(rs);
-                match kind {
-                    ast::JoinKind::Cross => Ok((
-                        Plan::NestedLoopJoin {
-                            left: Arc::new(lp),
-                            right: Arc::new(rp),
-                            kind: JoinKind::Inner,
-                            predicate: None,
-                        },
-                        scope,
-                    )),
-                    ast::JoinKind::Inner | ast::JoinKind::Left => {
-                        let jk = if *kind == ast::JoinKind::Left {
-                            JoinKind::Left
-                        } else {
-                            JoinKind::Inner
-                        };
-                        let on_expr = on
-                            .as_ref()
-                            .ok_or_else(|| EngineError::bind("JOIN requires ON"))?;
-                        let pred = self.bind_expr(on_expr, &scope, outer, outer_refs, None)?;
-                        // Extract equi keys split across the two sides.
-                        let lw = lp.width();
-                        let (keys, residual) = split_equi_keys(&pred, lw);
-                        if keys.is_empty() {
-                            Ok((
-                                Plan::NestedLoopJoin {
-                                    left: Arc::new(lp),
-                                    right: Arc::new(rp),
-                                    kind: jk,
-                                    predicate: Some(pred),
-                                },
-                                scope,
-                            ))
-                        } else {
-                            let (lk, rk): (Vec<BExpr>, Vec<BExpr>) = keys.into_iter().unzip();
-                            Ok((
-                                Plan::HashJoin {
-                                    left: Arc::new(lp),
-                                    right: Arc::new(rp),
-                                    kind: jk,
-                                    left_keys: lk,
-                                    right_keys: rk
-                                        .iter()
-                                        .map(|k| k.remap_columns(&|c| c - lw))
-                                        .collect(),
-                                    residual,
-                                },
-                                scope,
-                            ))
-                        }
-                    }
-                }
+                let jk = match kind {
+                    ast::JoinKind::Cross => return Ok((cross_join(lp, rp), scope)),
+                    ast::JoinKind::Inner => JoinKind::Inner,
+                    ast::JoinKind::Left => JoinKind::Left,
+                };
+                let on_expr = on
+                    .as_ref()
+                    .ok_or_else(|| EngineError::bind("JOIN requires ON"))?;
+                let pred = self.bind_expr(on_expr, &scope, outer, outer_refs, None)?;
+                // Extract equi keys split across the two sides; without
+                // one, the whole ON condition is the residual.
+                let lw = lp.width();
+                let (keys, residual) = split_equi_keys(&pred, lw);
+                let residual = if keys.is_empty() {
+                    Some(pred)
+                } else {
+                    residual
+                };
+                let (lk, rk): (Vec<BExpr>, Vec<BExpr>) = keys.into_iter().unzip();
+                let join = Plan::HashJoin {
+                    left: Arc::new(lp),
+                    right: Arc::new(rp),
+                    kind: jk,
+                    left_keys: lk,
+                    right_keys: (rk.iter()).map(|k| k.remap_columns(&|c| c - lw)).collect(),
+                    residual,
+                };
+                Ok((join, scope))
             }
         }
     }
@@ -387,12 +363,7 @@ impl<'a> Binder<'a> {
             let (p, s) = self.bind_table_ref(t, outer, outer_refs)?;
             plan = Some(match plan {
                 None => p,
-                Some(acc) => Plan::NestedLoopJoin {
-                    left: Arc::new(acc),
-                    right: Arc::new(p),
-                    kind: JoinKind::Inner,
-                    predicate: None,
-                },
+                Some(acc) => cross_join(acc, p),
             });
             scope = scope.merged(s);
         }
@@ -841,17 +812,10 @@ impl<'a> Binder<'a> {
         outer_refs: &mut Vec<usize>,
         windows: &mut Vec<WindowCall>,
     ) -> Result<BExpr> {
-        if let ast::Expr::Window {
-            name,
-            args,
-            partition_by,
-            order_by,
-        } = e
-        {
-            let call =
-                self.build_window_call(name, args, partition_by, order_by, &mut |b, ast_e| {
-                    b.bind_expr(ast_e, scope, outer, outer_refs, None)
-                })?;
+        if let ast::Expr::Window { .. } = e {
+            let call = self.build_window_call(e, &mut |b, ast_e| {
+                b.bind_expr(ast_e, scope, outer, outer_refs, None)
+            })?;
             let idx = WIN_SENTINEL + windows.len();
             windows.push(call);
             return Ok(BExpr::Col(idx));
@@ -922,19 +886,12 @@ impl<'a> Binder<'a> {
         }
         // 3. Window call: arguments/partitions are bound in the aggregate
         //    environment (so SUM(SUM(x)) OVER (...) works).
-        if let ast::Expr::Window {
-            name,
-            args,
-            partition_by,
-            order_by,
-        } = e
-        {
+        if let ast::Expr::Window { .. } = e {
             // Window binding may add aggregate calls to env, shifting the
             // aggregate width — record a sentinel and patch later.
-            let call =
-                self.build_window_call(name, args, partition_by, order_by, &mut |b, ast_e| {
-                    b.bind_agg_expr(ast_e, scope, outer, outer_refs, env, &mut Vec::new())
-                })?;
+            let call = self.build_window_call(e, &mut |b, ast_e| {
+                b.bind_agg_expr(ast_e, scope, outer, outer_refs, env, &mut Vec::new())
+            })?;
             let idx = WIN_SENTINEL + windows.len();
             windows.push(call);
             return Ok(BExpr::Col(idx));
@@ -1051,33 +1008,48 @@ impl<'a> Binder<'a> {
         })
     }
 
-    #[allow(clippy::type_complexity)]
+    /// Binds the window call `e`: the rank family, or any aggregate a
+    /// GROUP BY computes ([`aggregate_kind`]), whose arguments are checked
+    /// as an aggregate call's — but DISTINCT is refused.
     fn build_window_call(
         &mut self,
-        name: &str,
-        args: &[ast::Expr],
-        partition_by: &[ast::Expr],
-        order_by: &[ast::OrderItem],
+        e: &ast::Expr,
         bind: &mut impl FnMut(&mut Self, &ast::Expr) -> Result<BExpr>,
     ) -> Result<WindowCall> {
-        let func = match name {
-            "sum" => WinFunc::Sum,
-            "avg" => WinFunc::Avg,
-            "count" => WinFunc::Count,
-            "min" => WinFunc::Min,
-            "max" => WinFunc::Max,
+        let ast::Expr::Window {
+            name,
+            args,
+            star,
+            distinct,
+            partition_by,
+            order_by,
+        } = e
+        else {
+            unreachable!("not a window call: {e:?}")
+        };
+        let func = match name.as_str() {
             "rank" => WinFunc::Rank,
             "dense_rank" => WinFunc::DenseRank,
             "row_number" => WinFunc::RowNumber,
-            other => {
-                return Err(EngineError::bind(format!(
-                    "unknown window function {other}"
-                )))
-            }
+            _ => WinFunc::Agg(
+                aggregate_kind(name, *star)
+                    .ok_or_else(|| EngineError::bind(format!("unknown window function {name}")))?,
+            ),
         };
-        let arg = match args.first() {
-            Some(a) => Some(bind(self, a)?),
-            None => None,
+        if *distinct {
+            return Err(EngineError::bind(format!(
+                "DISTINCT is not supported in window function {name}"
+            )));
+        }
+        let arg = match (func, args.as_slice()) {
+            (WinFunc::Agg(AggKind::CountStar), _) => None,
+            (WinFunc::Agg(_), [a]) => Some(bind(self, a)?),
+            (WinFunc::Agg(_), _) => {
+                let msg = format!("{name} takes exactly one argument");
+                return Err(EngineError::bind(msg));
+            }
+            (_, []) if !star => None,
+            _ => return Err(EngineError::bind(format!("{name} takes no arguments"))),
         };
         let mut partition = Vec::new();
         for p in partition_by {
@@ -1087,11 +1059,7 @@ impl<'a> Binder<'a> {
         for o in order_by {
             order.push((bind(self, &o.expr)?, o.desc));
         }
-        if matches!(
-            func,
-            WinFunc::Rank | WinFunc::DenseRank | WinFunc::RowNumber
-        ) && order.is_empty()
-        {
+        if !matches!(func, WinFunc::Agg(_)) && order.is_empty() {
             return Err(EngineError::bind(format!("{name}() requires ORDER BY")));
         }
         Ok(WindowCall {
@@ -1402,6 +1370,18 @@ fn group_first(input: Plan, w: usize, aggs: Vec<AggCall>) -> Plan {
         input: Arc::new(input),
         groups: (0..w).map(BExpr::Col).collect(),
         aggs,
+    }
+}
+
+/// Every pair of `l`'s and `r`'s rows: a hash join on no keys.
+fn cross_join(l: Plan, r: Plan) -> Plan {
+    Plan::HashJoin {
+        left: Arc::new(l),
+        right: Arc::new(r),
+        kind: JoinKind::Inner,
+        left_keys: vec![],
+        right_keys: vec![],
+        residual: None,
     }
 }
 

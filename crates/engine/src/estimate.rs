@@ -113,23 +113,6 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
             }
             est
         }
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            predicate,
-        } => {
-            let l = walk(left, db, map);
-            let r = walk(right, db, map);
-            let mut est = l * r;
-            if let Some(p) = predicate {
-                est *= predicate_selectivity(p, None, db);
-            }
-            if *kind == JoinKind::Left {
-                est = est.max(l);
-            }
-            est
-        }
         Plan::Aggregate { input, groups, .. } => {
             let in_est = walk(input, db, map);
             if groups.is_empty() {
@@ -152,7 +135,8 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
 
 /// Classic equi-join estimate: `|L| * |R| / max-key-NDV`, per key pair,
 /// falling back to the primary-key assumption `max(|L|, |R|)` when no
-/// side's key NDV can be resolved from base-table statistics.
+/// side's key NDV can be resolved from base-table statistics. Without
+/// keys, every pair: `|L| * |R|`.
 fn equi_join_rows(
     l: f64,
     r: f64,
@@ -165,7 +149,7 @@ fn equi_join_rows(
     let ls = scan_table_stats(left, db);
     let rs = scan_table_stats(right, db);
     let mut denom = 1.0f64;
-    let mut resolved = false;
+    let mut resolved = left_keys.is_empty();
     for (lk, rk) in left_keys.iter().zip(right_keys) {
         let ln = key_ndv(lk, ls.as_deref());
         let rn = key_ndv(rk, rs.as_deref());

@@ -1,23 +1,25 @@
 //! Plan execution. Operators exchange lazy column batches
 //! ([`tpcds_storage::Batch`]: a table, a pending predicate, a pending
 //! projection) and rows are materialized once, at the result edge
-//! ([`execute`]). The serial row interpreter ([`serial_node`]) is kept as
-//! the oracle: it is what [`ColumnarMode::Off`] runs end to end, and what
-//! nodes without a batch kernel run through one adapter ([`adapt`]). It
-//! pushes rows into a [`Sink`] that can decline more, which is how a
-//! `LIMIT` stops its input early — on both executors ([`stream`]).
+//! ([`execute`]). Every node has a batch kernel. The serial row
+//! interpreter ([`serial_node`]) is kept as the oracle: it is what
+//! [`ColumnarMode::Off`] runs end to end, and what a node runs through
+//! one adapter ([`adapt`]) when an expression it evaluates needs a row no
+//! kernel can see. It pushes rows into a [`Sink`] that can decline more,
+//! which is how a `LIMIT` stops its input early — on both executors
+//! ([`stream`]).
 
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
 use crate::expr::BExpr;
-use crate::plan::{AggCall, JoinKind, Plan, WinFunc, WindowCall};
+use crate::plan::{AggCall, JoinKind, Plan, WindowCall};
 use crate::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tpcds_storage::Batch;
-use tpcds_types::{Decimal, Row, Value};
+use tpcds_storage::{Batch, WinFunc};
+use tpcds_types::{Row, Value};
 
 /// Which execution path an operator actually took. Ordered by how
 /// accelerated the path is, so folding multiple calls keeps the best.
@@ -52,9 +54,9 @@ impl RoutePath {
 /// serial interpreter instead of a batch kernel. The vocabulary is closed:
 /// coverage baselines and dashboards match on these exact strings. Every
 /// member of an interpreted chain (`exec::interpreted`) carries the
-/// reason of the first member that needs the interpreter. Every aggregate
-/// has a kernel: the binder lowers ROLLUP, `GROUPING()` and DISTINCT
-/// calls onto plain ones.
+/// reason of the first member that needs the interpreter. Every node has
+/// a kernel, so with the executor on only an expression or a virtual
+/// table sends a node to the interpreter.
 pub mod reason {
     /// Columnar routing disabled (`TPCDS_COLUMNAR=off` / ExecOptions).
     pub const COLUMNAR_OFF: &str = "columnar-off";
@@ -63,8 +65,6 @@ pub mod reason {
     /// `EXISTS`, or a subquery whose one evaluation raised — the only
     /// reason an expression ever falls off the vectorized path.
     pub const EXPR_UNSUPPORTED: &str = "expr-unsupported";
-    /// The operator has no batch kernel yet (Window, NestedLoopJoin).
-    pub const NO_KERNEL: &str = "no-kernel";
     /// A `sys.*` virtual table: rows materialize at scan time, so there
     /// are no segments to route through.
     pub const SYS_VIRTUAL: &str = "sys-virtual";
@@ -486,9 +486,8 @@ fn rows_of(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Ve
 
 /// The one adapter between the two executors: runs the serial
 /// interpreter's operator for `plan` over its children's materialized
-/// batches and re-wraps the result. Every node without a batch kernel
-/// (and every expression the compiler refuses) comes through here,
-/// recorded as `route=serial[why]`.
+/// batches and re-wraps the result. Every node with an expression the
+/// compiler refuses comes through here, recorded as `route=serial[why]`.
 fn adapt(
     plan: &Plan,
     ctx: &ExecCtx<'_>,
@@ -556,9 +555,10 @@ fn plain_cols<'e>(exprs: impl IntoIterator<Item = &'e BExpr>) -> Option<Vec<usiz
 /// The batch executor: every node returns a lazy [`Batch`]. `Scan` yields
 /// the segments untouched, a compilable `Filter` ANDs into the pending
 /// predicate, a plain-column `Project`/`Prefix` composes the pending
-/// projection; joins, aggregates, sorts and limits hand whatever batch
-/// their child produced to a morsel kernel. Nodes without a kernel, and
-/// [`interpreted`] chains, go through [`adapt`].
+/// projection; joins, aggregates, windows, sorts and limits hand whatever
+/// batch their child produced to a morsel kernel. A node with an
+/// expression no kernel evaluates, and [`interpreted`] chains, go through
+/// [`adapt`].
 fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Batch> {
     if let Some(why) = interpreted(plan, ctx) {
         return adapt(plan, ctx, outer, why);
@@ -722,8 +722,37 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
             let r = dense(batch(right, ctx, outer)?, node, ctx)?;
             Ok(Batch::new(Arc::new(l.concat(&r))))
         }
-        Plan::NestedLoopJoin { .. } | Plan::Window { .. } => {
-            adapt(plan, ctx, outer, reason::NO_KERNEL)
+        Plan::Window { input, calls } => {
+            // Each call's argument, partition keys and order keys, in turn.
+            let exprs = plan.exprs();
+            if !exprs.iter().all(|e| compilable(e, ctx)) {
+                return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
+            }
+            columnar();
+            let (b, cols) = key_columns(batch(input, ctx, outer)?, &exprs, true, node, ctx)?;
+            let mut cols = cols.into_iter();
+            let specs: Vec<_> = (calls.iter())
+                .map(|c| {
+                    let arg = c.arg.as_ref().and_then(|_| cols.next());
+                    let desc =
+                        (c.partition.iter().map(|_| false)).chain(c.order.iter().map(|k| k.1));
+                    let keys = desc.map(|desc| tpcds_storage::SortKey {
+                        col: cols.next().expect("a key column"),
+                        desc,
+                    });
+                    tpcds_storage::WinSpec {
+                        func: c.func,
+                        arg,
+                        keys: keys.collect(),
+                        partition: c.partition.len(),
+                    }
+                })
+                .collect();
+            let res = tpcds_storage::par_window(&b, &specs, threads);
+            check_err(&b)?;
+            let (table, ss) = res.map_err(storage_err)?;
+            ctx.record_sort(node, &ss);
+            Ok(Batch::new(Arc::new(table)))
         }
     }
 }
@@ -1001,23 +1030,6 @@ fn serial_node(
             )?,
             sink,
         ),
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            predicate,
-        } => feed(
-            nested_loop_join(
-                child(left)?,
-                child(right)?,
-                right.width(),
-                *kind,
-                predicate.as_ref(),
-                ctx,
-                outer,
-            )?,
-            sink,
-        ),
         Plan::Aggregate {
             input,
             groups,
@@ -1245,39 +1257,6 @@ fn hash_join(
     Ok(out)
 }
 
-fn nested_loop_join(
-    left_rows: Vec<Row>,
-    right_rows: Vec<Row>,
-    right_width: usize,
-    kind: JoinKind,
-    predicate: Option<&BExpr>,
-    ctx: &ExecCtx<'_>,
-    outer: Option<&[Value]>,
-) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
-    for lrow in &left_rows {
-        let mut matched = false;
-        for rrow in &right_rows {
-            let mut row = lrow.clone();
-            row.extend(rrow.iter().cloned());
-            let keep = match predicate {
-                Some(p) => p.matches(&row, ctx, outer)?,
-                None => true,
-            };
-            if keep {
-                matched = true;
-                out.push(row);
-            }
-        }
-        if !matched && kind == JoinKind::Left {
-            let mut row = lrow.clone();
-            row.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push(row);
-        }
-    }
-    Ok(out)
-}
-
 // ---------- aggregation ----------
 
 /// The serial hash aggregate: per group, the kernels' own accumulators
@@ -1319,208 +1298,74 @@ fn aggregate(
 
 // ---------- window functions ----------
 
+/// The serial window operator: `rows` in input order, each with one value
+/// appended per call.
 fn window(
-    rows: Vec<Row>,
+    mut rows: Vec<Row>,
     calls: &[WindowCall],
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
 ) -> Result<Vec<Row>> {
-    let n = rows.len();
-    // Each call appends one column; compute per call into a column buffer.
-    let mut extra: Vec<Vec<Value>> = vec![Vec::new(); calls.len()];
-    for (ci, call) in calls.iter().enumerate() {
-        let col = window_column(&rows, call, ctx, outer)?;
-        extra[ci] = col;
+    let columns = (calls.iter())
+        .map(|call| window_column(&rows, call, ctx, outer))
+        .collect::<Result<Vec<_>>>()?;
+    for (i, row) in rows.iter_mut().enumerate() {
+        row.extend(columns.iter().map(|col| col[i].clone()));
     }
-    let mut out = Vec::with_capacity(n);
-    for (i, mut row) in rows.into_iter().enumerate() {
-        for col in &extra {
-            row.push(col[i].clone());
-        }
-        out.push(row);
-    }
-    Ok(out)
+    Ok(rows)
 }
 
+/// One call's value for every row: the rows partitioned by hash, each
+/// partition stably sorted by the order keys and walked one peer group
+/// (rows with equal order keys) at a time — ranks from positions,
+/// aggregates a running [`PAcc`](tpcds_storage::agg::PAcc) finished once
+/// per peer group, which without ORDER BY is the whole partition.
 fn window_column(
     rows: &[Row],
     call: &WindowCall,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
 ) -> Result<Vec<Value>> {
-    // Partition rows.
-    let mut partitions: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+    use tpcds_storage::agg::PAcc;
+    let mut partitions: HashMap<Vec<Value>, Vec<(Vec<Value>, usize)>> = HashMap::new();
     for (i, row) in rows.iter().enumerate() {
-        let mut key = Vec::with_capacity(call.partition.len());
-        for p in &call.partition {
-            key.push(p.eval(row, ctx, outer)?);
-        }
-        partitions.entry(key).or_default().push(i);
+        let eval = |e: &BExpr| e.eval(row, ctx, outer);
+        let order = (call.order.iter())
+            .map(|(e, _)| eval(e))
+            .collect::<Result<_>>()?;
+        let key = call.partition.iter().map(eval).collect::<Result<_>>()?;
+        partitions.entry(key).or_default().push((order, i));
     }
     let mut result = vec![Value::Null; rows.len()];
-    for (_, mut idxs) in partitions {
-        // Order within the partition.
-        if !call.order.is_empty() {
-            let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(idxs.len());
-            for &i in &idxs {
-                let mut k = Vec::with_capacity(call.order.len());
-                for (e, _) in &call.order {
-                    k.push(e.eval(&rows[i], ctx, outer)?);
+    for (_, mut part) in partitions {
+        part.sort_by(|a, b| cmp_keys(&a.0, &b.0, &call.order));
+        let (mut acc, mut at, mut dense) = (None, 0, 0);
+        for peers in part.chunk_by(|a, b| a.0 == b.0) {
+            dense += 1;
+            let value = match call.func {
+                WinFunc::Agg(kind) => {
+                    let acc = acc.get_or_insert_with(|| PAcc::new(kind));
+                    for (_, i) in peers {
+                        let v = (call.arg.as_ref().map(|e| e.eval(&rows[*i], ctx, outer)))
+                            .transpose()?;
+                        acc.update(v.as_ref()).map_err(storage_err)?;
+                    }
+                    acc.clone().finish()
                 }
-                keyed.push((k, i));
+                WinFunc::Rank => Value::Int(at as i64 + 1),
+                WinFunc::DenseRank => Value::Int(dense),
+                WinFunc::RowNumber => Value::Null,
+            };
+            for (j, (_, i)) in peers.iter().enumerate() {
+                result[*i] = match call.func {
+                    WinFunc::RowNumber => Value::Int((at + j) as i64 + 1),
+                    _ => value.clone(),
+                };
             }
-            keyed.sort_by(|a, b| cmp_keys(&a.0, &b.0, &call.order));
-            idxs = keyed.into_iter().map(|(_, i)| i).collect();
-        }
-        match call.func {
-            WinFunc::RowNumber => {
-                for (rank, &i) in idxs.iter().enumerate() {
-                    result[i] = Value::Int(rank as i64 + 1);
-                }
-            }
-            WinFunc::Rank | WinFunc::DenseRank => {
-                let mut keys: Vec<Vec<Value>> = Vec::with_capacity(idxs.len());
-                for &i in &idxs {
-                    let mut k = Vec::new();
-                    for (e, _) in &call.order {
-                        k.push(e.eval(&rows[i], ctx, outer)?);
-                    }
-                    keys.push(k);
-                }
-                let mut rank = 0i64;
-                let mut dense = 0i64;
-                for (pos, &i) in idxs.iter().enumerate() {
-                    let new_peer = pos == 0 || keys[pos] != keys[pos - 1];
-                    if new_peer {
-                        rank = pos as i64 + 1;
-                        dense += 1;
-                    }
-                    result[i] = Value::Int(if call.func == WinFunc::Rank {
-                        rank
-                    } else {
-                        dense
-                    });
-                }
-            }
-            WinFunc::Sum | WinFunc::Avg | WinFunc::Count | WinFunc::Min | WinFunc::Max => {
-                let arg = call
-                    .arg
-                    .as_ref()
-                    .ok_or_else(|| EngineError::exec("window aggregate needs an argument"))?;
-                let vals: Result<Vec<Value>> = idxs
-                    .iter()
-                    .map(|&i| arg.eval(&rows[i], ctx, outer))
-                    .collect();
-                let vals = vals?;
-                if call.order.is_empty() {
-                    // Whole partition.
-                    let total = fold_window(call.func, &vals)?;
-                    for &i in &idxs {
-                        result[i] = total.clone();
-                    }
-                } else {
-                    // Running aggregate with peers included: group by order
-                    // key equality.
-                    let mut keys: Vec<Vec<Value>> = Vec::with_capacity(idxs.len());
-                    for &i in &idxs {
-                        let mut k = Vec::new();
-                        for (e, _) in &call.order {
-                            k.push(e.eval(&rows[i], ctx, outer)?);
-                        }
-                        keys.push(k);
-                    }
-                    let mut pos = 0;
-                    while pos < idxs.len() {
-                        let mut end = pos + 1;
-                        while end < idxs.len() && keys[end] == keys[pos] {
-                            end += 1;
-                        }
-                        let total = fold_window(call.func, &vals[..end])?;
-                        for &i in &idxs[pos..end] {
-                            result[i] = total.clone();
-                        }
-                        pos = end;
-                    }
-                }
-            }
+            at += peers.len();
         }
     }
     Ok(result)
-}
-
-fn fold_window(f: WinFunc, vals: &[Value]) -> Result<Value> {
-    match f {
-        WinFunc::Count => Ok(Value::Int(
-            vals.iter().filter(|v| !v.is_null()).count() as i64
-        )),
-        WinFunc::Sum | WinFunc::Avg => {
-            let mut sum = Decimal::ZERO;
-            let mut n = 0i64;
-            let mut all_int = true;
-            for v in vals {
-                match v {
-                    Value::Null => {}
-                    Value::Int(i) => {
-                        sum = sum
-                            .checked_add(&Decimal::from_int(*i))
-                            .ok_or_else(|| EngineError::exec("window sum overflow"))?;
-                        n += 1;
-                    }
-                    Value::Decimal(d) => {
-                        all_int = false;
-                        sum = sum
-                            .checked_add(d)
-                            .ok_or_else(|| EngineError::exec("window sum overflow"))?;
-                        n += 1;
-                    }
-                    other => {
-                        return Err(EngineError::exec(format!(
-                            "window sum of non-number {other}"
-                        )))
-                    }
-                }
-            }
-            if n == 0 {
-                return Ok(Value::Null);
-            }
-            if f == WinFunc::Sum {
-                if all_int {
-                    Ok(Value::Int(sum.rescale(0).mantissa() as i64))
-                } else {
-                    Ok(Value::Decimal(sum))
-                }
-            } else {
-                sum.checked_div(&Decimal::from_int(n))
-                    .map(Value::Decimal)
-                    .ok_or_else(|| EngineError::exec("window avg failed"))
-            }
-        }
-        WinFunc::Min | WinFunc::Max => {
-            let mut best: Option<&Value> = None;
-            for v in vals {
-                if v.is_null() {
-                    continue;
-                }
-                best = match best {
-                    None => Some(v),
-                    Some(b) => {
-                        let take = match v.sql_cmp(b) {
-                            Some(std::cmp::Ordering::Less) => f == WinFunc::Min,
-                            Some(std::cmp::Ordering::Greater) => f == WinFunc::Max,
-                            _ => false,
-                        };
-                        if take {
-                            Some(v)
-                        } else {
-                            Some(b)
-                        }
-                    }
-                };
-            }
-            Ok(best.cloned().unwrap_or(Value::Null))
-        }
-        _ => Err(EngineError::exec("not an aggregate window function")),
-    }
 }
 
 // ---------- sorting ----------

@@ -161,22 +161,14 @@ pub fn optimize(plan: Plan, db: &Database) -> Plan {
                 right_keys.push(eb.clone());
             }
         }
-        tree = if left_keys.is_empty() {
-            Plan::NestedLoopJoin {
-                left: Arc::new(tree),
-                right: Arc::new(right),
-                kind: JoinKind::Inner,
-                predicate: None,
-            }
-        } else {
-            Plan::HashJoin {
-                left: Arc::new(tree),
-                right: Arc::new(right),
-                kind: JoinKind::Inner,
-                left_keys,
-                right_keys,
-                residual: None,
-            }
+        // Without an edge to `next` there are no keys: a cross join.
+        tree = Plan::HashJoin {
+            left: Arc::new(tree),
+            right: Arc::new(right),
+            kind: JoinKind::Inner,
+            left_keys,
+            right_keys,
+            residual: None,
         };
         new_offsets[next] = tree_width;
         tree_width += widths[next];
@@ -280,17 +272,6 @@ pub fn fuse_topn(plan: Plan) -> Plan {
             right_keys,
             residual,
         },
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            predicate,
-        } => Plan::NestedLoopJoin {
-            left: recurse(left),
-            right: recurse(right),
-            kind,
-            predicate,
-        },
         Plan::Aggregate {
             input,
             groups,
@@ -329,15 +310,18 @@ pub fn fuse_topn(plan: Plan) -> Plan {
     }
 }
 
-/// Flattens inner cross-join chains and filters.
+/// Flattens inner cross-join chains (keyless hash joins without a
+/// residual) and filters.
 fn flatten(plan: Plan, relations: &mut Vec<Plan>, conjuncts: &mut Vec<BExpr>) {
     match plan {
-        Plan::NestedLoopJoin {
+        Plan::HashJoin {
             left,
             right,
             kind: JoinKind::Inner,
-            predicate: None,
-        } => {
+            left_keys,
+            residual: None,
+            ..
+        } if left_keys.is_empty() => {
             let l = Arc::try_unwrap(left).unwrap_or_else(|a| a.as_ref().clone());
             let r = Arc::try_unwrap(right).unwrap_or_else(|a| a.as_ref().clone());
             flatten(l, relations, conjuncts);

@@ -818,32 +818,32 @@ impl Parser {
                     }
                 }
             }
-            // Accept and ignore an explicit standard frame clause; the
-            // executor implements the default frame semantics.
+            // The executor implements the default frame only: spelled out
+            // it parses, any other frame is refused by name.
             if self.peek_kw("rows") || self.peek_kw("range") {
+                let mut words = Vec::new();
                 while !self.eat_sym(Sym::RParen) {
-                    if self.at_end() {
-                        return Err(EngineError::parse("unterminated OVER clause"));
+                    match self.next() {
+                        Some(Token::Ident(w) | Token::Number(w)) => words.push(w),
+                        Some(other) => words.push(format!("{other:?}")),
+                        None => return Err(EngineError::parse("unterminated OVER clause")),
                     }
-                    self.pos += 1;
                 }
-                if star {
-                    args.clear();
+                let frame = words.join(" ");
+                if frame != "range between unbounded preceding and current row" {
+                    return Err(EngineError::parse(format!(
+                        "window frame `{frame}` is not supported: only the default, \
+                         `range between unbounded preceding and current row`"
+                    )));
                 }
-                return Ok(Expr::Window {
-                    name,
-                    args,
-                    partition_by,
-                    order_by,
-                });
-            }
-            self.expect_sym(Sym::RParen)?;
-            if star {
-                args.clear();
+            } else {
+                self.expect_sym(Sym::RParen)?;
             }
             return Ok(Expr::Window {
                 name,
                 args,
+                star,
+                distinct,
                 partition_by,
                 order_by,
             });

@@ -279,6 +279,70 @@ fn running_window_sum_includes_peers() {
     assert_eq!(r.rows[2][2], Value::Int(60));
 }
 
+/// Window calls bind like aggregate calls: `count(*)` and `stddev_samp`
+/// work, while DISTINCT, a wrong argument count and any frame but the
+/// default are errors that name the function or the frame.
+#[test]
+fn window_calls_bind_like_aggregate_calls() {
+    let d = db();
+    int_table(
+        &d,
+        "t",
+        &["p", "v"],
+        vec![
+            vec![Some(1), Some(10)],
+            vec![Some(1), None],
+            vec![Some(2), Some(5)],
+            vec![None, Some(5)],
+        ],
+    );
+    let r = query(
+        &d,
+        "select p, v, count(*) over (partition by p) c, count(v) over (partition by p) cv, \
+         stddev_samp(v) over () sd from t order by p, v",
+    )
+    .unwrap();
+    let counts: Vec<_> = r.rows.iter().map(|row| row[2..4].to_vec()).collect();
+    let int = |a, b| vec![Value::Int(a), Value::Int(b)];
+    assert_eq!(counts, [int(1, 1), int(2, 1), int(2, 1), int(1, 1)]);
+    // 10, 5, 5: variance 25/3.
+    let sd = r.rows[0][4].as_decimal().unwrap().to_f64();
+    assert!((sd - (25.0f64 / 3.0).sqrt()).abs() < 1e-6, "{sd}");
+    for (sql, want) in [
+        (
+            "select count(distinct v) over () from t",
+            "DISTINCT is not supported in window function count",
+        ),
+        (
+            "select sum(p, v) over (partition by p) from t",
+            "sum takes exactly one argument",
+        ),
+        (
+            "select rank(v) over (order by v) from t",
+            "rank takes no arguments",
+        ),
+        (
+            "select row_number(*) over (order by v) from t",
+            "row_number takes no arguments",
+        ),
+        (
+            "select sum(v) over (order by p rows between 1 preceding and current row) from t",
+            "window frame `rows between 1 preceding and current row` is not supported",
+        ),
+    ] {
+        let err = query(&d, sql).unwrap_err().to_string();
+        assert!(err.contains(want), "{sql}: {err}");
+    }
+    // The default frame, written out, is the default.
+    let written = "select v, sum(v) over (order by v range between unbounded preceding \
+                   and current row) from t order by v";
+    let default = "select v, sum(v) over (order by v) from t order by v";
+    assert_eq!(
+        query(&d, written).unwrap().rows,
+        query(&d, default).unwrap().rows
+    );
+}
+
 #[test]
 fn scalar_subquery_multiple_rows_errors() {
     let d = db();

@@ -65,9 +65,7 @@ fn count_nodes(plan: &Plan, pred: &impl Fn(&Plan) -> bool) -> usize {
         | Plan::Window { input, .. }
         | Plan::Aggregate { input, .. }
         | Plan::Prefix { input, .. } => n += count_nodes(input, pred),
-        Plan::HashJoin { left, right, .. }
-        | Plan::NestedLoopJoin { left, right, .. }
-        | Plan::UnionAll { left, right } => {
+        Plan::HashJoin { left, right, .. } | Plan::UnionAll { left, right } => {
             n += count_nodes(left, pred) + count_nodes(right, pred);
         }
         Plan::Scan { .. } | Plan::CteRef { .. } => {}
@@ -85,10 +83,13 @@ fn comma_joins_become_hash_joins() {
     )
     .unwrap();
     let hash_joins = count_nodes(&bound.plan, &|p| matches!(p, Plan::HashJoin { .. }));
-    let nl_joins = count_nodes(&bound.plan, &|p| matches!(p, Plan::NestedLoopJoin { .. }));
+    let cross_joins = count_nodes(
+        &bound.plan,
+        &|p| matches!(p, Plan::HashJoin { left_keys, .. } if left_keys.is_empty()),
+    );
     assert_eq!(hash_joins, 3, "{}", bound.plan.explain());
     assert_eq!(
-        nl_joins,
+        cross_joins,
         0,
         "no cartesian products left:\n{}",
         bound.plan.explain()

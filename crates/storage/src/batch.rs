@@ -353,6 +353,19 @@ mod tests {
                 "par_topn",
                 Box::new(|b, w| drop(crate::par_topn(b, &key, 10, w))),
             ),
+            (
+                "par_window",
+                Box::new(|b, w| {
+                    let call = |func| crate::WinSpec {
+                        func,
+                        arg: None,
+                        keys: key.to_vec(),
+                        partition: 0,
+                    };
+                    let calls = [call(crate::WinFunc::RowNumber), call(crate::WinFunc::Rank)];
+                    drop(crate::par_window(b, &calls, w))
+                }),
+            ),
         ];
         for (name, kernel) in &kernels {
             for workers in [1, 4] {

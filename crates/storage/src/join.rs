@@ -18,7 +18,9 @@
 //! NULL-key semantics mirror SQL (and the row path): a NULL in any key
 //! column keeps a build row out of the hash tables and makes a probe row
 //! match nothing — dropped for inner joins, padded with NULLs for left
-//! outer joins.
+//! outer joins. With no keys at all every build row shares the one empty
+//! key, in table order, so each probe row meets the whole build side: a
+//! cross join, or with a residual a non-equi join, in nested-loop order.
 //!
 //! Keys hash and compare as [`Value`]s, whose `Hash`/`Eq` already encode
 //! the engine's grouping semantics (`Int(1)` equals `Decimal(1.0)`), so
@@ -206,12 +208,11 @@ fn build_phase(
     }
 
     // Phase C: per-partition table construction, parallel over partitions.
-    let key_col = keys[0];
     let build_int = |rows: &[u32]| -> HashMap<i64, Vec<u32>> {
         let mut map: HashMap<i64, Vec<u32>> = HashMap::with_capacity(rows.len());
         for &r in rows {
             let (si, i) = ((r as usize) / SEGMENT_ROWS, (r as usize) % SEGMENT_ROWS);
-            let ColumnData::I64(buf) = &build.segments[si].columns[key_col].data else {
+            let ColumnData::I64(buf) = &build.segments[si].columns[keys[0]].data else {
                 unreachable!("int path requires i64 key buffers");
             };
             map.entry(buf[i]).or_default().push(r);
@@ -534,7 +535,8 @@ fn emit_counters(stats: &JoinStats) {
 }
 
 /// Partitioned parallel hash join: `probe ⋈ build` on
-/// `probe_keys[i] = build_keys[i]`, each side pre-filtered by its pending
+/// `probe_keys[i] = build_keys[i]` (every pair when there are no keys),
+/// each side pre-filtered by its pending
 /// predicate. Output rows are `probe visible columns ++ build visible
 /// columns`, in probe-table order with each probe row's matches in
 /// build-table order — byte-identical to the engine's serial row-path
@@ -998,6 +1000,56 @@ mod tests {
                 )
                 .unwrap();
                 assert_eq!(got, expect, "{kind:?} threads={threads}");
+            }
+        }
+    }
+
+    /// With no keys the join is a nested loop: every probe row against
+    /// every build row in table order, kept where the residual holds, a
+    /// left probe row that kept none padded — also over an empty build
+    /// side.
+    #[test]
+    fn zero_keys_join_like_a_nested_loop() {
+        use std::cmp::Ordering;
+        let probe = filtered(
+            &probe_table(20_000),
+            &Expr::cmp(CmpKind::Lt, 0, Value::Int(3_000)),
+        );
+        let build = build_table(40);
+        let empty = filtered(&build, &Expr::cmp(CmpKind::Lt, 1, Value::Int(0)));
+        // probe.val > build.payload: false for the first ~350 probe rows.
+        let gt = Expr::Cmp(CmpKind::Gt, Box::new(Expr::Col(2)), Box::new(Expr::Col(4)));
+        let nested_loop = |build: &Batch, kind: JoinType, residual: Option<&Expr>| {
+            let (brows, _) = crate::par_filter(build, 1);
+            let mut out = Vec::new();
+            for pr in crate::par_filter(&probe, 1).0 {
+                let before = out.len();
+                for br in &brows {
+                    let row: Row = pr.iter().chain(br).cloned().collect();
+                    if residual.is_none() || row[2].sql_cmp(&row[4]) == Some(Ordering::Greater) {
+                        out.push(row);
+                    }
+                }
+                if out.len() == before && kind == JoinType::Left {
+                    out.push(
+                        pr.iter()
+                            .cloned()
+                            .chain([Value::Null, Value::Null])
+                            .collect(),
+                    );
+                }
+            }
+            out
+        };
+        for kind in [JoinType::Inner, JoinType::Left] {
+            for (build, residual) in [(&build, None), (&build, Some(&gt)), (&empty, None)] {
+                let expect = nested_loop(build, kind, residual);
+                for threads in [1, 2, 8] {
+                    let (t, _) =
+                        par_hash_join(&probe, &[], build, &[], kind, residual, threads).unwrap();
+                    let got = crate::par_filter(&Batch::new(Arc::new(t)), 1).0;
+                    assert_eq!(got, expect, "{kind:?} {residual:?} threads={threads}");
+                }
             }
         }
     }

@@ -38,7 +38,7 @@ pub use join::{par_hash_join, par_hash_join_agg, JoinStats, JoinType};
 pub use morsel::{par_aggregate, par_filter, scan_until, ScanStats, MORSEL_ROWS};
 pub use pred::{CmpKind, Pred};
 pub use segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
-pub use sort::{par_sort, par_topn, SortKey, SortStats};
+pub use sort::{par_sort, par_topn, par_window, SortKey, SortStats, WinFunc, WinSpec};
 pub use stats::{collect_stats, extend_stats, ColumnStats, TableStats};
 
 use std::fmt;

@@ -1,7 +1,7 @@
-//! Morsel-driven parallel Top-N and full sort.
+//! Morsel-driven parallel Top-N, full sort and window functions.
 //!
 //! Every TPC-DS template ends in `ORDER BY … LIMIT 100`, so the ordering
-//! tail must scale like the scan/join/aggregate kernels. Two strategies:
+//! tail must scale like the scan/join/aggregate kernels. Three kernels:
 //!
 //! * **Top-N** ([`par_topn`]): each worker keeps a bounded heap of the
 //!   best `limit` entries seen across the morsels it pulls; heaps merge
@@ -9,9 +9,12 @@
 //!   never displace a heap entry are pruned without ever being gathered.
 //! * **Full sort** ([`par_sort`]): each morsel becomes one sorted run in
 //!   parallel; a serial k-way merge zips the runs.
+//! * **Window** ([`par_window`]): per call, the full sort's runs and
+//!   merge over (partition keys, order keys), then one serial walk of
+//!   that order folding [`PAcc`] per peer group.
 //!
-//! Both sort row ids and emit a fresh table by typed column gather
-//! ([`crate::batch`]), so the winners stay columnar for whatever
+//! All sort row ids and emit a fresh table by typed column gather
+//! ([`crate::batch`]), so the results stay columnar for whatever
 //! consumes them.
 //!
 //! Determinism: entries compare by encoded/extracted key first and by
@@ -23,11 +26,13 @@
 //! compared memcmp-style, everything else falls back to the
 //! [`Value`]-comparator path.
 
+use crate::agg::{AggKind, PAcc};
 use crate::batch::{gather, Batch, Take};
 use crate::column::ColumnData;
 use crate::morsel::{detail_enabled, morsels_of, run_chunks, run_workers, worker_count, Chunks};
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
+use crate::{StorageError, MORSEL_ROWS};
 use std::cmp::Ordering;
 use tpcds_types::Value;
 
@@ -38,6 +43,34 @@ pub struct SortKey {
     pub col: usize,
     /// Descending order.
     pub desc: bool,
+}
+
+/// A window function.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WinFunc {
+    /// An aggregate over the partition — or, with ORDER BY, over the
+    /// partition's rows up to the current row's last peer (the default
+    /// frame).
+    Agg(AggKind),
+    /// RANK(): one more than the partition's rows ahead of the peer group.
+    Rank,
+    /// DENSE_RANK(): the peer group's number within the partition.
+    DenseRank,
+    /// ROW_NUMBER(): the row's number within the partition.
+    RowNumber,
+}
+
+/// One window call over a batch's physical columns.
+#[derive(Clone, Debug)]
+pub struct WinSpec {
+    /// The function.
+    pub func: WinFunc,
+    /// Argument column; `None` for COUNT(*) and the rank family.
+    pub arg: Option<usize>,
+    /// The PARTITION BY columns (ascending), then the ORDER BY keys.
+    pub keys: Vec<SortKey>,
+    /// How many leading `keys` are PARTITION BY columns.
+    pub partition: usize,
 }
 
 /// What one sort/Top-N kernel invocation did — surfaced in obs counters
@@ -63,8 +96,10 @@ pub struct SortStats {
     pub pruned_rows: u64,
 }
 
-/// One candidate row: its sort key plus the global row index that breaks
-/// ties (making the comparison a total order — the determinism argument).
+/// One candidate row: its sort key plus an id that breaks ties (making
+/// the comparison a total order — the determinism argument): the global
+/// row index, or for a window the row's output position, which orders
+/// rows the same way.
 struct Entry {
     key: Key,
     gid: usize,
@@ -154,15 +189,24 @@ fn key_of(seg: &Segment, i: usize, keys: &[SortKey], enc: bool) -> Key {
     }
 }
 
-/// Gathers the batch's visible columns at the winners' row ids.
-fn emit(batch: &Batch, winners: &[Entry], threads: usize) -> ColumnTable {
-    let ids: Vec<u32> = winners.iter().map(|e| e.gid as u32).collect();
-    let take = Take {
+/// Whether two keys agree on their first `n` sort keys under `Value`
+/// equality (NULL equals NULL, as in grouping): equal words, or equal
+/// values.
+fn same_key(a: &Key, b: &Key, n: usize) -> bool {
+    match (a, b) {
+        (Key::Enc(x), Key::Enc(y)) => x[..2 * n] == y[..2 * n],
+        (Key::Val(x), Key::Val(y)) => x[..n] == y[..n],
+        _ => false,
+    }
+}
+
+/// The batch's visible columns at row `ids`.
+fn take<'a>(batch: &'a Batch, ids: &'a [u32]) -> Take<'a> {
+    Take {
         table: &batch.table,
         cols: batch.cols(),
-        ids: &ids,
-    };
-    gather(&[take], threads)
+        ids,
+    }
 }
 
 // ---------- bounded heap (Top-N) ----------
@@ -410,46 +454,66 @@ pub fn par_topn(
         pruned_rows: qualifying - heap_rows,
     };
     emit_counters(&stats, true);
-    (emit(batch, &entries, threads), stats)
+    let ids: Vec<u32> = entries.iter().map(|e| e.gid as u32).collect();
+    (gather(&[take(batch, &ids)], threads), stats)
 }
 
 // ---------- full sort over a column table ----------
 
-/// Parallel full sort of the batch's qualifying rows: per-morsel sorted
-/// runs in parallel, then a serial k-way merge; emits a table of the
-/// batch's visible columns. Byte-identical at any worker count (total
-/// entry order, and run `m` always holds morsel `m`'s rows regardless of
-/// which worker sorted it).
-pub fn par_sort(batch: &Batch, keys: &[SortKey], threads: usize) -> (ColumnTable, SortStats) {
-    assert!(batch.table.rows < u32::MAX as usize, "row ids are u32");
-    let (table, pred) = (&*batch.table, batch.pred.as_ref());
-    let morsels = morsels_of(table);
-    let workers = worker_count(table.rows, threads, morsels.len());
+/// Sorts each of `chunks` lists of `(id, global row)` pairs — `rows(c)` —
+/// into a run by key and id, in parallel, then k-way merges the runs.
+/// Returns the merged entries (each carrying its id) and how many runs
+/// were non-empty.
+fn merged_runs(
+    table: &ColumnTable,
+    keys: &[SortKey],
+    chunks: usize,
+    workers: usize,
+    rows: impl Fn(usize) -> Vec<(usize, usize)> + Sync,
+) -> (Vec<Entry>, u64) {
     let enc = encodable(table, keys);
-
-    let detail = tpcds_obs::is_enabled() && detail_enabled();
-    let runs = run_chunks("sort_worker", morsels.len(), workers, |m| {
-        let _detail_span =
-            detail.then(|| tpcds_obs::span("storage", "sort_morsel").field("morsel", m));
-        let (si, off, len) = morsels[m];
-        let seg = &table.segments[si];
-        let mut sel = Vec::new();
-        if let Some(p) = pred {
-            p.eval(seg, off, len, (si * SEGMENT_ROWS + off) as u64, &mut sel);
-        }
-        let mut run: Vec<Entry> = (off..off + len)
-            .filter(|i| pred.is_none() || sel[i - off] == P_TRUE)
-            .map(|i| Entry {
-                key: key_of(seg, i, keys, enc),
-                gid: si * SEGMENT_ROWS + i,
+    let runs = run_chunks("sort_worker", chunks, workers, |c| {
+        let mut run: Vec<Entry> = (rows(c).into_iter())
+            .map(|(gid, row)| Entry {
+                key: key_of(
+                    &table.segments[row / SEGMENT_ROWS],
+                    row % SEGMENT_ROWS,
+                    keys,
+                    enc,
+                ),
+                gid,
             })
             .collect();
         run.sort_unstable_by(|a, b| cmp_entries(a, b, keys));
         run
     });
     let merge_ways = runs.iter().filter(|r| !r.is_empty()).count() as u64;
-    let merged = kway_merge(runs, keys);
+    (kway_merge(runs, keys), merge_ways)
+}
 
+/// The global ids of the batch's qualifying rows sorted by `keys`, ties
+/// in table order: per-morsel sorted runs in parallel, then a serial k-way
+/// merge. The pending predicate runs once per morsel.
+fn sorted_ids(batch: &Batch, keys: &[SortKey], threads: usize) -> (Vec<u32>, SortStats) {
+    assert!(batch.table.rows < u32::MAX as usize, "row ids are u32");
+    let (table, pred) = (&*batch.table, batch.pred.as_ref());
+    let morsels = morsels_of(table);
+    let workers = worker_count(table.rows, threads, morsels.len());
+    let detail = tpcds_obs::is_enabled() && detail_enabled();
+    let (merged, merge_ways) = merged_runs(table, keys, morsels.len(), workers, |m| {
+        let _detail_span =
+            detail.then(|| tpcds_obs::span("storage", "sort_morsel").field("morsel", m));
+        let (si, off, len) = morsels[m];
+        let mut sel = Vec::new();
+        if let Some(p) = pred {
+            let base = (si * SEGMENT_ROWS + off) as u64;
+            p.eval(&table.segments[si], off, len, base, &mut sel);
+        }
+        (off..off + len)
+            .filter(|i| pred.is_none() || sel[i - off] == P_TRUE)
+            .map(|i| (si * SEGMENT_ROWS + i, si * SEGMENT_ROWS + i))
+            .collect()
+    });
     let stats = SortStats {
         morsels: morsels.len() as u64,
         workers: workers as u64,
@@ -459,8 +523,103 @@ pub fn par_sort(batch: &Batch, keys: &[SortKey], threads: usize) -> (ColumnTable
         heap_rows: 0,
         pruned_rows: 0,
     };
+    (merged.iter().map(|e| e.gid as u32).collect(), stats)
+}
+
+/// Parallel full sort of the batch's qualifying rows ([`sorted_ids`]);
+/// emits a table of the batch's visible columns. Byte-identical at any
+/// worker count (total entry order, and run `m` always holds morsel `m`'s
+/// rows regardless of which worker sorted it).
+pub fn par_sort(batch: &Batch, keys: &[SortKey], threads: usize) -> (ColumnTable, SortStats) {
+    let (ids, stats) = sorted_ids(batch, keys, threads);
     emit_counters(&stats, false);
-    (emit(batch, &merged, threads), stats)
+    (gather(&[take(batch, &ids)], threads), stats)
+}
+
+// ---------- window functions over a column table ----------
+
+/// Window functions: the batch's qualifying rows — its visible columns
+/// plus one column per call — in table order, as the row operator
+/// returns them. Each call sorts the rows by its keys, ties in table
+/// order, through [`par_sort`]'s runs and merge over morsel-sized chunks,
+/// and walks that order once ([`walk`]). Byte-identical at any worker
+/// count.
+pub fn par_window(
+    batch: &Batch,
+    calls: &[WinSpec],
+    threads: usize,
+) -> Result<(ColumnTable, SortStats), StorageError> {
+    // The rows in table order (a sort on no keys): the predicate runs
+    // once, and a row's index here is its output position.
+    let (ids, mut stats) = sorted_ids(batch, &[], threads);
+    let table = &*batch.table;
+    let chunks = ids.len().div_ceil(MORSEL_ROWS);
+    let workers = worker_count(ids.len(), threads, chunks);
+    let mut rows = vec![vec![Value::Null; calls.len()]; ids.len()];
+    for (c, call) in calls.iter().enumerate() {
+        let (order, ways) = merged_runs(table, &call.keys, chunks, workers, |k| {
+            let at = k * MORSEL_ROWS..ids.len().min((k + 1) * MORSEL_ROWS);
+            at.map(|p| (p, ids[p] as usize)).collect()
+        });
+        stats.merge_ways = stats.merge_ways.max(ways);
+        let arg = |p: usize| call.arg.map(|col| table.value(ids[p] as usize, col));
+        walk(call, &order, arg, |p, v| rows[p][c] = v)?;
+    }
+    emit_counters(&stats, false);
+    let values = Batch::from_rows(calls.len(), &rows);
+    let all: Vec<u32> = (0..ids.len() as u32).collect();
+    let computed = Take {
+        table: &values.table,
+        cols: (0..calls.len()).collect(),
+        ids: &all,
+    };
+    Ok((gather(&[take(batch, &ids), computed], threads), stats))
+}
+
+/// One call's values along `order` — its rows sorted by its keys, each
+/// entry's id the row's output position — handed to `put`. A partition
+/// (rows equal on the PARTITION BY keys) restarts ranks and the
+/// accumulator; a peer group (rows equal on every key) shares one value:
+/// the rank of its first row, or the aggregate folded through its last,
+/// which without ORDER BY is the whole partition. `arg` reads a row's
+/// argument (`None` for COUNT(*)).
+fn walk(
+    call: &WinSpec,
+    order: &[Entry],
+    arg: impl Fn(usize) -> Option<Value>,
+    mut put: impl FnMut(usize, Value),
+) -> Result<(), StorageError> {
+    let (mut start, mut at, mut dense) = (0, 0, 0);
+    let mut acc = None;
+    for peers in order.chunk_by(|a, b| same_key(&a.key, &b.key, call.keys.len())) {
+        if at == 0 || !same_key(&order[at - 1].key, &peers[0].key, call.partition) {
+            (start, dense, acc) = (at, 0, None);
+        }
+        dense += 1;
+        let value = match call.func {
+            WinFunc::Agg(kind) => {
+                let acc = acc.get_or_insert_with(|| PAcc::new(kind));
+                for e in peers {
+                    acc.update(arg(e.gid).as_ref())?;
+                }
+                acc.clone().finish()
+            }
+            WinFunc::Rank => Value::Int((at - start + 1) as i64),
+            WinFunc::DenseRank => Value::Int(dense),
+            WinFunc::RowNumber => Value::Null,
+        };
+        for (j, e) in peers.iter().enumerate() {
+            put(
+                e.gid,
+                match call.func {
+                    WinFunc::RowNumber => Value::Int((at + j - start + 1) as i64),
+                    _ => value.clone(),
+                },
+            );
+        }
+        at += peers.len();
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 #   BENCH_JOIN_SCALE   scale factor for both reports (default 0.01)
 #   BENCH_COVERAGE_OUT COVERAGE_10 output path (default COVERAGE_10.json)
 #   MIN_COLUMNAR       fallback-free template floor for the coverage gate
-#                      (default 71, the committed report's count)
+#                      (default 90, the committed report's count)
 #   BENCH_SYNTH_OUT    COVERAGE_8 output path (default COVERAGE_8.json)
 #   SYNTH_BUDGET       synthesized queries per soak (default 500)
 #   SYNTH_TOLERANCE    columnar_frac slack for the COVERAGE_8 gate
@@ -49,7 +49,7 @@ status=0
 ./target/release/tpcds-bench coverage \
     --scale "${BENCH_JOIN_SCALE:-0.01}" \
     --out "$COVERAGE" $(baseline "$COVERAGE") \
-    --min-columnar "${MIN_COLUMNAR:-71}" || status=1
+    --min-columnar "${MIN_COLUMNAR:-90}" || status=1
 
 # A fixed default seed keeps the generated queries (and so the routing
 # report) stable across runs; export TPCDS_TEST_SEED to explore, or replay

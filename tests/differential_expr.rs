@@ -172,7 +172,6 @@ fn random_expression_queries_agree_across_paths_and_worker_counts() {
         let plan = check(&db, &sql, &format!("#{q}"));
         // Every generated query is inside the kernel grammar: a silent
         // fall-back to the expression row loop must fail the suite.
-        // (Structural nodes like Prefix legitimately report `no-kernel`.)
         assert!(
             !plan.contains("expr-unsupported"),
             "query #{q} fell off the vectorized path: {sql}\n{plan}"

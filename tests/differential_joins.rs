@@ -366,3 +366,54 @@ fn operator_chains_over_joins_agree_across_paths_and_worker_counts() {
         }
     }
 }
+
+/// Joins without an equality — a cross join, inner and left joins on
+/// `<`, and an empty side — are hash joins on no keys: byte-identical to
+/// the row path at 1 / 2 / 8 workers, with every node on the batch path.
+#[test]
+fn keyless_joins_agree_across_paths_and_worker_counts() {
+    let mut rng = SplitMix64(test_seed(0x7C05_D511));
+    let db = build_db(&mut rng);
+    let empty = "(select * from t2 where c_val < 0) e";
+    let queries = [
+        // Cross joins: explicit, and a comma join with no join predicate.
+        "select c_k, c_val, b_name from t2 cross join t1 where b_val < 40".to_string(),
+        "select c_k, b_k, c_val, b_val from t2, t1 where c_val < b_val and b_k = 7".to_string(),
+        // Inner and left joins on `<`, over the whole fact table.
+        "select a_pk, c_k, c_val from t0 join t2 on a_val < c_val - 470".to_string(),
+        "select a_pk, a_val, c_k from (select * from t0 where a_pk < 3000) a \
+         left join t2 on a_val < c_val and c_k = 3"
+            .to_string(),
+        "select count(*), sum(a_val), max(c_val) from t0, t2 where a_val > c_val + 900".to_string(),
+        // An empty build side, inner and left, and an empty probe side.
+        format!("select a_pk, c_k from t0 join {empty} on a_val < c_val"),
+        format!("select a_pk, c_k from t0 left join {empty} on a_val < c_val where a_pk < 50"),
+        format!("select count(*), count(b_k) from {empty} cross join t1"),
+    ];
+    for sql in &queries {
+        let oracle = tpcds_repro::engine::query_with(&db, sql, opts(ColumnarMode::Off, 1))
+            .unwrap_or_else(|e| panic!("row path failed for {sql}: {e}"));
+        for threads in [1, 2, 8] {
+            let a = tpcds_repro::engine::query_analyze_with(
+                &db,
+                sql,
+                opts(ColumnarMode::Force, threads),
+            )
+            .unwrap_or_else(|e| panic!("batch path failed for {sql}: {e}"));
+            assert_eq!(a.result.rows, oracle.rows, "threads={threads}: {sql}");
+            assert!(
+                a.plan_text.contains(" on 0 key(s)"),
+                "{sql}\n{}",
+                a.plan_text
+            );
+            // A join under a global aggregate is fused into it.
+            for line in a
+                .plan_text
+                .lines()
+                .filter(|l| !l.contains("never executed"))
+            {
+                assert!(line.contains("route=columnar"), "{sql}\n{}", a.plan_text);
+            }
+        }
+    }
+}
