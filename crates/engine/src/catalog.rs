@@ -19,11 +19,13 @@
 //! build the segments they change (append copies the short tail, delete
 //! gathers from the first gap, update rebuilds the segments hit) and
 //! patch the indexes, so a staged table is consistent after every call.
-//! [`WriteTxn::commit`] only brings the statistics up (a transaction that
-//! only appended folds just the appended rows into the base's), so a
-//! commit pays for the rows it changed. What a reader gets is
-//! indistinguishable from segments, statistics and indexes built from
-//! scratch over the published rows.
+//! Statistics follow the same rule: a delete takes its rows out of them,
+//! an update its old versions out and its new ones in, and
+//! [`WriteTxn::commit`] folds in the appended rows — so a commit pays for
+//! the rows it changed. What a reader gets is indistinguishable from
+//! segments, statistics and indexes built from scratch over the published
+//! rows, except that the NDV sketches still count the values of rows
+//! deleted or overwritten (see `tpcds_storage::stats`).
 //!
 //! Commit is panic-safe by construction: a transaction that unwinds
 //! before [`WriteTxn::commit`] publishes nothing — the staged tables are
@@ -143,7 +145,8 @@ impl std::ops::DerefMut for RowMut<'_> {
 /// One stored table. Cloning a `Table` is how a [`WriteTxn`] stages it,
 /// and copies no row: the segments and the statistics are `Arc`s shared
 /// with the base version (only the index maps copy). Mutators build the
-/// segments they change; statistics catch up in [`WriteTxn::commit`].
+/// segments they change and revise the statistics for the rows they
+/// remove or replace; appended rows fold in at [`WriteTxn::commit`].
 #[derive(Clone, Debug)]
 pub struct Table {
     /// Column metadata, in order.
@@ -153,9 +156,9 @@ pub struct Table {
     /// Secondary hash indexes, keyed by column position.
     pub indexes: HashMap<usize, Index>,
     /// Per-column statistics (row/null counts, min/max, NDV, histogram)
-    /// of the first `stats.rows` rows of `data` — all of them on a
-    /// published table; `None` once a staged row was deleted or replaced.
-    stats: Option<Arc<TableStats>>,
+    /// of the first `stats.rows` rows of `data`: all of them on a
+    /// published table, all but those appended since on a staged one.
+    stats: Arc<TableStats>,
     /// What the mutators have done since the table was staged.
     staged: Derived,
 }
@@ -165,10 +168,10 @@ impl Table {
     pub fn new(columns: Vec<ColumnMeta>) -> Table {
         let dtypes = columns.iter().map(|c| c.dtype).collect();
         Table {
+            stats: Arc::new(TableStats::empty(columns.len())),
             columns,
             data: Arc::new(ColumnTable::from_rows::<Row>(dtypes, &[])),
             indexes: HashMap::new(),
-            stats: None,
             staged: Derived::default(),
         }
     }
@@ -253,21 +256,26 @@ impl Table {
     pub fn delete_at(&mut self, mut gone: impl FnMut(&ColumnTable, usize) -> bool) -> usize {
         let n = self.data.rows;
         let mut remap = vec![usize::MAX; n];
-        let mut survivors = Vec::new();
+        let (mut survivors, mut removed) = (Vec::new(), Vec::new());
         for (pos, to) in remap.iter_mut().enumerate() {
-            if !gone(&self.data, pos) {
+            if gone(&self.data, pos) {
+                removed.push(pos as u32);
+            } else {
                 *to = survivors.len();
                 survivors.push(pos as u32);
             }
         }
-        let deleted = n - survivors.len();
+        let deleted = removed.len();
         if deleted > 0 {
             for idx in self.indexes.values_mut() {
                 idx.remap_positions(&remap);
             }
             let threads = tpcds_storage::effective_threads();
+            self.catch_up_stats(threads);
+            // What `retain` keeps of the deleted positions is the deleted rows.
+            let removed = self.data.retain(&removed, threads).0;
             self.put(self.data.retain(&survivors, threads), deleted);
-            self.stats = None;
+            self.revise_stats(&removed, None, threads);
             tpcds_obs::counter(
                 "engine",
                 "maint.deleted_rows",
@@ -321,8 +329,13 @@ impl Table {
                 }
             }
             let threads = tpcds_storage::effective_threads();
+            self.catch_up_stats(threads);
+            let at: Vec<u32> = replaced.iter().map(|(pos, _)| *pos as u32).collect();
+            let old = self.data.retain(&at, threads).0;
+            let new: Vec<&[Value]> = replaced.iter().map(|(_, row)| &row[..]).collect();
+            let new = ColumnTable::from_rows(self.data.dtypes.clone(), &new);
             self.put(self.data.replace(&replaced, threads), replaced.len());
-            self.stats = None;
+            self.revise_stats(&old, Some(&new), threads);
         }
         changed
     }
@@ -339,30 +352,42 @@ impl Table {
     }
 
     /// The per-column statistics. Current on a published table; on a
-    /// table staged in a [`WriteTxn`] they lag the rows until commit.
-    pub fn stats(&self) -> Option<Arc<TableStats>> {
-        self.stats.clone()
+    /// table staged in a [`WriteTxn`] they lag the rows appended until
+    /// commit.
+    pub fn stats(&self) -> Arc<TableStats> {
+        Arc::clone(&self.stats)
     }
 
-    /// Brings the statistics up to the rows — by folding only the
-    /// appended rows into the ones held when nothing else changed, from
-    /// all rows otherwise — and returns what the transaction cost.
+    /// Folds the rows appended since the statistics were last brought up
+    /// into them: at commit, and before a delete or update moves rows.
+    fn catch_up_stats(&mut self, threads: usize) {
+        let (counted, data) = (self.stats.rows as usize, &self.data);
+        if counted < data.rows {
+            self.staged.stats_cells_folded += (data.rows - counted) * data.width();
+            self.stats = Arc::new(tpcds_storage::extend_stats(&self.stats, data, threads));
+        }
+    }
+
+    /// Brings the statistics along with a mutator that took the rows of
+    /// `removed` out of the table and put those of `added` in: folds in
+    /// and takes out just those rows ([`TableStats::retract`]).
+    fn revise_stats(&mut self, removed: &ColumnTable, added: Option<&ColumnTable>, threads: usize) {
+        let width = self.data.width();
+        let stats = Arc::make_mut(&mut self.stats);
+        if let Some(added) = added {
+            stats.merge(&tpcds_storage::collect_stats(added, threads));
+            self.staged.stats_cells_folded += added.rows * width;
+        }
+        stats.retract(&tpcds_storage::collect_stats(removed, threads), &self.data);
+        self.staged.stats_cells_retracted += removed.rows * width;
+    }
+
+    /// Brings the statistics up to the rows and returns what the
+    /// transaction cost.
     fn publish(&mut self, threads: usize) -> Derived {
+        self.catch_up_stats(threads);
         let mut derived = std::mem::take(&mut self.staged);
         derived.tables_rebuilt = usize::from(derived.rows_changed > 0);
-        let data = &self.data;
-        let stats = match self.stats.take() {
-            Some(stats) if stats.rows as usize == data.rows => stats,
-            Some(stats) => {
-                derived.stats_cells_folded = (data.rows - stats.rows as usize) * data.width();
-                Arc::new(tpcds_storage::extend_stats(&stats, data, threads))
-            }
-            None => {
-                derived.stats_cells_folded = data.rows * data.width();
-                Arc::new(tpcds_storage::collect_stats(data, threads))
-            }
-        };
-        self.stats = Some(stats);
         derived
     }
 }
@@ -374,6 +399,7 @@ struct Derived {
     tables_rebuilt: usize,
     segments_rebuilt: usize,
     stats_cells_folded: usize,
+    stats_cells_retracted: usize,
 }
 
 /// One immutable published version of the database: every table frozen at
@@ -439,7 +465,7 @@ pub struct SnapshotInfo {
 }
 
 /// What a committed transaction changed.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Commit {
     /// The version number the commit published.
     pub version: u64,
@@ -452,6 +478,12 @@ pub struct Commit {
     /// version is shared with the base version
     /// (`snapshot.segments_rebuilt`).
     pub segments_rebuilt: usize,
+    /// Cells folded into table statistics: appended rows and new
+    /// versions of updated ones, times the table's width.
+    pub stats_cells_folded: usize,
+    /// Cells taken out of table statistics: deleted rows and old versions
+    /// of updated ones, times the table's width.
+    pub stats_cells_retracted: usize,
 }
 
 struct WriterState {
@@ -554,10 +586,11 @@ impl<'a> WriteTxn<'a> {
     }
 
     /// Publishes the staged tables as the next snapshot version and
-    /// returns what changed. The mutators already built the segments;
-    /// each staged table's statistics catch up here ([`Table::publish`]),
-    /// so the commit costs what the transaction changed: `rows_changed`,
-    /// `segments_rebuilt` and `stats_cells_folded` on the
+    /// returns what changed. The mutators already built the segments and
+    /// revised the statistics for what they moved; the rows appended since
+    /// fold in here ([`Table::publish`]), so the commit costs what the
+    /// transaction changed: `rows_changed`, `segments_rebuilt`,
+    /// `stats_cells_folded` and `stats_cells_retracted` on the
     /// `snapshot/commit` span say how much that was.
     pub fn commit(mut self) -> Commit {
         let span = tpcds_obs::span("snapshot", "commit");
@@ -576,6 +609,7 @@ impl<'a> WriteTxn<'a> {
                     total.tables_rebuilt += derived.tables_rebuilt;
                     total.segments_rebuilt += derived.segments_rebuilt;
                     total.stats_cells_folded += derived.stats_cells_folded;
+                    total.stats_cells_retracted += derived.stats_cells_retracted;
                     tables.insert(name, Arc::new(t));
                 }
             }
@@ -608,12 +642,15 @@ impl<'a> WriteTxn<'a> {
             .field("rows_changed", total.rows_changed as i64)
             .field("segments_rebuilt", total.segments_rebuilt as i64)
             .field("stats_cells_folded", total.stats_cells_folded as i64)
+            .field("stats_cells_retracted", total.stats_cells_retracted as i64)
             .finish();
         Commit {
             version,
             tables_changed,
             tables_rebuilt,
             segments_rebuilt: total.segments_rebuilt,
+            stats_cells_folded: total.stats_cells_folded,
+            stats_cells_retracted: total.stats_cells_retracted,
         }
     }
 }
@@ -1005,9 +1042,11 @@ mod tests {
         let commit = txn.commit();
         assert_eq!(commit.tables_changed, 1);
         assert_eq!(commit.tables_rebuilt, 1);
+        let cells = (commit.stats_cells_folded, commit.stats_cells_retracted);
+        assert_eq!(cells, (1, 0), "one appended cell folded in");
         let t = db.table("t").unwrap();
         assert_eq!(t.data().rows, 3);
-        assert_eq!(t.stats().unwrap().rows, 3, "commit brings stats up");
+        assert_eq!(t.stats().rows, 3, "commit brings stats up");
         // `u` was untouched: its segments are the very same Arc.
         assert!(Arc::ptr_eq(db.table("u").unwrap().data(), &u_before));
     }
@@ -1083,7 +1122,7 @@ mod tests {
         assert!(Arc::ptr_eq(&db.table("t").unwrap(), &before));
         let rows: Vec<Row> = before.data.iter_rows().collect();
         assert_eq!(rows, [[Value::Int(1)], [Value::Int(2)]]);
-        assert_eq!(before.stats().unwrap().rows, 2);
+        assert_eq!(before.stats().rows, 2);
         assert_eq!(before.indexes[&0], Index::build(&before.data, 0));
         // The writer lock recovered from the poisoning panic: later
         // transactions commit normally.
@@ -1107,7 +1146,7 @@ mod tests {
         assert!(load(one(DataType::Str)).is_err(), "wrong column type");
         assert!(load(one(DataType::Int)).is_ok());
         let t = db.table("t").unwrap();
-        assert_eq!((t.data().rows, t.stats().unwrap().rows), (1, 1));
+        assert_eq!((t.data().rows, t.stats().rows), (1, 1));
         assert_eq!(t.indexes[&0].lookup(&Value::Int(1)), &[0]);
         assert!(load(one(DataType::Int)).is_err(), "table not empty");
     }

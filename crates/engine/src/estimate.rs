@@ -14,7 +14,7 @@
 //! node address, exactly like [`crate::exec::StatsMap`], so the two align
 //! node-for-node in the rendered plan.
 
-use crate::catalog::Database;
+use crate::catalog::{Database, Table};
 use crate::expr::{BExpr, CmpOp};
 use crate::plan::{JoinKind, Plan};
 use std::collections::HashMap;
@@ -58,13 +58,13 @@ pub fn q_error(est: f64, actual: u64) -> f64 {
     (e / a).max(a / e)
 }
 
-/// Statistics of the base table a plan node scans, when the node's output
-/// coordinates still map 1:1 onto that table's columns (a bare scan, or a
-/// filter directly over one).
-pub fn scan_table_stats(plan: &Plan, db: &Database) -> Option<Arc<TableStats>> {
+/// The base table a plan node scans, when the node's output coordinates
+/// still map 1:1 onto that table's columns (a bare scan, or a filter
+/// directly over one).
+pub fn scanned_table(plan: &Plan, db: &Database) -> Option<Arc<Table>> {
     match plan {
-        Plan::Scan { table, .. } => db.table(table).ok().and_then(|t| t.stats()),
-        Plan::Filter { input, .. } => scan_table_stats(input, db),
+        Plan::Scan { table, .. } => db.table(table).ok(),
+        Plan::Filter { input, .. } => scanned_table(input, db),
         _ => None,
     }
 }
@@ -72,7 +72,7 @@ pub fn scan_table_stats(plan: &Plan, db: &Database) -> Option<Arc<TableStats>> {
 fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
     let est = match plan {
         Plan::Scan { table, filter, .. } => {
-            let stats = db.table(table).ok().and_then(|t| t.stats());
+            let stats = db.table(table).ok().map(|t| t.stats());
             let rows = stats
                 .as_ref()
                 .map(|s| s.rows as f64)
@@ -87,7 +87,7 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
             let in_est = walk(input, db, map);
             // Coordinates only line up with base-table stats directly
             // above a scan; elsewhere fall back to the crude constants.
-            let stats = scan_table_stats(input, db);
+            let stats = scanned_table(input, db).map(|t| t.stats());
             in_est * predicate_selectivity(predicate, stats.as_deref(), db)
         }
         Plan::Project { input, .. } | Plan::Window { input, .. } | Plan::Sort { input, .. } => {
@@ -146,8 +146,8 @@ fn equi_join_rows(
     right_keys: &[BExpr],
     db: &Database,
 ) -> f64 {
-    let ls = scan_table_stats(left, db);
-    let rs = scan_table_stats(right, db);
+    let ls = scanned_table(left, db).map(|t| t.stats());
+    let rs = scanned_table(right, db).map(|t| t.stats());
     let mut denom = 1.0f64;
     let mut resolved = left_keys.is_empty();
     for (lk, rk) in left_keys.iter().zip(right_keys) {
@@ -182,7 +182,7 @@ fn key_ndv(key: &BExpr, stats: Option<&TableStats>) -> Option<f64> {
 /// clamped to the input row estimate; otherwise a 10% heuristic.
 fn group_count(groups: &[BExpr], input: &Plan, in_est: f64, db: &Database) -> f64 {
     let cap = in_est.max(1.0);
-    let stats = scan_table_stats(input, db);
+    let stats = scanned_table(input, db).map(|t| t.stats());
     let mut prod = 1.0f64;
     let mut resolved = stats.is_some();
     if let Some(s) = stats.as_deref() {

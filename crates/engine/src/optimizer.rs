@@ -103,7 +103,7 @@ pub fn optimize(plan: Plan, db: &Database) -> Plan {
         .map(|(i, r)| {
             let r = r.as_ref().expect("present");
             let base = base_rows(r, db).max(1) as f64;
-            let stats = crate::estimate::scan_table_stats(r, db);
+            let stats = crate::estimate::scanned_table(r, db).map(|t| t.stats());
             let mut sel = 1.0;
             for p in &local[i] {
                 sel *= crate::estimate::predicate_selectivity(p, stats.as_deref(), db);

@@ -193,6 +193,19 @@ impl HistSnapshot {
         self.sum = self.sum.wrapping_add(other.sum);
     }
 
+    /// Takes out `other`, whose samples must all have been recorded or
+    /// merged into this one: the bucket-wise mirror of
+    /// [`merge`](Self::merge), so `merge` then `subtract` is the identity.
+    pub fn subtract(&mut self, other: &HistSnapshot) {
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            debug_assert!(*a >= *b, "subtracting samples never recorded");
+            *a -= b;
+        }
+        debug_assert!(self.count >= other.count);
+        self.count -= other.count;
+        self.sum = self.sum.wrapping_sub(other.sum);
+    }
+
     /// Whether no samples were recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
@@ -454,6 +467,24 @@ mod tests {
         b.merge(&a);
         assert_eq!(ab, b);
         assert_eq!(ab.sum, 3_063 + 900_057 - 2, "2 * u64::MAX is -2 mod 2^64");
+    }
+
+    #[test]
+    fn subtract_undoes_record() {
+        let mut kept = HistSnapshot::new();
+        for v in [0u64, 3, 3, 4_096, u64::MAX] {
+            kept.record(v);
+        }
+        let mut removed = HistSnapshot::new();
+        let mut both = kept.clone();
+        for v in [3u64, 17, 1_000_000, u64::MAX] {
+            removed.record(v);
+            both.record(v);
+        }
+        both.subtract(&removed);
+        assert_eq!(both, kept);
+        both.subtract(&kept);
+        assert_eq!(both, HistSnapshot::new());
     }
 
     #[test]

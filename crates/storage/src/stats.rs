@@ -1,14 +1,25 @@
-//! Per-column table statistics, collected in parallel over segments and
-//! extended — not recollected — when rows are appended.
+//! Per-column table statistics, collected in parallel over segments once
+//! and from then on changed only by the rows a change touches.
 //!
 //! [`collect_stats`] walks a [`ColumnTable`] with the same
 //! worker-count policy as the scan kernels: workers claim whole segments
 //! off a shared cursor and fold per-column accumulators (null count,
 //! min/max, an HLL NDV sketch, a log-bucketed value histogram); the
 //! partials merge commutatively, in segment order — so the result is
-//! deterministic regardless of worker count or claim order. Every accumulator only ever grows, and [`ColumnStats`] keeps
-//! its sketch, so published statistics merge too: [`extend_stats`] folds
-//! just the rows past the ones already counted.
+//! deterministic regardless of worker count or claim order.
+//!
+//! [`ColumnStats`] keeps its sketch, so published statistics change
+//! without a rescan: [`extend_stats`] folds just the rows past the ones
+//! already counted, [`TableStats::merge`] folds in the statistics of rows
+//! written elsewhere (an update's new versions) and
+//! [`TableStats::retract`] takes out those of removed rows. Row and NULL
+//! counts and the histogram subtract exactly; a min or max that a removed
+//! value equals is looked up among the rows left, and recomputed over that
+//! one column only when no row left holds it. Every field then equals a
+//! rebuild's except `ndv`: an HLL register cannot be lowered, so the
+//! sketch keeps every row version the table has held, and `ndv` estimates
+//! the distinct values of the live rows together with every row deleted
+//! or overwritten since the table was created.
 //!
 //! The fold is typed: one match on the column's buffer, then a loop over
 //! native values — no boxed [`Value`] per cell, no `Arc<str>` refcount
@@ -90,86 +101,126 @@ impl ColumnStats {
         self.cover(other.min.as_ref(), other.max.as_ref());
     }
 
-    /// Folds rows `rows` of one segment's column in.
-    fn fold(&mut self, col: &Column, rows: Range<usize>) {
-        let nulls = &col.nulls;
-        match &col.data {
-            ColumnData::I64(buf) => self.fold_typed(buf, nulls, rows, |x| Value::Int(*x)),
-            ColumnData::Decimal(buf) => self.fold_typed(buf, nulls, rows, |x| Value::Decimal(*x)),
-            ColumnData::Date(buf) => self.fold_typed(buf, nulls, rows, |x| Value::Date(*x)),
-            ColumnData::Str(buf) => {
-                let (lo, hi) = self.fold_cells(buf, nulls, rows, |s| {
-                    let mut h = DefaultHasher::new();
-                    Value::hash_str(s, &mut h);
-                    (h.finish(), None)
-                });
-                let boxed = |s: &Arc<str>| Value::Str(Arc::clone(s));
-                self.cover(lo.map(boxed).as_ref(), hi.map(boxed).as_ref());
+    /// Takes out `removed`, which was folded in; `left` is column `c`'s
+    /// segments without it. The sketch keeps the removed values.
+    fn retract<'a>(
+        &mut self,
+        removed: &ColumnStats,
+        left: impl Iterator<Item = &'a Column> + Clone,
+    ) {
+        self.nulls -= removed.nulls;
+        self.hist.subtract(&removed.hist);
+        // Only a removed value equal to an extreme can have taken it away,
+        // and only when no row left holds the same value.
+        let lost = |held: &Option<Value>, gone: &Option<Value>| match held {
+            Some(v) => held == gone && !left.clone().any(|col| holds(col, v)),
+            None => false,
+        };
+        let (min_lost, max_lost) = (lost(&self.min, &removed.min), lost(&self.max, &removed.max));
+        if min_lost || max_lost {
+            let mut rescan = ColumnStats::empty();
+            left.for_each(|col| rescan.cover_column(col, 0..col.len()));
+            if min_lost {
+                self.min = rescan.min;
             }
-            ColumnData::Other(buf) => {
-                for v in buf[rows].iter() {
-                    if v.is_null() {
-                        self.nulls += 1;
-                        continue;
-                    }
-                    self.sketch.insert_hash(ndv_hash(v));
-                    hist_key(v).into_iter().for_each(|k| self.hist.record(k));
-                    self.cover(Some(v), Some(v));
-                }
+            if max_lost {
+                self.max = rescan.max;
             }
         }
     }
 
-    /// [`fold_cells`](Self::fold_cells) for buffers whose values box for
-    /// free (`Copy` payloads): hash and histogram key come off the boxed
-    /// value itself.
-    fn fold_typed<T: Ord>(
-        &mut self,
-        buf: &[T],
-        nulls: &Bitmap,
-        rows: Range<usize>,
-        boxed: impl Fn(&T) -> Value,
-    ) {
-        let (lo, hi) = self.fold_cells(buf, nulls, rows, |x| {
-            let v = boxed(x);
-            (ndv_hash(&v), hist_key(&v))
-        });
-        self.cover(lo.map(&boxed).as_ref(), hi.map(&boxed).as_ref());
+    /// Folds rows `rows` of one segment's column in.
+    fn fold(&mut self, col: &Column, rows: Range<usize>) {
+        let observe = |v: &Value| (ndv_hash(v), hist_key(v));
+        let (nulls, cells) = (&col.nulls, rows.clone());
+        match &col.data {
+            ColumnData::I64(buf) => {
+                self.fold_cells(buf, nulls, cells, |x| observe(&Value::Int(*x)))
+            }
+            ColumnData::Decimal(buf) => {
+                self.fold_cells(buf, nulls, cells, |x| observe(&Value::Decimal(*x)))
+            }
+            ColumnData::Date(buf) => {
+                self.fold_cells(buf, nulls, cells, |x| observe(&Value::Date(*x)))
+            }
+            ColumnData::Str(buf) => self.fold_cells(buf, nulls, cells, |s| {
+                let mut h = DefaultHasher::new();
+                Value::hash_str(s, &mut h);
+                (h.finish(), None)
+            }),
+            ColumnData::Other(buf) => self.fold_cells(buf, nulls, cells, observe),
+        }
+        self.cover_column(col, rows);
     }
 
     /// Counts NULLs and feeds every other cell of `buf[rows]` to the
     /// sketch and the histogram: `observe` returns the cell's
-    /// [`ndv_hash`] and its histogram key. Returns the smallest and
-    /// largest cell (first seen among equals), compared on the native
-    /// type — which agrees with [`Value::sort_cmp`] within one buffer
-    /// variant.
-    fn fold_cells<'b, T: Ord>(
+    /// [`ndv_hash`] and its histogram key.
+    fn fold_cells<T>(
         &mut self,
-        buf: &'b [T],
+        buf: &[T],
         nulls: &Bitmap,
         rows: Range<usize>,
         observe: impl Fn(&T) -> (u64, Option<u64>),
-    ) -> (Option<&'b T>, Option<&'b T>) {
-        let (mut lo, mut hi) = (None, None);
+    ) {
         for i in rows {
             if nulls.get(i) {
                 self.nulls += 1;
                 continue;
             }
-            let x = &buf[i];
-            let (hash, key) = observe(x);
+            let (hash, key) = observe(&buf[i]);
             self.sketch.insert_hash(hash);
             if let Some(k) = key {
                 self.hist.record(k);
             }
-            if lo.is_none_or(|m| x < m) {
-                lo = Some(x);
-            }
-            if hi.is_none_or(|m| x > m) {
-                hi = Some(x);
-            }
         }
-        (lo, hi)
+    }
+
+    /// Widens min/max over the non-NULL cells of `col[rows]`, compared on
+    /// the native type — which agrees with [`Value::sort_cmp`] within one
+    /// buffer variant — so only the two winners are boxed.
+    fn cover_column(&mut self, col: &Column, rows: Range<usize>) {
+        fn extremes<'b, T: Ord, V>(
+            buf: &'b [T],
+            cells: impl Iterator<Item = usize>,
+            boxed: impl Fn(&'b T) -> V,
+        ) -> (Option<V>, Option<V>) {
+            let (mut lo, mut hi): (Option<&T>, Option<&T>) = (None, None);
+            for x in cells.map(|i| &buf[i]) {
+                if lo.is_none_or(|m| x < m) {
+                    lo = Some(x);
+                }
+                if hi.is_none_or(|m| x > m) {
+                    hi = Some(x);
+                }
+            }
+            (lo.map(&boxed), hi.map(&boxed))
+        }
+        let cells = rows.filter(|&i| !col.nulls.get(i));
+        let (lo, hi) = match &col.data {
+            ColumnData::I64(buf) => extremes(buf, cells, |x| Value::Int(*x)),
+            ColumnData::Decimal(buf) => extremes(buf, cells, |x| Value::Decimal(*x)),
+            ColumnData::Date(buf) => extremes(buf, cells, |x| Value::Date(*x)),
+            ColumnData::Str(buf) => extremes(buf, cells, |s| Value::Str(Arc::clone(s))),
+            ColumnData::Other(buf) => {
+                cells.for_each(|i| self.cover(Some(&buf[i]), Some(&buf[i])));
+                return;
+            }
+        };
+        self.cover(lo.as_ref(), hi.as_ref());
+    }
+}
+
+/// Whether a non-NULL cell of `col` equals `v`; stops at the first. Typed
+/// where the buffer holds `v`'s type, through [`Value`]'s `==` otherwise.
+fn holds(col: &Column, v: &Value) -> bool {
+    let mut cells = (0..col.len()).filter(|&i| !col.nulls.get(i));
+    match (&col.data, v) {
+        (ColumnData::I64(buf), Value::Int(x)) => cells.any(|i| buf[i] == *x),
+        (ColumnData::Decimal(buf), Value::Decimal(x)) => cells.any(|i| buf[i] == *x),
+        (ColumnData::Date(buf), Value::Date(x)) => cells.any(|i| buf[i] == *x),
+        (ColumnData::Str(buf), Value::Str(x)) => cells.any(|i| buf[i] == *x),
+        _ => cells.any(|i| col.value_at(i) == *v),
     }
 }
 
@@ -183,6 +234,37 @@ pub struct TableStats {
 }
 
 impl TableStats {
+    /// The statistics of a table of `width` columns and no rows.
+    pub fn empty(width: usize) -> TableStats {
+        TableStats {
+            rows: 0,
+            columns: vec![ColumnStats::empty(); width],
+        }
+    }
+
+    /// Folds in `added`: the statistics of rows the table now holds
+    /// besides the ones counted. Exact, since no accumulator shrinks.
+    pub fn merge(&mut self, added: &TableStats) {
+        self.rows += added.rows;
+        for (into, from) in self.columns.iter_mut().zip(&added.columns) {
+            into.merge(from);
+            into.ndv = into.sketch.estimate_u64();
+        }
+    }
+
+    /// Takes out `removed`: the statistics of counted rows that are gone
+    /// from `table`, which holds the rest. Costs the removed rows, plus a
+    /// search of one column's cells where a removed value equals its min
+    /// or max; every field but `ndv` then equals [`collect_stats`] of
+    /// `table` (see the module doc).
+    pub fn retract(&mut self, removed: &TableStats, table: &ColumnTable) {
+        debug_assert_eq!(self.rows - removed.rows, table.rows as u64);
+        self.rows -= removed.rows;
+        for (c, (into, gone)) in self.columns.iter_mut().zip(&removed.columns).enumerate() {
+            into.retract(gone, table.segments.iter().map(|s| &s.columns[c]));
+        }
+    }
+
     /// The stats for column `i`, if the table has that many columns.
     pub fn column(&self, i: usize) -> Option<&ColumnStats> {
         self.columns.get(i)
@@ -281,11 +363,7 @@ fn sip_round(v: &mut [u64; 4]) {
 /// `threads` workers (whole segments are the unit of work; small tables
 /// run inline on the caller's thread).
 pub fn collect_stats(table: &ColumnTable, threads: usize) -> TableStats {
-    let none = TableStats {
-        rows: 0,
-        columns: vec![ColumnStats::empty(); table.width()],
-    };
-    extend_stats(&none, table, threads)
+    extend_stats(&TableStats::empty(table.width()), table, threads)
 }
 
 /// The statistics of `table`, given `base`: those of its first
@@ -407,6 +485,77 @@ mod tests {
         // Worker count must not change the result.
         assert_eq!(serial.columns[0].ndv, parallel.columns[0].ndv);
         assert_eq!(serial.columns[0].hist.count, parallel.columns[0].hist.count);
+    }
+
+    /// Row `i`: a unique id (rows 0 and `n - 1` alone hold its extremes),
+    /// a key every extreme of which many rows hold, a decimal and a unique
+    /// string with NULLs, and a repeated string.
+    fn row(i: usize) -> Row {
+        let null_or = |null: bool, v: Value| if null { Value::Null } else { v };
+        vec![
+            Value::Int(i as i64),
+            Value::Int((i % 10) as i64),
+            null_or(i % 7 == 3, Value::Decimal(Decimal::new(i as i128 * 37, 2))),
+            null_or(i % 5 == 1, Value::str(format!("s{i:06}"))),
+            Value::str(format!("g{}", i % 3)),
+        ]
+    }
+
+    /// Takes the rows `gone` selects out of `0..n` rows' statistics and
+    /// folds `added` in; checks the result against a rebuild and returns
+    /// it.
+    fn retract_and_fold(n: usize, gone: impl Fn(usize) -> bool, added: &[Row]) -> TableStats {
+        let table = |rows: &[Row]| {
+            use DataType::{Decimal, Int, Str};
+            ColumnTable::from_rows(vec![Int, Int, Decimal, Str, Str], rows)
+        };
+        let (removed, kept): (Vec<_>, Vec<_>) = (0..n).partition(|&i| gone(i));
+        let removed: Vec<Row> = removed.into_iter().map(row).collect();
+        let result: Vec<Row> = kept.into_iter().map(row).chain(added.to_vec()).collect();
+        let mut stats = collect_stats(&table(&(0..n).map(row).collect::<Vec<_>>()), 2);
+        stats.merge(&collect_stats(&table(added), 2));
+        stats.retract(&collect_stats(&table(&removed), 2), &table(&result));
+
+        let rebuilt = collect_stats(&table(&result), 2);
+        let union = collect_stats(&table(&[result, removed].concat()), 2);
+        assert_eq!(stats.rows, rebuilt.rows, "{n} rows");
+        for (c, got) in stats.columns.iter().enumerate() {
+            let want = &rebuilt.columns[c];
+            assert_eq!(got.nulls, want.nulls, "{n} rows, column {c}: nulls");
+            assert_eq!(got.min, want.min, "{n} rows, column {c}: min");
+            assert_eq!(got.max, want.max, "{n} rows, column {c}: max");
+            assert_eq!(got.hist, want.hist, "{n} rows, column {c}: histogram");
+            assert_eq!(got.ndv, union.columns[c].ndv, "{n} rows, column {c}: ndv");
+        }
+        stats
+    }
+
+    #[test]
+    fn retract_then_fold_equals_a_rebuild_around_the_segment_boundary() {
+        for n in [SEGMENT_ROWS - 1, SEGMENT_ROWS, SEGMENT_ROWS + 1] {
+            let updated = |i: usize| {
+                let mut r = row(i);
+                r[3] = Value::str("s5-updated");
+                r
+            };
+            // The only holders of the id's, the decimal's and the unique
+            // string's extremes: the min/max pass over the rows left.
+            let s = retract_and_fold(n, |i| i == 0 || i == n - 1, &[updated(n / 2)]);
+            assert_eq!(s.columns[0].min, Some(Value::Int(1)));
+            // One of several rows holding the key's extremes and one of the
+            // repeated strings: the search stops at the next holder.
+            let s = retract_and_fold(n, |i| i == 10 || i == 19 || i == 2, &[updated(7)]);
+            assert_eq!(s.columns[1].min, Some(Value::Int(0)));
+            // A whole segment's worth, and an extreme the folded row holds.
+            retract_and_fold(n, |i| i % 2 == 0, &[updated(0)]);
+            // Everything.
+            let s = retract_and_fold(n, |_| true, &[]);
+            assert_eq!(s.rows, 0);
+            for c in &s.columns {
+                assert_eq!((c.nulls, c.hist.is_empty()), (0, true));
+                assert!(c.min.is_none() && c.max.is_none());
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl Default for SynthConfig {
 /// while concurrent DM commits publish fresher stats.
 struct TableInfo {
     rows: u64,
-    stats: Option<Arc<TableStats>>,
+    stats: Arc<TableStats>,
 }
 
 /// The seeded, deterministic SQL generator.
@@ -98,7 +98,7 @@ impl Synthesizer {
     }
 
     fn stats(&self, table: &str) -> Option<&TableStats> {
-        self.info.get(table).and_then(|i| i.stats.as_deref())
+        self.info.get(table).map(|i| &*i.stats)
     }
 
     fn def(&self, table: &str) -> &TableDef {
