@@ -13,19 +13,24 @@
 //! concurrently with data maintenance.
 //!
 //! **The segments are the table.** A [`Table`] keeps its rows once, as a
-//! [`ColumnTable`] of immutable, `Arc`-shared segments; there is no row
-//! list beside it. Staging a table copies no segment, and
-//! [`Table::insert`], [`Table::delete_where`] and [`Table::update_each`]
-//! build the segments they change (append copies the short tail, delete
-//! gathers from the first gap, update rebuilds the segments hit) and
-//! patch the indexes, so a staged table is consistent after every call.
-//! Statistics follow the same rule: a delete takes its rows out of them,
-//! an update its old versions out and its new ones in, and
-//! [`WriteTxn::commit`] folds in the appended rows — so a commit pays for
-//! the rows it changed. What a reader gets is indistinguishable from
-//! segments, statistics and indexes built from scratch over the published
-//! rows, except that the NDV sketches still count the values of rows
-//! deleted or overwritten (see `tpcds_storage::stats`).
+//! [`ColumnTable`] of immutable, `Arc`-shared segments, and each [`Index`]
+//! as one immutable map per segment; there is no row list beside them.
+//! Staging a table copies no segment and no map, and [`Table::insert`],
+//! [`Table::delete_where`] and [`Table::update_each`] build only the
+//! segments whose columns they change: an append the tail it grows (less
+//! than a morsel of it) and the segments it adds, an update the segments
+//! it hits, a delete nothing — it marks its rows dead in the masks of the
+//! segments it hits — unless it leaves a segment a quarter dead, which it
+//! then compacts. The maps of exactly those segments are rebuilt (an
+//! update's only when it changed an indexed column), so a staged table is
+//! consistent after every call. Statistics follow the same rule: a delete
+//! takes its rows out of them, an update its old versions out and its new
+//! ones in, and [`WriteTxn::commit`] folds in the appended rows — so a
+//! commit pays for the rows it changed. What a reader gets is
+//! indistinguishable from segments, statistics and indexes built from
+//! scratch over the published live rows, in order, except that the NDV
+//! sketches still count the values of rows deleted or overwritten (see
+//! `tpcds_storage::stats`).
 //!
 //! Commit is panic-safe by construction: a transaction that unwinds
 //! before [`WriteTxn::commit`] publishes nothing — the staged tables are
@@ -38,7 +43,7 @@ use crate::sync::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use tpcds_obs::qlog::QueryLog;
-use tpcds_storage::{ColumnTable, TableStats};
+use tpcds_storage::{ColumnTable, Segment, TableStats, SEGMENT_ROWS};
 use tpcds_types::{DataType, Row, Value};
 
 /// A row producer for a server-owned `sys.*` virtual table
@@ -55,69 +60,78 @@ pub struct ColumnMeta {
     pub dtype: DataType,
 }
 
-/// A hash index over one column: value → row positions.
+/// A hash index over one column: one immutable map per segment, aligned
+/// with the table's segments. Versions of a table share the maps of the
+/// segments they share, so staging clones a `Vec` of `Arc`s; a delete
+/// touches no map ([`Index::lookup`] skips dead rows), and a mutator
+/// rebuilds only the maps of segments whose columns it built.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Index {
-    map: HashMap<Value, Vec<usize>>,
+    maps: Vec<Arc<Postings>>,
 }
+
+/// One segment's map: key → the ascending offsets holding it.
+pub type Postings = HashMap<Value, Vec<u32>>;
 
 impl Index {
     fn build(data: &ColumnTable, col: usize) -> Index {
-        let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-        for (i, key) in data.column(col).enumerate() {
-            map.entry(key).or_default().push(i);
+        let mut index = Index::default();
+        index.rebuild(data, col, 0..data.segments.len());
+        index
+    }
+
+    /// The map of `seg`'s live rows in column `col`.
+    pub fn postings(seg: &Segment, col: usize) -> Postings {
+        let mut map = Postings::new();
+        for i in seg.live_offsets() {
+            let key = seg.columns[col].value_at(i);
+            map.entry(key).or_default().push(i as u32);
         }
-        Index { map }
+        map
     }
 
-    /// Row positions with the given key value.
-    pub fn lookup(&self, key: &Value) -> &[usize] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Approximate heap bytes: the key table plus the position lists.
-    pub fn heap_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(Value, Vec<usize>)>();
-        let postings = self.map.values().map(|p| p.capacity() * 8).sum::<usize>();
-        self.map.capacity() * entry + postings
-    }
-
-    /// Rewrites row positions after a delete compaction. `remap[old]` is
-    /// the new position, or `usize::MAX` when the row was deleted. The
-    /// remap is monotonic over surviving rows, so position lists stay
-    /// sorted; keys whose every row was deleted drop out.
-    fn remap_positions(&mut self, remap: &[usize]) {
-        self.map.retain(|_, positions| {
-            positions.retain_mut(|p| {
-                let np = remap[*p];
-                if np == usize::MAX {
-                    false
-                } else {
-                    *p = np;
-                    true
-                }
-            });
-            !positions.is_empty()
-        });
-    }
-
-    /// Moves the posting of position `pos` from key `old` to key `new`,
-    /// keeping both position lists ascending.
-    fn rekey(&mut self, pos: usize, old: &Value, new: &Value) {
-        if let Some(positions) = self.map.get_mut(old) {
-            positions.retain(|&p| p != pos);
-            if positions.is_empty() {
-                self.map.remove(old);
+    /// Builds the maps of `data`'s segments `built`, which are new or
+    /// follow the last map, and shares every other one.
+    fn rebuild(&mut self, data: &ColumnTable, col: usize, built: impl IntoIterator<Item = usize>) {
+        for si in built {
+            let map = Arc::new(Index::postings(&data.segments[si], col));
+            match self.maps.get_mut(si) {
+                Some(old) => *old = map,
+                None => self.maps.push(map),
             }
         }
-        let positions = self.map.entry(new.clone()).or_default();
-        let at = positions.partition_point(|&p| p < pos);
-        positions.insert(at, pos);
+        debug_assert_eq!(self.maps.len(), data.segments.len());
+    }
+
+    /// The ids of `data`'s live rows holding `key`, ascending. `data` is
+    /// the version of the table the index belongs to.
+    pub fn lookup<'a>(
+        &'a self,
+        data: &'a ColumnTable,
+        key: &'a Value,
+    ) -> impl Iterator<Item = usize> + 'a {
+        debug_assert_eq!(self.maps.len(), data.segments.len());
+        let maps = self.maps.iter().zip(&data.segments).enumerate();
+        maps.flat_map(move |(si, (map, seg))| {
+            let offsets = map.get(key).map_or(&[][..], Vec::as_slice).iter();
+            let live = offsets.map(|&i| i as usize).filter(|&i| !seg.is_dead(i));
+            live.map(move |i| si * SEGMENT_ROWS + i)
+        })
+    }
+
+    /// The map of segment `si`.
+    pub fn segment(&self, si: usize) -> &Arc<Postings> {
+        &self.maps[si]
+    }
+
+    /// Approximate heap bytes: the key tables plus the offset lists.
+    pub fn heap_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<(Value, Vec<u32>)>();
+        let map = |m: &Arc<Postings>| {
+            let postings = m.values().map(|p| p.capacity() * 4).sum::<usize>();
+            m.capacity() * entry + postings
+        };
+        self.maps.iter().map(map).sum()
     }
 }
 
@@ -143,10 +157,11 @@ impl std::ops::DerefMut for RowMut<'_> {
 }
 
 /// One stored table. Cloning a `Table` is how a [`WriteTxn`] stages it,
-/// and copies no row: the segments and the statistics are `Arc`s shared
-/// with the base version (only the index maps copy). Mutators build the
-/// segments they change and revise the statistics for the rows they
-/// remove or replace; appended rows fold in at [`WriteTxn::commit`].
+/// and copies no row and no index map: the segments, the maps and the
+/// statistics are `Arc`s shared with the base version. Mutators build the
+/// segments whose columns they change, and the maps of those, and revise
+/// the statistics for the rows they remove or replace; appended rows fold
+/// in at [`WriteTxn::commit`].
 #[derive(Clone, Debug)]
 pub struct Table {
     /// Column metadata, in order.
@@ -156,8 +171,9 @@ pub struct Table {
     /// Secondary hash indexes, keyed by column position.
     pub indexes: HashMap<usize, Index>,
     /// Per-column statistics (row/null counts, min/max, NDV, histogram)
-    /// of the first `stats.rows` rows of `data`: all of them on a
-    /// published table, all but those appended since on a staged one.
+    /// of `data`'s live rows but the last `data.rows - stats.rows`: all of
+    /// them on a published table, all but those appended since on a
+    /// staged one.
     stats: Arc<TableStats>,
     /// What the mutators have done since the table was staged.
     staged: Derived,
@@ -187,15 +203,19 @@ impl Table {
         self.columns.iter().position(|c| c.name == name)
     }
 
-    /// Installs the segments a mutator built.
-    fn put(&mut self, (data, built): (ColumnTable, usize), rows_changed: usize) {
+    /// Installs the segments a mutator built and the maps of those.
+    fn put(&mut self, data: ColumnTable, built: &[usize], rows_changed: usize) {
+        for (col, idx) in self.indexes.iter_mut() {
+            idx.rebuild(&data, *col, built.iter().copied());
+        }
         self.data = Arc::new(data);
         self.staged.rows_changed += rows_changed;
-        self.staged.segments_rebuilt += built;
+        self.staged.segments_rebuilt += built.len();
     }
 
-    /// Appends rows, growing every index. A row of the wrong arity fails
-    /// the whole batch and leaves the table exactly as it was.
+    /// Appends rows, building the maps of the segments the append built. A
+    /// row of the wrong arity fails the whole batch and leaves the table
+    /// exactly as it was.
     pub fn insert(&mut self, rows: Vec<Row>) -> Result<()> {
         let width = self.columns.len();
         if let Some(bad) = rows.iter().find(|row| row.len() != width) {
@@ -204,13 +224,10 @@ impl Table {
                 bad.len()
             )));
         }
-        for (col, idx) in self.indexes.iter_mut() {
-            for (pos, row) in (self.data.rows..).zip(&rows) {
-                idx.map.entry(row[*col].clone()).or_default().push(pos);
-            }
-        }
         if !rows.is_empty() {
-            self.put(self.data.append(&rows), rows.len());
+            let (data, built) = self.data.append(&rows);
+            let built: Vec<usize> = (data.segments.len() - built..data.segments.len()).collect();
+            self.put(data, &built, rows.len());
         }
         Ok(())
     }
@@ -230,112 +247,109 @@ impl Table {
                 self.indexes.len()
             )));
         }
-        let (rows, built) = (data.rows, data.segments.len());
-        self.put((data, built), rows);
+        let (rows, built) = (data.rows, (0..data.segments.len()).collect::<Vec<_>>());
+        self.put(data, &built, rows);
         Ok(())
     }
 
-    /// Deletes every row for which `pred` returns true; returns the number
-    /// deleted. Survivors keep their relative order and indexes are
-    /// *remapped* rather than rebuilt: only surviving postings are
-    /// touched, and keys whose rows all died drop out. A predicate that
-    /// matches nothing copies nothing. The `engine/maint.deleted_rows`
-    /// counter records how bulky deletes actually are, instead of
-    /// asserting in a comment that they are rare.
+    /// Deletes every live row for which `pred` returns true; returns the
+    /// number deleted. The rows are marked dead in their segments' masks:
+    /// survivors keep their ids, order and index postings, and only a
+    /// segment the delete leaves a quarter dead is rebuilt (compacted),
+    /// with its index maps. A predicate that matches nothing copies
+    /// nothing. The `engine/maint.deleted_rows` counter records how bulky
+    /// deletes actually are, instead of asserting in a comment that they
+    /// are rare.
     pub fn delete_where(&mut self, mut pred: impl FnMut(&[Value]) -> bool) -> usize {
         let mut row = Row::new();
-        self.delete_at(|data, pos| {
-            data.read_row(pos, &mut row);
+        self.delete_at(|data, id| {
+            data.read_row(id, &mut row);
             pred(&row)
         })
     }
 
     /// [`Table::delete_where`] for a predicate that decides from the
-    /// segments and a position — one column of a wide table, say —
+    /// segments and a live row's id — one column of a wide table, say —
     /// instead of a decoded row.
     pub fn delete_at(&mut self, mut gone: impl FnMut(&ColumnTable, usize) -> bool) -> usize {
-        let n = self.data.rows;
-        let mut remap = vec![usize::MAX; n];
-        let (mut survivors, mut removed) = (Vec::new(), Vec::new());
-        for (pos, to) in remap.iter_mut().enumerate() {
-            if gone(&self.data, pos) {
-                removed.push(pos as u32);
-            } else {
-                *to = survivors.len();
-                survivors.push(pos as u32);
-            }
+        let data = Arc::clone(&self.data);
+        let removed: Vec<u32> = (data.live_ids())
+            .filter(|&id| gone(&data, id))
+            .map(|id| id as u32)
+            .collect();
+        if removed.is_empty() {
+            return 0;
         }
-        let deleted = removed.len();
-        if deleted > 0 {
-            for idx in self.indexes.values_mut() {
-                idx.remap_positions(&remap);
-            }
-            let threads = tpcds_storage::effective_threads();
-            self.catch_up_stats(threads);
-            // What `retain` keeps of the deleted positions is the deleted rows.
-            let removed = self.data.retain(&removed, threads).0;
-            self.put(self.data.retain(&survivors, threads), deleted);
-            self.revise_stats(&removed, None, threads);
-            tpcds_obs::counter(
-                "engine",
-                "maint.deleted_rows",
-                deleted as f64,
-                &[(
-                    "remaining",
-                    tpcds_obs::FieldValue::Int(survivors.len() as i64),
-                )],
-            );
-        }
-        deleted
+        let threads = tpcds_storage::effective_threads();
+        self.catch_up_stats(threads);
+        let gone_stats = tpcds_storage::collect_stats_at(&data, &removed, threads);
+        let (masked, compacted) = data.delete(&removed, threads);
+        self.staged.rows_masked += removed.len();
+        self.staged.segments_compacted += compacted.len();
+        self.put(masked, &compacted, removed.len());
+        self.revise_stats(&gone_stats, None);
+        tpcds_obs::counter(
+            "engine",
+            "maint.deleted_rows",
+            removed.len() as f64,
+            &[(
+                "remaining",
+                tpcds_obs::FieldValue::Int(self.data.rows as i64),
+            )],
+        );
+        removed.len()
     }
 
-    /// Applies `f` to every row (dimension updates); returns the number of
-    /// rows for which `f` returned true (i.e. reported a change). A row
-    /// `f` writes to is replaced, and only the index postings whose key
-    /// value it changed move — an update that touches no key column
-    /// leaves every index as it is.
+    /// Applies `f` to every live row (dimension updates); returns the
+    /// number of rows for which `f` returned true (i.e. reported a
+    /// change). A row `f` writes to is replaced; an index's maps are
+    /// rebuilt only for the segments where a written row changed its key
+    /// — an update that touches no key column shares every map.
     pub fn update_each(&mut self, f: impl FnMut(&mut RowMut<'_>) -> bool) -> usize {
         self.update_at(|_, _| true, f)
     }
 
-    /// [`Table::update_each`] over only the rows `at` selects from the
-    /// segments and a position; the others are not decoded.
+    /// [`Table::update_each`] over only the live rows `at` selects from
+    /// the segments and an id; the others are not decoded.
     pub fn update_at(
         &mut self,
         mut at: impl FnMut(&ColumnTable, usize) -> bool,
         mut f: impl FnMut(&mut RowMut<'_>) -> bool,
     ) -> usize {
+        let data = Arc::clone(&self.data);
         let mut changed = 0;
         let mut replaced: Vec<(usize, Row)> = Vec::new();
         let mut scratch = Row::new();
-        for pos in (0..self.data.rows).filter(|&pos| at(&self.data, pos)) {
-            self.data.read_row(pos, &mut scratch);
+        for id in data.live_ids().filter(|&id| at(&data, id)) {
+            data.read_row(id, &mut scratch);
             let mut row = RowMut {
                 row: &mut scratch,
                 written: false,
             };
             changed += usize::from(f(&mut row));
             if row.written {
-                replaced.push((pos, std::mem::take(&mut scratch)));
+                replaced.push((id, std::mem::take(&mut scratch)));
             }
         }
         if !replaced.is_empty() {
-            for (col, idx) in self.indexes.iter_mut() {
-                for (pos, row) in &replaced {
-                    let before = self.data.value(*pos, *col);
-                    if before != row[*col] {
-                        idx.rekey(*pos, &before, &row[*col]);
-                    }
-                }
-            }
             let threads = tpcds_storage::effective_threads();
             self.catch_up_stats(threads);
-            let at: Vec<u32> = replaced.iter().map(|(pos, _)| *pos as u32).collect();
-            let old = self.data.retain(&at, threads).0;
-            let new: Vec<&[Value]> = replaced.iter().map(|(_, row)| &row[..]).collect();
-            let new = ColumnTable::from_rows(self.data.dtypes.clone(), &new);
-            self.put(self.data.replace(&replaced, threads), replaced.len());
-            self.revise_stats(&old, Some(&new), threads);
+            let ids: Vec<u32> = replaced.iter().map(|(id, _)| *id as u32).collect();
+            let old = tpcds_storage::collect_stats_at(&data, &ids, threads);
+            let (new_data, built) = data.replace(&replaced, threads);
+            let hit = replaced.chunk_by(|a, b| a.0 / SEGMENT_ROWS == b.0 / SEGMENT_ROWS);
+            for (col, idx) in self.indexes.iter_mut() {
+                let rekeyed = |group: &&[(usize, Row)]| {
+                    (group.iter()).any(|(id, row)| data.value(*id, *col) != row[*col])
+                };
+                let segments = hit.clone().filter(rekeyed).map(|g| g[0].0 / SEGMENT_ROWS);
+                idx.rebuild(&new_data, *col, segments);
+            }
+            self.data = Arc::new(new_data);
+            self.staged.rows_changed += replaced.len();
+            self.staged.segments_rebuilt += built;
+            let new = tpcds_storage::collect_stats_at(&self.data, &ids, threads);
+            self.revise_stats(&old, Some(&new));
         }
         changed
     }
@@ -368,18 +382,19 @@ impl Table {
         }
     }
 
-    /// Brings the statistics along with a mutator that took the rows of
-    /// `removed` out of the table and put those of `added` in: folds in
-    /// and takes out just those rows ([`TableStats::retract`]).
-    fn revise_stats(&mut self, removed: &ColumnTable, added: Option<&ColumnTable>, threads: usize) {
-        let width = self.data.width();
+    /// Brings the statistics along with a mutator that took the rows
+    /// `removed` describes out of the table and put those `added`
+    /// describes in: folds in and takes out just those rows
+    /// ([`TableStats::retract`]).
+    fn revise_stats(&mut self, removed: &TableStats, added: Option<&TableStats>) {
+        let width = self.data.width() as u64;
         let stats = Arc::make_mut(&mut self.stats);
         if let Some(added) = added {
-            stats.merge(&tpcds_storage::collect_stats(added, threads));
-            self.staged.stats_cells_folded += added.rows * width;
+            stats.merge(added);
+            self.staged.stats_cells_folded += (added.rows * width) as usize;
         }
-        stats.retract(&tpcds_storage::collect_stats(removed, threads), &self.data);
-        self.staged.stats_cells_retracted += removed.rows * width;
+        stats.retract(removed, &self.data);
+        self.staged.stats_cells_retracted += (removed.rows * width) as usize;
     }
 
     /// Brings the statistics up to the rows and returns what the
@@ -398,6 +413,8 @@ struct Derived {
     rows_changed: usize,
     tables_rebuilt: usize,
     segments_rebuilt: usize,
+    rows_masked: usize,
+    segments_compacted: usize,
     stats_cells_folded: usize,
     stats_cells_retracted: usize,
 }
@@ -474,10 +491,16 @@ pub struct Commit {
     /// Tables whose rows the transaction actually mutated — the
     /// `snapshot.tables_rebuilt` counter.
     pub tables_rebuilt: usize,
-    /// Segments its mutators built; every other segment of the new
-    /// version is shared with the base version
-    /// (`snapshot.segments_rebuilt`).
+    /// Segments whose columns its mutators built — appended tails and new
+    /// segments, segments with replaced rows, compactions; every other
+    /// segment of the new version shares its columns with the base
+    /// version (`snapshot.segments_rebuilt`).
     pub segments_rebuilt: usize,
+    /// Rows its deletes marked dead in a segment's mask.
+    pub rows_masked: usize,
+    /// Segments its deletes left a quarter dead and so rebuilt without
+    /// their dead rows (also counted in `segments_rebuilt`).
+    pub segments_compacted: usize,
     /// Cells folded into table statistics: appended rows and new
     /// versions of updated ones, times the table's width.
     pub stats_cells_folded: usize,
@@ -538,7 +561,7 @@ impl<'a> WriteTxn<'a> {
     }
 
     /// Mutable handle to a table, staged out of the base snapshot on first
-    /// touch. Staging copies the index maps and no row: segments and
+    /// touch. Staging copies no row and no index map: segments, maps and
     /// statistics stay shared with the base version, and the table's
     /// mutators build what they change.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
@@ -590,8 +613,9 @@ impl<'a> WriteTxn<'a> {
     /// revised the statistics for what they moved; the rows appended since
     /// fold in here ([`Table::publish`]), so the commit costs what the
     /// transaction changed: `rows_changed`, `segments_rebuilt`,
-    /// `stats_cells_folded` and `stats_cells_retracted` on the
-    /// `snapshot/commit` span say how much that was.
+    /// `rows_masked`, `segments_compacted`, `stats_cells_folded` and
+    /// `stats_cells_retracted` on the `snapshot/commit` span say how much
+    /// that was.
     pub fn commit(mut self) -> Commit {
         let span = tpcds_obs::span("snapshot", "commit");
         let threads = tpcds_storage::effective_threads();
@@ -608,6 +632,8 @@ impl<'a> WriteTxn<'a> {
                     total.rows_changed += derived.rows_changed;
                     total.tables_rebuilt += derived.tables_rebuilt;
                     total.segments_rebuilt += derived.segments_rebuilt;
+                    total.rows_masked += derived.rows_masked;
+                    total.segments_compacted += derived.segments_compacted;
                     total.stats_cells_folded += derived.stats_cells_folded;
                     total.stats_cells_retracted += derived.stats_cells_retracted;
                     tables.insert(name, Arc::new(t));
@@ -632,8 +658,13 @@ impl<'a> WriteTxn<'a> {
                 tables_rebuilt as f64,
                 &version,
             );
-            let segments = total.segments_rebuilt as f64;
-            tpcds_obs::counter("snapshot", "segments_rebuilt", segments, &version);
+            for (name, n) in [
+                ("segments_rebuilt", total.segments_rebuilt),
+                ("rows_masked", total.rows_masked),
+                ("segments_compacted", total.segments_compacted),
+            ] {
+                tpcds_obs::counter("snapshot", name, n as f64, &version);
+            }
         }
         tpcds_obs::metrics::gauge_set("snapshot.version", version as i64);
         span.field("version", version as i64)
@@ -641,6 +672,8 @@ impl<'a> WriteTxn<'a> {
             .field("tables_rebuilt", tables_rebuilt as i64)
             .field("rows_changed", total.rows_changed as i64)
             .field("segments_rebuilt", total.segments_rebuilt as i64)
+            .field("rows_masked", total.rows_masked as i64)
+            .field("segments_compacted", total.segments_compacted as i64)
             .field("stats_cells_folded", total.stats_cells_folded as i64)
             .field("stats_cells_retracted", total.stats_cells_retracted as i64)
             .finish();
@@ -649,6 +682,8 @@ impl<'a> WriteTxn<'a> {
             tables_changed,
             tables_rebuilt,
             segments_rebuilt: total.segments_rebuilt,
+            rows_masked: total.rows_masked,
+            segments_compacted: total.segments_compacted,
             stats_cells_folded: total.stats_cells_folded,
             stats_cells_retracted: total.stats_cells_retracted,
         }
@@ -954,6 +989,11 @@ mod tests {
         assert!(db.insert("t", vec![vec![Value::Int(1)]]).is_err());
     }
 
+    /// The ids the index on column 0 finds `key` at.
+    fn lookup(t: &Table, key: i64) -> Vec<usize> {
+        t.indexes[&0].lookup(t.data(), &Value::Int(key)).collect()
+    }
+
     #[test]
     fn index_follows_inserts_and_deletes() {
         let db = Database::new();
@@ -961,19 +1001,12 @@ mod tests {
         db.insert("t", vec![vec![Value::Int(1)], vec![Value::Int(2)]])
             .unwrap();
         db.create_index("t", "a").unwrap();
-        {
-            let t = db.table("t").unwrap();
-            assert_eq!(t.indexes[&0].lookup(&Value::Int(2)), &[1]);
-        }
+        assert_eq!(lookup(&db.table("t").unwrap(), 2), [1]);
         db.insert("t", vec![vec![Value::Int(2)]]).unwrap();
-        {
-            let t = db.table("t").unwrap();
-            assert_eq!(t.indexes[&0].lookup(&Value::Int(2)), &[1, 2]);
-        }
+        assert_eq!(lookup(&db.table("t").unwrap(), 2), [1, 2]);
         let deleted = db.delete_where("t", |r| r[0] == Value::Int(2)).unwrap();
         assert_eq!(deleted, 2);
-        let t = db.table("t").unwrap();
-        assert_eq!(t.indexes[&0].lookup(&Value::Int(2)), &[] as &[usize]);
+        assert_eq!(lookup(&db.table("t").unwrap(), 2), [] as [usize; 0]);
     }
 
     #[test]
@@ -993,33 +1026,44 @@ mod tests {
         assert_eq!(db.version(), v, "aborted txn must not publish");
         let t = db.table("t").unwrap();
         assert_eq!(t.data.rows, 1);
-        assert_eq!(t.indexes[&0].lookup(&Value::Int(2)), &[] as &[usize]);
-        assert_eq!(t.indexes[&0].distinct_keys(), 1);
+        assert_eq!(lookup(&t, 2), [] as [usize; 0]);
+        assert_eq!(t.indexes[&0], Index::build(&t.data, 0));
     }
 
     #[test]
     fn delete_remaps_index_positions_in_order() {
         let db = Database::new();
-        db.create_table("t", cols(&["a"])).unwrap();
-        let rows: Vec<Row> = (0..10).map(|i| vec![Value::Int(i % 3)]).collect();
-        db.insert("t", rows).unwrap();
+        db.create_table("t", cols(&["a", "b"])).unwrap();
+        let rows = (0..12).map(|i| vec![Value::Int(i % 3), Value::Int(i)]);
+        db.insert("t", rows.collect()).unwrap();
         db.create_index("t", "a").unwrap();
-        // Delete the 1s: 0,2 keys survive with compacted, sorted positions.
-        let deleted = db.delete_where("t", |r| r[0] == Value::Int(1)).unwrap();
-        assert_eq!(deleted, 3);
+        let before = db.table("t").unwrap();
+        let b_in = |set: &'static [i64]| move |r: &[Value]| set.contains(&r[1].as_int().unwrap());
+        // Two rows of twelve: masked. The columns and the index map are
+        // shared, and the lookup skips the dead rows.
+        assert_eq!(db.delete_where("t", b_in(&[1, 4])).unwrap(), 2);
+        let masked = db.table("t").unwrap();
+        let seg = |t: &Table| Arc::clone(&t.data.segments[0].columns);
+        assert!(Arc::ptr_eq(&seg(&masked), &seg(&before)));
+        assert!(Arc::ptr_eq(
+            masked.indexes[&0].segment(0),
+            before.indexes[&0].segment(0)
+        ));
+        assert_eq!(lookup(&masked, 1), [7, 10]);
+        // A quarter dead: compacted, and the map rebuilt over the rows left.
+        assert_eq!(db.delete_where("t", b_in(&[7])).unwrap(), 1);
         let tr = db.table("t").unwrap();
-        assert_eq!(tr.data.rows, 7);
-        assert_eq!(tr.indexes[&0].lookup(&Value::Int(1)), &[] as &[usize]);
-        for key in [0i64, 2] {
-            let pos = tr.indexes[&0].lookup(&Value::Int(key));
-            assert!(pos.windows(2).all(|w| w[0] < w[1]));
-            for &p in pos {
-                assert_eq!(tr.data.value(p, 0), Value::Int(key));
+        assert_eq!((tr.data.rows, tr.data.has_dead()), (9, false));
+        assert_eq!(tr.indexes[&0], Index::build(&tr.data, 0));
+        for (key, ids) in [(0, [0, 2, 4, 6].as_slice()), (1, &[7]), (2, &[1, 3, 5, 8])] {
+            assert_eq!(lookup(&tr, key), ids);
+            for &id in ids {
+                assert_eq!(tr.data.value(id, 0), Value::Int(key));
             }
         }
         // Surviving order is the original relative order.
-        let vals: Vec<i64> = tr.data.column(0).map(|v| v.as_int().unwrap()).collect();
-        assert_eq!(vals, vec![0, 2, 0, 2, 0, 2, 0]);
+        let vals: Vec<i64> = tr.data.column(1).map(|v| v.as_int().unwrap()).collect();
+        assert_eq!(vals, vec![0, 2, 3, 5, 6, 8, 9, 10, 11]);
     }
 
     #[test]
@@ -1147,7 +1191,7 @@ mod tests {
         assert!(load(one(DataType::Int)).is_ok());
         let t = db.table("t").unwrap();
         assert_eq!((t.data().rows, t.stats().rows), (1, 1));
-        assert_eq!(t.indexes[&0].lookup(&Value::Int(1)), &[0]);
+        assert_eq!(lookup(&t, 1), [0]);
         assert!(load(one(DataType::Int)).is_err(), "table not empty");
     }
 
@@ -1160,19 +1204,19 @@ mod tests {
         db.create_index("t", "k").unwrap();
         let mut txn = db.begin();
         let t = txn.table_mut("t").unwrap();
-        let postings = |t: &Table| t.indexes[&0].lookup(&Value::Int(3)).as_ptr();
-        let before = postings(t);
-        // No key column written: the index is not rebuilt — the posting
-        // lists are the allocations they were — and is still right.
+        let map = |t: &Table| Arc::clone(t.indexes[&0].segment(0));
+        let before = map(t);
+        // No key column written: the index is not rebuilt — the map is
+        // the very one it was — and is still right.
         let changed = t.update_each(|r| {
             r[1] = Value::Int(-1);
             true
         });
         assert_eq!(changed, 100);
-        assert_eq!(postings(t), before);
+        assert!(Arc::ptr_eq(&map(t), &before));
         assert_eq!(t.indexes[&0], Index::build(&t.data, 0));
-        // A key written: its posting moves, in position order; a key left
-        // with no row drops out.
+        // A key written: the segment's map is rebuilt, so the posting
+        // moves, in id order, and a key left with no row drops out.
         t.update_each(|r| {
             let hit = r[0] == Value::Int(3) || r[1] == Value::Int(-1) && r[0] == Value::Int(9);
             if hit {
@@ -1181,7 +1225,7 @@ mod tests {
             hit
         });
         assert_eq!(t.indexes[&0], Index::build(&t.data, 0));
-        assert_eq!(t.indexes[&0].distinct_keys(), 8);
+        assert_eq!(t.indexes[&0].segment(0).len(), 8);
         txn.commit();
     }
 

@@ -924,8 +924,8 @@ fn index_probe(
     let key = key_expr.eval(&[], ctx, outer)?;
     let mut out = Vec::new();
     if !key.is_null() {
-        for &pos in idx.lookup(&key) {
-            let row = t.data().row(pos);
+        for id in idx.lookup(t.data(), &key) {
+            let row = t.data().row(id);
             if filter.map_or(Ok(true), |f| f.matches(&row, ctx, outer))? {
                 out.push(row);
             }

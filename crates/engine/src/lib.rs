@@ -26,7 +26,7 @@ pub mod sys;
 
 pub use binder::{Binder, Bound};
 pub use catalog::{
-    ColumnMeta, Commit, Database, DbSnapshot, RowMut, SnapshotInfo, Table, WriteTxn,
+    ColumnMeta, Commit, Database, DbSnapshot, Index, RowMut, SnapshotInfo, Table, WriteTxn,
 };
 pub use error::{EngineError, Result};
 pub use exec::{ColumnarMode, ExecCtx, ExecOptions, RoutePath};

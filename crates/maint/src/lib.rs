@@ -123,10 +123,11 @@ pub fn run_maintenance(
     report
         .ops
         .push(delete_fact_range(db, generator, refresh_seq)?);
-    // Each operation above ran as one write transaction: it built the
-    // segments of exactly the tables it mutated, changed their statistics
-    // by the rows it moved, and published a new snapshot version —
-    // in-flight queries keep reading the versions they pinned.
+    // Each operation above ran as one write transaction: it built only
+    // the segments whose columns it changed, in the tables it mutated,
+    // changed their statistics by the rows it moved, and published a new
+    // snapshot version — in-flight queries keep reading the versions they
+    // pinned.
     span.field("rows", report.total_rows())
         .field("versions_committed", report.ops.len() as i64)
         .field("head_version", db.version() as i64)
@@ -186,8 +187,8 @@ pub fn update_non_history_dimension(
     }
     let mut txn = db.begin();
     let t = txn.table_mut(table)?;
-    let wanted_at = |data: &tpcds_storage::ColumnTable, pos| {
-        let bk = data.value(pos, bk_idx);
+    let wanted_at = |data: &tpcds_storage::ColumnTable, id| {
+        let bk = data.value(id, bk_idx);
         bk.as_str().is_some_and(|bk| wanted.contains_key(bk))
     };
     let updated = t.update_at(wanted_at, |row| {
@@ -263,11 +264,18 @@ pub fn update_history_dimension(
 
     let mut txn = db.begin();
     let t = txn.table_mut(table)?;
-    let surrogates = t.data().column(0).filter_map(|sk| sk.as_int());
-    let mut next_sk = surrogates.max().unwrap_or(0) + 1;
+    // The statistics' max is exact: a delete or update that takes the max
+    // away looks for the next one among the rows left.
+    let max_sk = t.stats().columns[0].max.as_ref().and_then(Value::as_int);
+    debug_assert_eq!(
+        max_sk,
+        t.data().column(0).filter_map(|sk| sk.as_int()).max(),
+        "{table}: statistics max of the surrogate key"
+    );
+    let mut next_sk = max_sk.unwrap_or(0) + 1;
     // Close current revisions and queue their replacements.
     let mut to_insert = Vec::new();
-    let open_at = |data: &tpcds_storage::ColumnTable, pos| data.value(pos, end_idx).is_null();
+    let open_at = |data: &tpcds_storage::ColumnTable, id| data.value(id, end_idx).is_null();
     let closed = t.update_at(open_at, |row| {
         let bk = match row[bk_idx].as_str() {
             Some(s) => s.to_string(),
@@ -469,17 +477,17 @@ pub fn delete_fact_range(
     ] {
         let (sold, sale_key) = (column(sales, sold), column(sales, sale_key));
         let mut keys = HashSet::new();
-        deleted += txn.table_mut(sales)?.delete_at(|data, pos| {
-            let sk = data.value(pos, sold).as_int();
+        deleted += txn.table_mut(sales)?.delete_at(|data, id| {
+            let sk = data.value(id, sold).as_int();
             let gone = sk.is_some_and(|sk| sk >= lo_sk && sk <= hi_sk);
             if gone {
-                keys.extend(data.value(pos, sale_key).as_int());
+                keys.extend(data.value(id, sale_key).as_int());
             }
             gone
         });
         let return_key = column(returns, return_key);
-        deleted += txn.table_mut(returns)?.delete_at(|data, pos| {
-            let key = data.value(pos, return_key).as_int();
+        deleted += txn.table_mut(returns)?.delete_at(|data, id| {
+            let key = data.value(id, return_key).as_int();
             key.is_some_and(|key| keys.contains(&key))
         });
     }
@@ -669,12 +677,12 @@ mod tests {
         let def = g.schema().table(table).unwrap();
         let cols: Vec<usize> = cols.iter().map(|c| def.column_index(c).unwrap()).collect();
         let t = db.table(table).unwrap();
-        let row = |pos| {
+        let row = |id| {
             cols.iter()
-                .map(|&c| t.data().value(pos, c).as_int())
+                .map(|&c| t.data().value(id, c).as_int())
                 .collect()
         };
-        (0..t.data().rows).map(row).collect()
+        t.data().live_ids().map(row).collect()
     }
 
     /// Per channel: the returns whose sale — same ticket or order, same

@@ -32,11 +32,14 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Every row and column of `table`.
+    /// Every live row and every column of `table`. Over a table with dead
+    /// rows the batch carries a pending predicate of no steps, which every
+    /// kernel already evaluates once per morsel: that is how dead rows
+    /// stay out of every kernel without code of its own.
     pub fn new(table: Arc<ColumnTable>) -> Batch {
         Batch {
+            pred: table.has_dead().then(Pred::live),
             table,
-            pred: None,
             proj: None,
         }
     }
@@ -90,7 +93,7 @@ impl Batch {
 
     /// A counter to which every kernel evaluating the pending predicate
     /// adds the rows the filters stacked *so far* admit; `None` when
-    /// nothing is pending (every table row qualifies). The count is
+    /// nothing is pending (every row qualifies: none is dead). The count is
     /// exact because every kernel evaluates a batch's predicate exactly
     /// once per morsel it visits — an invariant the kernels owe the
     /// deferred-error cell anyway, pinned for all of them by
@@ -264,14 +267,23 @@ mod tests {
         use crate::{AggKind, AggSpec, Expr, JoinType, SortKey};
         // Three morsels; the predicate admits every other row.
         let n = 20_000i64;
-        let t = Arc::new(ColumnTable::from_rows(
-            vec![DataType::Int, DataType::Int],
-            &(0..n)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 2)])
-                .collect::<Vec<_>>(),
-        ));
-        let counted = || {
-            let mut b = Batch::new(Arc::clone(&t)).filter(Expr::cmp(CmpKind::Eq, 1, Value::Int(0)));
+        let dtypes = vec![DataType::Int, DataType::Int];
+        let rows: Vec<Row> = (0..n)
+            .map(|i| vec![Value::Int(i), Value::Int(i % 2)])
+            .collect();
+        let t = Arc::new(ColumnTable::from_rows(dtypes.clone(), &rows));
+        // The same rows with every seventh dead — masked, short of a
+        // compaction — and the rows left, compacted.
+        let dead: Vec<u32> = (0..n as u32).step_by(7).collect();
+        let (masked, compacted) = t.delete(&dead, 1);
+        assert!(compacted.is_empty() && masked.has_dead());
+        let masked = Arc::new(masked);
+        let live: Vec<Row> = masked.iter_rows().collect();
+        let compact = Arc::new(ColumnTable::from_rows(dtypes, &live));
+        let even = live.iter().filter(|r| r[1] == Value::Int(0)).count() as u64;
+        let counted = |table: &Arc<ColumnTable>| {
+            let mut b =
+                Batch::new(Arc::clone(table)).filter(Expr::cmp(CmpKind::Eq, 1, Value::Int(0)));
             let rows = b.counted().unwrap();
             (b, rows)
         };
@@ -281,77 +293,63 @@ mod tests {
             col: None,
         }];
         let key = [SortKey { col: 0, desc: true }];
-        type Kernel<'a> = (&'a str, Box<dyn Fn(&Batch, usize) + 'a>);
+        let table_rows = |t: ColumnTable| t.iter_rows().collect::<Vec<_>>();
+        type Kernel<'a> = (&'a str, Box<dyn Fn(&Batch, usize) -> Vec<Row> + 'a>);
         let kernels: Vec<Kernel<'_>> = vec![
-            ("par_filter", Box::new(|b, w| drop(crate::par_filter(b, w)))),
+            ("par_filter", Box::new(|b, w| crate::par_filter(b, w).0)),
             (
                 "scan_until",
                 Box::new(|b, _| {
-                    crate::scan_until(b, |_| Ok::<_, ()>(true))
-                        .map(drop)
-                        .unwrap()
+                    let mut out = Vec::new();
+                    crate::scan_until(b, |row| {
+                        out.push(row);
+                        Ok::<_, ()>(true)
+                    })
+                    .unwrap();
+                    out
                 }),
             ),
             (
                 "par_aggregate",
-                Box::new(|b, w| drop(crate::par_aggregate(b, &[1], &count, w))),
+                Box::new(|b, w| crate::par_aggregate(b, &[1], &count, w).unwrap().0),
             ),
             (
                 "par_project_table",
-                Box::new(|b, w| drop(crate::par_project_table(b, &[Expr::Col(0)], w))),
+                Box::new(|b, w| {
+                    let out = crate::par_project_table(b, &[Expr::Col(0)], w);
+                    table_rows(out.unwrap().0)
+                }),
             ),
             (
                 "par_hash_join probe",
                 Box::new(|b, w| {
-                    drop(crate::par_hash_join(
-                        b,
-                        &[0],
-                        &plain,
-                        &[0],
-                        JoinType::Left,
-                        None,
-                        w,
-                    ))
+                    let out = crate::par_hash_join(b, &[0], &plain, &[0], JoinType::Left, None, w);
+                    table_rows(out.unwrap().0)
                 }),
             ),
             (
                 "par_hash_join build",
                 Box::new(|b, w| {
-                    drop(crate::par_hash_join(
-                        &plain,
-                        &[0],
-                        b,
-                        &[0],
-                        JoinType::Inner,
-                        None,
-                        w,
-                    ))
+                    let out = crate::par_hash_join(&plain, &[0], b, &[0], JoinType::Inner, None, w);
+                    table_rows(out.unwrap().0)
                 }),
             ),
             (
                 "par_hash_join_agg",
                 Box::new(|b, w| {
                     let (inner, none) = (JoinType::Inner, None);
-                    drop(crate::par_hash_join_agg(
-                        b,
-                        &[0],
-                        b,
-                        &[0],
-                        inner,
-                        none,
-                        &[],
-                        &count,
-                        w,
-                    ))
+                    crate::par_hash_join_agg(b, &[0], b, &[0], inner, none, &[], &count, w)
+                        .unwrap()
+                        .0
                 }),
             ),
             (
                 "par_sort",
-                Box::new(|b, w| drop(crate::par_sort(b, &key, w))),
+                Box::new(|b, w| table_rows(crate::par_sort(b, &key, w).0)),
             ),
             (
                 "par_topn",
-                Box::new(|b, w| drop(crate::par_topn(b, &key, 10, w))),
+                Box::new(|b, w| table_rows(crate::par_topn(b, &key, 10, w).0)),
             ),
             (
                 "par_window",
@@ -363,18 +361,30 @@ mod tests {
                         partition: 0,
                     };
                     let calls = [call(crate::WinFunc::RowNumber), call(crate::WinFunc::Rank)];
-                    drop(crate::par_window(b, &calls, w))
+                    table_rows(crate::par_window(b, &calls, w).unwrap().0)
                 }),
             ),
         ];
+        let admitted = |rows: Arc<AtomicU64>| rows.load(std::sync::atomic::Ordering::Relaxed);
         for (name, kernel) in &kernels {
+            // `par_hash_join_agg` is handed the batch as both inputs.
+            let uses = if *name == "par_hash_join_agg" { 2 } else { 1 };
             for workers in [1, 4] {
-                let (b, rows) = counted();
+                let what = format!("{name} at {workers} workers");
+                let (b, rows) = counted(&t);
                 kernel(&b, workers);
-                // `par_hash_join_agg` is handed the batch as both inputs.
-                let uses = if *name == "par_hash_join_agg" { 2 } else { 1 };
-                let admitted = rows.load(std::sync::atomic::Ordering::Relaxed);
-                assert_eq!(admitted, uses * n as u64 / 2, "{name} at {workers} workers");
+                assert_eq!(admitted(rows), uses * n as u64 / 2, "{what}");
+                // Over dead rows, filtered or not: the output over the rows
+                // left, compacted, and each live row evaluated once.
+                let (b, rows) = counted(&masked);
+                let over_compact = kernel(&counted(&compact).0, workers);
+                assert_eq!(kernel(&b, workers), over_compact, "{what}, filtered");
+                assert_eq!(admitted(rows), uses * even, "{what}, filtered");
+                let mut b = Batch::new(Arc::clone(&masked));
+                let rows = b.counted().expect("dead rows are a pending predicate");
+                let over_compact = kernel(&Batch::new(Arc::clone(&compact)), workers);
+                assert_eq!(kernel(&b, workers), over_compact, "{what}");
+                assert_eq!(admitted(rows), uses * live.len() as u64, "{what}");
             }
         }
     }

@@ -18,7 +18,8 @@ thread_local! {
     static EMPTY_STR: Arc<str> = Arc::from("");
 }
 
-/// A word-packed bitmap; bit `i` set means row `i` is NULL.
+/// A word-packed bitmap; bit `i` set marks row `i` — NULL in a column's
+/// bitmap, dead in a segment's mask.
 #[derive(Clone, Debug, Default)]
 pub struct Bitmap {
     words: Vec<u64>,
@@ -30,6 +31,22 @@ impl Bitmap {
     /// An empty bitmap.
     pub fn new() -> Self {
         Bitmap::default()
+    }
+
+    /// `len` clear bits.
+    pub(crate) fn zeros(len: usize) -> Self {
+        Bitmap {
+            words: vec![0; len.div_ceil(64)],
+            len,
+            set: 0,
+        }
+    }
+
+    /// Sets bit `i`, which must be clear.
+    pub(crate) fn set(&mut self, i: usize) {
+        debug_assert!(i < self.len && !self.get(i));
+        self.words[i / 64] |= 1u64 << (i % 64);
+        self.set += 1;
     }
 
     /// Appends one bit.
@@ -62,7 +79,7 @@ impl Bitmap {
         self.len == 0
     }
 
-    /// Number of set (NULL) bits.
+    /// Number of set bits.
     pub fn count_set(&self) -> usize {
         self.set
     }
@@ -75,6 +92,43 @@ impl Bitmap {
     /// Heap bytes held by the bitmap.
     pub fn heap_bytes(&self) -> usize {
         self.words.len() * 8
+    }
+
+    /// Appends one byte per bit of `start..start + len` to `out`: 1 where
+    /// the bit is clear, 0 where it is set. Eight bits at a time through a
+    /// table, because a mask is expanded once per morsel scanned.
+    pub(crate) fn extend_clear(&self, start: usize, len: usize, out: &mut Vec<u8>) {
+        /// Byte `b` → eight bytes, byte `k` 1 where bit `k` of `b` is clear.
+        const CLEAR: [u64; 256] = {
+            let mut table = [0u64; 256];
+            let mut b = 0;
+            while b < 256 {
+                let mut k = 0;
+                while k < 8 {
+                    if b >> k & 1 == 0 {
+                        table[b] |= 1 << (8 * k);
+                    }
+                    k += 1;
+                }
+                b += 1;
+            }
+            table
+        };
+        let (end, mut i) = (start + len, start);
+        out.reserve(len);
+        while i < end && (i % 8 != 0 || end - i < 8) {
+            out.push(u8::from(!self.get(i)));
+            i += 1;
+        }
+        while end - i >= 8 {
+            let byte = (self.words[i / 64] >> (i % 64)) as u8;
+            out.extend_from_slice(&CLEAR[byte as usize].to_le_bytes());
+            i += 8;
+        }
+        while i < end {
+            out.push(u8::from(!self.get(i)));
+            i += 1;
+        }
     }
 }
 
@@ -234,6 +288,13 @@ mod tests {
             assert_eq!(b.get(i), i % 3 == 0, "bit {i}");
         }
         assert_eq!(b.count_set(), (0..130).filter(|i| i % 3 == 0).count());
+        // Expanded to bytes from any start, over any length.
+        for (start, len) in [(0, 130), (64, 66), (3, 0), (5, 7), (7, 100), (120, 10)] {
+            let mut out = vec![9];
+            b.extend_clear(start, len, &mut out);
+            let want = (start..start + len).map(|i| u8::from(i % 3 != 0));
+            assert_eq!(out[1..], want.collect::<Vec<_>>(), "{start}+{len}");
+        }
     }
 
     #[test]

@@ -430,11 +430,7 @@ impl Probe<'_> {
                 gather_column(self.build, c - pw, &cands.build)
             };
         }
-        let scratch = Segment {
-            columns,
-            rows: cands.probe.len(),
-            bytes: 0,
-        };
+        let scratch = Segment::scratch(columns, cands.probe.len());
         let mut tri = Vec::new();
         if let Err((j, msg)) = rexpr.eval_tri(&scratch, 0, scratch.rows, &mut tri) {
             // Morsels are probe-ordered and candidates probe-ordered
@@ -474,7 +470,7 @@ fn prepare<'a>(
     threads: usize,
 ) -> (Probe<'a>, JoinStats) {
     assert!(
-        probe.table.rows.max(build.table.rows) < u32::MAX as usize,
+        probe.table.id_end().max(build.table.id_end()) <= NO_ROW as usize,
         "row ids are u32"
     );
     let int_path = probe_keys.len() == 1

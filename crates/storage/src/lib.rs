@@ -37,9 +37,9 @@ pub use expr::{par_project_table, ErrCell, Expr, ExprStats, KeySet, SetTest};
 pub use join::{par_hash_join, par_hash_join_agg, JoinStats, JoinType};
 pub use morsel::{par_aggregate, par_filter, scan_until, ScanStats, MORSEL_ROWS};
 pub use pred::{CmpKind, Pred};
-pub use segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
+pub use segment::{ColumnTable, ColumnTableBuilder, Segment, COMPACT_DEAD_SHARE, SEGMENT_ROWS};
 pub use sort::{par_sort, par_topn, par_window, SortKey, SortStats, WinFunc, WinSpec};
-pub use stats::{collect_stats, extend_stats, ColumnStats, TableStats};
+pub use stats::{collect_stats, collect_stats_at, extend_stats, ColumnStats, TableStats};
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -7,6 +7,11 @@
 //! every earlier step read TRUE (inside one filter, `a AND b` evaluates
 //! `b` unless `a` is FALSE); the lowest surviving row is offered to the
 //! cell — the error the row path (`BExpr::eval`, the oracle) raises.
+//!
+//! Evaluation starts from the segment's dead-row mask: a dead row reads
+//! FALSE before any step runs, so it never qualifies and never raises. A
+//! chain of no steps ([`Pred::live`]) admits exactly the live rows — what
+//! a batch over a table with dead rows carries.
 
 use crate::expr::{ErrCell, Expr};
 use crate::segment::Segment;
@@ -64,14 +69,16 @@ impl CmpKind {
     }
 }
 
-/// The pending predicate of a [`crate::Batch`]: rows qualify where every
-/// step reads TRUE. Built only by [`crate::Batch::filter`].
+/// The pending predicate of a [`crate::Batch`]: live rows qualify where
+/// every step reads TRUE. Built only by [`crate::Batch`].
 ///
 /// Clones share the error cell and the counters, so a predicate captured
 /// by several scan workers still reports the single lowest-row error.
 #[derive(Clone, Debug)]
 pub struct Pred {
     steps: Vec<Step>,
+    /// Counters of the chain before its first step: the live rows.
+    admitted: Vec<Arc<AtomicU64>>,
     err: Arc<ErrCell>,
 }
 
@@ -85,12 +92,18 @@ struct Step {
 }
 
 impl Pred {
+    /// The chain of no steps: it admits the live rows.
+    pub(crate) fn live() -> Pred {
+        Pred {
+            steps: Vec::new(),
+            admitted: Vec::new(),
+            err: Arc::new(ErrCell::new()),
+        }
+    }
+
     /// A one-step chain.
     pub(crate) fn new(expr: Expr) -> Pred {
-        let mut pred = Pred {
-            steps: Vec::new(),
-            err: Arc::new(ErrCell::new()),
-        };
+        let mut pred = Pred::live();
         pred.push(expr);
         pred
     }
@@ -108,20 +121,31 @@ impl Pred {
     /// from whichever kernel evaluates its batch.
     pub(crate) fn counted(&mut self) -> Arc<AtomicU64> {
         let rows = Arc::new(AtomicU64::new(0));
-        let last = self.steps.last_mut().expect("a chain has a step");
-        last.admitted.push(Arc::clone(&rows));
+        let counters = match self.steps.last_mut() {
+            Some(last) => &mut last.admitted,
+            None => &mut self.admitted,
+        };
+        counters.push(Arc::clone(&rows));
         rows
     }
 
     /// Evaluates the chain over rows `start .. start+len` of one segment,
-    /// writing one tri-state byte per row into `out`: [`P_TRUE`] where
-    /// every step is TRUE, otherwise what the first step that was not
-    /// TRUE read (an errored row reads FALSE). `base` is the global row
-    /// id of `start` and keys the deferred error. Later steps still run
-    /// over the whole morsel; only their errors are masked.
+    /// writing one tri-state byte per row into `out`: [`P_FALSE`] where
+    /// the row is dead, [`P_TRUE`] where every step is TRUE, otherwise
+    /// what the first step that was not TRUE read (an errored row reads
+    /// FALSE). `base` is the global row id of `start` and keys the
+    /// deferred error. Later steps still run over the whole morsel; only
+    /// their errors are masked.
     pub fn eval(&self, seg: &Segment, start: usize, len: usize, base: u64, out: &mut Vec<u8>) {
         out.clear();
-        out.resize(len, P_TRUE);
+        match seg.dead() {
+            None => out.resize(len, P_TRUE),
+            Some(dead) => {
+                const { assert!(P_TRUE == 1 && P_FALSE == 0) };
+                dead.extend_clear(start, len, out);
+            }
+        }
+        count(&self.admitted, out);
         let mut first: Option<(usize, String)> = None;
         for step in &self.steps {
             let (tri, errs) = step.expr.eval_cond(seg, start, len);
@@ -137,12 +161,7 @@ impl Pred {
                     *o = t;
                 }
             }
-            if !step.admitted.is_empty() {
-                let admitted = out.iter().filter(|&&o| o == P_TRUE).count() as u64;
-                for rows in &step.admitted {
-                    rows.fetch_add(admitted, AtomicOrdering::Relaxed);
-                }
-            }
+            count(&step.admitted, out);
         }
         if let Some((j, msg)) = first {
             self.err.offer(base + j as u64, msg);
@@ -161,6 +180,16 @@ impl Pred {
     /// row path would therefore never have evaluated.
     pub fn clear_err_from(&self, gid: u64) {
         self.err.clear_from(gid);
+    }
+}
+
+/// Adds the rows `out` admits to each of `counters`.
+fn count(counters: &[Arc<AtomicU64>], out: &[u8]) {
+    if !counters.is_empty() {
+        let admitted = out.iter().filter(|&&o| o == P_TRUE).count() as u64;
+        for rows in counters {
+            rows.fetch_add(admitted, AtomicOrdering::Relaxed);
+        }
     }
 }
 
@@ -379,5 +408,28 @@ mod tests {
         assert_eq!(p.take_err(), None);
         p.eval(&seg, 1, 2, 1, &mut Vec::new());
         assert_eq!(p.take_err().as_deref(), Some("integer overflow in +"));
+    }
+
+    #[test]
+    fn a_dead_row_reads_false_before_any_step_and_never_raises() {
+        // One row in five dead: masked, short of compaction.
+        let rows: Vec<Vec<Value>> = [1, i64::MAX, 3, 4, 5]
+            .map(|x| vec![Value::Int(x)])
+            .into_iter()
+            .collect();
+        let t = crate::ColumnTable::from_rows(vec![DataType::Int], &rows);
+        let (t, _) = t.delete(&[1], 1);
+        let seg = &t.segments[0];
+        let mut live = Pred::live();
+        let admitted = live.counted();
+        let mut out = Vec::new();
+        live.eval(seg, 0, 3, 0, &mut out);
+        assert_eq!(out, [P_TRUE, P_FALSE, P_TRUE]);
+        assert_eq!(admitted.load(AtomicOrdering::Relaxed), 2);
+        // Row 1 would overflow; dead, it is never offered to the cell.
+        let sum = Expr::Arith(ArithOp::Add, col(0), lit(Value::Int(1)));
+        let p = Pred::new(Expr::Cmp(CmpKind::Gt, Box::new(sum), lit(Value::Int(0))));
+        p.eval(seg, 0, 3, 0, &mut out);
+        assert_eq!((out, p.take_err()), (vec![P_TRUE, P_FALSE, P_TRUE], None));
     }
 }

@@ -27,7 +27,7 @@
 //! [`Value`]-comparator path.
 
 use crate::agg::{AggKind, PAcc};
-use crate::batch::{gather, Batch, Take};
+use crate::batch::{gather, Batch, Take, NO_ROW};
 use crate::column::ColumnData;
 use crate::morsel::{detail_enabled, morsels_of, run_chunks, run_workers, worker_count, Chunks};
 use crate::pred::{Pred, P_TRUE};
@@ -425,7 +425,7 @@ pub fn par_topn(
     limit: usize,
     threads: usize,
 ) -> (ColumnTable, SortStats) {
-    assert!(batch.table.rows < u32::MAX as usize, "row ids are u32");
+    assert!(batch.table.id_end() <= NO_ROW as usize, "row ids are u32");
     let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
@@ -495,7 +495,7 @@ fn merged_runs(
 /// in table order: per-morsel sorted runs in parallel, then a serial k-way
 /// merge. The pending predicate runs once per morsel.
 fn sorted_ids(batch: &Batch, keys: &[SortKey], threads: usize) -> (Vec<u32>, SortStats) {
-    assert!(batch.table.rows < u32::MAX as usize, "row ids are u32");
+    assert!(batch.table.id_end() <= NO_ROW as usize, "row ids are u32");
     let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());

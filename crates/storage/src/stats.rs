@@ -9,13 +9,13 @@
 //! deterministic regardless of worker count or claim order.
 //!
 //! [`ColumnStats`] keeps its sketch, so published statistics change
-//! without a rescan: [`extend_stats`] folds just the rows past the ones
-//! already counted, [`TableStats::merge`] folds in the statistics of rows
-//! written elsewhere (an update's new versions) and
-//! [`TableStats::retract`] takes out those of removed rows. Row and NULL
-//! counts and the histogram subtract exactly; a min or max that a removed
-//! value equals is looked up among the rows left, and recomputed over that
-//! one column only when no row left holds it. Every field then equals a
+//! without a rescan: [`extend_stats`] folds just the live rows appended
+//! past the ones already counted, [`collect_stats_at`] collects those of
+//! the rows a delete or an update moves, [`TableStats::merge`] folds them
+//! in and [`TableStats::retract`] takes them out. Dead rows are never
+//! counted. Row and NULL counts and the histogram subtract exactly; a min
+//! or max that a removed value equals is looked up among the rows left,
+//! and recomputed over that one column only when no row left holds it. Every field then equals a
 //! rebuild's except `ndv`: an HLL register cannot be lowered, so the
 //! sketch keeps every row version the table has held, and `ndv` estimates
 //! the distinct values of the live rows together with every row deleted
@@ -33,11 +33,10 @@
 
 use crate::column::{Bitmap, Column, ColumnData};
 use crate::morsel::{run_chunks, worker_count};
-use crate::segment::{ColumnTable, SEGMENT_ROWS};
+use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
 use std::sync::Arc;
 use tpcds_obs::hist::HistSnapshot;
 use tpcds_obs::ndv::NdvSketch;
@@ -101,25 +100,26 @@ impl ColumnStats {
         self.cover(other.min.as_ref(), other.max.as_ref());
     }
 
-    /// Takes out `removed`, which was folded in; `left` is column `c`'s
-    /// segments without it. The sketch keeps the removed values.
+    /// Takes out `removed`, which was folded in; column `c` of the live
+    /// rows of `left` is what is left. The sketch keeps the removed values.
     fn retract<'a>(
         &mut self,
         removed: &ColumnStats,
-        left: impl Iterator<Item = &'a Column> + Clone,
+        c: usize,
+        left: impl Iterator<Item = &'a Segment> + Clone,
     ) {
         self.nulls -= removed.nulls;
         self.hist.subtract(&removed.hist);
         // Only a removed value equal to an extreme can have taken it away,
         // and only when no row left holds the same value.
         let lost = |held: &Option<Value>, gone: &Option<Value>| match held {
-            Some(v) => held == gone && !left.clone().any(|col| holds(col, v)),
+            Some(v) => held == gone && !left.clone().any(|seg| holds(seg, c, v)),
             None => false,
         };
         let (min_lost, max_lost) = (lost(&self.min, &removed.min), lost(&self.max, &removed.max));
         if min_lost || max_lost {
             let mut rescan = ColumnStats::empty();
-            left.for_each(|col| rescan.cover_column(col, 0..col.len()));
+            left.for_each(|seg| rescan.cover_column(&seg.columns[c], seg.live_offsets()));
             if min_lost {
                 self.min = rescan.min;
             }
@@ -129,8 +129,8 @@ impl ColumnStats {
         }
     }
 
-    /// Folds rows `rows` of one segment's column in.
-    fn fold(&mut self, col: &Column, rows: Range<usize>) {
+    /// Folds the cells at offsets `rows` of one segment's column in.
+    fn fold(&mut self, col: &Column, rows: impl Iterator<Item = usize> + Clone) {
         let observe = |v: &Value| (ndv_hash(v), hist_key(v));
         let (nulls, cells) = (&col.nulls, rows.clone());
         match &col.data {
@@ -153,14 +153,14 @@ impl ColumnStats {
         self.cover_column(col, rows);
     }
 
-    /// Counts NULLs and feeds every other cell of `buf[rows]` to the
+    /// Counts NULLs and feeds every other cell of `buf` at `rows` to the
     /// sketch and the histogram: `observe` returns the cell's
     /// [`ndv_hash`] and its histogram key.
     fn fold_cells<T>(
         &mut self,
         buf: &[T],
         nulls: &Bitmap,
-        rows: Range<usize>,
+        rows: impl Iterator<Item = usize>,
         observe: impl Fn(&T) -> (u64, Option<u64>),
     ) {
         for i in rows {
@@ -176,10 +176,10 @@ impl ColumnStats {
         }
     }
 
-    /// Widens min/max over the non-NULL cells of `col[rows]`, compared on
-    /// the native type — which agrees with [`Value::sort_cmp`] within one
-    /// buffer variant — so only the two winners are boxed.
-    fn cover_column(&mut self, col: &Column, rows: Range<usize>) {
+    /// Widens min/max over the non-NULL cells of `col` at `rows`, compared
+    /// on the native type — which agrees with [`Value::sort_cmp`] within
+    /// one buffer variant — so only the two winners are boxed.
+    fn cover_column(&mut self, col: &Column, rows: impl Iterator<Item = usize>) {
         fn extremes<'b, T: Ord, V>(
             buf: &'b [T],
             cells: impl Iterator<Item = usize>,
@@ -211,10 +211,12 @@ impl ColumnStats {
     }
 }
 
-/// Whether a non-NULL cell of `col` equals `v`; stops at the first. Typed
-/// where the buffer holds `v`'s type, through [`Value`]'s `==` otherwise.
-fn holds(col: &Column, v: &Value) -> bool {
-    let mut cells = (0..col.len()).filter(|&i| !col.nulls.get(i));
+/// Whether a live non-NULL cell of column `c` of `seg` equals `v`; stops
+/// at the first. Typed where the buffer holds `v`'s type, through
+/// [`Value`]'s `==` otherwise.
+fn holds(seg: &Segment, c: usize, v: &Value) -> bool {
+    let col = &seg.columns[c];
+    let mut cells = seg.live_offsets().filter(|&i| !col.nulls.get(i));
     match (&col.data, v) {
         (ColumnData::I64(buf), Value::Int(x)) => cells.any(|i| buf[i] == *x),
         (ColumnData::Decimal(buf), Value::Decimal(x)) => cells.any(|i| buf[i] == *x),
@@ -253,15 +255,15 @@ impl TableStats {
     }
 
     /// Takes out `removed`: the statistics of counted rows that are gone
-    /// from `table`, which holds the rest. Costs the removed rows, plus a
-    /// search of one column's cells where a removed value equals its min
-    /// or max; every field but `ndv` then equals [`collect_stats`] of
-    /// `table` (see the module doc).
+    /// from `table`'s live rows, which are the rest. Costs the removed
+    /// rows, plus a search of one column's cells where a removed value
+    /// equals its min or max; every field but `ndv` then equals
+    /// [`collect_stats`] of `table` (see the module doc).
     pub fn retract(&mut self, removed: &TableStats, table: &ColumnTable) {
         debug_assert_eq!(self.rows - removed.rows, table.rows as u64);
         self.rows -= removed.rows;
         for (c, (into, gone)) in self.columns.iter_mut().zip(&removed.columns).enumerate() {
-            into.retract(gone, table.segments.iter().map(|s| &s.columns[c]));
+            into.retract(gone, c, table.segments.iter().map(|s| &**s));
         }
     }
 
@@ -359,36 +361,72 @@ fn sip_round(v: &mut [u64; 4]) {
     v[2] = v[2].rotate_left(32);
 }
 
-/// Collects full per-column statistics for `table`, using up to
-/// `threads` workers (whole segments are the unit of work; small tables
-/// run inline on the caller's thread).
+/// Collects full per-column statistics of `table`'s live rows, using up
+/// to `threads` workers (whole segments are the unit of work; small
+/// tables run inline on the caller's thread).
 pub fn collect_stats(table: &ColumnTable, threads: usize) -> TableStats {
     extend_stats(&TableStats::empty(table.width()), table, threads)
 }
 
-/// The statistics of `table`, given `base`: those of its first
-/// `base.rows` rows. Folds only the rows past them and merges — exact,
-/// because no accumulator ever shrinks — so appending to a table costs
-/// the appended cells, not the table's.
+/// The statistics of `table`, given `base`: those of all its live rows
+/// but the last `table.rows - base.rows` — the rows appended since. Walks
+/// back over the segments to where those start, folds only them and
+/// merges — exact, because no accumulator ever shrinks — so appending to
+/// a table costs the appended cells, not the table's.
 pub fn extend_stats(base: &TableStats, table: &ColumnTable, threads: usize) -> TableStats {
-    let from = base.rows as usize;
-    debug_assert!(from <= table.rows && base.columns.len() == table.width());
-    let first = from / SEGMENT_ROWS;
-    let n_segs = table.segments.len().saturating_sub(first);
-    let workers = worker_count(table.rows - from, threads, n_segs);
-    // One partial per segment, merged in segment order: which value
-    // stands for a tie at min or max does not depend on who ran what.
+    debug_assert!(base.rows as usize <= table.rows && base.columns.len() == table.width());
+    let added = table.rows - base.rows as usize;
+    let (mut first, mut from, mut left) = (table.segments.len(), 0, added);
+    while left > 0 {
+        first -= 1;
+        let seg = &table.segments[first];
+        match seg.live().checked_sub(left) {
+            Some(skip) => (from, left) = (seg.live_offsets().nth(skip).expect("live"), 0),
+            None => left -= seg.live(),
+        }
+    }
+    let n_segs = table.segments.len() - first;
+    let workers = worker_count(added, threads, n_segs);
     let partials = run_chunks("stats_worker", n_segs, workers, |k| {
         let seg = &table.segments[first + k];
-        let rows = from.saturating_sub((first + k) * SEGMENT_ROWS)..seg.rows;
-        let mut accs = vec![ColumnStats::empty(); table.width()];
-        for (acc, col) in accs.iter_mut().zip(&seg.columns) {
-            acc.fold(col, rows.clone());
+        let from = if k == 0 { from } else { 0 };
+        match seg.dead() {
+            None => partial(seg, from..seg.rows),
+            Some(dead) => partial(seg, (from..seg.rows).filter(|&i| !dead.get(i))),
         }
-        accs
     });
+    merged(base, &partials, table.rows)
+}
+
+/// The statistics of the live rows at `ids` (ascending) of `table`: what
+/// a delete or an update takes out or puts in, at the cost of those rows.
+pub fn collect_stats_at(table: &ColumnTable, ids: &[u32], threads: usize) -> TableStats {
+    let groups: Vec<&[u32]> =
+        (ids.chunk_by(|a, b| a / SEGMENT_ROWS as u32 == b / SEGMENT_ROWS as u32)).collect();
+    let workers = worker_count(ids.len(), threads, groups.len());
+    let partials = run_chunks("stats_worker", groups.len(), workers, |k| {
+        let seg = &table.segments[groups[k][0] as usize / SEGMENT_ROWS];
+        partial(seg, groups[k].iter().map(|&id| id as usize % SEGMENT_ROWS))
+    });
+    merged(&TableStats::empty(table.width()), &partials, ids.len())
+}
+
+/// One accumulator per column over the cells of `seg` at `rows`.
+fn partial(seg: &Segment, rows: impl Iterator<Item = usize> + Clone) -> Vec<ColumnStats> {
+    let fold = |col| {
+        let mut acc = ColumnStats::empty();
+        acc.fold(col, rows.clone());
+        acc
+    };
+    seg.columns.iter().map(fold).collect()
+}
+
+/// `base` with the per-segment `partials` merged in, in segment order —
+/// which value stands for a tie at min or max does not depend on who ran
+/// what — as the statistics of `rows` rows.
+fn merged(base: &TableStats, partials: &[Vec<ColumnStats>], rows: usize) -> TableStats {
     let mut columns = base.columns.clone();
-    for part in &partials {
+    for part in partials {
         for (into, from) in columns.iter_mut().zip(part) {
             into.merge(from);
         }
@@ -397,7 +435,7 @@ pub fn extend_stats(base: &TableStats, table: &ColumnTable, threads: usize) -> T
         c.ndv = c.sketch.estimate_u64();
     }
     TableStats {
-        rows: table.rows as u64,
+        rows: rows as u64,
         columns,
     }
 }
