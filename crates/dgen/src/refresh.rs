@@ -74,13 +74,29 @@ impl Generator {
     }
 
     /// Generates fact insert rows for a refresh run: the next 1% slice of
-    /// the fact table beyond the initial population, with maintained
-    /// dimension keys (item / customer / store) replaced by business keys
-    /// for the load step to resolve.
+    /// a sales table beyond the initial population, or the returns of
+    /// exactly the sales that slice holds, with maintained dimension keys
+    /// (item / customer / store) replaced by business keys for the load
+    /// step to resolve.
     pub fn refresh_fact_inserts(&self, table: &str, refresh_seq: u32) -> Vec<Row> {
-        let base_rows = self.row_count(table);
-        let n = ((base_rows as f64 * FACT_INSERT_FRACTION) as u64).max(10);
-        let start = base_rows + refresh_seq as u64 * n;
+        let sales_slice = |sales: &str| {
+            let base_rows = self.row_count(sales);
+            let n = ((base_rows as f64 * FACT_INSERT_FRACTION) as u64).max(10);
+            let start = base_rows + refresh_seq as u64 * n;
+            start..start + n
+        };
+        let rows = match table.strip_suffix("_returns") {
+            None => sales_slice(table),
+            Some(channel) => {
+                // Return `r` copies sale `r * sales / returns`: the returns
+                // of sales `[a, b)` are `[⌈a·returns/sales⌉, ⌈b·returns/sales⌉)`.
+                let sales = format!("{channel}_sales");
+                let ratio = (self.row_count(table), self.row_count(&sales).max(1));
+                let first = |sale: u64| (sale as u128 * ratio.0 as u128).div_ceil(ratio.1 as u128);
+                let sold = sales_slice(&sales);
+                first(sold.start) as u64..first(sold.end) as u64
+            }
+        };
         let t = self.schema().table(table).expect("known table");
         let conversions: Vec<(usize, &str)> = t
             .foreign_keys
@@ -88,17 +104,16 @@ impl Generator {
             .filter(|f| matches!(f.ref_table, "item" | "customer" | "store"))
             .map(|f| (t.column_index(f.column).expect("fk column"), f.ref_table))
             .collect();
-        (start..start + n)
-            .map(|r| {
-                let mut row = self.row(table, r);
-                for (col, ref_table) in &conversions {
-                    if let Value::Int(sk) = row[*col] {
-                        row[*col] = Value::str(self.business_key_of(ref_table, sk));
-                    }
+        rows.map(|r| {
+            let mut row = self.row(table, r);
+            for (col, ref_table) in &conversions {
+                if let Value::Int(sk) = row[*col] {
+                    row[*col] = Value::str(self.business_key_of(ref_table, sk));
                 }
-                row
-            })
-            .collect()
+            }
+            row
+        })
+        .collect()
     }
 
     /// The business key of surrogate `sk` in `table` (1-based surrogates).

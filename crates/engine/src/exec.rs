@@ -1,13 +1,13 @@
 //! Plan execution. Operators exchange lazy column batches
 //! ([`tpcds_storage::Batch`]: a table, a pending predicate, a pending
 //! projection) and rows are materialized once, at the result edge
-//! ([`execute`]). Every node has a batch kernel. The serial row
-//! interpreter ([`serial_node`]) is kept as the oracle: it is what
-//! [`ColumnarMode::Off`] runs end to end, and what a node runs through
-//! one adapter ([`adapt`]) when an expression it evaluates needs a row no
-//! kernel can see. It pushes rows into a [`Sink`] that can decline more,
-//! which is how a `LIMIT` stops its input early — on both executors
-//! ([`stream`]).
+//! ([`execute`]). Every node has a batch kernel and every expression a
+//! kernel form ([`Compiler`]): a subquery runs before the kernel that
+//! reads it, once per distinct tuple of the columns it reads among the
+//! rows that reach it. The serial row interpreter ([`serial_node`]) is
+//! kept as the oracle, and is what [`ColumnarMode::Off`] runs end to end.
+//! It pushes rows into a [`Sink`] that can decline more, which is how a
+//! `LIMIT` stops its input early — on both executors ([`stream`]).
 
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
@@ -50,29 +50,6 @@ impl RoutePath {
     }
 }
 
-/// Machine-readable reason codes attached to every node that ran the
-/// serial interpreter instead of a batch kernel. The vocabulary is closed:
-/// coverage baselines and dashboards match on these exact strings. Every
-/// member of an interpreted chain (`exec::interpreted`) carries the
-/// reason of the first member that needs the interpreter. Every node has
-/// a kernel, so with the executor on only an expression or a virtual
-/// table sends a node to the interpreter.
-pub mod reason {
-    /// Columnar routing disabled (`TPCDS_COLUMNAR=off` / ExecOptions).
-    pub const COLUMNAR_OFF: &str = "columnar-off";
-    /// An expression contains a shape no kernel can evaluate — an
-    /// outer-column reference, a correlated subquery other than a keyed
-    /// `EXISTS`, or a subquery whose one evaluation raised — the only
-    /// reason an expression ever falls off the vectorized path.
-    pub const EXPR_UNSUPPORTED: &str = "expr-unsupported";
-    /// A `sys.*` virtual table: rows materialize at scan time, so there
-    /// are no segments to route through.
-    pub const SYS_VIRTUAL: &str = "sys-virtual";
-}
-
-/// `Err(reason)` = the batch kernel cannot run this node, and why.
-type Routed<T> = std::result::Result<T, &'static str>;
-
 /// Accumulated actuals for one plan node (EXPLAIN ANALYZE). Elapsed time
 /// is inclusive of the node's inputs, like `actual time` in other engines
 /// — except that a lazy node's pending predicate is evaluated (and timed)
@@ -83,8 +60,6 @@ type Routed<T> = std::result::Result<T, &'static str>;
 pub struct OpStats {
     /// The best execution path any call of this node took.
     pub route: RoutePath,
-    /// Reason code for the first non-columnar routing decision, if any.
-    pub fallback: Option<&'static str>,
     /// Times the node was executed.
     pub calls: u64,
     /// Total rows produced across all calls.
@@ -248,24 +223,16 @@ impl<'a> ExecCtx<'a> {
             .unwrap_or_else(tpcds_storage::effective_threads)
     }
 
-    /// Records which path an operator took and (for the serial path)
-    /// why, in the node's actuals. A decision that changes them — once per
-    /// distinct decision per statement, however often a correlated subplan
-    /// repeats it — also emits an `engine.route.<path>` counter, an
-    /// `engine.route.fallback.<reason>` counter, and an `engine/route`
-    /// span (visible in the Chrome trace).
-    fn record_route(
-        &self,
-        node: usize,
-        op: &'static str,
-        route: RoutePath,
-        fallback: Option<&'static str>,
-    ) {
+    /// Records which path an operator took in the node's actuals. A
+    /// decision that changes them — once per distinct decision per
+    /// statement, however often a correlated subplan repeats it — also
+    /// emits an `engine.route.<path>` counter and an `engine/route` span
+    /// (visible in the Chrome trace).
+    fn record_route(&self, node: usize, op: &'static str, route: RoutePath) {
         let mut fresh = false;
         self.fold(node, |s| {
-            fresh = route > s.route || (fallback.is_some() && s.fallback.is_none());
+            fresh = route > s.route;
             s.route = s.route.max(route);
-            s.fallback = s.fallback.or(fallback);
         });
         if !fresh {
             return;
@@ -277,17 +244,9 @@ impl<'a> ExecCtx<'a> {
             1.0,
             &op_field,
         );
-        let mut span = tpcds_obs::span("engine", "route")
-            .field("op", op)
-            .field("path", route.as_str());
-        if let Some(r) = fallback {
-            tpcds_obs::counter("engine", &format!("route.fallback.{r}"), 1.0, &op_field);
-            if r == reason::EXPR_UNSUPPORTED {
-                tpcds_obs::counter("engine", "expr.fallback", 1.0, &op_field);
-            }
-            span.add_field("reason", r);
-        }
-        span.finish();
+        (tpcds_obs::span("engine", "route").field("op", op))
+            .field("path", route.as_str())
+            .finish();
     }
 
     /// A columnar scan's morsel/worker numbers.
@@ -340,10 +299,9 @@ impl<'a> ExecCtx<'a> {
 ///
 /// [`ColumnarMode::Off`] runs the serial row interpreter end to end — the
 /// oracle every differential compares against; the other modes run
-/// [`batch_node`] and materialize its batch once (an [`interpreted`]
-/// chain's rows are collected as they stream, never wrapped).
+/// [`batch_node`] and materialize its batch once.
 pub fn execute(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Vec<Row>> {
-    if interpreted(plan, ctx).is_none() {
+    if ctx.opts.columnar != ColumnarMode::Off {
         return rows_of(plan, ctx, outer);
     }
     let mut rows = Vec::new();
@@ -395,9 +353,9 @@ fn feed(rows: impl IntoIterator<Item = Row>, sink: Sink<'_>) -> Result<()> {
 /// the sink declined at are never evaluated, so they cannot raise errors:
 /// a lazy batch clears its deferred errors past that row
 /// ([`tpcds_storage::scan_until`]), and the interpreter's row-at-a-time
-/// operators ([`interpreted`]) simply stop.
+/// operators simply stop.
 fn stream(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>, sink: Sink<'_>) -> Result<()> {
-    let Some(why) = interpreted(plan, ctx) else {
+    if ctx.opts.columnar != ColumnarMode::Off {
         let b = batch(plan, ctx, outer)?;
         let res = tpcds_storage::scan_until(&b, sink);
         // A pending-predicate error at or before the stopping row
@@ -408,53 +366,17 @@ fn stream(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>, sink: Sink<'_
             ctx.record_columnar(plan as *const Plan as usize, &cs);
         }
         return Ok(());
-    };
+    }
     let run = || {
         let mut rows = 0;
         let mut counting = |row| {
             rows += 1;
             sink(row)
         };
-        serial_node(plan, ctx, outer, why, &mut counting)?;
+        serial_node(plan, ctx, outer, &mut counting)?;
         Ok(rows)
     };
     observed(plan, ctx, run, |&rows| rows).map(drop)
-}
-
-/// Why `plan` itself runs on the serial interpreter, streaming: always
-/// under [`ColumnarMode::Off`]; otherwise when it belongs to a chain of
-/// row-at-a-time operators — `Filter`, plain-column `Project`, `Prefix`,
-/// down to a `Scan` — one of which cannot be part of a lazy batch. The
-/// whole chain then streams, so a `LIMIT` above it stops at the same row,
-/// with the same errors, as under `Off`. `None` = [`batch_node`] runs it.
-/// Nothing executes to decide this except the subqueries a predicate needs
-/// evaluated once ([`compilable`]).
-fn interpreted(plan: &Plan, ctx: &ExecCtx<'_>) -> Option<&'static str> {
-    if ctx.opts.columnar == ColumnarMode::Off {
-        return Some(reason::COLUMNAR_OFF);
-    }
-    match plan {
-        Plan::Scan { table, filter, .. } => {
-            if crate::sys::is_sys_table(table) {
-                return Some(reason::SYS_VIRTUAL);
-            }
-            // An unknown table is `batch_node`'s error to raise.
-            let t = ctx.table(table).ok()?;
-            if index_for(&t, filter.as_ref(), ctx).is_some() {
-                None
-            } else {
-                (filter.as_ref().is_some_and(|f| !compilable(f, ctx)))
-                    .then_some(reason::EXPR_UNSUPPORTED)
-            }
-        }
-        Plan::Filter { predicate, .. } if !compilable(predicate, ctx) => {
-            Some(reason::EXPR_UNSUPPORTED)
-        }
-        Plan::Filter { input, .. } => interpreted(input, ctx),
-        Plan::Project { input, exprs } if plain_cols(exprs).is_some() => interpreted(input, ctx),
-        Plan::Prefix { input, .. } => interpreted(input, ctx),
-        _ => None,
-    }
 }
 
 /// One node of the batch executor, children included. A node whose
@@ -484,24 +406,6 @@ fn rows_of(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Ve
     Ok(rows)
 }
 
-/// The one adapter between the two executors: runs the serial
-/// interpreter's operator for `plan` over its children's materialized
-/// batches and re-wraps the result. Every node with an expression the
-/// compiler refuses comes through here, recorded as `route=serial[why]`.
-fn adapt(
-    plan: &Plan,
-    ctx: &ExecCtx<'_>,
-    outer: Option<&[Value]>,
-    why: &'static str,
-) -> Result<Batch> {
-    let mut rows = Vec::new();
-    serial_node(plan, ctx, outer, why, &mut |row| {
-        rows.push(row);
-        Ok(true)
-    })?;
-    Ok(Batch::from_rows(plan.width(), &rows))
-}
-
 /// The first `n` rows of `plan`, which stops there (`LIMIT`).
 fn take(plan: &Plan, n: usize, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Vec<Row>> {
     let mut rows = Vec::new();
@@ -526,19 +430,22 @@ fn storage_err(e: tpcds_storage::StorageError) -> EngineError {
     EngineError::exec(e.0)
 }
 
-/// Compiles `e`, which [`compilable`] accepted, for a kernel over `b`:
-/// against the physical columns behind `b`'s visible row.
-fn compile_over(b: &Batch, e: &BExpr, ctx: &ExecCtx<'_>) -> tpcds_storage::Expr {
-    compile_expr(e, &|c| b.phys(c), Some(ctx)).expect("checked: compilable")
-}
-
-/// Whether `e` has a kernel form ([`compile_expr`]). An expression with
-/// subqueries has one when each can be evaluated once for the whole
-/// statement and that evaluation — which happens here, through the
-/// subquery's memo — did not raise; if it did, the interpreter keeps the
-/// node and raises the error only if a row reaches the subquery.
-fn compilable(e: &BExpr, ctx: &ExecCtx<'_>) -> bool {
-    !e.needs_context() || (!e.reads_outer() && compile_expr(e, &|c| c, Some(ctx)).is_some())
+/// Compiles `e` for a kernel over `b`'s rows: against the physical
+/// columns behind `b`'s visible row.
+fn compile_over(
+    b: &Batch,
+    e: &BExpr,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&[Value]>,
+) -> Result<tpcds_storage::Expr> {
+    let (phys, rows) = (&|c| b.phys(c), &|| Ok(b.peek()));
+    Compiler {
+        ctx,
+        outer,
+        phys,
+        rows,
+    }
+    .compile(e, &[])
 }
 
 /// The column indexes when every expression is a plain column reference.
@@ -553,29 +460,31 @@ fn plain_cols<'e>(exprs: impl IntoIterator<Item = &'e BExpr>) -> Option<Vec<usiz
 }
 
 /// The batch executor: every node returns a lazy [`Batch`]. `Scan` yields
-/// the segments untouched, a compilable `Filter` ANDs into the pending
+/// the segments untouched (a `sys.*` table its rows of the moment, typed
+/// as [`crate::sys::columns`] declares), a `Filter` ANDs into the pending
 /// predicate, a plain-column `Project`/`Prefix` composes the pending
 /// projection; joins, aggregates, windows, sorts and limits hand whatever
-/// batch their child produced to a morsel kernel. A node with an
-/// expression no kernel evaluates, and [`interpreted`] chains, go through
-/// [`adapt`].
+/// batch their child produced to a morsel kernel.
 fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Batch> {
-    if let Some(why) = interpreted(plan, ctx) {
-        return adapt(plan, ctx, outer, why);
-    }
     let node = plan as *const Plan as usize;
     let threads = ctx.threads();
-    let columnar = || ctx.record_route(node, plan.op_name(), RoutePath::Columnar, None);
+    let columnar = || ctx.record_route(node, plan.op_name(), RoutePath::Columnar);
     match plan {
         Plan::Scan { table, filter, .. } => {
-            let t = ctx.table(table)?;
-            if let Some(rows) = index_probe(&t, filter.as_ref(), ctx, outer)? {
-                ctx.record_route(node, "Scan", RoutePath::Index, None);
-                return Ok(Batch::from_rows(plan.width(), &rows));
-            }
+            let b = match crate::sys::table(ctx.db, table) {
+                Some(t) => Batch::new(Arc::new(t)),
+                None => {
+                    let t = ctx.table(table)?;
+                    if let Some(rows) = index_probe(&t, filter.as_ref(), ctx, outer)? {
+                        ctx.record_route(node, "Scan", RoutePath::Index);
+                        return Ok(Batch::from_rows(plan.width(), &rows));
+                    }
+                    Batch::new(Arc::clone(t.data()))
+                }
+            };
             columnar();
-            let b = Batch::new(Arc::clone(t.data()));
-            Ok(match filter.as_ref().map(|f| compile_over(&b, f, ctx)) {
+            let f = (filter.as_ref()).map(|f| compile_over(&b, f, ctx, outer));
+            Ok(match f.transpose()? {
                 Some(f) => b.filter(f),
                 None => b,
             })
@@ -583,28 +492,23 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
         Plan::Filter { input, predicate } => {
             columnar();
             let b = batch(input, ctx, outer)?;
-            let pred = compile_over(&b, predicate, ctx);
+            let pred = compile_over(&b, predicate, ctx, outer)?;
             Ok(b.filter(pred))
         }
         Plan::Project { input, exprs } => {
-            if let Some(cols) = plain_cols(exprs) {
-                columnar();
-                return Ok(batch(input, ctx, outer)?.project(&cols));
-            }
-            if !exprs.iter().all(|e| compilable(e, ctx)) {
-                return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
-            }
             columnar();
             let b = batch(input, ctx, outer)?;
-            let cexprs: Vec<_> = exprs.iter().map(|e| compile_over(&b, e, ctx)).collect();
+            if let Some(cols) = plain_cols(exprs) {
+                return Ok(b.project(&cols));
+            }
+            let cexprs = (exprs.iter())
+                .map(|e| compile_over(&b, e, ctx, outer))
+                .collect::<Result<Vec<_>>>()?;
             Ok(Batch::new(project_table(&b, &cexprs, node, ctx)?))
         }
         Plan::HashJoin { kind, .. } => {
-            let j = match join_sides(plan, node, ctx, outer)? {
-                Ok(j) => j,
-                Err(why) => return adapt(plan, ctx, outer, why),
-            };
             columnar();
+            let j = join_sides(plan, node, ctx, outer)?;
             let res = tpcds_storage::par_hash_join(
                 &j.probe,
                 &j.probe_keys,
@@ -624,13 +528,10 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
             groups,
             aggs,
         } => {
+            columnar();
             let specs = agg_specs(groups.len(), aggs);
             let args = aggs.iter().filter_map(|a| a.arg.as_ref());
             let keys: Vec<&BExpr> = groups.iter().chain(args).collect();
-            if !keys.iter().all(|e| compilable(e, ctx)) {
-                return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
-            }
-            columnar();
             // The calls with their key positions mapped to key columns.
             let rebased = |cols: &[usize]| -> Vec<_> {
                 let at = |s: tpcds_storage::AggSpec| s.col.map(|k| cols[k]);
@@ -644,26 +545,26 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
             if let (Some(cols), Plan::HashJoin { kind, .. }) =
                 (plain_cols(keys.iter().copied()), &**input)
             {
-                if let Ok(j) = join_sides(input, node, ctx, outer)? {
-                    let cols: Vec<usize> = cols.into_iter().map(|c| j.phys(c)).collect();
-                    let res = tpcds_storage::par_hash_join_agg(
-                        &j.probe,
-                        &j.probe_keys,
-                        &j.build,
-                        &j.build_keys,
-                        join_type(*kind),
-                        j.residual.as_ref(),
-                        &cols[..groups.len()],
-                        &rebased(&cols),
-                        threads,
-                    );
-                    j.check_err()?;
-                    let (rows, js) = res.map_err(storage_err)?;
-                    ctx.record_join(node, &js);
-                    return Ok(Batch::from_rows(plan.width(), &rows));
-                }
+                let j = join_sides(input, node, ctx, outer)?;
+                let cols: Vec<usize> = cols.into_iter().map(|c| j.phys(c)).collect();
+                let res = tpcds_storage::par_hash_join_agg(
+                    &j.probe,
+                    &j.probe_keys,
+                    &j.build,
+                    &j.build_keys,
+                    join_type(*kind),
+                    j.residual.as_ref(),
+                    &cols[..groups.len()],
+                    &rebased(&cols),
+                    threads,
+                );
+                j.check_err()?;
+                let (rows, js) = res.map_err(storage_err)?;
+                ctx.record_join(node, &js);
+                return Ok(Batch::from_rows(plan.width(), &rows));
             }
-            let (b, cols) = key_columns(batch(input, ctx, outer)?, &keys, false, node, ctx)?;
+            let input = batch(input, ctx, outer)?;
+            let (b, cols) = key_columns(input, &keys, false, node, ctx, outer)?;
             let specs = rebased(&cols);
             let res = tpcds_storage::par_aggregate(&b, &cols[..groups.len()], &specs, threads);
             // Deferred predicate errors outrank aggregate errors: the row
@@ -674,12 +575,10 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
             Ok(Batch::from_rows(plan.width(), &rows))
         }
         Plan::Sort { input, keys } | Plan::TopN { input, keys, .. } => {
-            if !keys.iter().all(|(e, _)| compilable(e, ctx)) {
-                return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
-            }
             columnar();
             let exprs: Vec<&BExpr> = keys.iter().map(|(e, _)| e).collect();
-            let (b, cols) = key_columns(batch(input, ctx, outer)?, &exprs, true, node, ctx)?;
+            let input = batch(input, ctx, outer)?;
+            let (b, cols) = key_columns(input, &exprs, true, node, ctx, outer)?;
             let skeys: Vec<_> = (cols.into_iter().zip(keys))
                 .map(|(col, &(_, desc))| tpcds_storage::SortKey { col, desc })
                 .collect();
@@ -723,13 +622,11 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
             Ok(Batch::new(Arc::new(l.concat(&r))))
         }
         Plan::Window { input, calls } => {
+            columnar();
             // Each call's argument, partition keys and order keys, in turn.
             let exprs = plan.exprs();
-            if !exprs.iter().all(|e| compilable(e, ctx)) {
-                return adapt(plan, ctx, outer, reason::EXPR_UNSUPPORTED);
-            }
-            columnar();
-            let (b, cols) = key_columns(batch(input, ctx, outer)?, &exprs, true, node, ctx)?;
+            let input = batch(input, ctx, outer)?;
+            let (b, cols) = key_columns(input, &exprs, true, node, ctx, outer)?;
             let mut cols = cols.into_iter();
             let specs: Vec<_> = (calls.iter())
                 .map(|c| {
@@ -794,15 +691,16 @@ impl JoinSides {
 }
 
 /// Executes a hash join's inputs for the join kernels, each side's keys
-/// as physical columns ([`key_columns`], computed for `node`). `Err(reason)`
-/// — returned before either input runs — when a key or the residual has
-/// no kernel form.
+/// as physical columns ([`key_columns`], computed for `node`). The
+/// residual runs over equi-matched pairs, so that is where a subquery in
+/// it gathers its keys: the pairs of an inner join without it, over every
+/// physical column of both sides.
 fn join_sides(
     join: &Plan,
     node: usize,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
-) -> Result<Routed<JoinSides>> {
+) -> Result<JoinSides> {
     let Plan::HashJoin {
         left,
         right,
@@ -814,13 +712,9 @@ fn join_sides(
     else {
         unreachable!("join_sides of a {}", join.op_name())
     };
-    let exprs = left_keys.iter().chain(right_keys).chain(residual);
-    if !exprs.into_iter().all(|e| compilable(e, ctx)) {
-        return Ok(Err(reason::EXPR_UNSUPPORTED));
-    }
     let side = |p: &Plan, keys: &[BExpr]| {
         let keys: Vec<&BExpr> = keys.iter().collect();
-        key_columns(batch(p, ctx, outer)?, &keys, true, node, ctx)
+        key_columns(batch(p, ctx, outer)?, &keys, true, node, ctx, outer)
     };
     let (probe, probe_keys) = side(left, left_keys)?;
     let (build, build_keys) = side(right, right_keys)?;
@@ -831,23 +725,41 @@ fn join_sides(
         build_keys,
         residual: None,
     };
-    j.residual = (residual.as_ref()).and_then(|r| compile_expr(r, &|c| j.phys(c), Some(ctx)));
-    Ok(Ok(j))
+    if let Some(r) = residual {
+        let pairs = || {
+            let (probe, build, threads) = (j.probe.peek(), j.build.peek(), ctx.threads());
+            let (pk, bk, inner) = (&j.probe_keys, &j.build_keys, tpcds_storage::JoinType::Inner);
+            let res = tpcds_storage::par_hash_join(&probe, pk, &build, bk, inner, None, threads);
+            Ok(Batch::new(Arc::new(res.map_err(storage_err)?.0)))
+        };
+        let (phys, rows) = (&|c| j.phys(c), &pairs);
+        j.residual = Some(
+            Compiler {
+                ctx,
+                outer,
+                phys,
+                rows,
+            }
+            .compile(r, &[])?,
+        );
+    }
+    Ok(j)
 }
 
 /// `b` with every key addressable as a physical column — what the sort,
 /// aggregate and join kernels take. A plain column key is the column
-/// behind it; any other key, which [`compilable`] accepted, becomes a
-/// hidden column computed by the projection kernel (typed, so a computed
-/// sort key keeps the u64 key encoding) after the visible columns, which
-/// the result keeps visible when `carry` (a sort, a join side) and drops
-/// otherwise (an aggregate reads nothing but its keys).
+/// behind it; any other key becomes a hidden column computed by the
+/// projection kernel (typed, so a computed sort key keeps the u64 key
+/// encoding) after the visible columns, which the result keeps visible
+/// when `carry` (a sort, a join side) and drops otherwise (an aggregate
+/// reads nothing but its keys).
 fn key_columns(
     b: Batch,
     keys: &[&BExpr],
     carry: bool,
     node: usize,
     ctx: &ExecCtx<'_>,
+    outer: Option<&[Value]>,
 ) -> Result<(Batch, Vec<usize>)> {
     if let Some(cols) = plain_cols(keys.iter().copied()) {
         let cols = cols.into_iter().map(|c| b.phys(c)).collect();
@@ -857,15 +769,16 @@ fn key_columns(
     let mut exprs: Vec<_> = (visible.iter())
         .map(|&c| tpcds_storage::Expr::Col(b.phys(c)))
         .collect();
-    let cols = (keys.iter())
-        .map(|k| match k {
+    let mut cols = Vec::with_capacity(keys.len());
+    for k in keys {
+        cols.push(match k {
             BExpr::Col(c) if *c < visible.len() => *c,
             k => {
-                exprs.push(compile_over(&b, k, ctx));
+                exprs.push(compile_over(&b, k, ctx, outer)?);
                 exprs.len() - 1
             }
-        })
-        .collect();
+        });
+    }
     let table = project_table(&b, &exprs, node, ctx)?;
     Ok((Batch::new(table).project(&visible), cols))
 }
@@ -896,29 +809,22 @@ fn project_table(
     Ok(Arc::new(table))
 }
 
-/// The hash index a scan can probe instead of reading the table: a
-/// `Col(i) = <row-independent expr>` conjunct over an indexed column. The
-/// probe side may be a literal or a correlated outer reference — the
-/// latter is what makes per-outer-row EXISTS/IN subplans cheap. Force
-/// mode never probes, so tests exercise the kernels.
-fn index_for<'t>(
-    t: &'t crate::catalog::Table,
-    filter: Option<&BExpr>,
-    ctx: &ExecCtx<'_>,
-) -> Option<(&'t crate::catalog::Index, BExpr)> {
-    let f = filter.filter(|_| ctx.opts.columnar != ColumnarMode::Force)?;
-    index_probe_key(f).and_then(|(col, key)| Some((t.indexes.get(&col)?, key)))
-}
-
-/// Runs the [`index_for`] probe: the matching rows that pass the whole
-/// filter, or `None` when no probe applies.
+/// The rows of a scan that probes a hash index instead of reading the
+/// table — those matching a `Col(i) = <row-independent expr>` conjunct
+/// over an indexed column and passing the whole filter — or `None` when
+/// no probe applies. The probe side may be a literal or a correlated outer
+/// reference — the latter is what makes per-outer-row EXISTS/IN subplans
+/// cheap. Force mode never probes, so tests exercise the kernels.
 fn index_probe(
     t: &crate::catalog::Table,
     filter: Option<&BExpr>,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
 ) -> Result<Option<Vec<Row>>> {
-    let Some((idx, key_expr)) = index_for(t, filter, ctx) else {
+    let f = filter.filter(|_| ctx.opts.columnar != ColumnarMode::Force);
+    let probe = f.and_then(index_probe_key);
+    let Some((idx, key_expr)) = probe.and_then(|(col, key)| Some((t.indexes.get(&col)?, key)))
+    else {
         return Ok(None);
     };
     let key = key_expr.eval(&[], ctx, outer)?;
@@ -938,19 +844,18 @@ fn index_probe(
 /// state at scan time; they bypass the snapshot (introspection reads the
 /// present, not the pinned version). Base tables try the index probe,
 /// then decode row after row — the filter's columns first, the rest only
-/// for a row that passes — until `sink` declines. `route` is overwritten
-/// when the scan did not run as the caller's `serial[why]`.
+/// for a row that passes — until `sink` declines. `route` becomes
+/// `Index` when the probe ran.
 fn scan_rows(
     table: &str,
     filter: Option<&BExpr>,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
-    route: &mut (RoutePath, Option<&'static str>),
+    route: &mut RoutePath,
     sink: Sink<'_>,
 ) -> Result<()> {
     let keep = |row: &[Value]| filter.map_or(Ok(true), |f| f.matches(row, ctx, outer));
     if let Some(rows) = crate::sys::rows(ctx.db, table) {
-        *route = (RoutePath::Serial, Some(reason::SYS_VIRTUAL));
         for row in rows {
             if keep(&row)? && !sink(row)? {
                 break;
@@ -960,7 +865,7 @@ fn scan_rows(
     }
     let t = ctx.table(table)?;
     if let Some(rows) = index_probe(&t, filter, ctx, outer)? {
-        *route = (RoutePath::Index, None);
+        *route = RoutePath::Index;
         return feed(rows, sink);
     }
     let mut cols = Vec::new();
@@ -970,11 +875,10 @@ fn scan_rows(
     t.data().scan_rows(&cols, keep, sink)
 }
 
-/// The serial row interpreter: `plan`'s operator over its children's
-/// rows ([`execute`]d — by recursion under `ColumnarMode::Off`, from
-/// their batches under [`adapt`]), recorded as `route=serial[why]`. This
-/// is the oracle; it has no routing of its own beyond the scan's index
-/// probe.
+/// The serial row interpreter, which [`ColumnarMode::Off`] runs end to
+/// end: `plan`'s operator over its children's [`execute`]d rows,
+/// recorded as `route=serial`. This is the oracle; it has no routing of
+/// its own beyond the scan's index probe.
 ///
 /// Output is pushed into `sink`. The row-at-a-time operators — `Scan`,
 /// `Filter`, plain-column `Project`, `Prefix` — [`stream`] their input
@@ -984,11 +888,10 @@ fn serial_node(
     plan: &Plan,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
-    why: &'static str,
     sink: Sink<'_>,
 ) -> Result<()> {
     let child = |p: &Plan| execute(p, ctx, outer);
-    let mut route = (RoutePath::Serial, Some(why));
+    let mut route = RoutePath::Serial;
     match plan {
         Plan::Scan { table, filter, .. } => {
             scan_rows(table, filter.as_ref(), ctx, outer, &mut route, sink)
@@ -1063,7 +966,7 @@ fn serial_node(
         }),
     }?;
     let node = plan as *const Plan as usize;
-    ctx.record_route(node, plan.op_name(), route.0, route.1);
+    ctx.record_route(node, plan.op_name(), route);
     Ok(())
 }
 
@@ -1080,82 +983,159 @@ fn cmp_kind(op: crate::expr::CmpOp) -> tpcds_storage::CmpKind {
     }
 }
 
-/// Compiles a bound scalar expression — a projection, a sort key, a
+/// Compiles bound scalar expressions — a projection, a sort key, a
 /// filter, a join residual alike — to the vectorized kernel AST
-/// ([`tpcds_storage::Expr`]), column `c` becoming `phys(c)`. The kernels
-/// share the row path's scalar semantics ([`tpcds_types::scalar`]), so
-/// everything compiles that does not depend on a row the kernel cannot see.
-/// A subquery that reads no outer row does not: it is evaluated once per
-/// statement, through its memo, and its result compiled in — a
-/// row-independent subtree becomes the literal the interpreter computes for
-/// it (so an untaken CASE arm's subquery never runs), `x IN (subquery)` and
-/// a keyed `EXISTS` become a probe of the set their body produced. `None` =
-/// stay on the row path: an outer-column reference, any other correlated
-/// subquery, or a subquery whose evaluation raised.
-fn compile_expr(
-    e: &BExpr,
-    phys: &impl Fn(usize) -> usize,
-    ctx: Option<&ExecCtx<'_>>,
-) -> Option<tpcds_storage::Expr> {
-    use crate::expr::key_set;
-    use tpcds_storage::{Expr as X, SetTest};
-    // Carried only along paths that lead to a subquery.
-    let ctx = ctx.filter(|_| e.has_subquery());
-    if let Some(ctx) = ctx.filter(|_| e.is_constant()) {
-        return e.eval(&[], ctx, None).ok().map(X::Lit);
+/// ([`tpcds_storage::Expr`]) for one kernel's input, column `c` becoming
+/// `phys(c)`. The kernels share the row path's scalar semantics
+/// ([`tpcds_types::scalar`]), so every expression compiles. A subquery
+/// runs first, through its memo: a row-independent subtree becomes the
+/// literal the interpreter computes for it, `x IN (subquery)` and a keyed
+/// `EXISTS` a probe of the set their body produced, any other an
+/// [`Expr::Lookup`](tpcds_storage::Expr::Lookup) of its result per tuple
+/// of the columns it reads. An outer reference (in a correlated body) is
+/// the literal of the outer row. An error stays a result: the rows that
+/// ask for it raise it, where the interpreter would.
+struct Compiler<'c, 'a> {
+    ctx: &'c ExecCtx<'a>,
+    outer: Option<&'c [Value]>,
+    phys: &'c dyn Fn(usize) -> usize,
+    /// The kernel's input rows, addressed by the same physical columns:
+    /// where a lookup gathers its keys.
+    rows: &'c dyn Fn() -> Result<Batch>,
+}
+
+impl Compiler<'_, '_> {
+    /// `e` compiled. `gate` holds the conditions a row passed to reach
+    /// `e` — the lhs of each enclosing AND (not FALSE) and OR (not TRUE)
+    /// — so no body runs for a row the interpreter never asks.
+    fn compile(&self, e: &BExpr, gate: &[tpcds_storage::Expr]) -> Result<tpcds_storage::Expr> {
+        use crate::expr::key_set;
+        use tpcds_storage::{Expr as X, SetTest};
+        if e.has_subquery() && e.is_constant() {
+            return match e.eval(&[], self.ctx, self.outer) {
+                Ok(v) => Ok(X::Lit(v)),
+                Err(_) => self.lookup(e, gate),
+            };
+        }
+        let c = |x: &BExpr| self.compile(x, gate).map(Box::new);
+        let all =
+            |xs: &[BExpr]| -> Result<Vec<X>> { xs.iter().map(|x| self.compile(x, gate)).collect() };
+        // `r`, which runs where `l` did not read `stop`.
+        let unless = |l: &X, stop: bool, r: &BExpr| {
+            if !r.has_subquery() {
+                return c(r);
+            }
+            let lit = |b| Box::new(X::Lit(Value::Bool(b)));
+            let mut gate = gate.to_vec();
+            gate.push(X::Case {
+                operand: Some(Box::new(l.clone())),
+                branches: vec![(*lit(stop), *lit(false))],
+                else_branch: Some(lit(true)),
+            });
+            self.compile(r, &gate).map(Box::new)
+        };
+        // A set probe; its body runs once, if some row reaches it.
+        let sets = |set: &dyn Fn() -> Result<_>, keys: Vec<X>, test, negated| {
+            if !self.reached(gate)? {
+                return Ok(X::Lit(Value::Null));
+            }
+            match set() {
+                Ok(set) => Ok(X::InSet(keys, set, test, negated)),
+                Err(_) => self.lookup(e, gate),
+            }
+        };
+        Ok(match e {
+            BExpr::Col(i) => X::Col((self.phys)(*i)),
+            BExpr::OuterCol(i) => match self.outer.and_then(|o| o.get(*i)) {
+                Some(v) => X::Lit(v.clone()),
+                None => self.lookup(e, gate)?,
+            },
+            BExpr::Lit(v) => X::Lit(v.clone()),
+            BExpr::Cmp(op, l, r) => X::Cmp(cmp_kind(*op), c(l)?, c(r)?),
+            BExpr::And(l, r) => {
+                let l = c(l)?;
+                X::And(l.clone(), unless(&l, false, r)?)
+            }
+            BExpr::Or(l, r) => {
+                let l = c(l)?;
+                X::Or(l.clone(), unless(&l, true, r)?)
+            }
+            BExpr::Not(x) => X::Not(c(x)?),
+            BExpr::Arith(op, l, r) => X::Arith(*op, c(l)?, c(r)?),
+            BExpr::Neg(x) => X::Neg(c(x)?),
+            BExpr::IsNull(x, negated) => X::IsNull(c(x)?, *negated),
+            BExpr::Like(x, p, negated) => X::Like(c(x)?, c(p)?, *negated),
+            BExpr::InList(x, list, negated) => X::InList(c(x)?, all(list)?, *negated),
+            BExpr::Between(x, lo, hi, negated) => X::Between(c(x)?, c(lo)?, c(hi)?, *negated),
+            BExpr::Case {
+                operand,
+                branches,
+                else_branch,
+            } => X::Case {
+                operand: operand.as_deref().map(c).transpose()?,
+                branches: (branches.iter())
+                    .map(|(w, t)| Ok((self.compile(w, gate)?, self.compile(t, gate)?)))
+                    .collect::<Result<_>>()?,
+                else_branch: else_branch.as_deref().map(c).transpose()?,
+            },
+            BExpr::Cast(x, ty) => X::Cast(c(x)?, *ty),
+            BExpr::Func(f, args) => X::Func(*f, all(args)?),
+            BExpr::Concat(l, r) => X::Concat(c(l)?, c(r)?),
+            BExpr::InSubquery(x, sub, negated) if sub.uncorrelated() => {
+                let set = || sub.once(self.ctx, key_set);
+                sets(&set, vec![*c(x)?], SetTest::In, *negated)?
+            }
+            BExpr::Exists(_, negated, Some(keyed)) => {
+                let keys = keyed.outer_refs.iter().map(|&k| X::Col((self.phys)(k)));
+                let set = || keyed.once(self.ctx, key_set);
+                sets(&set, keys.collect(), SetTest::Exists, *negated)?
+            }
+            BExpr::ScalarSubquery(..) | BExpr::InSubquery(..) | BExpr::Exists(..) => {
+                self.lookup(e, gate)?
+            }
+        })
     }
-    let c = |x: &BExpr| compile_expr(x, phys, ctx).map(Box::new);
-    let all = |xs: &[BExpr]| -> Option<Vec<X>> {
-        xs.iter().map(|x| compile_expr(x, phys, ctx)).collect()
-    };
-    Some(match e {
-        BExpr::Col(i) => X::Col(phys(*i)),
-        BExpr::Lit(v) => X::Lit(v.clone()),
-        BExpr::Cmp(op, l, r) => X::Cmp(cmp_kind(*op), c(l)?, c(r)?),
-        BExpr::And(l, r) => X::And(c(l)?, c(r)?),
-        BExpr::Or(l, r) => X::Or(c(l)?, c(r)?),
-        BExpr::Not(x) => X::Not(c(x)?),
-        BExpr::Arith(op, l, r) => X::Arith(*op, c(l)?, c(r)?),
-        BExpr::Neg(x) => X::Neg(c(x)?),
-        BExpr::IsNull(x, negated) => X::IsNull(c(x)?, *negated),
-        BExpr::Like(x, p, negated) => X::Like(c(x)?, c(p)?, *negated),
-        BExpr::InList(x, list, negated) => X::InList(c(x)?, all(list)?, *negated),
-        BExpr::Between(x, lo, hi, negated) => X::Between(c(x)?, c(lo)?, c(hi)?, *negated),
-        BExpr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => X::Case {
-            operand: match operand {
-                Some(o) => Some(c(o)?),
-                None => None,
-            },
-            branches: branches
-                .iter()
-                .map(|(w, t)| Some((compile_expr(w, phys, ctx)?, compile_expr(t, phys, ctx)?)))
-                .collect::<Option<Vec<_>>>()?,
-            else_branch: match else_branch {
-                Some(eb) => Some(c(eb)?),
-                None => None,
-            },
-        },
-        BExpr::Cast(x, ty) => X::Cast(c(x)?, *ty),
-        BExpr::Func(f, args) => X::Func(*f, all(args)?),
-        BExpr::Concat(l, r) => X::Concat(c(l)?, c(r)?),
-        BExpr::InSubquery(x, sub, negated) if sub.uncorrelated() => {
-            let set = sub.once(ctx?, key_set).ok()?;
-            X::InSet(vec![*c(x)?], set, SetTest::In, *negated)
+
+    /// `e` as a lookup of its result by the columns it reads, evaluated
+    /// once per distinct tuple among the input rows `gate` admits.
+    fn lookup(&self, e: &BExpr, gate: &[tpcds_storage::Expr]) -> Result<tpcds_storage::Expr> {
+        let mut cols = Vec::new();
+        e.visit_columns(&mut |c| cols.push(c));
+        cols.sort_unstable();
+        cols.dedup();
+        let phys: Vec<usize> = cols.iter().map(|&c| (self.phys)(c)).collect();
+        let tuples =
+            tpcds_storage::par_aggregate(&self.gated(gate)?, &phys, &[], self.ctx.threads());
+        let mut row = vec![Value::Null; cols.last().map_or(0, |&c| c + 1)];
+        let mut map = HashMap::new();
+        for key in tuples.map_err(storage_err)?.0 {
+            for (&c, v) in cols.iter().zip(&key) {
+                row[c] = v.clone();
+            }
+            let value = e.eval(&row, self.ctx, self.outer).map_err(|e| match e {
+                EngineError::Exec(m) => m,
+                e => e.to_string(),
+            });
+            map.insert(key, value);
         }
-        BExpr::Exists(_, negated, Some(keyed)) => {
-            let set = keyed.once(ctx?, key_set).ok()?;
-            let keys = keyed.outer_refs.iter().map(|&k| X::Col(phys(k)));
-            X::InSet(keys.collect(), set, SetTest::Exists, *negated)
-        }
-        BExpr::OuterCol(_)
-        | BExpr::ScalarSubquery(..)
-        | BExpr::InSubquery(..)
-        | BExpr::Exists(..) => return None,
-    })
+        let keys = phys.into_iter().map(tpcds_storage::Expr::Col).collect();
+        Ok(tpcds_storage::Expr::Lookup(keys, Arc::new(map)))
+    }
+
+    /// The input rows `gate` admits.
+    fn gated(&self, gate: &[tpcds_storage::Expr]) -> Result<Batch> {
+        Ok((gate.iter()).fold((self.rows)()?, |b, g| b.filter(g.clone())))
+    }
+
+    /// Whether some input row passes `gate`.
+    fn reached(&self, gate: &[tpcds_storage::Expr]) -> Result<bool> {
+        let mut any = false;
+        let _ = tpcds_storage::scan_until(&self.gated(gate)?, |_| {
+            any = true;
+            Ok::<_, ()>(false)
+        });
+        Ok(any)
+    }
 }
 
 /// The kernels' calls for `aggs`. An argument's column is its position

@@ -615,22 +615,6 @@ impl BExpr {
         });
         (n.get(), runs.get())
     }
-
-    /// True when evaluating the expression needs more than the row it is
-    /// given — a subquery's result or the enclosing query's row — so it
-    /// compiles to a segment kernel only once the executor has supplied
-    /// those (`exec::compile_expr`).
-    pub fn needs_context(&self) -> bool {
-        self.any(&|e| {
-            matches!(
-                e,
-                BExpr::OuterCol(_)
-                    | BExpr::ScalarSubquery(..)
-                    | BExpr::InSubquery(..)
-                    | BExpr::Exists(..)
-            )
-        })
-    }
 }
 
 /// Arithmetic with numeric widening, date arithmetic and NULL propagation

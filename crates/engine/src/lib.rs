@@ -102,15 +102,6 @@ impl Profile {
         (self.actuals.values().map(|s| s.route).max()).unwrap_or_default()
     }
 
-    /// Deduplicated, sorted fallback reason codes across every node that
-    /// ran — why parts of the statement stayed off the columnar path.
-    pub fn fallback_reasons(&self) -> Vec<&'static str> {
-        let mut reasons: Vec<_> = (self.actuals.values()).filter_map(|s| s.fallback).collect();
-        reasons.sort_unstable();
-        reasons.dedup();
-        reasons
-    }
-
     /// The plan tree annotated with per-operator actuals and estimates
     /// (`rows=`, `est=`, `qerr=`, `elapsed=`, `loops=`, `route=`) — EXPLAIN
     /// ANALYZE. Empty when the statement never bound. Estimates come from
@@ -211,7 +202,6 @@ fn run_bound(
         RoutePath::Unset => "",
         r => r.as_str(),
     };
-    record.fallbacks = profile.fallback_reasons().join(",");
     span.add_field("version", record.snapshot_version as i64);
     match &result {
         Ok(r) => {
@@ -264,11 +254,6 @@ impl AnalyzedResult {
     /// [`Profile::best_route`].
     pub fn best_route(&self) -> RoutePath {
         self.profile.best_route()
-    }
-
-    /// [`Profile::fallback_reasons`].
-    pub fn fallback_reasons(&self) -> Vec<&'static str> {
-        self.profile.fallback_reasons()
     }
 }
 

@@ -208,8 +208,7 @@ impl Plan {
     /// `max(est/actual, actual/est)` against per-call actuals), `elapsed=`
     /// (inclusive wall clock), `loops=` (times the node ran — correlated
     /// subplans run once per outer row) and `route=` (the execution path
-    /// taken, with the fallback reason code in brackets for non-columnar
-    /// routes).
+    /// taken: `serial` only under `ColumnarMode::Off`).
     pub fn explain_analyze(
         &self,
         stats: &crate::exec::StatsMap,
@@ -429,17 +428,12 @@ impl Plan {
                         }
                         None => String::new(),
                     };
-                    let route = match (s.route, s.fallback) {
-                        (r, Some(why)) if r != crate::exec::RoutePath::Columnar => {
-                            format!(" route={}[{why}]", r.as_str())
-                        }
-                        (r, _) => format!(" route={}", r.as_str()),
-                    };
                     format!(
-                        " (rows={}{est_part} elapsed={:.3}ms loops={}{route}{columnar}{mem})",
+                        " (rows={}{est_part} elapsed={:.3}ms loops={} route={}{columnar}{mem})",
                         s.rows_out,
                         s.elapsed.as_secs_f64() * 1e3,
-                        s.calls
+                        s.calls,
+                        s.route.as_str()
                     )
                 }
                 None => match est_rows {
@@ -482,6 +476,7 @@ impl Plan {
             _ => None,
         };
         let (subplans, subplan_runs) = self.subplans();
+        let route = s.map(|s| s.route).unwrap_or_default();
         out.push(NodeReport {
             op: self.label(),
             subplans,
@@ -490,8 +485,8 @@ impl Plan {
             rows,
             calls,
             qerr,
-            route: s.map(|s| s.route).unwrap_or_default(),
-            fallback: s.and_then(|s| s.fallback),
+            route,
+            fallback: (route == crate::exec::RoutePath::Serial).then_some("columnar-off"),
             executed: s.is_some(),
         });
         for child in self.children() {
@@ -524,7 +519,8 @@ pub struct NodeReport {
     pub qerr: Option<f64>,
     /// The best execution path any call took.
     pub route: crate::exec::RoutePath,
-    /// Reason code for the first non-columnar routing decision, if any.
+    /// `Some("columnar-off")` exactly when the node ran the serial
+    /// interpreter, which only `ColumnarMode::Off` runs.
     pub fallback: Option<&'static str>,
     /// Whether the node executed at all (pruned subplans don't).
     pub executed: bool,

@@ -73,7 +73,6 @@ pub fn columns(name: &str) -> Option<Vec<ColumnMeta>> {
             col("mem_peak", Int),
             col("admission_wait_us", Int),
             col("best_route", Str),
-            col("fallbacks", Str),
             col("snapshot_version", Int),
             col("error", Str),
             col("parse_us", Int),
@@ -100,11 +99,6 @@ pub fn columns(name: &str) -> Option<Vec<ColumnMeta>> {
         ],
         _ => return None,
     })
-}
-
-/// True when `name` names a virtual table this module serves.
-pub fn is_sys_table(name: &str) -> bool {
-    columns(name).is_some()
 }
 
 fn int(v: u64) -> Value {
@@ -134,7 +128,6 @@ pub fn rows(db: &Database, name: &str) -> Option<Vec<Row>> {
                     int(r.mem_peak),
                     int(r.admission_wait_us),
                     Value::str(r.best_route),
-                    Value::str(&r.fallbacks),
                     int(r.snapshot_version),
                     r.error.as_deref().map(Value::str).unwrap_or(Value::Null),
                     int(r.parse_us),
@@ -183,6 +176,16 @@ pub fn rows(db: &Database, name: &str) -> Option<Vec<Row>> {
         _ => return None,
     };
     Some(rows)
+}
+
+/// [`rows`] as a column table typed by [`columns`]: what a batch scan of
+/// a virtual table reads.
+pub(crate) fn table(db: &Database, name: &str) -> Option<tpcds_storage::ColumnTable> {
+    let dtypes = columns(name)?.iter().map(|c| c.dtype).collect();
+    Some(tpcds_storage::ColumnTable::from_rows(
+        dtypes,
+        &rows(db, name)?,
+    ))
 }
 
 #[cfg(test)]
@@ -285,6 +288,53 @@ mod tests {
         .unwrap();
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0][0], Value::Int(1));
+    }
+
+    /// A virtual table is scanned as a column table: its filter runs on
+    /// the kernels and answers like the interpreter.
+    #[test]
+    fn sys_scans_run_on_the_kernels() {
+        use crate::{query_analyze_with, ColumnarMode, ExecOptions, RoutePath};
+        let db = Database::new();
+        db.create_table_with_rows(
+            "t",
+            vec![ColumnMeta {
+                name: "a".into(),
+                dtype: DataType::Int,
+            }],
+            vec![vec![Value::Int(1)], vec![Value::Int(2)]],
+        )
+        .unwrap();
+        query(&db, "select a from t where a > 1").unwrap();
+        query(&db, "select a from t where a > 5").unwrap();
+        tpcds_obs::metrics::enable();
+        tpcds_obs::metrics::counter_add("sys_test.hits", 3.0);
+        tpcds_obs::metrics::counter_add("sys_test.misses", 5.0);
+        tpcds_obs::metrics::disable();
+        // The runs below log records of their own: read up to here.
+        let seq = db.query_log().snapshot().last().unwrap().seq;
+        for sql in [
+            format!(
+                "select query_id, rows from sys.query_log \
+                 where rows > 0 and seq <= {seq} order by seq"
+            ),
+            "select name, value from sys.counters where name like 'sys_test.%' and value > 4"
+                .to_string(),
+        ] {
+            let run = |columnar| {
+                let opts = ExecOptions {
+                    columnar,
+                    threads: Some(2),
+                };
+                query_analyze_with(&db, &sql, opts).unwrap()
+            };
+            let (off, auto) = (run(ColumnarMode::Off), run(ColumnarMode::Auto));
+            assert_eq!(off.result, auto.result, "{sql}");
+            assert_eq!(auto.result.rows.len(), 1, "{sql}");
+            for n in auto.nodes.iter().filter(|n| n.executed) {
+                assert_eq!(n.route, RoutePath::Columnar, "{sql}: {}", n.op);
+            }
+        }
     }
 
     #[test]

@@ -114,16 +114,21 @@ fn bare_limit_short_circuits_the_scan() {
         assert!(scanned[0] < 50, "{columnar:?}: {scanned:?}\n{plan}");
         if columnar == ColumnarMode::Off {
             assert_eq!(scanned, vec![4], "{plan}");
-            assert!(plan.contains("serial[columnar-off]"), "{plan}");
+            assert!(plan.contains("route=serial"), "{plan}");
         }
-        // A correlated subquery predicate keeps the chain on the
-        // interpreter: it is evaluated for the 14 rows the Limit asked
-        // for, not for the table — which is all the oracle's scan decodes.
+        // A correlated subquery predicate: the oracle evaluates it for the
+        // 14 rows the Limit asked for, which is all its scan decodes. The
+        // batch path fills the lookup for the 50 rows its input holds, and
+        // its one morsel admits 40.
         let sql =
             "select a from t x where (select count(*) from t y where y.a < x.a) >= 10 limit 4";
         let plan = run(sql, columnar);
-        assert_eq!(op_rows(&plan, "Filter"), vec![4], "{plan}");
-        assert!(plan.contains("subplan_runs=14"), "{plan}");
+        let (filtered, runs) = match columnar {
+            ColumnarMode::Off => (4, 14),
+            _ => (40, 50),
+        };
+        assert_eq!(op_rows(&plan, "Filter"), vec![filtered], "{plan}");
+        assert!(plan.contains(&format!("subplan_runs={runs}")), "{plan}");
         if columnar == ColumnarMode::Off {
             assert!(op_rows(&plan, "Scan t").contains(&14), "{plan}");
         }
@@ -438,5 +443,9 @@ fn subplan_runs_tell_once_from_once_per_key() {
     let owners: Vec<_> = a.nodes.iter().filter(|n| n.subplans > 0).collect();
     assert_eq!(owners.len(), 1, "{:?}", a.nodes);
     assert_eq!((owners[0].subplans, owners[0].subplan_runs), (2, 2));
-    assert_eq!(a.fallback_reasons(), Vec::<&str>::new());
+    assert!(
+        a.nodes.iter().all(|n| n.fallback.is_none()),
+        "{:?}",
+        a.nodes
+    );
 }

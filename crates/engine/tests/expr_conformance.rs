@@ -8,7 +8,7 @@
 //! modulo by zero yielding NULL (never an error), and NULL propagation
 //! through CASE / COALESCE / NULLIF.
 
-use tpcds_engine::{ColumnMeta, ColumnarMode, Database, ExecOptions};
+use tpcds_engine::{ColumnMeta, ColumnarMode, Database, ExecOptions, RoutePath};
 use tpcds_types::{DataType, Decimal, Row, Value};
 
 const OFF: ExecOptions = ExecOptions {
@@ -384,6 +384,103 @@ fn uncorrelated_subqueries_agree_wherever_they_appear() {
          and x.id in (select id from t where big >= 100000) order by 1",
     ] {
         assert!(!assert_subquery_parity(&db, sql).is_empty(), "{sql}");
+    }
+}
+
+/// Every node `sql` executes under each kernel configuration ran a batch
+/// kernel or an index probe.
+fn assert_batch_routes(db: &Database, sql: &str) {
+    for opts in kernel_runs() {
+        let a = tpcds_engine::query_analyze_with(db, sql, opts).unwrap();
+        for n in a.nodes.iter().filter(|n| n.executed) {
+            assert!(
+                matches!(n.route, RoutePath::Columnar | RoutePath::Index),
+                "{sql} ({opts:?}): {} ran {:?}\n{}",
+                n.op,
+                n.route,
+                a.plan_text
+            );
+        }
+    }
+}
+
+#[test]
+fn correlated_subqueries_agree_wherever_they_appear() {
+    let db = plain_db();
+    for sql in [
+        // WHERE: scalar, IN, EXISTS / NOT EXISTS.
+        "select id from t x where amt > (select avg(amt) from t y where y.n = x.n) order by id",
+        "select id from t x where id in (select y.id + 5 from t y where y.n = x.n) order by id",
+        "select count(*) from t x where exists (select 1 from t y where y.n = x.n and y.id > 250)",
+        "select count(*) from t x where x.id > 100 and not exists \
+         (select 1 from t y where y.n = x.n and y.id < x.id - 150)",
+        // The select list, and an untaken CASE arm that never runs.
+        "select id, (select count(*) from t y where y.n = x.n) from t x where id < 30 order by id",
+        "select id, case when id < 0 then (select max(y.id) from t y where y.n = x.n) \
+         else id end from t x where id < 10 order by id",
+        // HAVING, ORDER BY, and under a LIMIT.
+        "select n, count(*) from t x group by n \
+         having count(*) >= (select count(*) from t y where y.n = x.n) order by n",
+        "select id from t x where id < 20 \
+         order by (select count(*) from t y where y.id < x.id and y.n = x.n) desc, id",
+        "select id from t x where (select count(*) from t y where y.id < x.id) >= 10 limit 7",
+        // Inner and left joins with the subquery in ON.
+        "select x.id, y.id from t x join t y on x.id = y.id \
+         and y.n = (select min(z.n) from t z where z.id = x.id + 5) where x.id < 30 order by 1",
+        "select x.id, y.id from t x left join t y on x.id = y.id \
+         and exists (select 1 from t z where z.id = x.id + 5 and z.n = y.n) \
+         where x.id < 30 order by 1",
+        // A `<>` correlation beside a keyed NOT EXISTS (q16's shape).
+        "select count(*) from t x where x.id < 60 and exists \
+         (select 1 from t y where y.n = x.n and y.id <> x.id) \
+         and not exists (select 1 from t z where z.id = x.id + 300)",
+        // The correlation in both arms of an OR (q41's shape).
+        "select count(*) from t x where x.id < 40 and (select count(*) from t y \
+         where (y.n = x.n and y.id < 10) or (y.n = x.n and y.id > 290)) > 0",
+    ] {
+        assert!(!assert_subquery_parity(&db, sql).is_empty(), "{sql}");
+        assert_batch_routes(&db, sql);
+    }
+    // A body runs only for rows that get past the AND / OR operands before
+    // it, as on the interpreter.
+    let auto = ExecOptions {
+        columnar: ColumnarMode::Auto,
+        threads: Some(2),
+    };
+    for sql in [
+        "select count(*) from t x where x.id > 100 and not exists \
+         (select 1 from t y where y.n = x.n and y.id < x.id - 150)",
+        "select count(*) from t x where x.id < 100 or exists \
+         (select 1 from t y where y.n = x.n and y.id > x.id)",
+    ] {
+        assert_eq!(subplan_runs(&db, sql, auto), subplan_runs(&db, sql, OFF), "{sql}");
+    }
+    // COUNT(*) over an empty correlated group is 0, not NULL.
+    let sql = "select id, (select count(*) from t y where y.id = x.id + 1000) from t x \
+               where id < 5 order by id";
+    let rows = assert_subquery_parity(&db, sql);
+    assert!(rows.iter().all(|r| r[1] == Value::Int(0)), "{rows:?}");
+    // A body that raises for one key only (row 100's `big` overflows):
+    // the error is raised exactly when a row that reaches it asks.
+    let edge = edge_db();
+    let body = "(select max(y.big) + 1 from t y where y.id = x.id)";
+    for sql in [
+        format!("select id from t x where id < 50 and {body} > 0 order by id"),
+        format!("select id, case when id = 100 then 0 else {body} end from t x order by id"),
+        format!("select id from t x where {body} > 0 limit 50"),
+    ] {
+        assert!(!assert_subquery_parity(&edge, &sql).is_empty(), "{sql}");
+        assert_batch_routes(&edge, &sql);
+    }
+    for sql in [
+        format!("select id from t x where id > 90 and {body} > 0"),
+        format!("select id, {body} from t x where id >= 100"),
+        format!("select id from t x where id > 50 order by {body}"),
+    ] {
+        assert_error_parity(&edge, &sql);
+        let oracle = tpcds_engine::query_with(&edge, &sql, OFF).unwrap_err();
+        assert!(oracle.to_string().ends_with("in +"), "{sql}: {oracle}");
+        assert_eq!(tpcds_engine::query_unoptimized(&edge, &sql), Err(oracle));
     }
 }
 

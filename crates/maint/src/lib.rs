@@ -713,6 +713,14 @@ mod tests {
     #[test]
     fn delete_removes_exactly_the_date_range() {
         let (db, g) = loaded();
+        let orphans = |db: &Database| {
+            let counts = orphans_and_sales_in(db, &g, g.refresh_delete_range(0));
+            counts
+                .into_iter()
+                .map(|[orphans, _]| orphans)
+                .collect::<Vec<_>>()
+        };
+        let at_load = orphans(&db);
         let mut deleted = [0; 3];
         // At SF 0.01 a two-week range holds a few dozen sales of a channel
         // at most, and of some none: several sets cover all three.
@@ -731,6 +739,17 @@ mod tests {
             }
         }
         assert!(deleted.iter().all(|&n| n > 0), "{deleted:?}");
+        // A refresh set inserts the returns of the sales it inserts.
+        for seq in 0..8 {
+            run_maintenance(&db, &g, seq).unwrap();
+        }
+        let after = orphans(&db);
+        for (channel, (a, l)) in after.iter().zip(&at_load).enumerate() {
+            assert!(
+                a <= l,
+                "channel {channel}: orphan returns {l} at load, {a} after"
+            );
+        }
     }
 
     #[test]

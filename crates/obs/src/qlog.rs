@@ -48,8 +48,6 @@ pub struct QueryRecord {
     /// Best route any plan node took (`columnar` / `index` /
     /// `serial`; empty on bind errors).
     pub best_route: &'static str,
-    /// Comma-joined, sorted, deduplicated fallback reason codes.
-    pub fallbacks: String,
     /// Snapshot version the query executed against.
     pub snapshot_version: u64,
     /// Error message when the query failed.

@@ -91,6 +91,17 @@ impl Batch {
         self
     }
 
+    /// The same qualifying rows with every physical column visible, under
+    /// a copy of the predicate that feeds neither its counters nor its
+    /// error cell: those stay the consuming kernel's.
+    pub fn peek(&self) -> Batch {
+        Batch {
+            table: Arc::clone(&self.table),
+            pred: self.pred.as_ref().map(Pred::detached),
+            proj: None,
+        }
+    }
+
     /// A counter to which every kernel evaluating the pending predicate
     /// adds the rows the filters stacked *so far* admit; `None` when
     /// nothing is pending (every row qualifies: none is dead). The count is

@@ -1,8 +1,10 @@
 //! Vectorized expression kernels over 64k-row segments — the one
 //! evaluator for predicates, projections, sort keys and join residuals.
 //!
-//! [`Expr`] is the compiled, subquery-free form of the engine's scalar
-//! expression AST. Evaluation is batch-at-a-time over one morsel of a
+//! [`Expr`] is the compiled form of the engine's scalar expression AST,
+//! with every subquery already run: its result is a literal, a set to
+//! probe ([`Expr::InSet`]) or a table of results by key tuple
+//! ([`Expr::Lookup`]). Evaluation is batch-at-a-time over one morsel of a
 //! [`Segment`]: columns are borrowed, a subtree that reads no column is
 //! evaluated once, and a comparison leaf of a column against constants
 //! runs a loop pre-resolved for that (buffer, constant type) pair
@@ -24,15 +26,15 @@ use crate::pred::{CmpKind, P_FALSE, P_NULL, P_TRUE};
 use crate::segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
 use crate::StorageError;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use tpcds_types::scalar;
 use tpcds_types::{like_match, ArithOp, DataType, Date, Decimal, Row, ScalarFunc, Value};
 
 /// A compiled scalar expression over the columns of one input relation.
 ///
-/// Mirrors the engine's expression AST minus subqueries and outer-column
-/// references (the engine refuses to compile those shapes).
+/// Mirrors the engine's expression AST; a subquery arrives as its result
+/// and an outer-column reference as a literal.
 #[derive(Clone, Debug)]
 pub enum Expr {
     /// Input column by index.
@@ -79,6 +81,10 @@ pub enum Expr {
     /// subquery's result — under the NULL rules of the given [`SetTest`];
     /// the bool is the NOT.
     InSet(Vec<Expr>, Arc<KeySet>, SetTest, bool),
+    /// The value stored for the key tuple — a correlated subquery's result
+    /// per tuple of the columns it reads. A stored error is deferred to
+    /// the rows that ask for it; a tuple with no entry reads NULL.
+    Lookup(Vec<Expr>, Arc<HashMap<Vec<Value>, Result<Value, String>>>),
 }
 
 /// Which SQL construct an [`Expr::InSet`] answers. They differ only in
@@ -1009,6 +1015,23 @@ impl Expr {
                     errs,
                 }
             }
+            Expr::Lookup(keys, map) => {
+                let evs: Vec<Evaled> = (keys.iter())
+                    .map(|k| k.eval_vect(input, start, len))
+                    .collect();
+                let mut errs = first_errs(&evs);
+                let key = |j| evs.iter().map(|e| e.v.get(j)).collect::<Vec<_>>();
+                let vals = (0..len).map(|j| match map.get(&key(j)) {
+                    Some(Err(m)) => {
+                        errs.entry(j).or_insert_with(|| m.clone());
+                        Value::Null
+                    }
+                    Some(Ok(v)) if !errs.contains_key(&j) => v.clone(),
+                    _ => Value::Null,
+                });
+                let v = Vect::Val(vals.collect());
+                Evaled { v, errs }
+            }
         }
     }
 
@@ -1085,7 +1108,7 @@ impl Expr {
                 a.visit_cols(f);
                 items.iter().for_each(|e| e.visit_cols(f));
             }
-            Expr::Func(_, args) | Expr::InSet(args, ..) => {
+            Expr::Func(_, args) | Expr::InSet(args, ..) | Expr::Lookup(args, _) => {
                 args.iter().for_each(|e| e.visit_cols(f))
             }
             Expr::Case {
@@ -1153,6 +1176,9 @@ impl Expr {
                     .unwrap_or(DataType::Int),
             },
             Expr::Concat(..) => DataType::Str,
+            Expr::Lookup(_, map) => (map.values())
+                .find_map(|v| v.as_ref().ok()?.data_type())
+                .unwrap_or(DataType::Int),
         }
     }
 }

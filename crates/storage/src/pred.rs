@@ -116,6 +116,16 @@ impl Pred {
         });
     }
 
+    /// The same steps with no counters and an error cell of its own: for a
+    /// pass that only looks at which rows qualify ([`crate::Batch::peek`]).
+    pub(crate) fn detached(&self) -> Pred {
+        let mut pred = Pred::live();
+        for step in &self.steps {
+            pred.push(Expr::clone(&step.expr));
+        }
+        pred
+    }
+
     /// A counter of the rows the chain *as it stands* admits, fed by every
     /// evaluation — how EXPLAIN ANALYZE learns a lazy node's row count
     /// from whichever kernel evaluates its batch.

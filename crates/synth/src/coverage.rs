@@ -3,10 +3,8 @@
 //!
 //! Where `COVERAGE_10.json` tracks the 99 fixed templates, this report
 //! tracks the synthesizer's shape classes: for each class, how many
-//! queries were generated, which best route they took under
-//! `ColumnarMode::Auto`, and the fallback reason codes that kept plan
-//! nodes off the columnar path. Classes that fall back to serial are a
-//! measurable routing backlog instead of an unknown.
+//! queries were generated and which best route they took under
+//! `ColumnarMode::Auto`.
 
 use tpcds_obs::json::Json;
 
@@ -27,11 +25,6 @@ pub fn coverage_report(outcome: &SoakOutcome, cfg: &SoakConfig) -> Json {
             .iter()
             .map(|(r, n)| (r.to_string(), Json::Int(*n as i64)))
             .collect();
-        let fallbacks: Vec<(String, Json)> = stat
-            .fallbacks
-            .iter()
-            .map(|(r, n)| (r.to_string(), Json::Int(*n as i64)))
-            .collect();
         classes.push((
             name.to_string(),
             Json::Obj(vec![
@@ -41,7 +34,6 @@ pub fn coverage_report(outcome: &SoakOutcome, cfg: &SoakConfig) -> Json {
                     "columnar_frac".to_string(),
                     Json::Float(stat.columnar_frac()),
                 ),
-                ("fallbacks".to_string(), Json::Obj(fallbacks)),
                 (
                     "oracle_rows".to_string(),
                     Json::Int(stat.oracle_rows as i64),

@@ -65,8 +65,6 @@ pub struct ClassStat {
     pub queries: u64,
     /// Best [`RoutePath`](tpcds_engine::RoutePath) per query → count.
     pub routes: BTreeMap<&'static str, u64>,
-    /// Fallback reason code → count (a query can carry several).
-    pub fallbacks: BTreeMap<&'static str, u64>,
     /// Total oracle rows across the class.
     pub oracle_rows: u64,
     /// Queries whose oracle produced zero rows.
@@ -345,9 +343,6 @@ pub fn run_soak(
                                 .routes
                                 .entry(profile.best_route().as_str())
                                 .or_insert(0) += 1;
-                            for reason in profile.fallback_reasons() {
-                                *class.fallbacks.entry(reason).or_insert(0) += 1;
-                            }
                         }
                         if let Some((detail, minimized)) = failure {
                             out.failures.push(Failure {

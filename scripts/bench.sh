@@ -2,8 +2,9 @@
 # Routing and differential gates (timing is the repository benchmark's
 # job: benchmark/run.sh). Builds the release harness and regenerates
 #  - COVERAGE_10.json: per-template batch-path row fraction, whether the
-#    plan ran fallback-free, fallback reason codes and cardinality q-error
-#    quantiles over all 99 templates (tpcds-bench coverage), gated on the
+#    plan ran fallback-free (every executed node on a batch kernel or an
+#    index probe) and cardinality q-error quantiles over all 99 templates
+#    (tpcds-bench coverage), gated on the
 #    committed report — a template that ran fallback-free there and no
 #    longer does fails the script — and on an absolute floor on the
 #    fallback-free template count (MIN_COLUMNAR);
@@ -21,7 +22,7 @@
 #   BENCH_JOIN_SCALE   scale factor for both reports (default 0.01)
 #   BENCH_COVERAGE_OUT COVERAGE_10 output path (default COVERAGE_10.json)
 #   MIN_COLUMNAR       fallback-free template floor for the coverage gate
-#                      (default 90, the committed report's count)
+#                      (default 99: every template)
 #   BENCH_SYNTH_OUT    COVERAGE_8 output path (default COVERAGE_8.json)
 #   SYNTH_BUDGET       synthesized queries per soak (default 500)
 #   SYNTH_TOLERANCE    columnar_frac slack for the COVERAGE_8 gate
@@ -49,7 +50,7 @@ status=0
 ./target/release/tpcds-bench coverage \
     --scale "${BENCH_JOIN_SCALE:-0.01}" \
     --out "$COVERAGE" $(baseline "$COVERAGE") \
-    --min-columnar "${MIN_COLUMNAR:-90}" || status=1
+    --min-columnar "${MIN_COLUMNAR:-99}" || status=1
 
 # A fixed default seed keeps the generated queries (and so the routing
 # report) stable across runs; export TPCDS_TEST_SEED to explore, or replay

@@ -1,10 +1,10 @@
 //! Integration: table statistics, cardinality estimates and routing
 //! traces end to end — EXPLAIN carries `est_rows=`, EXPLAIN ANALYZE
 //! carries `est=`/`qerr=`/`route=`, every executed operator has a routing
-//! decision with a reason code on fallback, and data maintenance
+//! decision — `serial` exactly under `ColumnarMode::Off` — and data maintenance
 //! refreshes the statistics (the differential gate CI runs).
 
-use tpcds_repro::engine::RoutePath;
+use tpcds_repro::engine::{self, ColumnarMode, ExecOptions, RoutePath};
 use tpcds_repro::TpcDs;
 
 fn load(sf: f64) -> TpcDs {
@@ -56,7 +56,7 @@ fn marker_on_executed_lines(text: &str, marker: &str) -> bool {
 }
 
 #[test]
-fn every_executed_node_has_a_route_and_fallbacks_carry_reasons() {
+fn a_node_runs_serial_exactly_when_the_mode_is_off() {
     let t = load(0.005);
     for sql in [
         "select ss_item_sk from store_sales where ss_quantity > 90",
@@ -67,18 +67,30 @@ fn every_executed_node_has_a_route_and_fallbacks_carry_reasons() {
         "select d_year, count(*) from store_sales, date_dim \
          where ss_sold_date_sk = d_date_sk group by d_year",
     ] {
-        let analyzed = t.explain_analyze(sql).expect(sql);
-        let executed: Vec<_> = analyzed.nodes.iter().filter(|n| n.executed).collect();
-        assert!(!executed.is_empty(), "{sql}: nothing executed");
-        for n in executed {
-            assert_ne!(n.route, RoutePath::Unset, "{sql}: {} has no route", n.op);
-            if n.route != RoutePath::Columnar && n.route != RoutePath::Index {
+        for columnar in [ColumnarMode::Off, ColumnarMode::Auto, ColumnarMode::Force] {
+            let opts = ExecOptions {
+                columnar,
+                threads: None,
+            };
+            let analyzed = engine::query_analyze_with(t.database(), sql, opts).expect(sql);
+            let executed: Vec<_> = analyzed.nodes.iter().filter(|n| n.executed).collect();
+            assert!(!executed.is_empty(), "{sql}: nothing executed");
+            for n in executed {
+                assert_ne!(n.route, RoutePath::Unset, "{sql}: {} has no route", n.op);
+                // Off runs the interpreter (whose scan may probe an index);
+                // the other modes run a kernel or an index probe.
+                let path = match columnar {
+                    ColumnarMode::Off => RoutePath::Serial,
+                    _ => RoutePath::Columnar,
+                };
                 assert!(
-                    n.fallback.is_some(),
-                    "{sql}: {} took {:?} without a reason code",
+                    n.route == path || n.route == RoutePath::Index,
+                    "{sql} ({columnar:?}): {} took {:?}",
                     n.op,
                     n.route
                 );
+                let serial = n.route == RoutePath::Serial;
+                assert_eq!(n.fallback.is_some(), serial, "{sql}: {}", n.op);
             }
         }
     }
