@@ -7,14 +7,18 @@
 //! rows that reach it. The serial row interpreter ([`serial_node`]) is
 //! kept as the oracle, and is what [`ColumnarMode::Off`] runs end to end.
 //! It pushes rows into a [`Sink`] that can decline more, which is how a
-//! `LIMIT` stops its input early — on both executors ([`stream`]).
+//! `LIMIT` stops its input early; the batch executor stops at the same row
+//! ([`take`]).
 
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
 use crate::expr::BExpr;
 use crate::plan::{AggCall, JoinKind, Plan, WindowCall};
 use crate::sync::Mutex;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
+use std::convert::Infallible;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -348,25 +352,10 @@ fn feed(rows: impl IntoIterator<Item = Row>, sink: Sink<'_>) -> Result<()> {
     Ok(())
 }
 
-/// Feeds `plan`'s rows, in order, to `sink` until it declines — one node,
-/// children included, on whichever executor runs it. Rows after the one
-/// the sink declined at are never evaluated, so they cannot raise errors:
-/// a lazy batch clears its deferred errors past that row
-/// ([`tpcds_storage::scan_until`]), and the interpreter's row-at-a-time
-/// operators simply stop.
+/// Feeds `plan`'s rows, in order, to `sink` until it declines — one node
+/// of the interpreter, children included. Rows after the one the sink
+/// declined at are never evaluated, so they cannot raise errors.
 fn stream(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>, sink: Sink<'_>) -> Result<()> {
-    if ctx.opts.columnar != ColumnarMode::Off {
-        let b = batch(plan, ctx, outer)?;
-        let res = tpcds_storage::scan_until(&b, sink);
-        // A pending-predicate error at or before the stopping row
-        // outranks the sink's own: the row path filters first.
-        check_err(&b)?;
-        let cs = res?;
-        if b.pred.is_some() {
-            ctx.record_columnar(plan as *const Plan as usize, &cs);
-        }
-        return Ok(());
-    }
     let run = || {
         let mut rows = 0;
         let mut counting = |row| {
@@ -384,8 +373,20 @@ fn stream(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>, sink: Sink<'_
 /// kernel evaluates the predicate counts what it admits (so a `LIMIT`
 /// that stops early reports the rows actually read).
 fn batch(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Batch> {
+    chain(plan, ctx, outer, None)
+}
+
+/// [`batch`]; with `defer`, the lookups compiled for the row-at-a-time
+/// nodes at the top of `plan` (`Scan`, `Filter`, plain `Project`,
+/// `Prefix`) are left empty and their fills queued there, for [`take`].
+fn chain(
+    plan: &Plan,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&[Value]>,
+    defer: Option<&Fills>,
+) -> Result<Batch> {
     let pending = |b: &Batch| b.pred.as_ref().map_or(b.table.rows as u64, |_| 0);
-    let mut b = observed(plan, ctx, || batch_node(plan, ctx, outer), pending)?;
+    let mut b = observed(plan, ctx, || batch_node(plan, ctx, outer, defer), pending)?;
     if let Some(rows) = b.counted() {
         let node = plan as *const Plan as usize;
         ctx.lazy_rows.lock().push((node, rows));
@@ -406,14 +407,46 @@ fn rows_of(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Ve
     Ok(rows)
 }
 
-/// The first `n` rows of `plan`, which stops there (`LIMIT`).
+/// The first `n` rows of `plan`, which stops there (`LIMIT`). On the
+/// batch path the row-at-a-time nodes under the limit are one lazy batch,
+/// scanned in row order. A lookup among them fills range by range ahead of
+/// the scan, each range no longer than the rows still wanted: every row a
+/// body runs for is one the interpreter reads too. Rows past the stopping
+/// row are never evaluated ([`tpcds_storage::scan_range`]).
 fn take(plan: &Plan, n: usize, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Vec<Row>> {
     let mut rows = Vec::new();
-    if n > 0 {
+    if n == 0 {
+        return Ok(rows);
+    }
+    if ctx.opts.columnar == ColumnarMode::Off {
         stream(plan, ctx, outer, &mut |row| {
             rows.push(row);
             Ok(rows.len() < n)
         })?;
+        return Ok(rows);
+    }
+    let fills = Fills::default();
+    let b = chain(plan, ctx, outer, Some(&fills))?;
+    let (fills, end, mut at) = (fills.into_inner(), b.table.id_end(), 0);
+    while rows.len() < n && at < end {
+        let to = if fills.is_empty() {
+            end
+        } else {
+            end.min(at.saturating_add(n - rows.len()))
+        };
+        for f in &fills {
+            f.fill(at..to, ctx, outer);
+        }
+        let res = tpcds_storage::scan_range(&b, at..to, |row| {
+            rows.push(row);
+            Ok::<_, Infallible>(rows.len() < n)
+        });
+        check_err(&b)?;
+        let Ok(cs) = res;
+        if b.pred.is_some() {
+            ctx.record_columnar(plan as *const Plan as usize, &cs);
+        }
+        at = to;
     }
     Ok(rows)
 }
@@ -437,6 +470,7 @@ fn compile_over(
     e: &BExpr,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
+    defer: Option<&Fills>,
 ) -> Result<tpcds_storage::Expr> {
     let (phys, rows) = (&|c| b.phys(c), &|| Ok(b.peek()));
     Compiler {
@@ -444,6 +478,8 @@ fn compile_over(
         outer,
         phys,
         rows,
+        defer,
+        reach: true,
     }
     .compile(e, &[])
 }
@@ -465,7 +501,12 @@ fn plain_cols<'e>(exprs: impl IntoIterator<Item = &'e BExpr>) -> Option<Vec<usiz
 /// predicate, a plain-column `Project`/`Prefix` composes the pending
 /// projection; joins, aggregates, windows, sorts and limits hand whatever
 /// batch their child produced to a morsel kernel.
-fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Batch> {
+fn batch_node(
+    plan: &Plan,
+    ctx: &ExecCtx<'_>,
+    outer: Option<&[Value]>,
+    defer: Option<&Fills>,
+) -> Result<Batch> {
     let node = plan as *const Plan as usize;
     let threads = ctx.threads();
     let columnar = || ctx.record_route(node, plan.op_name(), RoutePath::Columnar);
@@ -483,7 +524,7 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
                 }
             };
             columnar();
-            let f = (filter.as_ref()).map(|f| compile_over(&b, f, ctx, outer));
+            let f = (filter.as_ref()).map(|f| compile_over(&b, f, ctx, outer, defer));
             Ok(match f.transpose()? {
                 Some(f) => b.filter(f),
                 None => b,
@@ -491,18 +532,18 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
         }
         Plan::Filter { input, predicate } => {
             columnar();
-            let b = batch(input, ctx, outer)?;
-            let pred = compile_over(&b, predicate, ctx, outer)?;
+            let b = chain(input, ctx, outer, defer)?;
+            let pred = compile_over(&b, predicate, ctx, outer, defer)?;
             Ok(b.filter(pred))
         }
         Plan::Project { input, exprs } => {
             columnar();
-            let b = batch(input, ctx, outer)?;
             if let Some(cols) = plain_cols(exprs) {
-                return Ok(b.project(&cols));
+                return Ok(chain(input, ctx, outer, defer)?.project(&cols));
             }
+            let b = batch(input, ctx, outer)?;
             let cexprs = (exprs.iter())
-                .map(|e| compile_over(&b, e, ctx, outer))
+                .map(|e| compile_over(&b, e, ctx, outer, None))
                 .collect::<Result<Vec<_>>>()?;
             Ok(Batch::new(project_table(&b, &cexprs, node, ctx)?))
         }
@@ -612,7 +653,7 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result
         Plan::Prefix { input, keep } => {
             columnar();
             let visible: Vec<usize> = (0..*keep).collect();
-            Ok(batch(input, ctx, outer)?.project(&visible))
+            Ok(chain(input, ctx, outer, defer)?.project(&visible))
         }
         Plan::UnionAll { left, right } => {
             columnar();
@@ -692,9 +733,9 @@ impl JoinSides {
 
 /// Executes a hash join's inputs for the join kernels, each side's keys
 /// as physical columns ([`key_columns`], computed for `node`). The
-/// residual runs over equi-matched pairs, so that is where a subquery in
-/// it gathers its keys: the pairs of an inner join without it, over every
-/// physical column of both sides.
+/// residual runs over equi-matched pairs, so that is where a lookup in it
+/// gathers its keys: the pairs of an inner join without it, over every
+/// physical column of both sides, joined once if a lookup asks.
 fn join_sides(
     join: &Plan,
     node: usize,
@@ -726,19 +767,27 @@ fn join_sides(
         residual: None,
     };
     if let Some(r) = residual {
-        let pairs = || {
-            let (probe, build, threads) = (j.probe.peek(), j.build.peek(), ctx.threads());
-            let (pk, bk, inner) = (&j.probe_keys, &j.build_keys, tpcds_storage::JoinType::Inner);
-            let res = tpcds_storage::par_hash_join(&probe, pk, &build, bk, inner, None, threads);
-            Ok(Batch::new(Arc::new(res.map_err(storage_err)?.0)))
+        let pairs = OnceCell::new();
+        let rows = || {
+            let join = || {
+                let (probe, build, threads) = (j.probe.peek(), j.build.peek(), ctx.threads());
+                let (pk, bk) = (&j.probe_keys, &j.build_keys);
+                let inner = tpcds_storage::JoinType::Inner;
+                let res =
+                    tpcds_storage::par_hash_join(&probe, pk, &build, bk, inner, None, threads);
+                Ok(Batch::new(Arc::new(res.map_err(storage_err)?.0)))
+            };
+            pairs.get_or_init(join).clone()
         };
-        let (phys, rows) = (&|c| j.phys(c), &pairs);
+        let phys = &|c| j.phys(c);
         j.residual = Some(
             Compiler {
                 ctx,
                 outer,
                 phys,
-                rows,
+                rows: &rows,
+                defer: None,
+                reach: false,
             }
             .compile(r, &[])?,
         );
@@ -774,7 +823,7 @@ fn key_columns(
         cols.push(match k {
             BExpr::Col(c) if *c < visible.len() => *c,
             k => {
-                exprs.push(compile_over(&b, k, ctx, outer)?);
+                exprs.push(compile_over(&b, k, ctx, outer, None)?);
                 exprs.len() - 1
             }
         });
@@ -1002,15 +1051,60 @@ struct Compiler<'c, 'a> {
     /// The kernel's input rows, addressed by the same physical columns:
     /// where a lookup gathers its keys.
     rows: &'c dyn Fn() -> Result<Batch>,
+    /// Where a lookup's fill waits for [`take`]'s scan; `None` fills it
+    /// over every input row it compiles against.
+    defer: Option<&'c Fills>,
+    /// Whether `rows` is the kernel's own input, cheap enough to look for
+    /// a row that gets past a gate; a join's pairs are built only for a
+    /// lookup.
+    reach: bool,
+}
+
+/// Lookup fills queued for [`take`], in compile order: the order they
+/// fill in, since a later one's rows pass the earlier ones' kernels.
+type Fills = RefCell<Vec<Fill>>;
+
+/// What fills one [`Expr::Lookup`](tpcds_storage::Expr::Lookup): `e`,
+/// evaluated once per distinct tuple of the columns `cols` it reads, over
+/// `rows` — those columns of the input rows that reach it.
+struct Fill {
+    e: BExpr,
+    cols: Vec<usize>,
+    rows: Batch,
+    results: Arc<tpcds_storage::LookupMap>,
+}
+
+impl Fill {
+    /// Evaluates `e`, in row order, for each key tuple among the `rows`
+    /// with ids in `ids` that has no result yet — through `SubPlan`'s
+    /// memo, so a body runs once per distinct tuple it reads.
+    fn fill(&self, ids: Range<usize>, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) {
+        let mut row = vec![Value::Null; self.cols.last().map_or(0, |&c| c + 1)];
+        let mut results = self.results.write().expect("lookup lock");
+        let Ok(_) = tpcds_storage::scan_range(&self.rows, ids, |key| {
+            results.entry(key).or_insert_with_key(|key| {
+                for (&c, v) in self.cols.iter().zip(key) {
+                    row[c] = v.clone();
+                }
+                self.e.eval(&row, ctx, outer).map_err(|e| match e {
+                    EngineError::Exec(m) => m,
+                    e => e.to_string(),
+                })
+            });
+            Ok::<_, Infallible>(true)
+        });
+    }
 }
 
 impl Compiler<'_, '_> {
     /// `e` compiled. `gate` holds the conditions a row passed to reach
-    /// `e` — the lhs of each enclosing AND (not FALSE) and OR (not TRUE)
-    /// — so no body runs for a row the interpreter never asks.
+    /// `e` — the lhs of each enclosing AND (not FALSE) and OR (not TRUE),
+    /// each earlier WHEN of an enclosing CASE (not TRUE) and the WHEN of
+    /// its arm (TRUE) — so no body runs for a row the interpreter never
+    /// asks.
     fn compile(&self, e: &BExpr, gate: &[tpcds_storage::Expr]) -> Result<tpcds_storage::Expr> {
         use crate::expr::key_set;
-        use tpcds_storage::{Expr as X, SetTest};
+        use tpcds_storage::{CmpKind, Expr as X, SetTest};
         if e.has_subquery() && e.is_constant() {
             return match e.eval(&[], self.ctx, self.outer) {
                 Ok(v) => Ok(X::Lit(v)),
@@ -1025,16 +1119,11 @@ impl Compiler<'_, '_> {
             if !r.has_subquery() {
                 return c(r);
             }
-            let lit = |b| Box::new(X::Lit(Value::Bool(b)));
-            let mut gate = gate.to_vec();
-            gate.push(X::Case {
-                operand: Some(Box::new(l.clone())),
-                branches: vec![(*lit(stop), *lit(false))],
-                else_branch: Some(lit(true)),
-            });
+            let gate = [gate, &[not_read(l, stop)]].concat();
             self.compile(r, &gate).map(Box::new)
         };
-        // A set probe; its body runs once, if some row reaches it.
+        // A set probe: its body runs once — behind an operand or a WHEN,
+        // only if some row gets past it.
         let sets = |set: &dyn Fn() -> Result<_>, keys: Vec<X>, test, negated| {
             if !self.reached(gate)? {
                 return Ok(X::Lit(Value::Null));
@@ -1071,13 +1160,33 @@ impl Compiler<'_, '_> {
                 operand,
                 branches,
                 else_branch,
-            } => X::Case {
-                operand: operand.as_deref().map(c).transpose()?,
-                branches: (branches.iter())
-                    .map(|(w, t)| Ok((self.compile(w, gate)?, self.compile(t, gate)?)))
-                    .collect::<Result<_>>()?,
-                else_branch: else_branch.as_deref().map(c).transpose()?,
-            },
+            } => {
+                let operand = operand.as_deref().map(c).transpose()?;
+                // Past each WHEN, the rows it did not take.
+                let (mut past, mut arms) = (gate.to_vec(), Vec::new());
+                for (w, t) in branches {
+                    let w = self.compile(w, &past)?;
+                    let hit = match &operand {
+                        Some(o) => X::Cmp(CmpKind::Eq, o.clone(), Box::new(w.clone())),
+                        None => w.clone(),
+                    };
+                    let t = match t.has_subquery() {
+                        true => {
+                            self.compile(t, &[&past[..], std::slice::from_ref(&hit)].concat())?
+                        }
+                        false => self.compile(t, gate)?,
+                    };
+                    arms.push((w, t));
+                    past.push(not_read(&hit, true));
+                }
+                X::Case {
+                    operand,
+                    branches: arms,
+                    else_branch: (else_branch.as_deref())
+                        .map(|x| self.compile(x, &past).map(Box::new))
+                        .transpose()?,
+                }
+            }
             BExpr::Cast(x, ty) => X::Cast(c(x)?, *ty),
             BExpr::Func(f, args) => X::Func(*f, all(args)?),
             BExpr::Concat(l, r) => X::Concat(c(l)?, c(r)?),
@@ -1097,44 +1206,57 @@ impl Compiler<'_, '_> {
     }
 
     /// `e` as a lookup of its result by the columns it reads, evaluated
-    /// once per distinct tuple among the input rows `gate` admits.
+    /// once per distinct tuple among the input rows `gate` admits — now,
+    /// or as [`take`]'s scan reaches them.
     fn lookup(&self, e: &BExpr, gate: &[tpcds_storage::Expr]) -> Result<tpcds_storage::Expr> {
         let mut cols = Vec::new();
         e.visit_columns(&mut |c| cols.push(c));
         cols.sort_unstable();
         cols.dedup();
         let phys: Vec<usize> = cols.iter().map(|&c| (self.phys)(c)).collect();
-        let tuples =
-            tpcds_storage::par_aggregate(&self.gated(gate)?, &phys, &[], self.ctx.threads());
-        let mut row = vec![Value::Null; cols.last().map_or(0, |&c| c + 1)];
-        let mut map = HashMap::new();
-        for key in tuples.map_err(storage_err)?.0 {
-            for (&c, v) in cols.iter().zip(&key) {
-                row[c] = v.clone();
-            }
-            let value = e.eval(&row, self.ctx, self.outer).map_err(|e| match e {
-                EngineError::Exec(m) => m,
-                e => e.to_string(),
-            });
-            map.insert(key, value);
+        let fill = Fill {
+            e: e.clone(),
+            cols,
+            rows: self.gated(gate)?.project(&phys),
+            results: Arc::default(),
+        };
+        let results = Arc::clone(&fill.results);
+        match self.defer {
+            Some(fills) => fills.borrow_mut().push(fill),
+            None => fill.fill(0..fill.rows.table.id_end(), self.ctx, self.outer),
         }
         let keys = phys.into_iter().map(tpcds_storage::Expr::Col).collect();
-        Ok(tpcds_storage::Expr::Lookup(keys, Arc::new(map)))
+        Ok(tpcds_storage::Expr::Lookup(keys, results))
+    }
+
+    /// Whether some input row passes `gate`. With no gate, ahead of
+    /// [`take`]'s scan (the gate's lookups are not filled yet) or over a
+    /// join's pairs, every row counts as reaching.
+    fn reached(&self, gate: &[tpcds_storage::Expr]) -> Result<bool> {
+        if gate.is_empty() || self.defer.is_some() || !self.reach {
+            return Ok(true);
+        }
+        let mut any = false;
+        let _ = tpcds_storage::scan_until(&self.gated(gate)?.project(&[]), |_| {
+            any = true;
+            Ok::<_, Infallible>(false)
+        });
+        Ok(any)
     }
 
     /// The input rows `gate` admits.
     fn gated(&self, gate: &[tpcds_storage::Expr]) -> Result<Batch> {
         Ok((gate.iter()).fold((self.rows)()?, |b, g| b.filter(g.clone())))
     }
+}
 
-    /// Whether some input row passes `gate`.
-    fn reached(&self, gate: &[tpcds_storage::Expr]) -> Result<bool> {
-        let mut any = false;
-        let _ = tpcds_storage::scan_until(&self.gated(gate)?, |_| {
-            any = true;
-            Ok::<_, ()>(false)
-        });
-        Ok(any)
+/// A condition that holds where `l` did not read `stop` (NULL included).
+fn not_read(l: &tpcds_storage::Expr, stop: bool) -> tpcds_storage::Expr {
+    let lit = |b| tpcds_storage::Expr::Lit(Value::Bool(b));
+    tpcds_storage::Expr::Case {
+        operand: Some(Box::new(l.clone())),
+        branches: vec![(lit(stop), lit(false))],
+        else_branch: Some(Box::new(lit(true))),
     }
 }
 

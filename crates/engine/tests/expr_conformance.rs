@@ -441,19 +441,33 @@ fn correlated_subqueries_agree_wherever_they_appear() {
         assert!(!assert_subquery_parity(&db, sql).is_empty(), "{sql}");
         assert_batch_routes(&db, sql);
     }
-    // A body runs only for rows that get past the AND / OR operands before
-    // it, as on the interpreter.
-    let auto = ExecOptions {
-        columnar: ColumnarMode::Auto,
-        threads: Some(2),
-    };
+    // A body runs only for rows that get past the AND / OR operands and
+    // the CASE arms before it, and that a LIMIT reads, as on the
+    // interpreter.
     for sql in [
         "select count(*) from t x where x.id > 100 and not exists \
          (select 1 from t y where y.n = x.n and y.id < x.id - 150)",
         "select count(*) from t x where x.id < 100 or exists \
          (select 1 from t y where y.n = x.n and y.id > x.id)",
+        "select id, case when id < 250 then 0 when id > 290 then 1 \
+         else (select count(*) from t y where y.id < x.id) end from t x order by id",
+        "select id, case n when 1 then (select count(*) from t y where y.id < x.id) \
+         else 0 end from t x order by id",
+        "select id from t x where (select count(*) from t y where y.id < x.id) >= 10 limit 7",
+        "select id from t x where id > 40 and (select count(*) from t y where y.id < x.id) \
+         % 3 = 0 limit 5",
+        // A keyed NOT EXISTS behind an EXISTS no row passes: its set never runs.
+        "select count(*) from t x where x.id < 60 and exists \
+         (select 1 from t y where y.n = x.n and y.id <> x.id and y.id > 1000) \
+         and not exists (select 1 from t z where z.n = x.id)",
     ] {
-        assert_eq!(subplan_runs(&db, sql, auto), subplan_runs(&db, sql, OFF), "{sql}");
+        for opts in kernel_runs() {
+            assert_eq!(
+                subplan_runs(&db, sql, opts),
+                subplan_runs(&db, sql, OFF),
+                "{sql}"
+            );
+        }
     }
     // COUNT(*) over an empty correlated group is 0, not NULL.
     let sql = "select id, (select count(*) from t y where y.id = x.id + 1000) from t x \

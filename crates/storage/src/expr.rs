@@ -27,7 +27,7 @@ use crate::segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
 use crate::StorageError;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use tpcds_types::scalar;
 use tpcds_types::{like_match, ArithOp, DataType, Date, Decimal, Row, ScalarFunc, Value};
 
@@ -84,8 +84,13 @@ pub enum Expr {
     /// The value stored for the key tuple — a correlated subquery's result
     /// per tuple of the columns it reads. A stored error is deferred to
     /// the rows that ask for it; a tuple with no entry reads NULL.
-    Lookup(Vec<Expr>, Arc<HashMap<Vec<Value>, Result<Value, String>>>),
+    Lookup(Vec<Expr>, Arc<LookupMap>),
 }
+
+/// An [`Expr::Lookup`]'s results by key tuple. The engine fills it before
+/// a kernel evaluates the rows that ask: all at once, or range by range
+/// ahead of an ordered scan ([`crate::scan_range`]).
+pub type LookupMap = RwLock<HashMap<Vec<Value>, Result<Value, String>>>;
 
 /// Which SQL construct an [`Expr::InSet`] answers. They differ only in
 /// what a NULL does.
@@ -1020,6 +1025,7 @@ impl Expr {
                     .map(|k| k.eval_vect(input, start, len))
                     .collect();
                 let mut errs = first_errs(&evs);
+                let map = map.read().expect("lookup lock");
                 let key = |j| evs.iter().map(|e| e.v.get(j)).collect::<Vec<_>>();
                 let vals = (0..len).map(|j| match map.get(&key(j)) {
                     Some(Err(m)) => {
@@ -1176,7 +1182,7 @@ impl Expr {
                     .unwrap_or(DataType::Int),
             },
             Expr::Concat(..) => DataType::Str,
-            Expr::Lookup(_, map) => (map.values())
+            Expr::Lookup(_, map) => (map.read().expect("lookup lock").values())
                 .find_map(|v| v.as_ref().ok()?.data_type())
                 .unwrap_or(DataType::Int),
         }

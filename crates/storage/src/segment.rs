@@ -147,7 +147,7 @@ impl ColumnTable {
     }
 
     /// One past the largest row id.
-    pub(crate) fn id_end(&self) -> usize {
+    pub fn id_end(&self) -> usize {
         self.segments
             .last()
             .map_or(0, |s| (self.segments.len() - 1) * SEGMENT_ROWS + s.rows)

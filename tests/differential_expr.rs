@@ -233,8 +233,8 @@ fn pinned_expression_shapes_agree() {
 /// A `LIMIT` stops its input at the same row on every path, so a row past
 /// the cut can never raise: the same rows — or the same first error —
 /// come back from the row oracle, from `auto` and from `force`, whether
-/// the chain under the `LIMIT` is one lazy batch, an interpreted chain (a
-/// subquery predicate), or a mix of the two.
+/// the chain under the `LIMIT` is one lazy batch, a chain with subquery
+/// predicates, or one over a pipeline breaker.
 #[test]
 fn limits_stop_at_the_same_row_with_the_same_errors_on_every_path() {
     const POISON: &str = "case when s_pk >= 30 then s_pk * 9223372036854775807 else 1 end > 0";
@@ -249,8 +249,7 @@ fn limits_stop_at_the_same_row_with_the_same_errors_on_every_path() {
         format!(
             "select x.s_pk from (select s_pk from s where {POISON}) x where x.s_pk >= 1 limit 40"
         ),
-        // A subquery predicate the compiler refuses, above and below the
-        // poisoned one.
+        // A subquery predicate above and below the poisoned one.
         format!(
             "select s_pk from s where {POISON} \
              and s_pk in (select s_pk from s where s_pk < 100) limit 4"
