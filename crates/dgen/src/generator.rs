@@ -139,127 +139,92 @@ impl Generator {
     /// Generates rows `lo..hi` (0-based) of `table`. Chunks generated
     /// separately concatenate to exactly the rows of a single pass.
     pub fn generate_range(&self, table: &str, lo: u64, hi: u64) -> Vec<Row> {
-        let hi = hi.min(self.row_count(table));
-        if lo >= hi {
-            return Vec::new();
-        }
-        (lo..hi).map(|r| self.row(table, r)).collect()
+        let row = Self::row_fn(table);
+        (lo..hi.min(self.row_count(table)))
+            .map(|r| row(self, r))
+            .collect()
     }
 
-    /// Generates every row of `table` using `threads` worker threads.
+    /// Generates every row of `table` on up to `threads` workers, one
+    /// [`Generator::segment_rows`] task per segment, concatenated in order.
     pub fn generate_parallel(&self, table: &str, threads: usize) -> Vec<Row> {
         let span = tpcds_obs::span("dgen", "generate_parallel")
             .field("table", table)
             .field("threads", threads);
-        let n = self.row_count(table);
-        let threads = threads.max(1).min(n.max(1) as usize);
-        let chunk = n.div_ceil(threads as u64);
-        let mut out: Vec<Vec<Row>> = Vec::new();
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for t in 0..threads as u64 {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                handles.push(s.spawn(move || self.generate_range(table, lo, hi)));
-            }
-            for h in handles {
-                out.push(h.join().expect("generator worker panicked"));
-            }
+        let segments = self.segments(table);
+        let workers = threads.clamp(1, segments.max(1));
+        let parts = tpcds_storage::run_chunks("generate_worker", segments, workers, |k| {
+            self.segment_rows(table, k).collect::<Vec<Row>>()
         });
-        let rows: Vec<Row> = out.into_iter().flatten().collect();
+        let rows = parts.concat();
         Self::record_rate(span, table, rows.len());
         rows
     }
 
-    /// Generates every row of `table` with `threads` workers, streaming
-    /// them through a [`tpcds_storage::ColumnTableBuilder`] into the
-    /// segments a table is stored as. Generation proceeds in segment-sized
-    /// chunks, so no more than one segment of the table ever exists as
-    /// rows.
-    pub fn generate_table_columnar(
-        &self,
-        table: &str,
-        threads: usize,
-    ) -> tpcds_storage::ColumnTable {
-        let span = tpcds_obs::span("dgen", "generate_columnar")
-            .field("table", table)
-            .field("threads", threads);
-        let dtypes: Vec<tpcds_types::DataType> = self
-            .schema
-            .table(table)
-            .expect("known table")
-            .columns
-            .iter()
-            .map(|c| c.ctype.data_type())
-            .collect();
-        let mut builder = tpcds_storage::ColumnTableBuilder::new(dtypes);
-        let n = self.row_count(table);
-        let chunk = tpcds_storage::SEGMENT_ROWS as u64;
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            let piece = if threads > 1 && hi - lo > 4096 {
-                self.generate_chunk_parallel(table, lo, hi, threads)
-            } else {
-                self.generate_range(table, lo, hi)
-            };
-            for row in &piece {
-                builder.push_row(row);
-            }
-            lo = hi;
-        }
-        Self::record_rate(span, table, n as usize);
-        builder.finish()
+    /// How many segments `table`'s rows fill: the unit of parallel
+    /// generation and of the bulk load.
+    pub fn segments(&self, table: &str) -> usize {
+        (self.row_count(table) as usize).div_ceil(tpcds_storage::SEGMENT_ROWS)
     }
 
-    /// Parallel generation of one chunk `lo..hi`, preserving row order.
-    fn generate_chunk_parallel(&self, table: &str, lo: u64, hi: u64, threads: usize) -> Vec<Row> {
-        let n = hi - lo;
-        let threads = threads.max(1).min(n.max(1) as usize);
-        let per = n.div_ceil(threads as u64);
-        let mut out: Vec<Vec<Row>> = Vec::new();
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for t in 0..threads as u64 {
-                let a = lo + t * per;
-                let b = (lo + (t + 1) * per).min(hi);
-                handles.push(s.spawn(move || self.generate_range(table, a, b)));
-            }
-            for h in handles {
-                out.push(h.join().expect("generator worker panicked"));
-            }
-        });
-        out.into_iter().flatten().collect()
+    /// The rows of segment `k` of `table`: rows `k·SEGMENT_ROWS ..`, at
+    /// most [`tpcds_storage::SEGMENT_ROWS`] of them. Any segment can be
+    /// generated alone, in any order, on any thread.
+    pub fn segment_rows(&self, table: &str, k: usize) -> impl Iterator<Item = Row> + '_ {
+        let (per, row) = (tpcds_storage::SEGMENT_ROWS as u64, Self::row_fn(table));
+        let lo = k as u64 * per;
+        (lo..(lo + per).min(self.row_count(table))).map(move |r| row(self, r))
+    }
+
+    /// Segment `k` of `table` as stored: [`Generator::segment_rows`]
+    /// pushed straight into a segment builder, never a row list. Counts
+    /// its rows in the per-table `gen.rows` counter.
+    pub fn generate_segment(&self, table: &str, k: usize) -> Arc<tpcds_storage::Segment> {
+        let def = self.schema.table(table).expect("known table");
+        let dtypes = def.columns.iter().map(|c| c.ctype.data_type()).collect();
+        let mut builder = tpcds_storage::ColumnTableBuilder::new(dtypes);
+        self.segment_rows(table, k)
+            .for_each(|row| builder.push_row(&row));
+        let segment = builder.finish().segments.pop();
+        let segment = segment.unwrap_or_else(|| panic!("{table} has no segment {k}"));
+        let table = [("table", table.into())];
+        tpcds_obs::counter("dgen", "gen.rows", segment.rows as f64, &table);
+        segment
     }
 
     /// Generates one row of `table` (0-based index). The workhorse — pure
     /// in `(seed, table, row)`.
     pub fn row(&self, table: &str, r: u64) -> Row {
+        Self::row_fn(table)(self, r)
+    }
+
+    /// The row function of `table`, looked up once per range of rows.
+    fn row_fn(table: &str) -> fn(&Generator, u64) -> Row {
         match table {
-            "date_dim" => self.date_dim_row(r),
-            "time_dim" => self.time_dim_row(r),
-            "reason" => self.reason_row(r),
-            "ship_mode" => self.ship_mode_row(r),
-            "income_band" => self.income_band_row(r),
-            "customer_demographics" => self.customer_demographics_row(r),
-            "household_demographics" => self.household_demographics_row(r),
-            "customer_address" => self.customer_address_row(r),
-            "customer" => self.customer_row(r),
-            "item" => self.item_row(r),
-            "store" => self.store_row(r),
-            "call_center" => self.call_center_row(r),
-            "web_site" => self.web_site_row(r),
-            "web_page" => self.web_page_row(r),
-            "catalog_page" => self.catalog_page_row(r),
-            "warehouse" => self.warehouse_row(r),
-            "promotion" => self.promotion_row(r),
-            "store_sales" => self.store_sales_row(r),
-            "store_returns" => self.store_returns_row(r),
-            "catalog_sales" => self.catalog_sales_row(r),
-            "catalog_returns" => self.catalog_returns_row(r),
-            "web_sales" => self.web_sales_row(r),
-            "web_returns" => self.web_returns_row(r),
-            "inventory" => self.inventory_row(r),
+            "date_dim" => Self::date_dim_row,
+            "time_dim" => Self::time_dim_row,
+            "reason" => Self::reason_row,
+            "ship_mode" => Self::ship_mode_row,
+            "income_band" => Self::income_band_row,
+            "customer_demographics" => Self::customer_demographics_row,
+            "household_demographics" => Self::household_demographics_row,
+            "customer_address" => Self::customer_address_row,
+            "customer" => Self::customer_row,
+            "item" => Self::item_row,
+            "store" => Self::store_row,
+            "call_center" => Self::call_center_row,
+            "web_site" => Self::web_site_row,
+            "web_page" => Self::web_page_row,
+            "catalog_page" => Self::catalog_page_row,
+            "warehouse" => Self::warehouse_row,
+            "promotion" => Self::promotion_row,
+            "store_sales" => Self::store_sales_row,
+            "store_returns" => Self::store_returns_row,
+            "catalog_sales" => Self::catalog_sales_row,
+            "catalog_returns" => Self::catalog_returns_row,
+            "web_sales" => Self::web_sales_row,
+            "web_returns" => Self::web_returns_row,
+            "inventory" => Self::inventory_row,
             other => panic!("unknown table {other}"),
         }
     }
@@ -1073,19 +1038,31 @@ mod tests {
     #[test]
     fn parallel_equals_serial() {
         let g = Generator::new(0.01);
-        let serial = g.generate("item");
-        let parallel = g.generate_parallel("item", 4);
-        assert_eq!(serial, parallel);
+        // date_dim fills a segment and a short one.
+        for table in ["item", "date_dim"] {
+            let serial = g.generate(table);
+            for threads in [1, 4] {
+                assert_eq!(serial, g.generate_parallel(table, threads), "{table}");
+            }
+        }
     }
 
     #[test]
     fn columnar_generation_matches_row_generation() {
         let g = Generator::new(0.01);
-        for table in ["customer", "store_sales"] {
+        for table in ["date_dim", "store_sales"] {
             let rows = g.generate(table);
-            let segments = g.generate_table_columnar(table, 4);
-            assert_eq!(segments.rows, rows.len(), "{table} row count");
-            assert!(segments.iter_rows().eq(rows), "{table} rows differ");
+            let segments: Vec<_> = (0..g.segments(table))
+                .map(|k| g.generate_segment(table, k))
+                .collect();
+            let sizes: Vec<usize> = segments.iter().map(|s| s.rows).collect();
+            let full = rows.len() / tpcds_storage::SEGMENT_ROWS;
+            assert!(sizes[..full]
+                .iter()
+                .all(|&n| n == tpcds_storage::SEGMENT_ROWS));
+            assert_eq!(sizes.iter().sum::<usize>(), rows.len(), "{table} row count");
+            let got = segments.iter().flat_map(|s| (0..s.rows).map(|i| s.row(i)));
+            assert!(got.eq(rows), "{table} rows differ");
         }
     }
 

@@ -21,9 +21,9 @@
 //! than a morsel of it) and the segments it adds, an update the segments
 //! it hits, a delete nothing — it marks its rows dead in the masks of the
 //! segments it hits — unless it leaves a segment a quarter dead, which it
-//! then compacts. The maps of exactly those segments are rebuilt (an
-//! update's only when it changed an indexed column), so a staged table is
-//! consistent after every call. Statistics follow the same rule: a delete
+//! then compacts. The maps of exactly those segments are rebuilt (a grown
+//! tail's copied and extended, an update's only when it changed an
+//! indexed column), so a staged table is consistent after every call. Statistics follow the same rule: a delete
 //! takes its rows out of them, an update its old versions out and its new
 //! ones in, and [`WriteTxn::commit`] folds in the appended rows — so a
 //! commit pays for the rows it changed. What a reader gets is
@@ -76,28 +76,45 @@ pub type Postings = HashMap<Value, Vec<u32>>;
 impl Index {
     fn build(data: &ColumnTable, col: usize) -> Index {
         let mut index = Index::default();
-        index.rebuild(data, col, 0..data.segments.len());
+        index.rebuild(data, col, 0..data.segments.len(), 0);
         index
     }
 
     /// The map of `seg`'s live rows in column `col`.
     pub fn postings(seg: &Segment, col: usize) -> Postings {
         let mut map = Postings::new();
-        for i in seg.live_offsets() {
-            let key = seg.columns[col].value_at(i);
-            map.entry(key).or_default().push(i as u32);
-        }
+        Index::extend(&mut map, seg, col, 0);
         map
     }
 
+    /// Adds `seg`'s live rows from offset `from` on to `map`.
+    fn extend(map: &mut Postings, seg: &Segment, col: usize, from: usize) {
+        for i in (from..seg.rows).filter(|&i| !seg.is_dead(i)) {
+            let key = seg.columns[col].value_at(i);
+            map.entry(key).or_default().push(i as u32);
+        }
+    }
+
     /// Builds the maps of `data`'s segments `built`, which are new or
-    /// follow the last map, and shares every other one.
-    fn rebuild(&mut self, data: &ColumnTable, col: usize, built: impl IntoIterator<Item = usize>) {
-        for si in built {
-            let map = Arc::new(Index::postings(&data.segments[si], col));
+    /// follow the last map, and shares every other one. The first `kept`
+    /// rows of the first segment built are the ones its map was built
+    /// from, at the same offsets (an append grew it): a copy of that map
+    /// is extended by the rest instead of rebuilt.
+    fn rebuild(
+        &mut self,
+        data: &ColumnTable,
+        col: usize,
+        built: impl IntoIterator<Item = usize>,
+        kept: usize,
+    ) {
+        for (n, si) in built.into_iter().enumerate() {
+            let seg = &data.segments[si];
             match self.maps.get_mut(si) {
-                Some(old) => *old = map,
-                None => self.maps.push(map),
+                Some(old) if n == 0 && kept > 0 => {
+                    Index::extend(Arc::make_mut(old), seg, col, kept)
+                }
+                Some(old) => *old = Arc::new(Index::postings(seg, col)),
+                None => self.maps.push(Arc::new(Index::postings(seg, col))),
             }
         }
         debug_assert_eq!(self.maps.len(), data.segments.len());
@@ -132,6 +149,15 @@ impl Index {
             m.capacity() * entry + postings
         };
         self.maps.iter().map(map).sum()
+    }
+}
+
+/// An index of the segments whose maps these are, in segment order.
+impl FromIterator<Postings> for Index {
+    fn from_iter<I: IntoIterator<Item = Postings>>(maps: I) -> Index {
+        Index {
+            maps: maps.into_iter().map(Arc::new).collect(),
+        }
     }
 }
 
@@ -203,10 +229,12 @@ impl Table {
         self.columns.iter().position(|c| c.name == name)
     }
 
-    /// Installs the segments a mutator built and the maps of those.
-    fn put(&mut self, data: ColumnTable, built: &[usize], rows_changed: usize) {
+    /// Installs the segments a mutator built and the maps of those; the
+    /// first `kept` rows of the first one are where they were
+    /// ([`Index::rebuild`]).
+    fn put(&mut self, data: ColumnTable, built: &[usize], kept: usize, rows_changed: usize) {
         for (col, idx) in self.indexes.iter_mut() {
-            idx.rebuild(&data, *col, built.iter().copied());
+            idx.rebuild(&data, *col, built.iter().copied(), kept);
         }
         self.data = Arc::new(data);
         self.staged.rows_changed += rows_changed;
@@ -226,29 +254,54 @@ impl Table {
         }
         if !rows.is_empty() {
             let (data, built) = self.data.append(&rows);
-            let built: Vec<usize> = (data.segments.len() - built..data.segments.len()).collect();
-            self.put(data, &built, rows.len());
+            let first = data.segments.len() - built;
+            // A tail the append grew keeps its rows at their offsets unless
+            // it had dead ones, which the copy left out.
+            let grown = self.data.segments.get(first);
+            let kept = grown
+                .filter(|tail| tail.live() == tail.rows)
+                .map_or(0, |t| t.rows);
+            let built: Vec<usize> = (first..data.segments.len()).collect();
+            self.put(data, &built, kept, rows.len());
         }
         Ok(())
     }
 
-    /// Replaces the contents of an empty, unindexed table with pre-built
-    /// segments (the bulk load: rows stream out of the data generator
-    /// into a segment builder and never exist as a row list). Errors if
-    /// the column types disagree.
-    pub fn load(&mut self, data: ColumnTable) -> Result<()> {
-        if data.dtypes != self.data.dtypes || self.data.rows > 0 || !self.indexes.is_empty() {
+    /// Fills an empty, unindexed table with a load built elsewhere: the
+    /// segments, each index as its per-segment maps keyed by column, and
+    /// the statistics of the rows (the bulk load builds all three one
+    /// segment at a time, on every core). Errors if the column types, the
+    /// row count or the number of maps disagree with the segments.
+    pub fn load(
+        &mut self,
+        data: ColumnTable,
+        indexes: HashMap<usize, Index>,
+        stats: TableStats,
+    ) -> Result<()> {
+        let (width, segments) = (data.width(), data.segments.len());
+        let fits = data.dtypes == self.data.dtypes
+            && self.data.rows == 0
+            && self.indexes.is_empty()
+            && (stats.rows, stats.columns.len()) == (data.rows as u64, width)
+            && (indexes.iter()).all(|(&col, index)| col < width && index.maps.len() == segments);
+        if !fits {
             return Err(EngineError::Catalog(format!(
-                "cannot load {}x{} segments into a {}x{} table with {} indexes",
+                "cannot load {}x{width} segments with {} indexes and statistics of {} rows \
+                 into a {}x{} table with {} indexes",
                 data.rows,
-                data.width(),
+                indexes.len(),
+                stats.rows,
                 self.data.rows,
                 self.data.width(),
                 self.indexes.len()
             )));
         }
-        let (rows, built) = (data.rows, (0..data.segments.len()).collect::<Vec<_>>());
-        self.put(data, &built, rows);
+        self.staged.rows_changed += data.rows;
+        self.staged.segments_rebuilt += segments;
+        self.staged.stats_cells_folded += data.rows * width;
+        self.data = Arc::new(data);
+        self.indexes = indexes;
+        self.stats = Arc::new(stats);
         Ok(())
     }
 
@@ -286,7 +339,7 @@ impl Table {
         let (masked, compacted) = data.delete(&removed, threads);
         self.staged.rows_masked += removed.len();
         self.staged.segments_compacted += compacted.len();
-        self.put(masked, &compacted, removed.len());
+        self.put(masked, &compacted, 0, removed.len());
         self.revise_stats(&gone_stats, None);
         tpcds_obs::counter(
             "engine",
@@ -343,7 +396,7 @@ impl Table {
                     (group.iter()).any(|(id, row)| data.value(*id, *col) != row[*col])
                 };
                 let segments = hit.clone().filter(rekeyed).map(|g| g[0].0 / SEGMENT_ROWS);
-                idx.rebuild(&new_data, *col, segments);
+                idx.rebuild(&new_data, *col, segments, 0);
             }
             self.data = Arc::new(new_data);
             self.staged.rows_changed += replaced.len();
@@ -1010,6 +1063,30 @@ mod tests {
     }
 
     #[test]
+    fn a_grown_tail_extends_a_copy_of_its_map() {
+        let db = Database::new();
+        db.create_table("t", cols(&["a"])).unwrap();
+        db.insert("t", (0..10).map(|i| vec![Value::Int(i)]).collect())
+            .unwrap();
+        db.create_index("t", "a").unwrap();
+        let base = db.table("t").unwrap();
+        db.insert("t", vec![vec![Value::Int(1)], vec![Value::Int(7)]])
+            .unwrap();
+        let grown = db.table("t").unwrap();
+        assert_eq!(grown.indexes[&0], Index::build(&grown.data, 0));
+        assert_eq!(lookup(&grown, 1), [1, 10]);
+        // The base version's map is untouched: the append extended a copy.
+        assert_eq!(base.indexes[&0], Index::build(&base.data, 0));
+        // A tail with a dead row is copied without it, its rows move up,
+        // so its map is rebuilt.
+        db.delete_where("t", |r| r[0] == Value::Int(5)).unwrap();
+        db.insert("t", vec![vec![Value::Int(5)]]).unwrap();
+        let moved = db.table("t").unwrap();
+        assert_eq!(moved.indexes[&0], Index::build(&moved.data, 0));
+        assert_eq!((lookup(&moved, 6), lookup(&moved, 5)), (vec![5], vec![11]));
+    }
+
+    #[test]
     fn failed_insert_publishes_nothing() {
         let db = Database::new();
         db.create_table("t", cols(&["a"])).unwrap();
@@ -1179,20 +1256,34 @@ mod tests {
     fn load_validates_shape_and_emptiness() {
         let db = Database::new();
         db.create_table("t", cols(&["a"])).unwrap();
-        let load = |ct| {
+        let load = |ct: ColumnTable, index: Index, stats: TableStats| {
             let mut txn = db.begin();
-            txn.table_mut("t").unwrap().load(ct)?;
-            txn.create_indexes("t", &["a"])?;
+            let t = txn.table_mut("t").unwrap();
+            t.load(ct, HashMap::from([(0, index)]), stats)?;
             txn.commit();
             Ok::<(), EngineError>(())
         };
         let one = |dtype| ColumnTable::from_rows(vec![dtype], &[vec![Value::Int(1)]]);
-        assert!(load(one(DataType::Str)).is_err(), "wrong column type");
-        assert!(load(one(DataType::Int)).is_ok());
+        let (int, str) = (one(DataType::Int), one(DataType::Str));
+        let index = |ct: &ColumnTable, extra: usize| {
+            let maps = ct.segments.iter().map(|seg| Index::postings(seg, 0));
+            maps.chain((0..extra).map(|_| Postings::new())).collect()
+        };
+        let stats = |ct: &ColumnTable| tpcds_storage::collect_stats(ct, 1);
+        let wrong_type = load(str.clone(), index(&str, 0), stats(&str));
+        assert!(wrong_type.is_err(), "wrong column type");
+        let extra_map = load(int.clone(), index(&int, 1), stats(&int));
+        assert!(extra_map.is_err(), "a map per segment");
+        let no_stats = load(int.clone(), index(&int, 0), TableStats::empty(1));
+        assert!(no_stats.is_err(), "statistics of other rows");
+        assert!(load(int.clone(), index(&int, 0), stats(&int)).is_ok());
         let t = db.table("t").unwrap();
         assert_eq!((t.data().rows, t.stats().rows), (1, 1));
         assert_eq!(lookup(&t, 1), [0]);
-        assert!(load(one(DataType::Int)).is_err(), "table not empty");
+        assert!(
+            load(int.clone(), index(&int, 0), stats(&int)).is_err(),
+            "table not empty"
+        );
     }
 
     #[test]

@@ -337,9 +337,9 @@ pub fn create_table_as(db: &Database, name: &str, sql: &str) -> Result<QueryResu
     Ok(result)
 }
 
-/// Creates all 24 TPC-DS tables (empty) in the database from the schema
-/// definition.
-pub fn create_tpcds_tables(db: &Database, schema: &tpcds_schema::Schema) -> Result<()> {
+/// Creates all 24 TPC-DS tables (empty) from the schema definition in
+/// `txn`, which publishes them when it commits.
+pub fn create_tpcds_tables(txn: &mut WriteTxn<'_>, schema: &tpcds_schema::Schema) -> Result<()> {
     for t in schema.tables() {
         let cols = t
             .columns
@@ -349,7 +349,7 @@ pub fn create_tpcds_tables(db: &Database, schema: &tpcds_schema::Schema) -> Resu
                 dtype: c.ctype.data_type(),
             })
             .collect();
-        db.create_table(t.name, cols)?;
+        txn.create_table(t.name, cols)?;
     }
     Ok(())
 }

@@ -9,9 +9,13 @@
 #![warn(missing_docs)]
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tpcds_dgen::Generator;
-use tpcds_engine::{Commit, Database, EngineError, Result};
+use tpcds_engine::catalog::Postings;
+use tpcds_engine::{Commit, Database, EngineError, Index, Result};
 use tpcds_schema::ScdClass;
+use tpcds_storage::{ColumnTable, Segment, TableStats, SEGMENT_ROWS};
 use tpcds_types::{Date, Value};
 
 /// The twelve maintenance operations, in execution order.
@@ -510,29 +514,104 @@ pub fn delete_fact_range(
 /// single-column hash indexes on surrogate keys and the most-probed
 /// foreign keys (the richer reporting-only structures are opt-in via
 /// `tpcds_runner::build_reporting_aux`).
+///
+/// The unit of work is one segment of one table: a task generates its
+/// rows straight into a segment builder, then builds the segment's index
+/// maps and folds its statistics. The tasks of all tables share one list,
+/// largest first, and every worker pulls from it; a table is then its
+/// segments, maps and statistics in segment order — the same whoever ran
+/// which task — and the whole load publishes as one commit. The
+/// `maint/load` span says where the time went: `generate_us`,
+/// `index_us` and `stats_us` are the workers' busy time in each step.
 pub fn load_initial_population(db: &Database, generator: &Generator) -> Result<()> {
-    tpcds_engine::create_tpcds_tables(db, generator.schema())?;
-    let threads = tpcds_storage::effective_threads();
-    for (table, indexed) in basic_index_columns(generator) {
-        // Rows stream out of the generator through a segment builder and
-        // never exist as a row list. One transaction lands segments and
-        // indexes, so the table is staged once and its commit collects
-        // the statistics (NDV/histograms) the estimator reads from the
-        // first query on.
-        let segments = generator.generate_table_columnar(table, threads.max(4));
-        let mut txn = db.begin();
-        txn.table_mut(table)?.load(segments)?;
-        txn.create_indexes(table, &indexed)?;
-        txn.commit();
+    let span = tpcds_obs::span("maint", "load");
+    let schema = generator.schema();
+    let tables = basic_index_columns(generator);
+    let cells = |&(t, k): &(usize, usize)| {
+        let rows = generator.row_count(tables[t].0) as usize;
+        let segment = rows.saturating_sub(k * SEGMENT_ROWS).min(SEGMENT_ROWS);
+        segment * schema.table(tables[t].0).expect("schema table").width()
+    };
+    let mut tasks: Vec<(usize, usize)> = (0..tables.len())
+        .flat_map(|t| (0..generator.segments(tables[t].0)).map(move |k| (t, k)))
+        .collect();
+    tasks.sort_by_key(|task| std::cmp::Reverse(cells(task)));
+    let workers = tpcds_storage::effective_threads().clamp(1, tasks.len().max(1));
+    let parts = tpcds_storage::run_chunks("load_worker", tasks.len(), workers, |i| {
+        let ((table, indexed), k) = (&tables[tasks[i].0], tasks[i].1);
+        let clock = Instant::now();
+        let segment = generator.generate_segment(table, k);
+        let generated = clock.elapsed();
+        let maps = indexed.iter().map(|&c| Index::postings(&segment, c));
+        let maps: Vec<Postings> = maps.collect();
+        let mapped = clock.elapsed();
+        let stats = tpcds_storage::segment_stats(&segment);
+        let busy = [generated, mapped - generated, clock.elapsed() - mapped];
+        (segment, maps, stats, busy)
+    });
+
+    let mut busy = [Duration::ZERO; 3];
+    let mut loads: Vec<Load> = (tables.iter())
+        .map(|(_, indexed)| Load {
+            maps: indexed.iter().map(|_| Vec::new()).collect(),
+            ..Load::default()
+        })
+        .collect();
+    let mut done: Vec<_> = tasks.into_iter().zip(parts).collect();
+    done.sort_by_key(|(task, _)| *task);
+    for ((t, _), (segment, maps, stats, took)) in done {
+        busy.iter_mut().zip(took).for_each(|(sum, d)| *sum += d);
+        let load = &mut loads[t];
+        load.segments.push(segment);
+        load.maps
+            .iter_mut()
+            .zip(maps)
+            .for_each(|(m, map)| m.push(map));
+        load.stats.push(stats);
     }
+    let segments: usize = loads.iter().map(|l| l.segments.len()).sum();
+    let mut txn = db.begin();
+    tpcds_engine::create_tpcds_tables(&mut txn, schema)?;
+    for ((table, indexed), load) in tables.iter().zip(loads) {
+        let t = txn.table_mut(table)?;
+        let dtypes = t.data().dtypes.clone();
+        let stats = tpcds_storage::merge_segment_stats(dtypes.len(), &load.stats);
+        let indexes = (indexed.iter().copied())
+            .zip(load.maps.into_iter().map(Index::from_iter))
+            .collect();
+        let data = ColumnTable {
+            dtypes,
+            segments: load.segments,
+            rows: stats.rows as usize,
+        };
+        t.load(data, indexes, stats)?;
+    }
+    txn.commit();
+    let us = |d: Duration| d.as_micros() as u64;
+    span.field("tables", tables.len())
+        .field("segments", segments)
+        .field("workers", workers)
+        .field("generate_us", us(busy[0]))
+        .field("index_us", us(busy[1]))
+        .field("stats_us", us(busy[2]))
+        .finish();
     Ok(())
 }
 
-/// Every table with the columns that get a single-column key index at
-/// load: dimension surrogate keys, the fact tables' customer / item /
-/// order columns (probed by correlated subqueries), and `d_year` (the most
-/// common dimension filter).
-fn basic_index_columns(generator: &Generator) -> Vec<(&'static str, Vec<&'static str>)> {
+/// What the load tasks built of one table, in segment order: the
+/// segments, each indexed column's maps, and the segments' statistics.
+#[derive(Default)]
+struct Load {
+    segments: Vec<Arc<Segment>>,
+    maps: Vec<Vec<Postings>>,
+    stats: Vec<TableStats>,
+}
+
+/// Every table with the positions of the columns that get a
+/// single-column key index at load: dimension surrogate keys, the fact
+/// tables' customer / item / order columns (probed by correlated
+/// subqueries), and `d_year` (the most common dimension filter).
+fn basic_index_columns(generator: &Generator) -> Vec<(&'static str, Vec<usize>)> {
     const PROBED: [(&str, &str); 11] = [
         ("store_sales", "ss_customer_sk"),
         ("store_sales", "ss_item_sk"),
@@ -552,7 +631,9 @@ fn basic_index_columns(generator: &Generator) -> Vec<(&'static str, Vec<&'static
             let key = (t.kind == tpcds_schema::TableKind::Dimension && t.primary_key.len() == 1)
                 .then(|| t.primary_key[0]);
             let probed = PROBED.iter().filter(|(table, _)| *table == t.name);
-            (t.name, key.into_iter().chain(probed.map(|p| p.1)).collect())
+            let columns = key.into_iter().chain(probed.map(|p| p.1));
+            let position = |c| t.column_index(c).expect("indexed column");
+            (t.name, columns.map(position).collect())
         })
         .collect()
 }

@@ -138,7 +138,9 @@ mod tests {
     #[test]
     fn every_template_binds_against_the_schema() {
         let db = tpcds_engine::Database::new();
-        tpcds_engine::create_tpcds_tables(&db, &tpcds_schema::Schema::tpcds()).unwrap();
+        let mut txn = db.begin();
+        tpcds_engine::create_tpcds_tables(&mut txn, &tpcds_schema::Schema::tpcds()).unwrap();
+        txn.commit();
         let w = Workload::tpcds().unwrap();
         for t in w.templates() {
             let sql = w.instantiate(t.id, DEFAULT_SEED, 0).unwrap();

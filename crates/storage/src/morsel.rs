@@ -132,10 +132,12 @@ pub(crate) fn run_workers<T: Send>(
     })
 }
 
-/// [`run_workers`] for kernels whose chunks are independent: runs
-/// `f(chunk_index)` for chunks `0..n`, returning results in chunk order.
-/// `span` names the per-worker obs span.
-pub(crate) fn run_chunks<T: Send, F: Fn(usize) -> T + Sync>(
+/// Runs `f(chunk_index)` for the independent chunks `0..n` on `workers`
+/// threads pulling from one cursor (`run_workers`), returning the results
+/// in chunk order. `span` names the per-worker obs span. Work that is not
+/// a scan uses it too: the bulk load runs one chunk per segment of every
+/// table.
+pub fn run_chunks<T: Send, F: Fn(usize) -> T + Sync>(
     span: &'static str,
     n: usize,
     workers: usize,

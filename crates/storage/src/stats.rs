@@ -388,14 +388,28 @@ pub fn extend_stats(base: &TableStats, table: &ColumnTable, threads: usize) -> T
     let n_segs = table.segments.len() - first;
     let workers = worker_count(added, threads, n_segs);
     let partials = run_chunks("stats_worker", n_segs, workers, |k| {
-        let seg = &table.segments[first + k];
-        let from = if k == 0 { from } else { 0 };
-        match seg.dead() {
-            None => partial(seg, from..seg.rows),
-            Some(dead) => partial(seg, (from..seg.rows).filter(|&i| !dead.get(i))),
-        }
+        live_partial(&table.segments[first + k], if k == 0 { from } else { 0 })
     });
-    merged(base, &partials, table.rows)
+    merged(base, partials.iter().map(Vec::as_slice), table.rows)
+}
+
+/// The statistics of `seg`'s live rows: one segment's share of
+/// [`collect_stats`], for a caller that schedules the segments itself
+/// (the bulk load folds each in the task that built it).
+pub fn segment_stats(seg: &Segment) -> TableStats {
+    TableStats {
+        rows: seg.live() as u64,
+        columns: live_partial(seg, 0),
+    }
+}
+
+/// The statistics of a `width`-column table whose segments'
+/// [`segment_stats`] are `parts`, in segment order: equal to
+/// [`collect_stats`] of the table, whoever folded which part.
+pub fn merge_segment_stats(width: usize, parts: &[TableStats]) -> TableStats {
+    let rows = parts.iter().map(|p| p.rows as usize).sum();
+    let columns = parts.iter().map(|p| p.columns.as_slice());
+    merged(&TableStats::empty(width), columns, rows)
 }
 
 /// The statistics of the live rows at `ids` (ascending) of `table`: what
@@ -408,7 +422,16 @@ pub fn collect_stats_at(table: &ColumnTable, ids: &[u32], threads: usize) -> Tab
         let seg = &table.segments[groups[k][0] as usize / SEGMENT_ROWS];
         partial(seg, groups[k].iter().map(|&id| id as usize % SEGMENT_ROWS))
     });
-    merged(&TableStats::empty(table.width()), &partials, ids.len())
+    let partials = partials.iter().map(Vec::as_slice);
+    merged(&TableStats::empty(table.width()), partials, ids.len())
+}
+
+/// [`partial`] over `seg`'s live rows from offset `from` on.
+fn live_partial(seg: &Segment, from: usize) -> Vec<ColumnStats> {
+    match seg.dead() {
+        None => partial(seg, from..seg.rows),
+        Some(dead) => partial(seg, (from..seg.rows).filter(|&i| !dead.get(i))),
+    }
 }
 
 /// One accumulator per column over the cells of `seg` at `rows`.
@@ -424,7 +447,11 @@ fn partial(seg: &Segment, rows: impl Iterator<Item = usize> + Clone) -> Vec<Colu
 /// `base` with the per-segment `partials` merged in, in segment order —
 /// which value stands for a tie at min or max does not depend on who ran
 /// what — as the statistics of `rows` rows.
-fn merged(base: &TableStats, partials: &[Vec<ColumnStats>], rows: usize) -> TableStats {
+fn merged<'a>(
+    base: &TableStats,
+    partials: impl IntoIterator<Item = &'a [ColumnStats]>,
+    rows: usize,
+) -> TableStats {
     let mut columns = base.columns.clone();
     for part in partials {
         for (into, from) in columns.iter_mut().zip(part) {
@@ -523,6 +550,23 @@ mod tests {
         // Worker count must not change the result.
         assert_eq!(serial.columns[0].ndv, parallel.columns[0].ndv);
         assert_eq!(serial.columns[0].hist.count, parallel.columns[0].hist.count);
+    }
+
+    #[test]
+    fn segment_parts_merge_to_the_table_stats() {
+        use DataType::{Decimal, Int, Str};
+        let rows: Vec<Row> = (0..2 * SEGMENT_ROWS + 300).map(row).collect();
+        let t = ColumnTable::from_rows(vec![Int, Int, Decimal, Str, Str], &rows);
+        let parts: Vec<TableStats> = t.segments.iter().map(|s| segment_stats(s)).collect();
+        let (got, want) = (merge_segment_stats(t.width(), &parts), collect_stats(&t, 2));
+        assert_eq!(got.rows, want.rows);
+        for (c, (got, want)) in got.columns.iter().zip(&want.columns).enumerate() {
+            assert_eq!(got.nulls, want.nulls, "column {c}: nulls");
+            assert_eq!(got.min, want.min, "column {c}: min");
+            assert_eq!(got.max, want.max, "column {c}: max");
+            assert_eq!(got.ndv, want.ndv, "column {c}: ndv");
+            assert_eq!(got.hist, want.hist, "column {c}: histogram");
+        }
     }
 
     /// Row `i`: a unique id (rows 0 and `n - 1` alone hold its extremes),

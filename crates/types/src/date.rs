@@ -32,14 +32,6 @@ pub fn is_leap_year(year: i32) -> bool {
     (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
 }
 
-fn days_in_year(year: i32) -> i32 {
-    if is_leap_year(year) {
-        366
-    } else {
-        365
-    }
-}
-
 /// Days in `month` (1-12) of `year`.
 pub fn days_in_month(year: i32, month: u32) -> i32 {
     if month == 2 && is_leap_year(year) {
@@ -47,6 +39,41 @@ pub fn days_in_month(year: i32, month: u32) -> i32 {
     } else {
         DAYS_IN_MONTH[(month - 1) as usize]
     }
+}
+
+/// Days from 1900-01-01 to 0000-03-01: the calendar arithmetic below
+/// counts from a March 1st, so that February, with its leap day, ends
+/// the year.
+const MARCH_0000: i64 = 693_901;
+
+/// Days from 1900-01-01 to `year-month-day`, in closed form: whole
+/// 400-year eras (146,097 days each), then years of the era, then days of
+/// the March-based year (H. Hinnant's `days_from_civil`).
+fn days_from_civil(year: i64, month: i64, day: i64) -> i64 {
+    let year = if month <= 2 { year - 1 } else { year };
+    let era = year.div_euclid(400);
+    let year_of_era = year - era * 400;
+    let day_of_year = (153 * ((month + 9) % 12) + 2) / 5 + day - 1;
+    let day_of_era = year_of_era * 365 + year_of_era / 4 - year_of_era / 100 + day_of_year;
+    era * 146_097 + day_of_era - MARCH_0000
+}
+
+/// The inverse of [`days_from_civil`]: (year, month, day) of day `days`.
+fn civil_from_days(days: i64) -> (i64, i64, i64) {
+    let days = days + MARCH_0000;
+    let era = days.div_euclid(146_097);
+    let day_of_era = days - era * 146_097;
+    let year_of_era =
+        (day_of_era - day_of_era / 1_460 + day_of_era / 36_524 - day_of_era / 146_096) / 365;
+    let day_of_year = day_of_era - (365 * year_of_era + year_of_era / 4 - year_of_era / 100);
+    let march_month = (5 * day_of_year + 2) / 153;
+    let day = day_of_year - (153 * march_month + 2) / 5 + 1;
+    let month = if march_month < 10 {
+        march_month + 3
+    } else {
+        march_month - 9
+    };
+    (year_of_era + era * 400 + i64::from(month <= 2), month, day)
 }
 
 impl Date {
@@ -85,43 +112,15 @@ impl Date {
         if day as i32 > days_in_month(year, month) {
             return None;
         }
-        let mut days: i32 = 0;
-        if year >= EPOCH_YEAR {
-            for y in EPOCH_YEAR..year {
-                days += days_in_year(y);
-            }
-        } else {
-            for y in year..EPOCH_YEAR {
-                days -= days_in_year(y);
-            }
-        }
-        for m in 1..month {
-            days += days_in_month(year, m);
-        }
-        Some(Date(days + day as i32 - 1))
+        i32::try_from(days_from_civil(year.into(), month.into(), day.into()))
+            .ok()
+            .map(Date)
     }
 
     /// Decomposes into (year, month, day).
     pub fn ymd(&self) -> (i32, u32, u32) {
-        let mut days = self.0;
-        let mut year = EPOCH_YEAR;
-        if days >= 0 {
-            while days >= days_in_year(year) {
-                days -= days_in_year(year);
-                year += 1;
-            }
-        } else {
-            while days < 0 {
-                year -= 1;
-                days += days_in_year(year);
-            }
-        }
-        let mut month = 1u32;
-        while days >= days_in_month(year, month) {
-            days -= days_in_month(year, month);
-            month += 1;
-        }
-        (year, month, days as u32 + 1)
+        let (year, month, day) = civil_from_days(self.0.into());
+        (year as i32, month as u32, day as u32)
     }
 
     /// Calendar year.
@@ -312,6 +311,71 @@ impl fmt::Debug for Time {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn days_in_year(year: i32) -> i32 {
+        if is_leap_year(year) {
+            366
+        } else {
+            365
+        }
+    }
+
+    /// The calendar by walking: year by year from 1900, then month by
+    /// month — the oracle for the closed form.
+    fn walked_ymd(days: i32) -> (i32, u32, u32) {
+        let (mut days, mut year) = (days, EPOCH_YEAR);
+        if days >= 0 {
+            while days >= days_in_year(year) {
+                days -= days_in_year(year);
+                year += 1;
+            }
+        } else {
+            while days < 0 {
+                year -= 1;
+                days += days_in_year(year);
+            }
+        }
+        let mut month = 1u32;
+        while days >= days_in_month(year, month) {
+            days -= days_in_month(year, month);
+            month += 1;
+        }
+        (year, month, days as u32 + 1)
+    }
+
+    /// The day number of a valid date by walking (see [`walked_ymd`]).
+    fn walked_day_number(year: i32, month: u32, day: u32) -> i32 {
+        let mut days: i32 = 0;
+        if year >= EPOCH_YEAR {
+            days += (EPOCH_YEAR..year).map(days_in_year).sum::<i32>();
+        } else {
+            days -= (year..EPOCH_YEAR).map(days_in_year).sum::<i32>();
+        }
+        days += (1..month).map(|m| days_in_month(year, m)).sum::<i32>();
+        days + day as i32 - 1
+    }
+
+    #[test]
+    fn closed_form_calendar_equals_walking_it() {
+        for day in -100_000..200_000 {
+            let date = Date::from_day_number(day);
+            let (y, m, d) = date.ymd();
+            assert_eq!((y, m, d), walked_ymd(day), "day {day}");
+            assert_eq!(Date::from_ymd(y, m, d), date, "day {day}");
+            assert_eq!(walked_day_number(y, m, d), day, "day {day}");
+        }
+        assert_eq!(Date::try_from_ymd(1900, 2, 29), None);
+        assert_eq!(Date::try_from_ymd(2000, 2, 30), None);
+        assert_eq!(
+            Date::try_from_ymd(2000, 2, 29).map(|d| d.ymd()),
+            Some((2000, 2, 29))
+        );
+        assert_eq!(
+            Date::try_from_ymd(i32::MAX, 1, 1),
+            None,
+            "day number past i32"
+        );
+    }
 
     #[test]
     fn ymd_round_trip_over_two_centuries() {

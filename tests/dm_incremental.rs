@@ -346,8 +346,9 @@ fn synthetic(n: usize) -> Database {
     let mut txn = db.begin();
     txn.create_table("t", meta).unwrap();
     let t = txn.table_mut("t").unwrap();
-    t.load(ColumnTable::from_rows(dtypes, &rows_from(0, n)))
-        .unwrap();
+    let data = ColumnTable::from_rows(dtypes, &rows_from(0, n));
+    let stats = collect_stats(&data, 1);
+    t.load(data, HashMap::new(), stats).unwrap();
     txn.create_indexes("t", &["id", "grp"]).unwrap();
     txn.commit();
     db

@@ -18,7 +18,9 @@ fn flat_file_load_equals_direct_load() {
 
     // Flat-file round trip load.
     let via_files = Database::new();
-    engine::create_tpcds_tables(&via_files, &schema).unwrap();
+    let mut txn = via_files.begin();
+    engine::create_tpcds_tables(&mut txn, &schema).unwrap();
+    txn.commit();
     for t in schema.tables() {
         let rows = g.generate(t.name);
         flatfile::write_table(&dir, t.name, &rows).unwrap();
