@@ -2,12 +2,12 @@
 //!
 //! Criterion cannot be resolved in the offline build environment, so the
 //! `cargo bench` targets run on this ~80-line stand-in: fixed iteration
-//! counts, warmup, and p50/p95 summaries via [`tpcds_obs::report`]. It is
+//! counts, warmup, and p50/p95 summaries via [`LatencyStats`]. It is
 //! deliberately simple — the numbers feed trend tracking, not statistics
 //! papers.
 
 use std::time::Instant;
-use tpcds_obs::report::LatencyStats;
+use tpcds_obs::hist::LatencyStats;
 
 /// One benchmark's measured distribution.
 #[derive(Debug, Clone)]

@@ -41,26 +41,9 @@ impl<'a> Flags<'a> {
     }
 }
 
-/// Installs the JSONL trace sink when `--trace FILE` was given. Returns
-/// whether tracing is on; the caller must [`tpcds_core::obs::flush`] before
-/// exiting so buffered events reach the file.
-fn maybe_trace(flags: &Flags) -> Result<bool> {
-    match flags.value("--trace") {
-        None if flags.has("--trace") => Err("--trace requires a file argument".to_string()),
-        None => Ok(false),
-        Some(path) if path.starts_with("--") => Err("--trace requires a file argument".to_string()),
-        Some(path) => {
-            tpcds_core::obs::install_jsonl(std::path::Path::new(path))
-                .map_err(|e| format!("cannot open trace file {path:?}: {e}"))?;
-            Ok(true)
-        }
-    }
-}
-
 /// `tpcds dsdgen` — write flat files.
 pub fn dsdgen(args: &[String]) -> Result<()> {
     let flags = Flags::new(args);
-    let traced = maybe_trace(&flags)?;
     let sf: f64 = flags.parse("--scale", 0.01)?;
     let dir = PathBuf::from(flags.value("--dir").unwrap_or("tpcds_data"));
     let parallel: usize = flags.parse("--parallel", 4)?;
@@ -86,9 +69,6 @@ pub fn dsdgen(args: &[String]) -> Result<()> {
         dir.display(),
         started.elapsed()
     );
-    if traced {
-        tpcds_core::obs::flush();
-    }
     Ok(())
 }
 
@@ -147,7 +127,6 @@ pub fn dsqgen(args: &[String]) -> Result<()> {
 /// `tpcds run` — the full benchmark.
 pub fn run(args: &[String]) -> Result<()> {
     let flags = Flags::new(args);
-    let traced = maybe_trace(&flags)?;
     if let Some(addr) = flags.value("--metrics-addr") {
         let bound = tpcds_core::obs::metrics::serve(addr)
             .map_err(|e| format!("cannot bind metrics endpoint {addr:?}: {e}"))?;
@@ -179,9 +158,6 @@ pub fn run(args: &[String]) -> Result<()> {
         println!("running benchmark at SF {sf}...");
     }
     let result = runner::run_benchmark(config).map_err(|e| e.to_string())?;
-    if traced {
-        tpcds_core::obs::flush();
-    }
     if flags.has("--json") {
         println!("{}", result.to_json());
         return Ok(());
@@ -237,16 +213,12 @@ fn load_and_resolve_sql(flags: &Flags) -> Result<(TpcDs, String)> {
 /// `tpcds query` — one query against a freshly loaded instance.
 pub fn query(args: &[String]) -> Result<()> {
     let flags = Flags::new(args);
-    let traced = maybe_trace(&flags)?;
     let (tpcds, sql) = load_and_resolve_sql(&flags)?;
     if flags.has("--explain") {
         println!("{}", tpcds.explain(&sql).map_err(|e| e.to_string())?);
     }
     let started = std::time::Instant::now();
     let result = tpcds.query(&sql).map_err(|e| e.to_string())?;
-    if traced {
-        tpcds_core::obs::flush();
-    }
     println!("{}", result.to_table(40));
     println!("({} rows in {:.2?})", result.rows.len(), started.elapsed());
     Ok(())
@@ -264,50 +236,6 @@ pub fn explain(args: &[String]) -> Result<()> {
     } else {
         print!("{}", tpcds.explain(&sql).map_err(|e| e.to_string())?);
     }
-    Ok(())
-}
-
-/// `tpcds report` — render a trace JSONL file as a phase timeline plus
-/// span/query latency summaries.
-pub fn report(args: &[String]) -> Result<()> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .ok_or_else(|| "usage: tpcds report FILE.jsonl".to_string())?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-    print!("{}", tpcds_core::obs::report::summarize(&text)?);
-    Ok(())
-}
-
-/// `tpcds trace` — trace-file conversions. Currently one form:
-/// `tpcds trace export --chrome OUT.json FILE.jsonl` writes the trace as
-/// a Chrome Trace Event file for Perfetto / `chrome://tracing`, with one
-/// track per morsel worker.
-pub fn trace(args: &[String]) -> Result<()> {
-    const USAGE: &str = "usage: tpcds trace export --chrome OUT.json FILE.jsonl";
-    let (sub, rest) = args.split_first().ok_or_else(|| USAGE.to_string())?;
-    if sub != "export" {
-        return Err(format!("unknown trace subcommand {sub:?}\n{USAGE}"));
-    }
-    let flags = Flags::new(rest);
-    let out = flags
-        .value("--chrome")
-        .filter(|v| !v.starts_with("--"))
-        .ok_or_else(|| USAGE.to_string())?;
-    let input = rest
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            // Skip flag names and the --chrome value.
-            !a.starts_with("--") && *i != rest.iter().position(|x| x == "--chrome").unwrap() + 1
-        })
-        .map(|(_, a)| a.as_str())
-        .next()
-        .ok_or_else(|| USAGE.to_string())?;
-    let text = std::fs::read_to_string(input).map_err(|e| format!("read {input:?}: {e}"))?;
-    let chrome = tpcds_core::obs::chrome::export(&text)?;
-    std::fs::write(out, chrome).map_err(|e| format!("write {out:?}: {e}"))?;
-    println!("wrote {out} (load in Perfetto or chrome://tracing)");
     Ok(())
 }
 
@@ -446,7 +374,6 @@ pub fn schema(args: &[String]) -> Result<()> {
 /// sends `shutdown` (or the process is killed).
 pub fn serve(args: &[String]) -> Result<()> {
     let flags = Flags::new(args);
-    let traced = maybe_trace(&flags)?;
     if let Some(addr) = flags.value("--metrics-addr") {
         let bound = tpcds_core::obs::metrics::serve(addr)
             .map_err(|e| format!("cannot bind metrics endpoint {addr:?}: {e}"))?;
@@ -496,9 +423,6 @@ pub fn serve(args: &[String]) -> Result<()> {
         server.local_addr()
     );
     server.wait();
-    if traced {
-        tpcds_core::obs::flush();
-    }
     eprintln!("server stopped");
     Ok(())
 }

@@ -6,8 +6,6 @@
 //! * `tpcds run`     — run the full benchmark and print the metric
 //! * `tpcds query`   — load a data set and execute one query or SQL file
 //! * `tpcds explain` — show a query's plan, optionally with actuals
-//! * `tpcds report`  — summarize a `--trace` JSONL file
-//! * `tpcds trace`   — convert a trace (Chrome Trace Event export)
 //! * `tpcds shell`   — interactive SQL shell over a generated data set
 //! * `tpcds schema`  — print the schema (DDL-ish) and statistics
 //! * `tpcds serve`   — serve a loaded data set over TCP
@@ -19,9 +17,9 @@ mod commands;
 
 use std::process::ExitCode;
 
-// Count every allocation so EXPLAIN ANALYZE / phase spans / `tpcds
-// report` can attribute memory (`mem_peak=`, `build_bytes=`). Library
-// users are unaffected; only this binary pays the two-atomic-add cost.
+// Count every allocation so EXPLAIN ANALYZE and `sys.query_log` can
+// attribute memory (`mem_peak=`, `build_bytes=`). Library users are
+// unaffected; only this binary pays the two-atomic-add cost.
 #[global_allocator]
 static ALLOC: tpcds_obs::mem::CountingAlloc = tpcds_obs::mem::CountingAlloc;
 
@@ -40,8 +38,6 @@ fn main() -> ExitCode {
         "run" => commands::run(rest),
         "query" => commands::query(rest),
         "explain" => commands::explain(rest),
-        "report" => commands::report(rest),
-        "trace" => commands::trace(rest),
         "shell" => commands::shell(rest),
         "schema" => commands::schema(rest),
         "profile" => commands::profile(rest),
@@ -68,17 +64,15 @@ fn usage() -> &'static str {
     "tpcds — TPC-DS reproduction toolkit
 
 USAGE:
-    tpcds dsdgen  [--scale SF] [--dir DIR] [--table NAME] [--parallel N] [--trace FILE]
+    tpcds dsdgen  [--scale SF] [--dir DIR] [--table NAME] [--parallel N]
     tpcds dsqgen  [--scale SF] [--streams N] [--query ID] [--dir DIR]
-    tpcds run     [--scale SF] [--streams N] [--queries N] [--threads N] [--no-aux] [--via-server] [--json] [--trace FILE] [--metrics-addr HOST:PORT]
-    tpcds query   [--scale SF] (--id QUERY_ID | --sql 'SELECT ...') [--explain] [--trace FILE]
+    tpcds run     [--scale SF] [--streams N] [--queries N] [--threads N] [--no-aux] [--via-server] [--json] [--metrics-addr HOST:PORT]
+    tpcds query   [--scale SF] (--id QUERY_ID | --sql 'SELECT ...') [--explain]
     tpcds explain [--scale SF] (--id QUERY_ID | --sql 'SELECT ...') [--analyze]
-    tpcds report  FILE.jsonl
-    tpcds trace   export --chrome OUT.json FILE.jsonl
     tpcds shell   [--scale SF]
     tpcds schema  [--stats | --dot | --ddl]
     tpcds profile [--scale SF] [--table NAME] [--limit N]
-    tpcds serve   [--scale SF] [--addr HOST:PORT] [--max-queries N] [--idle-timeout SECS] [--slow-query-ms MS] [--no-aux] [--trace FILE] [--metrics-addr HOST:PORT]
+    tpcds serve   [--scale SF] [--addr HOST:PORT] [--max-queries N] [--idle-timeout SECS] [--slow-query-ms MS] [--no-aux] [--metrics-addr HOST:PORT]
     tpcds client  [--addr HOST:PORT] (--sql 'SELECT ...' [--pin VERSION] [--query-id ID] [--explain] | --ping | --stats | --shutdown)
     tpcds top     [--addr HOST:PORT] [--interval-ms MS] [--once]
     tpcds synth   [--scale SF] [--queries N] [--streams N] [--seed S] [--dm N] [--via-server] [--out COVERAGE_8.json]
@@ -86,12 +80,8 @@ USAGE:
 Scale factors are GB of raw data; fractional values (default 0.01)
 generate laptop-sized miniatures with the same shape.
 
---trace FILE records the run as one JSON event per line (spans,
-counters), replacing FILE; `tpcds report FILE` renders its phase
-timeline and latency summary, and `tpcds trace export --chrome OUT`
-converts it to a Chrome Trace Event file (load in Perfetto /
-chrome://tracing — one track per morsel worker). TPCDS_OBS_DETAIL=1
-additionally records one span per 8k-row morsel.
+--json prints the run's record: phase times, the metric, every query's
+time, and each maintenance operation's rows, wall time and commit.
 
 --metrics-addr HOST:PORT serves live Prometheus metrics (counters and
 latency histograms) at http://HOST:PORT/metrics for the life of the

@@ -86,79 +86,6 @@ fn unknown_command_fails_with_usage() {
 }
 
 #[test]
-fn trace_export_chrome_gives_worker_tracks() {
-    let dir = std::env::temp_dir().join(format!("tpcds_trace_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let jsonl = dir.join("run.jsonl");
-    let chrome = dir.join("chrome.json");
-
-    // A traced query (forced columnar, several threads) records
-    // worker-id'd spans for the morsel workers.
-    let out = tpcds()
-        .env("TPCDS_COLUMNAR", "force")
-        .args([
-            "query",
-            "--scale",
-            "0.01",
-            "--id",
-            "96",
-            "--trace",
-            jsonl.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let out = tpcds()
-        .args([
-            "trace",
-            "export",
-            "--chrome",
-            chrome.to_str().unwrap(),
-            jsonl.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let doc = std::fs::read_to_string(&chrome).unwrap();
-    assert!(doc.contains("\"traceEvents\""), "{doc}");
-    assert!(doc.contains("\"ph\":\"X\""), "missing complete events");
-    // One named track per morsel worker.
-    assert!(doc.contains("\"worker 0\""), "missing worker track");
-    assert!(doc.contains("thread_name"), "missing track metadata");
-
-    // The same trace renders as a report with the layer.name counters.
-    let out = tpcds()
-        .args(["report", jsonl.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("storage/scan.rows") || text.contains("storage/join.rows"),
-        "{text}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn trace_export_requires_arguments() {
-    let out = tpcds().args(["trace"]).output().unwrap();
-    assert!(!out.status.success());
-    let out = tpcds().args(["trace", "export"]).output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
-}
-
-#[test]
 fn explain_analyze_reports_memory() {
     let out = tpcds()
         .args(["explain", "--scale", "0.01", "--id", "96", "--analyze"])

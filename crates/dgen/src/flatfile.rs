@@ -29,20 +29,10 @@ pub fn write_rows<W: Write>(w: &mut W, rows: &[Row]) -> io::Result<u64> {
 /// Writes rows to `<dir>/<table>.dat`. Returns the number of bytes written.
 pub fn write_table(dir: &Path, table: &str, rows: &[Row]) -> io::Result<u64> {
     std::fs::create_dir_all(dir)?;
-    let span = tpcds_obs::span("dgen", "write_table").field("table", table);
+    let _span = tpcds_obs::span("dgen", "write_table");
     let mut f = std::fs::File::create(dir.join(format!("{table}.dat")))?;
     let bytes = write_rows(&mut f, rows)?;
-    span.field("rows", rows.len())
-        .field("bytes", bytes)
-        .finish();
-    if tpcds_obs::is_enabled() {
-        tpcds_obs::counter(
-            "dgen",
-            "gen.bytes",
-            bytes as f64,
-            &[("table", table.into())],
-        );
-    }
+    tpcds_obs::counter("dgen", "gen.bytes", bytes as f64);
     Ok(bytes)
 }
 

@@ -115,25 +115,10 @@ impl Generator {
 
     /// Generates every row of `table`.
     pub fn generate(&self, table: &str) -> Vec<Row> {
-        let span = tpcds_obs::span("dgen", "generate").field("table", table);
+        let _span = tpcds_obs::span("dgen", "generate");
         let rows = self.generate_range(table, 0, self.row_count(table));
-        Self::record_rate(span, table, rows.len());
+        tpcds_obs::counter("dgen", "gen.rows", rows.len() as f64);
         rows
-    }
-
-    /// Closes a generation span with row/throughput actuals and bumps the
-    /// per-table `gen.rows` counter.
-    fn record_rate(mut span: tpcds_obs::SpanGuard, table: &str, rows: usize) {
-        if !tpcds_obs::is_enabled() {
-            return;
-        }
-        let secs = span.elapsed().as_secs_f64();
-        span.add_field("rows", rows as i64);
-        if secs > 0.0 {
-            span.add_field("rows_per_s", rows as f64 / secs);
-        }
-        span.finish();
-        tpcds_obs::counter("dgen", "gen.rows", rows as f64, &[("table", table.into())]);
     }
 
     /// Generates rows `lo..hi` (0-based) of `table`. Chunks generated
@@ -148,16 +133,14 @@ impl Generator {
     /// Generates every row of `table` on up to `threads` workers, one
     /// [`Generator::segment_rows`] task per segment, concatenated in order.
     pub fn generate_parallel(&self, table: &str, threads: usize) -> Vec<Row> {
-        let span = tpcds_obs::span("dgen", "generate_parallel")
-            .field("table", table)
-            .field("threads", threads);
+        let _span = tpcds_obs::span("dgen", "generate_parallel");
         let segments = self.segments(table);
         let workers = threads.clamp(1, segments.max(1));
         let parts = tpcds_storage::run_chunks("generate_worker", segments, workers, |k| {
             self.segment_rows(table, k).collect::<Vec<Row>>()
         });
         let rows = parts.concat();
-        Self::record_rate(span, table, rows.len());
+        tpcds_obs::counter("dgen", "gen.rows", rows.len() as f64);
         rows
     }
 
@@ -178,7 +161,7 @@ impl Generator {
 
     /// Segment `k` of `table` as stored: [`Generator::segment_rows`]
     /// pushed straight into a segment builder, never a row list. Counts
-    /// its rows in the per-table `gen.rows` counter.
+    /// its rows in the `gen.rows` counter.
     pub fn generate_segment(&self, table: &str, k: usize) -> Arc<tpcds_storage::Segment> {
         let def = self.schema.table(table).expect("known table");
         let dtypes = def.columns.iter().map(|c| c.ctype.data_type()).collect();
@@ -187,8 +170,7 @@ impl Generator {
             .for_each(|row| builder.push_row(&row));
         let segment = builder.finish().segments.pop();
         let segment = segment.unwrap_or_else(|| panic!("{table} has no segment {k}"));
-        let table = [("table", table.into())];
-        tpcds_obs::counter("dgen", "gen.rows", segment.rows as f64, &table);
+        tpcds_obs::counter("dgen", "gen.rows", segment.rows as f64);
         segment
     }
 

@@ -341,15 +341,7 @@ impl Table {
         self.staged.segments_compacted += compacted.len();
         self.put(masked, &compacted, 0, removed.len());
         self.revise_stats(&gone_stats, None);
-        tpcds_obs::counter(
-            "engine",
-            "maint.deleted_rows",
-            removed.len() as f64,
-            &[(
-                "remaining",
-                tpcds_obs::FieldValue::Int(self.data.rows as i64),
-            )],
-        );
+        tpcds_obs::counter("engine", "maint.deleted_rows", removed.len() as f64);
         removed.len()
     }
 
@@ -665,10 +657,8 @@ impl<'a> WriteTxn<'a> {
     /// returns what changed. The mutators already built the segments and
     /// revised the statistics for what they moved; the rows appended since
     /// fold in here ([`Table::publish`]), so the commit costs what the
-    /// transaction changed: `rows_changed`, `segments_rebuilt`,
-    /// `rows_masked`, `segments_compacted`, `stats_cells_folded` and
-    /// `stats_cells_retracted` on the `snapshot/commit` span say how much
-    /// that was.
+    /// transaction changed: the returned [`Commit`] says how much that
+    /// was.
     pub fn commit(mut self) -> Commit {
         let span = tpcds_obs::span("snapshot", "commit");
         let threads = tpcds_storage::effective_threads();
@@ -682,7 +672,6 @@ impl<'a> WriteTxn<'a> {
                 }
                 TxnEntry::Put(mut t) => {
                     let derived = t.publish(threads);
-                    total.rows_changed += derived.rows_changed;
                     total.tables_rebuilt += derived.tables_rebuilt;
                     total.segments_rebuilt += derived.segments_rebuilt;
                     total.rows_masked += derived.rows_masked;
@@ -701,35 +690,20 @@ impl<'a> WriteTxn<'a> {
         while self.state.history.len() > retain {
             self.state.history.pop_front();
         }
-        tpcds_obs::counter("snapshot", "commits", 1.0, &[]);
+        tpcds_obs::counter("snapshot", "commits", 1.0);
         let tables_rebuilt = total.tables_rebuilt;
         if tables_rebuilt > 0 {
-            let version = [("version", tpcds_obs::FieldValue::Int(version as i64))];
-            tpcds_obs::counter(
-                "snapshot",
-                "tables_rebuilt",
-                tables_rebuilt as f64,
-                &version,
-            );
             for (name, n) in [
+                ("tables_rebuilt", tables_rebuilt),
                 ("segments_rebuilt", total.segments_rebuilt),
                 ("rows_masked", total.rows_masked),
                 ("segments_compacted", total.segments_compacted),
             ] {
-                tpcds_obs::counter("snapshot", name, n as f64, &version);
+                tpcds_obs::counter("snapshot", name, n as f64);
             }
         }
         tpcds_obs::metrics::gauge_set("snapshot.version", version as i64);
-        span.field("version", version as i64)
-            .field("tables_changed", tables_changed as i64)
-            .field("tables_rebuilt", tables_rebuilt as i64)
-            .field("rows_changed", total.rows_changed as i64)
-            .field("segments_rebuilt", total.segments_rebuilt as i64)
-            .field("rows_masked", total.rows_masked as i64)
-            .field("segments_compacted", total.segments_compacted as i64)
-            .field("stats_cells_folded", total.stats_cells_folded as i64)
-            .field("stats_cells_retracted", total.stats_cells_retracted as i64)
-            .finish();
+        span.finish();
         Commit {
             version,
             tables_changed,

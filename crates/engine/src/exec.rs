@@ -230,9 +230,8 @@ impl<'a> ExecCtx<'a> {
     /// Records which path an operator took in the node's actuals. A
     /// decision that changes them — once per distinct decision per
     /// statement, however often a correlated subplan repeats it — also
-    /// emits an `engine.route.<path>` counter and an `engine/route` span
-    /// (visible in the Chrome trace).
-    fn record_route(&self, node: usize, op: &'static str, route: RoutePath) {
+    /// emits an `engine.route.<path>` counter.
+    fn record_route(&self, node: usize, route: RoutePath) {
         let mut fresh = false;
         self.fold(node, |s| {
             fresh = route > s.route;
@@ -241,16 +240,7 @@ impl<'a> ExecCtx<'a> {
         if !fresh {
             return;
         }
-        let op_field = [("op", tpcds_obs::FieldValue::Str(op.to_string()))];
-        tpcds_obs::counter(
-            "engine",
-            &format!("route.{}", route.as_str()),
-            1.0,
-            &op_field,
-        );
-        (tpcds_obs::span("engine", "route").field("op", op))
-            .field("path", route.as_str())
-            .finish();
+        tpcds_obs::counter("engine", &format!("route.{}", route.as_str()), 1.0);
     }
 
     /// A columnar scan's morsel/worker numbers.
@@ -275,8 +265,8 @@ impl<'a> ExecCtx<'a> {
     /// A vectorized expression kernel's invocation/row counts; also emits
     /// the `expr.compiled` / `expr.rows` counters.
     fn record_expr(&self, node: usize, es: &tpcds_storage::ExprStats) {
-        tpcds_obs::counter("engine", "expr.compiled", 1.0, &[]);
-        tpcds_obs::counter("engine", "expr.rows", es.rows as f64, &[]);
+        tpcds_obs::counter("engine", "expr.compiled", 1.0);
+        tpcds_obs::counter("engine", "expr.rows", es.rows as f64);
         self.fold(node, |s| {
             s.expr_kernels += es.kernels;
             s.expr_rows += es.rows;
@@ -509,7 +499,7 @@ fn batch_node(
 ) -> Result<Batch> {
     let node = plan as *const Plan as usize;
     let threads = ctx.threads();
-    let columnar = || ctx.record_route(node, plan.op_name(), RoutePath::Columnar);
+    let columnar = || ctx.record_route(node, RoutePath::Columnar);
     match plan {
         Plan::Scan { table, filter, .. } => {
             let b = match crate::sys::table(ctx.db, table) {
@@ -517,7 +507,7 @@ fn batch_node(
                 None => {
                     let t = ctx.table(table)?;
                     if let Some(rows) = index_probe(&t, filter.as_ref(), ctx, outer)? {
-                        ctx.record_route(node, "Scan", RoutePath::Index);
+                        ctx.record_route(node, RoutePath::Index);
                         return Ok(Batch::from_rows(plan.width(), &rows));
                     }
                     Batch::new(Arc::clone(t.data()))
@@ -1015,7 +1005,7 @@ fn serial_node(
         }),
     }?;
     let node = plan as *const Plan as usize;
-    ctx.record_route(node, plan.op_name(), route);
+    ctx.record_route(node, route);
     Ok(())
 }
 

@@ -158,7 +158,7 @@ fn run_bound(
     let started = Instant::now();
     let cpu0 = tpcds_obs::qlog::thread_cpu_us();
     let watermark = tpcds_obs::mem::Watermark::start();
-    let mut span = tpcds_obs::span("engine", "query");
+    let span = tpcds_obs::span("engine", "query");
     let us_since = |t: Instant| t.elapsed().as_micros() as u64;
     let mut record = QueryRecord {
         query_id: (identity.query_id).unwrap_or_else(tpcds_obs::qlog::next_query_id),
@@ -202,12 +202,8 @@ fn run_bound(
         RoutePath::Unset => "",
         r => r.as_str(),
     };
-    span.add_field("version", record.snapshot_version as i64);
     match &result {
-        Ok(r) => {
-            record.rows = r.rows.len() as u64;
-            span.add_field("rows", r.rows.len() as i64);
-        }
+        Ok(r) => record.rows = r.rows.len() as u64,
         Err(e) => record.error = Some(e.to_string()),
     }
     span.finish();

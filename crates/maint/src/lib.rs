@@ -47,6 +47,9 @@ pub struct OpReport {
     pub deleted: usize,
     /// What the operation's one write transaction published.
     pub commit: Commit,
+    /// The operation's wall time, commit included (also observed into
+    /// the `maint.op_us` histogram).
+    pub elapsed: Duration,
 }
 
 /// Outcome of a whole data maintenance run.
@@ -82,7 +85,7 @@ pub fn run_maintenance(
     generator: &Generator,
     refresh_seq: u32,
 ) -> Result<MaintenanceReport> {
-    let span = tpcds_obs::span("maint", "run_maintenance").field("refresh_seq", refresh_seq);
+    let _span = tpcds_obs::span("maint", "run_maintenance");
     let mut report = MaintenanceReport::default();
     let when = refresh_date(generator, refresh_seq);
 
@@ -132,21 +135,13 @@ pub fn run_maintenance(
     // changed their statistics by the rows it moved, and published a new
     // snapshot version — in-flight queries keep reading the versions they
     // pinned.
-    span.field("rows", report.total_rows())
-        .field("versions_committed", report.ops.len() as i64)
-        .field("head_version", db.version() as i64)
-        .finish();
     Ok(report)
 }
 
-/// Records one finished operation as a `maint/op` span carrying the
-/// operation's row actuals, and returns the report unchanged.
-fn record_op(span: tpcds_obs::SpanGuard, report: OpReport) -> OpReport {
-    span.field("op", report.name)
-        .field("updated", report.updated)
-        .field("inserted", report.inserted)
-        .field("deleted", report.deleted)
-        .finish();
+/// Observes one finished operation's wall time into the `maint.op_us`
+/// histogram and returns the report unchanged.
+fn record_op(report: OpReport) -> OpReport {
+    tpcds_obs::metrics::observe("maint.op_us", report.elapsed.as_micros() as u64);
     report
 }
 
@@ -172,7 +167,7 @@ pub fn update_non_history_dimension(
     table: &str,
     refresh_seq: u32,
 ) -> Result<OpReport> {
-    let span = tpcds_obs::span("maint", "op");
+    let started = Instant::now();
     let def = generator
         .schema()
         .table(table)
@@ -219,16 +214,14 @@ pub fn update_non_history_dimension(
         }
     });
     let commit = txn.commit();
-    Ok(record_op(
-        span,
-        OpReport {
-            name: op_name(table),
-            updated,
-            inserted: 0,
-            deleted: 0,
-            commit,
-        },
-    ))
+    Ok(record_op(OpReport {
+        name: op_name(table),
+        updated,
+        inserted: 0,
+        deleted: 0,
+        commit,
+        elapsed: started.elapsed(),
+    }))
 }
 
 /// Figure 9: close the current revision (rec_end_date := update date - 1)
@@ -240,7 +233,7 @@ pub fn update_history_dimension(
     refresh_seq: u32,
     when: Date,
 ) -> Result<OpReport> {
-    let span = tpcds_obs::span("maint", "op");
+    let started = Instant::now();
     let def = generator
         .schema()
         .table(table)
@@ -302,16 +295,14 @@ pub fn update_history_dimension(
     let inserted = to_insert.len();
     t.insert(to_insert)?;
     let commit = txn.commit();
-    Ok(record_op(
-        span,
-        OpReport {
-            name: op_name(table),
-            updated: closed,
-            inserted,
-            deleted: 0,
-            commit,
-        },
-    ))
+    Ok(record_op(OpReport {
+        name: op_name(table),
+        updated: closed,
+        inserted,
+        deleted: 0,
+        commit,
+        elapsed: started.elapsed(),
+    }))
 }
 
 /// Business-key → current-surrogate maps for the maintained dimensions
@@ -351,7 +342,7 @@ fn insert_resolved(
     refresh_seq: u32,
     resolvers: &Resolvers,
 ) -> Result<OpReport> {
-    let span = tpcds_obs::span("maint", "op");
+    let started = Instant::now();
     let mut inserted = 0;
     // One transaction covers the channel's sales + returns tables, so a
     // snapshot either has both inserts or neither.
@@ -392,16 +383,14 @@ fn insert_resolved(
         txn.table_mut(table)?.insert(resolved)?;
     }
     let commit = txn.commit();
-    Ok(record_op(
-        span,
-        OpReport {
-            name,
-            updated: 0,
-            inserted,
-            deleted: 0,
-            commit,
-        },
-    ))
+    Ok(record_op(OpReport {
+        name,
+        updated: 0,
+        inserted,
+        deleted: 0,
+        commit,
+        elapsed: started.elapsed(),
+    }))
 }
 
 /// Business key → current surrogate key. For history-keeping dimensions
@@ -447,7 +436,7 @@ pub fn delete_fact_range(
     generator: &Generator,
     refresh_seq: u32,
 ) -> Result<OpReport> {
-    let span = tpcds_obs::span("maint", "op");
+    let started = Instant::now();
     let (lo, hi) = generator.refresh_delete_range(refresh_seq);
     let (lo_sk, hi_sk) = (lo.date_sk(), hi.date_sk());
     let column = |table, name| {
@@ -496,16 +485,14 @@ pub fn delete_fact_range(
         });
     }
     let commit = txn.commit();
-    Ok(record_op(
-        span,
-        OpReport {
-            name: "delete_fact_range",
-            updated: 0,
-            inserted: 0,
-            deleted,
-            commit,
-        },
-    ))
+    Ok(record_op(OpReport {
+        name: "delete_fact_range",
+        updated: 0,
+        inserted: 0,
+        deleted,
+        commit,
+        elapsed: started.elapsed(),
+    }))
 }
 
 /// Loads the initial population of every table into the database
@@ -520,11 +507,12 @@ pub fn delete_fact_range(
 /// maps and folds its statistics. The tasks of all tables share one list,
 /// largest first, and every worker pulls from it; a table is then its
 /// segments, maps and statistics in segment order — the same whoever ran
-/// which task — and the whole load publishes as one commit. The
-/// `maint/load` span says where the time went: `generate_us`,
-/// `index_us` and `stats_us` are the workers' busy time in each step.
+/// which task — and the whole load publishes as one commit. The registry
+/// counters `maint.load.generate_us`, `maint.load.index_us` and
+/// `maint.load.stats_us` say where the time went: the workers' busy time
+/// in each step.
 pub fn load_initial_population(db: &Database, generator: &Generator) -> Result<()> {
-    let span = tpcds_obs::span("maint", "load");
+    let _span = tpcds_obs::span("maint", "load");
     let schema = generator.schema();
     let tables = basic_index_columns(generator);
     let cells = |&(t, k): &(usize, usize)| {
@@ -569,7 +557,6 @@ pub fn load_initial_population(db: &Database, generator: &Generator) -> Result<(
             .for_each(|(m, map)| m.push(map));
         load.stats.push(stats);
     }
-    let segments: usize = loads.iter().map(|l| l.segments.len()).sum();
     let mut txn = db.begin();
     tpcds_engine::create_tpcds_tables(&mut txn, schema)?;
     for ((table, indexed), load) in tables.iter().zip(loads) {
@@ -587,14 +574,12 @@ pub fn load_initial_population(db: &Database, generator: &Generator) -> Result<(
         t.load(data, indexes, stats)?;
     }
     txn.commit();
-    let us = |d: Duration| d.as_micros() as u64;
-    span.field("tables", tables.len())
-        .field("segments", segments)
-        .field("workers", workers)
-        .field("generate_us", us(busy[0]))
-        .field("index_us", us(busy[1]))
-        .field("stats_us", us(busy[2]))
-        .finish();
+    for (name, d) in ["load.generate_us", "load.index_us", "load.stats_us"]
+        .into_iter()
+        .zip(busy)
+    {
+        tpcds_obs::counter("maint", name, d.as_micros() as f64);
+    }
     Ok(())
 }
 

@@ -63,7 +63,7 @@ pub fn bounds() -> &'static [u64] {
 /// `>= v`. An octave holds about four buckets, so the scan from the
 /// octave's first is short (this runs once per sample, and once per cell
 /// when table statistics are collected).
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     let Layout { bounds, octave } = layout();
     let mut i = v
         .checked_ilog2()
@@ -77,7 +77,7 @@ pub fn bucket_index(v: u64) -> usize {
 /// The inclusive upper bound of bucket `i` — the value a percentile read
 /// reports for samples landing in that bucket (an overestimate of at most
 /// ~20%).
-pub fn bucket_bound(i: usize) -> u64 {
+fn bucket_bound(i: usize) -> u64 {
     bounds()[i.min(bounds().len() - 1)]
 }
 
@@ -150,7 +150,7 @@ impl std::fmt::Debug for Histogram {
 
 /// A frozen, single-threaded histogram: bucket counts plus exact sample
 /// count and sum. Also usable directly as a cheap accumulator where no
-/// concurrency is involved (trace reports).
+/// concurrency is involved ([`LatencyStats`]).
 #[derive(Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
     counts: Vec<u64>,
@@ -346,6 +346,39 @@ impl std::fmt::Debug for HistSnapshot {
     }
 }
 
+/// Latency distribution summary of one population of durations.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LatencyStats {
+    /// Sample count.
+    pub count: u64,
+    /// Sum of durations, microseconds (exact).
+    pub total_us: u64,
+    /// Median, microseconds (histogram-quantized: ≤ ~20% overestimate).
+    pub p50_us: u64,
+    /// 95th percentile, microseconds (histogram-quantized).
+    pub p95_us: u64,
+    /// Maximum, microseconds (histogram-quantized).
+    pub max_us: u64,
+}
+
+impl LatencyStats {
+    /// Computes the summary from raw durations (order irrelevant) by
+    /// folding them through a log-bucketed histogram.
+    pub fn from_durations_us(durs: Vec<u64>) -> LatencyStats {
+        let mut h = HistSnapshot::new();
+        for d in durs {
+            h.record(d);
+        }
+        LatencyStats {
+            count: h.count,
+            total_us: h.sum,
+            p50_us: h.percentile(50.0),
+            p95_us: h.percentile(95.0),
+            max_us: h.max(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,5 +530,18 @@ mod tests {
         let back = HistSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, h);
         assert!(HistSnapshot::from_json(&Json::parse("{}").unwrap()).is_err());
+    }
+
+    #[test]
+    fn latency_stats_come_from_histograms() {
+        // The value a histogram-backed stat reports for a raw duration.
+        let q = |v| bucket_bound(bucket_index(v));
+        let s = LatencyStats::from_durations_us(vec![300, 700]);
+        assert_eq!(s.count, 2);
+        assert_eq!(s.total_us, 1000, "sum stays exact");
+        assert_eq!(s.p50_us, q(300));
+        assert_eq!(s.max_us, q(700));
+        assert!(s.p50_us >= 300 && s.p50_us <= 360, "p50={}", s.p50_us);
+        assert!(s.p50_us <= s.p95_us && s.p95_us <= s.max_us);
     }
 }

@@ -1,9 +1,10 @@
 //! A minimal JSON value: hand-rolled writer and parser.
 //!
-//! The build resolves no third-party crates, so the trace format is
-//! produced and consumed by this ~200-line module instead of serde. It
-//! covers exactly what the trace schema needs: objects, arrays, strings,
-//! integers, floats, booleans and null, with strict escaping.
+//! The build resolves no third-party crates, so every JSON surface (the
+//! wire protocol, `--json` results, metrics snapshots) is produced and
+//! consumed by this ~200-line module instead of serde. It covers objects,
+//! arrays, strings, integers, floats, booleans and null, with strict
+//! escaping.
 
 use std::fmt;
 
@@ -396,5 +397,65 @@ mod tests {
     fn non_finite_floats_become_null() {
         assert_eq!(Json::Float(f64::NAN).to_string(), "null");
         assert_eq!(Json::Float(f64::INFINITY).to_string(), "null");
+    }
+
+    fn roundtrip(doc: &Json) -> Json {
+        let line = doc.to_string();
+        Json::parse(&line).unwrap_or_else(|err| panic!("parse {line}: {err}"))
+    }
+
+    #[test]
+    fn control_characters_in_strings_survive() {
+        // Every ASCII control character, plus the JSON two-char escapes.
+        let mut hostile = String::new();
+        for b in 0u8..0x20 {
+            hostile.push(b as char);
+        }
+        hostile.push_str("\"quoted\" back\\slash /slash");
+        let doc = Json::Obj(vec![("text".into(), Json::Str(hostile))]);
+        let line = doc.to_string();
+        // The serialized text stays a single line (embedded \n escaped).
+        assert_eq!(line.lines().count(), 1, "{line:?}");
+        assert!(line.contains("\\n") && line.contains("\\t"), "{line}");
+        assert!(line.contains("\\u0000"), "{line}");
+        assert_eq!(roundtrip(&doc), doc);
+    }
+
+    #[test]
+    fn unicode_escapes_and_multibyte_text_survive() {
+        let doc = Json::Obj(vec![
+            ("table".into(), Json::Str("ítem — 商品 🛒".into())),
+            ("note".into(), Json::Str("\u{1} bell \u{7}".into())),
+        ]);
+        assert_eq!(roundtrip(&doc), doc);
+        // Escaped unicode in the input parses to the same scalar values.
+        let parsed = Json::parse("\"\\u00e9\\u0001\"").unwrap();
+        assert_eq!(parsed.as_str(), Some("é\u{1}"));
+        // Surrogate-free astral plane text survives via raw UTF-8 bytes.
+        let line = Json::Str("🛒".into()).to_string();
+        assert_eq!(Json::parse(&line).unwrap().as_str(), Some("🛒"));
+    }
+
+    #[test]
+    fn hostile_object_keys_round_trip() {
+        let doc = Json::Obj(vec![
+            ("weird \"key\"\n".into(), Json::Int(1)),
+            ("".into(), Json::Str(String::new())),
+        ]);
+        assert_eq!(roundtrip(&doc), doc);
+    }
+
+    #[test]
+    fn malformed_json_text_errors() {
+        for input in [
+            "{",
+            "{\"ts_us\":}",
+            "\"unterminated",
+            "{\"a\":\"\\u00\"}",
+            "nullish",
+            "[1,2",
+        ] {
+            assert!(Json::parse(input).is_err(), "{input:?} should fail");
+        }
     }
 }

@@ -16,9 +16,9 @@
 //! wrapper) see all zeros; callers can check [`installed`].
 //!
 //! [`Watermark`] measures the peak *growth* of live memory inside a scope
-//! (EXPLAIN ANALYZE per-operator `mem_peak=`, runner phases, join build
-//! footprints). Watermarks nest correctly on one thread — each restores
-//! the enclosing scope's view of the peak when dropped — but concurrent
+//! (EXPLAIN ANALYZE per-operator `mem_peak=`, join build footprints).
+//! Watermarks nest correctly on one thread — each restores the enclosing
+//! scope's view of the peak when dropped — but concurrent
 //! watermarks on different threads share the single process-wide peak
 //! register and will observe each other's resets; see
 //! `docs/OBSERVABILITY.md` for the caveats.

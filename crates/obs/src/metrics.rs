@@ -5,9 +5,8 @@
 //! Metric names follow the repository's `layer.name` scheme (see
 //! `docs/OBSERVABILITY.md`): the emitting layer, a dot, then a
 //! dot-separated metric path — `storage.scan.rows`, `storage.join.build_rows`,
-//! `runner.query_us`. [`crate::counter`] feeds every recorded counter into
-//! the registry automatically while it is enabled, so the `/metrics` view
-//! and the JSONL trace stay consistent without double instrumentation.
+//! `runner.query_us`. [`crate::counter`] and [`crate::span`] feed it while
+//! it is enabled; it is the only sink they have.
 //!
 //! The registry is **off by default**: recording functions are a single
 //! relaxed atomic load until [`enable`] (or [`serve`], which implies it)

@@ -4,7 +4,7 @@
 //! The engine owns one [`QueryLog`] per `Database` and its statement
 //! pipeline pushes one record per statement — success or error — so
 //! `sys.query_log` answers "what ran, how long, on which snapshot, and
-//! why was it slow" without a trace file. The ring holds the most recent
+//! why was it slow" after the fact. The ring holds the most recent
 //! `capacity` records (default 1024, `TPCDS_QUERY_LOG_CAP` overrides);
 //! [`QueryLog::total_recorded`] counts every push monotonically so
 //! wraparound never hides whether records were produced at all — the

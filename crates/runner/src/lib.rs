@@ -24,8 +24,8 @@ use std::time::{Duration, Instant};
 use tpcds_dgen::Generator;
 use tpcds_engine::Database;
 use tpcds_maint::MaintenanceReport;
+use tpcds_obs::hist::LatencyStats;
 use tpcds_obs::json::Json;
-use tpcds_obs::report::LatencyStats;
 use tpcds_qgen::Workload;
 
 /// Which auxiliary data structures the load builds (paper §2.1: the
@@ -157,7 +157,8 @@ impl BenchmarkResult {
 
     /// Serializes the whole result — config, phase timings, the metric,
     /// per-query timings and latency summaries, and the maintenance
-    /// outcome — as one JSON object (the CLI's `--json` output).
+    /// outcome (each operation's rows, wall time and commit profile) — as
+    /// one JSON object (the CLI's `--json` output).
     pub fn to_json(&self) -> Json {
         let us = |d: Duration| Json::Int(d.as_micros() as i64);
         let timings: Vec<Json> = self
@@ -193,11 +194,20 @@ impl BenchmarkResult {
             .ops
             .iter()
             .map(|o| {
+                let n = |v: usize| Json::Int(v as i64);
+                let c = &o.commit;
                 Json::Obj(vec![
                     ("name".into(), Json::Str(o.name.to_string())),
-                    ("updated".into(), Json::Int(o.updated as i64)),
-                    ("inserted".into(), Json::Int(o.inserted as i64)),
-                    ("deleted".into(), Json::Int(o.deleted as i64)),
+                    ("updated".into(), n(o.updated)),
+                    ("inserted".into(), n(o.inserted)),
+                    ("deleted".into(), n(o.deleted)),
+                    ("elapsed_us".into(), us(o.elapsed)),
+                    ("tables_changed".into(), n(c.tables_changed)),
+                    ("segments_rebuilt".into(), n(c.segments_rebuilt)),
+                    ("rows_masked".into(), n(c.rows_masked)),
+                    ("segments_compacted".into(), n(c.segments_compacted)),
+                    ("stats_cells_folded".into(), n(c.stats_cells_folded)),
+                    ("stats_cells_retracted".into(), n(c.stats_cells_retracted)),
                 ])
             })
             .collect();
@@ -264,16 +274,13 @@ pub fn run_benchmark(config: BenchmarkConfig) -> Result<BenchmarkResult, RunErro
 
     // ---- Load test (timed) ----
     let db = std::sync::Arc::new(Database::new());
-    let mut phase = tpcds_obs::span("runner", "phase").field("phase", "load");
-    let wm = tpcds_obs::mem::Watermark::start();
+    let phase = tpcds_obs::span("runner", "phase");
     let load_start = Instant::now();
     tpcds_maint::load_initial_population(&db, &generator).map_err(|e| RunError::Engine(0, e))?;
     if config.aux == AuxLevel::Reporting {
         build_reporting_aux(&db).map_err(|e| RunError::Engine(0, e))?;
     }
     let t_load = load_start.elapsed();
-    phase.add_field("mem_peak", wm.peak_delta() as i64);
-    drop(wm);
     phase.finish();
 
     // Server mode: the query runs go over loopback TCP. The untimed
@@ -294,8 +301,7 @@ pub fn run_benchmark(config: BenchmarkConfig) -> Result<BenchmarkResult, RunErro
     let server_addr = server.as_ref().map(|s| s.local_addr());
 
     // ---- Query run 1 ----
-    let mut phase = tpcds_obs::span("runner", "phase").field("phase", "qr1");
-    let wm = tpcds_obs::mem::Watermark::start();
+    let phase = tpcds_obs::span("runner", "phase");
     let (t_qr1, mut query_timings) = query_run(
         &db,
         &workload,
@@ -305,24 +311,18 @@ pub fn run_benchmark(config: BenchmarkConfig) -> Result<BenchmarkResult, RunErro
         1,
         server_addr,
     )?;
-    phase.add_field("mem_peak", wm.peak_delta() as i64);
-    drop(wm);
     phase.finish();
 
     // ---- Data maintenance run ----
-    let mut phase = tpcds_obs::span("runner", "phase").field("phase", "dm");
-    let wm = tpcds_obs::mem::Watermark::start();
+    let phase = tpcds_obs::span("runner", "phase");
     let dm_start = Instant::now();
     let maintenance =
         tpcds_maint::run_maintenance(&db, &generator, 0).map_err(|e| RunError::Engine(0, e))?;
     let t_dm = dm_start.elapsed();
-    phase.add_field("mem_peak", wm.peak_delta() as i64);
-    drop(wm);
     phase.finish();
 
     // ---- Query run 2 ----
-    let mut phase = tpcds_obs::span("runner", "phase").field("phase", "qr2");
-    let wm = tpcds_obs::mem::Watermark::start();
+    let phase = tpcds_obs::span("runner", "phase");
     let (t_qr2, timings2) = query_run(
         &db,
         &workload,
@@ -333,8 +333,6 @@ pub fn run_benchmark(config: BenchmarkConfig) -> Result<BenchmarkResult, RunErro
         server_addr,
     )?;
     query_timings.extend(timings2);
-    phase.add_field("mem_peak", wm.peak_delta() as i64);
-    drop(wm);
     phase.finish();
 
     if let Some(server) = server {
@@ -398,10 +396,7 @@ fn query_run(
                             return;
                         }
                     };
-                    let span = tpcds_obs::span("runner", "query")
-                        .field("run", run)
-                        .field("stream", s)
-                        .field("query", id);
+                    let span = tpcds_obs::span("runner", "query");
                     let q_start = Instant::now();
                     let rows = match &mut client {
                         None => tpcds_engine::query(db, &sql)
@@ -414,7 +409,7 @@ fn query_run(
                     };
                     match rows {
                         Ok(rows) => {
-                            span.field("rows", rows).finish();
+                            span.finish();
                             timings.lock().expect("poisoned").push(QueryTiming {
                                 run,
                                 stream: s,
@@ -515,6 +510,14 @@ mod tests {
                 .map(|a| a.len()),
             Some(40)
         );
+        // Each maintenance entry carries its wall time and commit profile.
+        let maintenance = parsed.get("maintenance").and_then(|j| j.as_arr()).unwrap();
+        assert_eq!(maintenance.len(), 12);
+        for (entry, op) in maintenance.iter().zip(&result.maintenance.ops) {
+            let field = |k| entry.get(k).and_then(|j| j.as_i64()).unwrap();
+            assert!(field("elapsed_us") > 0, "{}", op.name);
+            assert_eq!(field("segments_rebuilt"), op.commit.segments_rebuilt as i64);
+        }
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl Shared {
     fn session_opened(&self, info: &Arc<SessionInfo>) {
         let n = self.sessions_active.fetch_add(1, Ordering::SeqCst) + 1;
         tpcds_obs::metrics::gauge_set("server.sessions_active", n);
-        tpcds_obs::counter("server", "connections", 1.0, &[]);
+        tpcds_obs::counter("server", "connections", 1.0);
         self.sessions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -285,11 +285,6 @@ impl Server {
         let accept = std::thread::Builder::new()
             .name("tpcds-accept".to_string())
             .spawn(move || accept_loop(listener, accept_shared))?;
-        tpcds_obs::point(
-            "server",
-            "listening",
-            &[("addr", local_addr.to_string().into())],
-        );
         Ok(Server {
             shared,
             local_addr,
@@ -343,7 +338,6 @@ impl Server {
             let _ = h.join();
         }
         self.drain();
-        tpcds_obs::point("server", "stopped", &[]);
     }
 
     /// Waits (bounded) for active sessions to notice the flag and exit.
@@ -396,8 +390,7 @@ fn run_session(mut stream: TcpStream, id: u64, shared: Arc<Shared>) {
         shared: &shared,
         id,
     };
-    let span = tpcds_obs::span("server", "session").field("session", id as i64);
-    let mut queries = 0u64;
+    let _span = tpcds_obs::span("server", "session");
     // Short read slices let the session poll the shutdown flag and its
     // idle deadline while parked between requests.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
@@ -410,7 +403,7 @@ fn run_session(mut stream: TcpStream, id: u64, shared: Arc<Shared>) {
             Ok(Some((req, nread))) => {
                 last_activity = Instant::now();
                 info.bytes_in.fetch_add(nread, Ordering::SeqCst);
-                let (resp, close) = handle_request(&shared, &info, &req, &mut queries);
+                let (resp, close) = handle_request(&shared, &info, &req);
                 match protocol::write_frame(&mut stream, &resp) {
                     Ok(nwritten) => {
                         info.bytes_out.fetch_add(nwritten as u64, Ordering::SeqCst);
@@ -424,7 +417,7 @@ fn run_session(mut stream: TcpStream, id: u64, shared: Arc<Shared>) {
             Ok(None) => break, // clean EOF or shutdown observed
             Err(Idle::Waiting) => {
                 if last_activity.elapsed() >= shared.idle_timeout {
-                    tpcds_obs::counter("server", "idle_closed", 1.0, &[]);
+                    tpcds_obs::counter("server", "idle_closed", 1.0);
                     break;
                 }
             }
@@ -436,7 +429,6 @@ fn run_session(mut stream: TcpStream, id: u64, shared: Arc<Shared>) {
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
-    span.field("queries", queries).finish();
 }
 
 enum Idle {
@@ -526,12 +518,7 @@ fn error_response(msg: String) -> Json {
 
 /// Dispatches one request; returns the response and whether to close the
 /// connection afterwards.
-fn handle_request(
-    shared: &Shared,
-    session: &SessionInfo,
-    req: &Json,
-    queries: &mut u64,
-) -> (Json, bool) {
+fn handle_request(shared: &Shared, session: &SessionInfo, req: &Json) -> (Json, bool) {
     let kind = req.get("type").and_then(Json::as_str).unwrap_or("");
     match kind {
         "ping" => {
@@ -541,7 +528,6 @@ fn handle_request(
             (Json::Obj(fields), false)
         }
         "query" => {
-            *queries += 1;
             session.queries.fetch_add(1, Ordering::SeqCst);
             (run_query(shared, session, req), false)
         }
@@ -582,12 +568,6 @@ fn handle_request(
         }
         "shutdown" => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            // Wake the accept loop so `wait()`/`shutdown()` can join it.
-            tpcds_obs::point(
-                "server",
-                "shutdown_requested",
-                &[("session", (session.id as i64).into())],
-            );
             let mut fields = ok_base(shared.db.version());
             fields.push(("shutting_down".to_string(), Json::Bool(true)));
             (Json::Obj(fields), true)
@@ -639,9 +619,7 @@ fn run_query(shared: &Shared, session: &SessionInfo, req: &Json) -> Json {
         .unwrap_or_else(tpcds_obs::qlog::next_query_id);
 
     let started = Instant::now();
-    let span = tpcds_obs::span("server", "query")
-        .field("session", session.id as i64)
-        .field("query_id", query_id.clone());
+    let span = tpcds_obs::span("server", "query");
     *session.current.lock().unwrap_or_else(|e| e.into_inner()) = Some(InflightQuery {
         query_id: query_id.clone(),
         sql: sql.to_string(),
@@ -680,7 +658,7 @@ fn run_query(shared: &Shared, session: &SessionInfo, req: &Json) -> Json {
     let (result, version) = match ran {
         Ok((result, profile)) => {
             if shared.slow_query_us > 0 && elapsed_us >= shared.slow_query_us {
-                tpcds_obs::counter("server", "slow_queries", 1.0, &[]);
+                tpcds_obs::counter("server", "slow_queries", 1.0);
                 let r = &profile.record;
                 eprintln!(
                     "[slow-query] session={} query_id={} wall_us={elapsed_us} parse_us={} plan_us={} exec_us={} rows={} version={}\n  sql: {sql}\n{}",
@@ -712,10 +690,8 @@ fn run_query(shared: &Shared, session: &SessionInfo, req: &Json) -> Json {
     };
     match result {
         Ok(res) => {
-            tpcds_obs::counter("server", "queries", 1.0, &[]);
-            span.field("version", version)
-                .field("rows", res.rows.len())
-                .finish();
+            tpcds_obs::counter("server", "queries", 1.0);
+            span.finish();
             let mut fields = ok_base(version);
             fields.push((
                 "columns".to_string(),
@@ -730,8 +706,8 @@ fn run_query(shared: &Shared, session: &SessionInfo, req: &Json) -> Json {
             Json::Obj(fields)
         }
         Err(e) => {
-            tpcds_obs::counter("server", "errors", 1.0, &[]);
-            span.field("error", e.clone()).finish();
+            tpcds_obs::counter("server", "errors", 1.0);
+            span.finish();
             error_response(e)
         }
     }

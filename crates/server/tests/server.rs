@@ -397,6 +397,13 @@ fn slow_queries_render_their_profile_and_are_counted() {
     )
     .unwrap();
     tpcds_obs::metrics::enable();
+    let counter = |wanted: &str| {
+        tpcds_obs::metrics::counters_snapshot()
+            .into_iter()
+            .find(|(name, _)| name == wanted)
+            .map_or(0, |(_, v)| v)
+    };
+    let joined_before = counter("storage.join.rows");
     let mut c = Client::connect(server.local_addr()).unwrap();
     // Heavy enough to clear 1ms: the statement runs like any other and
     // then renders its own profile (the `[slow-query]` block on stderr).
@@ -404,12 +411,16 @@ fn slow_queries_render_their_profile_and_are_counted() {
         .query("select count(*) from t a, t b, t c, t d, t e, t f, t g, t h")
         .unwrap();
     assert_eq!(r.rows[0][0].as_int(), Some(3i64.pow(8)));
-    let slow = tpcds_obs::metrics::counters_snapshot()
-        .into_iter()
-        .find(|(name, _)| name == "server.slow_queries")
-        .map(|(_, v)| v)
-        .unwrap_or(0);
-    assert!(slow >= 1, "slow query was not counted");
+    assert!(
+        counter("server.slow_queries") >= 1,
+        "slow query was not counted"
+    );
+    // Storage counters reach the registry once it is enabled; nothing else
+    // needs installing.
+    assert!(
+        counter("storage.join.rows") > joined_before,
+        "join rows were not counted"
+    );
     server.shutdown();
 }
 

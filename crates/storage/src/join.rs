@@ -514,20 +514,11 @@ fn prepare<'a>(
 }
 
 fn emit_counters(stats: &JoinStats) {
-    if !tpcds_obs::is_enabled() {
-        return;
-    }
-    let w = [("workers", tpcds_obs::FieldValue::Int(stats.workers as i64))];
-    tpcds_obs::counter("storage", "join.build_rows", stats.build_rows as f64, &w);
-    tpcds_obs::counter("storage", "join.partitions", stats.partitions as f64, &w);
-    tpcds_obs::counter(
-        "storage",
-        "join.probe_morsels",
-        stats.probe_morsels as f64,
-        &w,
-    );
-    tpcds_obs::counter("storage", "join.rows", stats.rows_out as f64, &w);
-    tpcds_obs::counter("storage", "join.build_bytes", stats.build_bytes as f64, &w);
+    tpcds_obs::counter("storage", "join.build_rows", stats.build_rows as f64);
+    tpcds_obs::counter("storage", "join.partitions", stats.partitions as f64);
+    tpcds_obs::counter("storage", "join.probe_morsels", stats.probe_morsels as f64);
+    tpcds_obs::counter("storage", "join.rows", stats.rows_out as f64);
+    tpcds_obs::counter("storage", "join.build_bytes", stats.build_bytes as f64);
 }
 
 /// Partitioned parallel hash join: `probe ⋈ build` on
@@ -634,11 +625,10 @@ pub fn par_hash_join_agg(
         table.segments[si].columns[c].value_at(i)
     };
 
-    let partials = run_workers(morsels.len(), workers, |w, chunks| {
-        let mut span = tpcds_obs::span("storage", "join_agg_worker").field("worker", w);
+    let partials = run_workers(morsels.len(), workers, |chunks| {
+        let _span = tpcds_obs::span("storage", "join_agg_worker");
         let mut map: GroupMap = HashMap::new();
         let mut sel = Vec::new();
-        let mut done = 0usize;
         // The first aggregate failure stops folding, but the worker keeps
         // draining morsels so predicate and residual kernels still see
         // every row — their deferred-error cells stay complete and
@@ -666,9 +656,7 @@ pub fn par_hash_join_agg(
                     })
                     .err();
             }
-            done += 1;
         }
-        span.add_field("morsels", done);
         failed.map_or(Ok(map), Err)
     });
 

@@ -28,19 +28,6 @@ pub const MORSEL_ROWS: usize = 8_192;
 /// work is smaller than the cost of spawning workers.
 pub(crate) const INLINE_ROWS: usize = 16_384;
 
-/// Whether per-morsel detail spans are on (`TPCDS_OBS_DETAIL=1`/`on`).
-/// One span per 8k-row morsel is too hot for routine runs, but gives the
-/// Chrome trace export morsel-granularity bars on each worker track.
-pub(crate) fn detail_enabled() -> bool {
-    use std::sync::OnceLock;
-    static DETAIL: OnceLock<bool> = OnceLock::new();
-    *DETAIL.get_or_init(|| {
-        std::env::var("TPCDS_OBS_DETAIL")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("on"))
-            .unwrap_or(false)
-    })
-}
-
 /// What one columnar scan did — surfaced in obs counters and in the
 /// engine's EXPLAIN ANALYZE output.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -82,13 +69,9 @@ pub(crate) fn worker_count(rows: usize, threads: usize, n_morsels: usize) -> usi
 }
 
 pub(crate) fn emit_counters(stats: &ScanStats) {
-    if !tpcds_obs::is_enabled() {
-        return;
-    }
-    let w = [("workers", tpcds_obs::FieldValue::Int(stats.workers as i64))];
-    tpcds_obs::counter("storage", "scan.morsels", stats.morsels as f64, &w);
-    tpcds_obs::counter("storage", "scan.rows", stats.rows_scanned as f64, &w);
-    tpcds_obs::counter("storage", "scan.bytes", stats.bytes as f64, &w);
+    tpcds_obs::counter("storage", "scan.morsels", stats.morsels as f64);
+    tpcds_obs::counter("storage", "scan.rows", stats.rows_scanned as f64);
+    tpcds_obs::counter("storage", "scan.bytes", stats.bytes as f64);
 }
 
 /// Hands the chunk indexes `0..n` to workers, each exactly once: fast
@@ -105,29 +88,24 @@ impl Chunks {
     }
 }
 
-/// Runs `worker(w, chunks)` on `workers` scoped threads sharing one
+/// Runs `worker(chunks)` on `workers` scoped threads sharing one
 /// [`Chunks`] cursor over `0..n` (inline on the calling thread when one
 /// worker suffices), for kernels that fold chunks into per-worker state.
 /// Returns one result per worker.
 pub(crate) fn run_workers<T: Send>(
     n: usize,
     workers: usize,
-    worker: impl Fn(usize, &Chunks) -> T + Sync,
+    worker: impl Fn(&Chunks) -> T + Sync,
 ) -> Vec<T> {
     let chunks = Chunks {
         cursor: AtomicUsize::new(0),
         n,
     };
     if workers <= 1 {
-        return vec![worker(0, &chunks)];
+        return vec![worker(&chunks)];
     }
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (worker, chunks) = (&worker, &chunks);
-                s.spawn(move || worker(w, chunks))
-            })
-            .collect();
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(|| worker(&chunks))).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     })
 }
@@ -145,14 +123,11 @@ pub fn run_chunks<T: Send, F: Fn(usize) -> T + Sync>(
 ) -> Vec<T> {
     let slots: Vec<std::sync::Mutex<Option<T>>> =
         (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    run_workers(n, workers, |w, chunks| {
-        let mut span = tpcds_obs::span("storage", span).field("worker", w);
-        let mut done = 0usize;
+    run_workers(n, workers, |chunks| {
+        let _span = tpcds_obs::span("storage", span);
         while let Some(m) = chunks.next() {
             *slots[m].lock().unwrap() = Some(f(m));
-            done += 1;
         }
-        span.add_field("chunks", done);
     });
     slots
         .into_iter()
@@ -167,12 +142,9 @@ pub fn par_filter(batch: &Batch, threads: usize) -> (Vec<Row>, ScanStats) {
     let (table, pred, proj) = (&*batch.table, batch.pred.as_ref(), batch.proj.as_deref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
-    let detail = tpcds_obs::is_enabled() && detail_enabled();
     // Per-morsel output buffers, reassembled in morsel order so the
     // result is byte-identical to a serial scan.
     let parts = run_chunks("scan_worker", morsels.len(), workers, |m| {
-        let _detail_span =
-            detail.then(|| tpcds_obs::span("storage", "scan_morsel").field("morsel", m));
         let (si, off, len) = morsels[m];
         filter_morsel(table, si, off, len, pred, proj)
     });
@@ -216,7 +188,7 @@ pub fn scan_range<E>(
     mut visit: impl FnMut(Row) -> Result<bool, E>,
 ) -> Result<ScanStats, E> {
     let (table, pred, proj) = (&*batch.table, batch.pred.as_ref(), batch.proj.as_deref());
-    let _span = tpcds_obs::span("storage", "scan_worker").field("worker", 0usize);
+    let _span = tpcds_obs::span("storage", "scan_worker");
     let mut stats = ScanStats {
         workers: 1,
         ..ScanStats::default()
@@ -295,19 +267,12 @@ pub fn par_aggregate(
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
 
-    let partials = run_workers(morsels.len(), workers, |w, chunks| {
-        let mut span = tpcds_obs::span("storage", "agg_worker").field("worker", w);
-        let detail = tpcds_obs::is_enabled() && detail_enabled();
+    let partials = run_workers(morsels.len(), workers, |chunks| {
+        let _span = tpcds_obs::span("storage", "agg_worker");
         let mut map: GroupMap = HashMap::new();
         let mut sel = Vec::new();
-        let mut done = 0usize;
         let mut failed: Option<StorageError> = None;
         while let Some(m) = chunks.next() {
-            let _detail_span = detail.then(|| {
-                tpcds_obs::span("storage", "agg_morsel")
-                    .field("worker", w)
-                    .field("morsel", m)
-            });
             let (si, off, len) = morsels[m];
             if failed.is_some() {
                 // An aggregate already failed, but the caller reports a
@@ -323,11 +288,8 @@ pub fn par_aggregate(
             if let Err(e) = agg_morsel(table, si, off, len, pred, groups, aggs, &mut map, &mut sel)
             {
                 failed = Some(e);
-                continue;
             }
-            done += 1;
         }
-        span.add_field("morsels", done);
         failed.map_or(Ok(map), Err)
     });
 

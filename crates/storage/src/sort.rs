@@ -29,7 +29,7 @@
 use crate::agg::{AggKind, PAcc};
 use crate::batch::{gather, Batch, Take, NO_ROW};
 use crate::column::ColumnData;
-use crate::morsel::{detail_enabled, morsels_of, run_chunks, run_workers, worker_count, Chunks};
+use crate::morsel::{morsels_of, run_chunks, run_workers, worker_count, Chunks};
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
 use crate::{StorageError, MORSEL_ROWS};
@@ -332,16 +332,12 @@ fn kway_merge(runs: Vec<Vec<Entry>>, keys: &[SortKey]) -> Vec<Entry> {
 // ---------- observability ----------
 
 fn emit_counters(stats: &SortStats, topn: bool) {
-    if !tpcds_obs::is_enabled() {
-        return;
-    }
-    let w = [("workers", tpcds_obs::FieldValue::Int(stats.workers as i64))];
-    tpcds_obs::counter("storage", "sort.rows", stats.rows_in as f64, &w);
+    tpcds_obs::counter("storage", "sort.rows", stats.rows_in as f64);
     if topn {
-        tpcds_obs::counter("storage", "topn.heap_peak", stats.heap_rows as f64, &w);
-        tpcds_obs::counter("storage", "topn.pruned_rows", stats.pruned_rows as f64, &w);
+        tpcds_obs::counter("storage", "topn.heap_peak", stats.heap_rows as f64);
+        tpcds_obs::counter("storage", "topn.pruned_rows", stats.pruned_rows as f64);
     } else {
-        tpcds_obs::counter("storage", "sort.merge_ways", stats.merge_ways as f64, &w);
+        tpcds_obs::counter("storage", "sort.merge_ways", stats.merge_ways as f64);
     }
 }
 
@@ -353,9 +349,7 @@ struct TopNPart {
     qualifying: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn topn_worker(
-    w: usize,
     chunks: &Chunks,
     table: &ColumnTable,
     morsels: &[(usize, usize, usize)],
@@ -364,18 +358,11 @@ fn topn_worker(
     enc: bool,
     limit: usize,
 ) -> TopNPart {
-    let mut span = tpcds_obs::span("storage", "topn_worker").field("worker", w);
-    let detail = tpcds_obs::is_enabled() && detail_enabled();
+    let _span = tpcds_obs::span("storage", "topn_worker");
     let mut heap: Vec<Entry> = Vec::with_capacity(limit.min(4096));
     let mut qualifying = 0u64;
     let mut sel = Vec::new();
-    let mut done = 0usize;
     while let Some(m) = chunks.next() {
-        let _detail_span = detail.then(|| {
-            tpcds_obs::span("storage", "topn_morsel")
-                .field("worker", w)
-                .field("morsel", m)
-        });
         let (si, off, len) = morsels[m];
         let seg = &table.segments[si];
         let sel_slice: Option<&[u8]> = match pred {
@@ -404,9 +391,7 @@ fn topn_worker(
                 keys,
             );
         }
-        done += 1;
     }
-    span.add_field("morsels", done);
     TopNPart {
         entries: heap,
         qualifying,
@@ -431,8 +416,8 @@ pub fn par_topn(
     let workers = worker_count(table.rows, threads, morsels.len());
     let enc = encodable(table, keys);
 
-    let parts = run_workers(morsels.len(), workers, |w, chunks| {
-        topn_worker(w, chunks, table, &morsels, pred, keys, enc, limit)
+    let parts = run_workers(morsels.len(), workers, |chunks| {
+        topn_worker(chunks, table, &morsels, pred, keys, enc, limit)
     });
 
     let qualifying: u64 = parts.iter().map(|p| p.qualifying).sum();
@@ -499,10 +484,7 @@ fn sorted_ids(batch: &Batch, keys: &[SortKey], threads: usize) -> (Vec<u32>, Sor
     let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
-    let detail = tpcds_obs::is_enabled() && detail_enabled();
     let (merged, merge_ways) = merged_runs(table, keys, morsels.len(), workers, |m| {
-        let _detail_span =
-            detail.then(|| tpcds_obs::span("storage", "sort_morsel").field("morsel", m));
         let (si, off, len) = morsels[m];
         let mut sel = Vec::new();
         if let Some(p) = pred {

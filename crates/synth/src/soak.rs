@@ -240,9 +240,7 @@ pub fn run_soak(
     generator: Option<&Generator>,
     cfg: &SoakConfig,
 ) -> SoakOutcome {
-    let span = tpcds_obs::span("synth", "run_soak")
-        .field("streams", cfg.streams as i64)
-        .field("queries", (cfg.streams * cfg.queries_per_stream) as i64);
+    let span = tpcds_obs::span("synth", "run_soak");
 
     // Keep every mid-run version reachable for pinned replays: each DM
     // sequence commits 12 versions.
@@ -397,6 +395,6 @@ pub fn run_soak(
     }
 
     out.failures.sort_by_key(|f| f.qid);
-    span.field("failures", out.failures.len() as i64).finish();
+    span.finish();
     out
 }

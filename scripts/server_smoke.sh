@@ -3,8 +3,8 @@
 #  1. boot `tpcds serve` (SF 0.005) with the Prometheus endpoint on;
 #  2. drive it with scripted `tpcds client` calls: ping, a plain query,
 #     a snapshot-pinned query, explain, stats;
-#  3. scrape /metrics and require the server.* gauges and snapshot.*
-#     series to be present;
+#  3. scrape /metrics and require the server.* gauges, snapshot.* and
+#     storage.* series to be present;
 #  4. shut it down over the wire and check the process exits cleanly.
 #
 # Knobs:
@@ -71,14 +71,16 @@ test "$LOGGED" -gt 0
     | grep -q 'smoke-q1'
 "$TPCDS" top --addr "$ADDR" --once | grep -q 'SESSIONS'
 
-# The Prometheus endpoint exports the server and snapshot series
-# (names are prefixed `tpcds_` and dots become underscores).
+# The Prometheus endpoint exports the server, snapshot and storage series
+# (names are prefixed `tpcds_` and dots become underscores). Storage
+# counters need no flag beyond --metrics-addr.
 METRICS_OUT=$(curl -sf "http://$METRICS/metrics")
 echo "$METRICS_OUT" | grep -q '^tpcds_server_sessions_active'
 echo "$METRICS_OUT" | grep -q '^tpcds_server_queries_inflight'
 echo "$METRICS_OUT" | grep -q '^tpcds_server_admission_wait_us'
 echo "$METRICS_OUT" | grep -q '^tpcds_server_queries_total'
 echo "$METRICS_OUT" | grep -q '^tpcds_snapshot_version'
+echo "$METRICS_OUT" | grep -q '^tpcds_storage_scan_rows'
 
 # Clean shutdown over the wire: the serve process must exit by itself.
 "$TPCDS" client --addr "$ADDR" --shutdown
