@@ -428,11 +428,11 @@ pub fn serve(args: &[String]) -> Result<()> {
 }
 
 /// `tpcds synth` — synthesize a seeded SQL workload and soak it through
-/// the row-vs-columnar differential (optionally over TCP, with data
-/// maintenance committing mid-run). Prints per-shape-class routing
-/// tallies; any mismatch prints its minimized reproducer and fails.
+/// the row-vs-batch differential (optionally over TCP, with data
+/// maintenance committing mid-run). Prints per-shape-class tallies; any
+/// mismatch prints its minimized reproducer on stderr and fails.
 pub fn synth(args: &[String]) -> Result<()> {
-    use tpcds_core::synth::{coverage_report, run_soak, SoakConfig, SynthConfig};
+    use tpcds_core::synth::{run_soak, SoakConfig, SynthConfig};
 
     let flags = Flags::new(args);
     let sf: f64 = flags.parse("--scale", 0.01)?;
@@ -476,17 +476,9 @@ pub fn synth(args: &[String]) -> Result<()> {
     );
     for (class, stat) in &outcome.classes {
         println!(
-            "  {class:<18} {:>5} queries  columnar {:>5.1}%  {:>9} oracle rows",
-            stat.queries,
-            stat.columnar_frac() * 100.0,
-            stat.oracle_rows
+            "  {class:<18} {:>5} queries  {:>5} empty  {:>9} oracle rows",
+            stat.queries, stat.empty_results, stat.oracle_rows
         );
-    }
-    if let Some(out) = flags.value("--out") {
-        let report = coverage_report(&outcome, &cfg);
-        std::fs::write(out, format!("{report}\n"))
-            .map_err(|e| format!("cannot write {out:?}: {e}"))?;
-        println!("wrote {out}");
     }
     if outcome.failures.is_empty() {
         Ok(())

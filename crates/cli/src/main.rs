@@ -75,7 +75,7 @@ USAGE:
     tpcds serve   [--scale SF] [--addr HOST:PORT] [--max-queries N] [--idle-timeout SECS] [--slow-query-ms MS] [--no-aux] [--metrics-addr HOST:PORT]
     tpcds client  [--addr HOST:PORT] (--sql 'SELECT ...' [--pin VERSION] [--query-id ID] [--explain] | --ping | --stats | --shutdown)
     tpcds top     [--addr HOST:PORT] [--interval-ms MS] [--once]
-    tpcds synth   [--scale SF] [--queries N] [--streams N] [--seed S] [--dm N] [--via-server] [--out COVERAGE_8.json]
+    tpcds synth   [--scale SF] [--queries N] [--streams N] [--seed S] [--dm N] [--via-server]
 
 Scale factors are GB of raw data; fractional values (default 0.01)
 generate laptop-sized miniatures with the same shape.
@@ -96,7 +96,5 @@ TPCDS_SLOW_QUERY_MS) re-describes queries at or over the threshold on
 stderr at EXPLAIN ANALYZE detail. See docs/OBSERVABILITY.md.
 
 --threads N sets the morsel worker count for columnar scans (also via
-the TPCDS_THREADS environment variable; default available_parallelism).
-TPCDS_COLUMNAR=off|force overrides when the engine uses the columnar
-path."
+the TPCDS_THREADS environment variable; default available_parallelism)."
 }

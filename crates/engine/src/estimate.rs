@@ -9,10 +9,11 @@
 //! positions no longer map to one base table.
 //!
 //! The estimates are rendered by EXPLAIN (`est_rows=`) and EXPLAIN
-//! ANALYZE (`est=` with a `qerr=` factor against the actual `rows=`), and
-//! aggregated per template by `tpcds-bench coverage`. The map is keyed by
-//! node address, exactly like [`crate::exec::StatsMap`], so the two align
-//! node-for-node in the rendered plan.
+//! ANALYZE (`est=` with a `qerr=` factor against the actual `rows=`); each
+//! template's largest q-error is pinned in `tests/golden_answers_sf001.txt`.
+//! The map is keyed by node address, exactly like
+//! [`crate::exec::StatsMap`], so the two align node-for-node in the
+//! rendered plan.
 
 use crate::catalog::{Database, Table};
 use crate::expr::{BExpr, CmpOp};

@@ -43,7 +43,7 @@ pub enum RoutePath {
 
 impl RoutePath {
     /// Stable lower-case label (`route=` in EXPLAIN ANALYZE, `route.*`
-    /// counter suffix, coverage-report key).
+    /// counter suffix).
     pub fn as_str(self) -> &'static str {
         match self {
             RoutePath::Unset => "unset",
@@ -107,51 +107,26 @@ pub struct OpStats {
 /// of the `Bound` statement that owns the tree.
 pub type StatsMap = HashMap<usize, OpStats>;
 
-/// Which executor runs the statement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which executor runs the statement. Under either, a scan whose filter
+/// has an equality on an indexed column probes the hash index.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ColumnarMode {
     /// The serial row interpreter end to end — the differential oracle.
     Off,
-    /// Batch execution; scans with an indexable equality filter take the
-    /// hash-index probe. The default.
+    /// Batch execution. The default.
+    #[default]
     Auto,
-    /// Batch execution without index probes — the setting the
-    /// equivalence tests use to force kernel coverage.
-    Force,
-}
-
-impl ColumnarMode {
-    /// The process default: `TPCDS_COLUMNAR=off|0` disables the columnar
-    /// path, `TPCDS_COLUMNAR=force` forces it, anything else means Auto.
-    pub fn from_env() -> ColumnarMode {
-        use std::sync::OnceLock;
-        static MODE: OnceLock<ColumnarMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("TPCDS_COLUMNAR").as_deref() {
-            Ok("off") | Ok("0") => ColumnarMode::Off,
-            Ok("force") => ColumnarMode::Force,
-            _ => ColumnarMode::Auto,
-        })
-    }
 }
 
 /// Per-statement execution knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions {
-    /// Columnar routing policy.
+    /// The executor.
     pub columnar: ColumnarMode,
     /// Worker count for morsel-driven scans; `None` defers to
     /// [`tpcds_storage::effective_threads`] (`TPCDS_THREADS` /
     /// `available_parallelism`).
     pub threads: Option<usize>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            columnar: ColumnarMode::from_env(),
-            threads: None,
-        }
-    }
 }
 
 /// Per-statement execution context: the pinned snapshot the statement
@@ -853,15 +828,14 @@ fn project_table(
 /// over an indexed column and passing the whole filter — or `None` when
 /// no probe applies. The probe side may be a literal or a correlated outer
 /// reference — the latter is what makes per-outer-row EXISTS/IN subplans
-/// cheap. Force mode never probes, so tests exercise the kernels.
+/// cheap.
 fn index_probe(
     t: &crate::catalog::Table,
     filter: Option<&BExpr>,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
 ) -> Result<Option<Vec<Row>>> {
-    let f = filter.filter(|_| ctx.opts.columnar != ColumnarMode::Force);
-    let probe = f.and_then(index_probe_key);
+    let probe = filter.and_then(index_probe_key);
     let Some((idx, key_expr)) = probe.and_then(|(col, key)| Some((t.indexes.get(&col)?, key)))
     else {
         return Ok(None);

@@ -83,7 +83,7 @@ impl QueryResult {
 /// `sys.query_log` holds (identity, snapshot version, parse / plan / exec
 /// phases, wall and CPU time, rows, memory peak, admission wait, routes,
 /// error) plus the per-node actuals and the plan that keys them. EXPLAIN
-/// ANALYZE, the coverage report and the server's slow-query block are
+/// ANALYZE, [`Profile::nodes`] and the server's slow-query block are
 /// renderings of it, formatted on demand.
 #[derive(Debug, Clone)]
 pub struct Profile {
@@ -113,8 +113,8 @@ impl Profile {
     }
 
     /// Per-node machine-readable estimate/actual/routing reports, in
-    /// pre-order (including CTE bodies) — what `tpcds-bench coverage`
-    /// consumes.
+    /// pre-order (including CTE bodies) — what the golden-answer test
+    /// checks routes and q-errors on.
     pub fn nodes(&self, db: &Database) -> Vec<NodeReport> {
         let mut out = Vec::new();
         if let Some(p) = &self.plan {
@@ -726,6 +726,10 @@ mod tests {
         assert!(create_table_as(&db, "summary", "select 1").is_err());
     }
 
+    /// Every statement probes the index on `t.k` (in its own scan or in a
+    /// correlated body's) and answers as it does on the kernels after the
+    /// index is dropped, and as the row interpreter does with and without
+    /// the index.
     #[test]
     fn index_scan_matches_full_scan() {
         let db = db_with(
@@ -733,10 +737,62 @@ mod tests {
             &["k", "v"],
             (0..1000).map(|i| vec![i % 50, i]).collect(),
         );
-        let without = query(&db, "select count(*) from t where k = 7").unwrap();
+        db.insert("t", vec![vec![Value::Null, Value::Int(-1)]; 3])
+            .unwrap();
+        let outer = [Some(7), Some(8), Some(77), None].map(|k| {
+            vec![
+                k.map_or(Value::Null, Value::Int),
+                Value::Int(k.unwrap_or(0) * 20),
+            ]
+        });
+        let meta = ["ok", "ov"].map(|name| ColumnMeta {
+            name: name.into(),
+            dtype: tpcds_types::DataType::Int,
+        });
+        db.create_table_with_rows("o", meta.to_vec(), outer.to_vec())
+            .unwrap();
         db.create_index("t", "k").unwrap();
-        let with = query(&db, "select count(*) from t where k = 7").unwrap();
-        assert_eq!(without, with);
-        assert_eq!(ints(&with), vec![vec![20]]);
+        let statements = [
+            "select count(*) from t where k = 7",
+            // A residual conjunct filters the probed rows.
+            "select v from t where k = 7 and v > 500 and v % 3 = 1",
+            // A NULL key matches nothing, literal or computed.
+            "select count(*) from t where k = null",
+            "select count(*) from t where k = 3 + null",
+            // Correlated bodies probe once per outer key, NULL included.
+            "select ok from o where exists (select 1 from t where t.k = o.ok and t.v > o.ov)",
+            "select ok, (select sum(v) from t where t.k = o.ok and v < 600) from o",
+        ];
+        let exec = |sql: &str, columnar| {
+            let opts = ExecOptions {
+                columnar,
+                threads: Some(2),
+            };
+            let (result, profile) = run(&db, sql, None, opts, QueryMeta::default());
+            (
+                result.unwrap().rows,
+                profile
+                    .actuals
+                    .values()
+                    .map(|s| s.route)
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let mut answers = Vec::new();
+        for sql in statements {
+            let (rows, routes) = exec(sql, ColumnarMode::Auto);
+            assert!(routes.contains(&RoutePath::Index), "{sql}: no probe");
+            assert_eq!(exec(sql, ColumnarMode::Off).0, rows, "{sql}: off");
+            answers.push(rows);
+        }
+        assert_eq!(answers[0], vec![vec![Value::Int(20)]]);
+        db.drop_index("t", "k").unwrap();
+        for (sql, rows) in statements.iter().zip(&answers) {
+            for columnar in [ColumnarMode::Auto, ColumnarMode::Off] {
+                let (got, routes) = exec(sql, columnar);
+                assert!(!routes.contains(&RoutePath::Index), "{sql}: probed");
+                assert_eq!(&got, rows, "{sql} without the index ({columnar:?})");
+            }
+        }
     }
 }

@@ -458,7 +458,7 @@ impl Plan {
     /// Flattens the tree (including CTE bodies, under every reference)
     /// into per-node machine-readable reports pairing
     /// the estimator's view with executed actuals, appended to `out` in
-    /// pre-order — the data behind the coverage report.
+    /// pre-order.
     pub fn node_reports(
         &self,
         stats: &crate::exec::StatsMap,
@@ -499,8 +499,7 @@ impl Plan {
 }
 
 /// One plan node's estimate/actual/routing summary, in pre-order. The
-/// machine-readable counterpart of an EXPLAIN ANALYZE line, consumed by
-/// the `tpcds-bench coverage` report.
+/// machine-readable counterpart of an EXPLAIN ANALYZE line.
 #[derive(Debug, Clone)]
 pub struct NodeReport {
     /// Operator label (same text as the EXPLAIN line).

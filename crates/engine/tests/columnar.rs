@@ -9,8 +9,8 @@ const OFF: ExecOptions = ExecOptions {
     columnar: ColumnarMode::Off,
     threads: None,
 };
-const FORCE: ExecOptions = ExecOptions {
-    columnar: ColumnarMode::Force,
+const BATCH: ExecOptions = ExecOptions {
+    columnar: ColumnarMode::Auto,
     threads: Some(2),
 };
 
@@ -73,11 +73,11 @@ fn canon(rows: &[Row]) -> Vec<Row> {
 }
 
 /// Runs `sql` under both routing modes, asserts identical answers, and
-/// returns whether the forced run actually took the columnar path (its
+/// returns whether the batch run actually took the columnar path (its
 /// analyzed plan carries `morsels=`).
 fn check(db: &Database, sql: &str) -> bool {
     let row = tpcds_engine::query_with(db, sql, OFF).unwrap();
-    let col = tpcds_engine::query_analyze_with(db, sql, FORCE).unwrap();
+    let col = tpcds_engine::query_analyze_with(db, sql, BATCH).unwrap();
     assert_eq!(
         canon(&row.rows),
         canon(&col.result.rows),
@@ -90,7 +90,7 @@ fn check(db: &Database, sql: &str) -> bool {
 fn compiled_predicates_cover_the_filter_grammar() {
     let db = sales_db();
     // Every WHERE clause here must compile to a vectorized predicate: the
-    // forced run's plan shows morsel actuals, proving the columnar kernel
+    // batch run's plan shows morsel actuals, proving the columnar kernel
     // (not the row fallback) produced the verified answer.
     let compilable = [
         "select id from sales where qty = 3",
@@ -123,7 +123,7 @@ fn compiled_predicates_cover_the_filter_grammar() {
 fn expression_predicates_route_columnar() {
     let db = sales_db();
     // Arithmetic, column-to-column comparisons, CASE and scalar functions
-    // compile through the expression kernels now — the forced run must
+    // compile through the expression kernels now — the batch run must
     // stay on the columnar path and agree with the row oracle.
     for sql in [
         "select id from sales where qty + 1 = 3",
@@ -143,12 +143,12 @@ fn expression_predicates_route_columnar() {
 #[test]
 fn computed_projections_route_columnar() {
     let db = sales_db();
-    // Computed SELECT lists fuse the Project into the scan: the forced
+    // Computed SELECT lists fuse the Project into the scan: the batch
     // plan carries morsel actuals and expression-kernel counters.
     let sql = "select id + 1, qty * 2, price * 3, \
                case when qty is null then 'none' else city end from sales where id < 200";
     let row = tpcds_engine::query_with(&db, sql, OFF).unwrap();
-    let col = tpcds_engine::query_analyze_with(&db, sql, FORCE).unwrap();
+    let col = tpcds_engine::query_analyze_with(&db, sql, BATCH).unwrap();
     assert_eq!(canon(&row.rows), canon(&col.result.rows), "{sql}");
     assert!(
         col.plan_text.contains("morsels="),
@@ -210,7 +210,7 @@ fn stddev_samp_runs_columnar_at_any_worker_count() {
         let oracle = canon(&tpcds_engine::query_with(&db, sql, OFF).unwrap().rows);
         for threads in [1, 2, 8] {
             let opts = ExecOptions {
-                columnar: ColumnarMode::Force,
+                columnar: ColumnarMode::Auto,
                 threads: Some(threads),
             };
             let col = tpcds_engine::query_analyze_with(&db, sql, opts).unwrap();
@@ -248,7 +248,7 @@ fn mutation_commit_publishes_current_segments() {
     // The insert built the new tail segment before publishing: the new
     // snapshot routes columnar immediately — and the columnar path sees
     // the new row.
-    let col = tpcds_engine::query_analyze_with(&db, sql, FORCE).unwrap();
+    let col = tpcds_engine::query_analyze_with(&db, sql, BATCH).unwrap();
     assert!(
         col.plan_text.contains("morsels="),
         "published snapshot must route columnar:\n{}",
@@ -260,7 +260,7 @@ fn mutation_commit_publishes_current_segments() {
 
     // A snapshot pinned before the mutation still answers from its own
     // (older) segments, byte-identical on both paths.
-    let pin_col = tpcds_engine::query_pinned(&db, &pinned, sql, FORCE).unwrap();
+    let pin_col = tpcds_engine::query_pinned(&db, &pinned, sql, BATCH).unwrap();
     let pin_row = tpcds_engine::query_pinned(&db, &pinned, sql, OFF).unwrap();
     assert_eq!(pin_col.rows, pin_row.rows);
     assert_eq!(pin_row.rows, before.rows, "pinned snapshot is frozen");
@@ -289,10 +289,10 @@ fn join_db() -> Database {
     db
 }
 
-/// Runs `sql` on the row path and on the forced columnar path, asserting
+/// Runs `sql` on the row path and on the batch executor, asserting
 /// **byte-identical** output (the columnar join preserves probe order and
 /// build insertion order, so no canonicalization is needed), and returns
-/// the forced run's plan text.
+/// the batch run's plan text.
 fn check_join(db: &Database, sql: &str) -> String {
     let row = tpcds_engine::query_with(db, sql, OFF).unwrap();
     for threads in [1, 2, 8] {
@@ -300,7 +300,7 @@ fn check_join(db: &Database, sql: &str) -> String {
             db,
             sql,
             ExecOptions {
-                columnar: ColumnarMode::Force,
+                columnar: ColumnarMode::Auto,
                 threads: Some(threads),
             },
         )
@@ -310,7 +310,7 @@ fn check_join(db: &Database, sql: &str) -> String {
             "columnar join not byte-identical for: {sql} (threads={threads})"
         );
     }
-    tpcds_engine::query_analyze_with(db, sql, FORCE)
+    tpcds_engine::query_analyze_with(db, sql, BATCH)
         .unwrap()
         .plan_text
 }
@@ -358,7 +358,7 @@ fn aggregate_over_join_fuses() {
     let sql = "select d.name, count(*), sum(s.price) \
                from sales s, dims d where s.qty = d.k group by d.name";
     let row = tpcds_engine::query_with(&db, sql, OFF).unwrap();
-    let col = tpcds_engine::query_analyze_with(&db, sql, FORCE).unwrap();
+    let col = tpcds_engine::query_analyze_with(&db, sql, BATCH).unwrap();
     assert_eq!(canon(&row.rows), canon(&col.result.rows), "{sql}");
     let agg_line = col
         .plan_text
@@ -381,7 +381,7 @@ fn worker_counts_do_not_change_results() {
         &db,
         sql,
         ExecOptions {
-            columnar: ColumnarMode::Force,
+            columnar: ColumnarMode::Auto,
             threads: Some(1),
         },
     )
@@ -391,7 +391,7 @@ fn worker_counts_do_not_change_results() {
             &db,
             sql,
             ExecOptions {
-                columnar: ColumnarMode::Force,
+                columnar: ColumnarMode::Auto,
                 threads: Some(threads),
             },
         )
@@ -405,7 +405,7 @@ fn topn_over_scan_takes_fused_path() {
     let db = sales_db();
     let sql = "select id, qty from sales where id >= 20 order by qty desc, id limit 10";
     let row = tpcds_engine::query_with(&db, sql, OFF).unwrap();
-    let col = tpcds_engine::query_analyze_with(&db, sql, FORCE).unwrap();
+    let col = tpcds_engine::query_analyze_with(&db, sql, BATCH).unwrap();
     // ORDER BY output is fully determined (id breaks ties), so the two
     // paths must agree byte-for-byte, not just as multisets.
     assert_eq!(row.rows, col.result.rows, "{}", col.plan_text);
@@ -419,7 +419,7 @@ fn full_sort_over_scan_takes_fused_path() {
     let db = sales_db();
     let sql = "select id, city from sales where qty <= 4 order by city, id desc";
     let row = tpcds_engine::query_with(&db, sql, OFF).unwrap();
-    let col = tpcds_engine::query_analyze_with(&db, sql, FORCE).unwrap();
+    let col = tpcds_engine::query_analyze_with(&db, sql, BATCH).unwrap();
     assert_eq!(row.rows, col.result.rows, "{}", col.plan_text);
     assert!(col.plan_text.contains("merge_ways="), "{}", col.plan_text);
 }
@@ -434,7 +434,7 @@ fn limit_over_scan_short_circuits_on_both_paths() {
         "select id from sales where id < 3 limit 100",
     ] {
         let row = tpcds_engine::query_with(&db, sql, OFF).unwrap();
-        let col = tpcds_engine::query_with(&db, sql, FORCE).unwrap();
+        let col = tpcds_engine::query_with(&db, sql, BATCH).unwrap();
         // LIMIT without ORDER BY pins no order in SQL, but both paths
         // emit the first n matches in table order — pinned here so the
         // differential suites can compare byte-for-byte.
@@ -451,7 +451,7 @@ fn order_by_null_placement_is_pinned_on_all_paths() {
     // qty is NULL on id % 13 == 0; restrict to a window with known nulls.
     let asc = "select qty, id from sales where id < 30 order by qty, id";
     let desc = "select qty, id from sales where id < 30 order by qty desc, id";
-    for opts in [OFF, FORCE] {
+    for opts in [OFF, BATCH] {
         let a = tpcds_engine::query_with(&db, asc, opts).unwrap();
         assert_eq!(a.rows[0][0], Value::Null, "NULLs first ascending");
         assert_eq!(a.rows[0][1], Value::Int(0));

@@ -16,9 +16,9 @@ const OFF: ExecOptions = ExecOptions {
     threads: None,
 };
 
-fn force(threads: usize) -> ExecOptions {
+fn batch(threads: usize) -> ExecOptions {
     ExecOptions {
-        columnar: ColumnarMode::Force,
+        columnar: ColumnarMode::Auto,
         threads: Some(threads),
     }
 }
@@ -76,16 +76,9 @@ fn edge_db() -> Database {
     })
 }
 
-/// The kernel configurations every case runs under: with and without
-/// index probes, at 1/2/8 workers.
+/// The kernel configurations every case runs under: 1/2/8 workers.
 fn kernel_runs() -> impl Iterator<Item = ExecOptions> {
-    [1, 2, 8].into_iter().flat_map(|threads| {
-        let auto = ExecOptions {
-            columnar: ColumnarMode::Auto,
-            threads: Some(threads),
-        };
-        [force(threads), auto]
-    })
+    [1, 2, 8].into_iter().map(batch)
 }
 
 /// Oracle run (row path, single thread) vs kernels at 1/2/8 workers: all
@@ -130,7 +123,7 @@ fn integer_overflow_messages_match_the_row_path() {
     }
     // The overflow messages themselves are pinned to the shared scalar
     // vocabulary, not some kernel-specific wording.
-    let e = tpcds_engine::query_with(&db, "select big + 1 from t", force(8)).unwrap_err();
+    let e = tpcds_engine::query_with(&db, "select big + 1 from t", batch(8)).unwrap_err();
     assert!(
         e.to_string().contains("integer overflow in +"),
         "unexpected message: {e}"
@@ -151,7 +144,7 @@ fn division_and_modulo_by_zero_yield_null_not_errors() {
         assert_parity(&db, sql);
     }
     // And the NULL actually lands where the divisor is zero.
-    let r = tpcds_engine::query_with(&db, "select id / n from t where n = 0", force(8)).unwrap();
+    let r = tpcds_engine::query_with(&db, "select id / n from t where n = 0", batch(8)).unwrap();
     assert!(r.rows.iter().all(|row| row[0] == Value::Null));
 }
 
@@ -614,24 +607,17 @@ fn keyed_exists_is_a_set_probe_with_exists_null_rules() {
 
 // ---------- expression keys: hidden columns on the batch path ----------
 
-/// Every `op` line of `sql`'s analyzed plan ran the batch kernels, under
-/// `force` and under `auto`.
+/// Every `op` line of `sql`'s analyzed plan ran the batch kernels.
 fn assert_columnar(db: &Database, sql: &str, op: &str) {
-    let auto = ExecOptions {
-        columnar: ColumnarMode::Auto,
-        threads: Some(2),
-    };
-    for opts in [force(2), auto] {
-        let plan = tpcds_engine::query_analyze_with(db, sql, opts)
-            .unwrap()
-            .plan_text;
-        let lines: Vec<&str> = (plan.lines())
-            .filter(|l| l.trim_start().starts_with(op))
-            .collect();
-        assert!(!lines.is_empty(), "no {op} in:\n{plan}");
-        for line in lines {
-            assert!(line.contains("route=columnar"), "{sql}:\n{plan}");
-        }
+    let plan = tpcds_engine::query_analyze_with(db, sql, batch(2))
+        .unwrap()
+        .plan_text;
+    let lines: Vec<&str> = (plan.lines())
+        .filter(|l| l.trim_start().starts_with(op))
+        .collect();
+    assert!(!lines.is_empty(), "no {op} in:\n{plan}");
+    for line in lines {
+        assert!(line.contains("route=columnar"), "{sql}:\n{plan}");
     }
 }
 
@@ -654,7 +640,7 @@ fn aggregate_keys_and_arguments_may_be_expressions() {
     let r = tpcds_engine::query_with(
         &db,
         "select id / n, count(*) from t where n = 0 group by id / n",
-        force(8),
+        batch(8),
     )
     .unwrap();
     // n = 0 on the 60 ids ≡ 2 (mod 5), minus the 9 of them where n is NULL.
@@ -668,7 +654,7 @@ fn aggregate_keys_and_arguments_may_be_expressions() {
     ] {
         assert_error_parity(&edge, sql);
     }
-    let e = tpcds_engine::query_with(&edge, "select sum(big * 2) from t", force(8)).unwrap_err();
+    let e = tpcds_engine::query_with(&edge, "select sum(big * 2) from t", batch(8)).unwrap_err();
     assert!(e.to_string().ends_with("in *"), "{e}");
 }
 

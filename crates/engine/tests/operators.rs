@@ -1,8 +1,8 @@
 //! Engine integration tests: operator edge cases beyond the unit suite.
 //!
 //! Every test here runs twice: once on the row path (the correctness
-//! oracle) and once with the columnar path forced on, via the [`query`]
-//! wrapper below. A divergence fails the test.
+//! oracle) and once on the batch executor, via the [`query`] wrapper
+//! below. A divergence fails the test.
 
 use tpcds_engine::{ColumnMeta, ColumnarMode, Database, ExecOptions, QueryResult};
 use tpcds_types::{DataType, Decimal, Row, Value};
@@ -25,8 +25,8 @@ fn canon(rows: &[Row]) -> Vec<Row> {
     v
 }
 
-/// Runs `sql` on the row path, then again with the columnar path forced
-/// on, asserts both agree, and returns the row-path result so
+/// Runs `sql` on the row path, then again on the batch executor, asserts
+/// both agree, and returns the row-path result so
 /// order-sensitive assertions check the oracle.
 fn query(db: &Database, sql: &str) -> tpcds_engine::Result<QueryResult> {
     let row = tpcds_engine::query_with(
@@ -41,7 +41,7 @@ fn query(db: &Database, sql: &str) -> tpcds_engine::Result<QueryResult> {
         db,
         sql,
         ExecOptions {
-            columnar: ColumnarMode::Force,
+            columnar: ColumnarMode::Auto,
             threads: Some(3),
         },
     )?;
@@ -166,7 +166,7 @@ fn non_numeric_sum_and_stddev_raise_on_both_executors() {
     d.create_table_with_rows("t", meta, vec![vec![Value::str("Greenfield")]])
         .unwrap();
     for func in ["sum", "stddev_samp"] {
-        for columnar in [ColumnarMode::Off, ColumnarMode::Force] {
+        for columnar in [ColumnarMode::Off, ColumnarMode::Auto] {
             let opts = ExecOptions {
                 columnar,
                 threads: Some(2),

@@ -60,7 +60,7 @@ pub struct RemoteResult {
 pub struct QueryOpts {
     /// Pin to an exact snapshot version instead of the freshest head.
     pub pin: Option<u64>,
-    /// Columnar routing: `"off"`, `"auto"` or `"force"`.
+    /// Executor: `"off"` (the row oracle) or `"auto"` (the default).
     pub mode: Option<&'static str>,
     /// Morsel worker count for this query.
     pub threads: Option<usize>,

@@ -592,7 +592,6 @@ fn query_target(
         None => {}
         Some("off") => opts.columnar = ColumnarMode::Off,
         Some("auto") => opts.columnar = ColumnarMode::Auto,
-        Some("force") => opts.columnar = ColumnarMode::Force,
         Some(m) => return Err(format!("unknown columnar mode {m:?}")),
     }
     if let Some(t) = req.get("threads").and_then(Json::as_i64) {

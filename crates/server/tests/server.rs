@@ -440,16 +440,35 @@ fn query_options_cross_the_wire() {
         )
         .unwrap();
     assert_eq!(r.rows[0][0].as_int(), Some(3));
-    match c.query_with(
-        "select 1",
-        &QueryOpts {
-            mode: Some("sideways"),
-            ..QueryOpts::default()
-        },
-    ) {
-        Err(ClientError::Remote(msg)) => assert!(msg.contains("sideways"), "{msg}"),
-        other => panic!("expected remote error, got {other:?}"),
+    server.shutdown();
+}
+
+/// `off` and `auto` are the only executor modes: any other value, the
+/// retired `force` included, is one error response, logged once, and the
+/// session answers its next query.
+#[test]
+fn unknown_modes_cost_one_response_not_the_session() {
+    let db = tiny_db();
+    let server = start(&db);
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    for mode in ["force", "bogus"] {
+        match c.query_with(
+            "select 1",
+            &QueryOpts {
+                mode: Some(mode),
+                ..QueryOpts::default()
+            },
+        ) {
+            Err(ClientError::Remote(msg)) => {
+                assert!(
+                    msg.contains(&format!("unknown columnar mode {mode:?}")),
+                    "{msg}"
+                )
+            }
+            other => panic!("mode {mode}: expected remote error, got {other:?}"),
+        }
+        assert_eq!(logged_errors(&db, &format!("{mode:?}")), 1, "mode {mode}");
+        assert_eq!(c.query("select a from t").unwrap().rows.len(), 3);
     }
-    assert_eq!(logged_errors(&db, "sideways"), 1);
     server.shutdown();
 }

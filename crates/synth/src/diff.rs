@@ -3,10 +3,10 @@
 //! One synthesized query runs four times against one pinned snapshot:
 //!
 //! * row path, 1 worker (`ColumnarMode::Off`) — the correctness oracle;
-//! * columnar path, 1 worker (`Force`) — must be canonically equal to
+//! * batch executor, 1 worker (`Auto`) — must be canonically equal to
 //!   the oracle (same multiset of rows; order may legitimately differ);
-//! * columnar path, 2 and 8 workers — must be **byte-identical** to the
-//!   1-worker columnar run (the engine's determinism guarantee: worker
+//! * batch executor, 2 and 8 workers — must be **byte-identical** to the
+//!   1-worker batch run (the engine's determinism guarantee: worker
 //!   count never changes output order).
 //!
 //! A row-path *error* is treated as a synthesizer bug, not an engine
@@ -34,7 +34,7 @@ pub enum DiffError {
     /// The columnar path disagreed with the oracle (or with itself across
     /// worker counts), or errored where the oracle succeeded.
     Mismatch {
-        /// Which comparison failed (`"force@1 vs oracle"`, …).
+        /// Which comparison failed (`"auto@1 vs oracle"`, …).
         stage: String,
         /// Human-readable evidence.
         detail: String,
@@ -103,31 +103,31 @@ pub fn run_differential(
     let oracle = query_pinned(db, snap, sql, opts(ColumnarMode::Off, 1))
         .map_err(|e| DiffError::Oracle(e.to_string()))?;
 
-    let force1 = query_pinned(db, snap, sql, opts(ColumnarMode::Force, 1)).map_err(|e| {
+    let auto1 = query_pinned(db, snap, sql, opts(ColumnarMode::Auto, 1)).map_err(|e| {
         DiffError::Mismatch {
-            stage: "force@1 vs oracle".to_string(),
+            stage: "auto@1 vs oracle".to_string(),
             detail: format!("columnar path errored where the row path succeeded: {e}"),
         }
     })?;
-    canon_equal(&oracle.rows, &force1.rows).map_err(|detail| DiffError::Mismatch {
-        stage: "force@1 vs oracle".to_string(),
+    canon_equal(&oracle.rows, &auto1.rows).map_err(|detail| DiffError::Mismatch {
+        stage: "auto@1 vs oracle".to_string(),
         detail,
     })?;
 
     for workers in [2usize, 8] {
-        let forced =
-            query_pinned(db, snap, sql, opts(ColumnarMode::Force, workers)).map_err(|e| {
+        let batch =
+            query_pinned(db, snap, sql, opts(ColumnarMode::Auto, workers)).map_err(|e| {
                 DiffError::Mismatch {
-                    stage: format!("force@{workers} vs force@1"),
+                    stage: format!("auto@{workers} vs auto@1"),
                     detail: format!("errored: {e}"),
                 }
             })?;
-        if forced.rows != force1.rows {
+        if batch.rows != auto1.rows {
             return Err(DiffError::Mismatch {
-                stage: format!("force@{workers} vs force@1"),
+                stage: format!("auto@{workers} vs auto@1"),
                 detail: format!(
                     "worker count changed the output: {}",
-                    first_difference(&force1.rows, &forced.rows)
+                    first_difference(&auto1.rows, &batch.rows)
                 ),
             });
         }

@@ -31,8 +31,8 @@ use crate::spec::{sql_literal, Item, JoinEdge, OnMode, QuerySpec, ShapeClass};
 /// stream, which live at `(idx + 1) << 16`).
 pub const SYNTH_STREAM: u64 = 0x5EED_0008;
 
-/// Tunables for the synthesizer. All defaults are what `tpcds-bench
-/// synth` and CI run with.
+/// Tunables for the synthesizer. All defaults are what `tpcds synth` and
+/// CI run with.
 #[derive(Clone, Debug)]
 pub struct SynthConfig {
     /// RNG seed; `(seed, qid)` fully determines a query.

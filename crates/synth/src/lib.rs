@@ -18,20 +18,16 @@
 //!   1/2/8 workers against one pinned snapshot;
 //! * [`shrink`] — greedy spec-level minimization of failing queries;
 //! * [`soak`] — concurrent streams (in-process or via a real TCP
-//!   server) interleaved with data-maintenance commits;
-//! * [`coverage`] — the `COVERAGE_8.json` per-shape-class routing
-//!   report and its regression gate.
+//!   server) interleaved with data-maintenance commits.
 
 #![warn(missing_docs)]
 
-pub mod coverage;
 pub mod diff;
 pub mod gen;
 pub mod shrink;
 pub mod soak;
 pub mod spec;
 
-pub use coverage::{coverage_report, gate};
 pub use diff::{run_differential, DiffError, DiffReport};
 pub use gen::{SynthConfig, Synthesizer, SYNTH_STREAM};
 pub use shrink::{shrink, shrink_with};

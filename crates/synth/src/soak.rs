@@ -5,22 +5,17 @@
 //! refresh sequences mid-run. Every stream pins each query to one
 //! snapshot and runs the four-way differential ([`crate::diff`]); any
 //! mismatch is shrunk to a minimal reproducer on the same snapshot and
-//! reported. Every query is additionally executed once under
-//! `ColumnarMode::Auto` with instrumentation, feeding per-shape-class
-//! [`RoutePath`](tpcds_engine::RoutePath) routing tallies — the raw
-//! material of `COVERAGE_8.json`.
+//! reported, with per-shape-class volume tallies.
 //!
-//! With `via_server` set, the oracle and forced runs travel over a real
+//! With `via_server` set, the oracle and batch runs travel over a real
 //! TCP connection to a `tpcds-server` (one connection per stream), using
-//! the wire protocol's per-query `pin` / `mode` / `threads` knobs; the
-//! routing trace still comes from an in-process pinned run of the
-//! same snapshot version.
+//! the wire protocol's per-query `pin` / `mode` / `threads` knobs.
 
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc, Mutex};
 
 use tpcds_dgen::Generator;
-use tpcds_engine::{ColumnarMode, Database, DbSnapshot, ExecOptions, QueryMeta};
+use tpcds_engine::{Database, DbSnapshot};
 use tpcds_server::{Client, QueryOpts, Server, ServerConfig};
 
 use crate::diff::{canon_equal, first_difference, run_differential, DiffError};
@@ -58,27 +53,15 @@ impl Default for SoakConfig {
     }
 }
 
-/// Routing + volume tallies for one shape class.
+/// Volume tallies for one shape class.
 #[derive(Clone, Debug, Default)]
 pub struct ClassStat {
     /// Queries synthesized in this class.
     pub queries: u64,
-    /// Best [`RoutePath`](tpcds_engine::RoutePath) per query → count.
-    pub routes: BTreeMap<&'static str, u64>,
     /// Total oracle rows across the class.
     pub oracle_rows: u64,
     /// Queries whose oracle produced zero rows.
     pub empty_results: u64,
-}
-
-impl ClassStat {
-    /// Fraction of this class's queries whose best route was columnar.
-    pub fn columnar_frac(&self) -> f64 {
-        if self.queries == 0 {
-            return 0.0;
-        }
-        *self.routes.get("columnar").unwrap_or(&0) as f64 / self.queries as f64
-    }
 }
 
 /// One differential failure, with its minimized reproducer.
@@ -103,7 +86,7 @@ pub struct SoakOutcome {
     pub queries_run: u64,
     /// Differential failures (empty on a healthy engine).
     pub failures: Vec<Failure>,
-    /// Per-shape-class routing and volume tallies.
+    /// Per-shape-class volume tallies.
     pub classes: BTreeMap<&'static str, ClassStat>,
     /// Distinct snapshot versions queries executed against — > 1 proves
     /// the run really interleaved with DM commits.
@@ -115,14 +98,7 @@ pub struct SoakOutcome {
     pub log_records: u64,
 }
 
-fn auto_opts() -> ExecOptions {
-    ExecOptions {
-        columnar: ColumnarMode::Auto,
-        threads: None,
-    }
-}
-
-/// Runs one query through the differential + routing trace, in-process.
+/// Runs one query through the differential, in-process.
 /// Returns `(oracle_rows, Option<failure detail>)`.
 fn run_one_local(
     db: &Database,
@@ -152,7 +128,7 @@ fn run_one_local(
 }
 
 /// Runs one query through the differential over the wire. The oracle run
-/// is unpinned (it discovers the freshest version); every forced run pins
+/// is unpinned (it discovers the freshest version); every batch run pins
 /// that version explicitly.
 fn run_one_remote(
     client: &mut Client,
@@ -186,15 +162,15 @@ fn run_one_remote(
         }
     };
     let version = oracle.version;
-    let mut force1_rows: Option<Vec<tpcds_types::Row>> = None;
+    let mut auto1_rows: Option<Vec<tpcds_types::Row>> = None;
     for workers in [1usize, 2, 8] {
-        let forced = match client.query_with(
+        let batch = match client.query_with(
             sql,
             &QueryOpts {
                 pin: Some(version),
-                mode: Some("force"),
+                mode: Some("auto"),
                 threads: Some(workers),
-                query_id: Some(format!("soak-{qid}-force{workers}")),
+                query_id: Some(format!("soak-{qid}-auto{workers}")),
             },
         ) {
             Ok(r) => r,
@@ -203,19 +179,19 @@ fn run_one_remote(
                     version,
                     0,
                     Some((
-                        format!("force@{workers}: remote columnar run errored: {e:?}"),
+                        format!("auto@{workers}: remote batch run errored: {e:?}"),
                         sql.to_string(),
                     )),
                 )
             }
         };
-        let failure = match &force1_rows {
-            None => canon_equal(&oracle.rows, &forced.rows)
+        let failure = match &auto1_rows {
+            None => canon_equal(&oracle.rows, &batch.rows)
                 .err()
-                .map(|d| format!("force@1 vs oracle (remote): {d}")),
-            Some(f1) if *f1 != forced.rows => Some(format!(
-                "force@{workers} vs force@1 (remote): {}",
-                first_difference(f1, &forced.rows)
+                .map(|d| format!("auto@1 vs oracle (remote): {d}")),
+            Some(f1) if *f1 != batch.rows => Some(format!(
+                "auto@{workers} vs auto@1 (remote): {}",
+                first_difference(f1, &batch.rows)
             )),
             Some(_) => None,
         };
@@ -226,8 +202,8 @@ fn run_one_remote(
             };
             return (version, 0, Some((detail, minimized)));
         }
-        if force1_rows.is_none() {
-            force1_rows = Some(forced.rows);
+        if auto1_rows.is_none() {
+            auto1_rows = Some(batch.rows);
         }
     }
     (version, oracle.rows.len(), None)
@@ -304,28 +280,15 @@ pub fn run_soak(
                         }
                         let spec = synth.generate(qid);
                         let sql = spec.sql();
-                        let (version, snap, oracle_rows, failure) = match client.as_mut() {
-                            Some(c) => {
-                                let (version, rows, failure) =
-                                    run_one_remote(c, db, qid, &spec, &sql, cfg.shrink);
-                                let snap = db.snapshot_at(version).unwrap_or_else(|| db.snapshot());
-                                (version, snap, rows, failure)
-                            }
+                        let (version, oracle_rows, failure) = match client.as_mut() {
+                            Some(c) => run_one_remote(c, db, qid, &spec, &sql, cfg.shrink),
                             None => {
                                 let snap = db.snapshot();
                                 let (rows, failure) =
                                     run_one_local(db, &snap, &spec, &sql, cfg.shrink);
-                                (snap.version(), snap, rows, failure)
+                                (snap.version(), rows, failure)
                             }
                         };
-                        // Routing trace under Auto on the same snapshot.
-                        let (routed, profile) = tpcds_engine::run(
-                            db,
-                            &sql,
-                            Some(&snap),
-                            auto_opts(),
-                            QueryMeta::default(),
-                        );
 
                         let mut out = outcome.lock().unwrap();
                         out.queries_run += 1;
@@ -335,12 +298,6 @@ pub fn run_soak(
                         class.oracle_rows += oracle_rows as u64;
                         if oracle_rows == 0 && failure.is_none() {
                             class.empty_results += 1;
-                        }
-                        if routed.is_ok() {
-                            *class
-                                .routes
-                                .entry(profile.best_route().as_str())
-                                .or_insert(0) += 1;
                         }
                         if let Some((detail, minimized)) = failure {
                             out.failures.push(Failure {
@@ -372,14 +329,15 @@ pub fn run_soak(
     out.versions_observed.sort_unstable();
     out.versions_observed.dedup();
 
-    // Cross-check the query log against queries actually issued: every
-    // soak query runs the differential (≥1 logged engine call, errors
-    // included) plus one pinned routing run — so the ring's cumulative
-    // counter must have advanced by at least 2× queries_run. An
-    // undercount means an engine entry point stopped recording.
+    // Cross-check the query log against queries actually issued: a query
+    // that passes the differential made four logged engine calls (the
+    // oracle and the batch executor at 1/2/8 workers), a failing one at
+    // least its oracle, errors included. An undercount means an engine
+    // entry point stopped recording.
     if db.query_log().is_enabled() {
         out.log_records = db.query_log().total_recorded().saturating_sub(log_before);
-        let expected = 2 * out.queries_run;
+        let failed = out.failures.len() as u64;
+        let expected = 4 * out.queries_run.saturating_sub(failed) + failed;
         if out.log_records < expected {
             out.failures.push(Failure {
                 qid: 0,

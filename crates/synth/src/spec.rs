@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 /// The shape taxonomy a synthesized query is drawn from. The first eight
 /// are the "organic" mix; the last four are explicit adversarial
-/// generators. Class names are the keys of `COVERAGE_8.json`.
+/// generators. Class names key the soak's per-class tallies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ShapeClass {
     /// Single-table scan with stats-steered filters.

@@ -7,8 +7,8 @@
 //! cargo run --release --example data_export [scale_factor] [out_dir]
 //! ```
 
-use tpcds_repro::dgen::{flatfile, Generator};
-use tpcds_repro::schema::Schema;
+use tpcds_core::dgen::{flatfile, Generator};
+use tpcds_core::schema::Schema;
 
 fn main() {
     let mut args = std::env::args().skip(1);

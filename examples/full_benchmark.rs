@@ -6,12 +6,12 @@
 //! cargo run --release --example full_benchmark
 //! ```
 
-use tpcds_repro::runner::{self, AuxLevel, BenchmarkConfig, PriceModel};
+use tpcds_core::runner::{self, AuxLevel, BenchmarkConfig, PriceModel};
 
 fn main() {
     let config = BenchmarkConfig {
         scale_factor: 0.02,
-        seed: tpcds_repro::types::rng::DEFAULT_SEED,
+        seed: tpcds_core::types::rng::DEFAULT_SEED,
         streams: Some(3), // the Figure 12 minimum for small scale factors
         queries_per_stream: Some(25),
         aux: AuxLevel::Reporting,

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use tpcds_repro::TpcDs;
+use tpcds_core::TpcDs;
 
 fn main() {
     // A "virtual" scale factor of 0.02 (~20 MB of raw data) keeps this

@@ -8,7 +8,7 @@
 //! cargo run --release --example retail_analytics
 //! ```
 
-use tpcds_repro::TpcDs;
+use tpcds_core::TpcDs;
 
 fn main() {
     let tpcds = TpcDs::builder()

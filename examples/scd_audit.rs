@@ -7,7 +7,7 @@
 //! cargo run --release --example scd_audit
 //! ```
 
-use tpcds_repro::TpcDs;
+use tpcds_core::TpcDs;
 
 fn main() {
     let tpcds = TpcDs::builder().scale_factor(0.01).build().expect("load");

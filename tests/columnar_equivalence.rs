@@ -2,9 +2,9 @@
 //! morsel kernels must return byte-identical results at any worker count,
 //! and canonically equal results to the row-path oracle.
 
-use tpcds_repro::engine::{ColumnarMode, ExecOptions};
-use tpcds_repro::types::Row;
-use tpcds_repro::{Database, Generator};
+use tpcds_core::engine::{ColumnarMode, ExecOptions};
+use tpcds_core::types::Row;
+use tpcds_core::{Database, Generator};
 
 fn opts(mode: ColumnarMode, threads: usize) -> ExecOptions {
     ExecOptions {
@@ -39,7 +39,7 @@ const QUERIES: &[&str] = &[
      where c_preferred_cust_flag = 'Y' group by c_birth_year",
 ];
 
-/// An aggregate over a join. Under Force this fuses into the partitioned
+/// An aggregate over a join. On the batch executor this fuses into the partitioned
 /// columnar join (see `tests/differential_joins.rs` for the full join
 /// harness); against the row path — whose hash-aggregate output order is
 /// not deterministic — it is compared canonically, not byte-for-byte.
@@ -50,13 +50,13 @@ const JOIN_QUERY: &str = "select d_year, sum(ss_ext_sales_price) from store_sale
 fn columnar_results_byte_identical_across_worker_counts() {
     let g = Generator::new(0.01); // fixed default dsdgen seed
     let db = Database::new();
-    tpcds_repro::maint::load_initial_population(&db, &g).unwrap();
+    tpcds_core::maint::load_initial_population(&db, &g).unwrap();
 
     for sql in QUERIES {
         let reference =
-            tpcds_repro::engine::query_with(&db, sql, opts(ColumnarMode::Force, 1)).unwrap();
+            tpcds_core::engine::query_with(&db, sql, opts(ColumnarMode::Auto, 1)).unwrap();
         for threads in [2, 8] {
-            let r = tpcds_repro::engine::query_with(&db, sql, opts(ColumnarMode::Force, threads))
+            let r = tpcds_core::engine::query_with(&db, sql, opts(ColumnarMode::Auto, threads))
                 .unwrap();
             assert_eq!(
                 r.rows, reference.rows,
@@ -64,7 +64,7 @@ fn columnar_results_byte_identical_across_worker_counts() {
             );
         }
         // And the row path agrees as a multiset.
-        let row = tpcds_repro::engine::query_with(&db, sql, opts(ColumnarMode::Off, 1)).unwrap();
+        let row = tpcds_core::engine::query_with(&db, sql, opts(ColumnarMode::Off, 1)).unwrap();
         assert_eq!(
             canon(&row.rows),
             canon(&reference.rows),
@@ -75,10 +75,10 @@ fn columnar_results_byte_identical_across_worker_counts() {
     // Row-path operators above a columnar scan still agree canonically.
     for threads in [1, 2, 8] {
         let col =
-            tpcds_repro::engine::query_with(&db, JOIN_QUERY, opts(ColumnarMode::Force, threads))
+            tpcds_core::engine::query_with(&db, JOIN_QUERY, opts(ColumnarMode::Auto, threads))
                 .unwrap();
         let row =
-            tpcds_repro::engine::query_with(&db, JOIN_QUERY, opts(ColumnarMode::Off, 1)).unwrap();
+            tpcds_core::engine::query_with(&db, JOIN_QUERY, opts(ColumnarMode::Off, 1)).unwrap();
         assert_eq!(
             canon(&col.rows),
             canon(&row.rows),

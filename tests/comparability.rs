@@ -2,7 +2,7 @@
 //! checked per-template — substituted variants of the same template must
 //! keep the qualifying work comparable.
 
-use tpcds_repro::TpcDs;
+use tpcds_core::TpcDs;
 
 /// Queries whose outer result is a stable aggregate over a zone-bound
 /// window; across substitutions the result sizes must stay within the
@@ -48,12 +48,12 @@ fn same_template_substitutions_produce_comparable_result_sizes() {
 /// defines stay within their declared zone.
 #[test]
 fn month_substitutions_stay_in_declared_zones() {
-    let w = tpcds_repro::Workload::tpcds().unwrap();
+    let w = tpcds_core::Workload::tpcds().unwrap();
     for stream in 0..20 {
         // q52 and q55 use months_high.
         for id in [52u32, 55] {
             let sql = w
-                .instantiate(id, tpcds_repro::types::rng::DEFAULT_SEED, stream)
+                .instantiate(id, tpcds_core::types::rng::DEFAULT_SEED, stream)
                 .unwrap();
             let month: u32 = sql
                 .lines()
@@ -71,8 +71,8 @@ fn month_substitutions_stay_in_declared_zones() {
 fn iterative_sequences_execute() {
     let tpcds = TpcDs::builder().scale_factor(0.01).build().expect("load");
     for seq in [
-        tpcds_repro::qgen::IterativeSequence::store_drilldown(),
-        tpcds_repro::qgen::IterativeSequence::web_time_drill(),
+        tpcds_core::qgen::IterativeSequence::store_drilldown(),
+        tpcds_core::qgen::IterativeSequence::web_time_drill(),
     ] {
         let trace = seq.execute(tpcds.database()).expect("sequence");
         assert_eq!(trace.steps.len(), 3);

@@ -3,11 +3,11 @@
 //! watermarks share one process-wide peak register, so a concurrently
 //! running test would disturb the `mem_peak=` readings compared here.
 
-use tpcds_repro::TpcDs;
+use tpcds_core::TpcDs;
 
 // `mem_peak=` reads 0 unless the binary counts allocations.
 #[global_allocator]
-static ALLOC: tpcds_repro::obs::mem::CountingAlloc = tpcds_repro::obs::mem::CountingAlloc;
+static ALLOC: tpcds_core::obs::mem::CountingAlloc = tpcds_core::obs::mem::CountingAlloc;
 
 /// One EXPLAIN ANALYZE line's `mem_peak=` in bytes (0 when the node's
 /// live memory never grew and the annotation is omitted).

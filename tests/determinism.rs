@@ -2,7 +2,7 @@
 //! argument rests on — identical seeds give identical data sets, queries
 //! and metric inputs.
 
-use tpcds_repro::{Generator, Workload};
+use tpcds_core::{Generator, Workload};
 
 #[test]
 fn same_seed_same_dataset() {
@@ -51,12 +51,12 @@ fn comparability_zones_hold_on_generated_data() {
     // The F4 property as a pass/fail test: qualifying-row counts for
     // same-zone 28-day windows must be much closer to each other than to
     // other zones' counts.
-    let tpcds = tpcds_repro::TpcDs::builder()
+    let tpcds = tpcds_core::TpcDs::builder()
         .scale_factor(0.02)
         .build()
         .expect("load");
-    let dates = tpcds_repro::SalesDateDistribution::tpcds();
-    let count_window = |d1: tpcds_repro::types::Date| {
+    let dates = tpcds_core::SalesDateDistribution::tpcds();
+    let count_window = |d1: tpcds_core::types::Date| {
         let d2 = d1.add_days(27);
         let sql = format!(
             "select count(*) c from store_sales, date_dim \
@@ -72,8 +72,8 @@ fn comparability_zones_hold_on_generated_data() {
             })
             .collect()
     };
-    let low = zone_counts(tpcds_repro::SalesZone::Low);
-    let high = zone_counts(tpcds_repro::SalesZone::High);
+    let low = zone_counts(tpcds_core::SalesZone::Low);
+    let high = zone_counts(tpcds_core::SalesZone::High);
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let spread = |v: &[f64]| {
         let m = mean(v);

@@ -2,7 +2,7 @@
 //! calls beside plain ones, STDDEV_SAMP and empty inputs, checked against
 //! a plain-Rust reference that groups the generated rows itself (NULL keys
 //! equal, each ROLLUP level grouped on its own prefix of the keys), then
-//! run under `off`, `auto` and `force` at 1 / 2 / 8 workers. The binder
+//! run under `off` and `auto` at 1 / 2 / 8 workers. The binder
 //! lowers all of these shapes onto plain hash aggregates, so every node
 //! must also run the batch kernels (`route=columnar`) with answer bytes
 //! that do not depend on the worker count — the reference is the check
@@ -11,11 +11,11 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use tpcds_repro::engine::{ColumnMeta, ColumnarMode, ExecOptions};
-use tpcds_repro::synth::diff::run_differential;
-use tpcds_repro::types::rng::{test_seed, SplitMix64};
-use tpcds_repro::types::{DataType, Decimal, Row, Value};
-use tpcds_repro::Database;
+use tpcds_core::engine::{ColumnMeta, ColumnarMode, ExecOptions};
+use tpcds_core::synth::diff::run_differential;
+use tpcds_core::types::rng::{test_seed, SplitMix64};
+use tpcds_core::types::{DataType, Decimal, Row, Value};
+use tpcds_core::Database;
 
 /// `t(a, b, c, d, x, y)`: four NULL-able low-NDV keys (`b` a string), a
 /// duplicate-heavy NULL-able int `x` and a NULL-able decimal `y`, over
@@ -387,7 +387,7 @@ fn aggregates_match_reference_on_every_path() {
     eprintln!("differential_aggregates seed: {seed} (override with TPCDS_TEST_SEED)");
     let mut rng = SplitMix64(seed);
     let db = Arc::new(build_db(&mut rng, 12_000));
-    let all = tpcds_repro::engine::query(&db, "select * from t")
+    let all = tpcds_core::engine::query(&db, "select * from t")
         .unwrap()
         .rows;
     for case in CASES {
@@ -397,31 +397,30 @@ fn aggregates_match_reference_on_every_path() {
                 columnar,
                 threads: Some(threads),
             };
-            tpcds_repro::engine::query_analyze_with(&db, case.sql, opts).expect(case.sql)
+            tpcds_core::engine::query_analyze_with(&db, case.sql, opts).expect(case.sql)
         };
         let oracle = run(ColumnarMode::Off, 1).result.rows;
         assert_matches_reference(case, oracle, &expect, "off");
-        for columnar in [ColumnarMode::Auto, ColumnarMode::Force] {
-            let one = run(columnar, 1);
-            for line in one.plan_text.lines() {
-                assert!(
-                    line.contains("route=columnar"),
-                    "{columnar:?}: {line}\nsql: {}\n{}",
-                    case.sql,
-                    one.plan_text
-                );
-            }
-            for threads in [2, 8] {
-                let rows = run(columnar, threads).result.rows;
-                assert_eq!(
-                    rows, one.result.rows,
-                    "{columnar:?} @ {threads}: {}",
-                    case.sql
-                );
-            }
-            let mode = format!("{columnar:?}");
-            assert_matches_reference(case, one.result.rows, &expect, &mode);
+        let columnar = ColumnarMode::Auto;
+        let one = run(columnar, 1);
+        for line in one.plan_text.lines() {
+            assert!(
+                line.contains("route=columnar"),
+                "{columnar:?}: {line}\nsql: {}\n{}",
+                case.sql,
+                one.plan_text
+            );
         }
+        for threads in [2, 8] {
+            let rows = run(columnar, threads).result.rows;
+            assert_eq!(
+                rows, one.result.rows,
+                "{columnar:?} @ {threads}: {}",
+                case.sql
+            );
+        }
+        let mode = format!("{columnar:?}");
+        assert_matches_reference(case, one.result.rows, &expect, &mode);
         if let Err(e) = run_differential(&db, &db.snapshot(), case.sql) {
             panic!("differential failed: {e:?}\nsql: {}", case.sql);
         }
@@ -436,18 +435,16 @@ fn grouping_separates_a_null_key_from_the_rollup_total() {
     let db = build_db(&mut rng, 2_000);
     let sql = "select a, grouping(a) g, count(*) n from t where a is null or a = 1 \
                group by rollup(a) order by g, a";
-    let nulls = (tpcds_repro::engine::query(&db, "select count(*) from t where a is null"))
+    let nulls = (tpcds_core::engine::query(&db, "select count(*) from t where a is null"))
         .unwrap()
         .rows[0][0]
         .clone();
-    for columnar in [ColumnarMode::Off, ColumnarMode::Auto, ColumnarMode::Force] {
+    for columnar in [ColumnarMode::Off, ColumnarMode::Auto] {
         let opts = ExecOptions {
             columnar,
             threads: Some(2),
         };
-        let rows = tpcds_repro::engine::query_with(&db, sql, opts)
-            .unwrap()
-            .rows;
+        let rows = tpcds_core::engine::query_with(&db, sql, opts).unwrap().rows;
         assert_eq!(rows.len(), 3, "{columnar:?}: {rows:?}");
         assert_eq!(rows[0][..3], [Value::Null, Value::Int(0), nulls.clone()]);
         assert_eq!(rows[1][..2], [Value::Int(1), Value::Int(0)]);
@@ -463,7 +460,7 @@ fn correlated_inputs_are_evaluated_per_outer_row() {
     let mut rng = SplitMix64(test_seed(0xC0E));
     let db = build_db(&mut rng, 2_000);
     let per_a = |sql: &str| -> HashMap<i64, Value> {
-        let rows = tpcds_repro::engine::query(&db, sql).unwrap().rows;
+        let rows = tpcds_core::engine::query(&db, sql).unwrap().rows;
         (rows.into_iter())
             .map(|r| (r[0].as_int().unwrap(), r[1].clone()))
             .collect()
@@ -471,7 +468,7 @@ fn correlated_inputs_are_evaluated_per_outer_row() {
     let outer = "from (select distinct a from t where a is not null) t1";
     let distinct_x = per_a("select a, count(distinct x) from t where a is not null group by a");
     let per_group = per_a("select a, count(*) from t where a is not null group by a");
-    let sum_x = tpcds_repro::engine::query(&db, "select sum(distinct x) from t")
+    let sum_x = tpcds_core::engine::query(&db, "select sum(distinct x) from t")
         .unwrap()
         .rows[0][0]
         .as_int()
@@ -494,14 +491,12 @@ fn correlated_inputs_are_evaluated_per_outer_row() {
         ),
     ];
     for (sql, expect) in &cases {
-        for columnar in [ColumnarMode::Off, ColumnarMode::Auto, ColumnarMode::Force] {
+        for columnar in [ColumnarMode::Off, ColumnarMode::Auto] {
             let opts = ExecOptions {
                 columnar,
                 threads: Some(2),
             };
-            let rows = tpcds_repro::engine::query_with(&db, sql, opts)
-                .unwrap()
-                .rows;
+            let rows = tpcds_core::engine::query_with(&db, sql, opts).unwrap().rows;
             assert_eq!(rows.len(), 4, "{columnar:?}: {sql}");
             for r in rows {
                 let a = r[0].as_int().unwrap();

@@ -4,14 +4,14 @@
 //! including zero divisors (NULL, never an error) and mixed Int/Decimal
 //! arithmetic — and every query runs on the row path (`off`, the
 //! correctness oracle) and through the compiled expression kernels
-//! (`force`) at 1/2/8 workers. Answers are compared **byte-for-byte**:
+//! (`auto`) at 1/2/8 workers. Answers are compared **byte-for-byte**:
 //! projection preserves input order and sorts tie-break on appended unique
 //! keys, so the output is fully determined at any worker count.
 
-use tpcds_repro::engine::{ColumnMeta, ColumnarMode, ExecOptions};
-use tpcds_repro::types::rng::{test_seed, SplitMix64};
-use tpcds_repro::types::{DataType, Decimal, Row, Value};
-use tpcds_repro::Database;
+use tpcds_core::engine::{ColumnMeta, ColumnarMode, ExecOptions};
+use tpcds_core::types::rng::{test_seed, SplitMix64};
+use tpcds_core::types::{DataType, Decimal, Row, Value};
+use tpcds_core::Database;
 
 fn int_meta(name: &str) -> ColumnMeta {
     ColumnMeta {
@@ -137,19 +137,19 @@ fn opts(mode: ColumnarMode, threads: usize) -> ExecOptions {
     }
 }
 
-/// Row-path oracle vs Force at 1/2/8 workers, byte-identical everywhere.
-/// Returns the Force@2 analyzed plan text for routing assertions.
+/// Row-path oracle vs the batch executor at 1/2/8 workers, byte-identical
+/// everywhere. Returns the 2-worker analyzed plan text for routing
+/// assertions.
 fn check(db: &Database, sql: &str, tag: &str) -> String {
-    let oracle = tpcds_repro::engine::query_with(db, sql, opts(ColumnarMode::Off, 1))
+    let oracle = tpcds_core::engine::query_with(db, sql, opts(ColumnarMode::Off, 1))
         .unwrap_or_else(|e| panic!("row path failed for {tag} {sql}: {e}"));
     let mut plan_text = String::new();
     for threads in [1, 2, 8] {
-        let a =
-            tpcds_repro::engine::query_analyze_with(db, sql, opts(ColumnarMode::Force, threads))
-                .unwrap_or_else(|e| panic!("columnar path failed for {tag} {sql}: {e}"));
+        let a = tpcds_core::engine::query_analyze_with(db, sql, opts(ColumnarMode::Auto, threads))
+            .unwrap_or_else(|e| panic!("columnar path failed for {tag} {sql}: {e}"));
         assert_eq!(
             oracle.rows, a.result.rows,
-            "force@{threads} diverges from the row oracle for {tag}: {sql}\n{}",
+            "auto@{threads} diverges from the row oracle for {tag}: {sql}\n{}",
             a.plan_text
         );
         if threads == 2 {
@@ -232,7 +232,7 @@ fn pinned_expression_shapes_agree() {
 
 /// A `LIMIT` stops its input at the same row on every path, so a row past
 /// the cut can never raise: the same rows — or the same first error —
-/// come back from the row oracle, from `auto` and from `force`, whether
+/// come back from the row oracle and from `auto`, whether
 /// the chain under the `LIMIT` is one lazy batch, a chain with subquery
 /// predicates, or one over a pipeline breaker.
 #[test]
@@ -273,19 +273,18 @@ fn limits_stop_at_the_same_row_with_the_same_errors_on_every_path() {
     let db = build_db(&mut SplitMix64(0x11A1), 20_000);
     for sql in &queries {
         let run = |mode, threads| {
-            tpcds_repro::engine::query_with(&db, sql, opts(mode, threads))
+            tpcds_core::engine::query_with(&db, sql, opts(mode, threads))
                 .map(|r| r.rows)
                 .map_err(|e| e.to_string())
         };
         let oracle = run(ColumnarMode::Off, 1);
-        for mode in [ColumnarMode::Auto, ColumnarMode::Force] {
-            for threads in [1, 2, 8] {
-                assert_eq!(
-                    oracle,
-                    run(mode, threads),
-                    "{mode:?}@{threads} diverges from the row oracle: {sql}"
-                );
-            }
+        let mode = ColumnarMode::Auto;
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                oracle,
+                run(mode, threads),
+                "{mode:?}@{threads} diverges from the row oracle: {sql}"
+            );
         }
     }
 }

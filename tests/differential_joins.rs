@@ -1,16 +1,16 @@
 //! Differential join harness: a seeded random generator produces join
 //! queries over 2–3 tables — mixed inner/left joins, NULL-able keys,
 //! filters (compilable and not), and aggregates — and every query runs on
-//! the row path (`TPCDS_COLUMNAR=off`) and the columnar path (`force`) at
-//! 1/2/8 workers. The row path is the correctness oracle: the columnar
-//! answer must be canonically equal, and the forced runs must be
+//! the row path (`off`) and the batch executor (`auto`) at 1/2/8 workers.
+//! The row path is the correctness oracle: the batch answer must be
+//! canonically equal, and the batch runs must be
 //! byte-identical to each other at every worker count (the determinism
 //! guarantee of the partitioned join).
 
-use tpcds_repro::engine::{ColumnMeta, ColumnarMode, ExecOptions};
-use tpcds_repro::types::rng::{test_seed, SplitMix64};
-use tpcds_repro::types::{DataType, Decimal, Row, Value};
-use tpcds_repro::Database;
+use tpcds_core::engine::{ColumnMeta, ColumnarMode, ExecOptions};
+use tpcds_core::types::rng::{test_seed, SplitMix64};
+use tpcds_core::types::{DataType, Decimal, Row, Value};
+use tpcds_core::Database;
 
 fn int_meta(name: &str) -> ColumnMeta {
     ColumnMeta {
@@ -19,7 +19,7 @@ fn int_meta(name: &str) -> ColumnMeta {
     }
 }
 
-/// One fact table (large enough to exceed the inline threshold, so forced
+/// One fact table (large enough to exceed the inline threshold, so batch
 /// runs really go parallel) and two dimension tables, all with NULL-able,
 /// duplicate-heavy join keys.
 fn build_db(rng: &mut SplitMix64) -> Database {
@@ -99,9 +99,8 @@ fn build_db(rng: &mut SplitMix64) -> Database {
     db
 }
 
-/// Random single-table filters. Most compile to the vectorized kernels;
-/// the arithmetic ones deliberately do not, so the differential run also
-/// covers the row-path fallback under Force.
+/// Random single-table filters: comparisons and arithmetic, all on the
+/// vectorized kernels.
 fn fact_filter(rng: &mut SplitMix64) -> String {
     let n = rng.below(1_000);
     let pk = rng.below(20_000);
@@ -247,9 +246,9 @@ fn random_join_queries_agree_across_paths_and_worker_counts() {
     let mut columnar_joins = 0usize;
     for q in 0..40 {
         let sql = gen_query(&mut rng);
-        let row = tpcds_repro::engine::query_with(&db, &sql, opts(ColumnarMode::Off, 1))
+        let row = tpcds_core::engine::query_with(&db, &sql, opts(ColumnarMode::Off, 1))
             .unwrap_or_else(|e| panic!("row path failed for #{q} {sql}: {e}"));
-        let reference = tpcds_repro::engine::query_with(&db, &sql, opts(ColumnarMode::Force, 1))
+        let reference = tpcds_core::engine::query_with(&db, &sql, opts(ColumnarMode::Auto, 1))
             .unwrap_or_else(|e| panic!("columnar path failed for #{q} {sql}: {e}"));
         assert_eq!(
             canon(&row.rows),
@@ -257,7 +256,7 @@ fn random_join_queries_agree_across_paths_and_worker_counts() {
             "row vs columnar diverge for #{q}: {sql}"
         );
         for threads in [2, 8] {
-            let r = tpcds_repro::engine::query_with(&db, &sql, opts(ColumnarMode::Force, threads))
+            let r = tpcds_core::engine::query_with(&db, &sql, opts(ColumnarMode::Auto, threads))
                 .unwrap();
             assert_eq!(
                 r.rows, reference.rows,
@@ -268,8 +267,7 @@ fn random_join_queries_agree_across_paths_and_worker_counts() {
         // silent routing regression fails the suite rather than passing
         // vacuously.
         let analyzed =
-            tpcds_repro::engine::query_analyze_with(&db, &sql, opts(ColumnarMode::Force, 2))
-                .unwrap();
+            tpcds_core::engine::query_analyze_with(&db, &sql, opts(ColumnarMode::Auto, 2)).unwrap();
         if analyzed.plan_text.contains("build_rows=") {
             columnar_joins += 1;
         }
@@ -339,16 +337,13 @@ fn operator_chains_over_joins_agree_across_paths_and_worker_counts() {
         ),
     ];
     for (sql, ordered) in chains {
-        let oracle = tpcds_repro::engine::query_with(&db, sql, opts(ColumnarMode::Off, 1))
+        let oracle = tpcds_core::engine::query_with(&db, sql, opts(ColumnarMode::Off, 1))
             .unwrap_or_else(|e| panic!("row path failed for {sql}: {e}"));
         assert!(!oracle.rows.is_empty(), "vacuous chain: {sql}");
         for threads in [1, 2, 8] {
-            let a = tpcds_repro::engine::query_analyze_with(
-                &db,
-                sql,
-                opts(ColumnarMode::Force, threads),
-            )
-            .unwrap_or_else(|e| panic!("batch path failed for {sql}: {e}"));
+            let a =
+                tpcds_core::engine::query_analyze_with(&db, sql, opts(ColumnarMode::Auto, threads))
+                    .unwrap_or_else(|e| panic!("batch path failed for {sql}: {e}"));
             if ordered {
                 assert_eq!(oracle.rows, a.result.rows, "threads={threads}: {sql}");
             } else {
@@ -391,15 +386,12 @@ fn keyless_joins_agree_across_paths_and_worker_counts() {
         format!("select count(*), count(b_k) from {empty} cross join t1"),
     ];
     for sql in &queries {
-        let oracle = tpcds_repro::engine::query_with(&db, sql, opts(ColumnarMode::Off, 1))
+        let oracle = tpcds_core::engine::query_with(&db, sql, opts(ColumnarMode::Off, 1))
             .unwrap_or_else(|e| panic!("row path failed for {sql}: {e}"));
         for threads in [1, 2, 8] {
-            let a = tpcds_repro::engine::query_analyze_with(
-                &db,
-                sql,
-                opts(ColumnarMode::Force, threads),
-            )
-            .unwrap_or_else(|e| panic!("batch path failed for {sql}: {e}"));
+            let a =
+                tpcds_core::engine::query_analyze_with(&db, sql, opts(ColumnarMode::Auto, threads))
+                    .unwrap_or_else(|e| panic!("batch path failed for {sql}: {e}"));
             assert_eq!(a.result.rows, oracle.rows, "threads={threads}: {sql}");
             assert!(
                 a.plan_text.contains(" on 0 key(s)"),

@@ -10,12 +10,12 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use tpcds_repro::engine::ColumnMeta;
-use tpcds_repro::engine::{ColumnarMode, ExecOptions};
-use tpcds_repro::synth::diff::{canon, run_differential};
-use tpcds_repro::types::rng::{test_seed, SplitMix64};
-use tpcds_repro::types::{DataType, Row, Value};
-use tpcds_repro::Database;
+use tpcds_core::engine::ColumnMeta;
+use tpcds_core::engine::{ColumnarMode, ExecOptions};
+use tpcds_core::synth::diff::{canon, run_differential};
+use tpcds_core::types::rng::{test_seed, SplitMix64};
+use tpcds_core::types::{DataType, Row, Value};
+use tpcds_core::Database;
 
 fn int_meta(name: &str) -> ColumnMeta {
     ColumnMeta {
@@ -103,28 +103,26 @@ fn row_path() -> ExecOptions {
     }
 }
 
-/// Every node of `sql`'s plan runs the batch kernels under `auto` and
-/// `force`, and the answer bytes do not depend on the worker count.
+/// Every node of `sql`'s plan runs the batch kernels under `auto`, and
+/// the answer bytes do not depend on the worker count.
 fn assert_batch_routed(db: &Database, sql: &str) {
-    for columnar in [ColumnarMode::Auto, ColumnarMode::Force] {
-        let run = |threads| {
-            let opts = ExecOptions {
-                columnar,
-                threads: Some(threads),
-            };
-            tpcds_repro::engine::query_analyze_with(db, sql, opts).expect("analyze")
+    let run = |threads| {
+        let opts = ExecOptions {
+            columnar: ColumnarMode::Auto,
+            threads: Some(threads),
         };
-        let one = run(1);
-        for line in one.plan_text.lines() {
-            assert!(
-                line.contains("route=columnar"),
-                "{columnar:?}: {line}\nsql: {sql}\n{}",
-                one.plan_text
-            );
-        }
-        for threads in [2, 8] {
-            assert_eq!(run(threads).result.rows, one.result.rows, "{sql}");
-        }
+        tpcds_core::engine::query_analyze_with(db, sql, opts).expect("analyze")
+    };
+    let one = run(1);
+    for line in one.plan_text.lines() {
+        assert!(
+            line.contains("route=columnar"),
+            "{line}\nsql: {sql}\n{}",
+            one.plan_text
+        );
+    }
+    for threads in [2, 8] {
+        assert_eq!(run(threads).result.rows, one.result.rows, "{sql}");
     }
 }
 
@@ -153,15 +151,15 @@ fn set_ops_match_reference_semantics_and_both_paths() {
 
             // Reference check: materialize each arm on the row path, run
             // the op independently, compare as multisets.
-            let a = tpcds_repro::engine::query_with(&db, left, row_path())
+            let a = tpcds_core::engine::query_with(&db, left, row_path())
                 .expect("left arm")
                 .rows;
-            let b = tpcds_repro::engine::query_with(&db, right, row_path())
+            let b = tpcds_core::engine::query_with(&db, right, row_path())
                 .expect("right arm")
                 .rows;
             let expect = canon(reference(op, &a, &b));
             let got = canon(
-                tpcds_repro::engine::query_with(&db, &sql, row_path())
+                tpcds_core::engine::query_with(&db, &sql, row_path())
                     .expect("set op")
                     .rows,
             );
@@ -201,7 +199,7 @@ fn null_only_rows_intersect_and_except() {
         ),
         ("select null x except select null x".to_string(), vec![]),
     ] {
-        let got = tpcds_repro::engine::query_with(&db, &sql, row_path()).expect("set op");
+        let got = tpcds_core::engine::query_with(&db, &sql, row_path()).expect("set op");
         assert_eq!(got.rows, expect, "{sql}");
         if let Err(e) = run_differential(&db, &db.snapshot(), &sql) {
             panic!("differential failed: {e:?}\nsql: {sql}");
@@ -222,7 +220,7 @@ fn union_all_keeps_mixed_int_and_decimal_values() {
         "select a_x v from ta where a_x = 1 union all select 1.00 v from tb where b_x = 1",
     ] {
         let shown = |opts| {
-            let r = tpcds_repro::engine::query_with(&db, sql, opts).expect(sql);
+            let r = tpcds_core::engine::query_with(&db, sql, opts).expect(sql);
             format!("{:?}", r.rows)
         };
         let oracle = shown(row_path());
@@ -230,14 +228,12 @@ fn union_all_keeps_mixed_int_and_decimal_values() {
             oracle.contains("Int(1)") && oracle.contains("Decimal"),
             "{oracle}"
         );
-        for columnar in [ColumnarMode::Auto, ColumnarMode::Force] {
-            for threads in [1, 2, 8] {
-                let opts = ExecOptions {
-                    columnar,
-                    threads: Some(threads),
-                };
-                assert_eq!(shown(opts), oracle, "{sql} ({opts:?})");
-            }
+        for threads in [1, 2, 8] {
+            let opts = ExecOptions {
+                columnar: ColumnarMode::Auto,
+                threads: Some(threads),
+            };
+            assert_eq!(shown(opts), oracle, "{sql} ({opts:?})");
         }
         assert_batch_routed(&db, sql);
     }
@@ -256,12 +252,12 @@ fn distinct_collapses_null_rows() {
         "select distinct a_x, a_y from ta",
         "select distinct a_x from ta where a_y is null",
     ] {
-        let all = tpcds_repro::engine::query_with(&db, &sql.replace("distinct ", ""), row_path())
+        let all = tpcds_core::engine::query_with(&db, &sql.replace("distinct ", ""), row_path())
             .expect("plain")
             .rows;
         let expect = canon(dedup_first_seen(&all));
         let got = canon(
-            tpcds_repro::engine::query_with(&db, sql, row_path())
+            tpcds_core::engine::query_with(&db, sql, row_path())
                 .expect("distinct")
                 .rows,
         );

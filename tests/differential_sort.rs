@@ -2,17 +2,17 @@
 //! ORDER BY (and ORDER BY ... LIMIT) queries — duplicate-heavy keys, NULL
 //! keys under both directions, multi-key mixed-direction sorts, LIMITs at
 //! and past the input size — and every query runs on the row path
-//! (`TPCDS_COLUMNAR=off`, the correctness oracle) and the columnar path
-//! (`force`) at 1/2/8 workers. Unlike the join harness, answers here are
+//! (`off`, the correctness oracle) and the batch executor (`auto`) at
+//! 1/2/8 workers. Unlike the join harness, answers here are
 //! compared **byte-for-byte**: both paths tie-break equal keys by the
 //! input row order (stable sort on the row path, global-row-index
 //! tie-break in the parallel kernels), so the output is fully determined
 //! at any worker count.
 
-use tpcds_repro::engine::{ColumnMeta, ColumnarMode, ExecOptions};
-use tpcds_repro::types::rng::{test_seed, SplitMix64};
-use tpcds_repro::types::{DataType, Decimal, Row, Value};
-use tpcds_repro::Database;
+use tpcds_core::engine::{ColumnMeta, ColumnarMode, ExecOptions};
+use tpcds_core::types::rng::{test_seed, SplitMix64};
+use tpcds_core::types::{DataType, Decimal, Row, Value};
+use tpcds_core::Database;
 
 fn int_meta(name: &str) -> ColumnMeta {
     ColumnMeta {
@@ -21,7 +21,7 @@ fn int_meta(name: &str) -> ColumnMeta {
     }
 }
 
-/// One wide table, large enough to exceed the inline threshold so forced
+/// One wide table, large enough to exceed the inline threshold so batch
 /// runs really go parallel: a unique pk, two duplicate-heavy NULL-able
 /// int keys (many ties — the stability stressor), a decimal and a string
 /// (both outside the encoded-key fast path), and a date (inside it).
@@ -44,7 +44,7 @@ fn build_db(rng: &mut SplitMix64, rows: usize) -> Database {
             dtype: DataType::Date,
         },
     ];
-    let epoch = tpcds_repro::types::Date::from_ymd(2001, 1, 1);
+    let epoch = tpcds_core::types::Date::from_ymd(2001, 1, 1);
     let data: Vec<Row> = (0..rows as i64)
         .map(|i| {
             let k1 = if rng.below(16) == 0 {
@@ -104,9 +104,8 @@ fn gen_query(rng: &mut SplitMix64, table_rows: usize) -> String {
         0 => format!(" where s_pk < {}", rng.below(table_rows as u64 * 2)),
         1 => " where s_k1 is not null".to_string(),
         2 => String::new(),
-        // Uncompilable on purpose: covers the rows-path kernels under
-        // Force (the scan falls back to rows, the sort still goes
-        // parallel over the materialized Vec<Row>).
+        // An arithmetic filter: the expression kernels evaluate it before
+        // the sort.
         _ => format!(" where s_pk + 0 >= {}", rng.below(200)),
     };
     // LIMIT edge cases by construction: 0, tiny, around the input size,
@@ -132,20 +131,19 @@ fn opts(mode: ColumnarMode, threads: usize) -> ExecOptions {
     }
 }
 
-/// Runs `sql` on the row-path oracle and under Force at 1/2/8 workers,
-/// asserting byte-identical answers everywhere. Returns the Force@2
-/// analyzed plan text for routing assertions.
+/// Runs `sql` on the row-path oracle and the batch executor at 1/2/8
+/// workers, asserting byte-identical answers everywhere. Returns the
+/// 2-worker analyzed plan text for routing assertions.
 fn check(db: &Database, sql: &str, tag: &str) -> String {
-    let oracle = tpcds_repro::engine::query_with(db, sql, opts(ColumnarMode::Off, 1))
+    let oracle = tpcds_core::engine::query_with(db, sql, opts(ColumnarMode::Off, 1))
         .unwrap_or_else(|e| panic!("row path failed for {tag} {sql}: {e}"));
     let mut plan_text = String::new();
     for threads in [1, 2, 8] {
-        let a =
-            tpcds_repro::engine::query_analyze_with(db, sql, opts(ColumnarMode::Force, threads))
-                .unwrap_or_else(|e| panic!("columnar path failed for {tag} {sql}: {e}"));
+        let a = tpcds_core::engine::query_analyze_with(db, sql, opts(ColumnarMode::Auto, threads))
+            .unwrap_or_else(|e| panic!("columnar path failed for {tag} {sql}: {e}"));
         assert_eq!(
             oracle.rows, a.result.rows,
-            "force@{threads} diverges from the row oracle for {tag}: {sql}\n{}",
+            "auto@{threads} diverges from the row oracle for {tag}: {sql}\n{}",
             a.plan_text
         );
         if threads == 2 {

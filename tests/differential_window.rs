@@ -1,5 +1,5 @@
 //! Differential window-function harness. Window calls run on a batch
-//! kernel (`route=columnar`) under `auto` and `force`: each call sorts
+//! kernel (`route=columnar`) under `auto`: each call sorts
 //! its input by (partition keys, order keys, row position) and walks that
 //! order once, folding the aggregate accumulators a GROUP BY uses; the
 //! row interpreter (`off`) partitions by hash and sorts each partition.
@@ -14,10 +14,10 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use tpcds_repro::engine::{ColumnMeta, ColumnarMode, ExecOptions};
-use tpcds_repro::types::rng::{test_seed, SplitMix64};
-use tpcds_repro::types::{DataType, Decimal, Row, Value};
-use tpcds_repro::Database;
+use tpcds_core::engine::{ColumnMeta, ColumnarMode, ExecOptions};
+use tpcds_core::types::rng::{test_seed, SplitMix64};
+use tpcds_core::types::{DataType, Decimal, Row, Value};
+use tpcds_core::Database;
 
 fn meta(name: &str, dtype: DataType) -> ColumnMeta {
     ColumnMeta {
@@ -384,7 +384,7 @@ fn seeded_window_queries_match_across_paths_and_workers() {
     eprintln!("differential_window seed: {seed} (override with TPCDS_TEST_SEED)");
     let mut rng = SplitMix64(seed);
     let db = build_db(&mut rng, 20_000);
-    let all = tpcds_repro::engine::query(&db, "select * from win_t order by w_pk")
+    let all = tpcds_core::engine::query(&db, "select * from win_t order by w_pk")
         .unwrap()
         .rows;
     for q in 0..30 {
@@ -400,7 +400,7 @@ fn seeded_window_queries_match_across_paths_and_workers() {
             })
             .collect();
         let run = |columnar, threads| {
-            tpcds_repro::engine::query_analyze_with(&db, &sql, opts(columnar, threads))
+            tpcds_core::engine::query_analyze_with(&db, &sql, opts(columnar, threads))
                 .unwrap_or_else(|e| panic!("query {q} failed: {e}\nsql: {sql}"))
         };
         let oracle = run(ColumnarMode::Off, 1).result.rows;
@@ -408,24 +408,23 @@ fn seeded_window_queries_match_across_paths_and_workers() {
             agrees(&oracle, &expect, &calls),
             "off vs reference, query {q}: {sql}"
         );
-        for columnar in [ColumnarMode::Auto, ColumnarMode::Force] {
-            let one = run(columnar, 1);
-            for line in one.plan_text.lines() {
-                assert!(
-                    line.contains("route=columnar"),
-                    "{columnar:?}: {sql}\n{}",
-                    one.plan_text
-                );
-            }
-            let mode = format!("{columnar:?}");
+        let columnar = ColumnarMode::Auto;
+        let one = run(columnar, 1);
+        for line in one.plan_text.lines() {
             assert!(
-                agrees(&one.result.rows, &expect, &calls),
-                "{mode} vs reference: {sql}"
+                line.contains("route=columnar"),
+                "{columnar:?}: {sql}\n{}",
+                one.plan_text
             );
-            for threads in [2, 8] {
-                let rows = run(columnar, threads).result.rows;
-                assert_eq!(rows, one.result.rows, "{mode} @ {threads}: {sql}");
-            }
+        }
+        let mode = format!("{columnar:?}");
+        assert!(
+            agrees(&one.result.rows, &expect, &calls),
+            "{mode} vs reference: {sql}"
+        );
+        for threads in [2, 8] {
+            let rows = run(columnar, threads).result.rows;
+            assert_eq!(rows, one.result.rows, "{mode} @ {threads}: {sql}");
         }
     }
 }
@@ -467,9 +466,9 @@ fn window_semantics_pinned_on_fixture() {
         vec![Value::Int(5), Value::Int(3), Value::Int(2), Value::Int(17)],
         vec![Value::Int(6), Value::Int(1), Value::Int(1), Value::Int(10)],
     ];
-    for columnar in [ColumnarMode::Off, ColumnarMode::Auto, ColumnarMode::Force] {
+    for columnar in [ColumnarMode::Off, ColumnarMode::Auto] {
         for threads in [1, 2, 8] {
-            let got = tpcds_repro::engine::query_with(&db, sql, opts(columnar, threads))
+            let got = tpcds_core::engine::query_with(&db, sql, opts(columnar, threads))
                 .expect("fixture query");
             assert_eq!(
                 got.rows, expect,
@@ -492,9 +491,9 @@ fn running_sum_is_linear_on_both_executors() {
     db.create_table_with_rows("big", vec![int_meta("k"), int_meta("v")], rows)
         .unwrap();
     let sql = "select k, sum(v) over (order by k) s from big order by k";
-    for columnar in [ColumnarMode::Off, ColumnarMode::Force] {
+    for columnar in [ColumnarMode::Off, ColumnarMode::Auto] {
         let start = Instant::now();
-        let r = tpcds_repro::engine::query_with(&db, sql, opts(columnar, 2)).unwrap();
+        let r = tpcds_core::engine::query_with(&db, sql, opts(columnar, 2)).unwrap();
         let took = start.elapsed();
         assert_eq!(r.rows.len(), 50_000);
         assert_eq!(r.rows[49_999][1], Value::Int(total), "{columnar:?}");

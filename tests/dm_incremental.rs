@@ -25,13 +25,13 @@
 use std::collections::{HashMap, HashSet};
 use std::ops::DerefMut;
 use std::sync::Arc;
-use tpcds_repro::engine::{ColumnMeta, Commit, Database, DbSnapshot, Index, Table};
-use tpcds_repro::storage::{
+use tpcds_core::engine::{ColumnMeta, Commit, Database, DbSnapshot, Index, Table};
+use tpcds_core::storage::{
     collect_stats, ColumnTable, ColumnTableBuilder, Segment, COMPACT_DEAD_SHARE, MORSEL_ROWS,
     SEGMENT_ROWS,
 };
-use tpcds_repro::types::{DataType, Date, Decimal, Row, Value};
-use tpcds_repro::{maint, Generator, TpcDs};
+use tpcds_core::types::{DataType, Date, Decimal, Row, Value};
+use tpcds_core::{maint, Generator, TpcDs};
 
 /// The tables data maintenance writes.
 const MAINTAINED: [&str; 14] = [
@@ -179,7 +179,7 @@ fn written_by(op: &str) -> Vec<&'static str> {
 fn refresh_sets_publish_what_a_rebuild_would_at_any_worker_count() {
     let g = Generator::new(0.01);
     for threads in [1, 2, 8] {
-        tpcds_repro::storage::set_threads(Some(threads));
+        tpcds_core::storage::set_threads(Some(threads));
         let db = Database::new();
         maint::load_initial_population(&db, &g).unwrap();
         // A set commits twelve versions; the one before it stays too.
@@ -279,7 +279,7 @@ fn refresh_sets_publish_what_a_rebuild_would_at_any_worker_count() {
         }
         assert!(deleted_in_all > 0);
     }
-    tpcds_repro::storage::set_threads(None);
+    tpcds_core::storage::set_threads(None);
 }
 
 /// What a table should hold, and every row version it held and no longer
@@ -738,7 +738,7 @@ fn the_99_templates_answer_alike_on_masked_and_freshly_loaded_rows() {
         fresh.create_indexes(&name, &indexed).unwrap();
     }
     assert!(dead > 0, "twenty sets left no dead row to skip");
-    let answer = |db: &Database, sql: &str| match tpcds_repro::engine::query(db, sql) {
+    let answer = |db: &Database, sql: &str| match tpcds_core::engine::query(db, sql) {
         Ok(r) => format!("{:?}", r.rows),
         Err(e) => format!("error: {e}"),
     };

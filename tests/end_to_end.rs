@@ -1,14 +1,14 @@
 //! Integration: the full Figure 11 benchmark flow — load, query run,
 //! maintenance, query run — across all crates, plus metric sanity.
 
-use tpcds_repro::runner::{self, AuxLevel, BenchmarkConfig};
-use tpcds_repro::TpcDs;
+use tpcds_core::runner::{self, AuxLevel, BenchmarkConfig};
+use tpcds_core::TpcDs;
 
 #[test]
 fn benchmark_flow_produces_consistent_metrics() {
     let config = BenchmarkConfig {
         scale_factor: 0.01,
-        seed: tpcds_repro::types::rng::DEFAULT_SEED,
+        seed: tpcds_core::types::rng::DEFAULT_SEED,
         streams: Some(3),
         queries_per_stream: Some(8),
         aux: AuxLevel::Reporting,
@@ -25,7 +25,7 @@ fn benchmark_flow_produces_consistent_metrics() {
     let q = result.qphds();
     assert!(q.is_finite() && q > 0.0);
     // The database is usable after the benchmark (post-maintenance state).
-    let r = tpcds_repro::engine::query(&result.db, "select count(*) from item").unwrap();
+    let r = tpcds_core::engine::query(&result.db, "select count(*) from item").unwrap();
     assert!(r.rows[0][0].as_int().unwrap() > 0);
 }
 
@@ -85,7 +85,7 @@ fn min_streams_enforced_shape() {
     for sf in [
         0.01, 1.0, 100.0, 300.0, 1000.0, 3000.0, 10_000.0, 30_000.0, 100_000.0,
     ] {
-        let s = tpcds_repro::min_streams(sf);
+        let s = tpcds_core::min_streams(sf);
         assert!(s >= prev, "min streams decreased at SF {sf}");
         prev = s;
     }

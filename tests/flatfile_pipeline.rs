@@ -2,9 +2,9 @@
 //! export, re-import, load into the engine, and confirm queries see
 //! identical data as a direct in-memory load.
 
-use tpcds_repro::dgen::{flatfile, Generator};
-use tpcds_repro::engine::{self, Database};
-use tpcds_repro::schema::Schema;
+use tpcds_core::dgen::{flatfile, Generator};
+use tpcds_core::engine::{self, Database};
+use tpcds_core::schema::Schema;
 
 #[test]
 fn flat_file_load_equals_direct_load() {
@@ -14,7 +14,7 @@ fn flat_file_load_equals_direct_load() {
 
     // Direct load.
     let direct = Database::new();
-    tpcds_repro::maint::load_initial_population(&direct, &g).unwrap();
+    tpcds_core::maint::load_initial_population(&direct, &g).unwrap();
 
     // Flat-file round trip load.
     let via_files = Database::new();
@@ -48,7 +48,7 @@ fn flat_file_load_equals_direct_load() {
 fn engine_results_are_deterministic_across_runs() {
     // The same query against the same data set twice gives identical
     // results — the repeatability the benchmark's comparability needs.
-    let t = tpcds_repro::TpcDs::builder()
+    let t = tpcds_core::TpcDs::builder()
         .scale_factor(0.005)
         .build()
         .unwrap();

@@ -2,8 +2,8 @@
 //! generated, loaded data set — and leave one profile behind, of which the
 //! query log and EXPLAIN ANALYZE are two renderings that cannot disagree.
 
-use tpcds_repro::engine::{self, ColumnarMode, ExecOptions};
-use tpcds_repro::TpcDs;
+use tpcds_core::engine::{self, ExecOptions};
+use tpcds_core::TpcDs;
 
 #[test]
 fn all_99_queries_execute_on_generated_data() {
@@ -19,45 +19,40 @@ fn all_99_queries_execute_on_generated_data() {
     let mut empty = 0;
     for id in 1..=99u32 {
         let sql = tpcds.benchmark_sql(id, 0).expect("instantiate");
-        for columnar in [ColumnarMode::Auto, ColumnarMode::Force] {
-            let opts = ExecOptions {
-                columnar,
-                threads: None,
-            };
-            let pinned = engine::query_pinned(db, &snap, &sql, opts);
-            let logged = last_record();
-            let analyzed = engine::query_analyze_with(db, &sql, opts);
-            let relogged = last_record();
-            let (rows, analyzed) = match (pinned, analyzed) {
-                (Ok(r), Ok(a)) => (r.rows.len(), a),
-                (Err(e), _) | (_, Err(e)) => {
-                    failures.push(format!("q{id} {columnar:?}: {e}\n{sql}"));
-                    continue;
-                }
-            };
-            if rows == 0 && columnar == ColumnarMode::Auto {
-                empty += 1;
+        let opts = ExecOptions::default();
+        let pinned = engine::query_pinned(db, &snap, &sql, opts);
+        let logged = last_record();
+        let analyzed = engine::query_analyze_with(db, &sql, opts);
+        let relogged = last_record();
+        let (rows, analyzed) = match (pinned, analyzed) {
+            (Ok(r), Ok(a)) => (r.rows.len(), a),
+            (Err(e), _) | (_, Err(e)) => {
+                failures.push(format!("q{id}: {e}\n{sql}"));
+                continue;
             }
-            // Two runs of one pipeline on one snapshot: same record.
-            let summary = |r: &engine::QueryRecord| (r.best_route, r.rows, r.snapshot_version);
-            assert_eq!(summary(&logged), summary(&relogged), "q{id} {columnar:?}");
-            assert_eq!(logged.snapshot_version, snap.version(), "q{id}");
-            assert_eq!(logged.rows, rows as u64, "q{id} {columnar:?}");
-            assert_eq!(relogged.seq, analyzed.profile.record.seq, "q{id}");
-            // The log's routing column is what EXPLAIN ANALYZE reports,
-            // and every executed node ran a batch kernel or an index probe.
-            assert_eq!(logged.best_route, analyzed.best_route().as_str(), "q{id}");
-            let serial = (analyzed.nodes.iter()).filter(|n| n.route == engine::RoutePath::Serial);
-            assert_eq!(serial.count(), 0, "q{id} {columnar:?}");
-            // Phases are parts of the wall time, and every template scans.
-            for r in [&logged, &relogged] {
-                assert!(r.exec_us > 0, "q{id}: {r:?}");
-                assert!(
-                    r.parse_us + r.plan_us + r.exec_us <= r.wall_us,
-                    "q{id}: {r:?}"
-                );
-                assert_eq!(r.error, None, "q{id}");
-            }
+        };
+        if rows == 0 {
+            empty += 1;
+        }
+        // Two runs of one pipeline on one snapshot: same record.
+        let summary = |r: &engine::QueryRecord| (r.best_route, r.rows, r.snapshot_version);
+        assert_eq!(summary(&logged), summary(&relogged), "q{id}");
+        assert_eq!(logged.snapshot_version, snap.version(), "q{id}");
+        assert_eq!(logged.rows, rows as u64, "q{id}");
+        assert_eq!(relogged.seq, analyzed.profile.record.seq, "q{id}");
+        // The log's routing column is what EXPLAIN ANALYZE reports,
+        // and every executed node ran a batch kernel or an index probe.
+        assert_eq!(logged.best_route, analyzed.best_route().as_str(), "q{id}");
+        let serial = (analyzed.nodes.iter()).filter(|n| n.route == engine::RoutePath::Serial);
+        assert_eq!(serial.count(), 0, "q{id}");
+        // Phases are parts of the wall time, and every template scans.
+        for r in [&logged, &relogged] {
+            assert!(r.exec_us > 0, "q{id}: {r:?}");
+            assert!(
+                r.parse_us + r.plan_us + r.exec_us <= r.wall_us,
+                "q{id}: {r:?}"
+            );
+            assert_eq!(r.error, None, "q{id}");
         }
     }
     assert!(

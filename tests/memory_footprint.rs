@@ -4,9 +4,9 @@
 //! allocator's live-bytes register is process-wide, so a concurrently
 //! running test would be counted too.
 
-use tpcds_repro::engine::Database;
-use tpcds_repro::obs::mem;
-use tpcds_repro::{maint, Generator};
+use tpcds_core::engine::Database;
+use tpcds_core::obs::mem;
+use tpcds_core::{maint, Generator};
 
 #[global_allocator]
 static ALLOC: mem::CountingAlloc = mem::CountingAlloc;

@@ -6,11 +6,11 @@
 //! statistics and the same EXPLAIN for all 99 templates — and the segments,
 //! maps and statistics are the ones built serially from those segments.
 
-use tpcds_repro::engine::{explain_sql, Database, Index};
-use tpcds_repro::storage::{collect_stats, set_threads, TableStats, SEGMENT_ROWS};
-use tpcds_repro::types::rng::DEFAULT_SEED;
-use tpcds_repro::types::Row;
-use tpcds_repro::{maint, Generator, Workload};
+use tpcds_core::engine::{explain_sql, Database, Index};
+use tpcds_core::storage::{collect_stats, set_threads, TableStats, SEGMENT_ROWS};
+use tpcds_core::types::rng::DEFAULT_SEED;
+use tpcds_core::types::Row;
+use tpcds_core::{maint, Generator, Workload};
 
 /// One segment's index map as sorted (key, offsets) entries.
 type Map = Vec<(String, Vec<u32>)>;

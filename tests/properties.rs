@@ -4,8 +4,8 @@
 //! third-party property-testing crate: the build must resolve offline);
 //! each failure reproduces from its (property, case) coordinate.
 
-use tpcds_repro::types::rng::ColumnRng;
-use tpcds_repro::types::{Date, Decimal, Value};
+use tpcds_core::types::rng::ColumnRng;
+use tpcds_core::types::{Date, Decimal, Value};
 
 /// Per-case RNG: seed fixed, stream selects the property, row is the case.
 fn rng(property: u64, case: u64) -> ColumnRng {
@@ -96,7 +96,7 @@ fn value_sort_cmp_is_antisymmetric() {
 
 #[test]
 fn generator_chunks_compose() {
-    let g = tpcds_repro::Generator::new(0.005);
+    let g = tpcds_core::Generator::new(0.005);
     let n = g.row_count("customer");
     let full = g.generate("customer");
     for case in 0..48 {
@@ -117,11 +117,11 @@ fn scd_position_inverts_consistently() {
     for case in 0..CASES {
         let mut r = rng(8, case);
         let sk = r.uniform_i64(0, 99_999) as u64;
-        let pos = tpcds_repro::Generator::scd_position(sk);
+        let pos = tpcds_core::Generator::scd_position(sk);
         assert!(pos.revision < pos.revision_count);
         assert!(pos.revision_count >= 1 && pos.revision_count <= 3);
         // Consecutive surrogates never skip business keys.
-        let next = tpcds_repro::Generator::scd_position(sk + 1);
+        let next = tpcds_core::Generator::scd_position(sk + 1);
         assert!(next.business_key == pos.business_key || next.business_key == pos.business_key + 1);
     }
 }
@@ -154,7 +154,7 @@ fn like_match_agrees_with_definition() {
         let sc: Vec<char> = s.chars().collect();
         let pc: Vec<char> = p.chars().collect();
         assert_eq!(
-            tpcds_repro::engine::expr::like_match(&s, &p),
+            tpcds_core::engine::expr::like_match(&s, &p),
             reference(&sc, &pc),
             "s={s:?} p={p:?}"
         );

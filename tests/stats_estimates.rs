@@ -4,8 +4,8 @@
 //! decision — `serial` exactly under `ColumnarMode::Off` — and data maintenance
 //! refreshes the statistics (the differential gate CI runs).
 
-use tpcds_repro::engine::{self, ColumnarMode, ExecOptions, RoutePath};
-use tpcds_repro::TpcDs;
+use tpcds_core::engine::{self, ColumnarMode, ExecOptions, RoutePath};
+use tpcds_core::TpcDs;
 
 fn load(sf: f64) -> TpcDs {
     TpcDs::builder().scale_factor(sf).build().expect("load")
@@ -67,7 +67,7 @@ fn a_node_runs_serial_exactly_when_the_mode_is_off() {
         "select d_year, count(*) from store_sales, date_dim \
          where ss_sold_date_sk = d_date_sk group by d_year",
     ] {
-        for columnar in [ColumnarMode::Off, ColumnarMode::Auto, ColumnarMode::Force] {
+        for columnar in [ColumnarMode::Off, ColumnarMode::Auto] {
             let opts = ExecOptions {
                 columnar,
                 threads: None,

@@ -4,17 +4,17 @@
 //! produces from the adversarial generators — all-NULL join keys,
 //! modulo-collapsed skew joins, provably-empty predicates, segment-
 //! boundary LIMITs, NULL-bearing set operations and window tails. Each
-//! one replays on the row path (the oracle) and the columnar path at
+//! one replays on the row path (the oracle) and the batch executor at
 //! 1/2/8 workers, forever: a mismatch that is found once must never
 //! come back.
 //!
-//! Policy: when `tpcds-bench synth` or the soak harness finds and fixes
-//! a real mismatch, its minimized SQL is appended to `CORPUS` below.
+//! Policy: when `tpcds synth` or the soak harness finds and fixes a real
+//! mismatch, its minimized SQL is appended to `CORPUS` below.
 
 use std::sync::Arc;
 
-use tpcds_repro::synth::diff::run_differential;
-use tpcds_repro::{Database, Generator};
+use tpcds_core::synth::diff::run_differential;
+use tpcds_core::{Database, Generator};
 
 /// Shapes the shrinker converges to, by adversarial family.
 const CORPUS: &[(&str, &str)] = &[
@@ -272,7 +272,7 @@ const CORPUS: &[(&str, &str)] = &[
 fn regression_corpus_replays_clean_on_both_paths() {
     let db = Arc::new(Database::new());
     let generator = Generator::new(0.005);
-    tpcds_repro::maint::load_initial_population(&db, &generator).expect("load");
+    tpcds_core::maint::load_initial_population(&db, &generator).expect("load");
     let snap = db.snapshot();
 
     let mut failures = Vec::new();
