@@ -386,13 +386,7 @@ pub fn serve(args: &[String]) -> Result<()> {
         .to_string();
     let max_queries: usize = flags.parse("--max-queries", 0usize)?;
     let idle_secs: u64 = flags.parse("--idle-timeout", 300u64)?;
-    let slow_query_ms: Option<u64> = match flags.value("--slow-query-ms") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("bad value for --slow-query-ms: {v:?}"))?,
-        ),
-    };
+    let slow_query_ms: u64 = flags.parse("--slow-query-ms", 0)?;
 
     eprintln!("loading TPC-DS at SF {sf}...");
     let db = std::sync::Arc::new(tpcds_core::Database::new());
@@ -405,14 +399,11 @@ pub fn serve(args: &[String]) -> Result<()> {
     let mut config = tpcds_core::server::ServerConfig {
         addr,
         idle_timeout: std::time::Duration::from_secs(idle_secs),
+        slow_query_ms,
         ..tpcds_core::server::ServerConfig::default()
     };
     if max_queries > 0 {
         config.max_concurrent_queries = max_queries;
-    }
-    // Flag wins over the TPCDS_SLOW_QUERY_MS default baked into the config.
-    if let Some(ms) = slow_query_ms {
-        config.slow_query_ms = ms;
     }
     let server = tpcds_core::server::Server::start(std::sync::Arc::clone(&db), config)
         .map_err(|e| format!("cannot start server: {e}"))?;

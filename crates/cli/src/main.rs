@@ -91,9 +91,9 @@ The server exposes its own state as SQL: `sys.sessions`, `sys.queries`,
 `sys.query_log`, `sys.counters`, `sys.gauges`, `sys.histograms` and
 `sys.snapshots` answer to ordinary queries in-process and over the wire
 (`tpcds client --sql 'select * from sys.query_log order by wall_us desc
-limit 5'`); `tpcds top` polls them. --slow-query-ms MS (also
-TPCDS_SLOW_QUERY_MS) re-describes queries at or over the threshold on
-stderr at EXPLAIN ANALYZE detail. See docs/OBSERVABILITY.md.
+limit 5'`); `tpcds top` polls them. --slow-query-ms MS re-describes
+queries at or over the threshold on stderr at EXPLAIN ANALYZE detail.
+See docs/OBSERVABILITY.md.
 
 --threads N sets the morsel worker count for columnar scans (also via
 the TPCDS_THREADS environment variable; default available_parallelism)."

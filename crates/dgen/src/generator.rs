@@ -136,7 +136,7 @@ impl Generator {
         let _span = tpcds_obs::span("dgen", "generate_parallel");
         let segments = self.segments(table);
         let workers = threads.clamp(1, segments.max(1));
-        let parts = tpcds_storage::run_chunks("generate_worker", segments, workers, |k| {
+        let parts = tpcds_storage::run_chunks(segments, workers, |k| {
             self.segment_rows(table, k).collect::<Vec<Row>>()
         });
         let rows = parts.concat();

@@ -11,11 +11,11 @@
 use crate::ast;
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
-use crate::expr::{ArithOp, BExpr, CmpOp, ScalarFunc, SubPlan};
-use crate::plan::{AggCall, JoinKind, Plan, WindowCall};
+use crate::expr::{ArithOp, BExpr, CmpKind, ScalarFunc, SubPlan};
+use crate::plan::{AggCall, Plan, WindowCall};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tpcds_storage::{AggKind, KeySet, WinFunc};
+use tpcds_storage::{AggKind, JoinType, KeySet, WinFunc};
 use tpcds_types::{DataType, Value};
 
 /// Sentinel base for window-result column references: window columns are
@@ -320,8 +320,8 @@ impl<'a> Binder<'a> {
                 let scope = ls.merged(rs);
                 let jk = match kind {
                     ast::JoinKind::Cross => return Ok((cross_join(lp, rp), scope)),
-                    ast::JoinKind::Inner => JoinKind::Inner,
-                    ast::JoinKind::Left => JoinKind::Left,
+                    ast::JoinKind::Inner => JoinType::Inner,
+                    ast::JoinKind::Left => JoinType::Left,
                 };
                 let on_expr = on
                     .as_ref()
@@ -417,7 +417,7 @@ impl<'a> Binder<'a> {
         let (mut outer_keys, mut inner_keys, mut rest) = (Vec::new(), Vec::new(), Vec::new());
         for c in conjuncts {
             let key = match &c {
-                BExpr::Cmp(CmpOp::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
+                BExpr::Cmp(CmpKind::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
                     (BExpr::OuterCol(o), i) | (i, BExpr::OuterCol(o)) if !i.reads_outer() => {
                         let ty = scope.cols[*o].dtype;
                         (ty.is_some() && ty == inner.type_of(i)).then(|| (*o, i.clone()))
@@ -1288,12 +1288,12 @@ fn bin_op(op: ast::BinOp, l: BExpr, r: BExpr) -> BExpr {
         Mul => BExpr::Arith(ArithOp::Mul, l.boxed(), r.boxed()),
         Div => BExpr::Arith(ArithOp::Div, l.boxed(), r.boxed()),
         Mod => BExpr::Arith(ArithOp::Mod, l.boxed(), r.boxed()),
-        Eq => BExpr::Cmp(CmpOp::Eq, l.boxed(), r.boxed()),
-        Ne => BExpr::Cmp(CmpOp::Ne, l.boxed(), r.boxed()),
-        Lt => BExpr::Cmp(CmpOp::Lt, l.boxed(), r.boxed()),
-        Le => BExpr::Cmp(CmpOp::Le, l.boxed(), r.boxed()),
-        Gt => BExpr::Cmp(CmpOp::Gt, l.boxed(), r.boxed()),
-        Ge => BExpr::Cmp(CmpOp::Ge, l.boxed(), r.boxed()),
+        Eq => BExpr::Cmp(CmpKind::Eq, l.boxed(), r.boxed()),
+        Ne => BExpr::Cmp(CmpKind::Ne, l.boxed(), r.boxed()),
+        Lt => BExpr::Cmp(CmpKind::Lt, l.boxed(), r.boxed()),
+        Le => BExpr::Cmp(CmpKind::Le, l.boxed(), r.boxed()),
+        Gt => BExpr::Cmp(CmpKind::Gt, l.boxed(), r.boxed()),
+        Ge => BExpr::Cmp(CmpKind::Ge, l.boxed(), r.boxed()),
         And => BExpr::And(l.boxed(), r.boxed()),
         Or => BExpr::Or(l.boxed(), r.boxed()),
         Concat => BExpr::Concat(l.boxed(), r.boxed()),
@@ -1313,7 +1313,7 @@ fn split_equi_keys(pred: &BExpr, left_width: usize) -> (Vec<(BExpr, BExpr)>, Opt
                 stack.push(*a);
                 stack.push(*b);
             }
-            BExpr::Cmp(CmpOp::Eq, a, b) => {
+            BExpr::Cmp(CmpKind::Eq, a, b) => {
                 let side = |x: &BExpr| -> Option<bool> {
                     // Some(true) = all columns from left; Some(false) = all right.
                     let mut left_only = true;
@@ -1342,7 +1342,7 @@ fn split_equi_keys(pred: &BExpr, left_width: usize) -> (Vec<(BExpr, BExpr)>, Opt
                     (Some(true), Some(false)) => keys.push((*a, *b)),
                     (Some(false), Some(true)) => keys.push((*b, *a)),
                     _ => {
-                        let e = BExpr::Cmp(CmpOp::Eq, a, b);
+                        let e = BExpr::Cmp(CmpKind::Eq, a, b);
                         residual = Some(match residual {
                             None => e,
                             Some(r) => BExpr::And(r.boxed(), e.boxed()),
@@ -1378,7 +1378,7 @@ fn cross_join(l: Plan, r: Plan) -> Plan {
     Plan::HashJoin {
         left: Arc::new(l),
         right: Arc::new(r),
-        kind: JoinKind::Inner,
+        kind: JoinType::Inner,
         left_keys: vec![],
         right_keys: vec![],
         residual: None,

@@ -42,7 +42,7 @@ use crate::error::{EngineError, Result};
 use crate::sync::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use tpcds_obs::qlog::QueryLog;
+use tpcds_obs::qlog::{QueryLog, DEFAULT_CAPACITY};
 use tpcds_storage::{ColumnTable, Segment, TableStats, SEGMENT_ROWS};
 use tpcds_types::{DataType, Row, Value};
 
@@ -739,7 +739,7 @@ impl Default for Database {
         Database {
             head: RwLock::new(v0),
             writer: Mutex::new(WriterState { history, retain: 8 }),
-            query_log: Arc::new(QueryLog::from_env()),
+            query_log: Arc::new(QueryLog::new(DEFAULT_CAPACITY)),
             sys_providers: RwLock::new(HashMap::new()),
         }
     }
@@ -800,9 +800,9 @@ impl Database {
         }
     }
 
-    /// The per-database finished-query log backing `sys.query_log`.
-    /// Enabled by default; `TPCDS_QUERY_LOG=off` starts it disabled and
-    /// `TPCDS_QUERY_LOG_CAP` sizes the ring (default 1024).
+    /// The per-database finished-query log backing `sys.query_log`:
+    /// the latest [`DEFAULT_CAPACITY`] statements, enabled until
+    /// [`QueryLog::set_enabled`] turns it off.
     pub fn query_log(&self) -> &Arc<QueryLog> {
         &self.query_log
     }

@@ -16,11 +16,12 @@
 //! rendered plan.
 
 use crate::catalog::{Database, Table};
-use crate::expr::{BExpr, CmpOp};
-use crate::plan::{JoinKind, Plan};
+use crate::expr::{BExpr, CmpKind};
+use crate::plan::Plan;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tpcds_storage::stats::{hist_key, TableStats};
+use tpcds_storage::JoinType;
 use tpcds_types::Value;
 
 /// Estimated output rows per plan node, keyed by node address (the same
@@ -109,7 +110,7 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
             if let Some(res) = residual {
                 est *= predicate_selectivity(res, None, db);
             }
-            if *kind == JoinKind::Left {
+            if *kind == JoinType::Left {
                 est = est.max(l);
             }
             est
@@ -325,12 +326,12 @@ fn eq_selectivity(col: usize, s: &TableStats) -> f64 {
     }
 }
 
-fn cmp_selectivity(op: CmpOp, a: &BExpr, b: &BExpr, stats: Option<&TableStats>) -> f64 {
+fn cmp_selectivity(op: CmpKind, a: &BExpr, b: &BExpr, stats: Option<&TableStats>) -> f64 {
     // Normalize to column-vs-literal; flip the operator when the literal
     // is on the left.
     let (col, lit, op) = match (col_of(a), lit_of(b), col_of(b), lit_of(a)) {
         (Some(c), Some(l), _, _) => (Some(c), Some(l), op),
-        (_, _, Some(c), Some(l)) => (Some(c), Some(l), flip(op)),
+        (_, _, Some(c), Some(l)) => (Some(c), Some(l), op.flip()),
         _ => {
             // `col ± k <op> v` estimates like the shifted range
             // `col <op> v ∓ k` — arithmetic-wrapped comparisons would
@@ -340,7 +341,7 @@ fn cmp_selectivity(op: CmpOp, a: &BExpr, b: &BExpr, stats: Option<&TableStats>) 
                 return cmp_selectivity(op, &BExpr::Col(c), &BExpr::Lit(shifted), stats);
             }
             if let Some((c, shifted)) = shifted_int_cmp(b, a) {
-                return cmp_selectivity(flip(op), &BExpr::Col(c), &BExpr::Lit(shifted), stats);
+                return cmp_selectivity(op.flip(), &BExpr::Col(c), &BExpr::Lit(shifted), stats);
             }
             // `col <op> (uncorrelated subquery)`: a constant, value unknown.
             let unknown = |e: &BExpr| e.has_subquery() && e.is_constant();
@@ -352,12 +353,12 @@ fn cmp_selectivity(op: CmpOp, a: &BExpr, b: &BExpr, stats: Option<&TableStats>) 
         }
     };
     match (col, lit, stats) {
-        (Some(c), _, Some(s)) if op == CmpOp::Eq => eq_selectivity(c, s),
-        (Some(c), _, Some(s)) if op == CmpOp::Ne => 1.0 - eq_selectivity(c, s),
+        (Some(c), _, Some(s)) if op == CmpKind::Eq => eq_selectivity(c, s),
+        (Some(c), _, Some(s)) if op == CmpKind::Ne => 1.0 - eq_selectivity(c, s),
         (Some(c), Some(l), Some(s)) => range_selectivity(c, op, l, s),
         _ => match op {
-            CmpOp::Eq => SEL_EQ,
-            CmpOp::Ne => 1.0 - SEL_EQ,
+            CmpKind::Eq => SEL_EQ,
+            CmpKind::Ne => 1.0 - SEL_EQ,
             _ => SEL_RANGE,
         },
     }
@@ -394,20 +395,10 @@ fn shifted_int_cmp(arith_side: &BExpr, other: &BExpr) -> Option<(usize, Value)> 
     }
 }
 
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        other => other,
-    }
-}
-
 /// Range selectivity for `col <op> lit` from the histogram (preferred) or
 /// a min/max linear interpolation; ranges entirely outside the observed
 /// min/max estimate zero.
-fn range_selectivity(col: usize, op: CmpOp, lit: &Value, s: &TableStats) -> f64 {
+fn range_selectivity(col: usize, op: CmpKind, lit: &Value, s: &TableStats) -> f64 {
     let Some(c) = s.column(col) else {
         return SEL_RANGE;
     };
@@ -417,8 +408,8 @@ fn range_selectivity(col: usize, op: CmpOp, lit: &Value, s: &TableStats) -> f64 
     let non_null = 1.0 - s.null_fraction(col);
     let frac_le = fraction_le(c, lit, s.rows);
     match (frac_le, op) {
-        (Some(f), CmpOp::Lt | CmpOp::Le) => f * non_null,
-        (Some(f), CmpOp::Gt | CmpOp::Ge) => (1.0 - f) * non_null,
+        (Some(f), CmpKind::Lt | CmpKind::Le) => f * non_null,
+        (Some(f), CmpKind::Gt | CmpKind::Ge) => (1.0 - f) * non_null,
         _ => SEL_RANGE,
     }
 }
@@ -495,7 +486,7 @@ mod tests {
 
     fn eq_lit(col: usize, v: i64) -> BExpr {
         BExpr::Cmp(
-            CmpOp::Eq,
+            CmpKind::Eq,
             Box::new(BExpr::Col(col)),
             Box::new(BExpr::Lit(Value::Int(v))),
         )
@@ -543,12 +534,12 @@ mod tests {
         let db = db_with("t", "a", (100..200).map(Value::Int).collect());
         for pred in [
             BExpr::Cmp(
-                CmpOp::Lt,
+                CmpKind::Lt,
                 Box::new(BExpr::Col(0)),
                 Box::new(BExpr::Lit(Value::Int(50))),
             ),
             BExpr::Cmp(
-                CmpOp::Gt,
+                CmpKind::Gt,
                 Box::new(BExpr::Col(0)),
                 Box::new(BExpr::Lit(Value::Int(500))),
             ),
@@ -585,7 +576,7 @@ mod tests {
             &db,
             "t",
             Some(BExpr::Cmp(
-                CmpOp::Lt,
+                CmpKind::Lt,
                 Box::new(BExpr::Col(0)),
                 Box::new(BExpr::Lit(Value::Int(2_500))),
             )),
@@ -623,7 +614,7 @@ mod tests {
         let p = Plan::HashJoin {
             left: Arc::new(scan(&db, "fact", None)),
             right: Arc::new(scan(&db, "dim", None)),
-            kind: JoinKind::Inner,
+            kind: JoinType::Inner,
             left_keys: vec![BExpr::Col(0)],
             right_keys: vec![BExpr::Col(0)],
             residual: None,
@@ -652,15 +643,15 @@ mod tests {
             &db,
             "t",
             Some(BExpr::Cmp(
-                CmpOp::Lt,
+                CmpKind::Lt,
                 Box::new(BExpr::Col(0)),
                 Box::new(BExpr::Lit(Value::Int(2_500))),
             )),
         );
         let want = est_of(&plain, &db);
         for pred in [
-            arith(ArithOp::Add, 500, CmpOp::Lt, 3_000),
-            arith(ArithOp::Sub, 500, CmpOp::Lt, 2_000),
+            arith(ArithOp::Add, 500, CmpKind::Lt, 3_000),
+            arith(ArithOp::Sub, 500, CmpKind::Lt, 2_000),
         ] {
             let p = scan(&db, "t", Some(pred));
             let est = est_of(&p, &db);
@@ -668,7 +659,7 @@ mod tests {
         }
         // Literal-on-left variant: 3000 > a + 500 ≡ a < 2500.
         let flipped = BExpr::Cmp(
-            CmpOp::Gt,
+            CmpKind::Gt,
             Box::new(BExpr::Lit(Value::Int(3_000))),
             Box::new(BExpr::Arith(
                 ArithOp::Add,
@@ -682,7 +673,7 @@ mod tests {
         // `k - col` must NOT shift (monotonicity flips): it stays at the
         // generic range guess rather than producing a wrong exact number.
         let ksub = BExpr::Cmp(
-            CmpOp::Lt,
+            CmpKind::Lt,
             Box::new(BExpr::Arith(
                 ArithOp::Sub,
                 Box::new(BExpr::Lit(Value::Int(500))),

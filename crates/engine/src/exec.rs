@@ -12,8 +12,8 @@
 
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
-use crate::expr::BExpr;
-use crate::plan::{AggCall, JoinKind, Plan, WindowCall};
+use crate::expr::{BExpr, CmpKind};
+use crate::plan::{AggCall, Plan, WindowCall};
 use crate::sync::Mutex;
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
@@ -22,7 +22,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tpcds_storage::{Batch, WinFunc};
+use tpcds_storage::{Batch, JoinType, KernelStats, WinFunc};
 use tpcds_types::{Row, Value};
 
 /// Which execution path an operator actually took. Ordered by how
@@ -70,37 +70,12 @@ pub struct OpStats {
     pub rows_out: u64,
     /// Total wall-clock time across all calls (inclusive of inputs).
     pub elapsed: Duration,
-    /// Morsels scanned, when the node ran on the columnar path (probe
-    /// morsels for a columnar join).
-    pub morsels: u64,
-    /// Peak worker count used by the columnar path (0 = row path).
-    pub workers: u64,
-    /// Build rows kept in the hash tables, when the node ran on the
-    /// columnar join path.
-    pub build_rows: u64,
-    /// Hash-table partition count, when the node ran on the columnar join
-    /// path (0 = not a columnar join).
-    pub partitions: u64,
     /// Peak live-memory growth across all calls, bytes (inclusive of
     /// inputs). 0 unless the process installed the counting allocator.
     pub mem_peak: u64,
-    /// Join build-side hash-table footprint, bytes. 0 unless the node is
-    /// a columnar join and the counting allocator is installed.
-    pub build_bytes: u64,
-    /// Peak total rows held across all Top-N worker heaps, when the node
-    /// ran on the parallel sort path (0 = not a parallel Top-N).
-    pub heap_rows: u64,
-    /// Sorted-run count fed to the k-way merge, when the node ran on the
-    /// parallel full-sort path (0 = not a parallel full sort).
-    pub merge_ways: u64,
-    /// Qualifying rows discarded by Top-N heap bounds without ever being
-    /// materialized, across all calls.
-    pub pruned_rows: u64,
-    /// Vectorized expression kernel invocations (one per morsel per
-    /// expression), when the node evaluated compiled expressions.
-    pub expr_kernels: u64,
-    /// Rows processed by those expression kernels across all calls.
-    pub expr_rows: u64,
+    /// What the storage kernels did for this node, merged over its calls
+    /// ([`KernelStats::merge`]).
+    pub kernel: KernelStats,
 }
 
 /// Per-node actuals keyed by plan-node address — stable for the lifetime
@@ -202,61 +177,14 @@ impl<'a> ExecCtx<'a> {
             .unwrap_or_else(tpcds_storage::effective_threads)
     }
 
-    /// Records which path an operator took in the node's actuals. A
-    /// decision that changes them — once per distinct decision per
-    /// statement, however often a correlated subplan repeats it — also
-    /// emits an `engine.route.<path>` counter.
+    /// Records which path an operator took in the node's actuals.
     fn record_route(&self, node: usize, route: RoutePath) {
-        let mut fresh = false;
-        self.fold(node, |s| {
-            fresh = route > s.route;
-            s.route = s.route.max(route);
-        });
-        if !fresh {
-            return;
-        }
-        tpcds_obs::counter("engine", &format!("route.{}", route.as_str()), 1.0);
+        self.fold(node, |s| s.route = s.route.max(route));
     }
 
-    /// A columnar scan's morsel/worker numbers.
-    fn record_columnar(&self, node: usize, cs: &tpcds_storage::ScanStats) {
-        self.fold(node, |s| {
-            s.morsels += cs.morsels;
-            s.workers = s.workers.max(cs.workers);
-        });
-    }
-
-    /// A parallel sort/Top-N kernel's morsel/heap/merge numbers.
-    fn record_sort(&self, node: usize, ss: &tpcds_storage::SortStats) {
-        self.fold(node, |s| {
-            s.morsels += ss.morsels;
-            s.workers = s.workers.max(ss.workers);
-            s.merge_ways = s.merge_ways.max(ss.merge_ways);
-            s.heap_rows = s.heap_rows.max(ss.heap_rows);
-            s.pruned_rows += ss.pruned_rows;
-        });
-    }
-
-    /// A vectorized expression kernel's invocation/row counts; also emits
-    /// the `expr.compiled` / `expr.rows` counters.
-    fn record_expr(&self, node: usize, es: &tpcds_storage::ExprStats) {
-        tpcds_obs::counter("engine", "expr.compiled", 1.0);
-        tpcds_obs::counter("engine", "expr.rows", es.rows as f64);
-        self.fold(node, |s| {
-            s.expr_kernels += es.kernels;
-            s.expr_rows += es.rows;
-        });
-    }
-
-    /// A columnar join's build/probe/partition numbers.
-    fn record_join(&self, node: usize, js: &tpcds_storage::JoinStats) {
-        self.fold(node, |s| {
-            s.morsels += js.probe_morsels;
-            s.workers = s.workers.max(js.workers);
-            s.build_rows += js.build_rows;
-            s.partitions = s.partitions.max(js.partitions);
-            s.build_bytes = s.build_bytes.max(js.build_bytes);
-        });
+    /// Folds one kernel call's numbers into `node`'s actuals.
+    fn record(&self, node: usize, ks: &KernelStats) {
+        self.fold(node, |s| s.kernel.merge(ks));
     }
 }
 
@@ -364,10 +292,10 @@ fn chain(
 /// actually read the table.
 fn rows_of(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Vec<Row>> {
     let b = batch(plan, ctx, outer)?;
-    let (rows, cs) = tpcds_storage::par_filter(&b, ctx.threads());
+    let (rows, ks) = tpcds_storage::par_filter(&b, ctx.threads());
     check_err(&b)?;
     if b.pred.is_some() {
-        ctx.record_columnar(plan as *const Plan as usize, &cs);
+        ctx.record(plan as *const Plan as usize, &ks);
     }
     Ok(rows)
 }
@@ -407,9 +335,9 @@ fn take(plan: &Plan, n: usize, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Re
             Ok::<_, Infallible>(rows.len() < n)
         });
         check_err(&b)?;
-        let Ok(cs) = res;
+        let Ok(ks) = res;
         if b.pred.is_some() {
-            ctx.record_columnar(plan as *const Plan as usize, &cs);
+            ctx.record(plan as *const Plan as usize, &ks);
         }
         at = to;
     }
@@ -520,13 +448,13 @@ fn batch_node(
                 &j.probe_keys,
                 &j.build,
                 &j.build_keys,
-                join_type(*kind),
+                *kind,
                 j.residual.as_ref(),
                 threads,
             );
             j.check_err()?;
-            let (table, js) = res.map_err(storage_err)?;
-            ctx.record_join(node, &js);
+            let (table, ks) = res.map_err(storage_err)?;
+            ctx.record(node, &ks);
             Ok(Batch::new(Arc::new(table)))
         }
         Plan::Aggregate {
@@ -558,15 +486,15 @@ fn batch_node(
                     &j.probe_keys,
                     &j.build,
                     &j.build_keys,
-                    join_type(*kind),
+                    *kind,
                     j.residual.as_ref(),
                     &cols[..groups.len()],
                     &rebased(&cols),
                     threads,
                 );
                 j.check_err()?;
-                let (rows, js) = res.map_err(storage_err)?;
-                ctx.record_join(node, &js);
+                let (rows, ks) = res.map_err(storage_err)?;
+                ctx.record(node, &ks);
                 return Ok(Batch::from_rows(plan.width(), &rows));
             }
             let input = batch(input, ctx, outer)?;
@@ -576,8 +504,8 @@ fn batch_node(
             // Deferred predicate errors outrank aggregate errors: the row
             // path filters before it folds.
             check_err(&b)?;
-            let (rows, cs) = res.map_err(storage_err)?;
-            ctx.record_columnar(node, &cs);
+            let (rows, ks) = res.map_err(storage_err)?;
+            ctx.record(node, &ks);
             Ok(Batch::from_rows(plan.width(), &rows))
         }
         Plan::Sort { input, keys } | Plan::TopN { input, keys, .. } => {
@@ -588,12 +516,12 @@ fn batch_node(
             let skeys: Vec<_> = (cols.into_iter().zip(keys))
                 .map(|(col, &(_, desc))| tpcds_storage::SortKey { col, desc })
                 .collect();
-            let (table, ss) = match plan {
+            let (table, ks) = match plan {
                 Plan::TopN { n, .. } => tpcds_storage::par_topn(&b, &skeys, *n as usize, threads),
                 _ => tpcds_storage::par_sort(&b, &skeys, threads),
             };
             check_err(&b)?;
-            ctx.record_sort(node, &ss);
+            ctx.record(node, &ks);
             Ok(Batch::new(Arc::new(table)))
         }
         Plan::Limit { input, n } => {
@@ -653,17 +581,10 @@ fn batch_node(
                 .collect();
             let res = tpcds_storage::par_window(&b, &specs, threads);
             check_err(&b)?;
-            let (table, ss) = res.map_err(storage_err)?;
-            ctx.record_sort(node, &ss);
+            let (table, ks) = res.map_err(storage_err)?;
+            ctx.record(node, &ks);
             Ok(Batch::new(Arc::new(table)))
         }
-    }
-}
-
-fn join_type(kind: JoinKind) -> tpcds_storage::JoinType {
-    match kind {
-        JoinKind::Inner => tpcds_storage::JoinType::Inner,
-        JoinKind::Left => tpcds_storage::JoinType::Left,
     }
 }
 
@@ -737,7 +658,7 @@ fn join_sides(
             let join = || {
                 let (probe, build, threads) = (j.probe.peek(), j.build.peek(), ctx.threads());
                 let (pk, bk) = (&j.probe_keys, &j.build_keys);
-                let inner = tpcds_storage::JoinType::Inner;
+                let inner = JoinType::Inner;
                 let res =
                     tpcds_storage::par_hash_join(&probe, pk, &build, bk, inner, None, threads);
                 Ok(Batch::new(Arc::new(res.map_err(storage_err)?.0)))
@@ -817,9 +738,8 @@ fn project_table(
 ) -> Result<Arc<tpcds_storage::ColumnTable>> {
     let res = tpcds_storage::par_project_table(b, exprs, ctx.threads());
     check_err(b)?;
-    let (table, cs, es) = res.map_err(storage_err)?;
-    ctx.record_columnar(node, &cs);
-    ctx.record_expr(node, &es);
+    let (table, ks) = res.map_err(storage_err)?;
+    ctx.record(node, &ks);
     Ok(Arc::new(table))
 }
 
@@ -983,19 +903,6 @@ fn serial_node(
     Ok(())
 }
 
-/// Maps the engine's comparison operator onto the kernel vocabulary.
-fn cmp_kind(op: crate::expr::CmpOp) -> tpcds_storage::CmpKind {
-    use tpcds_storage::CmpKind;
-    match op {
-        crate::expr::CmpOp::Eq => CmpKind::Eq,
-        crate::expr::CmpOp::Ne => CmpKind::Ne,
-        crate::expr::CmpOp::Lt => CmpKind::Lt,
-        crate::expr::CmpOp::Le => CmpKind::Le,
-        crate::expr::CmpOp::Gt => CmpKind::Gt,
-        crate::expr::CmpOp::Ge => CmpKind::Ge,
-    }
-}
-
 /// Compiles bound scalar expressions — a projection, a sort key, a
 /// filter, a join residual alike — to the vectorized kernel AST
 /// ([`tpcds_storage::Expr`]) for one kernel's input, column `c` becoming
@@ -1068,7 +975,7 @@ impl Compiler<'_, '_> {
     /// asks.
     fn compile(&self, e: &BExpr, gate: &[tpcds_storage::Expr]) -> Result<tpcds_storage::Expr> {
         use crate::expr::key_set;
-        use tpcds_storage::{CmpKind, Expr as X, SetTest};
+        use tpcds_storage::{Expr as X, SetTest};
         if e.has_subquery() && e.is_constant() {
             return match e.eval(&[], self.ctx, self.outer) {
                 Ok(v) => Ok(X::Lit(v)),
@@ -1104,7 +1011,7 @@ impl Compiler<'_, '_> {
                 None => self.lookup(e, gate)?,
             },
             BExpr::Lit(v) => X::Lit(v.clone()),
-            BExpr::Cmp(op, l, r) => X::Cmp(cmp_kind(*op), c(l)?, c(r)?),
+            BExpr::Cmp(op, l, r) => X::Cmp(*op, c(l)?, c(r)?),
             BExpr::And(l, r) => {
                 let l = c(l)?;
                 X::And(l.clone(), unless(&l, false, r)?)
@@ -1249,7 +1156,7 @@ fn index_probe_key(e: &BExpr) -> Option<(usize, BExpr)> {
         !any
     }
     match e {
-        BExpr::Cmp(crate::expr::CmpOp::Eq, l, r) => match (l.as_ref(), r.as_ref()) {
+        BExpr::Cmp(CmpKind::Eq, l, r) => match (l.as_ref(), r.as_ref()) {
             (BExpr::Col(i), v) if row_independent(v) => Some((*i, v.clone())),
             (v, BExpr::Col(i)) if row_independent(v) => Some((*i, v.clone())),
             _ => None,
@@ -1264,7 +1171,7 @@ fn hash_join(
     left_rows: Vec<Row>,
     right_rows: Vec<Row>,
     right_width: usize,
-    kind: JoinKind,
+    kind: JoinType,
     left_keys: &[BExpr],
     right_keys: &[BExpr],
     residual: Option<&BExpr>,
@@ -1290,7 +1197,7 @@ fn hash_join(
         for k in left_keys {
             let v = k.eval(lrow, ctx, outer)?;
             if v.is_null() {
-                if kind == JoinKind::Left {
+                if kind == JoinType::Left {
                     let mut row = lrow.clone();
                     row.extend(std::iter::repeat_n(Value::Null, right_width));
                     out.push(row);
@@ -1314,7 +1221,7 @@ fn hash_join(
                 }
             }
         }
-        if !matched && kind == JoinKind::Left {
+        if !matched && kind == JoinType::Left {
             let mut row = lrow.clone();
             row.extend(std::iter::repeat_n(Value::Null, right_width));
             out.push(row);

@@ -15,41 +15,11 @@ use std::sync::Arc;
 use tpcds_storage::{KeySet, SetTest};
 use tpcds_types::{DataType, Row, Value};
 
-/// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `=`
-    Eq,
-    /// `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-impl CmpOp {
-    fn test(&self, ord: Ordering) -> bool {
-        match self {
-            CmpOp::Eq => ord == Ordering::Equal,
-            CmpOp::Ne => ord != Ordering::Equal,
-            CmpOp::Lt => ord == Ordering::Less,
-            CmpOp::Le => ord != Ordering::Greater,
-            CmpOp::Gt => ord == Ordering::Greater,
-            CmpOp::Ge => ord != Ordering::Less,
-        }
-    }
-}
-
-// Arithmetic operators and scalar functions are defined in `tpcds-types`
-// so the columnar expression kernels share the exact same semantics
-// (checked overflow, decimal rescale, NULL-on-zero-divide); re-exported
-// here for existing callers.
-pub use tpcds_types::scalar::{ArithOp, ScalarFunc};
+// Comparison and arithmetic operators and scalar functions are defined in
+// `tpcds-types` so the columnar expression kernels share the exact same
+// semantics (checked overflow, decimal rescale, NULL-on-zero-divide);
+// re-exported here for existing callers.
+pub use tpcds_types::scalar::{ArithOp, CmpKind, ScalarFunc};
 
 /// A correlated or uncorrelated subplan embedded in an expression, with
 /// what it has evaluated to so far this statement (`T`: the scalar, the
@@ -171,7 +141,7 @@ pub enum BExpr {
     /// Literal.
     Lit(Value),
     /// Comparison.
-    Cmp(CmpOp, Box<BExpr>, Box<BExpr>),
+    Cmp(CmpKind, Box<BExpr>, Box<BExpr>),
     /// Kleene AND.
     And(Box<BExpr>, Box<BExpr>),
     /// Kleene OR.

@@ -99,7 +99,34 @@ impl Profile {
     /// statement's headline path (serial < index < columnar, per
     /// [`RoutePath`]'s derive order). `RoutePath::Unset` if nothing ran.
     pub fn best_route(&self) -> RoutePath {
-        (self.actuals.values().map(|s| s.route).max()).unwrap_or_default()
+        (self.ops().map(|s| s.route).max()).unwrap_or_default()
+    }
+
+    /// Each executed node's actuals, subquery bodies included, in no
+    /// particular order.
+    pub fn ops(&self) -> impl Iterator<Item = &exec::OpStats> {
+        self.actuals.values()
+    }
+
+    /// Adds the statement to the metrics registry, once: each
+    /// [`KernelStats`](tpcds_storage::KernelStats) field summed over
+    /// [`Profile::ops`] goes to `engine.kernel.<field>`, and each executed
+    /// node adds one to `engine.route.<path>`. A no-op while the registry
+    /// is off.
+    fn publish(&self) {
+        if !tpcds_obs::metrics::is_enabled() {
+            return;
+        }
+        let mut sums = tpcds_storage::KernelStats::default().fields();
+        for s in self.ops() {
+            for (sum, (_, v)) in sums.iter_mut().zip(s.kernel.fields()) {
+                sum.1 += v;
+            }
+            tpcds_obs::counter("engine", &format!("route.{}", s.route.as_str()), 1.0);
+        }
+        for (field, sum) in sums.into_iter().filter(|&(_, sum)| sum > 0) {
+            tpcds_obs::counter("engine", &format!("kernel.{field}"), sum as f64);
+        }
     }
 
     /// The plan tree annotated with per-operator actuals and estimates
@@ -207,6 +234,7 @@ fn run_bound(
         Err(e) => record.error = Some(e.to_string()),
     }
     span.finish();
+    profile.publish();
     profile.record = db.query_log().push(record);
     (result, profile)
 }
@@ -285,13 +313,6 @@ pub fn explain_sql(db: &Database, sql: &str) -> Result<String> {
     let bound = plan_sql(db, sql)?;
     let est = estimate::estimate_plan(&bound.plan, db);
     Ok(bound.plan.explain_with_estimates(&est))
-}
-
-/// [`plan_sql`] with the optimizer disabled — the naive left-deep
-/// cross-join plan, kept for the optimizer ablation study.
-pub fn plan_sql_unoptimized(db: &Database, sql: &str) -> Result<Bound> {
-    let ast = parser::parse(sql)?;
-    Binder::new(db).without_optimizer().bind(&ast)
 }
 
 /// Executes a statement with the optimizer disabled.

@@ -10,10 +10,11 @@
 //! optimizers must navigate (§2.1).
 
 use crate::catalog::Database;
-use crate::expr::{BExpr, CmpOp};
-use crate::plan::{JoinKind, Plan};
+use crate::expr::{BExpr, CmpKind};
+use crate::plan::Plan;
 use std::collections::HashSet;
 use std::sync::Arc;
+use tpcds_storage::JoinType;
 
 /// Optimizes one FROM/WHERE block. Safe to call on any plan; only the
 /// flattenable prefix is rewritten.
@@ -57,7 +58,7 @@ pub fn optimize(plan: Plan, db: &Database) -> Plan {
                 local[r].push(c.remap_columns(&|i| i - offsets[r]));
             }
             2 if !c.has_subquery() => {
-                if let BExpr::Cmp(CmpOp::Eq, a, b) = &c {
+                if let BExpr::Cmp(CmpKind::Eq, a, b) = &c {
                     let ra = referenced_relations(a, &offsets, &widths);
                     let rb = referenced_relations(b, &offsets, &widths);
                     if ra.len() == 1 && rb.len() == 1 && ra != rb {
@@ -165,7 +166,7 @@ pub fn optimize(plan: Plan, db: &Database) -> Plan {
         tree = Plan::HashJoin {
             left: Arc::new(tree),
             right: Arc::new(right),
-            kind: JoinKind::Inner,
+            kind: JoinType::Inner,
             left_keys,
             right_keys,
             residual: None,
@@ -317,7 +318,7 @@ fn flatten(plan: Plan, relations: &mut Vec<Plan>, conjuncts: &mut Vec<BExpr>) {
         Plan::HashJoin {
             left,
             right,
-            kind: JoinKind::Inner,
+            kind: JoinType::Inner,
             left_keys,
             residual: None,
             ..

@@ -3,7 +3,7 @@
 
 use crate::expr::BExpr;
 use std::sync::Arc;
-use tpcds_storage::{AggKind, WinFunc};
+use tpcds_storage::{AggKind, JoinType, WinFunc};
 
 /// One aggregate call. DISTINCT, ROLLUP and `GROUPING()` never reach a
 /// plan: the binder lowers them onto plain calls.
@@ -28,15 +28,6 @@ pub struct WindowCall {
     /// window functions use the default frame (unbounded preceding through
     /// current peer group); when empty, the whole partition.
     pub order: Vec<(BExpr, bool)>,
-}
-
-/// Join kinds (bound form).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinKind {
-    /// Inner join.
-    Inner,
-    /// Left outer join.
-    Left,
 }
 
 /// The plan tree.
@@ -73,7 +64,7 @@ pub enum Plan {
         /// Right (build) input.
         right: Arc<Plan>,
         /// Join kind.
-        kind: JoinKind,
+        kind: JoinType,
         /// Equi-key expressions over the left input.
         left_keys: Vec<BExpr>,
         /// Equi-key expressions over the right input.
@@ -366,41 +357,42 @@ impl Plan {
             },
             Some(map) => match map.get(&node) {
                 Some(s) => {
-                    let mut columnar = if s.partitions > 0 {
+                    let k = &s.kernel;
+                    let mut columnar = if k.partitions > 0 {
                         format!(
                             " build_rows={} probe_morsels={} partitions={} workers={}",
-                            s.build_rows, s.morsels, s.partitions, s.workers
+                            k.build_rows, k.morsels, k.partitions, k.workers
                         )
-                    } else if s.morsels > 0 {
-                        format!(" morsels={} workers={}", s.morsels, s.workers)
+                    } else if k.morsels > 0 {
+                        format!(" morsels={} workers={}", k.morsels, k.workers)
                     } else {
                         String::new()
                     };
-                    if s.build_bytes > 0 {
+                    if k.build_bytes > 0 {
                         columnar.push_str(&format!(
                             " build_bytes={}",
-                            tpcds_obs::mem::fmt_bytes(s.build_bytes)
+                            tpcds_obs::mem::fmt_bytes(k.build_bytes)
                         ));
                     }
                     // Sort/Top-N kernel actuals. A Top-N that ran the
                     // kernel always reports its heap occupancy and prune
                     // count, even when both are 0 (LIMIT 0).
-                    if s.merge_ways > 0 {
-                        columnar.push_str(&format!(" merge_ways={}", s.merge_ways));
+                    if k.merge_ways > 0 {
+                        columnar.push_str(&format!(" merge_ways={}", k.merge_ways));
                     }
-                    if matches!(self, Plan::TopN { .. }) && s.workers > 0 {
+                    if matches!(self, Plan::TopN { .. }) && k.workers > 0 {
                         columnar.push_str(&format!(
                             " heap_rows={} pruned={}",
-                            s.heap_rows, s.pruned_rows
+                            k.heap_rows, k.pruned_rows
                         ));
                     }
                     // Vectorized expression kernel actuals: invocation
                     // count (one per morsel per expression) and rows fed
                     // through those kernels.
-                    if s.expr_kernels > 0 {
+                    if k.expr_kernels > 0 {
                         columnar.push_str(&format!(
                             " expr_kernels={} expr_rows={}",
-                            s.expr_kernels, s.expr_rows
+                            k.expr_kernels, k.expr_rows
                         ));
                     }
                     // mem_peak needs the counting allocator installed in

@@ -525,7 +525,7 @@ pub fn load_initial_population(db: &Database, generator: &Generator) -> Result<(
         .collect();
     tasks.sort_by_key(|task| std::cmp::Reverse(cells(task)));
     let workers = tpcds_storage::effective_threads().clamp(1, tasks.len().max(1));
-    let parts = tpcds_storage::run_chunks("load_worker", tasks.len(), workers, |i| {
+    let parts = tpcds_storage::run_chunks(tasks.len(), workers, |i| {
         let ((table, indexed), k) = (&tables[tasks[i].0], tasks[i].1);
         let clock = Instant::now();
         let segment = generator.generate_segment(table, k);

@@ -34,10 +34,11 @@
 //! ## Counter naming
 //!
 //! Counter and metric names follow a documented `layer.name` scheme: the
-//! `layer` is the emitting crate (`storage`, `engine`, `dgen`, `maint`,
+//! `layer` is the emitting crate (`engine`, `snapshot`, `dgen`, `maint`,
 //! `runner`, `server`) and `name` is a dot-separated path grouping related
-//! metrics — `scan.rows`, `scan.bytes`, `join.build_rows`, `gen.rows`.
-//! See `docs/OBSERVABILITY.md`.
+//! metrics — `kernel.rows_in`, `route.columnar`, `gen.rows`. The storage
+//! kernels emit nothing: the engine adds what they return to the registry
+//! once per statement. See `docs/OBSERVABILITY.md`.
 
 #![warn(missing_docs)]
 

@@ -9,11 +9,10 @@
 //! static ALLOC: tpcds_obs::mem::CountingAlloc = tpcds_obs::mem::CountingAlloc;
 //! ```
 //!
-//! The wrapper keeps four relaxed atomics — live bytes, peak live bytes,
-//! allocation count, cumulative allocated bytes — so the cost per
-//! allocation is two uncontended atomic adds on top of the system
-//! allocator's own work. Libraries (and processes that don't install the
-//! wrapper) see all zeros; callers can check [`installed`].
+//! The wrapper keeps two relaxed atomics — live bytes and peak live
+//! bytes — so the cost per allocation is two uncontended atomic
+//! operations on top of the system allocator's own work. Libraries (and
+//! processes that don't install the wrapper) see zeros.
 //!
 //! [`Watermark`] measures the peak *growth* of live memory inside a scope
 //! (EXPLAIN ANALYZE per-operator `mem_peak=`, join build footprints).
@@ -28,8 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static TOTAL: AtomicU64 = AtomicU64::new(0);
 
 /// A counting `#[global_allocator]` wrapper around [`System`].
 pub struct CountingAlloc;
@@ -39,8 +36,6 @@ impl CountingAlloc {
     fn on_alloc(size: usize) {
         let live = LIVE.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
         PEAK.fetch_max(live, Ordering::Relaxed);
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        TOTAL.fetch_add(size as u64, Ordering::Relaxed);
     }
 
     #[inline]
@@ -83,31 +78,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Whether a [`CountingAlloc`] is live in this process (true once any
-/// counted allocation happened — in practice, immediately at startup).
-pub fn installed() -> bool {
-    ALLOCS.load(Ordering::Relaxed) > 0
-}
-
 /// Currently live (allocated minus freed) bytes. 0 without the wrapper.
 pub fn live_bytes() -> u64 {
     LIVE.load(Ordering::Relaxed)
-}
-
-/// High-water mark of [`live_bytes`] since process start or the last
-/// [`Watermark`] reset. 0 without the wrapper.
-pub fn peak_bytes() -> u64 {
-    PEAK.load(Ordering::Relaxed)
-}
-
-/// Total allocations counted so far. 0 without the wrapper.
-pub fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Cumulative bytes ever allocated (ignores frees). 0 without the wrapper.
-pub fn total_allocated_bytes() -> u64 {
-    TOTAL.load(Ordering::Relaxed)
 }
 
 /// A scoped memory high-water mark: measures how far live memory rose
@@ -200,8 +173,6 @@ mod tests {
 
         CountingAlloc::on_dealloc(500);
         assert_eq!(live_bytes(), live0);
-        assert!(installed());
-        assert!(allocations() >= 3);
     }
 
     #[test]

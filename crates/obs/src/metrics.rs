@@ -4,8 +4,8 @@
 //!
 //! Metric names follow the repository's `layer.name` scheme (see
 //! `docs/OBSERVABILITY.md`): the emitting layer, a dot, then a
-//! dot-separated metric path — `storage.scan.rows`, `storage.join.build_rows`,
-//! `runner.query_us`. [`crate::counter`] and [`crate::span`] feed it while
+//! dot-separated metric path — `engine.kernel.rows_in`,
+//! `engine.route.columnar`, `runner.query_us`. [`crate::counter`] and [`crate::span`] feed it while
 //! it is enabled; it is the only sink they have.
 //!
 //! The registry is **off by default**: recording functions are a single
@@ -321,14 +321,17 @@ mod tests {
     fn registry_accumulates_and_renders_prometheus() {
         let _guard = crate::test_lock();
         reset();
-        counter_add("storage.scan.rows", 100.0); // dropped: disabled
+        counter_add("engine.kernel.rows_in", 100.0); // dropped: disabled
         enable();
-        counter_add("storage.scan.rows", 40.0);
-        counter_add("storage.scan.rows", 2.5);
+        counter_add("engine.kernel.rows_in", 40.0);
+        counter_add("engine.kernel.rows_in", 2.5);
         observe("runner.query_us", 300);
         observe("runner.query_us", 90_000);
         let text = render_prometheus();
-        assert!(text.contains("tpcds_storage_scan_rows_total 43"), "{text}");
+        assert!(
+            text.contains("tpcds_engine_kernel_rows_in_total 43"),
+            "{text}"
+        );
         assert!(text.contains("# TYPE tpcds_runner_query_us histogram"));
         assert!(text.contains("tpcds_runner_query_us_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("tpcds_runner_query_us_sum 90300"));

@@ -5,7 +5,7 @@
 //! pipeline pushes one record per statement — success or error — so
 //! `sys.query_log` answers "what ran, how long, on which snapshot, and
 //! why was it slow" after the fact. The ring holds the most recent
-//! `capacity` records (default 1024, `TPCDS_QUERY_LOG_CAP` overrides);
+//! `capacity` records (the engine's log holds [`DEFAULT_CAPACITY`]);
 //! [`QueryLog::total_recorded`] counts every push monotonically so
 //! wraparound never hides whether records were produced at all — the
 //! soak harness cross-checks it against the queries it issued.
@@ -71,7 +71,7 @@ pub struct QueryLog {
     ring: Mutex<VecDeque<Arc<QueryRecord>>>,
 }
 
-/// Default ring capacity when `TPCDS_QUERY_LOG_CAP` is unset.
+/// The ring capacity of the engine's log.
 pub const DEFAULT_CAPACITY: usize = 1024;
 
 impl QueryLog {
@@ -84,23 +84,6 @@ impl QueryLog {
             total: AtomicU64::new(0),
             ring: Mutex::new(VecDeque::with_capacity(cap.min(4096))),
         }
-    }
-
-    /// A log configured from the environment: `TPCDS_QUERY_LOG_CAP=N`
-    /// sizes the ring, `TPCDS_QUERY_LOG=off|0` starts it disabled.
-    pub fn from_env() -> QueryLog {
-        let cap = std::env::var("TPCDS_QUERY_LOG_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_CAPACITY);
-        let log = QueryLog::new(cap);
-        if matches!(
-            std::env::var("TPCDS_QUERY_LOG").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        ) {
-            log.set_enabled(false);
-        }
-        log
     }
 
     /// The ring capacity.
@@ -173,12 +156,6 @@ impl QueryLog {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
-    }
-}
-
-impl Default for QueryLog {
-    fn default() -> QueryLog {
-        QueryLog::from_env()
     }
 }
 

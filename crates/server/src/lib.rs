@@ -49,8 +49,7 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// Queries whose wall time meets this threshold render their profile
     /// (EXPLAIN ANALYZE detail) on stderr and are counted under
-    /// `server.slow_queries`. Zero disables. Defaults from
-    /// `TPCDS_SLOW_QUERY_MS`.
+    /// `server.slow_queries`. Zero (the default) disables.
     pub slow_query_ms: u64,
 }
 
@@ -62,10 +61,7 @@ impl Default for ServerConfig {
                 .map(|n| n.get())
                 .unwrap_or(4),
             idle_timeout: Duration::from_secs(30),
-            slow_query_ms: std::env::var("TPCDS_SLOW_QUERY_MS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
+            slow_query_ms: 0,
         }
     }
 }

@@ -403,7 +403,7 @@ fn slow_queries_render_their_profile_and_are_counted() {
             .find(|(name, _)| name == wanted)
             .map_or(0, |(_, v)| v)
     };
-    let joined_before = counter("storage.join.rows");
+    let built_before = counter("engine.kernel.build_rows");
     let mut c = Client::connect(server.local_addr()).unwrap();
     // Heavy enough to clear 1ms: the statement runs like any other and
     // then renders its own profile (the `[slow-query]` block on stderr).
@@ -415,11 +415,11 @@ fn slow_queries_render_their_profile_and_are_counted() {
         counter("server.slow_queries") >= 1,
         "slow query was not counted"
     );
-    // Storage counters reach the registry once it is enabled; nothing else
-    // needs installing.
+    // The statement's kernel numbers reach the registry once it is
+    // enabled; nothing else needs installing.
     assert!(
-        counter("storage.join.rows") > joined_before,
-        "join rows were not counted"
+        counter("engine.kernel.build_rows") > built_before,
+        "join build rows were not counted"
     );
     server.shutdown();
 }

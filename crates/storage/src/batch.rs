@@ -144,7 +144,7 @@ pub(crate) fn gather(takes: &[Take<'_>], threads: usize) -> ColumnTable {
     let width = sources.len();
     let nseg = rows.div_ceil(SEGMENT_ROWS);
     let workers = worker_count(rows, threads, nseg * width);
-    let mut columns = run_chunks("gather_worker", nseg * width, workers, |task| {
+    let mut columns = run_chunks(nseg * width, workers, |task| {
         let (k, (take, col)) = (task / width, sources[task % width]);
         let ids = &take.ids[k * SEGMENT_ROWS..rows.min((k + 1) * SEGMENT_ROWS)];
         gather_column(take.table, col, ids)
@@ -237,7 +237,7 @@ fn typed<T: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pred::CmpKind;
+    use crate::CmpKind;
 
     fn rows(n: i64) -> Vec<Row> {
         (0..n)

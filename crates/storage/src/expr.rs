@@ -21,15 +21,15 @@
 
 use crate::batch::Batch;
 use crate::column::{Bitmap, Column, ColumnData};
-use crate::morsel::{emit_counters, morsels_of, run_chunks, worker_count, ScanStats};
-use crate::pred::{CmpKind, P_FALSE, P_NULL, P_TRUE};
+use crate::morsel::{morsels_of, run_chunks, worker_count, KernelStats};
+use crate::pred::{P_FALSE, P_NULL, P_TRUE};
 use crate::segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
 use crate::StorageError;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex, RwLock};
 use tpcds_types::scalar;
-use tpcds_types::{like_match, ArithOp, DataType, Date, Decimal, Row, ScalarFunc, Value};
+use tpcds_types::{like_match, ArithOp, CmpKind, DataType, Date, Decimal, Row, ScalarFunc, Value};
 
 /// A compiled scalar expression over the columns of one input relation.
 ///
@@ -1325,24 +1325,6 @@ impl ErrCell {
     }
 }
 
-/// What the expression kernels of one operator did — surfaced in EXPLAIN
-/// ANALYZE (`expr_kernels=`/`expr_rows=`) and obs counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExprStats {
-    /// Kernel launches: one per (expression, morsel) pair.
-    pub kernels: u64,
-    /// Total row-evaluations across kernels.
-    pub rows: u64,
-}
-
-impl ExprStats {
-    /// Accumulates another operator's kernel stats into this one.
-    pub fn absorb(&mut self, other: ExprStats) {
-        self.kernels += other.kernels;
-        self.rows += other.rows;
-    }
-}
-
 /// Computed projection: evaluates `exprs` over the batch's qualifying
 /// rows into a fresh [`ColumnTable`] (one column per expression, table
 /// order) whose column types come from [`Expr::dtype_hint`] — right
@@ -1353,12 +1335,12 @@ pub fn par_project_table(
     batch: &Batch,
     exprs: &[Expr],
     threads: usize,
-) -> Result<(ColumnTable, ScanStats, ExprStats), StorageError> {
+) -> Result<(ColumnTable, KernelStats), StorageError> {
     let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
     let cell = ErrCell::new();
-    let parts: Vec<Vec<Row>> = run_chunks("expr_worker", morsels.len(), workers, |m| {
+    let parts: Vec<Vec<Row>> = run_chunks(morsels.len(), workers, |m| {
         let (si, off, len) = morsels[m];
         let seg = &table.segments[si];
         let base = (si * SEGMENT_ROWS + off) as u64;
@@ -1399,20 +1381,12 @@ pub fn par_project_table(
     for r in parts.iter().flatten() {
         b.push_row(r);
     }
-    let out = b.finish();
-    let stats = ScanStats {
-        morsels: morsels.len() as u64,
-        workers: workers as u64,
-        rows_scanned: table.rows as u64,
-        rows_out: out.rows as u64,
-        bytes: table.bytes() as u64,
+    let stats = KernelStats {
+        expr_kernels: (morsels.len() * exprs.len()) as u64,
+        expr_rows: (table.rows * exprs.len()) as u64,
+        ..KernelStats::scan(table, morsels.len(), workers)
     };
-    let estats = ExprStats {
-        kernels: (morsels.len() * exprs.len()) as u64,
-        rows: (table.rows * exprs.len()) as u64,
-    };
-    emit_counters(&stats);
-    Ok((out, stats, estats))
+    Ok((b.finish(), stats))
 }
 
 #[cfg(test)]
@@ -1438,10 +1412,10 @@ mod tests {
         pred: Option<Expr>,
         exprs: &[Expr],
         threads: usize,
-    ) -> Result<(Vec<Row>, ColumnTable, ScanStats, ExprStats), StorageError> {
-        let (ct, cs, es) = par_project_table(&batch(t, pred), exprs, threads)?;
+    ) -> Result<(Vec<Row>, ColumnTable, KernelStats), StorageError> {
+        let (ct, stats) = par_project_table(&batch(t, pred), exprs, threads)?;
         let rows = crate::par_filter(&Batch::new(Arc::new(ct.clone())), 1).0;
-        Ok((rows, ct, cs, es))
+        Ok((rows, ct, stats))
     }
 
     fn col(i: usize) -> Box<Expr> {
@@ -1624,10 +1598,10 @@ mod tests {
         assert_eq!(err, (1, "integer overflow in +".to_string()));
         // A pred that filters out the overflowing row masks its error.
         let pred = Expr::cmp(CmpKind::Lt, 0, int(100));
-        let (out, _, _, estats) = project(&t, Some(pred), std::slice::from_ref(&e), 1).unwrap();
+        let (out, _, stats) = project(&t, Some(pred), std::slice::from_ref(&e), 1).unwrap();
         assert_eq!(out, vec![vec![int(2)], vec![int(6)]]);
-        assert_eq!(estats.kernels, 1);
-        assert_eq!(estats.rows, 3);
+        assert_eq!(stats.expr_kernels, 1);
+        assert_eq!(stats.expr_rows, 3);
         // Without the filter the kernel surfaces the row-path error.
         let err = project(&t, None, &[e], 1).unwrap_err();
         assert_eq!(err.0, "integer overflow in +");
@@ -1861,13 +1835,13 @@ mod tests {
                 else_branch: Some(Box::new(Expr::Lit(Value::str("lo")))),
             },
         ];
-        let (serial, _, s1, e1) = project(&t, Some(pred.clone()), &exprs, 1).unwrap();
-        assert_eq!(e1.kernels, s1.morsels * exprs.len() as u64);
+        let (serial, _, s1) = project(&t, Some(pred.clone()), &exprs, 1).unwrap();
+        assert_eq!(s1.expr_kernels, s1.morsels * exprs.len() as u64);
         let pass = |r: &&Row| r[1].as_int().is_some_and(|v| v < 50);
         assert_eq!(serial.len(), rows.iter().filter(pass).count());
         assert_eq!(serial[0], vec![int(1), int(3), Value::str("lo")]);
         for threads in [2, 8] {
-            let (par, ct, _, _) = project(&t, Some(pred.clone()), &exprs, threads).unwrap();
+            let (par, ct, _) = project(&t, Some(pred.clone()), &exprs, threads).unwrap();
             assert_eq!(par, serial, "threads={threads}");
             // The Int hints survive, so computed keys stay u64-encodable.
             assert_eq!(ct.dtypes[..2], [DataType::Int, DataType::Int]);
@@ -1903,9 +1877,9 @@ mod tests {
             assert_eq!(b.take_err(), None);
         }
         let exprs = vec![Expr::Arith(ArithOp::Add, col(0), lit(int(1)))];
-        let (a, _, _, e1) = project(&wrapped.table, None, &exprs, 1).unwrap();
-        let (b, _, _, _) = project(&wrapped.table, None, &exprs, 8).unwrap();
-        assert!(e1.kernels >= 2);
+        let (a, _, s1) = project(&wrapped.table, None, &exprs, 1).unwrap();
+        let (b, _, _) = project(&wrapped.table, None, &exprs, 8).unwrap();
+        assert!(s1.expr_kernels >= 2);
         assert_eq!(a, b);
         assert_eq!(a[7], vec![int(8)]);
         let mut bad = rows.clone();

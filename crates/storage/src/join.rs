@@ -41,6 +41,7 @@ use crate::column::{Column, ColumnData};
 use crate::expr::{ErrCell, Expr};
 use crate::morsel::{
     finish_groups, merge_partials, morsels_of, run_chunks, run_workers, worker_count, GroupMap,
+    KernelStats,
 };
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
@@ -57,26 +58,6 @@ pub enum JoinType {
     Inner,
     /// Left outer join: probe rows without a match pad build-side NULLs.
     Left,
-}
-
-/// What one partitioned hash join did — surfaced in obs counters and in
-/// the engine's EXPLAIN ANALYZE output.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct JoinStats {
-    /// Build rows kept in the hash tables (filter passed, no NULL key).
-    pub build_rows: u64,
-    /// Number of hash-table partitions.
-    pub partitions: u64,
-    /// Probe-side morsels processed.
-    pub probe_morsels: u64,
-    /// Peak worker count across the build and probe phases.
-    pub workers: u64,
-    /// Output rows (joined rows, or groups for the fused aggregate).
-    pub rows_out: u64,
-    /// Live-memory growth across the build phase, bytes — the hash-table
-    /// footprint. 0 unless the process installed the counting allocator
-    /// (`tpcds_obs::mem::CountingAlloc`).
-    pub build_bytes: u64,
 }
 
 /// Partition count policy: a function of the build-side size **only** (so
@@ -140,7 +121,7 @@ fn build_phase(
     let workers = worker_count(build.rows, threads, morsels.len());
 
     // Phase A: per-morsel (partition, global row) lists in row order.
-    let per_morsel = run_chunks("join_build_worker", morsels.len(), workers, |m| {
+    let per_morsel = run_chunks(morsels.len(), workers, |m| {
         let (si, off, len) = morsels[m];
         let seg = &build.segments[si];
         let mut sel = Vec::new();
@@ -230,13 +211,12 @@ fn build_phase(
         map
     };
     let part_workers = workers.min(npart);
-    let span = "join_table_worker";
     let tables = if int_path {
-        BuildTables::Int(run_chunks(span, npart, part_workers, |p| {
+        BuildTables::Int(run_chunks(npart, part_workers, |p| {
             build_int(&part_rows[p])
         }))
     } else {
-        BuildTables::Gen(run_chunks(span, npart, part_workers, |p| {
+        BuildTables::Gen(run_chunks(npart, part_workers, |p| {
             build_gen(&part_rows[p])
         }))
     };
@@ -468,7 +448,7 @@ fn prepare<'a>(
     kind: JoinType,
     residual: Option<&'a Expr>,
     threads: usize,
-) -> (Probe<'a>, JoinStats) {
+) -> (Probe<'a>, KernelStats) {
     assert!(
         probe.table.id_end().max(build.table.id_end()) <= NO_ROW as usize,
         "row ids are u32"
@@ -491,12 +471,12 @@ fn prepare<'a>(
         residual_cols.sort_unstable();
         residual_cols.dedup();
     }
-    let stats = JoinStats {
+    let stats = KernelStats {
         build_rows,
         partitions: npart as u64,
         workers: workers as u64,
         build_bytes: tpcds_obs::mem::live_bytes().saturating_sub(build_live0),
-        ..JoinStats::default()
+        ..KernelStats::default()
     };
     let p = Probe {
         probe: &probe.table,
@@ -511,14 +491,6 @@ fn prepare<'a>(
         rerr: ErrCell::new(),
     };
     (p, stats)
-}
-
-fn emit_counters(stats: &JoinStats) {
-    tpcds_obs::counter("storage", "join.build_rows", stats.build_rows as f64);
-    tpcds_obs::counter("storage", "join.partitions", stats.partitions as f64);
-    tpcds_obs::counter("storage", "join.probe_morsels", stats.probe_morsels as f64);
-    tpcds_obs::counter("storage", "join.rows", stats.rows_out as f64);
-    tpcds_obs::counter("storage", "join.build_bytes", stats.build_bytes as f64);
 }
 
 /// Partitioned parallel hash join: `probe ⋈ build` on
@@ -543,14 +515,14 @@ pub fn par_hash_join(
     kind: JoinType,
     residual: Option<&Expr>,
     threads: usize,
-) -> Result<(ColumnTable, JoinStats), StorageError> {
+) -> Result<(ColumnTable, KernelStats), StorageError> {
     let (p, mut stats) = prepare(
         probe, probe_keys, build, build_keys, kind, residual, threads,
     );
     let morsels = morsels_of(p.probe);
     let workers = worker_count(p.probe.rows + p.build.rows, threads, morsels.len());
     // Per-morsel pair lists, reassembled in morsel order.
-    let parts = run_chunks("join_probe_worker", morsels.len(), workers, |m| {
+    let parts = run_chunks(morsels.len(), workers, |m| {
         p.morsel(m, morsels[m], &mut Vec::new())
     });
     if let Some(msg) = p.rerr.take() {
@@ -576,10 +548,8 @@ pub fn par_hash_join(
         ],
         threads,
     );
-    stats.probe_morsels = morsels.len() as u64;
+    stats.morsels = morsels.len() as u64;
     stats.workers = stats.workers.max(workers as u64);
-    stats.rows_out = out.rows as u64;
-    emit_counters(&stats);
     Ok((out, stats))
 }
 
@@ -603,7 +573,7 @@ pub fn par_hash_join_agg(
     groups: &[usize],
     aggs: &[AggSpec],
     threads: usize,
-) -> Result<(Vec<Row>, JoinStats), StorageError> {
+) -> Result<(Vec<Row>, KernelStats), StorageError> {
     let (p, mut stats) = prepare(
         probe, probe_keys, build, build_keys, kind, residual, threads,
     );
@@ -626,7 +596,6 @@ pub fn par_hash_join_agg(
     };
 
     let partials = run_workers(morsels.len(), workers, |chunks| {
-        let _span = tpcds_obs::span("storage", "join_agg_worker");
         let mut map: GroupMap = HashMap::new();
         let mut sel = Vec::new();
         // The first aggregate failure stops folding, but the worker keeps
@@ -665,10 +634,8 @@ pub fn par_hash_join_agg(
         return Err(StorageError(msg));
     }
     let out = finish_groups(merged?, groups.is_empty(), aggs);
-    stats.probe_morsels = morsels.len() as u64;
+    stats.morsels = morsels.len() as u64;
     stats.workers = stats.workers.max(workers as u64);
-    stats.rows_out = out.len() as u64;
-    emit_counters(&stats);
     Ok((out, stats))
 }
 
@@ -676,8 +643,8 @@ pub fn par_hash_join_agg(
 mod tests {
     use super::*;
     use crate::agg::AggKind;
-    use crate::pred::CmpKind;
     use crate::segment::ColumnTableBuilder;
+    use crate::CmpKind;
     use std::sync::Arc;
 
     fn filtered(b: &Batch, pred: &Expr) -> Batch {
@@ -693,7 +660,7 @@ mod tests {
         kind: JoinType,
         residual: Option<&Expr>,
         threads: usize,
-    ) -> Result<(Vec<Row>, JoinStats), StorageError> {
+    ) -> Result<(Vec<Row>, KernelStats), StorageError> {
         let (t, stats) = par_hash_join(probe, &[pk], build, &[bk], kind, residual, threads)?;
         Ok((crate::par_filter(&Batch::new(Arc::new(t)), 1).0, stats))
     }
@@ -788,7 +755,6 @@ mod tests {
             for threads in [1, 2, 8] {
                 let (got, stats) = join(&probe, 1, &build, 0, kind, None, threads).unwrap();
                 assert_eq!(got, expect, "{kind:?} threads={threads}");
-                assert_eq!(stats.rows_out as usize, expect.len());
                 assert!(stats.partitions >= 1);
                 assert!(stats.build_rows > 0);
             }
@@ -929,10 +895,8 @@ mod tests {
         for kind in [JoinType::Inner, JoinType::Left] {
             let expect = reference_residual(&probe, 1, &build, 0, kind, &keep);
             for threads in [1, 2, 8] {
-                let (got, stats) =
-                    join(&probe, 1, &build, 0, kind, Some(&residual), threads).unwrap();
+                let (got, _) = join(&probe, 1, &build, 0, kind, Some(&residual), threads).unwrap();
                 assert_eq!(got, expect, "{kind:?} threads={threads}");
-                assert_eq!(stats.rows_out as usize, expect.len());
             }
         }
     }

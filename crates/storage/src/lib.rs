@@ -33,18 +33,19 @@ pub mod stats;
 pub use agg::{AggKind, AggSpec};
 pub use batch::Batch;
 pub use column::{Bitmap, Column, ColumnData};
-pub use expr::{par_project_table, ErrCell, Expr, ExprStats, KeySet, LookupMap, SetTest};
-pub use join::{par_hash_join, par_hash_join_agg, JoinStats, JoinType};
+pub use expr::{par_project_table, ErrCell, Expr, KeySet, LookupMap, SetTest};
+pub use join::{par_hash_join, par_hash_join_agg, JoinType};
 pub use morsel::{
-    par_aggregate, par_filter, run_chunks, scan_range, scan_until, ScanStats, MORSEL_ROWS,
+    par_aggregate, par_filter, run_chunks, scan_range, scan_until, KernelStats, MORSEL_ROWS,
 };
-pub use pred::{CmpKind, Pred};
+pub use pred::Pred;
 pub use segment::{ColumnTable, ColumnTableBuilder, Segment, COMPACT_DEAD_SHARE, SEGMENT_ROWS};
-pub use sort::{par_sort, par_topn, par_window, SortKey, SortStats, WinFunc, WinSpec};
+pub use sort::{par_sort, par_topn, par_window, SortKey, WinFunc, WinSpec};
 pub use stats::{
     collect_stats, collect_stats_at, extend_stats, merge_segment_stats, segment_stats, ColumnStats,
     TableStats,
 };
+pub use tpcds_types::CmpKind;
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -28,20 +28,89 @@ pub const MORSEL_ROWS: usize = 8_192;
 /// work is smaller than the cost of spawning workers.
 pub(crate) const INLINE_ROWS: usize = 16_384;
 
-/// What one columnar scan did — surfaced in obs counters and in the
-/// engine's EXPLAIN ANALYZE output.
+/// What one kernel call did — the one record every `par_*` kernel
+/// returns. The engine folds it into the plan node's actuals (EXPLAIN
+/// ANALYZE), and from there into the metrics registry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ScanStats {
-    /// Morsels processed.
+pub struct KernelStats {
+    /// Morsels processed (probe-side morsels for a join).
     pub morsels: u64,
-    /// Workers that ran (1 for inline execution).
-    pub workers: u64,
-    /// Rows scanned (the whole table).
-    pub rows_scanned: u64,
-    /// Rows produced (after filtering / number of groups).
-    pub rows_out: u64,
+    /// Rows read: the whole table for a scan, the qualifying rows offered
+    /// to a sort or Top-N.
+    pub rows_in: u64,
     /// Approximate bytes of column data read.
     pub bytes: u64,
+    /// Build rows kept in a join's hash tables (filter passed, no NULL
+    /// key).
+    pub build_rows: u64,
+    /// Qualifying rows the bounded Top-N heaps rejected without
+    /// materializing.
+    pub pruned_rows: u64,
+    /// Expression kernel launches: one per (expression, morsel) pair.
+    pub expr_kernels: u64,
+    /// Row-evaluations across those expression kernels.
+    pub expr_rows: u64,
+    /// Peak worker count (1 for inline execution).
+    pub workers: u64,
+    /// Hash-table partitions of a join.
+    pub partitions: u64,
+    /// Live-memory growth across a join's build phase, bytes — the
+    /// hash-table footprint. 0 unless the process installed the counting
+    /// allocator (`tpcds_obs::mem::CountingAlloc`).
+    pub build_bytes: u64,
+    /// Sorted runs fed to a full sort's k-way merge.
+    pub merge_ways: u64,
+    /// Entries held across all per-worker Top-N heaps at the merge point.
+    pub heap_rows: u64,
+}
+
+impl KernelStats {
+    /// Folds another call's numbers into these: counts add, shapes
+    /// (`workers`, `partitions`, `build_bytes`, `merge_ways`,
+    /// `heap_rows`) keep the maximum.
+    pub fn merge(&mut self, o: &KernelStats) {
+        self.morsels += o.morsels;
+        self.rows_in += o.rows_in;
+        self.bytes += o.bytes;
+        self.build_rows += o.build_rows;
+        self.pruned_rows += o.pruned_rows;
+        self.expr_kernels += o.expr_kernels;
+        self.expr_rows += o.expr_rows;
+        self.workers = self.workers.max(o.workers);
+        self.partitions = self.partitions.max(o.partitions);
+        self.build_bytes = self.build_bytes.max(o.build_bytes);
+        self.merge_ways = self.merge_ways.max(o.merge_ways);
+        self.heap_rows = self.heap_rows.max(o.heap_rows);
+    }
+
+    /// Every field with its name, in declaration order.
+    pub fn fields(&self) -> [(&'static str, u64); 12] {
+        [
+            ("morsels", self.morsels),
+            ("rows_in", self.rows_in),
+            ("bytes", self.bytes),
+            ("build_rows", self.build_rows),
+            ("pruned_rows", self.pruned_rows),
+            ("expr_kernels", self.expr_kernels),
+            ("expr_rows", self.expr_rows),
+            ("workers", self.workers),
+            ("partitions", self.partitions),
+            ("build_bytes", self.build_bytes),
+            ("merge_ways", self.merge_ways),
+            ("heap_rows", self.heap_rows),
+        ]
+    }
+
+    /// A scan of the whole of `table` by `workers` workers.
+    pub(crate) fn scan(table: &ColumnTable, morsels: usize, workers: usize) -> KernelStats {
+        KernelStats {
+            morsels: morsels as u64,
+            workers: workers as u64,
+            rows_in: table.rows as u64,
+            bytes: table.bytes() as u64,
+            ..KernelStats::default()
+        }
+    }
 }
 
 /// The morsel list for a table: each entry is `(segment, start, len)`.
@@ -66,12 +135,6 @@ pub(crate) fn worker_count(rows: usize, threads: usize, n_morsels: usize) -> usi
         return 1;
     }
     threads.max(1).min(n_morsels.max(1))
-}
-
-pub(crate) fn emit_counters(stats: &ScanStats) {
-    tpcds_obs::counter("storage", "scan.morsels", stats.morsels as f64);
-    tpcds_obs::counter("storage", "scan.rows", stats.rows_scanned as f64);
-    tpcds_obs::counter("storage", "scan.bytes", stats.bytes as f64);
 }
 
 /// Hands the chunk indexes `0..n` to workers, each exactly once: fast
@@ -112,19 +175,12 @@ pub(crate) fn run_workers<T: Send>(
 
 /// Runs `f(chunk_index)` for the independent chunks `0..n` on `workers`
 /// threads pulling from one cursor (`run_workers`), returning the results
-/// in chunk order. `span` names the per-worker obs span. Work that is not
-/// a scan uses it too: the bulk load runs one chunk per segment of every
-/// table.
-pub fn run_chunks<T: Send, F: Fn(usize) -> T + Sync>(
-    span: &'static str,
-    n: usize,
-    workers: usize,
-    f: F,
-) -> Vec<T> {
+/// in chunk order. Work that is not a scan uses it too: the bulk load
+/// runs one chunk per segment of every table.
+pub fn run_chunks<T: Send, F: Fn(usize) -> T + Sync>(n: usize, workers: usize, f: F) -> Vec<T> {
     let slots: Vec<std::sync::Mutex<Option<T>>> =
         (0..n).map(|_| std::sync::Mutex::new(None)).collect();
     run_workers(n, workers, |chunks| {
-        let _span = tpcds_obs::span("storage", span);
         while let Some(m) = chunks.next() {
             *slots[m].lock().unwrap() = Some(f(m));
         }
@@ -138,13 +194,13 @@ pub fn run_chunks<T: Send, F: Fn(usize) -> T + Sync>(
 /// Materializes the batch: the rows passing its predicate, narrowed to
 /// its visible columns, **in table order**, plus scan statistics. This is
 /// the result edge — the one place column batches become rows.
-pub fn par_filter(batch: &Batch, threads: usize) -> (Vec<Row>, ScanStats) {
+pub fn par_filter(batch: &Batch, threads: usize) -> (Vec<Row>, KernelStats) {
     let (table, pred, proj) = (&*batch.table, batch.pred.as_ref(), batch.proj.as_deref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
     // Per-morsel output buffers, reassembled in morsel order so the
     // result is byte-identical to a serial scan.
-    let parts = run_chunks("scan_worker", morsels.len(), workers, |m| {
+    let parts = run_chunks(morsels.len(), workers, |m| {
         let (si, off, len) = morsels[m];
         filter_morsel(table, si, off, len, pred, proj)
     });
@@ -153,15 +209,7 @@ pub fn par_filter(batch: &Batch, threads: usize) -> (Vec<Row>, ScanStats) {
     for p in parts {
         out.extend(p);
     }
-    let stats = ScanStats {
-        morsels: morsels.len() as u64,
-        workers: workers as u64,
-        rows_scanned: table.rows as u64,
-        rows_out: rows_out as u64,
-        bytes: table.bytes() as u64,
-    };
-    emit_counters(&stats);
-    (out, stats)
+    (out, KernelStats::scan(table, morsels.len(), workers))
 }
 
 /// Feeds the batch's qualifying rows (visible columns) to `visit` **in
@@ -172,11 +220,11 @@ pub fn par_filter(batch: &Batch, threads: usize) -> (Vec<Row>, ScanStats) {
 /// the stopping row are never reported: their deferred predicate errors
 /// are cleared, as a serial row loop would never have evaluated them (an
 /// error at or before it stays in the batch and outranks `visit`'s own).
-/// `rows_scanned` and `bytes` count only what was actually visited.
+/// `rows_in` and `bytes` count only what was actually visited.
 pub fn scan_until<E>(
     batch: &Batch,
     visit: impl FnMut(Row) -> Result<bool, E>,
-) -> Result<ScanStats, E> {
+) -> Result<KernelStats, E> {
     scan_range(batch, 0..batch.table.id_end(), visit)
 }
 
@@ -186,12 +234,11 @@ pub fn scan_range<E>(
     batch: &Batch,
     ids: Range<usize>,
     mut visit: impl FnMut(Row) -> Result<bool, E>,
-) -> Result<ScanStats, E> {
+) -> Result<KernelStats, E> {
     let (table, pred, proj) = (&*batch.table, batch.pred.as_ref(), batch.proj.as_deref());
-    let _span = tpcds_obs::span("storage", "scan_worker");
-    let mut stats = ScanStats {
+    let mut stats = KernelStats {
         workers: 1,
-        ..ScanStats::default()
+        ..KernelStats::default()
     };
     let mut sel = Vec::new();
     let mut verdict = Ok(true);
@@ -204,7 +251,7 @@ pub fn scan_range<E>(
         }
         let (off, len, base) = (off + lo - first, hi - lo, lo as u64);
         stats.morsels += 1;
-        stats.rows_scanned += len as u64;
+        stats.rows_in += len as u64;
         stats.bytes += (seg.bytes * len / seg.rows.max(1)) as u64;
         match pred {
             Some(p) => p.eval(seg, off, len, base, &mut sel),
@@ -214,7 +261,6 @@ pub fn scan_range<E>(
             }
         }
         for (j, _) in sel.iter().enumerate().filter(|(_, &s)| s == P_TRUE) {
-            stats.rows_out += 1;
             verdict = visit(seg.row_of(off + j, proj));
             if !matches!(verdict, Ok(true)) {
                 if let Some(p) = pred {
@@ -224,7 +270,6 @@ pub fn scan_range<E>(
             }
         }
     }
-    emit_counters(&stats);
     verdict.map(|_| stats)
 }
 
@@ -262,13 +307,12 @@ pub fn par_aggregate(
     groups: &[usize],
     aggs: &[AggSpec],
     threads: usize,
-) -> Result<(Vec<Row>, ScanStats), StorageError> {
+) -> Result<(Vec<Row>, KernelStats), StorageError> {
     let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
 
     let partials = run_workers(morsels.len(), workers, |chunks| {
-        let _span = tpcds_obs::span("storage", "agg_worker");
         let mut map: GroupMap = HashMap::new();
         let mut sel = Vec::new();
         let mut failed: Option<StorageError> = None;
@@ -295,16 +339,7 @@ pub fn par_aggregate(
 
     let merged = merge_partials(partials)?;
     let out = finish_groups(merged, groups.is_empty(), aggs);
-
-    let stats = ScanStats {
-        morsels: morsels.len() as u64,
-        workers: workers as u64,
-        rows_scanned: table.rows as u64,
-        rows_out: out.len() as u64,
-        bytes: table.bytes() as u64,
-    };
-    emit_counters(&stats);
-    Ok((out, stats))
+    Ok((out, KernelStats::scan(table, morsels.len(), workers)))
 }
 
 /// Group key → partial accumulators. Shared by the aggregate and
@@ -419,8 +454,8 @@ fn agg_morsel(
 mod tests {
     use super::*;
     use crate::agg::AggKind;
-    use crate::pred::CmpKind;
     use crate::segment::{ColumnTableBuilder, SEGMENT_ROWS};
+    use crate::CmpKind;
     use crate::Expr;
     use std::sync::Arc;
     use tpcds_types::{ArithOp, DataType, Decimal};
@@ -462,9 +497,9 @@ mod tests {
         for threads in [2, 5, 8] {
             let (par, sp) = par_filter(&batch(&t, &pred), threads);
             assert_eq!(par, serial, "threads={threads}");
-            assert_eq!(sp.rows_out, s1.rows_out);
+            assert_eq!(sp.rows_in, s1.rows_in);
         }
-        assert_eq!(s1.rows_scanned, t.rows as u64);
+        assert_eq!(s1.rows_in, t.rows as u64);
         assert!(s1.morsels >= (t.rows / MORSEL_ROWS) as u64);
         // Result really is table order.
         let ids: Vec<i64> = serial.iter().map(|r| r[0].as_int().unwrap()).collect();
@@ -472,7 +507,7 @@ mod tests {
     }
 
     /// The first `limit` rows via [`scan_until`].
-    fn first(b: &Batch, limit: usize) -> (Vec<Row>, ScanStats) {
+    fn first(b: &Batch, limit: usize) -> (Vec<Row>, KernelStats) {
         let mut out = Vec::new();
         let stats = scan_until(b, |row| {
             out.push(row);
@@ -489,10 +524,9 @@ mod tests {
         for limit in [1, 100, full.len(), full.len() + 10] {
             let (prefix, stats) = first(&batch(&t, &pred), limit);
             assert_eq!(prefix, full[..limit.min(full.len())], "limit={limit}");
-            assert_eq!(stats.rows_out, prefix.len() as u64);
             if limit <= MORSEL_ROWS {
                 assert!(
-                    stats.rows_scanned < t.rows as u64,
+                    stats.rows_in < t.rows as u64,
                     "limit={limit} should short-circuit: {stats:?}"
                 );
             }
@@ -529,7 +563,7 @@ mod tests {
                 Ok::<_, ()>(true)
             };
             let stats = scan_range(&batch(&t, &pred), w[0]..w[1], visit).unwrap();
-            assert_eq!(stats.rows_scanned, (w[1] - w[0]) as u64, "{w:?}");
+            assert_eq!(stats.rows_in, (w[1] - w[0]) as u64, "{w:?}");
         }
         assert_eq!(tiled, full);
         // `id * i64::MAX` overflows from id 2 on: a row outside the range

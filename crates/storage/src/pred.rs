@@ -15,8 +15,7 @@
 
 use crate::expr::{ErrCell, Expr};
 use crate::segment::Segment;
-use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Predicate evaluated to SQL FALSE for this row.
@@ -25,49 +24,6 @@ pub const P_FALSE: u8 = 0;
 pub const P_TRUE: u8 = 1;
 /// Predicate evaluated to SQL NULL (UNKNOWN) for this row.
 pub const P_NULL: u8 = 2;
-
-/// Comparison operator (mirrors the engine's `CmpOp`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CmpKind {
-    /// `=`
-    Eq,
-    /// `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-impl CmpKind {
-    /// Whether an ordering between the two operands satisfies the operator.
-    #[inline]
-    pub fn test(self, ord: Ordering) -> bool {
-        match self {
-            CmpKind::Eq => ord == Ordering::Equal,
-            CmpKind::Ne => ord != Ordering::Equal,
-            CmpKind::Lt => ord == Ordering::Less,
-            CmpKind::Le => ord != Ordering::Greater,
-            CmpKind::Gt => ord == Ordering::Greater,
-            CmpKind::Ge => ord != Ordering::Less,
-        }
-    }
-
-    /// The operator `op'` with `a op b == b op' a`.
-    pub(crate) fn flip(self) -> CmpKind {
-        match self {
-            CmpKind::Eq | CmpKind::Ne => self,
-            CmpKind::Lt => CmpKind::Gt,
-            CmpKind::Le => CmpKind::Ge,
-            CmpKind::Gt => CmpKind::Lt,
-            CmpKind::Ge => CmpKind::Le,
-        }
-    }
-}
 
 /// The pending predicate of a [`crate::Batch`]: live rows qualify where
 /// every step reads TRUE. Built only by [`crate::Batch`].
@@ -198,7 +154,7 @@ fn count(counters: &[Arc<AtomicU64>], out: &[u8]) {
     if !counters.is_empty() {
         let admitted = out.iter().filter(|&&o| o == P_TRUE).count() as u64;
         for rows in counters {
-            rows.fetch_add(admitted, AtomicOrdering::Relaxed);
+            rows.fetch_add(admitted, Ordering::Relaxed);
         }
     }
 }
@@ -207,7 +163,7 @@ fn count(counters: &[Arc<AtomicU64>], out: &[u8]) {
 mod tests {
     use super::*;
     use crate::segment::ColumnTableBuilder;
-    use tpcds_types::{ArithOp, DataType, Date, Value};
+    use tpcds_types::{ArithOp, CmpKind, DataType, Date, Value};
 
     fn seg_of(dtypes: Vec<DataType>, rows: Vec<Vec<Value>>) -> std::sync::Arc<Segment> {
         let mut b = ColumnTableBuilder::new(dtypes);
@@ -394,7 +350,7 @@ mod tests {
             let outer = p.counted();
             let mut out = Vec::new();
             p.eval(&seg_with(n), 0, 3, base, &mut out);
-            let load = |c: Arc<AtomicU64>| c.load(AtomicOrdering::Relaxed);
+            let load = |c: Arc<AtomicU64>| c.load(Ordering::Relaxed);
             (out, p, load(inner), load(outer))
         };
         for hidden in [Value::Int(-1), Value::Null] {
@@ -435,7 +391,7 @@ mod tests {
         let mut out = Vec::new();
         live.eval(seg, 0, 3, 0, &mut out);
         assert_eq!(out, [P_TRUE, P_FALSE, P_TRUE]);
-        assert_eq!(admitted.load(AtomicOrdering::Relaxed), 2);
+        assert_eq!(admitted.load(Ordering::Relaxed), 2);
         // Row 1 would overflow; dead, it is never offered to the cell.
         let sum = Expr::Arith(ArithOp::Add, col(0), lit(Value::Int(1)));
         let p = Pred::new(Expr::Cmp(CmpKind::Gt, Box::new(sum), lit(Value::Int(0))));

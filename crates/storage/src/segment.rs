@@ -325,7 +325,7 @@ impl ColumnTable {
         }
         let moved = compacted.len() * SEGMENT_ROWS;
         let workers = worker_count(moved, threads, compacted.len());
-        let built = run_chunks("segment_worker", compacted.len(), workers, |k| {
+        let built = run_chunks(compacted.len(), workers, |k| {
             let si = compacted[k];
             let base = si * SEGMENT_ROWS;
             let live = table.segments[si].live_offsets();
@@ -346,7 +346,7 @@ impl ColumnTable {
         let hit: Vec<_> =
             (rows.chunk_by(|a, b| a.0 / SEGMENT_ROWS == b.0 / SEGMENT_ROWS)).collect();
         let workers = worker_count(hit.len() * SEGMENT_ROWS, threads, hit.len());
-        let built = run_chunks("segment_worker", hit.len(), workers, |task| {
+        let built = run_chunks(hit.len(), workers, |task| {
             let old = &self.segments[hit[task][0].0 / SEGMENT_ROWS];
             let columns = (0..self.width()).map(|c| {
                 let mut column = Column::for_type(self.dtypes[c]);

@@ -29,7 +29,7 @@
 use crate::agg::{AggKind, PAcc};
 use crate::batch::{gather, Batch, Take, NO_ROW};
 use crate::column::ColumnData;
-use crate::morsel::{morsels_of, run_chunks, run_workers, worker_count, Chunks};
+use crate::morsel::{morsels_of, run_chunks, run_workers, worker_count, Chunks, KernelStats};
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
 use crate::{StorageError, MORSEL_ROWS};
@@ -71,29 +71,6 @@ pub struct WinSpec {
     pub keys: Vec<SortKey>,
     /// How many leading `keys` are PARTITION BY columns.
     pub partition: usize,
-}
-
-/// What one sort/Top-N kernel invocation did — surfaced in obs counters
-/// and the engine's EXPLAIN ANALYZE output.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SortStats {
-    /// Morsels processed.
-    pub morsels: u64,
-    /// Workers that ran (1 for inline execution).
-    pub workers: u64,
-    /// Rows that qualified (passed the predicate) and were offered to the
-    /// sort.
-    pub rows_in: u64,
-    /// Rows produced.
-    pub rows_out: u64,
-    /// Sorted runs fed to the k-way merge (0 for Top-N).
-    pub merge_ways: u64,
-    /// Total entries held across all per-worker Top-N heaps at the merge
-    /// point (0 for full sort).
-    pub heap_rows: u64,
-    /// Qualifying rows the bounded heaps rejected without materializing
-    /// (0 for full sort).
-    pub pruned_rows: u64,
 }
 
 /// One candidate row: its sort key plus an id that breaks ties (making
@@ -329,18 +306,6 @@ fn kway_merge(runs: Vec<Vec<Entry>>, keys: &[SortKey]) -> Vec<Entry> {
     out
 }
 
-// ---------- observability ----------
-
-fn emit_counters(stats: &SortStats, topn: bool) {
-    tpcds_obs::counter("storage", "sort.rows", stats.rows_in as f64);
-    if topn {
-        tpcds_obs::counter("storage", "topn.heap_peak", stats.heap_rows as f64);
-        tpcds_obs::counter("storage", "topn.pruned_rows", stats.pruned_rows as f64);
-    } else {
-        tpcds_obs::counter("storage", "sort.merge_ways", stats.merge_ways as f64);
-    }
-}
-
 // ---------- Top-N over a column table ----------
 
 /// What one Top-N worker hands back for the commutative merge.
@@ -358,7 +323,6 @@ fn topn_worker(
     enc: bool,
     limit: usize,
 ) -> TopNPart {
-    let _span = tpcds_obs::span("storage", "topn_worker");
     let mut heap: Vec<Entry> = Vec::with_capacity(limit.min(4096));
     let mut qualifying = 0u64;
     let mut sel = Vec::new();
@@ -409,7 +373,7 @@ pub fn par_topn(
     keys: &[SortKey],
     limit: usize,
     threads: usize,
-) -> (ColumnTable, SortStats) {
+) -> (ColumnTable, KernelStats) {
     assert!(batch.table.id_end() <= NO_ROW as usize, "row ids are u32");
     let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
@@ -429,16 +393,14 @@ pub fn par_topn(
     entries.sort_unstable_by(|a, b| cmp_entries(a, b, keys));
     entries.truncate(limit);
 
-    let stats = SortStats {
+    let stats = KernelStats {
         morsels: morsels.len() as u64,
         workers: workers as u64,
         rows_in: qualifying,
-        rows_out: entries.len() as u64,
-        merge_ways: 0,
         heap_rows,
         pruned_rows: qualifying - heap_rows,
+        ..KernelStats::default()
     };
-    emit_counters(&stats, true);
     let ids: Vec<u32> = entries.iter().map(|e| e.gid as u32).collect();
     (gather(&[take(batch, &ids)], threads), stats)
 }
@@ -457,7 +419,7 @@ fn merged_runs(
     rows: impl Fn(usize) -> Vec<(usize, usize)> + Sync,
 ) -> (Vec<Entry>, u64) {
     let enc = encodable(table, keys);
-    let runs = run_chunks("sort_worker", chunks, workers, |c| {
+    let runs = run_chunks(chunks, workers, |c| {
         let mut run: Vec<Entry> = (rows(c).into_iter())
             .map(|(gid, row)| Entry {
                 key: key_of(
@@ -479,7 +441,7 @@ fn merged_runs(
 /// The global ids of the batch's qualifying rows sorted by `keys`, ties
 /// in table order: per-morsel sorted runs in parallel, then a serial k-way
 /// merge. The pending predicate runs once per morsel.
-fn sorted_ids(batch: &Batch, keys: &[SortKey], threads: usize) -> (Vec<u32>, SortStats) {
+fn sorted_ids(batch: &Batch, keys: &[SortKey], threads: usize) -> (Vec<u32>, KernelStats) {
     assert!(batch.table.id_end() <= NO_ROW as usize, "row ids are u32");
     let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
@@ -496,14 +458,12 @@ fn sorted_ids(batch: &Batch, keys: &[SortKey], threads: usize) -> (Vec<u32>, Sor
             .map(|i| (si * SEGMENT_ROWS + i, si * SEGMENT_ROWS + i))
             .collect()
     });
-    let stats = SortStats {
+    let stats = KernelStats {
         morsels: morsels.len() as u64,
         workers: workers as u64,
         rows_in: merged.len() as u64,
-        rows_out: merged.len() as u64,
         merge_ways,
-        heap_rows: 0,
-        pruned_rows: 0,
+        ..KernelStats::default()
     };
     (merged.iter().map(|e| e.gid as u32).collect(), stats)
 }
@@ -512,9 +472,8 @@ fn sorted_ids(batch: &Batch, keys: &[SortKey], threads: usize) -> (Vec<u32>, Sor
 /// emits a table of the batch's visible columns. Byte-identical at any
 /// worker count (total entry order, and run `m` always holds morsel `m`'s
 /// rows regardless of which worker sorted it).
-pub fn par_sort(batch: &Batch, keys: &[SortKey], threads: usize) -> (ColumnTable, SortStats) {
+pub fn par_sort(batch: &Batch, keys: &[SortKey], threads: usize) -> (ColumnTable, KernelStats) {
     let (ids, stats) = sorted_ids(batch, keys, threads);
-    emit_counters(&stats, false);
     (gather(&[take(batch, &ids)], threads), stats)
 }
 
@@ -530,7 +489,7 @@ pub fn par_window(
     batch: &Batch,
     calls: &[WinSpec],
     threads: usize,
-) -> Result<(ColumnTable, SortStats), StorageError> {
+) -> Result<(ColumnTable, KernelStats), StorageError> {
     // The rows in table order (a sort on no keys): the predicate runs
     // once, and a row's index here is its output position.
     let (ids, mut stats) = sorted_ids(batch, &[], threads);
@@ -547,7 +506,6 @@ pub fn par_window(
         let arg = |p: usize| call.arg.map(|col| table.value(ids[p] as usize, col));
         walk(call, &order, arg, |p, v| rows[p][c] = v)?;
     }
-    emit_counters(&stats, false);
     let values = Batch::from_rows(calls.len(), &rows);
     let all: Vec<u32> = (0..ids.len() as u32).collect();
     let computed = Take {
@@ -607,8 +565,8 @@ fn walk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pred::CmpKind;
     use crate::segment::ColumnTableBuilder;
+    use crate::CmpKind;
     use crate::Expr;
     use std::sync::Arc;
     use tpcds_types::{DataType, Decimal, Row};
@@ -643,12 +601,12 @@ mod tests {
         crate::par_filter(&Batch::new(Arc::new(t)), 1).0
     }
 
-    fn topn(b: &Batch, keys: &[SortKey], limit: usize, threads: usize) -> (Vec<Row>, SortStats) {
+    fn topn(b: &Batch, keys: &[SortKey], limit: usize, threads: usize) -> (Vec<Row>, KernelStats) {
         let (t, stats) = par_topn(b, keys, limit, threads);
         (rows_of(t), stats)
     }
 
-    fn sort(b: &Batch, keys: &[SortKey], threads: usize) -> (Vec<Row>, SortStats) {
+    fn sort(b: &Batch, keys: &[SortKey], threads: usize) -> (Vec<Row>, KernelStats) {
         let (t, stats) = par_sort(b, keys, threads);
         (rows_of(t), stats)
     }
@@ -694,7 +652,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let (rows, stats) = topn(&t, &keys, 100, threads);
             assert_eq!(rows, expect, "threads={threads}");
-            assert_eq!(stats.rows_out, 100);
+            assert_eq!(rows.len(), 100);
             assert!(stats.pruned_rows > 0, "heaps should prune: {stats:?}");
             assert_eq!(stats.rows_in, stats.heap_rows + stats.pruned_rows);
         }
@@ -746,7 +704,7 @@ mod tests {
             let (rows, stats) = sort(&t, &keys, threads);
             assert_eq!(rows, expect, "threads={threads}");
             assert!(stats.merge_ways > 1, "{stats:?}");
-            assert_eq!(stats.rows_out as usize, expect.len());
+            assert_eq!(stats.rows_in as usize, expect.len());
         }
     }
 
@@ -828,9 +786,8 @@ mod tests {
             let (sorted, stats) = sort(&t, &keys, threads);
             assert_eq!(sorted, expect, "threads={threads}");
             assert!(stats.merge_ways >= 1);
-            let (top, stats) = topn(&t, &keys, 123, threads);
+            let (top, _) = topn(&t, &keys, 123, threads);
             assert_eq!(top, expect[..123], "threads={threads}");
-            assert_eq!(stats.rows_out, 123);
         }
     }
 }

@@ -387,7 +387,7 @@ pub fn extend_stats(base: &TableStats, table: &ColumnTable, threads: usize) -> T
     }
     let n_segs = table.segments.len() - first;
     let workers = worker_count(added, threads, n_segs);
-    let partials = run_chunks("stats_worker", n_segs, workers, |k| {
+    let partials = run_chunks(n_segs, workers, |k| {
         live_partial(&table.segments[first + k], if k == 0 { from } else { 0 })
     });
     merged(base, partials.iter().map(Vec::as_slice), table.rows)
@@ -418,7 +418,7 @@ pub fn collect_stats_at(table: &ColumnTable, ids: &[u32], threads: usize) -> Tab
     let groups: Vec<&[u32]> =
         (ids.chunk_by(|a, b| a / SEGMENT_ROWS as u32 == b / SEGMENT_ROWS as u32)).collect();
     let workers = worker_count(ids.len(), threads, groups.len());
-    let partials = run_chunks("stats_worker", groups.len(), workers, |k| {
+    let partials = run_chunks(groups.len(), workers, |k| {
         let seg = &table.segments[groups[k][0] as usize / SEGMENT_ROWS];
         partial(seg, groups[k].iter().map(|&id| id as usize % SEGMENT_ROWS))
     });

@@ -20,7 +20,7 @@ fn join(
     bk: usize,
     kind: JoinType,
     threads: usize,
-) -> (Vec<Row>, tpcds_storage::JoinStats) {
+) -> (Vec<Row>, tpcds_storage::KernelStats) {
     let (t, stats) = par_hash_join(probe, &[pk], build, &[bk], kind, None, threads).unwrap();
     (par_filter(&Batch::new(Arc::new(t)), 1).0, stats)
 }
@@ -85,7 +85,7 @@ fn predicate_and_filter_agree_with_serial_rule_at_boundaries() {
                 .map(|i| t.row(i as usize))
                 .collect();
             assert_eq!(rows, expect, "n={n} threads={threads}");
-            assert_eq!(stats.rows_scanned, n as u64);
+            assert_eq!(stats.rows_in, n as u64);
         }
     }
 }
@@ -143,7 +143,7 @@ fn join_probe_spanning_boundary_matches_serial() {
         // Every probe row appears exactly once (unique build keys; NULL
         // keys pad).
         assert_eq!(serial.len(), n, "n={n}");
-        assert_eq!(s1.probe_morsels, n.div_ceil(8_192) as u64);
+        assert_eq!(s1.morsels, n.div_ceil(8_192) as u64);
         for threads in [2, 8] {
             let (par, _) = join(&probe, 1, &build, 0, JoinType::Left, threads);
             assert_eq!(par, serial, "n={n} threads={threads}");
@@ -181,8 +181,7 @@ fn empty_probe_side_joins() {
     for kind in [JoinType::Inner, JoinType::Left] {
         let (rows, stats) = join(&empty, 1, &build, 0, kind, 4);
         assert!(rows.is_empty(), "{kind:?}");
-        assert_eq!(stats.probe_morsels, 0);
-        assert_eq!(stats.rows_out, 0);
+        assert_eq!(stats.morsels, 0);
     }
     // Probe filtered down to nothing.
     let none = Expr::cmp(CmpKind::Lt, 0, Value::Int(-1));

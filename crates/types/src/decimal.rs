@@ -183,11 +183,6 @@ impl Decimal {
     pub fn abs(&self) -> Decimal {
         Decimal::new(self.mantissa.abs(), self.scale)
     }
-
-    /// True when the value is exactly zero.
-    pub fn is_zero(&self) -> bool {
-        self.mantissa == 0
-    }
 }
 
 impl PartialEq for Decimal {

@@ -18,5 +18,5 @@ pub use date::{Date, Time};
 pub use decimal::Decimal;
 pub use like::like_match;
 pub use rng::ColumnRng;
-pub use scalar::{ArithOp, ScalarFunc};
+pub use scalar::{ArithOp, CmpKind, ScalarFunc};
 pub use value::{DataType, Row, Value};

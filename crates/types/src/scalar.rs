@@ -27,6 +27,49 @@ pub enum ArithOp {
     Mod,
 }
 
+/// Comparison operators.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmpKind {
+    /// `=`
+    Eq,
+    /// `<>`
+    Ne,
+    /// `<`
+    Lt,
+    /// `<=`
+    Le,
+    /// `>`
+    Gt,
+    /// `>=`
+    Ge,
+}
+
+impl CmpKind {
+    /// Whether an ordering between the two operands satisfies the operator.
+    #[inline]
+    pub fn test(self, ord: Ordering) -> bool {
+        match self {
+            CmpKind::Eq => ord == Ordering::Equal,
+            CmpKind::Ne => ord != Ordering::Equal,
+            CmpKind::Lt => ord == Ordering::Less,
+            CmpKind::Le => ord != Ordering::Greater,
+            CmpKind::Gt => ord == Ordering::Greater,
+            CmpKind::Ge => ord != Ordering::Less,
+        }
+    }
+
+    /// The operator `op'` with `a op b == b op' a`.
+    pub fn flip(self) -> CmpKind {
+        match self {
+            CmpKind::Eq | CmpKind::Ne => self,
+            CmpKind::Lt => CmpKind::Gt,
+            CmpKind::Le => CmpKind::Ge,
+            CmpKind::Gt => CmpKind::Lt,
+            CmpKind::Ge => CmpKind::Le,
+        }
+    }
+}
+
 /// Scalar functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalarFunc {

@@ -4,7 +4,7 @@
 #  2. drive it with scripted `tpcds client` calls: ping, a plain query,
 #     a snapshot-pinned query, explain, stats;
 #  3. scrape /metrics and require the server.* gauges, snapshot.* and
-#     storage.* series to be present;
+#     engine.kernel.* series to be present, and no per-worker span;
 #  4. shut it down over the wire and check the process exits cleanly.
 #
 # Knobs:
@@ -71,16 +71,21 @@ test "$LOGGED" -gt 0
     | grep -q 'smoke-q1'
 "$TPCDS" top --addr "$ADDR" --once | grep -q 'SESSIONS'
 
-# The Prometheus endpoint exports the server, snapshot and storage series
-# (names are prefixed `tpcds_` and dots become underscores). Storage
-# counters need no flag beyond --metrics-addr.
+# The Prometheus endpoint exports the server, snapshot and engine series
+# (names are prefixed `tpcds_` and dots become underscores). The kernel
+# counters, computed from each statement's profile, need no flag beyond
+# --metrics-addr; the kernels themselves expose no per-worker series.
 METRICS_OUT=$(curl -sf "http://$METRICS/metrics")
 echo "$METRICS_OUT" | grep -q '^tpcds_server_sessions_active'
 echo "$METRICS_OUT" | grep -q '^tpcds_server_queries_inflight'
 echo "$METRICS_OUT" | grep -q '^tpcds_server_admission_wait_us'
 echo "$METRICS_OUT" | grep -q '^tpcds_server_queries_total'
 echo "$METRICS_OUT" | grep -q '^tpcds_snapshot_version'
-echo "$METRICS_OUT" | grep -q '^tpcds_storage_scan_rows'
+echo "$METRICS_OUT" | grep -q '^tpcds_engine_kernel_rows_in'
+if echo "$METRICS_OUT" | grep -q 'worker_us_'; then
+    echo "per-worker span series still exposed" >&2
+    exit 1
+fi
 
 # Clean shutdown over the wire: the serve process must exit by itself.
 "$TPCDS" client --addr "$ADDR" --shutdown

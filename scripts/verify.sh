@@ -12,3 +12,7 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+./target/release/tpcds synth --scale 0.01 --queries 500 --streams 4 --dm 1
+./scripts/server_smoke.sh
+bash benchmark/run.sh suite --smoke
+(cd benchmark && cargo test --offline)
