@@ -115,9 +115,10 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// Disables the join-reordering / predicate-pushdown pass, leaving the
-    /// binder's naive left-deep cross-join plan (used by the optimizer
-    /// ablation study).
+    /// Disables the optimizer passes (join reordering and predicate
+    /// pushdown, Top-N fusion, column pruning), leaving the binder's naive
+    /// left-deep cross-join plan: the optimizer ablation study, and the
+    /// oracle [`crate::query_unoptimized`] runs.
     pub fn without_optimizer(mut self) -> Self {
         self.optimize = false;
         self
@@ -127,7 +128,7 @@ impl<'a> Binder<'a> {
     pub fn bind(&mut self, q: &ast::Query) -> Result<Bound> {
         let (plan, _scope, names) = self.bind_query(q, None, &mut Vec::new())?;
         let plan = if self.optimize {
-            crate::optimizer::fuse_topn(plan)
+            crate::optimizer::prune_columns(&crate::optimizer::fuse_topn(&plan))
         } else {
             plan
         };
@@ -295,7 +296,8 @@ impl<'a> Binder<'a> {
                 Ok((
                     Plan::Scan {
                         table: name.clone(),
-                        width: cols.len(),
+                        cols: (0..cols.len()).collect(),
+                        table_width: cols.len(),
                         filter: None,
                     },
                     scope,
@@ -370,7 +372,8 @@ impl<'a> Binder<'a> {
         let plan = plan.unwrap_or(Plan::Scan {
             // SELECT without FROM: a one-row dummy scan.
             table: "__dual".to_string(),
-            width: 0,
+            cols: Vec::new(),
+            table_width: 0,
             filter: None,
         });
         if from.is_empty() && !self.db.has_table("__dual") {

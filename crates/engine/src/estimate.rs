@@ -15,12 +15,13 @@
 //! [`crate::exec::StatsMap`], so the two align node-for-node in the
 //! rendered plan.
 
-use crate::catalog::{Database, Table};
+use crate::catalog::Database;
 use crate::expr::{BExpr, CmpKind};
 use crate::plan::Plan;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tpcds_storage::stats::{hist_key, TableStats};
+use tpcds_storage::ColumnStats;
 use tpcds_storage::JoinType;
 use tpcds_types::Value;
 
@@ -60,14 +61,44 @@ pub fn q_error(est: f64, actual: u64) -> f64 {
     (e / a).max(a / e)
 }
 
-/// The base table a plan node scans, when the node's output coordinates
-/// still map 1:1 onto that table's columns (a bare scan, or a filter
-/// directly over one).
-pub fn scanned_table(plan: &Plan, db: &Database) -> Option<Arc<Table>> {
+/// The statistics of the base table a plan node scans, when the node's
+/// output rows are that table's rows (a bare scan, or a filter directly
+/// over one), with the table column behind each output column.
+pub(crate) struct Scanned<'p> {
+    stats: Arc<TableStats>,
+    cols: &'p [usize],
+}
+
+impl Scanned<'_> {
+    /// The statistics of output column `c`.
+    fn column(&self, c: usize) -> Option<&ColumnStats> {
+        self.stats.column(self.cols[c])
+    }
+
+    /// `e`, read over the scan's output columns, over the table's.
+    fn to_table(&self, e: &BExpr) -> BExpr {
+        e.remap_columns(&|c| self.cols[c])
+    }
+}
+
+/// The table `plan` scans, when its output rows are that table's rows.
+pub(crate) fn scanned_table<'p>(plan: &'p Plan, db: &Database) -> Option<Scanned<'p>> {
     match plan {
-        Plan::Scan { table, .. } => db.table(table).ok(),
+        Plan::Scan { table, cols, .. } => Some(Scanned {
+            stats: db.table(table).ok()?.stats(),
+            cols,
+        }),
         Plan::Filter { input, .. } => scanned_table(input, db),
         _ => None,
+    }
+}
+
+/// [`predicate_selectivity`] of `e` over `input`'s output columns, with the
+/// statistics of the table `input` scans when it scans one.
+pub(crate) fn selectivity_over(e: &BExpr, input: &Plan, db: &Database) -> f64 {
+    match scanned_table(input, db) {
+        Some(s) => predicate_selectivity(&s.to_table(e), Some(&s.stats), db),
+        None => predicate_selectivity(e, None, db),
     }
 }
 
@@ -89,8 +120,7 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
             let in_est = walk(input, db, map);
             // Coordinates only line up with base-table stats directly
             // above a scan; elsewhere fall back to the crude constants.
-            let stats = scanned_table(input, db).map(|t| t.stats());
-            in_est * predicate_selectivity(predicate, stats.as_deref(), db)
+            in_est * selectivity_over(predicate, input, db)
         }
         Plan::Project { input, .. } | Plan::Window { input, .. } | Plan::Sort { input, .. } => {
             walk(input, db, map)
@@ -148,13 +178,13 @@ fn equi_join_rows(
     right_keys: &[BExpr],
     db: &Database,
 ) -> f64 {
-    let ls = scanned_table(left, db).map(|t| t.stats());
-    let rs = scanned_table(right, db).map(|t| t.stats());
+    let ls = scanned_table(left, db);
+    let rs = scanned_table(right, db);
     let mut denom = 1.0f64;
     let mut resolved = left_keys.is_empty();
     for (lk, rk) in left_keys.iter().zip(right_keys) {
-        let ln = key_ndv(lk, ls.as_deref());
-        let rn = key_ndv(rk, rs.as_deref());
+        let ln = key_ndv(lk, ls.as_ref());
+        let rn = key_ndv(rk, rs.as_ref());
         if let Some(n) = match (ln, rn) {
             (Some(a), Some(b)) => Some(a.max(b)),
             (Some(a), None) => Some(a),
@@ -172,8 +202,8 @@ fn equi_join_rows(
     }
 }
 
-fn key_ndv(key: &BExpr, stats: Option<&TableStats>) -> Option<f64> {
-    match (key, stats) {
+fn key_ndv(key: &BExpr, scan: Option<&Scanned<'_>>) -> Option<f64> {
+    match (key, scan) {
         (BExpr::Col(i), Some(s)) => s.column(*i).map(|c| c.ndv as f64),
         _ => None,
     }
@@ -184,10 +214,10 @@ fn key_ndv(key: &BExpr, stats: Option<&TableStats>) -> Option<f64> {
 /// clamped to the input row estimate; otherwise a 10% heuristic.
 fn group_count(groups: &[BExpr], input: &Plan, in_est: f64, db: &Database) -> f64 {
     let cap = in_est.max(1.0);
-    let stats = scanned_table(input, db).map(|t| t.stats());
+    let scan = scanned_table(input, db);
     let mut prod = 1.0f64;
-    let mut resolved = stats.is_some();
-    if let Some(s) = stats.as_deref() {
+    let mut resolved = scan.is_some();
+    if let Some(s) = &scan {
         for g in groups {
             match g {
                 BExpr::Col(i) => match s.column(*i) {
@@ -477,9 +507,11 @@ mod tests {
     }
 
     fn scan(db: &Database, table: &str, filter: Option<BExpr>) -> Plan {
+        let width = db.columns(table).unwrap().len();
         Plan::Scan {
             table: table.into(),
-            width: db.columns(table).unwrap().len(),
+            cols: (0..width).collect(),
+            table_width: width,
             filter,
         }
     }
@@ -586,6 +618,73 @@ mod tests {
             (est - 2_500.0).abs() / 2_500.0 < 0.3,
             "est {est}, want ~2500"
         );
+    }
+
+    /// Estimates read a narrowed scan's output columns through to the
+    /// table's: joining, filtering and grouping a scan that emits only the
+    /// columns read above it estimates exactly like the wide scan.
+    #[test]
+    fn narrowed_scans_estimate_like_wide_ones() {
+        let db = Database::new();
+        let int = |name: &str| ColumnMeta {
+            name: name.into(),
+            dtype: DataType::Int,
+        };
+        db.create_table_with_rows(
+            "fact",
+            vec![int("v"), int("fk")],
+            (0..1000)
+                .map(|i| vec![Value::Int(i), Value::Int(i % 100)])
+                .collect(),
+        )
+        .unwrap();
+        db.create_table_with_rows(
+            "dim",
+            vec![int("attr"), int("pk")],
+            (0..100)
+                .map(|i| vec![Value::Int(i % 7), Value::Int(i)])
+                .collect(),
+        )
+        .unwrap();
+        // fact ⋈ dim on fk = pk, filtered on attr = 3, grouped by attr.
+        let plan = |fact: Plan, dim: Plan, fk: usize, pk: usize, attr: usize| {
+            let dim = Plan::Filter {
+                input: Arc::new(dim),
+                predicate: eq_lit(attr, 3),
+            };
+            let join = Plan::HashJoin {
+                left: Arc::new(fact),
+                right: Arc::new(dim.clone()),
+                kind: JoinType::Inner,
+                left_keys: vec![BExpr::Col(fk)],
+                right_keys: vec![BExpr::Col(pk)],
+                residual: None,
+            };
+            let groups = Plan::Aggregate {
+                input: Arc::new(dim),
+                groups: vec![BExpr::Col(attr)],
+                aggs: vec![],
+            };
+            (est_of(&join, &db), est_of(&groups, &db))
+        };
+        let narrowed = |table: &str, cols: Vec<usize>| Plan::Scan {
+            table: table.into(),
+            cols,
+            table_width: 2,
+            filter: None,
+        };
+        let wide = plan(scan(&db, "fact", None), scan(&db, "dim", None), 1, 1, 0);
+        let narrow = plan(
+            narrowed("fact", vec![1]),
+            narrowed("dim", vec![1, 0]),
+            0,
+            0,
+            1,
+        );
+        assert_eq!(wide, narrow);
+        // The wide estimates resolved every column's statistics.
+        assert!((wide.0 - 1000.0 / 7.0).abs() < 20.0, "{wide:?}");
+        assert_eq!(wide.1, 7.0, "{wide:?}");
     }
 
     #[test]

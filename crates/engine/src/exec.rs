@@ -389,11 +389,13 @@ fn plain_cols<'e>(exprs: impl IntoIterator<Item = &'e BExpr>) -> Option<Vec<usiz
 }
 
 /// The batch executor: every node returns a lazy [`Batch`]. `Scan` yields
-/// the segments untouched (a `sys.*` table its rows of the moment, typed
-/// as [`crate::sys::columns`] declares), a `Filter` ANDs into the pending
-/// predicate, a plain-column `Project`/`Prefix` composes the pending
-/// projection; joins, aggregates, windows, sorts and limits hand whatever
-/// batch their child produced to a morsel kernel.
+/// the segments untouched with its emitted columns as the pending
+/// projection (a `sys.*` table its rows of the moment, typed as
+/// [`crate::sys::columns`] declares; an index probe its matches, typed as
+/// the table declares), a `Filter` ANDs into the pending predicate, a
+/// plain-column `Project`/`Prefix` composes the pending projection;
+/// joins, aggregates, windows, sorts and limits hand whatever batch their
+/// child produced to a morsel kernel.
 fn batch_node(
     plan: &Plan,
     ctx: &ExecCtx<'_>,
@@ -404,23 +406,34 @@ fn batch_node(
     let threads = ctx.threads();
     let columnar = || ctx.record_route(node, RoutePath::Columnar);
     match plan {
-        Plan::Scan { table, filter, .. } => {
+        Plan::Scan {
+            table,
+            cols,
+            table_width,
+            filter,
+        } => {
             let b = match crate::sys::table(ctx.db, table) {
                 Some(t) => Batch::new(Arc::new(t)),
                 None => {
                     let t = ctx.table(table)?;
-                    if let Some(rows) = index_probe(&t, filter.as_ref(), ctx, outer)? {
+                    if let Some(rows) = index_probe(&t, filter.as_ref(), cols, ctx, outer)? {
                         ctx.record_route(node, RoutePath::Index);
-                        return Ok(Batch::from_rows(plan.width(), &rows));
+                        let dtypes = cols.iter().map(|&c| t.data().dtypes[c]).collect();
+                        let table = tpcds_storage::ColumnTable::from_rows(dtypes, &rows);
+                        return Ok(Batch::new(Arc::new(table)));
                     }
                     Batch::new(Arc::clone(t.data()))
                 }
             };
             columnar();
             let f = (filter.as_ref()).map(|f| compile_over(&b, f, ctx, outer, defer));
-            Ok(match f.transpose()? {
+            let b = match f.transpose()? {
                 Some(f) => b.filter(f),
                 None => b,
+            };
+            Ok(match cols.iter().copied().eq(0..*table_width) {
+                true => b,
+                false => b.project(cols),
             })
         }
         Plan::Filter { input, predicate } => {
@@ -745,13 +758,14 @@ fn project_table(
 
 /// The rows of a scan that probes a hash index instead of reading the
 /// table — those matching a `Col(i) = <row-independent expr>` conjunct
-/// over an indexed column and passing the whole filter — or `None` when
-/// no probe applies. The probe side may be a literal or a correlated outer
-/// reference — the latter is what makes per-outer-row EXISTS/IN subplans
-/// cheap.
+/// over an indexed column and passing the whole filter — cut to the
+/// emitted `cols`, or `None` when no probe applies. The probe side may be
+/// a literal or a correlated outer reference — the latter is what makes
+/// per-outer-row EXISTS/IN subplans cheap.
 fn index_probe(
     t: &crate::catalog::Table,
     filter: Option<&BExpr>,
+    cols: &[usize],
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
 ) -> Result<Option<Vec<Row>>> {
@@ -766,21 +780,30 @@ fn index_probe(
         for id in idx.lookup(t.data(), &key) {
             let row = t.data().row(id);
             if filter.map_or(Ok(true), |f| f.matches(&row, ctx, outer))? {
-                out.push(row);
+                out.push(emitted(row, cols));
             }
         }
     }
     Ok(Some(out))
 }
 
+/// The `cols` of a table row, in order.
+fn emitted(row: Row, cols: &[usize]) -> Row {
+    match cols.iter().copied().eq(0..row.len()) {
+        true => row,
+        false => cols.iter().map(|&c| row[c].clone()).collect(),
+    }
+}
+
 /// The serial scan operator. Virtual `sys.*` tables materialize live
 /// state at scan time; they bypass the snapshot (introspection reads the
 /// present, not the pinned version). Base tables try the index probe,
 /// then decode row after row — the filter's columns first, the rest only
-/// for a row that passes — until `sink` declines. `route` becomes
-/// `Index` when the probe ran.
+/// for a row that passes — until `sink` declines. Each row is cut to the
+/// emitted `cols`. `route` becomes `Index` when the probe ran.
 fn scan_rows(
     table: &str,
+    cols: &[usize],
     filter: Option<&BExpr>,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
@@ -790,22 +813,23 @@ fn scan_rows(
     let keep = |row: &[Value]| filter.map_or(Ok(true), |f| f.matches(row, ctx, outer));
     if let Some(rows) = crate::sys::rows(ctx.db, table) {
         for row in rows {
-            if keep(&row)? && !sink(row)? {
+            if keep(&row)? && !sink(emitted(row, cols))? {
                 break;
             }
         }
         return Ok(());
     }
     let t = ctx.table(table)?;
-    if let Some(rows) = index_probe(&t, filter, ctx, outer)? {
+    if let Some(rows) = index_probe(&t, filter, cols, ctx, outer)? {
         *route = RoutePath::Index;
         return feed(rows, sink);
     }
-    let mut cols = Vec::new();
+    let mut read = Vec::new();
     if let Some(f) = filter {
-        f.visit_columns(&mut |c| cols.push(c));
+        f.visit_columns(&mut |c| read.push(c));
     }
-    t.data().scan_rows(&cols, keep, sink)
+    t.data()
+        .scan_rows(&read, keep, |row| sink(emitted(row, cols)))
 }
 
 /// The serial row interpreter, which [`ColumnarMode::Off`] runs end to
@@ -826,9 +850,12 @@ fn serial_node(
     let child = |p: &Plan| execute(p, ctx, outer);
     let mut route = RoutePath::Serial;
     match plan {
-        Plan::Scan { table, filter, .. } => {
-            scan_rows(table, filter.as_ref(), ctx, outer, &mut route, sink)
-        }
+        Plan::Scan {
+            table,
+            cols,
+            filter,
+            ..
+        } => scan_rows(table, cols, filter.as_ref(), ctx, outer, &mut route, sink),
         Plan::Filter { input, predicate } => stream(input, ctx, outer, &mut |row| {
             Ok(!predicate.matches(&row, ctx, outer)? || sink(row)?)
         }),
@@ -1401,4 +1428,37 @@ fn cmp_keys<T>(a: &[Value], b: &[Value], keys: &[(T, bool)]) -> std::cmp::Orderi
         }
     }
     std::cmp::Ordering::Equal
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::ColumnMeta;
+    use tpcds_types::{DataType, Decimal};
+
+    /// A scan that probes the index builds its batch with the table's
+    /// declared column types, not ones guessed from the probed rows: a
+    /// decimal column whose matching rows are all NULL stays a decimal.
+    #[test]
+    fn index_route_keeps_declared_types() {
+        let db = Database::new();
+        let meta = |name: &str, dtype| ColumnMeta {
+            name: name.into(),
+            dtype,
+        };
+        let rows = vec![
+            vec![Value::Int(1), Value::Null],
+            vec![Value::Int(2), Value::Decimal(Decimal::from_cents(150))],
+        ];
+        let cols = vec![meta("k", DataType::Int), meta("d", DataType::Decimal)];
+        db.create_table_with_rows("t", cols, rows).unwrap();
+        db.create_index("t", "k").unwrap();
+        let bound = crate::plan_sql(&db, "select d from t where k = 1").unwrap();
+        let ctx = ExecCtx::new(&db, db.snapshot(), ExecOptions::default());
+        let b = batch(&bound.plan, &ctx, None).unwrap();
+        assert_eq!(b.table.rows, 1);
+        assert_eq!(b.table.dtypes[b.phys(0)], DataType::Decimal);
+        let stats = ctx.take_stats();
+        assert!(stats.values().any(|s| s.route == RoutePath::Index));
+    }
 }

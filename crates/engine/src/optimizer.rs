@@ -1,4 +1,5 @@
-//! Join reordering and predicate pushdown.
+//! Join reordering and predicate pushdown, Top-N fusion and column
+//! pruning.
 //!
 //! The binder emits `Filter(cross-join chain)` for comma-joined FROM
 //! clauses. This pass flattens that shape into a relation list plus a
@@ -11,8 +12,8 @@
 
 use crate::catalog::Database;
 use crate::expr::{BExpr, CmpKind};
-use crate::plan::Plan;
-use std::collections::HashSet;
+use crate::plan::{AggCall, Plan, WindowCall};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use tpcds_storage::JoinType;
 
@@ -104,12 +105,10 @@ pub fn optimize(plan: Plan, db: &Database) -> Plan {
         .map(|(i, r)| {
             let r = r.as_ref().expect("present");
             let base = base_rows(r, db).max(1) as f64;
-            let stats = crate::estimate::scanned_table(r, db).map(|t| t.stats());
-            let mut sel = 1.0;
-            for p in &local[i] {
-                sel *= crate::estimate::predicate_selectivity(p, stats.as_deref(), db);
-            }
-            base * sel
+            let sel = local[i]
+                .iter()
+                .map(|p| crate::estimate::selectivity_over(p, r, db));
+            base * sel.product::<f64>()
         })
         .collect();
 
@@ -213,51 +212,119 @@ pub fn optimize(plan: Plan, db: &Database) -> Plan {
 ///
 /// Applied by the binder after planning (and skipped by
 /// `without_optimizer`, so the ablation study measures the unfused tail).
-pub fn fuse_topn(plan: Plan) -> Plan {
-    fn unwrap(p: Arc<Plan>) -> Plan {
-        Arc::try_unwrap(p).unwrap_or_else(|a| a.as_ref().clone())
+pub fn fuse_topn(plan: &Plan) -> Plan {
+    let topn = |input: &Plan, keys: &[(BExpr, bool)], n: u64| Plan::TopN {
+        input: Arc::new(fuse_topn(input)),
+        keys: keys.to_vec(),
+        n,
+    };
+    if let Plan::Limit { input, n } = plan {
+        match &**input {
+            Plan::Sort { input, keys } => return topn(input, keys, *n),
+            Plan::Prefix { input, keep } => {
+                if let Plan::Sort { input, keys } = &**input {
+                    return Plan::Prefix {
+                        input: Arc::new(topn(input, keys, *n)),
+                        keep: *keep,
+                    };
+                }
+            }
+            _ => {}
+        }
     }
-    fn recurse(p: Arc<Plan>) -> Arc<Plan> {
-        Arc::new(fuse_topn(unwrap(p)))
+    plan.map_inputs(fuse_topn)
+}
+
+/// Narrows every node to the columns read above it, so a scan emits only
+/// the table columns the query names and a join gathers only those. Runs
+/// once, last, over the statement's tree; subquery bodies inside
+/// expressions are left as bound. Each node asks its input for the
+/// columns it or its parent reads:
+///
+/// - a `Scan` emits just the asked columns (its filter reads the table's,
+///   so a pushed predicate costs no emitted column);
+/// - a `Project` drops the columns and literals nobody reads; a computed
+///   expression may raise, so it stays;
+/// - `Filter`, `Sort`, `TopN`, a `HashJoin`'s keys and residual, and an
+///   `Aggregate`'s or a `Window`'s arguments and keys add what they read;
+/// - a node whose own expressions hold a correlated subquery, and each
+///   side of a `UnionAll`, keep their input whole: the subquery reads the
+///   input row by position, and both sides of a union line up column for
+///   column;
+/// - a CTE body is pruned with all its outputs needed, so every reference
+///   (each holds its own copy of the body) still reads the one result
+///   cached per CTE id.
+///
+/// A node returns at least the asked columns; its parent remaps its own
+/// expressions to what came back. A plain-column `Project` directly over
+/// another composes into one. Applied by the binder after
+/// [`fuse_topn`] and skipped by `without_optimizer`.
+pub fn prune_columns(plan: &Plan) -> Plan {
+    prune(plan, &all(plan)).0
+}
+
+/// Every output column of `plan`.
+fn all(plan: &Plan) -> Vec<usize> {
+    (0..plan.width()).collect()
+}
+
+/// `need` and every column `exprs` read, ascending.
+fn with_reads<'e>(need: &[usize], exprs: impl IntoIterator<Item = &'e BExpr>) -> Vec<usize> {
+    let mut cols: BTreeSet<usize> = need.iter().copied().collect();
+    for e in exprs {
+        e.visit_columns(&mut |c| {
+            cols.insert(c);
+        });
+    }
+    cols.into_iter().collect()
+}
+
+/// Remaps `e` from an input's old columns to the ones it still emits
+/// (`kept`, ascending).
+fn rebase(e: &BExpr, kept: &[usize]) -> BExpr {
+    e.remap_columns(&|c| kept.binary_search(&c).expect("a read column is kept"))
+}
+
+/// `plan` emitting at least the columns `need` (ascending), with the
+/// old position of each column it still emits (ascending).
+fn prune(plan: &Plan, need: &[usize]) -> (Plan, Vec<usize>) {
+    let narrow = |p: &Plan, need: &[usize]| {
+        let (p, kept) = prune(p, need);
+        (Arc::new(p), kept)
+    };
+    let correlated = plan.exprs().iter().any(|e| e.has_correlated_subquery());
+    if correlated || matches!(plan, Plan::UnionAll { .. } | Plan::CteRef { .. }) {
+        let whole = plan.map_inputs(|p| prune(p, &all(p)).0);
+        return (whole, all(plan));
     }
     match plan {
-        Plan::Limit { input, n } => match unwrap(input) {
-            Plan::Sort { input, keys } => Plan::TopN {
-                input: recurse(input),
-                keys,
-                n,
-            },
-            Plan::Prefix { input, keep } => match unwrap(input) {
-                Plan::Sort { input, keys } => Plan::Prefix {
-                    input: Arc::new(Plan::TopN {
-                        input: recurse(input),
-                        keys,
-                        n,
-                    }),
-                    keep,
-                },
-                other => Plan::Limit {
-                    input: Arc::new(Plan::Prefix {
-                        input: Arc::new(fuse_topn(other)),
-                        keep,
-                    }),
-                    n,
-                },
-            },
-            other => Plan::Limit {
-                input: Arc::new(fuse_topn(other)),
-                n,
-            },
-        },
-        Plan::Scan { .. } => plan,
-        Plan::Filter { input, predicate } => Plan::Filter {
-            input: recurse(input),
-            predicate,
-        },
-        Plan::Project { input, exprs } => Plan::Project {
-            input: recurse(input),
-            exprs,
-        },
+        Plan::Scan {
+            table,
+            cols,
+            table_width,
+            filter,
+        } => {
+            let scan = Plan::Scan {
+                table: table.clone(),
+                cols: need.iter().map(|&c| cols[c]).collect(),
+                table_width: *table_width,
+                filter: filter.clone(),
+            };
+            (scan, need.to_vec())
+        }
+        Plan::Filter { input, predicate } => {
+            let (input, kept) = narrow(input, &with_reads(need, [predicate]));
+            let predicate = rebase(predicate, &kept);
+            (Plan::Filter { input, predicate }, kept)
+        }
+        Plan::Project { input, exprs } => {
+            let keep: Vec<usize> = (0..exprs.len())
+                .filter(|c| need.contains(c) || !matches!(exprs[*c], BExpr::Col(_) | BExpr::Lit(_)))
+                .collect();
+            let (input, kept) = narrow(input, &with_reads(&[], keep.iter().map(|&c| &exprs[c])));
+            let exprs = keep.iter().map(|&c| rebase(&exprs[c], &kept)).collect();
+            (project(input, exprs), keep)
+        }
         Plan::HashJoin {
             left,
             right,
@@ -265,50 +332,111 @@ pub fn fuse_topn(plan: Plan) -> Plan {
             left_keys,
             right_keys,
             residual,
-        } => Plan::HashJoin {
-            left: recurse(left),
-            right: recurse(right),
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-        },
+        } => {
+            let lw = left.width();
+            let need = with_reads(need, residual);
+            let (lneed, rneed) = need.split_at(need.partition_point(|&c| c < lw));
+            let rneed: Vec<usize> = rneed.iter().map(|&c| c - lw).collect();
+            let (left, lkept) = narrow(left, &with_reads(lneed, left_keys));
+            let (right, rkept) = narrow(right, &with_reads(&rneed, right_keys));
+            let kept: Vec<usize> = lkept
+                .iter()
+                .copied()
+                .chain(rkept.iter().map(|&c| c + lw))
+                .collect();
+            let join = Plan::HashJoin {
+                left,
+                right,
+                kind: *kind,
+                left_keys: left_keys.iter().map(|k| rebase(k, &lkept)).collect(),
+                right_keys: right_keys.iter().map(|k| rebase(k, &rkept)).collect(),
+                residual: residual.as_ref().map(|r| rebase(r, &kept)),
+            };
+            (join, kept)
+        }
         Plan::Aggregate {
             input,
             groups,
             aggs,
-        } => Plan::Aggregate {
-            input: recurse(input),
-            groups,
-            aggs,
-        },
-        Plan::Window { input, calls } => Plan::Window {
-            input: recurse(input),
-            calls,
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: recurse(input),
-            keys,
-        },
-        Plan::TopN { input, keys, n } => Plan::TopN {
-            input: recurse(input),
-            keys,
-            n,
-        },
-        Plan::UnionAll { left, right } => Plan::UnionAll {
-            left: recurse(left),
-            right: recurse(right),
-        },
-        Plan::CteRef { id, plan, width } => Plan::CteRef {
-            id,
-            plan: recurse(plan),
-            width,
-        },
-        Plan::Prefix { input, keep } => Plan::Prefix {
-            input: recurse(input),
-            keep,
-        },
+        } => {
+            let (input, kept) = narrow(input, &with_reads(&[], plan.exprs()));
+            let agg = Plan::Aggregate {
+                input,
+                groups: groups.iter().map(|g| rebase(g, &kept)).collect(),
+                aggs: (aggs.iter())
+                    .map(|a| AggCall {
+                        func: a.func,
+                        arg: a.arg.as_ref().map(|e| rebase(e, &kept)),
+                    })
+                    .collect(),
+            };
+            (agg, all(plan))
+        }
+        Plan::Window { input, calls } => {
+            let w = input.width();
+            let passed = &need[..need.partition_point(|&c| c < w)];
+            let (input, mut kept) = narrow(input, &with_reads(passed, plan.exprs()));
+            let calls = (calls.iter())
+                .map(|c| WindowCall {
+                    func: c.func,
+                    arg: c.arg.as_ref().map(|e| rebase(e, &kept)),
+                    partition: c.partition.iter().map(|k| rebase(k, &kept)).collect(),
+                    order: (c.order.iter())
+                        .map(|(k, desc)| (rebase(k, &kept), *desc))
+                        .collect(),
+                })
+                .collect();
+            kept.extend(w..plan.width());
+            (Plan::Window { input, calls }, kept)
+        }
+        Plan::Sort { input, keys } | Plan::TopN { input, keys, .. } => {
+            let (input, kept) = narrow(input, &with_reads(need, keys.iter().map(|(k, _)| k)));
+            let keys = (keys.iter())
+                .map(|(k, desc)| (rebase(k, &kept), *desc))
+                .collect();
+            let sorted = match plan {
+                Plan::TopN { n, .. } => Plan::TopN { input, keys, n: *n },
+                _ => Plan::Sort { input, keys },
+            };
+            (sorted, kept)
+        }
+        Plan::Limit { input, n } => {
+            let (input, kept) = narrow(input, need);
+            (Plan::Limit { input, n: *n }, kept)
+        }
+        Plan::Prefix { input, keep } => {
+            let (input, mut kept) = narrow(input, need);
+            kept.truncate(kept.partition_point(|&c| c < *keep));
+            let keep = kept.len();
+            (Plan::Prefix { input, keep }, kept)
+        }
+        Plan::CteRef { .. } | Plan::UnionAll { .. } => unreachable!("kept whole above"),
     }
+}
+
+/// `Project(exprs)` over `input`, composed into `input` when both are
+/// plain column lists.
+fn project(input: Arc<Plan>, exprs: Vec<BExpr>) -> Plan {
+    let plain = |exprs: &[BExpr]| exprs.iter().all(|e| matches!(e, BExpr::Col(_)));
+    if let Plan::Project {
+        input: inner,
+        exprs: under,
+    } = &*input
+    {
+        if plain(&exprs) && plain(under) {
+            let exprs = (exprs.iter())
+                .map(|e| match e {
+                    BExpr::Col(c) => under[*c].clone(),
+                    _ => unreachable!("plain"),
+                })
+                .collect();
+            return Plan::Project {
+                input: Arc::clone(inner),
+                exprs,
+            };
+        }
+    }
+    Plan::Project { input, exprs }
 }
 
 /// Flattens inner cross-join chains (keyless hash joins without a
@@ -383,16 +511,19 @@ fn push_into(plan: Plan, pred: BExpr) -> Plan {
     match plan {
         Plan::Scan {
             table,
-            width,
+            cols,
+            table_width,
             filter,
         } => {
+            let pred = pred.remap_columns(&|c| cols[c]);
             let combined = match filter {
                 None => pred,
                 Some(f) => BExpr::And(f.boxed(), pred.boxed()),
             };
             Plan::Scan {
                 table,
-                width,
+                cols,
+                table_width,
                 filter: Some(combined),
             }
         }

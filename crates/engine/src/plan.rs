@@ -37,9 +37,12 @@ pub enum Plan {
     Scan {
         /// Table name in the catalog.
         table: String,
-        /// Number of columns (scan output width).
-        width: usize,
-        /// Filter applied during the scan.
+        /// The table columns the scan emits, in output order (all of them
+        /// until [`crate::optimizer::prune_columns`] narrows the list).
+        cols: Vec<usize>,
+        /// The table's column count.
+        table_width: usize,
+        /// Filter applied during the scan, over the table's columns.
         filter: Option<BExpr>,
     },
     /// Row filter.
@@ -146,11 +149,10 @@ pub enum Plan {
 }
 
 impl Plan {
-    /// Number of columns this plan produces. `db_width` resolves scan
-    /// widths eagerly, so this is exact.
+    /// Number of columns this plan produces.
     pub fn width(&self) -> usize {
         match self {
-            Plan::Scan { width, .. } => *width,
+            Plan::Scan { cols, .. } => cols.len(),
             Plan::Filter { input, .. }
             | Plan::Sort { input, .. }
             | Plan::TopN { input, .. }
@@ -231,9 +233,14 @@ impl Plan {
     /// This node's one-line label, without annotations.
     fn label(&self) -> String {
         match self {
-            Plan::Scan { table, filter, .. } => {
+            Plan::Scan {
+                table,
+                cols,
+                table_width,
+                filter,
+            } => {
                 let f = if filter.is_some() { " [filtered]" } else { "" };
-                format!("Scan {table}{f}")
+                format!("Scan {table}{f} [{}/{table_width} cols]", cols.len())
             }
             Plan::Filter { .. } => "Filter".to_string(),
             Plan::Project { exprs, .. } => format!("Project [{} cols]", exprs.len()),
@@ -274,6 +281,77 @@ impl Plan {
                 vec![left, right]
             }
             Plan::CteRef { .. } => vec![],
+        }
+    }
+
+    /// This node over new inputs: `f` maps each input in display order,
+    /// a CTE reference's body included (each reference gets its own copy).
+    pub(crate) fn map_inputs(&self, mut f: impl FnMut(&Plan) -> Plan) -> Plan {
+        let mut f = |p: &Arc<Plan>| Arc::new(f(p));
+        match self {
+            Plan::Scan { .. } => self.clone(),
+            Plan::Filter { input, predicate } => Plan::Filter {
+                input: f(input),
+                predicate: predicate.clone(),
+            },
+            Plan::Project { input, exprs } => Plan::Project {
+                input: f(input),
+                exprs: exprs.clone(),
+            },
+            Plan::HashJoin {
+                left,
+                right,
+                kind,
+                left_keys,
+                right_keys,
+                residual,
+            } => Plan::HashJoin {
+                left: f(left),
+                right: f(right),
+                kind: *kind,
+                left_keys: left_keys.clone(),
+                right_keys: right_keys.clone(),
+                residual: residual.clone(),
+            },
+            Plan::Aggregate {
+                input,
+                groups,
+                aggs,
+            } => Plan::Aggregate {
+                input: f(input),
+                groups: groups.clone(),
+                aggs: aggs.clone(),
+            },
+            Plan::Window { input, calls } => Plan::Window {
+                input: f(input),
+                calls: calls.clone(),
+            },
+            Plan::Sort { input, keys } => Plan::Sort {
+                input: f(input),
+                keys: keys.clone(),
+            },
+            Plan::TopN { input, keys, n } => Plan::TopN {
+                input: f(input),
+                keys: keys.clone(),
+                n: *n,
+            },
+            Plan::Limit { input, n } => Plan::Limit {
+                input: f(input),
+                n: *n,
+            },
+            Plan::UnionAll { left, right } => Plan::UnionAll {
+                left: f(left),
+                right: f(right),
+            },
+            Plan::CteRef { id, plan, width } => Plan::CteRef {
+                id: *id,
+                plan: f(plan),
+                width: *width,
+            },
+            Plan::Prefix { input, keep } => Plan::Prefix {
+                input: f(input),
+                keep: *keep,
+            },
         }
     }
 

@@ -407,10 +407,15 @@ fn slow_queries_render_their_profile_and_are_counted() {
     let mut c = Client::connect(server.local_addr()).unwrap();
     // Heavy enough to clear 1ms: the statement runs like any other and
     // then renders its own profile (the `[slow-query]` block on stderr).
+    // It reads a column of every table, so each join gathers one.
     let r = c
-        .query("select count(*) from t a, t b, t c, t d, t e, t f, t g, t h")
+        .query(
+            "select count(*), sum(a.a * b.a * c.a * d.a * e.a * f.a * g.a * h.a) \
+             from t a, t b, t c, t d, t e, t f, t g, t h",
+        )
         .unwrap();
     assert_eq!(r.rows[0][0].as_int(), Some(3i64.pow(8)));
+    assert_eq!(r.rows[0][1].as_int(), Some(6i64.pow(8)));
     assert!(
         counter("server.slow_queries") >= 1,
         "slow query was not counted"

@@ -5,9 +5,12 @@
 //! The row path is the correctness oracle: the batch answer must be
 //! canonically equal, and the batch runs must be
 //! byte-identical to each other at every worker count (the determinism
-//! guarantee of the partitioned join).
+//! guarantee of the partitioned join). Both of those run the optimized
+//! plan, so a query whose unoptimized plan stays small is also checked
+//! against `engine::query_unoptimized`: no pushdown, no reordering, no
+//! column pruning.
 
-use tpcds_core::engine::{ColumnMeta, ColumnarMode, ExecOptions};
+use tpcds_core::engine::{parser, Binder, ColumnMeta, ColumnarMode, ExecOptions, Plan};
 use tpcds_core::types::rng::{test_seed, SplitMix64};
 use tpcds_core::types::{DataType, Decimal, Row, Value};
 use tpcds_core::Database;
@@ -229,6 +232,67 @@ fn canon(rows: &[Row]) -> Vec<Row> {
     v
 }
 
+/// Every node of `p`, CTE bodies included, in pre-order.
+fn nodes(p: &Plan) -> Vec<&Plan> {
+    let inputs: Vec<&Plan> = match p {
+        Plan::Scan { .. } => vec![],
+        Plan::Filter { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Aggregate { input, .. }
+        | Plan::Window { input, .. }
+        | Plan::Sort { input, .. }
+        | Plan::TopN { input, .. }
+        | Plan::Limit { input, .. }
+        | Plan::Prefix { input, .. } => vec![input],
+        Plan::HashJoin { left, right, .. } | Plan::UnionAll { left, right } => vec![left, right],
+        Plan::CteRef { plan, .. } => vec![plan],
+    };
+    std::iter::once(p)
+        .chain(inputs.into_iter().flat_map(nodes))
+        .collect()
+}
+
+/// Rows the largest cross join of `sql`'s unoptimized plan pairs up,
+/// bounding each input by the product of the table sizes under it.
+fn naive_cross_rows(db: &Database, sql: &str) -> u64 {
+    let tables = |p: &Plan| {
+        (nodes(p).into_iter())
+            .filter_map(|n| match n {
+                Plan::Scan { table, .. } => Some(db.row_count(table) as u64),
+                _ => None,
+            })
+            .fold(1, u64::saturating_mul)
+    };
+    let naive = Binder::new(db)
+        .without_optimizer()
+        .bind(&parser::parse(sql).unwrap())
+        .unwrap();
+    (nodes(&naive.plan).into_iter())
+        .filter_map(|n| match n {
+            Plan::HashJoin {
+                left,
+                right,
+                left_keys,
+                ..
+            } if left_keys.is_empty() => Some(tables(left).saturating_mul(tables(right))),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// The largest cross join the unoptimized oracle is asked to run.
+const NAIVE_CROSS_LIMIT: u64 = 200_000;
+
+/// `sql` under the optimizer-off plan, when that plan stays small.
+fn unoptimized(db: &Database, sql: &str) -> Option<Vec<Row>> {
+    (naive_cross_rows(db, sql) <= NAIVE_CROSS_LIMIT).then(|| {
+        let r = tpcds_core::engine::query_unoptimized(db, sql)
+            .unwrap_or_else(|e| panic!("unoptimized plan failed for {sql}: {e}"));
+        canon(&r.rows)
+    })
+}
+
 fn opts(mode: ColumnarMode, threads: usize) -> ExecOptions {
     ExecOptions {
         columnar: mode,
@@ -243,7 +307,7 @@ fn random_join_queries_agree_across_paths_and_worker_counts() {
     let mut rng = SplitMix64(seed);
     let db = build_db(&mut rng);
 
-    let mut columnar_joins = 0usize;
+    let (mut columnar_joins, mut naive_checked) = (0usize, 0usize);
     for q in 0..40 {
         let sql = gen_query(&mut rng);
         let row = tpcds_core::engine::query_with(&db, &sql, opts(ColumnarMode::Off, 1))
@@ -255,6 +319,10 @@ fn random_join_queries_agree_across_paths_and_worker_counts() {
             canon(&reference.rows),
             "row vs columnar diverge for #{q}: {sql}"
         );
+        if let Some(naive) = unoptimized(&db, &sql) {
+            assert_eq!(canon(&row.rows), naive, "optimizer changed #{q}: {sql}");
+            naive_checked += 1;
+        }
         for threads in [2, 8] {
             let r = tpcds_core::engine::query_with(&db, &sql, opts(ColumnarMode::Auto, threads))
                 .unwrap();
@@ -276,6 +344,59 @@ fn random_join_queries_agree_across_paths_and_worker_counts() {
         columnar_joins >= 15,
         "only {columnar_joins}/40 generated queries routed through the columnar join"
     );
+    assert!(
+        naive_checked >= 8,
+        "only {naive_checked}/40 generated queries were checked against the unoptimized plan"
+    );
+}
+
+/// Queries that each leave a different subset of the columns to read,
+/// against the unoptimized plan (which prunes nothing), the row path and
+/// the batch executor at 1/2/8 workers. Each plan must narrow some scan.
+#[test]
+fn pruned_column_subsets_agree_with_the_unoptimized_plan() {
+    let mut rng = SplitMix64(test_seed(0x7C05_D511));
+    let db = build_db(&mut rng);
+    let queries = [
+        // One column out of a three-way join.
+        "select c_val from t0 join t1 on a_k1 = b_k join t2 on a_k2 = c_k where a_pk < 3000",
+        // b_val is read only by the join residual.
+        "select a_pk from t0 join t1 on a_k1 = b_k and a_val > b_val where a_pk < 3000",
+        // a_amt is read only by ORDER BY.
+        "select a_pk, b_name from t0 join t1 on a_k1 = b_k where a_pk < 2000 \
+         order by a_amt desc, a_pk, b_name",
+        // b_name is read only by the window's PARTITION BY.
+        "select a_pk, a_val, rank() over (partition by b_name order by a_val) r \
+         from t0 join t1 on a_k1 = b_k where a_pk < 2000",
+        // count(*) over joins: keys only, then no column at all.
+        "select count(*) from t0 join t1 on a_k1 = b_k",
+        "select count(*) from t1, t2",
+        // One CTE, each reference reading different columns.
+        "with c as (select a_pk, a_val, b_name, b_val from t0 join t1 on a_k1 = b_k \
+                    where a_pk < 2000) \
+         select x.a_pk, y.b_name from c x join c y on x.a_pk = y.a_pk and x.b_val = y.b_val \
+         where x.a_val > 500",
+    ];
+    for sql in queries {
+        let naive = unoptimized(&db, sql).unwrap_or_else(|| panic!("cross join too large: {sql}"));
+        assert!(!naive.is_empty(), "vacuous: {sql}");
+        let plan = tpcds_core::engine::plan_sql(&db, sql).unwrap().plan;
+        assert!(
+            nodes(&plan).into_iter().any(|n| matches!(
+                n,
+                Plan::Scan { cols, table_width, .. } if cols.len() < *table_width
+            )),
+            "no scan was narrowed: {sql}\n{}",
+            plan.explain()
+        );
+        let row = tpcds_core::engine::query_with(&db, sql, opts(ColumnarMode::Off, 1)).unwrap();
+        assert_eq!(canon(&row.rows), naive, "row path: {sql}");
+        for threads in [1, 2, 8] {
+            let r = tpcds_core::engine::query_with(&db, sql, opts(ColumnarMode::Auto, threads))
+                .unwrap();
+            assert_eq!(canon(&r.rows), naive, "threads={threads}: {sql}");
+        }
+    }
 }
 
 /// Operator chains whose inputs are *intermediate* batches rather than
