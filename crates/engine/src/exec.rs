@@ -506,9 +506,9 @@ fn batch_node(
                     threads,
                 );
                 j.check_err()?;
-                let (rows, ks) = res.map_err(storage_err)?;
+                let (table, ks) = res.map_err(storage_err)?;
                 ctx.record(node, &ks);
-                return Ok(Batch::from_rows(plan.width(), &rows));
+                return Ok(Batch::new(Arc::new(table)));
             }
             let input = batch(input, ctx, outer)?;
             let (b, cols) = key_columns(input, &keys, false, node, ctx, outer)?;
@@ -517,9 +517,9 @@ fn batch_node(
             // Deferred predicate errors outrank aggregate errors: the row
             // path filters before it folds.
             check_err(&b)?;
-            let (rows, ks) = res.map_err(storage_err)?;
+            let (table, ks) = res.map_err(storage_err)?;
             ctx.record(node, &ks);
-            Ok(Batch::from_rows(plan.width(), &rows))
+            Ok(Batch::new(Arc::new(table)))
         }
         Plan::Sort { input, keys } | Plan::TopN { input, keys, .. } => {
             columnar();

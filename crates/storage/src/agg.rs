@@ -13,7 +13,8 @@
 use crate::column::{Column, ColumnData};
 use crate::pred::P_TRUE;
 use crate::StorageError;
-use tpcds_types::{Decimal, Value};
+use std::cmp::Ordering;
+use tpcds_types::{DataType, Decimal, Value};
 
 /// The aggregate functions the columnar path computes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,6 +44,19 @@ pub struct AggSpec {
     pub kind: AggKind,
     /// Argument column index; `None` for `COUNT(*)`.
     pub col: Option<usize>,
+}
+
+impl AggSpec {
+    /// The result column's type, given the argument column's: a count is
+    /// an `Int`, a sum an `Int` over `Int` and otherwise a `Decimal`, an
+    /// average or deviation a `Decimal`, MIN and MAX the argument's.
+    pub(crate) fn output_type(&self, arg: Option<DataType>) -> DataType {
+        match (self.kind, arg) {
+            (AggKind::Min | AggKind::Max, Some(t)) | (AggKind::Sum, Some(t @ DataType::Int)) => t,
+            (AggKind::Sum | AggKind::Avg | AggKind::StddevSamp, _) => DataType::Decimal,
+            _ => DataType::Int,
+        }
+    }
 }
 
 /// A partial accumulator; the row path and the kernels share it, so
@@ -120,15 +134,7 @@ impl PAcc {
                             *int += *i as i128;
                             *seen = true;
                         }
-                        Value::Decimal(d) => {
-                            let cur = dec.unwrap_or(Decimal::ZERO);
-                            *dec = Some(
-                                cur.checked_add(d)
-                                    .ok_or_else(|| StorageError::new("sum overflow"))?,
-                            );
-                            *any_dec = true;
-                            *seen = true;
-                        }
+                        Value::Decimal(d) => add_dec(dec, any_dec, seen, d)?,
                         other => {
                             return Err(StorageError::new(format!("sum of non-number {other}")))
                         }
@@ -159,20 +165,59 @@ impl PAcc {
             }
             PAcc::Moments(n, sum, sq) => {
                 if let Some(v) = v {
-                    let name = moments_name(sq);
                     if let Some(d) = v.as_decimal() {
-                        let overflow = || StorageError::new(format!("{name} overflow"));
-                        if let Some(sq) = sq {
-                            let d2 = d.checked_mul(&d).ok_or_else(overflow)?;
-                            *sq = sq.checked_add(&d2).ok_or_else(overflow)?;
-                        }
-                        *sum = sum.checked_add(&d).ok_or_else(overflow)?;
-                        *n += 1;
+                        add_moment(n, sum, sq, &d)?;
                     } else if !v.is_null() {
+                        let name = moments_name(sq);
                         return Err(StorageError::new(format!("{name} of non-number {v}")));
                     }
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Folds row `i` of `col` in, straight from the typed buffer: an
+    /// `I64`, `Decimal` or `Date` cell builds no [`Value`].
+    #[inline]
+    pub(crate) fn fold(&mut self, col: &Column, i: usize) -> Result<(), StorageError> {
+        if col.nulls.get(i) {
+            return Ok(());
+        }
+        match (&mut *self, &col.data) {
+            (PAcc::Count(c), _) => *c += 1,
+            (PAcc::Sum { int, seen, .. }, ColumnData::I64(b)) => {
+                *int += b[i] as i128;
+                *seen = true;
+            }
+            (
+                PAcc::Sum {
+                    dec, any_dec, seen, ..
+                },
+                ColumnData::Decimal(b),
+            ) => add_dec(dec, any_dec, seen, &b[i])?,
+            (PAcc::Moments(n, sum, sq), ColumnData::I64(b)) => {
+                add_moment(n, sum, sq, &Decimal::from_int(b[i]))?
+            }
+            (PAcc::Moments(n, sum, sq), ColumnData::Decimal(b)) => add_moment(n, sum, sq, &b[i])?,
+            (
+                PAcc::MinMax {
+                    best: Some(best),
+                    is_min,
+                },
+                data,
+            ) => {
+                let o = match (data, &*best) {
+                    (ColumnData::I64(b), Value::Int(x)) => b[i].cmp(x),
+                    (ColumnData::Decimal(b), Value::Decimal(x)) => b[i].cmp(x),
+                    (ColumnData::Date(b), Value::Date(x)) => b[i].cmp(x),
+                    _ => return self.update(Some(&col.value_at(i))),
+                };
+                if o == [Ordering::Greater, Ordering::Less][*is_min as usize] {
+                    *best = col.value_at(i);
+                }
+            }
+            _ => self.update(Some(&col.value_at(i)))?,
         }
         Ok(())
     }
@@ -283,12 +328,8 @@ impl PAcc {
                 }
             }
             _ => {
-                // Generic fallback: materialize each selected value.
-                for j in 0..len {
-                    if pass(j) {
-                        let v = col.value_at(start + j);
-                        self.update(Some(&v))?;
-                    }
+                for j in (0..len).filter(|&j| pass(j)) {
+                    self.fold(col, start + j)?;
                 }
             }
         }
@@ -315,11 +356,7 @@ impl PAcc {
             ) => {
                 *int += oi;
                 if let Some(d) = od {
-                    let cur = dec.unwrap_or(Decimal::ZERO);
-                    *dec = Some(
-                        cur.checked_add(&d)
-                            .ok_or_else(|| StorageError::new("sum overflow"))?,
-                    );
+                    add_dec(dec, any_dec, seen, &d)?;
                 }
                 *any_dec |= oad;
                 *seen |= os;
@@ -390,6 +427,41 @@ impl PAcc {
     }
 }
 
+/// Adds a decimal to a [`PAcc::Sum`].
+fn add_dec(
+    dec: &mut Option<Decimal>,
+    any_dec: &mut bool,
+    seen: &mut bool,
+    d: &Decimal,
+) -> Result<(), StorageError> {
+    let cur = dec.unwrap_or(Decimal::ZERO);
+    *dec = Some(
+        cur.checked_add(d)
+            .ok_or_else(|| StorageError::new("sum overflow"))?,
+    );
+    *any_dec = true;
+    *seen = true;
+    Ok(())
+}
+
+/// Adds one value to a [`PAcc::Moments`].
+fn add_moment(
+    n: &mut i64,
+    sum: &mut Decimal,
+    sq: &mut Option<Decimal>,
+    d: &Decimal,
+) -> Result<(), StorageError> {
+    let name = moments_name(sq);
+    let overflow = || StorageError::new(format!("{name} overflow"));
+    if let Some(sq) = sq {
+        let d2 = d.checked_mul(d).ok_or_else(overflow)?;
+        *sq = sq.checked_add(&d2).ok_or_else(overflow)?;
+    }
+    *sum = sum.checked_add(d).ok_or_else(overflow)?;
+    *n += 1;
+    Ok(())
+}
+
 /// The SQL name of a [`PAcc::Moments`] accumulator, for its errors.
 fn moments_name(sq: &Option<Decimal>) -> &'static str {
     ["avg", "stddev_samp"][sq.is_some() as usize]
@@ -399,7 +471,6 @@ fn moments_name(sq: &Option<Decimal>) -> &'static str {
 mod tests {
     use super::*;
     use crate::pred::{P_FALSE, P_NULL};
-    use tpcds_types::DataType;
 
     #[test]
     fn sum_int_then_decimal_promotes() {

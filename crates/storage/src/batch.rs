@@ -322,7 +322,7 @@ mod tests {
             ),
             (
                 "par_aggregate",
-                Box::new(|b, w| crate::par_aggregate(b, &[1], &count, w).unwrap().0),
+                Box::new(|b, w| table_rows(crate::par_aggregate(b, &[1], &count, w).unwrap().0)),
             ),
             (
                 "par_project_table",
@@ -349,9 +349,9 @@ mod tests {
                 "par_hash_join_agg",
                 Box::new(|b, w| {
                     let (inner, none) = (JoinType::Inner, None);
-                    crate::par_hash_join_agg(b, &[0], b, &[0], inner, none, &[], &count, w)
-                        .unwrap()
-                        .0
+                    let out =
+                        crate::par_hash_join_agg(b, &[0], b, &[0], inner, none, &[], &count, w);
+                    table_rows(out.unwrap().0)
                 }),
             ),
             (

@@ -4,16 +4,19 @@
 //! parallel; each worker partitions its morsel's qualifying rows (filter
 //! passes, no NULL key) by key hash. The per-morsel partition lists are
 //! concatenated **in morsel order**, so every partition's row list is
-//! sorted by global row id, and the per-partition hash tables are then
+//! sorted by global row id, and the per-partition [`JoinTable`]s are then
 //! built in parallel from those lists — each key's match list ends up in
 //! table order, exactly the insertion order of the engine's serial
 //! row-path `hash_join`.
 //!
-//! **Probe phase** — probe-side morsels stream through a shared atomic
-//! cursor ([`crate::morsel`]'s scheduler); per-morsel output buffers are
-//! reassembled in morsel order. Together with the ordered build lists this
-//! makes the join output byte-identical to the serial row path at any
-//! worker count.
+//! **Probe phase** — the probe side's pending predicate runs first, once
+//! per morsel: when it admits no row, no build key is hashed (the build
+//! side's predicate still runs, so its deferred error surfaces as on the
+//! row path, which materializes both sides). Probe-side morsels then
+//! stream through a shared atomic cursor ([`crate::morsel`]'s scheduler);
+//! per-morsel output buffers are reassembled in morsel order. Together
+//! with the ordered build lists this makes the join output byte-identical
+//! to the serial row path at any worker count.
 //!
 //! NULL-key semantics mirror SQL (and the row path): a NULL in any key
 //! column keeps a build row out of the hash tables and makes a probe row
@@ -22,11 +25,9 @@
 //! key, in table order, so each probe row meets the whole build side: a
 //! cross join, or with a residual a non-equi join, in nested-loop order.
 //!
-//! Keys hash and compare as [`Value`]s, whose `Hash`/`Eq` already encode
-//! the engine's grouping semantics (`Int(1)` equals `Decimal(1.0)`), so
-//! both paths agree on every match by construction. When both key columns
-//! are dense `i64` buffers (the TPC-DS surrogate-key case) the kernel
-//! switches to a raw `i64` table and skips `Value` boxing entirely.
+//! Keys hash and compare straight from the typed buffers ([`crate::key`])
+//! under `Value`'s grouping semantics (`Int(1)` meets `Decimal(1.00)`), so
+//! both paths agree on every match by construction.
 //!
 //! **Output** — the probe phase produces only `(probe row, build row)` id
 //! pairs; the joined table is then built by typed column gather
@@ -35,21 +36,16 @@
 //! `Vec<Value>`, so a join feeds the next join, sort or aggregate as a
 //! batch.
 
-use crate::agg::{AggSpec, PAcc};
+use crate::agg::AggSpec;
 use crate::batch::{gather, gather_column, Batch, Take, NO_ROW};
-use crate::column::{Column, ColumnData};
+use crate::column::Column;
 use crate::expr::{ErrCell, Expr};
-use crate::morsel::{
-    finish_groups, merge_partials, morsels_of, run_chunks, run_workers, worker_count, GroupMap,
-    KernelStats,
-};
+use crate::key::{arg_cols, merge_groups, one, GroupTable, JoinTable, KeyCols};
+use crate::morsel::{morsels_of, run_chunks, run_workers, selected, worker_count, KernelStats};
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
 use crate::StorageError;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use tpcds_types::{DataType, Row, Value};
+use tpcds_types::DataType;
 
 /// Join kinds the columnar path executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,248 +63,62 @@ fn partition_count(build_rows: usize) -> usize {
     (build_rows / 4_096).next_power_of_two().clamp(1, 64)
 }
 
-/// Multiplicative mix for the `i64` fast path. The partition index is
-/// taken from the high bits, where the product is well mixed.
-#[inline]
-fn mix_i64(x: i64) -> u64 {
-    (x as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Partition hash of a generic key (consistent with `Value::eq`, which
-/// `Value::hash` mirrors).
-#[inline]
-fn hash_key(key: &[Value]) -> u64 {
-    let mut h = DefaultHasher::new();
-    for v in key {
-        v.hash(&mut h);
-    }
-    h.finish()
-}
-
 #[inline]
 fn part_of(h: u64, mask: u64) -> usize {
     ((h >> 32) & mask) as usize
 }
 
-/// True when the key column is a dense `i64` buffer in every segment.
-fn all_i64(table: &ColumnTable, col: usize) -> bool {
-    table
-        .segments
-        .iter()
-        .all(|s| matches!(s.columns[col].data, ColumnData::I64(_)))
-}
-
-/// The per-partition hash tables. Values are global build-row ids in
-/// ascending (table) order.
-enum BuildTables {
-    /// Single-`i64`-key fast path.
-    Int(Vec<HashMap<i64, Vec<u32>>>),
-    /// Generic `Value`-keyed path.
-    Gen(Vec<HashMap<Vec<Value>, Vec<u32>>>),
-}
-
-/// Builds the partitioned hash tables from the build side.
+/// Builds the partitioned hash tables from the build side. With `hash`
+/// false nothing will probe them: the pending predicate still runs on
+/// every morsel, but no key is hashed.
 fn build_phase(
     build: &ColumnTable,
     pred: Option<&Pred>,
-    keys: &[usize],
-    int_path: bool,
+    keys: &KeyCols<'_>,
+    hash: bool,
     threads: usize,
-) -> (BuildTables, u64, usize, usize) {
+) -> (Vec<JoinTable>, u64, usize, usize) {
     let npart = partition_count(build.rows);
     let mask = (npart - 1) as u64;
     let morsels = morsels_of(build);
     let workers = worker_count(build.rows, threads, morsels.len());
 
-    // Phase A: per-morsel (partition, global row) lists in row order.
+    // Phase A: per-morsel (partition, global row, hash) lists in row order.
     let per_morsel = run_chunks(morsels.len(), workers, |m| {
         let (si, off, len) = morsels[m];
-        let seg = &build.segments[si];
+        let base = si * SEGMENT_ROWS + off;
         let mut sel = Vec::new();
-        let sel_slice: Option<&[u8]> = pred.map(|p| {
-            p.eval(seg, off, len, (si * SEGMENT_ROWS + off) as u64, &mut sel);
-            sel.as_slice()
-        });
-        let base = (si * SEGMENT_ROWS + off) as u32;
-        let mut out = Vec::new();
-        if int_path {
-            let col = &seg.columns[keys[0]];
-            let ColumnData::I64(buf) = &col.data else {
-                unreachable!("int path requires i64 key buffers");
-            };
-            for j in 0..len {
-                if let Some(s) = sel_slice {
-                    if s[j] != P_TRUE {
-                        continue;
-                    }
-                }
-                let i = off + j;
-                if !col.nulls.get(i) {
-                    let part = part_of(mix_i64(buf[i]), mask) as u32;
-                    out.push((part, base + j as u32));
-                }
-            }
-        } else {
-            let mut key = Vec::with_capacity(keys.len());
-            for j in 0..len {
-                if let Some(s) = sel_slice {
-                    if s[j] != P_TRUE {
-                        continue;
-                    }
-                }
-                let i = off + j;
-                key.clear();
-                let mut has_null = false;
-                for &c in keys {
-                    let v = seg.columns[c].value_at(i);
-                    if v.is_null() {
-                        has_null = true;
-                        break;
-                    }
-                    key.push(v);
-                }
-                if has_null {
-                    continue; // NULL keys never join
-                }
-                let part = part_of(hash_key(&key), mask) as u32;
-                out.push((part, base + j as u32));
-            }
+        if let Some(p) = pred {
+            p.eval(&build.segments[si], off, len, base as u64, &mut sel);
         }
-        out
+        if !hash {
+            return Vec::new();
+        }
+        let rows = selected(base, len, pred.map(|_| sel.as_slice()));
+        let mut hashes = Vec::new();
+        keys.hashes([&rows, &[]], &mut hashes);
+        (rows.into_iter().zip(hashes))
+            .filter(|&(r, _)| !keys.has_null(one(r))) // NULL keys never join
+            .map(|(r, h)| (part_of(h, mask) as u32, r, h))
+            .collect()
     });
 
     // Phase B: concatenate in morsel order, so each partition's row list
     // is sorted by global row id — the serial build insertion order.
-    let mut part_rows: Vec<Vec<u32>> = vec![Vec::new(); npart];
+    let mut part_rows: Vec<Vec<(u32, u64)>> = vec![Vec::new(); npart];
     let mut kept = 0u64;
     for list in per_morsel {
         kept += list.len() as u64;
-        for (p, r) in list {
-            part_rows[p as usize].push(r);
+        for (p, r, h) in list {
+            part_rows[p as usize].push((r, h));
         }
     }
 
     // Phase C: per-partition table construction, parallel over partitions.
-    let build_int = |rows: &[u32]| -> HashMap<i64, Vec<u32>> {
-        let mut map: HashMap<i64, Vec<u32>> = HashMap::with_capacity(rows.len());
-        for &r in rows {
-            let (si, i) = ((r as usize) / SEGMENT_ROWS, (r as usize) % SEGMENT_ROWS);
-            let ColumnData::I64(buf) = &build.segments[si].columns[keys[0]].data else {
-                unreachable!("int path requires i64 key buffers");
-            };
-            map.entry(buf[i]).or_default().push(r);
-        }
-        map
-    };
-    let build_gen = |rows: &[u32]| -> HashMap<Vec<Value>, Vec<u32>> {
-        let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::with_capacity(rows.len());
-        for &r in rows {
-            let (si, i) = ((r as usize) / SEGMENT_ROWS, (r as usize) % SEGMENT_ROWS);
-            let seg = &build.segments[si];
-            let key: Vec<Value> = keys.iter().map(|&c| seg.columns[c].value_at(i)).collect();
-            map.entry(key).or_default().push(r);
-        }
-        map
-    };
-    let part_workers = workers.min(npart);
-    let tables = if int_path {
-        BuildTables::Int(run_chunks(npart, part_workers, |p| {
-            build_int(&part_rows[p])
-        }))
-    } else {
-        BuildTables::Gen(run_chunks(npart, part_workers, |p| {
-            build_gen(&part_rows[p])
-        }))
-    };
+    let tables = run_chunks(npart, workers.min(npart), |p| {
+        JoinTable::build(&part_rows[p], |a, b| keys.eq(one(a), keys, one(b)))
+    });
     (tables, kept, npart, workers)
-}
-
-/// Streams one probe morsel against the build tables, calling
-/// `emit(row_in_segment, matches)` for every output-producing probe row:
-/// `Some(bucket)` carries the matching build rows (ascending global ids),
-/// `None` means a left-outer NULL pad. `base` is the morsel's global row
-/// id offset, threaded into deferred predicate errors.
-#[allow(clippy::too_many_arguments)]
-fn probe_rows_morsel<F: FnMut(usize, Option<&[u32]>)>(
-    seg: &Segment,
-    off: usize,
-    len: usize,
-    pred: Option<&Pred>,
-    keys: &[usize],
-    tables: &BuildTables,
-    mask: u64,
-    kind: JoinType,
-    base: u64,
-    sel: &mut Vec<u8>,
-    mut emit: F,
-) {
-    let sel_slice: Option<&[u8]> = match pred {
-        None => None,
-        Some(p) => {
-            p.eval(seg, off, len, base, sel);
-            Some(sel.as_slice())
-        }
-    };
-    match tables {
-        BuildTables::Int(parts) => {
-            let col = &seg.columns[keys[0]];
-            let ColumnData::I64(buf) = &col.data else {
-                unreachable!("int path requires i64 key buffers");
-            };
-            for j in 0..len {
-                if let Some(s) = sel_slice {
-                    if s[j] != P_TRUE {
-                        continue;
-                    }
-                }
-                let i = off + j;
-                if col.nulls.get(i) {
-                    if kind == JoinType::Left {
-                        emit(i, None);
-                    }
-                    continue;
-                }
-                let x = buf[i];
-                match parts[part_of(mix_i64(x), mask)].get(&x) {
-                    Some(bucket) => emit(i, Some(bucket)),
-                    None if kind == JoinType::Left => emit(i, None),
-                    None => {}
-                }
-            }
-        }
-        BuildTables::Gen(parts) => {
-            let mut key = Vec::with_capacity(keys.len());
-            for j in 0..len {
-                if let Some(s) = sel_slice {
-                    if s[j] != P_TRUE {
-                        continue;
-                    }
-                }
-                let i = off + j;
-                key.clear();
-                let mut has_null = false;
-                for &c in keys {
-                    let v = seg.columns[c].value_at(i);
-                    if v.is_null() {
-                        has_null = true;
-                        break;
-                    }
-                    key.push(v);
-                }
-                if has_null {
-                    if kind == JoinType::Left {
-                        emit(i, None);
-                    }
-                    continue;
-                }
-                match parts[part_of(hash_key(&key), mask)].get(key.as_slice()) {
-                    Some(bucket) => emit(i, Some(bucket)),
-                    None if kind == JoinType::Left => emit(i, None),
-                    None => {}
-                }
-            }
-        }
-    }
 }
 
 /// One probe row's contribution to a residual-carrying morsel: either a
@@ -339,10 +149,15 @@ impl Pairs {
 /// join-aggregate.
 struct Probe<'a> {
     probe: &'a ColumnTable,
-    pred: Option<&'a Pred>,
-    keys: &'a [usize],
+    morsels: Vec<(usize, usize, usize)>,
+    /// Each probe morsel's predicate verdicts; `None`: every row qualifies.
+    sels: Vec<Option<Vec<u8>>>,
+    keys: KeyCols<'a>,
     build: &'a ColumnTable,
-    tables: BuildTables,
+    build_keys: KeyCols<'a>,
+    tables: Vec<JoinTable>,
+    /// Build rows in the tables.
+    build_rows: u64,
     mask: u64,
     kind: JoinType,
     residual: Option<&'a Expr>,
@@ -352,50 +167,53 @@ struct Probe<'a> {
 }
 
 impl Probe<'_> {
-    /// One probe morsel's equi-matches in probe order (build matches
+    /// Probe morsel `m`'s equi-matches in probe order (build matches
     /// ascending), before any residual. Without a residual the pairs are
     /// final — left-outer pads included — and no items are recorded.
-    fn candidates(&self, m: (usize, usize, usize), sel: &mut Vec<u8>) -> (Pairs, Vec<CandItem>) {
-        let (si, off, len) = m;
-        let base = (si * SEGMENT_ROWS + off) as u64;
+    fn candidates(&self, m: usize) -> (Pairs, Vec<CandItem>) {
+        let (si, off, len) = self.morsels[m];
+        let pids = selected(si * SEGMENT_ROWS + off, len, self.sels[m].as_deref());
+        // An empty build side meets nothing: no probe key is hashed.
+        let empty = self.build_rows == 0;
+        let mut hashes = Vec::new();
+        if !empty {
+            self.keys.hashes([&pids, &[]], &mut hashes);
+        }
         let deferred = self.residual.is_some();
         let mut cands = Pairs::default();
         let mut items = Vec::new();
-        probe_rows_morsel(
-            &self.probe.segments[si],
-            off,
-            len,
-            self.pred,
-            self.keys,
-            &self.tables,
-            self.mask,
-            self.kind,
-            base,
-            sel,
-            |i, bucket| {
-                let pid = (si * SEGMENT_ROWS + i) as u32;
-                let start = cands.probe.len();
-                for &bid in bucket.unwrap_or(&[]) {
-                    cands.push(pid, bid);
+        for (k, &pid) in pids.iter().enumerate() {
+            let bucket = match empty || self.keys.has_null(one(pid)) {
+                true => None,
+                false => self.tables[part_of(hashes[k], self.mask)].get(hashes[k], |b| {
+                    self.keys.eq(one(pid), &self.build_keys, one(b))
+                }),
+            };
+            match bucket {
+                Some(bucket) => {
+                    let start = cands.probe.len();
+                    for &bid in bucket {
+                        cands.push(pid, bid);
+                    }
+                    if deferred {
+                        items.push(CandItem::Span(start, cands.probe.len()));
+                    }
                 }
-                match bucket {
-                    Some(_) if deferred => items.push(CandItem::Span(start, cands.probe.len())),
-                    None if deferred => items.push(CandItem::Pad(pid)),
-                    None => cands.push(pid, NO_ROW),
-                    Some(_) => {}
-                }
-            },
-        );
+                None if self.kind == JoinType::Inner => {}
+                None if deferred => items.push(CandItem::Pad(pid)),
+                None => cands.push(pid, NO_ROW),
+            }
+        }
         (cands, items)
     }
 
-    /// Probe morsel `mi` → its output pairs, in row-path order. With a
+    /// Probe morsel `m` → its output pairs, in row-path order. With a
     /// residual, the candidate pairs' referenced columns are gathered into
     /// a scratch segment, the residual runs over it as one batched kernel,
     /// and only strict-TRUE candidates survive (a left-outer probe row
     /// whose every candidate fails pads).
-    fn morsel(&self, mi: usize, m: (usize, usize, usize), sel: &mut Vec<u8>) -> Pairs {
-        let (cands, items) = self.candidates(m, sel);
+    fn morsel(&self, m: usize) -> Pairs {
+        let (cands, items) = self.candidates(m);
         let Some(rexpr) = self.residual else {
             return cands;
         };
@@ -416,7 +234,7 @@ impl Probe<'_> {
             // Morsels are probe-ordered and candidates probe-ordered
             // within, so this key ranks errors exactly as the row path
             // visits combined rows.
-            self.rerr.offer(((mi as u64) << 40) | j as u64, msg);
+            self.rerr.offer(((m as u64) << 40) | j as u64, msg);
         }
         let mut out = Pairs::default();
         for item in items {
@@ -435,34 +253,57 @@ impl Probe<'_> {
         }
         out
     }
+
+    /// Workers for the probe loop.
+    fn workers(&self, threads: usize) -> usize {
+        worker_count(
+            self.probe.rows + self.build.rows,
+            threads,
+            self.morsels.len(),
+        )
+    }
 }
 
-/// Builds the hash tables and the shared probe state. Keys, predicates
-/// and the residual address physical columns (the residual the combined
-/// `probe.table ++ build.table` row).
+/// Runs the probe side's predicate, builds the hash tables and the shared
+/// probe state. Keys, predicates and the residual address physical
+/// columns (the residual the combined `probe.table ++ build.table` row).
 fn prepare<'a>(
     probe: &'a Batch,
-    probe_keys: &'a [usize],
+    probe_keys: &[usize],
     build: &'a Batch,
     build_keys: &[usize],
     kind: JoinType,
     residual: Option<&'a Expr>,
     threads: usize,
 ) -> (Probe<'a>, KernelStats) {
+    let (ptable, btable) = (&*probe.table, &*build.table);
     assert!(
-        probe.table.id_end().max(build.table.id_end()) <= NO_ROW as usize,
+        ptable.id_end().max(btable.id_end()) <= NO_ROW as usize,
         "row ids are u32"
     );
-    let int_path = probe_keys.len() == 1
-        && build_keys.len() == 1
-        && all_i64(&probe.table, probe_keys[0])
-        && all_i64(&build.table, build_keys[0]);
+    let morsels = morsels_of(ptable);
+    let sels = match probe.pred.as_ref() {
+        None => vec![None; morsels.len()],
+        Some(p) => run_chunks(
+            morsels.len(),
+            worker_count(ptable.rows, threads, morsels.len()),
+            |m| {
+                let (si, off, len) = morsels[m];
+                let mut sel = Vec::new();
+                let base = (si * SEGMENT_ROWS + off) as u64;
+                p.eval(&ptable.segments[si], off, len, base, &mut sel);
+                Some(sel)
+            },
+        ),
+    };
+    let probe_empty = (sels.iter()).all(|s| s.as_ref().is_some_and(|s| !s.contains(&P_TRUE)));
+    let build_keys = KeyCols::of(btable, build_keys);
     let build_live0 = tpcds_obs::mem::live_bytes();
     let (tables, build_rows, npart, workers) = build_phase(
-        &build.table,
+        btable,
         build.pred.as_ref(),
-        build_keys,
-        int_path,
+        &build_keys,
+        !probe_empty,
         threads,
     );
     let mut residual_cols = Vec::new();
@@ -476,14 +317,18 @@ fn prepare<'a>(
         partitions: npart as u64,
         workers: workers as u64,
         build_bytes: tpcds_obs::mem::live_bytes().saturating_sub(build_live0),
+        morsels: morsels.len() as u64,
         ..KernelStats::default()
     };
     let p = Probe {
-        probe: &probe.table,
-        pred: probe.pred.as_ref(),
-        keys: probe_keys,
-        build: &build.table,
+        probe: ptable,
+        morsels,
+        sels,
+        keys: KeyCols::of(ptable, probe_keys),
+        build: btable,
+        build_keys,
         tables,
+        build_rows,
         mask: (npart - 1) as u64,
         kind,
         residual,
@@ -519,12 +364,9 @@ pub fn par_hash_join(
     let (p, mut stats) = prepare(
         probe, probe_keys, build, build_keys, kind, residual, threads,
     );
-    let morsels = morsels_of(p.probe);
-    let workers = worker_count(p.probe.rows + p.build.rows, threads, morsels.len());
+    let workers = p.workers(threads);
     // Per-morsel pair lists, reassembled in morsel order.
-    let parts = run_chunks(morsels.len(), workers, |m| {
-        p.morsel(m, morsels[m], &mut Vec::new())
-    });
+    let parts = run_chunks(p.morsels.len(), workers, |m| p.morsel(m));
     if let Some(msg) = p.rerr.take() {
         return Err(StorageError(msg));
     }
@@ -548,20 +390,20 @@ pub fn par_hash_join(
         ],
         threads,
     );
-    stats.morsels = morsels.len() as u64;
     stats.workers = stats.workers.max(workers as u64);
     Ok((out, stats))
 }
 
 /// Fused join + grouped aggregation: like [`par_hash_join`] but instead of
 /// gathering joined rows, each probe worker folds its pairs straight into
-/// per-worker aggregate partials. `groups` and the [`AggSpec`] argument
+/// a per-worker group table. `groups` and the [`AggSpec`] argument
 /// columns index the **combined** physical row (`probe.table ++
 /// build.table`); on a left-outer pad every build-side column reads as
-/// NULL. Output rows are `key columns ++ aggregate values`, sorted by
-/// key, and a global aggregate over zero joined rows still yields one
-/// default row — mirroring the engine's aggregate over the row-path join.
-/// Residual errors outrank aggregate errors.
+/// NULL. The output table is `key columns ++ aggregate values`, sorted by
+/// key and typed as [`crate::par_aggregate`]'s, and a global aggregate
+/// over zero joined rows still yields one default row — mirroring the
+/// engine's aggregate over the row-path join. Residual errors outrank
+/// aggregate errors.
 #[allow(clippy::too_many_arguments)]
 pub fn par_hash_join_agg(
     probe: &Batch,
@@ -573,68 +415,41 @@ pub fn par_hash_join_agg(
     groups: &[usize],
     aggs: &[AggSpec],
     threads: usize,
-) -> Result<(Vec<Row>, KernelStats), StorageError> {
+) -> Result<(ColumnTable, KernelStats), StorageError> {
     let (p, mut stats) = prepare(
         probe, probe_keys, build, build_keys, kind, residual, threads,
     );
-    let morsels = morsels_of(p.probe);
-    let workers = worker_count(p.probe.rows + p.build.rows, threads, morsels.len());
+    let workers = p.workers(threads);
+    // Combined-row column `c` as (side, column): probe 0, build 1.
     let pw = p.probe.width();
+    let side = |c: usize| if c < pw { (0, c) } else { (1, c - pw) };
+    let sides = [p.probe, p.build];
+    let keys = KeyCols::new(&sides, groups.iter().map(|&c| side(c)));
+    let args = KeyCols::new(&sides, arg_cols(aggs).into_iter().map(side));
 
-    // Reads combined-row column `c` of an output pair.
-    let combined = |pid: u32, bid: u32, c: usize| -> Value {
-        let (table, id, c) = if c < pw {
-            (p.probe, pid, c)
-        } else {
-            (p.build, bid, c - pw)
-        };
-        if id == NO_ROW {
-            return Value::Null;
-        }
-        let (si, i) = (id as usize / SEGMENT_ROWS, id as usize % SEGMENT_ROWS);
-        table.segments[si].columns[c].value_at(i)
-    };
-
-    let partials = run_workers(morsels.len(), workers, |chunks| {
-        let mut map: GroupMap = HashMap::new();
-        let mut sel = Vec::new();
+    let partials = run_workers(p.morsels.len(), workers, |chunks| {
+        let mut t = GroupTable::new(workers, aggs.len());
+        let mut hashes = Vec::new();
         // The first aggregate failure stops folding, but the worker keeps
-        // draining morsels so predicate and residual kernels still see
-        // every row — their deferred-error cells stay complete and
-        // deterministic, and the engine reports them ahead of agg errors.
+        // draining morsels so the residual kernel still sees every row —
+        // its deferred-error cell stays complete and deterministic, and
+        // residual errors are reported ahead of agg errors.
         let mut failed: Option<StorageError> = None;
         while let Some(m) = chunks.next() {
-            let pairs = p.morsel(m, morsels[m], &mut sel);
+            let pairs = p.morsel(m);
             if failed.is_none() {
-                failed = pairs
-                    .probe
-                    .iter()
-                    .zip(&pairs.build)
-                    .try_for_each(|(&pid, &bid)| {
-                        let key: Vec<Value> =
-                            groups.iter().map(|&g| combined(pid, bid, g)).collect();
-                        let accs = map
-                            .entry(key)
-                            .or_insert_with(|| aggs.iter().map(|a| PAcc::new(a.kind)).collect());
-                        aggs.iter()
-                            .zip(accs.iter_mut())
-                            .try_for_each(|(spec, acc)| match spec.col {
-                                Some(c) => acc.update(Some(&combined(pid, bid, c))),
-                                None => acc.update(None),
-                            })
-                    })
-                    .err();
+                let ids = [pairs.probe.as_slice(), &pairs.build];
+                failed = t.fold(ids, &keys, &args, aggs, &mut hashes).err();
             }
         }
-        failed.map_or(Ok(map), Err)
+        failed.map_or(Ok(t), Err)
     });
 
-    let merged = merge_partials(partials);
+    let merged = merge_groups(partials, &keys, workers);
     if let Some(msg) = p.rerr.take() {
         return Err(StorageError(msg));
     }
-    let out = finish_groups(merged?, groups.is_empty(), aggs);
-    stats.morsels = morsels.len() as u64;
+    let out = merged?.finish(&keys, &args, aggs);
     stats.workers = stats.workers.max(workers as u64);
     Ok((out, stats))
 }
@@ -645,7 +460,9 @@ mod tests {
     use crate::agg::AggKind;
     use crate::segment::ColumnTableBuilder;
     use crate::CmpKind;
+    use std::collections::HashMap;
     use std::sync::Arc;
+    use tpcds_types::{Row, Value};
 
     fn filtered(b: &Batch, pred: &Expr) -> Batch {
         b.clone().filter(pred.clone())
@@ -663,6 +480,46 @@ mod tests {
     ) -> Result<(Vec<Row>, KernelStats), StorageError> {
         let (t, stats) = par_hash_join(probe, &[pk], build, &[bk], kind, residual, threads)?;
         Ok((crate::par_filter(&Batch::new(Arc::new(t)), 1).0, stats))
+    }
+
+    fn rows(t: ColumnTable) -> Vec<Row> {
+        t.iter_rows().collect()
+    }
+
+    /// The unfused reference of [`par_hash_join_agg`]: the join's rows,
+    /// then a serial group-by over them (keys compared as [`Value`]s, by
+    /// a linear search over the few groups), sorted by key.
+    fn join_then_aggregate(
+        probe: &Batch,
+        build: &Batch,
+        kind: JoinType,
+        residual: Option<&Expr>,
+        groups: &[usize],
+        aggs: &[AggSpec],
+    ) -> Vec<Row> {
+        let (joined, _) = join(probe, 1, build, 0, kind, residual, 1).unwrap();
+        let mut keys: Vec<Row> = Vec::new();
+        let mut accs: Vec<Vec<crate::agg::PAcc>> = Vec::new();
+        for row in &joined {
+            let key: Row = groups.iter().map(|&g| row[g].clone()).collect();
+            let g = keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                keys.push(key);
+                accs.push(aggs.iter().map(|a| crate::agg::PAcc::new(a.kind)).collect());
+                keys.len() - 1
+            });
+            for (spec, acc) in aggs.iter().zip(accs[g].iter_mut()) {
+                acc.update(spec.col.map(|c| &row[c])).unwrap();
+            }
+        }
+        let mut out: Vec<Row> = (keys.into_iter().zip(accs))
+            .map(|(k, a)| {
+                k.into_iter()
+                    .chain(a.into_iter().map(|a| a.finish()))
+                    .collect()
+            })
+            .collect();
+        out.sort_by(|a, b| a[0].sort_cmp(&b[0]));
+        out
     }
 
     /// Probe table: (id, key, val) with every 7th key NULL. Large enough
@@ -762,10 +619,10 @@ mod tests {
     }
 
     #[test]
-    fn generic_path_matches_int_fast_path() {
+    fn boxed_key_column_joins_like_a_typed_one() {
         // Promote the build key column to Other by mixing in a string row,
-        // then filter it back out: forces the generic Value path over the
-        // same data the int path would see.
+        // then filter it back out: the boxed cells hash and compare like
+        // the probe side's typed ones.
         let probe = probe_table(20_000);
         let mut b = ColumnTableBuilder::new(vec![DataType::Int, DataType::Int]);
         b.push_row(&[Value::str("zz"), Value::Int(-1)]);
@@ -805,21 +662,7 @@ mod tests {
         ];
         for kind in [JoinType::Inner, JoinType::Left] {
             // Reference: materialize the join, then aggregate serially.
-            let (joined, _) = join(&probe, 1, &build, 0, kind, None, 1).unwrap();
-            let mut map: GroupMap = HashMap::new();
-            for row in &joined {
-                let key = vec![row[groups[0]].clone()];
-                let accs = map
-                    .entry(key)
-                    .or_insert_with(|| aggs.iter().map(|a| PAcc::new(a.kind)).collect());
-                for (spec, acc) in aggs.iter().zip(accs.iter_mut()) {
-                    match spec.col {
-                        Some(c) => acc.update(Some(&row[c])).unwrap(),
-                        None => acc.update(None).unwrap(),
-                    }
-                }
-            }
-            let expect = finish_groups(map, false, &aggs);
+            let expect = join_then_aggregate(&probe, &build, kind, None, &groups, &aggs);
             for threads in [1, 2, 8] {
                 let (got, _) = par_hash_join_agg(
                     &probe,
@@ -833,7 +676,7 @@ mod tests {
                     threads,
                 )
                 .unwrap();
-                assert_eq!(got, expect, "{kind:?} threads={threads}");
+                assert_eq!(rows(got), expect, "{kind:?} threads={threads}");
             }
         }
     }
@@ -919,21 +762,7 @@ mod tests {
             },
         ];
         for kind in [JoinType::Inner, JoinType::Left] {
-            let (joined, _) = join(&probe, 1, &build, 0, kind, Some(&residual), 1).unwrap();
-            let mut map: GroupMap = HashMap::new();
-            for row in &joined {
-                let key = vec![row[groups[0]].clone()];
-                let accs = map
-                    .entry(key)
-                    .or_insert_with(|| aggs.iter().map(|a| PAcc::new(a.kind)).collect());
-                for (spec, acc) in aggs.iter().zip(accs.iter_mut()) {
-                    match spec.col {
-                        Some(c) => acc.update(Some(&row[c])).unwrap(),
-                        None => acc.update(None).unwrap(),
-                    }
-                }
-            }
-            let expect = finish_groups(map, false, &aggs);
+            let expect = join_then_aggregate(&probe, &build, kind, Some(&residual), &groups, &aggs);
             for threads in [1, 2, 8] {
                 let (got, _) = par_hash_join_agg(
                     &probe,
@@ -947,7 +776,7 @@ mod tests {
                     threads,
                 )
                 .unwrap();
-                assert_eq!(got, expect, "{kind:?} threads={threads}");
+                assert_eq!(rows(got), expect, "{kind:?} threads={threads}");
             }
         }
     }
@@ -1070,7 +899,7 @@ mod tests {
                 col: Some(2),
             },
         ];
-        let (rows, _) = par_hash_join_agg(
+        let (out, _) = par_hash_join_agg(
             &filtered(&probe, &ppred),
             &[1],
             &build,
@@ -1082,6 +911,6 @@ mod tests {
             4,
         )
         .unwrap();
-        assert_eq!(rows, vec![vec![Value::Int(0), Value::Null]]);
+        assert_eq!(rows(out), vec![vec![Value::Int(0), Value::Null]]);
     }
 }

@@ -24,6 +24,7 @@ pub mod batch;
 pub mod column;
 pub mod expr;
 pub mod join;
+mod key;
 pub mod morsel;
 pub mod pred;
 pub mod segment;

@@ -11,15 +11,15 @@
 //! buffers are reassembled in morsel order), and aggregate output is
 //! sorted by group key, so results are identical for any worker count.
 
-use crate::agg::{AggSpec, PAcc};
+use crate::agg::AggSpec;
 use crate::batch::Batch;
+use crate::key::{arg_cols, merge_groups, one, GroupTable, KeyCols};
 use crate::pred::{Pred, P_TRUE};
-use crate::segment::{ColumnTable, SEGMENT_ROWS};
+use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
 use crate::StorageError;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tpcds_types::{Row, Value};
+use tpcds_types::Row;
 
 /// Rows per morsel. Divides [`crate::SEGMENT_ROWS`].
 pub const MORSEL_ROWS: usize = 8_192;
@@ -273,6 +273,15 @@ pub fn scan_range<E>(
     verdict.map(|_| stats)
 }
 
+/// The global ids of a morsel's rows that `sel` admits (all when `None`);
+/// `base` is the morsel's first id.
+pub(crate) fn selected(base: usize, len: usize, sel: Option<&[u8]>) -> Vec<u32> {
+    (0..len)
+        .filter(|&j| sel.is_none_or(|s| s[j] == P_TRUE))
+        .map(|j| (base + j) as u32)
+        .collect()
+}
+
 fn filter_morsel(
     table: &ColumnTable,
     si: usize,
@@ -298,154 +307,68 @@ fn filter_morsel(
 /// Grouped (or global) aggregation over the batch's qualifying rows.
 ///
 /// `groups` are column indexes forming the key; `aggs` the aggregate
-/// calls. Output rows are `key columns ++ aggregate values`, sorted by
-/// key (so any worker count yields the same bytes). A global aggregate
-/// (`groups` empty) over zero matching rows still yields one default row,
-/// mirroring the engine.
+/// calls. The output table is `key columns ++ aggregate values`, sorted by
+/// key (so any worker count yields the same bytes): each key column in its
+/// declared type, read at the group's lowest row, and each aggregate typed
+/// by its function. A global aggregate (`groups` empty) over zero matching
+/// rows still yields one default row, mirroring the engine.
 pub fn par_aggregate(
     batch: &Batch,
     groups: &[usize],
     aggs: &[AggSpec],
     threads: usize,
-) -> Result<(Vec<Row>, KernelStats), StorageError> {
+) -> Result<(ColumnTable, KernelStats), StorageError> {
     let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
+    let keys = KeyCols::of(table, groups);
+    let args = KeyCols::of(table, &arg_cols(aggs));
 
     let partials = run_workers(morsels.len(), workers, |chunks| {
-        let mut map: GroupMap = HashMap::new();
-        let mut sel = Vec::new();
+        let mut t = GroupTable::new(workers, aggs.len());
+        let (mut sel, mut hashes) = (Vec::new(), Vec::new());
         let mut failed: Option<StorageError> = None;
         while let Some(m) = chunks.next() {
             let (si, off, len) = morsels[m];
-            if failed.is_some() {
-                // An aggregate already failed, but the caller reports a
-                // deferred *predicate* error first (the row path hits it
-                // earlier): keep evaluating preds so the error cell ends
-                // up complete, skipping the folds.
-                if let Some(p) = pred {
-                    let seg = &table.segments[si];
-                    p.eval(seg, off, len, (si * SEGMENT_ROWS + off) as u64, &mut sel);
-                }
-                continue;
-            }
-            if let Err(e) = agg_morsel(table, si, off, len, pred, groups, aggs, &mut map, &mut sel)
-            {
-                failed = Some(e);
+            let seg = &table.segments[si];
+            let base = si * SEGMENT_ROWS + off;
+            // After an aggregate failed the predicate still runs, skipping
+            // the folds: the caller reports a deferred *predicate* error
+            // first (the row path hits it earlier), so its cell must end
+            // up complete.
+            let sel = pred.map(|p| {
+                p.eval(seg, off, len, base as u64, &mut sel);
+                sel.as_slice()
+            });
+            if failed.is_none() {
+                let folded = if groups.is_empty() {
+                    fold_global(&mut t, seg, off, len, sel, aggs)
+                } else {
+                    let ids = selected(base, len, sel);
+                    t.fold([&ids, &[]], &keys, &args, aggs, &mut hashes)
+                };
+                failed = folded.err();
             }
         }
-        failed.map_or(Ok(map), Err)
+        failed.map_or(Ok(t), Err)
     });
 
-    let merged = merge_partials(partials)?;
-    let out = finish_groups(merged, groups.is_empty(), aggs);
+    let out = merge_groups(partials, &keys, workers)?.finish(&keys, &args, aggs);
     Ok((out, KernelStats::scan(table, morsels.len(), workers)))
 }
 
-/// Group key → partial accumulators. Shared by the aggregate and
-/// join-aggregate workers.
-pub(crate) type GroupMap = HashMap<Vec<Value>, Vec<PAcc>>;
-
-/// Merges per-worker group maps (commutative and exact, so merge order
-/// does not affect the result).
-pub(crate) fn merge_partials(
-    partials: Vec<Result<GroupMap, StorageError>>,
-) -> Result<GroupMap, StorageError> {
-    let mut merged: GroupMap = HashMap::new();
-    for part in partials {
-        for (key, accs) in part? {
-            match merged.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(accs);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (a, b) in e.get_mut().iter_mut().zip(accs) {
-                        a.merge(b)?;
-                    }
-                }
-            }
-        }
-    }
-    Ok(merged)
-}
-
-/// Finalizes a merged group map into output rows sorted by key (so any
-/// worker count yields the same bytes). A global aggregate (`global`)
-/// over zero input rows still yields one default row, mirroring the
-/// engine.
-pub(crate) fn finish_groups(mut merged: GroupMap, global: bool, aggs: &[AggSpec]) -> Vec<Row> {
-    if global {
-        merged
-            .entry(Vec::new())
-            .or_insert_with(|| aggs.iter().map(|a| PAcc::new(a.kind)).collect());
-    }
-    let mut keyed: Vec<(Vec<Value>, Vec<PAcc>)> = merged.into_iter().collect();
-    keyed.sort_by(|(a, _), (b, _)| {
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| x.sort_cmp(y))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut out = Vec::with_capacity(keyed.len());
-    for (key, accs) in keyed {
-        let mut row = key;
-        for acc in accs {
-            row.push(acc.finish());
-        }
-        out.push(row);
-    }
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn agg_morsel(
-    table: &ColumnTable,
-    si: usize,
+/// A global aggregate's morsel: each call folds its column range at once.
+fn fold_global(
+    t: &mut GroupTable,
+    seg: &Segment,
     off: usize,
     len: usize,
-    pred: Option<&Pred>,
-    groups: &[usize],
+    sel: Option<&[u8]>,
     aggs: &[AggSpec],
-    map: &mut HashMap<Vec<Value>, Vec<PAcc>>,
-    sel: &mut Vec<u8>,
 ) -> Result<(), StorageError> {
-    let seg = &table.segments[si];
-    let sel_slice: Option<&[u8]> = match pred {
-        None => None,
-        Some(p) => {
-            p.eval(seg, off, len, (si * SEGMENT_ROWS + off) as u64, sel);
-            Some(sel.as_slice())
-        }
-    };
-    if groups.is_empty() {
-        // Global aggregate: columnar fast path over the whole morsel.
-        let accs = map
-            .entry(Vec::new())
-            .or_insert_with(|| aggs.iter().map(|a| PAcc::new(a.kind)).collect());
-        for (spec, acc) in aggs.iter().zip(accs.iter_mut()) {
-            let col = spec.col.map(|c| &seg.columns[c]);
-            acc.update_range(col, off, len, sel_slice)?;
-        }
-        return Ok(());
-    }
-    for j in 0..len {
-        if let Some(s) = sel_slice {
-            if s[j] != P_TRUE {
-                continue;
-            }
-        }
-        let i = off + j;
-        let key: Vec<Value> = groups.iter().map(|&g| seg.columns[g].value_at(i)).collect();
-        let accs = map
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(|a| PAcc::new(a.kind)).collect());
-        for (spec, acc) in aggs.iter().zip(accs.iter_mut()) {
-            match spec.col {
-                Some(c) => acc.update(Some(&seg.columns[c].value_at(i)))?,
-                None => acc.update(None)?,
-            }
-        }
+    let accs = t.group(0, one(0), aggs, |_, _| true);
+    for (spec, acc) in aggs.iter().zip(accs) {
+        acc.update_range(spec.col.map(|c| &seg.columns[c]), off, len, sel)?;
     }
     Ok(())
 }
@@ -458,7 +381,7 @@ mod tests {
     use crate::CmpKind;
     use crate::Expr;
     use std::sync::Arc;
-    use tpcds_types::{ArithOp, DataType, Decimal};
+    use tpcds_types::{ArithOp, DataType, Decimal, Value};
 
     fn batch(t: &Arc<ColumnTable>, pred: &Expr) -> Batch {
         Batch::new(Arc::clone(t)).filter(pred.clone())
@@ -604,12 +527,54 @@ mod tests {
                 col: Some(2),
             },
         ];
-        let (serial, _) = par_aggregate(&batch(&t, &pred), &groups, &aggs, 1).unwrap();
+        let rows = |threads| {
+            let (out, _) = par_aggregate(&batch(&t, &pred), &groups, &aggs, threads).unwrap();
+            out.iter_rows().collect::<Vec<_>>()
+        };
+        let serial = rows(1);
         assert_eq!(serial.len(), 10);
         for threads in [2, 4, 8] {
-            let (par, _) = par_aggregate(&batch(&t, &pred), &groups, &aggs, threads).unwrap();
-            assert_eq!(par, serial, "threads={threads}");
+            assert_eq!(rows(threads), serial, "threads={threads}");
         }
+    }
+
+    /// The output is typed by its inputs, not guessed from its values:
+    /// a `Decimal` key whose first (NULL) group sorts first stays a
+    /// `Decimal` column, and each aggregate is typed by its function.
+    #[test]
+    fn aggregate_columns_keep_their_declared_types() {
+        let mut b = crate::segment::ColumnTableBuilder::new(vec![DataType::Decimal, DataType::Int]);
+        for i in 0..100i64 {
+            let key = match i % 4 {
+                0 => Value::Null,
+                k => Value::Decimal(Decimal::from_cents(k * 150)),
+            };
+            b.push_row(&[key, Value::Int(i)]);
+        }
+        let t = Arc::new(b.finish());
+        let call = |kind, col| AggSpec {
+            kind,
+            col: Some(col),
+        };
+        let aggs = [
+            call(AggKind::Count, 0),
+            call(AggKind::Sum, 1),
+            call(AggKind::Sum, 0),
+            call(AggKind::Max, 0),
+            call(AggKind::Avg, 1),
+        ];
+        let (out, _) = par_aggregate(&Batch::new(t), &[0], &aggs, 1).unwrap();
+        let rows: Vec<Row> = out.iter_rows().collect();
+        assert_eq!(rows.len(), 4);
+        assert_eq!(
+            rows[0][..2],
+            [Value::Null, Value::Int(0)],
+            "NULL sorts first"
+        );
+        use DataType::{Decimal as D, Int as I};
+        assert_eq!(out.dtypes, [D, I, I, D, D, D]);
+        let col = &out.segments[0].columns[0];
+        assert!(matches!(col.data, crate::ColumnData::Decimal(_)));
     }
 
     #[test]
@@ -626,10 +591,12 @@ mod tests {
                 col: Some(2),
             },
         ];
-        let (rows, _) = par_aggregate(&batch(&t, &pred), &[], &aggs, 4).unwrap();
+        let (out, _) = par_aggregate(&batch(&t, &pred), &[], &aggs, 4).unwrap();
+        let rows: Vec<Row> = out.iter_rows().collect();
         assert_eq!(rows, vec![vec![Value::Int(0), Value::Null]]);
+        assert_eq!(out.dtypes, [DataType::Int, DataType::Decimal]);
         // Grouped aggregate over an empty selection yields no rows.
-        let (rows, _) = par_aggregate(&batch(&t, &pred), &[0], &aggs, 4).unwrap();
-        assert!(rows.is_empty());
+        let (out, _) = par_aggregate(&batch(&t, &pred), &[0], &aggs, 4).unwrap();
+        assert_eq!(out.rows, 0);
     }
 }

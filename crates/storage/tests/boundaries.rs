@@ -113,9 +113,9 @@ fn aggregate_counts_exact_at_boundaries() {
             },
         ];
         for threads in [1, 4] {
-            let (rows, _) = par_aggregate(&t, &[], &aggs, threads).unwrap();
+            let (out, _) = par_aggregate(&t, &[], &aggs, threads).unwrap();
             assert_eq!(
-                rows,
+                out.iter_rows().collect::<Vec<_>>(),
                 vec![vec![
                     Value::Int(n as i64),
                     Value::Int((n - n.div_ceil(9)) as i64),
@@ -247,7 +247,7 @@ fn intermediate_batches_at_boundaries_feed_every_kernel() {
                 col: None,
             }];
             let (groups, _) = par_aggregate(&mid, &[3], &count, threads).unwrap();
-            let total: i64 = groups.iter().map(|g| g[1].as_int().unwrap()).sum();
+            let total: i64 = groups.column(1).map(|c| c.as_int().unwrap()).sum();
             assert_eq!(total, n as i64, "n={n} threads={threads}");
 
             // Join → sort / Top-N on the last row's side of the boundary.

@@ -273,6 +273,27 @@ const CASES: &[Case] = &[
         having: Some(|r| r[2] == Value::Int(0) && r[3].as_int().unwrap() > 400),
         empty: false,
     },
+    // NULL groups in multi-column keys: every key column holds NULLs.
+    Case {
+        sql: "select a, c, d, count(*), sum(x), avg(y) from t group by a, c, d",
+        keys: &[0, 2, 3],
+        rollup: false,
+        aggs: &[
+            (F::CountStar, false),
+            (F::Sum(X), false),
+            (F::Avg(Y), false),
+        ],
+        having: None,
+        empty: false,
+    },
+    Case {
+        sql: "select b, a, count(x), sum(y) from t group by b, a",
+        keys: &[1, 0],
+        rollup: false,
+        aggs: &[(F::Count(X), false), (F::Sum(Y), false)],
+        having: None,
+        empty: false,
+    },
     // DISTINCT over one argument, alone and beside plain calls.
     Case {
         sql: "select count(distinct x) from t",
@@ -504,4 +525,98 @@ fn correlated_inputs_are_evaluated_per_outer_row() {
             }
         }
     }
+}
+
+/// Runs `sql` on the row path and at 1 / 2 / 8 workers on the batch
+/// executor: the batch answers are byte-identical to each other and hold
+/// the row path's rows (which come in no particular order). Returns the
+/// batch answer.
+fn agree_at_every_worker_count(db: &Database, sql: &str) -> Vec<Row> {
+    let run = |columnar, threads| {
+        let opts = ExecOptions {
+            columnar,
+            threads: Some(threads),
+        };
+        tpcds_core::engine::query_with(db, sql, opts)
+            .expect(sql)
+            .rows
+    };
+    let sorted = |mut rows: Vec<Row>| {
+        rows.sort_by(|a, b| {
+            (a.iter().zip(b))
+                .map(|(x, y)| x.sort_cmp(y))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        rows
+    };
+    let one = run(ColumnarMode::Auto, 1);
+    assert_eq!(
+        sorted(one.clone()),
+        sorted(run(ColumnarMode::Off, 1)),
+        "{sql}"
+    );
+    for threads in [2, 8] {
+        assert_eq!(
+            run(ColumnarMode::Auto, threads),
+            one,
+            "{threads} workers: {sql}"
+        );
+    }
+    one
+}
+
+/// One group key fed `Int` cells by one side of a UNION ALL and equal
+/// `Decimal` cells by the other: `1` and `1.00` are one group, keyed by
+/// its first row's cell.
+#[test]
+fn a_key_mixing_int_and_decimal_cells_groups_them_together() {
+    let mut rng = SplitMix64(test_seed(0xA66));
+    let db = build_db(&mut rng, 12_000);
+    let sql = "select k, count(*), sum(v) from \
+               (select a k, x v from t union all select a * 1.00 k, y v from t) u \
+               group by k order by k";
+    let rows = agree_at_every_worker_count(&db, sql);
+    let per_a = agree_at_every_worker_count(&db, "select a, count(*) from t group by a order by a");
+    assert_eq!(rows.len(), per_a.len(), "{rows:?}");
+    for (r, p) in rows.iter().zip(&per_a) {
+        assert_eq!(r[0], p[0]);
+        assert!(matches!(r[0], Value::Int(_) | Value::Null), "{r:?}");
+        assert_eq!(r[1], Value::Int(2 * p[1].as_int().unwrap()), "{r:?}");
+    }
+}
+
+/// 45,000 groups over 90,000 rows — more than a morsel per worker holds
+/// — with NULLs in one key column: byte-identical at 1 / 2 / 8 workers.
+#[test]
+fn forty_five_thousand_groups_agree_at_every_worker_count() {
+    let db = Database::new();
+    let meta = [
+        ("k1", DataType::Int),
+        ("k2", DataType::Int),
+        ("v", DataType::Decimal),
+    ]
+    .map(|(name, dtype)| ColumnMeta {
+        name: name.into(),
+        dtype,
+    });
+    let rows: Vec<Row> = (0..90_000i64)
+        .map(|i| {
+            let k2 = (i * 7_919) % 45_000;
+            let k1 = if k2 % 1_000 == 0 {
+                Value::Null
+            } else {
+                Value::Int(k2 % 3)
+            };
+            vec![
+                k1,
+                Value::Int(k2),
+                Value::Decimal(Decimal::from_cents(i % 977)),
+            ]
+        })
+        .collect();
+    db.create_table_with_rows("g", meta.to_vec(), rows).unwrap();
+    let sql = "select k1, k2, count(*), sum(v), min(v), max(k2), avg(v) from g group by k1, k2";
+    let rows = agree_at_every_worker_count(&db, sql);
+    assert_eq!(rows.len(), 45_000);
 }

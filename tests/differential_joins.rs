@@ -530,3 +530,173 @@ fn keyless_joins_agree_across_paths_and_worker_counts() {
         }
     }
 }
+
+/// Join-key shapes beside the single `Int` surrogate key: an `Int` key
+/// against a `Decimal` one (`1 = 1.00` meets, `2 = 2.50` does not), NULL
+/// in one column of a 2- and a 3-column key, string and date keys, a
+/// 4-column key. Each query is checked against the row path and the
+/// unoptimized plan, the batch executor at 1/2/8 workers.
+#[test]
+fn key_shapes_agree_across_paths_and_worker_counts() {
+    let db = Database::new();
+    let meta = |cols: &[(&str, DataType)]| -> Vec<ColumnMeta> {
+        (cols.iter())
+            .map(|&(name, dtype)| ColumnMeta {
+                name: name.into(),
+                dtype,
+            })
+            .collect()
+    };
+    let epoch = tpcds_core::types::Date::from_ymd(2001, 1, 1);
+    let null_every = |i: i64, n: i64, v: Value| if i % n == 0 { Value::Null } else { v };
+    // The probe side is past the inline threshold, so batch runs go
+    // parallel; the build side repeats every key.
+    let probe: Vec<Row> = (0..20_000i64)
+        .map(|i| {
+            vec![
+                Value::Int(i),
+                null_every(i, 23, Value::Int(i % 5)),
+                null_every(i, 13, Value::Int(i % 4)),
+                null_every(i, 17, Value::Int(i % 3)),
+                null_every(i, 11, Value::str(format!("s{}", i % 6))),
+                null_every(i, 19, Value::Date(epoch.add_days((i % 7) as i32))),
+            ]
+        })
+        .collect();
+    let probe_meta = [
+        ("p_id", DataType::Int),
+        ("p_k", DataType::Int),
+        ("p_a", DataType::Int),
+        ("p_b", DataType::Int),
+        ("p_s", DataType::Str),
+        ("p_d", DataType::Date),
+    ];
+    db.create_table_with_rows("p", meta(&probe_meta), probe)
+        .unwrap();
+    let dec = |s: &str| Value::Decimal(s.parse().unwrap());
+    let keys = [dec("1.00"), dec("2.50"), dec("3"), Value::Null, dec("4.0")];
+    let build: Vec<Row> = (0..300i64)
+        .map(|i| {
+            vec![
+                keys[(i % 5) as usize].clone(),
+                null_every(i, 7, Value::Int(i % 4)),
+                null_every(i, 9, Value::Int(i % 3)),
+                Value::str(format!("s{}", i % 8)),
+                Value::Date(epoch.add_days((i % 9) as i32)),
+                Value::Int(i),
+            ]
+        })
+        .collect();
+    let build_meta = [
+        ("b_k", DataType::Decimal),
+        ("b_a", DataType::Int),
+        ("b_b", DataType::Int),
+        ("b_s", DataType::Str),
+        ("b_d", DataType::Date),
+        ("b_v", DataType::Int),
+    ];
+    db.create_table_with_rows("b", meta(&build_meta), build)
+        .unwrap();
+
+    let on = [
+        ("p_k = b_k", 1),
+        ("p_a = b_a and p_b = b_b", 2),
+        ("p_a = b_a and p_b = b_b and p_k = b_k", 3),
+        ("p_s = b_s", 1),
+        ("p_d = b_d", 1),
+        ("p_a = b_a and p_b = b_b and p_s = b_s and p_d = b_d", 4),
+    ];
+    for (cond, nkeys) in on {
+        for kind in ["join", "left join"] {
+            let sql =
+                format!("select p_id, p_k, b_k, b_v from p {kind} b on {cond} where p_id < 4000");
+            let agg = format!(
+                "select b_k, p_s, count(*), sum(b_v), min(p_d) from p {kind} b on {cond} \
+                 group by b_k, p_s"
+            );
+            for sql in [sql, agg] {
+                let oracle = tpcds_core::engine::query_with(&db, &sql, opts(ColumnarMode::Off, 1))
+                    .unwrap_or_else(|e| panic!("row path failed for {sql}: {e}"));
+                assert!(!oracle.rows.is_empty(), "vacuous: {sql}");
+                let naive = unoptimized(&db, &sql).unwrap_or_else(|| panic!("too large: {sql}"));
+                assert_eq!(canon(&oracle.rows), naive, "optimizer changed {sql}");
+                for threads in [1, 2, 8] {
+                    let a = tpcds_core::engine::query_analyze_with(
+                        &db,
+                        &sql,
+                        opts(ColumnarMode::Auto, threads),
+                    )
+                    .unwrap_or_else(|e| panic!("batch path failed for {sql}: {e}"));
+                    assert_eq!(
+                        canon(&a.result.rows),
+                        canon(&oracle.rows),
+                        "threads={threads}: {sql}"
+                    );
+                    let keyed = format!(" on {nkeys} key(s)");
+                    assert!(a.plan_text.contains(&keyed), "{sql}\n{}", a.plan_text);
+                }
+            }
+        }
+    }
+    // `1 = 1.00` meets and `2 = 2.50` does not: the Int key 1 finds the
+    // 60 build rows keyed 1.00, the Int key 2 none.
+    let count = |k: i64| {
+        let sql =
+            format!("select count(*) from p join b on p_k = b_k where p_k = {k} and p_id < 5");
+        let r = tpcds_core::engine::query_with(&db, &sql, opts(ColumnarMode::Auto, 2)).unwrap();
+        r.rows[0][0].clone()
+    };
+    assert_eq!(count(1), Value::Int(60));
+    assert_eq!(count(2), Value::Int(0));
+}
+
+/// An inner join whose probe side admits no row builds no hash table,
+/// but still runs the build side's predicate: its deferred error surfaces
+/// exactly as on the row path, which materializes both sides.
+#[test]
+fn an_empty_probe_side_hashes_nothing_but_raises_the_build_error() {
+    let mut rng = SplitMix64(test_seed(0x7C05_D511));
+    let db = build_db(&mut rng);
+    // Derived tables keep each filter on its own side of the join.
+    let poison = " where b_val * 9223372036854775807 > 1";
+    let from = format!(
+        "from (select * from t0 where a_pk < 0) a \
+         join (select * from t1{poison}) b on a_k1 = b_k"
+    );
+    let shapes = [
+        format!("select a_pk, b_name {from}"),
+        format!("select count(*), sum(b_val) {from}"),
+        format!("select b_name, count(*) {from} group by b_name"),
+    ];
+    for sql in &shapes {
+        let oracle = tpcds_core::engine::query_with(&db, sql, opts(ColumnarMode::Off, 1))
+            .expect_err(sql)
+            .to_string();
+        assert!(oracle.contains("overflow"), "{sql}: {oracle}");
+        for threads in [1, 2, 8] {
+            let got = tpcds_core::engine::query_with(&db, sql, opts(ColumnarMode::Auto, threads))
+                .expect_err(sql)
+                .to_string();
+            assert_eq!(got, oracle, "threads={threads}: {sql}");
+        }
+    }
+    // Without the poison the answer is empty (one default row when
+    // global), and the join kept no build row.
+    for sql in shapes.iter().map(|s| s.replace(poison, "")) {
+        let oracle = tpcds_core::engine::query_with(&db, &sql, opts(ColumnarMode::Off, 1)).unwrap();
+        for threads in [1, 2, 8] {
+            let a = tpcds_core::engine::query_analyze_with(
+                &db,
+                &sql,
+                opts(ColumnarMode::Auto, threads),
+            )
+            .unwrap();
+            assert_eq!(a.result.rows, oracle.rows, "threads={threads}: {sql}");
+            assert!(
+                a.plan_text.contains("build_rows=0"),
+                "{sql}\n{}",
+                a.plan_text
+            );
+        }
+    }
+}
