@@ -1,6 +1,5 @@
 //! Microbenchmarks of query execution: representative queries from each
-//! class (the paper's Figures 6 & 7 among them), plus the ad-hoc vs
-//! reporting index ablation on a point lookup.
+//! class (the paper's Figures 6 & 7 among them).
 
 use tpcds_bench::harness::bench;
 use tpcds_core::TpcDs;
@@ -19,13 +18,4 @@ fn main() {
             tpcds.query(&sql).expect("query");
         });
     }
-
-    let plain = TpcDs::builder().scale_factor(0.01).build().expect("load");
-    let sql = "select count(*) c from catalog_sales where cs_item_sk = 17";
-    bench("index_ablation/point_lookup/no_aux", 10, || {
-        plain.query(sql).expect("query");
-    });
-    bench("index_ablation/point_lookup/reporting_aux", 10, || {
-        tpcds.query(sql).expect("query");
-    });
 }

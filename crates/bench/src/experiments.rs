@@ -193,7 +193,7 @@ power metric treats both tunings identically: {equal}
 }
 
 /// A2 — auxiliary-structure ablation: run the same miniature benchmark
-/// with and without the reporting part's indexes; report the load-time
+/// with and without the reporting part's summary table; report the load-time
 /// cost and the query-run effect (the trade the 1%·S load term prices).
 pub fn ablation_aux(sf: f64, streams: usize, queries_per_stream: usize) -> String {
     let run = |aux: AuxLevel| {

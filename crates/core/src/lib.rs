@@ -80,7 +80,8 @@ impl TpcDsBuilder {
         self
     }
 
-    /// Builds the reporting-part auxiliary indexes during the load.
+    /// Builds the reporting part's monthly catalog summary
+    /// (`catalog_monthly_summary`) after the load.
     pub fn reporting_aux(mut self, on: bool) -> Self {
         self.reporting_aux = on;
         self

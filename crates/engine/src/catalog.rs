@@ -1,10 +1,9 @@
-//! In-memory storage: tables, secondary indexes, and the versioned
-//! database catalog.
+//! In-memory storage: tables and the versioned database catalog.
 //!
 //! The catalog is **snapshot isolated**: [`Database`] holds an
 //! `Arc<DbSnapshot>` — an immutable map of table name → `Arc<Table>`
-//! (segments + indexes + statistics) stamped with a version number — that
-//! is swapped atomically when a [`WriteTxn`] commits. Queries pin the
+//! (segments + statistics) stamped with a version number — that is
+//! swapped atomically when a [`WriteTxn`] commits. Queries pin the
 //! snapshot once at dispatch ([`Database::snapshot`]) and read it
 //! lock-free to completion; writers build the next version behind a
 //! single writer mutex and publish it with one pointer store. No reader
@@ -13,24 +12,21 @@
 //! concurrently with data maintenance.
 //!
 //! **The segments are the table.** A [`Table`] keeps its rows once, as a
-//! [`ColumnTable`] of immutable, `Arc`-shared segments, and each [`Index`]
-//! as one immutable map per segment; there is no row list beside them.
-//! Staging a table copies no segment and no map, and [`Table::insert`],
+//! [`ColumnTable`] of immutable, `Arc`-shared segments; there is no row
+//! list and no secondary structure beside them, so every scan reads the
+//! segments. Staging a table copies no segment, and [`Table::insert`],
 //! [`Table::delete_where`] and [`Table::update_each`] build only the
 //! segments whose columns they change: an append the tail it grows (less
 //! than a morsel of it) and the segments it adds, an update the segments
 //! it hits, a delete nothing — it marks its rows dead in the masks of the
 //! segments it hits — unless it leaves a segment a quarter dead, which it
-//! then compacts. The maps of exactly those segments are rebuilt (a grown
-//! tail's copied and extended, an update's only when it changed an
-//! indexed column), so a staged table is consistent after every call. Statistics follow the same rule: a delete
-//! takes its rows out of them, an update its old versions out and its new
-//! ones in, and [`WriteTxn::commit`] folds in the appended rows — so a
-//! commit pays for the rows it changed. What a reader gets is
-//! indistinguishable from segments, statistics and indexes built from
-//! scratch over the published live rows, in order, except that the NDV
-//! sketches still count the values of rows deleted or overwritten (see
-//! `tpcds_storage::stats`).
+//! then compacts. Statistics follow the same rule: a delete takes its rows
+//! out of them, an update its old versions out and its new ones in, and
+//! [`WriteTxn::commit`] folds in the appended rows — so a commit pays for
+//! the rows it changed. What a reader gets is indistinguishable from
+//! segments and statistics built from scratch over the published live
+//! rows, in order, except that the NDV sketches still count the values of
+//! rows deleted or overwritten (see `tpcds_storage::stats`).
 //!
 //! Commit is panic-safe by construction: a transaction that unwinds
 //! before [`WriteTxn::commit`] publishes nothing — the staged tables are
@@ -43,7 +39,7 @@ use crate::sync::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use tpcds_obs::qlog::{QueryLog, DEFAULT_CAPACITY};
-use tpcds_storage::{ColumnTable, Segment, TableStats, SEGMENT_ROWS};
+use tpcds_storage::{ColumnTable, TableStats};
 use tpcds_types::{DataType, Row, Value};
 
 /// A row producer for a server-owned `sys.*` virtual table
@@ -58,107 +54,6 @@ pub struct ColumnMeta {
     pub name: String,
     /// Runtime type of values stored.
     pub dtype: DataType,
-}
-
-/// A hash index over one column: one immutable map per segment, aligned
-/// with the table's segments. Versions of a table share the maps of the
-/// segments they share, so staging clones a `Vec` of `Arc`s; a delete
-/// touches no map ([`Index::lookup`] skips dead rows), and a mutator
-/// rebuilds only the maps of segments whose columns it built.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Index {
-    maps: Vec<Arc<Postings>>,
-}
-
-/// One segment's map: key → the ascending offsets holding it.
-pub type Postings = HashMap<Value, Vec<u32>>;
-
-impl Index {
-    fn build(data: &ColumnTable, col: usize) -> Index {
-        let mut index = Index::default();
-        index.rebuild(data, col, 0..data.segments.len(), 0);
-        index
-    }
-
-    /// The map of `seg`'s live rows in column `col`.
-    pub fn postings(seg: &Segment, col: usize) -> Postings {
-        let mut map = Postings::new();
-        Index::extend(&mut map, seg, col, 0);
-        map
-    }
-
-    /// Adds `seg`'s live rows from offset `from` on to `map`.
-    fn extend(map: &mut Postings, seg: &Segment, col: usize, from: usize) {
-        for i in (from..seg.rows).filter(|&i| !seg.is_dead(i)) {
-            let key = seg.columns[col].value_at(i);
-            map.entry(key).or_default().push(i as u32);
-        }
-    }
-
-    /// Builds the maps of `data`'s segments `built`, which are new or
-    /// follow the last map, and shares every other one. The first `kept`
-    /// rows of the first segment built are the ones its map was built
-    /// from, at the same offsets (an append grew it): a copy of that map
-    /// is extended by the rest instead of rebuilt.
-    fn rebuild(
-        &mut self,
-        data: &ColumnTable,
-        col: usize,
-        built: impl IntoIterator<Item = usize>,
-        kept: usize,
-    ) {
-        for (n, si) in built.into_iter().enumerate() {
-            let seg = &data.segments[si];
-            match self.maps.get_mut(si) {
-                Some(old) if n == 0 && kept > 0 => {
-                    Index::extend(Arc::make_mut(old), seg, col, kept)
-                }
-                Some(old) => *old = Arc::new(Index::postings(seg, col)),
-                None => self.maps.push(Arc::new(Index::postings(seg, col))),
-            }
-        }
-        debug_assert_eq!(self.maps.len(), data.segments.len());
-    }
-
-    /// The ids of `data`'s live rows holding `key`, ascending. `data` is
-    /// the version of the table the index belongs to.
-    pub fn lookup<'a>(
-        &'a self,
-        data: &'a ColumnTable,
-        key: &'a Value,
-    ) -> impl Iterator<Item = usize> + 'a {
-        debug_assert_eq!(self.maps.len(), data.segments.len());
-        let maps = self.maps.iter().zip(&data.segments).enumerate();
-        maps.flat_map(move |(si, (map, seg))| {
-            let offsets = map.get(key).map_or(&[][..], Vec::as_slice).iter();
-            let live = offsets.map(|&i| i as usize).filter(|&i| !seg.is_dead(i));
-            live.map(move |i| si * SEGMENT_ROWS + i)
-        })
-    }
-
-    /// The map of segment `si`.
-    pub fn segment(&self, si: usize) -> &Arc<Postings> {
-        &self.maps[si]
-    }
-
-    /// Approximate heap bytes: the key tables plus the offset lists.
-    pub fn heap_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(Value, Vec<u32>)>();
-        let map = |m: &Arc<Postings>| {
-            let postings = m.values().map(|p| p.capacity() * 4).sum::<usize>();
-            m.capacity() * entry + postings
-        };
-        self.maps.iter().map(map).sum()
-    }
-}
-
-/// An index of the segments whose maps these are, in segment order.
-impl FromIterator<Postings> for Index {
-    fn from_iter<I: IntoIterator<Item = Postings>>(maps: I) -> Index {
-        Index {
-            maps: maps.into_iter().map(Arc::new).collect(),
-        }
-    }
 }
 
 /// The row an [`Table::update_each`] closure is handed: the stored row,
@@ -183,19 +78,16 @@ impl std::ops::DerefMut for RowMut<'_> {
 }
 
 /// One stored table. Cloning a `Table` is how a [`WriteTxn`] stages it,
-/// and copies no row and no index map: the segments, the maps and the
-/// statistics are `Arc`s shared with the base version. Mutators build the
-/// segments whose columns they change, and the maps of those, and revise
-/// the statistics for the rows they remove or replace; appended rows fold
-/// in at [`WriteTxn::commit`].
+/// and copies no row: the segments and the statistics are `Arc`s shared
+/// with the base version. Mutators build the segments whose columns they
+/// change and revise the statistics for the rows they remove or replace;
+/// appended rows fold in at [`WriteTxn::commit`].
 #[derive(Clone, Debug)]
 pub struct Table {
     /// Column metadata, in order.
     pub columns: Vec<ColumnMeta>,
     /// The rows, as typed column segments.
     data: Arc<ColumnTable>,
-    /// Secondary hash indexes, keyed by column position.
-    pub indexes: HashMap<usize, Index>,
     /// Per-column statistics (row/null counts, min/max, NDV, histogram)
     /// of `data`'s live rows but the last `data.rows - stats.rows`: all of
     /// them on a published table, all but those appended since on a
@@ -213,12 +105,11 @@ impl Table {
             stats: Arc::new(TableStats::empty(columns.len())),
             columns,
             data: Arc::new(ColumnTable::from_rows::<Row>(dtypes, &[])),
-            indexes: HashMap::new(),
             staged: Derived::default(),
         }
     }
 
-    /// The rows: the segments every scan, probe and kernel reads. Always
+    /// The rows: the segments every scan and kernel reads. Always
     /// current, on a staged table too.
     pub fn data(&self) -> &Arc<ColumnTable> {
         &self.data
@@ -229,21 +120,15 @@ impl Table {
         self.columns.iter().position(|c| c.name == name)
     }
 
-    /// Installs the segments a mutator built and the maps of those; the
-    /// first `kept` rows of the first one are where they were
-    /// ([`Index::rebuild`]).
-    fn put(&mut self, data: ColumnTable, built: &[usize], kept: usize, rows_changed: usize) {
-        for (col, idx) in self.indexes.iter_mut() {
-            idx.rebuild(&data, *col, built.iter().copied(), kept);
-        }
+    /// Installs the segments of a mutator that built `built` of them.
+    fn put(&mut self, data: ColumnTable, built: usize, rows_changed: usize) {
         self.data = Arc::new(data);
         self.staged.rows_changed += rows_changed;
-        self.staged.segments_rebuilt += built.len();
+        self.staged.segments_rebuilt += built;
     }
 
-    /// Appends rows, building the maps of the segments the append built. A
-    /// row of the wrong arity fails the whole batch and leaves the table
-    /// exactly as it was.
+    /// Appends rows. A row of the wrong arity fails the whole batch and
+    /// leaves the table exactly as it was.
     pub fn insert(&mut self, rows: Vec<Row>) -> Result<()> {
         let width = self.columns.len();
         if let Some(bad) = rows.iter().find(|row| row.len() != width) {
@@ -254,65 +139,44 @@ impl Table {
         }
         if !rows.is_empty() {
             let (data, built) = self.data.append(&rows);
-            let first = data.segments.len() - built;
-            // A tail the append grew keeps its rows at their offsets unless
-            // it had dead ones, which the copy left out.
-            let grown = self.data.segments.get(first);
-            let kept = grown
-                .filter(|tail| tail.live() == tail.rows)
-                .map_or(0, |t| t.rows);
-            let built: Vec<usize> = (first..data.segments.len()).collect();
-            self.put(data, &built, kept, rows.len());
+            self.put(data, built, rows.len());
         }
         Ok(())
     }
 
-    /// Fills an empty, unindexed table with a load built elsewhere: the
-    /// segments, each index as its per-segment maps keyed by column, and
-    /// the statistics of the rows (the bulk load builds all three one
-    /// segment at a time, on every core). Errors if the column types, the
-    /// row count or the number of maps disagree with the segments.
-    pub fn load(
-        &mut self,
-        data: ColumnTable,
-        indexes: HashMap<usize, Index>,
-        stats: TableStats,
-    ) -> Result<()> {
-        let (width, segments) = (data.width(), data.segments.len());
+    /// Fills an empty table with a load built elsewhere: the segments and
+    /// the statistics of their rows (the bulk load builds both one segment
+    /// at a time, on every core). Errors if the column types or the row
+    /// count disagree with the segments.
+    pub fn load(&mut self, data: ColumnTable, stats: TableStats) -> Result<()> {
+        let width = data.width();
         let fits = data.dtypes == self.data.dtypes
             && self.data.rows == 0
-            && self.indexes.is_empty()
-            && (stats.rows, stats.columns.len()) == (data.rows as u64, width)
-            && (indexes.iter()).all(|(&col, index)| col < width && index.maps.len() == segments);
+            && (stats.rows, stats.columns.len()) == (data.rows as u64, width);
         if !fits {
             return Err(EngineError::Catalog(format!(
-                "cannot load {}x{width} segments with {} indexes and statistics of {} rows \
-                 into a {}x{} table with {} indexes",
+                "cannot load {}x{width} segments and statistics of {} rows into a {}x{} table",
                 data.rows,
-                indexes.len(),
                 stats.rows,
                 self.data.rows,
                 self.data.width(),
-                self.indexes.len()
             )));
         }
         self.staged.rows_changed += data.rows;
-        self.staged.segments_rebuilt += segments;
+        self.staged.segments_rebuilt += data.segments.len();
         self.staged.stats_cells_folded += data.rows * width;
         self.data = Arc::new(data);
-        self.indexes = indexes;
         self.stats = Arc::new(stats);
         Ok(())
     }
 
     /// Deletes every live row for which `pred` returns true; returns the
     /// number deleted. The rows are marked dead in their segments' masks:
-    /// survivors keep their ids, order and index postings, and only a
-    /// segment the delete leaves a quarter dead is rebuilt (compacted),
-    /// with its index maps. A predicate that matches nothing copies
-    /// nothing. The `engine/maint.deleted_rows` counter records how bulky
-    /// deletes actually are, instead of asserting in a comment that they
-    /// are rare.
+    /// survivors keep their ids and order, and only a segment the delete
+    /// leaves a quarter dead is rebuilt (compacted). A predicate that
+    /// matches nothing copies nothing. The `engine/maint.deleted_rows`
+    /// counter records how bulky deletes actually are, instead of
+    /// asserting in a comment that they are rare.
     pub fn delete_where(&mut self, mut pred: impl FnMut(&[Value]) -> bool) -> usize {
         let mut row = Row::new();
         self.delete_at(|data, id| {
@@ -339,7 +203,7 @@ impl Table {
         let (masked, compacted) = data.delete(&removed, threads);
         self.staged.rows_masked += removed.len();
         self.staged.segments_compacted += compacted.len();
-        self.put(masked, &compacted, 0, removed.len());
+        self.put(masked, compacted.len(), removed.len());
         self.revise_stats(&gone_stats, None);
         tpcds_obs::counter("engine", "maint.deleted_rows", removed.len() as f64);
         removed.len()
@@ -347,9 +211,8 @@ impl Table {
 
     /// Applies `f` to every live row (dimension updates); returns the
     /// number of rows for which `f` returned true (i.e. reported a
-    /// change). A row `f` writes to is replaced; an index's maps are
-    /// rebuilt only for the segments where a written row changed its key
-    /// — an update that touches no key column shares every map.
+    /// change). A row `f` writes to is replaced, and only the segments
+    /// holding such rows are rebuilt.
     pub fn update_each(&mut self, f: impl FnMut(&mut RowMut<'_>) -> bool) -> usize {
         self.update_at(|_, _| true, f)
     }
@@ -382,32 +245,11 @@ impl Table {
             let ids: Vec<u32> = replaced.iter().map(|(id, _)| *id as u32).collect();
             let old = tpcds_storage::collect_stats_at(&data, &ids, threads);
             let (new_data, built) = data.replace(&replaced, threads);
-            let hit = replaced.chunk_by(|a, b| a.0 / SEGMENT_ROWS == b.0 / SEGMENT_ROWS);
-            for (col, idx) in self.indexes.iter_mut() {
-                let rekeyed = |group: &&[(usize, Row)]| {
-                    (group.iter()).any(|(id, row)| data.value(*id, *col) != row[*col])
-                };
-                let segments = hit.clone().filter(rekeyed).map(|g| g[0].0 / SEGMENT_ROWS);
-                idx.rebuild(&new_data, *col, segments, 0);
-            }
-            self.data = Arc::new(new_data);
-            self.staged.rows_changed += replaced.len();
-            self.staged.segments_rebuilt += built;
+            self.put(new_data, built, replaced.len());
             let new = tpcds_storage::collect_stats_at(&self.data, &ids, threads);
             self.revise_stats(&old, Some(&new));
         }
         changed
-    }
-
-    /// Builds (or rebuilds) a hash index on `column`.
-    pub fn create_index(&mut self, column: usize) {
-        self.indexes
-            .insert(column, Index::build(&self.data, column));
-    }
-
-    /// Drops the index on `column`.
-    pub fn drop_index(&mut self, column: usize) {
-        self.indexes.remove(&column);
     }
 
     /// The per-column statistics. Current on a published table; on a
@@ -606,9 +448,9 @@ impl<'a> WriteTxn<'a> {
     }
 
     /// Mutable handle to a table, staged out of the base snapshot on first
-    /// touch. Staging copies no row and no index map: segments, maps and
-    /// statistics stay shared with the base version, and the table's
-    /// mutators build what they change.
+    /// touch. Staging copies no row: segments and statistics stay shared
+    /// with the base version, and the table's mutators build what they
+    /// change.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         if !self.pending.contains_key(name) {
             let t = self.base.table(name)?;
@@ -629,18 +471,6 @@ impl<'a> WriteTxn<'a> {
         }
         self.pending
             .insert(name.to_string(), TxnEntry::Put(Table::new(columns)));
-        Ok(())
-    }
-
-    /// Builds a hash index on each of `table`'s `columns`.
-    pub fn create_indexes(&mut self, table: &str, columns: &[&str]) -> Result<()> {
-        let t = self.table_mut(table)?;
-        for column in columns {
-            let col = t
-                .column_index(column)
-                .ok_or_else(|| EngineError::Catalog(format!("unknown column {table}.{column}")))?;
-            t.create_index(col);
-        }
         Ok(())
     }
 
@@ -945,32 +775,6 @@ impl Database {
         Ok(self.table(name)?.columns.clone())
     }
 
-    /// Builds a hash index on `table.column` (one auto-commit transaction).
-    pub fn create_index(&self, table: &str, column: &str) -> Result<()> {
-        self.create_indexes(table, &[column])
-    }
-
-    /// Builds a hash index on each of `table`'s `columns` in one
-    /// transaction: one staged table, one published version.
-    pub fn create_indexes(&self, table: &str, columns: &[&str]) -> Result<()> {
-        let mut txn = self.begin();
-        txn.create_indexes(table, columns)?;
-        txn.commit();
-        Ok(())
-    }
-
-    /// Drops the hash index on `table.column`, if any.
-    pub fn drop_index(&self, table: &str, column: &str) -> Result<()> {
-        let mut txn = self.begin();
-        let t = txn.table_mut(table)?;
-        let col = t
-            .column_index(column)
-            .ok_or_else(|| EngineError::Catalog(format!("unknown column {table}.{column}")))?;
-        t.drop_index(col);
-        txn.commit();
-        Ok(())
-    }
-
     /// Total number of stored rows across the head snapshot.
     pub fn total_rows(&self) -> usize {
         self.head.read().total_rows()
@@ -1016,48 +820,12 @@ mod tests {
         assert!(db.insert("t", vec![vec![Value::Int(1)]]).is_err());
     }
 
-    /// The ids the index on column 0 finds `key` at.
-    fn lookup(t: &Table, key: i64) -> Vec<usize> {
-        t.indexes[&0].lookup(t.data(), &Value::Int(key)).collect()
-    }
-
-    #[test]
-    fn index_follows_inserts_and_deletes() {
-        let db = Database::new();
-        db.create_table("t", cols(&["a"])).unwrap();
-        db.insert("t", vec![vec![Value::Int(1)], vec![Value::Int(2)]])
-            .unwrap();
-        db.create_index("t", "a").unwrap();
-        assert_eq!(lookup(&db.table("t").unwrap(), 2), [1]);
-        db.insert("t", vec![vec![Value::Int(2)]]).unwrap();
-        assert_eq!(lookup(&db.table("t").unwrap(), 2), [1, 2]);
-        let deleted = db.delete_where("t", |r| r[0] == Value::Int(2)).unwrap();
-        assert_eq!(deleted, 2);
-        assert_eq!(lookup(&db.table("t").unwrap(), 2), [] as [usize; 0]);
-    }
-
-    #[test]
-    fn a_grown_tail_extends_a_copy_of_its_map() {
-        let db = Database::new();
-        db.create_table("t", cols(&["a"])).unwrap();
-        db.insert("t", (0..10).map(|i| vec![Value::Int(i)]).collect())
-            .unwrap();
-        db.create_index("t", "a").unwrap();
-        let base = db.table("t").unwrap();
-        db.insert("t", vec![vec![Value::Int(1)], vec![Value::Int(7)]])
-            .unwrap();
-        let grown = db.table("t").unwrap();
-        assert_eq!(grown.indexes[&0], Index::build(&grown.data, 0));
-        assert_eq!(lookup(&grown, 1), [1, 10]);
-        // The base version's map is untouched: the append extended a copy.
-        assert_eq!(base.indexes[&0], Index::build(&base.data, 0));
-        // A tail with a dead row is copied without it, its rows move up,
-        // so its map is rebuilt.
-        db.delete_where("t", |r| r[0] == Value::Int(5)).unwrap();
-        db.insert("t", vec![vec![Value::Int(5)]]).unwrap();
-        let moved = db.table("t").unwrap();
-        assert_eq!(moved.indexes[&0], Index::build(&moved.data, 0));
-        assert_eq!((lookup(&moved, 6), lookup(&moved, 5)), (vec![5], vec![11]));
+    /// The ids of the live rows holding `key` in column 0.
+    fn ids(t: &Table, key: i64) -> Vec<usize> {
+        let data = t.data();
+        (data.live_ids())
+            .filter(|&id| data.value(id, 0) == Value::Int(key))
+            .collect()
     }
 
     #[test]
@@ -1065,7 +833,6 @@ mod tests {
         let db = Database::new();
         db.create_table("t", cols(&["a"])).unwrap();
         db.insert("t", vec![vec![Value::Int(1)]]).unwrap();
-        db.create_index("t", "a").unwrap();
         let v = db.version();
         // Second row has the wrong arity: the whole batch must vanish and
         // no new snapshot version may be published.
@@ -1077,8 +844,6 @@ mod tests {
         assert_eq!(db.version(), v, "aborted txn must not publish");
         let t = db.table("t").unwrap();
         assert_eq!(t.data.rows, 1);
-        assert_eq!(lookup(&t, 2), [] as [usize; 0]);
-        assert_eq!(t.indexes[&0], Index::build(&t.data, 0));
     }
 
     #[test]
@@ -1087,30 +852,21 @@ mod tests {
         db.create_table("t", cols(&["a", "b"])).unwrap();
         let rows = (0..12).map(|i| vec![Value::Int(i % 3), Value::Int(i)]);
         db.insert("t", rows.collect()).unwrap();
-        db.create_index("t", "a").unwrap();
         let before = db.table("t").unwrap();
         let b_in = |set: &'static [i64]| move |r: &[Value]| set.contains(&r[1].as_int().unwrap());
-        // Two rows of twelve: masked. The columns and the index map are
-        // shared, and the lookup skips the dead rows.
+        // Two rows of twelve: masked. The columns are shared, and the
+        // survivors keep their ids.
         assert_eq!(db.delete_where("t", b_in(&[1, 4])).unwrap(), 2);
         let masked = db.table("t").unwrap();
         let seg = |t: &Table| Arc::clone(&t.data.segments[0].columns);
         assert!(Arc::ptr_eq(&seg(&masked), &seg(&before)));
-        assert!(Arc::ptr_eq(
-            masked.indexes[&0].segment(0),
-            before.indexes[&0].segment(0)
-        ));
-        assert_eq!(lookup(&masked, 1), [7, 10]);
-        // A quarter dead: compacted, and the map rebuilt over the rows left.
+        assert_eq!(ids(&masked, 1), [7, 10]);
+        // A quarter dead: compacted, so the survivors move up.
         assert_eq!(db.delete_where("t", b_in(&[7])).unwrap(), 1);
         let tr = db.table("t").unwrap();
         assert_eq!((tr.data.rows, tr.data.has_dead()), (9, false));
-        assert_eq!(tr.indexes[&0], Index::build(&tr.data, 0));
-        for (key, ids) in [(0, [0, 2, 4, 6].as_slice()), (1, &[7]), (2, &[1, 3, 5, 8])] {
-            assert_eq!(lookup(&tr, key), ids);
-            for &id in ids {
-                assert_eq!(tr.data.value(id, 0), Value::Int(key));
-            }
+        for (key, at) in [(0, [0, 2, 4, 6].as_slice()), (1, &[7]), (2, &[1, 3, 5, 8])] {
+            assert_eq!(ids(&tr, key), at);
         }
         // Surviving order is the original relative order.
         let vals: Vec<i64> = tr.data.column(1).map(|v| v.as_int().unwrap()).collect();
@@ -1187,12 +943,11 @@ mod tests {
         db.create_table("t", cols(&["a"])).unwrap();
         db.insert("t", vec![vec![Value::Int(1)], vec![Value::Int(2)]])
             .unwrap();
-        db.create_index("t", "a").unwrap();
         let v = db.version();
         let rows_before = db.row_count("t");
         let before = db.table("t").unwrap();
         // A DM batch that stages an append, a delete and an update —
-        // segments built, indexes patched — and then dies
+        // segments built, statistics revised — and then dies
         // mid-transaction.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut txn = db.begin();
@@ -1218,7 +973,6 @@ mod tests {
         let rows: Vec<Row> = before.data.iter_rows().collect();
         assert_eq!(rows, [[Value::Int(1)], [Value::Int(2)]]);
         assert_eq!(before.stats().rows, 2);
-        assert_eq!(before.indexes[&0], Index::build(&before.data, 0));
         // The writer lock recovered from the poisoning panic: later
         // transactions commit normally.
         db.insert("t", vec![vec![Value::Int(7)]]).unwrap();
@@ -1230,68 +984,25 @@ mod tests {
     fn load_validates_shape_and_emptiness() {
         let db = Database::new();
         db.create_table("t", cols(&["a"])).unwrap();
-        let load = |ct: ColumnTable, index: Index, stats: TableStats| {
+        let load = |ct: ColumnTable, stats: TableStats| {
             let mut txn = db.begin();
             let t = txn.table_mut("t").unwrap();
-            t.load(ct, HashMap::from([(0, index)]), stats)?;
+            t.load(ct, stats)?;
             txn.commit();
             Ok::<(), EngineError>(())
         };
         let one = |dtype| ColumnTable::from_rows(vec![dtype], &[vec![Value::Int(1)]]);
         let (int, str) = (one(DataType::Int), one(DataType::Str));
-        let index = |ct: &ColumnTable, extra: usize| {
-            let maps = ct.segments.iter().map(|seg| Index::postings(seg, 0));
-            maps.chain((0..extra).map(|_| Postings::new())).collect()
-        };
         let stats = |ct: &ColumnTable| tpcds_storage::collect_stats(ct, 1);
-        let wrong_type = load(str.clone(), index(&str, 0), stats(&str));
+        let wrong_type = load(str.clone(), stats(&str));
         assert!(wrong_type.is_err(), "wrong column type");
-        let extra_map = load(int.clone(), index(&int, 1), stats(&int));
-        assert!(extra_map.is_err(), "a map per segment");
-        let no_stats = load(int.clone(), index(&int, 0), TableStats::empty(1));
+        let no_stats = load(int.clone(), TableStats::empty(1));
         assert!(no_stats.is_err(), "statistics of other rows");
-        assert!(load(int.clone(), index(&int, 0), stats(&int)).is_ok());
+        assert!(load(int.clone(), stats(&int)).is_ok());
         let t = db.table("t").unwrap();
         assert_eq!((t.data().rows, t.stats().rows), (1, 1));
-        assert_eq!(lookup(&t, 1), [0]);
-        assert!(
-            load(int.clone(), index(&int, 0), stats(&int)).is_err(),
-            "table not empty"
-        );
-    }
-
-    #[test]
-    fn update_each_moves_only_the_postings_whose_key_changed() {
-        let db = Database::new();
-        db.create_table("t", cols(&["k", "v"])).unwrap();
-        let rows = (0..100).map(|i| vec![Value::Int(i % 10), Value::Int(i)]);
-        db.insert("t", rows.collect()).unwrap();
-        db.create_index("t", "k").unwrap();
-        let mut txn = db.begin();
-        let t = txn.table_mut("t").unwrap();
-        let map = |t: &Table| Arc::clone(t.indexes[&0].segment(0));
-        let before = map(t);
-        // No key column written: the index is not rebuilt — the map is
-        // the very one it was — and is still right.
-        let changed = t.update_each(|r| {
-            r[1] = Value::Int(-1);
-            true
-        });
-        assert_eq!(changed, 100);
-        assert!(Arc::ptr_eq(&map(t), &before));
-        assert_eq!(t.indexes[&0], Index::build(&t.data, 0));
-        // A key written: the segment's map is rebuilt, so the posting
-        // moves, in id order, and a key left with no row drops out.
-        t.update_each(|r| {
-            let hit = r[0] == Value::Int(3) || r[1] == Value::Int(-1) && r[0] == Value::Int(9);
-            if hit {
-                r[0] = Value::Int(4);
-            }
-            hit
-        });
-        assert_eq!(t.indexes[&0], Index::build(&t.data, 0));
-        assert_eq!(t.indexes[&0].segment(0).len(), 8);
-        txn.commit();
+        assert_eq!(ids(&t, 1), [0]);
+        assert!(load(int.clone(), stats(&int)).is_err(), "table not empty");
     }
 
     #[test]

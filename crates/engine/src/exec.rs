@@ -34,8 +34,6 @@ pub enum RoutePath {
     Unset,
     /// The serial row interpreter.
     Serial,
-    /// Hash-index probe.
-    Index,
     /// Batch in, batch out: a morsel-driven kernel, or a lazy composition
     /// that a later kernel evaluates.
     Columnar,
@@ -48,7 +46,6 @@ impl RoutePath {
         match self {
             RoutePath::Unset => "unset",
             RoutePath::Serial => "serial",
-            RoutePath::Index => "index",
             RoutePath::Columnar => "columnar",
         }
     }
@@ -82,8 +79,7 @@ pub struct OpStats {
 /// of the `Bound` statement that owns the tree.
 pub type StatsMap = HashMap<usize, OpStats>;
 
-/// Which executor runs the statement. Under either, a scan whose filter
-/// has an equality on an indexed column probes the hash index.
+/// Which executor runs the statement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ColumnarMode {
     /// The serial row interpreter end to end — the differential oracle.
@@ -391,11 +387,10 @@ fn plain_cols<'e>(exprs: impl IntoIterator<Item = &'e BExpr>) -> Option<Vec<usiz
 /// The batch executor: every node returns a lazy [`Batch`]. `Scan` yields
 /// the segments untouched with its emitted columns as the pending
 /// projection (a `sys.*` table its rows of the moment, typed as
-/// [`crate::sys::columns`] declares; an index probe its matches, typed as
-/// the table declares), a `Filter` ANDs into the pending predicate, a
-/// plain-column `Project`/`Prefix` composes the pending projection;
-/// joins, aggregates, windows, sorts and limits hand whatever batch their
-/// child produced to a morsel kernel.
+/// [`crate::sys::columns`] declares), a `Filter` ANDs into the pending
+/// predicate, a plain-column `Project`/`Prefix` composes the pending
+/// projection; joins, aggregates, windows, sorts and limits hand whatever
+/// batch their child produced to a morsel kernel.
 fn batch_node(
     plan: &Plan,
     ctx: &ExecCtx<'_>,
@@ -414,16 +409,7 @@ fn batch_node(
         } => {
             let b = match crate::sys::table(ctx.db, table) {
                 Some(t) => Batch::new(Arc::new(t)),
-                None => {
-                    let t = ctx.table(table)?;
-                    if let Some(rows) = index_probe(&t, filter.as_ref(), cols, ctx, outer)? {
-                        ctx.record_route(node, RoutePath::Index);
-                        let dtypes = cols.iter().map(|&c| t.data().dtypes[c]).collect();
-                        let table = tpcds_storage::ColumnTable::from_rows(dtypes, &rows);
-                        return Ok(Batch::new(Arc::new(table)));
-                    }
-                    Batch::new(Arc::clone(t.data()))
-                }
+                None => Batch::new(Arc::clone(ctx.table(table)?.data())),
             };
             columnar();
             let f = (filter.as_ref()).map(|f| compile_over(&b, f, ctx, outer, defer));
@@ -756,37 +742,6 @@ fn project_table(
     Ok(Arc::new(table))
 }
 
-/// The rows of a scan that probes a hash index instead of reading the
-/// table — those matching a `Col(i) = <row-independent expr>` conjunct
-/// over an indexed column and passing the whole filter — cut to the
-/// emitted `cols`, or `None` when no probe applies. The probe side may be
-/// a literal or a correlated outer reference — the latter is what makes
-/// per-outer-row EXISTS/IN subplans cheap.
-fn index_probe(
-    t: &crate::catalog::Table,
-    filter: Option<&BExpr>,
-    cols: &[usize],
-    ctx: &ExecCtx<'_>,
-    outer: Option<&[Value]>,
-) -> Result<Option<Vec<Row>>> {
-    let probe = filter.and_then(index_probe_key);
-    let Some((idx, key_expr)) = probe.and_then(|(col, key)| Some((t.indexes.get(&col)?, key)))
-    else {
-        return Ok(None);
-    };
-    let key = key_expr.eval(&[], ctx, outer)?;
-    let mut out = Vec::new();
-    if !key.is_null() {
-        for id in idx.lookup(t.data(), &key) {
-            let row = t.data().row(id);
-            if filter.map_or(Ok(true), |f| f.matches(&row, ctx, outer))? {
-                out.push(emitted(row, cols));
-            }
-        }
-    }
-    Ok(Some(out))
-}
-
 /// The `cols` of a table row, in order.
 fn emitted(row: Row, cols: &[usize]) -> Row {
     match cols.iter().copied().eq(0..row.len()) {
@@ -797,17 +752,15 @@ fn emitted(row: Row, cols: &[usize]) -> Row {
 
 /// The serial scan operator. Virtual `sys.*` tables materialize live
 /// state at scan time; they bypass the snapshot (introspection reads the
-/// present, not the pinned version). Base tables try the index probe,
-/// then decode row after row — the filter's columns first, the rest only
-/// for a row that passes — until `sink` declines. Each row is cut to the
-/// emitted `cols`. `route` becomes `Index` when the probe ran.
+/// present, not the pinned version). Base tables decode row after row —
+/// the filter's columns first, the rest only for a row that passes —
+/// until `sink` declines. Each row is cut to the emitted `cols`.
 fn scan_rows(
     table: &str,
     cols: &[usize],
     filter: Option<&BExpr>,
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
-    route: &mut RoutePath,
     sink: Sink<'_>,
 ) -> Result<()> {
     let keep = |row: &[Value]| filter.map_or(Ok(true), |f| f.matches(row, ctx, outer));
@@ -820,10 +773,6 @@ fn scan_rows(
         return Ok(());
     }
     let t = ctx.table(table)?;
-    if let Some(rows) = index_probe(&t, filter, cols, ctx, outer)? {
-        *route = RoutePath::Index;
-        return feed(rows, sink);
-    }
     let mut read = Vec::new();
     if let Some(f) = filter {
         f.visit_columns(&mut |c| read.push(c));
@@ -835,7 +784,7 @@ fn scan_rows(
 /// The serial row interpreter, which [`ColumnarMode::Off`] runs end to
 /// end: `plan`'s operator over its children's [`execute`]d rows,
 /// recorded as `route=serial`. This is the oracle; it has no routing of
-/// its own beyond the scan's index probe.
+/// its own.
 ///
 /// Output is pushed into `sink`. The row-at-a-time operators — `Scan`,
 /// `Filter`, plain-column `Project`, `Prefix` — [`stream`] their input
@@ -848,14 +797,13 @@ fn serial_node(
     sink: Sink<'_>,
 ) -> Result<()> {
     let child = |p: &Plan| execute(p, ctx, outer);
-    let mut route = RoutePath::Serial;
     match plan {
         Plan::Scan {
             table,
             cols,
             filter,
             ..
-        } => scan_rows(table, cols, filter.as_ref(), ctx, outer, &mut route, sink),
+        } => scan_rows(table, cols, filter.as_ref(), ctx, outer, sink),
         Plan::Filter { input, predicate } => stream(input, ctx, outer, &mut |row| {
             Ok(!predicate.matches(&row, ctx, outer)? || sink(row)?)
         }),
@@ -926,7 +874,7 @@ fn serial_node(
         }),
     }?;
     let node = plan as *const Plan as usize;
-    ctx.record_route(node, route);
+    ctx.record_route(node, RoutePath::Serial);
     Ok(())
 }
 
@@ -1171,28 +1119,6 @@ fn agg_specs(groups: usize, aggs: &[AggCall]) -> Vec<tpcds_storage::AggSpec> {
         .collect()
 }
 
-/// Finds an indexable `Col = expr` conjunct where `expr` is independent of
-/// the scanned row (no local column references, no subqueries).
-fn index_probe_key(e: &BExpr) -> Option<(usize, BExpr)> {
-    fn row_independent(e: &BExpr) -> bool {
-        if e.has_subquery() {
-            return false;
-        }
-        let mut any = false;
-        e.visit_columns(&mut |_| any = true);
-        !any
-    }
-    match e {
-        BExpr::Cmp(CmpKind::Eq, l, r) => match (l.as_ref(), r.as_ref()) {
-            (BExpr::Col(i), v) if row_independent(v) => Some((*i, v.clone())),
-            (v, BExpr::Col(i)) if row_independent(v) => Some((*i, v.clone())),
-            _ => None,
-        },
-        BExpr::And(l, r) => index_probe_key(l).or_else(|| index_probe_key(r)),
-        _ => None,
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn hash_join(
     left_rows: Vec<Row>,
@@ -1428,37 +1354,4 @@ fn cmp_keys<T>(a: &[Value], b: &[Value], keys: &[(T, bool)]) -> std::cmp::Orderi
         }
     }
     std::cmp::Ordering::Equal
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::catalog::ColumnMeta;
-    use tpcds_types::{DataType, Decimal};
-
-    /// A scan that probes the index builds its batch with the table's
-    /// declared column types, not ones guessed from the probed rows: a
-    /// decimal column whose matching rows are all NULL stays a decimal.
-    #[test]
-    fn index_route_keeps_declared_types() {
-        let db = Database::new();
-        let meta = |name: &str, dtype| ColumnMeta {
-            name: name.into(),
-            dtype,
-        };
-        let rows = vec![
-            vec![Value::Int(1), Value::Null],
-            vec![Value::Int(2), Value::Decimal(Decimal::from_cents(150))],
-        ];
-        let cols = vec![meta("k", DataType::Int), meta("d", DataType::Decimal)];
-        db.create_table_with_rows("t", cols, rows).unwrap();
-        db.create_index("t", "k").unwrap();
-        let bound = crate::plan_sql(&db, "select d from t where k = 1").unwrap();
-        let ctx = ExecCtx::new(&db, db.snapshot(), ExecOptions::default());
-        let b = batch(&bound.plan, &ctx, None).unwrap();
-        assert_eq!(b.table.rows, 1);
-        assert_eq!(b.table.dtypes[b.phys(0)], DataType::Decimal);
-        let stats = ctx.take_stats();
-        assert!(stats.values().any(|s| s.route == RoutePath::Index));
-    }
 }

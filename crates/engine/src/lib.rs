@@ -3,10 +3,8 @@
 //! A from-scratch in-memory SQL engine sized for the TPC-DS workload:
 //! lexer → parser → binder → optimizer (predicate pushdown + greedy join
 //! ordering) → executor (hash joins, hash aggregation with ROLLUP, window
-//! functions, set operations, correlated subqueries with memoization),
-//! plus hash indexes — the "basic auxiliary data structures" the ad-hoc
-//! part of the schema allows and the richer ones the reporting part
-//! showcases.
+//! functions, set operations, correlated subqueries with memoization)
+//! over tables stored as typed column segments, which every scan reads.
 
 #![warn(missing_docs)]
 
@@ -26,7 +24,7 @@ pub mod sys;
 
 pub use binder::{Binder, Bound};
 pub use catalog::{
-    ColumnMeta, Commit, Database, DbSnapshot, Index, RowMut, SnapshotInfo, Table, WriteTxn,
+    ColumnMeta, Commit, Database, DbSnapshot, RowMut, SnapshotInfo, Table, WriteTxn,
 };
 pub use error::{EngineError, Result};
 pub use exec::{ColumnarMode, ExecCtx, ExecOptions, RoutePath};
@@ -96,7 +94,7 @@ pub struct Profile {
 
 impl Profile {
     /// The best route any node took, subquery bodies included — the
-    /// statement's headline path (serial < index < columnar, per
+    /// statement's headline path (serial < columnar, per
     /// [`RoutePath`]'s derive order). `RoutePath::Unset` if nothing ran.
     pub fn best_route(&self) -> RoutePath {
         (self.ops().map(|s| s.route).max()).unwrap_or_default()
@@ -747,12 +745,11 @@ mod tests {
         assert!(create_table_as(&db, "summary", "select 1").is_err());
     }
 
-    /// Every statement probes the index on `t.k` (in its own scan or in a
-    /// correlated body's) and answers as it does on the kernels after the
-    /// index is dropped, and as the row interpreter does with and without
-    /// the index.
+    /// Key equalities — in a statement's own scan or in a correlated
+    /// body's — answer on the batch executor as on the row interpreter,
+    /// and every node of the batch run is columnar.
     #[test]
-    fn index_scan_matches_full_scan() {
+    fn key_equalities_match_the_row_interpreter() {
         let db = db_with(
             "t",
             &["k", "v"],
@@ -772,15 +769,14 @@ mod tests {
         });
         db.create_table_with_rows("o", meta.to_vec(), outer.to_vec())
             .unwrap();
-        db.create_index("t", "k").unwrap();
         let statements = [
             "select count(*) from t where k = 7",
-            // A residual conjunct filters the probed rows.
+            // A residual conjunct filters the matched rows.
             "select v from t where k = 7 and v > 500 and v % 3 = 1",
             // A NULL key matches nothing, literal or computed.
             "select count(*) from t where k = null",
             "select count(*) from t where k = 3 + null",
-            // Correlated bodies probe once per outer key, NULL included.
+            // Correlated bodies run once per outer key, NULL included.
             "select ok from o where exists (select 1 from t where t.k = o.ok and t.v > o.ov)",
             "select ok, (select sum(v) from t where t.k = o.ok and v < 600) from o",
         ];
@@ -802,18 +798,13 @@ mod tests {
         let mut answers = Vec::new();
         for sql in statements {
             let (rows, routes) = exec(sql, ColumnarMode::Auto);
-            assert!(routes.contains(&RoutePath::Index), "{sql}: no probe");
-            assert_eq!(exec(sql, ColumnarMode::Off).0, rows, "{sql}: off");
+            let batch = routes.iter().all(|&r| r == RoutePath::Columnar);
+            assert!(batch, "{sql}: {routes:?}");
+            let (off, routes) = exec(sql, ColumnarMode::Off);
+            assert!(routes.iter().all(|&r| r == RoutePath::Serial), "{sql}");
+            assert_eq!(off, rows, "{sql}: off");
             answers.push(rows);
         }
         assert_eq!(answers[0], vec![vec![Value::Int(20)]]);
-        db.drop_index("t", "k").unwrap();
-        for (sql, rows) in statements.iter().zip(&answers) {
-            for columnar in [ColumnarMode::Auto, ColumnarMode::Off] {
-                let (got, routes) = exec(sql, columnar);
-                assert!(!routes.contains(&RoutePath::Index), "{sql}: probed");
-                assert_eq!(&got, rows, "{sql} without the index ({columnar:?})");
-            }
-        }
     }
 }

@@ -381,13 +381,13 @@ fn uncorrelated_subqueries_agree_wherever_they_appear() {
 }
 
 /// Every node `sql` executes under each kernel configuration ran a batch
-/// kernel or an index probe.
+/// kernel.
 fn assert_batch_routes(db: &Database, sql: &str) {
     for opts in kernel_runs() {
         let a = tpcds_engine::query_analyze_with(db, sql, opts).unwrap();
         for n in a.nodes.iter().filter(|n| n.executed) {
             assert!(
-                matches!(n.route, RoutePath::Columnar | RoutePath::Index),
+                n.route == RoutePath::Columnar,
                 "{sql} ({opts:?}): {} ran {:?}\n{}",
                 n.op,
                 n.route,

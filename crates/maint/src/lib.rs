@@ -12,8 +12,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tpcds_dgen::Generator;
-use tpcds_engine::catalog::Postings;
-use tpcds_engine::{Commit, Database, EngineError, Index, Result};
+use tpcds_engine::{Commit, Database, EngineError, Result};
 use tpcds_schema::ScdClass;
 use tpcds_storage::{ColumnTable, Segment, TableStats, SEGMENT_ROWS};
 use tpcds_types::{Date, Value};
@@ -495,132 +494,75 @@ pub fn delete_fact_range(
     }))
 }
 
-/// Loads the initial population of every table into the database
-/// (creating the tables first), together with the *basic* auxiliary
-/// structures the implementation rules allow on every part of the schema:
-/// single-column hash indexes on surrogate keys and the most-probed
-/// foreign keys (the richer reporting-only structures are opt-in via
-/// `tpcds_runner::build_reporting_aux`).
+/// Loads the initial population of every table into the database,
+/// creating the tables first.
 ///
 /// The unit of work is one segment of one table: a task generates its
-/// rows straight into a segment builder, then builds the segment's index
-/// maps and folds its statistics. The tasks of all tables share one list,
-/// largest first, and every worker pulls from it; a table is then its
-/// segments, maps and statistics in segment order — the same whoever ran
-/// which task — and the whole load publishes as one commit. The registry
-/// counters `maint.load.generate_us`, `maint.load.index_us` and
-/// `maint.load.stats_us` say where the time went: the workers' busy time
-/// in each step.
+/// rows straight into a segment builder, then folds the segment's
+/// statistics. The tasks of all tables share one list, largest first, and
+/// every worker pulls from it; a table is then its segments and statistics
+/// in segment order — the same whoever ran which task — and the whole load
+/// publishes as one commit. The registry counters `maint.load.generate_us`
+/// and `maint.load.stats_us` say where the time went: the workers' busy
+/// time in each step.
 pub fn load_initial_population(db: &Database, generator: &Generator) -> Result<()> {
     let _span = tpcds_obs::span("maint", "load");
     let schema = generator.schema();
-    let tables = basic_index_columns(generator);
+    let tables: Vec<&str> = schema.tables().iter().map(|t| t.name).collect();
     let cells = |&(t, k): &(usize, usize)| {
-        let rows = generator.row_count(tables[t].0) as usize;
+        let rows = generator.row_count(tables[t]) as usize;
         let segment = rows.saturating_sub(k * SEGMENT_ROWS).min(SEGMENT_ROWS);
-        segment * schema.table(tables[t].0).expect("schema table").width()
+        segment * schema.table(tables[t]).expect("schema table").width()
     };
     let mut tasks: Vec<(usize, usize)> = (0..tables.len())
-        .flat_map(|t| (0..generator.segments(tables[t].0)).map(move |k| (t, k)))
+        .flat_map(|t| (0..generator.segments(tables[t])).map(move |k| (t, k)))
         .collect();
     tasks.sort_by_key(|task| std::cmp::Reverse(cells(task)));
     let workers = tpcds_storage::effective_threads().clamp(1, tasks.len().max(1));
     let parts = tpcds_storage::run_chunks(tasks.len(), workers, |i| {
-        let ((table, indexed), k) = (&tables[tasks[i].0], tasks[i].1);
+        let (table, k) = (tables[tasks[i].0], tasks[i].1);
         let clock = Instant::now();
         let segment = generator.generate_segment(table, k);
         let generated = clock.elapsed();
-        let maps = indexed.iter().map(|&c| Index::postings(&segment, c));
-        let maps: Vec<Postings> = maps.collect();
-        let mapped = clock.elapsed();
         let stats = tpcds_storage::segment_stats(&segment);
-        let busy = [generated, mapped - generated, clock.elapsed() - mapped];
-        (segment, maps, stats, busy)
+        (segment, stats, [generated, clock.elapsed() - generated])
     });
 
-    let mut busy = [Duration::ZERO; 3];
-    let mut loads: Vec<Load> = (tables.iter())
-        .map(|(_, indexed)| Load {
-            maps: indexed.iter().map(|_| Vec::new()).collect(),
-            ..Load::default()
-        })
-        .collect();
+    let mut busy = [Duration::ZERO; 2];
+    let mut loads: Vec<Load> = tables.iter().map(|_| Load::default()).collect();
     let mut done: Vec<_> = tasks.into_iter().zip(parts).collect();
     done.sort_by_key(|(task, _)| *task);
-    for ((t, _), (segment, maps, stats, took)) in done {
+    for ((t, _), (segment, stats, took)) in done {
         busy.iter_mut().zip(took).for_each(|(sum, d)| *sum += d);
-        let load = &mut loads[t];
-        load.segments.push(segment);
-        load.maps
-            .iter_mut()
-            .zip(maps)
-            .for_each(|(m, map)| m.push(map));
-        load.stats.push(stats);
+        loads[t].segments.push(segment);
+        loads[t].stats.push(stats);
     }
     let mut txn = db.begin();
     tpcds_engine::create_tpcds_tables(&mut txn, schema)?;
-    for ((table, indexed), load) in tables.iter().zip(loads) {
+    for (table, load) in tables.iter().zip(loads) {
         let t = txn.table_mut(table)?;
         let dtypes = t.data().dtypes.clone();
         let stats = tpcds_storage::merge_segment_stats(dtypes.len(), &load.stats);
-        let indexes = (indexed.iter().copied())
-            .zip(load.maps.into_iter().map(Index::from_iter))
-            .collect();
         let data = ColumnTable {
             dtypes,
             segments: load.segments,
             rows: stats.rows as usize,
         };
-        t.load(data, indexes, stats)?;
+        t.load(data, stats)?;
     }
     txn.commit();
-    for (name, d) in ["load.generate_us", "load.index_us", "load.stats_us"]
-        .into_iter()
-        .zip(busy)
-    {
+    for (name, d) in ["load.generate_us", "load.stats_us"].into_iter().zip(busy) {
         tpcds_obs::counter("maint", name, d.as_micros() as f64);
     }
     Ok(())
 }
 
 /// What the load tasks built of one table, in segment order: the
-/// segments, each indexed column's maps, and the segments' statistics.
+/// segments and their statistics.
 #[derive(Default)]
 struct Load {
     segments: Vec<Arc<Segment>>,
-    maps: Vec<Vec<Postings>>,
     stats: Vec<TableStats>,
-}
-
-/// Every table with the positions of the columns that get a
-/// single-column key index at load: dimension surrogate keys, the fact
-/// tables' customer / item / order columns (probed by correlated
-/// subqueries), and `d_year` (the most common dimension filter).
-fn basic_index_columns(generator: &Generator) -> Vec<(&'static str, Vec<usize>)> {
-    const PROBED: [(&str, &str); 11] = [
-        ("store_sales", "ss_customer_sk"),
-        ("store_sales", "ss_item_sk"),
-        ("store_sales", "ss_ticket_number"),
-        ("store_returns", "sr_ticket_number"),
-        ("web_sales", "ws_bill_customer_sk"),
-        ("web_sales", "ws_order_number"),
-        ("web_returns", "wr_order_number"),
-        ("catalog_sales", "cs_ship_customer_sk"),
-        ("catalog_sales", "cs_order_number"),
-        ("catalog_returns", "cr_order_number"),
-        ("date_dim", "d_year"),
-    ];
-    let tables = generator.schema().tables().iter();
-    tables
-        .map(|t| {
-            let key = (t.kind == tpcds_schema::TableKind::Dimension && t.primary_key.len() == 1)
-                .then(|| t.primary_key[0]);
-            let probed = PROBED.iter().filter(|(table, _)| *table == t.name);
-            let columns = key.into_iter().chain(probed.map(|p| p.1));
-            let position = |c| t.column_index(c).expect("indexed column");
-            (t.name, columns.map(position).collect())
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -45,8 +45,8 @@ pub struct QueryRecord {
     /// Time spent queued behind the server's admission limit, µs (0
     /// in-process).
     pub admission_wait_us: u64,
-    /// Best route any plan node took (`columnar` / `index` /
-    /// `serial`; empty on bind errors).
+    /// Best route any plan node took (`columnar` / `serial`; empty on
+    /// bind errors).
     pub best_route: &'static str,
     /// Snapshot version the query executed against.
     pub snapshot_version: u64,

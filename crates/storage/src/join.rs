@@ -1,13 +1,13 @@
 //! Partitioned, morsel-driven parallel hash join.
 //!
 //! **Build phase** — the (smaller) build side's morsels are scanned in
-//! parallel; each worker partitions its morsel's qualifying rows (filter
-//! passes, no NULL key) by key hash. The per-morsel partition lists are
-//! concatenated **in morsel order**, so every partition's row list is
-//! sorted by global row id, and the per-partition [`JoinTable`]s are then
-//! built in parallel from those lists — each key's match list ends up in
-//! table order, exactly the insertion order of the engine's serial
-//! row-path `hash_join`.
+//! parallel; each worker hashes its morsel's qualifying rows (filter
+//! passes, no NULL key). The partition count follows from how many rows
+//! qualified, and the per-morsel lists are split by key hash **in morsel
+//! order**, so every partition's row list is sorted by global row id. The
+//! per-partition [`JoinTable`]s are then built in parallel from those
+//! lists — each key's match list ends up in table order, exactly the
+//! insertion order of the engine's serial row-path `hash_join`.
 //!
 //! **Probe phase** — the probe side's pending predicate runs first, once
 //! per morsel: when it admits no row, no build key is hashed (the build
@@ -56,9 +56,9 @@ pub enum JoinType {
     Left,
 }
 
-/// Partition count policy: a function of the build-side size **only** (so
-/// partitioning is identical at any worker count), one partition per
-/// ~4k build rows, capped at 64.
+/// Partition count policy: a function of the rows the build side keeps
+/// **only** (so partitioning is identical at any worker count), one
+/// partition per ~4k kept rows, capped at 64.
 fn partition_count(build_rows: usize) -> usize {
     (build_rows / 4_096).next_power_of_two().clamp(1, 64)
 }
@@ -78,12 +78,10 @@ fn build_phase(
     hash: bool,
     threads: usize,
 ) -> (Vec<JoinTable>, u64, usize, usize) {
-    let npart = partition_count(build.rows);
-    let mask = (npart - 1) as u64;
     let morsels = morsels_of(build);
     let workers = worker_count(build.rows, threads, morsels.len());
 
-    // Phase A: per-morsel (partition, global row, hash) lists in row order.
+    // Phase A: per-morsel (global row, hash) lists in row order.
     let per_morsel = run_chunks(morsels.len(), workers, |m| {
         let (si, off, len) = morsels[m];
         let base = si * SEGMENT_ROWS + off;
@@ -99,26 +97,25 @@ fn build_phase(
         keys.hashes([&rows, &[]], &mut hashes);
         (rows.into_iter().zip(hashes))
             .filter(|&(r, _)| !keys.has_null(one(r))) // NULL keys never join
-            .map(|(r, h)| (part_of(h, mask) as u32, r, h))
-            .collect()
+            .collect::<Vec<_>>()
     });
 
-    // Phase B: concatenate in morsel order, so each partition's row list
-    // is sorted by global row id — the serial build insertion order.
+    // Phase B: size the partitions by the rows kept, not the rows stored,
+    // and split in morsel order, so each partition's row list is sorted by
+    // global row id — the serial build insertion order.
+    let kept: usize = per_morsel.iter().map(Vec::len).sum();
+    let npart = partition_count(kept);
+    let mask = (npart - 1) as u64;
     let mut part_rows: Vec<Vec<(u32, u64)>> = vec![Vec::new(); npart];
-    let mut kept = 0u64;
-    for list in per_morsel {
-        kept += list.len() as u64;
-        for (p, r, h) in list {
-            part_rows[p as usize].push((r, h));
-        }
+    for (r, h) in per_morsel.into_iter().flatten() {
+        part_rows[part_of(h, mask)].push((r, h));
     }
 
     // Phase C: per-partition table construction, parallel over partitions.
     let tables = run_chunks(npart, workers.min(npart), |p| {
         JoinTable::build(&part_rows[p], |a, b| keys.eq(one(a), keys, one(b)))
     });
-    (tables, kept, npart, workers)
+    (tables, kept as u64, npart, workers)
 }
 
 /// One probe row's contribution to a residual-carrying morsel: either a
@@ -254,13 +251,11 @@ impl Probe<'_> {
         out
     }
 
-    /// Workers for the probe loop.
+    /// Workers for the probe loop: the probe side's rows plus the build
+    /// rows in the tables.
     fn workers(&self, threads: usize) -> usize {
-        worker_count(
-            self.probe.rows + self.build.rows,
-            threads,
-            self.morsels.len(),
-        )
+        let rows = self.probe.rows + self.build_rows as usize;
+        worker_count(rows, threads, self.morsels.len())
     }
 }
 
@@ -615,6 +610,26 @@ mod tests {
                 assert!(stats.partitions >= 1);
                 assert!(stats.build_rows > 0);
             }
+        }
+    }
+
+    /// A build side stored large but filtered small (a `date_dim` under a
+    /// year filter) gets one partition: the count follows the rows the
+    /// filter keeps, not the rows stored.
+    #[test]
+    fn partitions_follow_the_build_rows_the_filter_keeps() {
+        let probe = probe_table(70_000);
+        // Payloads 1000..1030: 30 rows, 6 of them with a NULL key.
+        let build = filtered(
+            &build_table(70_000),
+            &Expr::cmp(CmpKind::Lt, 1, Value::Int(1_030)),
+        );
+        let expect = reference_join(&probe, 1, &build, 0, JoinType::Inner);
+        assert!(!expect.is_empty());
+        for threads in [1, 2, 8] {
+            let (got, stats) = join(&probe, 1, &build, 0, JoinType::Inner, None, threads).unwrap();
+            assert_eq!(got, expect, "threads={threads}");
+            assert_eq!((stats.partitions, stats.build_rows), (1, 24));
         }
     }
 

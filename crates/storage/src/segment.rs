@@ -43,8 +43,8 @@ pub const SEGMENT_ROWS: usize = 65_536;
 /// SF 0.2 a refresh set deletes about 0.8 % of each fact segment, so a
 /// fact segment compacts about once every 30 sets: over a 16 s `dm_mixed`
 /// run (219 sets, 2 cores) that was 0.42 compactions per set at 4.3 ms
-/// each at most, index maps included, against the 37 ms per set that
-/// compacting the whole table on every delete cost.
+/// each at most, against the 37 ms per set that compacting the whole
+/// table on every delete cost.
 pub const COMPACT_DEAD_SHARE: f64 = 0.25;
 
 /// One row group: one [`Column`] per attribute, and which rows are dead.

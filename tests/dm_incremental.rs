@@ -1,13 +1,11 @@
 //! Integration: the segments are the table. A delete marks its rows dead
 //! in the masks of the segments it hits and rebuilds a segment only once a
-//! quarter of it is dead, an append copies at most a morsel of tail, an
-//! index is one map per segment, and every mutator revises the statistics
-//! by the rows it moves. The invariant, checked after commits:
+//! quarter of it is dead, an append copies at most a morsel of tail, and
+//! every mutator revises the statistics by the rows it moves. The
+//! invariant, checked after commits:
 //!
 //! - the live rows are the rows the table should hold, in order;
 //! - no segment is a quarter or more dead;
-//! - every segment's index map is the one built from its live rows, and a
-//!   lookup finds exactly the rows holding its key;
 //! - the statistics are a rebuild's over the live rows, except the NDV
 //!   estimates, which also count every row version the table held;
 //! - a commit's `segments_rebuilt` counts exactly the segments whose
@@ -25,7 +23,7 @@
 use std::collections::{HashMap, HashSet};
 use std::ops::DerefMut;
 use std::sync::Arc;
-use tpcds_core::engine::{ColumnMeta, Commit, Database, DbSnapshot, Index, Table};
+use tpcds_core::engine::{ColumnMeta, Commit, Database, DbSnapshot, Table};
 use tpcds_core::storage::{
     collect_stats, ColumnTable, ColumnTableBuilder, Segment, COMPACT_DEAD_SHARE, MORSEL_ROWS,
     SEGMENT_ROWS,
@@ -63,8 +61,8 @@ fn assert_compact(t: &Table, what: &str) {
     }
 }
 
-/// The invariant: `t`'s live rows are `rows`, in order, and its segments,
-/// statistics and indexes are as if built from scratch over them — except
+/// The invariant: `t`'s live rows are `rows`, in order, and its segments
+/// and statistics are as if built from scratch over them — except
 /// the NDV estimates, which are a build's over `rows` and `removed`, the
 /// row versions the table held before and no longer does.
 fn assert_as_if_built_from<'a>(
@@ -97,33 +95,6 @@ fn assert_as_if_built_from<'a>(
         assert_eq!(got.max, want.max, "{what}.{col}: max");
         assert!(got.hist == want.hist, "{what}.{col}: histogram");
         assert_eq!(got.ndv, held.columns[c].ndv, "{what}.{col}: ndv");
-    }
-
-    let position: HashMap<usize, usize> = (data.live_ids().enumerate())
-        .map(|(pos, id)| (id, pos))
-        .collect();
-    for (&col, index) in &t.indexes {
-        for (si, seg) in data.segments.iter().enumerate() {
-            let live = |(key, offsets): (&Value, &Vec<u32>)| {
-                let offsets: Vec<u32> = (offsets.iter().copied())
-                    .filter(|&i| !seg.is_dead(i as usize))
-                    .collect();
-                (!offsets.is_empty()).then(|| (key.clone(), offsets))
-            };
-            let map: HashMap<Value, Vec<u32>> = index.segment(si).iter().filter_map(live).collect();
-            assert!(
-                map == Index::postings(seg, col),
-                "{what}: index {col}, segment {si}"
-            );
-        }
-        let mut expect: HashMap<&Value, Vec<usize>> = HashMap::new();
-        for (pos, row) in rows.iter().enumerate() {
-            expect.entry(&row[col]).or_default().push(pos);
-        }
-        for (key, positions) in expect {
-            let found: Vec<usize> = index.lookup(data, key).map(|id| position[&id]).collect();
-            assert_eq!(found, positions, "{what}: index {col} at {key:?}");
-        }
     }
 }
 
@@ -324,8 +295,8 @@ impl Model {
 }
 
 /// A table of `n` rows, loaded in full segments, whose first column is the
-/// row's position: an indexed key, an indexed group, a money column, a
-/// string with NULLs, a date.
+/// row's position: a key, a group, a money column, a string with NULLs, a
+/// date.
 fn synthetic(n: usize) -> Database {
     let db = Database::new();
     let columns = [
@@ -348,8 +319,7 @@ fn synthetic(n: usize) -> Database {
     let t = txn.table_mut("t").unwrap();
     let data = ColumnTable::from_rows(dtypes, &rows_from(0, n));
     let stats = collect_stats(&data, 1);
-    t.load(data, HashMap::new(), stats).unwrap();
-    txn.create_indexes("t", &["id", "grp"]).unwrap();
+    t.load(data, stats).unwrap();
     txn.commit();
     db
 }
@@ -548,9 +518,8 @@ fn one_transaction_composes_every_kind_of_change() {
     model.check(&db.table("t").unwrap(), "composed");
 }
 
-/// Covers 2 × 65,536 + 100 rows: which segments, columns and index maps
-/// an index, an append, an update and a delete share with the version
-/// before.
+/// Covers 2 × 65,536 + 100 rows: which segments and columns an append, an
+/// update and a delete share with the version before.
 #[test]
 fn versions_share_what_the_transaction_left_alone() {
     let n = 2 * SEGMENT_ROWS + 100;
@@ -567,13 +536,7 @@ fn versions_share_what_the_transaction_left_alone() {
     let base = db.snapshot();
     let (base_t, base_u) = (base.table("t").unwrap(), base.table("u").unwrap());
 
-    // An index touches no row: the segments themselves are shared.
-    db.create_index("t", "amount").unwrap();
-    let indexed = db.table("t").unwrap();
-    assert!(Arc::ptr_eq(indexed.data(), base_t.data()));
-    assert!(Arc::ptr_eq(&indexed.stats(), &base_t.stats()));
-
-    // A 10-row append builds the tail segment and its maps, nothing else.
+    // A 10-row append builds the tail segment, nothing else.
     let mut txn = db.begin();
     txn.table_mut("t")
         .unwrap()
@@ -588,14 +551,6 @@ fn versions_share_what_the_transaction_left_alone() {
     assert!(Arc::ptr_eq(&new.segments[0], &old.segments[0]));
     assert!(Arc::ptr_eq(&new.segments[1], &old.segments[1]));
     assert!(!Arc::ptr_eq(&new.segments[2], &old.segments[2]));
-    let map = |t: &Table, col: usize, si: usize| Arc::clone(t.indexes[&col].segment(si));
-    for col in [0, 1, 2] {
-        assert!(Arc::ptr_eq(&map(&appended, col, 1), &map(&indexed, col, 1)));
-        assert!(!Arc::ptr_eq(
-            &map(&appended, col, 2),
-            &map(&indexed, col, 2)
-        ));
-    }
     model.check(&appended, "after a 10-row append");
 
     // The untouched table is the same table: segments, statistics and all.
@@ -603,8 +558,7 @@ fn versions_share_what_the_transaction_left_alone() {
     assert!(Arc::ptr_eq(&u, &base_u));
     assert!(Arc::ptr_eq(&u.stats(), &base_u.stats()));
 
-    // An update rebuilds the segment it lands in, and the maps there of
-    // the columns it changed only.
+    // An update rebuilds the segment it lands in.
     let hit = |r: &[Value]| id(r) == SEGMENT_ROWS + 5;
     db.update_each("t", |row| set_if(row, hit(row), 1, Value::Int(-5)))
         .unwrap();
@@ -614,10 +568,8 @@ fn versions_share_what_the_transaction_left_alone() {
     assert!(Arc::ptr_eq(&updated.segments[0], &new.segments[0]));
     assert!(!Arc::ptr_eq(&updated.segments[1], &new.segments[1]));
     assert!(Arc::ptr_eq(&updated.segments[2], &new.segments[2]));
-    assert!(Arc::ptr_eq(&map(&t, 0, 1), &map(&appended, 0, 1)));
-    assert!(!Arc::ptr_eq(&map(&t, 1, 1), &map(&appended, 1, 1)));
     // A delete builds nothing: the segment it hits is a new mask over the
-    // same columns, and every index map is shared.
+    // same columns.
     let mut txn = db.begin();
     let gone = |r: &[Value]| id(r) == SEGMENT_ROWS + 6;
     txn.table_mut("t").unwrap().delete_where(gone);
@@ -633,36 +585,27 @@ fn versions_share_what_the_transaction_left_alone() {
         &updated.segments[1].columns
     ));
     assert!(Arc::ptr_eq(&deleted.segments[2], &updated.segments[2]));
-    for (col, si) in [0, 1, 2]
-        .into_iter()
-        .flat_map(|c| (0..3).map(move |s| (c, s)))
-    {
-        assert!(Arc::ptr_eq(&map(&after, col, si), &map(&t, col, si)));
-    }
     model.check(&after, "after update and delete");
 }
 
-/// What a reader of `snapshot` sees of table `t`: its rows, the
-/// statistics' row count and `id` bounds, and where the `id` index finds
-/// ids 5 and 1,003.
-type Seen = (Vec<Row>, u64, Option<Value>, Option<Value>, [Vec<usize>; 2]);
+/// What a reader of `snapshot` sees of table `t`: its rows, and the
+/// statistics' row count and `id` bounds.
+type Seen = (Vec<Row>, u64, Option<Value>, Option<Value>);
 
 fn seen(snapshot: &DbSnapshot) -> Seen {
     let t = snapshot.table("t").unwrap();
     let stats = t.stats();
-    let lookup = |id: i64| t.indexes[&0].lookup(t.data(), &Value::Int(id)).collect();
     (
         t.data().iter_rows().collect(),
         stats.rows,
         stats.columns[0].min.clone(),
         stats.columns[0].max.clone(),
-        [5, 1_003].map(lookup),
     )
 }
 
 /// Covers 1,000 rows, one short segment: a pinned reader's rows,
-/// statistics, index lookups, segments and masks across an append, a
-/// delete and an update.
+/// statistics, segments and masks across an append, a delete and an
+/// update.
 #[test]
 fn a_pinned_snapshot_keeps_its_rows_statistics_and_indexes() {
     // A partial tail segment, so an append has a shared tail to not write
@@ -673,7 +616,6 @@ fn a_pinned_snapshot_keeps_its_rows_statistics_and_indexes() {
     let segments = segments_of(&pinned.table("t").unwrap());
     assert_eq!(before.0, rows_from(0, 1_000));
     assert_eq!(before.1, 1_000);
-    assert_eq!(before.4, [vec![5], vec![]]);
     let unchanged = |what: &str| {
         assert_eq!(seen(&pinned), before, "{what} moved a pinned snapshot");
         assert_unchanged(&segments, &pinned.table("t").unwrap(), what);
@@ -709,8 +651,7 @@ fn a_pinned_snapshot_keeps_its_rows_statistics_and_indexes() {
 
 /// Covers twenty SF 0.01 refresh sets, without an oracle: each of the 99
 /// templates answers byte for byte alike on the database the sets left —
-/// masks, short segments, per-segment index maps — and on one loaded fresh
-/// from its live rows, with the same indexes.
+/// masks, short segments — and on one loaded fresh from its live rows.
 #[test]
 fn the_99_templates_answer_alike_on_masked_and_freshly_loaded_rows() {
     let tpcds = TpcDs::builder().scale_factor(0.01).build().unwrap();
@@ -732,10 +673,6 @@ fn the_99_templates_answer_alike_on_masked_and_freshly_loaded_rows() {
         fresh
             .create_table_with_rows(&name, t.columns.clone(), rows)
             .unwrap();
-        let indexed: Vec<&str> = (t.indexes.keys())
-            .map(|&c| t.columns[c].name.as_str())
-            .collect();
-        fresh.create_indexes(&name, &indexed).unwrap();
     }
     assert!(dead > 0, "twenty sets left no dead row to skip");
     let answer = |db: &Database, sql: &str| match tpcds_core::engine::query(db, sql) {

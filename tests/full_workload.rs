@@ -41,7 +41,7 @@ fn all_99_queries_execute_on_generated_data() {
         assert_eq!(logged.rows, rows as u64, "q{id}");
         assert_eq!(relogged.seq, analyzed.profile.record.seq, "q{id}");
         // The log's routing column is what EXPLAIN ANALYZE reports,
-        // and every executed node ran a batch kernel or an index probe.
+        // and no executed node ran on the row interpreter.
         assert_eq!(logged.best_route, analyzed.best_route().as_str(), "q{id}");
         let serial = (analyzed.nodes.iter()).filter(|n| n.route == engine::RoutePath::Serial);
         assert_eq!(serial.count(), 0, "q{id}");

@@ -45,9 +45,7 @@ fn load() -> TpcDs {
 
 /// The 99 templates on the batch executor: every answer and every
 /// template's largest q-error match the golden file, and every executed
-/// node ran a batch kernel or an index probe. Then, with every index
-/// dropped, the templates that probed run on the kernels alone and give
-/// the same answers — the probe is checked against the scan it replaces.
+/// node ran a batch kernel.
 #[test]
 fn answers_match_golden_fingerprints() {
     let golden = load_golden();
@@ -56,19 +54,14 @@ fn answers_match_golden_fingerprints() {
     let tpcds = load();
     let db = tpcds.database();
     let mut mismatches = Vec::new();
-    let mut probed = Vec::new();
     for (&id, (rows, hash, qerr)) in &golden {
         let sql = tpcds.benchmark_sql(id, 0).unwrap();
         let analyzed = engine::query_analyze_with(db, &sql, ExecOptions::default())
             .unwrap_or_else(|e| panic!("q{id}: {e}"));
-        let executed = || analyzed.nodes.iter().filter(|n| n.executed);
-        for n in executed() {
-            if !matches!(n.route, RoutePath::Columnar | RoutePath::Index) {
+        for n in analyzed.nodes.iter().filter(|n| n.executed) {
+            if n.route != RoutePath::Columnar {
                 mismatches.push(format!("q{id}: {} ran {:?}", n.op, n.route));
             }
-        }
-        if executed().any(|n| n.route == RoutePath::Index) {
-            probed.push(id);
         }
         let fp = fingerprint(&analyzed.result);
         let max_qerr = (analyzed.nodes.iter().filter_map(|n| n.qerr)).fold(0.0, f64::max);
@@ -86,27 +79,6 @@ fn answers_match_golden_fingerprints() {
         mismatches.len(),
         mismatches.join("\n")
     );
-
-    assert!(!probed.is_empty(), "no template probed an index");
-    let mut txn = db.begin();
-    for name in db.table_names() {
-        let t = txn.table_mut(&name).unwrap();
-        let indexed: Vec<usize> = t.indexes.keys().copied().collect();
-        for col in indexed {
-            t.drop_index(col);
-        }
-    }
-    txn.commit();
-    for id in probed {
-        let sql = tpcds.benchmark_sql(id, 0).unwrap();
-        let analyzed = engine::query_analyze_with(db, &sql, ExecOptions::default())
-            .unwrap_or_else(|e| panic!("q{id} without indexes: {e}"));
-        let index = analyzed.nodes.iter().find(|n| n.route == RoutePath::Index);
-        assert!(index.is_none(), "q{id} probed a dropped index: {index:?}");
-        let fp = fingerprint(&analyzed.result);
-        let (rows, hash, _) = &golden[&id];
-        assert_eq!((fp.rows, fp.hash), (*rows, *hash), "q{id} without indexes");
-    }
 }
 
 /// Join-heavy templates (multi-way star joins over the fact tables) on

@@ -2,25 +2,21 @@
 //! by however many workers there are, and published as one commit. What
 //! it builds must not depend on the worker count: at 1, 2 and 8 workers
 //! the SF 0.02 load yields the same segments (the generator's rows, cut at
-//! the same boundaries), the same per-segment index maps, the same
-//! statistics and the same EXPLAIN for all 99 templates — and the segments,
-//! maps and statistics are the ones built serially from those segments.
+//! the same boundaries), the same statistics and the same EXPLAIN for all
+//! 99 templates — and the statistics are the ones built serially from
+//! those segments.
 
-use tpcds_core::engine::{explain_sql, Database, Index};
+use tpcds_core::engine::{explain_sql, Database};
 use tpcds_core::storage::{collect_stats, set_threads, TableStats, SEGMENT_ROWS};
 use tpcds_core::types::rng::DEFAULT_SEED;
 use tpcds_core::types::Row;
 use tpcds_core::{maint, Generator, Workload};
 
-/// One segment's index map as sorted (key, offsets) entries.
-type Map = Vec<(String, Vec<u32>)>;
-
 /// Everything of a loaded table a query can read, decoded: each segment's
-/// rows, each index's maps (sorted by column), and the statistics.
+/// rows and the statistics.
 #[derive(Debug, PartialEq)]
 struct Loaded {
     segments: Vec<Vec<Row>>,
-    indexes: Vec<(usize, Vec<Map>)>,
     stats: String,
 }
 
@@ -47,26 +43,6 @@ fn loaded(db: &Database, generator: &Generator) -> Vec<(String, Loaded)> {
             let segments: Vec<Vec<Row>> = (data.segments.iter())
                 .map(|seg| (0..seg.rows).map(|i| seg.row(i)).collect())
                 .collect();
-            let mut indexes: Vec<_> = (t.indexes.iter())
-                .map(|(&col, index)| {
-                    let maps = (0..data.segments.len()).map(|si| {
-                        let map = index.segment(si);
-                        assert_eq!(
-                            **map,
-                            Index::postings(&data.segments[si], col),
-                            "{} column {col} segment {si}: the map of its rows",
-                            def.name
-                        );
-                        let mut entries: Vec<_> = (map.iter())
-                            .map(|(key, offsets)| (format!("{key:?}"), offsets.clone()))
-                            .collect();
-                        entries.sort();
-                        entries
-                    });
-                    (col, maps.collect())
-                })
-                .collect();
-            indexes.sort_by_key(|(col, _)| *col);
             let stats = render(&t.stats());
             assert_eq!(
                 stats,
@@ -75,12 +51,7 @@ fn loaded(db: &Database, generator: &Generator) -> Vec<(String, Loaded)> {
                 def.name
             );
             let name = def.name.to_string();
-            let load = Loaded {
-                segments,
-                indexes,
-                stats,
-            };
-            (name, load)
+            (name, Loaded { segments, stats })
         })
         .collect()
 }
@@ -119,10 +90,6 @@ fn the_load_is_the_same_at_any_worker_count() {
         for ((name, got), (_, want)) in tables.iter().zip(first) {
             let segments = got.segments == want.segments;
             assert!(segments, "{name}: segments at {workers} workers");
-            assert_eq!(
-                got.indexes, want.indexes,
-                "{name}: index maps at {workers} workers"
-            );
             assert_eq!(
                 got.stats, want.stats,
                 "{name}: statistics at {workers} workers"

@@ -77,18 +77,12 @@ fn a_node_runs_serial_exactly_when_the_mode_is_off() {
             assert!(!executed.is_empty(), "{sql}: nothing executed");
             for n in executed {
                 assert_ne!(n.route, RoutePath::Unset, "{sql}: {} has no route", n.op);
-                // Off runs the interpreter (whose scan may probe an index);
-                // the other modes run a kernel or an index probe.
+                // Off runs the interpreter; the other mode runs a kernel.
                 let path = match columnar {
                     ColumnarMode::Off => RoutePath::Serial,
                     _ => RoutePath::Columnar,
                 };
-                assert!(
-                    n.route == path || n.route == RoutePath::Index,
-                    "{sql} ({columnar:?}): {} took {:?}",
-                    n.op,
-                    n.route
-                );
+                assert_eq!(n.route, path, "{sql} ({columnar:?}): {}", n.op);
                 let serial = n.route == RoutePath::Serial;
                 assert_eq!(n.fallback.is_some(), serial, "{sql}: {}", n.op);
             }
