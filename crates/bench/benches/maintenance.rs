@@ -1,35 +1,89 @@
 //! Microbenchmarks of the data maintenance operations (Figures 8-10):
 //! dimension updates, fact inserts with surrogate resolution, and the
-//! clustered delete.
+//! clustered delete; then `maint/refresh_sets`, whole refresh sets back to
+//! back on one SF 0.2 database.
+//!
+//! `cargo bench --bench maintenance -- refresh_sets` runs only the
+//! benchmarks whose name contains the argument.
 
+use std::time::{Duration, Instant};
 use tpcds_bench::harness::bench_with_setup;
-use tpcds_core::{maint, TpcDs};
+use tpcds_core::{maint, storage, TpcDs};
 
 fn load() -> TpcDs {
     TpcDs::builder().scale_factor(0.01).build().expect("load")
 }
 
+/// Refresh sets `maint/refresh_sets` runs, one after another.
+const SETS: u32 = 200;
+
+/// The exact median of `times`, in milliseconds.
+fn median_ms(mut times: Vec<Duration>) -> f64 {
+    times.sort_unstable();
+    times[times.len() / 2].as_secs_f64() * 1e3
+}
+
+/// [`SETS`] consecutive `run_maintenance` sets on one SF 0.2 database at 2
+/// workers, as `dm_mixed`'s writer runs them: prints the median set and
+/// each operation's median.
+fn refresh_sets() {
+    storage::set_threads(Some(2));
+    let t = TpcDs::builder().scale_factor(0.2).build().expect("load");
+    let mut sets = Vec::new();
+    let mut ops = vec![Vec::new(); maint::OPERATIONS.len()];
+    for seq in 0..SETS {
+        let started = Instant::now();
+        let report = maint::run_maintenance(t.database(), t.generator(), seq).expect("refresh set");
+        sets.push(started.elapsed());
+        for (times, op) in ops.iter_mut().zip(&report.ops) {
+            times.push(op.elapsed);
+        }
+    }
+    storage::set_threads(None);
+    println!(
+        "{:<44} n={SETS:<3} p50={:>11.3}ms",
+        "maint/refresh_sets",
+        median_ms(sets)
+    );
+    for (name, times) in maint::OPERATIONS.iter().zip(ops) {
+        println!("  {name:<42} p50={:>11.3}ms", median_ms(times));
+    }
+}
+
 fn main() {
-    bench_with_setup("maint/fig8_non_history_update", 10, load, |t| {
-        maint::update_non_history_dimension(t.database(), t.generator(), "customer", 0)
-            .expect("fig8");
-    });
-    bench_with_setup("maint/fig9_history_update", 10, load, |t| {
-        let when = maint::refresh_date(t.generator(), 0);
-        maint::update_history_dimension(t.database(), t.generator(), "item", 0, when)
-            .expect("fig9");
-    });
-    bench_with_setup("maint/fig10_fact_insert", 10, load, |t| {
-        maint::insert_channel(
-            t.database(),
-            t.generator(),
-            "insert_store_channel",
-            &["store_sales", "store_returns"],
-            0,
-        )
-        .expect("fig10");
-    });
-    bench_with_setup("maint/clustered_delete", 10, load, |t| {
-        maint::delete_fact_range(t.database(), t.generator(), 0).expect("delete");
-    });
+    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    let wanted = |name: &str| filter.as_deref().is_none_or(|f| name.contains(f));
+    if wanted("maint/fig8_non_history_update") {
+        bench_with_setup("maint/fig8_non_history_update", 10, load, |t| {
+            maint::update_non_history_dimension(t.database(), t.generator(), "customer", 0)
+                .expect("fig8");
+        });
+    }
+    if wanted("maint/fig9_history_update") {
+        bench_with_setup("maint/fig9_history_update", 10, load, |t| {
+            let when = maint::refresh_date(t.generator(), 0);
+            maint::update_history_dimension(t.database(), t.generator(), "item", 0, when)
+                .expect("fig9");
+        });
+    }
+    if wanted("maint/fig10_fact_insert") {
+        bench_with_setup("maint/fig10_fact_insert", 10, load, |t| {
+            maint::insert_channel(
+                t.database(),
+                t.generator(),
+                "insert_store_channel",
+                &["store_sales", "store_returns"],
+                0,
+            )
+            .expect("fig10");
+        });
+    }
+    if wanted("maint/clustered_delete") {
+        bench_with_setup("maint/clustered_delete", 10, load, |t| {
+            maint::delete_fact_range(t.database(), t.generator(), 0).expect("delete");
+        });
+    }
+    if wanted("maint/refresh_sets") {
+        refresh_sets();
+    }
 }

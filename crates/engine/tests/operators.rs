@@ -595,7 +595,7 @@ fn deeply_nested_subqueries() {
 }
 
 #[test]
-fn index_survives_mutation_correctly() {
+fn key_equalities_count_only_the_rows_left_after_a_delete() {
     let d = db();
     int_table(
         &d,

@@ -185,9 +185,8 @@ pub fn update_non_history_dimension(
     }
     let mut txn = db.begin();
     let t = txn.table_mut(table)?;
-    let wanted_at = |data: &tpcds_storage::ColumnTable, id| {
-        let bk = data.value(id, bk_idx);
-        bk.as_str().is_some_and(|bk| wanted.contains_key(bk))
+    let wanted_at = |data: &ColumnTable, id| {
+        (data.str_at(id, bk_idx)).is_some_and(|bk| wanted.contains_key(bk))
     };
     let updated = t.update_at(wanted_at, |row| {
         let bk = match row[bk_idx].as_str() {
@@ -269,27 +268,28 @@ pub fn update_history_dimension(
         "{table}: statistics max of the surrogate key"
     );
     let mut next_sk = max_sk.unwrap_or(0) + 1;
-    // Close current revisions and queue their replacements.
+    // Close the current revisions of the keys updated and queue their
+    // replacements. Only those rows are decoded: the rest are passed over
+    // on two typed cells.
     let mut to_insert = Vec::new();
-    let open_at = |data: &tpcds_storage::ColumnTable, id| data.value(id, end_idx).is_null();
-    let closed = t.update_at(open_at, |row| {
-        let bk = match row[bk_idx].as_str() {
-            Some(s) => s.to_string(),
-            None => return false,
+    let open_wanted = |data: &ColumnTable, id| {
+        data.is_null(id, end_idx)
+            && (data.str_at(id, bk_idx)).is_some_and(|bk| wanted.contains_key(bk))
+    };
+    let closed = t.update_at(open_wanted, |row| {
+        let bk = row[bk_idx].clone();
+        let Some(new_row) = bk.as_str().and_then(|bk| wanted.get(bk)) else {
+            return false;
         };
-        if let Some(new_row) = wanted.get(&bk) {
-            row[end_idx] = Value::Date(when.add_days(-1));
-            let mut rev = new_row.clone();
-            rev[0] = Value::Int(next_sk);
-            next_sk += 1;
-            rev[bk_idx] = Value::str(&bk);
-            rev[start_idx] = Value::Date(when);
-            rev[end_idx] = Value::Null;
-            to_insert.push(rev);
-            true
-        } else {
-            false
-        }
+        row[end_idx] = Value::Date(when.add_days(-1));
+        let mut rev = new_row.clone();
+        rev[0] = Value::Int(next_sk);
+        next_sk += 1;
+        rev[bk_idx] = bk;
+        rev[start_idx] = Value::Date(when);
+        rev[end_idx] = Value::Null;
+        to_insert.push(rev);
+        true
     });
     let inserted = to_insert.len();
     t.insert(to_insert)?;
@@ -306,7 +306,7 @@ pub fn update_history_dimension(
 
 /// Business-key → current-surrogate maps for the maintained dimensions
 /// the fact tables reference.
-struct Resolvers(HashMap<&'static str, HashMap<String, i64>>);
+struct Resolvers(HashMap<&'static str, HashMap<Arc<str>, i64>>);
 
 impl Resolvers {
     fn current(db: &Database, generator: &Generator) -> Result<Resolvers> {
@@ -351,7 +351,7 @@ fn insert_resolved(
             .schema()
             .table(table)
             .ok_or_else(|| EngineError::Catalog(format!("unknown table {table}")))?;
-        let conversions: Vec<(usize, &HashMap<String, i64>)> = def
+        let conversions: Vec<(usize, &HashMap<Arc<str>, i64>)> = def
             .foreign_keys
             .iter()
             .filter_map(|f| {
@@ -399,7 +399,7 @@ pub fn current_surrogates(
     db: &Database,
     generator: &Generator,
     table: &str,
-) -> Result<HashMap<String, i64>> {
+) -> Result<HashMap<Arc<str>, i64>> {
     let def = generator
         .schema()
         .table(table)
@@ -416,12 +416,14 @@ pub fn current_surrogates(
         .position(|c| c.name.ends_with("rec_end_date"));
     let t = db.table(table)?;
     let data = t.data();
-    let mut ends = end_idx.map(|c| data.column(c));
     let mut map = HashMap::with_capacity(data.rows);
-    for (sk, bk) in data.column(0).zip(data.column(bk_idx)) {
-        let open = (ends.as_mut()).is_none_or(|e| e.next().is_some_and(|end| end.is_null()));
-        if let (true, Some(bk), Some(sk)) = (open, bk.as_str(), sk.as_int()) {
-            map.insert(bk.to_string(), sk);
+    for seg in &data.segments {
+        let (sks, bks) = (&seg.columns[0], &seg.columns[bk_idx]);
+        let open = |&i: &usize| end_idx.is_none_or(|c| seg.columns[c].nulls.get(i));
+        for i in seg.live_offsets().filter(open) {
+            if let (Value::Str(bk), Some(sk)) = (bks.value_at(i), sks.value_at(i).as_int()) {
+                map.insert(bk, sk);
+            }
         }
     }
     Ok(map)

@@ -9,6 +9,7 @@
 //! buffer, so kernels can iterate the native vector without branching on
 //! an enum per row.
 
+use std::ops::Range;
 use std::sync::Arc;
 use tpcds_types::{DataType, Date, Decimal, Value};
 
@@ -49,6 +50,14 @@ impl Bitmap {
         self.set += 1;
     }
 
+    /// Sets bit `i` to `bit`.
+    pub(crate) fn put(&mut self, i: usize, bit: bool) {
+        if self.get(i) != bit {
+            self.words[i / 64] ^= 1u64 << (i % 64);
+            self.set = if bit { self.set + 1 } else { self.set - 1 };
+        }
+    }
+
     /// Appends one bit.
     pub fn push(&mut self, bit: bool) {
         let word = self.len / 64;
@@ -60,6 +69,30 @@ impl Bitmap {
             self.set += 1;
         }
         self.len += 1;
+    }
+
+    /// Appends bits `range` of `src`, a word at a time once this bitmap
+    /// ends on a word boundary.
+    pub(crate) fn extend_from(&mut self, src: &Bitmap, range: Range<usize>) {
+        let mut i = range.start;
+        self.words
+            .reserve((self.len + range.len()).div_ceil(64) - self.words.len());
+        while i < range.end && !self.len.is_multiple_of(64) {
+            self.push(src.get(i));
+            i += 1;
+        }
+        while range.end - i >= 64 {
+            let (w, shift) = (i / 64, i % 64);
+            let word = match shift {
+                0 => src.words[w],
+                _ => src.words[w] >> shift | src.words[w + 1] << (64 - shift),
+            };
+            self.words.push(word);
+            self.set += word.count_ones() as usize;
+            self.len += 64;
+            i += 64;
+        }
+        (i..range.end).for_each(|i| self.push(src.get(i)));
     }
 
     /// Reads bit `i`.
@@ -196,6 +229,29 @@ impl Column {
         }
     }
 
+    /// The cells at offsets `runs`, in order, in buffers allocated once
+    /// with room for `room` more values: each run is one slice copy.
+    pub(crate) fn copy_runs(&self, runs: &[Range<usize>], room: usize) -> Column {
+        let capacity = runs.iter().map(ExactSizeIterator::len).sum::<usize>() + room;
+        fn copy<T: Clone>(buf: &[T], runs: &[Range<usize>], capacity: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(capacity);
+            runs.iter()
+                .for_each(|r| out.extend_from_slice(&buf[r.clone()]));
+            out
+        }
+        let data = match &self.data {
+            ColumnData::I64(buf) => ColumnData::I64(copy(buf, runs, capacity)),
+            ColumnData::Decimal(buf) => ColumnData::Decimal(copy(buf, runs, capacity)),
+            ColumnData::Date(buf) => ColumnData::Date(copy(buf, runs, capacity)),
+            ColumnData::Str(buf) => ColumnData::Str(copy(buf, runs, capacity)),
+            ColumnData::Other(buf) => ColumnData::Other(copy(buf, runs, capacity)),
+        };
+        let mut nulls = Bitmap::new();
+        runs.iter()
+            .for_each(|r| nulls.extend_from(&self.nulls, r.clone()));
+        Column { data, nulls }
+    }
+
     /// Appends one value, promoting the buffer to [`ColumnData::Other`] if
     /// the value does not fit the current variant (the engine is
     /// dynamically typed, so declared and actual types can disagree).
@@ -218,6 +274,52 @@ impl Column {
             }
         }
         self.nulls.push(false);
+    }
+
+    /// Overwrites row `i` with `v`: NULL takes the slot [`Column::push`]
+    /// gives it, and a value that does not fit the buffer boxes the column
+    /// into [`ColumnData::Other`] as `push` would.
+    pub(crate) fn set(&mut self, i: usize, v: &Value) {
+        match (&mut self.data, v) {
+            (ColumnData::I64(buf), Value::Null) => buf[i] = 0,
+            (ColumnData::Decimal(buf), Value::Null) => buf[i] = Decimal::ZERO,
+            (ColumnData::Date(buf), Value::Null) => buf[i] = Date::from_ymd(1900, 1, 1),
+            (ColumnData::Str(buf), Value::Null) => buf[i] = EMPTY_STR.with(Arc::clone),
+            (ColumnData::I64(buf), Value::Int(x)) => buf[i] = *x,
+            (ColumnData::Decimal(buf), Value::Decimal(x)) => buf[i] = *x,
+            (ColumnData::Date(buf), Value::Date(x)) => buf[i] = *x,
+            (ColumnData::Str(buf), Value::Str(x)) => buf[i] = Arc::clone(x),
+            (ColumnData::Other(buf), x) => buf[i] = x.clone(),
+            _ => {
+                self.promote_to_other();
+                if let ColumnData::Other(buf) = &mut self.data {
+                    buf[i] = v.clone();
+                }
+            }
+        }
+        self.nulls.put(i, v.is_null());
+    }
+
+    /// Rewrites a boxed buffer as `dtype`'s typed one when every non-NULL
+    /// cell fits it, so a column holds what pushing its cells into
+    /// [`Column::for_type`] would build however its cells got there.
+    pub(crate) fn unbox(&mut self, dtype: DataType) {
+        let ColumnData::Other(buf) = &self.data else {
+            return;
+        };
+        let fits = |v: &Value| match v {
+            Value::Null => true,
+            Value::Int(_) => dtype == DataType::Int,
+            Value::Decimal(_) => dtype == DataType::Decimal,
+            Value::Date(_) => dtype == DataType::Date,
+            Value::Str(_) => dtype == DataType::Str,
+            Value::Time(_) | Value::Bool(_) => false,
+        };
+        if buf.iter().all(fits) {
+            let mut typed = Column::for_type(dtype);
+            buf.iter().for_each(|v| typed.push(v));
+            *self = typed;
+        }
     }
 
     fn push_null(&mut self) {
@@ -253,6 +355,16 @@ impl Column {
             ColumnData::Date(buf) => Value::Date(buf[i]),
             ColumnData::Str(buf) => Value::Str(Arc::clone(&buf[i])),
             ColumnData::Other(buf) => buf[i].clone(),
+        }
+    }
+
+    /// Row `i` as a string, when it holds one, borrowed from the buffer.
+    pub fn str_at(&self, i: usize) -> Option<&str> {
+        match &self.data {
+            _ if self.nulls.get(i) => None,
+            ColumnData::Str(buf) => Some(&buf[i]),
+            ColumnData::Other(buf) => buf[i].as_str(),
+            _ => None,
         }
     }
 
@@ -294,6 +406,27 @@ mod tests {
             b.extend_clear(start, len, &mut out);
             let want = (start..start + len).map(|i| u8::from(i % 3 != 0));
             assert_eq!(out[1..], want.collect::<Vec<_>>(), "{start}+{len}");
+        }
+    }
+
+    #[test]
+    fn bitmap_extends_from_any_offset() {
+        let bit = |i: usize| i.is_multiple_of(7) || i % 5 == 1;
+        let mut src = Bitmap::new();
+        (0..300).for_each(|i| src.push(bit(i)));
+        for held in [0, 3, 64, 70] {
+            for (start, end) in [(0, 300), (1, 300), (63, 200), (64, 128), (5, 9), (130, 130)] {
+                let mut b = Bitmap::new();
+                (0..held).for_each(|_| b.push(true));
+                b.extend_from(&src, start..end);
+                let want: Vec<bool> = (0..held)
+                    .map(|_| true)
+                    .chain((start..end).map(bit))
+                    .collect();
+                let got: Vec<bool> = (0..b.len()).map(|i| b.get(i)).collect();
+                assert_eq!(got, want, "{held} bits, then {start}..{end}");
+                assert_eq!(b.count_set(), want.iter().filter(|&&x| x).count());
+            }
         }
     }
 

@@ -15,8 +15,9 @@
 //! shorter than a morsel, [`ColumnTable::delete`] marks rows dead in a new
 //! mask over the same columns and rebuilds a segment only once
 //! [`COMPACT_DEAD_SHARE`] of it is dead, and [`ColumnTable::replace`]
-//! rebuilds the segments it hits. A pinned reader's segments never move
-//! under it.
+//! copies the columns of the segments it hits and overwrites the replaced
+//! cells. A copy is typed buffer to typed buffer, one slice per run of live
+//! rows. A pinned reader's segments never move under it.
 //!
 //! `rows` counts live rows, and every row accessor ([`ColumnTable::live_ids`],
 //! [`ColumnTable::iter_rows`], [`ColumnTable::column`],
@@ -28,9 +29,10 @@
 //! not fit its typed buffer boxes the column into
 //! [`crate::ColumnData::Other`].
 
-use crate::batch::{gather_column, NO_ROW};
+use crate::batch::NO_ROW;
 use crate::column::{Bitmap, Column};
 use crate::morsel::{run_chunks, worker_count, MORSEL_ROWS};
+use std::ops::Range;
 use std::sync::Arc;
 use tpcds_types::{DataType, Row, Value};
 
@@ -100,6 +102,39 @@ impl Segment {
     /// The offsets of the live rows, ascending.
     pub fn live_offsets(&self) -> impl Iterator<Item = usize> + Clone + '_ {
         (0..self.rows).filter(|&i| !self.is_dead(i))
+    }
+
+    /// The live rows as maximal runs of offsets, ascending.
+    fn live_runs(&self) -> Vec<Range<usize>> {
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < self.rows {
+            let start = i;
+            while i < self.rows && !self.is_dead(i) {
+                i += 1;
+            }
+            if i > start {
+                runs.push(start..i);
+            }
+            while i < self.rows && self.is_dead(i) {
+                i += 1;
+            }
+        }
+        runs
+    }
+
+    /// Copies of the columns holding only the live rows, in order, each
+    /// allocated once with room for `room` more rows: a slice copy per run
+    /// of live rows. A boxed column whose live cells all fit its declared
+    /// type comes back typed, as rebuilding it from those cells would.
+    pub(crate) fn live_columns(&self, dtypes: &[DataType], room: usize) -> Vec<Column> {
+        let runs = self.live_runs();
+        let copy = |(column, &dtype): (&Column, &DataType)| {
+            let mut copy = column.copy_runs(&runs, room);
+            copy.unbox(dtype);
+            copy
+        };
+        self.columns.iter().zip(dtypes).map(copy).collect()
     }
 
     /// Materializes row `i` of the segment.
@@ -175,6 +210,19 @@ impl ColumnTable {
         self.segments[i / SEGMENT_ROWS].columns[col].value_at(i % SEGMENT_ROWS)
     }
 
+    /// Whether the cell of column `col` in the row with id `i` is NULL.
+    pub fn is_null(&self, i: usize, col: usize) -> bool {
+        self.segments[i / SEGMENT_ROWS].columns[col]
+            .nulls
+            .get(i % SEGMENT_ROWS)
+    }
+
+    /// The cell of column `col` in the row with id `i`, when it holds a
+    /// string, borrowed from its buffer.
+    pub fn str_at(&self, i: usize, col: usize) -> Option<&str> {
+        self.segments[i / SEGMENT_ROWS].columns[col].str_at(i % SEGMENT_ROWS)
+    }
+
     /// The ids of the live rows, ascending.
     pub fn live_ids(&self) -> impl Iterator<Item = usize> + '_ {
         self.live_ids_from(0)
@@ -237,24 +285,11 @@ impl ColumnTable {
         b.segments = self.segments.clone();
         b.rows = self.rows;
         if let Some(tail) = b.segments.pop_if(|tail| tail.rows < MORSEL_ROWS) {
-            // Each copy grows right behind its allocation, where the
-            // allocator can still extend it in place: growing all of them
-            // later, on the first pushed row, copies every column twice.
+            // Each copy is allocated once, with room for the rows joining
+            // it: growing it later, on the first pushed row, would copy
+            // every column twice.
             let room = rows.len().min(SEGMENT_ROWS - tail.live());
-            let base = (self.segments.len() - 1) * SEGMENT_ROWS;
-            let ids: Vec<u32> = match tail.dead {
-                None => Vec::new(),
-                Some(_) => tail.live_offsets().map(|i| (base + i) as u32).collect(),
-            };
-            let grown = (0..self.width()).map(|c| {
-                let mut column = match tail.dead {
-                    None => tail.columns[c].clone(),
-                    Some(_) => gather_column(self, c, &ids),
-                };
-                column.reserve(room);
-                column
-            });
-            b.current = grown.collect();
+            b.current = tail.live_columns(&self.dtypes, room);
             b.open = tail.live();
         }
         let shared = b.segments.len();
@@ -326,12 +361,8 @@ impl ColumnTable {
         let moved = compacted.len() * SEGMENT_ROWS;
         let workers = worker_count(moved, threads, compacted.len());
         let built = run_chunks(compacted.len(), workers, |k| {
-            let si = compacted[k];
-            let base = si * SEGMENT_ROWS;
-            let live = table.segments[si].live_offsets();
-            let ids: Vec<u32> = live.map(|i| (base + i) as u32).collect();
-            let columns = (0..self.width()).map(|c| gather_column(&table, c, &ids));
-            Arc::new(Segment::seal(columns.collect(), ids.len()))
+            let seg = &table.segments[compacted[k]];
+            Arc::new(Segment::seal(seg.live_columns(&self.dtypes, 0), seg.live()))
         });
         for (&si, segment) in compacted.iter().zip(built) {
             table.segments[si] = segment;
@@ -340,29 +371,26 @@ impl ColumnTable {
     }
 
     /// This table with the live row at each `(id, row)` of `rows`
-    /// (ascending ids) replaced: the segments hit are rebuilt, cell by
-    /// cell, keeping their masks, and every other one is shared.
+    /// (ascending ids) replaced: each segment hit gets a copy of its
+    /// columns, typed buffer for typed buffer, with the replaced rows'
+    /// cells overwritten and its mask kept; every other one is shared.
+    /// Also returns how many segments were built.
     pub fn replace(&self, rows: &[(usize, Row)], threads: usize) -> (ColumnTable, usize) {
         let hit: Vec<_> =
             (rows.chunk_by(|a, b| a.0 / SEGMENT_ROWS == b.0 / SEGMENT_ROWS)).collect();
         let workers = worker_count(hit.len() * SEGMENT_ROWS, threads, hit.len());
         let built = run_chunks(hit.len(), workers, |task| {
             let old = &self.segments[hit[task][0].0 / SEGMENT_ROWS];
-            let columns = (0..self.width()).map(|c| {
-                let mut column = Column::for_type(self.dtypes[c]);
-                let mut new = hit[task].iter().peekable();
-                for i in 0..old.rows {
-                    match new.next_if(|(id, _)| id % SEGMENT_ROWS == i) {
-                        Some((_, row)) => column.push(&row[c]),
-                        None => column.push(&old.columns[c].value_at(i)),
-                    }
+            let mut columns = old.columns.to_vec();
+            for (c, column) in columns.iter_mut().enumerate() {
+                for (id, row) in hit[task] {
+                    column.set(id % SEGMENT_ROWS, &row[c]);
                 }
-                column
-            });
-            let dead = old.dead.clone();
+                column.unbox(self.dtypes[c]);
+            }
             Arc::new(Segment {
-                dead,
-                ..Segment::seal(columns.collect(), old.rows)
+                dead: old.dead.clone(),
+                ..Segment::seal(columns, old.rows)
             })
         });
         let mut table = self.clone();
@@ -438,6 +466,7 @@ impl ColumnTableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ColumnData;
 
     fn int_rows(n: usize) -> Vec<Row> {
         (0..n)
@@ -590,6 +619,159 @@ mod tests {
         let (grown, _) = table(0).append(&int_rows(20_000));
         let extents: Vec<usize> = grown.segments.iter().map(|s| s.rows).collect();
         assert_eq!(extents, [2 * MORSEL_ROWS, 3_616]);
+    }
+
+    /// Asserts `got` holds what `want` does: every column's buffer
+    /// variant, slots and null bits, and the segment's `bytes`. The masks
+    /// are the caller's to check.
+    fn assert_same_cells(got: &Segment, want: &Segment, what: &str) {
+        assert_eq!(
+            (got.rows, got.bytes),
+            (want.rows, want.bytes),
+            "{what}: rows, bytes"
+        );
+        let slots = |c: &Column| -> Vec<String> {
+            let slot = |i: usize| match &c.data {
+                ColumnData::I64(b) => format!("I64 {:?}", b[i]),
+                ColumnData::Decimal(b) => format!("Decimal {:?}", b[i]),
+                ColumnData::Date(b) => format!("Date {:?}", b[i]),
+                ColumnData::Str(b) => format!("Str {:?}", b[i]),
+                ColumnData::Other(b) => format!("Other {:?}", b[i]),
+            };
+            (0..c.len())
+                .map(|i| format!("{} null={}", slot(i), c.nulls.get(i)))
+                .collect()
+        };
+        for (c, (g, w)) in got.columns.iter().zip(want.columns.iter()).enumerate() {
+            assert_eq!(
+                g.nulls.count_set(),
+                w.nulls.count_set(),
+                "{what}: column {c}"
+            );
+            for (i, (g, w)) in slots(g).iter().zip(&slots(w)).enumerate() {
+                assert_eq!(g, w, "{what}: column {c}, offset {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_replace_equals_a_rebuild_of_the_rows_it_leaves() {
+        use tpcds_types::{Date, Decimal};
+        let dtypes = vec![
+            DataType::Int,
+            DataType::Decimal,
+            DataType::Date,
+            DataType::Str,
+            DataType::Int,
+        ];
+        // Every eleventh row NULL in the first four columns; the last
+        // column boxed by a string at offset 3 of each segment.
+        let row = |i: usize| -> Row {
+            let null_or = |v: Value| if i % 11 == 5 { Value::Null } else { v };
+            let day = Date::from_ymd(2000, 1, 1).add_days((i % 3_000) as i32);
+            vec![
+                null_or(Value::Int(i as i64)),
+                null_or(Value::Decimal(Decimal::new(i as i128 * 7, 2))),
+                null_or(Value::Date(day)),
+                null_or(Value::str(format!("s{}", i % 97))),
+                match i % SEGMENT_ROWS {
+                    3 => Value::str("boxed"),
+                    _ => Value::Int(-(i as i64)),
+                },
+            ]
+        };
+        let with = |i: usize, edits: &[(usize, Value)]| {
+            let mut r = row(i);
+            edits.iter().for_each(|(c, v)| r[*c] = v.clone());
+            r
+        };
+        let (n, last) = (SEGMENT_ROWS + 100, SEGMENT_ROWS - 1);
+        let table = ColumnTable::from_rows(dtypes.clone(), &(0..n).map(row).collect::<Vec<_>>());
+        let (masked, _) = table.delete(&[1, 2, 40_000], 1);
+        let replaced = vec![
+            // Values to NULL, at offset 0.
+            (0, vec![Value::Null; 5]),
+            // The boxed column's string replaced: the column is typed again.
+            (3, with(3, &[(4, Value::Int(3))])),
+            // NULLs to values.
+            (5, with(6, &[])),
+            // Values of other types box a typed column, at offset 65,535.
+            (
+                last,
+                with(last, &[(1, Value::str("x")), (2, Value::Int(9))]),
+            ),
+            // In the second segment, a NULL to a value and back.
+            (
+                SEGMENT_ROWS + 5,
+                with(SEGMENT_ROWS + 6, &[(3, Value::Null)]),
+            ),
+            (
+                SEGMENT_ROWS + 6,
+                with(SEGMENT_ROWS + 6, &[(0, Value::Null)]),
+            ),
+        ];
+        let (patched, built) = masked.replace(&replaced, 2);
+        assert_eq!(built, 2);
+
+        let mut rows: Vec<Row> = (0..n).map(row).collect();
+        replaced.iter().for_each(|(id, r)| rows[*id] = r.clone());
+        let rebuilt = ColumnTable::from_rows(dtypes, &rows);
+        for (si, (got, want)) in patched.segments.iter().zip(&rebuilt.segments).enumerate() {
+            assert_same_cells(got, want, &format!("segment {si}"));
+        }
+        let boxed = |si: usize, c: usize| {
+            matches!(patched.segments[si].columns[c].data, ColumnData::Other(_))
+        };
+        assert_eq!([boxed(0, 1), boxed(0, 2), boxed(0, 4)], [true, true, false]);
+        assert_eq!([boxed(1, 1), boxed(1, 4)], [false, true]);
+        // The mask stays; the columns are new.
+        let dead = patched.segments[0].dead().expect("masked");
+        assert_eq!(
+            (0..SEGMENT_ROWS)
+                .filter(|&i| dead.get(i))
+                .collect::<Vec<_>>(),
+            [1, 2, 40_000]
+        );
+        assert!(patched.segments[1].dead().is_none());
+        assert!(!Arc::ptr_eq(
+            &patched.segments[0].columns,
+            &masked.segments[0].columns
+        ));
+        assert_eq!(patched.rows, masked.rows);
+    }
+
+    #[test]
+    fn an_append_to_a_masked_tail_keeps_exactly_its_live_rows() {
+        let dtypes = vec![DataType::Int, DataType::Str];
+        // NULL cells next to the tail's dead offsets 0, 49 and 99.
+        let row = |i: usize| -> Row {
+            match i % SEGMENT_ROWS {
+                1 | 48 | 50 | 98 => vec![Value::Null, Value::Null],
+                _ => vec![Value::Int(i as i64), Value::str(format!("s{i}"))],
+            }
+        };
+        let n = SEGMENT_ROWS + 100;
+        let rows: Vec<Row> = (0..n).map(row).collect();
+        let t = ColumnTable::from_rows(dtypes.clone(), &rows);
+        let dead = [0, 49, 99];
+        let (masked, _) = t.delete(&dead.map(|i| (SEGMENT_ROWS + i) as u32), 1);
+        let added: Vec<Row> = [1, 7, 50].map(row).into();
+        let tail = |t: &ColumnTable| -> Vec<Row> {
+            let rows = rows[SEGMENT_ROWS..].iter().enumerate();
+            let live = rows.filter(|(i, _)| !t.has_dead() || !dead.contains(i));
+            live.map(|(_, r)| r.clone()).chain(added.clone()).collect()
+        };
+        // Masked or not, the grown tail is a rebuild of its live rows and
+        // the rows appended, with no mask.
+        for from in [&masked, &t] {
+            let (grown, built) = from.append(&added);
+            assert_eq!((built, grown.segments.len()), (1, 2));
+            assert!(Arc::ptr_eq(&grown.segments[0], &t.segments[0]));
+            assert!(!grown.has_dead());
+            let want = ColumnTable::from_rows(dtypes.clone(), &tail(from));
+            assert_same_cells(&grown.segments[1], &want.segments[0], "grown tail");
+            assert_eq!(grown.rows, from.rows + added.len());
+        }
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! and from then on changed only by the rows a change touches.
 //!
 //! [`collect_stats`] walks a [`ColumnTable`] with the same
-//! worker-count policy as the scan kernels: workers claim whole segments
-//! off a shared cursor and fold per-column accumulators (null count,
-//! min/max, an HLL NDV sketch, a log-bucketed value histogram); the
-//! partials merge commutatively, in segment order — so the result is
-//! deterministic regardless of worker count or claim order.
+//! worker-count policy as the scan kernels: each worker folds one
+//! contiguous run of segments into one set of per-column accumulators
+//! (null count, min/max, an HLL NDV sketch, a log-bucketed value
+//! histogram), and the accumulators merge in run order — so the result is
+//! the same at any worker count.
 //!
 //! [`ColumnStats`] keeps its sketch, so published statistics change
 //! without a rescan: [`extend_stats`] folds just the live rows appended
@@ -370,9 +370,9 @@ pub fn collect_stats(table: &ColumnTable, threads: usize) -> TableStats {
 
 /// The statistics of `table`, given `base`: those of all its live rows
 /// but the last `table.rows - base.rows` — the rows appended since. Walks
-/// back over the segments to where those start, folds only them and
-/// merges — exact, because no accumulator ever shrinks — so appending to
-/// a table costs the appended cells, not the table's.
+/// back over the segments to where those start and folds only them into a
+/// copy of `base` — exact, because no accumulator ever shrinks — so
+/// appending to a table costs the appended cells, not the table's.
 pub fn extend_stats(base: &TableStats, table: &ColumnTable, threads: usize) -> TableStats {
     debug_assert!(base.rows as usize <= table.rows && base.columns.len() == table.width());
     let added = table.rows - base.rows as usize;
@@ -387,19 +387,24 @@ pub fn extend_stats(base: &TableStats, table: &ColumnTable, threads: usize) -> T
     }
     let n_segs = table.segments.len() - first;
     let workers = worker_count(added, threads, n_segs);
-    let partials = run_chunks(n_segs, workers, |k| {
-        live_partial(&table.segments[first + k], if k == 0 { from } else { 0 })
-    });
-    merged(base, partials.iter().map(Vec::as_slice), table.rows)
+    fold_runs(base, table.rows, n_segs, workers, |k, acc| {
+        fold_live(
+            acc,
+            &table.segments[first + k],
+            if k == 0 { from } else { 0 },
+        )
+    })
 }
 
 /// The statistics of `seg`'s live rows: one segment's share of
 /// [`collect_stats`], for a caller that schedules the segments itself
 /// (the bulk load folds each in the task that built it).
 pub fn segment_stats(seg: &Segment) -> TableStats {
+    let mut columns = vec![ColumnStats::empty(); seg.columns.len()];
+    fold_live(&mut columns, seg, 0);
     TableStats {
         rows: seg.live() as u64,
-        columns: live_partial(seg, 0),
+        columns,
     }
 }
 
@@ -409,7 +414,7 @@ pub fn segment_stats(seg: &Segment) -> TableStats {
 pub fn merge_segment_stats(width: usize, parts: &[TableStats]) -> TableStats {
     let rows = parts.iter().map(|p| p.rows as usize).sum();
     let columns = parts.iter().map(|p| p.columns.as_slice());
-    merged(&TableStats::empty(width), columns, rows)
+    merged(vec![ColumnStats::empty(); width], columns, rows)
 }
 
 /// The statistics of the live rows at `ids` (ascending) of `table`: what
@@ -418,41 +423,65 @@ pub fn collect_stats_at(table: &ColumnTable, ids: &[u32], threads: usize) -> Tab
     let groups: Vec<&[u32]> =
         (ids.chunk_by(|a, b| a / SEGMENT_ROWS as u32 == b / SEGMENT_ROWS as u32)).collect();
     let workers = worker_count(ids.len(), threads, groups.len());
-    let partials = run_chunks(groups.len(), workers, |k| {
+    let empty = TableStats::empty(table.width());
+    fold_runs(&empty, ids.len(), groups.len(), workers, |k, acc| {
         let seg = &table.segments[groups[k][0] as usize / SEGMENT_ROWS];
-        partial(seg, groups[k].iter().map(|&id| id as usize % SEGMENT_ROWS))
-    });
-    let partials = partials.iter().map(Vec::as_slice);
-    merged(&TableStats::empty(table.width()), partials, ids.len())
+        fold_at(
+            acc,
+            seg,
+            groups[k].iter().map(|&id| id as usize % SEGMENT_ROWS),
+        )
+    })
 }
 
-/// [`partial`] over `seg`'s live rows from offset `from` on.
-fn live_partial(seg: &Segment, from: usize) -> Vec<ColumnStats> {
-    match seg.dead() {
-        None => partial(seg, from..seg.rows),
-        Some(dead) => partial(seg, (from..seg.rows).filter(|&i| !dead.get(i))),
+/// `base` with the parts `0..n` folded in by `fold`, as the statistics of
+/// `rows` rows. Each of `workers` workers folds one contiguous run of
+/// parts into one accumulator — the first worker into a copy of `base` —
+/// and the accumulators merge in run order: parts fold in order whatever
+/// the worker count, so which value stands for a tie at min or max does
+/// not depend on it.
+fn fold_runs(
+    base: &TableStats,
+    rows: usize,
+    n: usize,
+    workers: usize,
+    fold: impl Fn(usize, &mut [ColumnStats]) + Sync,
+) -> TableStats {
+    let mut accs = run_chunks(workers, workers, |w| {
+        let mut acc = match w {
+            0 => base.columns.clone(),
+            _ => vec![ColumnStats::empty(); base.columns.len()],
+        };
+        (n * w / workers..n * (w + 1) / workers).for_each(|k| fold(k, &mut acc));
+        acc
+    });
+    let first = accs.remove(0);
+    merged(first, accs.iter().map(Vec::as_slice), rows)
+}
+
+/// Folds the cells of `seg` at offsets `rows` into `acc`, column by
+/// column.
+fn fold_at(acc: &mut [ColumnStats], seg: &Segment, rows: impl Iterator<Item = usize> + Clone) {
+    for (acc, col) in acc.iter_mut().zip(seg.columns.iter()) {
+        acc.fold(col, rows.clone());
     }
 }
 
-/// One accumulator per column over the cells of `seg` at `rows`.
-fn partial(seg: &Segment, rows: impl Iterator<Item = usize> + Clone) -> Vec<ColumnStats> {
-    let fold = |col| {
-        let mut acc = ColumnStats::empty();
-        acc.fold(col, rows.clone());
-        acc
-    };
-    seg.columns.iter().map(fold).collect()
+/// [`fold_at`] over `seg`'s live rows from offset `from` on.
+fn fold_live(acc: &mut [ColumnStats], seg: &Segment, from: usize) {
+    match seg.dead() {
+        None => fold_at(acc, seg, from..seg.rows),
+        Some(dead) => fold_at(acc, seg, (from..seg.rows).filter(|&i| !dead.get(i))),
+    }
 }
 
-/// `base` with the per-segment `partials` merged in, in segment order —
-/// which value stands for a tie at min or max does not depend on who ran
-/// what — as the statistics of `rows` rows.
+/// `columns` with the `partials` merged in, in order, as the statistics
+/// of `rows` rows.
 fn merged<'a>(
-    base: &TableStats,
+    mut columns: Vec<ColumnStats>,
     partials: impl IntoIterator<Item = &'a [ColumnStats]>,
     rows: usize,
 ) -> TableStats {
-    let mut columns = base.columns.clone();
     for part in partials {
         for (into, from) in columns.iter_mut().zip(part) {
             into.merge(from);
@@ -637,6 +666,60 @@ mod tests {
                 assert_eq!((c.nulls, c.hist.is_empty()), (0, true));
                 assert!(c.min.is_none() && c.max.is_none());
             }
+        }
+    }
+
+    #[test]
+    fn statistics_do_not_depend_on_the_worker_count() {
+        use crate::ColumnData;
+        // Column 1 is boxed in every segment by an integer at offset 3, and
+        // its min, 1, ties across segments: 1.0 in the first, 1.00 in the
+        // second, an integer after. The first segment's must stand.
+        let one = |seg: usize| match seg {
+            0 => Value::Decimal(Decimal::new(10, 1)),
+            1 => Value::Decimal(Decimal::new(100, 2)),
+            _ => Value::Int(1),
+        };
+        let row = |i: usize| -> Row {
+            let boxed = match i % SEGMENT_ROWS {
+                3 => Value::Int(50),
+                7 => one(i / SEGMENT_ROWS),
+                _ => Value::Decimal(Decimal::new(200 + (i % 1_000) as i128, 2)),
+            };
+            let name = match i % 13 {
+                0 => Value::Null,
+                _ => Value::str(format!("s{}", i % 301)),
+            };
+            vec![Value::Int(i as i64), boxed, name]
+        };
+        let n = 3 * SEGMENT_ROWS + 500;
+        let rows: Vec<Row> = (0..n).map(row).collect();
+        let dtypes = vec![DataType::Int, DataType::Decimal, DataType::Str];
+        let t = table(rows.clone(), dtypes.clone());
+        assert!(t
+            .segments
+            .iter()
+            .all(|s| matches!(s.columns[1].data, ColumnData::Other(_))));
+        let at: Vec<u32> = (0..n as u32)
+            .filter(|i| i % 3 == 1 || i % SEGMENT_ROWS as u32 == 7)
+            .collect();
+        let base = collect_stats(&table(rows[..30_000].to_vec(), dtypes), 1);
+        let stats = |workers| {
+            let (at, grown) = (
+                collect_stats_at(&t, &at, workers),
+                extend_stats(&base, &t, workers),
+            );
+            for s in [&at, &grown] {
+                assert_eq!(
+                    format!("{:?}", s.columns[1].min),
+                    format!("{:?}", Some(one(0)))
+                );
+            }
+            (format!("{at:?}"), format!("{grown:?}"))
+        };
+        let one_worker = stats(1);
+        for workers in [2, 8] {
+            assert!(stats(workers) == one_worker, "{workers} workers");
         }
     }
 

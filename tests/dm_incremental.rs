@@ -607,7 +607,7 @@ fn seen(snapshot: &DbSnapshot) -> Seen {
 /// statistics, segments and masks across an append, a delete and an
 /// update.
 #[test]
-fn a_pinned_snapshot_keeps_its_rows_statistics_and_indexes() {
+fn a_pinned_snapshot_keeps_its_rows_and_statistics() {
     // A partial tail segment, so an append has a shared tail to not write
     // through.
     let (db, mut model) = (synthetic(1_000), Model::new(rows_from(0, 1_000)));

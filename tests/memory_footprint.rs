@@ -20,7 +20,7 @@ static ALLOC: mem::CountingAlloc = mem::CountingAlloc;
 const CEILING: f64 = 2.0;
 
 #[test]
-fn live_heap_after_load_is_a_small_multiple_of_segments_plus_indexes() {
+fn live_heap_after_load_is_a_small_multiple_of_segments() {
     let before = mem::live_bytes();
     let generator = Generator::new(0.01);
     let db = Database::new();
