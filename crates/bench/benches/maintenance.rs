@@ -8,7 +8,12 @@
 
 use std::time::{Duration, Instant};
 use tpcds_bench::harness::bench_with_setup;
+use tpcds_core::obs::mem;
 use tpcds_core::{maint, storage, TpcDs};
+
+/// Counts live heap bytes, which `maint/refresh_sets` reports.
+#[global_allocator]
+static ALLOC: mem::CountingAlloc = mem::CountingAlloc;
 
 fn load() -> TpcDs {
     TpcDs::builder().scale_factor(0.01).build().expect("load")
@@ -24,8 +29,8 @@ fn median_ms(mut times: Vec<Duration>) -> f64 {
 }
 
 /// [`SETS`] consecutive `run_maintenance` sets on one SF 0.2 database at 2
-/// workers, as `dm_mixed`'s writer runs them: prints the median set and
-/// each operation's median.
+/// workers, as `dm_mixed`'s writer runs them: prints the median set, each
+/// operation's median and the live heap after the last set.
 fn refresh_sets() {
     storage::set_threads(Some(2));
     let t = TpcDs::builder().scale_factor(0.2).build().expect("load");
@@ -48,6 +53,11 @@ fn refresh_sets() {
     for (name, times) in maint::OPERATIONS.iter().zip(ops) {
         println!("  {name:<42} p50={:>11.3}ms", median_ms(times));
     }
+    println!(
+        "  {:<42} {}",
+        "live heap after the sets",
+        mem::fmt_bytes(mem::live_bytes())
+    );
 }
 
 fn main() {

@@ -179,28 +179,30 @@ impl Table {
     /// asserting in a comment that they are rare.
     pub fn delete_where(&mut self, mut pred: impl FnMut(&[Value]) -> bool) -> usize {
         let mut row = Row::new();
-        self.delete_at(|data, id| {
-            data.read_row(id, &mut row);
-            pred(&row)
-        })
-    }
-
-    /// [`Table::delete_where`] for a predicate that decides from the
-    /// segments and a live row's id — one column of a wide table, say —
-    /// instead of a decoded row.
-    pub fn delete_at(&mut self, mut gone: impl FnMut(&ColumnTable, usize) -> bool) -> usize {
         let data = Arc::clone(&self.data);
         let removed: Vec<u32> = (data.live_ids())
-            .filter(|&id| gone(&data, id))
+            .filter(|&id| {
+                data.read_row(id, &mut row);
+                pred(&row)
+            })
             .map(|id| id as u32)
             .collect();
+        self.delete_ids(&removed)
+    }
+
+    /// Deletes the live rows at `removed`, ascending ids that a caller
+    /// picked from the segments itself — off one typed column of a wide
+    /// table, say ([`ColumnTable::int_ids`]); returns how many. As
+    /// [`Table::delete_where`] otherwise.
+    pub fn delete_ids(&mut self, removed: &[u32]) -> usize {
         if removed.is_empty() {
             return 0;
         }
+        let data = Arc::clone(&self.data);
         let threads = tpcds_storage::effective_threads();
         self.catch_up_stats(threads);
-        let gone_stats = tpcds_storage::collect_stats_at(&data, &removed, threads);
-        let (masked, compacted) = data.delete(&removed, threads);
+        let gone_stats = tpcds_storage::removed_stats_at(&data, removed, threads);
+        let (masked, compacted) = data.delete(removed, threads);
         self.staged.rows_masked += removed.len();
         self.staged.segments_compacted += compacted.len();
         self.put(masked, compacted.len(), removed.len());
@@ -243,7 +245,7 @@ impl Table {
             let threads = tpcds_storage::effective_threads();
             self.catch_up_stats(threads);
             let ids: Vec<u32> = replaced.iter().map(|(id, _)| *id as u32).collect();
-            let old = tpcds_storage::collect_stats_at(&data, &ids, threads);
+            let old = tpcds_storage::removed_stats_at(&data, &ids, threads);
             let (new_data, built) = data.replace(&replaced, threads);
             self.put(new_data, built, replaced.len());
             let new = tpcds_storage::collect_stats_at(&self.data, &ids, threads);
@@ -1034,7 +1036,9 @@ mod tests {
         });
         assert_eq!(visited, 1);
         assert_eq!(seen, [Value::Int(50)]);
-        assert_eq!(t.delete_at(fifty), 1);
+        let gone = t.data().int_ids(0, |x| x == 50);
+        assert_eq!(gone, [1]);
+        assert_eq!(t.delete_ids(&gone), 1);
         assert_eq!(t.data.iter_rows().collect::<Vec<_>>(), [[Value::Int(1)]]);
     }
 }

@@ -12,8 +12,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tpcds_dgen::Generator;
-use tpcds_engine::{Commit, Database, EngineError, Result};
-use tpcds_schema::ScdClass;
+use tpcds_engine::{Commit, Database, EngineError, Result, Table};
+use tpcds_schema::{ScdClass, TableDef};
 use tpcds_storage::{ColumnTable, Segment, TableStats, SEGMENT_ROWS};
 use tpcds_types::{Date, Value};
 
@@ -108,7 +108,8 @@ pub fn run_maintenance(
     // The dimension operations are done: what a business key resolves to
     // cannot change again before the set ends, so the three channels
     // share one set of maps.
-    let resolvers = Resolvers::current(db, generator)?;
+    let dimensions = Resolvers::pin(db)?;
+    let resolvers = Resolvers::new(&dimensions, generator);
     for (name, tables) in [
         ("insert_store_channel", ["store_sales", "store_returns"]),
         (
@@ -304,17 +305,30 @@ pub fn update_history_dimension(
     }))
 }
 
-/// Business-key → current-surrogate maps for the maintained dimensions
-/// the fact tables reference.
-struct Resolvers(HashMap<&'static str, HashMap<Arc<str>, i64>>);
+/// The maintained dimensions whose business keys fact inserts resolve.
+const RESOLVED: [&str; 3] = ["item", "customer", "store"];
 
-impl Resolvers {
-    fn current(db: &Database, generator: &Generator) -> Result<Resolvers> {
-        let mut maps = HashMap::new();
-        for table in ["item", "customer", "store"] {
-            maps.insert(table, current_surrogates(db, generator, table)?);
-        }
-        Ok(Resolvers(maps))
+/// Business-key → current-surrogate maps for the [`RESOLVED`]
+/// dimensions, keyed on business keys borrowed from the tables' string
+/// buffers: building them copies no string.
+struct Resolvers<'a>(HashMap<&'static str, HashMap<&'a str, i64>>);
+
+impl<'a> Resolvers<'a> {
+    /// The [`RESOLVED`] dimensions as the head snapshot holds them.
+    fn pin(db: &Database) -> Result<Vec<Arc<Table>>> {
+        RESOLVED.iter().map(|table| db.table(table)).collect()
+    }
+
+    /// The maps over `tables`, the [`RESOLVED`] dimensions in order.
+    fn new(tables: &'a [Arc<Table>], generator: &Generator) -> Resolvers<'a> {
+        let maps = (RESOLVED.iter().zip(tables)).map(|(&name, t)| {
+            let def = generator
+                .schema()
+                .table(name)
+                .expect("maintained dimension");
+            (name, current_surrogates(t.data(), def))
+        });
+        Resolvers(maps.collect())
     }
 }
 
@@ -328,7 +342,8 @@ pub fn insert_channel(
     tables: &[&str],
     refresh_seq: u32,
 ) -> Result<OpReport> {
-    let resolvers = Resolvers::current(db, generator)?;
+    let dimensions = Resolvers::pin(db)?;
+    let resolvers = Resolvers::new(&dimensions, generator);
     insert_resolved(db, generator, name, tables, refresh_seq, &resolvers)
 }
 
@@ -339,7 +354,7 @@ fn insert_resolved(
     name: &'static str,
     tables: &[&str],
     refresh_seq: u32,
-    resolvers: &Resolvers,
+    resolvers: &Resolvers<'_>,
 ) -> Result<OpReport> {
     let started = Instant::now();
     let mut inserted = 0;
@@ -351,7 +366,7 @@ fn insert_resolved(
             .schema()
             .table(table)
             .ok_or_else(|| EngineError::Catalog(format!("unknown table {table}")))?;
-        let conversions: Vec<(usize, &HashMap<Arc<str>, i64>)> = def
+        let conversions: Vec<(usize, &HashMap<&str, i64>)> = def
             .foreign_keys
             .iter()
             .filter_map(|f| {
@@ -392,18 +407,11 @@ fn insert_resolved(
     }))
 }
 
-/// Business key → current surrogate key. For history-keeping dimensions
-/// only open revisions (rec_end_date IS NULL) resolve; non-history
-/// dimensions have one row per key.
-pub fn current_surrogates(
-    db: &Database,
-    generator: &Generator,
-    table: &str,
-) -> Result<HashMap<Arc<str>, i64>> {
-    let def = generator
-        .schema()
-        .table(table)
-        .ok_or_else(|| EngineError::Catalog(format!("unknown table {table}")))?;
+/// Business key → current surrogate key of the dimension `def` whose rows
+/// are `data`, the keys borrowed from its string buffers. For
+/// history-keeping dimensions only open revisions (rec_end_date IS NULL)
+/// resolve; non-history dimensions have one row per key.
+pub fn current_surrogates<'a>(data: &'a ColumnTable, def: &TableDef) -> HashMap<&'a str, i64> {
     let bk_idx = def
         .column_index(
             def.business_key
@@ -414,19 +422,17 @@ pub fn current_surrogates(
         .columns
         .iter()
         .position(|c| c.name.ends_with("rec_end_date"));
-    let t = db.table(table)?;
-    let data = t.data();
     let mut map = HashMap::with_capacity(data.rows);
     for seg in &data.segments {
         let (sks, bks) = (&seg.columns[0], &seg.columns[bk_idx]);
         let open = |&i: &usize| end_idx.is_none_or(|c| seg.columns[c].nulls.get(i));
         for i in seg.live_offsets().filter(open) {
-            if let (Value::Str(bk), Some(sk)) = (bks.value_at(i), sks.value_at(i).as_int()) {
+            if let (Some(bk), Some(sk)) = (bks.str_at(i), sks.value_at(i).as_int()) {
                 map.insert(bk, sk);
             }
         }
     }
-    Ok(map)
+    map
 }
 
 /// The logically clustered fact delete: removes all sales dated in the
@@ -470,20 +476,17 @@ pub fn delete_fact_range(
         ),
     ] {
         let (sold, sale_key) = (column(sales, sold), column(sales, sale_key));
-        let mut keys = HashSet::new();
-        deleted += txn.table_mut(sales)?.delete_at(|data, id| {
-            let sk = data.value(id, sold).as_int();
-            let gone = sk.is_some_and(|sk| sk >= lo_sk && sk <= hi_sk);
-            if gone {
-                keys.extend(data.value(id, sale_key).as_int());
-            }
-            gone
-        });
-        let return_key = column(returns, return_key);
-        deleted += txn.table_mut(returns)?.delete_at(|data, id| {
-            let key = data.value(id, return_key).as_int();
-            key.is_some_and(|key| keys.contains(&key))
-        });
+        let t = txn.table_mut(sales)?;
+        let gone = t.data().int_ids(sold, |sk| sk >= lo_sk && sk <= hi_sk);
+        let keys: HashSet<i64> = (gone.iter())
+            .filter_map(|&id| t.data().value(id as usize, sale_key).as_int())
+            .collect();
+        deleted += t.delete_ids(&gone);
+        let t = txn.table_mut(returns)?;
+        let gone = t
+            .data()
+            .int_ids(column(returns, return_key), |key| keys.contains(&key));
+        deleted += t.delete_ids(&gone);
     }
     let commit = txn.commit();
     Ok(record_op(OpReport {
@@ -667,7 +670,8 @@ mod tests {
         .unwrap();
         assert!(rep.inserted > 0);
         // All inserted item keys resolve to open revisions.
-        let current = current_surrogates(&db, &g, "item").unwrap();
+        let item = db.table("item").unwrap();
+        let current = current_surrogates(item.data(), g.schema().table("item").unwrap());
         let valid: std::collections::HashSet<i64> = current.values().copied().collect();
         let def = g.schema().table("store_sales").unwrap();
         let item_col = def.column_index("ss_item_sk").unwrap();

@@ -178,7 +178,8 @@ impl PAcc {
     }
 
     /// Folds row `i` of `col` in, straight from the typed buffer: an
-    /// `I64`, `Decimal` or `Date` cell builds no [`Value`].
+    /// `I64`, `Decimal` or `Date` cell builds no [`Value`], and a string
+    /// cell only when it becomes a MIN or MAX.
     #[inline]
     pub(crate) fn fold(&mut self, col: &Column, i: usize) -> Result<(), StorageError> {
         if col.nulls.get(i) {
@@ -211,6 +212,7 @@ impl PAcc {
                     (ColumnData::I64(b), Value::Int(x)) => b[i].cmp(x),
                     (ColumnData::Decimal(b), Value::Decimal(x)) => b[i].cmp(x),
                     (ColumnData::Date(b), Value::Date(x)) => b[i].cmp(x),
+                    (ColumnData::Str(b), Value::Str(x)) => b.get(i).cmp(x),
                     _ => return self.update(Some(&col.value_at(i))),
                 };
                 if o == [Ordering::Greater, Ordering::Less][*is_min as usize] {

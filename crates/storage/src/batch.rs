@@ -9,7 +9,7 @@
 //! compiled expressions, the filters themselves) always address the
 //! table's **physical** columns; `proj` only shapes what a kernel emits.
 
-use crate::column::{Bitmap, Column, ColumnData};
+use crate::column::{Bitmap, Column, ColumnData, StrBuf};
 use crate::expr::Expr;
 use crate::morsel::{run_chunks, worker_count};
 use crate::pred::Pred;
@@ -182,11 +182,7 @@ pub(crate) fn gather_column(src: &ColumnTable, col: usize, ids: &[u32]) -> Colum
             _ => None,
         })
         .map(|(b, n)| (ColumnData::Date(b), n)),
-        DataType::Str => typed(src, col, ids, Arc::<str>::from(""), |d| match d {
-            ColumnData::Str(b) => Some(b),
-            _ => None,
-        })
-        .map(|(b, n)| (ColumnData::Str(b), n)),
+        DataType::Str => strings(src, col, ids).map(|(b, n)| (ColumnData::Str(b), n)),
         DataType::Time | DataType::Bool => None,
     };
     if let Some((data, nulls)) = typed {
@@ -230,6 +226,37 @@ fn typed<T: Clone>(
             out.push(buf[i].clone());
             nulls.push(n.get(i));
         }
+    }
+    Some((out, nulls))
+}
+
+/// [`typed`] for a string column: each cell's bytes copied into one
+/// buffer allocated once, a pad an empty cell. `None` also when the buffer
+/// would pass `u32::MAX` bytes, so the column boxes.
+fn strings(src: &ColumnTable, col: usize, ids: &[u32]) -> Option<(StrBuf, Bitmap)> {
+    let bufs: Vec<(&StrBuf, &Bitmap)> = (src.segments.iter())
+        .map(|s| match &s.columns[col].data {
+            ColumnData::Str(b) => Some((b, &s.columns[col].nulls)),
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    let cell = |id: u32| match id {
+        NO_ROW => ("", true),
+        id => {
+            let (buf, n) = bufs[id as usize / SEGMENT_ROWS];
+            let i = id as usize % SEGMENT_ROWS;
+            (buf.get(i), n.get(i))
+        }
+    };
+    let bytes = ids.iter().map(|&id| cell(id).0.len()).sum();
+    let mut out = StrBuf::with_capacity(ids.len(), bytes);
+    let mut nulls = Bitmap::new();
+    for &id in ids {
+        let (cell, null) = cell(id);
+        if !out.push(cell) {
+            return None;
+        }
+        nulls.push(null);
     }
     Some((out, nulls))
 }

@@ -1,23 +1,24 @@
 //! Typed column vectors with a word-packed null bitmap.
 //!
 //! A [`Column`] stores one attribute of one segment. The common TPC-DS
-//! types get dense native buffers (`i64`, [`Decimal`], [`Date`],
-//! `Arc<str>`); anything else — or a column whose values turn out not to
-//! match the declared type, which the dynamically-typed engine permits —
-//! falls back to a boxed [`Value`] buffer ([`ColumnData::Other`]). NULLs
-//! are recorded in the bitmap and occupy a default slot in the typed
-//! buffer, so kernels can iterate the native vector without branching on
-//! an enum per row.
+//! types get dense native buffers (`i64`, [`Decimal`], [`Date`], and a
+//! [`StrBuf`] for strings); anything else — or a column whose values turn
+//! out not to match the declared type, which the dynamically-typed engine
+//! permits — falls back to a boxed [`Value`] buffer ([`ColumnData::Other`]).
+//! NULLs are recorded in the bitmap and occupy a default slot in the typed
+//! buffer (an empty string in a [`StrBuf`]), so kernels can iterate the
+//! native vector without branching on an enum per row.
+//!
+//! A string column is one UTF-8 byte buffer plus one `u32` end offset per
+//! cell, not a pointer per cell: copying, patching, gathering or dropping
+//! it is a byte copy or one free, never a refcount per cell. Kernels read
+//! cells as borrowed `&str` ([`StrBuf::get`]); [`Column::value_at`] builds
+//! an owned [`Value::Str`] and is for the result edge and the row
+//! interpreter. A column whose bytes would pass `u32::MAX` boxes into
+//! [`ColumnData::Other`], as a value of another type does.
 
-use std::ops::Range;
-use std::sync::Arc;
+use std::ops::{Index, Range};
 use tpcds_types::{DataType, Date, Decimal, Value};
-
-thread_local! {
-    /// The slot every NULL string cell pushed on this thread holds, so a
-    /// NULL costs its 16-byte slot and no allocation of its own.
-    static EMPTY_STR: Arc<str> = Arc::from("");
-}
 
 /// A word-packed bitmap; bit `i` set marks row `i` — NULL in a column's
 /// bitmap, dead in a segment's mask.
@@ -48,14 +49,6 @@ impl Bitmap {
         debug_assert!(i < self.len && !self.get(i));
         self.words[i / 64] |= 1u64 << (i % 64);
         self.set += 1;
-    }
-
-    /// Sets bit `i` to `bit`.
-    pub(crate) fn put(&mut self, i: usize, bit: bool) {
-        if self.get(i) != bit {
-            self.words[i / 64] ^= 1u64 << (i % 64);
-            self.set = if bit { self.set + 1 } else { self.set - 1 };
-        }
     }
 
     /// Appends one bit.
@@ -165,6 +158,110 @@ impl Bitmap {
     }
 }
 
+/// The strings of one column: every cell's UTF-8 bytes back to back in
+/// one buffer, and the offset where each cell ends. Cell `i` is
+/// `bytes[ends[i - 1]..ends[i]]` (from 0 for the first), a slice whose
+/// bounds `String` checks in O(1).
+#[derive(Clone, Debug, Default)]
+pub struct StrBuf {
+    ends: Vec<u32>,
+    bytes: String,
+}
+
+impl StrBuf {
+    /// An empty buffer with room for `cells` cells of `bytes` bytes in all.
+    pub(crate) fn with_capacity(cells: usize, bytes: usize) -> StrBuf {
+        StrBuf {
+            ends: Vec::with_capacity(cells),
+            bytes: String::with_capacity(bytes),
+        }
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when the buffer holds no cell.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Bytes held by all cells together.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Where cell `i` starts in `bytes`: where cell `i - 1` ends.
+    #[inline]
+    fn offset(&self, i: usize) -> usize {
+        match i {
+            0 => 0,
+            i => self.ends[i - 1] as usize,
+        }
+    }
+
+    /// The byte range of cells `cells`.
+    #[inline]
+    fn span(&self, cells: Range<usize>) -> Range<usize> {
+        self.offset(cells.start)..self.offset(cells.end)
+    }
+
+    /// Cell `i`, borrowed.
+    #[inline]
+    pub fn get(&self, i: usize) -> &str {
+        &self.bytes[self.offset(i)..self.ends[i] as usize]
+    }
+
+    /// Appends `s`. Returns false, and appends nothing, when the buffer
+    /// would pass `u32::MAX` bytes.
+    #[must_use]
+    pub(crate) fn push(&mut self, s: &str) -> bool {
+        let Ok(end) = u32::try_from(self.bytes.len() + s.len()) else {
+            return false;
+        };
+        self.bytes.push_str(s);
+        self.ends.push(end);
+        true
+    }
+
+    /// Appends cells `runs` of `src`, in order: one byte copy per run.
+    /// Returns false, and appends nothing, when the buffer would pass
+    /// `u32::MAX` bytes.
+    #[must_use]
+    pub(crate) fn extend_runs(&mut self, src: &StrBuf, runs: &[Range<usize>]) -> bool {
+        let added: usize = runs.iter().map(|r| src.span(r.clone()).len()).sum();
+        if u32::try_from(self.bytes.len() + added).is_err() {
+            return false;
+        }
+        self.bytes.reserve(added);
+        self.ends
+            .reserve(runs.iter().map(ExactSizeIterator::len).sum());
+        for run in runs {
+            let span = src.span(run.clone());
+            // Each end shifts by where the run lands less where it began.
+            let shift = self.bytes.len() as i64 - span.start as i64;
+            self.bytes.push_str(&src.bytes[span]);
+            let ends = src.ends[run.clone()].iter();
+            self.ends.extend(ends.map(|&e| (e as i64 + shift) as u32));
+        }
+        true
+    }
+
+    /// Heap bytes the cells occupy: the bytes plus four per end offset.
+    pub fn heap_bytes(&self) -> usize {
+        self.bytes.len() + self.ends.len() * std::mem::size_of::<u32>()
+    }
+}
+
+impl Index<usize> for StrBuf {
+    type Output = str;
+
+    fn index(&self, i: usize) -> &str {
+        self.get(i)
+    }
+}
+
 /// The physical buffer of a column: one dense native vector per common
 /// type, or boxed values for everything else.
 #[derive(Clone, Debug)]
@@ -175,8 +272,8 @@ pub enum ColumnData {
     Decimal(Vec<Decimal>),
     /// Calendar dates.
     Date(Vec<Date>),
-    /// Strings (shared so materializing rows is a refcount bump).
-    Str(Vec<Arc<str>>),
+    /// Strings, in one byte buffer.
+    Str(StrBuf),
     /// Fallback: any value type, including mixed-type columns.
     Other(Vec<Value>),
 }
@@ -199,8 +296,28 @@ impl Column {
             DataType::Int => ColumnData::I64(Vec::new()),
             DataType::Decimal => ColumnData::Decimal(Vec::new()),
             DataType::Date => ColumnData::Date(Vec::new()),
-            DataType::Str => ColumnData::Str(Vec::new()),
+            DataType::Str => ColumnData::Str(StrBuf::default()),
             DataType::Time | DataType::Bool => ColumnData::Other(Vec::new()),
+        };
+        Column {
+            data,
+            nulls: Bitmap::new(),
+        }
+    }
+
+    /// An empty column of this one's buffer variant with room for `cells`
+    /// cells; a string buffer also for their bytes, at this column's mean
+    /// cell length.
+    pub(crate) fn empty_like(&self, cells: usize) -> Column {
+        let data = match &self.data {
+            ColumnData::I64(_) => ColumnData::I64(Vec::with_capacity(cells)),
+            ColumnData::Decimal(_) => ColumnData::Decimal(Vec::with_capacity(cells)),
+            ColumnData::Date(_) => ColumnData::Date(Vec::with_capacity(cells)),
+            ColumnData::Str(buf) => {
+                let bytes = (buf.byte_len() * cells).div_ceil(buf.len().max(1));
+                ColumnData::Str(StrBuf::with_capacity(cells, bytes))
+            }
+            ColumnData::Other(_) => ColumnData::Other(Vec::with_capacity(cells)),
         };
         Column {
             data,
@@ -224,32 +341,45 @@ impl Column {
             ColumnData::I64(buf) => buf.reserve(additional),
             ColumnData::Decimal(buf) => buf.reserve(additional),
             ColumnData::Date(buf) => buf.reserve(additional),
-            ColumnData::Str(buf) => buf.reserve(additional),
+            ColumnData::Str(buf) => buf.ends.reserve(additional),
             ColumnData::Other(buf) => buf.reserve(additional),
         }
     }
 
     /// The cells at offsets `runs`, in order, in buffers allocated once
-    /// with room for `room` more values: each run is one slice copy.
+    /// with room for `room` more values ([`Column::empty_like`]): each run
+    /// is one slice copy.
     pub(crate) fn copy_runs(&self, runs: &[Range<usize>], room: usize) -> Column {
-        let capacity = runs.iter().map(ExactSizeIterator::len).sum::<usize>() + room;
-        fn copy<T: Clone>(buf: &[T], runs: &[Range<usize>], capacity: usize) -> Vec<T> {
-            let mut out = Vec::with_capacity(capacity);
+        let cells = runs.iter().map(ExactSizeIterator::len).sum::<usize>();
+        let mut out = self.empty_like(cells + room);
+        out.extend_runs(self, runs);
+        out
+    }
+
+    /// Appends the cells at offsets `runs` of `src`, in order, exactly as
+    /// pushing each of them would: one slice copy per run when both
+    /// columns hold the same buffer variant (and a string buffer stays
+    /// under `u32::MAX` bytes), a push per cell otherwise.
+    pub(crate) fn extend_runs(&mut self, src: &Column, runs: &[Range<usize>]) {
+        fn copy<T: Clone>(out: &mut Vec<T>, buf: &[T], runs: &[Range<usize>]) -> bool {
             runs.iter()
                 .for_each(|r| out.extend_from_slice(&buf[r.clone()]));
-            out
+            true
         }
-        let data = match &self.data {
-            ColumnData::I64(buf) => ColumnData::I64(copy(buf, runs, capacity)),
-            ColumnData::Decimal(buf) => ColumnData::Decimal(copy(buf, runs, capacity)),
-            ColumnData::Date(buf) => ColumnData::Date(copy(buf, runs, capacity)),
-            ColumnData::Str(buf) => ColumnData::Str(copy(buf, runs, capacity)),
-            ColumnData::Other(buf) => ColumnData::Other(copy(buf, runs, capacity)),
+        let copied = match (&mut self.data, &src.data) {
+            (ColumnData::I64(out), ColumnData::I64(buf)) => copy(out, buf, runs),
+            (ColumnData::Decimal(out), ColumnData::Decimal(buf)) => copy(out, buf, runs),
+            (ColumnData::Date(out), ColumnData::Date(buf)) => copy(out, buf, runs),
+            (ColumnData::Str(out), ColumnData::Str(buf)) => out.extend_runs(buf, runs),
+            (ColumnData::Other(out), ColumnData::Other(buf)) => copy(out, buf, runs),
+            _ => false,
         };
-        let mut nulls = Bitmap::new();
-        runs.iter()
-            .for_each(|r| nulls.extend_from(&self.nulls, r.clone()));
-        Column { data, nulls }
+        if copied {
+            runs.iter()
+                .for_each(|r| self.nulls.extend_from(&src.nulls, r.clone()));
+        } else {
+            (runs.iter().flat_map(Range::clone)).for_each(|i| self.push(&src.value_at(i)));
+        }
     }
 
     /// Appends one value, promoting the buffer to [`ColumnData::Other`] if
@@ -260,44 +390,33 @@ impl Column {
             self.push_null();
             return;
         }
-        match (&mut self.data, v) {
-            (ColumnData::I64(buf), Value::Int(x)) => buf.push(*x),
-            (ColumnData::Decimal(buf), Value::Decimal(x)) => buf.push(*x),
-            (ColumnData::Date(buf), Value::Date(x)) => buf.push(*x),
-            (ColumnData::Str(buf), Value::Str(x)) => buf.push(Arc::clone(x)),
-            (ColumnData::Other(buf), x) => buf.push(x.clone()),
-            _ => {
-                self.promote_to_other();
-                if let ColumnData::Other(buf) = &mut self.data {
-                    buf.push(v.clone());
-                }
+        let fits = match (&mut self.data, v) {
+            (ColumnData::I64(buf), Value::Int(x)) => {
+                buf.push(*x);
+                true
+            }
+            (ColumnData::Decimal(buf), Value::Decimal(x)) => {
+                buf.push(*x);
+                true
+            }
+            (ColumnData::Date(buf), Value::Date(x)) => {
+                buf.push(*x);
+                true
+            }
+            (ColumnData::Str(buf), Value::Str(x)) => buf.push(x),
+            (ColumnData::Other(buf), x) => {
+                buf.push(x.clone());
+                true
+            }
+            _ => false,
+        };
+        if !fits {
+            self.promote_to_other();
+            if let ColumnData::Other(buf) = &mut self.data {
+                buf.push(v.clone());
             }
         }
         self.nulls.push(false);
-    }
-
-    /// Overwrites row `i` with `v`: NULL takes the slot [`Column::push`]
-    /// gives it, and a value that does not fit the buffer boxes the column
-    /// into [`ColumnData::Other`] as `push` would.
-    pub(crate) fn set(&mut self, i: usize, v: &Value) {
-        match (&mut self.data, v) {
-            (ColumnData::I64(buf), Value::Null) => buf[i] = 0,
-            (ColumnData::Decimal(buf), Value::Null) => buf[i] = Decimal::ZERO,
-            (ColumnData::Date(buf), Value::Null) => buf[i] = Date::from_ymd(1900, 1, 1),
-            (ColumnData::Str(buf), Value::Null) => buf[i] = EMPTY_STR.with(Arc::clone),
-            (ColumnData::I64(buf), Value::Int(x)) => buf[i] = *x,
-            (ColumnData::Decimal(buf), Value::Decimal(x)) => buf[i] = *x,
-            (ColumnData::Date(buf), Value::Date(x)) => buf[i] = *x,
-            (ColumnData::Str(buf), Value::Str(x)) => buf[i] = Arc::clone(x),
-            (ColumnData::Other(buf), x) => buf[i] = x.clone(),
-            _ => {
-                self.promote_to_other();
-                if let ColumnData::Other(buf) = &mut self.data {
-                    buf[i] = v.clone();
-                }
-            }
-        }
-        self.nulls.put(i, v.is_null());
     }
 
     /// Rewrites a boxed buffer as `dtype`'s typed one when every non-NULL
@@ -327,7 +446,10 @@ impl Column {
             ColumnData::I64(buf) => buf.push(0),
             ColumnData::Decimal(buf) => buf.push(Decimal::ZERO),
             ColumnData::Date(buf) => buf.push(Date::from_ymd(1900, 1, 1)),
-            ColumnData::Str(buf) => buf.push(EMPTY_STR.with(Arc::clone)),
+            ColumnData::Str(buf) => {
+                let pushed = buf.push("");
+                debug_assert!(pushed, "an empty cell adds no byte");
+            }
             ColumnData::Other(buf) => buf.push(Value::Null),
         }
         self.nulls.push(true);
@@ -344,6 +466,8 @@ impl Column {
     }
 
     /// Materializes row `i` as a [`Value`] (NULL when the bitmap says so).
+    /// A string cell is copied into a new [`Value::Str`]: kernels read
+    /// [`Column::str_at`] or the [`StrBuf`] instead.
     #[inline]
     pub fn value_at(&self, i: usize) -> Value {
         if self.nulls.get(i) {
@@ -353,7 +477,7 @@ impl Column {
             ColumnData::I64(buf) => Value::Int(buf[i]),
             ColumnData::Decimal(buf) => Value::Decimal(buf[i]),
             ColumnData::Date(buf) => Value::Date(buf[i]),
-            ColumnData::Str(buf) => Value::Str(Arc::clone(&buf[i])),
+            ColumnData::Str(buf) => Value::str(buf.get(i)),
             ColumnData::Other(buf) => buf[i].clone(),
         }
     }
@@ -362,7 +486,7 @@ impl Column {
     pub fn str_at(&self, i: usize) -> Option<&str> {
         match &self.data {
             _ if self.nulls.get(i) => None,
-            ColumnData::Str(buf) => Some(&buf[i]),
+            ColumnData::Str(buf) => Some(buf.get(i)),
             ColumnData::Other(buf) => buf[i].as_str(),
             _ => None,
         }
@@ -375,10 +499,7 @@ impl Column {
             ColumnData::I64(buf) => buf.len() * 8,
             ColumnData::Decimal(buf) => buf.len() * std::mem::size_of::<Decimal>(),
             ColumnData::Date(buf) => buf.len() * std::mem::size_of::<Date>(),
-            ColumnData::Str(buf) => buf
-                .iter()
-                .map(|s| s.len() + std::mem::size_of::<Arc<str>>())
-                .sum(),
+            ColumnData::Str(buf) => buf.heap_bytes(),
             ColumnData::Other(buf) => buf.len() * std::mem::size_of::<Value>(),
         };
         data + self.nulls.heap_bytes()
@@ -439,6 +560,98 @@ mod tests {
         assert_eq!(c.value_at(0), Value::Int(7));
         assert!(c.value_at(1).is_null());
         assert_eq!(c.value_at(2), Value::Int(-2));
+    }
+
+    /// Cells with multi-byte characters, an empty string beside a NULL,
+    /// and plain ASCII.
+    fn strings() -> Vec<Value> {
+        ["é", "", "", "日本", "a", "日本語é", "", "bc"]
+            .iter()
+            .enumerate()
+            .map(|(i, s)| match i {
+                2 | 6 => Value::Null,
+                _ => Value::str(s),
+            })
+            .collect()
+    }
+
+    fn pushed(values: &[Value]) -> Column {
+        let mut c = Column::for_type(DataType::Str);
+        values.iter().for_each(|v| c.push(v));
+        c
+    }
+
+    fn cells(c: &Column) -> Vec<Value> {
+        (0..c.len()).map(|i| c.value_at(i)).collect()
+    }
+
+    #[test]
+    fn strings_round_trip_multibyte_empty_and_null_cells() {
+        let values = strings();
+        let c = pushed(&values);
+        let ColumnData::Str(buf) = &c.data else {
+            panic!("a string column stays typed: {c:?}");
+        };
+        assert_eq!(cells(&c), values);
+        // A NULL is an empty cell plus its bit; an empty string only the
+        // empty cell.
+        assert_eq!((&buf[1], &buf[2]), ("", ""));
+        assert_eq!((c.str_at(1), c.str_at(2)), (Some(""), None));
+        assert_eq!((buf.get(3), &buf[5]), ("日本", "日本語é"));
+        let bytes = "é日本a日本語ébc".len();
+        assert_eq!((buf.len(), buf.byte_len()), (8, bytes));
+        assert_eq!(c.heap_bytes(), bytes + 8 * 4 + c.nulls.heap_bytes());
+    }
+
+    #[test]
+    fn strings_copy_runs_cut_between_multibyte_cells() {
+        let values = strings();
+        let c = pushed(&values);
+        for runs in [
+            vec![0..1, 3..4],
+            vec![1..3, 5..8],
+            vec![0..0, 3..6, 7..8],
+            vec![0..5, 5..8],
+            vec![],
+        ] {
+            let picked: Vec<Value> = (runs.iter().flat_map(Range::clone))
+                .map(|i| values[i].clone())
+                .collect();
+            let copy = c.copy_runs(&runs, 3);
+            assert!(matches!(copy.data, ColumnData::Str(_)), "{runs:?}");
+            assert_eq!(cells(&copy), picked, "{runs:?}");
+            // Onto cells already there: the ends shift by what they hold.
+            let mut grown = pushed(&values[3..6]);
+            grown.extend_runs(&c, &runs);
+            let want: Vec<Value> = values[3..6].iter().cloned().chain(picked).collect();
+            assert_eq!(cells(&grown), want, "{runs:?} onto three cells");
+            assert_eq!(grown.nulls.count_set(), pushed(&want).nulls.count_set());
+        }
+    }
+
+    #[test]
+    fn strings_copied_into_another_variant_box_as_pushes_would() {
+        let values = strings();
+        let c = pushed(&values);
+        let mut ints = Column::for_type(DataType::Int);
+        ints.push(&Value::Int(4));
+        ints.extend_runs(&c, &[2..3, 3..4]);
+        let mut want = Column::for_type(DataType::Int);
+        [Value::Int(4), Value::Null, Value::str("日本")]
+            .iter()
+            .for_each(|v| want.push(v));
+        assert!(matches!(ints.data, ColumnData::Other(_)));
+        assert_eq!(cells(&ints), cells(&want));
+        // A NULL alone fits the typed buffer.
+        let mut ints = Column::for_type(DataType::Int);
+        ints.extend_runs(&c, &[2..2, 2..3]);
+        assert!(matches!(ints.data, ColumnData::I64(_)));
+        // A boxed column of strings unboxes into one byte buffer.
+        let mut boxed = Column::for_type(DataType::Bool);
+        values.iter().for_each(|v| boxed.push(v));
+        boxed.unbox(DataType::Str);
+        assert!(matches!(boxed.data, ColumnData::Str(_)));
+        assert_eq!(cells(&boxed), values);
     }
 
     #[test]

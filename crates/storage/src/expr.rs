@@ -20,13 +20,14 @@
 //! IN-list items after a hit, rows a filter rejects).
 
 use crate::batch::Batch;
-use crate::column::{Bitmap, Column, ColumnData};
+use crate::column::{Bitmap, Column, ColumnData, StrBuf};
 use crate::morsel::{morsels_of, run_chunks, worker_count, KernelStats};
 use crate::pred::{P_FALSE, P_NULL, P_TRUE};
 use crate::segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
 use crate::StorageError;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, RwLock};
 use tpcds_types::scalar;
 use tpcds_types::{like_match, ArithOp, CmpKind, DataType, Date, Decimal, Row, ScalarFunc, Value};
@@ -116,11 +117,14 @@ pub struct KeySet {
 }
 
 /// Single integer or date keys — surrogate keys, in practice — are kept
-/// sorted so an `i64` or date buffer probes them without boxing a value.
+/// sorted so an `i64` or date buffer probes them without boxing a value;
+/// single string keys are hashed so a string buffer probes them with its
+/// borrowed cells.
 #[derive(Debug)]
 enum Keys {
     Ints(Vec<i64>),
     Dates(Vec<Date>),
+    Strs(HashSet<Arc<str>>),
     Rows(HashSet<Row>),
 }
 
@@ -146,6 +150,11 @@ impl KeySet {
             Keys::Ints(ks)
         } else if let Some(ks) = single(&rows, Value::as_date) {
             Keys::Dates(ks)
+        } else if let Some(ks) = single(&rows, |v| match v {
+            Value::Str(s) => Some(Arc::clone(s)),
+            _ => None,
+        }) {
+            Keys::Strs(ks.into_iter().collect())
         } else {
             Keys::Rows(rows.into_iter().collect())
         };
@@ -160,6 +169,7 @@ impl KeySet {
                 .binary_search_by(|k| Decimal::from_int(*k).cmp(d))
                 .is_ok(),
             (Keys::Dates(ks), [Value::Date(d)]) => ks.binary_search(d).is_ok(),
+            (Keys::Strs(ks), [Value::Str(s)]) => ks.contains(&**s),
             (Keys::Rows(ks), key) => ks.contains(key),
             _ => false,
         }
@@ -220,6 +230,9 @@ impl KeySet {
             (Keys::Dates(ks), ColumnData::Date(buf)) => probe(t, on, &col.nulls, start, |i| {
                 ks.binary_search(&buf[i]).is_ok()
             }),
+            (Keys::Strs(ks), ColumnData::Str(buf)) => {
+                probe(t, on, &col.nulls, start, |i| ks.contains(buf.get(i)))
+            }
             _ => return false,
         }
         true
@@ -384,6 +397,29 @@ fn i64_src<'v>(v: &'v Vect<'_>) -> Option<I64Src<'v>> {
     }
 }
 
+/// A window of a segment's string column: the buffer, its bitmap and the
+/// window's first row.
+struct StrSrc<'a>(&'a StrBuf, &'a Bitmap, usize);
+
+impl<'a> StrSrc<'a> {
+    /// Element `i`, borrowed; `None` when NULL.
+    #[inline]
+    fn at(&self, i: usize) -> Option<&'a str> {
+        let StrSrc(buf, nulls, start) = self;
+        (!nulls.get(start + i)).then(|| buf.get(start + i))
+    }
+}
+
+fn str_src<'v>(v: &'v Vect<'_>) -> Option<StrSrc<'v>> {
+    match v {
+        Vect::Col(col, start) => match &col.data {
+            ColumnData::Str(buf) => Some(StrSrc(buf, &col.nulls, *start)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// How one segment column compares with one constant, resolved once per
 /// morsel from (buffer variant, constant type) so the per-row loop does no
 /// type dispatch. Every arm is `Value::sql_cmp` specialized.
@@ -441,9 +477,9 @@ fn cmp_at(col: &Column, p: &Probe<'_>, i: usize) -> Option<Ordering> {
         (Probe::IntDec(d), ColumnData::I64(buf)) => Some(Decimal::from_int(buf[i]).cmp(d)),
         (Probe::DecDec(d), ColumnData::Decimal(buf)) => Some(buf[i].cmp(d)),
         (Probe::DateDate(d), ColumnData::Date(buf)) => Some(buf[i].cmp(d)),
-        (Probe::StrStr(s), ColumnData::Str(buf)) => Some(buf[i].as_ref().cmp(*s)),
+        (Probe::StrStr(s), ColumnData::Str(buf)) => Some(buf.get(i).cmp(*s)),
         (Probe::StrDate(d), ColumnData::Str(buf)) => {
-            buf[i].parse::<Date>().ok().map(|pd| pd.cmp(d))
+            buf.get(i).parse::<Date>().ok().map(|pd| pd.cmp(d))
         }
         (Probe::Other(v), ColumnData::Other(buf)) => buf[i].sql_cmp(v),
         // A probe is only built for the matching buffer variant.
@@ -477,7 +513,7 @@ fn cmp_const(op: CmpKind, col: &Column, start: usize, k: &Value, t: &mut [u8]) {
             fill(t, &col.nulls, start, |i| op.test(buf[i].cmp(d)))
         }
         (Probe::StrStr(s), ColumnData::Str(buf)) => {
-            fill(t, &col.nulls, start, |i| op.test(buf[i].as_ref().cmp(*s)))
+            fill(t, &col.nulls, start, |i| op.test(buf.get(i).cmp(*s)))
         }
         _ => {
             for (j, o) in t.iter_mut().enumerate() {
@@ -543,7 +579,7 @@ fn like_const(col: &Column, start: usize, pattern: &Value, negated: bool, t: &mu
     };
     match &col.data {
         ColumnData::Str(buf) => fill(t, &col.nulls, start, |i| {
-            like_match(&buf[i], pat) != negated
+            like_match(buf.get(i), pat) != negated
         }),
         ColumnData::Other(buf) => {
             for (j, o) in t.iter_mut().enumerate() {
@@ -598,11 +634,18 @@ impl Expr {
                 match (&le.v, &re.v) {
                     (Vect::Col(col, s), Vect::Const(k)) => cmp_const(*op, col, *s, k, &mut t),
                     (Vect::Const(k), Vect::Col(col, s)) => cmp_const(op.flip(), col, *s, k, &mut t),
-                    (x, y) => match (i64_src(x), i64_src(y)) {
-                        (Some(x), Some(y)) => {
+                    (x, y) => match (i64_src(x), i64_src(y), str_src(x), str_src(y)) {
+                        (Some(x), Some(y), ..) => {
                             for (i, o) in t.iter_mut().enumerate() {
                                 if let (Some(a), Some(b)) = (x.at(i), y.at(i)) {
                                     *o = tri_u8(op.test(a.cmp(&b)));
+                                }
+                            }
+                        }
+                        (_, _, Some(x), Some(y)) => {
+                            for (i, o) in t.iter_mut().enumerate() {
+                                if let (Some(a), Some(b)) = (x.at(i), y.at(i)) {
+                                    *o = tri_u8(op.test(a.cmp(b)));
                                 }
                             }
                         }
@@ -1328,9 +1371,11 @@ impl ErrCell {
 /// Computed projection: evaluates `exprs` over the batch's qualifying
 /// rows into a fresh [`ColumnTable`] (one column per expression, table
 /// order) whose column types come from [`Expr::dtype_hint`] — right
-/// `Int`/`Date` hints are what keep computed sort keys u64-encodable.
-/// Errors follow row-path timing: the first *surviving* deferred error in
-/// (row, expression) order; filtered-out rows' errors never fire.
+/// `Int`/`Date` hints are what keep computed sort keys u64-encodable. A
+/// plain column is copied a run of qualifying rows at a time, buffer to
+/// buffer; a computed one is pushed value by value. Errors follow
+/// row-path timing: the first *surviving* deferred error in (row,
+/// expression) order; filtered-out rows' errors never fire.
 pub fn par_project_table(
     batch: &Batch,
     exprs: &[Expr],
@@ -1340,7 +1385,8 @@ pub fn par_project_table(
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
     let cell = ErrCell::new();
-    let parts: Vec<Vec<Row>> = run_chunks(morsels.len(), workers, |m| {
+    let dtypes: Vec<DataType> = exprs.iter().map(|e| e.dtype_hint(&table.dtypes)).collect();
+    let parts: Vec<(usize, Vec<Column>)> = run_chunks(morsels.len(), workers, |m| {
         let (si, off, len) = morsels[m];
         let seg = &table.segments[si];
         let base = (si * SEGMENT_ROWS + off) as u64;
@@ -1368,18 +1414,37 @@ pub fn par_project_table(
         if let Some((j, msg)) = first {
             cell.offer(base + j as u64, msg.to_string());
         }
-        (0..len)
-            .filter(|&j| live(j))
-            .map(|j| evaled.iter().map(|ev| ev.v.get(j)).collect())
-            .collect()
+        // The qualifying rows as maximal runs of morsel positions.
+        let mut kept: Vec<Range<usize>> = Vec::new();
+        for j in (0..len).filter(|&j| live(j)) {
+            match kept.last_mut() {
+                Some(run) if run.end == j => run.end += 1,
+                _ => kept.push(j..j + 1),
+            }
+        }
+        let columns = (evaled.iter().zip(&dtypes))
+            .map(|(ev, &dtype)| {
+                let mut column = Column::for_type(dtype);
+                column.reserve(len);
+                match &ev.v {
+                    Vect::Col(src, s) => {
+                        let runs: Vec<Range<usize>> =
+                            kept.iter().map(|r| s + r.start..s + r.end).collect();
+                        column.extend_runs(src, &runs);
+                    }
+                    v => (kept.iter().flat_map(Range::clone)).for_each(|j| column.push(&v.get(j))),
+                }
+                column
+            })
+            .collect();
+        (kept.iter().map(ExactSizeIterator::len).sum(), columns)
     });
     if let Some(msg) = cell.take() {
         return Err(StorageError(msg));
     }
-    let dtypes = exprs.iter().map(|e| e.dtype_hint(&table.dtypes)).collect();
     let mut b = ColumnTableBuilder::new(dtypes);
-    for r in parts.iter().flatten() {
-        b.push_row(r);
+    for (rows, columns) in &parts {
+        b.push_runs(columns, std::slice::from_ref(&(0..*rows)));
     }
     let stats = KernelStats {
         expr_kernels: (morsels.len() * exprs.len()) as u64,

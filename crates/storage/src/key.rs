@@ -91,7 +91,7 @@ impl<'a> Cell<'a> {
             ColumnData::I64(b) => Cell::Int(b[i]),
             ColumnData::Decimal(b) => Cell::Dec(b[i]),
             ColumnData::Date(b) => Cell::Date(b[i]),
-            ColumnData::Str(b) => Cell::Str(&b[i]),
+            ColumnData::Str(b) => Cell::Str(b.get(i)),
             ColumnData::Other(b) => match &b[i] {
                 Value::Null => Cell::Null,
                 Value::Int(x) => Cell::Int(*x),
@@ -281,6 +281,12 @@ impl<'a> KeyCols<'a> {
     /// Columns `cols` of one table.
     pub(crate) fn of(table: &'a ColumnTable, cols: &[usize]) -> KeyCols<'a> {
         KeyCols::new(&[table], cols.iter().map(|&c| (0, c)))
+    }
+
+    /// Column `k`'s cell at one-table row `id`.
+    #[inline]
+    pub(crate) fn cell(&self, k: usize, id: u32) -> Cell<'a> {
+        self.cols[k].cell(id)
     }
 
     /// Column `k`'s segment column and offset at `ids`; `None` on a pad.

@@ -33,7 +33,7 @@ pub mod stats;
 
 pub use agg::{AggKind, AggSpec};
 pub use batch::Batch;
-pub use column::{Bitmap, Column, ColumnData};
+pub use column::{Bitmap, Column, ColumnData, StrBuf};
 pub use expr::{par_project_table, ErrCell, Expr, KeySet, LookupMap, SetTest};
 pub use join::{par_hash_join, par_hash_join_agg, JoinType};
 pub use morsel::{
@@ -43,8 +43,8 @@ pub use pred::Pred;
 pub use segment::{ColumnTable, ColumnTableBuilder, Segment, COMPACT_DEAD_SHARE, SEGMENT_ROWS};
 pub use sort::{par_sort, par_topn, par_window, SortKey, WinFunc, WinSpec};
 pub use stats::{
-    collect_stats, collect_stats_at, extend_stats, merge_segment_stats, segment_stats, ColumnStats,
-    TableStats,
+    collect_stats, collect_stats_at, extend_stats, merge_segment_stats, removed_stats_at,
+    segment_stats, ColumnStats, TableStats,
 };
 pub use tpcds_types::CmpKind;
 

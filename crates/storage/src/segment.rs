@@ -15,22 +15,23 @@
 //! shorter than a morsel, [`ColumnTable::delete`] marks rows dead in a new
 //! mask over the same columns and rebuilds a segment only once
 //! [`COMPACT_DEAD_SHARE`] of it is dead, and [`ColumnTable::replace`]
-//! copies the columns of the segments it hits and overwrites the replaced
-//! cells. A copy is typed buffer to typed buffer, one slice per run of live
-//! rows. A pinned reader's segments never move under it.
+//! copies the columns of the segments it hits around the replaced cells.
+//! A copy is typed buffer to typed buffer, one slice per run of rows kept
+//! (for a string column, one byte copy). A pinned reader's segments never
+//! move under it.
 //!
 //! `rows` counts live rows, and every row accessor ([`ColumnTable::live_ids`],
 //! [`ColumnTable::iter_rows`], [`ColumnTable::column`],
 //! [`ColumnTable::scan_rows`]) skips dead ones. Kernels need nothing of
 //! their own: a batch over a table with dead rows carries a pending
 //! predicate, whose evaluation starts from the mask ([`crate::Pred::eval`]).
-//! Rows decode on demand ([`ColumnTable::read_row`]): a cell is a copy or
-//! an `Arc<str>` bump, and the codec is lossless because a value that does
-//! not fit its typed buffer boxes the column into
-//! [`crate::ColumnData::Other`].
+//! Rows decode on demand ([`ColumnTable::read_row`]): a cell is a copy, a
+//! string cell a copy of its bytes into a new [`Value::Str`], and the codec
+//! is lossless because a value that does not fit its typed buffer boxes
+//! the column into [`crate::ColumnData::Other`].
 
 use crate::batch::NO_ROW;
-use crate::column::{Bitmap, Column};
+use crate::column::{Bitmap, Column, ColumnData};
 use crate::morsel::{run_chunks, worker_count, MORSEL_ROWS};
 use std::ops::Range;
 use std::sync::Arc;
@@ -105,7 +106,7 @@ impl Segment {
     }
 
     /// The live rows as maximal runs of offsets, ascending.
-    fn live_runs(&self) -> Vec<Range<usize>> {
+    pub(crate) fn live_runs(&self) -> Vec<Range<usize>> {
         let mut runs = Vec::new();
         let mut i = 0;
         while i < self.rows {
@@ -223,14 +224,33 @@ impl ColumnTable {
         self.segments[i / SEGMENT_ROWS].columns[col].str_at(i % SEGMENT_ROWS)
     }
 
-    /// The ids of the live rows, ascending.
-    pub fn live_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.live_ids_from(0)
+    /// The ids of the live rows whose cell of column `col` is an integer
+    /// that `keep` admits, ascending: one pass per segment over its `i64`
+    /// buffer, then the null bit and the dead mask of each cell admitted.
+    pub fn int_ids(&self, col: usize, mut keep: impl FnMut(i64) -> bool) -> Vec<u32> {
+        let mut ids = Vec::new();
+        for (si, seg) in self.segments.iter().enumerate() {
+            let (column, base) = (&seg.columns[col], si * SEGMENT_ROWS);
+            let at = |i: usize| (base + i) as u32;
+            match &column.data {
+                ColumnData::I64(buf) => ids.extend(
+                    (0..seg.rows)
+                        .filter(|&i| keep(buf[i]) && !column.nulls.get(i) && !seg.is_dead(i))
+                        .map(at),
+                ),
+                _ => ids.extend(
+                    (seg.live_offsets())
+                        .filter(|&i| column.value_at(i).as_int().is_some_and(&mut keep))
+                        .map(at),
+                ),
+            }
+        }
+        ids
     }
 
-    /// The ids of the live rows in segments `first..`, ascending.
-    fn live_ids_from(&self, first: usize) -> impl Iterator<Item = usize> + '_ {
-        let segments = self.segments.iter().enumerate().skip(first);
+    /// The ids of the live rows, ascending.
+    pub fn live_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        let segments = self.segments.iter().enumerate();
         segments.flat_map(|(si, s)| s.live_offsets().map(move |i| si * SEGMENT_ROWS + i))
     }
 
@@ -307,9 +327,10 @@ impl ColumnTable {
 
     /// `self`'s live rows, then `other`'s (UNION ALL). An empty side hands
     /// the other on; otherwise `self`'s segments are shared up to a last
-    /// one that is short or masked, and the rest is rebuilt cell by cell
-    /// with `self`'s column types, so a column the two sides type
-    /// differently boxes into [`crate::ColumnData::Other`] without loss.
+    /// one that is short or masked, and the rest is copied a run of live
+    /// rows at a time into `self`'s column types, so a column the two
+    /// sides type differently boxes into [`crate::ColumnData::Other`]
+    /// without loss.
     pub fn concat(&self, other: &ColumnTable) -> ColumnTable {
         if self.rows == 0 || other.rows == 0 {
             return if self.rows == 0 { other } else { self }.clone();
@@ -319,14 +340,9 @@ impl ColumnTable {
         b.segments
             .pop_if(|last| last.rows < SEGMENT_ROWS || last.dead.is_some());
         b.rows = b.segments.iter().map(|s| s.live()).sum();
-        let mut row = Row::new();
-        for id in self.live_ids_from(b.segments.len()) {
-            self.read_row(id, &mut row);
-            b.push_row(&row);
-        }
-        for id in other.live_ids() {
-            other.read_row(id, &mut row);
-            b.push_row(&row);
+        let rest = self.segments[b.segments.len()..].iter();
+        for seg in rest.chain(&other.segments) {
+            b.push_runs(&seg.columns, &seg.live_runs());
         }
         b.finish()
     }
@@ -371,23 +387,32 @@ impl ColumnTable {
     }
 
     /// This table with the live row at each `(id, row)` of `rows`
-    /// (ascending ids) replaced: each segment hit gets a copy of its
-    /// columns, typed buffer for typed buffer, with the replaced rows'
-    /// cells overwritten and its mask kept; every other one is shared.
-    /// Also returns how many segments were built.
+    /// (ascending ids) replaced: each segment hit gets new columns, built
+    /// as [`ColumnTable::append`] copies a tail — the runs between the
+    /// replaced offsets copied slice by slice, the replacing cells pushed
+    /// between them — and keeps its mask; every other one is shared. Also
+    /// returns how many segments were built.
     pub fn replace(&self, rows: &[(usize, Row)], threads: usize) -> (ColumnTable, usize) {
         let hit: Vec<_> =
             (rows.chunk_by(|a, b| a.0 / SEGMENT_ROWS == b.0 / SEGMENT_ROWS)).collect();
         let workers = worker_count(hit.len() * SEGMENT_ROWS, threads, hit.len());
         let built = run_chunks(hit.len(), workers, |task| {
             let old = &self.segments[hit[task][0].0 / SEGMENT_ROWS];
-            let mut columns = old.columns.to_vec();
-            for (c, column) in columns.iter_mut().enumerate() {
-                for (id, row) in hit[task] {
-                    column.set(id % SEGMENT_ROWS, &row[c]);
-                }
-                column.unbox(self.dtypes[c]);
-            }
+            let columns = (old.columns.iter().zip(&self.dtypes).enumerate())
+                .map(|(c, (src, &dtype))| {
+                    let mut column = src.empty_like(old.rows);
+                    let mut at = 0;
+                    for (id, row) in hit[task] {
+                        let i = id % SEGMENT_ROWS;
+                        column.extend_runs(src, std::slice::from_ref(&(at..i)));
+                        column.push(&row[c]);
+                        at = i + 1;
+                    }
+                    column.extend_runs(src, std::slice::from_ref(&(at..old.rows)));
+                    column.unbox(dtype);
+                    column
+                })
+                .collect();
             Arc::new(Segment {
                 dead: old.dead.clone(),
                 ..Segment::seal(columns, old.rows)
@@ -439,6 +464,25 @@ impl ColumnTableBuilder {
         }
     }
 
+    /// Appends the rows at offsets `runs` of `columns` (one per column
+    /// of the table), as pushing them row by row would: a copy per run
+    /// and column, split where a segment seals.
+    pub(crate) fn push_runs(&mut self, columns: &[Column], runs: &[Range<usize>]) {
+        for run in runs {
+            let mut at = run.start;
+            while at < run.end {
+                let take = (run.end - at).min(SEGMENT_ROWS - self.open);
+                for (column, src) in self.current.iter_mut().zip(columns) {
+                    column.extend_runs(src, std::slice::from_ref(&(at..at + take)));
+                }
+                (self.open, self.rows, at) = (self.open + take, self.rows + take, at + take);
+                if self.open == SEGMENT_ROWS {
+                    self.seal();
+                }
+            }
+        }
+    }
+
     fn seal(&mut self) {
         let fresh: Vec<Column> = self.dtypes.iter().map(|t| Column::for_type(*t)).collect();
         let cols = std::mem::replace(&mut self.current, fresh);
@@ -466,7 +510,6 @@ impl ColumnTableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ColumnData;
 
     fn int_rows(n: usize) -> Vec<Row> {
         (0..n)
@@ -635,7 +678,7 @@ mod tests {
                 ColumnData::I64(b) => format!("I64 {:?}", b[i]),
                 ColumnData::Decimal(b) => format!("Decimal {:?}", b[i]),
                 ColumnData::Date(b) => format!("Date {:?}", b[i]),
-                ColumnData::Str(b) => format!("Str {:?}", b[i]),
+                ColumnData::Str(b) => format!("Str {:?}", &b[i]),
                 ColumnData::Other(b) => format!("Other {:?}", b[i]),
             };
             (0..c.len())
@@ -771,6 +814,115 @@ mod tests {
             let want = ColumnTable::from_rows(dtypes.clone(), &tail(from));
             assert_same_cells(&grown.segments[1], &want.segments[0], "grown tail");
             assert_eq!(grown.rows, from.rows + added.len());
+        }
+    }
+
+    /// Row `i`: its id, and a string cell cycling through multi-byte
+    /// characters, empty strings and NULLs, so every run a copy cuts and
+    /// every segment boundary falls beside one of each.
+    fn string_row(i: usize) -> Row {
+        let cell = match i % 7 {
+            0 => Value::str("é"),
+            1 | 6 => Value::str(""),
+            2 | 5 => Value::Null,
+            3 => Value::str(format!("日本{i}")),
+            _ => Value::str(format!("s{i}")),
+        };
+        vec![Value::Int(i as i64), cell]
+    }
+
+    #[test]
+    fn strings_survive_masks_appends_replaces_and_gathers() {
+        let dtypes = vec![DataType::Int, DataType::Str];
+        let n = SEGMENT_ROWS + 40;
+        let rows: Vec<Row> = (0..n).map(string_row).collect();
+        let t = ColumnTable::from_rows(dtypes.clone(), &rows);
+
+        // An append copies the live runs of a masked tail.
+        let dead = [0, 3, 4, 17, 39].map(|i| (SEGMENT_ROWS + i) as u32);
+        let (masked, _) = t.delete(&dead, 1);
+        let added: Vec<Row> = (100..105).map(string_row).collect();
+        let (grown, _) = masked.append(&added);
+        let live: Vec<Row> = masked.iter_rows().chain(added).collect();
+        let want = ColumnTable::from_rows(dtypes.clone(), &live);
+        assert_same_cells(&grown.segments[1], &want.segments[1], "grown tail");
+
+        // Replaced cells at offsets 0 and 65,535 and past the boundary; in
+        // the second set an integer boxes the first segment's strings.
+        for (k, edits) in [
+            vec![
+                (0, Value::str("日本")),
+                (SEGMENT_ROWS - 1, Value::Null),
+                (SEGMENT_ROWS + 1, Value::str("é")),
+            ],
+            vec![(0, Value::str("")), (SEGMENT_ROWS - 1, Value::Int(7))],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let replaced: Vec<(usize, Row)> = (edits.into_iter())
+                .map(|(id, v)| (id, vec![Value::Int(-(id as i64)), v]))
+                .collect();
+            let (patched, _) = t.replace(&replaced, 2);
+            let mut want = rows.clone();
+            replaced.iter().for_each(|(id, r)| want[*id] = r.clone());
+            let want = ColumnTable::from_rows(dtypes.clone(), &want);
+            for (si, (got, want)) in patched.segments.iter().zip(&want.segments).enumerate() {
+                assert_same_cells(got, want, &format!("edit set {k}, segment {si}"));
+            }
+            let boxed = matches!(patched.segments[0].columns[1].data, ColumnData::Other(_));
+            assert_eq!(boxed, k == 1, "edit set {k}");
+        }
+
+        // A gather pads with NULL cells, across the boundary.
+        let ids = [
+            SEGMENT_ROWS as u32 + 3,
+            NO_ROW,
+            3,
+            SEGMENT_ROWS as u32 - 1,
+            NO_ROW,
+            0,
+            2,
+        ];
+        let out = crate::batch::gather_column(&t, 1, &ids);
+        assert!(matches!(out.data, ColumnData::Str(_)));
+        let got: Vec<Value> = (0..ids.len()).map(|i| out.value_at(i)).collect();
+        let want: Vec<Value> = (ids.iter())
+            .map(|&id| match id {
+                NO_ROW => Value::Null,
+                id => rows[id as usize][1].clone(),
+            })
+            .collect();
+        assert_eq!(got, want);
+        assert!(out.nulls.get(1) && out.nulls.get(4) && !out.nulls.get(5));
+    }
+
+    #[test]
+    fn int_ids_select_live_non_null_cells_in_one_pass() {
+        // The ids `int_ids` picks equal a row-at-a-time selection over the
+        // live rows, with dead and NULL cells on both sides of a boundary
+        // and a boxed segment taking the decoded route.
+        for n in [SEGMENT_ROWS - 1, SEGMENT_ROWS, SEGMENT_ROWS + 1] {
+            let row = |i: usize| -> Row {
+                vec![match i % 9 {
+                    4 => Value::Null,
+                    _ if i == 5 => Value::str("boxed"),
+                    _ => Value::Int((i % 50) as i64),
+                }]
+            };
+            let t =
+                ColumnTable::from_rows(vec![DataType::Int], &(0..n).map(row).collect::<Vec<_>>());
+            let dead: Vec<u32> = (0..n as u32)
+                .filter(|i| i % 11 == 3 || *i + 1 == n as u32)
+                .collect();
+            let (masked, _) = t.delete(&dead, 1);
+            let keep = |x: i64| (10..20).contains(&x) || x == 0;
+            let old: Vec<u32> = (masked.live_ids())
+                .filter(|&id| masked.value(id, 0).as_int().is_some_and(keep))
+                .map(|id| id as u32)
+                .collect();
+            assert_eq!(masked.int_ids(0, keep), old, "{n} rows");
+            assert!(old.len() > n / 10);
         }
     }
 

@@ -23,12 +23,13 @@
 //! stable serial sort of the input would. Sort-key comparison mirrors
 //! `Value::sort_cmp` (NULLs first ascending, last descending); dense
 //! `i64`/date key columns are encoded into order-preserving `u64` words
-//! compared memcmp-style, everything else falls back to the
-//! [`Value`]-comparator path.
+//! compared memcmp-style; any other key compares the rows' cells in the
+//! typed buffers, a string as a borrowed `&str`.
 
 use crate::agg::{AggKind, PAcc};
 use crate::batch::{gather, Batch, Take, NO_ROW};
-use crate::column::ColumnData;
+use crate::column::{Column, ColumnData};
+use crate::key::KeyCols;
 use crate::morsel::{morsels_of, run_chunks, run_workers, worker_count, Chunks, KernelStats};
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
@@ -89,54 +90,39 @@ enum Key {
     /// value), direction folded in by bitwise inversion. Compared
     /// memcmp-style.
     Enc(Vec<u64>),
-    /// Extracted values compared with [`Value::sort_cmp`] per key.
-    Val(Vec<Value>),
+    /// The row's global id: its key cells are read from the typed buffers
+    /// (`key::Cell`) when two entries meet, so no key is materialized.
+    Row(u32),
 }
 
-fn cmp_vals(a: &[Value], b: &[Value], keys: &[SortKey]) -> Ordering {
-    for (i, k) in keys.iter().enumerate() {
-        let ord = a[i].sort_cmp(&b[i]);
-        let ord = if k.desc { ord.reverse() } else { ord };
-        if ord != Ordering::Equal {
-            return ord;
+/// How one invocation orders its entries: by encoded words, or by each
+/// sort key's cells under `key::Cell`'s order — [`Value::sort_cmp`]'s.
+struct Order<'a> {
+    keys: &'a [SortKey],
+    /// The key columns, when the keys are not encodable.
+    cells: Option<KeyCols<'a>>,
+}
+
+impl<'a> Order<'a> {
+    fn new(table: &'a ColumnTable, keys: &'a [SortKey]) -> Order<'a> {
+        let cols: Vec<usize> = keys.iter().map(|k| k.col).collect();
+        Order {
+            keys,
+            cells: (!encodable(table, keys)).then(|| KeyCols::of(table, &cols)),
         }
     }
-    Ordering::Equal
-}
 
-fn cmp_entries(a: &Entry, b: &Entry, keys: &[SortKey]) -> Ordering {
-    let ord = match (&a.key, &b.key) {
-        (Key::Enc(x), Key::Enc(y)) => x.cmp(y),
-        (Key::Val(x), Key::Val(y)) => cmp_vals(x, y, keys),
-        // One invocation never mixes variants.
-        _ => Ordering::Equal,
-    };
-    ord.then(a.gid.cmp(&b.gid))
-}
-
-/// Whether every key column is a dense fixed-width buffer in every
-/// segment, so keys can be encoded as order-preserving `u64` words.
-/// Variable-length strings and scale-carrying decimals keep the value
-/// comparator.
-fn encodable(table: &ColumnTable, keys: &[SortKey]) -> bool {
-    table.segments.iter().all(|s| {
-        keys.iter().all(|k| {
-            matches!(
-                s.columns[k.col].data,
-                ColumnData::I64(_) | ColumnData::Date(_)
-            )
-        })
-    })
-}
-
-/// Builds the key for row `i` of `seg`. Encoded form: per key a null-rank
-/// word (NULL = 0, so NULLs sort first ascending — matching
-/// `Value::sort_cmp`) then a sign-flipped value word; descending keys
-/// invert both words, which reverses their order (and puts NULLs last).
-fn key_of(seg: &Segment, i: usize, keys: &[SortKey], enc: bool) -> Key {
-    if enc {
-        let mut words = Vec::with_capacity(keys.len() * 2);
-        for k in keys {
+    /// The key of row `i` of `seg`, whose global id is `id`. Encoded form:
+    /// per key a null-rank word (NULL = 0, so NULLs sort first ascending —
+    /// matching `Value::sort_cmp`) then a sign-flipped value word;
+    /// descending keys invert both words, which reverses their order (and
+    /// puts NULLs last).
+    fn key(&self, seg: &Segment, i: usize, id: usize) -> Key {
+        if self.cells.is_some() {
+            return Key::Row(id as u32);
+        }
+        let mut words = Vec::with_capacity(self.keys.len() * 2);
+        for k in self.keys {
             let col = &seg.columns[k.col];
             let (mut rank, mut word) = if col.nulls.get(i) {
                 (0u64, 0u64)
@@ -157,24 +143,53 @@ fn key_of(seg: &Segment, i: usize, keys: &[SortKey], enc: bool) -> Key {
             words.push(word);
         }
         Key::Enc(words)
-    } else {
-        Key::Val(
-            keys.iter()
-                .map(|k| seg.columns[k.col].value_at(i))
-                .collect(),
-        )
+    }
+
+    /// The order of two keys on their first `n` sort keys.
+    fn cmp_keys(&self, a: &Key, b: &Key, n: usize) -> Ordering {
+        match (a, b, &self.cells) {
+            (Key::Enc(x), Key::Enc(y), _) => x[..2 * n].cmp(&y[..2 * n]),
+            (Key::Row(x), Key::Row(y), Some(cells)) => (self.keys[..n].iter().enumerate())
+                .map(|(k, key)| {
+                    let ord = cells.cell(k, *x).cmp(cells.cell(k, *y));
+                    if key.desc {
+                        ord.reverse()
+                    } else {
+                        ord
+                    }
+                })
+                .find(|ord| ord.is_ne())
+                .unwrap_or(Ordering::Equal),
+            // One invocation never mixes variants.
+            _ => Ordering::Equal,
+        }
+    }
+
+    /// Entries in key order, then by id.
+    fn cmp(&self, a: &Entry, b: &Entry) -> Ordering {
+        (self.cmp_keys(&a.key, &b.key, self.keys.len())).then(a.gid.cmp(&b.gid))
+    }
+
+    /// Whether two keys agree on their first `n` sort keys under `Value`
+    /// equality (NULL equals NULL, as in grouping).
+    fn same(&self, a: &Key, b: &Key, n: usize) -> bool {
+        self.cmp_keys(a, b, n).is_eq()
     }
 }
 
-/// Whether two keys agree on their first `n` sort keys under `Value`
-/// equality (NULL equals NULL, as in grouping): equal words, or equal
-/// values.
-fn same_key(a: &Key, b: &Key, n: usize) -> bool {
-    match (a, b) {
-        (Key::Enc(x), Key::Enc(y)) => x[..2 * n] == y[..2 * n],
-        (Key::Val(x), Key::Val(y)) => x[..n] == y[..n],
-        _ => false,
-    }
+/// Whether every key column is a dense fixed-width buffer in every
+/// segment, so keys can be encoded as order-preserving `u64` words.
+/// Variable-length strings and scale-carrying decimals compare their
+/// cells.
+fn encodable(table: &ColumnTable, keys: &[SortKey]) -> bool {
+    table.segments.iter().all(|s| {
+        keys.iter().all(|k| {
+            matches!(
+                s.columns[k.col].data,
+                ColumnData::I64(_) | ColumnData::Date(_)
+            )
+        })
+    })
 }
 
 /// The batch's visible columns at row `ids`.
@@ -190,28 +205,28 @@ fn take<'a>(batch: &'a Batch, ids: &'a [u32]) -> Take<'a> {
 
 /// Offers an entry to a bounded worst-at-root heap of capacity `cap`.
 /// Returns whether the entry was kept.
-fn heap_offer(heap: &mut Vec<Entry>, cap: usize, e: Entry, keys: &[SortKey]) -> bool {
+fn heap_offer(heap: &mut Vec<Entry>, cap: usize, e: Entry, order: &Order<'_>) -> bool {
     if cap == 0 {
         return false;
     }
     if heap.len() < cap {
         heap.push(e);
         let last = heap.len() - 1;
-        sift_up(heap, last, keys);
+        sift_up(heap, last, order);
         return true;
     }
-    if cmp_entries(&e, &heap[0], keys) == Ordering::Less {
+    if order.cmp(&e, &heap[0]) == Ordering::Less {
         heap[0] = e;
-        sift_down(heap, 0, keys);
+        sift_down(heap, 0, order);
         return true;
     }
     false
 }
 
-fn sift_up(heap: &mut [Entry], mut i: usize, keys: &[SortKey]) {
+fn sift_up(heap: &mut [Entry], mut i: usize, order: &Order<'_>) {
     while i > 0 {
         let parent = (i - 1) / 2;
-        if cmp_entries(&heap[i], &heap[parent], keys) == Ordering::Greater {
+        if order.cmp(&heap[i], &heap[parent]) == Ordering::Greater {
             heap.swap(i, parent);
             i = parent;
         } else {
@@ -220,14 +235,14 @@ fn sift_up(heap: &mut [Entry], mut i: usize, keys: &[SortKey]) {
     }
 }
 
-fn sift_down(heap: &mut [Entry], mut i: usize, keys: &[SortKey]) {
+fn sift_down(heap: &mut [Entry], mut i: usize, order: &Order<'_>) {
     loop {
         let (l, r) = (2 * i + 1, 2 * i + 2);
         let mut biggest = i;
-        if l < heap.len() && cmp_entries(&heap[l], &heap[biggest], keys) == Ordering::Greater {
+        if l < heap.len() && order.cmp(&heap[l], &heap[biggest]) == Ordering::Greater {
             biggest = l;
         }
-        if r < heap.len() && cmp_entries(&heap[r], &heap[biggest], keys) == Ordering::Greater {
+        if r < heap.len() && order.cmp(&heap[r], &heap[biggest]) == Ordering::Greater {
             biggest = r;
         }
         if biggest == i {
@@ -249,7 +264,7 @@ struct RunCursor {
 /// Merges sorted runs into one sorted sequence with a min-heap of run
 /// cursors. Entry comparison is a total order (gid tie-break), so the
 /// output is independent of run arrival order.
-fn kway_merge(runs: Vec<Vec<Entry>>, keys: &[SortKey]) -> Vec<Entry> {
+fn kway_merge(runs: Vec<Vec<Entry>>, order: &Order<'_>) -> Vec<Entry> {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let mut cursors: Vec<RunCursor> = runs
         .into_iter()
@@ -266,7 +281,7 @@ fn kway_merge(runs: Vec<Vec<Entry>>, keys: &[SortKey]) -> Vec<Entry> {
             cursors[a].head.as_ref().expect("live cursor"),
             cursors[b].head.as_ref().expect("live cursor"),
         );
-        cmp_entries(ha, hb, keys) == Ordering::Less
+        order.cmp(ha, hb) == Ordering::Less
     };
     let sift = |heap: &mut [usize], cursors: &[RunCursor], mut i: usize| loop {
         let (l, r) = (2 * i + 1, 2 * i + 2);
@@ -319,8 +334,7 @@ fn topn_worker(
     table: &ColumnTable,
     morsels: &[(usize, usize, usize)],
     pred: Option<&Pred>,
-    keys: &[SortKey],
-    enc: bool,
+    order: &Order<'_>,
     limit: usize,
 ) -> TopNPart {
     let mut heap: Vec<Entry> = Vec::with_capacity(limit.min(4096));
@@ -345,15 +359,8 @@ fn topn_worker(
             qualifying += 1;
             let i = off + j;
             let gid = si * SEGMENT_ROWS + i;
-            heap_offer(
-                &mut heap,
-                limit,
-                Entry {
-                    key: key_of(seg, i, keys, enc),
-                    gid,
-                },
-                keys,
-            );
+            let key = order.key(seg, i, gid);
+            heap_offer(&mut heap, limit, Entry { key, gid }, order);
         }
     }
     TopNPart {
@@ -378,10 +385,10 @@ pub fn par_topn(
     let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
-    let enc = encodable(table, keys);
+    let order = Order::new(table, keys);
 
     let parts = run_workers(morsels.len(), workers, |chunks| {
-        topn_worker(chunks, table, &morsels, pred, keys, enc, limit)
+        topn_worker(chunks, table, &morsels, pred, &order, limit)
     });
 
     let qualifying: u64 = parts.iter().map(|p| p.qualifying).sum();
@@ -390,7 +397,7 @@ pub fn par_topn(
     for p in parts {
         entries.extend(p.entries);
     }
-    entries.sort_unstable_by(|a, b| cmp_entries(a, b, keys));
+    entries.sort_unstable_by(|a, b| order.cmp(a, b));
     entries.truncate(limit);
 
     let stats = KernelStats {
@@ -408,34 +415,28 @@ pub fn par_topn(
 // ---------- full sort over a column table ----------
 
 /// Sorts each of `chunks` lists of `(id, global row)` pairs — `rows(c)` —
-/// into a run by key and id, in parallel, then k-way merges the runs.
+/// into a run by `order` and id, in parallel, then k-way merges the runs.
 /// Returns the merged entries (each carrying its id) and how many runs
 /// were non-empty.
 fn merged_runs(
     table: &ColumnTable,
-    keys: &[SortKey],
+    order: &Order<'_>,
     chunks: usize,
     workers: usize,
     rows: impl Fn(usize) -> Vec<(usize, usize)> + Sync,
 ) -> (Vec<Entry>, u64) {
-    let enc = encodable(table, keys);
     let runs = run_chunks(chunks, workers, |c| {
         let mut run: Vec<Entry> = (rows(c).into_iter())
             .map(|(gid, row)| Entry {
-                key: key_of(
-                    &table.segments[row / SEGMENT_ROWS],
-                    row % SEGMENT_ROWS,
-                    keys,
-                    enc,
-                ),
+                key: order.key(&table.segments[row / SEGMENT_ROWS], row % SEGMENT_ROWS, row),
                 gid,
             })
             .collect();
-        run.sort_unstable_by(|a, b| cmp_entries(a, b, keys));
+        run.sort_unstable_by(|a, b| order.cmp(a, b));
         run
     });
     let merge_ways = runs.iter().filter(|r| !r.is_empty()).count() as u64;
-    (kway_merge(runs, keys), merge_ways)
+    (kway_merge(runs, order), merge_ways)
 }
 
 /// The global ids of the batch's qualifying rows sorted by `keys`, ties
@@ -446,7 +447,8 @@ fn sorted_ids(batch: &Batch, keys: &[SortKey], threads: usize) -> (Vec<u32>, Ker
     let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
-    let (merged, merge_ways) = merged_runs(table, keys, morsels.len(), workers, |m| {
+    let order = Order::new(table, keys);
+    let (merged, merge_ways) = merged_runs(table, &order, morsels.len(), workers, |m| {
         let (si, off, len) = morsels[m];
         let mut sel = Vec::new();
         if let Some(p) = pred {
@@ -498,13 +500,20 @@ pub fn par_window(
     let workers = worker_count(ids.len(), threads, chunks);
     let mut rows = vec![vec![Value::Null; calls.len()]; ids.len()];
     for (c, call) in calls.iter().enumerate() {
-        let (order, ways) = merged_runs(table, &call.keys, chunks, workers, |k| {
+        let order = Order::new(table, &call.keys);
+        let (sorted, ways) = merged_runs(table, &order, chunks, workers, |k| {
             let at = k * MORSEL_ROWS..ids.len().min((k + 1) * MORSEL_ROWS);
             at.map(|p| (p, ids[p] as usize)).collect()
         });
         stats.merge_ways = stats.merge_ways.max(ways);
-        let arg = |p: usize| call.arg.map(|col| table.value(ids[p] as usize, col));
-        walk(call, &order, arg, |p, v| rows[p][c] = v)?;
+        let arg = |p: usize| {
+            let (si, i) = (
+                ids[p] as usize / SEGMENT_ROWS,
+                ids[p] as usize % SEGMENT_ROWS,
+            );
+            call.arg.map(|col| (&table.segments[si].columns[col], i))
+        };
+        walk(call, &order, &sorted, arg, |p, v| rows[p][c] = v)?;
     }
     let values = Batch::from_rows(calls.len(), &rows);
     let all: Vec<u32> = (0..ids.len() as u32).collect();
@@ -516,23 +525,25 @@ pub fn par_window(
     Ok((gather(&[take(batch, &ids), computed], threads), stats))
 }
 
-/// One call's values along `order` — its rows sorted by its keys, each
-/// entry's id the row's output position — handed to `put`. A partition
-/// (rows equal on the PARTITION BY keys) restarts ranks and the
-/// accumulator; a peer group (rows equal on every key) shares one value:
-/// the rank of its first row, or the aggregate folded through its last,
-/// which without ORDER BY is the whole partition. `arg` reads a row's
-/// argument (`None` for COUNT(*)).
-fn walk(
+/// One call's values along `sorted` — its rows in `order`, each entry's
+/// id the row's output position — handed to `put`. A partition (rows
+/// equal on the PARTITION BY keys) restarts ranks and the accumulator; a
+/// peer group (rows equal on every key) shares one value: the rank of its
+/// first row, or the aggregate folded through its last, which without
+/// ORDER BY is the whole partition. `arg` finds a row's argument cell
+/// (`None` for COUNT(*)), folded straight from its buffer.
+fn walk<'a>(
     call: &WinSpec,
-    order: &[Entry],
-    arg: impl Fn(usize) -> Option<Value>,
+    order: &Order<'_>,
+    sorted: &[Entry],
+    arg: impl Fn(usize) -> Option<(&'a Column, usize)>,
     mut put: impl FnMut(usize, Value),
 ) -> Result<(), StorageError> {
     let (mut start, mut at, mut dense) = (0, 0, 0);
     let mut acc = None;
-    for peers in order.chunk_by(|a, b| same_key(&a.key, &b.key, call.keys.len())) {
-        if at == 0 || !same_key(&order[at - 1].key, &peers[0].key, call.partition) {
+    let same = |a: &Entry, b: &Entry, n| order.same(&a.key, &b.key, n);
+    for peers in sorted.chunk_by(|a, b| same(a, b, call.keys.len())) {
+        if at == 0 || !same(&sorted[at - 1], &peers[0], call.partition) {
             (start, dense, acc) = (at, 0, None);
         }
         dense += 1;
@@ -540,7 +551,10 @@ fn walk(
             WinFunc::Agg(kind) => {
                 let acc = acc.get_or_insert_with(|| PAcc::new(kind));
                 for e in peers {
-                    acc.update(arg(e.gid).as_ref())?;
+                    match arg(e.gid) {
+                        Some((col, i)) => acc.fold(col, i)?,
+                        None => acc.update(None)?,
+                    }
                 }
                 acc.clone().finish()
             }

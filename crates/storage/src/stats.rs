@@ -37,7 +37,6 @@ use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 use tpcds_obs::hist::HistSnapshot;
 use tpcds_obs::ndv::NdvSketch;
 use tpcds_types::{Decimal, Value};
@@ -92,6 +91,11 @@ impl ColumnStats {
         }
     }
 
+    /// Reads `ndv` off the sketch.
+    fn estimate(&mut self) {
+        self.ndv = self.sketch.estimate_u64();
+    }
+
     /// Folds `other` in; `ndv` is stale until re-read off the sketch.
     fn merge(&mut self, other: &ColumnStats) {
         self.nulls += other.nulls;
@@ -129,47 +133,51 @@ impl ColumnStats {
         }
     }
 
-    /// Folds the cells at offsets `rows` of one segment's column in.
-    fn fold(&mut self, col: &Column, rows: impl Iterator<Item = usize> + Clone) {
-        let observe = |v: &Value| (ndv_hash(v), hist_key(v));
+    /// Folds the cells at offsets `rows` of one segment's column in; the
+    /// sketch too unless `sketch` is false, for rows taken out (see
+    /// [`removed_stats_at`]).
+    fn fold(&mut self, col: &Column, rows: impl Iterator<Item = usize> + Clone, sketch: bool) {
+        let observe = |v: &Value| (sketch.then(|| ndv_hash(v)), hist_key(v));
         let (nulls, cells) = (&col.nulls, rows.clone());
         match &col.data {
-            ColumnData::I64(buf) => {
-                self.fold_cells(buf, nulls, cells, |x| observe(&Value::Int(*x)))
-            }
+            ColumnData::I64(buf) => self.fold_cells(nulls, cells, |i| observe(&Value::Int(buf[i]))),
             ColumnData::Decimal(buf) => {
-                self.fold_cells(buf, nulls, cells, |x| observe(&Value::Decimal(*x)))
+                self.fold_cells(nulls, cells, |i| observe(&Value::Decimal(buf[i])))
             }
             ColumnData::Date(buf) => {
-                self.fold_cells(buf, nulls, cells, |x| observe(&Value::Date(*x)))
+                self.fold_cells(nulls, cells, |i| observe(&Value::Date(buf[i])))
             }
-            ColumnData::Str(buf) => self.fold_cells(buf, nulls, cells, |s| {
-                let mut h = DefaultHasher::new();
-                Value::hash_str(s, &mut h);
-                (h.finish(), None)
+            ColumnData::Str(buf) => self.fold_cells(nulls, cells, |i| {
+                let hash = sketch.then(|| {
+                    let mut h = DefaultHasher::new();
+                    Value::hash_str(buf.get(i), &mut h);
+                    h.finish()
+                });
+                (hash, None)
             }),
-            ColumnData::Other(buf) => self.fold_cells(buf, nulls, cells, observe),
+            ColumnData::Other(buf) => self.fold_cells(nulls, cells, |i| observe(&buf[i])),
         }
         self.cover_column(col, rows);
     }
 
-    /// Counts NULLs and feeds every other cell of `buf` at `rows` to the
-    /// sketch and the histogram: `observe` returns the cell's
-    /// [`ndv_hash`] and its histogram key.
-    fn fold_cells<T>(
+    /// Counts NULLs and feeds every other cell at `rows` to the sketch and
+    /// the histogram: `observe` returns the cell's [`ndv_hash`] (`None`
+    /// when the sketch is not fed) and its histogram key.
+    fn fold_cells(
         &mut self,
-        buf: &[T],
         nulls: &Bitmap,
         rows: impl Iterator<Item = usize>,
-        observe: impl Fn(&T) -> (u64, Option<u64>),
+        observe: impl Fn(usize) -> (Option<u64>, Option<u64>),
     ) {
         for i in rows {
             if nulls.get(i) {
                 self.nulls += 1;
                 continue;
             }
-            let (hash, key) = observe(&buf[i]);
-            self.sketch.insert_hash(hash);
+            let (hash, key) = observe(i);
+            if let Some(h) = hash {
+                self.sketch.insert_hash(h);
+            }
             if let Some(k) = key {
                 self.hist.record(k);
             }
@@ -180,13 +188,13 @@ impl ColumnStats {
     /// on the native type — which agrees with [`Value::sort_cmp`] within
     /// one buffer variant — so only the two winners are boxed.
     fn cover_column(&mut self, col: &Column, rows: impl Iterator<Item = usize>) {
-        fn extremes<'b, T: Ord, V>(
-            buf: &'b [T],
+        fn extremes<'b, T: Ord + ?Sized + 'b, V>(
             cells: impl Iterator<Item = usize>,
+            cell: impl Fn(usize) -> &'b T,
             boxed: impl Fn(&'b T) -> V,
         ) -> (Option<V>, Option<V>) {
             let (mut lo, mut hi): (Option<&T>, Option<&T>) = (None, None);
-            for x in cells.map(|i| &buf[i]) {
+            for x in cells.map(cell) {
                 if lo.is_none_or(|m| x < m) {
                     lo = Some(x);
                 }
@@ -198,10 +206,10 @@ impl ColumnStats {
         }
         let cells = rows.filter(|&i| !col.nulls.get(i));
         let (lo, hi) = match &col.data {
-            ColumnData::I64(buf) => extremes(buf, cells, |x| Value::Int(*x)),
-            ColumnData::Decimal(buf) => extremes(buf, cells, |x| Value::Decimal(*x)),
-            ColumnData::Date(buf) => extremes(buf, cells, |x| Value::Date(*x)),
-            ColumnData::Str(buf) => extremes(buf, cells, |s| Value::Str(Arc::clone(s))),
+            ColumnData::I64(buf) => extremes(cells, |i| &buf[i], |x| Value::Int(*x)),
+            ColumnData::Decimal(buf) => extremes(cells, |i| &buf[i], |x| Value::Decimal(*x)),
+            ColumnData::Date(buf) => extremes(cells, |i| &buf[i], |x| Value::Date(*x)),
+            ColumnData::Str(buf) => extremes(cells, |i| buf.get(i), Value::str),
             ColumnData::Other(buf) => {
                 cells.for_each(|i| self.cover(Some(&buf[i]), Some(&buf[i])));
                 return;
@@ -221,7 +229,7 @@ fn holds(seg: &Segment, c: usize, v: &Value) -> bool {
         (ColumnData::I64(buf), Value::Int(x)) => cells.any(|i| buf[i] == *x),
         (ColumnData::Decimal(buf), Value::Decimal(x)) => cells.any(|i| buf[i] == *x),
         (ColumnData::Date(buf), Value::Date(x)) => cells.any(|i| buf[i] == *x),
-        (ColumnData::Str(buf), Value::Str(x)) => cells.any(|i| buf[i] == *x),
+        (ColumnData::Str(buf), Value::Str(x)) => cells.any(|i| buf.get(i) == &**x),
         _ => cells.any(|i| col.value_at(i) == *v),
     }
 }
@@ -250,7 +258,7 @@ impl TableStats {
         self.rows += added.rows;
         for (into, from) in self.columns.iter_mut().zip(&added.columns) {
             into.merge(from);
-            into.ndv = into.sketch.estimate_u64();
+            into.estimate();
         }
     }
 
@@ -361,6 +369,13 @@ fn sip_round(v: &mut [u64; 4]) {
     v[2] = v[2].rotate_left(32);
 }
 
+/// `stats` with each column's `ndv` read off its sketch: done where
+/// statistics are published, not for the deltas a change moves.
+fn estimated(mut stats: TableStats) -> TableStats {
+    stats.columns.iter_mut().for_each(ColumnStats::estimate);
+    stats
+}
+
 /// Collects full per-column statistics of `table`'s live rows, using up
 /// to `threads` workers (whole segments are the unit of work; small
 /// tables run inline on the caller's thread).
@@ -387,13 +402,13 @@ pub fn extend_stats(base: &TableStats, table: &ColumnTable, threads: usize) -> T
     }
     let n_segs = table.segments.len() - first;
     let workers = worker_count(added, threads, n_segs);
-    fold_runs(base, table.rows, n_segs, workers, |k, acc| {
+    estimated(fold_runs(base, table.rows, n_segs, workers, |k, acc| {
         fold_live(
             acc,
             &table.segments[first + k],
             if k == 0 { from } else { 0 },
         )
-    })
+    }))
 }
 
 /// The statistics of `seg`'s live rows: one segment's share of
@@ -414,23 +429,32 @@ pub fn segment_stats(seg: &Segment) -> TableStats {
 pub fn merge_segment_stats(width: usize, parts: &[TableStats]) -> TableStats {
     let rows = parts.iter().map(|p| p.rows as usize).sum();
     let columns = parts.iter().map(|p| p.columns.as_slice());
-    merged(vec![ColumnStats::empty(); width], columns, rows)
+    estimated(merged(vec![ColumnStats::empty(); width], columns, rows))
 }
 
 /// The statistics of the live rows at `ids` (ascending) of `table`: what
-/// a delete or an update takes out or puts in, at the cost of those rows.
+/// an update puts in, at the cost of those rows. No `ndv` is read off
+/// them: [`TableStats::merge`] estimates once it has folded them in.
 pub fn collect_stats_at(table: &ColumnTable, ids: &[u32], threads: usize) -> TableStats {
+    stats_at(table, ids, threads, true)
+}
+
+/// [`collect_stats_at`] of rows a delete or an update takes out: their
+/// NULLs, histogram and extremes, which is all [`TableStats::retract`]
+/// reads — their cells are not hashed, as no sketch can lose them.
+pub fn removed_stats_at(table: &ColumnTable, ids: &[u32], threads: usize) -> TableStats {
+    stats_at(table, ids, threads, false)
+}
+
+fn stats_at(table: &ColumnTable, ids: &[u32], threads: usize, sketch: bool) -> TableStats {
     let groups: Vec<&[u32]> =
         (ids.chunk_by(|a, b| a / SEGMENT_ROWS as u32 == b / SEGMENT_ROWS as u32)).collect();
     let workers = worker_count(ids.len(), threads, groups.len());
     let empty = TableStats::empty(table.width());
     fold_runs(&empty, ids.len(), groups.len(), workers, |k, acc| {
         let seg = &table.segments[groups[k][0] as usize / SEGMENT_ROWS];
-        fold_at(
-            acc,
-            seg,
-            groups[k].iter().map(|&id| id as usize % SEGMENT_ROWS),
-        )
+        let rows = groups[k].iter().map(|&id| id as usize % SEGMENT_ROWS);
+        fold_at(acc, seg, rows, sketch)
     })
 }
 
@@ -460,23 +484,28 @@ fn fold_runs(
 }
 
 /// Folds the cells of `seg` at offsets `rows` into `acc`, column by
-/// column.
-fn fold_at(acc: &mut [ColumnStats], seg: &Segment, rows: impl Iterator<Item = usize> + Clone) {
+/// column; into the sketches too when `sketch` is set.
+fn fold_at(
+    acc: &mut [ColumnStats],
+    seg: &Segment,
+    rows: impl Iterator<Item = usize> + Clone,
+    sketch: bool,
+) {
     for (acc, col) in acc.iter_mut().zip(seg.columns.iter()) {
-        acc.fold(col, rows.clone());
+        acc.fold(col, rows.clone(), sketch);
     }
 }
 
 /// [`fold_at`] over `seg`'s live rows from offset `from` on.
 fn fold_live(acc: &mut [ColumnStats], seg: &Segment, from: usize) {
     match seg.dead() {
-        None => fold_at(acc, seg, from..seg.rows),
-        Some(dead) => fold_at(acc, seg, (from..seg.rows).filter(|&i| !dead.get(i))),
+        None => fold_at(acc, seg, from..seg.rows, true),
+        Some(dead) => fold_at(acc, seg, (from..seg.rows).filter(|&i| !dead.get(i)), true),
     }
 }
 
 /// `columns` with the `partials` merged in, in order, as the statistics
-/// of `rows` rows.
+/// of `rows` rows; each `ndv` is left as `columns` had it.
 fn merged<'a>(
     mut columns: Vec<ColumnStats>,
     partials: impl IntoIterator<Item = &'a [ColumnStats]>,
@@ -486,9 +515,6 @@ fn merged<'a>(
         for (into, from) in columns.iter_mut().zip(part) {
             into.merge(from);
         }
-    }
-    for c in &mut columns {
-        c.ndv = c.sketch.estimate_u64();
     }
     TableStats {
         rows: rows as u64,

@@ -222,3 +222,60 @@ fn pinned_sort_shapes_agree() {
         check(&db, sql, "pinned");
     }
 }
+
+/// Strings whose order is byte order, not character count: multi-byte
+/// characters (`é` sorts after every ASCII letter, `日` after `é`), the
+/// empty string, and strings that are prefixes of one another.
+const WORDS: [&str; 10] = ["", "a", "ab", "é", "éa", "日本", "日", "Z", "a日", "z"];
+
+/// `u(u_pk, u_s, u_t, u_k)`: two string keys drawn from [`WORDS`], one
+/// in eight NULL, so an empty string and a NULL meet in every run; and a
+/// small integer group key.
+fn build_str_db(rows: usize) -> Database {
+    let mut rng = SplitMix64(rows as u64 ^ 0x57B);
+    let db = Database::new();
+    let str_meta = |name: &str| ColumnMeta {
+        name: name.into(),
+        dtype: DataType::Str,
+    };
+    let meta = vec![
+        int_meta("u_pk"),
+        str_meta("u_s"),
+        str_meta("u_t"),
+        int_meta("u_k"),
+    ];
+    let word = |rng: &mut SplitMix64| match rng.below(8) {
+        0 => Value::Null,
+        _ => Value::str(WORDS[rng.below(WORDS.len() as u64) as usize]),
+    };
+    let data: Vec<Row> = (0..rows as i64)
+        .map(|i| {
+            let (s, t) = (word(&mut rng), word(&mut rng));
+            vec![Value::Int(i), s, t, Value::Int(rng.below(7) as i64)]
+        })
+        .collect();
+    db.create_table_with_rows("u", meta, data).unwrap();
+    db
+}
+
+/// String sort keys — multi-byte, empty and NULL cells, ties everywhere —
+/// and MIN/MAX over strings order and aggregate exactly as the row path
+/// does, at 1/2/8 workers, in one segment and across a boundary.
+#[test]
+fn multibyte_and_empty_string_keys_sort_identically() {
+    for rows in [20_000usize, 65_537] {
+        let db = build_str_db(rows);
+        for sql in [
+            "select u_pk, u_s from u order by u_s, u_pk",
+            "select u_s, u_t, u_pk from u order by u_s desc, u_t, u_pk desc",
+            "select u_pk, u_s from u order by u_s desc limit 100",
+            "select u_s, u_pk from u where u_s <> '' order by u_t, u_s limit 1000",
+            "select u_pk, u_s || u_t from u order by u_s || u_t desc, u_k limit 50",
+            "select min(u_s), max(u_s), min(u_t), max(u_t), count(u_s) from u",
+            "select u_k, min(u_s), max(u_t), count(u_t) from u group by u_k order by u_k",
+            "select u_s, count(*) from u group by u_s order by u_s desc",
+        ] {
+            check(&db, sql, &format!("strings, rows={rows}"));
+        }
+    }
+}

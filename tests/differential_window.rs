@@ -500,3 +500,54 @@ fn running_sum_is_linear_on_both_executors() {
         assert!(took < Duration::from_secs(10), "{columnar:?} took {took:?}");
     }
 }
+
+/// Strings whose order is byte order: multi-byte characters, the empty
+/// string, and prefixes of one another.
+const WORDS: [&str; 8] = ["", "a", "ab", "é", "éa", "日本", "日", "z"];
+
+/// Partition and order keys that are strings with multi-byte, empty and
+/// NULL cells, and MIN/MAX over a string argument: the batch kernel agrees
+/// with the row path at 1 / 2 / 8 workers.
+#[test]
+fn multibyte_and_empty_string_keys_partition_and_order_identically() {
+    let mut rng = SplitMix64(test_seed(0x57_12));
+    let db = Database::new();
+    let cols = vec![
+        int_meta("s_pk"),
+        meta("s_g", DataType::Str),
+        meta("s_o", DataType::Str),
+        int_meta("s_v"),
+    ];
+    let word = |rng: &mut SplitMix64| match rng.below(7) {
+        0 => Value::Null,
+        _ => Value::str(WORDS[rng.below(WORDS.len() as u64) as usize]),
+    };
+    let rows: Vec<Row> = (0..20_000i64)
+        .map(|i| {
+            let (g, o) = (word(&mut rng), word(&mut rng));
+            vec![Value::Int(i), g, o, Value::Int(rng.below(50) as i64)]
+        })
+        .collect();
+    db.create_table_with_rows("s_t", cols, rows).unwrap();
+    for sql in [
+        "select s_pk, rank() over (partition by s_g order by s_o), \
+         min(s_o) over (partition by s_g), max(s_o) over (partition by s_g order by s_o desc) \
+         from s_t order by s_pk",
+        "select s_pk, dense_rank() over (order by s_o, s_g), \
+         row_number() over (partition by s_o order by s_g desc, s_pk), \
+         count(s_o) over (partition by s_g, s_o) from s_t order by s_pk",
+        "select s_pk, sum(s_v) over (partition by s_o order by s_g), \
+         max(s_g) over (order by s_v, s_pk) from s_t order by s_pk",
+    ] {
+        let oracle = tpcds_core::engine::query_with(&db, sql, opts(ColumnarMode::Off, 1))
+            .unwrap_or_else(|e| panic!("row path: {e}\nsql: {sql}"))
+            .rows;
+        for threads in [1, 2, 8] {
+            let got =
+                tpcds_core::engine::query_analyze_with(&db, sql, opts(ColumnarMode::Auto, threads))
+                    .unwrap_or_else(|e| panic!("batch @ {threads}: {e}\nsql: {sql}"));
+            assert!(got.plan_text.contains("Window"), "{}", got.plan_text);
+            assert_eq!(got.result.rows, oracle, "auto @ {threads}: {sql}");
+        }
+    }
+}
