@@ -670,10 +670,7 @@ impl<'a> Binder<'a> {
             };
         }
         if plan.width() != visible {
-            plan = Plan::Prefix {
-                input: Arc::new(plan),
-                keep: visible,
-            };
+            plan = first_cols(plan, visible);
         }
         if let Some(n) = limit {
             plan = Plan::Limit {
@@ -1499,10 +1496,16 @@ fn set_op(op: ast::SetOpKind, all: bool, left: Plan, right: Plan) -> Result<Plan
     };
     let tags = vec![tag(AggKind::Min), tag(AggKind::Max)];
     let grouped = group_first(union_all(tagged(left, 0), tagged(right, 1)), w, tags);
-    Ok(Plan::Prefix {
-        input: Arc::new(grouped.filtered(Some(keep))),
-        keep: w,
-    })
+    Ok(first_cols(grouped.filtered(Some(keep)), w))
+}
+
+/// The first `n` columns of `plan`: a plain-column `Project` that drops
+/// hidden sort or tag columns.
+fn first_cols(plan: Plan, n: usize) -> Plan {
+    Plan::Project {
+        input: Arc::new(plan),
+        exprs: (0..n).map(BExpr::Col).collect(),
+    }
 }
 
 fn derive_name(e: &ast::Expr) -> String {

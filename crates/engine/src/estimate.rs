@@ -125,7 +125,6 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
         Plan::Project { input, .. } | Plan::Window { input, .. } | Plan::Sort { input, .. } => {
             walk(input, db, map)
         }
-        Plan::Prefix { input, .. } => walk(input, db, map),
         Plan::HashJoin {
             left,
             right,

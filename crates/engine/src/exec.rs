@@ -22,8 +22,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tpcds_storage::{Batch, JoinType, KernelStats, WinFunc};
-use tpcds_types::{Row, Value};
+use tpcds_storage::{Batch, ColumnTable, JoinType, KernelStats, WinFunc};
+use tpcds_types::{DataType, Row, Value};
 
 /// Which execution path an operator actually took. Ordered by how
 /// accelerated the path is, so folding multiple calls keeps the best.
@@ -266,8 +266,8 @@ fn batch(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Batc
 }
 
 /// [`batch`]; with `defer`, the lookups compiled for the row-at-a-time
-/// nodes at the top of `plan` (`Scan`, `Filter`, plain `Project`,
-/// `Prefix`) are left empty and their fills queued there, for [`take`].
+/// nodes at the top of `plan` (`Scan`, `Filter`, plain `Project`) are
+/// left empty and their fills queued there, for [`take`].
 fn chain(
     plan: &Plan,
     ctx: &ExecCtx<'_>,
@@ -296,23 +296,21 @@ fn rows_of(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Ve
     Ok(rows)
 }
 
-/// The first `n` rows of `plan`, which stops there (`LIMIT`). On the
-/// batch path the row-at-a-time nodes under the limit are one lazy batch,
-/// scanned in row order. A lookup among them fills range by range ahead of
+/// The first `n` rows of `plan`, which stops there (the batch `LIMIT`; the
+/// interpreter's stops pulling). The row-at-a-time nodes under the limit
+/// are one lazy batch, scanned in row order. A lookup among them fills range by range ahead of
 /// the scan, each range no longer than the rows still wanted: every row a
 /// body runs for is one the interpreter reads too. Rows past the stopping
-/// row are never evaluated ([`tpcds_storage::scan_range`]).
-fn take(plan: &Plan, n: usize, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Vec<Row>> {
+/// row are never evaluated ([`tpcds_storage::scan_range`]). The rows come
+/// back as a table in the declared types of `plan`'s columns; `LIMIT 0`
+/// runs nothing, and its empty columns are typed `Int`.
+fn take(plan: &Plan, n: usize, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<ColumnTable> {
     let mut rows = Vec::new();
     if n == 0 {
-        return Ok(rows);
-    }
-    if ctx.opts.columnar == ColumnarMode::Off {
-        stream(plan, ctx, outer, &mut |row| {
-            rows.push(row);
-            Ok(rows.len() < n)
-        })?;
-        return Ok(rows);
+        return Ok(ColumnTable::from_rows(
+            vec![DataType::Int; plan.width()],
+            &rows,
+        ));
     }
     let fills = Fills::default();
     let b = chain(plan, ctx, outer, Some(&fills))?;
@@ -337,7 +335,8 @@ fn take(plan: &Plan, n: usize, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Re
         }
         at = to;
     }
-    Ok(rows)
+    let dtypes = b.cols().into_iter().map(|c| b.table.dtypes[c]).collect();
+    Ok(ColumnTable::from_rows(dtypes, &rows))
 }
 
 /// Surfaces a deferred per-row error left behind by the batch's pending
@@ -388,7 +387,7 @@ fn plain_cols<'e>(exprs: impl IntoIterator<Item = &'e BExpr>) -> Option<Vec<usiz
 /// the segments untouched with its emitted columns as the pending
 /// projection (a `sys.*` table its rows of the moment, typed as
 /// [`crate::sys::columns`] declares), a `Filter` ANDs into the pending
-/// predicate, a plain-column `Project`/`Prefix` composes the pending
+/// predicate, a plain-column `Project` composes the pending
 /// projection; joins, aggregates, windows, sorts and limits hand whatever
 /// batch their child produced to a morsel kernel.
 fn batch_node(
@@ -465,40 +464,15 @@ fn batch_node(
             let specs = agg_specs(groups.len(), aggs);
             let args = aggs.iter().filter_map(|a| a.arg.as_ref());
             let keys: Vec<&BExpr> = groups.iter().chain(args).collect();
-            // The calls with their key positions mapped to key columns.
-            let rebased = |cols: &[usize]| -> Vec<_> {
-                let at = |s: tpcds_storage::AggSpec| s.col.map(|k| cols[k]);
-                (specs.iter())
-                    .map(|&s| tpcds_storage::AggSpec { col: at(s), ..s })
-                    .collect()
-            };
-            // Plain columns directly over a hash join: the fused kernel
-            // folds matches into the partials; joined rows are never
-            // gathered.
-            if let (Some(cols), Plan::HashJoin { kind, .. }) =
-                (plain_cols(keys.iter().copied()), &**input)
-            {
-                let j = join_sides(input, node, ctx, outer)?;
-                let cols: Vec<usize> = cols.into_iter().map(|c| j.phys(c)).collect();
-                let res = tpcds_storage::par_hash_join_agg(
-                    &j.probe,
-                    &j.probe_keys,
-                    &j.build,
-                    &j.build_keys,
-                    *kind,
-                    j.residual.as_ref(),
-                    &cols[..groups.len()],
-                    &rebased(&cols),
-                    threads,
-                );
-                j.check_err()?;
-                let (table, ks) = res.map_err(storage_err)?;
-                ctx.record(node, &ks);
-                return Ok(Batch::new(Arc::new(table)));
-            }
             let input = batch(input, ctx, outer)?;
             let (b, cols) = key_columns(input, &keys, false, node, ctx, outer)?;
-            let specs = rebased(&cols);
+            // The calls with their key positions mapped to key columns.
+            let specs: Vec<_> = (specs.iter())
+                .map(|&s| tpcds_storage::AggSpec {
+                    col: s.col.map(|k| cols[k]),
+                    ..s
+                })
+                .collect();
             let res = tpcds_storage::par_aggregate(&b, &cols[..groups.len()], &specs, threads);
             // Deferred predicate errors outrank aggregate errors: the row
             // path filters before it folds.
@@ -525,8 +499,7 @@ fn batch_node(
         }
         Plan::Limit { input, n } => {
             columnar();
-            let rows = take(input, *n as usize, ctx, outer)?;
-            Ok(Batch::from_rows(plan.width(), &rows))
+            Ok(Batch::new(Arc::new(take(input, *n as usize, ctx, outer)?)))
         }
         Plan::CteRef { id, plan: body, .. } => {
             columnar();
@@ -541,11 +514,6 @@ fn batch_node(
             }
             ctx.cte_cache.lock().insert(*id, b.clone());
             Ok(b)
-        }
-        Plan::Prefix { input, keep } => {
-            columnar();
-            let visible: Vec<usize> = (0..*keep).collect();
-            Ok(chain(input, ctx, outer, defer)?.project(&visible))
         }
         Plan::UnionAll { left, right } => {
             columnar();
@@ -683,10 +651,10 @@ fn join_sides(
 /// `b` with every key addressable as a physical column — what the sort,
 /// aggregate and join kernels take. A plain column key is the column
 /// behind it; any other key becomes a hidden column computed by the
-/// projection kernel (typed, so a computed sort key keeps the u64 key
-/// encoding) after the visible columns, which the result keeps visible
-/// when `carry` (a sort, a join side) and drops otherwise (an aggregate
-/// reads nothing but its keys).
+/// projection kernel (typed, so a computed integer key gets an `i64`
+/// buffer the kernels read raw) after the visible columns, which the
+/// result keeps visible when `carry` (a sort, a join side) and drops
+/// otherwise (an aggregate reads nothing but its keys).
 fn key_columns(
     b: Batch,
     keys: &[&BExpr],
@@ -787,7 +755,7 @@ fn scan_rows(
 /// its own.
 ///
 /// Output is pushed into `sink`. The row-at-a-time operators — `Scan`,
-/// `Filter`, plain-column `Project`, `Prefix` — [`stream`] their input
+/// `Filter`, plain-column `Project` — [`stream`] their input
 /// and stop the moment the sink declines; every other operator runs to
 /// completion and [`feed`]s its result.
 fn serial_node(
@@ -852,7 +820,16 @@ fn serial_node(
             let rows = sort_rows(child(input)?, keys, ctx, outer)?;
             feed(rows.into_iter().take(*n as usize), sink)
         }
-        Plan::Limit { input, n } => feed(take(input, *n as usize, ctx, outer)?, sink),
+        Plan::Limit { input, n } => {
+            let mut rows = Vec::new();
+            if *n > 0 {
+                stream(input, ctx, outer, &mut |row| {
+                    rows.push(row);
+                    Ok(rows.len() < *n as usize)
+                })?;
+            }
+            feed(rows, sink)
+        }
         Plan::UnionAll { left, right } => feed(child(left)?.into_iter().chain(child(right)?), sink),
         Plan::CteRef { id, plan: body, .. } => {
             // Bind before matching: the cache lock must not be held while
@@ -868,10 +845,6 @@ fn serial_node(
             };
             feed(rows.iter().cloned(), sink)
         }
-        Plan::Prefix { input, keep } => stream(input, ctx, outer, &mut |mut row| {
-            row.truncate(*keep);
-            sink(row)
-        }),
     }?;
     let node = plan as *const Plan as usize;
     ctx.record_route(node, RoutePath::Serial);
@@ -1354,4 +1327,40 @@ fn cmp_keys<T>(a: &[Value], b: &[Value], keys: &[(T, bool)]) -> std::cmp::Orderi
         }
     }
     std::cmp::Ordering::Equal
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::ColumnMeta;
+    use tpcds_types::Decimal;
+
+    /// A `LIMIT` hands its parent a table in the declared types of its
+    /// input's columns, also when every value it keeps of a column is
+    /// NULL: no type is guessed from the values.
+    #[test]
+    fn limit_keeps_declared_column_types() {
+        let db = Database::new();
+        let meta = |name: &str, dtype| ColumnMeta {
+            name: name.into(),
+            dtype,
+        };
+        let rows: Vec<Row> = (0..10i64)
+            .map(|i| {
+                let price = match i < 4 {
+                    true => Value::Null,
+                    false => Value::Decimal(Decimal::from_cents(i * 125)),
+                };
+                vec![Value::Int(i), price]
+            })
+            .collect();
+        let cols = vec![meta("id", DataType::Int), meta("price", DataType::Decimal)];
+        db.create_table_with_rows("t", cols, rows).unwrap();
+        let bound = crate::plan_sql(&db, "select price, id from t limit 3").unwrap();
+        let ctx = ExecCtx::new(&db, db.snapshot(), ExecOptions::default());
+        let b = batch(&bound.plan, &ctx, None).unwrap();
+        let dtypes: Vec<DataType> = b.cols().into_iter().map(|c| b.table.dtypes[c]).collect();
+        assert_eq!(dtypes, [DataType::Decimal, DataType::Int]);
+        assert_eq!(b.table.rows, 3);
+    }
 }

@@ -205,10 +205,10 @@ pub fn optimize(plan: Plan, db: &Database) -> Plan {
 
 /// Fuses `Limit`-over-`Sort` into a [`Plan::TopN`] node, recursing
 /// through the whole tree (subquery bodies live inside expressions and
-/// are left alone — they rarely carry ORDER BY + LIMIT). A `Prefix`
-/// between the two (hidden sort columns) commutes with the fusion:
-/// `Limit(Prefix(Sort))` becomes `Prefix(TopN)`, since `Prefix` only
-/// drops trailing columns row-by-row.
+/// are left alone — they rarely carry ORDER BY + LIMIT). A plain-column
+/// `Project` between the two (dropping hidden sort columns) commutes with
+/// the fusion: `Limit(Project(Sort))` becomes `Project(TopN)`, since such
+/// a `Project` maps each row on its own.
 ///
 /// Applied by the binder after planning (and skipped by
 /// `without_optimizer`, so the ablation study measures the unfused tail).
@@ -221,11 +221,11 @@ pub fn fuse_topn(plan: &Plan) -> Plan {
     if let Plan::Limit { input, n } = plan {
         match &**input {
             Plan::Sort { input, keys } => return topn(input, keys, *n),
-            Plan::Prefix { input, keep } => {
+            Plan::Project { input, exprs } if exprs.iter().all(|e| matches!(e, BExpr::Col(_))) => {
                 if let Plan::Sort { input, keys } = &**input {
-                    return Plan::Prefix {
+                    return Plan::Project {
                         input: Arc::new(topn(input, keys, *n)),
-                        keep: *keep,
+                        exprs: exprs.clone(),
                     };
                 }
             }
@@ -403,12 +403,6 @@ fn prune(plan: &Plan, need: &[usize]) -> (Plan, Vec<usize>) {
         Plan::Limit { input, n } => {
             let (input, kept) = narrow(input, need);
             (Plan::Limit { input, n: *n }, kept)
-        }
-        Plan::Prefix { input, keep } => {
-            let (input, mut kept) = narrow(input, need);
-            kept.truncate(kept.partition_point(|&c| c < *keep));
-            let keep = kept.len();
-            (Plan::Prefix { input, keep }, kept)
         }
         Plan::CteRef { .. } | Plan::UnionAll { .. } => unreachable!("kept whole above"),
     }

@@ -138,14 +138,6 @@ pub enum Plan {
         /// Output width.
         width: usize,
     },
-    /// Keep only the first `keep` columns of each row (drops hidden sort
-    /// columns after an ORDER BY over non-projected expressions).
-    Prefix {
-        /// Input.
-        input: Arc<Plan>,
-        /// Visible column count.
-        keep: usize,
-    },
 }
 
 impl Plan {
@@ -163,7 +155,6 @@ impl Plan {
             Plan::Window { input, calls } => input.width() + calls.len(),
             Plan::UnionAll { left, .. } => left.width(),
             Plan::CteRef { width, .. } => *width,
-            Plan::Prefix { keep, .. } => *keep,
         }
     }
 
@@ -226,7 +217,6 @@ impl Plan {
             Plan::Limit { .. } => "Limit",
             Plan::UnionAll { .. } => "UnionAll",
             Plan::CteRef { .. } => "CteRef",
-            Plan::Prefix { .. } => "Prefix",
         }
     }
 
@@ -260,7 +250,6 @@ impl Plan {
             Plan::Limit { n, .. } => format!("Limit {n}"),
             Plan::UnionAll { .. } => "UnionAll".to_string(),
             Plan::CteRef { id, .. } => format!("CteRef #{id}"),
-            Plan::Prefix { keep, .. } => format!("Prefix keep={keep}"),
         }
     }
 
@@ -275,8 +264,7 @@ impl Plan {
             | Plan::Window { input, .. }
             | Plan::Sort { input, .. }
             | Plan::TopN { input, .. }
-            | Plan::Limit { input, .. }
-            | Plan::Prefix { input, .. } => vec![input],
+            | Plan::Limit { input, .. } => vec![input],
             Plan::HashJoin { left, right, .. } | Plan::UnionAll { left, right } => {
                 vec![left, right]
             }
@@ -348,10 +336,6 @@ impl Plan {
                 plan: f(plan),
                 width: *width,
             },
-            Plan::Prefix { input, keep } => Plan::Prefix {
-                input: f(input),
-                keep: *keep,
-            },
         }
     }
 
@@ -380,10 +364,7 @@ impl Plan {
             Plan::Sort { keys, .. } | Plan::TopN { keys, .. } => {
                 keys.iter().map(|(e, _)| e).collect()
             }
-            Plan::Limit { .. }
-            | Plan::UnionAll { .. }
-            | Plan::CteRef { .. }
-            | Plan::Prefix { .. } => vec![],
+            Plan::Limit { .. } | Plan::UnionAll { .. } | Plan::CteRef { .. } => vec![],
         }
     }
 

@@ -1,5 +1,5 @@
 //! Columnar-path integration tests: predicate compilation coverage,
-//! EXPLAIN ANALYZE morsel annotations, fused aggregation, and what a
+//! EXPLAIN ANALYZE morsel annotations, aggregation, and what a
 //! commit publishes.
 
 use tpcds_engine::{ColumnMeta, ColumnarMode, Database, ExecOptions};
@@ -352,24 +352,41 @@ fn join_with_residual_routes_columnar() {
     }
 }
 
+/// An aggregate over a join folds the joined batch like any other: the
+/// join gathers its rows, the aggregate groups them, and the answer is the
+/// row path's (up to group order, which the row path does not fix) and
+/// the same bytes at every worker count.
 #[test]
-fn aggregate_over_join_fuses() {
+fn aggregate_over_join_matches_the_row_path() {
     let db = join_db();
-    let sql = "select d.name, count(*), sum(s.price) \
-               from sales s, dims d where s.qty = d.k group by d.name";
-    let row = tpcds_engine::query_with(&db, sql, OFF).unwrap();
-    let col = tpcds_engine::query_analyze_with(&db, sql, BATCH).unwrap();
-    assert_eq!(canon(&row.rows), canon(&col.result.rows), "{sql}");
-    let agg_line = col
-        .plan_text
-        .lines()
-        .find(|l| l.contains("Aggregate"))
-        .unwrap();
-    assert!(
-        agg_line.contains("build_rows=") && agg_line.contains("partitions="),
-        "expected fused join-aggregate: {agg_line}\n{}",
-        col.plan_text
-    );
+    for sql in [
+        "select d.name, count(*), sum(s.price) \
+         from sales s, dims d where s.qty = d.k group by d.name",
+        "select d.name, count(s.id), max(s.price) \
+         from sales s left join dims d on s.qty = d.k group by d.name",
+        "select count(*), sum(s.price) from sales s, dims d where s.qty = d.k and s.id < 0",
+    ] {
+        let row = tpcds_engine::query_with(&db, sql, OFF).unwrap();
+        let at = |threads| {
+            let opts = ExecOptions {
+                columnar: ColumnarMode::Auto,
+                threads: Some(threads),
+            };
+            tpcds_engine::query_with(&db, sql, opts).unwrap().rows
+        };
+        let one = at(1);
+        assert_eq!(canon(&row.rows), canon(&one), "{sql}");
+        assert_eq!(at(2), one, "{sql}");
+        assert_eq!(at(8), one, "{sql}");
+        let plan = tpcds_engine::query_analyze_with(&db, sql, BATCH)
+            .unwrap()
+            .plan_text;
+        let join = plan.lines().find(|l| l.contains("HashJoin"));
+        assert!(
+            join.is_some_and(|l| l.contains("build_rows=")),
+            "expected the join kernel under the aggregate: {sql}\n{plan}"
+        );
+    }
 }
 
 #[test]

@@ -221,7 +221,7 @@ fn pending_join_side_predicates_raise_the_row_paths_first_error() {
         // Both sides and the residual overflow: one deterministic winner.
         "select t.id from t, d where t.n = d.k and t.big + d.w > 0 \
          and t.big + 1 > 0 and d.w * 2 > 0",
-        // Under a fused aggregate the precedence is the same.
+        // Under an aggregate the precedence is the same.
         "select d.k, count(*) from t, d where t.n = d.k and t.big * 3 > 0 group by d.k",
     ] {
         assert_error_parity(&db, sql);

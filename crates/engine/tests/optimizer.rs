@@ -63,8 +63,7 @@ fn count_nodes(plan: &Plan, pred: &impl Fn(&Plan) -> bool) -> usize {
         | Plan::TopN { input, .. }
         | Plan::Limit { input, .. }
         | Plan::Window { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Prefix { input, .. } => n += count_nodes(input, pred),
+        | Plan::Aggregate { input, .. } => n += count_nodes(input, pred),
         Plan::HashJoin { left, right, .. } | Plan::UnionAll { left, right } => {
             n += count_nodes(left, pred) + count_nodes(right, pred);
         }
@@ -204,8 +203,9 @@ fn limit_over_sort_fuses_to_topn() {
 
 #[test]
 fn limit_over_prefix_over_sort_fuses_to_topn_under_prefix() {
-    // ORDER BY a non-projected column forces a Prefix between Limit and
-    // Sort; the fusion must commute through it.
+    // ORDER BY a non-projected column puts a plain-column Project keeping
+    // the visible prefix of the row between Limit and Sort; the fusion
+    // must commute through it.
     let db = star_db();
     let bound = plan_sql(&db, "select f_v from fact order by f_d1 limit 7").unwrap();
     let text = bound.plan.explain();
@@ -222,11 +222,13 @@ fn limit_over_prefix_over_sort_fuses_to_topn_under_prefix() {
         0,
         "{text}"
     );
-    assert_eq!(
-        count_nodes(&bound.plan, &|p| matches!(p, Plan::Prefix { .. })),
-        1,
-        "{text}"
-    );
+    match &*bound.plan {
+        Plan::Project { input, exprs } => {
+            assert_eq!(exprs.len(), 1, "{text}");
+            assert!(matches!(**input, Plan::TopN { .. }), "{text}");
+        }
+        other => panic!("expected Project(TopN), got {}", other.op_name()),
+    }
 }
 
 #[test]

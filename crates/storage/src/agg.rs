@@ -2,8 +2,8 @@
 //!
 //! [`PAcc`] is the one accumulator of every aggregate function —
 //! COUNT(*)/COUNT/SUM/MIN/MAX/AVG/STDDEV_SAMP — on both executors: the
-//! kernels fold column ranges ([`PAcc::update_range`]) and the row
-//! interpreter folds one value at a time ([`PAcc::update`]). Each state is
+//! kernels fold a cell straight from its typed buffer ([`PAcc::fold`]) and
+//! the row interpreter folds one value at a time ([`PAcc::update`]). Each state is
 //! associative and commutative (integer sums in `i128`, decimal sums and
 //! STDDEV_SAMP's `{n, Σx, Σx²}` exact, MIN/MAX a comparison lattice), so
 //! per-worker partials merge into exactly the value the serial row path
@@ -11,7 +11,6 @@
 //! plain calls.
 
 use crate::column::{Column, ColumnData};
-use crate::pred::P_TRUE;
 use crate::StorageError;
 use std::cmp::Ordering;
 use tpcds_types::{DataType, Decimal, Value};
@@ -224,120 +223,6 @@ impl PAcc {
         Ok(())
     }
 
-    /// Folds a whole column range in, using the typed buffers when
-    /// possible. `sel` (when given) restricts to rows whose tri-state
-    /// filter byte is [`P_TRUE`]; its length equals `len`.
-    pub fn update_range(
-        &mut self,
-        col_opt: Option<&Column>,
-        start: usize,
-        len: usize,
-        sel: Option<&[u8]>,
-    ) -> Result<(), StorageError> {
-        let pass = |j: usize| sel.map(|s| s[j] == P_TRUE).unwrap_or(true);
-        let Some(col) = col_opt else {
-            // COUNT(*): one update per selected row.
-            if let PAcc::Count(c) = self {
-                match sel {
-                    None => *c += len as i64,
-                    Some(s) => *c += s.iter().filter(|&&b| b == P_TRUE).count() as i64,
-                }
-                return Ok(());
-            }
-            unreachable!("only COUNT(*) has no argument column");
-        };
-        match (&mut *self, &col.data) {
-            (PAcc::Count(c), _) => {
-                if sel.is_none() && !col.nulls.any() {
-                    *c += len as i64;
-                } else {
-                    for j in 0..len {
-                        if pass(j) && !col.nulls.get(start + j) {
-                            *c += 1;
-                        }
-                    }
-                }
-            }
-            (PAcc::Sum { int, seen, .. }, ColumnData::I64(buf)) => {
-                let mut acc: i128 = 0;
-                let mut any = false;
-                for j in 0..len {
-                    let i = start + j;
-                    if pass(j) && !col.nulls.get(i) {
-                        acc += buf[i] as i128;
-                        any = true;
-                    }
-                }
-                *int += acc;
-                *seen |= any;
-            }
-            (PAcc::Moments(n, sum, None), ColumnData::I64(buf)) => {
-                // Integer AVG: accumulate in i128, add to the decimal sum
-                // once (same value as per-row decimal adds, fewer of them).
-                let mut acc: i128 = 0;
-                let mut cnt: i64 = 0;
-                for j in 0..len {
-                    let i = start + j;
-                    if pass(j) && !col.nulls.get(i) {
-                        acc += buf[i] as i128;
-                        cnt += 1;
-                    }
-                }
-                if cnt > 0 {
-                    *sum = sum
-                        .checked_add(&Decimal::new(acc, 0))
-                        .ok_or_else(|| StorageError::new("avg overflow"))?;
-                    *n += cnt;
-                }
-            }
-            (PAcc::MinMax { best, is_min }, ColumnData::I64(buf)) => {
-                let want_min = *is_min;
-                let mut cur: Option<i64> = None;
-                for j in 0..len {
-                    let i = start + j;
-                    if pass(j) && !col.nulls.get(i) {
-                        let x = buf[i];
-                        cur = Some(match cur {
-                            None => x,
-                            Some(b) => {
-                                if want_min {
-                                    b.min(x)
-                                } else {
-                                    b.max(x)
-                                }
-                            }
-                        });
-                    }
-                }
-                if let Some(x) = cur {
-                    let v = Value::Int(x);
-                    let replace = match best {
-                        None => true,
-                        Some(b) => match v.sql_cmp(b) {
-                            Some(o) => {
-                                if want_min {
-                                    o == std::cmp::Ordering::Less
-                                } else {
-                                    o == std::cmp::Ordering::Greater
-                                }
-                            }
-                            None => false,
-                        },
-                    };
-                    if replace {
-                        *best = Some(v);
-                    }
-                }
-            }
-            _ => {
-                for j in (0..len).filter(|&j| pass(j)) {
-                    self.fold(col, start + j)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Merges another partial into this one (commutative, exact).
     pub fn merge(&mut self, other: PAcc) -> Result<(), StorageError> {
         match (&mut *self, other) {
@@ -472,7 +357,6 @@ fn moments_name(sq: &Option<Decimal>) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pred::{P_FALSE, P_NULL};
 
     #[test]
     fn sum_int_then_decimal_promotes() {
@@ -542,50 +426,39 @@ mod tests {
         }
     }
 
+    /// [`PAcc::fold`] over a typed buffer (an `Int`, a `Decimal` and a
+    /// string column, NULLs included) finishes like [`PAcc::update`] over
+    /// the same values.
     #[test]
-    fn update_range_matches_per_row() {
-        let mut col = Column::for_type(DataType::Int);
-        let vals: Vec<Value> = (0..50)
-            .map(|i| {
-                if i % 5 == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(i - 20)
-                }
-            })
-            .collect();
-        for v in &vals {
-            col.push(v);
-        }
-        let sel: Vec<u8> = (0..50)
-            .map(|i| match i % 3 {
-                0 => P_TRUE,
-                1 => P_FALSE,
-                _ => P_NULL,
-            })
-            .collect();
-        for kind in [
-            AggKind::Count,
-            AggKind::Sum,
-            AggKind::Min,
-            AggKind::Max,
-            AggKind::Avg,
-            AggKind::StddevSamp,
+    fn fold_matches_update() {
+        let ints = (0..50).map(|i| Value::Int(i - 20));
+        let decs = (0..50).map(|i| Value::Decimal(Decimal::from_cents(i * 37 - 900)));
+        let strs = (0..50).map(|i| Value::str(format!("s{}", (i * 7) % 13)));
+        for (dtype, vals) in [
+            (DataType::Int, ints.collect::<Vec<_>>()),
+            (DataType::Decimal, decs.collect()),
+            (DataType::Str, strs.collect()),
         ] {
-            let mut fast = PAcc::new(kind);
-            fast.update_range(Some(&col), 0, 50, Some(&sel)).unwrap();
-            let mut slow = PAcc::new(kind);
-            for (i, v) in vals.iter().enumerate() {
-                if sel[i] == P_TRUE {
-                    slow.update(Some(v)).unwrap();
+            let vals: Vec<Value> = (vals.into_iter().enumerate())
+                .map(|(i, v)| if i % 5 == 0 { Value::Null } else { v })
+                .collect();
+            let mut col = Column::for_type(dtype);
+            vals.iter().for_each(|v| col.push(v));
+            let numeric = [AggKind::Sum, AggKind::Avg, AggKind::StddevSamp];
+            let kinds = [AggKind::Count, AggKind::Min, AggKind::Max];
+            let kinds = match dtype {
+                DataType::Str => kinds.to_vec(),
+                _ => kinds.into_iter().chain(numeric).collect(),
+            };
+            for kind in kinds {
+                let (mut typed, mut boxed) = (PAcc::new(kind), PAcc::new(kind));
+                for (i, v) in vals.iter().enumerate() {
+                    typed.fold(&col, i).unwrap();
+                    boxed.update(Some(v)).unwrap();
                 }
+                assert_eq!(typed.finish(), boxed.finish(), "{dtype:?} {kind:?}");
             }
-            assert_eq!(fast.finish(), slow.finish(), "{kind:?}");
         }
-        // COUNT(*) over the selection.
-        let mut star = PAcc::new(AggKind::CountStar);
-        star.update_range(None, 0, 50, Some(&sel)).unwrap();
-        assert_eq!(star.finish(), Value::Int(17));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::pred::Pred;
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use tpcds_types::{DataType, Date, Decimal, Row, Value};
+use tpcds_types::{DataType, Date, Decimal, Value};
 
 /// What every plan operator returns and every kernel consumes.
 #[derive(Clone, Debug)]
@@ -42,20 +42,6 @@ impl Batch {
             table,
             proj: None,
         }
-    }
-
-    /// Wraps materialized rows. Column types are taken from the first
-    /// non-NULL value of each column (a wrong guess only costs the boxed
-    /// buffer, never correctness).
-    pub fn from_rows(width: usize, rows: &[Row]) -> Batch {
-        let dtypes = (0..width)
-            .map(|c| {
-                rows.iter()
-                    .find_map(|r| r.get(c).and_then(Value::data_type))
-                    .unwrap_or(DataType::Int)
-            })
-            .collect();
-        Batch::new(Arc::new(ColumnTable::from_rows(dtypes, rows)))
     }
 
     /// Number of visible columns.
@@ -265,6 +251,7 @@ fn strings(src: &ColumnTable, col: usize, ids: &[u32]) -> Option<(StrBuf, Bitmap
 mod tests {
     use super::*;
     use crate::CmpKind;
+    use tpcds_types::Row;
 
     fn rows(n: i64) -> Vec<Row> {
         (0..n)
@@ -279,11 +266,18 @@ mod tests {
             .collect()
     }
 
+    fn table(rows: &[Row]) -> ColumnTable {
+        ColumnTable::from_rows(vec![DataType::Int, DataType::Str, DataType::Bool], rows)
+    }
+
     #[test]
     fn from_rows_round_trips_and_composes() {
         let src = rows(10);
-        let b = Batch::from_rows(3, &src);
-        assert_eq!(b.table.dtypes[1], DataType::Str, "inferred past the NULL");
+        let b = Batch::new(Arc::new(table(&src)));
+        assert!(matches!(
+            b.table.segments[0].columns[1].data,
+            ColumnData::Str(_)
+        ));
         assert_eq!(crate::par_filter(&b, 1).0, src);
         let b = b
             .project(&[2, 0])
@@ -297,7 +291,7 @@ mod tests {
             vec![vec![Value::Int(8)], vec![Value::Int(9)]]
         );
         assert_eq!(admitted.load(std::sync::atomic::Ordering::Relaxed), 2);
-        assert!(Batch::from_rows(3, &src).counted().is_none());
+        assert!(Batch::new(Arc::new(table(&src))).counted().is_none());
     }
 
     #[test]
@@ -373,15 +367,6 @@ mod tests {
                 }),
             ),
             (
-                "par_hash_join_agg",
-                Box::new(|b, w| {
-                    let (inner, none) = (JoinType::Inner, None);
-                    let out =
-                        crate::par_hash_join_agg(b, &[0], b, &[0], inner, none, &[], &count, w);
-                    table_rows(out.unwrap().0)
-                }),
-            ),
-            (
                 "par_sort",
                 Box::new(|b, w| table_rows(crate::par_sort(b, &key, w).0)),
             ),
@@ -405,24 +390,22 @@ mod tests {
         ];
         let admitted = |rows: Arc<AtomicU64>| rows.load(std::sync::atomic::Ordering::Relaxed);
         for (name, kernel) in &kernels {
-            // `par_hash_join_agg` is handed the batch as both inputs.
-            let uses = if *name == "par_hash_join_agg" { 2 } else { 1 };
             for workers in [1, 4] {
                 let what = format!("{name} at {workers} workers");
                 let (b, rows) = counted(&t);
                 kernel(&b, workers);
-                assert_eq!(admitted(rows), uses * n as u64 / 2, "{what}");
+                assert_eq!(admitted(rows), n as u64 / 2, "{what}");
                 // Over dead rows, filtered or not: the output over the rows
                 // left, compacted, and each live row evaluated once.
                 let (b, rows) = counted(&masked);
                 let over_compact = kernel(&counted(&compact).0, workers);
                 assert_eq!(kernel(&b, workers), over_compact, "{what}, filtered");
-                assert_eq!(admitted(rows), uses * even, "{what}, filtered");
+                assert_eq!(admitted(rows), even, "{what}, filtered");
                 let mut b = Batch::new(Arc::clone(&masked));
                 let rows = b.counted().expect("dead rows are a pending predicate");
                 let over_compact = kernel(&Batch::new(Arc::clone(&compact)), workers);
                 assert_eq!(kernel(&b, workers), over_compact, "{what}");
-                assert_eq!(admitted(rows), uses * live.len() as u64, "{what}");
+                assert_eq!(admitted(rows), live.len() as u64, "{what}");
             }
         }
     }
@@ -430,8 +413,7 @@ mod tests {
     #[test]
     fn gather_pads_and_crosses_segments() {
         let n = SEGMENT_ROWS as i64 + 5;
-        let t =
-            ColumnTable::from_rows(vec![DataType::Int, DataType::Str, DataType::Bool], &rows(n));
+        let t = table(&rows(n));
         let ids: Vec<u32> = vec![n as u32 - 1, NO_ROW, 0, SEGMENT_ROWS as u32, 4];
         let take = |cols: &[usize]| Take {
             table: &t,

@@ -21,12 +21,13 @@
 
 use crate::batch::Batch;
 use crate::column::{Bitmap, Column, ColumnData, StrBuf};
+use crate::key::{hash_cells, Cell, KeyTable};
 use crate::morsel::{morsels_of, run_chunks, worker_count, KernelStats};
 use crate::pred::{P_FALSE, P_NULL, P_TRUE};
 use crate::segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
 use crate::StorageError;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, RwLock};
 use tpcds_types::scalar;
@@ -106,136 +107,75 @@ pub enum SetTest {
 }
 
 /// The distinct non-NULL key tuples a subquery produced, built once and
-/// shared by every morsel that probes it. Keys compare like `Value`
-/// equality (`1 = 1.0`; values of different kinds never match), which is
-/// the rule the row interpreter's per-row evaluation applies — it probes
-/// this same type.
+/// shared by every morsel that probes it: one [`KeyTable`] over the
+/// tuples, probed with key cells read straight from the operands, as a
+/// join probes its build side. Keys compare like `Value` equality
+/// (`1 = 1.0`; values of different kinds never match), which is the rule
+/// the row interpreter's per-row evaluation applies — it probes this same
+/// type.
 #[derive(Debug)]
 pub struct KeySet {
-    keys: Keys,
+    /// The distinct tuples; the table's entry `e` is `rows[e]`.
+    rows: Vec<Row>,
+    table: KeyTable,
     has_null: bool,
-}
-
-/// Single integer or date keys — surrogate keys, in practice — are kept
-/// sorted so an `i64` or date buffer probes them without boxing a value;
-/// single string keys are hashed so a string buffer probes them with its
-/// borrowed cells.
-#[derive(Debug)]
-enum Keys {
-    Ints(Vec<i64>),
-    Dates(Vec<Date>),
-    Strs(HashSet<Arc<str>>),
-    Rows(HashSet<Row>),
 }
 
 impl KeySet {
     /// The set of `rows`; a row with a NULL in it is dropped and
     /// remembered ([`SetTest::In`] needs to know).
-    pub fn new(mut rows: Vec<Row>) -> KeySet {
-        let before = rows.len();
-        rows.retain(|r| !r.iter().any(Value::is_null));
-        let has_null = rows.len() < before;
-        /// Every row as one `pick`ed value, sorted and distinct.
-        fn single<T: Ord>(rows: &[Row], pick: fn(&Value) -> Option<T>) -> Option<Vec<T>> {
-            let picked = rows.iter().map(|r| match r.as_slice() {
-                [v] => pick(v),
-                _ => None,
-            });
-            let mut ks = picked.collect::<Option<Vec<T>>>()?;
-            ks.sort_unstable();
-            ks.dedup();
-            Some(ks)
+    pub fn new(rows: Vec<Row>) -> KeySet {
+        let mut table = KeyTable::with_capacity(rows.len());
+        let (mut kept, mut has_null) = (Vec::<Row>::new(), false);
+        for row in rows {
+            if row.iter().any(Value::is_null) {
+                has_null = true;
+                continue;
+            }
+            let h = hash_cells(row.iter().map(Cell::value));
+            let same = |a: &Value, b| Cell::value(a).eq(Cell::value(b));
+            let (_, new) = table.entry(h, |e| (kept[e].iter().zip(&row)).all(|(a, b)| same(a, b)));
+            if new {
+                kept.push(row);
+            }
         }
-        let keys = if let Some(ks) = single(&rows, Value::as_int) {
-            Keys::Ints(ks)
-        } else if let Some(ks) = single(&rows, Value::as_date) {
-            Keys::Dates(ks)
-        } else if let Some(ks) = single(&rows, |v| match v {
-            Value::Str(s) => Some(Arc::clone(s)),
-            _ => None,
-        }) {
-            Keys::Strs(ks.into_iter().collect())
-        } else {
-            Keys::Rows(rows.into_iter().collect())
-        };
-        KeySet { keys, has_null }
-    }
-
-    /// Whether the NULL-free `key` is in the set.
-    fn contains(&self, key: &[Value]) -> bool {
-        match (&self.keys, key) {
-            (Keys::Ints(ks), [Value::Int(x)]) => ks.binary_search(x).is_ok(),
-            (Keys::Ints(ks), [Value::Decimal(d)]) => ks
-                .binary_search_by(|k| Decimal::from_int(*k).cmp(d))
-                .is_ok(),
-            (Keys::Dates(ks), [Value::Date(d)]) => ks.binary_search(d).is_ok(),
-            (Keys::Strs(ks), [Value::Str(s)]) => ks.contains(&**s),
-            (Keys::Rows(ks), key) => ks.contains(key),
-            _ => false,
+        KeySet {
+            rows: kept,
+            table,
+            has_null,
         }
     }
 
     /// The verdict of `test` for one key tuple before any NOT; `None` is
     /// UNKNOWN.
     pub fn test(&self, test: SetTest, key: &[Value]) -> Option<bool> {
-        let null_key = key.iter().any(Value::is_null);
-        self.verdict(test, (!null_key).then(|| self.contains(key)))
+        self.member(test, key.len(), |k| Cell::value(&key[k]))
     }
 
-    /// The NULL rules: what `test` makes of a hit, a miss, or (`None`) a
-    /// key with a NULL in it.
-    fn verdict(&self, test: SetTest, hit: Option<bool>) -> Option<bool> {
+    /// [`KeySet::test`] of the `width`-cell key whose cell `k` is
+    /// `cell(k)`. The NULL rules: a key with a NULL in it is UNKNOWN to
+    /// `IN` and a miss to `EXISTS`, and a miss is UNKNOWN to `IN` when
+    /// the set held a NULL.
+    fn member<'c>(
+        &self,
+        test: SetTest,
+        width: usize,
+        cell: impl Fn(usize) -> Cell<'c>,
+    ) -> Option<bool> {
+        let null_key = (0..width).any(|k| matches!(cell(k), Cell::Null));
+        let hit = (!null_key).then(|| {
+            let h = hash_cells((0..width).map(&cell));
+            let row_is_key = |e: usize| {
+                (self.rows[e].iter().enumerate()).all(|(k, v)| Cell::value(v).eq(cell(k)))
+            };
+            self.table.find(h, row_is_key).is_some()
+        });
         match (test, hit) {
             (SetTest::In, None) => None,
             (SetTest::In, Some(false)) if self.has_null => None,
             (SetTest::Exists, None) => Some(false),
             (_, hit) => hit,
         }
-    }
-
-    /// [`KeySet::test`] of one segment column from row `start` on into
-    /// `t`, when the keys have a sorted form that column's buffer can
-    /// probe natively; `false` = no such form, `t` untouched.
-    fn test_column(
-        &self,
-        test: SetTest,
-        negated: bool,
-        col: &Column,
-        start: usize,
-        t: &mut [u8],
-    ) -> bool {
-        fn probe(
-            t: &mut [u8],
-            on: [u8; 3],
-            nulls: &Bitmap,
-            start: usize,
-            hit: impl Fn(usize) -> bool,
-        ) {
-            for (j, o) in t.iter_mut().enumerate() {
-                let i = start + j;
-                *o = on[if nulls.get(i) {
-                    0
-                } else {
-                    1 + usize::from(hit(i))
-                }];
-            }
-        }
-        // What a NULL cell, a miss and a hit read as.
-        let on = [None, Some(false), Some(true)]
-            .map(|hit| (self.verdict(test, hit)).map_or(P_NULL, |b| tri_u8(b != negated)));
-        match (&self.keys, &col.data) {
-            (Keys::Ints(ks), ColumnData::I64(buf)) => probe(t, on, &col.nulls, start, |i| {
-                ks.binary_search(&buf[i]).is_ok()
-            }),
-            (Keys::Dates(ks), ColumnData::Date(buf)) => probe(t, on, &col.nulls, start, |i| {
-                ks.binary_search(&buf[i]).is_ok()
-            }),
-            (Keys::Strs(ks), ColumnData::Str(buf)) => {
-                probe(t, on, &col.nulls, start, |i| ks.contains(buf.get(i)))
-            }
-            _ => return false,
-        }
-        true
     }
 }
 
@@ -267,6 +207,21 @@ impl Vect<'_> {
             },
             Vect::Const(v) => v.clone(),
             Vect::Val(vs) => vs[i].clone(),
+        }
+    }
+
+    /// Element `i` as a key cell, without materializing a [`Value`].
+    fn cell(&self, i: usize) -> Cell<'_> {
+        /// What a condition's TRUE and FALSE read as.
+        static BOOLS: [Value; 2] = [Value::Bool(false), Value::Bool(true)];
+        match self {
+            Vect::Col(col, start) => Cell::of(col, start + i),
+            Vect::I64(..) | Vect::Dec(..) | Vect::Tri(_) if self.is_null_at(i) => Cell::Null,
+            Vect::I64(buf, _) => Cell::Int(buf[i]),
+            Vect::Dec(buf, _) => Cell::Dec(buf[i]),
+            Vect::Tri(t) => Cell::Other(&BOOLS[usize::from(t[i] == P_TRUE)]),
+            Vect::Const(v) => Cell::value(v),
+            Vect::Val(vs) => Cell::value(&vs[i]),
         }
     }
 
@@ -1036,25 +991,13 @@ impl Expr {
                     .iter()
                     .map(|k| k.eval_vect(input, start, len))
                     .collect();
-                let mut t = vec![P_NULL; len];
-                if let [Evaled {
-                    v: Vect::Col(col, s),
-                    ..
-                }] = &evs[..]
-                {
-                    if set.test_column(*test, *negated, col, *s, &mut t) {
-                        return Evaled::ok(Vect::Tri(t));
-                    }
-                }
                 let errs = first_errs(&evs);
-                let mut key: Vec<Value> = Vec::with_capacity(evs.len());
+                let mut t = vec![P_NULL; len];
                 for (j, o) in t.iter_mut().enumerate() {
                     if errs.contains_key(&j) {
                         continue;
                     }
-                    key.clear();
-                    key.extend(evs.iter().map(|e| e.v.get(j)));
-                    if let Some(b) = set.test(*test, &key) {
+                    if let Some(b) = set.member(*test, evs.len(), |k| evs[k].v.cell(j)) {
                         *o = tri_u8(b != *negated);
                     }
                 }
@@ -1179,8 +1122,9 @@ impl Expr {
 
     /// Best-effort output type, used to pick column buffers when a
     /// computed projection feeds [`par_project_table`]. A wrong hint is
-    /// safe (the column promotes to a boxed buffer); a right `Int`/`Date`
-    /// hint is what keeps computed sort keys u64-encodable.
+    /// safe (the column promotes to a boxed buffer); a right `Int` hint
+    /// is what gives a computed key a typed `i64` buffer, which the join,
+    /// group-by and sort kernels read raw.
     pub fn dtype_hint(&self, input: &[DataType]) -> DataType {
         match self {
             Expr::Col(ci) => input.get(*ci).copied().unwrap_or(DataType::Int),
@@ -1370,8 +1314,8 @@ impl ErrCell {
 
 /// Computed projection: evaluates `exprs` over the batch's qualifying
 /// rows into a fresh [`ColumnTable`] (one column per expression, table
-/// order) whose column types come from [`Expr::dtype_hint`] — right
-/// `Int`/`Date` hints are what keep computed sort keys u64-encodable. A
+/// order) whose column types come from [`Expr::dtype_hint`] — a right
+/// `Int` hint is what gives a computed key a typed `i64` buffer. A
 /// plain column is copied a run of qualifying rows at a time, buffer to
 /// buffer; a computed one is pushed value by value. Errors follow
 /// row-path timing: the first *surviving* deferred error in (row,
@@ -1773,32 +1717,52 @@ mod tests {
         assert_eq!(out, vec![P_FALSE, P_NULL, P_NULL]);
     }
 
-    /// Every (test, NOT, NULL-in-set) combination, over typed buffers (the
-    /// sorted probe), boxed buffers and a computed operand (the generic
-    /// loop): all agree with [`KeySet::test`] row by row.
+    /// Every (test, NOT, NULL-in-set) combination, over typed buffers,
+    /// boxed buffers and computed operands, for `Int`, `Date`, string and
+    /// two-column keys and an `Int` set probed by a `Decimal` column: all
+    /// agree with [`KeySet::test`] row by row.
     #[test]
     fn set_membership_null_rules_hold_on_every_path() {
         let date = |d: u32| Value::Date(Date::from_ymd(2000, 5, d));
+        let dec = |s: &str| Value::Decimal(s.parse().unwrap());
         let rows: Vec<Row> = vec![
-            vec![int(1), date(1), Value::str("a")],
-            vec![Value::Null, Value::Null, Value::Null],
-            vec![int(5), date(5), Value::str("e")],
+            vec![int(1), date(1), Value::str("a"), dec("1.00")],
+            vec![Value::Null, Value::Null, Value::Null, Value::Null],
+            vec![int(5), date(5), Value::str("e"), dec("5.50")],
         ];
-        let dtypes = vec![DataType::Int, DataType::Date, DataType::Str];
+        let dtypes = vec![
+            DataType::Int,
+            DataType::Date,
+            DataType::Str,
+            DataType::Decimal,
+        ];
         let typed = table_of(dtypes, &rows);
-        let boxed = table_of(vec![DataType::Bool; 3], &rows);
+        let boxed = table_of(vec![DataType::Bool; 4], &rows);
         for with_null in [false, true] {
-            let set_of = |vals: [Value; 2]| {
-                let mut keys: Vec<Row> = vals.into_iter().map(|v| vec![v]).collect();
-                keys.extend(with_null.then(|| vec![Value::Null]));
+            let set_of = |mut keys: Vec<Row>| {
+                let width = keys[0].len();
+                keys.extend(with_null.then(|| vec![Value::Null; width]));
                 Arc::new(KeySet::new(keys))
             };
+            let ints = set_of(vec![vec![int(1)], vec![int(9)]]);
+            // Each set with the operand columns that probe it.
             let sets = [
-                set_of([int(1), int(9)]),
-                set_of([date(1), date(9)]),
-                set_of([Value::str("a"), Value::str("z")]),
+                (Arc::clone(&ints), vec![0]),
+                (set_of(vec![vec![date(1)], vec![date(9)]]), vec![1]),
+                (
+                    set_of(vec![vec![Value::str("a")], vec![Value::str("z")]]),
+                    vec![2],
+                ),
+                (ints, vec![3]),
+                (
+                    set_of(vec![
+                        vec![int(5), Value::str("e")],
+                        vec![int(1), Value::str("z")],
+                    ]),
+                    vec![0, 2],
+                ),
             ];
-            for (c, set) in sets.iter().enumerate() {
+            for (set, cols) in &sets {
                 for (test, negated) in [
                     (SetTest::In, false),
                     (SetTest::In, true),
@@ -1806,26 +1770,38 @@ mod tests {
                     (SetTest::Exists, true),
                 ] {
                     let want: Vec<Value> = (rows.iter())
-                        .map(|r| match set.test(test, &r[c..=c]) {
-                            Some(b) => Value::Bool(b != negated),
-                            None => Value::Null,
+                        .map(|r| {
+                            let key: Row = cols.iter().map(|&c| r[c].clone()).collect();
+                            match set.test(test, &key) {
+                                Some(b) => Value::Bool(b != negated),
+                                None => Value::Null,
+                            }
                         })
                         .collect();
-                    let leaf = |key: Expr| Expr::InSet(vec![key], Arc::clone(set), test, negated);
-                    let computed = Expr::Func(ScalarFunc::Coalesce, vec![Expr::Col(c)]);
+                    let leaf = |key: &dyn Fn(usize) -> Expr| {
+                        let keys = cols.iter().map(|&c| key(c)).collect();
+                        Expr::InSet(keys, Arc::clone(set), test, negated)
+                    };
+                    let computed = |c| Expr::Func(ScalarFunc::Coalesce, vec![Expr::Col(c)]);
                     for (e, t) in [
-                        (leaf(Expr::Col(c)), &typed),
-                        (leaf(Expr::Col(c)), &boxed),
-                        (leaf(computed), &typed),
+                        (leaf(&Expr::Col), &typed),
+                        (leaf(&Expr::Col), &boxed),
+                        (leaf(&computed), &typed),
                     ] {
                         let got = e.eval_values(&t.segments[0], 0, rows.len()).unwrap();
                         assert_eq!(
                             got, want,
-                            "{test:?} negated={negated} null={with_null} col {c}"
+                            "{test:?} negated={negated} null={with_null} cols {cols:?}"
                         );
                     }
                 }
             }
+            // The `Decimal` column's `1.00` is in the `Int` set, and the
+            // pair (5, 'e') in the pair set.
+            let hits = |set: &KeySet, key: &[Value]| set.test(SetTest::Exists, key);
+            assert_eq!(hits(&sets[3].0, &rows[0][3..]), Some(true));
+            let pair = [rows[2][0].clone(), rows[2][2].clone()];
+            assert_eq!(hits(&sets[4].0, &pair), Some(true));
         }
         // The rules themselves: IN is UNKNOWN for a NULL operand and for a
         // miss against a set that held a NULL; the EXISTS form just misses.
@@ -1908,7 +1884,7 @@ mod tests {
         for threads in [2, 8] {
             let (par, ct, _) = project(&t, Some(pred.clone()), &exprs, threads).unwrap();
             assert_eq!(par, serial, "threads={threads}");
-            // The Int hints survive, so computed keys stay u64-encodable.
+            // The Int hints survive: computed keys get typed i64 buffers.
             assert_eq!(ct.dtypes[..2], [DataType::Int, DataType::Int]);
         }
     }
@@ -1925,7 +1901,7 @@ mod tests {
                 vec![int(i), v]
             })
             .collect();
-        let wrapped = Batch::from_rows(2, &rows);
+        let wrapped = Batch::new(table_of(vec![DataType::Int, DataType::Int], &rows));
         let keep = Expr::Cmp(
             CmpKind::Eq,
             Box::new(Expr::Arith(ArithOp::Mod, col(1), lit(int(2)))),
@@ -1950,7 +1926,8 @@ mod tests {
         let mut bad = rows.clone();
         bad[9_000][0] = int(i64::MAX);
         bad[15_000][0] = int(i64::MAX);
-        let err = project(&Batch::from_rows(2, &bad).table, None, &exprs, 8).unwrap_err();
+        let bad = table_of(vec![DataType::Int, DataType::Int], &bad);
+        let err = project(&bad, None, &exprs, 8).unwrap_err();
         assert_eq!(err.0, "integer overflow in +");
     }
 
@@ -1968,7 +1945,7 @@ mod tests {
     }
 
     #[test]
-    fn dtype_hints_keep_sort_keys_encodable() {
+    fn dtype_hints_keep_sort_keys_in_i64_buffers() {
         let input = [
             DataType::Int,
             DataType::Decimal,

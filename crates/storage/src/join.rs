@@ -36,12 +36,11 @@
 //! `Vec<Value>`, so a join feeds the next join, sort or aggregate as a
 //! batch.
 
-use crate::agg::AggSpec;
 use crate::batch::{gather, gather_column, Batch, Take, NO_ROW};
 use crate::column::Column;
 use crate::expr::{ErrCell, Expr};
-use crate::key::{arg_cols, merge_groups, one, GroupTable, JoinTable, KeyCols};
-use crate::morsel::{morsels_of, run_chunks, run_workers, selected, worker_count, KernelStats};
+use crate::key::{JoinTable, KeyCols};
+use crate::morsel::{morsels_of, run_chunks, selected, worker_count, KernelStats};
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
 use crate::StorageError;
@@ -94,9 +93,9 @@ fn build_phase(
         }
         let rows = selected(base, len, pred.map(|_| sel.as_slice()));
         let mut hashes = Vec::new();
-        keys.hashes([&rows, &[]], &mut hashes);
+        keys.hashes(&rows, &mut hashes);
         (rows.into_iter().zip(hashes))
-            .filter(|&(r, _)| !keys.has_null(one(r))) // NULL keys never join
+            .filter(|&(r, _)| !keys.has_null(r)) // NULL keys never join
             .collect::<Vec<_>>()
     });
 
@@ -113,7 +112,7 @@ fn build_phase(
 
     // Phase C: per-partition table construction, parallel over partitions.
     let tables = run_chunks(npart, workers.min(npart), |p| {
-        JoinTable::build(&part_rows[p], |a, b| keys.eq(one(a), keys, one(b)))
+        JoinTable::build(&part_rows[p], |a, b| keys.eq(a, keys, b))
     });
     (tables, kept as u64, npart, workers)
 }
@@ -142,8 +141,7 @@ impl Pairs {
     }
 }
 
-/// Everything the probe loop needs, shared by the join and the fused
-/// join-aggregate.
+/// Everything the probe loop needs.
 struct Probe<'a> {
     probe: &'a ColumnTable,
     morsels: Vec<(usize, usize, usize)>,
@@ -174,17 +172,16 @@ impl Probe<'_> {
         let empty = self.build_rows == 0;
         let mut hashes = Vec::new();
         if !empty {
-            self.keys.hashes([&pids, &[]], &mut hashes);
+            self.keys.hashes(&pids, &mut hashes);
         }
         let deferred = self.residual.is_some();
         let mut cands = Pairs::default();
         let mut items = Vec::new();
         for (k, &pid) in pids.iter().enumerate() {
-            let bucket = match empty || self.keys.has_null(one(pid)) {
+            let bucket = match empty || self.keys.has_null(pid) {
                 true => None,
-                false => self.tables[part_of(hashes[k], self.mask)].get(hashes[k], |b| {
-                    self.keys.eq(one(pid), &self.build_keys, one(b))
-                }),
+                false => self.tables[part_of(hashes[k], self.mask)]
+                    .get(hashes[k], |b| self.keys.eq(pid, &self.build_keys, b)),
             };
             match bucket {
                 Some(bucket) => {
@@ -250,27 +247,32 @@ impl Probe<'_> {
         }
         out
     }
-
-    /// Workers for the probe loop: the probe side's rows plus the build
-    /// rows in the tables.
-    fn workers(&self, threads: usize) -> usize {
-        let rows = self.probe.rows + self.build_rows as usize;
-        worker_count(rows, threads, self.morsels.len())
-    }
 }
 
-/// Runs the probe side's predicate, builds the hash tables and the shared
-/// probe state. Keys, predicates and the residual address physical
-/// columns (the residual the combined `probe.table ++ build.table` row).
-fn prepare<'a>(
-    probe: &'a Batch,
+/// Partitioned parallel hash join: `probe ⋈ build` on
+/// `probe_keys[i] = build_keys[i]` (every pair when there are no keys),
+/// each side pre-filtered by its pending
+/// predicate. Output rows are `probe visible columns ++ build visible
+/// columns`, in probe-table order with each probe row's matches in
+/// build-table order — byte-identical to the engine's serial row-path
+/// join at any `threads`.
+///
+/// `residual` is an optional non-equi tail over the **combined** physical
+/// row (`probe.table ++ build.table`), evaluated batched inside the probe
+/// loop: an equi match survives
+/// only where the residual is strictly TRUE, and a left-outer probe row
+/// whose every candidate fails it pads with NULLs — the row path's
+/// ON-clause semantics. Residual errors are deferred per candidate and
+/// surface in row-path order as `Err`.
+pub fn par_hash_join(
+    probe: &Batch,
     probe_keys: &[usize],
-    build: &'a Batch,
+    build: &Batch,
     build_keys: &[usize],
     kind: JoinType,
-    residual: Option<&'a Expr>,
+    residual: Option<&Expr>,
     threads: usize,
-) -> (Probe<'a>, KernelStats) {
+) -> Result<(ColumnTable, KernelStats), StorageError> {
     let (ptable, btable) = (&*probe.table, &*build.table);
     assert!(
         ptable.id_end().max(btable.id_end()) <= NO_ROW as usize,
@@ -294,27 +296,20 @@ fn prepare<'a>(
     let probe_empty = (sels.iter()).all(|s| s.as_ref().is_some_and(|s| !s.contains(&P_TRUE)));
     let build_keys = KeyCols::of(btable, build_keys);
     let build_live0 = tpcds_obs::mem::live_bytes();
-    let (tables, build_rows, npart, workers) = build_phase(
+    let (tables, build_rows, npart, build_workers) = build_phase(
         btable,
         build.pred.as_ref(),
         &build_keys,
         !probe_empty,
         threads,
     );
+    let build_bytes = tpcds_obs::mem::live_bytes().saturating_sub(build_live0);
     let mut residual_cols = Vec::new();
     if let Some(r) = residual {
         r.visit_cols(&mut |c| residual_cols.push(c));
         residual_cols.sort_unstable();
         residual_cols.dedup();
     }
-    let stats = KernelStats {
-        build_rows,
-        partitions: npart as u64,
-        workers: workers as u64,
-        build_bytes: tpcds_obs::mem::live_bytes().saturating_sub(build_live0),
-        morsels: morsels.len() as u64,
-        ..KernelStats::default()
-    };
     let p = Probe {
         probe: ptable,
         morsels,
@@ -330,36 +325,9 @@ fn prepare<'a>(
         residual_cols,
         rerr: ErrCell::new(),
     };
-    (p, stats)
-}
-
-/// Partitioned parallel hash join: `probe ⋈ build` on
-/// `probe_keys[i] = build_keys[i]` (every pair when there are no keys),
-/// each side pre-filtered by its pending
-/// predicate. Output rows are `probe visible columns ++ build visible
-/// columns`, in probe-table order with each probe row's matches in
-/// build-table order — byte-identical to the engine's serial row-path
-/// join at any `threads`.
-///
-/// `residual` is an optional non-equi tail over the **combined** physical
-/// row, evaluated batched inside the probe loop: an equi match survives
-/// only where the residual is strictly TRUE, and a left-outer probe row
-/// whose every candidate fails it pads with NULLs — the row path's
-/// ON-clause semantics. Residual errors are deferred per candidate and
-/// surface in row-path order as `Err`.
-pub fn par_hash_join(
-    probe: &Batch,
-    probe_keys: &[usize],
-    build: &Batch,
-    build_keys: &[usize],
-    kind: JoinType,
-    residual: Option<&Expr>,
-    threads: usize,
-) -> Result<(ColumnTable, KernelStats), StorageError> {
-    let (p, mut stats) = prepare(
-        probe, probe_keys, build, build_keys, kind, residual, threads,
-    );
-    let workers = p.workers(threads);
+    // The probe side's rows plus the build rows in the tables.
+    let rows = ptable.rows + build_rows as usize;
+    let workers = worker_count(rows, threads, p.morsels.len());
     // Per-morsel pair lists, reassembled in morsel order.
     let parts = run_chunks(p.morsels.len(), workers, |m| p.morsel(m));
     if let Some(msg) = p.rerr.take() {
@@ -373,86 +341,32 @@ pub fn par_hash_join(
     let out = gather(
         &[
             Take {
-                table: p.probe,
+                table: ptable,
                 cols: probe.cols(),
                 ids: &pairs.probe,
             },
             Take {
-                table: p.build,
+                table: btable,
                 cols: build.cols(),
                 ids: &pairs.build,
             },
         ],
         threads,
     );
-    stats.workers = stats.workers.max(workers as u64);
-    Ok((out, stats))
-}
-
-/// Fused join + grouped aggregation: like [`par_hash_join`] but instead of
-/// gathering joined rows, each probe worker folds its pairs straight into
-/// a per-worker group table. `groups` and the [`AggSpec`] argument
-/// columns index the **combined** physical row (`probe.table ++
-/// build.table`); on a left-outer pad every build-side column reads as
-/// NULL. The output table is `key columns ++ aggregate values`, sorted by
-/// key and typed as [`crate::par_aggregate`]'s, and a global aggregate
-/// over zero joined rows still yields one default row — mirroring the
-/// engine's aggregate over the row-path join. Residual errors outrank
-/// aggregate errors.
-#[allow(clippy::too_many_arguments)]
-pub fn par_hash_join_agg(
-    probe: &Batch,
-    probe_keys: &[usize],
-    build: &Batch,
-    build_keys: &[usize],
-    kind: JoinType,
-    residual: Option<&Expr>,
-    groups: &[usize],
-    aggs: &[AggSpec],
-    threads: usize,
-) -> Result<(ColumnTable, KernelStats), StorageError> {
-    let (p, mut stats) = prepare(
-        probe, probe_keys, build, build_keys, kind, residual, threads,
-    );
-    let workers = p.workers(threads);
-    // Combined-row column `c` as (side, column): probe 0, build 1.
-    let pw = p.probe.width();
-    let side = |c: usize| if c < pw { (0, c) } else { (1, c - pw) };
-    let sides = [p.probe, p.build];
-    let keys = KeyCols::new(&sides, groups.iter().map(|&c| side(c)));
-    let args = KeyCols::new(&sides, arg_cols(aggs).into_iter().map(side));
-
-    let partials = run_workers(p.morsels.len(), workers, |chunks| {
-        let mut t = GroupTable::new(workers, aggs.len());
-        let mut hashes = Vec::new();
-        // The first aggregate failure stops folding, but the worker keeps
-        // draining morsels so the residual kernel still sees every row —
-        // its deferred-error cell stays complete and deterministic, and
-        // residual errors are reported ahead of agg errors.
-        let mut failed: Option<StorageError> = None;
-        while let Some(m) = chunks.next() {
-            let pairs = p.morsel(m);
-            if failed.is_none() {
-                let ids = [pairs.probe.as_slice(), &pairs.build];
-                failed = t.fold(ids, &keys, &args, aggs, &mut hashes).err();
-            }
-        }
-        failed.map_or(Ok(t), Err)
-    });
-
-    let merged = merge_groups(partials, &keys, workers);
-    if let Some(msg) = p.rerr.take() {
-        return Err(StorageError(msg));
-    }
-    let out = merged?.finish(&keys, &args, aggs);
-    stats.workers = stats.workers.max(workers as u64);
+    let stats = KernelStats {
+        build_rows,
+        partitions: npart as u64,
+        workers: build_workers.max(workers) as u64,
+        build_bytes,
+        morsels: p.morsels.len() as u64,
+        ..KernelStats::default()
+    };
     Ok((out, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::AggKind;
     use crate::segment::ColumnTableBuilder;
     use crate::CmpKind;
     use std::collections::HashMap;
@@ -475,46 +389,6 @@ mod tests {
     ) -> Result<(Vec<Row>, KernelStats), StorageError> {
         let (t, stats) = par_hash_join(probe, &[pk], build, &[bk], kind, residual, threads)?;
         Ok((crate::par_filter(&Batch::new(Arc::new(t)), 1).0, stats))
-    }
-
-    fn rows(t: ColumnTable) -> Vec<Row> {
-        t.iter_rows().collect()
-    }
-
-    /// The unfused reference of [`par_hash_join_agg`]: the join's rows,
-    /// then a serial group-by over them (keys compared as [`Value`]s, by
-    /// a linear search over the few groups), sorted by key.
-    fn join_then_aggregate(
-        probe: &Batch,
-        build: &Batch,
-        kind: JoinType,
-        residual: Option<&Expr>,
-        groups: &[usize],
-        aggs: &[AggSpec],
-    ) -> Vec<Row> {
-        let (joined, _) = join(probe, 1, build, 0, kind, residual, 1).unwrap();
-        let mut keys: Vec<Row> = Vec::new();
-        let mut accs: Vec<Vec<crate::agg::PAcc>> = Vec::new();
-        for row in &joined {
-            let key: Row = groups.iter().map(|&g| row[g].clone()).collect();
-            let g = keys.iter().position(|k| *k == key).unwrap_or_else(|| {
-                keys.push(key);
-                accs.push(aggs.iter().map(|a| crate::agg::PAcc::new(a.kind)).collect());
-                keys.len() - 1
-            });
-            for (spec, acc) in aggs.iter().zip(accs[g].iter_mut()) {
-                acc.update(spec.col.map(|c| &row[c])).unwrap();
-            }
-        }
-        let mut out: Vec<Row> = (keys.into_iter().zip(accs))
-            .map(|(k, a)| {
-                k.into_iter()
-                    .chain(a.into_iter().map(|a| a.finish()))
-                    .collect()
-            })
-            .collect();
-        out.sort_by(|a, b| a[0].sort_cmp(&b[0]));
-        out
     }
 
     /// Probe table: (id, key, val) with every 7th key NULL. Large enough
@@ -656,46 +530,6 @@ mod tests {
         assert_eq!(got, expect);
     }
 
-    #[test]
-    fn fused_aggregate_equals_join_then_aggregate() {
-        let probe = probe_table(70_000);
-        let build = build_table(400);
-        let groups = [3usize]; // build-side key column
-        let aggs = [
-            AggSpec {
-                kind: AggKind::CountStar,
-                col: None,
-            },
-            AggSpec {
-                kind: AggKind::Sum,
-                col: Some(2), // probe-side val
-            },
-            AggSpec {
-                kind: AggKind::Max,
-                col: Some(4), // build-side payload
-            },
-        ];
-        for kind in [JoinType::Inner, JoinType::Left] {
-            // Reference: materialize the join, then aggregate serially.
-            let expect = join_then_aggregate(&probe, &build, kind, None, &groups, &aggs);
-            for threads in [1, 2, 8] {
-                let (got, _) = par_hash_join_agg(
-                    &probe,
-                    &[1],
-                    &build,
-                    &[0],
-                    kind,
-                    None,
-                    &groups,
-                    &aggs,
-                    threads,
-                )
-                .unwrap();
-                assert_eq!(rows(got), expect, "{kind:?} threads={threads}");
-            }
-        }
-    }
-
     /// Serial residual reference: equi matches kept only where `keep`
     /// holds on the combined row; left probe rows pad when nothing
     /// survives (including NULL-key probe rows).
@@ -755,43 +589,6 @@ mod tests {
             for threads in [1, 2, 8] {
                 let (got, _) = join(&probe, 1, &build, 0, kind, Some(&residual), threads).unwrap();
                 assert_eq!(got, expect, "{kind:?} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_aggregate_honors_residual() {
-        use crate::expr::Expr;
-        let probe = probe_table(40_000);
-        let build = build_table(300);
-        let residual = Expr::Cmp(CmpKind::Gt, Box::new(Expr::Col(2)), Box::new(Expr::Col(4)));
-        let groups = [3usize];
-        let aggs = [
-            AggSpec {
-                kind: AggKind::CountStar,
-                col: None,
-            },
-            AggSpec {
-                kind: AggKind::Sum,
-                col: Some(2),
-            },
-        ];
-        for kind in [JoinType::Inner, JoinType::Left] {
-            let expect = join_then_aggregate(&probe, &build, kind, Some(&residual), &groups, &aggs);
-            for threads in [1, 2, 8] {
-                let (got, _) = par_hash_join_agg(
-                    &probe,
-                    &[1],
-                    &build,
-                    &[0],
-                    kind,
-                    Some(&residual),
-                    &groups,
-                    &aggs,
-                    threads,
-                )
-                .unwrap();
-                assert_eq!(rows(got), expect, "{kind:?} threads={threads}");
             }
         }
     }
@@ -880,52 +677,5 @@ mod tests {
         }
         assert_eq!(msgs[0], "integer overflow in +");
         assert!(msgs.iter().all(|m| *m == msgs[0]));
-        let err = par_hash_join_agg(
-            &probe,
-            &[1],
-            &build,
-            &[0],
-            JoinType::Inner,
-            Some(&residual),
-            &[3],
-            &[AggSpec {
-                kind: AggKind::CountStar,
-                col: None,
-            }],
-            8,
-        )
-        .unwrap_err();
-        assert_eq!(err.0, "integer overflow in +");
-    }
-
-    #[test]
-    fn global_fused_aggregate_over_empty_join_yields_default_row() {
-        let probe = probe_table(100);
-        let build = build_table(50);
-        // Predicate nothing passes: empty probe side.
-        let ppred = Expr::cmp(CmpKind::Lt, 0, Value::Int(-1));
-        let aggs = [
-            AggSpec {
-                kind: AggKind::CountStar,
-                col: None,
-            },
-            AggSpec {
-                kind: AggKind::Sum,
-                col: Some(2),
-            },
-        ];
-        let (out, _) = par_hash_join_agg(
-            &filtered(&probe, &ppred),
-            &[1],
-            &build,
-            &[0],
-            JoinType::Inner,
-            None,
-            &[],
-            &aggs,
-            4,
-        )
-        .unwrap();
-        assert_eq!(rows(out), vec![vec![Value::Int(0), Value::Null]]);
     }
 }

@@ -11,11 +11,12 @@
 //!
 //! [`KeyTable`] maps a key, handed over as its hash plus an equality test,
 //! to a dense entry id. It backs the join's [`JoinTable`] (key → ascending
-//! build row ids) and the aggregates' [`GroupTable`] (key → group, its
-//! lowest row and its accumulators).
+//! build row ids), the aggregates' [`GroupTable`] (key → group, its
+//! lowest row and its accumulators) and the subquery sets that
+//! `Expr::InSet` probes (`expr::KeySet`).
 
 use crate::agg::{AggSpec, PAcc};
-use crate::batch::{gather_column, NO_ROW};
+use crate::batch::gather_column;
 use crate::column::{Column, ColumnData};
 use crate::morsel::{run_chunks, worker_count};
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
@@ -92,14 +93,20 @@ impl<'a> Cell<'a> {
             ColumnData::Decimal(b) => Cell::Dec(b[i]),
             ColumnData::Date(b) => Cell::Date(b[i]),
             ColumnData::Str(b) => Cell::Str(b.get(i)),
-            ColumnData::Other(b) => match &b[i] {
-                Value::Null => Cell::Null,
-                Value::Int(x) => Cell::Int(*x),
-                Value::Decimal(d) => Cell::Dec(*d),
-                Value::Date(d) => Cell::Date(*d),
-                Value::Str(s) => Cell::Str(s),
-                v => Cell::Other(v),
-            },
+            ColumnData::Other(b) => Cell::value(&b[i]),
+        }
+    }
+
+    /// A boxed value's cell.
+    #[inline]
+    pub(crate) fn value(v: &'a Value) -> Cell<'a> {
+        match v {
+            Value::Null => Cell::Null,
+            Value::Int(x) => Cell::Int(*x),
+            Value::Decimal(d) => Cell::Dec(*d),
+            Value::Date(d) => Cell::Date(*d),
+            Value::Str(s) => Cell::Str(s),
+            v => Cell::Other(v),
         }
     }
 
@@ -162,7 +169,7 @@ impl<'a> Cell<'a> {
 
     /// `Value` equality (NULL equals NULL).
     #[inline]
-    fn eq(self, other: Cell<'_>) -> bool {
+    pub(crate) fn eq(self, other: Cell<'_>) -> bool {
         match (self, other) {
             (Cell::Int(a), Cell::Int(b)) => a == b,
             (Cell::Str(a), Cell::Str(b)) => a == b,
@@ -172,15 +179,11 @@ impl<'a> Cell<'a> {
     }
 }
 
-/// A key row: one row id per side. Keys over one table read side 0; the
-/// fused join-aggregate reads its probe side at 0 and its build side at 1,
-/// where [`NO_ROW`] (a left-outer pad) reads as NULL.
-pub(crate) type RowIds = [u32; 2];
-
-/// A one-table key row.
+/// The hash of a key given as its cells: what [`KeyCols::hashes`] gives
+/// the same key read from a table.
 #[inline]
-pub(crate) fn one(id: u32) -> RowIds {
-    [id, NO_ROW]
+pub(crate) fn hash_cells<'c>(cells: impl IntoIterator<Item = Cell<'c>>) -> u64 {
+    avalanche(cells.into_iter().fold(0, |h, c| mix(h, c.hash())))
 }
 
 #[inline]
@@ -188,9 +191,8 @@ fn split(id: u32) -> (usize, usize) {
     (id as usize / SEGMENT_ROWS, id as usize % SEGMENT_ROWS)
 }
 
-/// One column of a key: the column of one side's table, per segment.
+/// One column of a key, per segment.
 struct KeyCol<'a> {
-    side: usize,
     table: &'a ColumnTable,
     col: usize,
     segs: Vec<&'a Column>,
@@ -202,11 +204,10 @@ struct KeyCol<'a> {
 }
 
 impl<'a> KeyCol<'a> {
-    /// NULL at `id`: a NULL cell or a pad.
     #[inline]
     fn is_null(&self, id: u32) -> bool {
         let (s, i) = split(id);
-        id == NO_ROW || (self.any_null && self.segs[s].nulls.get(i))
+        self.any_null && self.segs[s].nulls.get(i)
     }
 
     #[inline]
@@ -244,19 +245,16 @@ impl<'a> KeyCol<'a> {
     }
 }
 
-/// Columns read at a [`RowIds`]: a key, or an aggregate's arguments.
+/// Columns of one table read at a global row id: a key, sort keys, or an
+/// aggregate's arguments.
 pub(crate) struct KeyCols<'a> {
     cols: Vec<KeyCol<'a>>,
 }
 
 impl<'a> KeyCols<'a> {
-    /// Column `c` of side `s`'s table, for each `(s, c)`.
-    pub(crate) fn new(
-        sides: &[&'a ColumnTable],
-        cols: impl IntoIterator<Item = (usize, usize)>,
-    ) -> KeyCols<'a> {
-        let key_col = |(side, col): (usize, usize)| {
-            let table = sides[side];
+    /// Columns `cols` of `table`.
+    pub(crate) fn of(table: &'a ColumnTable, cols: &[usize]) -> KeyCols<'a> {
+        let key_col = |col: usize| {
             let segs: Vec<&Column> = table.segments.iter().map(|g| &g.columns[col]).collect();
             let ints = (segs.iter())
                 .map(|c| match &c.data {
@@ -265,7 +263,6 @@ impl<'a> KeyCols<'a> {
                 })
                 .collect();
             KeyCol {
-                side,
                 table,
                 col,
                 any_null: segs.iter().any(|c| c.nulls.any()),
@@ -274,36 +271,28 @@ impl<'a> KeyCols<'a> {
             }
         };
         KeyCols {
-            cols: cols.into_iter().map(key_col).collect(),
+            cols: cols.iter().map(|&c| key_col(c)).collect(),
         }
     }
 
-    /// Columns `cols` of one table.
-    pub(crate) fn of(table: &'a ColumnTable, cols: &[usize]) -> KeyCols<'a> {
-        KeyCols::new(&[table], cols.iter().map(|&c| (0, c)))
-    }
-
-    /// Column `k`'s cell at one-table row `id`.
+    /// Column `k`'s cell at row `id`.
     #[inline]
     pub(crate) fn cell(&self, k: usize, id: u32) -> Cell<'a> {
         self.cols[k].cell(id)
     }
 
-    /// Column `k`'s segment column and offset at `ids`; `None` on a pad.
+    /// Column `k`'s segment column and offset at row `id`.
     #[inline]
-    pub(crate) fn at(&self, k: usize, ids: RowIds) -> Option<(&'a Column, usize)> {
-        let c = &self.cols[k];
-        let (s, i) = split(ids[c.side]);
-        (ids[c.side] != NO_ROW).then(|| (c.segs[s], i))
+    pub(crate) fn at(&self, k: usize, id: u32) -> (&'a Column, usize) {
+        let (s, i) = split(id);
+        (self.cols[k].segs[s], i)
     }
 
-    /// The keys' hashes at rows `ids` (one id list per side the key reads,
-    /// all as long as the first) into `out`, column by column.
-    pub(crate) fn hashes(&self, ids: [&[u32]; 2], out: &mut Vec<u64>) {
+    /// The keys' hashes at rows `ids` into `out`, column by column.
+    pub(crate) fn hashes(&self, ids: &[u32], out: &mut Vec<u64>) {
         out.clear();
-        out.resize(ids[0].len(), 0);
+        out.resize(ids.len(), 0);
         for c in &self.cols {
-            let ids = ids[c.side];
             match &c.ints {
                 Some(b) => {
                     for (h, &id) in out.iter_mut().zip(ids) {
@@ -328,22 +317,23 @@ impl<'a> KeyCols<'a> {
         out.iter_mut().for_each(|h| *h = avalanche(*h));
     }
 
-    /// Whether a key cell at `ids` is NULL: a join key that meets nothing.
+    /// Whether a key cell at `id` is NULL: a join key that meets nothing.
     #[inline]
-    pub(crate) fn has_null(&self, ids: RowIds) -> bool {
-        self.cols.iter().any(|c| c.is_null(ids[c.side]))
+    pub(crate) fn has_null(&self, id: u32) -> bool {
+        self.cols.iter().any(|c| c.is_null(id))
     }
 
     /// Whether the key at `a` equals `other`'s at `b`, cell by cell.
     #[inline]
-    pub(crate) fn eq(&self, a: RowIds, other: &KeyCols<'_>, b: RowIds) -> bool {
-        (self.cols.iter().zip(&other.cols)).all(|(x, y)| x.eq(a[x.side], y, b[y.side]))
+    pub(crate) fn eq(&self, a: u32, other: &KeyCols<'_>, b: u32) -> bool {
+        (self.cols.iter().zip(&other.cols)).all(|(x, y)| x.eq(a, y, b))
     }
 }
 
 /// Open addressing from a key's hash to a dense entry id, ids in
 /// first-seen order. The table never sees a key: the caller's equality
 /// test tells keys of one hash apart.
+#[derive(Debug)]
 pub(crate) struct KeyTable {
     /// Linear-probed slots: 0 is empty, else the hash's high half over
     /// the entry's id + 1.
@@ -472,7 +462,7 @@ const MERGE_PARTS: usize = 16;
 /// lowest input row (where its key is read) and its accumulators.
 struct Groups {
     keys: KeyTable,
-    reps: Vec<RowIds>,
+    reps: Vec<u32>,
     /// One accumulator per aggregate, group by group.
     accs: Vec<PAcc>,
 }
@@ -483,13 +473,7 @@ impl Groups {
     /// lowest row is `rep` holds `row`'s key. Rows must come in ascending
     /// order, so a group's first row is its lowest.
     #[inline]
-    fn id(
-        &mut self,
-        h: u64,
-        row: RowIds,
-        aggs: &[AggSpec],
-        eq: impl Fn(RowIds, RowIds) -> bool,
-    ) -> usize {
+    fn id(&mut self, h: u64, row: u32, aggs: &[AggSpec], eq: impl Fn(u32, u32) -> bool) -> usize {
         let reps = &self.reps;
         let (g, new) = self.keys.entry(h, |g| eq(reps[g], row));
         if new {
@@ -506,7 +490,7 @@ impl Groups {
         &mut self,
         other: Groups,
         width: usize,
-        eq: impl Fn(RowIds, RowIds) -> bool,
+        eq: impl Fn(u32, u32) -> bool,
     ) -> Result<(), StorageError> {
         let mut accs = other.accs.into_iter();
         for (og, &row) in other.reps.iter().enumerate() {
@@ -554,12 +538,12 @@ impl GroupTable {
     /// The accumulators of the group of the key hashed `h` at `row`: see
     /// [`Groups::id`].
     #[inline]
-    pub(crate) fn group(
+    fn group(
         &mut self,
         h: u64,
-        row: RowIds,
+        row: u32,
         aggs: &[AggSpec],
-        eq: impl Fn(RowIds, RowIds) -> bool,
+        eq: impl Fn(u32, u32) -> bool,
     ) -> &mut [PAcc] {
         let w = self.width;
         let n = self.parts.len();
@@ -568,30 +552,28 @@ impl GroupTable {
         &mut part.accs[g * w..(g + 1) * w]
     }
 
-    /// Folds the input rows `ids` (as [`KeyCols::hashes`] takes them), in
-    /// ascending order, into their groups: the key read through `keys`,
-    /// each aggregate's argument through `args` (one column per aggregate
-    /// that has one, in order). `hashes` is scratch.
+    /// Folds the input rows `ids`, in ascending order, into their groups:
+    /// the key read through `keys` (none for a global aggregate: one
+    /// group), each aggregate's argument through `args` (one column per
+    /// aggregate that has one, in order). `hashes` is scratch.
     pub(crate) fn fold(
         &mut self,
-        ids: [&[u32]; 2],
+        ids: &[u32],
         keys: &KeyCols<'_>,
         args: &KeyCols<'_>,
         aggs: &[AggSpec],
         hashes: &mut Vec<u64>,
     ) -> Result<(), StorageError> {
         keys.hashes(ids, hashes);
-        for (r, &h) in hashes.iter().enumerate() {
-            let row = [ids[0][r], ids[1].get(r).copied().unwrap_or(NO_ROW)];
+        for (&row, &h) in ids.iter().zip(hashes.iter()) {
             let accs = self.group(h, row, aggs, |a, b| keys.eq(a, keys, b));
             let mut k = 0;
             for (acc, spec) in accs.iter_mut().zip(aggs) {
                 match spec.col {
                     None => acc.update(None)?,
                     Some(_) => {
-                        if let Some((col, i)) = args.at(k, row) {
-                            acc.fold(col, i)?;
-                        }
+                        let (col, i) = args.at(k, row);
+                        acc.fold(col, i)?;
                         k += 1;
                     }
                 }
@@ -628,7 +610,7 @@ impl GroupTable {
             accs.append(&mut part.accs);
         }
         if keys.cols.is_empty() && reps.is_empty() {
-            reps.push([NO_ROW; 2]);
+            reps.push(0);
             accs.extend(aggs.iter().map(|a| PAcc::new(a.kind)));
         }
         // Least significant column first, each pass stable: an `i64`
@@ -639,15 +621,14 @@ impl GroupTable {
                 // A word and the group's place so far, in one `u128`: no two
                 // are equal, so the unstable sort is the stable one.
                 let mut words: Vec<u128> = (order.iter().enumerate())
-                    .map(|(at, &g)| c.int_word(reps[g as usize][c.side]) << 31 | at as u128)
+                    .map(|(at, &g)| c.int_word(reps[g as usize]) << 31 | at as u128)
                     .collect();
                 words.sort_unstable();
                 order = (words.iter())
                     .map(|w| order[(*w as u32 & !(1 << 31)) as usize])
                     .collect();
             } else {
-                let ids: Vec<u32> = reps.iter().map(|r| r[c.side]).collect();
-                let col = gather_column(c.table, c.col, &ids);
+                let col = gather_column(c.table, c.col, &reps);
                 order.sort_by(|&a, &b| Cell::of(&col, a as usize).cmp(Cell::of(&col, b as usize)));
             }
         }
@@ -655,8 +636,7 @@ impl GroupTable {
             .map(|part| {
                 let mut columns: Vec<Column> = (keys.cols.iter())
                     .map(|c| {
-                        let ids: Vec<u32> =
-                            part.iter().map(|&g| reps[g as usize][c.side]).collect();
+                        let ids: Vec<u32> = part.iter().map(|&g| reps[g as usize]).collect();
                         gather_column(c.table, c.col, &ids)
                     })
                     .collect();
@@ -794,18 +774,16 @@ mod tests {
             kind: AggKind::CountStar,
             col: None,
         }];
-        let eq = |a: RowIds, b: RowIds| same(a[0], b[0]);
         let fill = |rows: &[u32]| {
             let mut g = GroupTable::new(1, 1);
             for &r in rows {
-                g.group(42, one(r), &count, eq)[0].update(None).unwrap();
+                g.group(42, r, &count, same)[0].update(None).unwrap();
             }
             g.parts.pop().unwrap()
         };
         let mut g = fill(&[3, 4, 5]);
-        g.merge(fill(&[0, 1, 2]), 1, eq).unwrap();
-        let reps: Vec<u32> = g.reps.iter().map(|r| r[0]).collect();
-        assert_eq!(reps, [1, 4, 0], "each group keeps its lowest row");
+        g.merge(fill(&[0, 1, 2]), 1, same).unwrap();
+        assert_eq!(g.reps, [1, 4, 0], "each group keeps its lowest row");
         let counts: Vec<Value> = g.accs.into_iter().map(PAcc::finish).collect();
         assert_eq!(counts, [Value::Int(2), Value::Int(1), Value::Int(3)]);
     }

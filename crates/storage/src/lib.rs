@@ -35,7 +35,7 @@ pub use agg::{AggKind, AggSpec};
 pub use batch::Batch;
 pub use column::{Bitmap, Column, ColumnData, StrBuf};
 pub use expr::{par_project_table, ErrCell, Expr, KeySet, LookupMap, SetTest};
-pub use join::{par_hash_join, par_hash_join_agg, JoinType};
+pub use join::{par_hash_join, JoinType};
 pub use morsel::{
     par_aggregate, par_filter, run_chunks, scan_range, scan_until, KernelStats, MORSEL_ROWS,
 };

@@ -13,9 +13,9 @@
 
 use crate::agg::AggSpec;
 use crate::batch::Batch;
-use crate::key::{arg_cols, merge_groups, one, GroupTable, KeyCols};
+use crate::key::{arg_cols, merge_groups, GroupTable, KeyCols};
 use crate::pred::{Pred, P_TRUE};
-use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
+use crate::segment::{ColumnTable, SEGMENT_ROWS};
 use crate::StorageError;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -341,13 +341,8 @@ pub fn par_aggregate(
                 sel.as_slice()
             });
             if failed.is_none() {
-                let folded = if groups.is_empty() {
-                    fold_global(&mut t, seg, off, len, sel, aggs)
-                } else {
-                    let ids = selected(base, len, sel);
-                    t.fold([&ids, &[]], &keys, &args, aggs, &mut hashes)
-                };
-                failed = folded.err();
+                let ids = selected(base, len, sel);
+                failed = t.fold(&ids, &keys, &args, aggs, &mut hashes).err();
             }
         }
         failed.map_or(Ok(t), Err)
@@ -355,22 +350,6 @@ pub fn par_aggregate(
 
     let out = merge_groups(partials, &keys, workers)?.finish(&keys, &args, aggs);
     Ok((out, KernelStats::scan(table, morsels.len(), workers)))
-}
-
-/// A global aggregate's morsel: each call folds its column range at once.
-fn fold_global(
-    t: &mut GroupTable,
-    seg: &Segment,
-    off: usize,
-    len: usize,
-    sel: Option<&[u8]>,
-    aggs: &[AggSpec],
-) -> Result<(), StorageError> {
-    let accs = t.group(0, one(0), aggs, |_, _| true);
-    for (spec, acc) in aggs.iter().zip(accs) {
-        acc.update_range(spec.col.map(|c| &seg.columns[c]), off, len, sel)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -17,25 +17,24 @@
 //! ([`crate::batch`]), so the results stay columnar for whatever
 //! consumes them.
 //!
-//! Determinism: entries compare by encoded/extracted key first and by
-//! **global row index** on ties, which is a total order — so any worker
-//! count (and any morsel arrival order) produces exactly the bytes a
-//! stable serial sort of the input would. Sort-key comparison mirrors
-//! `Value::sort_cmp` (NULLs first ascending, last descending); dense
-//! `i64`/date key columns are encoded into order-preserving `u64` words
-//! compared memcmp-style; any other key compares the rows' cells in the
-//! typed buffers, a string as a borrowed `&str`.
+//! Determinism: entries compare by key first and by **global row index**
+//! on ties, which is a total order — so any worker count (and any morsel
+//! arrival order) produces exactly the bytes a stable serial sort of the
+//! input would. Sort-key comparison mirrors `Value::sort_cmp` (NULLs
+//! first ascending, last descending): an entry is a row id, and two
+//! entries compare their rows' cells in the typed buffers (`key::Cell`:
+//! an `i64` read raw, a string as a borrowed `&str`), as joins and
+//! group-bys do.
 
-use crate::agg::{AggKind, PAcc};
+use crate::agg::{AggKind, AggSpec, PAcc};
 use crate::batch::{gather, Batch, Take, NO_ROW};
-use crate::column::{Column, ColumnData};
 use crate::key::KeyCols;
 use crate::morsel::{morsels_of, run_chunks, run_workers, worker_count, Chunks, KernelStats};
 use crate::pred::{Pred, P_TRUE};
-use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
+use crate::segment::{ColumnTable, ColumnTableBuilder, SEGMENT_ROWS};
 use crate::{StorageError, MORSEL_ROWS};
 use std::cmp::Ordering;
-use tpcds_types::Value;
+use tpcds_types::{DataType, Value};
 
 /// One sort key: a column index plus direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,33 +73,21 @@ pub struct WinSpec {
     pub partition: usize,
 }
 
-/// One candidate row: its sort key plus an id that breaks ties (making
-/// the comparison a total order — the determinism argument): the global
-/// row index, or for a window the row's output position, which orders
-/// rows the same way.
+/// One candidate row: its global row id, whose key cells are read from
+/// the typed buffers (`key::Cell`) when two entries meet, plus an id that
+/// breaks ties (making the comparison a total order — the determinism
+/// argument): the global row id again, or for a window the row's output
+/// position, which orders rows the same way.
 struct Entry {
-    key: Key,
-    gid: usize,
+    row: u32,
+    gid: u32,
 }
 
-/// A per-row sort key. One kernel invocation uses a single variant for
-/// every row, decided up front by [`encodable`].
-enum Key {
-    /// Order-preserving `u64` words, two per sort key (null rank, then
-    /// value), direction folded in by bitwise inversion. Compared
-    /// memcmp-style.
-    Enc(Vec<u64>),
-    /// The row's global id: its key cells are read from the typed buffers
-    /// (`key::Cell`) when two entries meet, so no key is materialized.
-    Row(u32),
-}
-
-/// How one invocation orders its entries: by encoded words, or by each
-/// sort key's cells under `key::Cell`'s order — [`Value::sort_cmp`]'s.
+/// How one invocation orders its entries: by each sort key's cells under
+/// `key::Cell`'s order — [`Value::sort_cmp`]'s — then by id.
 struct Order<'a> {
     keys: &'a [SortKey],
-    /// The key columns, when the keys are not encodable.
-    cells: Option<KeyCols<'a>>,
+    cells: KeyCols<'a>,
 }
 
 impl<'a> Order<'a> {
@@ -108,88 +95,35 @@ impl<'a> Order<'a> {
         let cols: Vec<usize> = keys.iter().map(|k| k.col).collect();
         Order {
             keys,
-            cells: (!encodable(table, keys)).then(|| KeyCols::of(table, &cols)),
+            cells: KeyCols::of(table, &cols),
         }
     }
 
-    /// The key of row `i` of `seg`, whose global id is `id`. Encoded form:
-    /// per key a null-rank word (NULL = 0, so NULLs sort first ascending —
-    /// matching `Value::sort_cmp`) then a sign-flipped value word;
-    /// descending keys invert both words, which reverses their order (and
-    /// puts NULLs last).
-    fn key(&self, seg: &Segment, i: usize, id: usize) -> Key {
-        if self.cells.is_some() {
-            return Key::Row(id as u32);
-        }
-        let mut words = Vec::with_capacity(self.keys.len() * 2);
-        for k in self.keys {
-            let col = &seg.columns[k.col];
-            let (mut rank, mut word) = if col.nulls.get(i) {
-                (0u64, 0u64)
-            } else {
-                let raw = match &col.data {
-                    ColumnData::I64(buf) => buf[i],
-                    ColumnData::Date(buf) => buf[i].day_number() as i64,
-                    // `encodable` checked every segment.
-                    _ => unreachable!("non-encodable key column"),
-                };
-                (1u64, (raw as u64) ^ (1u64 << 63))
-            };
-            if k.desc {
-                rank = !rank;
-                word = !word;
-            }
-            words.push(rank);
-            words.push(word);
-        }
-        Key::Enc(words)
-    }
-
-    /// The order of two keys on their first `n` sort keys.
-    fn cmp_keys(&self, a: &Key, b: &Key, n: usize) -> Ordering {
-        match (a, b, &self.cells) {
-            (Key::Enc(x), Key::Enc(y), _) => x[..2 * n].cmp(&y[..2 * n]),
-            (Key::Row(x), Key::Row(y), Some(cells)) => (self.keys[..n].iter().enumerate())
-                .map(|(k, key)| {
-                    let ord = cells.cell(k, *x).cmp(cells.cell(k, *y));
-                    if key.desc {
-                        ord.reverse()
-                    } else {
-                        ord
-                    }
-                })
-                .find(|ord| ord.is_ne())
-                .unwrap_or(Ordering::Equal),
-            // One invocation never mixes variants.
-            _ => Ordering::Equal,
-        }
+    /// The order of two rows on their first `n` sort keys.
+    fn cmp_rows(&self, a: u32, b: u32, n: usize) -> Ordering {
+        (self.keys[..n].iter().enumerate())
+            .map(|(k, key)| {
+                let ord = self.cells.cell(k, a).cmp(self.cells.cell(k, b));
+                if key.desc {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
     }
 
     /// Entries in key order, then by id.
     fn cmp(&self, a: &Entry, b: &Entry) -> Ordering {
-        (self.cmp_keys(&a.key, &b.key, self.keys.len())).then(a.gid.cmp(&b.gid))
+        (self.cmp_rows(a.row, b.row, self.keys.len())).then(a.gid.cmp(&b.gid))
     }
 
-    /// Whether two keys agree on their first `n` sort keys under `Value`
+    /// Whether two rows agree on their first `n` sort keys under `Value`
     /// equality (NULL equals NULL, as in grouping).
-    fn same(&self, a: &Key, b: &Key, n: usize) -> bool {
-        self.cmp_keys(a, b, n).is_eq()
+    fn same(&self, a: &Entry, b: &Entry, n: usize) -> bool {
+        self.cmp_rows(a.row, b.row, n).is_eq()
     }
-}
-
-/// Whether every key column is a dense fixed-width buffer in every
-/// segment, so keys can be encoded as order-preserving `u64` words.
-/// Variable-length strings and scale-carrying decimals compare their
-/// cells.
-fn encodable(table: &ColumnTable, keys: &[SortKey]) -> bool {
-    table.segments.iter().all(|s| {
-        keys.iter().all(|k| {
-            matches!(
-                s.columns[k.col].data,
-                ColumnData::I64(_) | ColumnData::Date(_)
-            )
-        })
-    })
 }
 
 /// The batch's visible columns at row `ids`.
@@ -357,10 +291,8 @@ fn topn_worker(
                 }
             }
             qualifying += 1;
-            let i = off + j;
-            let gid = si * SEGMENT_ROWS + i;
-            let key = order.key(seg, i, gid);
-            heap_offer(&mut heap, limit, Entry { key, gid }, order);
+            let row = (si * SEGMENT_ROWS + off + j) as u32;
+            heap_offer(&mut heap, limit, Entry { row, gid: row }, order);
         }
     }
     TopNPart {
@@ -408,30 +340,23 @@ pub fn par_topn(
         pruned_rows: qualifying - heap_rows,
         ..KernelStats::default()
     };
-    let ids: Vec<u32> = entries.iter().map(|e| e.gid as u32).collect();
+    let ids: Vec<u32> = entries.iter().map(|e| e.row).collect();
     (gather(&[take(batch, &ids)], threads), stats)
 }
 
 // ---------- full sort over a column table ----------
 
-/// Sorts each of `chunks` lists of `(id, global row)` pairs — `rows(c)` —
-/// into a run by `order` and id, in parallel, then k-way merges the runs.
-/// Returns the merged entries (each carrying its id) and how many runs
-/// were non-empty.
+/// Sorts each of `chunks` entry lists — `entries(c)` — into a run by
+/// `order`, in parallel, then k-way merges the runs. Returns the merged
+/// entries and how many runs were non-empty.
 fn merged_runs(
-    table: &ColumnTable,
     order: &Order<'_>,
     chunks: usize,
     workers: usize,
-    rows: impl Fn(usize) -> Vec<(usize, usize)> + Sync,
+    entries: impl Fn(usize) -> Vec<Entry> + Sync,
 ) -> (Vec<Entry>, u64) {
     let runs = run_chunks(chunks, workers, |c| {
-        let mut run: Vec<Entry> = (rows(c).into_iter())
-            .map(|(gid, row)| Entry {
-                key: order.key(&table.segments[row / SEGMENT_ROWS], row % SEGMENT_ROWS, row),
-                gid,
-            })
-            .collect();
+        let mut run = entries(c);
         run.sort_unstable_by(|a, b| order.cmp(a, b));
         run
     });
@@ -448,7 +373,7 @@ fn sorted_ids(batch: &Batch, keys: &[SortKey], threads: usize) -> (Vec<u32>, Ker
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
     let order = Order::new(table, keys);
-    let (merged, merge_ways) = merged_runs(table, &order, morsels.len(), workers, |m| {
+    let (merged, merge_ways) = merged_runs(&order, morsels.len(), workers, |m| {
         let (si, off, len) = morsels[m];
         let mut sel = Vec::new();
         if let Some(p) = pred {
@@ -457,7 +382,10 @@ fn sorted_ids(batch: &Batch, keys: &[SortKey], threads: usize) -> (Vec<u32>, Ker
         }
         (off..off + len)
             .filter(|i| pred.is_none() || sel[i - off] == P_TRUE)
-            .map(|i| (si * SEGMENT_ROWS + i, si * SEGMENT_ROWS + i))
+            .map(|i| {
+                let row = (si * SEGMENT_ROWS + i) as u32;
+                Entry { row, gid: row }
+            })
             .collect()
     });
     let stats = KernelStats {
@@ -467,7 +395,7 @@ fn sorted_ids(batch: &Batch, keys: &[SortKey], threads: usize) -> (Vec<u32>, Ker
         merge_ways,
         ..KernelStats::default()
     };
-    (merged.iter().map(|e| e.gid as u32).collect(), stats)
+    (merged.iter().map(|e| e.row).collect(), stats)
 }
 
 /// Parallel full sort of the batch's qualifying rows ([`sorted_ids`]);
@@ -485,8 +413,10 @@ pub fn par_sort(batch: &Batch, keys: &[SortKey], threads: usize) -> (ColumnTable
 /// plus one column per call — in table order, as the row operator
 /// returns them. Each call sorts the rows by its keys, ties in table
 /// order, through [`par_sort`]'s runs and merge over morsel-sized chunks,
-/// and walks that order once ([`walk`]). Byte-identical at any worker
-/// count.
+/// and walks that order once ([`walk`]), pushing its values into a column
+/// typed by the call (an aggregate's [`AggSpec::output_type`], `Int` for
+/// the rank family); the output gathers them back into table order.
+/// Byte-identical at any worker count.
 pub fn par_window(
     batch: &Batch,
     calls: &[WinSpec],
@@ -498,50 +428,65 @@ pub fn par_window(
     let table = &*batch.table;
     let chunks = ids.len().div_ceil(MORSEL_ROWS);
     let workers = worker_count(ids.len(), threads, chunks);
-    let mut rows = vec![vec![Value::Null; calls.len()]; ids.len()];
-    for (c, call) in calls.iter().enumerate() {
+    // Per call: its values in its sort order, and where each output
+    // position's value sits among them.
+    let mut values = Vec::with_capacity(calls.len());
+    for call in calls {
         let order = Order::new(table, &call.keys);
-        let (sorted, ways) = merged_runs(table, &order, chunks, workers, |k| {
+        let (sorted, ways) = merged_runs(&order, chunks, workers, |k| {
             let at = k * MORSEL_ROWS..ids.len().min((k + 1) * MORSEL_ROWS);
-            at.map(|p| (p, ids[p] as usize)).collect()
+            at.map(|p| Entry {
+                row: ids[p],
+                gid: p as u32,
+            })
+            .collect()
         });
         stats.merge_ways = stats.merge_ways.max(ways);
-        let arg = |p: usize| {
-            let (si, i) = (
-                ids[p] as usize / SEGMENT_ROWS,
-                ids[p] as usize % SEGMENT_ROWS,
-            );
-            call.arg.map(|col| (&table.segments[si].columns[col], i))
+        let dtype = match call.func {
+            WinFunc::Agg(kind) => AggSpec {
+                kind,
+                col: call.arg,
+            }
+            .output_type(call.arg.map(|c| table.dtypes[c])),
+            _ => DataType::Int,
         };
-        walk(call, &order, &sorted, arg, |p, v| rows[p][c] = v)?;
+        let mut column = ColumnTableBuilder::new(vec![dtype]);
+        let args = KeyCols::of(table, call.arg.as_slice());
+        walk(call, &order, &sorted, &args, |v| {
+            column.push_row(std::slice::from_ref(&v))
+        })?;
+        let mut at = vec![0u32; ids.len()];
+        for (k, e) in sorted.iter().enumerate() {
+            at[e.gid as usize] = k as u32;
+        }
+        values.push((column.finish(), at));
     }
-    let values = Batch::from_rows(calls.len(), &rows);
-    let all: Vec<u32> = (0..ids.len() as u32).collect();
-    let computed = Take {
-        table: &values.table,
-        cols: (0..calls.len()).collect(),
-        ids: &all,
-    };
-    Ok((gather(&[take(batch, &ids), computed], threads), stats))
+    let mut takes = vec![take(batch, &ids)];
+    takes.extend(values.iter().map(|(t, at)| Take {
+        table: t,
+        cols: vec![0],
+        ids: at,
+    }));
+    Ok((gather(&takes, threads), stats))
 }
 
-/// One call's values along `sorted` — its rows in `order`, each entry's
-/// id the row's output position — handed to `put`. A partition (rows
-/// equal on the PARTITION BY keys) restarts ranks and the accumulator; a
-/// peer group (rows equal on every key) shares one value: the rank of its
-/// first row, or the aggregate folded through its last, which without
-/// ORDER BY is the whole partition. `arg` finds a row's argument cell
-/// (`None` for COUNT(*)), folded straight from its buffer.
-fn walk<'a>(
+/// One call's values along `sorted` — its rows in `order` — handed to
+/// `push` in that order. A partition (rows equal on the PARTITION BY
+/// keys) restarts ranks and the accumulator; a peer group (rows equal on
+/// every key) shares one value: the rank of its first row, or the
+/// aggregate folded through its last, which without ORDER BY is the whole
+/// partition. The argument cell (none for COUNT(*)) is read through
+/// `args` and folded straight from its buffer.
+fn walk(
     call: &WinSpec,
     order: &Order<'_>,
     sorted: &[Entry],
-    arg: impl Fn(usize) -> Option<(&'a Column, usize)>,
-    mut put: impl FnMut(usize, Value),
+    args: &KeyCols<'_>,
+    mut push: impl FnMut(Value),
 ) -> Result<(), StorageError> {
     let (mut start, mut at, mut dense) = (0, 0, 0);
     let mut acc = None;
-    let same = |a: &Entry, b: &Entry, n| order.same(&a.key, &b.key, n);
+    let same = |a: &Entry, b: &Entry, n| order.same(a, b, n);
     for peers in sorted.chunk_by(|a, b| same(a, b, call.keys.len())) {
         if at == 0 || !same(&sorted[at - 1], &peers[0], call.partition) {
             (start, dense, acc) = (at, 0, None);
@@ -551,8 +496,11 @@ fn walk<'a>(
             WinFunc::Agg(kind) => {
                 let acc = acc.get_or_insert_with(|| PAcc::new(kind));
                 for e in peers {
-                    match arg(e.gid) {
-                        Some((col, i)) => acc.fold(col, i)?,
+                    match call.arg {
+                        Some(_) => {
+                            let (col, i) = args.at(0, e.row);
+                            acc.fold(col, i)?
+                        }
                         None => acc.update(None)?,
                     }
                 }
@@ -562,14 +510,11 @@ fn walk<'a>(
             WinFunc::DenseRank => Value::Int(dense),
             WinFunc::RowNumber => Value::Null,
         };
-        for (j, e) in peers.iter().enumerate() {
-            put(
-                e.gid,
-                match call.func {
-                    WinFunc::RowNumber => Value::Int((at + j - start + 1) as i64),
-                    _ => value.clone(),
-                },
-            );
+        for j in 0..peers.len() {
+            push(match call.func {
+                WinFunc::RowNumber => Value::Int((at + j - start + 1) as i64),
+                _ => value.clone(),
+            });
         }
         at += peers.len();
     }
@@ -579,11 +524,12 @@ fn walk<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnData;
     use crate::segment::ColumnTableBuilder;
     use crate::CmpKind;
     use crate::Expr;
     use std::sync::Arc;
-    use tpcds_types::{DataType, Decimal, Row};
+    use tpcds_types::{Date, Decimal, Row};
 
     /// ~1.5 segments of (id, bucket, amount, flag) rows: heavy key
     /// duplication in `bucket`, NULLs in `flag`.
@@ -738,9 +684,9 @@ mod tests {
     }
 
     #[test]
-    fn encoded_and_value_paths_agree() {
-        // Same logical data once as dense i64 (encoded path) and once as
-        // the Other buffer (value path): identical output.
+    fn typed_and_boxed_keys_agree() {
+        // Same logical data once as a dense i64 buffer and once as the
+        // boxed Other buffer: identical output.
         let n = 10_000i64;
         let mut dense = ColumnTableBuilder::new(vec![DataType::Int, DataType::Int]);
         let mut boxed = ColumnTableBuilder::new(vec![DataType::Bool, DataType::Bool]);
@@ -794,7 +740,10 @@ mod tests {
                 desc: false,
             },
         ];
-        let t = Batch::from_rows(2, &rows);
+        let t = Batch::new(Arc::new(ColumnTable::from_rows(
+            vec![DataType::Int, DataType::Int],
+            &rows,
+        )));
         let expect = reference(&t, &keys, None);
         for threads in [1, 2, 8] {
             let (sorted, stats) = sort(&t, &keys, threads);
@@ -802,6 +751,40 @@ mod tests {
             assert!(stats.merge_ways >= 1);
             let (top, _) = topn(&t, &keys, 123, threads);
             assert_eq!(top, expect[..123], "threads={threads}");
+        }
+    }
+    /// `I64` and `Date` keys with NULLs, each direction, over tables one
+    /// row short of, exactly at and one row past a segment: the sort and
+    /// the Top-N agree with the stable reference at every worker count.
+    #[test]
+    fn int_and_date_keys_with_nulls_match_reference_across_segment_edges() {
+        let day0 = Date::from_ymd(1998, 1, 1);
+        for n in [SEGMENT_ROWS - 1, SEGMENT_ROWS, SEGMENT_ROWS + 1] {
+            let rows: Vec<Row> = (0..n as i64)
+                .map(|i| {
+                    let null = |m: i64, v: Value| if i % m == 0 { Value::Null } else { v };
+                    vec![
+                        null(9, Value::Int((i * 7_919) % 501 - 250)),
+                        null(11, Value::Date(day0.add_days(((i * 31) % 730) as i32))),
+                        Value::Int(i),
+                    ]
+                })
+                .collect();
+            let dtypes = vec![DataType::Int, DataType::Date, DataType::Int];
+            let t = Batch::new(Arc::new(ColumnTable::from_rows(dtypes, &rows)));
+            for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
+                let keys = [SortKey { col: 0, desc: a }, SortKey { col: 1, desc: b }];
+                let expect = reference(&t, &keys, None);
+                let dates = reference(&t, &keys[1..], Some(100));
+                for threads in [1, 2, 8] {
+                    let what = format!("n={n} desc=({a}, {b}) threads={threads}");
+                    assert_eq!(sort(&t, &keys, threads).0, expect, "{what}");
+                    let (top, _) = topn(&t, &keys[1..], 100, threads);
+                    assert_eq!(top, dates, "{what}");
+                    let (top, _) = topn(&t, &keys, 100, threads);
+                    assert_eq!(top, expect[..100], "{what}");
+                }
+            }
         }
     }
 }

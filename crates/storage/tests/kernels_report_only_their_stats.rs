@@ -9,9 +9,9 @@
 use std::sync::Arc;
 use tpcds_obs::metrics;
 use tpcds_storage::{
-    par_aggregate, par_filter, par_hash_join, par_hash_join_agg, par_project_table, par_sort,
-    par_topn, par_window, scan_range, scan_until, AggKind, AggSpec, Batch, CmpKind,
-    ColumnTableBuilder, Expr, JoinType, KernelStats, SortKey, WinFunc, WinSpec,
+    par_aggregate, par_filter, par_hash_join, par_project_table, par_sort, par_topn, par_window,
+    scan_range, scan_until, AggKind, AggSpec, Batch, CmpKind, ColumnTableBuilder, Expr, JoinType,
+    KernelStats, SortKey, WinFunc, WinSpec,
 };
 use tpcds_types::{ArithOp, DataType, Value};
 
@@ -65,21 +65,6 @@ fn kernels_leave_the_registry_untouched() {
         par_hash_join(&fact, &[1], &dim, &[0], JoinType::Inner, None, THREADS)
             .unwrap()
             .1
-    });
-    silent("par_hash_join_agg", || {
-        par_hash_join_agg(
-            &fact,
-            &[1],
-            &dim,
-            &[0],
-            JoinType::Left,
-            None,
-            &[4],
-            &count,
-            THREADS,
-        )
-        .unwrap()
-        .1
     });
     silent("par_topn", || par_topn(&fact, &by_id, 10, THREADS).1);
     silent("par_sort", || par_sort(&fact, &by_id, THREADS).1);

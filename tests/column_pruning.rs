@@ -18,8 +18,7 @@ fn nodes(p: &Plan) -> Vec<&Plan> {
         | Plan::Window { input, .. }
         | Plan::Sort { input, .. }
         | Plan::TopN { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::Prefix { input, .. } => vec![input],
+        | Plan::Limit { input, .. } => vec![input],
         Plan::HashJoin { left, right, .. } | Plan::UnionAll { left, right } => vec![left, right],
         Plan::CteRef { plan, .. } => vec![plan],
     };
