@@ -13,9 +13,10 @@ use crate::catalog::Database;
 use crate::error::{EngineError, Result};
 use crate::expr::{ArithOp, BExpr, CmpKind, ScalarFunc, SubPlan};
 use crate::plan::{AggCall, Plan, WindowCall};
+use crate::unnest::Answers;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tpcds_storage::{AggKind, JoinType, KeySet, WinFunc};
+use tpcds_storage::{AggKind, JoinType, WinFunc};
 use tpcds_types::{DataType, Value};
 
 /// Sentinel base for window-result column references: window columns are
@@ -38,8 +39,6 @@ pub struct Bound {
 struct ScopeCol {
     qualifier: Option<String>,
     name: String,
-    /// The declared type, for a stored table's column.
-    dtype: Option<DataType>,
 }
 
 /// The columns visible to expressions at some point in the pipeline.
@@ -49,22 +48,12 @@ struct Scope {
 }
 
 impl Scope {
-    /// Adds a column whose type is not known at bind time (computed).
+    /// Adds a column.
     fn push(&mut self, qualifier: Option<String>, name: impl Into<String>) {
         self.cols.push(ScopeCol {
             qualifier,
             name: name.into(),
-            dtype: None,
         });
-    }
-
-    /// The type `e` is declared to have: a stored column's, or a cast's.
-    fn type_of(&self, e: &BExpr) -> Option<DataType> {
-        match e {
-            BExpr::Col(i) => self.cols[*i].dtype,
-            BExpr::Cast(_, ty) => Some(*ty),
-            _ => None,
-        }
     }
 
     fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<Option<usize>> {
@@ -287,11 +276,7 @@ impl<'a> Binder<'a> {
                 let q = alias.clone().unwrap_or_else(|| name.clone());
                 let mut scope = Scope::default();
                 for c in &cols {
-                    scope.cols.push(ScopeCol {
-                        qualifier: Some(q.clone()),
-                        name: c.name.clone(),
-                        dtype: Some(c.dtype),
-                    });
+                    scope.push(Some(q.clone()), c.name.clone());
                 }
                 Ok((
                     Plan::Scan {
@@ -381,80 +366,6 @@ impl<'a> Binder<'a> {
             self.db.insert("__dual", vec![vec![]])?;
         }
         Ok((plan, scope))
-    }
-
-    /// The keyed form of `EXISTS (q)` against `scope` (see
-    /// [`BExpr::Exists`]), when `q` is a plain `SELECT … FROM … WHERE`
-    /// block whose outer references all sit in top-level
-    /// `outer_col = inner_expr` conjuncts with both sides declared the same
-    /// type — the case where "some body row equals this key" is a set
-    /// probe under `Value` equality. Anything else has none.
-    fn bind_keyed_exists(
-        &mut self,
-        q: &ast::Query,
-        scope: &Scope,
-    ) -> Result<Option<SubPlan<Arc<KeySet>>>> {
-        let ast::SetExpr::Select(sel) = &q.body else {
-            return Ok(None);
-        };
-        let aggregates = sel.items.iter().any(|i| match i {
-            ast::SelectItem::Expr { expr, .. } => contains_aggregate(expr),
-            _ => false,
-        });
-        let plain = q.ctes.is_empty()
-            && q.limit.is_none()
-            && sel.group_by.is_empty()
-            && sel.having.is_none()
-            && !aggregates;
-        let Some(w) = sel.where_clause.as_ref().filter(|_| plain) else {
-            return Ok(None);
-        };
-        let mut refs = Vec::new();
-        let (mut body, inner) = self.bind_from(&sel.from, Some(scope), &mut refs)?;
-        if !refs.is_empty() {
-            return Ok(None); // a derived table reads the outer row
-        }
-        let pred = self.bind_expr(w, &inner, Some(scope), &mut refs, None)?;
-        let mut conjuncts = Vec::new();
-        crate::optimizer::split_conjuncts(pred, &mut conjuncts);
-        let (mut outer_keys, mut inner_keys, mut rest) = (Vec::new(), Vec::new(), Vec::new());
-        for c in conjuncts {
-            let key = match &c {
-                BExpr::Cmp(CmpKind::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
-                    (BExpr::OuterCol(o), i) | (i, BExpr::OuterCol(o)) if !i.reads_outer() => {
-                        let ty = scope.cols[*o].dtype;
-                        (ty.is_some() && ty == inner.type_of(i)).then(|| (*o, i.clone()))
-                    }
-                    _ => None,
-                },
-                _ => None,
-            };
-            match key {
-                Some((o, i)) => {
-                    outer_keys.push(o);
-                    inner_keys.push(i);
-                }
-                None if c.reads_outer() => return Ok(None),
-                None => rest.push(c),
-            }
-        }
-        if outer_keys.is_empty() {
-            return Ok(None);
-        }
-        if !rest.is_empty() {
-            body = Plan::Filter {
-                input: Arc::new(body),
-                predicate: crate::optimizer::and_all(rest),
-            };
-        }
-        if self.optimize {
-            body = crate::optimizer::optimize(body, self.db);
-        }
-        let keyed = Plan::Project {
-            input: Arc::new(body),
-            exprs: inner_keys,
-        };
-        Ok(Some(SubPlan::new(keyed, outer_keys)))
     }
 
     // ---------- SELECT ----------
@@ -1070,6 +981,29 @@ impl<'a> Binder<'a> {
         })
     }
 
+    /// A subquery of an expression over `scope`, in both its forms: the
+    /// nested body and the decorrelated one ([`crate::unnest`]).
+    fn bind_subquery<T: Clone>(
+        &mut self,
+        q: &ast::Query,
+        scope: &Scope,
+        answers: Answers,
+    ) -> Result<SubPlan<T>> {
+        let mut refs = Vec::new();
+        let (plan, _s, _n) = self.bind_query(q, Some(scope), &mut refs)?;
+        if answers != Answers::Rows && plan.width() != 1 {
+            return Err(EngineError::bind(match answers {
+                Answers::Scalar => "scalar subquery must return one column",
+                _ => "IN subquery must return one column",
+            }));
+        }
+        let id = self.next_cte_id;
+        self.next_cte_id += 1;
+        let db = self.optimize.then_some(self.db);
+        let unnested = crate::unnest::unnest(&plan, &refs, id, answers, db);
+        Ok(SubPlan::new(plan, refs, unnested))
+    }
+
     /// Binds a scalar expression over a scope. `env` is unused here but
     /// kept for symmetry (plain contexts).
     fn bind_expr(
@@ -1103,12 +1037,8 @@ impl<'a> Binder<'a> {
                 )))
             }
             ast::Expr::Subquery(q) => {
-                let mut refs = Vec::new();
-                let (plan, _s, _n) = self.bind_query(q, Some(scope), &mut refs)?;
-                if plan.width() != 1 {
-                    return Err(EngineError::bind("scalar subquery must return one column"));
-                }
-                Ok(BExpr::ScalarSubquery(SubPlan::new(plan, refs)))
+                let sub = self.bind_subquery(q, scope, Answers::Scalar)?;
+                Ok(BExpr::ScalarSubquery(sub))
             }
             ast::Expr::InSubquery {
                 expr,
@@ -1116,26 +1046,12 @@ impl<'a> Binder<'a> {
                 negated,
             } => {
                 let b = self.bind_expr(expr, scope, outer, outer_refs, None)?;
-                let mut refs = Vec::new();
-                let (plan, _s, _n) = self.bind_query(query, Some(scope), &mut refs)?;
-                if plan.width() != 1 {
-                    return Err(EngineError::bind("IN subquery must return one column"));
-                }
-                Ok(BExpr::InSubquery(
-                    b.boxed(),
-                    SubPlan::new(plan, refs),
-                    *negated,
-                ))
+                let sub = self.bind_subquery(query, scope, Answers::Values)?;
+                Ok(BExpr::InSubquery(b.boxed(), sub, *negated))
             }
             ast::Expr::Exists { query, negated } => {
-                let mut refs = Vec::new();
-                let (plan, _s, _n) = self.bind_query(query, Some(scope), &mut refs)?;
-                let keyed = if refs.is_empty() {
-                    None
-                } else {
-                    self.bind_keyed_exists(query, scope)?
-                };
-                Ok(BExpr::Exists(SubPlan::new(plan, refs), *negated, keyed))
+                let sub = self.bind_subquery(query, scope, Answers::Rows)?;
+                Ok(BExpr::Exists(sub, *negated))
             }
             ast::Expr::Window { .. } => Err(EngineError::bind(
                 "window function not allowed in this context",
@@ -1374,7 +1290,7 @@ fn group_first(input: Plan, w: usize, aggs: Vec<AggCall>) -> Plan {
 }
 
 /// Every pair of `l`'s and `r`'s rows: a hash join on no keys.
-fn cross_join(l: Plan, r: Plan) -> Plan {
+pub(crate) fn cross_join(l: Plan, r: Plan) -> Plan {
     Plan::HashJoin {
         left: Arc::new(l),
         right: Arc::new(r),

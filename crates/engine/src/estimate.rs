@@ -47,7 +47,7 @@ const SEL_OTHER: f64 = 0.5;
 /// Walks `plan` bottom-up and returns the estimate for every node.
 pub fn estimate_plan(plan: &Plan, db: &Database) -> EstMap {
     let mut map = EstMap::new();
-    walk(plan, db, &mut map);
+    walk(plan, db, &mut map, 1.0);
     map
 }
 
@@ -102,7 +102,9 @@ pub(crate) fn selectivity_over(e: &BExpr, input: &Plan, db: &Database) -> f64 {
     }
 }
 
-fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
+/// Estimates `plan` and everything under it, subquery bodies included;
+/// `dom` is the estimate of the domain the body being walked reads.
+fn walk(plan: &Plan, db: &Database, map: &mut EstMap, dom: f64) -> f64 {
     let est = match plan {
         Plan::Scan { table, filter, .. } => {
             let stats = db.table(table).ok().map(|t| t.stats());
@@ -117,13 +119,13 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
             rows * sel
         }
         Plan::Filter { input, predicate } => {
-            let in_est = walk(input, db, map);
+            let in_est = walk(input, db, map, dom);
             // Coordinates only line up with base-table stats directly
             // above a scan; elsewhere fall back to the crude constants.
             in_est * selectivity_over(predicate, input, db)
         }
         Plan::Project { input, .. } | Plan::Window { input, .. } | Plan::Sort { input, .. } => {
-            walk(input, db, map)
+            walk(input, db, map, dom)
         }
         Plan::HashJoin {
             left,
@@ -133,8 +135,8 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
             right_keys,
             residual,
         } => {
-            let l = walk(left, db, map);
-            let r = walk(right, db, map);
+            let l = walk(left, db, map, dom);
+            let r = walk(right, db, map, dom);
             let mut est = equi_join_rows(l, r, left, right, left_keys, right_keys, db);
             if let Some(res) = residual {
                 est *= predicate_selectivity(res, None, db);
@@ -145,7 +147,7 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
             est
         }
         Plan::Aggregate { input, groups, .. } => {
-            let in_est = walk(input, db, map);
+            let in_est = walk(input, db, map, dom);
             if groups.is_empty() {
                 1.0
             } else {
@@ -153,15 +155,38 @@ fn walk(plan: &Plan, db: &Database, map: &mut EstMap) -> f64 {
             }
         }
         Plan::TopN { input, n, .. } | Plan::Limit { input, n } => {
-            let in_est = walk(input, db, map);
+            let in_est = walk(input, db, map, dom);
             in_est.min(*n as f64)
         }
-        Plan::UnionAll { left, right } => walk(left, db, map) + walk(right, db, map),
-        Plan::CteRef { plan, .. } => walk(plan, db, map),
+        Plan::UnionAll { left, right } => walk(left, db, map, dom) + walk(right, db, map, dom),
+        Plan::CteRef { plan, .. } => walk(plan, db, map, 1.0),
+        Plan::Domain { .. } => dom,
     };
     let est = if est.is_finite() { est.max(0.0) } else { 0.0 };
     map.insert(plan as *const Plan as usize, est);
+    for b in plan.exprs().into_iter().flat_map(BExpr::subqueries) {
+        let dom = domain_rows(plan, b.outer_refs, db, map);
+        walk(b.flat, db, map, dom);
+        walk(b.plan, db, map, 1.0);
+    }
     est
+}
+
+/// A subquery's domain estimate: the [`group_count`] of the outer columns
+/// `refs` it reads over the input rows of `host`, the node that holds it
+/// (a join's output; a scan's filter holds no correlated subquery, since
+/// the optimizer leaves those above it).
+fn domain_rows(host: &Plan, refs: &[usize], db: &Database, map: &EstMap) -> f64 {
+    let input = match host.children()[..] {
+        [input] => input,
+        _ => host,
+    };
+    let rows = map.get(&(input as *const Plan as usize)).copied();
+    let groups: Vec<BExpr> = refs.iter().map(|&c| BExpr::Col(c)).collect();
+    match refs.is_empty() {
+        true => 1.0,
+        false => group_count(&groups, input, rows.unwrap_or(1.0), db),
+    }
 }
 
 /// Classic equi-join estimate: `|L| * |R| / max-key-NDV`, per key pair,
@@ -298,7 +323,7 @@ pub fn predicate_selectivity(e: &BExpr, stats: Option<&TableStats>, db: &Databas
         BExpr::InSubquery(inner, sub, negated) => {
             let sel = match (col_of(inner), stats) {
                 (Some(i), Some(s)) if sub.uncorrelated() => {
-                    let rows = walk(&sub.plan, db, &mut EstMap::new());
+                    let rows = walk(&sub.plan, db, &mut EstMap::new(), 1.0);
                     (eq_selectivity(i, s) * rows).min(1.0)
                 }
                 _ => SEL_OTHER,

@@ -2,23 +2,23 @@
 //! ([`tpcds_storage::Batch`]: a table, a pending predicate, a pending
 //! projection) and rows are materialized once, at the result edge
 //! ([`execute`]). Every node has a batch kernel and every expression a
-//! kernel form ([`Compiler`]): a subquery runs before the kernel that
-//! reads it, once per distinct tuple of the columns it reads among the
-//! rows that reach it. The serial row interpreter ([`serial_node`]) is
-//! kept as the oracle, and is what [`ColumnarMode::Off`] runs end to end.
+//! kernel form ([`Compiler`]): a subquery's decorrelated body runs as plan
+//! nodes before the kernel that reads it, once per call of that node, over
+//! the distinct tuples of the outer columns it reads among the node's
+//! input rows. The serial row interpreter ([`serial_node`]) is kept as the
+//! oracle, and is what [`ColumnarMode::Off`] runs end to end, nested
+//! subquery bodies per outer row.
 //! It pushes rows into a [`Sink`] that can decline more, which is how a
 //! `LIMIT` stops its input early; the batch executor stops at the same row
 //! ([`take`]).
 
 use crate::catalog::Database;
 use crate::error::{EngineError, Result};
-use crate::expr::{BExpr, CmpKind};
+use crate::expr::{BExpr, SubPlan};
 use crate::plan::{AggCall, Plan, WindowCall};
 use crate::sync::Mutex;
-use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::convert::Infallible;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,7 +56,8 @@ impl RoutePath {
 /// — except that a lazy node's pending predicate is evaluated (and timed)
 /// by the kernel that consumes it, and a row-at-a-time interpreter
 /// operator's time also covers the sinks it pushes into; `calls` counts
-/// executions (correlated subplans run once per outer row).
+/// executions (on the interpreter, a correlated subquery's nested body once
+/// per outer tuple).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpStats {
     /// The best execution path any call of this node took.
@@ -126,6 +127,8 @@ pub struct ExecCtx<'a> {
     /// Per lazy node, the counter its pending predicate feeds as kernels
     /// evaluate it ([`Batch::counted`]).
     lazy_rows: Mutex<Vec<(usize, Arc<AtomicU64>)>>,
+    /// Each [`Plan::Domain`] id's rows while its body runs.
+    domains: Mutex<HashMap<usize, Batch>>,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -139,6 +142,7 @@ impl<'a> ExecCtx<'a> {
             opts,
             stats: Mutex::new(HashMap::new()),
             lazy_rows: Mutex::new(Vec::new()),
+            domains: Mutex::new(HashMap::new()),
         }
     }
 
@@ -186,16 +190,17 @@ impl<'a> ExecCtx<'a> {
 
 /// Executes a plan to rows — the result edge, and the only place a column
 /// batch is turned into `Vec<Row>` on behalf of a caller (the statement
-/// entry points and subquery evaluation). `outer` carries the enclosing
-/// row when this plan is a correlated subquery body. Each node's calls,
-/// output rows, elapsed time and memory peak accumulate in the context.
+/// entry points and the interpreter's subquery evaluation). `outer`
+/// carries the enclosing row when the interpreter runs a correlated
+/// subquery body; no batch plan reads one. Each node's calls, output rows,
+/// elapsed time and memory peak accumulate in the context.
 ///
 /// [`ColumnarMode::Off`] runs the serial row interpreter end to end — the
 /// oracle every differential compares against; the other modes run
 /// [`batch_node`] and materialize its batch once.
 pub fn execute(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Vec<Row>> {
     if ctx.opts.columnar != ColumnarMode::Off {
-        return rows_of(plan, ctx, outer);
+        return rows_of(plan, ctx);
     }
     let mut rows = Vec::new();
     stream(plan, ctx, outer, &mut |row| {
@@ -261,21 +266,9 @@ fn stream(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>, sink: Sink<'_
 /// batch carries a pending predicate reports its rows later: whichever
 /// kernel evaluates the predicate counts what it admits (so a `LIMIT`
 /// that stops early reports the rows actually read).
-fn batch(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Batch> {
-    chain(plan, ctx, outer, None)
-}
-
-/// [`batch`]; with `defer`, the lookups compiled for the row-at-a-time
-/// nodes at the top of `plan` (`Scan`, `Filter`, plain `Project`) are
-/// left empty and their fills queued there, for [`take`].
-fn chain(
-    plan: &Plan,
-    ctx: &ExecCtx<'_>,
-    outer: Option<&[Value]>,
-    defer: Option<&Fills>,
-) -> Result<Batch> {
+fn batch(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Batch> {
     let pending = |b: &Batch| b.pred.as_ref().map_or(b.table.rows as u64, |_| 0);
-    let mut b = observed(plan, ctx, || batch_node(plan, ctx, outer, defer), pending)?;
+    let mut b = observed(plan, ctx, || batch_node(plan, ctx), pending)?;
     if let Some(rows) = b.counted() {
         let node = plan as *const Plan as usize;
         ctx.lazy_rows.lock().push((node, rows));
@@ -286,10 +279,14 @@ fn chain(
 /// Executes `plan` as a batch and materializes it. The scan numbers land
 /// on `plan`'s node when a pending predicate made this the pass that
 /// actually read the table.
-fn rows_of(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Vec<Row>> {
-    let b = batch(plan, ctx, outer)?;
-    let (rows, ks) = tpcds_storage::par_filter(&b, ctx.threads());
-    check_err(&b)?;
+fn rows_of(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Vec<Row>> {
+    collect(plan, &batch(plan, ctx)?, ctx)
+}
+
+/// [`rows_of`] for `plan`'s batch `b`.
+fn collect(plan: &Plan, b: &Batch, ctx: &ExecCtx<'_>) -> Result<Vec<Row>> {
+    let (rows, ks) = tpcds_storage::par_filter(b, ctx.threads());
+    check_err(b)?;
     if b.pred.is_some() {
         ctx.record(plan as *const Plan as usize, &ks);
     }
@@ -298,42 +295,25 @@ fn rows_of(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Ve
 
 /// The first `n` rows of `plan`, which stops there (the batch `LIMIT`; the
 /// interpreter's stops pulling). The row-at-a-time nodes under the limit
-/// are one lazy batch, scanned in row order. A lookup among them fills range by range ahead of
-/// the scan, each range no longer than the rows still wanted: every row a
-/// body runs for is one the interpreter reads too. Rows past the stopping
-/// row are never evaluated ([`tpcds_storage::scan_range`]). The rows come
-/// back as a table in the declared types of `plan`'s columns; `LIMIT 0`
-/// runs nothing, and its empty columns are typed `Int`.
-fn take(plan: &Plan, n: usize, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<ColumnTable> {
+/// are one lazy batch, scanned in row order; rows past the stopping row
+/// are never evaluated ([`tpcds_storage::scan_until`]). The rows come back
+/// as a table in the declared types of `plan`'s columns; `LIMIT 0` runs
+/// nothing, and its empty columns are typed `Int`.
+fn take(plan: &Plan, n: usize, ctx: &ExecCtx<'_>) -> Result<ColumnTable> {
     let mut rows = Vec::new();
     if n == 0 {
-        return Ok(ColumnTable::from_rows(
-            vec![DataType::Int; plan.width()],
-            &rows,
-        ));
+        let dtypes = vec![DataType::Int; plan.width()];
+        return Ok(ColumnTable::from_rows(dtypes, &rows));
     }
-    let fills = Fills::default();
-    let b = chain(plan, ctx, outer, Some(&fills))?;
-    let (fills, end, mut at) = (fills.into_inner(), b.table.id_end(), 0);
-    while rows.len() < n && at < end {
-        let to = if fills.is_empty() {
-            end
-        } else {
-            end.min(at.saturating_add(n - rows.len()))
-        };
-        for f in &fills {
-            f.fill(at..to, ctx, outer);
-        }
-        let res = tpcds_storage::scan_range(&b, at..to, |row| {
-            rows.push(row);
-            Ok::<_, Infallible>(rows.len() < n)
-        });
-        check_err(&b)?;
-        let Ok(ks) = res;
-        if b.pred.is_some() {
-            ctx.record(plan as *const Plan as usize, &ks);
-        }
-        at = to;
+    let b = batch(plan, ctx)?;
+    let res = tpcds_storage::scan_until(&b, |row| {
+        rows.push(row);
+        Ok::<_, Infallible>(rows.len() < n)
+    });
+    check_err(&b)?;
+    let Ok(ks) = res;
+    if b.pred.is_some() {
+        ctx.record(plan as *const Plan as usize, &ks);
     }
     let dtypes = b.cols().into_iter().map(|c| b.table.dtypes[c]).collect();
     Ok(ColumnTable::from_rows(dtypes, &rows))
@@ -353,23 +333,9 @@ fn storage_err(e: tpcds_storage::StorageError) -> EngineError {
 
 /// Compiles `e` for a kernel over `b`'s rows: against the physical
 /// columns behind `b`'s visible row.
-fn compile_over(
-    b: &Batch,
-    e: &BExpr,
-    ctx: &ExecCtx<'_>,
-    outer: Option<&[Value]>,
-    defer: Option<&Fills>,
-) -> Result<tpcds_storage::Expr> {
+fn compile_over(b: &Batch, e: &BExpr, ctx: &ExecCtx<'_>) -> Result<tpcds_storage::Expr> {
     let (phys, rows) = (&|c| b.phys(c), &|| Ok(b.peek()));
-    Compiler {
-        ctx,
-        outer,
-        phys,
-        rows,
-        defer,
-        reach: true,
-    }
-    .compile(e, &[])
+    Compiler { ctx, phys, rows }.compile(e)
 }
 
 /// The column indexes when every expression is a plain column reference.
@@ -390,12 +356,7 @@ fn plain_cols<'e>(exprs: impl IntoIterator<Item = &'e BExpr>) -> Option<Vec<usiz
 /// predicate, a plain-column `Project` composes the pending
 /// projection; joins, aggregates, windows, sorts and limits hand whatever
 /// batch their child produced to a morsel kernel.
-fn batch_node(
-    plan: &Plan,
-    ctx: &ExecCtx<'_>,
-    outer: Option<&[Value]>,
-    defer: Option<&Fills>,
-) -> Result<Batch> {
+fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Batch> {
     let node = plan as *const Plan as usize;
     let threads = ctx.threads();
     let columnar = || ctx.record_route(node, RoutePath::Columnar);
@@ -411,7 +372,7 @@ fn batch_node(
                 None => Batch::new(Arc::clone(ctx.table(table)?.data())),
             };
             columnar();
-            let f = (filter.as_ref()).map(|f| compile_over(&b, f, ctx, outer, defer));
+            let f = (filter.as_ref()).map(|f| compile_over(&b, f, ctx));
             let b = match f.transpose()? {
                 Some(f) => b.filter(f),
                 None => b,
@@ -423,24 +384,24 @@ fn batch_node(
         }
         Plan::Filter { input, predicate } => {
             columnar();
-            let b = chain(input, ctx, outer, defer)?;
-            let pred = compile_over(&b, predicate, ctx, outer, defer)?;
+            let b = batch(input, ctx)?;
+            let pred = compile_over(&b, predicate, ctx)?;
             Ok(b.filter(pred))
         }
         Plan::Project { input, exprs } => {
             columnar();
             if let Some(cols) = plain_cols(exprs) {
-                return Ok(chain(input, ctx, outer, defer)?.project(&cols));
+                return Ok(batch(input, ctx)?.project(&cols));
             }
-            let b = batch(input, ctx, outer)?;
+            let b = batch(input, ctx)?;
             let cexprs = (exprs.iter())
-                .map(|e| compile_over(&b, e, ctx, outer, None))
+                .map(|e| compile_over(&b, e, ctx))
                 .collect::<Result<Vec<_>>>()?;
             Ok(Batch::new(project_table(&b, &cexprs, node, ctx)?))
         }
         Plan::HashJoin { kind, .. } => {
             columnar();
-            let j = join_sides(plan, node, ctx, outer)?;
+            let j = join_sides(plan, node, ctx)?;
             let res = tpcds_storage::par_hash_join(
                 &j.probe,
                 &j.probe_keys,
@@ -464,8 +425,8 @@ fn batch_node(
             let specs = agg_specs(groups.len(), aggs);
             let args = aggs.iter().filter_map(|a| a.arg.as_ref());
             let keys: Vec<&BExpr> = groups.iter().chain(args).collect();
-            let input = batch(input, ctx, outer)?;
-            let (b, cols) = key_columns(input, &keys, false, node, ctx, outer)?;
+            let input = batch(input, ctx)?;
+            let (b, cols) = key_columns(input, &keys, false, node, ctx)?;
             // The calls with their key positions mapped to key columns.
             let specs: Vec<_> = (specs.iter())
                 .map(|&s| tpcds_storage::AggSpec {
@@ -484,8 +445,8 @@ fn batch_node(
         Plan::Sort { input, keys } | Plan::TopN { input, keys, .. } => {
             columnar();
             let exprs: Vec<&BExpr> = keys.iter().map(|(e, _)| e).collect();
-            let input = batch(input, ctx, outer)?;
-            let (b, cols) = key_columns(input, &exprs, true, node, ctx, outer)?;
+            let input = batch(input, ctx)?;
+            let (b, cols) = key_columns(input, &exprs, true, node, ctx)?;
             let skeys: Vec<_> = (cols.into_iter().zip(keys))
                 .map(|(col, &(_, desc))| tpcds_storage::SortKey { col, desc })
                 .collect();
@@ -499,14 +460,14 @@ fn batch_node(
         }
         Plan::Limit { input, n } => {
             columnar();
-            Ok(Batch::new(Arc::new(take(input, *n as usize, ctx, outer)?)))
+            Ok(Batch::new(Arc::new(take(input, *n as usize, ctx)?)))
         }
         Plan::CteRef { id, plan: body, .. } => {
             columnar();
             if let Some(b) = ctx.cte_cache.lock().get(id) {
                 return Ok(b.clone());
             }
-            let mut b = batch(body, ctx, outer)?;
+            let mut b = batch(body, ctx)?;
             if b.pred.is_some() {
                 // The body runs once: force its pending predicate here
                 // rather than once per reference.
@@ -518,16 +479,21 @@ fn batch_node(
         Plan::UnionAll { left, right } => {
             columnar();
             // The left side runs, and raises, before the right one.
-            let l = dense(batch(left, ctx, outer)?, node, ctx)?;
-            let r = dense(batch(right, ctx, outer)?, node, ctx)?;
+            let l = dense(batch(left, ctx)?, node, ctx)?;
+            let r = dense(batch(right, ctx)?, node, ctx)?;
             Ok(Batch::new(Arc::new(l.concat(&r))))
+        }
+        Plan::Domain { id, .. } => {
+            columnar();
+            let b = ctx.domains.lock().get(id).cloned();
+            b.ok_or_else(|| EngineError::exec("a subquery domain outside its body's run"))
         }
         Plan::Window { input, calls } => {
             columnar();
             // Each call's argument, partition keys and order keys, in turn.
             let exprs = plan.exprs();
-            let input = batch(input, ctx, outer)?;
-            let (b, cols) = key_columns(input, &exprs, true, node, ctx, outer)?;
+            let input = batch(input, ctx)?;
+            let (b, cols) = key_columns(input, &exprs, true, node, ctx)?;
             let mut cols = cols.into_iter();
             let specs: Vec<_> = (calls.iter())
                 .map(|c| {
@@ -586,15 +552,10 @@ impl JoinSides {
 
 /// Executes a hash join's inputs for the join kernels, each side's keys
 /// as physical columns ([`key_columns`], computed for `node`). The
-/// residual runs over equi-matched pairs, so that is where a lookup in it
-/// gathers its keys: the pairs of an inner join without it, over every
-/// physical column of both sides, joined once if a lookup asks.
-fn join_sides(
-    join: &Plan,
-    node: usize,
-    ctx: &ExecCtx<'_>,
-    outer: Option<&[Value]>,
-) -> Result<JoinSides> {
+/// residual runs over equi-matched pairs, so that is where a correlated
+/// subquery in it takes its domain from: the pairs of an inner join
+/// without it, over every physical column of both sides.
+fn join_sides(join: &Plan, node: usize, ctx: &ExecCtx<'_>) -> Result<JoinSides> {
     let Plan::HashJoin {
         left,
         right,
@@ -608,7 +569,7 @@ fn join_sides(
     };
     let side = |p: &Plan, keys: &[BExpr]| {
         let keys: Vec<&BExpr> = keys.iter().collect();
-        key_columns(batch(p, ctx, outer)?, &keys, true, node, ctx, outer)
+        key_columns(batch(p, ctx)?, &keys, true, node, ctx)
     };
     let (probe, probe_keys) = side(left, left_keys)?;
     let (build, build_keys) = side(right, right_keys)?;
@@ -620,30 +581,18 @@ fn join_sides(
         residual: None,
     };
     if let Some(r) = residual {
-        let pairs = OnceCell::new();
-        let rows = || {
-            let join = || {
+        let pairs = match r.has_correlated_subquery() {
+            false => j.probe.peek(),
+            true => {
                 let (probe, build, threads) = (j.probe.peek(), j.build.peek(), ctx.threads());
-                let (pk, bk) = (&j.probe_keys, &j.build_keys);
-                let inner = JoinType::Inner;
+                let (pk, bk, inner) = (&j.probe_keys, &j.build_keys, JoinType::Inner);
                 let res =
                     tpcds_storage::par_hash_join(&probe, pk, &build, bk, inner, None, threads);
-                Ok(Batch::new(Arc::new(res.map_err(storage_err)?.0)))
-            };
-            pairs.get_or_init(join).clone()
-        };
-        let phys = &|c| j.phys(c);
-        j.residual = Some(
-            Compiler {
-                ctx,
-                outer,
-                phys,
-                rows: &rows,
-                defer: None,
-                reach: false,
+                Batch::new(Arc::new(res.map_err(storage_err)?.0))
             }
-            .compile(r, &[])?,
-        );
+        };
+        let (phys, rows) = (&|c| j.phys(c), &|| Ok(pairs.clone()));
+        j.residual = Some(Compiler { ctx, phys, rows }.compile(r)?);
     }
     Ok(j)
 }
@@ -661,7 +610,6 @@ fn key_columns(
     carry: bool,
     node: usize,
     ctx: &ExecCtx<'_>,
-    outer: Option<&[Value]>,
 ) -> Result<(Batch, Vec<usize>)> {
     if let Some(cols) = plain_cols(keys.iter().copied()) {
         let cols = cols.into_iter().map(|c| b.phys(c)).collect();
@@ -676,7 +624,7 @@ fn key_columns(
         cols.push(match k {
             BExpr::Col(c) if *c < visible.len() => *c,
             k => {
-                exprs.push(compile_over(&b, k, ctx, outer, None)?);
+                exprs.push(compile_over(&b, k, ctx)?);
                 exprs.len() - 1
             }
         });
@@ -845,6 +793,7 @@ fn serial_node(
             };
             feed(rows.iter().cloned(), sink)
         }
+        Plan::Domain { .. } => Err(EngineError::exec("the interpreter runs nested bodies")),
     }?;
     let node = plan as *const Plan as usize;
     ctx.record_route(node, RoutePath::Serial);
@@ -855,119 +804,38 @@ fn serial_node(
 /// filter, a join residual alike — to the vectorized kernel AST
 /// ([`tpcds_storage::Expr`]) for one kernel's input, column `c` becoming
 /// `phys(c)`. The kernels share the row path's scalar semantics
-/// ([`tpcds_types::scalar`]), so every expression compiles. A subquery
-/// runs first, through its memo: a row-independent subtree becomes the
-/// literal the interpreter computes for it, `x IN (subquery)` and a keyed
-/// `EXISTS` a probe of the set their body produced, any other an
-/// [`Expr::Lookup`](tpcds_storage::Expr::Lookup) of its result per tuple
-/// of the columns it reads. An outer reference (in a correlated body) is
-/// the literal of the outer row. An error stays a result: the rows that
-/// ask for it raise it, where the interpreter would.
+/// ([`tpcds_types::scalar`]), so every expression compiles. A
+/// row-independent subtree that holds a subquery folds to the literal the
+/// interpreter computes for it; any other subquery becomes an
+/// [`Expr::Sub`](tpcds_storage::Expr::Sub) probe of its decorrelated
+/// body's result ([`Compiler::subquery`]). An error stays a result: the
+/// rows that ask for it raise it, where the interpreter would.
 struct Compiler<'c, 'a> {
     ctx: &'c ExecCtx<'a>,
-    outer: Option<&'c [Value]>,
     phys: &'c dyn Fn(usize) -> usize,
     /// The kernel's input rows, addressed by the same physical columns:
-    /// where a lookup gathers its keys.
+    /// where a subquery takes its domain from.
     rows: &'c dyn Fn() -> Result<Batch>,
-    /// Where a lookup's fill waits for [`take`]'s scan; `None` fills it
-    /// over every input row it compiles against.
-    defer: Option<&'c Fills>,
-    /// Whether `rows` is the kernel's own input, cheap enough to look for
-    /// a row that gets past a gate; a join's pairs are built only for a
-    /// lookup.
-    reach: bool,
-}
-
-/// Lookup fills queued for [`take`], in compile order: the order they
-/// fill in, since a later one's rows pass the earlier ones' kernels.
-type Fills = RefCell<Vec<Fill>>;
-
-/// What fills one [`Expr::Lookup`](tpcds_storage::Expr::Lookup): `e`,
-/// evaluated once per distinct tuple of the columns `cols` it reads, over
-/// `rows` — those columns of the input rows that reach it.
-struct Fill {
-    e: BExpr,
-    cols: Vec<usize>,
-    rows: Batch,
-    results: Arc<tpcds_storage::LookupMap>,
-}
-
-impl Fill {
-    /// Evaluates `e`, in row order, for each key tuple among the `rows`
-    /// with ids in `ids` that has no result yet — through `SubPlan`'s
-    /// memo, so a body runs once per distinct tuple it reads.
-    fn fill(&self, ids: Range<usize>, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) {
-        let mut row = vec![Value::Null; self.cols.last().map_or(0, |&c| c + 1)];
-        let mut results = self.results.write().expect("lookup lock");
-        let Ok(_) = tpcds_storage::scan_range(&self.rows, ids, |key| {
-            results.entry(key).or_insert_with_key(|key| {
-                for (&c, v) in self.cols.iter().zip(key) {
-                    row[c] = v.clone();
-                }
-                self.e.eval(&row, ctx, outer).map_err(|e| match e {
-                    EngineError::Exec(m) => m,
-                    e => e.to_string(),
-                })
-            });
-            Ok::<_, Infallible>(true)
-        });
-    }
 }
 
 impl Compiler<'_, '_> {
-    /// `e` compiled. `gate` holds the conditions a row passed to reach
-    /// `e` — the lhs of each enclosing AND (not FALSE) and OR (not TRUE),
-    /// each earlier WHEN of an enclosing CASE (not TRUE) and the WHEN of
-    /// its arm (TRUE) — so no body runs for a row the interpreter never
-    /// asks.
-    fn compile(&self, e: &BExpr, gate: &[tpcds_storage::Expr]) -> Result<tpcds_storage::Expr> {
-        use crate::expr::key_set;
-        use tpcds_storage::{Expr as X, SetTest};
+    /// `e` compiled.
+    fn compile(&self, e: &BExpr) -> Result<tpcds_storage::Expr> {
+        use tpcds_storage::Expr as X;
         if e.has_subquery() && e.is_constant() {
-            return match e.eval(&[], self.ctx, self.outer) {
-                Ok(v) => Ok(X::Lit(v)),
-                Err(_) => self.lookup(e, gate),
-            };
+            if let Ok(v) = e.eval(&[], self.ctx, None) {
+                return Ok(X::Lit(v));
+            }
         }
-        let c = |x: &BExpr| self.compile(x, gate).map(Box::new);
-        let all =
-            |xs: &[BExpr]| -> Result<Vec<X>> { xs.iter().map(|x| self.compile(x, gate)).collect() };
-        // `r`, which runs where `l` did not read `stop`.
-        let unless = |l: &X, stop: bool, r: &BExpr| {
-            if !r.has_subquery() {
-                return c(r);
-            }
-            let gate = [gate, &[not_read(l, stop)]].concat();
-            self.compile(r, &gate).map(Box::new)
-        };
-        // A set probe: its body runs once — behind an operand or a WHEN,
-        // only if some row gets past it.
-        let sets = |set: &dyn Fn() -> Result<_>, keys: Vec<X>, test, negated| {
-            if !self.reached(gate)? {
-                return Ok(X::Lit(Value::Null));
-            }
-            match set() {
-                Ok(set) => Ok(X::InSet(keys, set, test, negated)),
-                Err(_) => self.lookup(e, gate),
-            }
-        };
+        let c = |x: &BExpr| self.compile(x).map(Box::new);
+        let all = |xs: &[BExpr]| -> Result<Vec<X>> { xs.iter().map(|x| self.compile(x)).collect() };
         Ok(match e {
             BExpr::Col(i) => X::Col((self.phys)(*i)),
-            BExpr::OuterCol(i) => match self.outer.and_then(|o| o.get(*i)) {
-                Some(v) => X::Lit(v.clone()),
-                None => self.lookup(e, gate)?,
-            },
+            BExpr::OuterCol(_) => return Err(EngineError::exec("an outer column in a batch plan")),
             BExpr::Lit(v) => X::Lit(v.clone()),
             BExpr::Cmp(op, l, r) => X::Cmp(*op, c(l)?, c(r)?),
-            BExpr::And(l, r) => {
-                let l = c(l)?;
-                X::And(l.clone(), unless(&l, false, r)?)
-            }
-            BExpr::Or(l, r) => {
-                let l = c(l)?;
-                X::Or(l.clone(), unless(&l, true, r)?)
-            }
+            BExpr::And(l, r) => X::And(c(l)?, c(r)?),
+            BExpr::Or(l, r) => X::Or(c(l)?, c(r)?),
             BExpr::Not(x) => X::Not(c(x)?),
             BExpr::Arith(op, l, r) => X::Arith(*op, c(l)?, c(r)?),
             BExpr::Neg(x) => X::Neg(c(x)?),
@@ -979,103 +847,107 @@ impl Compiler<'_, '_> {
                 operand,
                 branches,
                 else_branch,
-            } => {
-                let operand = operand.as_deref().map(c).transpose()?;
-                // Past each WHEN, the rows it did not take.
-                let (mut past, mut arms) = (gate.to_vec(), Vec::new());
-                for (w, t) in branches {
-                    let w = self.compile(w, &past)?;
-                    let hit = match &operand {
-                        Some(o) => X::Cmp(CmpKind::Eq, o.clone(), Box::new(w.clone())),
-                        None => w.clone(),
-                    };
-                    let t = match t.has_subquery() {
-                        true => {
-                            self.compile(t, &[&past[..], std::slice::from_ref(&hit)].concat())?
-                        }
-                        false => self.compile(t, gate)?,
-                    };
-                    arms.push((w, t));
-                    past.push(not_read(&hit, true));
-                }
-                X::Case {
-                    operand,
-                    branches: arms,
-                    else_branch: (else_branch.as_deref())
-                        .map(|x| self.compile(x, &past).map(Box::new))
-                        .transpose()?,
-                }
-            }
+            } => X::Case {
+                operand: operand.as_deref().map(c).transpose()?,
+                branches: (branches.iter())
+                    .map(|(w, t)| Ok((self.compile(w)?, self.compile(t)?)))
+                    .collect::<Result<_>>()?,
+                else_branch: else_branch.as_deref().map(c).transpose()?,
+            },
             BExpr::Cast(x, ty) => X::Cast(c(x)?, *ty),
             BExpr::Func(f, args) => X::Func(*f, all(args)?),
             BExpr::Concat(l, r) => X::Concat(c(l)?, c(r)?),
-            BExpr::InSubquery(x, sub, negated) if sub.uncorrelated() => {
-                let set = || sub.once(self.ctx, key_set);
-                sets(&set, vec![*c(x)?], SetTest::In, *negated)?
-            }
-            BExpr::Exists(_, negated, Some(keyed)) => {
-                let keys = keyed.outer_refs.iter().map(|&k| X::Col((self.phys)(k)));
-                let set = || keyed.once(self.ctx, key_set);
-                sets(&set, keys.collect(), SetTest::Exists, *negated)?
-            }
-            BExpr::ScalarSubquery(..) | BExpr::InSubquery(..) | BExpr::Exists(..) => {
-                self.lookup(e, gate)?
-            }
+            BExpr::ScalarSubquery(sub) => self.subquery(sub, None, false)?,
+            BExpr::InSubquery(x, sub, negated) => self.subquery(sub, Some(*c(x)?), *negated)?,
+            BExpr::Exists(sub, negated) => self.subquery(sub, None, *negated)?,
         })
     }
 
-    /// `e` as a lookup of its result by the columns it reads, evaluated
-    /// once per distinct tuple among the input rows `gate` admits — now,
-    /// or as [`take`]'s scan reaches them.
-    fn lookup(&self, e: &BExpr, gate: &[tpcds_storage::Expr]) -> Result<tpcds_storage::Expr> {
-        let mut cols = Vec::new();
-        e.visit_columns(&mut |c| cols.push(c));
-        cols.sort_unstable();
-        cols.dedup();
-        let phys: Vec<usize> = cols.iter().map(|&c| (self.phys)(c)).collect();
-        let fill = Fill {
-            e: e.clone(),
-            cols,
-            rows: self.gated(gate)?.project(&phys),
-            results: Arc::default(),
+    /// `sub` as a probe of its answers for the *domain*: the distinct
+    /// tuples of the outer columns it reads among the kernel's input rows,
+    /// each numbered by its position (one empty tuple when uncorrelated).
+    /// The decorrelated body runs once over them, as plan nodes with their
+    /// own actuals; a scalar's final projection and its one-row check run
+    /// here, per tuple, so their errors reach only the rows that ask.
+    fn subquery<T: Clone>(
+        &self,
+        sub: &SubPlan<T>,
+        operand: Option<tpcds_storage::Expr>,
+        negated: bool,
+    ) -> Result<tpcds_storage::Expr> {
+        use tpcds_storage::{Answer, KeySet};
+        let (ctx, k) = (self.ctx, sub.outer_refs.len());
+        let refs: Vec<usize> = sub.outer_refs.iter().map(|&c| (self.phys)(c)).collect();
+        let (domain, out) = match k {
+            0 => (vec![vec![]], batch(&sub.flat, ctx)?),
+            _ => {
+                let res = tpcds_storage::par_aggregate(&(self.rows)()?, &refs, &[], ctx.threads());
+                let tuples = res.map_err(storage_err)?.0;
+                let numbered = (tuples.iter_rows().enumerate())
+                    .map(|(d, t)| t.into_iter().chain([Value::Int(d as i64)]).collect::<Row>());
+                let dtypes = tuples
+                    .dtypes
+                    .iter()
+                    .copied()
+                    .chain([DataType::Int])
+                    .collect();
+                let table = ColumnTable::from_rows(dtypes, &numbered.collect::<Vec<_>>());
+                ctx.domains
+                    .lock()
+                    .insert(sub.domain, Batch::new(Arc::new(table)));
+                let out = batch(&sub.flat, ctx);
+                ctx.domains.lock().remove(&sub.domain);
+                (tuples.iter_rows().collect(), out?)
+            }
         };
-        let results = Arc::clone(&fill.results);
-        match self.defer {
-            Some(fills) => fills.borrow_mut().push(fill),
-            None => fill.fill(0..fill.rows.table.id_end(), self.ctx, self.outer),
-        }
-        let keys = phys.into_iter().map(tpcds_storage::Expr::Col).collect();
-        Ok(tpcds_storage::Expr::Lookup(keys, results))
-    }
-
-    /// Whether some input row passes `gate`. With no gate, ahead of
-    /// [`take`]'s scan (the gate's lookups are not filled yet) or over a
-    /// join's pairs, every row counts as reaching.
-    fn reached(&self, gate: &[tpcds_storage::Expr]) -> Result<bool> {
-        if gate.is_empty() || self.defer.is_some() || !self.reach {
-            return Ok(true);
-        }
-        let mut any = false;
-        let _ = tpcds_storage::scan_until(&self.gated(gate)?.project(&[]), |_| {
-            any = true;
-            Ok::<_, Infallible>(false)
-        });
-        Ok(any)
-    }
-
-    /// The input rows `gate` admits.
-    fn gated(&self, gate: &[tpcds_storage::Expr]) -> Result<Batch> {
-        Ok((gate.iter()).fold((self.rows)()?, |b, g| b.filter(g.clone())))
-    }
-}
-
-/// A condition that holds where `l` did not read `stop` (NULL included).
-fn not_read(l: &tpcds_storage::Expr, stop: bool) -> tpcds_storage::Expr {
-    let lit = |b| tpcds_storage::Expr::Lit(Value::Bool(b));
-    tpcds_storage::Expr::Case {
-        operand: Some(Box::new(l.clone())),
-        branches: vec![(lit(stop), lit(false))],
-        else_branch: Some(Box::new(lit(true))),
+        let results = collect(&sub.flat, &out, ctx)?;
+        // An uncorrelated body's rows all answer its one tuple, number 0.
+        let did = |r: &Row| r.get(k).filter(|_| k > 0).and_then(Value::as_int);
+        let did = |r: &Row| did(r).unwrap_or(0) as usize;
+        let answer = match (&sub.pick, &operand) {
+            (Some(pick), _) => {
+                let mut values = vec![(0, Ok(Value::Null)); domain.len()];
+                let dtypes = out.cols().into_iter().map(|c| out.table.dtypes[c]);
+                let table = ColumnTable::from_rows(dtypes.collect(), &results);
+                let pick = compile_over(&Batch::new(Arc::new(table.clone())), pick, ctx)?;
+                let pick = pick.eval_each(&table);
+                for (r, v) in results.iter().zip(pick) {
+                    let (n, slot) = &mut values[did(r)];
+                    *n += 1;
+                    if slot.is_ok() {
+                        *slot = v;
+                    }
+                }
+                let many = "scalar subquery returned more than one row";
+                Answer::Scalar(
+                    (values.into_iter())
+                        .map(|(n, v)| v.and_then(|v| if n > 1 { Err(many.into()) } else { Ok(v) }))
+                        .collect(),
+                )
+            }
+            (None, Some(_)) => {
+                let mut sets = vec![Vec::new(); domain.len()];
+                for r in &results {
+                    sets[did(r)].push(r[r.len() - 1..].to_vec());
+                }
+                Answer::In(sets.into_iter().map(KeySet::new).collect())
+            }
+            (None, None) => {
+                let mut hits = vec![false; domain.len()];
+                results.iter().for_each(|r| hits[did(r)] = true);
+                Answer::Exists(hits)
+            }
+        };
+        let keys = refs
+            .into_iter()
+            .map(tpcds_storage::Expr::Col)
+            .chain(operand);
+        let res = tpcds_storage::SubResult::new(domain, answer);
+        Ok(tpcds_storage::Expr::Sub(
+            keys.collect(),
+            Arc::new(res),
+            negated,
+        ))
     }
 }
 
@@ -1282,38 +1154,12 @@ pub fn sort_rows(
     ctx: &ExecCtx<'_>,
     outer: Option<&[Value]>,
 ) -> Result<Vec<Row>> {
-    // Fast path: every key is a plain column reference — compare row
-    // slots in place (still stable) instead of materializing a key vector
-    // per row through the expression evaluator.
-    let plain: Option<Vec<(usize, bool)>> = keys
-        .iter()
-        .map(|(e, desc)| match e {
-            BExpr::Col(i) => Some((*i, *desc)),
-            _ => None,
-        })
-        .collect();
-    if let Some(cols) = plain {
-        let mut rows = rows;
-        rows.sort_by(|a, b| {
-            for &(c, desc) in &cols {
-                let ord = a[c].sort_cmp(&b[c]);
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        return Ok(rows);
-    }
-    let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut k = Vec::with_capacity(keys.len());
-        for (e, _) in keys {
-            k.push(e.eval(&row, ctx, outer)?);
-        }
-        keyed.push((k, row));
-    }
+    let key = |row: &Row| -> Result<Vec<Value>> {
+        keys.iter().map(|(e, _)| e.eval(row, ctx, outer)).collect()
+    };
+    let mut keyed = (rows.into_iter())
+        .map(|row| Ok((key(&row)?, row)))
+        .collect::<Result<Vec<(Vec<Value>, Row)>>>()?;
     keyed.sort_by(|a, b| cmp_keys(&a.0, &b.0, keys));
     Ok(keyed.into_iter().map(|(_, r)| r).collect())
 }
@@ -1358,7 +1204,7 @@ mod tests {
         db.create_table_with_rows("t", cols, rows).unwrap();
         let bound = crate::plan_sql(&db, "select price, id from t limit 3").unwrap();
         let ctx = ExecCtx::new(&db, db.snapshot(), ExecOptions::default());
-        let b = batch(&bound.plan, &ctx, None).unwrap();
+        let b = batch(&bound.plan, &ctx).unwrap();
         let dtypes: Vec<DataType> = b.cols().into_iter().map(|c| b.table.dtypes[c]).collect();
         assert_eq!(dtypes, [DataType::Decimal, DataType::Int]);
         assert_eq!(b.table.rows, 3);

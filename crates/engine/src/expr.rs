@@ -12,7 +12,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use tpcds_storage::{KeySet, SetTest};
+use tpcds_storage::KeySet;
 use tpcds_types::{DataType, Row, Value};
 
 // Comparison and arithmetic operators and scalar functions are defined in
@@ -21,9 +21,11 @@ use tpcds_types::{DataType, Row, Value};
 // re-exported here for existing callers.
 pub use tpcds_types::scalar::{ArithOp, CmpKind, ScalarFunc};
 
-/// A correlated or uncorrelated subplan embedded in an expression, with
+/// A correlated or uncorrelated subplan embedded in an expression, in two
+/// forms: the nested body the row interpreter runs per outer row, with
 /// what it has evaluated to so far this statement (`T`: the scalar, the
-/// IN set, or whether any row came back).
+/// IN set, or whether any row came back), and the decorrelated body the
+/// batch executor runs once per call of the node that holds it.
 #[derive(Clone)]
 pub struct SubPlan<T> {
     /// The bound plan.
@@ -31,11 +33,22 @@ pub struct SubPlan<T> {
     /// Outer-scope column positions the plan references (`OuterCol`
     /// indexes); the memo key is the tuple of these values.
     pub outer_refs: Vec<usize>,
+    /// The decorrelated body ([`crate::unnest`]): it reads the outer
+    /// values from the [`Plan::Domain`] leaves numbered `domain`, and its
+    /// output is the domain's columns (the `outer_refs` tuple, then a row
+    /// id; none when uncorrelated) followed by the body's result columns.
+    pub flat: Arc<Plan>,
+    /// The [`Plan::Domain`] id `flat` reads.
+    pub domain: usize,
+    /// A scalar body's final projection, over `flat`'s output: the host
+    /// evaluates it per domain tuple, so its errors reach only the rows
+    /// that ask.
+    pub pick: Option<Arc<BExpr>>,
     memo: Arc<Memo<T>>,
 }
 
 /// Results by outer-value tuple — an error is a result like any other —
-/// and how many times the body actually ran to produce them.
+/// and how many times the interpreter actually ran the body for them.
 struct Memo<T> {
     results: Mutex<HashMap<Vec<Value>, Result<T>>>,
     runs: AtomicU64,
@@ -49,10 +62,13 @@ impl<T> std::fmt::Debug for SubPlan<T> {
 
 impl<T: Clone> SubPlan<T> {
     /// A subplan that has not run yet.
-    pub fn new(plan: Plan, outer_refs: Vec<usize>) -> Self {
+    pub fn new(plan: Plan, outer_refs: Vec<usize>, unnested: crate::unnest::Unnested) -> Self {
         SubPlan {
             plan: Arc::new(plan),
             outer_refs,
+            flat: Arc::new(unnested.0),
+            domain: unnested.1,
+            pick: unnested.2.map(Arc::new),
             memo: Arc::new(Memo {
                 results: Mutex::new(HashMap::new()),
                 runs: AtomicU64::new(0),
@@ -66,7 +82,8 @@ impl<T: Clone> SubPlan<T> {
         self.outer_refs.is_empty()
     }
 
-    /// Times the body has executed (memo misses) this statement.
+    /// Times the interpreter has executed the body (memo misses) this
+    /// statement.
     pub fn runs(&self) -> u64 {
         self.memo.runs.load(Relaxed)
     }
@@ -75,60 +92,49 @@ impl<T: Clone> SubPlan<T> {
     /// columns.
     fn remap(&self, map: &impl Fn(usize) -> usize) -> Self {
         SubPlan {
-            plan: self.plan.clone(),
             outer_refs: self.outer_refs.iter().map(|i| map(*i)).collect(),
-            memo: self.memo.clone(),
+            ..self.clone()
         }
-    }
-
-    /// The body's rows under `outer`, folded once per distinct `key`.
-    fn memoized(
-        &self,
-        key: Vec<Value>,
-        outer: Option<&[Value]>,
-        ctx: &ExecCtx<'_>,
-        fold: impl FnOnce(Vec<Row>) -> Result<T>,
-    ) -> Result<T> {
-        if let Some(hit) = self.memo.results.lock().get(&key) {
-            return hit.clone();
-        }
-        self.memo.runs.fetch_add(1, Relaxed);
-        let out = crate::exec::execute(&self.plan, ctx, outer).and_then(fold);
-        self.memo.results.lock().insert(key, out.clone());
-        out
     }
 
     /// The result for `row`: the body runs once per distinct tuple of the
-    /// outer values it reads (once per statement when uncorrelated).
+    /// outer values it reads (once per statement when uncorrelated). On
+    /// the batch path only a row-independent subtree gets here, folded to
+    /// a literal.
     fn eval(
         &self,
         row: &[Value],
         ctx: &ExecCtx<'_>,
         fold: impl FnOnce(Vec<Row>) -> Result<T>,
     ) -> Result<T> {
-        let key = self.outer_refs.iter().map(|&i| row[i].clone()).collect();
-        self.memoized(key, Some(row), ctx, fold)
-    }
-
-    /// The result of a body that reads no outer row, through the same memo
-    /// slot [`SubPlan::eval`] uses for an uncorrelated one.
-    pub(crate) fn once(
-        &self,
-        ctx: &ExecCtx<'_>,
-        fold: impl FnOnce(Vec<Row>) -> Result<T>,
-    ) -> Result<T> {
-        self.memoized(Vec::new(), None, ctx, fold)
+        let key: Vec<Value> = self.outer_refs.iter().map(|&i| row[i].clone()).collect();
+        if let Some(hit) = self.memo.results.lock().get(&key) {
+            return hit.clone();
+        }
+        if ctx.opts.columnar == crate::exec::ColumnarMode::Off {
+            self.memo.runs.fetch_add(1, Relaxed);
+        }
+        let out = crate::exec::execute(&self.plan, ctx, Some(row)).and_then(fold);
+        self.memo.results.lock().insert(key, out.clone());
+        out
     }
 }
 
-/// Folds a body's rows into the set `IN` / a keyed `EXISTS` probes.
-pub(crate) fn key_set(rows: Vec<Row>) -> Result<Arc<KeySet>> {
+/// One subquery's two bodies, as [`BExpr::subqueries`] lists them.
+pub struct Body<'e> {
+    /// The nested body.
+    pub plan: &'e Arc<Plan>,
+    /// The decorrelated body.
+    pub flat: &'e Arc<Plan>,
+    /// The host-input columns whose distinct tuples are the domain.
+    pub outer_refs: &'e [usize],
+    /// Times the interpreter ran the nested body.
+    pub runs: u64,
+}
+
+/// Folds a body's rows into the set `IN` probes.
+fn key_set(rows: Vec<Row>) -> Result<Arc<KeySet>> {
     Ok(Arc::new(KeySet::new(rows)))
-}
-
-/// A set test's verdict as a SQL boolean.
-fn verdict(v: Option<bool>, negated: bool) -> Value {
-    v.map_or(Value::Null, |b| Value::Bool(b != negated))
 }
 
 /// A bound scalar expression, evaluated against a row.
@@ -179,14 +185,8 @@ pub enum BExpr {
     ScalarSubquery(SubPlan<Value>),
     /// `[NOT] IN (subquery)`.
     InSubquery(Box<BExpr>, SubPlan<Arc<KeySet>>, bool),
-    /// `[NOT] EXISTS (subquery)`. When every outer reference of the body
-    /// sits in a top-level `outer_col = inner_expr` conjunct of same-typed
-    /// sides, the third field is its *keyed form*: the body without those
-    /// conjuncts, projecting the inner sides, uncorrelated; its
-    /// `outer_refs` are the outer columns to probe that result with, in
-    /// projection order. The batch executor runs that once; the row
-    /// interpreter runs the original body per distinct key.
-    Exists(SubPlan<bool>, bool, Option<SubPlan<Arc<KeySet>>>),
+    /// `[NOT] EXISTS (subquery)`.
+    Exists(SubPlan<bool>, bool),
 }
 
 impl BExpr {
@@ -352,9 +352,11 @@ impl BExpr {
                     return Ok(Value::Null);
                 }
                 let set = sub.eval(row, ctx, key_set)?;
-                Ok(verdict(set.test(SetTest::In, &[v]), *negated))
+                Ok(set
+                    .test(&[v])
+                    .map_or(Value::Null, |b| Value::Bool(b != *negated)))
             }
-            BExpr::Exists(sub, negated, _) => {
+            BExpr::Exists(sub, negated) => {
                 let any = sub.eval(row, ctx, |rows| Ok(!rows.is_empty()))?;
                 Ok(Value::Bool(any != *negated))
             }
@@ -375,70 +377,34 @@ impl BExpr {
     pub fn visit_columns(&self, f: &mut impl FnMut(usize)) {
         match self {
             BExpr::Col(i) => f(*i),
-            BExpr::OuterCol(_) | BExpr::Lit(_) => {}
-            BExpr::Cmp(_, a, b)
-            | BExpr::And(a, b)
-            | BExpr::Or(a, b)
-            | BExpr::Arith(_, a, b)
-            | BExpr::Concat(a, b) => {
-                a.visit_columns(f);
-                b.visit_columns(f);
-            }
-            BExpr::Not(a) | BExpr::Neg(a) | BExpr::IsNull(a, _) | BExpr::Cast(a, _) => {
-                a.visit_columns(f)
-            }
-            BExpr::Like(a, b, _) => {
-                a.visit_columns(f);
-                b.visit_columns(f);
-            }
-            BExpr::InList(a, list, _) => {
-                a.visit_columns(f);
-                for e in list {
-                    e.visit_columns(f);
-                }
-            }
-            BExpr::Between(a, lo, hi, _) => {
-                a.visit_columns(f);
-                lo.visit_columns(f);
-                hi.visit_columns(f);
-            }
-            BExpr::Case {
-                operand,
-                branches,
-                else_branch,
-            } => {
-                if let Some(o) = operand {
-                    o.visit_columns(f);
-                }
-                for (c, r) in branches {
-                    c.visit_columns(f);
-                    r.visit_columns(f);
-                }
-                if let Some(e) = else_branch {
-                    e.visit_columns(f);
-                }
-            }
-            BExpr::Func(_, args) => {
-                for a in args {
-                    a.visit_columns(f);
-                }
-            }
             BExpr::ScalarSubquery(sub) => sub.outer_refs.iter().for_each(|i| f(*i)),
-            BExpr::InSubquery(a, sub, _) => {
-                a.visit_columns(f);
-                sub.outer_refs.iter().for_each(|i| f(*i));
-            }
-            BExpr::Exists(sub, _, _) => sub.outer_refs.iter().for_each(|i| f(*i)),
+            BExpr::Exists(sub, _) => sub.outer_refs.iter().for_each(|i| f(*i)),
+            BExpr::InSubquery(_, sub, _) => sub.outer_refs.iter().for_each(|i| f(*i)),
+            _ => {}
+        }
+        for c in self.children() {
+            c.visit_columns(f);
         }
     }
 
     /// Rewrites column indexes through `map` (old index → new index).
     /// Used when pushing predicates below projections or to join sides.
     pub fn remap_columns(&self, map: &impl Fn(usize) -> usize) -> BExpr {
-        let rm = |e: &BExpr| e.remap_columns(map).boxed();
+        self.rebind(map, &BExpr::OuterCol)
+    }
+
+    /// [`BExpr::remap_columns`], with each outer reference replaced by
+    /// `outer` of its index.
+    pub(crate) fn rebind(
+        &self,
+        map: &impl Fn(usize) -> usize,
+        outer: &impl Fn(usize) -> BExpr,
+    ) -> BExpr {
+        let rm = |e: &BExpr| e.rebind(map, outer).boxed();
+        let all = |es: &[BExpr]| es.iter().map(|e| e.rebind(map, outer)).collect();
         match self {
             BExpr::Col(i) => BExpr::Col(map(*i)),
-            BExpr::OuterCol(i) => BExpr::OuterCol(*i),
+            BExpr::OuterCol(i) => outer(*i),
             BExpr::Lit(v) => BExpr::Lit(v.clone()),
             BExpr::Cmp(op, a, b) => BExpr::Cmp(*op, rm(a), rm(b)),
             BExpr::And(a, b) => BExpr::And(rm(a), rm(b)),
@@ -448,11 +414,7 @@ impl BExpr {
             BExpr::Neg(a) => BExpr::Neg(rm(a)),
             BExpr::IsNull(a, n) => BExpr::IsNull(rm(a), *n),
             BExpr::Like(a, b, n) => BExpr::Like(rm(a), rm(b), *n),
-            BExpr::InList(a, list, n) => BExpr::InList(
-                rm(a),
-                list.iter().map(|e| e.remap_columns(map)).collect(),
-                *n,
-            ),
+            BExpr::InList(a, list, n) => BExpr::InList(rm(a), all(list), *n),
             BExpr::Between(a, lo, hi, n) => BExpr::Between(rm(a), rm(lo), rm(hi), *n),
             BExpr::Case {
                 operand,
@@ -460,57 +422,55 @@ impl BExpr {
                 else_branch,
             } => BExpr::Case {
                 operand: operand.as_ref().map(|o| rm(o)),
-                branches: branches
-                    .iter()
-                    .map(|(c, r)| (c.remap_columns(map), r.remap_columns(map)))
+                branches: (branches.iter())
+                    .map(|(c, r)| (c.rebind(map, outer), r.rebind(map, outer)))
                     .collect(),
                 else_branch: else_branch.as_ref().map(|e| rm(e)),
             },
             BExpr::Cast(a, t) => BExpr::Cast(rm(a), *t),
-            BExpr::Func(f, args) => {
-                BExpr::Func(*f, args.iter().map(|e| e.remap_columns(map)).collect())
-            }
+            BExpr::Func(f, args) => BExpr::Func(*f, all(args)),
             BExpr::Concat(a, b) => BExpr::Concat(rm(a), rm(b)),
             BExpr::ScalarSubquery(sub) => BExpr::ScalarSubquery(sub.remap(map)),
             BExpr::InSubquery(a, sub, n) => BExpr::InSubquery(rm(a), sub.remap(map), *n),
-            BExpr::Exists(sub, n, keyed) => {
-                BExpr::Exists(sub.remap(map), *n, keyed.as_ref().map(|k| k.remap(map)))
-            }
+            BExpr::Exists(sub, n) => BExpr::Exists(sub.remap(map), *n),
         }
     }
 
     /// True when `test` holds for this node or one below it (subquery
     /// plans are not entered).
     fn any(&self, test: &impl Fn(&BExpr) -> bool) -> bool {
-        let any = |e: &BExpr| e.any(test);
-        test(self)
-            || match self {
-                BExpr::Col(_) | BExpr::OuterCol(_) | BExpr::Lit(_) => false,
-                BExpr::ScalarSubquery(..) | BExpr::Exists(..) => false,
-                BExpr::Cmp(_, a, b)
-                | BExpr::And(a, b)
-                | BExpr::Or(a, b)
-                | BExpr::Arith(_, a, b)
-                | BExpr::Concat(a, b)
-                | BExpr::Like(a, b, _) => any(a) || any(b),
-                BExpr::Not(a)
-                | BExpr::Neg(a)
-                | BExpr::IsNull(a, _)
-                | BExpr::Cast(a, _)
-                | BExpr::InSubquery(a, ..) => any(a),
-                BExpr::InList(a, list, _) => any(a) || list.iter().any(any),
-                BExpr::Between(a, lo, hi, _) => any(a) || any(lo) || any(hi),
-                BExpr::Case {
-                    operand,
-                    branches,
-                    else_branch,
-                } => {
-                    operand.as_deref().is_some_and(any)
-                        || branches.iter().any(|(c, r)| any(c) || any(r))
-                        || else_branch.as_deref().is_some_and(any)
-                }
-                BExpr::Func(_, args) => args.iter().any(any),
-            }
+        test(self) || self.children().into_iter().any(|e| e.any(test))
+    }
+
+    /// The operands, in evaluation order (an `IN` subquery's operand; no
+    /// subquery plan).
+    fn children(&self) -> Vec<&BExpr> {
+        match self {
+            BExpr::Col(_) | BExpr::OuterCol(_) | BExpr::Lit(_) => vec![],
+            BExpr::ScalarSubquery(..) | BExpr::Exists(..) => vec![],
+            BExpr::Cmp(_, a, b)
+            | BExpr::And(a, b)
+            | BExpr::Or(a, b)
+            | BExpr::Arith(_, a, b)
+            | BExpr::Concat(a, b)
+            | BExpr::Like(a, b, _) => vec![a, b],
+            BExpr::Not(a)
+            | BExpr::Neg(a)
+            | BExpr::IsNull(a, _)
+            | BExpr::Cast(a, _)
+            | BExpr::InSubquery(a, ..) => vec![a],
+            BExpr::InList(a, list, _) => std::iter::once(&**a).chain(list).collect(),
+            BExpr::Between(a, lo, hi, _) => vec![a, lo, hi],
+            BExpr::Case {
+                operand,
+                branches,
+                else_branch,
+            } => (operand.as_deref().into_iter())
+                .chain(branches.iter().flat_map(|(c, r)| [c, r]))
+                .chain(else_branch.as_deref())
+                .collect(),
+            BExpr::Func(_, args) => args.iter().collect(),
+        }
     }
 
     /// True when the expression contains a subquery (which may be
@@ -531,7 +491,7 @@ impl BExpr {
         self.any(&|e| match e {
             BExpr::ScalarSubquery(sub) => !sub.uncorrelated(),
             BExpr::InSubquery(_, sub, _) => !sub.uncorrelated(),
-            BExpr::Exists(sub, ..) => !sub.uncorrelated(),
+            BExpr::Exists(sub, _) => !sub.uncorrelated(),
             _ => false,
         })
     }
@@ -551,39 +511,45 @@ impl BExpr {
         self.any(&|e| matches!(e, BExpr::OuterCol(_)))
     }
 
-    /// `(subqueries, body executions so far)` under this expression,
-    /// nested bodies included — EXPLAIN ANALYZE's `subplans=` /
-    /// `subplan_runs=`. A keyed `EXISTS` counts once; both its forms' runs
-    /// count.
+    /// `(subqueries, interpreter body runs so far)` under this
+    /// expression, nested bodies included — EXPLAIN ANALYZE's `subplans=`
+    /// / `subplan_runs=` under `ColumnarMode::Off`.
     pub fn subplans(&self) -> (u64, u64) {
-        use std::cell::Cell;
-        let (n, runs) = (Cell::new(0), Cell::new(0));
-        let counted = |body: &Plan| n.set(n.get() + 1 + body.subplans_deep().0);
-        let ran = |body: &Plan, times: u64| {
-            runs.set(runs.get() + times + body.subplans_deep().1);
-        };
-        self.any(&|e| {
-            match e {
-                BExpr::ScalarSubquery(sub) => {
-                    counted(&sub.plan);
-                    ran(&sub.plan, sub.runs());
-                }
-                BExpr::InSubquery(_, sub, _) => {
-                    counted(&sub.plan);
-                    ran(&sub.plan, sub.runs());
-                }
-                BExpr::Exists(sub, _, keyed) => {
-                    counted(&sub.plan);
-                    ran(&sub.plan, sub.runs());
-                    if let Some(k) = keyed {
-                        ran(&k.plan, k.runs());
-                    }
-                }
-                _ => {}
+        (self.subqueries().iter()).fold((0, 0), |(n, runs), b| {
+            let (bn, bruns) = b.plan.subplans_deep();
+            (n + 1 + bn, runs + b.runs + bruns)
+        })
+    }
+
+    /// The subqueries directly under this expression (not those inside
+    /// their bodies), in evaluation order, with their interpreter runs.
+    pub fn subqueries(&self) -> Vec<Body<'_>> {
+        let mut out = Vec::new();
+        self.visit_subqueries(&mut |b| out.push(b));
+        out
+    }
+
+    fn visit_subqueries<'e>(&'e self, f: &mut impl FnMut(Body<'e>)) {
+        let (plan, flat, outer_refs, runs) = match self {
+            BExpr::ScalarSubquery(s) => (&s.plan, &s.flat, &s.outer_refs, s.runs()),
+            BExpr::InSubquery(_, s, _) => (&s.plan, &s.flat, &s.outer_refs, s.runs()),
+            BExpr::Exists(s, _) => (&s.plan, &s.flat, &s.outer_refs, s.runs()),
+            _ => {
+                return self
+                    .children()
+                    .into_iter()
+                    .for_each(|c| c.visit_subqueries(f))
             }
-            false // visit every node
-        });
-        (n.get(), runs.get())
+        };
+        self.children()
+            .into_iter()
+            .for_each(|c| c.visit_subqueries(f));
+        f(Body {
+            plan,
+            flat,
+            outer_refs,
+            runs,
+        })
     }
 }
 

@@ -21,6 +21,7 @@ pub mod parser;
 pub mod plan;
 pub mod sync;
 pub mod sys;
+pub mod unnest;
 
 pub use binder::{Binder, Bound};
 pub use catalog::{
@@ -28,7 +29,7 @@ pub use catalog::{
 };
 pub use error::{EngineError, Result};
 pub use exec::{ColumnarMode, ExecCtx, ExecOptions, RoutePath};
-pub use plan::{NodeReport, Plan};
+pub use plan::{NodeReport, Plan, SUBQUERY};
 pub use tpcds_obs::qlog::{QueryMeta, QueryRecord};
 
 use std::sync::Arc;

@@ -85,12 +85,16 @@ pub fn optimize(plan: Plan, db: &Database) -> Plan {
         .into_iter()
         .zip(local.iter())
         .map(|(r, preds)| {
-            let mut r = r;
-            if !preds.is_empty() {
-                let combined = and_all(preds.clone());
-                r = push_into(r, combined);
-            }
-            Some(r)
+            // A conjunct that reads the enclosing row stays above the
+            // scan, where decorrelation (`crate::unnest`) joins it.
+            let (outer, local): (Vec<_>, Vec<_>) =
+                preds.iter().cloned().partition(BExpr::reads_outer);
+            let r = if local.is_empty() {
+                r
+            } else {
+                push_into(r, and_all(local))
+            };
+            Some(r.filtered((!outer.is_empty()).then(|| and_all(outer))))
         })
         .collect();
 
@@ -293,7 +297,12 @@ fn prune(plan: &Plan, need: &[usize]) -> (Plan, Vec<usize>) {
         (Arc::new(p), kept)
     };
     let correlated = plan.exprs().iter().any(|e| e.has_correlated_subquery());
-    if correlated || matches!(plan, Plan::UnionAll { .. } | Plan::CteRef { .. }) {
+    if correlated
+        || matches!(
+            plan,
+            Plan::UnionAll { .. } | Plan::CteRef { .. } | Plan::Domain { .. }
+        )
+    {
         let whole = plan.map_inputs(|p| prune(p, &all(p)).0);
         return (whole, all(plan));
     }
@@ -404,7 +413,9 @@ fn prune(plan: &Plan, need: &[usize]) -> (Plan, Vec<usize>) {
             let (input, kept) = narrow(input, need);
             (Plan::Limit { input, n: *n }, kept)
         }
-        Plan::CteRef { .. } | Plan::UnionAll { .. } => unreachable!("kept whole above"),
+        Plan::CteRef { .. } | Plan::UnionAll { .. } | Plan::Domain { .. } => {
+            unreachable!("kept whole above")
+        }
     }
 }
 
@@ -434,8 +445,10 @@ fn project(input: Arc<Plan>, exprs: Vec<BExpr>) -> Plan {
 }
 
 /// Flattens inner cross-join chains (keyless hash joins without a
-/// residual) and filters.
+/// residual) and filters, each filter's conjuncts in the coordinates of
+/// the flattened row.
 fn flatten(plan: Plan, relations: &mut Vec<Plan>, conjuncts: &mut Vec<BExpr>) {
+    let take = |p: Arc<Plan>| Arc::try_unwrap(p).unwrap_or_else(|a| a.as_ref().clone());
     match plan {
         Plan::HashJoin {
             left,
@@ -445,22 +458,13 @@ fn flatten(plan: Plan, relations: &mut Vec<Plan>, conjuncts: &mut Vec<BExpr>) {
             residual: None,
             ..
         } if left_keys.is_empty() => {
-            let l = Arc::try_unwrap(left).unwrap_or_else(|a| a.as_ref().clone());
-            let r = Arc::try_unwrap(right).unwrap_or_else(|a| a.as_ref().clone());
-            flatten(l, relations, conjuncts);
-            // Conjuncts discovered inside the right subtree would have
-            // right-local coordinates; the binder only nests filters above
-            // the join chain, so right subtrees contain no filters.
-            let before = conjuncts.len();
-            flatten(r, relations, conjuncts);
-            debug_assert_eq!(before, conjuncts.len(), "filter below right join input");
+            flatten(take(left), relations, conjuncts);
+            flatten(take(right), relations, conjuncts);
         }
         Plan::Filter { input, predicate } => {
-            let i = Arc::try_unwrap(input).unwrap_or_else(|a| a.as_ref().clone());
-            // Only filters directly over the join chain flatten; collect
-            // this predicate in post-flatten (full-row) coordinates.
-            flatten(i, relations, conjuncts);
-            split_conjuncts(predicate, conjuncts);
+            let at: usize = relations.iter().map(Plan::width).sum();
+            flatten(take(input), relations, conjuncts);
+            split_conjuncts(predicate.remap_columns(&|c| c + at), conjuncts);
         }
         other => relations.push(other),
     }

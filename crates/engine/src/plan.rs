@@ -138,6 +138,16 @@ pub enum Plan {
         /// Output width.
         width: usize,
     },
+    /// A decorrelated subquery body's domain ([`crate::unnest`]): the
+    /// distinct tuples of the outer columns the body reads among its
+    /// host's input rows, each followed by its row id. The executor fills
+    /// it before each run of the body.
+    Domain {
+        /// Which body's domain.
+        id: usize,
+        /// Output width: the tuple, then the row id.
+        width: usize,
+    },
 }
 
 impl Plan {
@@ -154,7 +164,7 @@ impl Plan {
             Plan::Aggregate { groups, aggs, .. } => groups.len() + aggs.len(),
             Plan::Window { input, calls } => input.width() + calls.len(),
             Plan::UnionAll { left, .. } => left.width(),
-            Plan::CteRef { width, .. } => *width,
+            Plan::CteRef { width, .. } | Plan::Domain { width, .. } => *width,
         }
     }
 
@@ -190,8 +200,9 @@ impl Plan {
     /// every executed operator line carries `rows=` (total rows produced),
     /// `est=` / `qerr=` (estimated rows and the q-error factor
     /// `max(est/actual, actual/est)` against per-call actuals), `elapsed=`
-    /// (inclusive wall clock), `loops=` (times the node ran — correlated
-    /// subplans run once per outer row) and `route=` (the execution path
+    /// (inclusive wall clock), `loops=` (times the node ran — a subquery
+    /// body once per call of the node that holds it, or on the interpreter
+    /// once per outer tuple) and `route=` (the execution path
     /// taken: `serial` only under `ColumnarMode::Off`).
     pub fn explain_analyze(
         &self,
@@ -217,6 +228,7 @@ impl Plan {
             Plan::Limit { .. } => "Limit",
             Plan::UnionAll { .. } => "UnionAll",
             Plan::CteRef { .. } => "CteRef",
+            Plan::Domain { .. } => "Domain",
         }
     }
 
@@ -250,12 +262,13 @@ impl Plan {
             Plan::Limit { n, .. } => format!("Limit {n}"),
             Plan::UnionAll { .. } => "UnionAll".to_string(),
             Plan::CteRef { id, .. } => format!("CteRef #{id}"),
+            Plan::Domain { id, width } => format!("Domain #{id} [{width} cols]"),
         }
     }
 
     /// Inputs in display order. A CTE body is not a child of its
     /// references: EXPLAIN renders it once, under the first.
-    fn children(&self) -> Vec<&Plan> {
+    pub(crate) fn children(&self) -> Vec<&Plan> {
         match self {
             Plan::Scan { .. } => vec![],
             Plan::Filter { input, .. }
@@ -268,7 +281,7 @@ impl Plan {
             Plan::HashJoin { left, right, .. } | Plan::UnionAll { left, right } => {
                 vec![left, right]
             }
-            Plan::CteRef { .. } => vec![],
+            Plan::CteRef { .. } | Plan::Domain { .. } => vec![],
         }
     }
 
@@ -277,7 +290,7 @@ impl Plan {
     pub(crate) fn map_inputs(&self, mut f: impl FnMut(&Plan) -> Plan) -> Plan {
         let mut f = |p: &Arc<Plan>| Arc::new(f(p));
         match self {
-            Plan::Scan { .. } => self.clone(),
+            Plan::Scan { .. } | Plan::Domain { .. } => self.clone(),
             Plan::Filter { input, predicate } => Plan::Filter {
                 input: f(input),
                 predicate: predicate.clone(),
@@ -341,7 +354,7 @@ impl Plan {
 
     /// The expressions this node itself evaluates (a window's in call
     /// order: argument, partition keys, order keys).
-    pub(crate) fn exprs(&self) -> Vec<&BExpr> {
+    pub fn exprs(&self) -> Vec<&BExpr> {
         match self {
             Plan::Scan { filter, .. } => filter.iter().collect(),
             Plan::Filter { predicate, .. } => vec![predicate],
@@ -365,6 +378,7 @@ impl Plan {
                 keys.iter().map(|(e, _)| e).collect()
             }
             Plan::Limit { .. } | Plan::UnionAll { .. } | Plan::CteRef { .. } => vec![],
+            Plan::Domain { .. } => vec![],
         }
     }
 
@@ -375,7 +389,7 @@ impl Plan {
             || self.children().iter().any(|c| c.reads_outer())
     }
 
-    /// `(subqueries, body executions so far)` in this node's own
+    /// `(subqueries, interpreter body runs so far)` in this node's own
     /// expressions, nested subquery bodies included
     /// ([`BExpr::subplans`]).
     pub fn subplans(&self) -> (u64, u64) {
@@ -458,10 +472,10 @@ impl Plan {
                     // the running binary; without it the delta is 0 and
                     // the annotation is omitted.
                     // Subqueries in this node's expressions and how many
-                    // times their bodies ran: the whole cost of a
-                    // correlated subquery sits on this line, so the count
-                    // is what tells once from once-per-row.
-                    if let (n @ 1.., runs) = self.subplans() {
+                    // times the interpreter ran their nested bodies (the
+                    // batch path runs each body as plan nodes, rendered
+                    // below this one).
+                    if let (n @ 1.., runs @ 1..) = self.subplans() {
                         columnar.push_str(&format!(" subplans={n} subplan_runs={runs}"));
                     }
                     let mem = if s.mem_peak > 0 {
@@ -504,10 +518,32 @@ impl Plan {
         for child in self.children().into_iter().chain(body) {
             child.explain_into(out, depth + 1, stats, est, ctes);
         }
+        for sub in self.bodies(stats) {
+            let at = out.len() + 2 * (depth + 1);
+            sub.explain_into(out, depth + 1, stats, est, ctes);
+            out.insert_str(at, SUBQUERY);
+        }
     }
 
-    /// Flattens the tree (including CTE bodies, under every reference)
-    /// into per-node machine-readable reports pairing
+    /// The bodies of the subqueries in this node's own expressions, each
+    /// in the form that ran: the decorrelated body, unless only the nested
+    /// one did (the interpreter, or a row-independent fold) — which is also
+    /// the one shown for an uncorrelated subquery that did not run.
+    pub(crate) fn bodies(&self, stats: Option<&crate::exec::StatsMap>) -> Vec<&Plan> {
+        let ran = |p: &Plan| stats.is_some_and(|m| m.contains_key(&(p as *const Plan as usize)));
+        (self.exprs().into_iter().flat_map(BExpr::subqueries))
+            .map(
+                |b| match ran(b.flat) || !(ran(b.plan) || b.outer_refs.is_empty()) {
+                    true => &**b.flat,
+                    false => &**b.plan,
+                },
+            )
+            .collect()
+    }
+
+    /// Flattens the tree (including CTE bodies, under every reference, and
+    /// subquery bodies, each under its holder as EXPLAIN renders it) into
+    /// per-node machine-readable reports pairing
     /// the estimator's view with executed actuals, appended to `out` in
     /// pre-order.
     pub fn node_reports(
@@ -546,8 +582,17 @@ impl Plan {
         if let Plan::CteRef { plan, .. } = self {
             plan.node_reports(stats, est, out);
         }
+        for sub in self.bodies(Some(stats)) {
+            let at = out.len();
+            sub.node_reports(stats, est, out);
+            out[at].op.insert_str(0, SUBQUERY);
+        }
     }
 }
+
+/// What EXPLAIN puts before the root of a subquery body, which renders
+/// under the node that holds the subquery, after that node's inputs.
+pub const SUBQUERY: &str = "Subquery: ";
 
 /// One plan node's estimate/actual/routing summary, in pre-order. The
 /// machine-readable counterpart of an EXPLAIN ANALYZE line.
@@ -557,7 +602,8 @@ pub struct NodeReport {
     pub op: String,
     /// Subqueries in the node's own expressions, nested bodies included.
     pub subplans: u64,
-    /// Times those subqueries' bodies executed.
+    /// Times the interpreter ran those subqueries' nested bodies (0 on the
+    /// batch path, whose bodies report as nodes of their own).
     pub subplan_runs: u64,
     /// Estimated output rows, if the estimator annotated this node.
     pub est: Option<f64>,

@@ -335,8 +335,20 @@ fn count_of(rows: &[Row]) -> i64 {
     rows[0][0].as_int().expect("a count")
 }
 
+/// On the batch path each correlated subquery body runs once per call of
+/// the node that holds it, as plan nodes of its own rendered under that
+/// node: here, where every holder runs once, no node of `sql`'s analyzed
+/// plan runs twice, and a body's `Domain` leaf is among them.
+fn assert_bodies_run_once(db: &Database, sql: &str, opts: ExecOptions) {
+    let a = tpcds_engine::query_analyze_with(db, sql, opts).unwrap();
+    let plan = &a.plan_text;
+    assert!(a.nodes.iter().all(|n| n.calls <= 1), "{sql}\n{plan}");
+    assert!(plan.contains("Domain #"), "{sql}\n{plan}");
+    assert!(!plan.contains("subplan_runs="), "{sql}\n{plan}");
+}
+
 /// `subplan_runs=` as EXPLAIN ANALYZE prints it for the node that owns
-/// the statement's subqueries.
+/// the statement's subqueries: the interpreter's body runs.
 fn subplan_runs(db: &Database, sql: &str, opts: ExecOptions) -> u64 {
     let plan = tpcds_engine::query_analyze_with(db, sql, opts)
         .unwrap()
@@ -430,13 +442,24 @@ fn correlated_subqueries_agree_wherever_they_appear() {
         // The correlation in both arms of an OR (q41's shape).
         "select count(*) from t x where x.id < 40 and (select count(*) from t y \
          where (y.n = x.n and y.id < 10) or (y.n = x.n and y.id > 290)) > 0",
+        // Bodies whose correlation sits under ORDER BY + LIMIT, a window, a
+        // UNION, a LEFT JOIN's inner side and both sides of a join.
+        "select id, (select y.id from t y where y.n = x.n order by y.id desc limit 1) \
+         from t x where id < 30 order by id",
+        "select id, (select max(r) from (select rank() over (order by y.id) r \
+         from t y where y.n = x.n) w) from t x where id < 30 order by id",
+        "select id from t x where id < 40 and id in (select y.id from t y where y.n = x.n \
+         union all select z.id + 1 from t z where z.n = x.n) order by id",
+        "select id, (select count(z.id) from t y left join t z on y.id = z.id \
+         and z.n = x.n where y.id < 50) from t x where id < 20 order by id",
+        "select id, (select count(*) from t y, t z where y.id = z.id \
+         and y.n = x.n and z.big > x.big) from t x where id < 20 order by id",
     ] {
         assert!(!assert_subquery_parity(&db, sql).is_empty(), "{sql}");
         assert_batch_routes(&db, sql);
     }
-    // A body runs only for rows that get past the AND / OR operands and
-    // the CASE arms before it, and that a LIMIT reads, as on the
-    // interpreter.
+    // Behind AND / OR operands, in CASE arms and under a LIMIT, a body
+    // runs once, where the interpreter runs it per key it reaches.
     for sql in [
         "select count(*) from t x where x.id > 100 and not exists \
          (select 1 from t y where y.n = x.n and y.id < x.id - 150)",
@@ -449,17 +472,13 @@ fn correlated_subqueries_agree_wherever_they_appear() {
         "select id from t x where (select count(*) from t y where y.id < x.id) >= 10 limit 7",
         "select id from t x where id > 40 and (select count(*) from t y where y.id < x.id) \
          % 3 = 0 limit 5",
-        // A keyed NOT EXISTS behind an EXISTS no row passes: its set never runs.
+        // A NOT EXISTS behind an EXISTS no row passes.
         "select count(*) from t x where x.id < 60 and exists \
          (select 1 from t y where y.n = x.n and y.id <> x.id and y.id > 1000) \
          and not exists (select 1 from t z where z.n = x.id)",
     ] {
         for opts in kernel_runs() {
-            assert_eq!(
-                subplan_runs(&db, sql, opts),
-                subplan_runs(&db, sql, OFF),
-                "{sql}"
-            );
+            assert_bodies_run_once(&db, sql, opts);
         }
     }
     // COUNT(*) over an empty correlated group is 0, not NULL.
@@ -507,6 +526,29 @@ fn a_failing_subquery_fails_only_when_a_row_reaches_it() {
         "execution error: scalar subquery returned more than one row"
     );
     assert_eq!(tpcds_engine::query_unoptimized(&db, eager), Err(oracle));
+}
+
+/// The one place the batch path raises where the interpreter does not: an
+/// error inside a subquery body's scans, joins, filters or aggregates
+/// surfaces when the body runs, once per call of the node holding it, not
+/// only when a row asks for the subquery's value (row 100's `big + 1`
+/// overflows in the body's scan; no row takes the `CASE` arm).
+#[test]
+fn a_failing_body_scan_raises_when_the_body_runs() {
+    let edge = edge_db();
+    let sql = "select id, case when id < 0 then (select count(*) from t y \
+               where y.n = x.n and y.big + 1 > 0) else 0 end from t x order by id";
+    assert_eq!(
+        tpcds_engine::query_with(&edge, sql, OFF)
+            .unwrap()
+            .rows
+            .len(),
+        300
+    );
+    for opts in kernel_runs() {
+        let err = tpcds_engine::query_with(&edge, sql, opts).unwrap_err();
+        assert!(err.to_string().ends_with("in +"), "{err}");
+    }
 }
 
 #[test]
@@ -568,11 +610,7 @@ fn keyed_exists_is_a_set_probe_with_exists_null_rules() {
     let in_range = count("select count(*) from t where n >= 0");
     assert_eq!(count(sql), 300 - in_range);
     assert!(300 - in_range > nulls);
-    assert_eq!(
-        subplan_runs(&db, sql, auto),
-        1,
-        "one body run, not one per key"
-    );
+    assert_bodies_run_once(&db, sql, auto);
     assert!(subplan_runs(&db, sql, OFF) > 1);
     // NULL inner keys are dropped, not matched.
     assert_eq!(
@@ -584,25 +622,24 @@ fn keyed_exists_is_a_set_probe_with_exists_null_rules() {
                (exists (select 1 from t y where y.n = x.id) \
                 or exists (select 1 from t y where y.id = x.n and y.id > 1))";
     assert!(count(sql) > 3);
-    assert_eq!(subplan_runs(&db, sql, auto), 2);
+    assert_bodies_run_once(&db, sql, auto);
     // Two key equalities: a tuple probe; a NULL in either key is a miss.
     let sql = "select count(*) from t x where exists \
                (select 1 from t y where y.id = x.id and y.n = x.n)";
     assert_eq!(count(sql), 300 - nulls);
-    assert_eq!(subplan_runs(&db, sql, auto), 1);
-    // A non-equality correlation keeps the per-key path, and agrees.
+    assert_bodies_run_once(&db, sql, auto);
+    // A non-equality correlation beside the key, and agrees.
     let sql = "select count(*) from t x where x.id < 40 and exists \
                (select 1 from t y where y.n = x.n and y.id <> x.id)";
     assert_eq!(
         count(sql),
         40 - count("select count(*) from t where id < 40 and n is null")
     );
-    assert!(subplan_runs(&db, sql, auto) > 1);
-    // Int against Decimal keys compare numerically on the row path, not
-    // as set members: not rewritten, and agrees.
+    assert_bodies_run_once(&db, sql, auto);
+    // Int against Decimal keys compare numerically, and agree.
     let sql = "select count(*) from t x where exists (select 1 from t y where y.amt = x.id)";
     assert!(count(sql) >= 1);
-    assert!(subplan_runs(&db, sql, auto) > 1);
+    assert_bodies_run_once(&db, sql, auto);
 }
 
 // ---------- expression keys: hidden columns on the batch path ----------

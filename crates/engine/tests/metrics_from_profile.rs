@@ -3,9 +3,8 @@
 //! that field summed over the statement's [`Profile`] (subquery bodies
 //! included), and `engine.route.<path>` by the number of executed nodes
 //! that took the path. The statement joins, aggregates, ranks, cuts a
-//! Top-N and probes a correlated subquery, so some nodes run more than
-//! once — where a per-call counter and EXPLAIN ANALYZE's per-node fold
-//! would disagree.
+//! Top-N and probes a correlated subquery, whose decorrelated body runs as
+//! nodes of its own — counted like every other node.
 //!
 //! Its own test binary: the registry is process-wide. The counting
 //! allocator is installed so that `build_bytes` is measured too.
@@ -100,8 +99,8 @@ fn registry_moves_by_the_statements_profile() {
     metrics::disable();
     assert_eq!(result.unwrap().rows.len(), 3);
     assert!(
-        profile.ops().any(|s| s.calls > 1),
-        "no node ran twice:\n{}",
+        profile.plan_text(&db).contains("Domain #"),
+        "no subquery body ran:\n{}",
         profile.plan_text(&db)
     );
 

@@ -67,7 +67,7 @@ fn count_nodes(plan: &Plan, pred: &impl Fn(&Plan) -> bool) -> usize {
         Plan::HashJoin { left, right, .. } | Plan::UnionAll { left, right } => {
             n += count_nodes(left, pred) + count_nodes(right, pred);
         }
-        Plan::Scan { .. } | Plan::CteRef { .. } => {}
+        Plan::Scan { .. } | Plan::CteRef { .. } | Plan::Domain { .. } => {}
     }
     n
 }

@@ -2,9 +2,9 @@
 //! evaluator for predicates, projections, sort keys and join residuals.
 //!
 //! [`Expr`] is the compiled form of the engine's scalar expression AST,
-//! with every subquery already run: its result is a literal, a set to
-//! probe ([`Expr::InSet`]) or a table of results by key tuple
-//! ([`Expr::Lookup`]). Evaluation is batch-at-a-time over one morsel of a
+//! with every subquery already run: its result is a literal or a
+//! [`SubResult`] each row probes by its domain tuple ([`Expr::Sub`]).
+//! Evaluation is batch-at-a-time over one morsel of a
 //! [`Segment`]: columns are borrowed, a subtree that reads no column is
 //! evaluated once, and a comparison leaf of a column against constants
 //! runs a loop pre-resolved for that (buffer, constant type) pair
@@ -27,9 +27,9 @@ use crate::pred::{P_FALSE, P_NULL, P_TRUE};
 use crate::segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
 use crate::StorageError;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use tpcds_types::scalar;
 use tpcds_types::{like_match, ArithOp, CmpKind, DataType, Date, Decimal, Row, ScalarFunc, Value};
 
@@ -79,102 +79,125 @@ pub enum Expr {
     Func(ScalarFunc, Vec<Expr>),
     /// `l || r` via [`tpcds_types::scalar::concat`].
     Concat(Box<Expr>, Box<Expr>),
-    /// Membership of the key tuple in a constant set built once — a
-    /// subquery's result — under the NULL rules of the given [`SetTest`];
-    /// the bool is the NOT.
-    InSet(Vec<Expr>, Arc<KeySet>, SetTest, bool),
-    /// The value stored for the key tuple — a correlated subquery's result
-    /// per tuple of the columns it reads. A stored error is deferred to
-    /// the rows that ask for it; a tuple with no entry reads NULL.
-    Lookup(Vec<Expr>, Arc<LookupMap>),
+    /// A subquery's answer for the row: the first [`SubResult::width`]
+    /// keys are the row's domain tuple (the outer columns the body
+    /// reads), an `IN`'s operand follows them; the bool is the NOT.
+    Sub(Vec<Expr>, Arc<SubResult>, bool),
 }
 
-/// An [`Expr::Lookup`]'s results by key tuple. The engine fills it before
-/// a kernel evaluates the rows that ask: all at once, or range by range
-/// ahead of an ordered scan ([`crate::scan_range`]).
-pub type LookupMap = RwLock<HashMap<Vec<Value>, Result<Value, String>>>;
-
-/// Which SQL construct an [`Expr::InSet`] answers. They differ only in
-/// what a NULL does.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SetTest {
-    /// `x IN (subquery)`: a NULL operand is UNKNOWN, and so is a miss
-    /// against a set that contained a NULL.
-    In,
-    /// `EXISTS (… WHERE outer = inner …)` probed by its outer keys: a NULL
-    /// key equals nothing, on either side, so it is simply a miss.
-    Exists,
-}
-
-/// The distinct non-NULL key tuples a subquery produced, built once and
-/// shared by every morsel that probes it: one [`KeyTable`] over the
-/// tuples, probed with key cells read straight from the operands, as a
-/// join probes its build side. Keys compare like `Value` equality
-/// (`1 = 1.0`; values of different kinds never match), which is the rule
-/// the row interpreter's per-row evaluation applies — it probes this same
-/// type.
+/// A subquery body's result over its *domain*, the distinct tuples of the
+/// outer columns it reads among its host's input rows (NULLs equal). The
+/// engine runs the decorrelated body once over the domain and builds this;
+/// each row probes it with key cells read straight from the operands, as a
+/// join probes its build side.
 #[derive(Debug)]
-pub struct KeySet {
-    /// The distinct tuples; the table's entry `e` is `rows[e]`.
+pub struct SubResult {
+    domain: Tuples,
+    answer: Answer,
+}
+
+/// What a subquery's body answered for each domain tuple, by position.
+#[derive(Debug)]
+pub enum Answer {
+    /// `EXISTS`: whether the body produced a row.
+    Exists(Vec<bool>),
+    /// `x IN`: the values the body produced.
+    In(Vec<KeySet>),
+    /// A scalar subquery: its value, or the error that the rows that ask
+    /// for it raise.
+    Scalar(Vec<Result<Value, String>>),
+}
+
+impl SubResult {
+    /// The answers for the distinct tuples `domain`, by position.
+    pub fn new(domain: Vec<Row>, answer: Answer) -> SubResult {
+        let domain = Tuples::new(domain);
+        SubResult { domain, answer }
+    }
+
+    /// The domain's width: how many leading keys of an [`Expr::Sub`] name
+    /// the tuple.
+    pub fn width(&self) -> usize {
+        self.domain.rows.first().map_or(0, Vec::len)
+    }
+}
+
+/// Distinct tuples in one [`KeyTable`] (entry `e` is `rows[e]`), found by
+/// key cells read straight from the operands. Cells compare like `Value`
+/// equality (`1 = 1.0`; values of different kinds never match; NULL
+/// equals NULL), the rule the row interpreter applies too.
+#[derive(Debug)]
+struct Tuples {
     rows: Vec<Row>,
     table: KeyTable,
+}
+
+impl Tuples {
+    fn new(rows: Vec<Row>) -> Tuples {
+        let mut t = Tuples {
+            rows: Vec::with_capacity(rows.len()),
+            table: KeyTable::with_capacity(rows.len()),
+        };
+        for row in rows {
+            let h = hash_cells(row.iter().map(Cell::value));
+            let (_, new) = t
+                .table
+                .entry(h, |e| same(&t.rows[e], |k| Cell::value(&row[k])));
+            if new {
+                t.rows.push(row);
+            }
+        }
+        t
+    }
+
+    /// The entry of the `width`-cell tuple whose cell `k` is `cell(k)`.
+    fn find<'c>(&self, width: usize, cell: impl Fn(usize) -> Cell<'c>) -> Option<usize> {
+        let h = hash_cells((0..width).map(&cell));
+        self.table.find(h, |e| same(&self.rows[e], &cell))
+    }
+}
+
+/// Whether `row` is the tuple whose cell `k` is `cell(k)`.
+fn same<'c>(row: &[Value], cell: impl Fn(usize) -> Cell<'c>) -> bool {
+    (row.iter().enumerate()).all(|(k, v)| Cell::value(v).eq(cell(k)))
+}
+
+/// The distinct non-NULL values of an `IN` subquery's body, and whether it
+/// produced a NULL. The row interpreter probes this same type.
+#[derive(Debug)]
+pub struct KeySet {
+    values: Tuples,
     has_null: bool,
 }
 
 impl KeySet {
     /// The set of `rows`; a row with a NULL in it is dropped and
-    /// remembered ([`SetTest::In`] needs to know).
+    /// remembered.
     pub fn new(rows: Vec<Row>) -> KeySet {
-        let mut table = KeyTable::with_capacity(rows.len());
-        let (mut kept, mut has_null) = (Vec::<Row>::new(), false);
-        for row in rows {
-            if row.iter().any(Value::is_null) {
-                has_null = true;
-                continue;
-            }
-            let h = hash_cells(row.iter().map(Cell::value));
-            let same = |a: &Value, b| Cell::value(a).eq(Cell::value(b));
-            let (_, new) = table.entry(h, |e| (kept[e].iter().zip(&row)).all(|(a, b)| same(a, b)));
-            if new {
-                kept.push(row);
-            }
-        }
+        let (nulls, rows): (Vec<Row>, _) =
+            (rows.into_iter()).partition(|r| r.iter().any(Value::is_null));
         KeySet {
-            rows: kept,
-            table,
-            has_null,
+            values: Tuples::new(rows),
+            has_null: !nulls.is_empty(),
         }
     }
 
-    /// The verdict of `test` for one key tuple before any NOT; `None` is
-    /// UNKNOWN.
-    pub fn test(&self, test: SetTest, key: &[Value]) -> Option<bool> {
-        self.member(test, key.len(), |k| Cell::value(&key[k]))
+    /// `key IN (the set)` before any NOT; `None` is UNKNOWN.
+    pub fn test(&self, key: &[Value]) -> Option<bool> {
+        self.member(key.len(), |k| Cell::value(&key[k]))
     }
 
     /// [`KeySet::test`] of the `width`-cell key whose cell `k` is
-    /// `cell(k)`. The NULL rules: a key with a NULL in it is UNKNOWN to
-    /// `IN` and a miss to `EXISTS`, and a miss is UNKNOWN to `IN` when
-    /// the set held a NULL.
-    fn member<'c>(
-        &self,
-        test: SetTest,
-        width: usize,
-        cell: impl Fn(usize) -> Cell<'c>,
-    ) -> Option<bool> {
-        let null_key = (0..width).any(|k| matches!(cell(k), Cell::Null));
-        let hit = (!null_key).then(|| {
-            let h = hash_cells((0..width).map(&cell));
-            let row_is_key = |e: usize| {
-                (self.rows[e].iter().enumerate()).all(|(k, v)| Cell::value(v).eq(cell(k)))
-            };
-            self.table.find(h, row_is_key).is_some()
-        });
-        match (test, hit) {
-            (SetTest::In, None) => None,
-            (SetTest::In, Some(false)) if self.has_null => None,
-            (SetTest::Exists, None) => Some(false),
-            (_, hit) => hit,
+    /// `cell(k)`. The NULL rules: a key with a NULL in it is UNKNOWN, and
+    /// so is a miss when the set held a NULL.
+    fn member<'c>(&self, width: usize, cell: impl Fn(usize) -> Cell<'c>) -> Option<bool> {
+        if (0..width).any(|k| matches!(cell(k), Cell::Null)) {
+            return None;
+        }
+        match self.values.find(width, cell) {
+            Some(_) => Some(true),
+            None if self.has_null => None,
+            None => Some(false),
         }
     }
 }
@@ -986,61 +1009,58 @@ impl Expr {
                     errs,
                 }
             }
-            Expr::InSet(keys, set, test, negated) => {
-                let evs: Vec<Evaled> = keys
-                    .iter()
-                    .map(|k| k.eval_vect(input, start, len))
-                    .collect();
-                let errs = first_errs(&evs);
-                let mut t = vec![P_NULL; len];
-                for (j, o) in t.iter_mut().enumerate() {
-                    if errs.contains_key(&j) {
-                        continue;
-                    }
-                    if let Some(b) = set.member(*test, evs.len(), |k| evs[k].v.cell(j)) {
-                        *o = tri_u8(b != *negated);
-                    }
-                }
-                Evaled {
-                    v: Vect::Tri(t),
-                    errs,
-                }
-            }
-            Expr::Lookup(keys, map) => {
+            Expr::Sub(keys, res, negated) => {
                 let evs: Vec<Evaled> = (keys.iter())
                     .map(|k| k.eval_vect(input, start, len))
                     .collect();
                 let mut errs = first_errs(&evs);
-                let map = map.read().expect("lookup lock");
-                let key = |j| evs.iter().map(|e| e.v.get(j)).collect::<Vec<_>>();
-                let vals = (0..len).map(|j| match map.get(&key(j)) {
-                    Some(Err(m)) => {
-                        errs.entry(j).or_insert_with(|| m.clone());
-                        Value::Null
-                    }
-                    Some(Ok(v)) if !errs.contains_key(&j) => v.clone(),
-                    _ => Value::Null,
-                });
-                let v = Vect::Val(vals.collect());
+                let w = res.width();
+                // An uncorrelated body's one tuple needs no lookup.
+                let one = (w == 0).then(|| res.domain.find(0, |_| Cell::Null));
+                let entry =
+                    |j: usize| one.unwrap_or_else(|| res.domain.find(w, |k| evs[k].v.cell(j)));
+                let tri = |b: Option<bool>| b.map_or(P_NULL, |b| tri_u8(b != *negated));
+                let v = match &res.answer {
+                    Answer::Scalar(values) => Vect::Val(
+                        (0..len)
+                            .map(|j| match entry(j).filter(|_| !errs.contains_key(&j)) {
+                                Some(d) => values[d].clone().unwrap_or_else(|m| {
+                                    errs.insert(j, m);
+                                    Value::Null
+                                }),
+                                None => Value::Null,
+                            })
+                            .collect(),
+                    ),
+                    Answer::Exists(hits) => Vect::Tri(
+                        (0..len)
+                            .map(|j| tri(Some(entry(j).is_some_and(|d| hits[d]))))
+                            .collect(),
+                    ),
+                    Answer::In(sets) => Vect::Tri(
+                        (0..len)
+                            .map(|j| match entry(j) {
+                                Some(d) => tri(sets[d].member(1, |_| evs[w].v.cell(j))),
+                                None => tri(Some(false)),
+                            })
+                            .collect(),
+                    ),
+                };
                 Evaled { v, errs }
             }
         }
     }
 
-    /// Evaluates to one [`Value`] per row, or the first error in row
-    /// order as `(local row index, message)` — the error the row path
-    /// raises.
-    pub fn eval_values(
-        &self,
-        input: &Segment,
-        start: usize,
-        len: usize,
-    ) -> Result<Vec<Value>, (usize, String)> {
-        let Evaled { v, errs } = self.eval_vect(input, start, len);
-        if let Some((j, msg)) = errs.into_iter().next() {
-            return Err((j, msg));
+    /// Each live row of `table`'s value, or the error that row raises.
+    pub fn eval_each(&self, table: &ColumnTable) -> Vec<Result<Value, String>> {
+        let mut out = Vec::with_capacity(table.rows);
+        for seg in &table.segments {
+            let Evaled { v, mut errs } = self.eval_vect(seg, 0, seg.rows);
+            out.extend(
+                (seg.live_offsets()).map(|i| errs.remove(&i).map_or_else(|| Ok(v.get(i)), Err)),
+            );
         }
-        Ok((0..len).map(|i| v.get(i)).collect())
+        out
     }
 
     /// Evaluates as a predicate into tri-state bytes (strict-TRUE admits,
@@ -1100,9 +1120,7 @@ impl Expr {
                 a.visit_cols(f);
                 items.iter().for_each(|e| e.visit_cols(f));
             }
-            Expr::Func(_, args) | Expr::InSet(args, ..) | Expr::Lookup(args, _) => {
-                args.iter().for_each(|e| e.visit_cols(f))
-            }
+            Expr::Func(_, args) | Expr::Sub(args, ..) => args.iter().for_each(|e| e.visit_cols(f)),
             Expr::Case {
                 operand,
                 branches,
@@ -1136,7 +1154,6 @@ impl Expr {
             | Expr::IsNull(..)
             | Expr::Like(..)
             | Expr::InList(..)
-            | Expr::InSet(..)
             | Expr::Between(..) => DataType::Bool,
             Expr::Arith(op, l, r) => {
                 if *op == ArithOp::Div {
@@ -1169,9 +1186,12 @@ impl Expr {
                     .unwrap_or(DataType::Int),
             },
             Expr::Concat(..) => DataType::Str,
-            Expr::Lookup(_, map) => (map.read().expect("lookup lock").values())
-                .find_map(|v| v.as_ref().ok()?.data_type())
-                .unwrap_or(DataType::Int),
+            Expr::Sub(_, res, _) => match &res.answer {
+                Answer::Scalar(values) => (values.iter())
+                    .find_map(|v| v.as_ref().ok()?.data_type())
+                    .unwrap_or(DataType::Int),
+                _ => DataType::Bool,
+            },
         }
     }
 }
@@ -1401,6 +1421,33 @@ pub fn par_project_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`Expr::eval_vect`] as one [`Value`] per row, or the first error in
+    /// row order as `(local row index, message)` — the error the row path
+    /// raises.
+    trait Values {
+        fn eval_values(
+            &self,
+            input: &Segment,
+            start: usize,
+            len: usize,
+        ) -> Result<Vec<Value>, (usize, String)>;
+    }
+
+    impl Values for Expr {
+        fn eval_values(
+            &self,
+            input: &Segment,
+            start: usize,
+            len: usize,
+        ) -> Result<Vec<Value>, (usize, String)> {
+            let Evaled { v, errs } = self.eval_vect(input, start, len);
+            if let Some((j, msg)) = errs.into_iter().next() {
+                return Err((j, msg));
+            }
+            Ok((0..len).map(|i| v.get(i)).collect())
+        }
+    }
     use std::sync::Arc;
 
     fn table_of(dtypes: Vec<DataType>, rows: &[Row]) -> Arc<ColumnTable> {
@@ -1717,10 +1764,11 @@ mod tests {
         assert_eq!(out, vec![P_FALSE, P_NULL, P_NULL]);
     }
 
-    /// Every (test, NOT, NULL-in-set) combination, over typed buffers,
-    /// boxed buffers and computed operands, for `Int`, `Date`, string and
-    /// two-column keys and an `Int` set probed by a `Decimal` column: all
-    /// agree with [`KeySet::test`] row by row.
+    /// Every (NOT, NULL-in-set) combination of `IN`, over typed buffers,
+    /// boxed buffers and computed operands, for `Int`, `Date`, string keys
+    /// and an `Int` set probed by a `Decimal` column: all agree with
+    /// [`KeySet::test`] row by row. A correlated probe finds each row's
+    /// domain tuple, a NULL one included, typed or boxed.
     #[test]
     fn set_membership_null_rules_hold_on_every_path() {
         let date = |d: u32| Value::Date(Date::from_ymd(2000, 5, d));
@@ -1738,92 +1786,67 @@ mod tests {
         ];
         let typed = table_of(dtypes, &rows);
         let boxed = table_of(vec![DataType::Bool; 4], &rows);
+        let computed = |c| Expr::Func(ScalarFunc::Coalesce, vec![Expr::Col(c)]);
         for with_null in [false, true] {
-            let set_of = |mut keys: Vec<Row>| {
-                let width = keys[0].len();
-                keys.extend(with_null.then(|| vec![Value::Null; width]));
-                Arc::new(KeySet::new(keys))
+            let set_of = |mut keys: Vec<Value>| {
+                keys.extend(with_null.then_some(Value::Null));
+                KeySet::new(keys.into_iter().map(|k| vec![k]).collect())
             };
-            let ints = set_of(vec![vec![int(1)], vec![int(9)]]);
-            // Each set with the operand columns that probe it.
             let sets = [
-                (Arc::clone(&ints), vec![0]),
-                (set_of(vec![vec![date(1)], vec![date(9)]]), vec![1]),
-                (
-                    set_of(vec![vec![Value::str("a")], vec![Value::str("z")]]),
-                    vec![2],
-                ),
-                (ints, vec![3]),
-                (
-                    set_of(vec![
-                        vec![int(5), Value::str("e")],
-                        vec![int(1), Value::str("z")],
-                    ]),
-                    vec![0, 2],
-                ),
+                (set_of(vec![int(1), int(9)]), 0),
+                (set_of(vec![date(1), date(9)]), 1),
+                (set_of(vec![Value::str("a"), Value::str("z")]), 2),
+                (set_of(vec![int(1), int(9)]), 3),
             ];
-            for (set, cols) in &sets {
-                for (test, negated) in [
-                    (SetTest::In, false),
-                    (SetTest::In, true),
-                    (SetTest::Exists, false),
-                    (SetTest::Exists, true),
-                ] {
-                    let want: Vec<Value> = (rows.iter())
+            for (set, c) in sets {
+                let want = |negated: bool| -> Vec<Value> {
+                    (rows.iter())
                         .map(|r| {
-                            let key: Row = cols.iter().map(|&c| r[c].clone()).collect();
-                            match set.test(test, &key) {
-                                Some(b) => Value::Bool(b != negated),
-                                None => Value::Null,
-                            }
+                            set.test(&r[c..=c])
+                                .map_or(Value::Null, |b| Value::Bool(b != negated))
                         })
-                        .collect();
-                    let leaf = |key: &dyn Fn(usize) -> Expr| {
-                        let keys = cols.iter().map(|&c| key(c)).collect();
-                        Expr::InSet(keys, Arc::clone(set), test, negated)
-                    };
-                    let computed = |c| Expr::Func(ScalarFunc::Coalesce, vec![Expr::Col(c)]);
+                        .collect()
+                };
+                let (want, want_not) = (want(false), want(true));
+                let res = Arc::new(SubResult::new(vec![vec![]], Answer::In(vec![set])));
+                for negated in [false, true] {
+                    let leaf = |key: Expr| Expr::Sub(vec![key], Arc::clone(&res), negated);
                     for (e, t) in [
-                        (leaf(&Expr::Col), &typed),
-                        (leaf(&Expr::Col), &boxed),
-                        (leaf(&computed), &typed),
+                        (leaf(Expr::Col(c)), &typed),
+                        (leaf(Expr::Col(c)), &boxed),
+                        (leaf(computed(c)), &typed),
                     ] {
                         let got = e.eval_values(&t.segments[0], 0, rows.len()).unwrap();
-                        assert_eq!(
-                            got, want,
-                            "{test:?} negated={negated} null={with_null} cols {cols:?}"
-                        );
+                        let want = if negated { &want_not } else { &want };
+                        assert_eq!(&got, want, "negated={negated} null={with_null} col {c}");
                     }
                 }
             }
-            // The `Decimal` column's `1.00` is in the `Int` set, and the
-            // pair (5, 'e') in the pair set.
-            let hits = |set: &KeySet, key: &[Value]| set.test(SetTest::Exists, key);
-            assert_eq!(hits(&sets[3].0, &rows[0][3..]), Some(true));
-            let pair = [rows[2][0].clone(), rows[2][2].clone()];
-            assert_eq!(hits(&sets[4].0, &pair), Some(true));
         }
-        // The rules themselves: IN is UNKNOWN for a NULL operand and for a
-        // miss against a set that held a NULL; the EXISTS form just misses.
+        // The `Decimal` column's `1.00` is in the `Int` set; IN is UNKNOWN
+        // for a NULL operand and for a miss against a set that held a NULL.
         let set = KeySet::new(vec![vec![int(1)], vec![Value::Null]]);
-        assert_eq!(set.test(SetTest::In, &[int(1)]), Some(true));
-        assert_eq!(set.test(SetTest::In, &[int(2)]), None);
-        assert_eq!(set.test(SetTest::In, &[Value::Null]), None);
-        assert_eq!(set.test(SetTest::Exists, &[int(2)]), Some(false));
-        assert_eq!(set.test(SetTest::Exists, &[Value::Null]), Some(false));
-        // `1 = 1.00`, as everywhere else values are compared for equality.
-        let one = Value::Decimal("1.00".parse().unwrap());
-        assert_eq!(
-            set.test(SetTest::Exists, std::slice::from_ref(&one)),
-            Some(true)
-        );
-        // Tuples: a NULL in any position is a NULL key.
-        let pairs = KeySet::new(vec![vec![int(1), one], vec![int(2), Value::Null]]);
-        assert_eq!(pairs.test(SetTest::Exists, &[int(1), int(1)]), Some(true));
-        assert_eq!(
-            pairs.test(SetTest::Exists, &[int(2), Value::Null]),
-            Some(false)
-        );
+        assert_eq!(set.test(&[dec("1.00")]), Some(true));
+        assert_eq!(set.test(&[int(2)]), None);
+        assert_eq!(set.test(&[Value::Null]), None);
+        // Correlated: each row finds its (Int, Decimal) tuple's answer.
+        let domain: Vec<Row> = rows
+            .iter()
+            .map(|r| vec![r[0].clone(), r[3].clone()])
+            .collect();
+        let answers = vec![Ok(int(10)), Ok(int(11)), Err("boom".to_string())];
+        let res = Arc::new(SubResult::new(domain, Answer::Scalar(answers)));
+        for t in [&typed, &boxed] {
+            let e = Expr::Sub(vec![Expr::Col(0), Expr::Col(3)], Arc::clone(&res), false);
+            assert_eq!(
+                e.eval_values(&t.segments[0], 0, 2).unwrap(),
+                vec![int(10), int(11)]
+            );
+            assert_eq!(
+                e.eval_values(&t.segments[0], 0, 3),
+                Err((2, "boom".to_string()))
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! to a dense entry id. It backs the join's [`JoinTable`] (key → ascending
 //! build row ids), the aggregates' [`GroupTable`] (key → group, its
 //! lowest row and its accumulators) and the subquery sets that
-//! `Expr::InSet` probes (`expr::KeySet`).
+//! `Expr::Sub` probes (`expr::SubResult`, `expr::KeySet`).
 
 use crate::agg::{AggSpec, PAcc};
 use crate::batch::gather_column;

@@ -34,11 +34,9 @@ pub mod stats;
 pub use agg::{AggKind, AggSpec};
 pub use batch::Batch;
 pub use column::{Bitmap, Column, ColumnData, StrBuf};
-pub use expr::{par_project_table, ErrCell, Expr, KeySet, LookupMap, SetTest};
+pub use expr::{par_project_table, Answer, ErrCell, Expr, KeySet, SubResult};
 pub use join::{par_hash_join, JoinType};
-pub use morsel::{
-    par_aggregate, par_filter, run_chunks, scan_range, scan_until, KernelStats, MORSEL_ROWS,
-};
+pub use morsel::{par_aggregate, par_filter, run_chunks, scan_until, KernelStats, MORSEL_ROWS};
 pub use pred::Pred;
 pub use segment::{ColumnTable, ColumnTableBuilder, Segment, COMPACT_DEAD_SHARE, SEGMENT_ROWS};
 pub use sort::{par_sort, par_topn, par_window, SortKey, WinFunc, WinSpec};

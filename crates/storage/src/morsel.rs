@@ -17,7 +17,6 @@ use crate::key::{arg_cols, merge_groups, GroupTable, KeyCols};
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, SEGMENT_ROWS};
 use crate::StorageError;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tpcds_types::Row;
 
@@ -223,16 +222,6 @@ pub fn par_filter(batch: &Batch, threads: usize) -> (Vec<Row>, KernelStats) {
 /// `rows_in` and `bytes` count only what was actually visited.
 pub fn scan_until<E>(
     batch: &Batch,
-    visit: impl FnMut(Row) -> Result<bool, E>,
-) -> Result<KernelStats, E> {
-    scan_range(batch, 0..batch.table.id_end(), visit)
-}
-
-/// [`scan_until`] over the rows with ids in `ids` only: the predicate is
-/// evaluated for none outside it.
-pub fn scan_range<E>(
-    batch: &Batch,
-    ids: Range<usize>,
     mut visit: impl FnMut(Row) -> Result<bool, E>,
 ) -> Result<KernelStats, E> {
     let (table, pred, proj) = (&*batch.table, batch.pred.as_ref(), batch.proj.as_deref());
@@ -244,12 +233,7 @@ pub fn scan_range<E>(
     let mut verdict = Ok(true);
     'scan: for (si, off, len) in morsels_of(table) {
         let seg = &table.segments[si];
-        let first = si * SEGMENT_ROWS + off;
-        let (lo, hi) = (first.max(ids.start), (first + len).min(ids.end));
-        if lo >= hi {
-            continue;
-        }
-        let (off, len, base) = (off + lo - first, hi - lo, lo as u64);
+        let base = (si * SEGMENT_ROWS + off) as u64;
         stats.morsels += 1;
         stats.rows_in += len as u64;
         stats.bytes += (seg.bytes * len / seg.rows.max(1)) as u64;
@@ -360,7 +344,7 @@ mod tests {
     use crate::CmpKind;
     use crate::Expr;
     use std::sync::Arc;
-    use tpcds_types::{ArithOp, DataType, Decimal, Value};
+    use tpcds_types::{DataType, Decimal, Value};
 
     fn batch(t: &Arc<ColumnTable>, pred: &Expr) -> Batch {
         Batch::new(Arc::clone(t)).filter(pred.clone())
@@ -449,34 +433,6 @@ mod tests {
             }
         });
         assert_eq!((stop, seen), (Err("boom"), 3));
-    }
-
-    #[test]
-    fn scan_range_evaluates_only_the_ids_in_range() {
-        let t = table();
-        let pred = Expr::cmp(CmpKind::Lt, 1, Value::Int(3));
-        let (full, _) = par_filter(&batch(&t, &pred), 1);
-        // Ranges cutting a morsel and a segment tile the full filter.
-        let cuts = [0, 5, MORSEL_ROWS + 3, SEGMENT_ROWS + 1, t.id_end()];
-        let mut tiled = Vec::new();
-        for w in cuts.windows(2) {
-            let visit = |row| {
-                tiled.push(row);
-                Ok::<_, ()>(true)
-            };
-            let stats = scan_range(&batch(&t, &pred), w[0]..w[1], visit).unwrap();
-            assert_eq!(stats.rows_in, (w[1] - w[0]) as u64, "{w:?}");
-        }
-        assert_eq!(tiled, full);
-        // `id * i64::MAX` overflows from id 2 on: a row outside the range
-        // is never evaluated, so it cannot raise.
-        let big = Box::new(Expr::Lit(Value::Int(i64::MAX)));
-        let poison = Expr::Arith(ArithOp::Mul, Box::new(Expr::Col(0)), big);
-        let b = batch(&t, &Expr::IsNull(Box::new(poison), false));
-        let _ = scan_range(&b, 0..2, |_| Ok::<_, ()>(true));
-        assert_eq!(b.take_err(), None);
-        let _ = scan_range(&b, 0..3, |_| Ok::<_, ()>(true));
-        assert!(b.take_err().is_some());
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use tpcds_obs::metrics;
 use tpcds_storage::{
     par_aggregate, par_filter, par_hash_join, par_project_table, par_sort, par_topn, par_window,
-    scan_range, scan_until, AggKind, AggSpec, Batch, CmpKind, ColumnTableBuilder, Expr, JoinType,
-    KernelStats, SortKey, WinFunc, WinSpec,
+    scan_until, AggKind, AggSpec, Batch, CmpKind, ColumnTableBuilder, Expr, JoinType, KernelStats,
+    SortKey, WinFunc, WinSpec,
 };
 use tpcds_types::{ArithOp, DataType, Value};
 
@@ -92,9 +92,6 @@ fn kernels_leave_the_registry_untouched() {
     });
     silent("scan_until", || {
         scan_until(&fact, |_| Ok::<_, ()>(true)).unwrap()
-    });
-    silent("scan_range", || {
-        scan_range(&fact, 100..30_000, |_| Ok::<_, ()>(true)).unwrap()
     });
     metrics::disable();
 }

@@ -17,6 +17,7 @@
 //! joins, and LIMITs pinned to the 64k segment boundary.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use tpcds_engine::Database;
@@ -134,6 +135,7 @@ impl Synthesizer {
             ShapeClass::NullKeyJoin => self.gen_null_key_join(&mut rng),
             ShapeClass::SkewJoin => self.gen_skew_join(&mut rng),
             ShapeClass::LimitBoundary => self.gen_limit_boundary(&mut rng),
+            ShapeClass::Subquery => self.gen_subquery(&mut rng),
         }
     }
 
@@ -149,7 +151,7 @@ impl Synthesizer {
         } else {
             // Join-bearing shapes get most of the weight: they are where
             // routing and differential bugs live.
-            let weights = [1.0, 2.0, 3.0, 1.5, 1.5, 1.0, 1.0, 2.0];
+            let weights = [1.0, 2.0, 3.0, 1.5, 1.5, 1.0, 1.0, 2.0, 2.0];
             let organic = [
                 ShapeClass::ScanFilter,
                 ShapeClass::JoinChain,
@@ -159,6 +161,7 @@ impl Synthesizer {
                 ShapeClass::SetOp,
                 ShapeClass::DistinctTail,
                 ShapeClass::ExprCompute,
+                ShapeClass::Subquery,
             ];
             organic[rng.weighted_index(&weights)]
         }
@@ -793,6 +796,74 @@ impl Synthesizer {
         }
         s.order_by = (1..=def.primary_key.len()).collect();
         s.limit = Some(*rng.pick_of(&[65_535u64, 65_536, 65_537]));
+        s
+    }
+
+    /// A subquery hung off one FK edge of the base table: `IN`, `NOT IN`,
+    /// `EXISTS`, `NOT EXISTS` or a scalar aggregate compared with an outer
+    /// column, its body correlated by the FK equality — one time in four
+    /// with a `<>` or `<` conjunct beside it — and placed under AND, OR
+    /// or CASE.
+    fn gen_subquery(&self, rng: &mut ColumnRng) -> QuerySpec {
+        let edges: Vec<(&'static str, &'static str, &'static str, &'static str)> =
+            (self.populated(50).into_iter())
+                .flat_map(|t| {
+                    let fks = self.def(t).foreign_keys.iter();
+                    fks.filter(move |fk| fk.ref_table != t && self.rows(fk.ref_table) > 0)
+                        .map(move |fk| (t, fk.column, fk.ref_table, fk.ref_column))
+                })
+                .collect();
+        let Some(&(base, fk, table, pk)) =
+            edges.get(rng.uniform_i64(0, edges.len() as i64 - 1) as usize)
+        else {
+            return self.gen_scan_filter(rng);
+        };
+        let mut s = QuerySpec::new(ShapeClass::Subquery, base);
+        for key in &self.def(base).primary_key {
+            s.projection.push(Item::on(base, *key));
+        }
+        if !s.projection.iter().any(|i| i.text == fk) {
+            s.projection.push(Item::on(base, fk));
+        }
+        let pick = |rng: &mut ColumnRng, cols: &[&'static str]| {
+            cols[rng.uniform_i64(0, cols.len() as i64 - 1) as usize]
+        };
+        let (inner, outer) = (self.numeric_columns(table), self.numeric_columns(base));
+        let mut corr = format!("{pk} = {fk}");
+        if rng.chance(0.25) {
+            let op = rng.pick_of(&["<>", "<"]);
+            let _ = write!(
+                corr,
+                " and {} {op} {}",
+                pick(rng, &inner),
+                pick(rng, &outer)
+            );
+        }
+        let filter = self.steered_predicate(rng, table).text;
+        let body =
+            |select: &str| format!("(select {select} from {table} where {corr} and {filter})");
+        let subquery = match rng.uniform_i64(0, 4) {
+            0 => format!("{fk} in {}", body(pk)),
+            1 => format!("{fk} not in {}", body(pk)),
+            2 => format!("exists {}", body("1")),
+            3 => format!("not exists {}", body("1")),
+            _ => {
+                let agg = rng.pick_of(&["count(*)", "min", "max", "sum"]);
+                let agg = match *agg {
+                    "count(*)" => agg.to_string(),
+                    f => format!("{f}({})", pick(rng, &inner)),
+                };
+                format!("{} >= {}", pick(rng, &outer), body(&agg))
+            }
+        };
+        let other = self.steered_predicate(rng, base).text;
+        let pred = match rng.uniform_i64(0, 2) {
+            0 => format!("{other} and {subquery}"),
+            1 => format!("({other} or {subquery})"),
+            _ => format!("case when {other} then 0 when {subquery} then 1 else 2 end = 1"),
+        };
+        s.predicates.push(Item::on(base, pred));
+        s.order_by = (1..=s.projection.len()).collect();
         s
     }
 }

@@ -10,8 +10,8 @@
 use std::fmt::Write as _;
 
 /// The shape taxonomy a synthesized query is drawn from. The first eight
-/// are the "organic" mix; the last four are explicit adversarial
-/// generators. Class names key the soak's per-class tallies.
+/// and the last are the "organic" mix; the four before it are explicit
+/// adversarial generators. Class names key the soak's per-class tallies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ShapeClass {
     /// Single-table scan with stats-steered filters.
@@ -39,11 +39,14 @@ pub enum ShapeClass {
     SkewJoin,
     /// ORDER BY + LIMIT at the 64k segment boundary (65535/65536/65537).
     LimitBoundary,
+    /// An FK-correlated `[NOT] IN`, `[NOT] EXISTS` or scalar-aggregate
+    /// subquery under AND, OR or CASE.
+    Subquery,
 }
 
 impl ShapeClass {
     /// Every class, in a fixed reporting order.
-    pub const ALL: [ShapeClass; 12] = [
+    pub const ALL: [ShapeClass; 13] = [
         ShapeClass::ScanFilter,
         ShapeClass::JoinChain,
         ShapeClass::JoinAgg,
@@ -56,6 +59,7 @@ impl ShapeClass {
         ShapeClass::NullKeyJoin,
         ShapeClass::SkewJoin,
         ShapeClass::LimitBoundary,
+        ShapeClass::Subquery,
     ];
 
     /// Stable snake_case name (JSON report key).
@@ -73,6 +77,7 @@ impl ShapeClass {
             ShapeClass::NullKeyJoin => "null_key_join",
             ShapeClass::SkewJoin => "skew_join",
             ShapeClass::LimitBoundary => "limit_boundary",
+            ShapeClass::Subquery => "subquery",
         }
     }
 

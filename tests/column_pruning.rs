@@ -8,10 +8,11 @@ use tpcds_core::engine::expr::BExpr;
 use tpcds_core::engine::{optimizer::prune_columns, plan_sql, Plan};
 use tpcds_core::TpcDs;
 
-/// Every node of `p`, CTE bodies included, in pre-order.
+/// Every node of `p`, CTE bodies and decorrelated subquery bodies
+/// included, in pre-order.
 fn nodes(p: &Plan) -> Vec<&Plan> {
     let inputs: Vec<&Plan> = match p {
-        Plan::Scan { .. } => vec![],
+        Plan::Scan { .. } | Plan::Domain { .. } => vec![],
         Plan::Filter { input, .. }
         | Plan::Project { input, .. }
         | Plan::Aggregate { input, .. }
@@ -23,8 +24,14 @@ fn nodes(p: &Plan) -> Vec<&Plan> {
         Plan::CteRef { plan, .. } => vec![plan],
     };
     std::iter::once(p)
-        .chain(inputs.into_iter().flat_map(nodes))
+        .chain(inputs.into_iter().chain(flat_bodies(p)).flat_map(nodes))
         .collect()
+}
+
+/// The decorrelated bodies of the subqueries in `p`'s own expressions.
+fn flat_bodies(p: &Plan) -> Vec<&Plan> {
+    let subs = p.exprs().into_iter().flat_map(BExpr::subqueries);
+    subs.map(|b| &**b.flat).collect()
 }
 
 fn plain(exprs: &[BExpr]) -> bool {
@@ -48,6 +55,14 @@ fn pruning_is_a_fixed_point_and_composes_projections() {
             plan.explain()
         );
         for p in nodes(&plan) {
+            for body in flat_bodies(p) {
+                assert_eq!(
+                    format!("{:?}", prune_columns(body)),
+                    format!("{body:?}"),
+                    "q{id}: a second pass changed a subquery body\n{}",
+                    plan.explain()
+                );
+            }
             if let Plan::Project { input, exprs } = p {
                 if let Plan::Project { exprs: under, .. } = &**input {
                     assert!(

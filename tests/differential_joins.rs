@@ -235,7 +235,7 @@ fn canon(rows: &[Row]) -> Vec<Row> {
 /// Every node of `p`, CTE bodies included, in pre-order.
 fn nodes(p: &Plan) -> Vec<&Plan> {
     let inputs: Vec<&Plan> = match p {
-        Plan::Scan { .. } => vec![],
+        Plan::Scan { .. } | Plan::Domain { .. } => vec![],
         Plan::Filter { input, .. }
         | Plan::Project { input, .. }
         | Plan::Aggregate { input, .. }
