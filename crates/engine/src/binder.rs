@@ -313,7 +313,7 @@ impl<'a> Binder<'a> {
                 let on_expr = on
                     .as_ref()
                     .ok_or_else(|| EngineError::bind("JOIN requires ON"))?;
-                let pred = self.bind_expr(on_expr, &scope, outer, outer_refs, None)?;
+                let pred = self.bind_expr(on_expr, &scope, outer, outer_refs)?;
                 // Extract equi keys split across the two sides; without
                 // one, the whole ON condition is the residual.
                 let lw = lp.width();
@@ -382,7 +382,7 @@ impl<'a> Binder<'a> {
 
         // WHERE.
         if let Some(w) = &sel.where_clause {
-            let pred = self.bind_expr(w, &scope, outer, outer_refs, None)?;
+            let pred = self.bind_expr(w, &scope, outer, outer_refs)?;
             plan = Plan::Filter {
                 input: Arc::new(plan),
                 predicate: pred,
@@ -407,7 +407,7 @@ impl<'a> Binder<'a> {
             // Bind group expressions over the FROM scope.
             let mut groups = Vec::new();
             for g in &sel.group_by {
-                groups.push(self.bind_expr(g, &scope, outer, outer_refs, None)?);
+                groups.push(self.bind_expr(g, &scope, outer, outer_refs)?);
             }
             agg_env = Some(AggEnv {
                 groups,
@@ -725,7 +725,7 @@ impl<'a> Binder<'a> {
     ) -> Result<BExpr> {
         if let ast::Expr::Window { .. } = e {
             let call = self.build_window_call(e, &mut |b, ast_e| {
-                b.bind_expr(ast_e, scope, outer, outer_refs, None)
+                b.bind_expr(ast_e, scope, outer, outer_refs)
             })?;
             let idx = WIN_SENTINEL + windows.len();
             windows.push(call);
@@ -735,7 +735,7 @@ impl<'a> Binder<'a> {
         self.rebuild(e, &mut |b, sub| {
             b.bind_plain_with_windows(sub, scope, outer, outer_refs, windows)
         })
-        .or_else(|_| self.bind_expr(e, scope, outer, outer_refs, None))
+        .or_else(|_| self.bind_expr(e, scope, outer, outer_refs))
     }
 
     /// Binds an expression in an aggregate query.
@@ -750,7 +750,7 @@ impl<'a> Binder<'a> {
         windows: &mut Vec<WindowCall>,
     ) -> Result<BExpr> {
         // 1. Does it match a group expression?
-        if let Ok(bound) = self.bind_expr(e, scope, outer, outer_refs, None) {
+        if let Ok(bound) = self.bind_expr(e, scope, outer, outer_refs) {
             let key = format!("{bound:?}");
             if let Some(i) = env.group_keys.iter().position(|k| *k == key) {
                 return Ok(BExpr::Col(i));
@@ -769,7 +769,7 @@ impl<'a> Binder<'a> {
                 let func = aggregate_kind(name, *star);
                 let arg = match (func, args.as_slice()) {
                     (Some(AggKind::CountStar), _) => None,
-                    (_, [a]) => Some(self.bind_expr(a, scope, outer, outer_refs, None)?),
+                    (_, [a]) => Some(self.bind_expr(a, scope, outer, outer_refs)?),
                     _ => {
                         return Err(EngineError::bind(format!(
                             "{name} takes exactly one argument"
@@ -814,7 +814,7 @@ impl<'a> Binder<'a> {
             e,
             ast::Expr::Subquery(_) | ast::Expr::InSubquery { .. } | ast::Expr::Exists { .. }
         ) {
-            return self.bind_expr(e, scope, outer, outer_refs, None);
+            return self.bind_expr(e, scope, outer, outer_refs);
         }
         // 5. Recurse structurally.
         self.rebuild(e, &mut |b, sub| {
@@ -1004,15 +1004,13 @@ impl<'a> Binder<'a> {
         Ok(SubPlan::new(plan, refs, unnested))
     }
 
-    /// Binds a scalar expression over a scope. `env` is unused here but
-    /// kept for symmetry (plain contexts).
+    /// Binds a scalar expression over a scope.
     fn bind_expr(
         &mut self,
         e: &ast::Expr,
         scope: &Scope,
         outer: Option<&Scope>,
         outer_refs: &mut Vec<usize>,
-        _env: Option<()>,
     ) -> Result<BExpr> {
         match e {
             ast::Expr::Column { qualifier, name } => {
@@ -1045,7 +1043,7 @@ impl<'a> Binder<'a> {
                 query,
                 negated,
             } => {
-                let b = self.bind_expr(expr, scope, outer, outer_refs, None)?;
+                let b = self.bind_expr(expr, scope, outer, outer_refs)?;
                 let sub = self.bind_subquery(query, scope, Answers::Values)?;
                 Ok(BExpr::InSubquery(b.boxed(), sub, *negated))
             }
@@ -1070,12 +1068,12 @@ impl<'a> Binder<'a> {
                 let func = scalar_fn(name)?;
                 let bound: Result<Vec<BExpr>> = args
                     .iter()
-                    .map(|a| self.bind_expr(a, scope, outer, outer_refs, None))
+                    .map(|a| self.bind_expr(a, scope, outer, outer_refs))
                     .collect();
                 Ok(BExpr::Func(func, bound?))
             }
             other => self.rebuild(other, &mut |b, sub| {
-                b.bind_expr(sub, scope, outer, outer_refs, None)
+                b.bind_expr(sub, scope, outer, outer_refs)
             }),
         }
     }

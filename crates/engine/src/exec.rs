@@ -177,11 +177,6 @@ impl<'a> ExecCtx<'a> {
             .unwrap_or_else(tpcds_storage::effective_threads)
     }
 
-    /// Records which path an operator took in the node's actuals.
-    fn record_route(&self, node: usize, route: RoutePath) {
-        self.fold(node, |s| s.route = s.route.max(route));
-    }
-
     /// Folds one kernel call's numbers into `node`'s actuals.
     fn record(&self, node: usize, ks: &KernelStats) {
         self.fold(node, |s| s.kernel.merge(ks));
@@ -257,6 +252,10 @@ fn stream(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>, sink: Sink<'_
             sink(row)
         };
         serial_node(plan, ctx, outer, &mut counting)?;
+        // Only a node that ran to the end reports the interpreter's path.
+        ctx.fold(plan as *const Plan as usize, |s| {
+            s.route = RoutePath::Serial
+        });
         Ok(rows)
     };
     observed(plan, ctx, run, |&rows| rows).map(drop)
@@ -267,10 +266,12 @@ fn stream(plan: &Plan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>, sink: Sink<'_
 /// kernel evaluates the predicate counts what it admits (so a `LIMIT`
 /// that stops early reports the rows actually read).
 fn batch(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Batch> {
+    let node = plan as *const Plan as usize;
+    // Any node that starts reports the batch path, one that fails too.
+    ctx.fold(node, |s| s.route = RoutePath::Columnar);
     let pending = |b: &Batch| b.pred.as_ref().map_or(b.table.rows as u64, |_| 0);
     let mut b = observed(plan, ctx, || batch_node(plan, ctx), pending)?;
     if let Some(rows) = b.counted() {
-        let node = plan as *const Plan as usize;
         ctx.lazy_rows.lock().push((node, rows));
     }
     Ok(b)
@@ -359,7 +360,6 @@ fn plain_cols<'e>(exprs: impl IntoIterator<Item = &'e BExpr>) -> Option<Vec<usiz
 fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Batch> {
     let node = plan as *const Plan as usize;
     let threads = ctx.threads();
-    let columnar = || ctx.record_route(node, RoutePath::Columnar);
     match plan {
         Plan::Scan {
             table,
@@ -371,7 +371,6 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Batch> {
                 Some(t) => Batch::new(Arc::new(t)),
                 None => Batch::new(Arc::clone(ctx.table(table)?.data())),
             };
-            columnar();
             let f = (filter.as_ref()).map(|f| compile_over(&b, f, ctx));
             let b = match f.transpose()? {
                 Some(f) => b.filter(f),
@@ -383,13 +382,11 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Batch> {
             })
         }
         Plan::Filter { input, predicate } => {
-            columnar();
             let b = batch(input, ctx)?;
             let pred = compile_over(&b, predicate, ctx)?;
             Ok(b.filter(pred))
         }
         Plan::Project { input, exprs } => {
-            columnar();
             if let Some(cols) = plain_cols(exprs) {
                 return Ok(batch(input, ctx)?.project(&cols));
             }
@@ -400,7 +397,6 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Batch> {
             Ok(Batch::new(project_table(&b, &cexprs, node, ctx)?))
         }
         Plan::HashJoin { kind, .. } => {
-            columnar();
             let j = join_sides(plan, node, ctx)?;
             let res = tpcds_storage::par_hash_join(
                 &j.probe,
@@ -421,7 +417,6 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Batch> {
             groups,
             aggs,
         } => {
-            columnar();
             let specs = agg_specs(groups.len(), aggs);
             let args = aggs.iter().filter_map(|a| a.arg.as_ref());
             let keys: Vec<&BExpr> = groups.iter().chain(args).collect();
@@ -443,7 +438,6 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Batch> {
             Ok(Batch::new(Arc::new(table)))
         }
         Plan::Sort { input, keys } | Plan::TopN { input, keys, .. } => {
-            columnar();
             let exprs: Vec<&BExpr> = keys.iter().map(|(e, _)| e).collect();
             let input = batch(input, ctx)?;
             let (b, cols) = key_columns(input, &exprs, true, node, ctx)?;
@@ -458,12 +452,8 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Batch> {
             ctx.record(node, &ks);
             Ok(Batch::new(Arc::new(table)))
         }
-        Plan::Limit { input, n } => {
-            columnar();
-            Ok(Batch::new(Arc::new(take(input, *n as usize, ctx)?)))
-        }
+        Plan::Limit { input, n } => Ok(Batch::new(Arc::new(take(input, *n as usize, ctx)?))),
         Plan::CteRef { id, plan: body, .. } => {
-            columnar();
             if let Some(b) = ctx.cte_cache.lock().get(id) {
                 return Ok(b.clone());
             }
@@ -477,19 +467,16 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Batch> {
             Ok(b)
         }
         Plan::UnionAll { left, right } => {
-            columnar();
             // The left side runs, and raises, before the right one.
             let l = dense(batch(left, ctx)?, node, ctx)?;
             let r = dense(batch(right, ctx)?, node, ctx)?;
             Ok(Batch::new(Arc::new(l.concat(&r))))
         }
         Plan::Domain { id, .. } => {
-            columnar();
             let b = ctx.domains.lock().get(id).cloned();
             b.ok_or_else(|| EngineError::exec("a subquery domain outside its body's run"))
         }
         Plan::Window { input, calls } => {
-            columnar();
             // Each call's argument, partition keys and order keys, in turn.
             let exprs = plan.exprs();
             let input = batch(input, ctx)?;
@@ -794,10 +781,7 @@ fn serial_node(
             feed(rows.iter().cloned(), sink)
         }
         Plan::Domain { .. } => Err(EngineError::exec("the interpreter runs nested bodies")),
-    }?;
-    let node = plan as *const Plan as usize;
-    ctx.record_route(node, RoutePath::Serial);
-    Ok(())
+    }
 }
 
 /// Compiles bound scalar expressions — a projection, a sort key, a

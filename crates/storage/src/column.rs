@@ -305,6 +305,16 @@ impl Column {
         }
     }
 
+    /// A boxed column of `values`, NULL where a value is.
+    pub(crate) fn boxed(values: Vec<Value>) -> Column {
+        let mut nulls = Bitmap::new();
+        values.iter().for_each(|v| nulls.push(v.is_null()));
+        Column {
+            data: ColumnData::Other(values),
+            nulls,
+        }
+    }
+
     /// An empty column of this one's buffer variant with room for `cells`
     /// cells; a string buffer also for their bytes, at this column's mean
     /// cell length.

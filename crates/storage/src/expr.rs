@@ -5,10 +5,12 @@
 //! with every subquery already run: its result is a literal or a
 //! [`SubResult`] each row probes by its domain tuple ([`Expr::Sub`]).
 //! Evaluation is batch-at-a-time over one morsel of a
-//! [`Segment`]: columns are borrowed, a subtree that reads no column is
-//! evaluated once, and a comparison leaf of a column against constants
-//! runs a loop pre-resolved for that (buffer, constant type) pair
-//! ([`Probe`]); every other operand shape runs the generic per-value loop.
+//! [`Segment`]: every operand is a column window (a segment's column,
+//! borrowed, or one an operator computed), a condition's tri-state bytes
+//! or one constant. A subtree that reads no column is evaluated once, and
+//! a comparison leaf of a column against constants runs a loop
+//! pre-resolved for that (buffer, constant type) pair ([`Probe`]); every
+//! other operand shape runs the generic per-value loop.
 //!
 //! The engine's row-at-a-time evaluator is the correctness oracle; both
 //! paths call the *same* scalar functions (`tpcds_types::scalar`). The one
@@ -26,6 +28,7 @@ use crate::morsel::{morsels_of, run_chunks, worker_count, KernelStats};
 use crate::pred::{P_FALSE, P_NULL, P_TRUE};
 use crate::segment::{ColumnTable, ColumnTableBuilder, Segment, SEGMENT_ROWS};
 use crate::StorageError;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -202,18 +205,14 @@ impl KeySet {
     }
 }
 
-/// A typed batch of values: a borrowed window of a segment column, dense
-/// native buffers with a null bitmap for computed numbers, a tri-state
-/// byte vector for boolean subtrees, a single constant, and boxed values
-/// as the fallback.
+/// A batch of values: a window of a column — a segment's, borrowed, or one
+/// an operator computed, owned and read from row 0 — tri-state condition
+/// bytes, or one constant for every row.
 enum Vect<'a> {
-    /// The segment column from row `.1` on.
-    Col(&'a Column, usize),
-    I64(Vec<i64>, Bitmap),
-    Dec(Vec<Decimal>, Bitmap),
+    /// The column from row `.1` on.
+    Col(Cow<'a, Column>, usize),
     Tri(Vec<u8>),
     Const(Value),
-    Val(Vec<Value>),
 }
 
 impl Vect<'_> {
@@ -221,15 +220,12 @@ impl Vect<'_> {
     fn get(&self, i: usize) -> Value {
         match self {
             Vect::Col(col, start) => col.value_at(start + i),
-            Vect::I64(buf, n) => tern(n.get(i), Value::Int(buf[i])),
-            Vect::Dec(buf, n) => tern(n.get(i), Value::Decimal(buf[i])),
             Vect::Tri(t) => match t[i] {
                 P_TRUE => Value::Bool(true),
                 P_FALSE => Value::Bool(false),
                 _ => Value::Null,
             },
             Vect::Const(v) => v.clone(),
-            Vect::Val(vs) => vs[i].clone(),
         }
     }
 
@@ -239,12 +235,9 @@ impl Vect<'_> {
         static BOOLS: [Value; 2] = [Value::Bool(false), Value::Bool(true)];
         match self {
             Vect::Col(col, start) => Cell::of(col, start + i),
-            Vect::I64(..) | Vect::Dec(..) | Vect::Tri(_) if self.is_null_at(i) => Cell::Null,
-            Vect::I64(buf, _) => Cell::Int(buf[i]),
-            Vect::Dec(buf, _) => Cell::Dec(buf[i]),
+            Vect::Tri(t) if t[i] == P_NULL => Cell::Null,
             Vect::Tri(t) => Cell::Other(&BOOLS[usize::from(t[i] == P_TRUE)]),
             Vect::Const(v) => Cell::value(v),
-            Vect::Val(vs) => Cell::value(&vs[i]),
         }
     }
 
@@ -252,20 +245,9 @@ impl Vect<'_> {
     fn is_null_at(&self, i: usize) -> bool {
         match self {
             Vect::Col(col, start) => col.nulls.get(start + i),
-            Vect::I64(_, n) | Vect::Dec(_, n) => n.get(i),
             Vect::Tri(t) => t[i] == P_NULL,
             Vect::Const(v) => v.is_null(),
-            Vect::Val(vs) => vs[i].is_null(),
         }
-    }
-}
-
-#[inline]
-fn tern(null: bool, v: Value) -> Value {
-    if null {
-        Value::Null
-    } else {
-        v
     }
 }
 
@@ -299,42 +281,79 @@ fn into_tri(v: Vect<'_>, len: usize) -> Vec<u8> {
     }
 }
 
-/// A batch result: the value vector plus **deferred** per-row errors
-/// (local row index → message). An errored row holds a NULL placeholder
-/// in `v`; consumers must either propagate the error or be a context in
-/// which the row path provably never evaluates this subexpression.
+/// Deferred per-row errors: local row index → message.
+type Errs = BTreeMap<usize, String>;
+
+/// A batch result: the value vector plus **deferred** per-row errors. An
+/// errored row holds a NULL placeholder in `v`; consumers must either
+/// propagate the error or be a context in which the row path provably
+/// never evaluates this subexpression.
 struct Evaled<'a> {
     v: Vect<'a>,
-    errs: BTreeMap<usize, String>,
+    errs: Errs,
 }
 
 impl<'a> Evaled<'a> {
     fn ok(v: Vect<'a>) -> Evaled<'a> {
         Evaled {
             v,
-            errs: BTreeMap::new(),
+            errs: Errs::new(),
         }
+    }
+
+    /// A column an operator computed, read from row 0.
+    fn column(col: Column, errs: Errs) -> Evaled<'a> {
+        let v = Vect::Col(Cow::Owned(col), 0);
+        Evaled { v, errs }
+    }
+
+    /// Condition bytes.
+    fn tri(t: Vec<u8>, errs: Errs) -> Evaled<'a> {
+        let v = Vect::Tri(t);
+        Evaled { v, errs }
     }
 }
 
-/// Merges `src` errors into `dst`, keeping `dst`'s message on conflict
-/// (callers merge in row-path evaluation order, so first-in wins).
-fn merge_errs(dst: &mut BTreeMap<usize, String>, src: BTreeMap<usize, String>) {
-    for (k, v) in src {
-        dst.entry(k).or_insert(v);
-    }
+/// Evaluates `operands` in order, with all their deferred errors; a row
+/// keeps the earliest operand's message, the one the row path raises.
+fn eval_all<'a, 'e>(
+    operands: impl IntoIterator<Item = &'e Expr>,
+    input: &'a Segment,
+    start: usize,
+    len: usize,
+) -> (Vec<Vect<'a>>, Errs) {
+    let mut errs = Errs::new();
+    let vs = (operands.into_iter())
+        .map(|e| {
+            let ev = e.eval_vect(input, start, len);
+            for (j, m) in ev.errs {
+                errs.entry(j).or_insert(m);
+            }
+            ev.v
+        })
+        .collect();
+    (vs, errs)
 }
 
-/// Every operand's deferred errors, the earliest operand's message kept
-/// per row.
-fn first_errs(evs: &[Evaled<'_>]) -> BTreeMap<usize, String> {
-    let mut errs = BTreeMap::new();
-    for e in evs {
-        for (&j, m) in &e.errs {
-            errs.entry(j).or_insert_with(|| m.clone());
-        }
-    }
-    errs
+/// The boxed column of `f(i)` over rows `0..len`: the per-row loop of
+/// every operator that calls a [`tpcds_types::scalar`] routine. A row that
+/// already errored is skipped, and a row where `f` fails records the
+/// error; both hold NULL.
+fn per_row(
+    len: usize,
+    errs: &mut Errs,
+    mut f: impl FnMut(usize) -> Result<Value, String>,
+) -> Column {
+    let values = (0..len)
+        .map(|i| match errs.contains_key(&i) {
+            true => Value::Null,
+            false => f(i).unwrap_or_else(|m| {
+                errs.insert(i, m);
+                Value::Null
+            }),
+        })
+        .collect();
+    Column::boxed(values)
 }
 
 /// Pre-resolved i64 access for the arithmetic/comparison fast paths:
@@ -368,15 +387,14 @@ fn i64_src<'v>(v: &'v Vect<'_>) -> Option<I64Src<'v>> {
             ColumnData::I64(buf) => Some(I64Src::Buf(&buf[*start..], &col.nulls, *start)),
             _ => None,
         },
-        Vect::I64(buf, n) => Some(I64Src::Buf(buf, n, 0)),
         Vect::Const(Value::Int(x)) => Some(I64Src::Cst(Some(*x))),
         Vect::Const(Value::Null) => Some(I64Src::Cst(None)),
         _ => None,
     }
 }
 
-/// A window of a segment's string column: the buffer, its bitmap and the
-/// window's first row.
+/// A window of a string column: the buffer, its bitmap and the window's
+/// first row.
 struct StrSrc<'a>(&'a StrBuf, &'a Bitmap, usize);
 
 impl<'a> StrSrc<'a> {
@@ -398,7 +416,7 @@ fn str_src<'v>(v: &'v Vect<'_>) -> Option<StrSrc<'v>> {
     }
 }
 
-/// How one segment column compares with one constant, resolved once per
+/// How one column compares with one constant, resolved once per
 /// morsel from (buffer variant, constant type) so the per-row loop does no
 /// type dispatch. Every arm is `Value::sql_cmp` specialized.
 enum Probe<'a> {
@@ -583,7 +601,9 @@ impl Expr {
     /// only where a consumer actually evaluates the row.
     fn eval_vect<'a>(&self, input: &'a Segment, start: usize, len: usize) -> Evaled<'a> {
         match self {
-            Expr::Col(ci) => return Evaled::ok(Vect::Col(&input.columns[*ci], start)),
+            Expr::Col(ci) => {
+                return Evaled::ok(Vect::Col(Cow::Borrowed(&input.columns[*ci]), start))
+            }
             Expr::Lit(v) => return Evaled::ok(Vect::Const(v.clone())),
             _ => {}
         }
@@ -604,12 +624,9 @@ impl Expr {
         match self {
             Expr::Col(_) | Expr::Lit(_) => unreachable!("leaves are eval_vect's"),
             Expr::Cmp(op, l, r) => {
-                let le = l.eval_vect(input, start, len);
-                let re = r.eval_vect(input, start, len);
-                let mut errs = le.errs;
-                merge_errs(&mut errs, re.errs);
+                let (v, errs) = eval_all([&**l, &**r], input, start, len);
                 let mut t = vec![P_NULL; len];
-                match (&le.v, &re.v) {
+                match (&v[0], &v[1]) {
                     (Vect::Col(col, s), Vect::Const(k)) => cmp_const(*op, col, *s, k, &mut t),
                     (Vect::Const(k), Vect::Col(col, s)) => cmp_const(op.flip(), col, *s, k, &mut t),
                     (x, y) => match (i64_src(x), i64_src(y), str_src(x), str_src(y)) {
@@ -636,10 +653,7 @@ impl Expr {
                         }
                     },
                 }
-                Evaled {
-                    v: Vect::Tri(t),
-                    errs,
-                }
+                Evaled::tri(t, errs)
             }
             Expr::And(l, r) => {
                 let le = l.eval_vect(input, start, len);
@@ -660,10 +674,7 @@ impl Expr {
                         _ => P_NULL,
                     };
                 }
-                Evaled {
-                    v: Vect::Tri(t),
-                    errs,
-                }
+                Evaled::tri(t, errs)
             }
             Expr::Or(l, r) => {
                 let le = l.eval_vect(input, start, len);
@@ -683,10 +694,7 @@ impl Expr {
                         _ => P_NULL,
                     };
                 }
-                Evaled {
-                    v: Vect::Tri(t),
-                    errs,
-                }
+                Evaled::tri(t, errs)
             }
             Expr::Not(c) => {
                 let ce = c.eval_vect(input, start, len);
@@ -698,91 +706,44 @@ impl Expr {
                         _ => P_NULL,
                     };
                 }
-                Evaled {
-                    v: Vect::Tri(t),
-                    errs: ce.errs,
-                }
+                Evaled::tri(t, ce.errs)
             }
             Expr::Arith(op, l, r) => {
-                let le = l.eval_vect(input, start, len);
-                let re = r.eval_vect(input, start, len);
-                let mut errs = le.errs;
-                merge_errs(&mut errs, re.errs);
-                if let (Some(x), Some(y)) = (i64_src(&le.v), i64_src(&re.v)) {
-                    return arith_i64(*op, &x, &y, len, errs);
-                }
-                let mut vals = Vec::with_capacity(len);
-                for i in 0..len {
-                    if errs.contains_key(&i) {
-                        vals.push(Value::Null);
-                        continue;
-                    }
-                    match scalar::arith(*op, &le.v.get(i), &re.v.get(i)) {
-                        Ok(v) => vals.push(v),
-                        Err(m) => {
-                            errs.insert(i, m);
-                            vals.push(Value::Null);
-                        }
-                    }
-                }
-                Evaled {
-                    v: Vect::Val(vals),
-                    errs,
-                }
+                let (v, mut errs) = eval_all([&**l, &**r], input, start, len);
+                let col = match (i64_src(&v[0]), i64_src(&v[1])) {
+                    (Some(x), Some(y)) => arith_i64(*op, &x, &y, len, &mut errs),
+                    _ => per_row(len, &mut errs, |i| {
+                        scalar::arith(*op, &v[0].get(i), &v[1].get(i))
+                    }),
+                };
+                Evaled::column(col, errs)
             }
             Expr::Neg(c) => {
-                let ce = c.eval_vect(input, start, len);
-                let mut errs = ce.errs;
-                let mut vals = Vec::with_capacity(len);
-                for i in 0..len {
-                    if errs.contains_key(&i) {
-                        vals.push(Value::Null);
-                        continue;
-                    }
-                    match scalar::neg(&ce.v.get(i)) {
-                        Ok(v) => vals.push(v),
-                        Err(m) => {
-                            errs.insert(i, m);
-                            vals.push(Value::Null);
-                        }
-                    }
-                }
-                Evaled {
-                    v: Vect::Val(vals),
-                    errs,
-                }
+                let Evaled { v, mut errs } = c.eval_vect(input, start, len);
+                let col = per_row(len, &mut errs, |i| scalar::neg(&v.get(i)));
+                Evaled::column(col, errs)
             }
             Expr::IsNull(c, negated) => {
                 let ce = c.eval_vect(input, start, len);
                 let t = (0..len)
                     .map(|i| tri_u8(ce.v.is_null_at(i) != *negated))
                     .collect();
-                Evaled {
-                    v: Vect::Tri(t),
-                    errs: ce.errs,
-                }
+                Evaled::tri(t, ce.errs)
             }
             Expr::Like(l, p, negated) => {
-                let le = l.eval_vect(input, start, len);
-                let pe = p.eval_vect(input, start, len);
-                let mut errs = le.errs;
-                merge_errs(&mut errs, pe.errs);
+                let (v, errs) = eval_all([&**l, &**p], input, start, len);
                 let mut t = vec![P_NULL; len];
-                if let (Vect::Col(col, s), Vect::Const(pat)) = (&le.v, &pe.v) {
+                if let (Vect::Col(col, s), Vect::Const(pat)) = (&v[0], &v[1]) {
                     like_const(col, *s, pat, *negated, &mut t);
                 } else {
                     for (i, o) in t.iter_mut().enumerate() {
-                        let lv = le.v.get(i);
-                        let pv = pe.v.get(i);
+                        let (lv, pv) = (v[0].get(i), v[1].get(i));
                         if let (Some(s), Some(pat)) = (lv.as_str(), pv.as_str()) {
                             *o = tri_u8(like_match(s, pat) != *negated);
                         }
                     }
                 }
-                Evaled {
-                    v: Vect::Tri(t),
-                    errs,
-                }
+                Evaled::tri(t, errs)
             }
             Expr::InList(op_e, items, negated) => {
                 let oe = op_e.eval_vect(input, start, len);
@@ -804,10 +765,7 @@ impl Expr {
                     .collect();
                 if let (Vect::Col(col, s), Some(ks)) = (&oe.v, &consts) {
                     in_consts(col, *s, ks, *negated, &mut t);
-                    return Evaled {
-                        v: Vect::Tri(t),
-                        errs,
-                    };
+                    return Evaled::tri(t, errs);
                 }
                 for (j, o) in t.iter_mut().enumerate() {
                     if errs.contains_key(&j) {
@@ -837,20 +795,12 @@ impl Expr {
                     }
                     *o = res.unwrap_or(if saw_null { P_NULL } else { tri_u8(*negated) });
                 }
-                Evaled {
-                    v: Vect::Tri(t),
-                    errs,
-                }
+                Evaled::tri(t, errs)
             }
             Expr::Between(v_e, lo_e, hi_e, negated) => {
-                let ve = v_e.eval_vect(input, start, len);
-                let le = lo_e.eval_vect(input, start, len);
-                let he = hi_e.eval_vect(input, start, len);
-                let mut errs = ve.errs;
-                merge_errs(&mut errs, le.errs);
-                merge_errs(&mut errs, he.errs);
+                let (v, errs) = eval_all([&**v_e, &**lo_e, &**hi_e], input, start, len);
                 let mut t = vec![P_NULL; len];
-                if let (Vect::Col(col, s), Vect::Const(lo), Vect::Const(hi)) = (&ve.v, &le.v, &he.v)
+                if let (Vect::Col(col, s), Vect::Const(lo), Vect::Const(hi)) = (&v[0], &v[1], &v[2])
                 {
                     let (lo, hi) = (probe(col, lo), probe(col, hi));
                     between(&mut t, *negated, |i| {
@@ -858,21 +808,18 @@ impl Expr {
                     });
                 } else {
                     between(&mut t, *negated, |i| {
-                        let v = ve.v.get(i);
-                        (v.sql_cmp(&le.v.get(i)), v.sql_cmp(&he.v.get(i)))
+                        let x = v[0].get(i);
+                        (x.sql_cmp(&v[1].get(i)), x.sql_cmp(&v[2].get(i)))
                     });
                 }
-                Evaled {
-                    v: Vect::Tri(t),
-                    errs,
-                }
+                Evaled::tri(t, errs)
             }
             Expr::Case {
                 operand,
                 branches,
                 else_branch,
             } => {
-                let mut errs: BTreeMap<usize, String> = BTreeMap::new();
+                let mut errs = Errs::new();
                 let mut decided = vec![false; len];
                 let mut vals = vec![Value::Null; len];
                 let op_ev = operand.as_ref().map(|o| o.eval_vect(input, start, len));
@@ -936,117 +883,56 @@ impl Expr {
                         }
                     }
                 }
-                Evaled {
-                    v: Vect::Val(vals),
-                    errs,
-                }
+                Evaled::column(Column::boxed(vals), errs)
             }
             Expr::Cast(c, ty) => {
-                let ce = c.eval_vect(input, start, len);
-                let mut errs = ce.errs;
-                let mut vals = Vec::with_capacity(len);
-                for i in 0..len {
-                    if errs.contains_key(&i) {
-                        vals.push(Value::Null);
-                        continue;
-                    }
-                    match scalar::cast(ce.v.get(i), *ty) {
-                        Ok(v) => vals.push(v),
-                        Err(m) => {
-                            errs.insert(i, m);
-                            vals.push(Value::Null);
-                        }
-                    }
-                }
-                Evaled {
-                    v: Vect::Val(vals),
-                    errs,
-                }
+                let Evaled { v, mut errs } = c.eval_vect(input, start, len);
+                let col = per_row(len, &mut errs, |i| scalar::cast(v.get(i), *ty));
+                Evaled::column(col, errs)
             }
             Expr::Func(f, args) => {
-                let evs: Vec<Evaled> = args
-                    .iter()
-                    .map(|a| a.eval_vect(input, start, len))
-                    .collect();
-                let mut errs = first_errs(&evs);
-                let mut vals = Vec::with_capacity(len);
-                let mut argv: Vec<Value> = Vec::with_capacity(evs.len());
-                for j in 0..len {
-                    if errs.contains_key(&j) {
-                        vals.push(Value::Null);
-                        continue;
-                    }
+                let (v, mut errs) = eval_all(args, input, start, len);
+                let mut argv = Vec::with_capacity(v.len());
+                let col = per_row(len, &mut errs, |i| {
                     argv.clear();
-                    argv.extend(evs.iter().map(|e| e.v.get(j)));
-                    match scalar::scalar_func(*f, &argv) {
-                        Ok(v) => vals.push(v),
-                        Err(m) => {
-                            errs.insert(j, m);
-                            vals.push(Value::Null);
-                        }
-                    }
-                }
-                Evaled {
-                    v: Vect::Val(vals),
-                    errs,
-                }
+                    argv.extend(v.iter().map(|a| a.get(i)));
+                    scalar::scalar_func(*f, &argv)
+                });
+                Evaled::column(col, errs)
             }
             Expr::Concat(l, r) => {
-                let le = l.eval_vect(input, start, len);
-                let re = r.eval_vect(input, start, len);
-                let mut errs = le.errs;
-                merge_errs(&mut errs, re.errs);
-                let mut vals = Vec::with_capacity(len);
-                for i in 0..len {
-                    if errs.contains_key(&i) {
-                        vals.push(Value::Null);
-                        continue;
-                    }
-                    vals.push(scalar::concat(&le.v.get(i), &re.v.get(i)));
-                }
-                Evaled {
-                    v: Vect::Val(vals),
-                    errs,
-                }
+                let (v, mut errs) = eval_all([&**l, &**r], input, start, len);
+                let col = per_row(len, &mut errs, |i| {
+                    Ok(scalar::concat(&v[0].get(i), &v[1].get(i)))
+                });
+                Evaled::column(col, errs)
             }
             Expr::Sub(keys, res, negated) => {
-                let evs: Vec<Evaled> = (keys.iter())
-                    .map(|k| k.eval_vect(input, start, len))
-                    .collect();
-                let mut errs = first_errs(&evs);
+                let (v, mut errs) = eval_all(keys, input, start, len);
                 let w = res.width();
                 // An uncorrelated body's one tuple needs no lookup.
                 let one = (w == 0).then(|| res.domain.find(0, |_| Cell::Null));
-                let entry =
-                    |j: usize| one.unwrap_or_else(|| res.domain.find(w, |k| evs[k].v.cell(j)));
+                let entry = |j: usize| one.unwrap_or_else(|| res.domain.find(w, |k| v[k].cell(j)));
                 let tri = |b: Option<bool>| b.map_or(P_NULL, |b| tri_u8(b != *negated));
-                let v = match &res.answer {
-                    Answer::Scalar(values) => Vect::Val(
-                        (0..len)
-                            .map(|j| match entry(j).filter(|_| !errs.contains_key(&j)) {
-                                Some(d) => values[d].clone().unwrap_or_else(|m| {
-                                    errs.insert(j, m);
-                                    Value::Null
-                                }),
-                                None => Value::Null,
-                            })
-                            .collect(),
-                    ),
-                    Answer::Exists(hits) => Vect::Tri(
-                        (0..len)
-                            .map(|j| tri(Some(entry(j).is_some_and(|d| hits[d]))))
-                            .collect(),
-                    ),
-                    Answer::In(sets) => Vect::Tri(
-                        (0..len)
-                            .map(|j| match entry(j) {
-                                Some(d) => tri(sets[d].member(1, |_| evs[w].v.cell(j))),
-                                None => tri(Some(false)),
-                            })
-                            .collect(),
-                    ),
-                };
-                Evaled { v, errs }
+                match &res.answer {
+                    Answer::Scalar(values) => {
+                        let col = per_row(len, &mut errs, |j| {
+                            entry(j).map_or(Ok(Value::Null), |d| values[d].clone())
+                        });
+                        Evaled::column(col, errs)
+                    }
+                    Answer::Exists(hits) => {
+                        let t = (0..len).map(|j| tri(Some(entry(j).is_some_and(|d| hits[d]))));
+                        Evaled::tri(t.collect(), errs)
+                    }
+                    Answer::In(sets) => {
+                        let t = (0..len).map(|j| match entry(j) {
+                            Some(d) => tri(sets[d].member(1, |_| v[w].cell(j))),
+                            None => tri(Some(false)),
+                        });
+                        Evaled::tri(t.collect(), errs)
+                    }
+                }
             }
         }
     }
@@ -1066,34 +952,13 @@ impl Expr {
     /// Evaluates as a predicate into tri-state bytes (strict-TRUE admits,
     /// like the row path's `== Bool(true)` match test) plus every
     /// deferred error by local row; an errored row reads FALSE.
-    pub(crate) fn eval_cond(
-        &self,
-        input: &Segment,
-        start: usize,
-        len: usize,
-    ) -> (Vec<u8>, BTreeMap<usize, String>) {
+    pub(crate) fn eval_cond(&self, input: &Segment, start: usize, len: usize) -> (Vec<u8>, Errs) {
         let Evaled { v, errs } = self.eval_vect(input, start, len);
         let mut t = into_tri(v, len);
         for &j in errs.keys() {
             t[j] = P_FALSE;
         }
         (t, errs)
-    }
-
-    /// [`Expr::eval_cond`] into `out`, which is always fully filled, with
-    /// only the first error in row order returned so callers can decide
-    /// whether it survives (e.g. a LIMIT that stops before the erroring
-    /// row).
-    pub fn eval_tri(
-        &self,
-        input: &Segment,
-        start: usize,
-        len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), (usize, String)> {
-        let (t, errs) = self.eval_cond(input, start, len);
-        *out = t;
-        errs.into_iter().next().map_or(Ok(()), Err)
     }
 
     /// Calls `f` with every input column the expression reads.
@@ -1196,99 +1061,56 @@ impl Expr {
     }
 }
 
-/// The i64 arithmetic fast path: dense checked loops, no `Value` boxing.
-fn arith_i64(
-    op: ArithOp,
-    x: &I64Src<'_>,
-    y: &I64Src<'_>,
-    len: usize,
-    mut errs: BTreeMap<usize, String>,
-) -> Evaled<'static> {
-    match op {
-        ArithOp::Add | ArithOp::Sub | ArithOp::Mul => {
-            let sym = match op {
-                ArithOp::Add => "+",
-                ArithOp::Sub => "-",
-                _ => "*",
+/// The i64 arithmetic fast path: one checked loop into a typed column, no
+/// `Value` boxing. `+ - *` give `I64` (overflow is the row's error), `/`
+/// exact decimals and `%` an `I64`; NULL operands and a zero divisor give
+/// NULL.
+fn arith_i64(op: ArithOp, x: &I64Src<'_>, y: &I64Src<'_>, len: usize, errs: &mut Errs) -> Column {
+    /// `f(row, a, b)` of each row's two non-NULL operands; `None` is NULL,
+    /// over `zero`.
+    fn each<T: Copy>(
+        x: &I64Src<'_>,
+        y: &I64Src<'_>,
+        len: usize,
+        zero: T,
+        wrap: fn(Vec<T>) -> ColumnData,
+        mut f: impl FnMut(usize, i64, i64) -> Option<T>,
+    ) -> Column {
+        let mut buf = Vec::with_capacity(len);
+        let mut nulls = Bitmap::new();
+        for i in 0..len {
+            let v = match (x.at(i), y.at(i)) {
+                (Some(a), Some(b)) => f(i, a, b),
+                _ => None,
             };
-            let mut buf = Vec::with_capacity(len);
-            let mut nulls = Bitmap::new();
-            for i in 0..len {
-                match (x.at(i), y.at(i)) {
-                    (Some(a), Some(b)) => {
-                        let res = match op {
-                            ArithOp::Add => a.checked_add(b),
-                            ArithOp::Sub => a.checked_sub(b),
-                            _ => a.checked_mul(b),
-                        };
-                        match res {
-                            Some(v) => {
-                                buf.push(v);
-                                nulls.push(false);
-                            }
-                            None => {
-                                errs.entry(i)
-                                    .or_insert_with(|| format!("integer overflow in {sym}"));
-                                buf.push(0);
-                                nulls.push(true);
-                            }
-                        }
-                    }
-                    _ => {
-                        buf.push(0);
-                        nulls.push(true);
-                    }
-                }
-            }
-            Evaled {
-                v: Vect::I64(buf, nulls),
-                errs,
-            }
+            buf.push(v.unwrap_or(zero));
+            nulls.push(v.is_none());
         }
-        ArithOp::Div => {
-            // Integer division widens to exact decimals; /0 is NULL.
-            let mut buf = Vec::with_capacity(len);
-            let mut nulls = Bitmap::new();
-            for i in 0..len {
-                let d = match (x.at(i), y.at(i)) {
-                    (Some(a), Some(b)) => Decimal::from_int(a).checked_div(&Decimal::from_int(b)),
-                    _ => None,
+        Column {
+            data: wrap(buf),
+            nulls,
+        }
+    }
+    match op {
+        ArithOp::Div => each(x, y, len, Decimal::ZERO, ColumnData::Decimal, |_, a, b| {
+            Decimal::from_int(a).checked_div(&Decimal::from_int(b))
+        }),
+        ArithOp::Mod => each(x, y, len, 0, ColumnData::I64, |_, a, b| {
+            (b != 0).then(|| a % b)
+        }),
+        ArithOp::Add | ArithOp::Sub | ArithOp::Mul => {
+            each(x, y, len, 0, ColumnData::I64, |i, a, b| {
+                let (v, sym) = match op {
+                    ArithOp::Add => (a.checked_add(b), "+"),
+                    ArithOp::Sub => (a.checked_sub(b), "-"),
+                    _ => (a.checked_mul(b), "*"),
                 };
-                match d {
-                    Some(d) => {
-                        buf.push(d);
-                        nulls.push(false);
-                    }
-                    None => {
-                        buf.push(Decimal::ZERO);
-                        nulls.push(true);
-                    }
+                if v.is_none() {
+                    errs.entry(i)
+                        .or_insert_with(|| format!("integer overflow in {sym}"));
                 }
-            }
-            Evaled {
-                v: Vect::Dec(buf, nulls),
-                errs,
-            }
-        }
-        ArithOp::Mod => {
-            let mut buf = Vec::with_capacity(len);
-            let mut nulls = Bitmap::new();
-            for i in 0..len {
-                match (x.at(i), y.at(i)) {
-                    (Some(a), Some(b)) if b != 0 => {
-                        buf.push(a % b);
-                        nulls.push(false);
-                    }
-                    _ => {
-                        buf.push(0);
-                        nulls.push(true);
-                    }
-                }
-            }
-            Evaled {
-                v: Vect::I64(buf, nulls),
-                errs,
-            }
+                v
+            })
         }
     }
 }
@@ -1335,9 +1157,10 @@ impl ErrCell {
 /// Computed projection: evaluates `exprs` over the batch's qualifying
 /// rows into a fresh [`ColumnTable`] (one column per expression, table
 /// order) whose column types come from [`Expr::dtype_hint`] — a right
-/// `Int` hint is what gives a computed key a typed `i64` buffer. A
-/// plain column is copied a run of qualifying rows at a time, buffer to
-/// buffer; a computed one is pushed value by value. Errors follow
+/// `Int` hint is what gives a computed key a typed `i64` buffer. Every
+/// expression's column is copied a run of qualifying rows at a time
+/// ([`Column::extend_runs`]: buffer to buffer where the hinted type
+/// matches, value by value where not). Errors follow
 /// row-path timing: the first *surviving* deferred error in (row,
 /// expression) order; filtered-out rows' errors never fire.
 pub fn par_project_table(
@@ -1386,22 +1209,27 @@ pub fn par_project_table(
                 _ => kept.push(j..j + 1),
             }
         }
-        let columns = (evaled.iter().zip(&dtypes))
+        let rows = kept.iter().map(ExactSizeIterator::len).sum();
+        let columns = (evaled.into_iter().zip(&dtypes))
             .map(|(ev, &dtype)| {
-                let mut column = Column::for_type(dtype);
-                column.reserve(len);
-                match &ev.v {
+                let (src, runs): (_, Vec<_>) = match ev.v {
                     Vect::Col(src, s) => {
-                        let runs: Vec<Range<usize>> =
-                            kept.iter().map(|r| s + r.start..s + r.end).collect();
-                        column.extend_runs(src, &runs);
+                        (src, kept.iter().map(|r| s + r.start..s + r.end).collect())
                     }
-                    v => (kept.iter().flat_map(Range::clone)).for_each(|j| column.push(&v.get(j))),
-                }
+                    // A constant or a condition is boxed at the kept rows.
+                    v => {
+                        let values = kept.iter().flat_map(Range::clone).map(|j| v.get(j));
+                        let all = std::iter::once(0..rows).collect();
+                        (Cow::Owned(Column::boxed(values.collect())), all)
+                    }
+                };
+                let mut column = Column::for_type(dtype);
+                column.reserve(rows);
+                column.extend_runs(&src, &runs);
                 column
             })
             .collect();
-        (kept.iter().map(ExactSizeIterator::len).sum(), columns)
+        (rows, columns)
     });
     if let Some(msg) = cell.take() {
         return Err(StorageError(msg));
@@ -1640,9 +1468,8 @@ mod tests {
             Box::new(Expr::cmp(CmpKind::Gt, 0, int(0))),
             Box::new(Expr::Cmp(CmpKind::Lt, col(0), boom())),
         );
-        let mut out = Vec::new();
-        assert_eq!(e.eval_tri(seg, 0, 1, &mut out), Ok(()));
-        assert_eq!(e.eval_tri(seg, 0, 2, &mut out).unwrap_err().0, 1);
+        assert!(e.eval_cond(seg, 0, 1).1.is_empty());
+        assert_eq!(e.eval_cond(seg, 0, 2).1.into_keys().next(), Some(1));
     }
 
     #[test]
@@ -1697,17 +1524,16 @@ mod tests {
             Box::new(Expr::Cmp(CmpKind::Gt, col(0), lit(int(0)))),
             boom(),
         );
-        let mut out = Vec::new();
-        let err = e.eval_tri(seg, 0, 2, &mut out).unwrap_err();
-        assert_eq!(err.0, 1);
+        let (out, errs) = e.eval_cond(seg, 0, 2);
+        assert_eq!(errs.into_keys().next(), Some(1));
         assert_eq!(out[0], P_FALSE);
         // OR: TRUE lhs short-circuits; row 0 (-5 < 0 TRUE) masks, row 1 errors.
         let e = Expr::Or(
             Box::new(Expr::Cmp(CmpKind::Lt, col(0), lit(int(0)))),
             boom(),
         );
-        let err = e.eval_tri(seg, 0, 2, &mut out).unwrap_err();
-        assert_eq!(err.0, 1);
+        let (out, errs) = e.eval_cond(seg, 0, 2);
+        assert_eq!(errs.into_keys().next(), Some(1));
         assert_eq!(out[0], P_TRUE);
     }
 
@@ -1750,9 +1576,8 @@ mod tests {
         // Row 0 hits item 1 before the overflowing item; row 1's NULL
         // operand never consumes items; row 2 reaches the overflow.
         let e = Expr::InList(col(0), vec![Expr::Lit(int(1)), boom], false);
-        let mut out = Vec::new();
-        let err = e.eval_tri(seg, 0, 3, &mut out).unwrap_err();
-        assert_eq!(err.0, 2);
+        let (out, errs) = e.eval_cond(seg, 0, 3);
+        assert_eq!(errs.into_keys().next(), Some(2));
         assert_eq!(&out[..2], &[P_TRUE, P_NULL]);
         // Pure-literal lists follow SQL NULL semantics.
         let e = Expr::InList(
@@ -1760,8 +1585,10 @@ mod tests {
             vec![Expr::Lit(int(1)), Expr::Lit(Value::Null)],
             true,
         );
-        e.eval_tri(seg, 0, 3, &mut out).unwrap();
-        assert_eq!(out, vec![P_FALSE, P_NULL, P_NULL]);
+        assert_eq!(
+            e.eval_cond(seg, 0, 3),
+            (vec![P_FALSE, P_NULL, P_NULL], Errs::new())
+        );
     }
 
     /// Every (NOT, NULL-in-set) combination of `IN`, over typed buffers,
@@ -1858,16 +1685,13 @@ mod tests {
         ];
         let t = table_of(vec![DataType::Int, DataType::Str], &rows);
         let seg = &t.segments[0];
-        let mut out = Vec::new();
+        let tri = |e: Expr| e.eval_cond(seg, 0, 3);
         let e = Expr::Between(col(0), lit(int(2)), lit(int(6)), false);
-        e.eval_tri(seg, 0, 3, &mut out).unwrap();
-        assert_eq!(out, vec![P_TRUE, P_NULL, P_FALSE]);
+        assert_eq!(tri(e), (vec![P_TRUE, P_NULL, P_FALSE], Errs::new()));
         let e = Expr::Like(col(1), lit(Value::str("%dget")), false);
-        e.eval_tri(seg, 0, 3, &mut out).unwrap();
-        assert_eq!(out, vec![P_TRUE, P_NULL, P_TRUE]);
+        assert_eq!(tri(e), (vec![P_TRUE, P_NULL, P_TRUE], Errs::new()));
         let e = Expr::Not(Box::new(Expr::IsNull(col(0), false)));
-        e.eval_tri(seg, 0, 3, &mut out).unwrap();
-        assert_eq!(out, vec![P_TRUE, P_FALSE, P_TRUE]);
+        assert_eq!(tri(e), (vec![P_TRUE, P_FALSE, P_TRUE], Errs::new()));
     }
 
     /// ~1.5 segments so kernels cross a segment boundary; every worker

@@ -223,8 +223,8 @@ impl Probe<'_> {
             };
         }
         let scratch = Segment::scratch(columns, cands.probe.len());
-        let mut tri = Vec::new();
-        if let Err((j, msg)) = rexpr.eval_tri(&scratch, 0, scratch.rows, &mut tri) {
+        let (tri, errs) = rexpr.eval_cond(&scratch, 0, scratch.rows);
+        if let Some((j, msg)) = errs.into_iter().next() {
             // Morsels are probe-ordered and candidates probe-ordered
             // within, so this key ranks errors exactly as the row path
             // visits combined rows.

@@ -117,14 +117,6 @@ impl Value {
         }
     }
 
-    /// Date view; `None` otherwise.
-    pub fn as_date(&self) -> Option<Date> {
-        match self {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// Boolean view; `None` otherwise.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

@@ -6,7 +6,9 @@
 //! correctness oracle) and through the compiled expression kernels
 //! (`auto`) at 1/2/8 workers. Answers are compared **byte-for-byte**:
 //! projection preserves input order and sorts tie-break on appended unique
-//! keys, so the output is fully determined at any worker count.
+//! keys, so the output is fully determined at any worker count. Pinned
+//! suites add segment-boundary row counts, `LIMIT` cut-offs, and every
+//! kind of computed operand in every consumer of one.
 
 use tpcds_core::engine::{ColumnMeta, ColumnarMode, ExecOptions};
 use tpcds_core::types::rng::{test_seed, SplitMix64};
@@ -272,19 +274,77 @@ fn limits_stop_at_the_same_row_with_the_same_errors_on_every_path() {
     ];
     let db = build_db(&mut SplitMix64(0x11A1), 20_000);
     for sql in &queries {
-        let run = |mode, threads| {
-            tpcds_core::engine::query_with(&db, sql, opts(mode, threads))
-                .map(|r| r.rows)
-                .map_err(|e| e.to_string())
-        };
-        let oracle = run(ColumnarMode::Off, 1);
-        let mode = ColumnarMode::Auto;
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                oracle,
-                run(mode, threads),
-                "{mode:?}@{threads} diverges from the row oracle: {sql}"
-            );
+        same_outcome(&db, sql);
+    }
+}
+
+/// The same rows, or the same first error, from the row oracle and from
+/// the batch executor at 1/2/8 workers.
+fn same_outcome(db: &Database, sql: &str) {
+    let run = |mode, threads| {
+        tpcds_core::engine::query_with(db, sql, opts(mode, threads))
+            .map(|r| r.rows)
+            .map_err(|e| e.to_string())
+    };
+    let oracle = run(ColumnarMode::Off, 1);
+    let mode = ColumnarMode::Auto;
+    for threads in [1, 2, 8] {
+        assert_eq!(
+            oracle,
+            run(mode, threads),
+            "{mode:?}@{threads} diverges from the row oracle: {sql}"
+        );
+    }
+}
+
+/// Every kind of computed operand — i64 arithmetic, integer division (a
+/// decimal column), boxed `CASE`, `substr` and `||` results, NULLs
+/// included — in every consumer: a comparison against a constant and
+/// against a column, an `IN` list, `LIKE`, `BETWEEN` and an `IN` subquery
+/// probe; and a deferred error that `AND`, `OR` or `CASE` masks (or, last,
+/// does not). Row counts straddle the segment boundary.
+#[test]
+fn computed_operands_agree_in_every_consumer() {
+    let computed = [
+        "s_k1 * 2",
+        "s_k2 / s_k1",
+        "case when s_k1 > 0 then s_k2 end",
+        "case when s_k1 > 0 then s_name end",
+        "substr(s_name, 2, 1)",
+        "s_name || 'x'",
+    ];
+    let consumers = [
+        "{e} = 2",
+        "{e} <> '3'",
+        "{e} >= s_k1",
+        "{e} < s_name",
+        "{e} in (1, 2, null)",
+        "{e} not in ('1', 'n3x', 4)",
+        "{e} like '%3%'",
+        "{e} between 1 and 3",
+        "{e} in (select s_k2 from s where s_pk < 50)",
+        "{e} not in (select substr(s_name, 2, 1) from s where s_pk < 50)",
+    ];
+    const MAX: &str = "9223372036854775807";
+    let masked = [
+        format!("select s_pk from s where s_pk + 1 < 0 and s_pk * {MAX} > 0"),
+        format!("select s_pk from s where s_k2 / 1 >= 0 or s_k2 is null or s_pk * {MAX} > 0"),
+        format!(
+            "select s_pk, case when s_pk / 1 >= 2 then s_name || 'x' \
+             else substr(s_name, s_pk * {MAX}, 1) end from s"
+        ),
+        format!("select s_pk from s where s_k1 * 2 > 0 and s_pk * {MAX} > 0"),
+    ];
+    for rows in [65_535usize, 65_536, 65_537] {
+        let db = build_db(&mut SplitMix64(rows as u64), rows);
+        for e in computed {
+            for c in consumers {
+                let sql = format!("select s_pk, {e} from s where {}", c.replace("{e}", e));
+                same_outcome(&db, &sql);
+            }
+        }
+        for sql in &masked {
+            same_outcome(&db, sql);
         }
     }
 }
