@@ -52,27 +52,34 @@ impl NdvSketch {
     /// Feeds one pre-hashed value. The hash must be uniform over `u64`
     /// (e.g. `DefaultHasher` output); feeding the same hash twice is a
     /// no-op on the estimate, which is what makes this a distinct count.
+    /// Returns whether a register rose: when none did, the estimate is
+    /// the one before.
     #[inline]
-    pub fn insert_hash(&mut self, hash: u64) {
+    pub fn insert_hash(&mut self, hash: u64) -> bool {
         let idx = (hash >> (64 - P)) as usize;
         // Rank = position of the first set bit in the remaining 52 bits
         // (1-based); an all-zero remainder saturates at 64 - P + 1.
         let rest = hash << P;
         let rank = (rest.leading_zeros() + 1).min(64 - P + 1) as u8;
-        if rank > self.registers[idx] {
+        let rose = rank > self.registers[idx];
+        if rose {
             self.registers[idx] = rank;
         }
+        rose
     }
 
     /// Folds `other` into `self` (per-register max). Merging is
     /// commutative and idempotent; the result is the sketch of the union
-    /// of both input streams.
-    pub fn merge(&mut self, other: &NdvSketch) {
+    /// of both input streams. Returns whether a register rose.
+    pub fn merge(&mut self, other: &NdvSketch) -> bool {
+        let mut rose = false;
         for (a, b) in self.registers.iter_mut().zip(other.registers.iter()) {
             if *b > *a {
                 *a = *b;
+                rose = true;
             }
         }
+        rose
     }
 
     /// True when no hash has been inserted.
@@ -252,6 +259,28 @@ mod tests {
         let mut aa = a.clone();
         aa.merge(&a);
         assert_eq!(aa.registers, a.registers);
+    }
+
+    #[test]
+    fn inserts_and_merges_report_whether_the_estimate_can_move() {
+        let mut rng = TestRng(11);
+        let hashes: Vec<u64> = (0..3_000).map(|_| rng.next_u64()).collect();
+        let mut s = NdvSketch::new();
+        let mut estimate = s.estimate();
+        for &h in &hashes {
+            let rose = s.insert_hash(h);
+            assert!(rose || s.estimate() == estimate, "a register held");
+            estimate = s.estimate();
+        }
+        // Every hash again: no register rises.
+        assert!(!hashes.iter().any(|&h| s.insert_hash(h)));
+        let mut half = NdvSketch::new();
+        hashes[..1_500].iter().for_each(|&h| {
+            half.insert_hash(h);
+        });
+        assert!(!s.clone().merge(&half), "a subset raises nothing");
+        assert!(half.merge(&s), "the rest does");
+        assert!(!half.merge(&s), "merging is idempotent");
     }
 
     #[test]

@@ -195,11 +195,13 @@ impl PAcc {
                     dec, any_dec, seen, ..
                 },
                 ColumnData::Decimal(b),
-            ) => add_dec(dec, any_dec, seen, &b[i])?,
+            ) => add_dec(dec, any_dec, seen, &b.get(i))?,
             (PAcc::Moments(n, sum, sq), ColumnData::I64(b)) => {
                 add_moment(n, sum, sq, &Decimal::from_int(b[i]))?
             }
-            (PAcc::Moments(n, sum, sq), ColumnData::Decimal(b)) => add_moment(n, sum, sq, &b[i])?,
+            (PAcc::Moments(n, sum, sq), ColumnData::Decimal(b)) => {
+                add_moment(n, sum, sq, &b.get(i))?
+            }
             (
                 PAcc::MinMax {
                     best: Some(best),
@@ -209,7 +211,7 @@ impl PAcc {
             ) => {
                 let o = match (data, &*best) {
                     (ColumnData::I64(b), Value::Int(x)) => b[i].cmp(x),
-                    (ColumnData::Decimal(b), Value::Decimal(x)) => b[i].cmp(x),
+                    (ColumnData::Decimal(b), Value::Decimal(x)) => b.get(i).cmp(x),
                     (ColumnData::Date(b), Value::Date(x)) => b[i].cmp(x),
                     (ColumnData::Str(b), Value::Str(x)) => b.get(i).cmp(x),
                     _ => return self.update(Some(&col.value_at(i))),

@@ -9,14 +9,14 @@
 //! compiled expressions, the filters themselves) always address the
 //! table's **physical** columns; `proj` only shapes what a kernel emits.
 
-use crate::column::{Bitmap, Column, ColumnData, StrBuf};
+use crate::column::{Bitmap, Column, ColumnData, DecBuf, StrBuf};
 use crate::expr::Expr;
 use crate::morsel::{run_chunks, worker_count};
 use crate::pred::Pred;
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use tpcds_types::{DataType, Date, Decimal, Value};
+use tpcds_types::{DataType, Date, Value};
 
 /// What every plan operator returns and every kernel consumes.
 #[derive(Clone, Debug)]
@@ -158,11 +158,7 @@ pub(crate) fn gather_column(src: &ColumnTable, col: usize, ids: &[u32]) -> Colum
             _ => None,
         })
         .map(|(b, n)| (ColumnData::I64(b), n)),
-        DataType::Decimal => typed(src, col, ids, Decimal::ZERO, |d| match d {
-            ColumnData::Decimal(b) => Some(b),
-            _ => None,
-        })
-        .map(|(b, n)| (ColumnData::Decimal(b), n)),
+        DataType::Decimal => decimals(src, col, ids).map(|(b, n)| (ColumnData::Decimal(b), n)),
         DataType::Date => typed(src, col, ids, Date::from_ymd(1900, 1, 1), |d| match d {
             ColumnData::Date(b) => Some(b),
             _ => None,
@@ -193,9 +189,9 @@ fn typed<T: Clone>(
     col: usize,
     ids: &[u32],
     pad: T,
-    buf_of: fn(&ColumnData) -> Option<&Vec<T>>,
+    buf_of: fn(&ColumnData) -> Option<&[T]>,
 ) -> Option<(Vec<T>, Bitmap)> {
-    let bufs: Vec<(&Vec<T>, &Bitmap)> = src
+    let bufs: Vec<(&[T], &Bitmap)> = src
         .segments
         .iter()
         .map(|s| buf_of(&s.columns[col].data).map(|b| (b, &s.columns[col].nulls)))
@@ -214,6 +210,27 @@ fn typed<T: Clone>(
         }
     }
     Some((out, nulls))
+}
+
+/// [`typed`] for a decimal column: its mantissas, when every segment holds
+/// them at one scale (a segment of NULLs has none).
+fn decimals(src: &ColumnTable, col: usize, ids: &[u32]) -> Option<(DecBuf, Bitmap)> {
+    let mut scale = None;
+    for seg in &src.segments {
+        let ColumnData::Decimal(b) = &seg.columns[col].data else {
+            return None;
+        };
+        match (scale, b.scale()) {
+            (Some(x), Some(y)) if x != y => return None,
+            (None, s) => scale = s,
+            _ => {}
+        }
+    }
+    let (mantissas, nulls) = typed(src, col, ids, 0, |d| match d {
+        ColumnData::Decimal(b) => Some(b.mantissas()),
+        _ => None,
+    })?;
+    Some((DecBuf::gathered(mantissas, scale, &nulls), nulls))
 }
 
 /// [`typed`] for a string column: each cell's bytes copied into one

@@ -1,13 +1,22 @@
 //! Typed column vectors with a word-packed null bitmap.
 //!
 //! A [`Column`] stores one attribute of one segment. The common TPC-DS
-//! types get dense native buffers (`i64`, [`Decimal`], [`Date`], and a
-//! [`StrBuf`] for strings); anything else — or a column whose values turn
-//! out not to match the declared type, which the dynamically-typed engine
-//! permits — falls back to a boxed [`Value`] buffer ([`ColumnData::Other`]).
-//! NULLs are recorded in the bitmap and occupy a default slot in the typed
-//! buffer (an empty string in a [`StrBuf`]), so kernels can iterate the
-//! native vector without branching on an enum per row.
+//! types get dense native buffers (`i64`, a [`DecBuf`] for decimals,
+//! [`Date`], and a [`StrBuf`] for strings); anything else — or a column
+//! whose values turn out not to match the declared type, which the
+//! dynamically-typed engine permits — falls back to a boxed [`Value`]
+//! buffer ([`ColumnData::Other`]). NULLs are recorded in the bitmap and
+//! occupy a default slot in the typed buffer (mantissa 0 in a [`DecBuf`],
+//! an empty string in a [`StrBuf`]), so kernels can iterate the native
+//! vector without branching on an enum per row.
+//!
+//! A decimal column is one `i64` mantissa per cell at one scale: the scale
+//! of its first non-NULL cell. Every money column of the generated data
+//! has one (`decimal(7,2)` cells are cents), so a cell takes 8 bytes, not
+//! the 32 of a [`Decimal`]. A cell of another scale, or a mantissa outside
+//! `i64`, boxes the column into [`ColumnData::Other`] without loss;
+//! [`DecBuf::get`] rebuilds each cell's [`Decimal`] at the column's scale,
+//! so `1.50` renders as `1.50` and `1.5` as `1.5`.
 //!
 //! A string column is one UTF-8 byte buffer plus one `u32` end offset per
 //! cell, not a pointer per cell: copying, patching, gathering or dropping
@@ -262,14 +271,104 @@ impl Index<usize> for StrBuf {
     }
 }
 
+/// The decimals of one column: one `i64` mantissa per cell, every cell at
+/// `scale` fractional digits. The scale is set by the first non-NULL cell
+/// and is `None` while the column holds only NULLs.
+#[derive(Clone, Debug, Default)]
+pub struct DecBuf {
+    mantissas: Vec<i64>,
+    scale: Option<u8>,
+}
+
+impl DecBuf {
+    /// An empty buffer with room for `cells` cells.
+    pub(crate) fn with_capacity(cells: usize) -> DecBuf {
+        DecBuf {
+            mantissas: Vec::with_capacity(cells),
+            scale: None,
+        }
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.mantissas.len()
+    }
+
+    /// True when the buffer holds no cell.
+    pub fn is_empty(&self) -> bool {
+        self.mantissas.is_empty()
+    }
+
+    /// The scale of every non-NULL cell; `None` while there is none.
+    pub fn scale(&self) -> Option<u8> {
+        self.scale
+    }
+
+    /// The mantissas, at [`DecBuf::scale`]; a NULL cell holds 0.
+    pub fn mantissas(&self) -> &[i64] {
+        &self.mantissas
+    }
+
+    /// Cell `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> Decimal {
+        Decimal::new(self.mantissas[i] as i128, self.scale.unwrap_or(0))
+    }
+
+    /// `d` as a mantissa at this buffer's scale, when it has one there.
+    pub(crate) fn mantissa_of(&self, d: &Decimal) -> Option<i64> {
+        i64::try_from(d.mantissa_at(self.scale?)?).ok()
+    }
+
+    /// Appends `d`. Returns false, and appends nothing, when `d` has
+    /// another scale than the cells already held or its mantissa does not
+    /// fit `i64`.
+    #[must_use]
+    fn push(&mut self, d: &Decimal) -> bool {
+        let Ok(m) = i64::try_from(d.mantissa()) else {
+            return false;
+        };
+        if *self.scale.get_or_insert(d.scale()) != d.scale() {
+            return false;
+        }
+        self.mantissas.push(m);
+        true
+    }
+
+    /// `mantissas` at `scale`, gathered beside `nulls`: no scale when
+    /// every cell is NULL, as pushing them would leave it.
+    pub(crate) fn gathered(mantissas: Vec<i64>, scale: Option<u8>, nulls: &Bitmap) -> DecBuf {
+        let mut buf = DecBuf {
+            mantissas,
+            scale: None,
+        };
+        buf.adopt(scale, nulls);
+        buf
+    }
+
+    /// Takes `scale` when this buffer has none yet and `nulls`, its cells'
+    /// bitmap, shows a value among them.
+    fn adopt(&mut self, scale: Option<u8>, nulls: &Bitmap) {
+        if self.scale.is_none() && nulls.count_set() < nulls.len() {
+            self.scale = scale;
+        }
+    }
+
+    /// Whether `src`'s mantissas mean the same at this buffer's scale:
+    /// one scale, or no scale on one side (only NULLs there).
+    fn joins(&self, src: &DecBuf) -> bool {
+        self.scale.is_none() || src.scale.is_none() || self.scale == src.scale
+    }
+}
+
 /// The physical buffer of a column: one dense native vector per common
 /// type, or boxed values for everything else.
 #[derive(Clone, Debug)]
 pub enum ColumnData {
     /// 64-bit integers (surrogate keys, counts).
     I64(Vec<i64>),
-    /// Exact fixed-point decimals.
-    Decimal(Vec<Decimal>),
+    /// Exact fixed-point decimals, as `i64` mantissas at one scale.
+    Decimal(DecBuf),
     /// Calendar dates.
     Date(Vec<Date>),
     /// Strings, in one byte buffer.
@@ -294,7 +393,7 @@ impl Column {
     pub fn for_type(dtype: DataType) -> Column {
         let data = match dtype {
             DataType::Int => ColumnData::I64(Vec::new()),
-            DataType::Decimal => ColumnData::Decimal(Vec::new()),
+            DataType::Decimal => ColumnData::Decimal(DecBuf::default()),
             DataType::Date => ColumnData::Date(Vec::new()),
             DataType::Str => ColumnData::Str(StrBuf::default()),
             DataType::Time | DataType::Bool => ColumnData::Other(Vec::new()),
@@ -321,7 +420,7 @@ impl Column {
     pub(crate) fn empty_like(&self, cells: usize) -> Column {
         let data = match &self.data {
             ColumnData::I64(_) => ColumnData::I64(Vec::with_capacity(cells)),
-            ColumnData::Decimal(_) => ColumnData::Decimal(Vec::with_capacity(cells)),
+            ColumnData::Decimal(_) => ColumnData::Decimal(DecBuf::with_capacity(cells)),
             ColumnData::Date(_) => ColumnData::Date(Vec::with_capacity(cells)),
             ColumnData::Str(buf) => {
                 let bytes = (buf.byte_len() * cells).div_ceil(buf.len().max(1));
@@ -349,7 +448,7 @@ impl Column {
     pub(crate) fn reserve(&mut self, additional: usize) {
         match &mut self.data {
             ColumnData::I64(buf) => buf.reserve(additional),
-            ColumnData::Decimal(buf) => buf.reserve(additional),
+            ColumnData::Decimal(buf) => buf.mantissas.reserve(additional),
             ColumnData::Date(buf) => buf.reserve(additional),
             ColumnData::Str(buf) => buf.ends.reserve(additional),
             ColumnData::Other(buf) => buf.reserve(additional),
@@ -368,8 +467,8 @@ impl Column {
 
     /// Appends the cells at offsets `runs` of `src`, in order, exactly as
     /// pushing each of them would: one slice copy per run when both
-    /// columns hold the same buffer variant (and a string buffer stays
-    /// under `u32::MAX` bytes), a push per cell otherwise.
+    /// columns hold the same buffer variant (decimals at one scale, and a
+    /// string buffer under `u32::MAX` bytes), a push per cell otherwise.
     pub(crate) fn extend_runs(&mut self, src: &Column, runs: &[Range<usize>]) {
         fn copy<T: Clone>(out: &mut Vec<T>, buf: &[T], runs: &[Range<usize>]) -> bool {
             runs.iter()
@@ -378,7 +477,9 @@ impl Column {
         }
         let copied = match (&mut self.data, &src.data) {
             (ColumnData::I64(out), ColumnData::I64(buf)) => copy(out, buf, runs),
-            (ColumnData::Decimal(out), ColumnData::Decimal(buf)) => copy(out, buf, runs),
+            (ColumnData::Decimal(out), ColumnData::Decimal(buf)) if out.joins(buf) => {
+                copy(&mut out.mantissas, &buf.mantissas, runs)
+            }
             (ColumnData::Date(out), ColumnData::Date(buf)) => copy(out, buf, runs),
             (ColumnData::Str(out), ColumnData::Str(buf)) => out.extend_runs(buf, runs),
             (ColumnData::Other(out), ColumnData::Other(buf)) => copy(out, buf, runs),
@@ -387,6 +488,13 @@ impl Column {
         if copied {
             runs.iter()
                 .for_each(|r| self.nulls.extend_from(&src.nulls, r.clone()));
+            // A column that held only NULLs takes the scale of the first
+            // value copied in.
+            if let (ColumnData::Decimal(out), ColumnData::Decimal(buf)) =
+                (&mut self.data, &src.data)
+            {
+                out.adopt(buf.scale, &self.nulls);
+            }
         } else {
             (runs.iter().flat_map(Range::clone)).for_each(|i| self.push(&src.value_at(i)));
         }
@@ -405,10 +513,7 @@ impl Column {
                 buf.push(*x);
                 true
             }
-            (ColumnData::Decimal(buf), Value::Decimal(x)) => {
-                buf.push(*x);
-                true
-            }
+            (ColumnData::Decimal(buf), Value::Decimal(x)) => buf.push(x),
             (ColumnData::Date(buf), Value::Date(x)) => {
                 buf.push(*x);
                 true
@@ -430,8 +535,9 @@ impl Column {
     }
 
     /// Rewrites a boxed buffer as `dtype`'s typed one when every non-NULL
-    /// cell fits it, so a column holds what pushing its cells into
-    /// [`Column::for_type`] would build however its cells got there.
+    /// cell is of that type, so a column holds what pushing its cells into
+    /// [`Column::for_type`] would build however its cells got there (boxed
+    /// again where those pushes box: decimals of two scales).
     pub(crate) fn unbox(&mut self, dtype: DataType) {
         let ColumnData::Other(buf) = &self.data else {
             return;
@@ -454,7 +560,7 @@ impl Column {
     fn push_null(&mut self) {
         match &mut self.data {
             ColumnData::I64(buf) => buf.push(0),
-            ColumnData::Decimal(buf) => buf.push(Decimal::ZERO),
+            ColumnData::Decimal(buf) => buf.mantissas.push(0),
             ColumnData::Date(buf) => buf.push(Date::from_ymd(1900, 1, 1)),
             ColumnData::Str(buf) => {
                 let pushed = buf.push("");
@@ -485,7 +591,7 @@ impl Column {
         }
         match &self.data {
             ColumnData::I64(buf) => Value::Int(buf[i]),
-            ColumnData::Decimal(buf) => Value::Decimal(buf[i]),
+            ColumnData::Decimal(buf) => Value::Decimal(buf.get(i)),
             ColumnData::Date(buf) => Value::Date(buf[i]),
             ColumnData::Str(buf) => Value::str(buf.get(i)),
             ColumnData::Other(buf) => buf[i].clone(),
@@ -507,7 +613,7 @@ impl Column {
     pub fn heap_bytes(&self) -> usize {
         let data = match &self.data {
             ColumnData::I64(buf) => buf.len() * 8,
-            ColumnData::Decimal(buf) => buf.len() * std::mem::size_of::<Decimal>(),
+            ColumnData::Decimal(buf) => buf.len() * std::mem::size_of::<i64>(),
             ColumnData::Date(buf) => buf.len() * std::mem::size_of::<Date>(),
             ColumnData::Str(buf) => buf.heap_bytes(),
             ColumnData::Other(buf) => buf.len() * std::mem::size_of::<Value>(),
@@ -662,6 +768,199 @@ mod tests {
         boxed.unbox(DataType::Str);
         assert!(matches!(boxed.data, ColumnData::Str(_)));
         assert_eq!(cells(&boxed), values);
+    }
+
+    fn dec(m: i128, scale: u8) -> Value {
+        Value::Decimal(Decimal::new(m, scale))
+    }
+
+    fn decimals(values: &[Value]) -> Column {
+        let mut c = Column::for_type(DataType::Decimal);
+        values.iter().for_each(|v| c.push(v));
+        c
+    }
+
+    /// The cells as rendered, so `1.5` and `1.50` differ.
+    fn rendered(c: &Column) -> Vec<String> {
+        cells(c).iter().map(|v| format!("{v:?} {v}")).collect()
+    }
+
+    fn typed_at(c: &Column) -> Option<u8> {
+        match &c.data {
+            ColumnData::Decimal(buf) => buf.scale(),
+            other => panic!("a decimal column stays typed: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decimals_take_the_scale_of_the_first_non_null_cell() {
+        let values = [
+            Value::Null,
+            Value::Null,
+            dec(150, 2),
+            Value::Null,
+            dec(-7, 2),
+        ];
+        let c = decimals(&values[..2]);
+        assert_eq!(typed_at(&c), None, "only NULLs: no scale yet");
+        let c = decimals(&values);
+        assert_eq!(typed_at(&c), Some(2));
+        assert_eq!(cells(&c), values);
+        let ColumnData::Decimal(buf) = &c.data else {
+            unreachable!()
+        };
+        assert_eq!(buf.mantissas(), [0, 0, 150, 0, -7]);
+        assert_eq!(c.heap_bytes(), 5 * 8 + c.nulls.heap_bytes());
+    }
+
+    #[test]
+    fn decimals_of_a_second_scale_box_the_column() {
+        let values = [dec(150, 2), Value::Null, dec(15, 1), dec(3, 0)];
+        let c = decimals(&values);
+        assert!(matches!(c.data, ColumnData::Other(_)), "{c:?}");
+        assert_eq!(rendered(&c), rendered(&Column::boxed(values.to_vec())));
+        // The integral decimal equal to a cell is not the cell: scale 0.
+        let c = decimals(&[dec(100, 2), dec(1, 0)]);
+        assert!(matches!(c.data, ColumnData::Other(_)), "{c:?}");
+    }
+
+    #[test]
+    fn decimals_outside_i64_box_the_column() {
+        let big = i64::MAX as i128 + 1;
+        for values in [
+            vec![dec(1, 2), dec(big, 2)],
+            vec![dec(-big - 1, 2), dec(1, 2)],
+            vec![Value::Null, dec(big, 0)],
+        ] {
+            let c = decimals(&values);
+            assert!(matches!(c.data, ColumnData::Other(_)), "{values:?}");
+            assert_eq!(cells(&c), values);
+        }
+        // The ends of `i64` fit.
+        let ends = [dec(i64::MAX as i128, 2), dec(i64::MIN as i128, 2)];
+        let c = decimals(&ends);
+        assert_eq!((typed_at(&c), cells(&c)), (Some(2), ends.to_vec()));
+    }
+
+    #[test]
+    fn decimals_copied_between_scales_box_as_pushes_would() {
+        let cents = [dec(150, 2), Value::Null, dec(-25, 2), Value::Null];
+        let tenths = [dec(15, 1), Value::Null, dec(7, 1)];
+        let (c2, c1) = (decimals(&cents), decimals(&tenths));
+        // Each copy against pushing the same cells one at a time; `true`
+        // where the result is boxed.
+        for (onto, src, runs, boxed) in [
+            (&tenths[..], &c2, [0..1, 2..4], true),
+            (&cents[..], &c1, [0..0, 0..3], true),
+            // NULLs alone fit a column of any scale.
+            (&tenths[..], &c2, [1..2, 3..4], false),
+            (&cents[..], &c1, [1..2, 2..2], false),
+            // A column of NULLs takes the scale of the first value.
+            (&[][..], &c2, [1..2, 1..1], false),
+            (&[Value::Null][..], &c2, [0..0, 0..3], false),
+            (&[Value::Null][..], &c1, [1..2, 0..3], false),
+            (&cents[..], &c2, [0..4, 2..3], false),
+        ] {
+            let mut got = decimals(onto);
+            got.extend_runs(src, &runs);
+            let mut want = decimals(onto);
+            (runs.iter().flat_map(Range::clone)).for_each(|i| want.push(&src.value_at(i)));
+            let what = format!("{onto:?} + {runs:?}");
+            assert_eq!(matches!(got.data, ColumnData::Other(_)), boxed, "{what}");
+            assert_eq!(rendered(&got), rendered(&want), "{what}");
+            assert_eq!(
+                format!("{:?}", got.data),
+                format!("{:?}", want.data),
+                "{what}"
+            );
+        }
+        // A copy into a new column keeps the source's scale, and has none
+        // when it copies only NULLs.
+        let copy = c2.copy_runs(&[0..1, 2..4], 2);
+        let want = decimals(&[dec(150, 2), dec(-25, 2), Value::Null]);
+        assert_eq!(typed_at(&copy), Some(2));
+        assert_eq!(rendered(&copy), rendered(&want));
+        assert_eq!(typed_at(&c2.copy_runs(&[1..2, 3..4], 0)), None);
+    }
+
+    #[test]
+    fn decimals_patched_by_a_replace_stay_typed_at_one_scale() {
+        use crate::segment::ColumnTable;
+        let row = |i: usize| match i % 5 {
+            0 => vec![Value::Null],
+            _ => vec![dec(i as i128 * 101 - 3_000, 2)],
+        };
+        let rows: Vec<Vec<Value>> = (0..70_000).map(row).collect();
+        let t = ColumnTable::from_rows(vec![DataType::Decimal], &rows);
+        let data = |t: &ColumnTable, seg: usize| t.segments[seg].columns[0].data.clone();
+        // Same-scale cells, a NULL and a value over a NULL, at offset 0
+        // and at the last offset of the first segment.
+        let patch = [(0, dec(99, 2)), (5, Value::Null), (65_535, dec(-1, 2))];
+        let rows_in: Vec<(usize, Vec<Value>)> =
+            patch.iter().map(|(i, v)| (*i, vec![v.clone()])).collect();
+        let (patched, built) = t.replace(&rows_in, 2);
+        assert_eq!(built, 1);
+        assert!(matches!(data(&patched, 0), ColumnData::Decimal(_)));
+        for (i, v) in &patch {
+            assert_eq!(format!("{}", patched.value(*i, 0)), format!("{v}"));
+        }
+        assert_eq!(patched.value(1, 0), rows[1][0]);
+        assert_eq!(patched.value(65_534, 0), rows[65_534][0]);
+        // A cell of another scale boxes that segment only, without loss.
+        let (patched, _) = t.replace(&[(7, vec![dec(5, 1)])], 1);
+        assert!(matches!(data(&patched, 0), ColumnData::Other(_)));
+        assert!(matches!(data(&patched, 1), ColumnData::Decimal(_)));
+        assert_eq!(format!("{}", patched.value(7, 0)), "0.5");
+        assert_eq!(format!("{}", patched.value(8, 0)), "-21.92");
+    }
+
+    #[test]
+    fn decimals_render_as_pushed() {
+        for values in [
+            vec![dec(15, 1), dec(-5, 1), Value::Null],
+            vec![dec(150, 2), Value::Null, dec(-1, 2), dec(0, 2)],
+            vec![dec(-42, 0), dec(7, 0)],
+            vec![dec(123_456, 6)],
+        ] {
+            let c = decimals(&values);
+            let want: Vec<String> = values.iter().map(|v| format!("{v:?} {v}")).collect();
+            assert_eq!(rendered(&c), want);
+            assert_eq!(rendered(&c.copy_runs(&[0..1, 1..values.len()], 0)), want);
+        }
+        assert_eq!(decimals(&[dec(15, 1)]).value_at(0).to_string(), "1.5");
+        assert_eq!(decimals(&[dec(150, 2)]).value_at(0).to_string(), "1.50");
+    }
+
+    #[test]
+    fn decimals_fold_the_statistics_of_their_values() {
+        use crate::segment::ColumnTable;
+        use crate::stats::collect_stats;
+        // Repeated values, both signs, NULLs, and one extreme held twice.
+        let value = |i: usize| match i % 11 {
+            0 => Value::Null,
+            3 => dec(-99_999, 2),
+            _ => dec(((i * 7_919) % 50_000) as i128 - 1_000, 2),
+        };
+        let rows: Vec<Vec<Value>> = (0..70_000).map(|i| vec![value(i)]).collect();
+        let typed = ColumnTable::from_rows(vec![DataType::Decimal], &rows);
+        let boxed = ColumnTable::from_rows(vec![DataType::Bool], &rows);
+        assert!(matches!(
+            typed.segments[0].columns[0].data,
+            ColumnData::Decimal(_)
+        ));
+        assert!(matches!(
+            boxed.segments[0].columns[0].data,
+            ColumnData::Other(_)
+        ));
+        let (got, want) = (collect_stats(&typed, 2), collect_stats(&boxed, 2));
+        let (got, want) = (&got.columns[0], &want.columns[0]);
+        assert_eq!((got.nulls, got.ndv), (want.nulls, want.ndv));
+        assert_eq!(
+            format!("{:?} {:?}", got.min, got.max),
+            format!("{:?} {:?}", want.min, want.max)
+        );
+        assert_eq!(got.hist, want.hist);
+        assert_eq!(got.min, Some(dec(-99_999, 2)));
     }
 
     #[test]

@@ -471,7 +471,7 @@ fn cmp_at(col: &Column, p: &Probe<'_>, i: usize) -> Option<Ordering> {
         (Probe::Incomparable, _) => None,
         (Probe::IntInt(x), ColumnData::I64(buf)) => Some(buf[i].cmp(x)),
         (Probe::IntDec(d), ColumnData::I64(buf)) => Some(Decimal::from_int(buf[i]).cmp(d)),
-        (Probe::DecDec(d), ColumnData::Decimal(buf)) => Some(buf[i].cmp(d)),
+        (Probe::DecDec(d), ColumnData::Decimal(buf)) => Some(buf.get(i).cmp(d)),
         (Probe::DateDate(d), ColumnData::Date(buf)) => Some(buf[i].cmp(d)),
         (Probe::StrStr(s), ColumnData::Str(buf)) => Some(buf.get(i).cmp(*s)),
         (Probe::StrDate(d), ColumnData::Str(buf)) => {
@@ -502,9 +502,14 @@ fn cmp_const(op: CmpKind, col: &Column, start: usize, k: &Value, t: &mut [u8]) {
         (Probe::IntInt(x), ColumnData::I64(buf)) => {
             fill(t, &col.nulls, start, |i| op.test(buf[i].cmp(x)))
         }
-        (Probe::DecDec(d), ColumnData::Decimal(buf)) => {
-            fill(t, &col.nulls, start, |i| op.test(buf[i].cmp(d)))
-        }
+        (Probe::DecDec(d), ColumnData::Decimal(buf)) => match buf.mantissa_of(d) {
+            // At the column's scale, mantissas order as the numbers do.
+            Some(m) => {
+                let ms = buf.mantissas();
+                fill(t, &col.nulls, start, |i| op.test(ms[i].cmp(&m)))
+            }
+            None => fill(t, &col.nulls, start, |i| op.test(buf.get(i).cmp(d))),
+        },
         (Probe::DateDate(d), ColumnData::Date(buf)) => {
             fill(t, &col.nulls, start, |i| op.test(buf[i].cmp(d)))
         }
@@ -1066,52 +1071,45 @@ impl Expr {
 /// exact decimals and `%` an `I64`; NULL operands and a zero divisor give
 /// NULL.
 fn arith_i64(op: ArithOp, x: &I64Src<'_>, y: &I64Src<'_>, len: usize, errs: &mut Errs) -> Column {
-    /// `f(row, a, b)` of each row's two non-NULL operands; `None` is NULL,
-    /// over `zero`.
-    fn each<T: Copy>(
-        x: &I64Src<'_>,
-        y: &I64Src<'_>,
-        len: usize,
-        zero: T,
-        wrap: fn(Vec<T>) -> ColumnData,
-        mut f: impl FnMut(usize, i64, i64) -> Option<T>,
-    ) -> Column {
-        let mut buf = Vec::with_capacity(len);
-        let mut nulls = Bitmap::new();
-        for i in 0..len {
-            let v = match (x.at(i), y.at(i)) {
-                (Some(a), Some(b)) => f(i, a, b),
-                _ => None,
-            };
-            buf.push(v.unwrap_or(zero));
-            nulls.push(v.is_none());
+    let operands = (0..len).map(|i| match (x.at(i), y.at(i)) {
+        (Some(a), Some(b)) => Some((i, a, b)),
+        _ => None,
+    });
+    if op == ArithOp::Div {
+        // Every quotient has scale `DIV_SCALE`; one past `i64` boxes the
+        // column, as pushing it anywhere would.
+        let mut out = Column::for_type(DataType::Decimal);
+        out.reserve(len);
+        for ab in operands {
+            let q =
+                ab.and_then(|(_, a, b)| Decimal::from_int(a).checked_div(&Decimal::from_int(b)));
+            out.push(&q.map_or(Value::Null, Value::Decimal));
         }
-        Column {
-            data: wrap(buf),
-            nulls,
-        }
+        return out;
     }
-    match op {
-        ArithOp::Div => each(x, y, len, Decimal::ZERO, ColumnData::Decimal, |_, a, b| {
-            Decimal::from_int(a).checked_div(&Decimal::from_int(b))
-        }),
-        ArithOp::Mod => each(x, y, len, 0, ColumnData::I64, |_, a, b| {
-            (b != 0).then(|| a % b)
-        }),
-        ArithOp::Add | ArithOp::Sub | ArithOp::Mul => {
-            each(x, y, len, 0, ColumnData::I64, |i, a, b| {
-                let (v, sym) = match op {
-                    ArithOp::Add => (a.checked_add(b), "+"),
-                    ArithOp::Sub => (a.checked_sub(b), "-"),
-                    _ => (a.checked_mul(b), "*"),
-                };
-                if v.is_none() {
-                    errs.entry(i)
-                        .or_insert_with(|| format!("integer overflow in {sym}"));
-                }
-                v
-            })
-        }
+    let mut buf = Vec::with_capacity(len);
+    let mut nulls = Bitmap::new();
+    for ab in operands {
+        let v = ab.and_then(|(i, a, b)| {
+            let (v, sym) = match op {
+                // `i64::MIN % -1` is 0, which `%` cannot compute.
+                ArithOp::Mod => return (b != 0).then(|| a.wrapping_rem(b)),
+                ArithOp::Add => (a.checked_add(b), "+"),
+                ArithOp::Sub => (a.checked_sub(b), "-"),
+                _ => (a.checked_mul(b), "*"),
+            };
+            if v.is_none() {
+                errs.entry(i)
+                    .or_insert_with(|| format!("integer overflow in {sym}"));
+            }
+            v
+        });
+        buf.push(v.unwrap_or(0));
+        nulls.push(v.is_none());
+    }
+    Column {
+        data: ColumnData::I64(buf),
+        nulls,
     }
 }
 

@@ -90,7 +90,7 @@ impl<'a> Cell<'a> {
         }
         match &col.data {
             ColumnData::I64(b) => Cell::Int(b[i]),
-            ColumnData::Decimal(b) => Cell::Dec(b[i]),
+            ColumnData::Decimal(b) => Cell::Dec(b.get(i)),
             ColumnData::Date(b) => Cell::Date(b[i]),
             ColumnData::Str(b) => Cell::Str(b.get(i)),
             ColumnData::Other(b) => Cell::value(&b[i]),

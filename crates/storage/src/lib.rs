@@ -33,7 +33,7 @@ pub mod stats;
 
 pub use agg::{AggKind, AggSpec};
 pub use batch::Batch;
-pub use column::{Bitmap, Column, ColumnData, StrBuf};
+pub use column::{Bitmap, Column, ColumnData, DecBuf, StrBuf};
 pub use expr::{par_project_table, Answer, ErrCell, Expr, KeySet, SubResult};
 pub use join::{par_hash_join, JoinType};
 pub use morsel::{par_aggregate, par_filter, run_chunks, scan_until, KernelStats, MORSEL_ROWS};

@@ -676,7 +676,7 @@ mod tests {
         let slots = |c: &Column| -> Vec<String> {
             let slot = |i: usize| match &c.data {
                 ColumnData::I64(b) => format!("I64 {:?}", b[i]),
-                ColumnData::Decimal(b) => format!("Decimal {:?}", b[i]),
+                ColumnData::Decimal(b) => format!("Decimal {:?}", b.get(i)),
                 ColumnData::Date(b) => format!("Date {:?}", b[i]),
                 ColumnData::Str(b) => format!("Str {:?}", &b[i]),
                 ColumnData::Other(b) => format!("Other {:?}", b[i]),

@@ -56,6 +56,9 @@ pub struct ColumnStats {
     pub hist: HistSnapshot,
     /// The sketch `ndv` was read off, kept so more rows can be merged in.
     sketch: NdvSketch,
+    /// True once a register of `sketch` rose after `ndv` was read off it:
+    /// until then `ndv` is the sketch's estimate and is not read again.
+    stale: bool,
 }
 
 impl ColumnStats {
@@ -67,6 +70,7 @@ impl ColumnStats {
             ndv: 0,
             hist: HistSnapshot::new(),
             sketch: NdvSketch::new(),
+            stale: false,
         }
     }
 
@@ -91,15 +95,17 @@ impl ColumnStats {
         }
     }
 
-    /// Reads `ndv` off the sketch.
+    /// Reads `ndv` off the sketch, if a register rose since it last was.
     fn estimate(&mut self) {
-        self.ndv = self.sketch.estimate_u64();
+        if std::mem::take(&mut self.stale) {
+            self.ndv = self.sketch.estimate_u64();
+        }
     }
 
     /// Folds `other` in; `ndv` is stale until re-read off the sketch.
     fn merge(&mut self, other: &ColumnStats) {
         self.nulls += other.nulls;
-        self.sketch.merge(&other.sketch);
+        self.stale |= self.sketch.merge(&other.sketch);
         self.hist.merge(&other.hist);
         self.cover(other.min.as_ref(), other.max.as_ref());
     }
@@ -142,7 +148,7 @@ impl ColumnStats {
         match &col.data {
             ColumnData::I64(buf) => self.fold_cells(nulls, cells, |i| observe(&Value::Int(buf[i]))),
             ColumnData::Decimal(buf) => {
-                self.fold_cells(nulls, cells, |i| observe(&Value::Decimal(buf[i])))
+                self.fold_cells(nulls, cells, |i| observe(&Value::Decimal(buf.get(i))))
             }
             ColumnData::Date(buf) => {
                 self.fold_cells(nulls, cells, |i| observe(&Value::Date(buf[i])))
@@ -176,7 +182,7 @@ impl ColumnStats {
             }
             let (hash, key) = observe(i);
             if let Some(h) = hash {
-                self.sketch.insert_hash(h);
+                self.stale |= self.sketch.insert_hash(h);
             }
             if let Some(k) = key {
                 self.hist.record(k);
@@ -207,7 +213,12 @@ impl ColumnStats {
         let cells = rows.filter(|&i| !col.nulls.get(i));
         let (lo, hi) = match &col.data {
             ColumnData::I64(buf) => extremes(cells, |i| &buf[i], |x| Value::Int(*x)),
-            ColumnData::Decimal(buf) => extremes(cells, |i| &buf[i], |x| Value::Decimal(*x)),
+            // One scale: the mantissas order as the numbers do.
+            ColumnData::Decimal(buf) => extremes(
+                cells,
+                |i| &buf.mantissas()[i],
+                |m| Value::Decimal(Decimal::new(*m as i128, buf.scale().unwrap_or(0))),
+            ),
             ColumnData::Date(buf) => extremes(cells, |i| &buf[i], |x| Value::Date(*x)),
             ColumnData::Str(buf) => extremes(cells, |i| buf.get(i), Value::str),
             ColumnData::Other(buf) => {
@@ -227,7 +238,10 @@ fn holds(seg: &Segment, c: usize, v: &Value) -> bool {
     let mut cells = seg.live_offsets().filter(|&i| !col.nulls.get(i));
     match (&col.data, v) {
         (ColumnData::I64(buf), Value::Int(x)) => cells.any(|i| buf[i] == *x),
-        (ColumnData::Decimal(buf), Value::Decimal(x)) => cells.any(|i| buf[i] == *x),
+        (ColumnData::Decimal(buf), Value::Decimal(x)) => match buf.mantissa_of(x) {
+            Some(m) => cells.any(|i| buf.mantissas()[i] == m),
+            None => false,
+        },
         (ColumnData::Date(buf), Value::Date(x)) => cells.any(|i| buf[i] == *x),
         (ColumnData::Str(buf), Value::Str(x)) => cells.any(|i| buf.get(i) == &**x),
         _ => cells.any(|i| col.value_at(i) == *v),

@@ -123,7 +123,29 @@ impl Decimal {
         Decimal::new(m, s)
     }
 
+    /// The mantissa of this value at `scale` fractional digits, when the
+    /// value has one there: `None` when digits would be dropped or the
+    /// mantissa would overflow.
+    pub fn mantissa_at(&self, scale: u8) -> Option<i128> {
+        match scale.cmp(&self.scale) {
+            Ordering::Equal => Some(self.mantissa),
+            Ordering::Greater => {
+                (self.mantissa).checked_mul(*POW10.get((scale - self.scale) as usize)?)
+            }
+            Ordering::Less => {
+                let p = POW10[(self.scale - scale) as usize];
+                (self.mantissa % p == 0).then(|| self.mantissa / p)
+            }
+        }
+    }
+
+    /// Both mantissas at the larger scale. Operands of one scale — every
+    /// cell of a stored decimal column — pass as they are.
+    #[inline]
     fn align(a: &Decimal, b: &Decimal) -> (i128, i128, u8) {
+        if a.scale == b.scale {
+            return (a.mantissa, b.mantissa, a.scale);
+        }
         let scale = a.scale.max(b.scale);
         (
             a.mantissa * POW10[(scale - a.scale) as usize],
@@ -370,6 +392,35 @@ mod tests {
     fn from_cents_and_int() {
         assert_eq!(Decimal::from_cents(1234).to_string(), "12.34");
         assert_eq!(Decimal::from_int(-7).to_string(), "-7");
+    }
+
+    #[test]
+    fn mantissa_at_is_exact_or_none() {
+        assert_eq!(dec("1.5").mantissa_at(2), Some(150));
+        assert_eq!(dec("1.50").mantissa_at(1), Some(15));
+        assert_eq!(dec("1.55").mantissa_at(1), None);
+        assert_eq!(dec("-7").mantissa_at(0), Some(-7));
+        assert_eq!(Decimal::new(i128::MAX, 0).mantissa_at(1), None);
+        assert_eq!(dec("1").mantissa_at(60), None);
+    }
+
+    #[test]
+    fn same_scale_operands_skip_the_alignment() {
+        let (a, b) = (Decimal::new(12_345, 2), Decimal::new(-600, 2));
+        assert_eq!(a.cmp(&b), Ordering::Greater);
+        assert_eq!(a.checked_add(&b).unwrap().to_string(), "117.45");
+        assert_eq!(a.checked_sub(&b).unwrap().to_string(), "129.45");
+        assert_ne!(a, b);
+        assert_eq!(
+            Decimal::new(i128::MAX, 3).checked_add(&Decimal::new(1, 3)),
+            None
+        );
+        // Mixed scales still align, as before.
+        assert_eq!(dec("1.5").cmp(&dec("1.49")), Ordering::Greater);
+        assert_eq!(
+            dec("0.1").checked_add(&dec("0.25")).unwrap().to_string(),
+            "0.35"
+        );
     }
 
     #[test]

@@ -136,7 +136,8 @@ pub fn arith(op: ArithOp, l: &Value, r: &Value) -> Result<Value, String> {
                 if *b == 0 {
                     Ok(Null)
                 } else {
-                    Ok(Int(a % b))
+                    // `i64::MIN % -1` is 0, which `%` cannot compute.
+                    Ok(Int(a.wrapping_rem(*b)))
                 }
             }
         },
@@ -163,12 +164,15 @@ pub fn arith(op: ArithOp, l: &Value, r: &Value) -> Result<Value, String> {
     }
 }
 
-/// Unary minus: NULL passes through, integers negate (wrapping like the
-/// row path always has), decimals negate exactly.
+/// Unary minus: NULL passes through, integers negate checked (`-i64::MIN`
+/// is an overflow error, as in `0 - i64::MIN`), decimals negate exactly.
 pub fn neg(v: &Value) -> Result<Value, String> {
     match v {
         Value::Null => Ok(Value::Null),
-        Value::Int(v) => Ok(Value::Int(-v)),
+        Value::Int(v) => v
+            .checked_neg()
+            .map(Value::Int)
+            .ok_or_else(|| "integer overflow in -".to_string()),
         Value::Decimal(d) => Ok(Value::Decimal(d.neg())),
         other => Err(format!("cannot negate {other}")),
     }
@@ -337,5 +341,21 @@ mod tests {
         assert_eq!(neg(&Value::Int(3)).unwrap(), Value::Int(-3));
         assert!(neg(&Value::Null).unwrap().is_null());
         assert!(neg(&Value::str("x")).is_err());
+        assert_eq!(neg(&Value::Int(i64::MAX)).unwrap(), Value::Int(-i64::MAX));
+        assert_eq!(
+            neg(&Value::Int(i64::MIN)).unwrap_err(),
+            "integer overflow in -"
+        );
+    }
+
+    #[test]
+    fn remainder_of_the_smallest_integer_by_minus_one_is_zero() {
+        let (min, m1) = (Value::Int(i64::MIN), Value::Int(-1));
+        assert_eq!(arith(ArithOp::Mod, &min, &m1).unwrap(), Value::Int(0));
+        assert_eq!(
+            arith(ArithOp::Mod, &min, &Value::Int(7)).unwrap(),
+            Value::Int(-1)
+        );
+        assert!(arith(ArithOp::Mod, &min, &Value::Int(0)).unwrap().is_null());
     }
 }

@@ -348,3 +348,40 @@ fn computed_operands_agree_in_every_consumer() {
         }
     }
 }
+
+/// `i64::MIN % -1` is 0 and `-i64::MIN` is an overflow error, on the row
+/// path and in the kernels alike (the `%` fast path and the per-row `-`).
+#[test]
+fn the_smallest_integer_divides_and_negates_alike_on_every_path() {
+    const MIN: &str = "(s_pk - s_pk - 9223372036854775807 - 1)";
+    let db = build_db(&mut SplitMix64(0x5EED), 300);
+    let remainders = format!("select s_pk, {MIN} % -1, {MIN} % s_k1, {MIN} % 7 from s");
+    same_outcome(&db, &remainders);
+    let rows = tpcds_core::engine::query_with(&db, &remainders, opts(ColumnarMode::Auto, 2))
+        .expect("no remainder overflows")
+        .rows;
+    for row in &rows {
+        assert_eq!(
+            (&row[1], &row[3]),
+            (&Value::Int(0), &Value::Int(-1)),
+            "{row:?}"
+        );
+        assert!(
+            matches!(row[2], Value::Int(0) | Value::Int(-2) | Value::Null),
+            "{row:?}"
+        );
+    }
+    for sql in [
+        format!("select s_pk, -{MIN} from s"),
+        format!("select s_pk from s where -{MIN} > 0"),
+    ] {
+        same_outcome(&db, &sql);
+        let err = tpcds_core::engine::query_with(&db, &sql, opts(ColumnarMode::Auto, 2))
+            .expect_err("-i64::MIN overflows");
+        assert!(
+            err.to_string().contains("integer overflow in -"),
+            "{sql}: {err}"
+        );
+    }
+    same_outcome(&db, &format!("select s_pk, -({MIN} + 1) from s"));
+}

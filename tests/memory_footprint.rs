@@ -11,8 +11,9 @@ use tpcds_core::{maint, Generator};
 #[global_allocator]
 static ALLOC: mem::CountingAlloc = mem::CountingAlloc;
 
-/// Live heap bytes per byte of segments. Measured 1.21 at SF 0.01 (34 MB
-/// over 28 MB): beyond the accounted bytes there are the per-column
+/// Live heap bytes per byte of segments. Measured 1.22 at SF 0.01 (33 MB
+/// over 27 MB; 1.21, 34 over 28 MB, while a decimal cell was a 32-byte
+/// `Decimal` rather than an 8-byte mantissa): beyond the accounted bytes there are the per-column
 /// statistics (an NDV sketch and a histogram each), allocator-size
 /// rounding and spare capacity that the segments' own estimate leaves
 /// out, and the generator's distributions. A string cell is its bytes
