@@ -7,8 +7,9 @@
 //! sold row they return in O(1) and copy its keys — the fact-to-fact
 //! relationship of paper §2.2.
 
-use crate::generator::Generator;
-use tpcds_types::{ColumnRng, Date, Decimal, Row, Value};
+use crate::generator::{Generator, Table};
+use crate::rowbuf::{Cell, RowBuf};
+use tpcds_types::{ColumnRng, Date};
 
 /// Ticket-size pattern: sums to 105 over 10 tickets, i.e. an average cart
 /// of 10.5 items.
@@ -95,101 +96,148 @@ fn pricing(rng: &mut ColumnRng) -> Pricing {
     }
 }
 
-fn cents(v: i64) -> Value {
-    Value::Decimal(Decimal::from_cents(v))
+impl Pricing {
+    /// Appends the money columns every channel's sales row holds, from
+    /// the wholesale cost through the coupon.
+    fn cells(&self, out: &mut RowBuf) {
+        out.cents(self.wholesale);
+        out.cents(self.list);
+        out.cents(self.sales);
+        out.cents(self.ext_discount);
+        out.cents(self.ext_sales);
+        out.cents(self.ext_wholesale);
+        out.cents(self.ext_list);
+        out.cents(self.ext_tax);
+        out.cents(self.coupon);
+    }
+}
+
+/// `x`, or NULL when `null` holds.
+fn int_or_null(null: bool, x: i64) -> Cell {
+    if null {
+        Cell::Null
+    } else {
+        Cell::Int(x)
+    }
+}
+
+/// The refund amounts of one return, in cents, split across cash,
+/// reversed charge and store credit.
+struct Refund {
+    amt: i64,
+    tax: i64,
+    fee: i64,
+    ship: i64,
+    cash: i64,
+    charge: i64,
+    credit: i64,
+}
+
+impl Refund {
+    /// Draws the refund of `qty` items sold at `sales_price` cents each.
+    fn draw(rng: &mut ColumnRng, qty: i64, sales_price: i64) -> Refund {
+        let amt = sales_price * qty;
+        let tax = amt * rng.uniform_i64(0, 9) / 100;
+        let fee = rng.uniform_i64(50, 10_000);
+        let ship = rng.uniform_i64(0, amt.max(1) / 2);
+        let cash_share = rng.uniform_i64(0, 100);
+        let charge_share = rng.uniform_i64(0, 100 - cash_share);
+        let cash = amt * cash_share / 100;
+        let charge = amt * charge_share / 100;
+        Refund {
+            amt,
+            tax,
+            fee,
+            ship,
+            cash,
+            charge,
+            credit: amt - cash - charge,
+        }
+    }
+
+    /// Appends the amount columns every returns row ends with.
+    fn cells(&self, out: &mut RowBuf) {
+        let Refund {
+            amt,
+            tax,
+            fee,
+            ship,
+            cash,
+            charge,
+            credit,
+        } = *self;
+        for cents in [amt, tax, amt + tax, fee, ship, cash, charge, credit] {
+            out.cents(cents);
+        }
+        out.cents(amt + tax + fee + ship - cash);
+    }
 }
 
 impl Generator {
     /// Picks an item surrogate key for `line` of a ticket such that lines
     /// of one ticket never collide (the (item_sk, ticket) PK).
     fn ticket_item(&self, rng: &mut ColumnRng, line: u64) -> i64 {
-        let n = self.row_count("item") as i64;
+        let n = self.count(Table::Item) as i64;
         let base = rng.uniform_i64(0, n - 1);
         let step = rng.uniform_i64(1, (n / 16).max(1));
         (base + line as i64 * step) % n + 1
     }
 
-    pub(crate) fn store_sales_row(&self, r: u64) -> Row {
+    /// The sale return `r` of `returns` copies, written into `out`: returns
+    /// spread evenly over the sold rows. Returns its cells, and leaves
+    /// `out` empty.
+    fn returned_sale<const W: usize>(
+        &self,
+        (sales, returns): (Table, Table),
+        r: u64,
+        out: &mut RowBuf,
+    ) -> [Cell; W] {
+        let (sold, returned) = (self.count(sales), self.count(returns));
+        let sale_row = (r as u128 * sold as u128 / returned.max(1) as u128) as u64;
+        Self::row_fn(sales)(self, sale_row, out);
+        let sale = out.cells().try_into().expect("a sales row");
+        out.clear();
+        sale
+    }
+
+    pub(crate) fn store_sales_row(&self, r: u64, out: &mut RowBuf) {
         let (ticket, line, _) = ticket_of_row(r);
         // Per-ticket draws: every line of the ticket shares these.
-        let mut trng = self.rng("store_sales", 1, ticket);
+        let mut trng = self.rng(Table::StoreSales, 1, ticket);
         let sold_date = self.sales_dates.sample(&mut trng);
         let sold_time = trng.uniform_i64(8 * 3600, 21 * 3600); // store hours
-        let customer = self.fk(&mut trng, "customer");
-        let cdemo = self.fk(&mut trng, "customer_demographics");
-        let hdemo = self.fk(&mut trng, "household_demographics");
-        let addr = self.fk(&mut trng, "customer_address");
-        let store = self.fk(&mut trng, "store");
+        let customer = self.fk(&mut trng, Table::Customer);
+        let cdemo = self.fk(&mut trng, Table::CustomerDemographics);
+        let hdemo = self.fk(&mut trng, Table::HouseholdDemographics);
+        let addr = self.fk(&mut trng, Table::CustomerAddress);
+        let store = self.fk(&mut trng, Table::Store);
         let null_date = trng.chance(0.02);
         let null_cust = trng.chance(0.035);
         // Per-line draws.
-        let mut rng = self.rng("store_sales", 2, r);
+        let mut rng = self.rng(Table::StoreSales, 2, r);
         let item = self.ticket_item(&mut trng, line);
-        let promo = self.fk(&mut rng, "promotion");
+        let promo = self.fk(&mut rng, Table::Promotion);
         let p = pricing(&mut rng);
         let null_promo = rng.chance(0.035);
-        vec![
-            if null_date {
-                Value::Null
-            } else {
-                Value::Int(sold_date.date_sk())
-            },
-            if null_date {
-                Value::Null
-            } else {
-                Value::Int(sold_time)
-            },
-            Value::Int(item),
-            if null_cust {
-                Value::Null
-            } else {
-                Value::Int(customer)
-            },
-            if null_cust {
-                Value::Null
-            } else {
-                Value::Int(cdemo)
-            },
-            if null_cust {
-                Value::Null
-            } else {
-                Value::Int(hdemo)
-            },
-            if null_cust {
-                Value::Null
-            } else {
-                Value::Int(addr)
-            },
-            Value::Int(store),
-            if null_promo {
-                Value::Null
-            } else {
-                Value::Int(promo)
-            },
-            Value::Int(ticket as i64 + 1),
-            Value::Int(p.quantity),
-            cents(p.wholesale),
-            cents(p.list),
-            cents(p.sales),
-            cents(p.ext_discount),
-            cents(p.ext_sales),
-            cents(p.ext_wholesale),
-            cents(p.ext_list),
-            cents(p.ext_tax),
-            cents(p.coupon),
-            cents(p.net_paid),
-            cents(p.net_paid_inc_tax),
-            cents(p.net_profit),
-        ]
+        out.push(int_or_null(null_date, sold_date.date_sk()));
+        out.push(int_or_null(null_date, sold_time));
+        out.int(item);
+        for key in [customer, cdemo, hdemo, addr] {
+            out.push(int_or_null(null_cust, key));
+        }
+        out.int(store);
+        out.push(int_or_null(null_promo, promo));
+        out.int(ticket as i64 + 1);
+        out.int(p.quantity);
+        p.cells(out);
+        out.cents(p.net_paid);
+        out.cents(p.net_paid_inc_tax);
+        out.cents(p.net_profit);
     }
 
-    pub(crate) fn store_returns_row(&self, r: u64) -> Row {
-        // Spread returns evenly over the sold rows and copy the sale's keys.
-        let sales = self.row_count("store_sales");
-        let returns = self.row_count("store_returns");
-        let sale_row = (r as u128 * sales as u128 / returns.max(1) as u128) as u64;
-        let sale = self.store_sales_row(sale_row);
-        let mut rng = self.rng("store_returns", 1, r);
+    pub(crate) fn store_returns_row(&self, r: u64, out: &mut RowBuf) {
+        let sale: [Cell; 23] = self.returned_sale((Table::StoreSales, Table::StoreReturns), r, out);
+        let mut rng = self.rng(Table::StoreReturns, 1, r);
         let sold_date = sale[0]
             .as_int()
             .map(Date::from_date_sk)
@@ -198,157 +246,86 @@ impl Generator {
         let ret_time = rng.uniform_i64(8 * 3600, 21 * 3600);
         let sold_qty = sale[10].as_int().unwrap_or(1);
         let qty = rng.uniform_i64(1, sold_qty);
-        let sales_price = sale[13]
-            .as_decimal()
-            .map(|d| d.mantissa() as i64)
-            .unwrap_or(0);
-        let amt = sales_price * qty;
-        let tax_rate = rng.uniform_i64(0, 9);
-        let tax = amt * tax_rate / 100;
-        let fee = rng.uniform_i64(50, 10_000);
-        let ship = rng.uniform_i64(0, amt.max(1) / 2);
-        // Split the refund across cash / reversed charge / store credit.
-        let cash_share = rng.uniform_i64(0, 100);
-        let charge_share = rng.uniform_i64(0, 100 - cash_share);
-        let cash = amt * cash_share / 100;
-        let charge = amt * charge_share / 100;
-        let credit = amt - cash - charge;
-        vec![
-            Value::Int(returned.date_sk()),
-            Value::Int(ret_time),
-            sale[2].clone(),
-            sale[3].clone(),
-            sale[4].clone(),
-            sale[5].clone(),
-            sale[6].clone(),
-            sale[7].clone(),
-            Value::Int(self.fk(&mut rng, "reason")),
-            sale[9].clone(),
-            Value::Int(qty),
-            cents(amt),
-            cents(tax),
-            cents(amt + tax),
-            cents(fee),
-            cents(ship),
-            cents(cash),
-            cents(charge),
-            cents(credit),
-            cents(amt + tax + fee + ship - cash),
-        ]
+        let refund = Refund::draw(&mut rng, qty, sale[13].mantissa().unwrap_or(0));
+        out.int(returned.date_sk());
+        out.int(ret_time);
+        out.extend(sale[2..8].iter().copied());
+        out.int(self.fk(&mut rng, Table::Reason));
+        out.push(sale[9]);
+        out.int(qty);
+        refund.cells(out);
     }
 
-    pub(crate) fn catalog_sales_row(&self, r: u64) -> Row {
+    pub(crate) fn catalog_sales_row(&self, r: u64, out: &mut RowBuf) {
         let (order, line, _) = ticket_of_row(r);
-        let mut orng = self.rng("catalog_sales", 1, order);
+        let mut orng = self.rng(Table::CatalogSales, 1, order);
         let sold_date = self.sales_dates.sample(&mut orng);
         let sold_time = orng.uniform_i64(0, 86_399);
         let ship_date = sold_date.add_days(orng.uniform_i64(2, 60) as i32);
-        let bill_customer = self.fk(&mut orng, "customer");
-        let bill_cdemo = self.fk(&mut orng, "customer_demographics");
-        let bill_hdemo = self.fk(&mut orng, "household_demographics");
-        let bill_addr = self.fk(&mut orng, "customer_address");
         // 85% of orders ship to the billing customer.
-        let same = orng.chance(0.85);
-        let ship_customer = if same {
-            bill_customer
-        } else {
-            self.fk(&mut orng, "customer")
-        };
-        let ship_cdemo = if same {
-            bill_cdemo
-        } else {
-            self.fk(&mut orng, "customer_demographics")
-        };
-        let ship_hdemo = if same {
-            bill_hdemo
-        } else {
-            self.fk(&mut orng, "household_demographics")
-        };
-        let ship_addr = if same {
-            bill_addr
-        } else {
-            self.fk(&mut orng, "customer_address")
-        };
-        let call_center = self.fk(&mut orng, "call_center");
-        let catalog_page = self.fk(&mut orng, "catalog_page");
-        let ship_mode = self.fk(&mut orng, "ship_mode");
-        let warehouse = self.fk(&mut orng, "warehouse");
+        let (bill, ship) = self.bill_and_ship(&mut orng, 0.85);
+        let call_center = self.fk(&mut orng, Table::CallCenter);
+        let catalog_page = self.fk(&mut orng, Table::CatalogPage);
+        let ship_mode = self.fk(&mut orng, Table::ShipMode);
+        let warehouse = self.fk(&mut orng, Table::Warehouse);
         let null_date = orng.chance(0.02);
         let null_cust = orng.chance(0.02);
         let item = self.ticket_item(&mut orng, line);
 
-        let mut rng = self.rng("catalog_sales", 2, r);
-        let promo = self.fk(&mut rng, "promotion");
+        let mut rng = self.rng(Table::CatalogSales, 2, r);
+        let promo = self.fk(&mut rng, Table::Promotion);
         let p = pricing(&mut rng);
         let ship_cost = rng.uniform_i64(0, p.ext_sales.max(1) / 4);
-        vec![
-            if null_date {
-                Value::Null
-            } else {
-                Value::Int(sold_date.date_sk())
-            },
-            if null_date {
-                Value::Null
-            } else {
-                Value::Int(sold_time)
-            },
-            Value::Int(ship_date.date_sk()),
-            if null_cust {
-                Value::Null
-            } else {
-                Value::Int(bill_customer)
-            },
-            if null_cust {
-                Value::Null
-            } else {
-                Value::Int(bill_cdemo)
-            },
-            if null_cust {
-                Value::Null
-            } else {
-                Value::Int(bill_hdemo)
-            },
-            if null_cust {
-                Value::Null
-            } else {
-                Value::Int(bill_addr)
-            },
-            Value::Int(ship_customer),
-            Value::Int(ship_cdemo),
-            Value::Int(ship_hdemo),
-            Value::Int(ship_addr),
-            Value::Int(call_center),
-            Value::Int(catalog_page),
-            Value::Int(ship_mode),
-            Value::Int(warehouse),
-            Value::Int(item),
-            Value::Int(promo),
-            Value::Int(order as i64 + 1),
-            Value::Int(p.quantity),
-            cents(p.wholesale),
-            cents(p.list),
-            cents(p.sales),
-            cents(p.ext_discount),
-            cents(p.ext_sales),
-            cents(p.ext_wholesale),
-            cents(p.ext_list),
-            cents(p.ext_tax),
-            cents(p.coupon),
-            cents(ship_cost),
-            cents(p.net_paid),
-            cents(p.net_paid_inc_tax),
-            cents(p.net_paid + ship_cost),
-            cents(p.net_paid_inc_tax + ship_cost),
-            cents(p.net_profit),
-        ]
+        out.push(int_or_null(null_date, sold_date.date_sk()));
+        out.push(int_or_null(null_date, sold_time));
+        out.int(ship_date.date_sk());
+        out.extend(bill.map(|key| int_or_null(null_cust, key)));
+        out.extend(ship.map(Cell::Int));
+        for key in [call_center, catalog_page, ship_mode, warehouse, item, promo] {
+            out.int(key);
+        }
+        out.int(order as i64 + 1);
+        out.int(p.quantity);
+        p.cells(out);
+        Self::shipped_cells(&p, ship_cost, out);
     }
 
-    pub(crate) fn catalog_returns_row(&self, r: u64) -> Row {
-        let sales = self.row_count("catalog_sales");
-        let returns = self.row_count("catalog_returns");
-        let sale_row = (r as u128 * sales as u128 / returns.max(1) as u128) as u64;
-        let sale = self.catalog_sales_row(sale_row);
-        let mut rng = self.rng("catalog_returns", 1, r);
+    /// Draws an order's bill-to customer, demographics and address, then
+    /// its ship-to ones: the same with probability `same`, else drawn
+    /// anew.
+    fn bill_and_ship(&self, rng: &mut ColumnRng, same: f64) -> ([i64; 4], [i64; 4]) {
+        const PARTY: [Table; 4] = [
+            Table::Customer,
+            Table::CustomerDemographics,
+            Table::HouseholdDemographics,
+            Table::CustomerAddress,
+        ];
+        let bill = PARTY.map(|table| self.fk(rng, table));
+        let same = rng.chance(same);
+        let mut ship = bill;
+        if !same {
+            for (key, table) in ship.iter_mut().zip(PARTY) {
+                *key = self.fk(rng, table);
+            }
+        }
+        (bill, ship)
+    }
+
+    /// Appends the columns a shipped order's row ends with: ship cost and
+    /// the net amounts with and without it.
+    fn shipped_cells(p: &Pricing, ship_cost: i64, out: &mut RowBuf) {
+        out.cents(ship_cost);
+        out.cents(p.net_paid);
+        out.cents(p.net_paid_inc_tax);
+        out.cents(p.net_paid + ship_cost);
+        out.cents(p.net_paid_inc_tax + ship_cost);
+        out.cents(p.net_profit);
+    }
+
+    pub(crate) fn catalog_returns_row(&self, r: u64, out: &mut RowBuf) {
+        let sale: [Cell; 34] =
+            self.returned_sale((Table::CatalogSales, Table::CatalogReturns), r, out);
+        let mut rng = self.rng(Table::CatalogReturns, 1, r);
         let sold_date = sale[0]
             .as_int()
             .map(Date::from_date_sk)
@@ -356,144 +333,53 @@ impl Generator {
         let returned = sold_date.add_days(rng.uniform_i64(5, 120) as i32);
         let sold_qty = sale[18].as_int().unwrap_or(1);
         let qty = rng.uniform_i64(1, sold_qty);
-        let sales_price = sale[21]
-            .as_decimal()
-            .map(|d| d.mantissa() as i64)
-            .unwrap_or(0);
-        let amt = sales_price * qty;
-        let tax = amt * rng.uniform_i64(0, 9) / 100;
-        let fee = rng.uniform_i64(50, 10_000);
-        let ship = rng.uniform_i64(0, amt.max(1) / 2);
-        let cash_share = rng.uniform_i64(0, 100);
-        let charge_share = rng.uniform_i64(0, 100 - cash_share);
-        let cash = amt * cash_share / 100;
-        let charge = amt * charge_share / 100;
-        let credit = amt - cash - charge;
-        vec![
-            Value::Int(returned.date_sk()),
-            Value::Int(rng.uniform_i64(0, 86_399)),
-            sale[15].clone(),
-            sale[3].clone(),
-            sale[4].clone(),
-            sale[5].clone(),
-            sale[6].clone(),
-            sale[7].clone(),
-            sale[8].clone(),
-            sale[9].clone(),
-            sale[10].clone(),
-            sale[11].clone(),
-            sale[12].clone(),
-            sale[13].clone(),
-            sale[14].clone(),
-            Value::Int(self.fk(&mut rng, "reason")),
-            sale[17].clone(),
-            Value::Int(qty),
-            cents(amt),
-            cents(tax),
-            cents(amt + tax),
-            cents(fee),
-            cents(ship),
-            cents(cash),
-            cents(charge),
-            cents(credit),
-            cents(amt + tax + fee + ship - cash),
-        ]
+        let refund = Refund::draw(&mut rng, qty, sale[21].mantissa().unwrap_or(0));
+        out.int(returned.date_sk());
+        out.int(rng.uniform_i64(0, 86_399));
+        out.push(sale[15]);
+        out.extend(sale[3..15].iter().copied());
+        out.int(self.fk(&mut rng, Table::Reason));
+        out.push(sale[17]);
+        out.int(qty);
+        refund.cells(out);
     }
 
-    pub(crate) fn web_sales_row(&self, r: u64) -> Row {
+    pub(crate) fn web_sales_row(&self, r: u64, out: &mut RowBuf) {
         let (order, line, _) = ticket_of_row(r);
-        let mut orng = self.rng("web_sales", 1, order);
+        let mut orng = self.rng(Table::WebSales, 1, order);
         let sold_date = self.sales_dates.sample(&mut orng);
         let sold_time = orng.uniform_i64(0, 86_399);
         let ship_date = sold_date.add_days(orng.uniform_i64(1, 30) as i32);
-        let bill_customer = self.fk(&mut orng, "customer");
-        let bill_cdemo = self.fk(&mut orng, "customer_demographics");
-        let bill_hdemo = self.fk(&mut orng, "household_demographics");
-        let bill_addr = self.fk(&mut orng, "customer_address");
-        let same = orng.chance(0.8);
-        let ship_customer = if same {
-            bill_customer
-        } else {
-            self.fk(&mut orng, "customer")
-        };
-        let ship_cdemo = if same {
-            bill_cdemo
-        } else {
-            self.fk(&mut orng, "customer_demographics")
-        };
-        let ship_hdemo = if same {
-            bill_hdemo
-        } else {
-            self.fk(&mut orng, "household_demographics")
-        };
-        let ship_addr = if same {
-            bill_addr
-        } else {
-            self.fk(&mut orng, "customer_address")
-        };
-        let web_page = self.fk(&mut orng, "web_page");
-        let web_site = self.fk(&mut orng, "web_site");
-        let ship_mode = self.fk(&mut orng, "ship_mode");
-        let warehouse = self.fk(&mut orng, "warehouse");
+        let (bill, ship) = self.bill_and_ship(&mut orng, 0.8);
+        let web_page = self.fk(&mut orng, Table::WebPage);
+        let web_site = self.fk(&mut orng, Table::WebSite);
+        let ship_mode = self.fk(&mut orng, Table::ShipMode);
+        let warehouse = self.fk(&mut orng, Table::Warehouse);
         let null_date = orng.chance(0.02);
         let item = self.ticket_item(&mut orng, line);
 
-        let mut rng = self.rng("web_sales", 2, r);
-        let promo = self.fk(&mut rng, "promotion");
+        let mut rng = self.rng(Table::WebSales, 2, r);
+        let promo = self.fk(&mut rng, Table::Promotion);
         let p = pricing(&mut rng);
         let ship_cost = rng.uniform_i64(0, p.ext_sales.max(1) / 4);
-        vec![
-            if null_date {
-                Value::Null
-            } else {
-                Value::Int(sold_date.date_sk())
-            },
-            if null_date {
-                Value::Null
-            } else {
-                Value::Int(sold_time)
-            },
-            Value::Int(ship_date.date_sk()),
-            Value::Int(item),
-            Value::Int(bill_customer),
-            Value::Int(bill_cdemo),
-            Value::Int(bill_hdemo),
-            Value::Int(bill_addr),
-            Value::Int(ship_customer),
-            Value::Int(ship_cdemo),
-            Value::Int(ship_hdemo),
-            Value::Int(ship_addr),
-            Value::Int(web_page),
-            Value::Int(web_site),
-            Value::Int(ship_mode),
-            Value::Int(warehouse),
-            Value::Int(promo),
-            Value::Int(order as i64 + 1),
-            Value::Int(p.quantity),
-            cents(p.wholesale),
-            cents(p.list),
-            cents(p.sales),
-            cents(p.ext_discount),
-            cents(p.ext_sales),
-            cents(p.ext_wholesale),
-            cents(p.ext_list),
-            cents(p.ext_tax),
-            cents(p.coupon),
-            cents(ship_cost),
-            cents(p.net_paid),
-            cents(p.net_paid_inc_tax),
-            cents(p.net_paid + ship_cost),
-            cents(p.net_paid_inc_tax + ship_cost),
-            cents(p.net_profit),
-        ]
+        out.push(int_or_null(null_date, sold_date.date_sk()));
+        out.push(int_or_null(null_date, sold_time));
+        out.int(ship_date.date_sk());
+        out.int(item);
+        out.extend(bill.map(Cell::Int));
+        out.extend(ship.map(Cell::Int));
+        for key in [web_page, web_site, ship_mode, warehouse, promo] {
+            out.int(key);
+        }
+        out.int(order as i64 + 1);
+        out.int(p.quantity);
+        p.cells(out);
+        Self::shipped_cells(&p, ship_cost, out);
     }
 
-    pub(crate) fn web_returns_row(&self, r: u64) -> Row {
-        let sales = self.row_count("web_sales");
-        let returns = self.row_count("web_returns");
-        let sale_row = (r as u128 * sales as u128 / returns.max(1) as u128) as u64;
-        let sale = self.web_sales_row(sale_row);
-        let mut rng = self.rng("web_returns", 1, r);
+    pub(crate) fn web_returns_row(&self, r: u64, out: &mut RowBuf) {
+        let sale: [Cell; 34] = self.returned_sale((Table::WebSales, Table::WebReturns), r, out);
+        let mut rng = self.rng(Table::WebReturns, 1, r);
         let sold_date = sale[0]
             .as_int()
             .map(Date::from_date_sk)
@@ -501,48 +387,17 @@ impl Generator {
         let returned = sold_date.add_days(rng.uniform_i64(3, 100) as i32);
         let sold_qty = sale[18].as_int().unwrap_or(1);
         let qty = rng.uniform_i64(1, sold_qty);
-        let sales_price = sale[21]
-            .as_decimal()
-            .map(|d| d.mantissa() as i64)
-            .unwrap_or(0);
-        let amt = sales_price * qty;
-        let tax = amt * rng.uniform_i64(0, 9) / 100;
-        let fee = rng.uniform_i64(50, 10_000);
-        let ship = rng.uniform_i64(0, amt.max(1) / 2);
-        let cash_share = rng.uniform_i64(0, 100);
-        let charge_share = rng.uniform_i64(0, 100 - cash_share);
-        let cash = amt * cash_share / 100;
-        let charge = amt * charge_share / 100;
-        let credit = amt - cash - charge;
-        vec![
-            Value::Int(returned.date_sk()),
-            Value::Int(rng.uniform_i64(0, 86_399)),
-            sale[3].clone(),
-            sale[4].clone(),
-            sale[5].clone(),
-            sale[6].clone(),
-            sale[7].clone(),
-            sale[8].clone(),
-            sale[9].clone(),
-            sale[10].clone(),
-            sale[11].clone(),
-            sale[12].clone(),
-            Value::Int(self.fk(&mut rng, "reason")),
-            sale[17].clone(),
-            Value::Int(qty),
-            cents(amt),
-            cents(tax),
-            cents(amt + tax),
-            cents(fee),
-            cents(ship),
-            cents(cash),
-            cents(charge),
-            cents(credit),
-            cents(amt + tax + fee + ship - cash),
-        ]
+        let refund = Refund::draw(&mut rng, qty, sale[21].mantissa().unwrap_or(0));
+        out.int(returned.date_sk());
+        out.int(rng.uniform_i64(0, 86_399));
+        out.extend(sale[3..13].iter().copied());
+        out.int(self.fk(&mut rng, Table::Reason));
+        out.push(sale[17]);
+        out.int(qty);
+        refund.cells(out);
     }
 
-    pub(crate) fn inventory_row(&self, r: u64) -> Row {
+    pub(crate) fn inventory_row(&self, r: u64, out: &mut RowBuf) {
         let (_weeks, warehouses, per_cell) = self.inventory_layout();
         let week = r / (warehouses * per_cell);
         let rem = r % (warehouses * per_cell);
@@ -553,20 +408,16 @@ impl Generator {
         let date = first_monday.add_days(week as i32 * 7);
         // Deterministic stride over items so each cell samples a stable,
         // collision-free subset.
-        let items = self.row_count("item");
+        let items = self.count(Table::Item);
         let item = (slot * (items / per_cell).max(1)) % items + 1;
-        let mut rng = self.rng("inventory", 1, r);
-        let qty = if rng.chance(0.05) {
-            Value::Null
-        } else {
-            Value::Int(rng.uniform_i64(0, 1000))
-        };
-        vec![
-            Value::Int(date.date_sk()),
-            Value::Int(item as i64),
-            Value::Int(warehouse as i64 + 1),
-            qty,
-        ]
+        let mut rng = self.rng(Table::Inventory, 1, r);
+        out.int(date.date_sk());
+        out.int(item as i64);
+        out.int(warehouse as i64 + 1);
+        match rng.chance(0.05) {
+            true => out.null(),
+            false => out.int(rng.uniform_i64(0, 1000)),
+        }
     }
 }
 

@@ -5,19 +5,93 @@
 //! — the property that makes generation embarrassingly parallel and lets
 //! the returns generators re-derive the sale a return refers to in O(1)
 //! (dsdgen achieves the same with LCG jump-ahead).
+//!
+//! Each table has one row function, which writes its row as typed cells
+//! into a reusable [`RowBuf`]: the bulk load pushes those into a segment
+//! ([`Generator::generate_segment`]), the row API boxes them into a
+//! [`Row`] ([`Generator::row`], [`Generator::generate`]).
 
 use crate::distributions::SalesDateDistribution;
+use crate::rowbuf::{Cell, RowBuf};
 use crate::words;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, LazyLock};
 use tpcds_schema::Schema;
 use tpcds_types::rng::{table_stream, ColumnRng, DEFAULT_SEED};
-use tpcds_types::{Date, Decimal, Row, Value};
+use tpcds_types::{Date, Row};
 
 /// First calendar day covered by revision histories of slowly changing
 /// dimensions (rec_start_date of revision 0).
 pub const SCD_START: (i32, u32, u32) = (1997, 1, 1);
 /// Last day of the SCD revision window.
 pub const SCD_END: (i32, u32, u32) = (2001, 12, 31);
+
+/// The 24 tables, in schema order: `t as usize` is the table's schema
+/// index, which also places its RNG streams.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Table {
+    DateDim,
+    TimeDim,
+    Reason,
+    ShipMode,
+    IncomeBand,
+    CustomerDemographics,
+    HouseholdDemographics,
+    CustomerAddress,
+    Customer,
+    Item,
+    Store,
+    CallCenter,
+    WebSite,
+    WebPage,
+    CatalogPage,
+    Warehouse,
+    Promotion,
+    StoreSales,
+    StoreReturns,
+    CatalogSales,
+    CatalogReturns,
+    WebSales,
+    WebReturns,
+    Inventory,
+}
+
+impl Table {
+    /// Every table, in schema order.
+    const ALL: [Table; 24] = [
+        Table::DateDim,
+        Table::TimeDim,
+        Table::Reason,
+        Table::ShipMode,
+        Table::IncomeBand,
+        Table::CustomerDemographics,
+        Table::HouseholdDemographics,
+        Table::CustomerAddress,
+        Table::Customer,
+        Table::Item,
+        Table::Store,
+        Table::CallCenter,
+        Table::WebSite,
+        Table::WebPage,
+        Table::CatalogPage,
+        Table::Warehouse,
+        Table::Promotion,
+        Table::StoreSales,
+        Table::StoreReturns,
+        Table::CatalogSales,
+        Table::CatalogReturns,
+        Table::WebSales,
+        Table::WebReturns,
+        Table::Inventory,
+    ];
+}
+
+/// A table's row function: writes row `r` into the buffer.
+type RowFn = fn(&Generator, u64, &mut RowBuf);
+
+/// The weights of [`words::FIRST_NAMES`], for weighted picks.
+static FIRST_NAME_WEIGHTS: LazyLock<Vec<f64>> =
+    LazyLock::new(|| words::FIRST_NAMES.iter().map(|(_, w)| *w).collect());
 
 /// The deterministic TPC-DS data generator (our dsdgen).
 #[derive(Clone)]
@@ -26,6 +100,10 @@ pub struct Generator {
     sf: f64,
     seed: u64,
     pub(crate) sales_dates: Arc<SalesDateDistribution>,
+    /// Each table's row count, by [`Table`]: computed once, read per draw.
+    rows: [u64; 24],
+    /// The (weeks, warehouses, items-per-cell) layout of `inventory`.
+    inventory: (u64, u64, u64),
 }
 
 impl std::fmt::Debug for Generator {
@@ -57,11 +135,20 @@ impl Generator {
     /// data sets that are *not* comparable to published ones).
     pub fn with_seed(sf: f64, seed: u64) -> Self {
         assert!(sf > 0.0, "scale factor must be positive");
+        let schema = Schema::tpcds();
+        let mut rows: [u64; 24] = std::array::from_fn(|t| schema.rows(schema.tables()[t].name, sf));
+        // Inventory is rounded to whole snapshot cells: five years of
+        // weekly snapshots of every warehouse.
+        let (weeks, warehouses) = (261, rows[Table::Warehouse as usize]);
+        let per_cell = (rows[Table::Inventory as usize] / (weeks * warehouses)).max(1);
+        rows[Table::Inventory as usize] = weeks * warehouses * per_cell;
         Generator {
-            schema: Arc::new(Schema::tpcds()),
+            schema: Arc::new(schema),
             sf,
             seed,
             sales_dates: Arc::new(SalesDateDistribution::tpcds()),
+            rows,
+            inventory: (weeks, warehouses, per_cell),
         }
     }
 
@@ -88,29 +175,31 @@ impl Generator {
     /// Number of rows this generator will produce for `table`. Mostly the
     /// scaling model's count; inventory is rounded to whole snapshot cells.
     pub fn row_count(&self, table: &str) -> u64 {
-        match table {
-            "inventory" => {
-                let (weeks, warehouses, items_per_cell) = self.inventory_layout();
-                weeks * warehouses * items_per_cell
-            }
-            _ => self.schema.rows(table, self.sf),
-        }
+        self.count(self.table(table))
+    }
+
+    /// [`Generator::row_count`] of a [`Table`].
+    #[inline]
+    pub(crate) fn count(&self, table: Table) -> u64 {
+        self.rows[table as usize]
+    }
+
+    /// The [`Table`] named `name`.
+    pub(crate) fn table(&self, name: &str) -> Table {
+        let index = self.schema.table_index(name);
+        Table::ALL[index.unwrap_or_else(|| panic!("unknown table {name}"))]
     }
 
     /// The (weeks, warehouses, items-per-cell) layout of the inventory
     /// snapshot fact table.
     pub(crate) fn inventory_layout(&self) -> (u64, u64, u64) {
-        let weeks = 261; // five years of weekly snapshots
-        let warehouses = self.row_count("warehouse");
-        let target = self.schema.rows("inventory", self.sf);
-        let per_cell = (target / (weeks * warehouses)).max(1);
-        (weeks, warehouses, per_cell)
+        self.inventory
     }
 
     /// A fresh RNG stream positioned at `(table, purpose, row)`.
-    pub(crate) fn rng(&self, table: &str, purpose: u64, row: u64) -> ColumnRng {
-        let t = self.schema.table_index(table).expect("known table");
-        ColumnRng::at(self.seed, table_stream(t) + purpose, row)
+    #[inline]
+    pub(crate) fn rng(&self, table: Table, purpose: u64, row: u64) -> ColumnRng {
+        ColumnRng::at(self.seed, table_stream(table as usize) + purpose, row)
     }
 
     /// Generates every row of `table`.
@@ -124,10 +213,19 @@ impl Generator {
     /// Generates rows `lo..hi` (0-based) of `table`. Chunks generated
     /// separately concatenate to exactly the rows of a single pass.
     pub fn generate_range(&self, table: &str, lo: u64, hi: u64) -> Vec<Row> {
-        let row = Self::row_fn(table);
-        (lo..hi.min(self.row_count(table)))
-            .map(|r| row(self, r))
-            .collect()
+        let t = self.table(table);
+        self.rows_in(t, lo..hi.min(self.count(t))).collect()
+    }
+
+    /// Rows `rows` of `table`, through one buffer — also past the initial
+    /// population (refresh data).
+    pub(crate) fn rows_in(&self, table: Table, rows: Range<u64>) -> impl Iterator<Item = Row> + '_ {
+        let (row, mut buf) = (Self::row_fn(table), RowBuf::default());
+        rows.map(move |r| {
+            buf.clear();
+            row(self, r, &mut buf);
+            buf.to_row()
+        })
     }
 
     /// Generates every row of `table` on up to `threads` workers, one
@@ -150,24 +248,37 @@ impl Generator {
         (self.row_count(table) as usize).div_ceil(tpcds_storage::SEGMENT_ROWS)
     }
 
+    /// The rows of segment `k` of `table`: `k·SEGMENT_ROWS ..`, at most
+    /// [`tpcds_storage::SEGMENT_ROWS`] of them.
+    fn segment_range(&self, table: Table, k: usize) -> Range<u64> {
+        let (per, lo) = (tpcds_storage::SEGMENT_ROWS as u64, k as u64);
+        lo * per..(lo * per + per).min(self.count(table))
+    }
+
     /// The rows of segment `k` of `table`: rows `k·SEGMENT_ROWS ..`, at
     /// most [`tpcds_storage::SEGMENT_ROWS`] of them. Any segment can be
     /// generated alone, in any order, on any thread.
     pub fn segment_rows(&self, table: &str, k: usize) -> impl Iterator<Item = Row> + '_ {
-        let (per, row) = (tpcds_storage::SEGMENT_ROWS as u64, Self::row_fn(table));
-        let lo = k as u64 * per;
-        (lo..(lo + per).min(self.row_count(table))).map(move |r| row(self, r))
+        let t = self.table(table);
+        self.rows_in(t, self.segment_range(t, k))
     }
 
-    /// Segment `k` of `table` as stored: [`Generator::segment_rows`]
-    /// pushed straight into a segment builder, never a row list. Counts
-    /// its rows in the `gen.rows` counter.
+    /// Segment `k` of `table` as stored: each row written into one reused
+    /// buffer and pushed from it into the segment's typed columns — never
+    /// a [`Row`]. Counts its rows in the `gen.rows` counter.
     pub fn generate_segment(&self, table: &str, k: usize) -> Arc<tpcds_storage::Segment> {
-        let def = self.schema.table(table).expect("known table");
+        let t = self.table(table);
+        let def = &self.schema.tables()[t as usize];
         let dtypes = def.columns.iter().map(|c| c.ctype.data_type()).collect();
+        let rows = self.segment_range(t, k);
         let mut builder = tpcds_storage::ColumnTableBuilder::new(dtypes);
-        self.segment_rows(table, k)
-            .for_each(|row| builder.push_row(&row));
+        builder.reserve((rows.end - rows.start) as usize);
+        let (row, mut buf) = (Self::row_fn(t), RowBuf::default());
+        for r in rows {
+            buf.clear();
+            row(self, r, &mut buf);
+            builder.push_row_with(|columns| buf.push_into(columns));
+        }
         let segment = builder.finish().segments.pop();
         let segment = segment.unwrap_or_else(|| panic!("{table} has no segment {k}"));
         tpcds_obs::counter("dgen", "gen.rows", segment.rows as f64);
@@ -177,37 +288,38 @@ impl Generator {
     /// Generates one row of `table` (0-based index). The workhorse — pure
     /// in `(seed, table, row)`.
     pub fn row(&self, table: &str, r: u64) -> Row {
-        Self::row_fn(table)(self, r)
+        let mut buf = RowBuf::default();
+        Self::row_fn(self.table(table))(self, r, &mut buf);
+        buf.to_row()
     }
 
     /// The row function of `table`, looked up once per range of rows.
-    fn row_fn(table: &str) -> fn(&Generator, u64) -> Row {
+    pub(crate) fn row_fn(table: Table) -> RowFn {
         match table {
-            "date_dim" => Self::date_dim_row,
-            "time_dim" => Self::time_dim_row,
-            "reason" => Self::reason_row,
-            "ship_mode" => Self::ship_mode_row,
-            "income_band" => Self::income_band_row,
-            "customer_demographics" => Self::customer_demographics_row,
-            "household_demographics" => Self::household_demographics_row,
-            "customer_address" => Self::customer_address_row,
-            "customer" => Self::customer_row,
-            "item" => Self::item_row,
-            "store" => Self::store_row,
-            "call_center" => Self::call_center_row,
-            "web_site" => Self::web_site_row,
-            "web_page" => Self::web_page_row,
-            "catalog_page" => Self::catalog_page_row,
-            "warehouse" => Self::warehouse_row,
-            "promotion" => Self::promotion_row,
-            "store_sales" => Self::store_sales_row,
-            "store_returns" => Self::store_returns_row,
-            "catalog_sales" => Self::catalog_sales_row,
-            "catalog_returns" => Self::catalog_returns_row,
-            "web_sales" => Self::web_sales_row,
-            "web_returns" => Self::web_returns_row,
-            "inventory" => Self::inventory_row,
-            other => panic!("unknown table {other}"),
+            Table::DateDim => Self::date_dim_row,
+            Table::TimeDim => Self::time_dim_row,
+            Table::Reason => Self::reason_row,
+            Table::ShipMode => Self::ship_mode_row,
+            Table::IncomeBand => Self::income_band_row,
+            Table::CustomerDemographics => Self::customer_demographics_row,
+            Table::HouseholdDemographics => Self::household_demographics_row,
+            Table::CustomerAddress => Self::customer_address_row,
+            Table::Customer => Self::customer_row,
+            Table::Item => Self::item_row,
+            Table::Store => Self::store_row,
+            Table::CallCenter => Self::call_center_row,
+            Table::WebSite => Self::web_site_row,
+            Table::WebPage => Self::web_page_row,
+            Table::CatalogPage => Self::catalog_page_row,
+            Table::Warehouse => Self::warehouse_row,
+            Table::Promotion => Self::promotion_row,
+            Table::StoreSales => Self::store_sales_row,
+            Table::StoreReturns => Self::store_returns_row,
+            Table::CatalogSales => Self::catalog_sales_row,
+            Table::CatalogReturns => Self::catalog_returns_row,
+            Table::WebSales => Self::web_sales_row,
+            Table::WebReturns => Self::web_returns_row,
+            Table::Inventory => Self::inventory_row,
         }
     }
 
@@ -215,6 +327,13 @@ impl Generator {
 
     /// 16-character business key (`*_id`) for 0-based entity index `n`.
     pub fn business_id(n: u64) -> String {
+        let mut id = String::with_capacity(16);
+        Self::write_business_id(n, &mut id);
+        id
+    }
+
+    /// Appends [`Generator::business_id`] of `n` to `out`.
+    fn write_business_id(n: u64, out: &mut String) {
         let mut bytes = [b'A'; 16];
         let mut v = n;
         let mut i = 15;
@@ -226,7 +345,12 @@ impl Generator {
             }
             i -= 1;
         }
-        String::from_utf8(bytes.to_vec()).expect("ascii")
+        bytes.iter().for_each(|&b| out.push(b as char));
+    }
+
+    /// Appends the business key of entity `n` to `out`.
+    fn business_id_cell(n: u64, out: &mut RowBuf) {
+        out.text_with(|text| Self::write_business_id(n, text));
     }
 
     /// Maps a 0-based surrogate index of a history-keeping dimension to its
@@ -272,13 +396,20 @@ impl Generator {
     /// generated row is forced open (NULL rec_end_date) so every business
     /// key has exactly one current revision. Rows beyond the initial
     /// population (refresh data) are never clamped.
-    pub fn scd_dates_clamped(&self, table: &str, r: u64) -> (Date, Option<Date>) {
+    pub(crate) fn scd_dates_clamped(&self, table: Table, r: u64) -> (Date, Option<Date>) {
         let (start, end) = Self::scd_dates(Self::scd_position(r));
-        if r + 1 == self.row_count(table) {
+        if r + 1 == self.count(table) {
             (start, None)
         } else {
             (start, end)
         }
+    }
+
+    /// Appends the revision window of a history-keeping dimension row:
+    /// rec_start_date, then rec_end_date (NULL for the open revision).
+    fn scd_cells(out: &mut RowBuf, (start, end): (Date, Option<Date>)) {
+        out.date(start);
+        out.push(end.map_or(Cell::Null, Cell::Date));
     }
 
     /// Uniform pick from a word list.
@@ -286,65 +417,70 @@ impl Generator {
         list[rng.uniform_i64(0, list.len() as i64 - 1) as usize]
     }
 
-    /// NULL with probability `p`, else the value.
-    pub(crate) fn nullable(rng: &mut ColumnRng, p: f64, v: Value) -> Value {
-        if rng.chance(p) {
-            Value::Null
-        } else {
-            v
-        }
-    }
-
     /// Uniform surrogate key into another table at this scale factor
     /// (1-based, matching generated `*_sk` values).
-    pub(crate) fn fk(&self, rng: &mut ColumnRng, table: &str) -> i64 {
-        let n = self.row_count(table) as i64;
-        rng.uniform_i64(1, n.max(1))
+    #[inline]
+    pub(crate) fn fk(&self, rng: &mut ColumnRng, table: Table) -> i64 {
+        rng.uniform_i64(1, (self.count(table) as i64).max(1))
     }
 
-    /// Street address fragment: (street number, street name, street type,
-    /// suite number).
-    pub(crate) fn street(rng: &mut ColumnRng) -> (String, String, String, Value) {
-        let number = rng.uniform_i64(1, 999).to_string();
+    /// Street address fragment, written into `out`'s text: (street
+    /// number, street name, street type, suite number).
+    fn street(rng: &mut ColumnRng, out: &mut RowBuf) -> [Cell; 4] {
+        let number = out.format(format_args!("{}", rng.uniform_i64(1, 999)));
         let name = if rng.chance(0.3) {
-            format!(
-                "{} {}",
-                Self::pick(rng, words::STREET_NAMES),
+            let first = Self::pick(rng, words::STREET_NAMES);
+            out.format(format_args!(
+                "{first} {}",
                 Self::pick(rng, words::STREET_NAMES)
-            )
-        } else {
-            Self::pick(rng, words::STREET_NAMES).to_string()
-        };
-        let ty = Self::pick(rng, words::STREET_TYPES).to_string();
-        let suite = if rng.chance(0.5) {
-            Value::str(format!("Suite {}", rng.uniform_i64(0, 49) * 10))
-        } else {
-            Value::str(format!(
-                "Suite {}",
-                (b'A' + rng.uniform_i64(0, 25) as u8) as char
             ))
+        } else {
+            Cell::Word(Self::pick(rng, words::STREET_NAMES))
         };
-        (number, name, ty, suite)
+        let ty = Cell::Word(Self::pick(rng, words::STREET_TYPES));
+        let suite = if rng.chance(0.5) {
+            out.format(format_args!("Suite {}", rng.uniform_i64(0, 49) * 10))
+        } else {
+            let letter = (b'A' + rng.uniform_i64(0, 25) as u8) as char;
+            out.format(format_args!("Suite {letter}"))
+        };
+        [number, name, ty, suite]
     }
 
     /// Geographic fragment shared by stores/centers/sites/addresses:
     /// (city, county, state, zip, country, gmt offset).
-    pub(crate) fn geography(
-        rng: &mut ColumnRng,
-    ) -> (String, String, String, String, String, Decimal) {
-        let city = Self::pick(rng, words::CITIES).to_string();
-        let county = Self::pick(rng, words::COUNTIES).to_string();
-        let state = Self::pick(rng, words::STATES).to_string();
-        let zip = format!("{:05}", rng.uniform_i64(600, 99998));
-        let gmt = Decimal::from_int(-rng.uniform_i64(5, 8));
-        (city, county, state, zip, "United States".to_string(), gmt)
+    fn geography(rng: &mut ColumnRng, out: &mut RowBuf) -> [Cell; 6] {
+        let city = Self::pick(rng, words::CITIES);
+        let county = Self::pick(rng, words::COUNTIES);
+        let state = Self::pick(rng, words::STATES);
+        let zip = out.format(format_args!("{:05}", rng.uniform_i64(600, 99998)));
+        let gmt = Cell::Dec(-rng.uniform_i64(5, 8), 0);
+        let country = Cell::Word("United States");
+        [
+            Cell::Word(city),
+            Cell::Word(county),
+            Cell::Word(state),
+            zip,
+            country,
+            gmt,
+        ]
     }
 
-    /// Synthesized prose of `lo..=hi` words (item descriptions, market
-    /// blurbs).
-    pub(crate) fn prose(rng: &mut ColumnRng, lo: i64, hi: i64) -> String {
+    /// A person's full name drawn from the name lists, written into
+    /// `out`'s text.
+    fn person(rng: &mut ColumnRng, out: &mut RowBuf) -> Cell {
+        let n = words::FIRST_NAMES.len() as i64;
+        let (first, _) = words::FIRST_NAMES[rng.uniform_i64(0, n - 1) as usize];
+        out.format(format_args!(
+            "{first} {}",
+            Self::pick(rng, words::LAST_NAMES)
+        ))
+    }
+
+    /// Appends synthesized prose of `lo..=hi` words (item descriptions,
+    /// market blurbs) to `out`.
+    fn prose(rng: &mut ColumnRng, lo: i64, hi: i64, out: &mut String) {
         let n = rng.uniform_i64(lo, hi);
-        let mut out = String::new();
         for i in 0..n {
             if i > 0 {
                 out.push(' ');
@@ -355,12 +491,25 @@ impl Generator {
                 out.push_str(Self::pick(rng, words::DESC_WORDS));
             }
         }
-        out
+    }
+
+    /// Appends a prose cell of `lo..=hi` words.
+    fn prose_cell(rng: &mut ColumnRng, lo: i64, hi: i64, out: &mut RowBuf) {
+        out.text_with(|text| Self::prose(rng, lo, hi, text));
+    }
+
+    /// `"Y"` or `"N"`.
+    fn flag(yes: bool) -> &'static str {
+        if yes {
+            "Y"
+        } else {
+            "N"
+        }
     }
 
     // ---------- static dimensions ----------
 
-    fn date_dim_row(&self, r: u64) -> Row {
+    fn date_dim_row(&self, r: u64, out: &mut RowBuf) {
         let d = Date::from_day_number(r as i32);
         let (y, m, dom) = d.ymd();
         let dow = d.day_of_week();
@@ -382,92 +531,77 @@ impl Generator {
             || (m == 7 && dom == 4)
             || (m == 11 && (22..=28).contains(&dom) && dow == 4);
         let weekend = dow == 0 || dow == 6;
-        let flag = |b: bool| Value::str(if b { "Y" } else { "N" });
-        vec![
-            Value::Int(d.date_sk()),
-            Value::str(format!("D{:015}", d.date_sk())),
-            Value::Date(d),
-            Value::Int(month_seq as i64),
-            Value::Int(d.week_seq() as i64),
-            Value::Int(quarter_seq as i64),
-            Value::Int(y as i64),
-            Value::Int(dow as i64),
-            Value::Int(m as i64),
-            Value::Int(dom as i64),
-            Value::Int(d.quarter() as i64),
-            Value::Int(y as i64),
-            Value::Int(quarter_seq as i64),
-            Value::Int(d.week_seq() as i64),
-            Value::str(day_names[dow as usize]),
-            Value::str(format!("{}Q{}", y, d.quarter())),
-            flag(holiday),
-            flag(weekend),
-            flag(holiday && dow < 6),
-            Value::Int(first_dom.date_sk()),
-            Value::Int(last_dom.date_sk()),
-            Value::Int(d.add_days(-365).date_sk()),
-            Value::Int(d.add_days(-91).date_sk()),
-            Value::str("N"),
-            Value::str("N"),
-            Value::str("N"),
-            Value::str("N"),
-            Value::str("N"),
-        ]
+        out.int(d.date_sk());
+        out.text(format_args!("D{:015}", d.date_sk()));
+        out.date(d);
+        out.int(month_seq as i64);
+        out.int(d.week_seq() as i64);
+        out.int(quarter_seq as i64);
+        out.int(y as i64);
+        out.int(dow as i64);
+        out.int(m as i64);
+        out.int(dom as i64);
+        out.int(d.quarter() as i64);
+        out.int(y as i64);
+        out.int(quarter_seq as i64);
+        out.int(d.week_seq() as i64);
+        out.word(day_names[dow as usize]);
+        out.text(format_args!("{}Q{}", y, d.quarter()));
+        out.word(Self::flag(holiday));
+        out.word(Self::flag(weekend));
+        out.word(Self::flag(holiday && dow < 6));
+        out.int(first_dom.date_sk());
+        out.int(last_dom.date_sk());
+        out.int(d.add_days(-365).date_sk());
+        out.int(d.add_days(-91).date_sk());
+        (0..5).for_each(|_| out.word("N"));
     }
 
-    fn time_dim_row(&self, r: u64) -> Row {
+    fn time_dim_row(&self, r: u64, out: &mut RowBuf) {
         let t = tpcds_types::Time::from_seconds(r as u32);
-        vec![
-            Value::Int(r as i64),
-            Value::str(format!("T{:015}", r)),
-            Value::Int(r as i64),
-            Value::Int(t.hour() as i64),
-            Value::Int(t.minute() as i64),
-            Value::Int(t.second() as i64),
-            Value::str(t.am_pm()),
-            Value::str(t.shift()),
-            Value::str(t.sub_shift()),
-            t.meal_time().map(Value::str).unwrap_or(Value::Null),
-        ]
+        out.int(r as i64);
+        out.text(format_args!("T{:015}", r));
+        out.int(r as i64);
+        out.int(t.hour() as i64);
+        out.int(t.minute() as i64);
+        out.int(t.second() as i64);
+        out.word(t.am_pm());
+        out.word(t.shift());
+        out.word(t.sub_shift());
+        out.push(t.meal_time().map_or(Cell::Null, Cell::Word));
     }
 
-    fn reason_row(&self, r: u64) -> Row {
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::str(Self::business_id(r)),
-            Value::str(words::RETURN_REASONS[r as usize % words::RETURN_REASONS.len()]),
-        ]
+    fn reason_row(&self, r: u64, out: &mut RowBuf) {
+        out.int(r as i64 + 1);
+        Self::business_id_cell(r, out);
+        out.word(words::RETURN_REASONS[r as usize % words::RETURN_REASONS.len()]);
     }
 
-    fn ship_mode_row(&self, r: u64) -> Row {
+    fn ship_mode_row(&self, r: u64, out: &mut RowBuf) {
         let ty = words::SHIP_MODE_TYPES[r as usize % 5];
         let code = ["AIR", "SURFACE", "SEA"][r as usize % 3];
         let carrier = words::SHIP_MODE_CARRIERS[r as usize % words::SHIP_MODE_CARRIERS.len()];
-        let mut rng = self.rng("ship_mode", 1, r);
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::str(Self::business_id(r)),
-            Value::str(ty),
-            Value::str(code),
-            Value::str(carrier),
-            Value::str(format!(
-                "{}{}",
-                (b'A' + (r % 26) as u8) as char,
-                rng.uniform_i64(100_000, 999_999)
-            )),
-        ]
+        let mut rng = self.rng(Table::ShipMode, 1, r);
+        out.int(r as i64 + 1);
+        Self::business_id_cell(r, out);
+        out.word(ty);
+        out.word(code);
+        out.word(carrier);
+        let letter = (b'A' + (r % 26) as u8) as char;
+        out.text(format_args!(
+            "{letter}{}",
+            rng.uniform_i64(100_000, 999_999)
+        ));
     }
 
-    fn income_band_row(&self, r: u64) -> Row {
+    fn income_band_row(&self, r: u64, out: &mut RowBuf) {
         let lower = r as i64 * 10_000 + if r > 0 { 1 } else { 0 };
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::Int(lower),
-            Value::Int((r as i64 + 1) * 10_000),
-        ]
+        out.int(r as i64 + 1);
+        out.int(lower);
+        out.int((r as i64 + 1) * 10_000);
     }
 
-    fn customer_demographics_row(&self, r: u64) -> Row {
+    fn customer_demographics_row(&self, r: u64, out: &mut RowBuf) {
         // Mixed-radix decode of the cartesian product:
         // gender(2) x marital(5) x education(7) x purchase_estimate(20)
         // x credit(4) x dep(7) x dep_employed(7) x dep_college(7).
@@ -487,20 +621,18 @@ impl Generator {
         let dep_emp = v % 7;
         v /= 7;
         let dep_col = v % 7;
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::str(if gender == 0 { "M" } else { "F" }),
-            Value::str(words::MARITAL_STATUSES[marital as usize]),
-            Value::str(words::EDUCATION_STATUSES[education as usize]),
-            Value::Int((purchase as i64 + 1) * 500),
-            Value::str(words::CREDIT_RATINGS[credit as usize]),
-            Value::Int(dep as i64),
-            Value::Int(dep_emp as i64),
-            Value::Int(dep_col as i64),
-        ]
+        out.int(r as i64 + 1);
+        out.word(if gender == 0 { "M" } else { "F" });
+        out.word(words::MARITAL_STATUSES[marital as usize]);
+        out.word(words::EDUCATION_STATUSES[education as usize]);
+        out.int((purchase as i64 + 1) * 500);
+        out.word(words::CREDIT_RATINGS[credit as usize]);
+        out.int(dep as i64);
+        out.int(dep_emp as i64);
+        out.int(dep_col as i64);
     }
 
-    fn household_demographics_row(&self, r: u64) -> Row {
+    fn household_demographics_row(&self, r: u64, out: &mut RowBuf) {
         // income_band(20) x buy_potential(6) x dep_count(10) x vehicle(6).
         let mut v = r;
         let ib = v % 20;
@@ -510,43 +642,30 @@ impl Generator {
         let dep = v % 10;
         v /= 10;
         let veh = v % 6;
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::Int(ib as i64 + 1),
-            Value::str(words::BUY_POTENTIALS[bp as usize]),
-            Value::Int(dep as i64),
-            Value::Int(veh as i64),
-        ]
+        out.int(r as i64 + 1);
+        out.int(ib as i64 + 1);
+        out.word(words::BUY_POTENTIALS[bp as usize]);
+        out.int(dep as i64);
+        out.int(veh as i64);
     }
 
     // ---------- customer-cluster dimensions ----------
 
-    fn customer_address_row(&self, r: u64) -> Row {
-        let mut rng = self.rng("customer_address", 1, r);
-        let (number, name, ty, suite) = Self::street(&mut rng);
-        let (city, county, state, zip, country, gmt) = Self::geography(&mut rng);
+    fn customer_address_row(&self, r: u64, out: &mut RowBuf) {
+        let mut rng = self.rng(Table::CustomerAddress, 1, r);
+        let street = Self::street(&mut rng, out);
+        let geography = Self::geography(&mut rng, out);
         let loc = ["apartment", "condo", "single family"][rng.uniform_i64(0, 2) as usize];
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::str(Self::business_id(r)),
-            Value::str(number),
-            Value::str(name),
-            Value::str(ty),
-            suite,
-            Value::str(city),
-            Value::str(county),
-            Value::str(state),
-            Value::str(zip),
-            Value::str(country),
-            Value::Decimal(gmt),
-            Value::str(loc),
-        ]
+        out.int(r as i64 + 1);
+        Self::business_id_cell(r, out);
+        out.extend(street);
+        out.extend(geography);
+        out.word(loc);
     }
 
-    fn customer_row(&self, r: u64) -> Row {
-        let mut rng = self.rng("customer", 1, r);
-        let weights: Vec<f64> = words::FIRST_NAMES.iter().map(|(_, w)| *w).collect();
-        let (first, _) = words::FIRST_NAMES[rng.weighted_index(&weights)];
+    fn customer_row(&self, r: u64, out: &mut RowBuf) {
+        let mut rng = self.rng(Table::Customer, 1, r);
+        let (first, _) = words::FIRST_NAMES[rng.weighted_index(&FIRST_NAME_WEIGHTS)];
         let last = Self::pick(&mut rng, words::LAST_NAMES);
         let (salutation, _) =
             words::SALUTATIONS[rng.uniform_i64(0, words::SALUTATIONS.len() as i64 - 1) as usize];
@@ -559,53 +678,43 @@ impl Generator {
             .add_days(rng.uniform_i64(0, 700) as i32);
         let first_shipto = first_sales.add_days(rng.uniform_i64(0, 60) as i32);
         let last_review = first_sales.add_days(rng.uniform_i64(0, 900) as i32);
-        let email = format!(
-            "{}.{}@{}.{}",
-            first,
-            last,
-            Self::pick(&mut rng, words::DESC_WORDS),
-            ["com", "org", "edu"][rng.uniform_i64(0, 2) as usize]
-        );
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::str(Self::business_id(r)),
-            {
-                let v = Value::Int(self.fk(&mut rng, "customer_demographics"));
-                Self::nullable(&mut rng, 0.02, v)
-            },
-            {
-                let v = Value::Int(self.fk(&mut rng, "household_demographics"));
-                Self::nullable(&mut rng, 0.02, v)
-            },
-            {
-                let v = Value::Int(self.fk(&mut rng, "customer_address"));
-                Self::nullable(&mut rng, 0.02, v)
-            },
-            Value::Int(first_shipto.date_sk()),
-            Value::Int(first_sales.date_sk()),
-            Self::nullable(&mut rng, 0.01, Value::str(salutation)),
-            Self::nullable(&mut rng, 0.01, Value::str(first)),
-            Self::nullable(&mut rng, 0.01, Value::str(last)),
-            Value::str(if rng.chance(0.5) { "Y" } else { "N" }),
-            Value::Int(birth_day),
-            Value::Int(birth_month),
-            Value::Int(birth_year),
-            Value::str(Self::pick(&mut rng, words::COUNTRIES)),
-            Value::Null,
-            Value::str(email),
-            Value::Int(last_review.date_sk()),
-        ]
+        let host = Self::pick(&mut rng, words::DESC_WORDS);
+        let domain = ["com", "org", "edu"][rng.uniform_i64(0, 2) as usize];
+        let email = out.format(format_args!("{first}.{last}@{host}.{domain}"));
+        out.int(r as i64 + 1);
+        Self::business_id_cell(r, out);
+        for table in [
+            Table::CustomerDemographics,
+            Table::HouseholdDemographics,
+            Table::CustomerAddress,
+        ] {
+            out.int(self.fk(&mut rng, table));
+            out.null_last_if(rng.chance(0.02));
+        }
+        out.int(first_shipto.date_sk());
+        out.int(first_sales.date_sk());
+        for name in [salutation, first, last] {
+            out.word(name);
+            out.null_last_if(rng.chance(0.01));
+        }
+        out.word(Self::flag(rng.chance(0.5)));
+        out.int(birth_day);
+        out.int(birth_month);
+        out.int(birth_year);
+        out.word(Self::pick(&mut rng, words::COUNTRIES));
+        out.null();
+        out.push(email);
+        out.int(last_review.date_sk());
     }
 
     // ---------- item & promotion ----------
 
-    fn item_row(&self, r: u64) -> Row {
+    fn item_row(&self, r: u64, out: &mut RowBuf) {
         let pos = Self::scd_position(r);
-        let (rec_start, rec_end) = Self::scd_dates(pos);
         // Stable per-business-key attributes come from a bk-keyed stream so
         // revisions share identity; revision-keyed stream varies the rest.
-        let mut bk_rng = self.rng("item", 1, pos.business_key);
-        let mut rev_rng = self.rng("item", 2, r);
+        let mut bk_rng = self.rng(Table::Item, 1, pos.business_key);
+        let mut rev_rng = self.rng(Table::Item, 2, r);
 
         let cat_idx = bk_rng.uniform_i64(0, words::CATEGORIES.len() as i64 - 1) as usize;
         let (category, classes) = words::CATEGORIES[cat_idx];
@@ -615,144 +724,96 @@ impl Generator {
         let brand_syl2 = Self::pick(&mut bk_rng, words::CORP_SYLLABLES);
         let brand_num = bk_rng.uniform_i64(1, 10);
         let brand_id = (cat_idx as i64 + 1) * 1_000_000 + (class_idx as i64 + 1) * 1000 + brand_num;
-        let brand = format!("{}{} #{}", brand_syl, brand_syl2, brand_num);
+        let brand = out.format(format_args!("{brand_syl}{brand_syl2} #{brand_num}"));
         let manufact_id = bk_rng.uniform_i64(1, 1000);
-        let manufact = format!(
-            "{}{}",
-            Self::pick(&mut bk_rng, words::CORP_SYLLABLES),
-            manufact_id
-        );
+        let manufact_syl = Self::pick(&mut bk_rng, words::CORP_SYLLABLES);
+        let manufact = out.format(format_args!("{manufact_syl}{manufact_id}"));
 
         let wholesale_cents = rev_rng.uniform_i64(100, 8_800);
         let markup = rev_rng.uniform_i64(120, 300); // percent of wholesale
         let price_cents = wholesale_cents * markup / 100;
         let manager = rev_rng.uniform_i64(1, 100);
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::str(Self::business_id(pos.business_key)),
-            Value::Date(rec_start),
-            rec_end.map(Value::Date).unwrap_or(Value::Null),
-            {
-                let v = Value::str(Self::prose(&mut rev_rng, 5, 25));
-                Self::nullable(&mut rev_rng, 0.005, v)
-            },
-            Value::Decimal(Decimal::from_cents(price_cents)),
-            Value::Decimal(Decimal::from_cents(wholesale_cents)),
-            Value::Int(brand_id),
-            Value::str(brand),
-            Value::Int(class_idx as i64 + 1),
-            Value::str(class),
-            Value::Int(cat_idx as i64 + 1),
-            Value::str(category),
-            Value::Int(manufact_id),
-            Value::str(manufact),
-            Value::str(Self::pick(&mut rev_rng, words::SIZES)),
-            Value::str(format!(
-                "{}{}{}",
-                rev_rng.uniform_i64(10000, 99999),
-                ["ot", "me", "ese", "anti"][rev_rng.uniform_i64(0, 3) as usize],
-                rev_rng.uniform_i64(1, 9)
-            )),
-            Value::str(Self::pick(&mut rev_rng, words::COLORS)),
-            Value::str(Self::pick(&mut rev_rng, words::UNITS)),
-            Value::str(Self::pick(&mut rev_rng, words::CONTAINERS)),
-            Value::Int(manager),
-            Value::str(Self::prose(&mut rev_rng, 2, 4)),
-        ]
+        out.int(r as i64 + 1);
+        Self::business_id_cell(pos.business_key, out);
+        Self::scd_cells(out, Self::scd_dates(pos));
+        Self::prose_cell(&mut rev_rng, 5, 25, out);
+        out.null_last_if(rev_rng.chance(0.005));
+        out.cents(price_cents);
+        out.cents(wholesale_cents);
+        out.int(brand_id);
+        out.push(brand);
+        out.int(class_idx as i64 + 1);
+        out.word(class);
+        out.int(cat_idx as i64 + 1);
+        out.word(category);
+        out.int(manufact_id);
+        out.push(manufact);
+        out.word(Self::pick(&mut rev_rng, words::SIZES));
+        let number = rev_rng.uniform_i64(10000, 99999);
+        let infix = ["ot", "me", "ese", "anti"][rev_rng.uniform_i64(0, 3) as usize];
+        out.text(format_args!("{number}{infix}{}", rev_rng.uniform_i64(1, 9)));
+        out.word(Self::pick(&mut rev_rng, words::COLORS));
+        out.word(Self::pick(&mut rev_rng, words::UNITS));
+        out.word(Self::pick(&mut rev_rng, words::CONTAINERS));
+        out.int(manager);
+        Self::prose_cell(&mut rev_rng, 2, 4, out);
     }
 
-    fn promotion_row(&self, r: u64) -> Row {
-        let mut rng = self.rng("promotion", 1, r);
+    fn promotion_row(&self, r: u64, out: &mut RowBuf) {
+        let mut rng = self.rng(Table::Promotion, 1, r);
         let start = self
             .sales_dates
             .first_day()
             .add_days(rng.uniform_i64(0, 1700) as i32);
         let end = start.add_days(rng.uniform_i64(10, 120) as i32);
-        let flag = |rng: &mut ColumnRng| Value::str(if rng.chance(0.5) { "Y" } else { "N" });
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::str(Self::business_id(r)),
-            Value::Int(start.date_sk()),
-            Value::Int(end.date_sk()),
-            Value::Int(self.fk(&mut rng, "item")),
-            Value::Decimal(Decimal::from_int(1000)),
-            Value::Int(1),
-            Value::str(format!(
-                "{}{}",
-                Self::pick(&mut rng, words::CORP_SYLLABLES),
-                r
-            )),
-            flag(&mut rng),
-            flag(&mut rng),
-            flag(&mut rng),
-            flag(&mut rng),
-            flag(&mut rng),
-            flag(&mut rng),
-            flag(&mut rng),
-            flag(&mut rng),
-            Value::str(Self::prose(&mut rng, 5, 15)),
-            Value::str(Self::pick(&mut rng, words::PROMO_PURPOSES)),
-            Value::str(if rng.chance(0.5) { "Y" } else { "N" }),
-        ]
+        out.int(r as i64 + 1);
+        Self::business_id_cell(r, out);
+        out.int(start.date_sk());
+        out.int(end.date_sk());
+        out.int(self.fk(&mut rng, Table::Item));
+        out.push(Cell::Dec(1000, 0));
+        out.int(1);
+        let syllable = Self::pick(&mut rng, words::CORP_SYLLABLES);
+        out.text(format_args!("{syllable}{r}"));
+        (0..8).for_each(|_| out.word(Self::flag(rng.chance(0.5))));
+        Self::prose_cell(&mut rng, 5, 15, out);
+        out.word(Self::pick(&mut rng, words::PROMO_PURPOSES));
+        out.word(Self::flag(rng.chance(0.5)));
     }
 
     // ---------- channel dimensions ----------
 
-    fn store_row(&self, r: u64) -> Row {
+    fn store_row(&self, r: u64, out: &mut RowBuf) {
         let pos = Self::scd_position(r);
-        let (rec_start, rec_end) = self.scd_dates_clamped("store", r);
-        let mut bk_rng = self.rng("store", 1, pos.business_key);
-        let mut rev_rng = self.rng("store", 2, r);
+        let dates = self.scd_dates_clamped(Table::Store, r);
+        let mut bk_rng = self.rng(Table::Store, 1, pos.business_key);
+        let mut rev_rng = self.rng(Table::Store, 2, r);
         let name = Self::pick(&mut bk_rng, words::CITIES);
-        let (number, sname, stype, suite) = Self::street(&mut bk_rng);
-        let (city, county, state, zip, country, gmt) = Self::geography(&mut bk_rng);
-        let manager = format!(
-            "{} {}",
-            words::FIRST_NAMES
-                [rev_rng.uniform_i64(0, words::FIRST_NAMES.len() as i64 - 1) as usize]
-                .0,
-            Self::pick(&mut rev_rng, words::LAST_NAMES)
-        );
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::str(Self::business_id(pos.business_key)),
-            Value::Date(rec_start),
-            rec_end.map(Value::Date).unwrap_or(Value::Null),
-            {
-                let v = Value::Int(self.closed_date(&mut rev_rng));
-                Self::nullable(&mut rev_rng, 0.9, v)
-            },
-            Value::str(name),
-            Value::Int(rev_rng.uniform_i64(200, 300)),
-            Value::Int(rev_rng.uniform_i64(5_000_000, 9_999_999)),
-            Value::str(["8AM-8PM", "8AM-4PM", "8AM-12AM"][rev_rng.uniform_i64(0, 2) as usize]),
-            Value::str(manager),
-            Value::Int(rev_rng.uniform_i64(1, 10)),
-            Value::str("Unknown"),
-            Value::str(Self::prose(&mut rev_rng, 6, 15)),
-            Value::str(format!(
-                "{} {}",
-                words::FIRST_NAMES
-                    [rev_rng.uniform_i64(0, words::FIRST_NAMES.len() as i64 - 1) as usize]
-                    .0,
-                Self::pick(&mut rev_rng, words::LAST_NAMES)
-            )),
-            Value::Int(1),
-            Value::str("Unknown"),
-            Value::Int(1),
-            Value::str("Unknown"),
-            Value::str(number),
-            Value::str(sname),
-            Value::str(stype),
-            suite,
-            Value::str(city),
-            Value::str(county),
-            Value::str(state),
-            Value::str(zip),
-            Value::str(country),
-            Value::Decimal(gmt),
-            Value::Decimal(Decimal::from_cents(rev_rng.uniform_i64(0, 11))),
-        ]
+        let street = Self::street(&mut bk_rng, out);
+        let geography = Self::geography(&mut bk_rng, out);
+        let manager = Self::person(&mut rev_rng, out);
+        out.int(r as i64 + 1);
+        Self::business_id_cell(pos.business_key, out);
+        Self::scd_cells(out, dates);
+        out.int(self.closed_date(&mut rev_rng));
+        out.null_last_if(rev_rng.chance(0.9));
+        out.word(name);
+        out.int(rev_rng.uniform_i64(200, 300));
+        out.int(rev_rng.uniform_i64(5_000_000, 9_999_999));
+        out.word(["8AM-8PM", "8AM-4PM", "8AM-12AM"][rev_rng.uniform_i64(0, 2) as usize]);
+        out.push(manager);
+        out.int(rev_rng.uniform_i64(1, 10));
+        out.word("Unknown");
+        Self::prose_cell(&mut rev_rng, 6, 15, out);
+        let market_manager = Self::person(&mut rev_rng, out);
+        out.push(market_manager);
+        out.int(1);
+        out.word("Unknown");
+        out.int(1);
+        out.word("Unknown");
+        out.extend(street);
+        out.extend(geography);
+        out.cents(rev_rng.uniform_i64(0, 11));
     }
 
     fn closed_date(&self, rng: &mut ColumnRng) -> i64 {
@@ -762,151 +823,109 @@ impl Generator {
             .date_sk()
     }
 
-    fn call_center_row(&self, r: u64) -> Row {
+    fn call_center_row(&self, r: u64, out: &mut RowBuf) {
         let pos = Self::scd_position(r);
-        let (rec_start, rec_end) = self.scd_dates_clamped("call_center", r);
-        let mut bk_rng = self.rng("call_center", 1, pos.business_key);
-        let mut rev_rng = self.rng("call_center", 2, r);
-        let name = format!("{} {}", Self::pick(&mut bk_rng, words::CITIES), "center");
-        let (number, sname, stype, suite) = Self::street(&mut bk_rng);
-        let (city, county, state, zip, country, gmt) = Self::geography(&mut bk_rng);
+        let dates = self.scd_dates_clamped(Table::CallCenter, r);
+        let mut bk_rng = self.rng(Table::CallCenter, 1, pos.business_key);
+        let mut rev_rng = self.rng(Table::CallCenter, 2, r);
+        let city = Self::pick(&mut bk_rng, words::CITIES);
+        let name = out.format(format_args!("{city} center"));
+        let street = Self::street(&mut bk_rng, out);
+        let geography = Self::geography(&mut bk_rng, out);
         let open = self
             .sales_dates
             .first_day()
             .add_days(-bk_rng.uniform_i64(100, 3000) as i32);
-        let person = |rng: &mut ColumnRng| {
-            format!(
-                "{} {}",
-                words::FIRST_NAMES
-                    [rng.uniform_i64(0, words::FIRST_NAMES.len() as i64 - 1) as usize]
-                    .0,
-                Self::pick(rng, words::LAST_NAMES)
-            )
-        };
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::str(Self::business_id(pos.business_key)),
-            Value::Date(rec_start),
-            rec_end.map(Value::Date).unwrap_or(Value::Null),
-            Value::Null,
-            Value::Int(open.date_sk()),
-            Value::str(name),
-            Value::str(["small", "medium", "large"][rev_rng.uniform_i64(0, 2) as usize]),
-            Value::Int(rev_rng.uniform_i64(50, 700)),
-            Value::Int(rev_rng.uniform_i64(1_000, 40_000)),
-            Value::str(["8AM-8PM", "8AM-4PM", "8AM-12AM"][rev_rng.uniform_i64(0, 2) as usize]),
-            Value::str(person(&mut rev_rng)),
-            Value::Int(rev_rng.uniform_i64(1, 6)),
-            Value::str(Self::prose(&mut rev_rng, 3, 6)),
-            Value::str(Self::prose(&mut rev_rng, 6, 15)),
-            Value::str(person(&mut rev_rng)),
-            Value::Int(rev_rng.uniform_i64(1, 5)),
-            Value::str(Self::pick(&mut rev_rng, words::DESC_WORDS)),
-            Value::Int(rev_rng.uniform_i64(1, 5)),
-            Value::str(Self::pick(&mut rev_rng, words::DESC_WORDS)),
-            Value::str(number),
-            Value::str(sname),
-            Value::str(stype),
-            suite,
-            Value::str(city),
-            Value::str(county),
-            Value::str(state),
-            Value::str(zip),
-            Value::str(country),
-            Value::Decimal(gmt),
-            Value::Decimal(Decimal::from_cents(rev_rng.uniform_i64(0, 11))),
-        ]
+        out.int(r as i64 + 1);
+        Self::business_id_cell(pos.business_key, out);
+        Self::scd_cells(out, dates);
+        out.null();
+        out.int(open.date_sk());
+        out.push(name);
+        out.word(["small", "medium", "large"][rev_rng.uniform_i64(0, 2) as usize]);
+        out.int(rev_rng.uniform_i64(50, 700));
+        out.int(rev_rng.uniform_i64(1_000, 40_000));
+        out.word(["8AM-8PM", "8AM-4PM", "8AM-12AM"][rev_rng.uniform_i64(0, 2) as usize]);
+        let manager = Self::person(&mut rev_rng, out);
+        out.push(manager);
+        out.int(rev_rng.uniform_i64(1, 6));
+        Self::prose_cell(&mut rev_rng, 3, 6, out);
+        Self::prose_cell(&mut rev_rng, 6, 15, out);
+        let market_manager = Self::person(&mut rev_rng, out);
+        out.push(market_manager);
+        out.int(rev_rng.uniform_i64(1, 5));
+        out.word(Self::pick(&mut rev_rng, words::DESC_WORDS));
+        out.int(rev_rng.uniform_i64(1, 5));
+        out.word(Self::pick(&mut rev_rng, words::DESC_WORDS));
+        out.extend(street);
+        out.extend(geography);
+        out.cents(rev_rng.uniform_i64(0, 11));
     }
 
-    fn web_site_row(&self, r: u64) -> Row {
+    fn web_site_row(&self, r: u64, out: &mut RowBuf) {
         let pos = Self::scd_position(r);
-        let (rec_start, rec_end) = self.scd_dates_clamped("web_site", r);
-        let mut bk_rng = self.rng("web_site", 1, pos.business_key);
-        let mut rev_rng = self.rng("web_site", 2, r);
-        let name = format!("site_{}", pos.business_key);
-        let (number, sname, stype, suite) = Self::street(&mut bk_rng);
-        let (city, county, state, zip, country, gmt) = Self::geography(&mut bk_rng);
+        let dates = self.scd_dates_clamped(Table::WebSite, r);
+        let mut bk_rng = self.rng(Table::WebSite, 1, pos.business_key);
+        let mut rev_rng = self.rng(Table::WebSite, 2, r);
+        let name = out.format(format_args!("site_{}", pos.business_key));
+        let street = Self::street(&mut bk_rng, out);
+        let geography = Self::geography(&mut bk_rng, out);
         let open = self
             .sales_dates
             .first_day()
             .add_days(-bk_rng.uniform_i64(100, 2000) as i32);
-        let person = |rng: &mut ColumnRng| {
-            format!(
-                "{} {}",
-                words::FIRST_NAMES
-                    [rng.uniform_i64(0, words::FIRST_NAMES.len() as i64 - 1) as usize]
-                    .0,
-                Self::pick(rng, words::LAST_NAMES)
-            )
-        };
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::str(Self::business_id(pos.business_key)),
-            Value::Date(rec_start),
-            rec_end.map(Value::Date).unwrap_or(Value::Null),
-            Value::str(name),
-            Value::Int(open.date_sk()),
-            Value::Null,
-            Value::str(Self::pick(&mut rev_rng, words::DESC_WORDS)),
-            Value::str(person(&mut rev_rng)),
-            Value::Int(rev_rng.uniform_i64(1, 6)),
-            Value::str(Self::prose(&mut rev_rng, 3, 6)),
-            Value::str(Self::prose(&mut rev_rng, 6, 15)),
-            Value::str(person(&mut rev_rng)),
-            Value::Int(rev_rng.uniform_i64(1, 6)),
-            Value::str(format!(
-                "{}{}",
-                Self::pick(&mut rev_rng, words::CORP_SYLLABLES),
-                "co"
-            )),
-            Value::str(number),
-            Value::str(sname),
-            Value::str(stype),
-            suite,
-            Value::str(city),
-            Value::str(county),
-            Value::str(state),
-            Value::str(zip),
-            Value::str(country),
-            Value::Decimal(gmt),
-            Value::Decimal(Decimal::from_cents(rev_rng.uniform_i64(0, 11))),
-        ]
+        out.int(r as i64 + 1);
+        Self::business_id_cell(pos.business_key, out);
+        Self::scd_cells(out, dates);
+        out.push(name);
+        out.int(open.date_sk());
+        out.null();
+        out.word(Self::pick(&mut rev_rng, words::DESC_WORDS));
+        let manager = Self::person(&mut rev_rng, out);
+        out.push(manager);
+        out.int(rev_rng.uniform_i64(1, 6));
+        Self::prose_cell(&mut rev_rng, 3, 6, out);
+        Self::prose_cell(&mut rev_rng, 6, 15, out);
+        let market_manager = Self::person(&mut rev_rng, out);
+        out.push(market_manager);
+        out.int(rev_rng.uniform_i64(1, 6));
+        let syllable = Self::pick(&mut rev_rng, words::CORP_SYLLABLES);
+        out.text(format_args!("{syllable}co"));
+        out.extend(street);
+        out.extend(geography);
+        out.cents(rev_rng.uniform_i64(0, 11));
     }
 
-    fn web_page_row(&self, r: u64) -> Row {
+    fn web_page_row(&self, r: u64, out: &mut RowBuf) {
         let pos = Self::scd_position(r);
-        let (rec_start, rec_end) = self.scd_dates_clamped("web_page", r);
-        let mut rng = self.rng("web_page", 2, r);
+        let dates = self.scd_dates_clamped(Table::WebPage, r);
+        let mut rng = self.rng(Table::WebPage, 2, r);
         let creation = self
             .sales_dates
             .first_day()
             .add_days(rng.uniform_i64(0, 1000) as i32);
         let access = creation.add_days(rng.uniform_i64(0, 100) as i32);
         let autogen = rng.chance(0.3);
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::str(Self::business_id(pos.business_key)),
-            Value::Date(rec_start),
-            rec_end.map(Value::Date).unwrap_or(Value::Null),
-            Value::Int(creation.date_sk()),
-            Value::Int(access.date_sk()),
-            Value::str(if autogen { "Y" } else { "N" }),
-            if autogen {
-                Value::Int(self.fk(&mut rng, "customer"))
-            } else {
-                Value::Null
-            },
-            Value::str(format!("http://www.foo.com/page_{r}.html")),
-            Value::str(Self::pick(&mut rng, words::WEB_PAGE_TYPES)),
-            Value::Int(rng.uniform_i64(100, 7000)),
-            Value::Int(rng.uniform_i64(2, 25)),
-            Value::Int(rng.uniform_i64(1, 7)),
-            Value::Int(rng.uniform_i64(0, 4)),
-        ]
+        out.int(r as i64 + 1);
+        Self::business_id_cell(pos.business_key, out);
+        Self::scd_cells(out, dates);
+        out.int(creation.date_sk());
+        out.int(access.date_sk());
+        out.word(Self::flag(autogen));
+        match autogen {
+            true => out.int(self.fk(&mut rng, Table::Customer)),
+            false => out.null(),
+        }
+        out.text(format_args!("http://www.foo.com/page_{r}.html"));
+        out.word(Self::pick(&mut rng, words::WEB_PAGE_TYPES));
+        out.int(rng.uniform_i64(100, 7000));
+        out.int(rng.uniform_i64(2, 25));
+        out.int(rng.uniform_i64(1, 7));
+        out.int(rng.uniform_i64(0, 4));
     }
 
-    fn catalog_page_row(&self, r: u64) -> Row {
-        let mut rng = self.rng("catalog_page", 1, r);
+    fn catalog_page_row(&self, r: u64, out: &mut RowBuf) {
+        let mut rng = self.rng(Table::CatalogPage, 1, r);
         // Pages grouped into monthly catalogs.
         let pages_per_catalog = 108;
         let catalog_number = (r / pages_per_catalog) as i64 + 1;
@@ -916,45 +935,48 @@ impl Generator {
             .first_day()
             .add_days(((catalog_number - 1) * 30) as i32 % 1800);
         let end = start.add_days(30);
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::str(Self::business_id(r)),
-            Value::Int(start.date_sk()),
-            Value::Int(end.date_sk()),
-            Value::str(words::DEPARTMENTS[0]),
-            Value::Int(catalog_number),
-            Value::Int(page_number),
-            Value::str(Self::prose(&mut rng, 4, 12)),
-            Value::str(["bi-annual", "quarterly", "monthly"][rng.uniform_i64(0, 2) as usize]),
-        ]
+        out.int(r as i64 + 1);
+        Self::business_id_cell(r, out);
+        out.int(start.date_sk());
+        out.int(end.date_sk());
+        out.word(words::DEPARTMENTS[0]);
+        out.int(catalog_number);
+        out.int(page_number);
+        Self::prose_cell(&mut rng, 4, 12, out);
+        out.word(["bi-annual", "quarterly", "monthly"][rng.uniform_i64(0, 2) as usize]);
     }
 
-    fn warehouse_row(&self, r: u64) -> Row {
-        let mut rng = self.rng("warehouse", 1, r);
-        let (number, sname, stype, suite) = Self::street(&mut rng);
-        let (city, county, state, zip, country, gmt) = Self::geography(&mut rng);
-        vec![
-            Value::Int(r as i64 + 1),
-            Value::str(Self::business_id(r)),
-            Value::str(Self::prose(&mut rng, 2, 3)),
-            Value::Int(rng.uniform_i64(50_000, 999_999)),
-            Value::str(number),
-            Value::str(sname),
-            Value::str(stype),
-            suite,
-            Value::str(city),
-            Value::str(county),
-            Value::str(state),
-            Value::str(zip),
-            Value::str(country),
-            Value::Decimal(gmt),
-        ]
+    fn warehouse_row(&self, r: u64, out: &mut RowBuf) {
+        let mut rng = self.rng(Table::Warehouse, 1, r);
+        let street = Self::street(&mut rng, out);
+        let geography = Self::geography(&mut rng, out);
+        out.int(r as i64 + 1);
+        Self::business_id_cell(r, out);
+        Self::prose_cell(&mut rng, 2, 3, out);
+        out.int(rng.uniform_i64(50_000, 999_999));
+        out.extend(street);
+        out.extend(geography);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpcds_types::Value;
+
+    #[test]
+    fn tables_are_in_schema_order() {
+        let g = Generator::new(0.01);
+        for (t, def) in Table::ALL.iter().zip(g.schema().tables()) {
+            assert_eq!(g.table(def.name), *t, "{}", def.name);
+            let want = match def.name {
+                "inventory" => g.row_count("inventory"),
+                name => g.schema().rows(name, 0.01),
+            };
+            assert_eq!(g.count(*t), want, "{}", def.name);
+        }
+        assert_eq!(Table::ALL.len(), g.schema().tables().len());
+    }
 
     #[test]
     fn business_ids_unique_and_fixed_width() {

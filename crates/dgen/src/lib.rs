@@ -14,6 +14,7 @@ pub mod flatfile;
 pub mod generator;
 pub mod profile;
 pub mod refresh;
+mod rowbuf;
 pub mod words;
 
 pub use distributions::{SalesDateDistribution, SalesZone, SyntheticSalesDistribution};

@@ -8,7 +8,7 @@
 //! (Figure 10). Keys into static dimensions stay pre-resolved surrogates,
 //! as in dsdgen's update set.
 
-use crate::generator::Generator;
+use crate::generator::{Generator, Table};
 use tpcds_types::{Row, Value};
 
 /// How many dimension rows a refresh run updates at minimum (1% of the
@@ -54,7 +54,7 @@ impl Generator {
             // Pick an existing surrogate deterministically, then rewrite
             // that entity's attributes by regenerating the row at a
             // refresh-specific coordinate.
-            let mut rng = self.rng(table, 100 + refresh_seq as u64, k);
+            let mut rng = self.rng(self.table(table), 100 + refresh_seq as u64, k);
             let target = rng.uniform_i64(0, rows as i64 - 1) as u64;
             let base = self.row(table, target);
             let business_key = base[bk_idx]
@@ -104,16 +104,16 @@ impl Generator {
             .filter(|f| matches!(f.ref_table, "item" | "customer" | "store"))
             .map(|f| (t.column_index(f.column).expect("fk column"), f.ref_table))
             .collect();
-        rows.map(|r| {
-            let mut row = self.row(table, r);
-            for (col, ref_table) in &conversions {
-                if let Value::Int(sk) = row[*col] {
-                    row[*col] = Value::str(self.business_key_of(ref_table, sk));
+        self.rows_in(self.table(table), rows)
+            .map(|mut row| {
+                for (col, ref_table) in &conversions {
+                    if let Value::Int(sk) = row[*col] {
+                        row[*col] = Value::str(self.business_key_of(ref_table, sk));
+                    }
                 }
-            }
-            row
-        })
-        .collect()
+                row
+            })
+            .collect()
     }
 
     /// The business key of surrogate `sk` in `table` (1-based surrogates).
@@ -132,7 +132,7 @@ impl Generator {
     /// fact table data are deleted"): two weeks, deterministic per
     /// refresh sequence.
     pub fn refresh_delete_range(&self, refresh_seq: u32) -> (tpcds_types::Date, tpcds_types::Date) {
-        let mut rng = self.rng("date_dim", 900 + refresh_seq as u64, 0);
+        let mut rng = self.rng(Table::DateDim, 900 + refresh_seq as u64, 0);
         let start = self
             .sales_dates
             .first_day()

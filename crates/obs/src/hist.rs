@@ -59,19 +59,37 @@ pub fn bounds() -> &'static [u64] {
     &layout().bounds
 }
 
-/// The bucket index holding `v`: the first bucket whose upper bound is
-/// `>= v`. An octave holds about four buckets, so the scan from the
-/// octave's first is short (this runs once per sample, and once per cell
-/// when table statistics are collected).
+/// The bucket index holding `v` (see [`Buckets::index`]).
 fn bucket_index(v: u64) -> usize {
-    let Layout { bounds, octave } = layout();
-    let mut i = v
-        .checked_ilog2()
-        .map_or(0, |bit| octave[bit as usize] as usize);
-    while bounds[i] < v {
-        i += 1;
+    buckets().index(v)
+}
+
+/// The bucket layout, looked up once for a run of samples: a caller that
+/// records many values (table statistics fold one per cell) finds their
+/// buckets without the lazy layout's check per sample.
+#[derive(Clone, Copy)]
+pub struct Buckets(&'static Layout);
+
+/// The process-wide bucket layout.
+pub fn buckets() -> Buckets {
+    Buckets(layout())
+}
+
+impl Buckets {
+    /// The bucket index holding `v`: the first bucket whose upper bound
+    /// is `>= v`. An octave holds about four buckets, so the scan from the
+    /// octave's first is short.
+    #[inline]
+    pub fn index(self, v: u64) -> usize {
+        let Layout { bounds, octave } = self.0;
+        let mut i = v
+            .checked_ilog2()
+            .map_or(0, |bit| octave[bit as usize] as usize);
+        while bounds[i] < v {
+            i += 1;
+        }
+        i
     }
-    i
 }
 
 /// The inclusive upper bound of bucket `i` — the value a percentile read
@@ -180,6 +198,15 @@ impl HistSnapshot {
     /// Records one sample (single-threaded accumulation).
     pub fn record(&mut self, v: u64) {
         self.counts[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+    }
+
+    /// Records `v`, whose bucket [`Buckets::index`] gave as `bucket`:
+    /// [`record`](Self::record) for a caller that knows the bucket.
+    #[inline]
+    pub fn record_in(&mut self, bucket: usize, v: u64) {
+        self.counts[bucket] += 1;
         self.count += 1;
         self.sum = self.sum.wrapping_add(v);
     }

@@ -30,7 +30,7 @@ const INV_POW2: [f64; 64] = {
 
 /// A HyperLogLog distinct-count sketch with 4096 six-bit-capable
 /// registers (stored one per byte for simplicity).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NdvSketch {
     registers: Box<[u8; M]>,
 }

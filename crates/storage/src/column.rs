@@ -320,18 +320,15 @@ impl DecBuf {
         i64::try_from(d.mantissa_at(self.scale?)?).ok()
     }
 
-    /// Appends `d`. Returns false, and appends nothing, when `d` has
-    /// another scale than the cells already held or its mantissa does not
-    /// fit `i64`.
+    /// Appends `mantissa` at `scale`. Returns false, and appends nothing,
+    /// when the cells already held have another scale.
     #[must_use]
-    fn push(&mut self, d: &Decimal) -> bool {
-        let Ok(m) = i64::try_from(d.mantissa()) else {
-            return false;
-        };
-        if *self.scale.get_or_insert(d.scale()) != d.scale() {
+    #[inline]
+    fn push(&mut self, mantissa: i64, scale: u8) -> bool {
+        if *self.scale.get_or_insert(scale) != scale {
             return false;
         }
-        self.mantissas.push(m);
+        self.mantissas.push(mantissa);
         true
     }
 
@@ -504,34 +501,78 @@ impl Column {
     /// the value does not fit the current variant (the engine is
     /// dynamically typed, so declared and actual types can disagree).
     pub fn push(&mut self, v: &Value) {
-        if v.is_null() {
-            self.push_null();
-            return;
+        match (&self.data, v) {
+            (ColumnData::Other(_), _) => self.push_boxed(v),
+            (_, Value::Null) => self.push_null(),
+            (_, Value::Int(x)) => self.push_int(*x),
+            (_, Value::Decimal(d)) => match i64::try_from(d.mantissa()) {
+                Ok(m) => self.push_decimal(m, d.scale()),
+                Err(_) => self.push_boxed(v),
+            },
+            (_, Value::Date(d)) => self.push_date(*d),
+            (_, Value::Str(s)) => self.push_str(s),
+            _ => self.push_boxed(v),
         }
-        let fits = match (&mut self.data, v) {
-            (ColumnData::I64(buf), Value::Int(x)) => {
-                buf.push(*x);
-                true
-            }
-            (ColumnData::Decimal(buf), Value::Decimal(x)) => buf.push(x),
-            (ColumnData::Date(buf), Value::Date(x)) => {
-                buf.push(*x);
-                true
-            }
-            (ColumnData::Str(buf), Value::Str(x)) => buf.push(x),
-            (ColumnData::Other(buf), x) => {
-                buf.push(x.clone());
-                true
-            }
-            _ => false,
-        };
-        if !fits {
-            self.promote_to_other();
-            if let ColumnData::Other(buf) = &mut self.data {
-                buf.push(v.clone());
-            }
+    }
+
+    /// Appends an integer: [`Column::push`] of [`Value::Int`], without
+    /// building the value unless the column is not an `i64` buffer.
+    #[inline]
+    pub fn push_int(&mut self, x: i64) {
+        match &mut self.data {
+            ColumnData::I64(buf) => buf.push(x),
+            _ => return self.push_boxed(&Value::Int(x)),
         }
         self.nulls.push(false);
+    }
+
+    /// Appends the decimal `mantissa` at `scale`, as [`Column::push`] of
+    /// that [`Value::Decimal`] would.
+    #[inline]
+    pub fn push_decimal(&mut self, mantissa: i64, scale: u8) {
+        let pushed = match &mut self.data {
+            ColumnData::Decimal(buf) => buf.push(mantissa, scale),
+            _ => false,
+        };
+        match pushed {
+            true => self.nulls.push(false),
+            false => self.push_boxed(&Value::Decimal(Decimal::new(mantissa as i128, scale))),
+        }
+    }
+
+    /// Appends a date, as [`Column::push`] of [`Value::Date`] would.
+    #[inline]
+    pub fn push_date(&mut self, d: Date) {
+        match &mut self.data {
+            ColumnData::Date(buf) => buf.push(d),
+            _ => return self.push_boxed(&Value::Date(d)),
+        }
+        self.nulls.push(false);
+    }
+
+    /// Appends a string, as [`Column::push`] of [`Value::Str`] would: a
+    /// byte copy into a string buffer, no [`Value`] unless it boxes.
+    #[inline]
+    pub fn push_str(&mut self, s: &str) {
+        let pushed = match &mut self.data {
+            ColumnData::Str(buf) => buf.push(s),
+            _ => false,
+        };
+        match pushed {
+            true => self.nulls.push(false),
+            false => self.push_boxed(&Value::str(s)),
+        }
+    }
+
+    /// Appends `v` to a boxed buffer, boxing the column first.
+    fn push_boxed(&mut self, v: &Value) {
+        if !matches!(self.data, ColumnData::Other(_)) {
+            self.promote_to_other();
+        }
+        if let ColumnData::Other(buf) = &mut self.data {
+            buf.push(v.clone());
+        }
+        self.nulls.push(v.is_null());
     }
 
     /// Rewrites a boxed buffer as `dtype`'s typed one when every non-NULL
@@ -557,7 +598,9 @@ impl Column {
         }
     }
 
-    fn push_null(&mut self) {
+    /// Appends a NULL: a default slot in the buffer and a set bit.
+    #[inline]
+    pub fn push_null(&mut self) {
         match &mut self.data {
             ColumnData::I64(buf) => buf.push(0),
             ColumnData::Decimal(buf) => buf.mantissas.push(0),

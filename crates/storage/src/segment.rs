@@ -454,9 +454,22 @@ impl ColumnTableBuilder {
     /// truncated, mirroring how lenient the row engine's metadata is;
     /// callers that care validate arity before pushing.
     pub fn push_row(&mut self, row: &[Value]) {
-        for (i, col) in self.current.iter_mut().enumerate() {
-            col.push(row.get(i).unwrap_or(&Value::Null));
-        }
+        self.push_row_with(|columns| {
+            for (i, col) in columns.iter_mut().enumerate() {
+                col.push(row.get(i).unwrap_or(&Value::Null));
+            }
+        });
+    }
+
+    /// Appends one row whose cells `fill` pushes, one into each column of
+    /// the open segment, through the typed pushes ([`Column::push_int`],
+    /// …) — a row that never exists as [`Value`]s.
+    pub fn push_row_with(&mut self, fill: impl FnOnce(&mut [Column])) {
+        fill(&mut self.current);
+        debug_assert!(
+            self.current.iter().all(|c| c.len() == self.open + 1),
+            "one cell per column"
+        );
         self.rows += 1;
         self.open += 1;
         if self.open == SEGMENT_ROWS {
@@ -481,6 +494,14 @@ impl ColumnTableBuilder {
                 }
             }
         }
+    }
+
+    /// Makes room in the open segment's columns for `rows` more cells
+    /// each (not for a string column's bytes), so a caller that knows how
+    /// many rows it will push allocates each buffer once, to size.
+    pub fn reserve(&mut self, rows: usize) {
+        let rows = rows.min(SEGMENT_ROWS - self.open);
+        self.current.iter_mut().for_each(|c| c.reserve(rows));
     }
 
     fn seal(&mut self) {

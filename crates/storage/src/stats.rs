@@ -22,9 +22,14 @@
 //! or overwritten since the table was created.
 //!
 //! The fold is typed: one match on the column's buffer, then a loop over
-//! native values — no boxed [`Value`] per cell, no `Arc<str>` refcount
-//! traffic, min/max compared on the native type. What it feeds the sketch
-//! is bit for bit what hashing the boxed value would.
+//! native values — no boxed [`Value`] per cell, min/max compared on the
+//! native type. A small direct-mapped memo of the values met answers a
+//! repeated value with its histogram bucket, so it costs one compare and
+//! the histogram's adds: hashing it into the sketch again could not raise
+//! a register. Only a new value is hashed — numbers, dates and strings by
+//! SipHash-1-3 computed over the message `Value::hash` writes — so what
+//! the fold feeds the sketch is bit for bit what hashing the boxed value
+//! would. A boxed column ([`ColumnData::Other`]) is folded value by value.
 //!
 //! The histogram only covers values with a natural non-negative integer
 //! key (see [`hist_key`]); [`ColumnStats::hist_covers_column`] tells the
@@ -34,12 +39,13 @@
 use crate::column::{Bitmap, Column, ColumnData};
 use crate::morsel::{run_chunks, worker_count};
 use crate::segment::{ColumnTable, Segment, SEGMENT_ROWS};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use tpcds_obs::hist::HistSnapshot;
 use tpcds_obs::ndv::NdvSketch;
-use tpcds_types::{Decimal, Value};
+use tpcds_types::{Date, Decimal, Value};
 
 /// Statistics for one column of one table.
 #[derive(Clone, Debug)]
@@ -79,6 +85,11 @@ impl ColumnStats {
     /// selectivities read off it describe the whole column.
     pub fn hist_covers_column(&self, table_rows: u64) -> bool {
         self.hist.count > 0 && self.hist.count == table_rows - self.nulls
+    }
+
+    /// The sketch `ndv` is read off: the hash of every value folded in.
+    pub fn sketch(&self) -> &NdvSketch {
+        &self.sketch
     }
 
     /// Widens min/max to cover `lo` and `hi`; an equal value keeps the
@@ -141,53 +152,156 @@ impl ColumnStats {
 
     /// Folds the cells at offsets `rows` of one segment's column in; the
     /// sketch too unless `sketch` is false, for rows taken out (see
-    /// [`removed_stats_at`]).
-    fn fold(&mut self, col: &Column, rows: impl Iterator<Item = usize> + Clone, sketch: bool) {
-        let observe = |v: &Value| (sketch.then(|| ndv_hash(v)), hist_key(v));
-        let (nulls, cells) = (&col.nulls, rows.clone());
-        match &col.data {
-            ColumnData::I64(buf) => self.fold_cells(nulls, cells, |i| observe(&Value::Int(buf[i]))),
+    /// [`removed_stats_at`]). One loop per buffer type, over native cells.
+    fn fold(&mut self, col: &Column, rows: impl Iterator<Item = usize>, sketch: bool) {
+        let nulls = &col.nulls;
+        let (lo, hi) = match &col.data {
+            ColumnData::I64(buf) => {
+                let (lo, hi) = self.fold_cells(nulls, rows, sketch, |i| buf[i]);
+                (lo.map(Value::Int), hi.map(Value::Int))
+            }
             ColumnData::Decimal(buf) => {
-                self.fold_cells(nulls, cells, |i| observe(&Value::Decimal(buf.get(i))))
+                let scale = buf.scale().unwrap_or(0);
+                let cell = |i| Scaled(buf.mantissas()[i], scale);
+                let (lo, hi) = self.fold_cells(nulls, rows, sketch, cell);
+                let boxed = |m: Scaled| Value::Decimal(m.decimal());
+                (lo.map(boxed), hi.map(boxed))
             }
             ColumnData::Date(buf) => {
-                self.fold_cells(nulls, cells, |i| observe(&Value::Date(buf[i])))
+                let (lo, hi) = self.fold_cells(nulls, rows, sketch, |i| buf[i]);
+                (lo.map(Value::Date), hi.map(Value::Date))
             }
-            ColumnData::Str(buf) => self.fold_cells(nulls, cells, |i| {
-                let hash = sketch.then(|| {
-                    let mut h = DefaultHasher::new();
-                    Value::hash_str(buf.get(i), &mut h);
-                    h.finish()
-                });
-                (hash, None)
-            }),
-            ColumnData::Other(buf) => self.fold_cells(nulls, cells, |i| observe(&buf[i])),
-        }
-        self.cover_column(col, rows);
+            ColumnData::Str(buf) => {
+                let (lo, hi) = self.fold_cells(nulls, rows, sketch, |i| buf.get(i));
+                (lo.map(Value::str), hi.map(Value::str))
+            }
+            ColumnData::Other(buf) => return self.fold_values(nulls, rows, sketch, |i| &buf[i]),
+        };
+        self.cover(lo.as_ref(), hi.as_ref());
     }
 
-    /// Counts NULLs and feeds every other cell at `rows` to the sketch and
-    /// the histogram: `observe` returns the cell's [`ndv_hash`] (`None`
-    /// when the sketch is not fed) and its histogram key.
-    fn fold_cells(
+    /// Counts NULLs and feeds every other cell at `rows`, `cell(i)`, to the
+    /// sketch (when `sketch` is set) and the histogram; returns the least
+    /// and greatest cell. A [`Memo`] of the cells met so far answers a
+    /// repeated cell with its histogram bucket: it was hashed into the
+    /// sketch and compared with the extremes when first met, and hashing
+    /// it again could not raise a register, so only a new cell is hashed,
+    /// given a bucket and compared. The memo is asked while it answers a
+    /// quarter of the cells of each [`Memo::PROBE`] rows; past that the
+    /// fold meets every cell as new, which costs the lookups less.
+    fn fold_cells<K: Native>(
+        &mut self,
+        nulls: &Bitmap,
+        mut rows: impl Iterator<Item = usize>,
+        sketch: bool,
+        cell: impl Fn(usize) -> K,
+    ) -> (Option<K>, Option<K>) {
+        let mut memo = Memo::sized(rows.size_hint().1.unwrap_or(SEGMENT_ROWS));
+        let mut extremes = (None, None);
+        loop {
+            let run = rows.by_ref().take(Memo::<K>::PROBE);
+            let (met, hits) =
+                self.fold_run(nulls, run, sketch, &cell, Some(&mut memo), &mut extremes);
+            if met < Memo::<K>::PROBE {
+                return extremes;
+            }
+            if hits < met / 4 {
+                self.fold_run(nulls, rows, sketch, &cell, None, &mut extremes);
+                return extremes;
+            }
+        }
+    }
+
+    /// [`ColumnStats::fold_cells`] over `rows`, asking `memo` when there
+    /// is one and widening `extremes`; returns the rows met and how many
+    /// the memo answered.
+    #[inline(always)]
+    fn fold_run<K: Native>(
         &mut self,
         nulls: &Bitmap,
         rows: impl Iterator<Item = usize>,
-        observe: impl Fn(usize) -> (Option<u64>, Option<u64>),
+        sketch: bool,
+        cell: impl Fn(usize) -> K,
+        mut memo: Option<&mut Memo<K>>,
+        (lo, hi): &mut (Option<K>, Option<K>),
+    ) -> (usize, usize) {
+        let buckets = tpcds_obs::hist::buckets();
+        let (mut met, mut hits) = (0, 0);
+        for i in rows {
+            met += 1;
+            if nulls.get(i) {
+                self.nulls += 1;
+                continue;
+            }
+            let x = cell(i);
+            let at = memo.as_ref().map_or(0, |memo| memo.slot(x.word()));
+            if let Some(seen) = memo.as_ref().and_then(|m| m.slots.get(at)) {
+                if seen.cell == x {
+                    if seen.bucket != NO_BUCKET {
+                        self.hist.record_in(seen.bucket as usize, seen.key);
+                    }
+                    hits += 1;
+                    continue;
+                }
+            }
+            if sketch {
+                self.stale |= self.sketch.insert_hash(x.ndv_hash());
+            }
+            let key = x.hist_key();
+            let bucket = key.map_or(NO_BUCKET, |k| buckets.index(k) as u32);
+            if let Some(k) = key {
+                self.hist.record_in(bucket as usize, k);
+            }
+            if lo.is_none_or(|m| x < m) {
+                *lo = Some(x);
+            }
+            if hi.is_none_or(|m| x > m) {
+                *hi = Some(x);
+            }
+            if let Some(memo) = memo.as_mut() {
+                let seen = Seen {
+                    cell: x,
+                    bucket,
+                    key: key.unwrap_or(0),
+                };
+                memo.remember(at, seen);
+            }
+        }
+        (met, hits)
+    }
+
+    /// Folds boxed cells `cell(i)` at `rows`: each non-NULL value's
+    /// [`ndv_hash`] into the sketch (when `sketch` is set), its
+    /// [`hist_key`] into the histogram and its place among the extremes.
+    fn fold_values<V: Borrow<Value>>(
+        &mut self,
+        nulls: &Bitmap,
+        rows: impl Iterator<Item = usize>,
+        sketch: bool,
+        cell: impl Fn(usize) -> V,
     ) {
         for i in rows {
             if nulls.get(i) {
                 self.nulls += 1;
                 continue;
             }
-            let (hash, key) = observe(i);
-            if let Some(h) = hash {
-                self.stale |= self.sketch.insert_hash(h);
+            let v = cell(i);
+            let v = v.borrow();
+            if sketch {
+                self.stale |= self.sketch.insert_hash(ndv_hash(v));
             }
-            if let Some(k) = key {
+            if let Some(k) = hist_key(v) {
                 self.hist.record(k);
             }
+            self.cover(Some(v), Some(v));
         }
+    }
+
+    /// The fold before it was typed, kept as the oracle of [`ColumnStats::fold`]:
+    /// every cell boxed and folded as a [`ColumnData::Other`] cell is.
+    #[cfg(test)]
+    fn fold_boxed(&mut self, col: &Column, rows: impl Iterator<Item = usize>, sketch: bool) {
+        self.fold_values(&col.nulls, rows, sketch, |i| col.value_at(i));
     }
 
     /// Widens min/max over the non-NULL cells of `col` at `rows`, compared
@@ -227,6 +341,182 @@ impl ColumnStats {
             }
         };
         self.cover(lo.as_ref(), hi.as_ref());
+    }
+}
+
+/// A cell of a typed buffer as [`ColumnStats::fold`] reads it: ordered as
+/// its [`Value`] is, with the word that places it in a [`Memo`], the
+/// [`ndv_hash`] and the [`hist_key`] of that value.
+trait Native: Copy + Ord {
+    /// Spread over a memo's slots by a multiplicative hash.
+    fn word(self) -> u64;
+    /// [`ndv_hash`] of the cell's value.
+    fn ndv_hash(self) -> u64;
+    /// [`hist_key`] of the cell's value.
+    fn hist_key(self) -> Option<u64>;
+}
+
+impl Native for i64 {
+    fn word(self) -> u64 {
+        self as u64
+    }
+    fn ndv_hash(self) -> u64 {
+        number_hash(Decimal::from_int(self))
+    }
+    fn hist_key(self) -> Option<u64> {
+        u64::try_from(self).ok()
+    }
+}
+
+/// A decimal cell: its mantissa at its column's scale, so cells of one
+/// column order by mantissa.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Scaled(i64, u8);
+
+impl Scaled {
+    fn decimal(self) -> Decimal {
+        Decimal::new(self.0 as i128, self.1)
+    }
+}
+
+impl Native for Scaled {
+    fn word(self) -> u64 {
+        self.0 as u64
+    }
+    /// Normalized in 64-bit arithmetic, as [`Decimal::normalize`] does a
+    /// mantissa that fits.
+    fn ndv_hash(self) -> u64 {
+        let Scaled(mut m, mut scale) = self;
+        while scale > 0 && m % 10 == 0 {
+            m /= 10;
+            scale -= 1;
+        }
+        number_hash(Decimal::new(m as i128, scale))
+    }
+    /// [`Decimal::to_f64`]'s quotient, the power of ten read off a table.
+    fn hist_key(self) -> Option<u64> {
+        let Scaled(m, scale) = self;
+        match POW10_F64.get(scale as usize) {
+            Some(pow) if m >= 0 => Some((m as f64 / pow) as u64),
+            Some(_) => None,
+            None => decimal_key(&self.decimal()),
+        }
+    }
+}
+
+/// `10^s` for the scales whose power of ten [`Decimal::to_f64`] divides
+/// by as an `i64` converted to `f64` (exactly: every power up to `10^18`
+/// is an `f64`).
+const POW10_F64: [f64; 19] = {
+    let mut table = [1.0; 19];
+    let mut s = 1;
+    while s < 19 {
+        table[s] = table[s - 1] * 10.0;
+        s += 1;
+    }
+    table
+};
+
+impl Native for Date {
+    fn word(self) -> u64 {
+        self.day_number() as u64
+    }
+    fn ndv_hash(self) -> u64 {
+        date_hash(self)
+    }
+    fn hist_key(self) -> Option<u64> {
+        u64::try_from(self.date_sk()).ok()
+    }
+}
+
+impl Native for &str {
+    /// The length and the first and last eight bytes: enough to part the
+    /// generated strings (keys differ at the end, words at the start).
+    fn word(self) -> u64 {
+        let b = self.as_bytes();
+        let (head, tail) = match b.len() {
+            n if n >= 8 => (le_word(&b[..8]), le_word(&b[n - 8..])),
+            _ => (le_word(b), 0),
+        };
+        head ^ tail.rotate_left(29) ^ b.len() as u64
+    }
+    fn ndv_hash(self) -> u64 {
+        str_hash(self)
+    }
+    fn hist_key(self) -> Option<u64> {
+        None
+    }
+}
+
+/// Up to eight bytes as a little-endian word, zero-padded: two
+/// overlapping loads where there are four or more, since a copy of a
+/// length known only at run time is a library call.
+#[inline]
+fn le_word(b: &[u8]) -> u64 {
+    let n = b.len();
+    let u32_at = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]) as u64;
+    match n {
+        8.. => u64::from_le_bytes(b[..8].try_into().expect("eight bytes")),
+        4..=7 => u32_at(0) | u32_at(n - 4) << (8 * (n - 4)),
+        _ => b.iter().rev().fold(0, |w, &x| w << 8 | x as u64),
+    }
+}
+
+/// [`Seen::bucket`] of a cell with no histogram key.
+const NO_BUCKET: u32 = u32::MAX;
+
+/// What a [`Memo`] slot remembers of a cell: the cell, its histogram
+/// bucket and key.
+#[derive(Clone, Copy)]
+struct Seen<K> {
+    cell: K,
+    bucket: u32,
+    key: u64,
+}
+
+/// A direct-mapped memo of the cells one fold has met: slot
+/// `word · φ >> shift` holds the last cell met there. Empty until the
+/// first cell, which then fills every slot, so a slot always holds a cell
+/// the fold has met. Sized from the rows folded: a 94-row update gets 128
+/// slots, a segment [`Memo::MAX_SLOTS`].
+struct Memo<K> {
+    slots: Vec<Seen<K>>,
+    len: usize,
+    shift: u32,
+}
+
+impl<K: Copy> Memo<K> {
+    /// Slots for a segment: as many as the distinct values of most
+    /// generated columns, and a cache-sized array.
+    const MAX_SLOTS: usize = 4096;
+
+    /// Rows over which the memo must answer a quarter of the cells to be
+    /// asked on.
+    const PROBE: usize = 4096;
+
+    /// An empty memo for a fold of up to `rows` cells.
+    fn sized(rows: usize) -> Memo<K> {
+        let len = rows.next_power_of_two().clamp(16, Self::MAX_SLOTS);
+        Memo {
+            slots: Vec::new(),
+            len,
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    /// The slot of a cell whose word is `word`.
+    #[inline]
+    fn slot(&self, word: u64) -> usize {
+        (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Remembers `seen` at slot `at`; the first cell fills every slot.
+    #[inline]
+    fn remember(&mut self, at: usize, seen: Seen<K>) {
+        match self.slots.is_empty() {
+            true => self.slots = vec![seen; self.len],
+            false => self.slots[at] = seen,
+        }
     }
 }
 
@@ -313,46 +603,91 @@ impl TableStats {
 pub fn hist_key(v: &Value) -> Option<u64> {
     match v {
         Value::Int(x) if *x >= 0 => Some(*x as u64),
-        Value::Decimal(d) => {
-            let f = d.to_f64();
-            if f.is_finite() && f >= 0.0 {
-                Some(f as u64)
-            } else {
-                None
-            }
-        }
+        Value::Decimal(d) => decimal_key(d),
         Value::Date(d) => u64::try_from(d.date_sk()).ok(),
         _ => None,
     }
 }
 
+/// [`hist_key`] of a decimal.
+fn decimal_key(d: &Decimal) -> Option<u64> {
+    let f = d.to_f64();
+    (f.is_finite() && f >= 0.0).then_some(f as u64)
+}
+
 /// What the NDV sketch is fed for `v`: `DefaultHasher`'s digest of
 /// [`Value::hash`] (SipHash-1-3 under the zero key), so an estimate does
-/// not depend on how a cell reached the sketch. Numbers — nearly every
-/// cell of a fact table — hash one fixed 18-byte message (tag, normalized
-/// mantissa, scale); that case is computed directly, because the
-/// streaming hasher spends several times more on buffering three short
-/// writes than on the six mixing rounds. `tests::ndv_hash_is_the_default_hashers`
-/// holds the two together.
+/// not depend on how a cell reached the sketch. The streaming hasher
+/// spends several times more on buffering short writes than on the
+/// mixing rounds, so the messages of numbers, dates and strings — every
+/// cell of a generated table — are hashed directly ([`number_hash`],
+/// [`date_hash`], [`str_hash`]); `tests::ndv_hash_is_the_default_hashers`
+/// holds them to the hasher.
 fn ndv_hash(v: &Value) -> u64 {
-    let d = match v {
-        Value::Int(x) => Decimal::from_int(*x),
-        Value::Decimal(d) => d.normalize(),
+    match v {
+        Value::Int(x) => number_hash(Decimal::from_int(*x)),
+        Value::Decimal(d) => number_hash(d.normalize()),
         _ => {
             let mut h = DefaultHasher::new();
             v.hash(&mut h);
-            return h.finish();
+            h.finish()
         }
-    };
+    }
+}
+
+/// The hash of a number, `d` normalized: one fixed 18-byte message (tag,
+/// mantissa, scale).
+fn number_hash(d: Decimal) -> u64 {
     // The message in 64-bit little-endian words, as the hasher reads it:
     // tag and mantissa bytes 0..7, mantissa bytes 7..15, then mantissa
     // byte 15, the scale, and the message length in the top byte.
     let m = u128::from_le_bytes(d.mantissa().to_ne_bytes());
-    let words = [
+    sip13([
         2 | (m as u64) << 8,
         (m >> 56) as u64,
         (m >> 120) as u64 | (d.scale() as u64) << 8 | 18 << 56,
-    ];
+    ])
+}
+
+/// The hash of a date: the 5-byte message of tag 3 and the day number.
+fn date_hash(d: Date) -> u64 {
+    sip13([3 | (d.day_number() as u32 as u64) << 8 | 5 << 56])
+}
+
+/// The hash of a string: the message of tag 5, the bytes and `0xff`,
+/// read eight message bytes at a time.
+fn str_hash(s: &str) -> u64 {
+    let (b, n) = (s.as_bytes(), s.len());
+    let len = n + 2;
+    // Message bytes `p..p + 8` (fewer at the end): the tag at 0, string
+    // byte `j` at `j + 1`, 0xff at `n + 1`.
+    let word = |p: usize| {
+        let end = (p + 8).min(len);
+        let (from, to) = (p.max(1), end.min(n + 1));
+        let mut w = match from < to {
+            true => le_word(&b[from - 1..to - 1]) << (8 * (from - p)),
+            false => 0,
+        };
+        if p == 0 {
+            w |= 5;
+        }
+        if (p..end).contains(&(n + 1)) {
+            w |= 0xff << (8 * (n + 1 - p));
+        }
+        w
+    };
+    let whole = len / 8;
+    sip13(
+        (0..whole)
+            .map(|k| word(8 * k))
+            .chain([word(8 * whole) | (len as u64) << 56]),
+    )
+}
+
+/// SipHash-1-3 under the zero key of a message given as its 64-bit words,
+/// the last holding the message's tail bytes and its length in the top
+/// byte.
+fn sip13(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut v = [
         0x736f_6d65_7073_6575u64,
         0x646f_7261_6e64_6f6d,
@@ -788,11 +1123,119 @@ mod tests {
             }
         }
         values.push(Value::Decimal(Decimal::new(i128::MAX / 10 * 10, 3)));
-        for v in &values {
+        let digest = |v: &Value| {
             let mut h = DefaultHasher::new();
             v.hash(&mut h);
-            assert_eq!(ndv_hash(v), h.finish(), "{v:?}");
+            h.finish()
+        };
+        for v in &values {
+            assert_eq!(ndv_hash(v), digest(v), "{v:?}");
         }
+        // Dates and strings the typed fold hashes directly: every length
+        // across three words, multi-byte characters cut at any offset.
+        for day in [i32::MIN, -1, 0, 1, 36_524, 2_450_000, i32::MAX] {
+            let d = Date::from_day_number(day);
+            assert_eq!(date_hash(d), digest(&Value::Date(d)), "{d:?}");
+        }
+        let text = "AAAAAAAAAAAAABCDé日本語 of the ÿ item, 0123456789 ".repeat(3);
+        let cuts = text.char_indices().map(|(i, _)| i);
+        for (start, end) in cuts.clone().flat_map(|a| cuts.clone().map(move |b| (a, b))) {
+            if start <= end && end - start <= 40 {
+                let s = &text[start..end];
+                assert_eq!(str_hash(s), digest(&Value::str(s)), "{s:?}");
+            }
+        }
+    }
+
+    /// Column `c` of a segment of `n` rows: ints, decimals, dates and
+    /// strings, each at a low and a high NDV, with NULLs; the repeated
+    /// strings alike in length and in their first and last eight bytes.
+    fn typed_column(c: usize, n: usize) -> (DataType, Vec<Value>) {
+        let cell = |i: usize| -> Value {
+            let (k, low) = ((i * 7_919) % n.max(1), (i * 31) % 211);
+            match c {
+                0 => Value::Int(low as i64 * 37 - 500),
+                1 => Value::Int((k * 1_000_003) as i64 - 5),
+                2 => Value::Decimal(Decimal::new(low as i128 * 25 - 300, 2)),
+                3 => Value::Decimal(Decimal::new(k as i128 * 101 - 40_000, 2)),
+                4 => Value::Date(Date::from_day_number(36_000 + 3 * low as i32)),
+                5 => Value::Date(Date::from_day_number(k as i32 - 100)),
+                6 => match low % 5 {
+                    0 => Value::str(["Y", "N", "", "Unknown"][i % 4]),
+                    _ => Value::str(format!("AAAAAAAA{low:04}é日ZZZZZZZZ")),
+                },
+                _ => Value::str(format!("s{k:07}é{}", "x".repeat(k % 11))),
+            }
+        };
+        let dtype = match c {
+            0 | 1 => DataType::Int,
+            2 | 3 => DataType::Decimal,
+            4 | 5 => DataType::Date,
+            _ => DataType::Str,
+        };
+        let values = (0..n).map(|i| if i % 9 == 4 { Value::Null } else { cell(i) });
+        (dtype, values.collect())
+    }
+
+    fn same(got: &ColumnStats, want: &ColumnStats, what: &str) {
+        assert_eq!(got.nulls, want.nulls, "{what}: nulls");
+        assert_eq!(
+            format!("{:?}", got.min),
+            format!("{:?}", want.min),
+            "{what}: min"
+        );
+        assert_eq!(
+            format!("{:?}", got.max),
+            format!("{:?}", want.max),
+            "{what}: max"
+        );
+        assert_eq!(got.hist, want.hist, "{what}: histogram");
+        assert!(got.sketch == want.sketch, "{what}: sketch registers");
+        assert_eq!(got.stale, want.stale, "{what}: stale");
+    }
+
+    #[test]
+    fn typed_fold_equals_the_boxed_fold() {
+        for n in [1, 94, 5_000, SEGMENT_ROWS] {
+            for c in 0..8 {
+                let (dtype, values) = typed_column(c, n);
+                let mut col = Column::for_type(dtype);
+                values.iter().for_each(|v| col.push(v));
+                assert!(!matches!(col.data, ColumnData::Other(_)), "column {c}");
+                // From empty accumulators and from ones already holding
+                // cells; every row, a masked subset, and rows at ids.
+                let mut held = ColumnStats::empty();
+                held.fold_boxed(&col, (0..n).step_by(5), true);
+                let live = |i: &usize| i % 3 != 1;
+                for (start, sketch) in [(ColumnStats::empty(), true), (held, true)] {
+                    for (rows, name) in [
+                        ((0..n).collect::<Vec<_>>(), "all"),
+                        ((0..n).filter(live).collect(), "masked"),
+                        ((0..n).rev().step_by(17).collect(), "at"),
+                    ] {
+                        for sketch in [sketch, false] {
+                            let (mut got, mut want) = (start.clone(), start.clone());
+                            got.fold(&col, rows.iter().copied(), sketch);
+                            want.fold_boxed(&col, rows.iter().copied(), sketch);
+                            same(
+                                &got,
+                                &want,
+                                &format!("{n} rows, column {c}, {name}, {sketch}"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_slots_follow_the_rows_folded() {
+        assert_eq!(Memo::<i64>::sized(94).len, 128);
+        assert_eq!(Memo::<i64>::sized(1).len, 16);
+        assert_eq!(Memo::<i64>::sized(SEGMENT_ROWS).len, Memo::<i64>::MAX_SLOTS);
+        let memo = Memo::<i64>::sized(94);
+        assert!((0..1_000).all(|w| memo.slot(w) < 128));
     }
 
     #[test]
