@@ -101,7 +101,7 @@ pub struct Generator {
     seed: u64,
     pub(crate) sales_dates: Arc<SalesDateDistribution>,
     /// Each table's row count, by [`Table`]: computed once, read per draw.
-    rows: [u64; 24],
+    rows: [u64; Table::ALL.len()],
     /// The (weeks, warehouses, items-per-cell) layout of `inventory`.
     inventory: (u64, u64, u64),
 }
@@ -136,7 +136,7 @@ impl Generator {
     pub fn with_seed(sf: f64, seed: u64) -> Self {
         assert!(sf > 0.0, "scale factor must be positive");
         let schema = Schema::tpcds();
-        let mut rows: [u64; 24] = std::array::from_fn(|t| schema.rows(schema.tables()[t].name, sf));
+        let mut rows = std::array::from_fn(|t| schema.rows(schema.tables()[t].name, sf));
         // Inventory is rounded to whole snapshot cells: five years of
         // weekly snapshots of every warehouse.
         let (weeks, warehouses) = (261, rows[Table::Warehouse as usize]);

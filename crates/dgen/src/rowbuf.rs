@@ -31,11 +31,6 @@ pub enum Cell {
 }
 
 impl Cell {
-    /// Money in cents: a `decimal(7,2)` cell.
-    pub fn cents(v: i64) -> Cell {
-        Cell::Dec(v, 2)
-    }
-
     /// The integer the cell holds.
     pub fn as_int(self) -> Option<i64> {
         match self {
@@ -88,9 +83,9 @@ impl RowBuf {
         self.push(Cell::Int(v));
     }
 
-    /// Appends money in cents.
+    /// Appends money in cents: a `decimal(7,2)` cell.
     pub fn cents(&mut self, v: i64) {
-        self.push(Cell::cents(v));
+        self.push(Cell::Dec(v, 2));
     }
 
     /// Appends a date.
