@@ -4,7 +4,9 @@
 //! back on one SF 0.2 database.
 //!
 //! `cargo bench --bench maintenance -- refresh_sets` runs only the
-//! benchmarks whose name contains the argument.
+//! benchmarks whose name contains the argument; `--sets N` runs N refresh
+//! sets instead of 200 (`-- refresh_sets --sets 700`: about what one
+//! 16 s `dm_mixed` run commits).
 
 use std::time::{Duration, Instant};
 use tpcds_bench::harness::bench_with_setup;
@@ -19,39 +21,65 @@ fn load() -> TpcDs {
     TpcDs::builder().scale_factor(0.01).build().expect("load")
 }
 
-/// Refresh sets `maint/refresh_sets` runs, one after another.
+/// Refresh sets `maint/refresh_sets` runs, one after another, unless
+/// `--sets N` says otherwise.
 const SETS: u32 = 200;
 
+/// Sets per window of the per-window medians.
+const WINDOW: usize = 100;
+
+/// The fact tables refresh sets append to.
+const FACTS: [&str; 6] = [
+    "store_sales",
+    "store_returns",
+    "catalog_sales",
+    "catalog_returns",
+    "web_sales",
+    "web_returns",
+];
+
 /// The exact median of `times`, in milliseconds.
-fn median_ms(mut times: Vec<Duration>) -> f64 {
+fn median_ms(times: &[Duration]) -> f64 {
+    let mut times = times.to_vec();
     times.sort_unstable();
     times[times.len() / 2].as_secs_f64() * 1e3
 }
 
-/// [`SETS`] consecutive `run_maintenance` sets on one SF 0.2 database at 2
+/// `sets` consecutive `run_maintenance` sets on one SF 0.2 database at 2
 /// workers, as `dm_mixed`'s writer runs them: prints the median set, each
-/// operation's median and the live heap after the last set.
-fn refresh_sets() {
+/// operation's median, the median set of each window of [`WINDOW`] sets,
+/// each fact table's rows and segments after the last set, and the live
+/// heap then.
+fn refresh_sets(sets: u32) {
     storage::set_threads(Some(2));
     let t = TpcDs::builder().scale_factor(0.2).build().expect("load");
-    let mut sets = Vec::new();
+    let mut times = Vec::new();
     let mut ops = vec![Vec::new(); maint::OPERATIONS.len()];
-    for seq in 0..SETS {
+    for seq in 0..sets {
         let started = Instant::now();
         let report = maint::run_maintenance(t.database(), t.generator(), seq).expect("refresh set");
-        sets.push(started.elapsed());
+        times.push(started.elapsed());
         for (times, op) in ops.iter_mut().zip(&report.ops) {
             times.push(op.elapsed);
         }
     }
     storage::set_threads(None);
     println!(
-        "{:<44} n={SETS:<3} p50={:>11.3}ms",
+        "{:<44} n={sets:<3} p50={:>11.3}ms",
         "maint/refresh_sets",
-        median_ms(sets)
+        median_ms(&times)
     );
     for (name, times) in maint::OPERATIONS.iter().zip(ops) {
-        println!("  {name:<42} p50={:>11.3}ms", median_ms(times));
+        println!("  {name:<42} p50={:>11.3}ms", median_ms(&times));
+    }
+    for (w, window) in times.chunks(WINDOW).enumerate() {
+        let sets = format!("sets {}-{}", w * WINDOW + 1, w * WINDOW + window.len());
+        println!("  {sets:<42} p50={:>11.3}ms", median_ms(window));
+    }
+    for table in FACTS {
+        let data = t.database().table(table).expect("fact table");
+        let (rows, segments) = (data.data().rows, data.data().segments.len());
+        println!("  {table:<42} {rows} rows in {segments} segments");
     }
     println!(
         "  {:<42} {}",
@@ -61,8 +89,18 @@ fn refresh_sets() {
 }
 
 fn main() {
-    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-    let wanted = |name: &str| filter.as_deref().is_none_or(|f| name.contains(f));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let sets = match args.iter().position(|a| a == "--sets") {
+        Some(i) => args
+            .get(i + 1)
+            .and_then(|n| n.parse().ok())
+            .expect("--sets N"),
+        None => SETS,
+    };
+    let filter = (args.iter().enumerate())
+        .find(|&(i, a)| !a.starts_with('-') && (i == 0 || args[i - 1] != "--sets"))
+        .map(|(_, a)| a.as_str());
+    let wanted = |name: &str| filter.is_none_or(|f| name.contains(f));
     if wanted("maint/fig8_non_history_update") {
         bench_with_setup("maint/fig8_non_history_update", 10, load, |t| {
             maint::update_non_history_dimension(t.database(), t.generator(), "customer", 0)
@@ -94,6 +132,6 @@ fn main() {
         });
     }
     if wanted("maint/refresh_sets") {
-        refresh_sets();
+        refresh_sets(sets);
     }
 }

@@ -9,26 +9,51 @@ use tpcds_core::{Generator, TpcDs, Workload};
 
 type Result<T> = std::result::Result<T, String>;
 
-/// Minimal flag parser: `--name value` pairs and `--flag` booleans.
+/// The flags of one subcommand: `--name value` pairs and `--flag`
+/// switches, each declared by the subcommand. An argument it does not
+/// declare, or a value flag without its value, is an error that shows the
+/// subcommand's usage; `--help` / `-h` prints the usage and exits 0
+/// before the subcommand does any work.
 struct Flags<'a> {
-    args: &'a [String],
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
 }
 
 impl<'a> Flags<'a> {
-    fn new(args: &'a [String]) -> Self {
-        Flags { args }
+    /// Parses `args` of subcommand `cmd`, whose flags taking a value are
+    /// `values` and whose switches are `switches`.
+    fn new(cmd: &str, args: &'a [String], values: &[&str], switches: &[&str]) -> Result<Self> {
+        let mut flags = Flags {
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            if arg == "--help" || arg == "-h" {
+                println!("{}", usage_of(cmd));
+                std::process::exit(0);
+            } else if values.contains(&arg) {
+                let value = args
+                    .next()
+                    .ok_or_else(|| format!("{arg} needs a value\n\n{}", usage_of(cmd)))?;
+                flags.values.push((arg, value));
+            } else if switches.contains(&arg) {
+                flags.switches.push(arg);
+            } else {
+                return Err(format!("unknown argument {arg:?}\n\n{}", usage_of(cmd)));
+            }
+        }
+        Ok(flags)
     }
 
-    fn value(&self, name: &str) -> Option<&str> {
-        self.args
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.args.get(i + 1))
-            .map(|s| s.as_str())
+    fn value(&self, name: &str) -> Option<&'a str> {
+        (self.values.iter())
+            .find(|(flag, _)| *flag == name)
+            .map(|(_, value)| *value)
     }
 
     fn has(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
+        self.switches.contains(&name)
     }
 
     fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T> {
@@ -41,9 +66,23 @@ impl<'a> Flags<'a> {
     }
 }
 
+/// The usage of subcommand `cmd`: its line of the toolkit's usage.
+fn usage_of(cmd: &str) -> String {
+    let prefix = format!("tpcds {cmd} ");
+    let line = (crate::usage().lines())
+        .find(|l| l.trim_start().starts_with(&prefix))
+        .unwrap_or("");
+    format!("USAGE:\n{line}")
+}
+
 /// `tpcds dsdgen` — write flat files.
 pub fn dsdgen(args: &[String]) -> Result<()> {
-    let flags = Flags::new(args);
+    let flags = Flags::new(
+        "dsdgen",
+        args,
+        &["--scale", "--dir", "--table", "--parallel"],
+        &[],
+    )?;
     let sf: f64 = flags.parse("--scale", 0.01)?;
     let dir = PathBuf::from(flags.value("--dir").unwrap_or("tpcds_data"));
     let parallel: usize = flags.parse("--parallel", 4)?;
@@ -74,7 +113,12 @@ pub fn dsdgen(args: &[String]) -> Result<()> {
 
 /// `tpcds dsqgen` — write query streams.
 pub fn dsqgen(args: &[String]) -> Result<()> {
-    let flags = Flags::new(args);
+    let flags = Flags::new(
+        "dsqgen",
+        args,
+        &["--scale", "--streams", "--query", "--dir"],
+        &[],
+    )?;
     let sf: f64 = flags.parse("--scale", 0.01)?;
     let streams: u64 = flags.parse("--streams", 1u64)?;
     let workload = Workload::tpcds().map_err(|e| e.to_string())?;
@@ -126,7 +170,18 @@ pub fn dsqgen(args: &[String]) -> Result<()> {
 
 /// `tpcds run` — the full benchmark.
 pub fn run(args: &[String]) -> Result<()> {
-    let flags = Flags::new(args);
+    let flags = Flags::new(
+        "run",
+        args,
+        &[
+            "--scale",
+            "--streams",
+            "--queries",
+            "--threads",
+            "--metrics-addr",
+        ],
+        &["--no-aux", "--via-server", "--json"],
+    )?;
     if let Some(addr) = flags.value("--metrics-addr") {
         let bound = tpcds_core::obs::metrics::serve(addr)
             .map_err(|e| format!("cannot bind metrics endpoint {addr:?}: {e}"))?;
@@ -212,7 +267,7 @@ fn load_and_resolve_sql(flags: &Flags) -> Result<(TpcDs, String)> {
 
 /// `tpcds query` — one query against a freshly loaded instance.
 pub fn query(args: &[String]) -> Result<()> {
-    let flags = Flags::new(args);
+    let flags = Flags::new("query", args, &["--scale", "--id", "--sql"], &["--explain"])?;
     let (tpcds, sql) = load_and_resolve_sql(&flags)?;
     if flags.has("--explain") {
         println!("{}", tpcds.explain(&sql).map_err(|e| e.to_string())?);
@@ -227,7 +282,12 @@ pub fn query(args: &[String]) -> Result<()> {
 /// `tpcds explain` — the plan tree; `--analyze` executes the statement and
 /// annotates every operator with `rows=`, `elapsed=` and `loops=` actuals.
 pub fn explain(args: &[String]) -> Result<()> {
-    let flags = Flags::new(args);
+    let flags = Flags::new(
+        "explain",
+        args,
+        &["--scale", "--id", "--sql"],
+        &["--analyze"],
+    )?;
     let (tpcds, sql) = load_and_resolve_sql(&flags)?;
     if flags.has("--analyze") {
         let analyzed = tpcds.explain_analyze(&sql).map_err(|e| e.to_string())?;
@@ -241,7 +301,7 @@ pub fn explain(args: &[String]) -> Result<()> {
 
 /// `tpcds shell` — interactive SQL.
 pub fn shell(args: &[String]) -> Result<()> {
-    let flags = Flags::new(args);
+    let flags = Flags::new("shell", args, &["--scale"], &[])?;
     let sf: f64 = flags.parse("--scale", 0.01)?;
     eprintln!("loading TPC-DS at SF {sf}...");
     let tpcds = TpcDs::builder()
@@ -317,7 +377,7 @@ pub fn shell(args: &[String]) -> Result<()> {
 
 /// `tpcds profile` — per-column data statistics.
 pub fn profile(args: &[String]) -> Result<()> {
-    let flags = Flags::new(args);
+    let flags = Flags::new("profile", args, &["--scale", "--table", "--limit"], &[])?;
     let sf: f64 = flags.parse("--scale", 0.01)?;
     let limit: u64 = flags.parse("--limit", 10_000u64)?;
     let generator = Generator::new(sf);
@@ -334,7 +394,7 @@ pub fn profile(args: &[String]) -> Result<()> {
 
 /// `tpcds schema` — schema info.
 pub fn schema(args: &[String]) -> Result<()> {
-    let flags = Flags::new(args);
+    let flags = Flags::new("schema", args, &[], &["--stats", "--dot", "--ddl"])?;
     let schema = Schema::tpcds();
     if flags.has("--ddl") {
         println!("{}", tpcds_core::schema::ddl::full_ddl(&schema));
@@ -373,7 +433,19 @@ pub fn schema(args: &[String]) -> Result<()> {
 /// `tpcds serve` — load a data set and serve it over TCP until a client
 /// sends `shutdown` (or the process is killed).
 pub fn serve(args: &[String]) -> Result<()> {
-    let flags = Flags::new(args);
+    let flags = Flags::new(
+        "serve",
+        args,
+        &[
+            "--scale",
+            "--addr",
+            "--max-queries",
+            "--idle-timeout",
+            "--slow-query-ms",
+            "--metrics-addr",
+        ],
+        &["--no-aux"],
+    )?;
     if let Some(addr) = flags.value("--metrics-addr") {
         let bound = tpcds_core::obs::metrics::serve(addr)
             .map_err(|e| format!("cannot bind metrics endpoint {addr:?}: {e}"))?;
@@ -425,7 +497,12 @@ pub fn serve(args: &[String]) -> Result<()> {
 pub fn synth(args: &[String]) -> Result<()> {
     use tpcds_core::synth::{run_soak, SoakConfig, SynthConfig};
 
-    let flags = Flags::new(args);
+    let flags = Flags::new(
+        "synth",
+        args,
+        &["--scale", "--queries", "--streams", "--seed", "--dm"],
+        &["--via-server"],
+    )?;
     let sf: f64 = flags.parse("--scale", 0.01)?;
     let queries: usize = flags.parse("--queries", 100usize)?;
     let streams: usize = flags.parse("--streams", 2usize)?;
@@ -489,7 +566,12 @@ pub fn synth(args: &[String]) -> Result<()> {
 /// queries (optionally pinned to a snapshot version), plans, server
 /// stats, shutdown.
 pub fn client(args: &[String]) -> Result<()> {
-    let flags = Flags::new(args);
+    let flags = Flags::new(
+        "client",
+        args,
+        &["--addr", "--sql", "--pin", "--query-id"],
+        &["--explain", "--ping", "--stats", "--shutdown"],
+    )?;
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:9955");
     let mut client = tpcds_core::server::Client::connect(addr)
         .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
@@ -548,7 +630,7 @@ pub fn client(args: &[String]) -> Result<()> {
 /// client connection (everything shown comes from the `sys.*` virtual
 /// tables, so `tpcds client --sql` can reproduce any pane by hand).
 pub fn top(args: &[String]) -> Result<()> {
-    let flags = Flags::new(args);
+    let flags = Flags::new("top", args, &["--addr", "--interval-ms"], &["--once"])?;
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:9955");
     let interval_ms: u64 = flags.parse("--interval-ms", 2000u64)?;
     let once = flags.has("--once");

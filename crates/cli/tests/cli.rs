@@ -101,3 +101,29 @@ fn explain_analyze_reports_memory() {
     // plan attributes peak memory to operators.
     assert!(text.contains("mem_peak="), "{text}");
 }
+
+#[test]
+fn dsdgen_help_prints_usage_and_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("tpcds_cli_help_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = tpcds()
+        .args(["dsdgen", "--help"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("tpcds dsdgen"), "{text}");
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(written.is_empty(), "{written:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_flag_fails_with_usage() {
+    let out = tpcds().args(["run", "--bogus"]).output().unwrap();
+    assert!(!out.status.success());
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("unknown argument \"--bogus\""), "{text}");
+    assert!(text.contains("tpcds run"), "{text}");
+}

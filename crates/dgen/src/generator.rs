@@ -18,7 +18,7 @@ use std::ops::Range;
 use std::sync::{Arc, LazyLock};
 use tpcds_schema::Schema;
 use tpcds_types::rng::{table_stream, ColumnRng, DEFAULT_SEED};
-use tpcds_types::{Date, Row};
+use tpcds_types::{DataType, Date, Row};
 
 /// First calendar day covered by revision histories of slowly changing
 /// dimensions (rec_start_date of revision 0).
@@ -87,7 +87,7 @@ impl Table {
 }
 
 /// A table's row function: writes row `r` into the buffer.
-type RowFn = fn(&Generator, u64, &mut RowBuf);
+pub(crate) type RowFn = fn(&Generator, u64, &mut RowBuf);
 
 /// The weights of [`words::FIRST_NAMES`], for weighted picks.
 static FIRST_NAME_WEIGHTS: LazyLock<Vec<f64>> =
@@ -268,21 +268,40 @@ impl Generator {
     /// a [`Row`]. Counts its rows in the `gen.rows` counter.
     pub fn generate_segment(&self, table: &str, k: usize) -> Arc<tpcds_storage::Segment> {
         let t = self.table(table);
-        let def = &self.schema.tables()[t as usize];
-        let dtypes = def.columns.iter().map(|c| c.ctype.data_type()).collect();
         let rows = self.segment_range(t, k);
-        let mut builder = tpcds_storage::ColumnTableBuilder::new(dtypes);
-        builder.reserve((rows.end - rows.start) as usize);
-        let (row, mut buf) = (Self::row_fn(t), RowBuf::default());
-        for r in rows {
-            buf.clear();
-            row(self, r, &mut buf);
-            builder.push_row_with(|columns| buf.push_into(columns));
-        }
-        let segment = builder.finish().segments.pop();
-        let segment = segment.unwrap_or_else(|| panic!("{table} has no segment {k}"));
+        let mut batch = self.batch(t, self.dtypes(t), rows, |r, row, buf| row(self, r, buf));
+        let segment =
+            (batch.segments.pop()).unwrap_or_else(|| panic!("{table} has no segment {k}"));
         tpcds_obs::counter("dgen", "gen.rows", segment.rows as f64);
         segment
+    }
+
+    /// The declared type of each of `table`'s columns.
+    pub(crate) fn dtypes(&self, table: Table) -> Vec<DataType> {
+        let def = &self.schema.tables()[table as usize];
+        def.columns.iter().map(|c| c.ctype.data_type()).collect()
+    }
+
+    /// A table of `dtypes` columns holding one row per item of `rows`,
+    /// which `fill` writes into one reused buffer with `table`'s row
+    /// function; the buffer's cells are pushed from there into the typed
+    /// columns.
+    pub(crate) fn batch<I: Iterator>(
+        &self,
+        table: Table,
+        dtypes: Vec<DataType>,
+        rows: I,
+        mut fill: impl FnMut(I::Item, RowFn, &mut RowBuf),
+    ) -> tpcds_storage::ColumnTable {
+        let (row, mut buf) = (Self::row_fn(table), RowBuf::default());
+        let mut builder = tpcds_storage::ColumnTableBuilder::new(dtypes);
+        builder.reserve(rows.size_hint().0);
+        for item in rows {
+            buf.clear();
+            fill(item, row, &mut buf);
+            builder.push_row_with(|columns| buf.push_into(columns));
+        }
+        builder.finish()
     }
 
     /// Generates one row of `table` (0-based index). The workhorse — pure
@@ -333,7 +352,7 @@ impl Generator {
     }
 
     /// Appends [`Generator::business_id`] of `n` to `out`.
-    fn write_business_id(n: u64, out: &mut String) {
+    pub(crate) fn write_business_id(n: u64, out: &mut String) {
         let mut bytes = [b'A'; 16];
         let mut v = n;
         let mut i = 15;

@@ -7,9 +7,18 @@
 //! carry business keys that the load step must resolve to surrogate keys
 //! (Figure 10). Keys into static dimensions stay pre-resolved surrogates,
 //! as in dsdgen's update set.
+//!
+//! A refresh set is generated as the bulk load is: each row written into
+//! one reused [`RowBuf`] and pushed from it into the typed columns of a
+//! batch, a [`ColumnTable`] — no row is boxed into [`Value`]s, and a
+//! business key is text in the buffer until it lands in its column.
+//!
+//! [`Value`]: tpcds_types::Value
 
 use crate::generator::{Generator, Table};
-use tpcds_types::{Row, Value};
+use std::ops::Range;
+use tpcds_storage::ColumnTable;
+use tpcds_types::DataType;
 
 /// How many dimension rows a refresh run updates at minimum (1% of the
 /// table otherwise).
@@ -18,16 +27,9 @@ pub const MIN_DIM_UPDATES: u64 = 5;
 /// Fraction of a fact table inserted per refresh run.
 pub const FACT_INSERT_FRACTION: f64 = 0.01;
 
-/// A dimension update row: the business key plus the full replacement row
-/// (surrogate key and business key columns included; the surrogate key
-/// value is a placeholder the maintenance step ignores).
-#[derive(Debug, Clone)]
-pub struct DimensionUpdate {
-    /// Business key of the entity to update.
-    pub business_key: String,
-    /// Replacement attribute values, in table column order.
-    pub row: Row,
-}
+/// The maintained dimensions whose surrogate keys a fact insert carries
+/// as business keys.
+pub const RESOLVED_DIMENSIONS: [&str; 3] = ["item", "customer", "store"];
 
 impl Generator {
     /// Number of update rows for a dimension at this scale factor.
@@ -35,57 +37,65 @@ impl Generator {
         (self.row_count(table) / 100).max(MIN_DIM_UPDATES)
     }
 
-    /// Generates the update set for a maintained dimension. Every update
-    /// targets an existing business key; the replacement row is a freshly
-    /// generated revision (deterministic in `refresh_seq`).
-    pub fn refresh_dimension(&self, table: &str, refresh_seq: u32) -> Vec<DimensionUpdate> {
-        let t = self
-            .schema()
-            .table(table)
-            .unwrap_or_else(|| panic!("unknown table {table}"));
-        let bk_col = t
-            .business_key
-            .unwrap_or_else(|| panic!("{table} has no business key"));
-        let bk_idx = t.column_index(bk_col).expect("business key exists");
-        let rows = self.row_count(table);
-        let n = self.refresh_update_count(table);
-        let mut out = Vec::with_capacity(n as usize);
-        for k in 0..n {
-            // Pick an existing surrogate deterministically, then rewrite
-            // that entity's attributes by regenerating the row at a
-            // refresh-specific coordinate.
-            let mut rng = self.rng(self.table(table), 100 + refresh_seq as u64, k);
+    /// The revisions a refresh run writes into a maintained dimension, as
+    /// `(target, source)` row pairs: update `k` rewrites the entity of
+    /// existing row `target` (picked deterministically) with the
+    /// attributes of row `source`, the same entity generated at a shifted
+    /// coordinate beyond the initial population — a plausible changed
+    /// revision.
+    pub fn refresh_revisions(
+        &self,
+        table: &str,
+        refresh_seq: u32,
+    ) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let (t, rows) = (self.table(table), self.row_count(table));
+        (0..self.refresh_update_count(table)).map(move |k| {
+            let mut rng = self.rng(t, 100 + refresh_seq as u64, k);
             let target = rng.uniform_i64(0, rows as i64 - 1) as u64;
-            let base = self.row(table, target);
-            let business_key = base[bk_idx]
-                .as_str()
-                .expect("business keys are strings")
-                .to_string();
-            // New attribute values: the same entity generated at a shifted
-            // coordinate (beyond the initial population) gives a plausible
-            // changed revision.
             let shift = (refresh_seq as u64 + 1) * rows + target;
-            let mut row = self.row(table, rows + shift % rows);
-            // Preserve identity columns.
-            row[bk_idx] = Value::str(&business_key);
-            out.push(DimensionUpdate { business_key, row });
-        }
-        out
+            (target, rows + shift % rows)
+        })
     }
 
-    /// Generates fact insert rows for a refresh run: the next 1% slice of
-    /// a sales table beyond the initial population, or the returns of
-    /// exactly the sales that slice holds, with maintained dimension keys
-    /// (item / customer / store) replaced by business keys for the load
-    /// step to resolve.
-    pub fn refresh_fact_inserts(&self, table: &str, refresh_seq: u32) -> Vec<Row> {
+    /// Generates the update set for a maintained dimension: one row per
+    /// [`Generator::refresh_revisions`] pair, the source row with the
+    /// target's business key, in the table's column types. Every update
+    /// targets an existing business key, which the row's business-key
+    /// column holds; the surrogate key is a placeholder the maintenance
+    /// step ignores.
+    pub fn refresh_dimension(&self, table: &str, refresh_seq: u32) -> ColumnTable {
+        let t = self.table(table);
+        let def = &self.schema().tables()[t as usize];
+        let bk_col = def
+            .business_key
+            .unwrap_or_else(|| panic!("{table} has no business key"));
+        let bk_idx = def.column_index(bk_col).expect("business key exists");
+        let history = def.is_history_keeping();
+        let revisions = self.refresh_revisions(table, refresh_seq);
+        self.batch(
+            t,
+            self.dtypes(t),
+            revisions,
+            |(target, source), row, buf| {
+                row(self, source, buf);
+                let key =
+                    buf.write(|text| Self::write_business_key(history, target as i64 + 1, text));
+                buf.set(bk_idx, key);
+            },
+        )
+    }
+
+    /// The rows of `table` a refresh run inserts: the next 1% slice of a
+    /// sales table beyond the initial population, or the returns of
+    /// exactly the sales that slice holds.
+    pub fn refresh_fact_rows(&self, table: &str, refresh_seq: u32) -> Range<u64> {
         let sales_slice = |sales: &str| {
             let base_rows = self.row_count(sales);
             let n = ((base_rows as f64 * FACT_INSERT_FRACTION) as u64).max(10);
             let start = base_rows + refresh_seq as u64 * n;
             start..start + n
         };
-        let rows = match table.strip_suffix("_returns") {
+        match table.strip_suffix("_returns") {
             None => sales_slice(table),
             Some(channel) => {
                 // Return `r` copies sale `r * sales / returns`: the returns
@@ -96,34 +106,54 @@ impl Generator {
                 let sold = sales_slice(&sales);
                 first(sold.start) as u64..first(sold.end) as u64
             }
-        };
-        let t = self.schema().table(table).expect("known table");
-        let conversions: Vec<(usize, &str)> = t
-            .foreign_keys
-            .iter()
-            .filter(|f| matches!(f.ref_table, "item" | "customer" | "store"))
-            .map(|f| (t.column_index(f.column).expect("fk column"), f.ref_table))
-            .collect();
-        self.rows_in(self.table(table), rows)
-            .map(|mut row| {
-                for (col, ref_table) in &conversions {
-                    if let Value::Int(sk) = row[*col] {
-                        row[*col] = Value::str(self.business_key_of(ref_table, sk));
-                    }
-                }
-                row
+        }
+    }
+
+    /// Generates the fact insert rows of a refresh run
+    /// ([`Generator::refresh_fact_rows`]) in the table's column types,
+    /// except that each key into a [`RESOLVED_DIMENSIONS`] table is a
+    /// string column holding the business key for the load step to
+    /// resolve (NULL where the key is).
+    pub fn refresh_fact_inserts(&self, table: &str, refresh_seq: u32) -> ColumnTable {
+        let t = self.table(table);
+        let def = &self.schema().tables()[t as usize];
+        let mut dtypes = self.dtypes(t);
+        let keys: Vec<(usize, bool)> = (def.foreign_keys.iter())
+            .filter(|f| RESOLVED_DIMENSIONS.contains(&f.ref_table))
+            .map(|f| {
+                let col = def.column_index(f.column).expect("fk column");
+                dtypes[col] = DataType::Str;
+                let dimension = self.schema().table(f.ref_table).expect("known table");
+                (col, dimension.is_history_keeping())
             })
-            .collect()
+            .collect();
+        let rows = self.refresh_fact_rows(table, refresh_seq);
+        self.batch(t, dtypes, rows, |r, row, buf| {
+            row(self, r, buf);
+            for &(col, history) in &keys {
+                if let Some(sk) = buf.cells()[col].as_int() {
+                    let key = buf.write(|text| Self::write_business_key(history, sk, text));
+                    buf.set(col, key);
+                }
+            }
+        })
     }
 
     /// The business key of surrogate `sk` in `table` (1-based surrogates).
     pub fn business_key_of(&self, table: &str, sk: i64) -> String {
-        let idx = (sk - 1).max(0) as u64;
         let t = self.schema().table(table).expect("known table");
-        if t.is_history_keeping() {
-            Generator::business_id(Generator::scd_position(idx).business_key)
-        } else {
-            Generator::business_id(idx)
+        let mut key = String::with_capacity(16);
+        Self::write_business_key(t.is_history_keeping(), sk, &mut key);
+        key
+    }
+
+    /// Appends the business key of surrogate `sk` (1-based) of a
+    /// dimension, history-keeping or not, to `out`.
+    fn write_business_key(history: bool, sk: i64, out: &mut String) {
+        let idx = (sk - 1).max(0) as u64;
+        match history {
+            true => Generator::write_business_id(Generator::scd_position(idx).business_key, out),
+            false => Generator::write_business_id(idx, out),
         }
     }
 
@@ -146,21 +176,31 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    /// Column `col` of every row of `batch`, as strings.
+    fn keys(batch: &ColumnTable, col: usize) -> Vec<String> {
+        let key = |id| batch.str_at(id, col).expect("a business key").to_string();
+        batch.live_ids().map(key).collect()
+    }
+
+    fn existing_keys(g: &Generator, table: &str) -> HashSet<String> {
+        g.generate(table)
+            .into_iter()
+            .map(|r| r[1].as_str().unwrap().to_string())
+            .collect()
+    }
+
     #[test]
     fn dimension_updates_target_existing_business_keys() {
         let g = Generator::new(0.01);
-        let existing: HashSet<String> = g
-            .generate("customer")
-            .into_iter()
-            .map(|r| r[1].as_str().unwrap().to_string())
-            .collect();
-        for u in g.refresh_dimension("customer", 0) {
-            assert!(
-                existing.contains(&u.business_key),
-                "{} unknown",
-                u.business_key
-            );
-            assert_eq!(u.row.len(), g.schema().table("customer").unwrap().width());
+        let existing = existing_keys(&g, "customer");
+        let updates = g.refresh_dimension("customer", 0);
+        assert_eq!(updates.rows as u64, g.refresh_update_count("customer"));
+        assert_eq!(
+            updates.width(),
+            g.schema().table("customer").unwrap().width()
+        );
+        for key in keys(&updates, 1) {
+            assert!(existing.contains(&key), "{key} unknown");
         }
     }
 
@@ -168,14 +208,10 @@ mod tests {
     fn history_dimension_updates_work_too() {
         let g = Generator::new(0.01);
         let updates = g.refresh_dimension("item", 1);
-        assert!(!updates.is_empty());
-        let existing: HashSet<String> = g
-            .generate("item")
-            .into_iter()
-            .map(|r| r[1].as_str().unwrap().to_string())
-            .collect();
-        for u in &updates {
-            assert!(existing.contains(&u.business_key));
+        assert!(updates.rows > 0);
+        let existing = existing_keys(&g, "item");
+        for key in keys(&updates, 1) {
+            assert!(existing.contains(&key));
         }
     }
 
@@ -184,15 +220,10 @@ mod tests {
         let g = Generator::new(0.01);
         let a = g.refresh_dimension("customer", 0);
         let b = g.refresh_dimension("customer", 0);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.business_key, y.business_key);
-            assert_eq!(x.row, y.row);
-        }
+        assert_eq!(a.rows, b.rows);
+        assert!(a.iter_rows().eq(b.iter_rows()));
         let c = g.refresh_dimension("customer", 1);
-        let keys_a: Vec<_> = a.iter().map(|u| &u.business_key).collect();
-        let keys_c: Vec<_> = c.iter().map(|u| &u.business_key).collect();
-        assert_ne!(keys_a, keys_c);
+        assert_ne!(keys(&a, 1), keys(&c, 1));
     }
 
     #[test]
@@ -201,14 +232,21 @@ mod tests {
         let t = g.schema().table("store_sales").unwrap();
         let item_col = t.column_index("ss_item_sk").unwrap();
         let cust_col = t.column_index("ss_customer_sk").unwrap();
-        let rows = g.refresh_fact_inserts("store_sales", 0);
-        assert!(!rows.is_empty());
-        for row in &rows {
-            assert!(row[item_col].as_str().is_some(), "item key not converted");
+        let batch = g.refresh_fact_inserts("store_sales", 0);
+        assert!(batch.rows > 0);
+        assert_eq!(
+            batch.dtypes[item_col],
+            DataType::Str,
+            "item key not converted"
+        );
+        assert_eq!(batch.dtypes[cust_col], DataType::Str);
+        for id in batch.live_ids() {
+            assert!(
+                batch.str_at(id, item_col).is_some(),
+                "item key not converted"
+            );
             // customer may be NULL (nullable FK); if present it is a string
-            if !row[cust_col].is_null() {
-                assert!(row[cust_col].as_str().is_some());
-            }
+            assert!(batch.is_null(id, cust_col) || batch.str_at(id, cust_col).is_some());
         }
     }
 
@@ -220,23 +258,12 @@ mod tests {
         let item = t.column_index("ss_item_sk").unwrap();
         // Primary-key pairs (item business key, ticket) must be disjoint
         // across refresh slices; bare tickets may straddle a boundary.
-        let key = |r: &tpcds_types::Row| {
-            (
-                r[item].as_str().unwrap().to_string(),
-                r[ticket].as_int().unwrap(),
-            )
+        let pairs = |seq| -> HashSet<(String, i64)> {
+            let batch = g.refresh_fact_inserts("store_sales", seq);
+            let tickets = batch.column(ticket).map(|v| v.as_int().unwrap());
+            keys(&batch, item).into_iter().zip(tickets).collect()
         };
-        let a: HashSet<_> = g
-            .refresh_fact_inserts("store_sales", 0)
-            .iter()
-            .map(key)
-            .collect();
-        let b: HashSet<_> = g
-            .refresh_fact_inserts("store_sales", 1)
-            .iter()
-            .map(key)
-            .collect();
-        assert!(a.is_disjoint(&b), "refresh slices overlap");
+        assert!(pairs(0).is_disjoint(&pairs(1)), "refresh slices overlap");
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! caller reuses from row to row: integers, decimal mantissas and dates
 //! as they are, strings borrowed from the static word lists or written
 //! into the buffer's own text. The bulk load pushes those cells straight
-//! into a segment's typed columns ([`RowBuf::push_into`]); the row API
-//! (refresh sets, flat files) boxes them into a [`Row`]
-//! ([`RowBuf::to_row`]). One row function serves both, so a segment holds
-//! exactly the cells of the rows.
+//! and the refresh sets push those cells straight into typed columns
+//! ([`RowBuf::push_into`]); the row API (flat files, [`Generator::row`])
+//! boxes them into a [`Row`] ([`RowBuf::to_row`]). One row function
+//! serves both, so a segment holds exactly the cells of the rows.
+//!
+//! [`Generator::row`]: crate::Generator::row
 
 use std::fmt::Write;
 use tpcds_storage::Column;
@@ -71,6 +73,11 @@ impl RowBuf {
     /// Appends a cell.
     pub fn push(&mut self, cell: Cell) {
         self.cells.push(cell);
+    }
+
+    /// Overwrites cell `i`.
+    pub fn set(&mut self, i: usize, cell: Cell) {
+        self.cells[i] = cell;
     }
 
     /// Appends cells.

@@ -1001,6 +1001,12 @@ impl<'a> Binder<'a> {
         self.next_cte_id += 1;
         let db = self.optimize.then_some(self.db);
         let unnested = crate::unnest::unnest(&plan, &refs, id, answers, db);
+        // The nested form of an uncorrelated body is what runs, folded
+        // once per statement: its columns are pruned as the batch form's.
+        let plan = match db {
+            Some(_) if refs.is_empty() => crate::optimizer::prune_columns(&plan),
+            _ => plan,
+        };
         Ok(SubPlan::new(plan, refs, unnested))
     }
 

@@ -14,13 +14,14 @@
 //! **The segments are the table.** A [`Table`] keeps its rows once, as a
 //! [`ColumnTable`] of immutable, `Arc`-shared segments; there is no row
 //! list and no secondary structure beside them, so every scan reads the
-//! segments. Staging a table copies no segment, and [`Table::insert`],
-//! [`Table::delete_where`] and [`Table::update_each`] build only the
-//! segments whose columns they change: an append the tail it grows (less
-//! than a morsel of it) and the segments it adds, an update the segments
-//! it hits, a delete nothing — it marks its rows dead in the masks of the
-//! segments it hits — unless it leaves a segment a quarter dead, which it
-//! then compacts. Statistics follow the same rule: a delete takes its rows
+//! segments. Staging a table copies no segment, and [`Table::insert`]
+//! (rows) or [`Table::append`] (a typed batch), [`Table::delete_where`]
+//! and [`Table::update_each`] build only the segments whose columns they
+//! change: an append the tail it grows (less than a morsel of it) and
+//! the segments it adds, an update the segments it hits, a delete
+//! nothing — it marks its rows dead in the masks of the segments it hits
+//! — unless it leaves a segment a quarter dead, which it then compacts.
+//! Statistics follow the same rule: a delete takes its rows
 //! out of them, an update its old versions out and its new ones in, and
 //! [`WriteTxn::commit`] folds in the appended rows — so a commit pays for
 //! the rows it changed. What a reader gets is indistinguishable from
@@ -140,6 +141,25 @@ impl Table {
         if !rows.is_empty() {
             let (data, built) = self.data.append(&rows);
             self.put(data, built, rows.len());
+        }
+        Ok(())
+    }
+
+    /// Appends the live rows of `batch`, a table of this one's column
+    /// types, typed cell to typed cell ([`ColumnTable::append_table`]):
+    /// the segments [`Table::insert`] builds from the same rows, with no
+    /// row decoded. A batch of other column types fails and leaves the
+    /// table exactly as it was.
+    pub fn append(&mut self, batch: &ColumnTable) -> Result<()> {
+        if batch.dtypes != self.data.dtypes {
+            return Err(EngineError::Catalog(format!(
+                "type mismatch: batch columns {:?}, table columns {:?}",
+                batch.dtypes, self.data.dtypes
+            )));
+        }
+        if batch.rows > 0 {
+            let (data, built) = self.data.append_table(batch);
+            self.put(data, built, batch.rows);
         }
         Ok(())
     }

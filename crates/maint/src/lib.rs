@@ -11,11 +11,12 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tpcds_dgen::refresh::RESOLVED_DIMENSIONS;
 use tpcds_dgen::Generator;
 use tpcds_engine::{Commit, Database, EngineError, Result, Table};
 use tpcds_schema::{ScdClass, TableDef};
-use tpcds_storage::{ColumnTable, Segment, TableStats, SEGMENT_ROWS};
-use tpcds_types::{Date, Value};
+use tpcds_storage::{Column, ColumnTable, ColumnTableBuilder, Segment, TableStats, SEGMENT_ROWS};
+use tpcds_types::{DataType, Date, Value};
 
 /// The twelve maintenance operations, in execution order.
 pub const OPERATIONS: [&str; 12] = [
@@ -159,6 +160,30 @@ fn op_name(table: &str) -> &'static str {
     }
 }
 
+/// Business key → the row of `updates`, a refresh set's dimension batch
+/// ([`Generator::refresh_dimension`]), that revises it, the key borrowed
+/// from the batch's string buffer; a key revised twice maps to its last
+/// row.
+fn revisions_by_key(updates: &ColumnTable, bk_idx: usize) -> HashMap<&str, usize> {
+    let mut wanted = HashMap::with_capacity(updates.rows);
+    for id in updates.live_ids() {
+        let bk = updates
+            .str_at(id, bk_idx)
+            .expect("updates carry business keys");
+        wanted.insert(bk, id);
+    }
+    wanted
+}
+
+/// Whether `value` differs from the cell of column `col` in row `id` of
+/// `batch`; a string cell is compared where it lies.
+fn differs(value: &Value, batch: &ColumnTable, id: usize, col: usize) -> bool {
+    match batch.str_at(id, col) {
+        Some(s) => value.as_str() != Some(s),
+        None => *value != batch.value(id, col),
+    }
+}
+
 /// Figure 8: for every row to be updated, find the row for the business
 /// key and update all changed fields.
 pub fn update_non_history_dimension(
@@ -180,37 +205,26 @@ pub fn update_non_history_dimension(
         )
         .expect("bk col");
     let updates = generator.refresh_dimension(table, refresh_seq);
-    let mut wanted: HashMap<String, tpcds_types::Row> = HashMap::new();
-    for u in updates {
-        wanted.insert(u.business_key.clone(), u.row);
-    }
+    let wanted = revisions_by_key(&updates, bk_idx);
     let mut txn = db.begin();
     let t = txn.table_mut(table)?;
     let wanted_at = |data: &ColumnTable, id| {
         (data.str_at(id, bk_idx)).is_some_and(|bk| wanted.contains_key(bk))
     };
     let updated = t.update_at(wanted_at, |row| {
-        let bk = match row[bk_idx].as_str() {
-            Some(s) => s,
-            None => return false,
+        let Some(&new) = row[bk_idx].as_str().and_then(|bk| wanted.get(bk)) else {
+            return false;
         };
-        if let Some(new_row) = wanted.get(bk) {
-            // Update all changed fields, preserving the surrogate key and
-            // the business key.
-            let mut changed = false;
-            for (i, v) in new_row.iter().enumerate() {
-                if i == 0 || i == bk_idx {
-                    continue;
-                }
-                if row[i] != *v {
-                    row[i] = v.clone();
-                    changed = true;
-                }
+        // Update all changed fields, preserving the surrogate key and the
+        // business key.
+        let mut changed = false;
+        for i in (1..row.len()).filter(|&i| i != bk_idx) {
+            if differs(&row[i], &updates, new, i) {
+                row[i] = updates.value(new, i);
+                changed = true;
             }
-            changed
-        } else {
-            false
         }
+        changed
     });
     let commit = txn.commit();
     Ok(record_op(OpReport {
@@ -253,10 +267,7 @@ pub fn update_history_dimension(
         .expect("history dims have rec_start_date");
 
     let updates = generator.refresh_dimension(table, refresh_seq);
-    let mut wanted: HashMap<String, tpcds_types::Row> = HashMap::new();
-    for u in updates {
-        wanted.insert(u.business_key.clone(), u.row);
-    }
+    let wanted = revisions_by_key(&updates, bk_idx);
 
     let mut txn = db.begin();
     let t = txn.table_mut(table)?;
@@ -268,60 +279,68 @@ pub fn update_history_dimension(
         t.data().column(0).filter_map(|sk| sk.as_int()).max(),
         "{table}: statistics max of the surrogate key"
     );
-    let mut next_sk = max_sk.unwrap_or(0) + 1;
-    // Close the current revisions of the keys updated and queue their
-    // replacements. Only those rows are decoded: the rest are passed over
-    // on two typed cells.
-    let mut to_insert = Vec::new();
+    // Close the current revisions of the keys updated, noting the rows of
+    // `updates` that replace them. Only those rows are decoded: the rest
+    // are passed over on two typed cells.
+    let mut revised = Vec::new();
     let open_wanted = |data: &ColumnTable, id| {
         data.is_null(id, end_idx)
             && (data.str_at(id, bk_idx)).is_some_and(|bk| wanted.contains_key(bk))
     };
     let closed = t.update_at(open_wanted, |row| {
-        let bk = row[bk_idx].clone();
-        let Some(new_row) = bk.as_str().and_then(|bk| wanted.get(bk)) else {
+        let Some(&new) = row[bk_idx].as_str().and_then(|bk| wanted.get(bk)) else {
             return false;
         };
         row[end_idx] = Value::Date(when.add_days(-1));
-        let mut rev = new_row.clone();
-        rev[0] = Value::Int(next_sk);
-        next_sk += 1;
-        rev[bk_idx] = bk;
-        rev[start_idx] = Value::Date(when);
-        rev[end_idx] = Value::Null;
-        to_insert.push(rev);
+        revised.push(new);
         true
     });
-    let inserted = to_insert.len();
-    t.insert(to_insert)?;
+    // The new revisions, in the order their predecessors closed: the
+    // update's cells with the next surrogate keys, opening on `when`.
+    let mut revisions = ColumnTableBuilder::new(updates.dtypes.clone());
+    revisions.reserve(revised.len());
+    for (sk, &new) in (max_sk.unwrap_or(0) + 1..).zip(&revised) {
+        let (seg, i) = (&updates.segments[new / SEGMENT_ROWS], new % SEGMENT_ROWS);
+        revisions.push_row_with(|columns| {
+            for (c, column) in columns.iter_mut().enumerate() {
+                match c {
+                    0 => column.push_int(sk),
+                    c if c == start_idx => column.push_date(when),
+                    c if c == end_idx => column.push_null(),
+                    c => column.push_from(&seg.columns[c], i),
+                }
+            }
+        });
+    }
+    t.append(&revisions.finish())?;
     let commit = txn.commit();
     Ok(record_op(OpReport {
         name: op_name(table),
         updated: closed,
-        inserted,
+        inserted: revised.len(),
         deleted: 0,
         commit,
         elapsed: started.elapsed(),
     }))
 }
 
-/// The maintained dimensions whose business keys fact inserts resolve.
-const RESOLVED: [&str; 3] = ["item", "customer", "store"];
-
-/// Business-key → current-surrogate maps for the [`RESOLVED`]
-/// dimensions, keyed on business keys borrowed from the tables' string
-/// buffers: building them copies no string.
+/// Business-key → current-surrogate maps for the
+/// [`RESOLVED_DIMENSIONS`], keyed on business keys borrowed from the
+/// tables' string buffers: building them copies no string.
 struct Resolvers<'a>(HashMap<&'static str, HashMap<&'a str, i64>>);
 
 impl<'a> Resolvers<'a> {
-    /// The [`RESOLVED`] dimensions as the head snapshot holds them.
+    /// The [`RESOLVED_DIMENSIONS`] as the head snapshot holds them.
     fn pin(db: &Database) -> Result<Vec<Arc<Table>>> {
-        RESOLVED.iter().map(|table| db.table(table)).collect()
+        RESOLVED_DIMENSIONS
+            .iter()
+            .map(|table| db.table(table))
+            .collect()
     }
 
-    /// The maps over `tables`, the [`RESOLVED`] dimensions in order.
+    /// The maps over `tables`, the [`RESOLVED_DIMENSIONS`] in order.
     fn new(tables: &'a [Arc<Table>], generator: &Generator) -> Resolvers<'a> {
-        let maps = (RESOLVED.iter().zip(tables)).map(|(&name, t)| {
+        let maps = (RESOLVED_DIMENSIONS.iter().zip(tables)).map(|(&name, t)| {
             let def = generator
                 .schema()
                 .table(name)
@@ -366,35 +385,31 @@ fn insert_resolved(
             .schema()
             .table(table)
             .ok_or_else(|| EngineError::Catalog(format!("unknown table {table}")))?;
-        let conversions: Vec<(usize, &HashMap<&str, i64>)> = def
-            .foreign_keys
-            .iter()
-            .filter_map(|f| {
-                let resolver = resolvers.0.get(f.ref_table)?;
-                Some((def.column_index(f.column).expect("fk col"), resolver))
-            })
-            .collect();
-        let rows = generator.refresh_fact_inserts(table, refresh_seq);
-        let mut resolved = Vec::with_capacity(rows.len());
-        for mut row in rows {
-            let mut ok = true;
-            for (col, resolver) in &conversions {
-                if let Some(bk) = row[*col].as_str() {
-                    match resolver.get(bk) {
-                        Some(sk) => row[*col] = Value::Int(*sk),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            if ok {
-                resolved.push(row);
-            }
+        // Each business-key column of the batch becomes the surrogate
+        // keys it resolves to; a row with a key that resolves to none is
+        // dropped.
+        let mut batch = generator.refresh_fact_inserts(table, refresh_seq);
+        let mut unresolved = Vec::new();
+        for f in &def.foreign_keys {
+            let Some(resolver) = resolvers.0.get(f.ref_table) else {
+                continue;
+            };
+            let col = def.column_index(f.column).expect("fk col");
+            let surrogates = (batch.segments.iter().enumerate())
+                .map(|(si, seg)| {
+                    let missing = |i| unresolved.push((si * SEGMENT_ROWS + i) as u32);
+                    resolve(&seg.columns[col], resolver, missing)
+                })
+                .collect();
+            batch.set_column(col, DataType::Int, surrogates);
         }
-        inserted += resolved.len();
-        txn.table_mut(table)?.insert(resolved)?;
+        if !unresolved.is_empty() {
+            unresolved.sort_unstable();
+            unresolved.dedup();
+            batch = batch.delete(&unresolved, 1).0;
+        }
+        inserted += batch.rows;
+        txn.table_mut(table)?.append(&batch)?;
     }
     let commit = txn.commit();
     Ok(record_op(OpReport {
@@ -405,6 +420,24 @@ fn insert_resolved(
         commit,
         elapsed: started.elapsed(),
     }))
+}
+
+/// The surrogate keys `map` resolves the business keys of `keys` to, as
+/// an integer column: NULL where a key is NULL, or resolves to nothing —
+/// the rows `missing` is told of.
+fn resolve(keys: &Column, map: &HashMap<&str, i64>, mut missing: impl FnMut(usize)) -> Column {
+    let mut surrogates = Column::for_type(DataType::Int);
+    for i in 0..keys.len() {
+        match keys.str_at(i).map(|bk| map.get(bk)) {
+            Some(Some(&sk)) => surrogates.push_int(sk),
+            Some(None) => {
+                missing(i);
+                surrogates.push_null();
+            }
+            None => surrogates.push_null(),
+        }
+    }
+    surrogates
 }
 
 /// Business key → current surrogate key of the dimension `def` whose rows

@@ -497,6 +497,12 @@ impl Column {
         }
     }
 
+    /// Appends cell `i` of `src`, as pushing its value would, without
+    /// building the value.
+    pub fn push_from(&mut self, src: &Column, i: usize) {
+        self.extend_runs(src, std::slice::from_ref(&(i..i + 1)));
+    }
+
     /// Appends one value, promoting the buffer to [`ColumnData::Other`] if
     /// the value does not fit the current variant (the engine is
     /// dynamically typed, so declared and actual types can disagree).

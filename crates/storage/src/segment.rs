@@ -301,6 +301,26 @@ impl ColumnTable {
     /// scan in full morsels. Also returns how many segments were built
     /// rather than shared: they are the last ones.
     pub fn append<R: AsRef<[Value]>>(&self, rows: &[R]) -> (ColumnTable, usize) {
+        self.append_with(rows.len(), |b, ranks| {
+            (rows[ranks].iter()).for_each(|row| b.push_row(row.as_ref()))
+        })
+    }
+
+    /// [`ColumnTable::append`] of `batch`'s live rows, typed buffer to
+    /// typed buffer: a slice copy per run of live rows and column, and
+    /// exactly the segments `append` builds from the same rows decoded (a
+    /// cell that does not fit this table's column type boxes the column,
+    /// as pushing its value would).
+    pub fn append_table(&self, batch: &ColumnTable) -> (ColumnTable, usize) {
+        self.append_with(batch.rows, |b, ranks| b.push_live(batch, ranks))
+    }
+
+    /// The append of `n` rows, which `push` pushes by their ranks.
+    fn append_with(
+        &self,
+        n: usize,
+        mut push: impl FnMut(&mut ColumnTableBuilder, Range<usize>),
+    ) -> (ColumnTable, usize) {
         let mut b = ColumnTableBuilder::new(self.dtypes.clone());
         b.segments = self.segments.clone();
         b.rows = self.rows;
@@ -308,21 +328,36 @@ impl ColumnTable {
             // Each copy is allocated once, with room for the rows joining
             // it: growing it later, on the first pushed row, would copy
             // every column twice.
-            let room = rows.len().min(SEGMENT_ROWS - tail.live());
+            let room = n.min(SEGMENT_ROWS - tail.live());
             b.current = tail.live_columns(&self.dtypes, room);
             b.open = tail.live();
         }
         let shared = b.segments.len();
-        let rest = (b.open + rows.len()) % SEGMENT_ROWS % MORSEL_ROWS;
-        let (whole, rest) = rows.split_at(rows.len().saturating_sub(rest));
-        whole.iter().for_each(|row| b.push_row(row.as_ref()));
+        let whole = n.saturating_sub((b.open + n) % SEGMENT_ROWS % MORSEL_ROWS);
+        push(&mut b, 0..whole);
         if b.open >= MORSEL_ROWS {
             b.seal();
         }
-        rest.iter().for_each(|row| b.push_row(row.as_ref()));
+        push(&mut b, whole..n);
         let table = b.finish();
         let built = table.segments.len() - shared;
         (table, built)
+    }
+
+    /// Replaces column `col` by `columns`, one per segment and as long as
+    /// it, typed `dtype`: how a batch readied for
+    /// [`ColumnTable::append_table`] turns a column into another type
+    /// (business keys into surrogate keys, say). A segment shared with
+    /// another table is copied first, so that table keeps its column.
+    pub fn set_column(&mut self, col: usize, dtype: DataType, columns: Vec<Column>) {
+        assert_eq!(columns.len(), self.segments.len(), "one column per segment");
+        self.dtypes[col] = dtype;
+        for (seg, column) in self.segments.iter_mut().zip(columns) {
+            assert_eq!(column.len(), seg.rows, "one cell per row");
+            let seg = Arc::make_mut(seg);
+            Arc::make_mut(&mut seg.columns)[col] = column;
+            seg.bytes = seg.columns.iter().map(Column::heap_bytes).sum();
+        }
     }
 
     /// `self`'s live rows, then `other`'s (UNION ALL). An empty side hands
@@ -493,6 +528,23 @@ impl ColumnTableBuilder {
                     self.seal();
                 }
             }
+        }
+    }
+
+    /// Appends the live rows of `table` whose ranks among its live rows
+    /// fall in `ranks`, as pushing them row by row would.
+    fn push_live(&mut self, table: &ColumnTable, ranks: Range<usize>) {
+        let mut rank = 0;
+        for seg in &table.segments {
+            let runs: Vec<Range<usize>> = (seg.live_runs().into_iter())
+                .filter_map(|run| {
+                    let first = rank;
+                    rank += run.len();
+                    let (lo, hi) = (ranks.start.max(first), ranks.end.min(rank));
+                    (lo < hi).then(|| run.start + (lo - first)..run.start + (hi - first))
+                })
+                .collect();
+            self.push_runs(&seg.columns, &runs);
         }
     }
 
@@ -836,6 +888,88 @@ mod tests {
             assert_same_cells(&grown.segments[1], &want.segments[0], "grown tail");
             assert_eq!(grown.rows, from.rows + added.len());
         }
+    }
+
+    #[test]
+    fn a_typed_append_builds_what_a_row_append_builds() {
+        use tpcds_types::Decimal;
+        let dtypes = vec![DataType::Int, DataType::Str, DataType::Decimal];
+        let row = |i: usize| -> Row {
+            let mut row = string_row(i);
+            row.push(match i % 5 {
+                0 => Value::Null,
+                _ => Value::Decimal(Decimal::new(i as i128, 2)),
+            });
+            row
+        };
+        let rows = |ids: Range<usize>| -> Vec<Row> { ids.map(row).collect() };
+        // Tails empty, short, just under and just over a morsel; batches
+        // of one row, across a morsel and longer than a segment; a third
+        // of each tail and an eleventh of each batch dead.
+        for (tail, n) in [
+            (0, 1),
+            (5, 20_000),
+            (MORSEL_ROWS - 1, 2),
+            (MORSEL_ROWS + 3, 300),
+            (100, SEGMENT_ROWS + 70),
+        ] {
+            let t = ColumnTable::from_rows(dtypes.clone(), &rows(0..tail));
+            let (t, _) = t.delete(&(0..tail as u32).step_by(3).collect::<Vec<_>>(), 1);
+            let batch = ColumnTable::from_rows(dtypes.clone(), &rows(tail..tail + n));
+            let dead: Vec<u32> = (batch.live_ids().step_by(11)).map(|i| i as u32).collect();
+            let (batch, _) = batch.delete(&dead, 1);
+            let (got, got_built) = t.append_table(&batch);
+            let (want, want_built) = t.append(&batch.iter_rows().collect::<Vec<_>>());
+            let what = format!("{n} rows onto {tail}");
+            assert_eq!((got_built, got.rows), (want_built, want.rows), "{what}");
+            assert_eq!(got.segments.len(), want.segments.len(), "{what}");
+            for (k, (g, w)) in got.segments.iter().zip(&want.segments).enumerate() {
+                let dead = |s: &Segment| (0..s.rows).filter(|&i| s.is_dead(i)).count();
+                assert_eq!(dead(g), dead(w), "{what}, segment {k}");
+                assert_same_cells(g, w, &format!("{what}, segment {k}"));
+            }
+        }
+        // A cell that does not fit the table's column type boxes the
+        // column, as pushing its value does.
+        let t = table(10);
+        let batch = ColumnTable::from_rows(
+            vec![DataType::Str, DataType::Str],
+            &[vec![Value::str("x"), Value::str("y")]],
+        );
+        let (got, _) = t.append_table(&batch);
+        let (want, _) = t.append(&batch.iter_rows().collect::<Vec<_>>());
+        assert!(matches!(
+            got.segments[0].columns[0].data,
+            ColumnData::Other(_)
+        ));
+        assert_same_cells(&got.segments[0], &want.segments[0], "boxed");
+    }
+
+    #[test]
+    fn set_column_leaves_a_shared_segment_alone() {
+        let t = table(SEGMENT_ROWS + 3);
+        let mut retyped = t.clone();
+        let lengths = retyped.segments.iter().map(|s| s.rows);
+        let columns = lengths
+            .map(|n| {
+                let mut c = Column::for_type(DataType::Str);
+                (0..n).for_each(|i| c.push_str(&i.to_string()));
+                c
+            })
+            .collect();
+        retyped.set_column(0, DataType::Str, columns);
+        assert_eq!(retyped.dtypes, [DataType::Str, DataType::Str]);
+        assert_eq!(retyped.row(SEGMENT_ROWS + 2)[0], Value::str("2"));
+        assert_eq!(
+            t.row(SEGMENT_ROWS + 2)[0],
+            Value::Int(SEGMENT_ROWS as i64 + 2)
+        );
+        let bytes: usize = retyped.segments[1]
+            .columns
+            .iter()
+            .map(Column::heap_bytes)
+            .sum();
+        assert_eq!(retyped.segments[1].bytes, bytes);
     }
 
     /// Row `i`: its id, and a string cell cycling through multi-byte
