@@ -28,8 +28,10 @@ const SETS: u32 = 200;
 /// Sets per window of the per-window medians.
 const WINDOW: usize = 100;
 
-/// The fact tables refresh sets append to.
-const FACTS: [&str; 6] = [
+/// The tables whose segments `maint/refresh_sets` reports: the largest
+/// dimension refresh sets update, and the fact tables they append to.
+const REPORTED: [&str; 7] = [
+    "customer",
     "store_sales",
     "store_returns",
     "catalog_sales",
@@ -48,8 +50,8 @@ fn median_ms(times: &[Duration]) -> f64 {
 /// `sets` consecutive `run_maintenance` sets on one SF 0.2 database at 2
 /// workers, as `dm_mixed`'s writer runs them: prints the median set, each
 /// operation's median, the median set of each window of [`WINDOW`] sets,
-/// each fact table's rows and segments after the last set, and the live
-/// heap then.
+/// the rows, segments and dead share of each [`REPORTED`] table after the
+/// last set, and the live heap then.
 fn refresh_sets(sets: u32) {
     storage::set_threads(Some(2));
     let t = TpcDs::builder().scale_factor(0.2).build().expect("load");
@@ -76,10 +78,15 @@ fn refresh_sets(sets: u32) {
         let sets = format!("sets {}-{}", w * WINDOW + 1, w * WINDOW + window.len());
         println!("  {sets:<42} p50={:>11.3}ms", median_ms(window));
     }
-    for table in FACTS {
-        let data = t.database().table(table).expect("fact table");
-        let (rows, segments) = (data.data().rows, data.data().segments.len());
-        println!("  {table:<42} {rows} rows in {segments} segments");
+    for table in REPORTED {
+        let data = t.database().table(table).expect("maintained table");
+        let (rows, segments) = (data.data().rows, &data.data().segments);
+        let stored: usize = segments.iter().map(|s| s.rows).sum();
+        let dead = 100.0 * (stored - rows) as f64 / stored.max(1) as f64;
+        println!(
+            "  {table:<42} {rows} rows in {} segments, {dead:.1} % dead",
+            segments.len()
+        );
     }
     println!(
         "  {:<42} {}",

@@ -14,20 +14,21 @@
 //! **The segments are the table.** A [`Table`] keeps its rows once, as a
 //! [`ColumnTable`] of immutable, `Arc`-shared segments; there is no row
 //! list and no secondary structure beside them, so every scan reads the
-//! segments. Staging a table copies no segment, and [`Table::insert`]
-//! (rows) or [`Table::append`] (a typed batch), [`Table::delete_where`]
-//! and [`Table::update_each`] build only the segments whose columns they
-//! change: an append the tail it grows (less than a morsel of it) and
-//! the segments it adds, an update the segments it hits, a delete
-//! nothing — it marks its rows dead in the masks of the segments it hits
-//! — unless it leaves a segment a quarter dead, which it then compacts.
-//! Statistics follow the same rule: a delete takes its rows
-//! out of them, an update its old versions out and its new ones in, and
-//! [`WriteTxn::commit`] folds in the appended rows — so a commit pays for
-//! the rows it changed. What a reader gets is indistinguishable from
-//! segments and statistics built from scratch over the published live
-//! rows, in order, except that the NDV sketches still count the values of
-//! rows deleted or overwritten (see `tpcds_storage::stats`).
+//! segments. Staging a table copies no segment, and a table changes in two
+//! ways only: rows die, or rows are appended. [`Table::append`] (a typed
+//! batch; [`Table::insert`] builds one from rows) builds the tail it grows
+//! (less than a morsel of it) and the segments it adds;
+//! [`Table::delete_where`] builds nothing — it marks its rows dead in the
+//! masks of the segments it hits — unless it leaves a segment a quarter
+//! dead, which it then compacts. [`Table::update_each`] does both: the old
+//! versions of the rows it writes die and the new ones are appended, so an
+//! updated row moves to the end of the table. Statistics follow the same
+//! rule: a delete takes its rows out of them, and [`WriteTxn::commit`]
+//! folds in the appended rows — so a commit pays for the rows it changed.
+//! What a reader gets is indistinguishable from segments and statistics
+//! built from scratch over the published live rows, in order, except that
+//! the NDV sketches still count the values of rows deleted, old versions
+//! of updated rows among them (see `tpcds_storage::stats`).
 //!
 //! Commit is panic-safe by construction: a transaction that unwinds
 //! before [`WriteTxn::commit`] publishes nothing — the staged tables are
@@ -58,7 +59,7 @@ pub struct ColumnMeta {
 }
 
 /// The row an [`Table::update_each`] closure is handed: the stored row,
-/// decoded. Writing through it marks the row for replacement.
+/// decoded. Writing through it makes it a new version of the row.
 pub struct RowMut<'a> {
     row: &'a mut [Value],
     written: bool,
@@ -81,8 +82,8 @@ impl std::ops::DerefMut for RowMut<'_> {
 /// One stored table. Cloning a `Table` is how a [`WriteTxn`] stages it,
 /// and copies no row: the segments and the statistics are `Arc`s shared
 /// with the base version. Mutators build the segments whose columns they
-/// change and revise the statistics for the rows they remove or replace;
-/// appended rows fold in at [`WriteTxn::commit`].
+/// change and take the rows they kill out of the statistics; appended rows
+/// fold in at [`WriteTxn::commit`].
 #[derive(Clone, Debug)]
 pub struct Table {
     /// Column metadata, in order.
@@ -128,8 +129,9 @@ impl Table {
         self.staged.segments_rebuilt += built;
     }
 
-    /// Appends rows. A row of the wrong arity fails the whole batch and
-    /// leaves the table exactly as it was.
+    /// Appends rows: [`Table::append`] of a batch built from them. A row
+    /// of the wrong arity fails the whole batch and leaves the table
+    /// exactly as it was.
     pub fn insert(&mut self, rows: Vec<Row>) -> Result<()> {
         let width = self.columns.len();
         if let Some(bad) = rows.iter().find(|row| row.len() != width) {
@@ -138,18 +140,13 @@ impl Table {
                 bad.len()
             )));
         }
-        if !rows.is_empty() {
-            let (data, built) = self.data.append(&rows);
-            self.put(data, built, rows.len());
-        }
-        Ok(())
+        self.append(&ColumnTable::from_rows(self.data.dtypes.clone(), &rows))
     }
 
     /// Appends the live rows of `batch`, a table of this one's column
-    /// types, typed cell to typed cell ([`ColumnTable::append_table`]):
-    /// the segments [`Table::insert`] builds from the same rows, with no
-    /// row decoded. A batch of other column types fails and leaves the
-    /// table exactly as it was.
+    /// types, typed cell to typed cell ([`ColumnTable::append_table`]). A
+    /// batch of other column types fails and leaves the table exactly as
+    /// it was.
     pub fn append(&mut self, batch: &ColumnTable) -> Result<()> {
         if batch.dtypes != self.data.dtypes {
             return Err(EngineError::Catalog(format!(
@@ -218,23 +215,16 @@ impl Table {
         if removed.is_empty() {
             return 0;
         }
-        let data = Arc::clone(&self.data);
-        let threads = tpcds_storage::effective_threads();
-        self.catch_up_stats(threads);
-        let gone_stats = tpcds_storage::removed_stats_at(&data, removed, threads);
-        let (masked, compacted) = data.delete(removed, threads);
-        self.staged.rows_masked += removed.len();
-        self.staged.segments_compacted += compacted.len();
-        self.put(masked, compacted.len(), removed.len());
-        self.revise_stats(&gone_stats, None);
+        let gone = self.mask(removed);
+        self.retract(&gone);
         tpcds_obs::counter("engine", "maint.deleted_rows", removed.len() as f64);
         removed.len()
     }
 
     /// Applies `f` to every live row (dimension updates); returns the
     /// number of rows for which `f` returned true (i.e. reported a
-    /// change). A row `f` writes to is replaced, and only the segments
-    /// holding such rows are rebuilt.
+    /// change). A row `f` writes to is deleted and its new version
+    /// appended, so it follows the table's other live rows.
     pub fn update_each(&mut self, f: impl FnMut(&mut RowMut<'_>) -> bool) -> usize {
         self.update_at(|_, _| true, f)
     }
@@ -248,7 +238,7 @@ impl Table {
     ) -> usize {
         let data = Arc::clone(&self.data);
         let mut changed = 0;
-        let mut replaced: Vec<(usize, Row)> = Vec::new();
+        let (mut ids, mut versions) = (Vec::new(), Vec::new());
         let mut scratch = Row::new();
         for id in data.live_ids().filter(|&id| at(&data, id)) {
             data.read_row(id, &mut scratch);
@@ -258,18 +248,19 @@ impl Table {
             };
             changed += usize::from(f(&mut row));
             if row.written {
-                replaced.push((id, std::mem::take(&mut scratch)));
+                ids.push(id as u32);
+                versions.push(std::mem::take(&mut scratch));
             }
         }
-        if !replaced.is_empty() {
-            let threads = tpcds_storage::effective_threads();
-            self.catch_up_stats(threads);
-            let ids: Vec<u32> = replaced.iter().map(|(id, _)| *id as u32).collect();
-            let old = tpcds_storage::removed_stats_at(&data, &ids, threads);
-            let (new_data, built) = data.replace(&replaced, threads);
-            self.put(new_data, built, replaced.len());
-            let new = tpcds_storage::collect_stats_at(&self.data, &ids, threads);
-            self.revise_stats(&old, Some(&new));
+        if !ids.is_empty() {
+            // The old versions leave the statistics once the new ones are
+            // in the table: an extreme a new version still holds is then
+            // found among the rows rather than rescanned for.
+            let gone = self.mask(&ids);
+            let batch = ColumnTable::from_rows(data.dtypes.clone(), &versions);
+            self.append(&batch)
+                .expect("a batch of the table's own column types");
+            self.retract(&gone);
         }
         changed
     }
@@ -291,19 +282,25 @@ impl Table {
         }
     }
 
-    /// Brings the statistics along with a mutator that took the rows
-    /// `removed` describes out of the table and put those `added`
-    /// describes in: folds in and takes out just those rows
-    /// ([`TableStats::retract`]).
-    fn revise_stats(&mut self, removed: &TableStats, added: Option<&TableStats>) {
-        let width = self.data.width() as u64;
-        let stats = Arc::make_mut(&mut self.stats);
-        if let Some(added) = added {
-            stats.merge(added);
-            self.staged.stats_cells_folded += (added.rows * width) as usize;
-        }
-        stats.retract(removed, &self.data);
-        self.staged.stats_cells_retracted += (removed.rows * width) as usize;
+    /// Marks the live rows at `removed` (ascending, some) dead and returns
+    /// their statistics, for [`Table::retract`] to take out.
+    fn mask(&mut self, removed: &[u32]) -> TableStats {
+        let data = Arc::clone(&self.data);
+        let threads = tpcds_storage::effective_threads();
+        self.catch_up_stats(threads);
+        let gone = tpcds_storage::removed_stats_at(&data, removed, threads);
+        let (masked, compacted) = data.delete(removed, threads);
+        self.staged.rows_masked += removed.len();
+        self.staged.segments_compacted += compacted.len();
+        self.put(masked, compacted.len(), removed.len());
+        gone
+    }
+
+    /// Takes `gone`, the statistics of rows [`Table::mask`] killed, out of
+    /// the statistics ([`TableStats::retract`]).
+    fn retract(&mut self, gone: &TableStats) {
+        Arc::make_mut(&mut self.stats).retract(gone, &self.data);
+        self.staged.stats_cells_retracted += gone.rows as usize * self.data.width();
     }
 
     /// Brings the statistics up to the rows and returns what the
@@ -401,14 +398,15 @@ pub struct Commit {
     /// `snapshot.tables_rebuilt` counter.
     pub tables_rebuilt: usize,
     /// Segments whose columns its mutators built — appended tails and new
-    /// segments, segments with replaced rows, compactions; every other
-    /// segment of the new version shares its columns with the base
-    /// version (`snapshot.segments_rebuilt`).
+    /// segments, compactions; every other segment of the new version
+    /// shares its columns with the base version
+    /// (`snapshot.segments_rebuilt`).
     pub segments_rebuilt: usize,
-    /// Rows its deletes marked dead in a segment's mask.
+    /// Rows its deletes and updates marked dead in a segment's mask.
     pub rows_masked: usize,
-    /// Segments its deletes left a quarter dead and so rebuilt without
-    /// their dead rows (also counted in `segments_rebuilt`).
+    /// Segments its deletes and updates left a quarter dead and so
+    /// rebuilt without their dead rows (also counted in
+    /// `segments_rebuilt`).
     pub segments_compacted: usize,
     /// Cells folded into table statistics: appended rows and new
     /// versions of updated ones, times the table's width.

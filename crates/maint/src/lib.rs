@@ -39,7 +39,7 @@ pub const OPERATIONS: [&str; 12] = [
 pub struct OpReport {
     /// Operation name (see [`OPERATIONS`]).
     pub name: &'static str,
-    /// Rows updated in place.
+    /// Rows updated.
     pub updated: usize,
     /// Rows inserted.
     pub inserted: usize,

@@ -1,12 +1,12 @@
 //! HyperLogLog-style distinct-count sketch.
 //!
 //! [`NdvSketch`] estimates the number of distinct values fed to it in a
-//! fixed 4 KiB of state, with a relative standard error of about 1.6%
-//! (`1.04 / sqrt(m)` with `m = 4096` registers). Sketches built over
-//! disjoint (or overlapping) portions of a data set [`merge`] losslessly:
-//! the merged sketch is exactly the sketch of the union, so per-segment
-//! statistics collection can run on the morsel workers and fold the
-//! partials in any order.
+//! fixed 4 KiB of state (none until it is fed), with a relative standard
+//! error of about 1.6% (`1.04 / sqrt(m)` with `m = 4096` registers).
+//! Sketches built over disjoint (or overlapping) portions of a data set
+//! [`merge`] losslessly: the merged sketch is exactly the sketch of the
+//! union, so per-segment statistics collection can run on the morsel
+//! workers and fold the partials in any order.
 //!
 //! [`merge`]: NdvSketch::merge
 
@@ -29,24 +29,37 @@ const INV_POW2: [f64; 64] = {
 };
 
 /// A HyperLogLog distinct-count sketch with 4096 six-bit-capable
-/// registers (stored one per byte for simplicity).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// registers (stored one per byte for simplicity), allocated by the first
+/// insert or merge that brings a value: a sketch fed nothing holds no
+/// memory, and equals (and estimates as) one whose registers are all 0.
+#[derive(Clone, Debug, Default)]
 pub struct NdvSketch {
-    registers: Box<[u8; M]>,
+    registers: Option<Box<[u8; M]>>,
 }
 
-impl Default for NdvSketch {
-    fn default() -> Self {
-        NdvSketch::new()
+/// The registers of a sketch fed nothing.
+static ZEROS: [u8; M] = [0; M];
+
+impl PartialEq for NdvSketch {
+    fn eq(&self, other: &NdvSketch) -> bool {
+        self.registers() == other.registers()
     }
 }
+
+impl Eq for NdvSketch {}
 
 impl NdvSketch {
     /// An empty sketch (estimates 0 distinct values).
     pub fn new() -> NdvSketch {
-        NdvSketch {
-            registers: Box::new([0u8; M]),
-        }
+        NdvSketch::default()
+    }
+
+    fn registers(&self) -> &[u8; M] {
+        self.registers.as_deref().unwrap_or(&ZEROS)
+    }
+
+    fn registers_mut(&mut self) -> &mut [u8; M] {
+        self.registers.get_or_insert_with(|| Box::new([0; M]))
     }
 
     /// Feeds one pre-hashed value. The hash must be uniform over `u64`
@@ -61,9 +74,10 @@ impl NdvSketch {
         // (1-based); an all-zero remainder saturates at 64 - P + 1.
         let rest = hash << P;
         let rank = (rest.leading_zeros() + 1).min(64 - P + 1) as u8;
-        let rose = rank > self.registers[idx];
+        let register = &mut self.registers_mut()[idx];
+        let rose = rank > *register;
         if rose {
-            self.registers[idx] = rank;
+            *register = rank;
         }
         rose
     }
@@ -72,8 +86,11 @@ impl NdvSketch {
     /// commutative and idempotent; the result is the sketch of the union
     /// of both input streams. Returns whether a register rose.
     pub fn merge(&mut self, other: &NdvSketch) -> bool {
+        let Some(theirs) = &other.registers else {
+            return false;
+        };
         let mut rose = false;
-        for (a, b) in self.registers.iter_mut().zip(other.registers.iter()) {
+        for (a, b) in self.registers_mut().iter_mut().zip(theirs.iter()) {
             if *b > *a {
                 *a = *b;
                 rose = true;
@@ -84,7 +101,7 @@ impl NdvSketch {
 
     /// True when no hash has been inserted.
     pub fn is_empty(&self) -> bool {
-        self.registers.iter().all(|&r| r == 0)
+        self.registers().iter().all(|&r| r == 0)
     }
 
     /// The estimated number of distinct values inserted so far.
@@ -96,7 +113,7 @@ impl NdvSketch {
         let m = M as f64;
         let mut inv_sum = 0.0f64;
         let mut zeros = 0usize;
-        for &r in self.registers.iter() {
+        for &r in self.registers().iter() {
             inv_sum += INV_POW2[r.min(63) as usize];
             if r == 0 {
                 zeros += 1;
@@ -160,6 +177,24 @@ mod tests {
     }
 
     #[test]
+    fn registers_are_allocated_by_the_first_value() {
+        let mut s = NdvSketch::new();
+        assert!(!s.merge(&NdvSketch::new()), "an empty merge raises nothing");
+        assert!(s.registers.is_none() && s.is_empty());
+        // Fed nothing, it is a sketch of zeroed registers in all but memory.
+        let zeroed = NdvSketch {
+            registers: Some(Box::new([0; M])),
+        };
+        assert_eq!(s, zeroed);
+        assert_eq!(s.estimate().to_bits(), zeroed.estimate().to_bits());
+        let mut fed = NdvSketch::new();
+        assert!(fed.insert_hash(hash_u64(1)) && fed.registers.is_some());
+        assert_ne!(s, fed);
+        assert!(s.merge(&fed));
+        assert_eq!(s, fed);
+    }
+
+    #[test]
     fn duplicate_inserts_do_not_inflate() {
         let mut s = NdvSketch::new();
         for _ in 0..10_000 {
@@ -204,7 +239,7 @@ mod tests {
             let m = M as f64;
             let mut inv_sum = 0.0f64;
             let mut zeros = 0usize;
-            for &r in s.registers.iter() {
+            for &r in s.registers().iter() {
                 inv_sum += 1.0 / (1u64 << r.min(63)) as f64;
                 zeros += usize::from(r == 0);
             }
@@ -227,7 +262,7 @@ mod tests {
         }
         // Every register at the saturated rank, too.
         let full = NdvSketch {
-            registers: Box::new([(64 - P + 1) as u8; M]),
+            registers: Some(Box::new([(64 - P + 1) as u8; M])),
         };
         assert_eq!(full.estimate().to_bits(), divided(&full).to_bits());
     }

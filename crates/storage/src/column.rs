@@ -19,8 +19,8 @@
 //! so `1.50` renders as `1.50` and `1.5` as `1.5`.
 //!
 //! A string column is one UTF-8 byte buffer plus one `u32` end offset per
-//! cell, not a pointer per cell: copying, patching, gathering or dropping
-//! it is a byte copy or one free, never a refcount per cell. Kernels read
+//! cell, not a pointer per cell: copying, gathering or dropping it is a
+//! byte copy or one free, never a refcount per cell. Kernels read
 //! cells as borrowed `&str` ([`StrBuf::get`]); [`Column::value_at`] builds
 //! an owned [`Value::Str`] and is for the result edge and the row
 //! interpreter. A column whose bytes would pass `u32::MAX` boxes into
@@ -933,8 +933,8 @@ mod tests {
     }
 
     #[test]
-    fn decimals_patched_by_a_replace_stay_typed_at_one_scale() {
-        use crate::segment::ColumnTable;
+    fn decimals_appended_over_a_masked_tail_stay_typed_at_one_scale() {
+        use crate::segment::{ColumnTable, SEGMENT_ROWS};
         let row = |i: usize| match i % 5 {
             0 => vec![Value::Null],
             _ => vec![dec(i as i128 * 101 - 3_000, 2)],
@@ -942,25 +942,34 @@ mod tests {
         let rows: Vec<Vec<Value>> = (0..70_000).map(row).collect();
         let t = ColumnTable::from_rows(vec![DataType::Decimal], &rows);
         let data = |t: &ColumnTable, seg: usize| t.segments[seg].columns[0].data.clone();
-        // Same-scale cells, a NULL and a value over a NULL, at offset 0
-        // and at the last offset of the first segment.
-        let patch = [(0, dec(99, 2)), (5, Value::Null), (65_535, dec(-1, 2))];
-        let rows_in: Vec<(usize, Vec<Value>)> =
-            patch.iter().map(|(i, v)| (*i, vec![v.clone()])).collect();
-        let (patched, built) = t.replace(&rows_in, 2);
+        // Rows at offset 0 and at the last offset of the first segment and
+        // in the 4,464-row tail die; same-scale cells and a NULL join the
+        // tail, which is copied.
+        let (masked, _) = t.delete(&[0, 65_535, 65_540], 1);
+        let added = [dec(99, 2), Value::Null, dec(-1, 2)];
+        let batch = |cells: &[Value]| {
+            let rows: Vec<Vec<Value>> = cells.iter().map(|v| vec![v.clone()]).collect();
+            ColumnTable::from_rows(vec![DataType::Decimal], &rows)
+        };
+        let (grown, built) = masked.append_table(&batch(&added));
         assert_eq!(built, 1);
-        assert!(matches!(data(&patched, 0), ColumnData::Decimal(_)));
-        for (i, v) in &patch {
-            assert_eq!(format!("{}", patched.value(*i, 0)), format!("{v}"));
-        }
-        assert_eq!(patched.value(1, 0), rows[1][0]);
-        assert_eq!(patched.value(65_534, 0), rows[65_534][0]);
-        // A cell of another scale boxes that segment only, without loss.
-        let (patched, _) = t.replace(&[(7, vec![dec(5, 1)])], 1);
-        assert!(matches!(data(&patched, 0), ColumnData::Other(_)));
-        assert!(matches!(data(&patched, 1), ColumnData::Decimal(_)));
-        assert_eq!(format!("{}", patched.value(7, 0)), "0.5");
-        assert_eq!(format!("{}", patched.value(8, 0)), "-21.92");
+        assert!(matches!(data(&grown, 1), ColumnData::Decimal(_)));
+        let tail: Vec<String> = (grown.column(0).skip(65_534))
+            .map(|v| format!("{v}"))
+            .collect();
+        let want: Vec<String> = (rows[65_536..].iter().enumerate())
+            .filter(|(i, _)| *i != 4)
+            .map(|(_, r)| &r[0])
+            .chain(&added)
+            .map(|v| format!("{v}"))
+            .collect();
+        assert_eq!(tail, want);
+        // A cell of another scale boxes the tail only, without loss.
+        let (grown, _) = masked.append_table(&batch(&[dec(5, 1)]));
+        assert!(matches!(data(&grown, 0), ColumnData::Decimal(_)));
+        assert!(matches!(data(&grown, 1), ColumnData::Other(_)));
+        assert_eq!(format!("{}", grown.value(SEGMENT_ROWS + 4_463, 0)), "0.5");
+        assert_eq!(format!("{}", grown.value(8, 0)), "-21.92");
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub use pred::Pred;
 pub use segment::{ColumnTable, ColumnTableBuilder, Segment, COMPACT_DEAD_SHARE, SEGMENT_ROWS};
 pub use sort::{par_sort, par_topn, par_window, SortKey, WinFunc, WinSpec};
 pub use stats::{
-    collect_stats, collect_stats_at, extend_stats, merge_segment_stats, removed_stats_at,
-    segment_stats, ColumnStats, TableStats,
+    collect_stats, extend_stats, merge_segment_stats, removed_stats_at, segment_stats, ColumnStats,
+    TableStats,
 };
 pub use tpcds_types::CmpKind;
 

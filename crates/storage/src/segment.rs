@@ -9,16 +9,16 @@
 //!
 //! Segments are immutable and shared (`Arc`) between successive versions
 //! of a table, and a segment's columns are shared again between versions
-//! of the segment that differ only in their dead-row mask. A change copies
-//! column data only for the segments it appends to, replaces rows in or
-//! compacts: [`ColumnTable::append`] copies the tail only while it is
-//! shorter than a morsel, [`ColumnTable::delete`] marks rows dead in a new
-//! mask over the same columns and rebuilds a segment only once
-//! [`COMPACT_DEAD_SHARE`] of it is dead, and [`ColumnTable::replace`]
-//! copies the columns of the segments it hits around the replaced cells.
-//! A copy is typed buffer to typed buffer, one slice per run of rows kept
-//! (for a string column, one byte copy). A pinned reader's segments never
-//! move under it.
+//! of the segment that differ only in their dead-row mask. A table changes
+//! in two ways only, and a change copies column data only for the
+//! segments it appends to or compacts: [`ColumnTable::append_table`]
+//! copies the tail only while it is shorter than a morsel, and
+//! [`ColumnTable::delete`] marks rows dead in a new mask over the same
+//! columns and rebuilds a segment only once [`COMPACT_DEAD_SHARE`] of it
+//! is dead. Nothing is overwritten in place: an updated row is its old
+//! version deleted and its new one appended. A copy is typed buffer to
+//! typed buffer, one slice per run of rows kept (for a string column, one
+//! byte copy). A pinned reader's segments never move under it.
 //!
 //! `rows` counts live rows, and every row accessor ([`ColumnTable::live_ids`],
 //! [`ColumnTable::iter_rows`], [`ColumnTable::column`],
@@ -292,35 +292,18 @@ impl ColumnTable {
             .flat_map(move |s| s.live_offsets().map(move |i| s.columns[col].value_at(i)))
     }
 
-    /// This table with `rows` appended. A tail segment shorter than a
-    /// morsel is copied — its live rows — and grown; otherwise the rows
-    /// start a new segment, so an append copies fewer than
-    /// [`MORSEL_ROWS`] rows besides its own. Every other segment is the
-    /// very `Arc` of `self`. The segments it seals hold whole morsels, and
-    /// what is left over becomes the next short tail, so appended rows
-    /// scan in full morsels. Also returns how many segments were built
-    /// rather than shared: they are the last ones.
-    pub fn append<R: AsRef<[Value]>>(&self, rows: &[R]) -> (ColumnTable, usize) {
-        self.append_with(rows.len(), |b, ranks| {
-            (rows[ranks].iter()).for_each(|row| b.push_row(row.as_ref()))
-        })
-    }
-
-    /// [`ColumnTable::append`] of `batch`'s live rows, typed buffer to
-    /// typed buffer: a slice copy per run of live rows and column, and
-    /// exactly the segments `append` builds from the same rows decoded (a
-    /// cell that does not fit this table's column type boxes the column,
-    /// as pushing its value would).
+    /// This table with `batch`'s live rows appended, typed buffer to typed
+    /// buffer: a slice copy per run of live rows and column (a cell that
+    /// does not fit this table's column type boxes the column, as pushing
+    /// its value would). A tail segment shorter than a morsel is copied —
+    /// its live rows — and grown; otherwise the rows start a new segment,
+    /// so an append copies fewer than [`MORSEL_ROWS`] rows besides its
+    /// own. Every other segment is the very `Arc` of `self`. The segments
+    /// it seals hold whole morsels, and what is left over becomes the next
+    /// short tail, so appended rows scan in full morsels. Also returns how
+    /// many segments were built rather than shared: they are the last ones.
     pub fn append_table(&self, batch: &ColumnTable) -> (ColumnTable, usize) {
-        self.append_with(batch.rows, |b, ranks| b.push_live(batch, ranks))
-    }
-
-    /// The append of `n` rows, which `push` pushes by their ranks.
-    fn append_with(
-        &self,
-        n: usize,
-        mut push: impl FnMut(&mut ColumnTableBuilder, Range<usize>),
-    ) -> (ColumnTable, usize) {
+        let n = batch.rows;
         let mut b = ColumnTableBuilder::new(self.dtypes.clone());
         b.segments = self.segments.clone();
         b.rows = self.rows;
@@ -334,11 +317,11 @@ impl ColumnTable {
         }
         let shared = b.segments.len();
         let whole = n.saturating_sub((b.open + n) % SEGMENT_ROWS % MORSEL_ROWS);
-        push(&mut b, 0..whole);
+        b.push_live(batch, 0..whole);
         if b.open >= MORSEL_ROWS {
             b.seal();
         }
-        push(&mut b, whole..n);
+        b.push_live(batch, whole..n);
         let table = b.finish();
         let built = table.segments.len() - shared;
         (table, built)
@@ -419,45 +402,6 @@ impl ColumnTable {
             table.segments[si] = segment;
         }
         (table, compacted)
-    }
-
-    /// This table with the live row at each `(id, row)` of `rows`
-    /// (ascending ids) replaced: each segment hit gets new columns, built
-    /// as [`ColumnTable::append`] copies a tail — the runs between the
-    /// replaced offsets copied slice by slice, the replacing cells pushed
-    /// between them — and keeps its mask; every other one is shared. Also
-    /// returns how many segments were built.
-    pub fn replace(&self, rows: &[(usize, Row)], threads: usize) -> (ColumnTable, usize) {
-        let hit: Vec<_> =
-            (rows.chunk_by(|a, b| a.0 / SEGMENT_ROWS == b.0 / SEGMENT_ROWS)).collect();
-        let workers = worker_count(hit.len() * SEGMENT_ROWS, threads, hit.len());
-        let built = run_chunks(hit.len(), workers, |task| {
-            let old = &self.segments[hit[task][0].0 / SEGMENT_ROWS];
-            let columns = (old.columns.iter().zip(&self.dtypes).enumerate())
-                .map(|(c, (src, &dtype))| {
-                    let mut column = src.empty_like(old.rows);
-                    let mut at = 0;
-                    for (id, row) in hit[task] {
-                        let i = id % SEGMENT_ROWS;
-                        column.extend_runs(src, std::slice::from_ref(&(at..i)));
-                        column.push(&row[c]);
-                        at = i + 1;
-                    }
-                    column.extend_runs(src, std::slice::from_ref(&(at..old.rows)));
-                    column.unbox(dtype);
-                    column
-                })
-                .collect();
-            Arc::new(Segment {
-                dead: old.dead.clone(),
-                ..Segment::seal(columns, old.rows)
-            })
-        });
-        let mut table = self.clone();
-        for (group, segment) in hit.iter().zip(built) {
-            table.segments[group[0].0 / SEGMENT_ROWS] = segment;
-        }
-        (table, hit.len())
     }
 }
 
@@ -684,11 +628,6 @@ mod tests {
         let kept = |i: &usize| *i >= SEGMENT_ROWS || (i % 10 > 1 && i % 20 != 2);
         let expect: Vec<usize> = (0..n).filter(kept).collect();
         assert_eq!(live(&compact), expect);
-        // Replacing a row keeps the mask around it.
-        let (replaced, built) = masked.replace(&[(3, int_rows(1)[0].clone())], 1);
-        assert_eq!(built, 1);
-        assert_eq!(replaced.segments[0].dead().unwrap().count_set(), 6_554);
-        assert_eq!(replaced.row(3), int_rows(1)[0]);
     }
 
     #[test]
@@ -697,7 +636,7 @@ mod tests {
         // dropped.
         let t = table(SEGMENT_ROWS + 100);
         let (masked, _) = t.delete(&[SEGMENT_ROWS as u32 + 3], 1);
-        let (grown, built) = masked.append(&int_rows(10));
+        let (grown, built) = masked.append_table(&table(10));
         assert_eq!(
             (built, grown.segments.len(), grown.rows),
             (1, 2, t.rows + 9)
@@ -707,7 +646,7 @@ mod tests {
         // A tail of a morsel or more is left alone: the rows start a new,
         // short segment, and ids past a short segment still address it.
         let t = table(MORSEL_ROWS);
-        let (grown, built) = t.append(&int_rows(5));
+        let (grown, built) = t.append_table(&table(5));
         assert_eq!((built, grown.segments.len()), (1, 2));
         assert!(Arc::ptr_eq(&grown.segments[0], &t.segments[0]));
         assert_eq!(grown.row(SEGMENT_ROWS + 4), int_rows(5)[4]);
@@ -726,13 +665,13 @@ mod tests {
         );
         // An append that carries a copied tail past a morsel seals whole
         // morsels and leaves the rest as the next tail.
-        let (grown, built) = table(8_000).append(&int_rows(300));
+        let (grown, built) = table(8_000).append_table(&table(300));
         let extents: Vec<usize> = grown.segments.iter().map(|s| s.rows).collect();
         assert_eq!((built, extents), (2, vec![MORSEL_ROWS, 108]));
-        let (grown, built) = table(100).append(&int_rows(70_000));
+        let (grown, built) = table(100).append_table(&table(70_000));
         let extents: Vec<usize> = grown.segments.iter().map(|s| s.rows).collect();
         assert_eq!((built, extents), (2, vec![SEGMENT_ROWS, 4_564]));
-        let (grown, _) = table(0).append(&int_rows(20_000));
+        let (grown, _) = table(0).append_table(&table(20_000));
         let extents: Vec<usize> = grown.segments.iter().map(|s| s.rows).collect();
         assert_eq!(extents, [2 * MORSEL_ROWS, 3_616]);
     }
@@ -771,97 +710,13 @@ mod tests {
     }
 
     #[test]
-    fn a_replace_equals_a_rebuild_of_the_rows_it_leaves() {
-        use tpcds_types::{Date, Decimal};
-        let dtypes = vec![
-            DataType::Int,
-            DataType::Decimal,
-            DataType::Date,
-            DataType::Str,
-            DataType::Int,
-        ];
-        // Every eleventh row NULL in the first four columns; the last
-        // column boxed by a string at offset 3 of each segment.
-        let row = |i: usize| -> Row {
-            let null_or = |v: Value| if i % 11 == 5 { Value::Null } else { v };
-            let day = Date::from_ymd(2000, 1, 1).add_days((i % 3_000) as i32);
-            vec![
-                null_or(Value::Int(i as i64)),
-                null_or(Value::Decimal(Decimal::new(i as i128 * 7, 2))),
-                null_or(Value::Date(day)),
-                null_or(Value::str(format!("s{}", i % 97))),
-                match i % SEGMENT_ROWS {
-                    3 => Value::str("boxed"),
-                    _ => Value::Int(-(i as i64)),
-                },
-            ]
-        };
-        let with = |i: usize, edits: &[(usize, Value)]| {
-            let mut r = row(i);
-            edits.iter().for_each(|(c, v)| r[*c] = v.clone());
-            r
-        };
-        let (n, last) = (SEGMENT_ROWS + 100, SEGMENT_ROWS - 1);
-        let table = ColumnTable::from_rows(dtypes.clone(), &(0..n).map(row).collect::<Vec<_>>());
-        let (masked, _) = table.delete(&[1, 2, 40_000], 1);
-        let replaced = vec![
-            // Values to NULL, at offset 0.
-            (0, vec![Value::Null; 5]),
-            // The boxed column's string replaced: the column is typed again.
-            (3, with(3, &[(4, Value::Int(3))])),
-            // NULLs to values.
-            (5, with(6, &[])),
-            // Values of other types box a typed column, at offset 65,535.
-            (
-                last,
-                with(last, &[(1, Value::str("x")), (2, Value::Int(9))]),
-            ),
-            // In the second segment, a NULL to a value and back.
-            (
-                SEGMENT_ROWS + 5,
-                with(SEGMENT_ROWS + 6, &[(3, Value::Null)]),
-            ),
-            (
-                SEGMENT_ROWS + 6,
-                with(SEGMENT_ROWS + 6, &[(0, Value::Null)]),
-            ),
-        ];
-        let (patched, built) = masked.replace(&replaced, 2);
-        assert_eq!(built, 2);
-
-        let mut rows: Vec<Row> = (0..n).map(row).collect();
-        replaced.iter().for_each(|(id, r)| rows[*id] = r.clone());
-        let rebuilt = ColumnTable::from_rows(dtypes, &rows);
-        for (si, (got, want)) in patched.segments.iter().zip(&rebuilt.segments).enumerate() {
-            assert_same_cells(got, want, &format!("segment {si}"));
-        }
-        let boxed = |si: usize, c: usize| {
-            matches!(patched.segments[si].columns[c].data, ColumnData::Other(_))
-        };
-        assert_eq!([boxed(0, 1), boxed(0, 2), boxed(0, 4)], [true, true, false]);
-        assert_eq!([boxed(1, 1), boxed(1, 4)], [false, true]);
-        // The mask stays; the columns are new.
-        let dead = patched.segments[0].dead().expect("masked");
-        assert_eq!(
-            (0..SEGMENT_ROWS)
-                .filter(|&i| dead.get(i))
-                .collect::<Vec<_>>(),
-            [1, 2, 40_000]
-        );
-        assert!(patched.segments[1].dead().is_none());
-        assert!(!Arc::ptr_eq(
-            &patched.segments[0].columns,
-            &masked.segments[0].columns
-        ));
-        assert_eq!(patched.rows, masked.rows);
-    }
-
-    #[test]
     fn an_append_to_a_masked_tail_keeps_exactly_its_live_rows() {
         let dtypes = vec![DataType::Int, DataType::Str];
-        // NULL cells next to the tail's dead offsets 0, 49 and 99.
+        // NULL cells next to the tail's dead offsets 0, 49 and 99; the
+        // string at offset 0 boxes the tail's integer column.
         let row = |i: usize| -> Row {
             match i % SEGMENT_ROWS {
+                _ if i == SEGMENT_ROWS => vec![Value::str("boxed"), Value::Null],
                 1 | 48 | 50 | 98 => vec![Value::Null, Value::Null],
                 _ => vec![Value::Int(i as i64), Value::str(format!("s{i}"))],
             }
@@ -878,20 +733,24 @@ mod tests {
             live.map(|(_, r)| r.clone()).chain(added.clone()).collect()
         };
         // Masked or not, the grown tail is a rebuild of its live rows and
-        // the rows appended, with no mask.
+        // the rows appended, with no mask: typed again once the cell that
+        // boxed it is dead.
+        let added_rows = ColumnTable::from_rows(dtypes.clone(), &added);
         for from in [&masked, &t] {
-            let (grown, built) = from.append(&added);
+            let (grown, built) = from.append_table(&added_rows);
             assert_eq!((built, grown.segments.len()), (1, 2));
             assert!(Arc::ptr_eq(&grown.segments[0], &t.segments[0]));
             assert!(!grown.has_dead());
             let want = ColumnTable::from_rows(dtypes.clone(), &tail(from));
             assert_same_cells(&grown.segments[1], &want.segments[0], "grown tail");
+            let typed = matches!(grown.segments[1].columns[0].data, ColumnData::I64(_));
+            assert_eq!(typed, from.has_dead());
             assert_eq!(grown.rows, from.rows + added.len());
         }
     }
 
     #[test]
-    fn a_typed_append_builds_what_a_row_append_builds() {
+    fn a_typed_append_builds_what_pushing_its_rows_builds() {
         use tpcds_types::Decimal;
         let dtypes = vec![DataType::Int, DataType::Str, DataType::Decimal];
         let row = |i: usize| -> Row {
@@ -903,6 +762,23 @@ mod tests {
             row
         };
         let rows = |ids: Range<usize>| -> Vec<Row> { ids.map(row).collect() };
+        // Each segment an append builds holds what pushing its rows, the
+        // tail's live rows and then the batch's, builds: the same buffers,
+        // NULLs and bytes, and no mask.
+        let check = |t: &ColumnTable, batch: &ColumnTable, what: &str| {
+            let (got, built) = t.append_table(batch);
+            let want: Vec<Row> = t.iter_rows().chain(batch.iter_rows()).collect();
+            assert_eq!(got.rows, want.len(), "{what}");
+            assert_eq!(got.iter_rows().collect::<Vec<_>>(), want, "{what}");
+            let shared = got.segments.len() - built;
+            let mut at: usize = got.segments[..shared].iter().map(|s| s.live()).sum();
+            for (k, seg) in got.segments[shared..].iter().enumerate() {
+                let pushed = ColumnTable::from_rows(t.dtypes.clone(), &want[at..at + seg.rows]);
+                assert!(seg.dead().is_none(), "{what}, segment {k}");
+                assert_same_cells(seg, &pushed.segments[0], &format!("{what}, segment {k}"));
+                at += seg.rows;
+            }
+        };
         // Tails empty, short, just under and just over a morsel; batches
         // of one row, across a morsel and longer than a segment; a third
         // of each tail and an eleventh of each batch dead.
@@ -918,31 +794,20 @@ mod tests {
             let batch = ColumnTable::from_rows(dtypes.clone(), &rows(tail..tail + n));
             let dead: Vec<u32> = (batch.live_ids().step_by(11)).map(|i| i as u32).collect();
             let (batch, _) = batch.delete(&dead, 1);
-            let (got, got_built) = t.append_table(&batch);
-            let (want, want_built) = t.append(&batch.iter_rows().collect::<Vec<_>>());
-            let what = format!("{n} rows onto {tail}");
-            assert_eq!((got_built, got.rows), (want_built, want.rows), "{what}");
-            assert_eq!(got.segments.len(), want.segments.len(), "{what}");
-            for (k, (g, w)) in got.segments.iter().zip(&want.segments).enumerate() {
-                let dead = |s: &Segment| (0..s.rows).filter(|&i| s.is_dead(i)).count();
-                assert_eq!(dead(g), dead(w), "{what}, segment {k}");
-                assert_same_cells(g, w, &format!("{what}, segment {k}"));
-            }
+            check(&t, &batch, &format!("{n} rows onto {tail}"));
         }
         // A cell that does not fit the table's column type boxes the
         // column, as pushing its value does.
-        let t = table(10);
         let batch = ColumnTable::from_rows(
             vec![DataType::Str, DataType::Str],
             &[vec![Value::str("x"), Value::str("y")]],
         );
-        let (got, _) = t.append_table(&batch);
-        let (want, _) = t.append(&batch.iter_rows().collect::<Vec<_>>());
+        check(&table(10), &batch, "boxed");
+        let (got, _) = table(10).append_table(&batch);
         assert!(matches!(
             got.segments[0].columns[0].data,
             ColumnData::Other(_)
         ));
-        assert_same_cells(&got.segments[0], &want.segments[0], "boxed");
     }
 
     #[test]
@@ -997,13 +862,14 @@ mod tests {
         let dead = [0, 3, 4, 17, 39].map(|i| (SEGMENT_ROWS + i) as u32);
         let (masked, _) = t.delete(&dead, 1);
         let added: Vec<Row> = (100..105).map(string_row).collect();
-        let (grown, _) = masked.append(&added);
+        let (grown, _) = masked.append_table(&ColumnTable::from_rows(dtypes.clone(), &added));
         let live: Vec<Row> = masked.iter_rows().chain(added).collect();
         let want = ColumnTable::from_rows(dtypes.clone(), &live);
         assert_same_cells(&grown.segments[1], &want.segments[1], "grown tail");
 
-        // Replaced cells at offsets 0 and 65,535 and past the boundary; in
-        // the second set an integer boxes the first segment's strings.
+        // Rows replaced by new versions — the old ones deleted, the new
+        // ones appended — from offsets 0 and 65,535 and past the boundary;
+        // in the second set an integer boxes the tail's strings.
         for (k, edits) in [
             vec![
                 (0, Value::str("日本")),
@@ -1015,17 +881,25 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            let replaced: Vec<(usize, Row)> = (edits.into_iter())
-                .map(|(id, v)| (id, vec![Value::Int(-(id as i64)), v]))
+            let ids: Vec<u32> = edits.iter().map(|(id, _)| *id as u32).collect();
+            let versions: Vec<Row> = (edits.into_iter())
+                .map(|(id, v)| vec![Value::Int(-(id as i64)), v])
                 .collect();
-            let (patched, _) = t.replace(&replaced, 2);
-            let mut want = rows.clone();
-            replaced.iter().for_each(|(id, r)| want[*id] = r.clone());
-            let want = ColumnTable::from_rows(dtypes.clone(), &want);
-            for (si, (got, want)) in patched.segments.iter().zip(&want.segments).enumerate() {
-                assert_same_cells(got, want, &format!("edit set {k}, segment {si}"));
-            }
-            let boxed = matches!(patched.segments[0].columns[1].data, ColumnData::Other(_));
+            let (masked, _) = t.delete(&ids, 2);
+            let versions = ColumnTable::from_rows(dtypes.clone(), &versions);
+            let (replaced, _) = masked.append_table(&versions);
+            let tail: Vec<Row> = (masked.segments[1].live_offsets())
+                .map(|i| rows[SEGMENT_ROWS + i].clone())
+                .chain(versions.iter_rows())
+                .collect();
+            let want = ColumnTable::from_rows(dtypes.clone(), &tail);
+            assert_same_cells(
+                &replaced.segments[1],
+                &want.segments[0],
+                &format!("set {k}"),
+            );
+            assert!(Arc::ptr_eq(&replaced.segments[0], &masked.segments[0]));
+            let boxed = matches!(replaced.segments[1].columns[1].data, ColumnData::Other(_));
             assert_eq!(boxed, k == 1, "edit set {k}");
         }
 

@@ -9,17 +9,17 @@
 //! the same at any worker count.
 //!
 //! [`ColumnStats`] keeps its sketch, so published statistics change
-//! without a rescan: [`extend_stats`] folds just the live rows appended
-//! past the ones already counted, [`collect_stats_at`] collects those of
-//! the rows a delete or an update moves, [`TableStats::merge`] folds them
-//! in and [`TableStats::retract`] takes them out. Dead rows are never
-//! counted. Row and NULL counts and the histogram subtract exactly; a min
-//! or max that a removed value equals is looked up among the rows left,
-//! and recomputed over that one column only when no row left holds it. Every field then equals a
-//! rebuild's except `ndv`: an HLL register cannot be lowered, so the
-//! sketch keeps every row version the table has held, and `ndv` estimates
-//! the distinct values of the live rows together with every row deleted
-//! or overwritten since the table was created.
+//! without a rescan, by the rows a change moves: [`extend_stats`] folds in
+//! the live rows appended past the ones already counted, and
+//! [`TableStats::retract`] takes out the rows a delete kills, as
+//! [`removed_stats_at`] collects them. Dead rows are never counted. Row
+//! and NULL counts and the histogram subtract exactly; a min or max that a
+//! removed value equals is looked up among the rows left, and recomputed
+//! over that one column only when no row left holds it. Every field then
+//! equals a rebuild's except `ndv`: an HLL register cannot be lowered, so
+//! the sketch keeps every row version the table has held, and `ndv`
+//! estimates the distinct values of the live rows together with every row
+//! deleted since the table was created.
 //!
 //! The fold is typed: one match on the column's buffer, then a loop over
 //! native values — no boxed [`Value`] per cell, min/max compared on the
@@ -122,7 +122,8 @@ impl ColumnStats {
     }
 
     /// Takes out `removed`, which was folded in; column `c` of the live
-    /// rows of `left` is what is left. The sketch keeps the removed values.
+    /// rows of `left` is what is left, with any rows appended and not yet
+    /// folded in. The sketch keeps the removed values.
     fn retract<'a>(
         &mut self,
         removed: &ColumnStats,
@@ -556,23 +557,15 @@ impl TableStats {
         }
     }
 
-    /// Folds in `added`: the statistics of rows the table now holds
-    /// besides the ones counted. Exact, since no accumulator shrinks.
-    pub fn merge(&mut self, added: &TableStats) {
-        self.rows += added.rows;
-        for (into, from) in self.columns.iter_mut().zip(&added.columns) {
-            into.merge(from);
-            into.estimate();
-        }
-    }
-
     /// Takes out `removed`: the statistics of counted rows that are gone
-    /// from `table`'s live rows, which are the rest. Costs the removed
-    /// rows, plus a search of one column's cells where a removed value
-    /// equals its min or max; every field but `ndv` then equals
-    /// [`collect_stats`] of `table` (see the module doc).
+    /// from `table`'s live rows, which are the rest — and may end in rows
+    /// appended since, which [`extend_stats`] is yet to fold in. Costs the
+    /// removed rows, plus a search of one column's cells where a removed
+    /// value equals its min or max and no appended row stands in for it;
+    /// every field but `ndv` then equals [`collect_stats`] of `table` once
+    /// the appended rows are folded in (see the module doc).
     pub fn retract(&mut self, removed: &TableStats, table: &ColumnTable) {
-        debug_assert_eq!(self.rows - removed.rows, table.rows as u64);
+        debug_assert!(self.rows - removed.rows <= table.rows as u64);
         self.rows -= removed.rows;
         for (c, (into, gone)) in self.columns.iter_mut().zip(&removed.columns).enumerate() {
             into.retract(gone, c, table.segments.iter().map(|s| &**s));
@@ -781,21 +774,11 @@ pub fn merge_segment_stats(width: usize, parts: &[TableStats]) -> TableStats {
     estimated(merged(vec![ColumnStats::empty(); width], columns, rows))
 }
 
-/// The statistics of the live rows at `ids` (ascending) of `table`: what
-/// an update puts in, at the cost of those rows. No `ndv` is read off
-/// them: [`TableStats::merge`] estimates once it has folded them in.
-pub fn collect_stats_at(table: &ColumnTable, ids: &[u32], threads: usize) -> TableStats {
-    stats_at(table, ids, threads, true)
-}
-
-/// [`collect_stats_at`] of rows a delete or an update takes out: their
-/// NULLs, histogram and extremes, which is all [`TableStats::retract`]
-/// reads — their cells are not hashed, as no sketch can lose them.
+/// The statistics of the live rows at `ids` (ascending) of `table`, which
+/// a delete takes out: their NULLs, histogram and extremes, which is all
+/// [`TableStats::retract`] reads — their cells are not hashed, as no
+/// sketch can lose them.
 pub fn removed_stats_at(table: &ColumnTable, ids: &[u32], threads: usize) -> TableStats {
-    stats_at(table, ids, threads, false)
-}
-
-fn stats_at(table: &ColumnTable, ids: &[u32], threads: usize, sketch: bool) -> TableStats {
     let groups: Vec<&[u32]> =
         (ids.chunk_by(|a, b| a / SEGMENT_ROWS as u32 == b / SEGMENT_ROWS as u32)).collect();
     let workers = worker_count(ids.len(), threads, groups.len());
@@ -803,7 +786,7 @@ fn stats_at(table: &ColumnTable, ids: &[u32], threads: usize, sketch: bool) -> T
     fold_runs(&empty, ids.len(), groups.len(), workers, |k, acc| {
         let seg = &table.segments[groups[k][0] as usize / SEGMENT_ROWS];
         let rows = groups[k].iter().map(|&id| id as usize % SEGMENT_ROWS);
-        fold_at(acc, seg, rows, sketch)
+        fold_at(acc, seg, rows, false)
     })
 }
 
@@ -987,9 +970,9 @@ mod tests {
         ]
     }
 
-    /// Takes the rows `gone` selects out of `0..n` rows' statistics and
-    /// folds `added` in; checks the result against a rebuild and returns
-    /// it.
+    /// Takes the rows `gone` selects out of `0..n` rows' statistics, with
+    /// `added` appended after the rows left, then folds `added` in — an
+    /// update's order; checks the result against a rebuild and returns it.
     fn retract_and_fold(n: usize, gone: impl Fn(usize) -> bool, added: &[Row]) -> TableStats {
         let table = |rows: &[Row]| {
             use DataType::{Decimal, Int, Str};
@@ -999,8 +982,9 @@ mod tests {
         let removed: Vec<Row> = removed.into_iter().map(row).collect();
         let result: Vec<Row> = kept.into_iter().map(row).chain(added.to_vec()).collect();
         let mut stats = collect_stats(&table(&(0..n).map(row).collect::<Vec<_>>()), 2);
-        stats.merge(&collect_stats(&table(added), 2));
-        stats.retract(&collect_stats(&table(&removed), 2), &table(&result));
+        let left = table(&result);
+        stats.retract(&collect_stats(&table(&removed), 2), &left);
+        let stats = extend_stats(&stats, &left, 2);
 
         let rebuilt = collect_stats(&table(&result), 2);
         let union = collect_stats(&table(&[result, removed].concat()), 2);
@@ -1081,7 +1065,7 @@ mod tests {
         let base = collect_stats(&table(rows[..30_000].to_vec(), dtypes), 1);
         let stats = |workers| {
             let (at, grown) = (
-                collect_stats_at(&t, &at, workers),
+                removed_stats_at(&t, &at, workers),
                 extend_stats(&base, &t, workers),
             );
             for s in [&at, &grown] {

@@ -1,7 +1,8 @@
 //! Integration: the segments are the table. A delete marks its rows dead
 //! in the masks of the segments it hits and rebuilds a segment only once a
-//! quarter of it is dead, an append copies at most a morsel of tail, and
-//! every mutator revises the statistics by the rows it moves. The
+//! quarter of it is dead, an append copies at most a morsel of tail, an
+//! update is a delete of the old versions and an append of the new ones,
+//! and every mutator revises the statistics by the rows it moves. The
 //! invariant, checked after commits:
 //!
 //! - the live rows are the rows the table should hold, in order;
@@ -9,12 +10,14 @@
 //! - the statistics are a rebuild's over the live rows, except the NDV
 //!   estimates, which also count every row version the table held;
 //! - a commit's `segments_rebuilt` counts exactly the segments whose
-//!   columns it built: appended, replaced and compacted ones;
+//!   columns it built: appended and compacted ones;
 //! - a pinned snapshot's segments and masks never change.
 //!
 //! "The rows it should hold" is a model the test mutates itself wherever
-//! the test drives the mutators; after real refresh sets it is the decoded
-//! rows, cross-checked against the `OpReport`s' counts. Each test names
+//! the test drives the mutators — in which an updated row's new version
+//! follows the table's other live rows, as the table appends it; after
+//! real refresh sets it is the decoded rows, cross-checked against the
+//! `OpReport`s' counts. Each test names
 //! the cases it covers: mutations around 65,535 / 65,536 / 65,537 rows and
 //! across a `MORSEL_ROWS` tail, or twenty refresh sets at 1 / 2 / 8
 //! threads. Also checked: what versions share, and that a commit's
@@ -188,9 +191,11 @@ fn refresh_sets_publish_what_a_rebuild_would_at_any_worker_count() {
                     rebuilt += built(&was, &is);
                 }
                 assert_eq!(op.commit.version, version, "{what}");
-                // A history-keeping update closes revisions, then appends
-                // their successors: the two may build the same tail.
-                if op.updated > 0 && op.inserted > 0 {
+                // An update's delete may compact the tail its append then
+                // copies; a history-keeping update appends its closed
+                // revisions, then their successors: either may build the
+                // same segment twice.
+                if op.updated > 0 {
                     assert!(
                         op.commit.segments_rebuilt >= rebuilt,
                         "{what}: segments built"
@@ -201,7 +206,11 @@ fn refresh_sets_publish_what_a_rebuild_would_at_any_worker_count() {
                         "{what}: segments built"
                     );
                 }
-                assert_eq!(op.commit.rows_masked, op.deleted, "{what}: rows masked");
+                assert_eq!(
+                    op.commit.rows_masked,
+                    op.deleted + op.updated,
+                    "{what}: rows masked"
+                );
                 assert!(
                     op.commit.segments_compacted <= rebuilt,
                     "{what}: compactions"
@@ -254,7 +263,7 @@ fn refresh_sets_publish_what_a_rebuild_would_at_any_worker_count() {
 }
 
 /// What a table should hold, and every row version it held and no longer
-/// does: deleted, or overwritten by an update.
+/// does: deleted, or the old version of an updated row.
 struct Model {
     rows: Vec<Row>,
     removed: Vec<Row>,
@@ -276,17 +285,25 @@ impl Model {
         deleted
     }
 
-    /// Applies `f` to every row, keeping the old version of each row `f`
-    /// reports writing to; returns how many.
+    /// Applies `f` to every row; each row `f` reports writing to is a new
+    /// version, which moves to the end, in the rows' order, and its old
+    /// version is kept as removed. Returns how many.
     fn update(&mut self, mut f: impl FnMut(&mut Row) -> bool) -> usize {
-        let before = self.removed.len();
-        for row in &mut self.rows {
+        let (mut kept, mut moved) = (Vec::new(), Vec::new());
+        for mut row in std::mem::take(&mut self.rows) {
             let old = row.clone();
-            if f(row) {
-                self.removed.push(old);
+            match f(&mut row) {
+                true => {
+                    self.removed.push(old);
+                    moved.push(row);
+                }
+                false => kept.push(row),
             }
         }
-        self.removed.len() - before
+        let updated = moved.len();
+        kept.extend(moved);
+        self.rows = kept;
+        updated
     }
 
     fn check(&self, t: &Table, what: &str) {
@@ -349,7 +366,10 @@ fn id(row: &[Value]) -> usize {
 /// Sets `row[col]` when `hit`, through whatever holds the row — the
 /// table's `RowMut` or the model's `Vec` — and reports `hit`. A row that
 /// is not hit is not written through.
-fn set_if(row: &mut impl DerefMut<Target = [Value]>, hit: bool, col: usize, v: Value) -> bool {
+fn set_if<R>(row: &mut R, hit: bool, col: usize, v: Value) -> bool
+where
+    R: DerefMut<Target = [Value]> + ?Sized,
+{
     if hit {
         row[col] = v;
     }
@@ -358,14 +378,17 @@ fn set_if(row: &mut impl DerefMut<Target = [Value]>, hit: bool, col: usize, v: V
 
 /// Covers mutations around 65,535 / 65,536 / 65,537 rows and across a
 /// `MORSEL_ROWS` tail — 65,536 + 8,191 rows, a tail an append copies, and
-/// 65,536 + 8,192, one it leaves alone: every check of the invariant, and
-/// how many segments each shape builds.
+/// 65,536 + 8,192, one it leaves alone: every check of the invariant, how
+/// many segments each shape builds, and the rows it masks and statistics
+/// cells it moves.
 #[test]
 fn every_mutation_shape_around_the_segment_boundary() {
     // Each operation is applied to the staged table and, by the test's own
-    // code, to the model; it returns how many segments it must build. The
-    // table's segments start full, but for the last.
-    type Op = fn(&mut Table, &mut Model) -> usize;
+    // code, to the model; it returns how many segments it must build, and
+    // how many segments of the new version do not share the old one's
+    // columns: fewer where a segment is compacted and then copied by an
+    // append. The table's segments start full, but for the last.
+    type Op = fn(&mut Table, &mut Model) -> (usize, usize);
     fn append(t: &mut Table, model: &mut Model, n: usize) {
         let first = model.rows.len();
         model.rows.extend(rows_from(first, n));
@@ -375,10 +398,25 @@ fn every_mutation_shape_around_the_segment_boundary() {
         let deleted = model.delete(&gone);
         assert!(deleted > 0 && t.delete_where(gone) == deleted);
     }
-    let ops: [(&str, Op); 7] = [
+    fn update(
+        t: &mut Table,
+        model: &mut Model,
+        f: impl Fn(&mut dyn DerefMut<Target = [Value]>) -> bool,
+    ) {
+        let updated = model.update(|row| f(row));
+        assert!(updated > 0 && t.update_each(|row| f(row)) == updated);
+    }
+    // An update of two rows, in the first and last segment, builds the
+    // segment its new versions are appended to; a one-row last segment
+    // it empties is compacted first.
+    fn first_and_last(n: usize) -> (usize, usize) {
+        let compacted = usize::from(n % SEGMENT_ROWS == 1);
+        (1 + compacted, 1)
+    }
+    let ops: [(&str, Op); 10] = [
         ("append 1", |t, model| {
             append(t, model, 1);
-            1
+            (1, 1)
         }),
         ("append 70,000", |t, model| {
             // A tail under a morsel is copied; what is placed fills
@@ -387,13 +425,14 @@ fn every_mutation_shape_around_the_segment_boundary() {
             let placed = 70_000 + if tail < MORSEL_ROWS { tail } else { 0 };
             let last = placed % SEGMENT_ROWS;
             append(t, model, 70_000);
-            placed / SEGMENT_ROWS
+            let builds = placed / SEGMENT_ROWS
                 + usize::from(last >= MORSEL_ROWS)
-                + usize::from(!last.is_multiple_of(MORSEL_ROWS))
+                + usize::from(!last.is_multiple_of(MORSEL_ROWS));
+            (builds, builds)
         }),
         ("scattered delete", |t, model| {
             delete(t, model, |r| id(r) % 83 == 5);
-            0
+            (0, 0)
         }),
         ("delete of a quarter of each segment", |t, model| {
             let n = model.rows.len();
@@ -405,18 +444,18 @@ fn every_mutation_shape_around_the_segment_boundary() {
             let compacted = (0..n).step_by(SEGMENT_ROWS).filter(|&lo| quarter(lo));
             let compacted = compacted.count();
             delete(t, model, |r| id(r) % 4 == 1);
-            compacted
+            (compacted, compacted)
         }),
         ("delete of the tail segment", |t, model| {
             let tail = (model.rows.len() - 1) / SEGMENT_ROWS * SEGMENT_ROWS;
             delete(t, model, |r| id(r) >= tail);
             assert_eq!(model.rows.len(), tail);
-            1
+            (1, 1)
         }),
         ("delete of everything", |t, model| {
             let segments = model.rows.len().div_ceil(SEGMENT_ROWS);
             delete(t, model, |_| true);
-            segments
+            (segments, segments)
         }),
         ("update in the first and last segment", |t, model| {
             let n = model.rows.len();
@@ -432,8 +471,50 @@ fn every_mutation_shape_around_the_segment_boundary() {
             let changed = model.update(|r| update(r));
             assert_eq!(t.update_each(|row| update(row)), changed);
             assert_eq!(changed, 2);
-            n.div_ceil(SEGMENT_ROWS)
+            first_and_last(n)
         }),
+        ("update of the rows holding extremes", |t, model| {
+            // Rows 0 and n - 1 alone hold the id's min and max, and their
+            // new versions still do; row 0 alone holds the amount's min,
+            // which its new version gives up, and the new versions hold
+            // the amount's new max and min.
+            let n = model.rows.len();
+            update(t, model, |row: &mut dyn DerefMut<Target = [Value]>| {
+                let hit = id(row) == 0 || id(row) == n - 1;
+                if hit {
+                    let cents = if id(row) == 0 { 10_000_000 } else { -1 };
+                    row[2] = Value::Decimal(Decimal::from_cents(cents));
+                }
+                hit
+            });
+            first_and_last(n)
+        }),
+        ("update that writes nothing", |t, model| {
+            // The closure reads every row and reports a change it did not
+            // write: nothing moves.
+            assert_eq!(t.update_each(|row| id(row) == 3), 1);
+            assert_eq!(model.update(|_| false), 0);
+            (0, 0)
+        }),
+        (
+            "update of rows an earlier update moved into the tail",
+            |t, model| {
+                let n = model.rows.len();
+                update(t, model, |row: &mut dyn DerefMut<Target = [Value]>| {
+                    set_if(row, [3, 10].contains(&id(row)), 1, Value::Int(-1))
+                });
+                update(t, model, |row: &mut dyn DerefMut<Target = [Value]>| {
+                    set_if(row, id(row) == 3, 1, Value::Int(-2))
+                });
+                // Each update builds the tail its new versions join, and
+                // the second first compacts the two- or three-row tail
+                // holding row 3's version — but past an 8,191-row tail,
+                // where that version seals a full morsel and row 10's
+                // starts the next segment: the second update masks the
+                // one and copies the other, two segments of its own.
+                (3, 1 + usize::from(n % SEGMENT_ROWS == MORSEL_ROWS - 1))
+            },
+        ),
     ];
     let sizes = [
         SEGMENT_ROWS - 1,
@@ -450,13 +531,26 @@ fn every_mutation_shape_around_the_segment_boundary() {
             model.check(&before, &format!("{n} rows"));
             let pinned = segments_of(&before);
             let mut txn = db.begin();
-            let builds = op(txn.table_mut("t").unwrap(), &mut model);
+            let (builds, not_shared) = op(txn.table_mut("t").unwrap(), &mut model);
             let commit = txn.commit();
             let after = db.table("t").unwrap();
             model.check(&after, &what);
             assert_eq!(commit.segments_rebuilt, builds, "{what}: segments built");
-            assert_eq!(built(&before, &after), builds, "{what}: columns not shared");
+            assert_eq!(
+                built(&before, &after),
+                not_shared,
+                "{what}: columns not shared"
+            );
             assert_unchanged(&pinned, &before, &what);
+            // Deleted rows and old versions of updated ones are masked and
+            // leave the statistics; appended rows and new versions of
+            // updated ones come in.
+            let width = before.columns.len();
+            let removed = model.removed.len();
+            let appended = model.rows.len() + removed - n;
+            assert_eq!(commit.rows_masked, removed, "{what}: rows masked");
+            let cells = (commit.stats_cells_folded, commit.stats_cells_retracted);
+            assert_eq!(cells, (appended * width, removed * width), "{what}: cells");
         }
     }
 }
@@ -503,16 +597,18 @@ fn one_transaction_composes_every_kind_of_change() {
     let commit = txn.commit();
     assert_eq!((commit.tables_changed, commit.tables_rebuilt), (1, 1));
     // Segments built, mutator by mutator: the 100-row tail, copied; the
-    // first (the 150 rows past it hold no id ending in 001); none (the
-    // delete masks both); the tail again, its dead rows dropped; both.
-    assert_eq!(commit.segments_rebuilt, 1 + 1 + 1 + 2);
+    // tail again, the new versions appended (the old ones are masked in
+    // the first segment: the 150 rows past it hold no id ending in 001);
+    // none (the delete masks both); the tail again, its dead rows dropped;
+    // the tail again.
+    assert_eq!(commit.segments_rebuilt, 1 + 1 + 1 + 1);
+    let updated = nulled + 2;
     assert_eq!(
         (commit.rows_masked, commit.segments_compacted),
-        (deleted, 0)
+        (deleted + updated, 0)
     );
     // Statistics cells: the 53 appended rows and the updates' new versions
     // in; the deleted rows and the updates' old versions out.
-    let updated = nulled + 2;
     assert_eq!(commit.stats_cells_folded, (53 + updated) * width);
     assert_eq!(commit.stats_cells_retracted, (deleted + updated) * width);
     model.check(&db.table("t").unwrap(), "composed");
@@ -558,7 +654,8 @@ fn versions_share_what_the_transaction_left_alone() {
     assert!(Arc::ptr_eq(&u, &base_u));
     assert!(Arc::ptr_eq(&u.stats(), &base_u.stats()));
 
-    // An update rebuilds the segment it lands in.
+    // An update masks the row it hits, a new mask over the same columns,
+    // and builds the tail its new version is appended to.
     let hit = |r: &[Value]| id(r) == SEGMENT_ROWS + 5;
     db.update_each("t", |row| set_if(row, hit(row), 1, Value::Int(-5)))
         .unwrap();
@@ -567,7 +664,11 @@ fn versions_share_what_the_transaction_left_alone() {
     let updated = Arc::clone(t.data());
     assert!(Arc::ptr_eq(&updated.segments[0], &new.segments[0]));
     assert!(!Arc::ptr_eq(&updated.segments[1], &new.segments[1]));
-    assert!(Arc::ptr_eq(&updated.segments[2], &new.segments[2]));
+    assert!(Arc::ptr_eq(
+        &updated.segments[1].columns,
+        &new.segments[1].columns
+    ));
+    assert!(!Arc::ptr_eq(&updated.segments[2], &new.segments[2]));
     // A delete builds nothing: the segment it hits is a new mask over the
     // same columns.
     let mut txn = db.begin();

@@ -13,15 +13,15 @@
 //!   declared `Bool` keeps every cell as a `Value`, and its fold is the
 //!   one the typed fold replaced — field for field, the NDV sketch's
 //!   registers and the histogram's buckets included, through
-//!   `segment_stats`, `extend_stats`, `collect_stats_at` and
-//!   `removed_stats_at`, and again once a delete has masked rows.
+//!   `segment_stats`, `extend_stats` and `removed_stats_at`, and again
+//!   once a delete has masked rows.
 //!
 //! `date_dim` and `time_dim` hold the same rows at every scale factor, so
 //! the SF 0.2 test checks them for both.
 
 use tpcds_core::storage::{
-    collect_stats_at, extend_stats, merge_segment_stats, removed_stats_at, run_chunks,
-    segment_stats, Column, ColumnData, ColumnTable, ColumnTableBuilder, Segment, TableStats,
+    extend_stats, merge_segment_stats, removed_stats_at, run_chunks, segment_stats, Column,
+    ColumnData, ColumnTable, ColumnTableBuilder, Segment, TableStats,
 };
 use tpcds_core::types::DataType;
 use tpcds_core::Generator;
@@ -153,17 +153,15 @@ fn check_stats(typed: &ColumnTable, boxed: &ColumnTable, what: &str) {
     let want = [
         extend_stats(&empty, boxed, 1),
         extend_stats(&first(&want_parts), boxed, 1),
-        collect_stats_at(boxed, &ids, 1),
         removed_stats_at(boxed, &ids, 1),
     ];
     for workers in WORKERS {
         let got = [
             extend_stats(&empty, typed, workers),
             extend_stats(&first(&parts), typed, workers),
-            collect_stats_at(typed, &ids, workers),
             removed_stats_at(typed, &ids, workers),
         ];
-        let names = ["all rows", "past segment 0", "at ids", "removed at ids"];
+        let names = ["all rows", "past segment 0", "removed at ids"];
         for ((got, want), name) in got.iter().zip(&want).zip(names) {
             same_stats(got, want, &format!("{what}, {workers} workers: {name}"));
         }
