@@ -49,20 +49,23 @@ fn median_ms(times: &[Duration]) -> f64 {
 
 /// `sets` consecutive `run_maintenance` sets on one SF 0.2 database at 2
 /// workers, as `dm_mixed`'s writer runs them: prints the median set, each
-/// operation's median, the median set of each window of [`WINDOW`] sets,
-/// the rows, segments and dead share of each [`REPORTED`] table after the
-/// last set, and the live heap then.
+/// operation's median and the mean segments its commit built, the median
+/// set of each window of [`WINDOW`] sets, the rows, segments and dead
+/// share of each [`REPORTED`] table after the last set, and the live heap
+/// then.
 fn refresh_sets(sets: u32) {
     storage::set_threads(Some(2));
     let t = TpcDs::builder().scale_factor(0.2).build().expect("load");
     let mut times = Vec::new();
     let mut ops = vec![Vec::new(); maint::OPERATIONS.len()];
+    let mut built = vec![0; maint::OPERATIONS.len()];
     for seq in 0..sets {
         let started = Instant::now();
         let report = maint::run_maintenance(t.database(), t.generator(), seq).expect("refresh set");
         times.push(started.elapsed());
-        for (times, op) in ops.iter_mut().zip(&report.ops) {
+        for ((times, built), op) in ops.iter_mut().zip(&mut built).zip(&report.ops) {
             times.push(op.elapsed);
+            *built += op.commit.segments_rebuilt;
         }
     }
     storage::set_threads(None);
@@ -71,8 +74,12 @@ fn refresh_sets(sets: u32) {
         "maint/refresh_sets",
         median_ms(&times)
     );
-    for (name, times) in maint::OPERATIONS.iter().zip(ops) {
-        println!("  {name:<42} p50={:>11.3}ms", median_ms(&times));
+    for ((name, times), built) in maint::OPERATIONS.iter().zip(ops).zip(built) {
+        println!(
+            "  {name:<42} p50={:>11.3}ms segments_rebuilt={:.2}",
+            median_ms(&times),
+            built as f64 / sets as f64
+        );
     }
     for (w, window) in times.chunks(WINDOW).enumerate() {
         let sets = format!("sets {}-{}", w * WINDOW + 1, w * WINDOW + window.len());

@@ -40,9 +40,10 @@ impl Generator {
     /// The revisions a refresh run writes into a maintained dimension, as
     /// `(target, source)` row pairs: update `k` rewrites the entity of
     /// existing row `target` (picked deterministically) with the
-    /// attributes of row `source`, the same entity generated at a shifted
-    /// coordinate beyond the initial population — a plausible changed
-    /// revision.
+    /// attributes of row `source` = `(refresh_seq + 1) × rows + target`,
+    /// the same entity generated at a coordinate beyond the initial
+    /// population and beyond every earlier run's — a plausible changed
+    /// revision, and a new one each run.
     pub fn refresh_revisions(
         &self,
         table: &str,
@@ -52,8 +53,7 @@ impl Generator {
         (0..self.refresh_update_count(table)).map(move |k| {
             let mut rng = self.rng(t, 100 + refresh_seq as u64, k);
             let target = rng.uniform_i64(0, rows as i64 - 1) as u64;
-            let shift = (refresh_seq as u64 + 1) * rows + target;
-            (target, rows + shift % rows)
+            (target, (refresh_seq as u64 + 1) * rows + target)
         })
     }
 
@@ -174,7 +174,8 @@ impl Generator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
+    use tpcds_types::Value;
 
     /// Column `col` of every row of `batch`, as strings.
     fn keys(batch: &ColumnTable, col: usize) -> Vec<String> {
@@ -224,6 +225,31 @@ mod tests {
         assert!(a.iter_rows().eq(b.iter_rows()));
         let c = g.refresh_dimension("customer", 1);
         assert_ne!(keys(&a, 1), keys(&c, 1));
+    }
+
+    #[test]
+    fn each_refresh_run_writes_new_values_for_a_key() {
+        // A key sets 0 and 1 both revise (warehouse has a handful of rows
+        // and five updates a set) gets other non-key cells from each.
+        let g = Generator::new(0.01);
+        let by_key = |seq| -> HashMap<String, Vec<Value>> {
+            let batch = g.refresh_dimension("warehouse", seq);
+            let rows = batch.iter_rows();
+            rows.map(|row| (row[1].as_str().unwrap().to_string(), row))
+                .collect()
+        };
+        let (first, second) = (by_key(0), by_key(1));
+        let both: Vec<&String> = first.keys().filter(|k| second.contains_key(*k)).collect();
+        assert!(!both.is_empty(), "no key revised by both sets");
+        for key in both {
+            assert_ne!(first[key][2..], second[key][2..], "{key}");
+        }
+        // Set 0 takes its values from where it always did.
+        let rows = g.row_count("customer");
+        let sources = g.refresh_revisions("customer", 0);
+        assert!(sources
+            .into_iter()
+            .all(|(target, source)| source == rows + target));
     }
 
     #[test]

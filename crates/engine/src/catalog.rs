@@ -14,17 +14,17 @@
 //! **The segments are the table.** A [`Table`] keeps its rows once, as a
 //! [`ColumnTable`] of immutable, `Arc`-shared segments; there is no row
 //! list and no secondary structure beside them, so every scan reads the
-//! segments. Staging a table copies no segment, and a table changes in two
-//! ways only: rows die, or rows are appended. [`Table::append`] (a typed
-//! batch; [`Table::insert`] builds one from rows) builds the tail it grows
-//! (less than a morsel of it) and the segments it adds;
-//! [`Table::delete_where`] builds nothing — it marks its rows dead in the
-//! masks of the segments it hits — unless it leaves a segment a quarter
-//! dead, which it then compacts. [`Table::update_each`] does both: the old
-//! versions of the rows it writes die and the new ones are appended, so an
-//! updated row moves to the end of the table. Statistics follow the same
-//! rule: a delete takes its rows out of them, and [`WriteTxn::commit`]
-//! folds in the appended rows — so a commit pays for the rows it changed.
+//! segments. Staging a table copies no segment, and a table changes by one
+//! call, [`Table::change`]: the rows it removes die, marked in the masks of
+//! the segments they sit in, and the rows it appends (a typed batch;
+//! [`Table::insert`] builds one from rows) follow the live rows. It builds
+//! the tail it grows (less than a morsel of it), the segments it adds and
+//! any segment it leaves a quarter dead, which it compacts — nothing else.
+//! An update is one change: the old versions die and the new ones are
+//! appended, so an updated row moves to the end of the table. Statistics
+//! follow the same rule: a change takes its removed rows out of them, and
+//! [`WriteTxn::commit`] folds in the appended rows — so a commit pays for
+//! the rows it changed.
 //! What a reader gets is indistinguishable from segments and statistics
 //! built from scratch over the published live rows, in order, except that
 //! the NDV sketches still count the values of rows deleted, old versions
@@ -42,7 +42,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use tpcds_obs::qlog::{QueryLog, DEFAULT_CAPACITY};
 use tpcds_storage::{ColumnTable, TableStats};
-use tpcds_types::{DataType, Row, Value};
+use tpcds_types::{DataType, Row};
 
 /// A row producer for a server-owned `sys.*` virtual table
 /// (`sys.sessions`, `sys.queries`): the server registers a closure over
@@ -58,32 +58,11 @@ pub struct ColumnMeta {
     pub dtype: DataType,
 }
 
-/// The row an [`Table::update_each`] closure is handed: the stored row,
-/// decoded. Writing through it makes it a new version of the row.
-pub struct RowMut<'a> {
-    row: &'a mut [Value],
-    written: bool,
-}
-
-impl std::ops::Deref for RowMut<'_> {
-    type Target = [Value];
-    fn deref(&self) -> &[Value] {
-        self.row
-    }
-}
-
-impl std::ops::DerefMut for RowMut<'_> {
-    fn deref_mut(&mut self) -> &mut [Value] {
-        self.written = true;
-        self.row
-    }
-}
-
 /// One stored table. Cloning a `Table` is how a [`WriteTxn`] stages it,
 /// and copies no row: the segments and the statistics are `Arc`s shared
-/// with the base version. Mutators build the segments whose columns they
-/// change and take the rows they kill out of the statistics; appended rows
-/// fold in at [`WriteTxn::commit`].
+/// with the base version. [`Table::change`] builds the segments whose
+/// columns it changes and takes the rows it removes out of the statistics;
+/// appended rows fold in at [`WriteTxn::commit`].
 #[derive(Clone, Debug)]
 pub struct Table {
     /// Column metadata, in order.
@@ -95,7 +74,7 @@ pub struct Table {
     /// them on a published table, all but those appended since on a
     /// staged one.
     stats: Arc<TableStats>,
-    /// What the mutators have done since the table was staged.
+    /// What its changes have done since the table was staged.
     staged: Derived,
 }
 
@@ -122,15 +101,8 @@ impl Table {
         self.columns.iter().position(|c| c.name == name)
     }
 
-    /// Installs the segments of a mutator that built `built` of them.
-    fn put(&mut self, data: ColumnTable, built: usize, rows_changed: usize) {
-        self.data = Arc::new(data);
-        self.staged.rows_changed += rows_changed;
-        self.staged.segments_rebuilt += built;
-    }
-
-    /// Appends rows: [`Table::append`] of a batch built from them. A row
-    /// of the wrong arity fails the whole batch and leaves the table
+    /// Appends rows: [`Table::change`] with a batch built from them. A
+    /// row of the wrong arity fails the whole batch and leaves the table
     /// exactly as it was.
     pub fn insert(&mut self, rows: Vec<Row>) -> Result<()> {
         let width = self.columns.len();
@@ -140,23 +112,47 @@ impl Table {
                 bad.len()
             )));
         }
-        self.append(&ColumnTable::from_rows(self.data.dtypes.clone(), &rows))
+        let batch = ColumnTable::from_rows(self.data.dtypes.clone(), &rows);
+        self.change(&[], Some(&batch))
     }
 
-    /// Appends the live rows of `batch`, a table of this one's column
-    /// types, typed cell to typed cell ([`ColumnTable::append_table`]). A
-    /// batch of other column types fails and leaves the table exactly as
-    /// it was.
-    pub fn append(&mut self, batch: &ColumnTable) -> Result<()> {
-        if batch.dtypes != self.data.dtypes {
+    /// Removes the live rows at `removed`, ascending ids a caller picked
+    /// from the segments ([`ColumnTable::int_ids`], say), and appends the
+    /// live rows of `appended`, a table of this one's column types: the
+    /// one way a table changes after its load ([`ColumnTable::change`]).
+    /// An update is both, the old versions removed and the new ones
+    /// appended, so an updated row moves to the end of the table. A batch
+    /// of other column types fails and leaves the table exactly as it was.
+    /// The rows removed leave the statistics here, once the rows appended
+    /// are in the table: an extreme a new version still holds is then
+    /// found among the rows rather than rescanned for. The rows appended
+    /// fold in at commit.
+    pub fn change(&mut self, removed: &[u32], appended: Option<&ColumnTable>) -> Result<()> {
+        if let Some(batch) = appended.filter(|batch| batch.dtypes != self.data.dtypes) {
             return Err(EngineError::Catalog(format!(
                 "type mismatch: batch columns {:?}, table columns {:?}",
                 batch.dtypes, self.data.dtypes
             )));
         }
-        if batch.rows > 0 {
-            let (data, built) = self.data.append_table(batch);
-            self.put(data, built, batch.rows);
+        let added = appended.map_or(0, |batch| batch.rows);
+        if removed.is_empty() && added == 0 {
+            return Ok(());
+        }
+        let threads = tpcds_storage::effective_threads();
+        let gone = (!removed.is_empty()).then(|| {
+            self.catch_up_stats(threads);
+            tpcds_storage::removed_stats_at(&self.data, removed, threads)
+        });
+        let (data, built, compacted) = self.data.change(removed, appended, threads);
+        self.data = Arc::new(data);
+        let staged = &mut self.staged;
+        staged.rows_changed += removed.len() + added;
+        staged.rows_masked += removed.len();
+        staged.segments_rebuilt += built;
+        staged.segments_compacted += compacted;
+        if let Some(gone) = gone {
+            Arc::make_mut(&mut self.stats).retract(&gone, &self.data);
+            staged.stats_cells_retracted += removed.len() * self.data.width();
         }
         Ok(())
     }
@@ -187,84 +183,6 @@ impl Table {
         Ok(())
     }
 
-    /// Deletes every live row for which `pred` returns true; returns the
-    /// number deleted. The rows are marked dead in their segments' masks:
-    /// survivors keep their ids and order, and only a segment the delete
-    /// leaves a quarter dead is rebuilt (compacted). A predicate that
-    /// matches nothing copies nothing. The `engine/maint.deleted_rows`
-    /// counter records how bulky deletes actually are, instead of
-    /// asserting in a comment that they are rare.
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&[Value]) -> bool) -> usize {
-        let mut row = Row::new();
-        let data = Arc::clone(&self.data);
-        let removed: Vec<u32> = (data.live_ids())
-            .filter(|&id| {
-                data.read_row(id, &mut row);
-                pred(&row)
-            })
-            .map(|id| id as u32)
-            .collect();
-        self.delete_ids(&removed)
-    }
-
-    /// Deletes the live rows at `removed`, ascending ids that a caller
-    /// picked from the segments itself — off one typed column of a wide
-    /// table, say ([`ColumnTable::int_ids`]); returns how many. As
-    /// [`Table::delete_where`] otherwise.
-    pub fn delete_ids(&mut self, removed: &[u32]) -> usize {
-        if removed.is_empty() {
-            return 0;
-        }
-        let gone = self.mask(removed);
-        self.retract(&gone);
-        tpcds_obs::counter("engine", "maint.deleted_rows", removed.len() as f64);
-        removed.len()
-    }
-
-    /// Applies `f` to every live row (dimension updates); returns the
-    /// number of rows for which `f` returned true (i.e. reported a
-    /// change). A row `f` writes to is deleted and its new version
-    /// appended, so it follows the table's other live rows.
-    pub fn update_each(&mut self, f: impl FnMut(&mut RowMut<'_>) -> bool) -> usize {
-        self.update_at(|_, _| true, f)
-    }
-
-    /// [`Table::update_each`] over only the live rows `at` selects from
-    /// the segments and an id; the others are not decoded.
-    pub fn update_at(
-        &mut self,
-        mut at: impl FnMut(&ColumnTable, usize) -> bool,
-        mut f: impl FnMut(&mut RowMut<'_>) -> bool,
-    ) -> usize {
-        let data = Arc::clone(&self.data);
-        let mut changed = 0;
-        let (mut ids, mut versions) = (Vec::new(), Vec::new());
-        let mut scratch = Row::new();
-        for id in data.live_ids().filter(|&id| at(&data, id)) {
-            data.read_row(id, &mut scratch);
-            let mut row = RowMut {
-                row: &mut scratch,
-                written: false,
-            };
-            changed += usize::from(f(&mut row));
-            if row.written {
-                ids.push(id as u32);
-                versions.push(std::mem::take(&mut scratch));
-            }
-        }
-        if !ids.is_empty() {
-            // The old versions leave the statistics once the new ones are
-            // in the table: an extreme a new version still holds is then
-            // found among the rows rather than rescanned for.
-            let gone = self.mask(&ids);
-            let batch = ColumnTable::from_rows(data.dtypes.clone(), &versions);
-            self.append(&batch)
-                .expect("a batch of the table's own column types");
-            self.retract(&gone);
-        }
-        changed
-    }
-
     /// The per-column statistics. Current on a published table; on a
     /// table staged in a [`WriteTxn`] they lag the rows appended until
     /// commit.
@@ -273,34 +191,13 @@ impl Table {
     }
 
     /// Folds the rows appended since the statistics were last brought up
-    /// into them: at commit, and before a delete or update moves rows.
+    /// into them: at commit, and before a change removes rows.
     fn catch_up_stats(&mut self, threads: usize) {
         let (counted, data) = (self.stats.rows as usize, &self.data);
         if counted < data.rows {
             self.staged.stats_cells_folded += (data.rows - counted) * data.width();
             self.stats = Arc::new(tpcds_storage::extend_stats(&self.stats, data, threads));
         }
-    }
-
-    /// Marks the live rows at `removed` (ascending, some) dead and returns
-    /// their statistics, for [`Table::retract`] to take out.
-    fn mask(&mut self, removed: &[u32]) -> TableStats {
-        let data = Arc::clone(&self.data);
-        let threads = tpcds_storage::effective_threads();
-        self.catch_up_stats(threads);
-        let gone = tpcds_storage::removed_stats_at(&data, removed, threads);
-        let (masked, compacted) = data.delete(removed, threads);
-        self.staged.rows_masked += removed.len();
-        self.staged.segments_compacted += compacted.len();
-        self.put(masked, compacted.len(), removed.len());
-        gone
-    }
-
-    /// Takes `gone`, the statistics of rows [`Table::mask`] killed, out of
-    /// the statistics ([`TableStats::retract`]).
-    fn retract(&mut self, gone: &TableStats) {
-        Arc::make_mut(&mut self.stats).retract(gone, &self.data);
-        self.staged.stats_cells_retracted += gone.rows as usize * self.data.width();
     }
 
     /// Brings the statistics up to the rows and returns what the
@@ -313,7 +210,7 @@ impl Table {
     }
 }
 
-/// What one table's mutators and its commit did.
+/// What one table's changes and its commit did.
 #[derive(Clone, Copy, Debug, Default)]
 struct Derived {
     rows_changed: usize,
@@ -397,7 +294,7 @@ pub struct Commit {
     /// Tables whose rows the transaction actually mutated — the
     /// `snapshot.tables_rebuilt` counter.
     pub tables_rebuilt: usize,
-    /// Segments whose columns its mutators built — appended tails and new
+    /// Segments whose columns its changes built — appended tails and new
     /// segments, compactions; every other segment of the new version
     /// shares its columns with the base version
     /// (`snapshot.segments_rebuilt`).
@@ -406,7 +303,8 @@ pub struct Commit {
     pub rows_masked: usize,
     /// Segments its deletes and updates left a quarter dead and so
     /// rebuilt without their dead rows (also counted in
-    /// `segments_rebuilt`).
+    /// `segments_rebuilt`); not a tail its append copied, which that copy
+    /// leaves without them.
     pub segments_compacted: usize,
     /// Cells folded into table statistics: appended rows and new
     /// versions of updated ones, times the table's width.
@@ -469,8 +367,8 @@ impl<'a> WriteTxn<'a> {
 
     /// Mutable handle to a table, staged out of the base snapshot on first
     /// touch. Staging copies no row: segments and statistics stay shared
-    /// with the base version, and the table's mutators build what they
-    /// change.
+    /// with the base version, and [`Table::change`] builds what it
+    /// changes.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         if !self.pending.contains_key(name) {
             let t = self.base.table(name)?;
@@ -504,7 +402,7 @@ impl<'a> WriteTxn<'a> {
     }
 
     /// Publishes the staged tables as the next snapshot version and
-    /// returns what changed. The mutators already built the segments and
+    /// returns what changed. The changes already built the segments and
     /// revised the statistics for what they moved; the rows appended since
     /// fold in here ([`Table::publish`]), so the commit costs what the
     /// transaction changed: the returned [`Commit`] says how much that
@@ -767,24 +665,6 @@ impl Database {
         Ok(())
     }
 
-    /// Deletes rows matching `pred` (one auto-commit transaction);
-    /// returns the number deleted.
-    pub fn delete_where(&self, name: &str, pred: impl FnMut(&[Value]) -> bool) -> Result<usize> {
-        let mut txn = self.begin();
-        let deleted = txn.table_mut(name)?.delete_where(pred);
-        txn.commit();
-        Ok(deleted)
-    }
-
-    /// Applies `f` to every row of a table (one auto-commit transaction);
-    /// returns the number of rows `f` reported changed.
-    pub fn update_each(&self, name: &str, f: impl FnMut(&mut RowMut<'_>) -> bool) -> Result<usize> {
-        let mut txn = self.begin();
-        let changed = txn.table_mut(name)?.update_each(f);
-        txn.commit();
-        Ok(changed)
-    }
-
     /// Row count of a table in the head snapshot (0 when missing).
     pub fn row_count(&self, name: &str) -> usize {
         self.head.read().row_count(name)
@@ -804,6 +684,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpcds_types::Value;
 
     fn cols(names: &[&str]) -> Vec<ColumnMeta> {
         names
@@ -848,6 +729,31 @@ mod tests {
             .collect()
     }
 
+    /// The ids of the live rows `pred` admits.
+    fn ids_where(t: &Table, pred: impl Fn(&[Value]) -> bool) -> Vec<u32> {
+        let data = t.data();
+        (data.live_ids())
+            .filter(|&id| pred(&data.row(id)))
+            .map(|id| id as u32)
+            .collect()
+    }
+
+    /// Removes the rows of `name` that `pred` admits, in one auto-commit
+    /// transaction; returns how many.
+    fn delete_where(db: &Database, name: &str, pred: impl Fn(&[Value]) -> bool) -> usize {
+        let mut txn = db.begin();
+        let t = txn.table_mut(name).unwrap();
+        let gone = ids_where(t, pred);
+        t.change(&gone, None).unwrap();
+        txn.commit();
+        gone.len()
+    }
+
+    fn ints(values: &[i64]) -> ColumnTable {
+        let rows: Vec<Row> = values.iter().map(|&x| vec![Value::Int(x)]).collect();
+        ColumnTable::from_rows(vec![DataType::Int], &rows)
+    }
+
     #[test]
     fn failed_insert_publishes_nothing() {
         let db = Database::new();
@@ -876,13 +782,13 @@ mod tests {
         let b_in = |set: &'static [i64]| move |r: &[Value]| set.contains(&r[1].as_int().unwrap());
         // Two rows of twelve: masked. The columns are shared, and the
         // survivors keep their ids.
-        assert_eq!(db.delete_where("t", b_in(&[1, 4])).unwrap(), 2);
+        assert_eq!(delete_where(&db, "t", b_in(&[1, 4])), 2);
         let masked = db.table("t").unwrap();
         let seg = |t: &Table| Arc::clone(&t.data.segments[0].columns);
         assert!(Arc::ptr_eq(&seg(&masked), &seg(&before)));
         assert_eq!(ids(&masked, 1), [7, 10]);
         // A quarter dead: compacted, so the survivors move up.
-        assert_eq!(db.delete_where("t", b_in(&[7])).unwrap(), 1);
+        assert_eq!(delete_where(&db, "t", b_in(&[7])), 1);
         let tr = db.table("t").unwrap();
         assert_eq!((tr.data.rows, tr.data.has_dead()), (9, false));
         for (key, at) in [(0, [0, 2, 4, 6].as_slice()), (1, &[7]), (2, &[1, 3, 5, 8])] {
@@ -930,7 +836,7 @@ mod tests {
         let pinned = db.snapshot();
         let v = pinned.version();
         db.insert("t", vec![vec![Value::Int(2)]]).unwrap();
-        db.delete_where("t", |r| r[0] == Value::Int(1)).unwrap();
+        delete_where(&db, "t", |r| r[0] == Value::Int(1));
         // The pinned snapshot still sees exactly one row with value 1.
         assert_eq!(pinned.version(), v);
         assert_eq!(pinned.row_count("t"), 1);
@@ -973,15 +879,11 @@ mod tests {
             let mut txn = db.begin();
             let t = txn.table_mut("t").unwrap();
             t.insert(vec![vec![Value::Int(3)]]).unwrap();
-            assert_eq!(t.delete_where(|r| r[0] == Value::Int(1)), 1);
-            t.update_each(|r| {
-                if r[0] == Value::Int(3) {
-                    panic!("writer dies mid-batch");
-                }
-                r[0] = Value::Int(20);
-                true
-            });
-            txn.commit();
+            let one = ids_where(t, |r| r[0] == Value::Int(1));
+            t.change(&one, None).unwrap();
+            let two = ids_where(t, |r| r[0] == Value::Int(2));
+            t.change(&two, Some(&ints(&[20]))).unwrap();
+            panic!("writer dies mid-batch");
         }));
         assert!(result.is_err());
         // Head untouched: same version, same rows — the very table, with
@@ -1026,37 +928,40 @@ mod tests {
     }
 
     #[test]
-    fn update_each_reports_changes() {
+    fn an_update_is_one_change_that_builds_its_tail_once() {
         let db = Database::new();
         db.create_table("t", cols(&["a"])).unwrap();
         db.insert("t", vec![vec![Value::Int(1)], vec![Value::Int(5)]])
             .unwrap();
-        let changed = db
-            .update_each("t", |r| {
-                if r[0] == Value::Int(5) {
-                    r[0] = Value::Int(50);
-                    true
-                } else {
-                    false
-                }
-            })
-            .unwrap();
-        assert_eq!(changed, 1);
-        assert_eq!(db.table("t").unwrap().data.value(1, 0), Value::Int(50));
-        // The position-selected forms visit only what they select.
+        // Row 5's new version: the old one dies, half the segment, and the
+        // new one is appended to a copy of its live rows — one segment
+        // built, not compacted first.
         let mut txn = db.begin();
         let t = txn.table_mut("t").unwrap();
-        let fifty = |data: &ColumnTable, pos| data.value(pos, 0) == Value::Int(50);
-        let mut seen = Vec::new();
-        let visited = t.update_at(fifty, |r| {
-            seen.push(r[0].clone());
-            true
-        });
-        assert_eq!(visited, 1);
-        assert_eq!(seen, [Value::Int(50)]);
+        let five = t.data().int_ids(0, |x| x == 5);
+        assert_eq!(five, [1]);
+        t.change(&five, Some(&ints(&[50]))).unwrap();
+        let commit = txn.commit();
+        let counts = (commit.segments_rebuilt, commit.segments_compacted);
+        assert_eq!((commit.rows_masked, counts), (1, (1, 0)));
+        let cells = (commit.stats_cells_folded, commit.stats_cells_retracted);
+        assert_eq!(cells, (1, 1));
+        let t = db.table("t").unwrap();
+        assert_eq!(
+            t.data.iter_rows().collect::<Vec<_>>(),
+            [[Value::Int(1)], [Value::Int(50)]]
+        );
+        assert_eq!(t.stats().columns[0].max, Some(Value::Int(50)));
+        // A batch of other column types fails and changes nothing, not
+        // even the rows it was to remove.
+        let mut txn = db.begin();
+        let t = txn.table_mut("t").unwrap();
+        let strs = ColumnTable::from_rows(vec![DataType::Str], &[vec![Value::str("x")]]);
+        assert!(t.change(&[0], Some(&strs)).is_err());
+        assert_eq!((t.data.rows, t.data.has_dead()), (2, false));
+        // A removal alone appends nothing.
         let gone = t.data().int_ids(0, |x| x == 50);
-        assert_eq!(gone, [1]);
-        assert_eq!(t.delete_ids(&gone), 1);
+        t.change(&gone, None).unwrap();
         assert_eq!(t.data.iter_rows().collect::<Vec<_>>(), [[Value::Int(1)]]);
     }
 }

@@ -24,9 +24,7 @@ pub mod sys;
 pub mod unnest;
 
 pub use binder::{Binder, Bound};
-pub use catalog::{
-    ColumnMeta, Commit, Database, DbSnapshot, RowMut, SnapshotInfo, Table, WriteTxn,
-};
+pub use catalog::{ColumnMeta, Commit, Database, DbSnapshot, SnapshotInfo, Table, WriteTxn};
 pub use error::{EngineError, Result};
 pub use exec::{ColumnarMode, ExecCtx, ExecOptions, RoutePath};
 pub use plan::{NodeReport, Plan, SUBQUERY};

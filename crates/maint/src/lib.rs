@@ -175,12 +175,40 @@ fn revisions_by_key(updates: &ColumnTable, bk_idx: usize) -> HashMap<&str, usize
     wanted
 }
 
-/// Whether `value` differs from the cell of column `col` in row `id` of
-/// `batch`; a string cell is compared where it lies.
-fn differs(value: &Value, batch: &ColumnTable, id: usize, col: usize) -> bool {
-    match batch.str_at(id, col) {
-        Some(s) => value.as_str() != Some(s),
-        None => *value != batch.value(id, col),
+/// The live rows of `data` whose business key `wanted` revises, each with
+/// the row of the batch that revises it, in id order; with `open`, only
+/// the rows whose cell of that column (rec_end_date) is NULL. A row is
+/// passed over on its typed cells.
+fn revised(
+    data: &ColumnTable,
+    bk_idx: usize,
+    wanted: &HashMap<&str, usize>,
+    open: Option<usize>,
+) -> Vec<(usize, usize)> {
+    let mut found = Vec::new();
+    for (si, seg) in data.segments.iter().enumerate() {
+        let closed = |i: usize| open.is_some_and(|c| !seg.columns[c].nulls.get(i));
+        for i in seg.live_offsets().filter(|&i| !closed(i)) {
+            let key = seg.columns[bk_idx].str_at(i);
+            if let Some(&new) = key.and_then(|bk| wanted.get(bk)) {
+                found.push((si * SEGMENT_ROWS + i, new));
+            }
+        }
+    }
+    found
+}
+
+/// The segment holding the row with id `id` of `table`, and its offset.
+fn cells(table: &ColumnTable, id: usize) -> (&Segment, usize) {
+    (&table.segments[id / SEGMENT_ROWS], id % SEGMENT_ROWS)
+}
+
+/// Whether cell `j` of `new` differs from cell `i` of `old`; a string
+/// cell is compared where it lies.
+fn differs(old: &Column, i: usize, new: &Column, j: usize) -> bool {
+    match new.str_at(j) {
+        Some(s) => old.str_at(i) != Some(s),
+        None => old.value_at(i) != new.value_at(j),
     }
 }
 
@@ -208,28 +236,36 @@ pub fn update_non_history_dimension(
     let wanted = revisions_by_key(&updates, bk_idx);
     let mut txn = db.begin();
     let t = txn.table_mut(table)?;
-    let wanted_at = |data: &ColumnTable, id| {
-        (data.str_at(id, bk_idx)).is_some_and(|bk| wanted.contains_key(bk))
-    };
-    let updated = t.update_at(wanted_at, |row| {
-        let Some(&new) = row[bk_idx].as_str().and_then(|bk| wanted.get(bk)) else {
-            return false;
-        };
-        // Update all changed fields, preserving the surrogate key and the
-        // business key.
-        let mut changed = false;
-        for i in (1..row.len()).filter(|&i| i != bk_idx) {
-            if differs(&row[i], &updates, new, i) {
-                row[i] = updates.value(new, i);
-                changed = true;
-            }
+    let data = Arc::clone(t.data());
+    // A row some field of which its revision changes — all but the
+    // surrogate key and the business key — gets a new version: its own
+    // cells, the changed ones the revision's.
+    let field = |c: usize| c != 0 && c != bk_idx;
+    let (mut ids, mut changed) = (Vec::new(), Vec::new());
+    let mut versions = ColumnTableBuilder::new(data.dtypes.clone());
+    for (id, new) in revised(&data, bk_idx, &wanted, None) {
+        let ((old, i), (rev, j)) = (cells(&data, id), cells(&updates, new));
+        changed.clear();
+        changed.extend(
+            (0..data.width()).map(|c| field(c) && differs(&old.columns[c], i, &rev.columns[c], j)),
+        );
+        if changed.contains(&true) {
+            ids.push(id as u32);
+            versions.push_row_with(|columns| {
+                for (c, column) in columns.iter_mut().enumerate() {
+                    match changed[c] {
+                        true => column.push_from(&rev.columns[c], j),
+                        false => column.push_from(&old.columns[c], i),
+                    }
+                }
+            });
         }
-        changed
-    });
+    }
+    t.change(&ids, Some(&versions.finish()))?;
     let commit = txn.commit();
     Ok(record_op(OpReport {
         name: op_name(table),
-        updated,
+        updated: ids.len(),
         inserted: 0,
         deleted: 0,
         commit,
@@ -271,37 +307,35 @@ pub fn update_history_dimension(
 
     let mut txn = db.begin();
     let t = txn.table_mut(table)?;
-    // The statistics' max is exact: a delete or update that takes the max
-    // away looks for the next one among the rows left.
+    // The statistics' max is exact: a change that takes the max away
+    // looks for the next one among the rows left.
     let max_sk = t.stats().columns[0].max.as_ref().and_then(Value::as_int);
     debug_assert_eq!(
         max_sk,
         t.data().column(0).filter_map(|sk| sk.as_int()).max(),
         "{table}: statistics max of the surrogate key"
     );
-    // Close the current revisions of the keys updated, noting the rows of
-    // `updates` that replace them. Only those rows are decoded: the rest
-    // are passed over on two typed cells.
-    let mut revised = Vec::new();
-    let open_wanted = |data: &ColumnTable, id| {
-        data.is_null(id, end_idx)
-            && (data.str_at(id, bk_idx)).is_some_and(|bk| wanted.contains_key(bk))
-    };
-    let closed = t.update_at(open_wanted, |row| {
-        let Some(&new) = row[bk_idx].as_str().and_then(|bk| wanted.get(bk)) else {
-            return false;
-        };
-        row[end_idx] = Value::Date(when.add_days(-1));
-        revised.push(new);
-        true
-    });
-    // The new revisions, in the order their predecessors closed: the
-    // update's cells with the next surrogate keys, opening on `when`.
-    let mut revisions = ColumnTableBuilder::new(updates.dtypes.clone());
-    revisions.reserve(revised.len());
-    for (sk, &new) in (max_sk.unwrap_or(0) + 1..).zip(&revised) {
-        let (seg, i) = (&updates.segments[new / SEGMENT_ROWS], new % SEGMENT_ROWS);
-        revisions.push_row_with(|columns| {
+    let data = Arc::clone(t.data());
+    let revised = revised(&data, bk_idx, &wanted, Some(end_idx));
+    // One batch: the current revisions of the keys updated, closed, then
+    // their successors in the same order — the update's cells with the
+    // next surrogate keys, opening on `when`.
+    let mut batch = ColumnTableBuilder::new(data.dtypes.clone());
+    batch.reserve(2 * revised.len());
+    for &(id, _) in &revised {
+        let (seg, i) = cells(&data, id);
+        batch.push_row_with(|columns| {
+            for (c, column) in columns.iter_mut().enumerate() {
+                match c {
+                    c if c == end_idx => column.push_date(when.add_days(-1)),
+                    c => column.push_from(&seg.columns[c], i),
+                }
+            }
+        });
+    }
+    for (sk, &(_, new)) in (max_sk.unwrap_or(0) + 1..).zip(&revised) {
+        let (seg, i) = cells(&updates, new);
+        batch.push_row_with(|columns| {
             for (c, column) in columns.iter_mut().enumerate() {
                 match c {
                     0 => column.push_int(sk),
@@ -312,11 +346,12 @@ pub fn update_history_dimension(
             }
         });
     }
-    t.append(&revisions.finish())?;
+    let ids: Vec<u32> = revised.iter().map(|&(id, _)| id as u32).collect();
+    t.change(&ids, Some(&batch.finish()))?;
     let commit = txn.commit();
     Ok(record_op(OpReport {
         name: op_name(table),
-        updated: closed,
+        updated: revised.len(),
         inserted: revised.len(),
         deleted: 0,
         commit,
@@ -406,10 +441,10 @@ fn insert_resolved(
         if !unresolved.is_empty() {
             unresolved.sort_unstable();
             unresolved.dedup();
-            batch = batch.delete(&unresolved, 1).0;
+            batch = batch.change(&unresolved, None, 1).0;
         }
         inserted += batch.rows;
-        txn.table_mut(table)?.append(&batch)?;
+        txn.table_mut(table)?.change(&[], Some(&batch))?;
     }
     let commit = txn.commit();
     Ok(record_op(OpReport {
@@ -514,12 +549,13 @@ pub fn delete_fact_range(
         let keys: HashSet<i64> = (gone.iter())
             .filter_map(|&id| t.data().value(id as usize, sale_key).as_int())
             .collect();
-        deleted += t.delete_ids(&gone);
+        t.change(&gone, None)?;
         let t = txn.table_mut(returns)?;
-        let gone = t
+        let returned = t
             .data()
             .int_ids(column(returns, return_key), |key| keys.contains(&key));
-        deleted += t.delete_ids(&gone);
+        t.change(&returned, None)?;
+        deleted += gone.len() + returned.len();
     }
     let commit = txn.commit();
     Ok(record_op(OpReport {
@@ -834,17 +870,11 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut txn = db.begin();
             let t = txn.table_mut("item").unwrap();
-            let half = t.data().rows / 2;
-            let mut n = 0;
-            t.update_each(|row| {
-                n += 1;
-                if n > half {
-                    panic!("DM writer dies mid-batch");
-                }
-                row[0] = Value::Int(-1);
-                true
-            });
-            txn.commit();
+            let half: Vec<u32> = (t.data().live_ids().step_by(2))
+                .map(|id| id as u32)
+                .collect();
+            t.change(&half, None).unwrap();
+            panic!("DM writer dies mid-batch");
         }));
         assert!(result.is_err());
         assert_eq!(db.version(), v, "aborted DM must not publish");

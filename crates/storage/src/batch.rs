@@ -324,8 +324,8 @@ mod tests {
         // The same rows with every seventh dead — masked, short of a
         // compaction — and the rows left, compacted.
         let dead: Vec<u32> = (0..n as u32).step_by(7).collect();
-        let (masked, compacted) = t.delete(&dead, 1);
-        assert!(compacted.is_empty() && masked.has_dead());
+        let (masked, built, _) = t.change(&dead, None, 1);
+        assert!(built == 0 && masked.has_dead());
         let masked = Arc::new(masked);
         let live: Vec<Row> = masked.iter_rows().collect();
         let compact = Arc::new(ColumnTable::from_rows(dtypes, &live));

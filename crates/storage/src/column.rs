@@ -945,13 +945,13 @@ mod tests {
         // Rows at offset 0 and at the last offset of the first segment and
         // in the 4,464-row tail die; same-scale cells and a NULL join the
         // tail, which is copied.
-        let (masked, _) = t.delete(&[0, 65_535, 65_540], 1);
+        let (masked, ..) = t.change(&[0, 65_535, 65_540], None, 1);
         let added = [dec(99, 2), Value::Null, dec(-1, 2)];
         let batch = |cells: &[Value]| {
             let rows: Vec<Vec<Value>> = cells.iter().map(|v| vec![v.clone()]).collect();
             ColumnTable::from_rows(vec![DataType::Decimal], &rows)
         };
-        let (grown, built) = masked.append_table(&batch(&added));
+        let (grown, built, _) = masked.change(&[], Some(&batch(&added)), 1);
         assert_eq!(built, 1);
         assert!(matches!(data(&grown, 1), ColumnData::Decimal(_)));
         let tail: Vec<String> = (grown.column(0).skip(65_534))
@@ -965,7 +965,7 @@ mod tests {
             .collect();
         assert_eq!(tail, want);
         // A cell of another scale boxes the tail only, without loss.
-        let (grown, _) = masked.append_table(&batch(&[dec(5, 1)]));
+        let (grown, ..) = masked.change(&[], Some(&batch(&[dec(5, 1)])), 1);
         assert!(matches!(data(&grown, 0), ColumnData::Decimal(_)));
         assert!(matches!(data(&grown, 1), ColumnData::Other(_)));
         assert_eq!(format!("{}", grown.value(SEGMENT_ROWS + 4_463, 0)), "0.5");

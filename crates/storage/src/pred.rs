@@ -384,7 +384,7 @@ mod tests {
             .into_iter()
             .collect();
         let t = crate::ColumnTable::from_rows(vec![DataType::Int], &rows);
-        let (t, _) = t.delete(&[1], 1);
+        let (t, ..) = t.change(&[1], None, 1);
         let seg = &t.segments[0];
         let mut live = Pred::live();
         let admitted = live.counted();

@@ -7,18 +7,18 @@
 //! compaction shrinks a segment in place. A morsel never straddles a
 //! segment (the morsel size divides the segment size).
 //!
-//! Segments are immutable and shared (`Arc`) between successive versions
-//! of a table, and a segment's columns are shared again between versions
-//! of the segment that differ only in their dead-row mask. A table changes
-//! in two ways only, and a change copies column data only for the
-//! segments it appends to or compacts: [`ColumnTable::append_table`]
-//! copies the tail only while it is shorter than a morsel, and
-//! [`ColumnTable::delete`] marks rows dead in a new mask over the same
-//! columns and rebuilds a segment only once [`COMPACT_DEAD_SHARE`] of it
-//! is dead. Nothing is overwritten in place: an updated row is its old
-//! version deleted and its new one appended. A copy is typed buffer to
-//! typed buffer, one slice per run of rows kept (for a string column, one
-//! byte copy). A pinned reader's segments never move under it.
+//! Segments are immutable and shared (`Arc`) between successive versions of
+//! a table, and a segment's columns are shared again between versions of
+//! the segment that differ only in their dead-row mask. A table changes by
+//! one call, [`ColumnTable::change`]: rows die and rows are appended, and
+//! column data is copied only for the segments appended to or compacted. A
+//! dying row is marked in a new mask over the same columns, and a segment
+//! is rebuilt only once [`COMPACT_DEAD_SHARE`] of it is dead; an append
+//! copies the tail's live rows, once, only while it is shorter than a
+//! morsel. Nothing is overwritten in place: an update removes the old
+//! version and appends the new one, in one change. A copy is typed buffer
+//! to typed buffer, one slice per run of rows kept (for a string column,
+//! one byte copy). A pinned reader's segments never move under it.
 //!
 //! `rows` counts live rows, and every row accessor ([`ColumnTable::live_ids`],
 //! [`ColumnTable::iter_rows`], [`ColumnTable::column`],
@@ -41,8 +41,8 @@ use tpcds_types::{DataType, Row, Value};
 /// divides.
 pub const SEGMENT_ROWS: usize = 65_536;
 
-/// A delete that leaves this share of a segment's rows dead, or more,
-/// rebuilds the segment without them. Below it a delete only masks. At
+/// A change that leaves this share of a segment's rows dead, or more,
+/// rebuilds the segment without them. Below it a removal only masks. At
 /// SF 0.2 a refresh set deletes about 0.8 % of each fact segment, so a
 /// fact segment compacts about once every 30 sets: over a 16 s `dm_mixed`
 /// run (219 sets, 2 cores) that was 0.42 compactions per set at 4.3 ms
@@ -292,22 +292,88 @@ impl ColumnTable {
             .flat_map(move |s| s.live_offsets().map(move |i| s.columns[col].value_at(i)))
     }
 
-    /// This table with `batch`'s live rows appended, typed buffer to typed
-    /// buffer: a slice copy per run of live rows and column (a cell that
-    /// does not fit this table's column type boxes the column, as pushing
-    /// its value would). A tail segment shorter than a morsel is copied —
-    /// its live rows — and grown; otherwise the rows start a new segment,
-    /// so an append copies fewer than [`MORSEL_ROWS`] rows besides its
-    /// own. Every other segment is the very `Arc` of `self`. The segments
-    /// it seals hold whole morsels, and what is left over becomes the next
-    /// short tail, so appended rows scan in full morsels. Also returns how
-    /// many segments were built rather than shared: they are the last ones.
-    pub fn append_table(&self, batch: &ColumnTable) -> (ColumnTable, usize) {
+    /// This table with the live rows at `removed` (ascending ids) dead and
+    /// the live rows of `appended` after its own: the one way a table
+    /// changes. A segment `removed` hits gets a new mask over its shared
+    /// columns, unless that leaves it [`COMPACT_DEAD_SHARE`] dead: then it
+    /// is rebuilt from its live rows, short, their ids shifting inside it
+    /// only. Appended rows are copied typed buffer to typed buffer, a slice
+    /// per run and column (a cell that does not fit this table's column
+    /// type boxes the column, as pushing its value would): into a copy of
+    /// the tail's live rows while the tail, once compacted, is shorter than
+    /// a morsel — and then it is not compacted first — else into new
+    /// segments. So an append copies fewer than [`MORSEL_ROWS`] rows
+    /// besides its own, and the segments it seals hold whole morsels.
+    /// Every other segment is the very `Arc` of `self`. Also returns how
+    /// many segments were built, and how many of those are compactions.
+    pub fn change(
+        &self,
+        removed: &[u32],
+        appended: Option<&ColumnTable>,
+        threads: usize,
+    ) -> (ColumnTable, usize, usize) {
+        let batch = appended.filter(|batch| batch.rows > 0);
+        let mut table = self.clone();
+        let mut compacted = table.mask(removed);
+        let compacts_tail = compacted.last() == table.segments.len().checked_sub(1).as_ref();
+        let tail = (table.segments.last()).map(|tail| match compacts_tail {
+            true => tail.live(),
+            false => tail.rows,
+        });
+        let copy_tail = batch.is_some() && tail.is_some_and(|rows| rows < MORSEL_ROWS);
+        if copy_tail && compacts_tail {
+            compacted.pop();
+        }
+        table.compact(&compacted, threads);
+        let built = batch.map_or(0, |batch| table.append(batch, copy_tail));
+        (table, compacted.len() + built, compacted.len())
+    }
+
+    /// Marks the live rows at `ids` (ascending) dead, a new mask per
+    /// segment hit; returns the segments that leaves
+    /// [`COMPACT_DEAD_SHARE`] dead, ascending.
+    fn mask(&mut self, ids: &[u32]) -> Vec<usize> {
+        self.rows -= ids.len();
+        let mut full = Vec::new();
+        for group in ids.chunk_by(|a, b| a / SEGMENT_ROWS as u32 == b / SEGMENT_ROWS as u32) {
+            let si = group[0] as usize / SEGMENT_ROWS;
+            let seg = &self.segments[si];
+            let mut dead = seg.dead.clone().unwrap_or_else(|| Bitmap::zeros(seg.rows));
+            group
+                .iter()
+                .for_each(|&id| dead.set(id as usize % SEGMENT_ROWS));
+            if dead.count_set() as f64 >= COMPACT_DEAD_SHARE * seg.rows as f64 {
+                full.push(si);
+            }
+            self.segments[si] = Arc::new(Segment {
+                columns: Arc::clone(&seg.columns),
+                rows: seg.rows,
+                bytes: seg.bytes,
+                dead: Some(dead),
+            });
+        }
+        full
+    }
+
+    /// Rebuilds the segments at `at` from their live rows.
+    fn compact(&mut self, at: &[usize], threads: usize) {
+        let workers = worker_count(at.len() * SEGMENT_ROWS, threads, at.len());
+        let built = run_chunks(at.len(), workers, |k| {
+            let seg = &self.segments[at[k]];
+            Arc::new(Segment::seal(seg.live_columns(&self.dtypes, 0), seg.live()))
+        });
+        for (&si, segment) in at.iter().zip(built) {
+            self.segments[si] = segment;
+        }
+    }
+
+    /// Appends `batch`'s live rows, copying the tail first when
+    /// `copy_tail`; returns how many segments it built: the last ones.
+    fn append(&mut self, batch: &ColumnTable, copy_tail: bool) -> usize {
         let n = batch.rows;
         let mut b = ColumnTableBuilder::new(self.dtypes.clone());
-        b.segments = self.segments.clone();
-        b.rows = self.rows;
-        if let Some(tail) = b.segments.pop_if(|tail| tail.rows < MORSEL_ROWS) {
+        (b.segments, b.rows) = (std::mem::take(&mut self.segments), self.rows);
+        if let Some(tail) = b.segments.pop_if(|_| copy_tail) {
             // Each copy is allocated once, with room for the rows joining
             // it: growing it later, on the first pushed row, would copy
             // every column twice.
@@ -322,16 +388,15 @@ impl ColumnTable {
             b.seal();
         }
         b.push_live(batch, whole..n);
-        let table = b.finish();
-        let built = table.segments.len() - shared;
-        (table, built)
+        *self = b.finish();
+        self.segments.len() - shared
     }
 
     /// Replaces column `col` by `columns`, one per segment and as long as
-    /// it, typed `dtype`: how a batch readied for
-    /// [`ColumnTable::append_table`] turns a column into another type
-    /// (business keys into surrogate keys, say). A segment shared with
-    /// another table is copied first, so that table keeps its column.
+    /// it, typed `dtype`: how a batch readied for [`ColumnTable::change`]
+    /// turns a column into another type (business keys into surrogate
+    /// keys, say). A segment shared with another table is copied first, so
+    /// that table keeps its column.
     pub fn set_column(&mut self, col: usize, dtype: DataType, columns: Vec<Column>) {
         assert_eq!(columns.len(), self.segments.len(), "one column per segment");
         self.dtypes[col] = dtype;
@@ -363,45 +428,6 @@ impl ColumnTable {
             b.push_runs(&seg.columns, &seg.live_runs());
         }
         b.finish()
-    }
-
-    /// This table with the live rows at `ids` (ascending) dead. Each
-    /// segment hit gets a new mask over its shared columns — a delete
-    /// costs its rows plus one mask per segment — unless that leaves it
-    /// [`COMPACT_DEAD_SHARE`] dead: then it is rebuilt from its live rows,
-    /// short, their ids shifting inside it and nothing outside it moving.
-    /// Also returns the segments compacted, ascending.
-    pub fn delete(&self, ids: &[u32], threads: usize) -> (ColumnTable, Vec<usize>) {
-        let mut table = self.clone();
-        table.rows -= ids.len();
-        let mut compacted = Vec::new();
-        for group in ids.chunk_by(|a, b| a / SEGMENT_ROWS as u32 == b / SEGMENT_ROWS as u32) {
-            let si = group[0] as usize / SEGMENT_ROWS;
-            let seg = &self.segments[si];
-            let mut dead = seg.dead.clone().unwrap_or_else(|| Bitmap::zeros(seg.rows));
-            group
-                .iter()
-                .for_each(|&id| dead.set(id as usize % SEGMENT_ROWS));
-            if dead.count_set() as f64 >= COMPACT_DEAD_SHARE * seg.rows as f64 {
-                compacted.push(si);
-            }
-            table.segments[si] = Arc::new(Segment {
-                columns: Arc::clone(&seg.columns),
-                rows: seg.rows,
-                bytes: seg.bytes,
-                dead: Some(dead),
-            });
-        }
-        let moved = compacted.len() * SEGMENT_ROWS;
-        let workers = worker_count(moved, threads, compacted.len());
-        let built = run_chunks(compacted.len(), workers, |k| {
-            let seg = &table.segments[compacted[k]];
-            Arc::new(Segment::seal(seg.live_columns(&self.dtypes, 0), seg.live()))
-        });
-        for (&si, segment) in compacted.iter().zip(built) {
-            table.segments[si] = segment;
-        }
-        (table, compacted)
     }
 }
 
@@ -580,7 +606,7 @@ mod tests {
         );
         assert_eq!(right.concat(&empty).rows, 10);
         // Dead rows stay out, on either side.
-        let (masked, _) = left.delete(&[1, SEGMENT_ROWS as u32 + 1], 1);
+        let (masked, ..) = left.change(&[1, SEGMENT_ROWS as u32 + 1], None, 1);
         let both = masked.concat(&masked);
         let live: Vec<Row> = masked.iter_rows().collect();
         assert_eq!(
@@ -598,8 +624,8 @@ mod tests {
             (lo..hi).step_by(step).map(|i| i as u32).collect()
         };
         // A tenth of the first segment: masked, the columns shared.
-        let (masked, compacted) = t.delete(&every(10, 0, SEGMENT_ROWS), 2);
-        assert!(compacted.is_empty());
+        let (masked, built, _) = t.change(&every(10, 0, SEGMENT_ROWS), None, 2);
+        assert_eq!(built, 0);
         assert_eq!(masked.rows, n - SEGMENT_ROWS / 10 - 1);
         assert!(Arc::ptr_eq(&masked.segments[1], &t.segments[1]));
         let first = &masked.segments[0];
@@ -619,8 +645,8 @@ mod tests {
         // ids past it do not move.
         let more = (0..SEGMENT_ROWS).filter(|i| i % 10 == 1 || i % 20 == 2);
         let more: Vec<u32> = more.map(|i| i as u32).collect();
-        let (compact, compacted) = masked.delete(&more, 2);
-        assert_eq!(compacted, [0]);
+        let (compact, built, compacted) = masked.change(&more, None, 2);
+        assert_eq!((built, compacted), (1, 1));
         assert!(!compact.has_dead());
         assert_eq!(compact.segments[0].rows, compact.rows - 1_000);
         assert!(Arc::ptr_eq(&compact.segments[1], &t.segments[1]));
@@ -635,8 +661,7 @@ mod tests {
         // A tail shorter than a morsel is copied and grown, its dead rows
         // dropped.
         let t = table(SEGMENT_ROWS + 100);
-        let (masked, _) = t.delete(&[SEGMENT_ROWS as u32 + 3], 1);
-        let (grown, built) = masked.append_table(&table(10));
+        let (grown, built, _) = t.change(&[SEGMENT_ROWS as u32 + 3], Some(&table(10)), 1);
         assert_eq!(
             (built, grown.segments.len(), grown.rows),
             (1, 2, t.rows + 9)
@@ -646,7 +671,7 @@ mod tests {
         // A tail of a morsel or more is left alone: the rows start a new,
         // short segment, and ids past a short segment still address it.
         let t = table(MORSEL_ROWS);
-        let (grown, built) = t.append_table(&table(5));
+        let (grown, built, _) = t.change(&[], Some(&table(5)), 1);
         assert_eq!((built, grown.segments.len()), (1, 2));
         assert!(Arc::ptr_eq(&grown.segments[0], &t.segments[0]));
         assert_eq!(grown.row(SEGMENT_ROWS + 4), int_rows(5)[4]);
@@ -665,13 +690,13 @@ mod tests {
         );
         // An append that carries a copied tail past a morsel seals whole
         // morsels and leaves the rest as the next tail.
-        let (grown, built) = table(8_000).append_table(&table(300));
+        let (grown, built, _) = table(8_000).change(&[], Some(&table(300)), 1);
         let extents: Vec<usize> = grown.segments.iter().map(|s| s.rows).collect();
         assert_eq!((built, extents), (2, vec![MORSEL_ROWS, 108]));
-        let (grown, built) = table(100).append_table(&table(70_000));
+        let (grown, built, _) = table(100).change(&[], Some(&table(70_000)), 1);
         let extents: Vec<usize> = grown.segments.iter().map(|s| s.rows).collect();
         assert_eq!((built, extents), (2, vec![SEGMENT_ROWS, 4_564]));
-        let (grown, _) = table(0).append_table(&table(20_000));
+        let (grown, ..) = table(0).change(&[], Some(&table(20_000)), 1);
         let extents: Vec<usize> = grown.segments.iter().map(|s| s.rows).collect();
         assert_eq!(extents, [2 * MORSEL_ROWS, 3_616]);
     }
@@ -725,7 +750,7 @@ mod tests {
         let rows: Vec<Row> = (0..n).map(row).collect();
         let t = ColumnTable::from_rows(dtypes.clone(), &rows);
         let dead = [0, 49, 99];
-        let (masked, _) = t.delete(&dead.map(|i| (SEGMENT_ROWS + i) as u32), 1);
+        let (masked, ..) = t.change(&dead.map(|i| (SEGMENT_ROWS + i) as u32), None, 1);
         let added: Vec<Row> = [1, 7, 50].map(row).into();
         let tail = |t: &ColumnTable| -> Vec<Row> {
             let rows = rows[SEGMENT_ROWS..].iter().enumerate();
@@ -737,7 +762,7 @@ mod tests {
         // boxed it is dead.
         let added_rows = ColumnTable::from_rows(dtypes.clone(), &added);
         for from in [&masked, &t] {
-            let (grown, built) = from.append_table(&added_rows);
+            let (grown, built, _) = from.change(&[], Some(&added_rows), 1);
             assert_eq!((built, grown.segments.len()), (1, 2));
             assert!(Arc::ptr_eq(&grown.segments[0], &t.segments[0]));
             assert!(!grown.has_dead());
@@ -746,6 +771,77 @@ mod tests {
             let typed = matches!(grown.segments[1].columns[0].data, ColumnData::I64(_));
             assert_eq!(typed, from.has_dead());
             assert_eq!(grown.rows, from.rows + added.len());
+        }
+
+        // A full segment and a tail empty, short, at a morsel and past one,
+        // the first rows of each just under or just over a quarter dead,
+        // and batches of 0 rows to more than a segment: the live rows, then
+        // the batch's; each segment built holds what pushing its rows
+        // builds, with no mask, and is built once; a segment a quarter dead
+        // is compacted unless the append copies it.
+        for tail in [0, 100, MORSEL_ROWS, MORSEL_ROWS + 300] {
+            let n = SEGMENT_ROWS + tail;
+            let t =
+                ColumnTable::from_rows(dtypes.clone(), &(0..n).map(string_row).collect::<Vec<_>>());
+            for over in [false, true] {
+                let dead = |rows: usize| {
+                    (rows as f64 * COMPACT_DEAD_SHARE).ceil() as usize - usize::from(!over)
+                };
+                let live = |i: &usize| {
+                    i % SEGMENT_ROWS
+                        >= dead(if *i < SEGMENT_ROWS {
+                            SEGMENT_ROWS
+                        } else {
+                            tail
+                        })
+                };
+                let removed: Vec<u32> = (0..n).filter(|i| !live(i)).map(|i| i as u32).collect();
+                for m in [0, 1, 20_000, SEGMENT_ROWS + 70] {
+                    let what = format!("{m} rows onto {tail}, over a quarter dead: {over}");
+                    let rows: Vec<Row> = (n..n + m).map(string_row).collect();
+                    let batch = ColumnTable::from_rows(dtypes.clone(), &rows);
+                    let (got, built, compacted) = t.change(&removed, Some(&batch), 1);
+                    let want = (0..n).filter(live).map(string_row).chain(rows);
+                    assert!(got.iter_rows().eq(want), "{what}: rows");
+                    let shared = |si: usize| {
+                        (t.segments.get(si))
+                            .is_some_and(|s| Arc::ptr_eq(&s.columns, &got.segments[si].columns))
+                    };
+                    let fresh: Vec<usize> =
+                        (0..got.segments.len()).filter(|&si| !shared(si)).collect();
+                    assert_eq!(built, fresh.len(), "{what}: segments built");
+                    for &si in &fresh {
+                        let seg = &got.segments[si];
+                        let pushed = ColumnTable::from_rows(
+                            dtypes.clone(),
+                            &(0..seg.rows).map(|i| seg.row(i)).collect::<Vec<_>>(),
+                        );
+                        assert!(seg.dead().is_none(), "{what}: segment {si} masked");
+                        assert_same_cells(
+                            seg,
+                            &pushed.segments[0],
+                            &format!("{what}, segment {si}"),
+                        );
+                    }
+                    let quarter_dead = |s: &Arc<Segment>| {
+                        (s.rows - s.live()) as f64 >= COMPACT_DEAD_SHARE * s.rows as f64
+                    };
+                    assert!(
+                        !got.segments.iter().any(quarter_dead),
+                        "{what}: a quarter dead"
+                    );
+                    // The first segment is compacted when a quarter dead:
+                    // an append copies no full segment. A tail is compacted
+                    // only when no append copies it.
+                    assert_eq!(shared(0), !over, "{what}: first segment");
+                    let tail_compacted = over && tail > 0 && m == 0;
+                    assert_eq!(
+                        compacted,
+                        usize::from(over) + usize::from(tail_compacted),
+                        "{what}: compactions"
+                    );
+                }
+            }
         }
     }
 
@@ -766,7 +862,7 @@ mod tests {
         // tail's live rows and then the batch's, builds: the same buffers,
         // NULLs and bytes, and no mask.
         let check = |t: &ColumnTable, batch: &ColumnTable, what: &str| {
-            let (got, built) = t.append_table(batch);
+            let (got, built, _) = t.change(&[], Some(batch), 1);
             let want: Vec<Row> = t.iter_rows().chain(batch.iter_rows()).collect();
             assert_eq!(got.rows, want.len(), "{what}");
             assert_eq!(got.iter_rows().collect::<Vec<_>>(), want, "{what}");
@@ -790,10 +886,10 @@ mod tests {
             (100, SEGMENT_ROWS + 70),
         ] {
             let t = ColumnTable::from_rows(dtypes.clone(), &rows(0..tail));
-            let (t, _) = t.delete(&(0..tail as u32).step_by(3).collect::<Vec<_>>(), 1);
+            let (t, ..) = t.change(&(0..tail as u32).step_by(3).collect::<Vec<_>>(), None, 1);
             let batch = ColumnTable::from_rows(dtypes.clone(), &rows(tail..tail + n));
             let dead: Vec<u32> = (batch.live_ids().step_by(11)).map(|i| i as u32).collect();
-            let (batch, _) = batch.delete(&dead, 1);
+            let (batch, ..) = batch.change(&dead, None, 1);
             check(&t, &batch, &format!("{n} rows onto {tail}"));
         }
         // A cell that does not fit the table's column type boxes the
@@ -803,7 +899,7 @@ mod tests {
             &[vec![Value::str("x"), Value::str("y")]],
         );
         check(&table(10), &batch, "boxed");
-        let (got, _) = table(10).append_table(&batch);
+        let (got, ..) = table(10).change(&[], Some(&batch), 1);
         assert!(matches!(
             got.segments[0].columns[0].data,
             ColumnData::Other(_)
@@ -860,16 +956,18 @@ mod tests {
 
         // An append copies the live runs of a masked tail.
         let dead = [0, 3, 4, 17, 39].map(|i| (SEGMENT_ROWS + i) as u32);
-        let (masked, _) = t.delete(&dead, 1);
+        let (masked, ..) = t.change(&dead, None, 1);
         let added: Vec<Row> = (100..105).map(string_row).collect();
-        let (grown, _) = masked.append_table(&ColumnTable::from_rows(dtypes.clone(), &added));
+        let added_rows = ColumnTable::from_rows(dtypes.clone(), &added);
+        let (grown, ..) = masked.change(&[], Some(&added_rows), 1);
         let live: Vec<Row> = masked.iter_rows().chain(added).collect();
         let want = ColumnTable::from_rows(dtypes.clone(), &live);
         assert_same_cells(&grown.segments[1], &want.segments[1], "grown tail");
 
-        // Rows replaced by new versions — the old ones deleted, the new
-        // ones appended — from offsets 0 and 65,535 and past the boundary;
-        // in the second set an integer boxes the tail's strings.
+        // Rows replaced by new versions — the old ones removed and the new
+        // ones appended in one change — from offsets 0 and 65,535 and past
+        // the boundary; in the second set an integer boxes the tail's
+        // strings.
         for (k, edits) in [
             vec![
                 (0, Value::str("日本")),
@@ -885,11 +983,11 @@ mod tests {
             let versions: Vec<Row> = (edits.into_iter())
                 .map(|(id, v)| vec![Value::Int(-(id as i64)), v])
                 .collect();
-            let (masked, _) = t.delete(&ids, 2);
             let versions = ColumnTable::from_rows(dtypes.clone(), &versions);
-            let (replaced, _) = masked.append_table(&versions);
-            let tail: Vec<Row> = (masked.segments[1].live_offsets())
-                .map(|i| rows[SEGMENT_ROWS + i].clone())
+            let (replaced, ..) = t.change(&ids, Some(&versions), 2);
+            let tail: Vec<Row> = (SEGMENT_ROWS..n)
+                .filter(|&i| !ids.contains(&(i as u32)))
+                .map(|i| rows[i].clone())
                 .chain(versions.iter_rows())
                 .collect();
             let want = ColumnTable::from_rows(dtypes.clone(), &tail);
@@ -898,7 +996,8 @@ mod tests {
                 &want.segments[0],
                 &format!("set {k}"),
             );
-            assert!(Arc::ptr_eq(&replaced.segments[0], &masked.segments[0]));
+            let first = &replaced.segments[0];
+            assert!(Arc::ptr_eq(&first.columns, &t.segments[0].columns));
             let boxed = matches!(replaced.segments[1].columns[1].data, ColumnData::Other(_));
             assert_eq!(boxed, k == 1, "edit set {k}");
         }
@@ -944,7 +1043,7 @@ mod tests {
             let dead: Vec<u32> = (0..n as u32)
                 .filter(|i| i % 11 == 3 || *i + 1 == n as u32)
                 .collect();
-            let (masked, _) = t.delete(&dead, 1);
+            let (masked, ..) = t.change(&dead, None, 1);
             let keep = |x: i64| (10..20).contains(&x) || x == 0;
             let old: Vec<u32> = (masked.live_ids())
                 .filter(|&id| masked.value(id, 0).as_int().is_some_and(keep))

@@ -1,9 +1,11 @@
-//! Integration: the segments are the table. A delete marks its rows dead
-//! in the masks of the segments it hits and rebuilds a segment only once a
-//! quarter of it is dead, an append copies at most a morsel of tail, an
-//! update is a delete of the old versions and an append of the new ones,
-//! and every mutator revises the statistics by the rows it moves. The
-//! invariant, checked after commits:
+//! Integration: the segments are the table, and a table changes by one
+//! call, `Table::change`. The rows it removes are marked dead in the masks
+//! of the segments they sit in, and a segment is rebuilt only once a
+//! quarter of it is dead; the rows it appends copy at most a morsel of
+//! tail, and a tail is built once; an update is one change, the old
+//! versions removed and the new ones appended; and every change revises
+//! the statistics by the rows it moves. The invariant, checked after
+//! commits:
 //!
 //! - the live rows are the rows the table should hold, in order;
 //! - no segment is a quarter or more dead;
@@ -14,7 +16,7 @@
 //! - a pinned snapshot's segments and masks never change.
 //!
 //! "The rows it should hold" is a model the test mutates itself wherever
-//! the test drives the mutators — in which an updated row's new version
+//! the test drives the changes — in which an updated row's new version
 //! follows the table's other live rows, as the table appends it; after
 //! real refresh sets it is the decoded rows, cross-checked against the
 //! `OpReport`s' counts. Each test names
@@ -24,7 +26,6 @@
 //! statistics work is bounded by the cells it changed.
 
 use std::collections::{HashMap, HashSet};
-use std::ops::DerefMut;
 use std::sync::Arc;
 use tpcds_core::engine::{ColumnMeta, Commit, Database, DbSnapshot, Table};
 use tpcds_core::storage::{
@@ -191,21 +192,10 @@ fn refresh_sets_publish_what_a_rebuild_would_at_any_worker_count() {
                     rebuilt += built(&was, &is);
                 }
                 assert_eq!(op.commit.version, version, "{what}");
-                // An update's delete may compact the tail its append then
-                // copies; a history-keeping update appends its closed
-                // revisions, then their successors: either may build the
-                // same segment twice.
-                if op.updated > 0 {
-                    assert!(
-                        op.commit.segments_rebuilt >= rebuilt,
-                        "{what}: segments built"
-                    );
-                } else {
-                    assert_eq!(
-                        op.commit.segments_rebuilt, rebuilt,
-                        "{what}: segments built"
-                    );
-                }
+                assert_eq!(
+                    op.commit.segments_rebuilt, rebuilt,
+                    "{what}: segments built"
+                );
                 assert_eq!(
                     op.commit.rows_masked,
                     op.deleted + op.updated,
@@ -260,6 +250,26 @@ fn refresh_sets_publish_what_a_rebuild_would_at_any_worker_count() {
         assert!(deleted_in_all > 0);
     }
     tpcds_core::storage::set_threads(None);
+}
+
+/// Covers set 0 at SF 0.01: each of the eight dimension updates is one
+/// change, and builds one segment, the tail its new versions join — not
+/// a compaction of that tail first, nor a second copy of it for a history
+/// dimension's new revisions.
+#[test]
+fn each_dimension_update_builds_its_tail_once() {
+    let g = Generator::new(0.01);
+    let db = Database::new();
+    maint::load_initial_population(&db, &g).unwrap();
+    let report = maint::run_maintenance(&db, &g, 0).unwrap();
+    let updates: Vec<(&str, usize)> = (report.ops.iter())
+        .filter(|op| op.name.starts_with("update_"))
+        .map(|op| (op.name, op.commit.segments_rebuilt))
+        .collect();
+    assert_eq!(updates.len(), 8);
+    for (name, built) in updates {
+        assert_eq!(built, 1, "{name}: segments built");
+    }
 }
 
 /// What a table should hold, and every row version it held and no longer
@@ -363,17 +373,42 @@ fn id(row: &[Value]) -> usize {
     row[0].as_int().unwrap() as usize
 }
 
-/// Sets `row[col]` when `hit`, through whatever holds the row — the
-/// table's `RowMut` or the model's `Vec` — and reports `hit`. A row that
-/// is not hit is not written through.
-fn set_if<R>(row: &mut R, hit: bool, col: usize, v: Value) -> bool
-where
-    R: DerefMut<Target = [Value]> + ?Sized,
-{
+/// Sets `row[col]` when `hit`, and reports `hit`.
+fn set_if(row: &mut Row, hit: bool, col: usize, v: Value) -> bool {
     if hit {
         row[col] = v;
     }
     hit
+}
+
+/// Removes the live rows of `t` that `gone` admits: one `Table::change`
+/// of their ids. Returns how many.
+fn delete_where(t: &mut Table, gone: impl Fn(&[Value]) -> bool) -> usize {
+    let data = Arc::clone(t.data());
+    let ids: Vec<u32> = (data.live_ids())
+        .filter(|&id| gone(&data.row(id)))
+        .map(|id| id as u32)
+        .collect();
+    t.change(&ids, None).unwrap();
+    ids.len()
+}
+
+/// Applies `f` to each live row of `t`, decoded; each row `f` reports
+/// writing to is a new version. One `Table::change` removes the old
+/// versions and appends the new ones, in id order. Returns how many.
+fn update_each(t: &mut Table, mut f: impl FnMut(&mut Row) -> bool) -> usize {
+    let data = Arc::clone(t.data());
+    let (mut ids, mut versions) = (Vec::new(), Vec::new());
+    for id in data.live_ids() {
+        let mut row = data.row(id);
+        if f(&mut row) {
+            ids.push(id as u32);
+            versions.push(row);
+        }
+    }
+    let versions = ColumnTable::from_rows(data.dtypes.clone(), &versions);
+    t.change(&ids, Some(&versions)).unwrap();
+    ids.len()
 }
 
 /// Covers mutations around 65,535 / 65,536 / 65,537 rows and across a
@@ -386,8 +421,9 @@ fn every_mutation_shape_around_the_segment_boundary() {
     // Each operation is applied to the staged table and, by the test's own
     // code, to the model; it returns how many segments it must build, and
     // how many segments of the new version do not share the old one's
-    // columns: fewer where a segment is compacted and then copied by an
-    // append. The table's segments start full, but for the last.
+    // columns: fewer where a later change of the transaction builds again
+    // a segment an earlier one built. The table's segments start full, but
+    // for the last.
     type Op = fn(&mut Table, &mut Model) -> (usize, usize);
     fn append(t: &mut Table, model: &mut Model, n: usize) {
         let first = model.rows.len();
@@ -396,22 +432,11 @@ fn every_mutation_shape_around_the_segment_boundary() {
     }
     fn delete(t: &mut Table, model: &mut Model, gone: impl Fn(&[Value]) -> bool) {
         let deleted = model.delete(&gone);
-        assert!(deleted > 0 && t.delete_where(gone) == deleted);
+        assert!(deleted > 0 && delete_where(t, gone) == deleted);
     }
-    fn update(
-        t: &mut Table,
-        model: &mut Model,
-        f: impl Fn(&mut dyn DerefMut<Target = [Value]>) -> bool,
-    ) {
-        let updated = model.update(|row| f(row));
-        assert!(updated > 0 && t.update_each(|row| f(row)) == updated);
-    }
-    // An update of two rows, in the first and last segment, builds the
-    // segment its new versions are appended to; a one-row last segment
-    // it empties is compacted first.
-    fn first_and_last(n: usize) -> (usize, usize) {
-        let compacted = usize::from(n % SEGMENT_ROWS == 1);
-        (1 + compacted, 1)
+    fn update(t: &mut Table, model: &mut Model, f: impl Fn(&mut Row) -> bool) {
+        let updated = model.update(&f);
+        assert!(updated > 0 && update_each(t, f) == updated);
     }
     let ops: [(&str, Op); 10] = [
         ("append 1", |t, model| {
@@ -457,21 +482,22 @@ fn every_mutation_shape_around_the_segment_boundary() {
             delete(t, model, |_| true);
             (segments, segments)
         }),
+        // An update of two rows, in the first and last segment, builds the
+        // segment its new versions are appended to, and that alone: a
+        // one-row last segment it empties is copied, not compacted first.
         ("update in the first and last segment", |t, model| {
             let n = model.rows.len();
             // A key column and a plain one.
-            let update = |row: &mut dyn DerefMut<Target = [Value]>| {
+            update(t, model, |row| {
                 let hit = id(row) == 3 || id(row) == n - 1;
                 if hit {
                     row[1] = Value::Int(1_000_000);
                     row[3] = Value::str("updated");
                 }
                 hit
-            };
-            let changed = model.update(|r| update(r));
-            assert_eq!(t.update_each(|row| update(row)), changed);
-            assert_eq!(changed, 2);
-            first_and_last(n)
+            });
+            assert_eq!(model.removed.len(), 2);
+            (1, 1)
         }),
         ("update of the rows holding extremes", |t, model| {
             // Rows 0 and n - 1 alone hold the id's min and max, and their
@@ -479,7 +505,7 @@ fn every_mutation_shape_around_the_segment_boundary() {
             // which its new version gives up, and the new versions hold
             // the amount's new max and min.
             let n = model.rows.len();
-            update(t, model, |row: &mut dyn DerefMut<Target = [Value]>| {
+            update(t, model, |row| {
                 let hit = id(row) == 0 || id(row) == n - 1;
                 if hit {
                     let cents = if id(row) == 0 { 10_000_000 } else { -1 };
@@ -487,32 +513,32 @@ fn every_mutation_shape_around_the_segment_boundary() {
                 }
                 hit
             });
-            first_and_last(n)
+            (1, 1)
         }),
-        ("update that writes nothing", |t, model| {
-            // The closure reads every row and reports a change it did not
-            // write: nothing moves.
-            assert_eq!(t.update_each(|row| id(row) == 3), 1);
-            assert_eq!(model.update(|_| false), 0);
+        ("a change of nothing", |t, _| {
+            // No row removed and an empty batch: nothing moves.
+            t.change(&[], None).unwrap();
+            let empty = ColumnTable::from_rows::<Row>(t.data().dtypes.clone(), &[]);
+            t.change(&[], Some(&empty)).unwrap();
             (0, 0)
         }),
         (
             "update of rows an earlier update moved into the tail",
             |t, model| {
                 let n = model.rows.len();
-                update(t, model, |row: &mut dyn DerefMut<Target = [Value]>| {
+                update(t, model, |row| {
                     set_if(row, [3, 10].contains(&id(row)), 1, Value::Int(-1))
                 });
-                update(t, model, |row: &mut dyn DerefMut<Target = [Value]>| {
-                    set_if(row, id(row) == 3, 1, Value::Int(-2))
-                });
-                // Each update builds the tail its new versions join, and
-                // the second first compacts the two- or three-row tail
-                // holding row 3's version — but past an 8,191-row tail,
-                // where that version seals a full morsel and row 10's
-                // starts the next segment: the second update masks the
-                // one and copies the other, two segments of its own.
-                (3, 1 + usize::from(n % SEGMENT_ROWS == MORSEL_ROWS - 1))
+                update(t, model, |row| set_if(row, id(row) == 3, 1, Value::Int(-2)));
+                // Each update builds the tail its new versions join, once:
+                // the second copies the two- or three-row tail holding row
+                // 3's version without compacting it first. Past an
+                // 8,191-row tail, row 3's first version seals a full
+                // morsel and row 10's starts the next segment: the first
+                // update builds both, and the second masks the one and
+                // copies the other.
+                let sealed = usize::from(n % SEGMENT_ROWS == MORSEL_ROWS - 1);
+                (2 + sealed, 1 + sealed)
             },
         ),
     ];
@@ -568,7 +594,7 @@ fn one_transaction_composes_every_kind_of_change() {
     t.insert(rows_from(n, 50)).unwrap();
     model.rows.extend(rows_from(n, 50));
 
-    let nulled = t.update_each(|row| set_if(row, id(row) % 1000 == 1, 2, Value::Null));
+    let nulled = update_each(t, |row| set_if(row, id(row) % 1000 == 1, 2, Value::Null));
     assert_eq!(nulled, n.div_ceil(1000));
     assert_eq!(
         model.update(|row| set_if(row, id(row) % 1000 == 1, 2, Value::Null)),
@@ -577,7 +603,7 @@ fn one_transaction_composes_every_kind_of_change() {
 
     // Takes out base rows, updated rows and rows this transaction added.
     let gone = |r: &[Value]| id(r) % 501 == 1 || id(r) == n + 7;
-    let deleted = t.delete_where(gone);
+    let deleted = delete_where(t, gone);
     assert_eq!(deleted, model.delete(gone));
 
     t.insert(rows_from(n + 50, 3)).unwrap();
@@ -585,7 +611,7 @@ fn one_transaction_composes_every_kind_of_change() {
 
     let hit = |r: &[Value]| id(r) == 10 || id(r) == n + 51;
     assert_eq!(
-        t.update_each(|row| set_if(row, hit(row), 1, Value::Int(-1))),
+        update_each(t, |row| set_if(row, hit(row), 1, Value::Int(-1))),
         2
     );
     model.update(|row| set_if(row, hit(row), 1, Value::Int(-1)));
@@ -596,7 +622,7 @@ fn one_transaction_composes_every_kind_of_change() {
     let width = t.columns.len();
     let commit = txn.commit();
     assert_eq!((commit.tables_changed, commit.tables_rebuilt), (1, 1));
-    // Segments built, mutator by mutator: the 100-row tail, copied; the
+    // Segments built, change by change: the 100-row tail, copied; the
     // tail again, the new versions appended (the old ones are masked in
     // the first segment: the 150 rows past it hold no id ending in 001);
     // none (the delete masks both); the tail again, its dead rows dropped;
@@ -657,8 +683,11 @@ fn versions_share_what_the_transaction_left_alone() {
     // An update masks the row it hits, a new mask over the same columns,
     // and builds the tail its new version is appended to.
     let hit = |r: &[Value]| id(r) == SEGMENT_ROWS + 5;
-    db.update_each("t", |row| set_if(row, hit(row), 1, Value::Int(-5)))
-        .unwrap();
+    let mut txn = db.begin();
+    update_each(txn.table_mut("t").unwrap(), |row| {
+        set_if(row, hit(row), 1, Value::Int(-5))
+    });
+    txn.commit();
     model.update(|row| set_if(row, hit(row), 1, Value::Int(-5)));
     let t = db.table("t").unwrap();
     let updated = Arc::clone(t.data());
@@ -673,7 +702,7 @@ fn versions_share_what_the_transaction_left_alone() {
     // same columns.
     let mut txn = db.begin();
     let gone = |r: &[Value]| id(r) == SEGMENT_ROWS + 6;
-    txn.table_mut("t").unwrap().delete_where(gone);
+    delete_where(txn.table_mut("t").unwrap(), gone);
     model.delete(gone);
     let commit = txn.commit();
     assert_eq!((commit.segments_rebuilt, commit.rows_masked), (0, 1));
@@ -731,16 +760,16 @@ fn a_pinned_snapshot_keeps_its_rows_and_statistics() {
     model.rows.extend(rows_from(1_000, 10));
     unchanged("append");
     let gone = |r: &[Value]| id(r) < 10 || id(r) > 1_005;
-    let deleted = commit(&|t| assert_eq!(t.delete_where(gone), 14));
+    let deleted = commit(&|t| assert_eq!(delete_where(t, gone), 14));
     assert_eq!((deleted.rows_masked, deleted.segments_rebuilt), (14, 0));
     model.delete(gone);
     unchanged("delete");
-    let negate = |row: &mut dyn DerefMut<Target = [Value]>| {
+    let negate = |row: &mut Row| {
         row[0] = Value::Int(-(id(row) as i64));
         true
     };
-    commit(&|t| assert_eq!(t.update_each(|row| negate(row)), 996));
-    model.update(|row| negate(row));
+    commit(&|t| assert_eq!(update_each(t, negate), 996));
+    model.update(negate);
     unchanged("update");
 
     let head = seen(&db.snapshot());

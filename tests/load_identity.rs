@@ -177,11 +177,11 @@ fn check_table(g: &Generator, table: &str) {
     check_stats(&typed, &boxed, table);
     let gone: Vec<u32> = (5..typed.segments[0].rows as u32).step_by(11).collect();
     if !gone.is_empty() {
-        let (typed, compacted) = typed.delete(&gone, 2);
-        assert!(compacted.is_empty() && typed.has_dead(), "{table}: a mask");
+        let (typed, built, _) = typed.change(&gone, None, 2);
+        assert!(built == 0 && typed.has_dead(), "{table}: a mask");
         check_stats(
             &typed,
-            &boxed.delete(&gone, 2).0,
+            &boxed.change(&gone, None, 2).0,
             &format!("{table}, masked"),
         );
     }

@@ -6,11 +6,12 @@
 //!
 //! The oracle here is that boxed path: every refresh row generated as
 //! [`Value`]s (`Generator::row`), business keys turned into `String`s and
-//! resolved on the rows, dimension updates applied from boxed rows and new
-//! revisions and fact rows inserted through `Table::insert` — one commit
-//! per operation, in the order `run_maintenance` runs them. After 20 sets
-//! at SF 0.01 and 5 at SF 0.2, each at 1, 2 and 8 workers, every table of
-//! the two databases matches:
+//! resolved on the rows, each dimension row updated decoded (`read_row`)
+//! and its new version built as a row, and every operation's rows
+//! committed as one `Table::change` of `ColumnTable::from_rows` — the
+//! closed revisions and their successors in one batch — in the order
+//! `run_maintenance` runs them. After 20 sets at SF 0.01 and 5 at SF 0.2,
+//! each at 1, 2 and 8 workers, every table of the two databases matches:
 //!
 //! * segment for segment: boundaries, heap bytes, dead masks, and cell for
 //!   cell — buffer type, NULLs, decimal scale and string bytes;
@@ -24,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use tpcds_core::dgen::refresh::RESOLVED_DIMENSIONS;
 use tpcds_core::engine::{Commit, Database};
-use tpcds_core::storage::{Column, ColumnData, Segment, TableStats};
+use tpcds_core::storage::{Column, ColumnData, ColumnTable, Segment, TableStats};
 use tpcds_core::types::{Date, Row, Value};
 use tpcds_core::{maint, Generator};
 
@@ -150,19 +151,45 @@ fn boxed_fact_inserts(g: &Generator, table: &str, seq: u32) -> Vec<Row> {
     g.refresh_fact_rows(table, seq).map(row).collect()
 }
 
+/// The live rows of `data` whose business key `wanted` revises and, with
+/// `open`, whose cell of that column is NULL: their ids, and each row
+/// decoded.
+fn boxed_revised(
+    data: &ColumnTable,
+    bk_idx: usize,
+    wanted: &HashMap<String, Row>,
+    open: Option<usize>,
+) -> Vec<(u32, Row)> {
+    let selected = |&id: &usize| {
+        open.is_none_or(|c| data.is_null(id, c))
+            && (data.str_at(id, bk_idx)).is_some_and(|bk| wanted.contains_key(bk))
+    };
+    let mut row = Row::new();
+    let decode = |id: usize| {
+        data.read_row(id, &mut row);
+        (id as u32, row.clone())
+    };
+    data.live_ids().filter(selected).map(decode).collect()
+}
+
+/// Commits one change of `table`: the rows at `ids` removed, `rows`
+/// appended.
+fn commit_change(db: &Database, table: &str, ids: &[u32], rows: &[Row]) -> Commit {
+    let mut txn = db.begin();
+    let t = txn.table_mut(table).unwrap();
+    let batch = ColumnTable::from_rows(t.data().dtypes.clone(), rows);
+    t.change(ids, Some(&batch)).unwrap();
+    txn.commit()
+}
+
 /// Figure 8 on boxed rows.
 fn update_non_history(db: &Database, g: &Generator, table: &str, seq: u32) -> Outcome {
     let bk_idx = business_key_column(g, table);
     let wanted = boxed_dimension(g, table, seq);
-    let mut txn = db.begin();
-    let t = txn.table_mut(table).unwrap();
-    let wanted_at = |data: &tpcds_core::storage::ColumnTable, id| {
-        (data.str_at(id, bk_idx)).is_some_and(|bk| wanted.contains_key(bk))
-    };
-    let updated = t.update_at(wanted_at, |row| {
-        let Some(new_row) = row[bk_idx].as_str().and_then(|bk| wanted.get(bk)) else {
-            return false;
-        };
+    let data = db.table(table).unwrap().data().clone();
+    let (mut ids, mut versions) = (Vec::new(), Vec::new());
+    for (id, mut row) in boxed_revised(&data, bk_idx, &wanted, None) {
+        let new_row = &wanted[row[bk_idx].as_str().unwrap()];
         let mut changed = false;
         for (i, v) in new_row.iter().enumerate() {
             if i != 0 && i != bk_idx && row[i] != *v {
@@ -170,12 +197,16 @@ fn update_non_history(db: &Database, g: &Generator, table: &str, seq: u32) -> Ou
                 changed = true;
             }
         }
-        changed
-    });
-    (updated, 0, 0, txn.commit())
+        if changed {
+            ids.push(id);
+            versions.push(row);
+        }
+    }
+    (ids.len(), 0, 0, commit_change(db, table, &ids, &versions))
 }
 
-/// Figure 9 on boxed rows.
+/// Figure 9 on boxed rows: the closed revisions, then their successors,
+/// in one batch.
 fn update_history(db: &Database, g: &Generator, table: &str, seq: u32, when: Date) -> Outcome {
     let bk_idx = business_key_column(g, table);
     let def = g.schema().table(table).unwrap();
@@ -185,33 +216,29 @@ fn update_history(db: &Database, g: &Generator, table: &str, seq: u32, when: Dat
         ending("rec_end_date").unwrap(),
     );
     let wanted = boxed_dimension(g, table, seq);
-    let mut txn = db.begin();
-    let t = txn.table_mut(table).unwrap();
+    let t = db.table(table).unwrap();
     let max_sk = t.stats().columns[0].max.as_ref().and_then(Value::as_int);
-    let mut next_sk = max_sk.unwrap_or(0) + 1;
-    let mut to_insert = Vec::new();
-    let open_wanted = |data: &tpcds_core::storage::ColumnTable, id| {
-        data.is_null(id, end_idx)
-            && (data.str_at(id, bk_idx)).is_some_and(|bk| wanted.contains_key(bk))
-    };
-    let closed = t.update_at(open_wanted, |row| {
-        let bk = row[bk_idx].clone();
-        let Some(new_row) = bk.as_str().and_then(|bk| wanted.get(bk)) else {
-            return false;
-        };
-        row[end_idx] = Value::Date(when.add_days(-1));
-        let mut rev = new_row.clone();
-        rev[0] = Value::Int(next_sk);
-        next_sk += 1;
-        rev[bk_idx] = bk;
+    let revised = boxed_revised(t.data(), bk_idx, &wanted, Some(end_idx));
+    let (mut ids, mut closed, mut revisions) = (Vec::new(), Vec::new(), Vec::new());
+    for ((id, mut row), sk) in revised.into_iter().zip(max_sk.unwrap_or(0) + 1..) {
+        let mut rev = wanted[row[bk_idx].as_str().unwrap()].clone();
+        rev[0] = Value::Int(sk);
+        rev[bk_idx] = row[bk_idx].clone();
         rev[start_idx] = Value::Date(when);
         rev[end_idx] = Value::Null;
-        to_insert.push(rev);
-        true
-    });
-    let inserted = to_insert.len();
-    t.insert(to_insert).unwrap();
-    (closed, inserted, 0, txn.commit())
+        row[end_idx] = Value::Date(when.add_days(-1));
+        ids.push(id);
+        closed.push(row);
+        revisions.push(rev);
+    }
+    let inserted = revisions.len();
+    closed.extend(revisions);
+    (
+        ids.len(),
+        inserted,
+        0,
+        commit_change(db, table, &ids, &closed),
+    )
 }
 
 /// Figure 10 on boxed rows: business keys resolved on the rows, a row
