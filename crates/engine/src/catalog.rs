@@ -22,9 +22,9 @@
 //! any segment it leaves a quarter dead, which it compacts — nothing else.
 //! An update is one change: the old versions die and the new ones are
 //! appended, so an updated row moves to the end of the table. Statistics
-//! follow the same rule: a change takes its removed rows out of them, and
-//! [`WriteTxn::commit`] folds in the appended rows — so a commit pays for
-//! the rows it changed.
+//! follow each change at once, by the same rule: it folds in the rows it
+//! appends and takes out the rows it removes — so a commit pays for the
+//! rows it changed.
 //! What a reader gets is indistinguishable from segments and statistics
 //! built from scratch over the published live rows, in order, except that
 //! the NDV sketches still count the values of rows deleted, old versions
@@ -61,8 +61,7 @@ pub struct ColumnMeta {
 /// One stored table. Cloning a `Table` is how a [`WriteTxn`] stages it,
 /// and copies no row: the segments and the statistics are `Arc`s shared
 /// with the base version. [`Table::change`] builds the segments whose
-/// columns it changes and takes the rows it removes out of the statistics;
-/// appended rows fold in at [`WriteTxn::commit`].
+/// columns it changes and brings the statistics along.
 #[derive(Clone, Debug)]
 pub struct Table {
     /// Column metadata, in order.
@@ -70,9 +69,7 @@ pub struct Table {
     /// The rows, as typed column segments.
     data: Arc<ColumnTable>,
     /// Per-column statistics (row/null counts, min/max, NDV, histogram)
-    /// of `data`'s live rows but the last `data.rows - stats.rows`: all of
-    /// them on a published table, all but those appended since on a
-    /// staged one.
+    /// of `data`'s live rows.
     stats: Arc<TableStats>,
     /// What its changes have done since the table was staged.
     staged: Derived,
@@ -123,10 +120,9 @@ impl Table {
     /// An update is both, the old versions removed and the new ones
     /// appended, so an updated row moves to the end of the table. A batch
     /// of other column types fails and leaves the table exactly as it was.
-    /// The rows removed leave the statistics here, once the rows appended
-    /// are in the table: an extreme a new version still holds is then
-    /// found among the rows rather than rescanned for. The rows appended
-    /// fold in at commit.
+    /// The statistics follow at once: the rows appended fold in, then the
+    /// rows removed leave, so an extreme a new version still holds is
+    /// found among the rows rather than rescanned for.
     pub fn change(&mut self, removed: &[u32], appended: Option<&ColumnTable>) -> Result<()> {
         if let Some(batch) = appended.filter(|batch| batch.dtypes != self.data.dtypes) {
             return Err(EngineError::Catalog(format!(
@@ -139,19 +135,21 @@ impl Table {
             return Ok(());
         }
         let threads = tpcds_storage::effective_threads();
-        let gone = (!removed.is_empty()).then(|| {
-            self.catch_up_stats(threads);
-            tpcds_storage::removed_stats_at(&self.data, removed, threads)
-        });
+        let gone = (!removed.is_empty())
+            .then(|| tpcds_storage::removed_stats_at(&self.data, removed, threads));
         let (data, built, compacted) = self.data.change(removed, appended, threads);
         self.data = Arc::new(data);
-        let staged = &mut self.staged;
+        let (stats, staged) = (Arc::make_mut(&mut self.stats), &mut self.staged);
         staged.rows_changed += removed.len() + added;
         staged.rows_masked += removed.len();
         staged.segments_rebuilt += built;
         staged.segments_compacted += compacted;
+        if let Some(batch) = appended.filter(|batch| batch.rows > 0) {
+            stats.append(batch, threads);
+            staged.stats_cells_folded += added * self.data.width();
+        }
         if let Some(gone) = gone {
-            Arc::make_mut(&mut self.stats).retract(&gone, &self.data);
+            stats.retract(&gone, &self.data);
             staged.stats_cells_retracted += removed.len() * self.data.width();
         }
         Ok(())
@@ -183,27 +181,14 @@ impl Table {
         Ok(())
     }
 
-    /// The per-column statistics. Current on a published table; on a
-    /// table staged in a [`WriteTxn`] they lag the rows appended until
-    /// commit.
+    /// The per-column statistics of the rows, current on a staged table
+    /// too.
     pub fn stats(&self) -> Arc<TableStats> {
         Arc::clone(&self.stats)
     }
 
-    /// Folds the rows appended since the statistics were last brought up
-    /// into them: at commit, and before a change removes rows.
-    fn catch_up_stats(&mut self, threads: usize) {
-        let (counted, data) = (self.stats.rows as usize, &self.data);
-        if counted < data.rows {
-            self.staged.stats_cells_folded += (data.rows - counted) * data.width();
-            self.stats = Arc::new(tpcds_storage::extend_stats(&self.stats, data, threads));
-        }
-    }
-
-    /// Brings the statistics up to the rows and returns what the
-    /// transaction cost.
-    fn publish(&mut self, threads: usize) -> Derived {
-        self.catch_up_stats(threads);
+    /// What the transaction cost.
+    fn publish(&mut self) -> Derived {
         let mut derived = std::mem::take(&mut self.staged);
         derived.tables_rebuilt = usize::from(derived.rows_changed > 0);
         derived
@@ -403,13 +388,11 @@ impl<'a> WriteTxn<'a> {
 
     /// Publishes the staged tables as the next snapshot version and
     /// returns what changed. The changes already built the segments and
-    /// revised the statistics for what they moved; the rows appended since
-    /// fold in here ([`Table::publish`]), so the commit costs what the
-    /// transaction changed: the returned [`Commit`] says how much that
-    /// was.
+    /// revised the statistics for what they moved, so the commit only
+    /// swaps the tables in: the returned [`Commit`] says what the
+    /// transaction cost.
     pub fn commit(mut self) -> Commit {
         let span = tpcds_obs::span("snapshot", "commit");
-        let threads = tpcds_storage::effective_threads();
         let mut tables = self.base.tables.clone();
         let tables_changed = self.pending.len();
         let mut total = Derived::default();
@@ -419,7 +402,7 @@ impl<'a> WriteTxn<'a> {
                     tables.remove(&name);
                 }
                 TxnEntry::Put(mut t) => {
-                    let derived = t.publish(threads);
+                    let derived = t.publish();
                     total.tables_rebuilt += derived.tables_rebuilt;
                     total.segments_rebuilt += derived.segments_rebuilt;
                     total.rows_masked += derived.rows_masked;

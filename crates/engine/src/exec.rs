@@ -444,10 +444,11 @@ fn batch_node(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Batch> {
             let skeys: Vec<_> = (cols.into_iter().zip(keys))
                 .map(|(col, &(_, desc))| tpcds_storage::SortKey { col, desc })
                 .collect();
-            let (table, ks) = match plan {
-                Plan::TopN { n, .. } => tpcds_storage::par_topn(&b, &skeys, *n as usize, threads),
-                _ => tpcds_storage::par_sort(&b, &skeys, threads),
+            let limit = match plan {
+                Plan::TopN { n, .. } => Some(*n as usize),
+                _ => None,
             };
+            let (table, ks) = tpcds_storage::par_sort(&b, &skeys, limit, threads);
             check_err(&b)?;
             ctx.record(node, &ks);
             Ok(Batch::new(Arc::new(table)))

@@ -103,7 +103,7 @@ pub enum Plan {
     /// Fused Sort + Limit (the `ORDER BY … LIMIT n` template tail),
     /// produced by the optimizer rewrite [`crate::optimizer::fuse_topn`].
     /// Equivalent to a stable sort by `keys` followed by `LIMIT n`, but
-    /// executable with bounded per-worker heaps.
+    /// executable with per-worker buffers cut to the limit.
     TopN {
         /// Input.
         input: Arc<Plan>,
@@ -448,8 +448,8 @@ impl Plan {
                         ));
                     }
                     // Sort/Top-N kernel actuals. A Top-N that ran the
-                    // kernel always reports its heap occupancy and prune
-                    // count, even when both are 0 (LIMIT 0).
+                    // kernel always reports the rows its cut kept and
+                    // dropped, even when both are 0 (LIMIT 0).
                     if k.merge_ways > 0 {
                         columnar.push_str(&format!(" merge_ways={}", k.merge_ways));
                     }

@@ -385,11 +385,11 @@ mod tests {
             ),
             (
                 "par_sort",
-                Box::new(|b, w| table_rows(crate::par_sort(b, &key, w).0)),
+                Box::new(|b, w| table_rows(crate::par_sort(b, &key, None, w).0)),
             ),
             (
-                "par_topn",
-                Box::new(|b, w| table_rows(crate::par_topn(b, &key, 10, w).0)),
+                "par_sort limit",
+                Box::new(|b, w| table_rows(crate::par_sort(b, &key, Some(10), w).0)),
             ),
             (
                 "par_window",

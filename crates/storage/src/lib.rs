@@ -39,10 +39,9 @@ pub use join::{par_hash_join, JoinType};
 pub use morsel::{par_aggregate, par_filter, run_chunks, scan_until, KernelStats, MORSEL_ROWS};
 pub use pred::Pred;
 pub use segment::{ColumnTable, ColumnTableBuilder, Segment, COMPACT_DEAD_SHARE, SEGMENT_ROWS};
-pub use sort::{par_sort, par_topn, par_window, SortKey, WinFunc, WinSpec};
+pub use sort::{par_sort, par_window, SortKey, WinFunc, WinSpec};
 pub use stats::{
-    collect_stats, extend_stats, merge_segment_stats, removed_stats_at, segment_stats, ColumnStats,
-    TableStats,
+    collect_stats, merge_segment_stats, removed_stats_at, segment_stats, ColumnStats, TableStats,
 };
 pub use tpcds_types::CmpKind;
 

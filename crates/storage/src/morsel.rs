@@ -42,8 +42,8 @@ pub struct KernelStats {
     /// Build rows kept in a join's hash tables (filter passed, no NULL
     /// key).
     pub build_rows: u64,
-    /// Qualifying rows the bounded Top-N heaps rejected without
-    /// materializing.
+    /// Qualifying rows a Top-N's limit cut dropped without gathering
+    /// them: cut from a worker's buffer, or worse than the worst it kept.
     pub pruned_rows: u64,
     /// Expression kernel launches: one per (expression, morsel) pair.
     pub expr_kernels: u64,
@@ -57,9 +57,11 @@ pub struct KernelStats {
     /// hash-table footprint. 0 unless the process installed the counting
     /// allocator (`tpcds_obs::mem::CountingAlloc`).
     pub build_bytes: u64,
-    /// Sorted runs fed to a full sort's k-way merge.
+    /// Non-empty sorted runs a sort without a limit merged: one per
+    /// morsel (per window call, the most any call merged).
     pub merge_ways: u64,
-    /// Entries held across all per-worker Top-N heaps at the merge point.
+    /// Entries a Top-N's workers kept for the merge: each worker's buffer,
+    /// cut to the limit.
     pub heap_rows: u64,
 }
 

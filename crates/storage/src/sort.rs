@@ -1,35 +1,40 @@
-//! Morsel-driven parallel Top-N, full sort and window functions.
+//! Morsel-driven parallel sort (with or without a limit) and window
+//! functions.
 //!
 //! Every TPC-DS template ends in `ORDER BY … LIMIT 100`, so the ordering
-//! tail must scale like the scan/join/aggregate kernels. Three kernels:
+//! tail must scale like the scan/join/aggregate kernels. One kernel,
+//! [`par_sort`], does both jobs on std's sorts:
 //!
-//! * **Top-N** ([`par_topn`]): each worker keeps a bounded heap of the
-//!   best `limit` entries seen across the morsels it pulls; heaps merge
-//!   commutatively at the end (concatenate + sort + truncate). Rows that
-//!   never displace a heap entry are pruned without ever being gathered.
-//! * **Full sort** ([`par_sort`]): each morsel becomes one sorted run in
-//!   parallel; a serial k-way merge zips the runs.
-//! * **Window** ([`par_window`]): per call, the full sort's runs and
-//!   merge over (partition keys, order keys), then one serial walk of
-//!   that order folding [`PAcc`] per peer group.
+//! * **Runs.** Each morsel's qualifying rows become a run of row-id
+//!   entries, sorted in parallel.
+//! * **The limit cut.** With a limit `n`, a worker keeps one buffer over
+//!   the morsels it pulls instead. When the buffer reaches `2n` entries it
+//!   is cut to the best `n` (`select_nth_unstable_by`); until the next cut
+//!   a row worse than the worst kept is dropped with one compare, never
+//!   gathered. The buffer, cut to `n` and sorted, is the worker's run.
+//! * **The merge.** The runs, concatenated, are merged by std's stable
+//!   `sort_by`, which finds presorted runs and merges them; the result is
+//!   truncated to the limit.
 //!
-//! All sort row ids and emit a fresh table by typed column gather
-//! ([`crate::batch`]), so the results stay columnar for whatever
+//! [`par_window`] sorts each call through the same runs and merge over
+//! (partition keys, order keys), then walks that order once, folding
+//! [`PAcc`] per peer group. Both emit a fresh table by typed column
+//! gather ([`crate::batch`]), so the results stay columnar for whatever
 //! consumes them.
 //!
 //! Determinism: entries compare by key first and by **global row index**
 //! on ties, which is a total order — so any worker count (and any morsel
 //! arrival order) produces exactly the bytes a stable serial sort of the
-//! input would. Sort-key comparison mirrors `Value::sort_cmp` (NULLs
-//! first ascending, last descending): an entry is a row id, and two
-//! entries compare their rows' cells in the typed buffers (`key::Cell`:
-//! an `i64` read raw, a string as a borrowed `&str`), as joins and
-//! group-bys do.
+//! input would, and a cut never drops a row of the first `n`. Sort-key
+//! comparison mirrors `Value::sort_cmp` (NULLs first ascending, last
+//! descending): an entry is a row id, and two entries compare their rows'
+//! cells in the typed buffers (`key::Cell`: an `i64` read raw, a string as
+//! a borrowed `&str`), as joins and group-bys do.
 
 use crate::agg::{AggKind, AggSpec, PAcc};
 use crate::batch::{gather, Batch, Take, NO_ROW};
 use crate::key::KeyCols;
-use crate::morsel::{morsels_of, run_chunks, run_workers, worker_count, Chunks, KernelStats};
+use crate::morsel::{morsels_of, run_chunks, run_workers, worker_count, KernelStats};
 use crate::pred::{Pred, P_TRUE};
 use crate::segment::{ColumnTable, ColumnTableBuilder, SEGMENT_ROWS};
 use crate::{StorageError, MORSEL_ROWS};
@@ -78,6 +83,7 @@ pub struct WinSpec {
 /// breaks ties (making the comparison a total order — the determinism
 /// argument): the global row id again, or for a window the row's output
 /// position, which orders rows the same way.
+#[derive(Clone, Copy)]
 struct Entry {
     row: u32,
     gid: u32,
@@ -135,220 +141,41 @@ fn take<'a>(batch: &'a Batch, ids: &'a [u32]) -> Take<'a> {
     }
 }
 
-// ---------- bounded heap (Top-N) ----------
+// ---------- the sort kernel ----------
 
-/// Offers an entry to a bounded worst-at-root heap of capacity `cap`.
-/// Returns whether the entry was kept.
-fn heap_offer(heap: &mut Vec<Entry>, cap: usize, e: Entry, order: &Order<'_>) -> bool {
-    if cap == 0 {
-        return false;
-    }
-    if heap.len() < cap {
-        heap.push(e);
-        let last = heap.len() - 1;
-        sift_up(heap, last, order);
-        return true;
-    }
-    if order.cmp(&e, &heap[0]) == Ordering::Less {
-        heap[0] = e;
-        sift_down(heap, 0, order);
-        return true;
-    }
-    false
-}
-
-fn sift_up(heap: &mut [Entry], mut i: usize, order: &Order<'_>) {
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if order.cmp(&heap[i], &heap[parent]) == Ordering::Greater {
-            heap.swap(i, parent);
-            i = parent;
-        } else {
-            break;
-        }
-    }
-}
-
-fn sift_down(heap: &mut [Entry], mut i: usize, order: &Order<'_>) {
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let mut biggest = i;
-        if l < heap.len() && order.cmp(&heap[l], &heap[biggest]) == Ordering::Greater {
-            biggest = l;
-        }
-        if r < heap.len() && order.cmp(&heap[r], &heap[biggest]) == Ordering::Greater {
-            biggest = r;
-        }
-        if biggest == i {
-            break;
-        }
-        heap.swap(i, biggest);
-        i = biggest;
-    }
-}
-
-// ---------- k-way merge (full sort) ----------
-
-/// One sorted run being consumed by the merge.
-struct RunCursor {
-    head: Option<Entry>,
-    rest: std::vec::IntoIter<Entry>,
-}
-
-/// Merges sorted runs into one sorted sequence with a min-heap of run
-/// cursors. Entry comparison is a total order (gid tie-break), so the
-/// output is independent of run arrival order.
-fn kway_merge(runs: Vec<Vec<Entry>>, order: &Order<'_>) -> Vec<Entry> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut cursors: Vec<RunCursor> = runs
-        .into_iter()
-        .filter_map(|r| {
-            let mut rest = r.into_iter();
-            rest.next().map(|head| RunCursor {
-                head: Some(head),
-                rest,
-            })
-        })
-        .collect();
-    let less = |cursors: &[RunCursor], a: usize, b: usize| {
-        let (ha, hb) = (
-            cursors[a].head.as_ref().expect("live cursor"),
-            cursors[b].head.as_ref().expect("live cursor"),
-        );
-        order.cmp(ha, hb) == Ordering::Less
-    };
-    let sift = |heap: &mut [usize], cursors: &[RunCursor], mut i: usize| loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let mut smallest = i;
-        if l < heap.len() && less(cursors, heap[l], heap[smallest]) {
-            smallest = l;
-        }
-        if r < heap.len() && less(cursors, heap[r], heap[smallest]) {
-            smallest = r;
-        }
-        if smallest == i {
-            break;
-        }
-        heap.swap(i, smallest);
-        i = smallest;
-    };
-
-    let mut heap: Vec<usize> = (0..cursors.len()).collect();
-    for i in (0..heap.len() / 2).rev() {
-        sift(&mut heap, &cursors, i);
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(&top) = heap.first() {
-        let next = cursors[top].rest.next();
-        let done = std::mem::replace(&mut cursors[top].head, next);
-        out.push(done.expect("live cursor"));
-        if cursors[top].head.is_none() {
-            let last = heap.pop().expect("non-empty heap");
-            if !heap.is_empty() {
-                heap[0] = last;
-            }
-        }
-        if !heap.is_empty() {
-            sift(&mut heap, &cursors, 0);
-        }
-    }
-    out
-}
-
-// ---------- Top-N over a column table ----------
-
-/// What one Top-N worker hands back for the commutative merge.
-struct TopNPart {
-    entries: Vec<Entry>,
-    qualifying: u64,
-}
-
-fn topn_worker(
-    chunks: &Chunks,
+/// The qualifying rows of morsel `(si, off, len)` of `table` as entries:
+/// the pending predicate, if any, evaluated once into `sel`.
+fn morsel_entries<'a>(
     table: &ColumnTable,
-    morsels: &[(usize, usize, usize)],
     pred: Option<&Pred>,
-    order: &Order<'_>,
-    limit: usize,
-) -> TopNPart {
-    let mut heap: Vec<Entry> = Vec::with_capacity(limit.min(4096));
-    let mut qualifying = 0u64;
-    let mut sel = Vec::new();
-    while let Some(m) = chunks.next() {
-        let (si, off, len) = morsels[m];
-        let seg = &table.segments[si];
-        let sel_slice: Option<&[u8]> = match pred {
-            None => None,
-            Some(p) => {
-                p.eval(seg, off, len, (si * SEGMENT_ROWS + off) as u64, &mut sel);
-                Some(sel.as_slice())
-            }
-        };
-        for j in 0..len {
-            if let Some(s) = sel_slice {
-                if s[j] != P_TRUE {
-                    continue;
-                }
-            }
-            qualifying += 1;
+    (si, off, len): (usize, usize, usize),
+    sel: &'a mut Vec<u8>,
+) -> impl Iterator<Item = Entry> + 'a {
+    if let Some(p) = pred {
+        let base = (si * SEGMENT_ROWS + off) as u64;
+        p.eval(&table.segments[si], off, len, base, sel);
+    }
+    let (filtered, sel) = (pred.is_some(), &*sel);
+    (0..len)
+        .filter(move |&j| !filtered || sel[j] == P_TRUE)
+        .map(move |j| {
             let row = (si * SEGMENT_ROWS + off + j) as u32;
-            heap_offer(&mut heap, limit, Entry { row, gid: row }, order);
-        }
-    }
-    TopNPart {
-        entries: heap,
-        qualifying,
-    }
+            Entry { row, gid: row }
+        })
 }
 
-/// Parallel Top-N: the first `limit` of the batch's qualifying rows under
-/// a stable sort by `keys`, as a table of the batch's visible columns.
-///
-/// Output is byte-identical at any worker count: entries order by (key,
-/// global row index), a total order, and the heap merge is a full sort of
-/// the union of the per-worker survivors.
-pub fn par_topn(
-    batch: &Batch,
-    keys: &[SortKey],
-    limit: usize,
-    threads: usize,
-) -> (ColumnTable, KernelStats) {
-    assert!(batch.table.id_end() <= NO_ROW as usize, "row ids are u32");
-    let (table, pred) = (&*batch.table, batch.pred.as_ref());
-    let morsels = morsels_of(table);
-    let workers = worker_count(table.rows, threads, morsels.len());
-    let order = Order::new(table, keys);
-
-    let parts = run_workers(morsels.len(), workers, |chunks| {
-        topn_worker(chunks, table, &morsels, pred, &order, limit)
-    });
-
-    let qualifying: u64 = parts.iter().map(|p| p.qualifying).sum();
-    let heap_rows: u64 = parts.iter().map(|p| p.entries.len() as u64).sum();
-    let mut entries: Vec<Entry> = Vec::with_capacity(heap_rows as usize);
-    for p in parts {
-        entries.extend(p.entries);
-    }
-    entries.sort_unstable_by(|a, b| order.cmp(a, b));
-    entries.truncate(limit);
-
-    let stats = KernelStats {
-        morsels: morsels.len() as u64,
-        workers: workers as u64,
-        rows_in: qualifying,
-        heap_rows,
-        pruned_rows: qualifying - heap_rows,
-        ..KernelStats::default()
-    };
-    let ids: Vec<u32> = entries.iter().map(|e| e.row).collect();
-    (gather(&[take(batch, &ids)], threads), stats)
+/// The runs concatenated in order and merged by std's stable sort, which
+/// finds each presorted run and merges them. Returns the merged entries
+/// and how many runs were non-empty.
+fn merged(runs: Vec<Vec<Entry>>, order: &Order<'_>) -> (Vec<Entry>, u64) {
+    let ways = runs.iter().filter(|r| !r.is_empty()).count() as u64;
+    let mut all = runs.concat();
+    all.sort_by(|a, b| order.cmp(a, b));
+    (all, ways)
 }
-
-// ---------- full sort over a column table ----------
 
 /// Sorts each of `chunks` entry lists — `entries(c)` — into a run by
-/// `order`, in parallel, then k-way merges the runs. Returns the merged
-/// entries and how many runs were non-empty.
+/// `order`, in parallel, then merges the runs ([`merged`]).
 fn merged_runs(
     order: &Order<'_>,
     chunks: usize,
@@ -360,50 +187,89 @@ fn merged_runs(
         run.sort_unstable_by(|a, b| order.cmp(a, b));
         run
     });
-    let merge_ways = runs.iter().filter(|r| !r.is_empty()).count() as u64;
-    (kway_merge(runs, order), merge_ways)
+    merged(runs, order)
+}
+
+/// Cuts `run` to its best `n` entries by `order`; returns the last one
+/// kept, which is the worst of them when `run` held more than `n`.
+fn cut(run: &mut Vec<Entry>, n: usize, order: &Order<'_>) -> Option<Entry> {
+    if let Some(nth) = n.checked_sub(1).filter(|&nth| nth < run.len()) {
+        run.select_nth_unstable_by(nth, |a, b| order.cmp(a, b));
+    }
+    run.truncate(n);
+    run.last().copied()
 }
 
 /// The global ids of the batch's qualifying rows sorted by `keys`, ties
-/// in table order: per-morsel sorted runs in parallel, then a serial k-way
+/// in table order, the first `limit` of them: per-morsel sorted runs in
+/// parallel — with a limit, per-worker buffers under the cut — then one
 /// merge. The pending predicate runs once per morsel.
-fn sorted_ids(batch: &Batch, keys: &[SortKey], threads: usize) -> (Vec<u32>, KernelStats) {
+fn sorted_ids(
+    batch: &Batch,
+    keys: &[SortKey],
+    limit: Option<usize>,
+    threads: usize,
+) -> (Vec<u32>, KernelStats) {
     assert!(batch.table.id_end() <= NO_ROW as usize, "row ids are u32");
     let (table, pred) = (&*batch.table, batch.pred.as_ref());
     let morsels = morsels_of(table);
     let workers = worker_count(table.rows, threads, morsels.len());
     let order = Order::new(table, keys);
-    let (merged, merge_ways) = merged_runs(&order, morsels.len(), workers, |m| {
-        let (si, off, len) = morsels[m];
-        let mut sel = Vec::new();
-        if let Some(p) = pred {
-            let base = (si * SEGMENT_ROWS + off) as u64;
-            p.eval(&table.segments[si], off, len, base, &mut sel);
-        }
-        (off..off + len)
-            .filter(|i| pred.is_none() || sel[i - off] == P_TRUE)
-            .map(|i| {
-                let row = (si * SEGMENT_ROWS + i) as u32;
-                Entry { row, gid: row }
-            })
-            .collect()
-    });
-    let stats = KernelStats {
+    let mut stats = KernelStats {
         morsels: morsels.len() as u64,
         workers: workers as u64,
-        rows_in: merged.len() as u64,
-        merge_ways,
         ..KernelStats::default()
+    };
+    let merged = match limit {
+        None => {
+            let (merged, ways) = merged_runs(&order, morsels.len(), workers, |m| {
+                morsel_entries(table, pred, morsels[m], &mut Vec::new()).collect()
+            });
+            (stats.rows_in, stats.merge_ways) = (merged.len() as u64, ways);
+            merged
+        }
+        Some(n) => {
+            let parts = run_workers(morsels.len(), workers, |chunks| {
+                let (mut run, mut sel, mut worst, mut offered) = (Vec::new(), Vec::new(), None, 0);
+                while let Some(m) = chunks.next() {
+                    for e in morsel_entries(table, pred, morsels[m], &mut sel) {
+                        offered += 1;
+                        if worst.is_some_and(|w| order.cmp(&e, &w).is_gt()) {
+                            continue;
+                        }
+                        run.push(e);
+                        if run.len() >= n.saturating_mul(2) {
+                            worst = cut(&mut run, n, &order);
+                        }
+                    }
+                }
+                cut(&mut run, n, &order);
+                run.sort_unstable_by(|a, b| order.cmp(a, b));
+                (run, offered)
+            });
+            stats.rows_in = parts.iter().map(|p| p.1).sum();
+            stats.heap_rows = parts.iter().map(|p| p.0.len() as u64).sum();
+            stats.pruned_rows = stats.rows_in - stats.heap_rows;
+            let (mut merged, _) = merged(parts.into_iter().map(|p| p.0).collect(), &order);
+            merged.truncate(n);
+            merged
+        }
     };
     (merged.iter().map(|e| e.row).collect(), stats)
 }
 
-/// Parallel full sort of the batch's qualifying rows ([`sorted_ids`]);
-/// emits a table of the batch's visible columns. Byte-identical at any
-/// worker count (total entry order, and run `m` always holds morsel `m`'s
-/// rows regardless of which worker sorted it).
-pub fn par_sort(batch: &Batch, keys: &[SortKey], threads: usize) -> (ColumnTable, KernelStats) {
-    let (ids, stats) = sorted_ids(batch, keys, threads);
+/// Parallel sort of the batch's qualifying rows by `keys`, the first
+/// `limit` of them when there is one ([`sorted_ids`]); emits a table of
+/// the batch's visible columns. Byte-identical at any worker count: the
+/// entry order is total, so every run and every cut keeps what a stable
+/// serial sort would put first.
+pub fn par_sort(
+    batch: &Batch,
+    keys: &[SortKey],
+    limit: Option<usize>,
+    threads: usize,
+) -> (ColumnTable, KernelStats) {
+    let (ids, stats) = sorted_ids(batch, keys, limit, threads);
     (gather(&[take(batch, &ids)], threads), stats)
 }
 
@@ -424,7 +290,7 @@ pub fn par_window(
 ) -> Result<(ColumnTable, KernelStats), StorageError> {
     // The rows in table order (a sort on no keys): the predicate runs
     // once, and a row's index here is its output position.
-    let (ids, mut stats) = sorted_ids(batch, &[], threads);
+    let (ids, mut stats) = sorted_ids(batch, &[], None, threads);
     let table = &*batch.table;
     let chunks = ids.len().div_ceil(MORSEL_ROWS);
     let workers = worker_count(ids.len(), threads, chunks);
@@ -562,12 +428,12 @@ mod tests {
     }
 
     fn topn(b: &Batch, keys: &[SortKey], limit: usize, threads: usize) -> (Vec<Row>, KernelStats) {
-        let (t, stats) = par_topn(b, keys, limit, threads);
+        let (t, stats) = par_sort(b, keys, Some(limit), threads);
         (rows_of(t), stats)
     }
 
     fn sort(b: &Batch, keys: &[SortKey], threads: usize) -> (Vec<Row>, KernelStats) {
-        let (t, stats) = par_sort(b, keys, threads);
+        let (t, stats) = par_sort(b, keys, None, threads);
         (rows_of(t), stats)
     }
 
@@ -615,6 +481,29 @@ mod tests {
             assert_eq!(rows.len(), 100);
             assert!(stats.pruned_rows > 0, "heaps should prune: {stats:?}");
             assert_eq!(stats.rows_in, stats.heap_rows + stats.pruned_rows);
+        }
+        // Over two and a half segments: strictly falling keys sorted
+        // ascending, where every row displaces a kept one and the cut runs
+        // again and again, and all-equal keys, where ties fall to row id.
+        let n = 2 * SEGMENT_ROWS + SEGMENT_ROWS / 2;
+        let rows: Vec<Row> = (0..n as i64)
+            .map(|i| vec![Value::Int(-i), Value::Int(7), Value::Int(i)])
+            .collect();
+        let t = Batch::new(Arc::new(ColumnTable::from_rows(
+            vec![DataType::Int; 3],
+            &rows,
+        )));
+        for col in [0, 1] {
+            let keys = [SortKey { col, desc: false }];
+            let expect = reference(&t, &keys, None);
+            for limit in [1, 100, 2 * MORSEL_ROWS + 1] {
+                for threads in [1, 2, 8] {
+                    let what = format!("col={col} limit={limit} threads={threads}");
+                    let (rows, stats) = topn(&t, &keys, limit, threads);
+                    assert_eq!(rows, expect[..limit], "{what}");
+                    assert_eq!(stats.rows_in, stats.heap_rows + stats.pruned_rows, "{what}");
+                }
+            }
         }
     }
 

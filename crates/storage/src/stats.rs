@@ -9,8 +9,8 @@
 //! the same at any worker count.
 //!
 //! [`ColumnStats`] keeps its sketch, so published statistics change
-//! without a rescan, by the rows a change moves: [`extend_stats`] folds in
-//! the live rows appended past the ones already counted, and
+//! without a rescan, by the rows a change moves: [`TableStats::append`]
+//! folds in the live rows of an appended batch, and
 //! [`TableStats::retract`] takes out the rows a delete kills, as
 //! [`removed_stats_at`] collects them. Dead rows are never counted. Row
 //! and NULL counts and the histogram subtract exactly; a min or max that a
@@ -122,8 +122,7 @@ impl ColumnStats {
     }
 
     /// Takes out `removed`, which was folded in; column `c` of the live
-    /// rows of `left` is what is left, with any rows appended and not yet
-    /// folded in. The sketch keeps the removed values.
+    /// rows of `left` is what is left. The sketch keeps the removed values.
     fn retract<'a>(
         &mut self,
         removed: &ColumnStats,
@@ -557,15 +556,26 @@ impl TableStats {
         }
     }
 
+    /// Folds in the live rows of `rows`, a batch just appended to the
+    /// table these count: their cells only, into the accumulators in
+    /// place, then each `ndv` a register rose in is read off again.
+    pub fn append(&mut self, rows: &ColumnTable, threads: usize) {
+        let n_segs = rows.segments.len();
+        let workers = worker_count(rows.rows, threads, n_segs);
+        let total = self.rows as usize + rows.rows;
+        let base = std::mem::take(&mut self.columns);
+        *self = estimated(fold_runs(base, total, n_segs, workers, |k, acc| {
+            fold_live(acc, &rows.segments[k])
+        }));
+    }
+
     /// Takes out `removed`: the statistics of counted rows that are gone
-    /// from `table`'s live rows, which are the rest — and may end in rows
-    /// appended since, which [`extend_stats`] is yet to fold in. Costs the
-    /// removed rows, plus a search of one column's cells where a removed
-    /// value equals its min or max and no appended row stands in for it;
-    /// every field but `ndv` then equals [`collect_stats`] of `table` once
-    /// the appended rows are folded in (see the module doc).
+    /// from `table`'s live rows, which are the rest. Costs the removed
+    /// rows, plus a search of one column's cells where a removed value
+    /// equals its min or max; every field but `ndv` then equals
+    /// [`collect_stats`] of `table` (see the module doc).
     pub fn retract(&mut self, removed: &TableStats, table: &ColumnTable) {
-        debug_assert!(self.rows - removed.rows <= table.rows as u64);
+        debug_assert!(self.rows - removed.rows == table.rows as u64);
         self.rows -= removed.rows;
         for (c, (into, gone)) in self.columns.iter_mut().zip(&removed.columns).enumerate() {
             into.retract(gone, c, table.segments.iter().map(|s| &**s));
@@ -722,35 +732,9 @@ fn estimated(mut stats: TableStats) -> TableStats {
 /// to `threads` workers (whole segments are the unit of work; small
 /// tables run inline on the caller's thread).
 pub fn collect_stats(table: &ColumnTable, threads: usize) -> TableStats {
-    extend_stats(&TableStats::empty(table.width()), table, threads)
-}
-
-/// The statistics of `table`, given `base`: those of all its live rows
-/// but the last `table.rows - base.rows` — the rows appended since. Walks
-/// back over the segments to where those start and folds only them into a
-/// copy of `base` — exact, because no accumulator ever shrinks — so
-/// appending to a table costs the appended cells, not the table's.
-pub fn extend_stats(base: &TableStats, table: &ColumnTable, threads: usize) -> TableStats {
-    debug_assert!(base.rows as usize <= table.rows && base.columns.len() == table.width());
-    let added = table.rows - base.rows as usize;
-    let (mut first, mut from, mut left) = (table.segments.len(), 0, added);
-    while left > 0 {
-        first -= 1;
-        let seg = &table.segments[first];
-        match seg.live().checked_sub(left) {
-            Some(skip) => (from, left) = (seg.live_offsets().nth(skip).expect("live"), 0),
-            None => left -= seg.live(),
-        }
-    }
-    let n_segs = table.segments.len() - first;
-    let workers = worker_count(added, threads, n_segs);
-    estimated(fold_runs(base, table.rows, n_segs, workers, |k, acc| {
-        fold_live(
-            acc,
-            &table.segments[first + k],
-            if k == 0 { from } else { 0 },
-        )
-    }))
+    let mut stats = TableStats::empty(table.width());
+    stats.append(table, threads);
+    stats
 }
 
 /// The statistics of `seg`'s live rows: one segment's share of
@@ -758,7 +742,7 @@ pub fn extend_stats(base: &TableStats, table: &ColumnTable, threads: usize) -> T
 /// (the bulk load folds each in the task that built it).
 pub fn segment_stats(seg: &Segment) -> TableStats {
     let mut columns = vec![ColumnStats::empty(); seg.columns.len()];
-    fold_live(&mut columns, seg, 0);
+    fold_live(&mut columns, seg);
     TableStats {
         rows: seg.live() as u64,
         columns,
@@ -782,31 +766,32 @@ pub fn removed_stats_at(table: &ColumnTable, ids: &[u32], threads: usize) -> Tab
     let groups: Vec<&[u32]> =
         (ids.chunk_by(|a, b| a / SEGMENT_ROWS as u32 == b / SEGMENT_ROWS as u32)).collect();
     let workers = worker_count(ids.len(), threads, groups.len());
-    let empty = TableStats::empty(table.width());
-    fold_runs(&empty, ids.len(), groups.len(), workers, |k, acc| {
+    let empty = vec![ColumnStats::empty(); table.width()];
+    fold_runs(empty, ids.len(), groups.len(), workers, |k, acc| {
         let seg = &table.segments[groups[k][0] as usize / SEGMENT_ROWS];
         let rows = groups[k].iter().map(|&id| id as usize % SEGMENT_ROWS);
         fold_at(acc, seg, rows, false)
     })
 }
 
-/// `base` with the parts `0..n` folded in by `fold`, as the statistics of
-/// `rows` rows. Each of `workers` workers folds one contiguous run of
-/// parts into one accumulator — the first worker into a copy of `base` —
+/// `first` with the parts `0..n` folded in by `fold`, as the statistics
+/// of `rows` rows. Each of `workers` workers folds one contiguous run of
+/// parts into one accumulator — the first worker into `first` itself —
 /// and the accumulators merge in run order: parts fold in order whatever
 /// the worker count, so which value stands for a tie at min or max does
 /// not depend on it.
 fn fold_runs(
-    base: &TableStats,
+    first: Vec<ColumnStats>,
     rows: usize,
     n: usize,
     workers: usize,
     fold: impl Fn(usize, &mut [ColumnStats]) + Sync,
 ) -> TableStats {
+    let (width, first) = (first.len(), std::sync::Mutex::new(Some(first)));
     let mut accs = run_chunks(workers, workers, |w| {
         let mut acc = match w {
-            0 => base.columns.clone(),
-            _ => vec![ColumnStats::empty(); base.columns.len()],
+            0 => (first.lock().expect("no fold panicked").take()).expect("one first run"),
+            _ => vec![ColumnStats::empty(); width],
         };
         (n * w / workers..n * (w + 1) / workers).for_each(|k| fold(k, &mut acc));
         acc
@@ -828,11 +813,11 @@ fn fold_at(
     }
 }
 
-/// [`fold_at`] over `seg`'s live rows from offset `from` on.
-fn fold_live(acc: &mut [ColumnStats], seg: &Segment, from: usize) {
+/// [`fold_at`] over `seg`'s live rows.
+fn fold_live(acc: &mut [ColumnStats], seg: &Segment) {
     match seg.dead() {
-        None => fold_at(acc, seg, from..seg.rows, true),
-        Some(dead) => fold_at(acc, seg, (from..seg.rows).filter(|&i| !dead.get(i)), true),
+        None => fold_at(acc, seg, 0..seg.rows, true),
+        Some(dead) => fold_at(acc, seg, (0..seg.rows).filter(|&i| !dead.get(i)), true),
     }
 }
 
@@ -970,10 +955,10 @@ mod tests {
         ]
     }
 
-    /// Takes the rows `gone` selects out of `0..n` rows' statistics, with
-    /// `added` appended after the rows left, then folds `added` in — an
+    /// Folds `added` into `0..n` rows' statistics, then takes out the
+    /// rows `gone` selects, `added` appended after the rows left — an
     /// update's order; checks the result against a rebuild and returns it.
-    fn retract_and_fold(n: usize, gone: impl Fn(usize) -> bool, added: &[Row]) -> TableStats {
+    fn fold_and_retract(n: usize, gone: impl Fn(usize) -> bool, added: &[Row]) -> TableStats {
         let table = |rows: &[Row]| {
             use DataType::{Decimal, Int, Str};
             ColumnTable::from_rows(vec![Int, Int, Decimal, Str, Str], rows)
@@ -982,9 +967,8 @@ mod tests {
         let removed: Vec<Row> = removed.into_iter().map(row).collect();
         let result: Vec<Row> = kept.into_iter().map(row).chain(added.to_vec()).collect();
         let mut stats = collect_stats(&table(&(0..n).map(row).collect::<Vec<_>>()), 2);
-        let left = table(&result);
-        stats.retract(&collect_stats(&table(&removed), 2), &left);
-        let stats = extend_stats(&stats, &left, 2);
+        stats.append(&table(added), 2);
+        stats.retract(&collect_stats(&table(&removed), 2), &table(&result));
 
         let rebuilt = collect_stats(&table(&result), 2);
         let union = collect_stats(&table(&[result, removed].concat()), 2);
@@ -1001,7 +985,7 @@ mod tests {
     }
 
     #[test]
-    fn retract_then_fold_equals_a_rebuild_around_the_segment_boundary() {
+    fn fold_then_retract_equals_a_rebuild_around_the_segment_boundary() {
         for n in [SEGMENT_ROWS - 1, SEGMENT_ROWS, SEGMENT_ROWS + 1] {
             let updated = |i: usize| {
                 let mut r = row(i);
@@ -1010,16 +994,16 @@ mod tests {
             };
             // The only holders of the id's, the decimal's and the unique
             // string's extremes: the min/max pass over the rows left.
-            let s = retract_and_fold(n, |i| i == 0 || i == n - 1, &[updated(n / 2)]);
+            let s = fold_and_retract(n, |i| i == 0 || i == n - 1, &[updated(n / 2)]);
             assert_eq!(s.columns[0].min, Some(Value::Int(1)));
             // One of several rows holding the key's extremes and one of the
             // repeated strings: the search stops at the next holder.
-            let s = retract_and_fold(n, |i| i == 10 || i == 19 || i == 2, &[updated(7)]);
+            let s = fold_and_retract(n, |i| i == 10 || i == 19 || i == 2, &[updated(7)]);
             assert_eq!(s.columns[1].min, Some(Value::Int(0)));
             // A whole segment's worth, and an extreme the folded row holds.
-            retract_and_fold(n, |i| i % 2 == 0, &[updated(0)]);
+            fold_and_retract(n, |i| i % 2 == 0, &[updated(0)]);
             // Everything.
-            let s = retract_and_fold(n, |_| true, &[]);
+            let s = fold_and_retract(n, |_| true, &[]);
             assert_eq!(s.rows, 0);
             for c in &s.columns {
                 assert_eq!((c.nulls, c.hist.is_empty()), (0, true));
@@ -1062,19 +1046,21 @@ mod tests {
         let at: Vec<u32> = (0..n as u32)
             .filter(|i| i % 3 == 1 || i % SEGMENT_ROWS as u32 == 7)
             .collect();
-        let base = collect_stats(&table(rows[..30_000].to_vec(), dtypes), 1);
+        let base = collect_stats(&table(rows[..30_000].to_vec(), dtypes.clone()), 1);
         let stats = |workers| {
-            let (at, grown) = (
+            let (at, all, mut grown) = (
                 removed_stats_at(&t, &at, workers),
-                extend_stats(&base, &t, workers),
+                collect_stats(&t, workers),
+                base.clone(),
             );
-            for s in [&at, &grown] {
+            grown.append(&table(rows[30_000..].to_vec(), dtypes.clone()), workers);
+            for s in [&at, &all, &grown] {
                 assert_eq!(
                     format!("{:?}", s.columns[1].min),
                     format!("{:?}", Some(one(0)))
                 );
             }
-            (format!("{at:?}"), format!("{grown:?}"))
+            (format!("{at:?}"), format!("{all:?}"), format!("{grown:?}"))
         };
         let one_worker = stats(1);
         for workers in [2, 8] {

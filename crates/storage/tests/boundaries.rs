@@ -6,8 +6,8 @@
 
 use std::sync::Arc;
 use tpcds_storage::{
-    par_aggregate, par_filter, par_hash_join, par_sort, par_topn, AggKind, AggSpec, Batch, Bitmap,
-    CmpKind, ColumnTable, ColumnTableBuilder, Expr, JoinType, SortKey, SEGMENT_ROWS,
+    par_aggregate, par_filter, par_hash_join, par_sort, AggKind, AggSpec, Batch, Bitmap, CmpKind,
+    ColumnTable, ColumnTableBuilder, Expr, JoinType, SortKey, SEGMENT_ROWS,
 };
 use tpcds_types::{DataType, Row, Value};
 
@@ -252,8 +252,8 @@ fn intermediate_batches_at_boundaries_feed_every_kernel() {
 
             // Join → sort / Top-N on the last row's side of the boundary.
             let by_id_desc = [SortKey { col: 1, desc: true }];
-            let (sorted, _) = par_sort(&mid, &by_id_desc, threads);
-            let (top, _) = par_topn(&mid, &by_id_desc, 2, threads);
+            let (sorted, _) = par_sort(&mid, &by_id_desc, None, threads);
+            let (top, _) = par_sort(&mid, &by_id_desc, Some(2), threads);
             assert_eq!(sorted.rows, n);
             let sorted = par_filter(&batch(sorted), 1).0;
             let expect: Vec<Row> = oracle.iter().rev().cloned().collect();

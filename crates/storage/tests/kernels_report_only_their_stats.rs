@@ -9,9 +9,9 @@
 use std::sync::Arc;
 use tpcds_obs::metrics;
 use tpcds_storage::{
-    par_aggregate, par_filter, par_hash_join, par_project_table, par_sort, par_topn, par_window,
-    scan_until, AggKind, AggSpec, Batch, CmpKind, ColumnTableBuilder, Expr, JoinType, KernelStats,
-    SortKey, WinFunc, WinSpec,
+    par_aggregate, par_filter, par_hash_join, par_project_table, par_sort, par_window, scan_until,
+    AggKind, AggSpec, Batch, CmpKind, ColumnTableBuilder, Expr, JoinType, KernelStats, SortKey,
+    WinFunc, WinSpec,
 };
 use tpcds_types::{ArithOp, DataType, Value};
 
@@ -66,8 +66,10 @@ fn kernels_leave_the_registry_untouched() {
             .unwrap()
             .1
     });
-    silent("par_topn", || par_topn(&fact, &by_id, 10, THREADS).1);
-    silent("par_sort", || par_sort(&fact, &by_id, THREADS).1);
+    silent("par_sort limit", || {
+        par_sort(&fact, &by_id, Some(10), THREADS).1
+    });
+    silent("par_sort", || par_sort(&fact, &by_id, None, THREADS).1);
     silent("par_window", || {
         let rank = WinSpec {
             func: WinFunc::Rank,

@@ -13,15 +13,15 @@
 //!   declared `Bool` keeps every cell as a `Value`, and its fold is the
 //!   one the typed fold replaced — field for field, the NDV sketch's
 //!   registers and the histogram's buckets included, through
-//!   `segment_stats`, `extend_stats` and `removed_stats_at`, and again
+//!   `segment_stats`, `collect_stats` and `removed_stats_at`, and again
 //!   once a delete has masked rows.
 //!
 //! `date_dim` and `time_dim` hold the same rows at every scale factor, so
 //! the SF 0.2 test checks them for both.
 
 use tpcds_core::storage::{
-    extend_stats, merge_segment_stats, removed_stats_at, run_chunks, segment_stats, Column,
-    ColumnData, ColumnTable, ColumnTableBuilder, Segment, TableStats,
+    collect_stats, removed_stats_at, run_chunks, segment_stats, Column, ColumnData, ColumnTable,
+    ColumnTableBuilder, Segment, TableStats,
 };
 use tpcds_core::types::DataType;
 use tpcds_core::Generator;
@@ -135,7 +135,6 @@ fn boxed(table: &ColumnTable) -> ColumnTable {
 /// Checks each way of folding `typed`'s statistics against the fold of
 /// `boxed`, which holds the same rows and dead rows boxed.
 fn check_stats(typed: &ColumnTable, boxed: &ColumnTable, what: &str) {
-    let width = typed.width();
     let segments = |t: &ColumnTable| -> Vec<TableStats> {
         t.segments.iter().map(|s| segment_stats(s)).collect()
     };
@@ -143,25 +142,17 @@ fn check_stats(typed: &ColumnTable, boxed: &ColumnTable, what: &str) {
     for (k, (got, want)) in parts.iter().zip(&want_parts).enumerate() {
         same_stats(got, want, &format!("{what}: segment_stats of segment {k}"));
     }
-    // Every live row, then all but the first segment's onto its statistics.
-    let empty = TableStats::empty(width);
-    let first = |parts: &[TableStats]| merge_segment_stats(width, &parts[..1]);
     let ids: Vec<u32> = (typed.live_ids().step_by(7))
         .chain(typed.live_ids().last())
         .map(|id| id as u32)
         .collect();
-    let want = [
-        extend_stats(&empty, boxed, 1),
-        extend_stats(&first(&want_parts), boxed, 1),
-        removed_stats_at(boxed, &ids, 1),
-    ];
+    let want = [collect_stats(boxed, 1), removed_stats_at(boxed, &ids, 1)];
     for workers in WORKERS {
         let got = [
-            extend_stats(&empty, typed, workers),
-            extend_stats(&first(&parts), typed, workers),
+            collect_stats(typed, workers),
             removed_stats_at(typed, &ids, workers),
         ];
-        let names = ["all rows", "past segment 0", "removed at ids"];
+        let names = ["all rows", "removed at ids"];
         for ((got, want), name) in got.iter().zip(&want).zip(names) {
             same_stats(got, want, &format!("{what}, {workers} workers: {name}"));
         }
